@@ -24,7 +24,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
-use sloth_net::{Dispatcher, SimEnv};
+use sloth_net::{BatchRequest, CacheMode, Dispatcher, ErrorMode, SimEnv};
 use sloth_sql::ast::ColumnType;
 use sloth_sql::{
     is_write_sql, normalize, txn_boundary, Footprint, PostImage, ReadShape, ResultSet, SqlError,
@@ -1010,11 +1010,16 @@ impl QueryStore {
                 // cache's hit path — an earlier batch of its own died
                 // with ambiguous writes — so it ships uncached (its
                 // writes still invalidate other sessions' entries).
-                let p = if degraded {
-                    env.query_batch_partial_uncached_with(&sqls, footprints.as_deref())
-                } else {
-                    env.query_batch_partial_with(&sqls, footprints.as_deref())
-                };
+                let p = env.ship(&BatchRequest {
+                    footprints: footprints.as_deref(),
+                    cache: if degraded {
+                        CacheMode::Bypass
+                    } else {
+                        CacheMode::Serve
+                    },
+                    errors: ErrorMode::Partial,
+                    ..BatchRequest::new(&sqls)
+                });
                 (
                     p.results,
                     p.error.map(|(_, e)| e),
@@ -1172,6 +1177,39 @@ mod tests {
         assert_eq!(store.stats().max_batch(), 3);
     }
 
+    /// A writer stalled mid-commit: a thread parked inside
+    /// [`SimEnv::seed`] — holding the write order and the database write
+    /// guard, `mutate` applied but nothing published — until released.
+    struct Wedge {
+        release: std::sync::mpsc::Sender<()>,
+        holder: std::thread::JoinHandle<()>,
+    }
+
+    impl Wedge {
+        fn hold(
+            env: &SimEnv,
+            mutate: impl FnOnce(&mut sloth_sql::Database) + Send + 'static,
+        ) -> Wedge {
+            let (release, parked) = std::sync::mpsc::channel::<()>();
+            let (held_tx, held) = std::sync::mpsc::channel::<()>();
+            let env = env.clone();
+            let holder = std::thread::spawn(move || {
+                env.seed(|db| {
+                    mutate(db);
+                    held_tx.send(()).unwrap();
+                    let _ = parked.recv();
+                })
+            });
+            held.recv().unwrap();
+            Wedge { release, holder }
+        }
+
+        fn release(self) {
+            self.release.send(()).unwrap();
+            self.holder.join().unwrap();
+        }
+    }
+
     #[test]
     fn stats_snapshot_does_not_block_behind_an_in_flight_flush() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -1185,8 +1223,7 @@ mod tests {
         store.register("UPDATE t SET v = 'w' WHERE id = 1").unwrap();
 
         // Wedge the flush mid-ship at the backend.
-        let db = e.database();
-        let wedge = db.write().unwrap();
+        let wedge = Wedge::hold(&e, |_| {});
         let done = Arc::new(AtomicBool::new(false));
         let flusher = {
             let store = store.clone();
@@ -1215,7 +1252,7 @@ mod tests {
         assert_eq!(pending, 0, "the batch was drained at admission");
         assert!(!done.load(Ordering::SeqCst));
 
-        drop(wedge);
+        wedge.release();
         flusher.join().unwrap();
         assert_eq!(store.stats().batches, 1);
     }
@@ -1235,11 +1272,9 @@ mod tests {
         let q = store.register("SELECT v FROM t WHERE id = 1").unwrap();
 
         // Hold the write lock with an uncommitted mutation in place.
-        let db = e.database();
-        let mut wedge = db.write().unwrap();
-        wedge
-            .execute("UPDATE t SET v = 'dirty' WHERE id = 1")
-            .unwrap();
+        let wedge = Wedge::hold(&e, |db| {
+            db.execute("UPDATE t SET v = 'dirty' WHERE id = 1").unwrap();
+        });
 
         let (tx, rx) = mpsc::channel();
         {
@@ -1260,7 +1295,7 @@ mod tests {
             e.stats().snapshot_batches >= 1,
             "drain used the snapshot path"
         );
-        drop(wedge);
+        wedge.release();
     }
 
     #[test]

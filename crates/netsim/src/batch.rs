@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 
 use sloth_sql::fuse::{self, FusableLookup, FusedPlan};
-use sloth_sql::{ExecOutcome, Footprint, Normalized, ResultSet, Snapshot, SqlError, Value};
+use sloth_sql::{ExecOutcome, Footprint, Normalized, ResultSet, SqlError, Value};
 
 /// Default cap on the arity of one fused `IN` probe. Groups with more
 /// distinct probed values split into several probes, bounding both the
@@ -350,24 +350,15 @@ pub(crate) struct BatchExec {
     pub fused_queries: u64,
     /// Fused group executions performed.
     pub fused_groups: u64,
-    /// The backend's cumulative plan-cache eviction count after this
-    /// batch (summed over shards on a fleet) — the pressure signal the
-    /// self-tuning fused-probe arity watches.
-    pub plan_evictions: u64,
-    /// The backend data version the results reflect (summed over shards
-    /// on a fleet): the post-commit version for write batches, the
-    /// snapshot's frozen version for snapshot reads. The result cache
-    /// compares it against the currently *published* version at settle
-    /// time and refuses to fill from results a later commit outdated.
-    pub db_version: u64,
 }
 
 /// What the single-server batch executor needs from its execution target —
 /// implemented by the live [`sloth_sql::Database`] (full read/write
-/// surface, used under the backend's write lock) and by `&`[`Snapshot`]
-/// (read-only MVCC view, used lock-free by read-only batches). One
-/// executor body serves both, so the snapshot path cannot drift from the
-/// locked path in results, cost accounting, or fusion behaviour.
+/// surface, used by a batch that holds the write order) and by
+/// `&Database` (the read-only surface: a published MVCC snapshot, which
+/// derefs to one, or the live database behind a read guard). One executor
+/// body serves both, so the snapshot path cannot drift from the locked
+/// path in results, cost accounting, or fusion behaviour.
 pub(crate) trait BatchDb {
     /// Executes a pre-normalized `SELECT`.
     fn exec_normalized(&mut self, sql: &str, norm: &Normalized) -> Result<ExecOutcome, SqlError>;
@@ -375,10 +366,6 @@ pub(crate) trait BatchDb {
     fn exec_any(&mut self, sql: &str) -> Result<ExecOutcome, SqlError>;
     /// Executes an already-built fused `SELECT … IN (…)` probe.
     fn exec_fused(&mut self, stmt: &sloth_sql::Statement) -> Result<ExecOutcome, SqlError>;
-    /// Cumulative plan-cache eviction count (arity self-tuning signal).
-    fn plan_evictions(&self) -> u64;
-    /// The data version the produced results reflect.
-    fn data_version(&self) -> u64;
 }
 
 impl BatchDb for sloth_sql::Database {
@@ -393,20 +380,8 @@ impl BatchDb for sloth_sql::Database {
     fn exec_fused(&mut self, stmt: &sloth_sql::Statement) -> Result<ExecOutcome, SqlError> {
         self.execute_stmt(stmt)
     }
-
-    fn plan_evictions(&self) -> u64 {
-        self.plan_cache_stats().evictions
-    }
-
-    fn data_version(&self) -> u64 {
-        self.version()
-    }
 }
 
-/// The live database through a shared **read** guard: the snapshot-off
-/// read-only path. By contract it observes the live state, so it
-/// serializes behind an in-flight writer (the guard), but never behind
-/// other readers — the PR 8 semantics the eager baseline measures.
 impl BatchDb for &sloth_sql::Database {
     fn exec_normalized(&mut self, sql: &str, norm: &Normalized) -> Result<ExecOutcome, SqlError> {
         self.execute_select_normalized(sql, norm)
@@ -418,36 +393,6 @@ impl BatchDb for &sloth_sql::Database {
 
     fn exec_fused(&mut self, stmt: &sloth_sql::Statement) -> Result<ExecOutcome, SqlError> {
         self.execute_read_stmt(stmt)
-    }
-
-    fn plan_evictions(&self) -> u64 {
-        self.plan_cache_stats().evictions
-    }
-
-    fn data_version(&self) -> u64 {
-        self.version()
-    }
-}
-
-impl BatchDb for &Snapshot {
-    fn exec_normalized(&mut self, sql: &str, norm: &Normalized) -> Result<ExecOutcome, SqlError> {
-        self.execute_select_normalized(sql, norm)
-    }
-
-    fn exec_any(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        self.execute_readonly(sql)
-    }
-
-    fn exec_fused(&mut self, stmt: &sloth_sql::Statement) -> Result<ExecOutcome, SqlError> {
-        self.execute_read_stmt(stmt)
-    }
-
-    fn plan_evictions(&self) -> u64 {
-        self.plan_cache_stats().evictions
-    }
-
-    fn data_version(&self) -> u64 {
-        self.version()
     }
 }
 
@@ -588,8 +533,6 @@ pub(crate) fn exec_single<D: BatchDb>(
         bytes,
         fused_queries,
         fused_groups,
-        plan_evictions: db.plan_evictions(),
-        db_version: db.data_version(),
     }
 }
 

@@ -68,7 +68,7 @@
 //!   footprint-disjoint, so each session's slice of a combined dispatch
 //!   is bit-identical to what its solo dispatch would have returned.
 //! * If a combined dispatch fails, the partial outcome
-//!   ([`crate::SimEnv::query_batch_partial`]) splits exactly: sessions
+//!   ([`crate::ErrorMode::Partial`]) splits exactly: sessions
 //!   whose statements all executed keep their results, the session owning
 //!   the failing statement gets its own error, and sessions whose
 //!   statements never ran **re-execute separately** — never re-running a
@@ -87,7 +87,7 @@ use std::time::{Duration, Instant};
 
 use sloth_sql::{is_write_sql, Footprint, ResultSet, SqlError};
 
-use crate::{BatchOutcome, PartialOutcome, SimEnv};
+use crate::{BatchOutcome, BatchRequest, CacheMode, ErrorMode, SimEnv};
 
 /// Counters of one dispatcher (all sessions combined).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -135,7 +135,7 @@ pub struct DispatcherStats {
     /// Per-statement footprints the **batch planner** derived on this
     /// dispatcher's dispatches. Zero by construction: the footprints
     /// computed once at admission (through the backend's per-template
-    /// cache) are threaded through `query_batch_partial` into the
+    /// cache) are threaded through the [`BatchRequest`] into the
     /// planner, so the dispatched path never re-analyzes a statement.
     /// The unit suite asserts this stays zero.
     pub planner_footprint_derivations: u64,
@@ -417,9 +417,7 @@ impl Dispatcher {
                     stats.solo_writes += 1;
                     stats.dispatches += 1;
                 }
-                let outcome = self.env.query_batch_outcome_with(sqls, fps.as_deref())?;
-                self.lock_stats().planner_footprint_derivations += outcome.footprints_derived;
-                return Ok(solo_result(outcome));
+                return self.ship_solo(sqls, fps.as_deref(), CacheMode::Serve);
             }
         }
 
@@ -553,9 +551,35 @@ impl Dispatcher {
             stats.dispatches += 1;
             stats.degraded_solo += 1;
         }
-        let outcome = self.env.query_batch_outcome_uncached_with(sqls, fps)?;
+        self.ship_solo(sqls, fps, CacheMode::Bypass)
+    }
+
+    /// Ships one session's batch on its own, keeping the exact
+    /// all-or-error driver surface.
+    fn ship_solo(
+        &self,
+        sqls: &[String],
+        fps: Option<&[Footprint]>,
+        cache: CacheMode,
+    ) -> Result<DispatchResult, SqlError> {
+        let outcome = self.env.ship(&BatchRequest {
+            footprints: fps,
+            cache,
+            ..BatchRequest::new(sqls)
+        });
         self.lock_stats().planner_footprint_derivations += outcome.footprints_derived;
-        Ok(solo_result(outcome))
+        let (fused_queries, fused_groups, segments) = (
+            outcome.fused_queries,
+            outcome.fused_groups,
+            outcome.segments,
+        );
+        Ok(DispatchResult {
+            results: outcome.into_results()?,
+            fused_queries,
+            fused_groups,
+            coalesced: false,
+            segments,
+        })
     }
 
     /// Drains the longest compatible prefix of the queue for one combined
@@ -610,14 +634,9 @@ impl Dispatcher {
             }
         }
         if !coalesced {
-            // A lone flush keeps the exact all-or-error driver surface.
-            let r = self
-                .env
-                .query_batch_outcome_with(&batch[0].sqls, batch[0].fps.as_deref());
-            if let Ok(o) = &r {
-                self.lock_stats().planner_footprint_derivations += o.footprints_derived;
-            }
-            return vec![(batch[0].ticket, r.map(solo_result))];
+            let f = &batch[0];
+            let r = self.ship_solo(&f.sqls, f.fps.as_deref(), CacheMode::Serve);
+            return vec![(f.ticket, r)];
         }
         let combined: Vec<String> = batch.iter().flat_map(|f| f.sqls.iter().cloned()).collect();
         // Thread the admission footprints through when every rider has
@@ -630,9 +649,11 @@ impl Dispatcher {
                     .flat_map(|f| f.fps.as_ref().expect("checked").iter().cloned())
                     .collect()
             });
-        let partial = self
-            .env
-            .query_batch_partial_with(&combined, combined_fps.as_deref());
+        let partial = self.env.ship(&BatchRequest {
+            footprints: combined_fps.as_deref(),
+            errors: ErrorMode::Partial,
+            ..BatchRequest::new(&combined)
+        });
         self.lock_stats().planner_footprint_derivations += partial.footprints_derived;
         self.account_cross_session_fusion(batch, &partial);
         match partial.error.clone() {
@@ -668,9 +689,7 @@ impl Dispatcher {
                     } else if offset <= pos {
                         Err(e.clone())
                     } else {
-                        self.env
-                            .query_batch_outcome_with(&f.sqls, f.fps.as_deref())
-                            .map(solo_result)
+                        self.ship_solo(&f.sqls, f.fps.as_deref(), CacheMode::Serve)
                     };
                     out.push((f.ticket, r));
                     offset += n;
@@ -686,7 +705,7 @@ impl Dispatcher {
     /// position, so when the dispatch failed earlier, groups whose lead
     /// sits at or past the failing position never ran and must not
     /// inflate the counters.
-    fn account_cross_session_fusion(&self, batch: &[PendingFlush], partial: &PartialOutcome) {
+    fn account_cross_session_fusion(&self, batch: &[PendingFlush], partial: &BatchOutcome) {
         let executed_before = partial
             .error
             .as_ref()
@@ -730,7 +749,7 @@ impl Dispatcher {
     fn split_outcome(
         &self,
         batch: &[PendingFlush],
-        partial: PartialOutcome,
+        partial: BatchOutcome,
         coalesced: bool,
     ) -> Vec<(u64, Result<DispatchResult, SqlError>)> {
         let mut results = partial.results.iter();
@@ -759,7 +778,7 @@ impl Dispatcher {
 /// dispatch.
 fn per_flush_result(
     results: Vec<ResultSet>,
-    partial: &PartialOutcome,
+    partial: &BatchOutcome,
     offset: usize,
     n: usize,
     coalesced: bool,
@@ -775,16 +794,6 @@ fn per_flush_result(
         fused_groups: groups.len() as u64,
         coalesced,
         segments: if coalesced { 0 } else { partial.segments },
-    }
-}
-
-fn solo_result(outcome: BatchOutcome) -> DispatchResult {
-    DispatchResult {
-        results: outcome.results,
-        fused_queries: outcome.fused_queries,
-        fused_groups: outcome.fused_groups,
-        coalesced: false,
-        segments: outcome.segments,
     }
 }
 

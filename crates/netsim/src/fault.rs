@@ -30,7 +30,7 @@
 //! When the retry budget exhausts instead, the batch's write footprints
 //! invalidate conservatively (the write *may* have applied), and the
 //! degraded session that results stops trusting the cache's hit path
-//! entirely (see `SimEnv::query_batch_outcome_uncached_with`).
+//! entirely (see [`crate::CacheMode::Bypass`]).
 
 use sloth_sql::SqlError;
 

@@ -11,15 +11,17 @@
 //! * [`CostModel`] — round-trip latency, per-byte transfer cost, and the
 //!   database-side execution cost model (base + per-row costs, `workers`
 //!   parallel threads for batched reads).
-//! * [`SimEnv`] — the simulated deployment: a database backend plus a
-//!   driver endpoint. [`SimEnv::query`] is the stock driver (one round trip
-//!   per statement); [`SimEnv::query_batch`] is the Sloth batch driver (one
-//!   round trip for the whole batch). The handle is `Send + Sync`: any
-//!   number of sessions on any number of threads may share one deployment.
-//! * [`ShardedEnv`] — the horizontally-partitioned deployment: N
-//!   independent database servers behind a fusion-aware scatter-gather
-//!   router (see [`shard`]). Its handle **is** a [`SimEnv`], so the query
-//!   store, ORM and interpreters run unchanged on a fleet.
+//! * [`SimEnv`] — the simulated deployment: one versioned store of N ≥ 1
+//!   databases plus a driver endpoint. [`SimEnv::ship`] is the Sloth
+//!   batch driver — one [`BatchRequest`], one round trip for the whole
+//!   batch; [`SimEnv::query_batch`] and [`SimEnv::query`] (the stock
+//!   driver, one round trip per statement) are thin wrappers over it. The
+//!   handle is `Send + Sync`: any number of sessions on any number of
+//!   threads may share one deployment.
+//! * [`ShardedEnv`] — the horizontally-partitioned deployment: the same
+//!   store with N > 1 behind a fusion-aware scatter-gather router (see
+//!   [`shard`]). Its handle **is** a [`SimEnv`], so the query store, ORM
+//!   and interpreters run unchanged on a fleet.
 //! * [`Dispatcher`] — the multi-session front door (see [`dispatch`]):
 //!   accepts batch flushes from concurrent sessions and opportunistically
 //!   coalesces them into one backend dispatch, SharedDB-style.
@@ -35,12 +37,14 @@ mod cache;
 pub mod dispatch;
 pub mod fault;
 pub mod shard;
+mod versioned;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use sloth_sql::{Database, ResultSet, Snapshot, SqlError};
+use sloth_sql::{Database, ResultSet, SqlError};
+use versioned::{Admit, VersionedStore};
 
 pub use cache::ResultCacheStats;
 pub use dispatch::{DispatchResult, Dispatcher, DispatcherStats};
@@ -174,14 +178,84 @@ impl NetStats {
     }
 }
 
+/// One batch for the driver to ship: the statements plus how the result
+/// cache and a mid-batch error are to be treated. [`BatchRequest::new`]
+/// gives the stock request (cache served, all-or-error); the other
+/// fields are set with struct-update syntax.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchRequest<'a> {
+    /// The statements, in execution order.
+    pub sqls: &'a [String],
+    /// Per-statement footprints the caller already derived (dispatcher
+    /// admission, query-store deferral), threaded through to the batch
+    /// planner and the result cache so a write-containing flush is
+    /// footprint-analyzed once. A length mismatch falls back to deriving.
+    pub footprints: Option<&'a [sloth_sql::Footprint]>,
+    /// Whether the result cache may answer and be filled.
+    pub cache: CacheMode,
+    /// What a mid-batch error does to the charge.
+    pub errors: ErrorMode,
+}
+
+impl<'a> BatchRequest<'a> {
+    /// The stock request for `sqls`: no threaded footprints, cache
+    /// served, all-or-error.
+    pub fn new(sqls: &'a [String]) -> Self {
+        BatchRequest {
+            sqls,
+            footprints: None,
+            cache: CacheMode::Serve,
+            errors: ErrorMode::AllOrError,
+        }
+    }
+}
+
+/// How a batch uses the shared result cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheMode {
+    /// Eligible reads are answered from the cache and executed reads
+    /// fill it.
+    Serve,
+    /// Nothing is served from or filled into the cache, but shipped
+    /// writes still invalidate overlapping entries — the batch really
+    /// executes, so other sessions' cached reads are stale either way.
+    /// The degraded-session mode: a session that exhausted its retry
+    /// budget no longer trusts locally cached answers (see
+    /// [`dispatch::Dispatcher::submit_solo`]).
+    Bypass,
+}
+
+/// What a batch that fails mid-flight charges. Execution always stops at
+/// the first error and the outcome always carries the executed prefix;
+/// the modes differ only in the accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorMode {
+    /// The legacy driver contract the query-store surface and the
+    /// equivalence suites are written against: a failed batch charges
+    /// nothing (it still settles the result cache — the engine has no
+    /// rollback, so the prefix's writes applied).
+    AllOrError,
+    /// The round trip is charged for the executed prefix (the wire was
+    /// used either way). The dispatcher uses this to split a failed
+    /// multi-session combined dispatch into exact per-session outcomes
+    /// without re-executing writes that already applied.
+    Partial,
+}
+
 /// What one batch execution produced, including the per-position fusion
 /// attribution the query store and the dispatcher need for their own
 /// statistics (race-free: derived from this batch's plan, not from global
 /// counter deltas another session could perturb).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
-    /// Per-statement results, in batch order.
-    pub results: Vec<ResultSet>,
+    /// Per-position results; `None` for the failing statement and
+    /// everything after it.
+    pub results: Vec<Option<ResultSet>>,
+    /// The first error and its batch position, if any. A batch abandoned
+    /// after retry exhaustion reports its transient error at position 0
+    /// with every position unanswered (nothing is known to have applied
+    /// from the caller's perspective — see the failure-model docs).
+    pub error: Option<(usize, SqlError)>,
     /// For each batch position, the fused-group index it was answered by
     /// (`None` for statements executed on their own).
     pub fused_members: Vec<Option<usize>>,
@@ -200,86 +274,29 @@ pub struct BatchOutcome {
     pub footprints_derived: u64,
 }
 
-/// [`SimEnv::query_batch_outcome`] with **partial semantics**: execution
-/// stops at the first error but the outcomes of everything executed
-/// before it are returned, together with the failing batch position.
-///
-/// Unlike the all-or-error surface, a partial run always charges its
-/// round trip (the wire was used either way). The dispatcher uses this
-/// to split a failed multi-session combined dispatch into exact
-/// per-session outcomes without re-executing writes that already applied.
-#[derive(Debug, Clone)]
-pub struct PartialOutcome {
-    /// Per-position results; `None` for the failing statement and
-    /// everything after it.
-    pub results: Vec<Option<ResultSet>>,
-    /// The first error and its batch position, if any.
-    pub error: Option<(usize, SqlError)>,
-    /// Per-position fused-group attribution (from the plan).
-    pub fused_members: Vec<Option<usize>>,
-    /// Statements answered by fused group executions.
-    pub fused_queries: u64,
-    /// Fused group executions performed.
-    pub fused_groups: u64,
-    /// Conflict segments in the batch.
-    pub segments: u64,
-    /// Fused statements that crossed a disjoint-footprint write.
-    pub cross_write_fused: u64,
-    /// Per-statement footprints the batch planner derived itself (zero
-    /// when the caller threaded precomputed footprints in).
-    pub footprints_derived: u64,
-}
+impl BatchOutcome {
+    /// The all-or-error view: every result, or the first error.
+    pub fn into_results(self) -> Result<Vec<ResultSet>, SqlError> {
+        if let Some((_, e)) = self.error {
+            return Err(e);
+        }
+        Ok(self
+            .results
+            .into_iter()
+            .map(|r| r.expect("error-free batch answers every position"))
+            .collect())
+    }
 
-/// The database side of a deployment: one server, or a sharded fleet.
-///
-/// The backend kind is fixed at construction and reached **without any
-/// deployment-wide lock**: the single server synchronizes on its own
-/// `RwLock` plus a published-snapshot cell, the fleet on its per-shard
-/// locks, snapshot cells and a write-order mutex. Every other piece of
-/// deployment state — counters, knobs, the result cache, the fault
-/// layer — has its own fine-grained home (see the lock hierarchy in
-/// `DESIGN.md` § Concurrency model).
-// One instance per deployment, behind an `Arc` — boxing the fleet would
-// buy nothing but an extra indirection on every sharded batch.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Backend {
-    /// The paper's deployment: a single database server behind an
-    /// `RwLock` — shareable with out-of-band seeding/inspection — plus
-    /// the **published snapshot cell**: the immutable read view the most
-    /// recent committed write batch published. Read-only batches clone
-    /// the `Arc` out of the cell and execute without ever touching the
-    /// database lock; only write batches (and the publish itself) take
-    /// the write guard. The cell is a leaf lock: held for an `Arc`
-    /// clone/swap only, never across execution, so it may be taken under
-    /// any other lock (the result-cache settle does).
-    Single {
-        /// The live database: write batches and out-of-band seeding.
-        db: Arc<RwLock<Database>>,
-        /// Published read view; see above.
-        snap: Mutex<Arc<Snapshot>>,
-    },
-    /// N independent servers behind the scatter-gather router. The fleet
-    /// is interior-mutable (per-shard locks, published-snapshot cells, a
-    /// write-order mutex), so snapshot read-only batches execute with no
-    /// fleet-level lock at all.
-    Sharded(shard::Fleet),
-}
-
-impl Backend {
-    /// A single-server backend with its initial snapshot published.
-    fn single(db: Database) -> Backend {
-        let snap = Mutex::new(Arc::new(db.snapshot()));
-        Backend::Single {
-            db: Arc::new(RwLock::new(db)),
-            snap,
+    /// A batch that never reached the wire: `results` are local answers
+    /// (or unanswered positions, with `error`), nothing was planned.
+    fn unshipped(results: Vec<Option<ResultSet>>, error: Option<(usize, SqlError)>) -> Self {
+        BatchOutcome {
+            fused_members: vec![None; results.len()],
+            results,
+            error,
+            ..BatchOutcome::default()
         }
     }
-}
-
-/// Locks a published-snapshot cell with the usual poison recovery.
-fn lock_snap(snap: &Mutex<Arc<Snapshot>>) -> std::sync::MutexGuard<'_, Arc<Snapshot>> {
-    snap.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Saturating add on a shared counter (CAS loop, like [`Clock::advance`]):
@@ -368,10 +385,10 @@ struct Knobs {
     /// Plan-cache eviction count observed after the previous batch.
     last_evictions: AtomicU64,
     /// MVCC snapshot reads (on by default): read-only batches execute
-    /// against the published snapshot instead of taking the database
-    /// write lock, so they overlap in-flight write batches.
+    /// against the published views instead of queueing on the write
+    /// order, so they overlap in-flight write batches.
     snapshot_reads: AtomicBool,
-    /// Real nanoseconds a write batch holds the write guard open after
+    /// Real nanoseconds a write batch holds the write order open after
     /// executing, before publishing — the injected "hot writer" the
     /// snapshot-overlap figure and the reader-wedge tests measure
     /// against. `0` (the default) is a no-op.
@@ -424,15 +441,21 @@ struct FaultState {
 /// the query store, ORM session and interpreter can all hold handles — on
 /// any thread: the handle is `Send + Sync`. There is **no whole-deployment
 /// mutex**: the clock, counters and knobs are lock-free atomics, the
-/// backend synchronizes on its own database lock, and the result cache
-/// and fault layer sit behind their own short-lived mutexes — so any
-/// number of sessions ship batches concurrently, exactly like pooled
-/// connections to one database server. The backend is either a single
-/// server ([`SimEnv::new`]) or a sharded fleet ([`ShardedEnv::handle`]);
-/// the driver interface is identical.
+/// versioned store synchronizes on its own write order and published
+/// views, and the result cache and fault layer sit behind their own
+/// short-lived mutexes — so any number of sessions ship batches
+/// concurrently, exactly like pooled connections to one database server.
+/// The deployment is either a single server ([`SimEnv::new`]) or a
+/// sharded fleet ([`ShardedEnv::handle`]); the driver interface is
+/// identical.
 #[derive(Clone)]
 pub struct SimEnv {
-    backend: Arc<Backend>,
+    /// The databases, their published views and the write order (see
+    /// [`versioned`]): N = 1 for the single server.
+    store: Arc<VersionedStore>,
+    /// The scatter-gather router of a sharded deployment; `None` on the
+    /// single server, whose one database runs every statement itself.
+    router: Option<Arc<shard::Router>>,
     clock: Clock,
     /// Real nanoseconds slept per virtual network nanosecond, stored in
     /// parts per million (0 = pure virtual time) — permille quantization
@@ -467,12 +490,17 @@ pub struct SimEnv {
 impl SimEnv {
     /// Creates a fresh single-server deployment with the given cost model.
     pub fn new(cost: CostModel) -> Self {
-        SimEnv::with_backend(cost, Backend::single(Database::new()))
+        SimEnv::from_database(Database::new(), cost)
     }
 
-    pub(crate) fn with_backend(cost: CostModel, backend: Backend) -> Self {
+    pub(crate) fn over(
+        cost: CostModel,
+        dbs: Vec<Database>,
+        router: Option<Arc<shard::Router>>,
+    ) -> Self {
         SimEnv {
-            backend: Arc::new(backend),
+            store: Arc::new(VersionedStore::new(dbs)),
+            router,
             clock: Clock::new(),
             realtime_ppm: Arc::new(AtomicU64::new(0)),
             stats: Arc::new(AtomicNetStats::default()),
@@ -518,120 +546,93 @@ impl SimEnv {
     /// experiment harness to "restart" the server between measurements
     /// without re-seeding.
     pub fn from_database(db: Database, cost: CostModel) -> Self {
-        SimEnv::with_backend(cost, Backend::single(db))
+        SimEnv::over(cost, vec![db], None)
     }
 
-    /// Whether this deployment runs on the sharded backend.
+    /// Whether this deployment runs behind the shard router.
     pub fn is_sharded(&self) -> bool {
-        matches!(&*self.backend, Backend::Sharded(_))
+        self.router.is_some()
     }
 
-    pub(crate) fn with_fleet<R>(&self, f: impl FnOnce(&shard::Fleet) -> R) -> R {
-        match &*self.backend {
-            Backend::Sharded(fleet) => f(fleet),
-            Backend::Single { .. } => panic!("not a sharded deployment"),
-        }
-    }
-
-    /// A clone of the current database contents (single-server only).
+    /// A clone of the last committed database contents (single-server
+    /// only) — lock-free: it clones the published view.
     ///
     /// # Panics
     /// Panics on a sharded deployment — there is no single database to
     /// snapshot; query the fleet instead.
     pub fn snapshot_db(&self) -> Database {
-        self.database()
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The shared database handle (single-server only). Sessions
-    /// multiplexed onto one deployment share this one database — and its
-    /// one plan cache. There is no outer lock to interleave with: the
-    /// handle is reached lock-free, so out-of-band holders of a guard may
-    /// safely call any other `SimEnv` method (stats, clock, cache
-    /// counters) while they hold it.
-    ///
-    /// # Panics
-    /// Panics on a sharded deployment.
-    pub fn database(&self) -> Arc<RwLock<Database>> {
-        match &*self.backend {
-            Backend::Single { db, .. } => Arc::clone(db),
-            Backend::Sharded(_) => {
-                panic!("database: sharded deployments have no single database")
-            }
-        }
+        assert!(
+            !self.is_sharded(),
+            "snapshot_db: sharded deployments have no single database"
+        );
+        Database::clone(&self.store.catalog())
     }
 
     /// Direct mutable access to the database for seeding fixtures
     /// (single-server only). No time or round trips are charged — this
     /// models loading the database out of band before the experiment
-    /// starts.
+    /// starts. The closure runs holding the write order, exactly like a
+    /// write batch mid-commit: write batches wait for it, snapshot reads
+    /// keep answering from the last published state, and whatever it did
+    /// is published when it returns.
     ///
     /// # Panics
     /// Panics on a sharded deployment; seed through [`SimEnv::seed_sql`],
     /// which routes rows to their shards.
     pub fn seed<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        let db = self.database();
-        // Same poison recovery as every other accessor of this lock: a
-        // panicked worker must not wedge seeding for other sessions.
-        let mut guard = db
-            .write() // commit-point
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let out = f(&mut guard);
+        assert!(
+            !self.is_sharded(),
+            "seed: sharded deployments have no single database"
+        );
+        let admitted = self.store.admit(Admit::Exclusive);
+        let out = f(&mut admitted.write(0));
         // Publish unconditionally: out-of-band mutation may not go
         // through the version-bumping execute path, so the version gate
         // cannot be trusted to notice it.
-        if let Backend::Single { snap, .. } = &*self.backend {
-            *lock_snap(snap) = Arc::new(guard.snapshot());
-        }
-        drop(guard);
+        admitted.publish(true);
+        drop(admitted);
         // Out-of-band mutation bypasses the footprint machinery, so no
         // cached result can be trusted afterwards.
         self.cache().clear();
         out
     }
 
-    /// Convenience: execute seed SQL without charging time. On a sharded
-    /// deployment the statement goes through the router (DDL broadcasts,
-    /// rows land on their owning shards) — still free of charge.
+    /// Convenience: execute seed SQL without charging time. The
+    /// statement takes the batch path's own admit → execute → publish
+    /// route (on a sharded deployment through the router: DDL
+    /// broadcasts, rows land on their owning shards) — but always as a
+    /// writer, with no counter touched and nothing charged.
     pub fn seed_sql(&self, sql: &str) -> Result<ResultSet, SqlError> {
-        let out = match &*self.backend {
-            Backend::Single { db, snap } => {
-                let mut db = db
-                    .write() // commit-point
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let out = db.execute(sql).map(|o| o.result);
-                *lock_snap(snap) = Arc::new(db.snapshot());
-                out
-            }
-            Backend::Sharded(fleet) => fleet.execute_unmetered(sql),
+        let sqls = [sql.to_string()];
+        let solo = batch::BatchConfig {
+            fusion: false,
+            write_aware: false,
+            max_fused_arity: 1,
         };
+        let plan = batch::plan_batch(&sqls, &solo, None);
+        let mut exec = self
+            .execute(CostModel::default(), &sqls, plan, None, None, true)
+            .exec;
         // Unmetered mutation is invisible to footprint invalidation:
         // drop every cached result.
         self.cache().clear();
-        out
+        match exec.error {
+            Some((_, e)) => Err(e),
+            None => Ok(exec.results.swap_remove(0).expect("executed without error")),
+        }
     }
 
     /// Declared type of `table.column`, if the table exists — the query
     /// store's read-your-writes rewriter uses this to coerce overlay
     /// values exactly as the engine's storage layer would (Int↔Float).
-    /// Answers from the catalog on either backend shape (DDL broadcasts
-    /// on a sharded fleet, so any shard's catalog is authoritative).
+    /// Answers lock-free from the published catalog.
     pub fn column_type(&self, table: &str, column: &str) -> Option<sloth_sql::ast::ColumnType> {
-        match &*self.backend {
-            Backend::Single { db, .. } => db
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .table(table)
-                .and_then(|t| {
-                    t.columns
-                        .iter()
-                        .find(|c| c.name.eq_ignore_ascii_case(column))
-                        .map(|c| c.ty)
-                }),
-            Backend::Sharded(fleet) => fleet.column_type(table, column),
-        }
+        self.store.catalog().table(table).and_then(|t| {
+            t.columns
+                .iter()
+                .find(|c| c.name.eq_ignore_ascii_case(column))
+                .map(|c| c.ty)
+        })
     }
 
     /// The cost model in force.
@@ -687,15 +688,15 @@ impl SimEnv {
     }
 
     /// Enables or disables **MVCC snapshot reads** (on by default): a
-    /// read-only batch executes against the snapshot the last committed
-    /// write batch published, without taking the database lock at all —
-    /// so readers overlap an in-flight writer instead of serializing
-    /// behind it. Write batches are unaffected: they alone take the
-    /// write lock, and publish a fresh snapshot at commit. Turning this
-    /// off restores the PR 8 behaviour (read batches take the shared
-    /// read guard on the live database and serialize behind any
-    /// in-flight writer; on the fleet they serialize on the write-order
-    /// mutex) — the snapshot figure's baseline, and the equivalence
+    /// read-only batch executes against the views the last committed
+    /// write batch published, without taking any lock at all — so
+    /// readers overlap an in-flight writer instead of serializing behind
+    /// it. Write batches are unaffected: they alone hold the write
+    /// order, and publish fresh views at commit. Turning this off
+    /// restores the PR 8 behaviour on one shard and on many alike (read
+    /// batches observe the live databases, sharing the write order as
+    /// readers: they wait for any in-flight writer, never for each
+    /// other) — the snapshot figure's baseline, and the equivalence
     /// suites' on/off arm.
     pub fn set_snapshot_reads(&self, on: bool) {
         self.knobs.snapshot_reads.store(on, Ordering::Relaxed);
@@ -706,11 +707,12 @@ impl SimEnv {
         self.knobs.snapshot_reads.load(Ordering::Relaxed)
     }
 
-    /// Makes every write batch hold the database write guard open for
-    /// `ns` **real** nanoseconds after executing, before publishing its
-    /// snapshot — the injected "hot writer" the snapshot-overlap figure
-    /// and the reader-wedge tests measure against. `0` (the default)
-    /// disables the hold. Virtual time is never charged for the hold.
+    /// Makes every write batch — on the single server and on a fleet —
+    /// hold the write order open for `ns` **real** nanoseconds after
+    /// executing, before publishing — the injected "hot writer" the
+    /// snapshot-overlap figure and the reader-wedge tests measure
+    /// against. `0` (the default) disables the hold. Virtual time is
+    /// never charged for the hold.
     pub fn set_write_hold_ns(&self, ns: u64) {
         self.knobs.write_hold_ns.store(ns, Ordering::Relaxed);
     }
@@ -778,42 +780,32 @@ impl SimEnv {
     }
 
     /// The [`sloth_sql::Footprint`] of one statement, answered from the
-    /// backend's per-template footprint cache (shard 0's on a fleet).
-    /// This is the driver-side entry point: the query store's deferral
-    /// decisions and the dispatcher's coalescing admission both resolve
-    /// footprints here, so repeated statements never re-derive their
-    /// table/key sets.
+    /// store's per-template footprint cache — lock-free, through the
+    /// published view, which shares the live database's cache. This is
+    /// the driver-side entry point: the query store's deferral decisions
+    /// and the dispatcher's coalescing admission both resolve footprints
+    /// here, so repeated statements never re-derive their table/key sets.
     pub fn footprint_of(&self, sql: &str) -> sloth_sql::Footprint {
-        match &*self.backend {
-            Backend::Single { db, .. } => db
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .footprint_of(sql),
-            Backend::Sharded(fleet) => fleet.footprint_of(sql),
-        }
+        self.store.catalog().footprint_of(sql)
     }
 
-    /// Footprint-cache counters of the backend.
+    /// Footprint-cache counters of the store.
     pub fn footprint_cache_stats(&self) -> sloth_sql::FootprintCacheStats {
-        match &*self.backend {
-            Backend::Single { db, .. } => db
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .footprint_cache_stats(),
-            Backend::Sharded(fleet) => fleet.footprint_cache_stats(),
-        }
+        self.store.catalog().footprint_cache_stats()
     }
 
-    /// Plan-cache counters of the backend (summed across shards on a
+    /// Plan-cache counters of the store (summed across shards on a
     /// sharded deployment).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        match &*self.backend {
-            Backend::Single { db, .. } => db
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .plan_cache_stats(),
-            Backend::Sharded(fleet) => fleet.plan_cache_stats(),
+        let mut total = PlanCacheStats::default();
+        for view in self.store.published().iter() {
+            let s = view.plan_cache_stats();
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.entries += s.entries;
+            total.evictions += s.evictions;
         }
+        total
     }
 
     /// Replaces the cost model (used by the latency-sweep experiments).
@@ -913,8 +905,8 @@ impl SimEnv {
         // Counters only: surviving entries are still legal (the database
         // contents are kept, and invalidation never paused).
         self.cache().reset_stats();
-        if let Backend::Sharded(fleet) = &*self.backend {
-            fleet.reset_stats();
+        if let Some(router) = &self.router {
+            router.reset_stats();
         }
         self.clock.reset();
     }
@@ -925,17 +917,24 @@ impl SimEnv {
         Ok(results.pop().expect("one result per query"))
     }
 
-    /// Executes a batch of statements over the **Sloth batch driver**: the
-    /// whole batch travels in a single round trip and read statements
-    /// execute in parallel on `db_workers` database cores (§5).
+    /// [`SimEnv::ship`] for the stock request, all-or-error: every
+    /// statement's result, or the batch's first error.
+    pub fn query_batch(&self, sqls: &[String]) -> Result<Vec<ResultSet>, SqlError> {
+        self.ship(&BatchRequest::new(sqls)).into_results()
+    }
+
+    /// Ships one batch over the **Sloth batch driver** — the one batch
+    /// entry point: the whole batch travels in a single round trip and
+    /// read statements execute in parallel on `db_workers` database cores
+    /// (§5).
     ///
     /// With fusion enabled (the default), same-template single-table
     /// equality lookups inside a contiguous run of reads are **fused** into
     /// one `IN (v1 … vk)` statement, executed once, and demultiplexed back
     /// into per-query result sets — K index probes and one statement
-    /// dispatch instead of K. Fusion never crosses a write (order inside
-    /// the batch is preserved), and per-query results, row order, and
-    /// error behaviour are identical with fusion on and off.
+    /// dispatch instead of K. Fusion never crosses a conflicting write
+    /// (order inside the batch is preserved), and per-query results, row
+    /// order, and error behaviour are identical with fusion on and off.
     ///
     /// On a sharded deployment the planned batch goes through the
     /// scatter-gather router instead (see [`shard`]): point lookups hit
@@ -943,291 +942,89 @@ impl SimEnv {
     /// else scatter-gathers with an order-preserving merge — still one
     /// round trip, with the batch's database time being the slowest
     /// shard's wave makespan.
-    pub fn query_batch(&self, sqls: &[String]) -> Result<Vec<ResultSet>, SqlError> {
-        self.query_batch_outcome(sqls).map(|o| o.results)
-    }
-
-    /// [`SimEnv::query_batch`] with the per-position fusion attribution of
-    /// this one batch — what the query store and the dispatcher use to
-    /// account their own statistics without racing on the deployment-wide
-    /// counters.
-    pub fn query_batch_outcome(&self, sqls: &[String]) -> Result<BatchOutcome, SqlError> {
-        self.query_batch_outcome_with(sqls, None)
-    }
-
-    /// [`SimEnv::query_batch_outcome`] with per-statement footprints the
-    /// caller already derived (dispatcher admission, query-store deferral)
-    /// threaded through to the batch planner — write-containing flushes
-    /// are footprint-analyzed once instead of re-parsed here.
-    pub fn query_batch_outcome_with(
-        &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
-    ) -> Result<BatchOutcome, SqlError> {
-        self.batch_outcome_impl(sqls, footprints, false)
-    }
-
-    /// [`SimEnv::query_batch_outcome_with`] with the result cache's hit
-    /// path **bypassed**: nothing is served from or filled into the
-    /// cache, but shipped writes still invalidate overlapping entries —
-    /// the batch really executes, so other sessions' cached reads are
-    /// stale either way. This is the degraded-session surface: a session
-    /// that exhausted its retry budget no longer trusts locally cached
-    /// answers (see [`dispatch::Dispatcher::submit_solo`]).
-    pub fn query_batch_outcome_uncached_with(
-        &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
-    ) -> Result<BatchOutcome, SqlError> {
-        self.batch_outcome_impl(sqls, footprints, true)
-    }
-
-    fn batch_outcome_impl(
-        &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
-        bypass_cache: bool,
-    ) -> Result<BatchOutcome, SqlError> {
-        if sqls.is_empty() {
-            return Ok(BatchOutcome {
-                results: Vec::new(),
-                fused_members: Vec::new(),
-                fused_queries: 0,
-                fused_groups: 0,
-                segments: 0,
-                cross_write_fused: 0,
-                footprints_derived: 0,
-            });
+    ///
+    /// Execution stops at the first error; the outcome carries its
+    /// position and the executed prefix. [`ErrorMode`] decides whether
+    /// such a batch is charged, [`CacheMode`] whether the result cache
+    /// may answer; the outcome also carries the per-position fusion
+    /// attribution of this one batch — what the query store and the
+    /// dispatcher use to account their own statistics without racing on
+    /// the deployment-wide counters.
+    pub fn ship(&self, req: &BatchRequest<'_>) -> BatchOutcome {
+        let n = req.sqls.len();
+        if n == 0 {
+            return BatchOutcome::unshipped(Vec::new(), None);
         }
-        // All-or-error surface: a failed batch charges nothing and
-        // surfaces only its first error (the legacy driver contract the
-        // query store and equivalence suites are written against).
-        // Faulted attempts that preceded the final one have already
-        // charged themselves inside the retry loop.
-        let Some(probe) = self.probe_result_cache(sqls, footprints, bypass_cache) else {
-            // Cache off: the zero-overhead legacy path.
-            let ran = self.run_batch_resilient(sqls, footprints)?;
-            if let Some((_, e)) = ran.exec.error {
-                return Err(e);
-            }
-            self.charge_and_sleep(sqls.len(), &ran);
-            return Ok(BatchOutcome {
-                results: ran
-                    .exec
-                    .results
-                    .into_iter()
-                    .map(|r| r.expect("error-free batch answers every position"))
-                    .collect(),
-                fused_members: ran.fused_members,
-                fused_queries: ran.exec.fused_queries,
-                fused_groups: ran.exec.fused_groups,
-                segments: ran.segments,
-                cross_write_fused: ran.cross_write_fused,
-                footprints_derived: ran.footprints_derived,
-            });
-        };
-        if probe.ship.is_empty() {
+        let bypass = req.cache == CacheMode::Bypass;
+        // `None` = cache off: the batch ships verbatim, no sub-batch built.
+        let probe = self.probe_result_cache(req.sqls, req.footprints, bypass);
+        let ran = match probe {
+            None => self.run_batch_resilient(req.sqls, req.footprints),
             // Every position answered locally: no wire, no charge.
-            return Ok(BatchOutcome {
-                results: probe
-                    .hits
-                    .into_iter()
-                    .map(|r| r.expect("empty ship list means every position hit"))
-                    .collect(),
-                fused_members: vec![None; probe.n],
-                fused_queries: 0,
-                fused_groups: 0,
-                segments: 0,
-                cross_write_fused: 0,
-                footprints_derived: 0,
-            });
-        }
-        let sub_sqls: Vec<String> = probe.ship.iter().map(|&i| sqls[i].clone()).collect();
-        let sub_fps: Vec<sloth_sql::Footprint> =
-            probe.ship.iter().map(|&i| probe.fps[i].clone()).collect();
-        let ran = match self.run_batch_resilient(&sub_sqls, Some(&sub_fps)) {
+            Some(probe) if probe.ship.is_empty() => {
+                return BatchOutcome::unshipped(probe.hits, None)
+            }
+            Some(ref probe) => {
+                let sub_sqls: Vec<String> =
+                    probe.ship.iter().map(|&i| req.sqls[i].clone()).collect();
+                let sub_fps: Vec<sloth_sql::Footprint> =
+                    probe.ship.iter().map(|&i| probe.fps[i].clone()).collect();
+                self.run_batch_resilient(&sub_sqls, Some(&sub_fps))
+            }
+        };
+        let ran = match ran {
             Ok(ran) => ran,
             Err(e) => {
-                // Retry budget exhausted: the batch's writes may have
-                // applied in an ambiguous attempt — invalidate by every
-                // shipped write footprint before surfacing the error.
-                self.invalidate_after_ambiguous_failure(&probe);
-                return Err(e);
+                // Retry budget exhausted (every faulted attempt already
+                // charged itself): the batch's writes may have applied in
+                // an ambiguous attempt — invalidate by every shipped write
+                // footprint, then fail the whole batch at position 0.
+                if let Some(probe) = &probe {
+                    self.invalidate_after_ambiguous_failure(probe);
+                }
+                return BatchOutcome::unshipped(vec![None; n], Some((0, e)));
             }
         };
         // Settle before surfacing any error: the engine has no rollback,
         // so the executed prefix's writes have applied (must invalidate)
         // and its reads are current (may fill).
-        self.settle_result_cache(&probe, &ran.exec.results, ran.exec.db_version);
-        if let Some((_, e)) = ran.exec.error {
-            return Err(e);
+        if let Some(probe) = &probe {
+            self.settle_result_cache(probe, &ran.exec.results, ran.db_version);
         }
-        self.charge_and_sleep(sub_sqls.len(), &ran);
-        let mut results = probe.hits;
-        let mut fused_members: Vec<Option<usize>> = vec![None; probe.n];
-        for (&i, r) in probe.ship.iter().zip(ran.exec.results) {
-            results[i] = Some(r.expect("error-free batch answers every position"));
+        if ran.exec.error.is_none() || req.errors == ErrorMode::Partial {
+            self.charge_and_sleep(ran.exec.results.len(), &ran);
         }
-        for (&i, m) in probe.ship.iter().zip(ran.fused_members) {
-            fused_members[i] = m;
-        }
-        Ok(BatchOutcome {
-            results: results
-                .into_iter()
-                .map(|r| r.expect("hit or shipped: every position answered"))
-                .collect(),
+        let RanBatch {
+            exec,
             fused_members,
-            fused_queries: ran.exec.fused_queries,
-            fused_groups: ran.exec.fused_groups,
-            segments: ran.segments,
-            cross_write_fused: ran.cross_write_fused,
-            footprints_derived: ran.footprints_derived,
-        })
-    }
-
-    /// [`SimEnv::query_batch_outcome`] with partial-on-error semantics:
-    /// the round trip is always charged, execution stops at the first
-    /// error, and everything executed before it keeps its result (see
-    /// [`PartialOutcome`]). This is the dispatcher's combined-dispatch
-    /// surface — a failed multi-session dispatch splits into exact
-    /// per-session outcomes without re-running writes that already
-    /// applied.
-    pub fn query_batch_partial(&self, sqls: &[String]) -> PartialOutcome {
-        self.query_batch_partial_with(sqls, None)
-    }
-
-    /// [`SimEnv::query_batch_partial`] with caller-supplied per-statement
-    /// footprints threaded through to the planner (see
-    /// [`SimEnv::query_batch_outcome_with`]).
-    pub fn query_batch_partial_with(
-        &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
-    ) -> PartialOutcome {
-        self.batch_partial_impl(sqls, footprints, false)
-    }
-
-    /// [`SimEnv::query_batch_partial_with`] with the result cache's hit
-    /// path bypassed (no hits served, no fills) while shipped writes
-    /// still invalidate — the degraded-session surface, see
-    /// [`SimEnv::query_batch_outcome_uncached_with`].
-    pub fn query_batch_partial_uncached_with(
-        &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
-    ) -> PartialOutcome {
-        self.batch_partial_impl(sqls, footprints, true)
-    }
-
-    fn batch_partial_impl(
-        &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
-        bypass_cache: bool,
-    ) -> PartialOutcome {
-        if sqls.is_empty() {
-            return PartialOutcome {
-                results: Vec::new(),
-                error: None,
-                fused_members: Vec::new(),
-                fused_queries: 0,
-                fused_groups: 0,
-                segments: 0,
-                cross_write_fused: 0,
-                footprints_derived: 0,
-            };
-        }
-        let Some(probe) = self.probe_result_cache(sqls, footprints, bypass_cache) else {
-            // Cache off: the zero-overhead legacy path.
-            let ran = match self.run_batch_resilient(sqls, footprints) {
-                Ok(ran) => ran,
-                // Retry budget exhausted: every faulted attempt already
-                // charged itself; the whole batch fails with the
-                // transient error at position 0 (nothing is known to
-                // have applied from the caller's perspective — see the
-                // failure-model docs).
-                Err(e) => {
-                    return PartialOutcome {
-                        results: vec![None; sqls.len()],
-                        error: Some((0, e)),
-                        fused_members: vec![None; sqls.len()],
-                        fused_queries: 0,
-                        fused_groups: 0,
-                        segments: 0,
-                        cross_write_fused: 0,
-                        footprints_derived: 0,
-                    }
+            segments,
+            cross_write_fused,
+            footprints_derived,
+            ..
+        } = ran;
+        let (results, fused_members, error) = match probe {
+            None => (exec.results, fused_members, exec.error),
+            // Scatter the shipped sub-batch back over the cache hits.
+            Some(probe) => {
+                let mut results = probe.hits;
+                let mut members: Vec<Option<usize>> = vec![None; n];
+                for ((&i, r), m) in probe.ship.iter().zip(exec.results).zip(fused_members) {
+                    results[i] = r;
+                    members[i] = m;
                 }
-            };
-            self.charge_and_sleep(sqls.len(), &ran);
-            return PartialOutcome {
-                results: ran.exec.results,
-                error: ran.exec.error,
-                fused_members: ran.fused_members,
-                fused_queries: ran.exec.fused_queries,
-                fused_groups: ran.exec.fused_groups,
-                segments: ran.segments,
-                cross_write_fused: ran.cross_write_fused,
-                footprints_derived: ran.footprints_derived,
-            };
-        };
-        if probe.ship.is_empty() {
-            return PartialOutcome {
-                results: probe.hits,
-                error: None,
-                fused_members: vec![None; probe.n],
-                fused_queries: 0,
-                fused_groups: 0,
-                segments: 0,
-                cross_write_fused: 0,
-                footprints_derived: 0,
-            };
-        }
-        let sub_sqls: Vec<String> = probe.ship.iter().map(|&i| sqls[i].clone()).collect();
-        let sub_fps: Vec<sloth_sql::Footprint> =
-            probe.ship.iter().map(|&i| probe.fps[i].clone()).collect();
-        let ran = match self.run_batch_resilient(&sub_sqls, Some(&sub_fps)) {
-            Ok(ran) => ran,
-            Err(e) => {
-                // Ambiguously-applied writes: invalidate conservatively,
-                // then keep the legacy failure shape (every position
-                // unanswered, error at 0 — the dispatcher attributes a
-                // whole failed flush to every rider either way).
-                self.invalidate_after_ambiguous_failure(&probe);
-                return PartialOutcome {
-                    results: vec![None; sqls.len()],
-                    error: Some((0, e)),
-                    fused_members: vec![None; sqls.len()],
-                    fused_queries: 0,
-                    fused_groups: 0,
-                    segments: 0,
-                    cross_write_fused: 0,
-                    footprints_derived: 0,
-                };
+                let error = exec.error.map(|(pos, e)| (probe.ship[pos], e));
+                (results, members, error)
             }
         };
-        // Executed writes invalidate (and executed reads may fill) even
-        // when the batch errored mid-flight: partial semantics mean the
-        // prefix's effects are real.
-        self.settle_result_cache(&probe, &ran.exec.results, ran.exec.db_version);
-        self.charge_and_sleep(sub_sqls.len(), &ran);
-        let mut results = probe.hits;
-        let mut fused_members: Vec<Option<usize>> = vec![None; probe.n];
-        for (&i, r) in probe.ship.iter().zip(ran.exec.results) {
-            results[i] = r;
-        }
-        for (&i, m) in probe.ship.iter().zip(ran.fused_members) {
-            fused_members[i] = m;
-        }
-        PartialOutcome {
+        BatchOutcome {
             results,
-            error: ran.exec.error.map(|(pos, e)| (probe.ship[pos], e)),
+            error,
             fused_members,
-            fused_queries: ran.exec.fused_queries,
-            fused_groups: ran.exec.fused_groups,
-            segments: ran.segments,
-            cross_write_fused: ran.cross_write_fused,
-            footprints_derived: ran.footprints_derived,
+            fused_queries: exec.fused_queries,
+            fused_groups: exec.fused_groups,
+            segments,
+            cross_write_fused,
+            footprints_derived,
         }
     }
 
@@ -1289,7 +1086,6 @@ impl SimEnv {
         }
         drop(cache);
         Some(CacheProbe {
-            n: sqls.len(),
             hits,
             ship,
             fps,
@@ -1322,7 +1118,7 @@ impl SimEnv {
         // skips the fill, or the writer's own settle invalidates the
         // just-filled entry right after (publish happens before the
         // writer settles). Writes still invalidate unconditionally.
-        let may_fill = cache.enabled() && version == self.published_version();
+        let may_fill = cache.enabled() && version == self.store.published_version();
         for (k, &i) in probe.ship.iter().enumerate() {
             let Some(rs) = results.get(k).and_then(|r| r.as_ref()) else {
                 continue; // not executed (at or past the failing position)
@@ -1376,11 +1172,11 @@ impl SimEnv {
         if !self.faults_on.load(Ordering::Relaxed) {
             return Ok(self.run_batch(sqls, footprints, None, None));
         }
-        // The fleet size is fixed at construction; resolve it before the
-        // retry loop (brief fleet lock, held alone).
-        let n_shards = match &*self.backend {
-            Backend::Sharded(fleet) => fleet.n_shards(),
-            Backend::Single { .. } => 0,
+        // Outage windows only apply behind a router (0 = none to draw).
+        let n_shards = if self.is_sharded() {
+            self.store.len()
+        } else {
+            0
         };
         let (policy, tag) = {
             let mut fault = self.fault();
@@ -1578,14 +1374,6 @@ impl SimEnv {
     }
 
     /// Plans and executes one batch. Planning happens outside every lock.
-    /// A read-only batch with snapshot reads on (the default) executes
-    /// against the published snapshot — no database lock at all — and so
-    /// overlaps any concurrent writer; a batch that writes takes the
-    /// write lock (single server) or the fleet's write-order mutex and
-    /// publishes a fresh snapshot at its commit point. Out-of-band
-    /// holders of [`SimEnv::database`] cannot form a lock-order cycle
-    /// with the driver path, and stats/clock readers never block behind
-    /// an executing batch.
     ///
     /// `skip` carries journaled results from a previous ambiguous attempt
     /// (those positions are answered from the journal, not re-executed);
@@ -1597,60 +1385,72 @@ impl SimEnv {
         skip: Option<&[Option<ResultSet>]>,
         down: Option<&[bool]>,
     ) -> RanBatch {
-        let cost = self.cost();
         let cfg = batch::BatchConfig {
             fusion: self.knobs.fusion.load(Ordering::Relaxed),
             write_aware: self.knobs.write_batching.load(Ordering::Relaxed),
             max_fused_arity: self.max_fused_arity(),
         };
         let plan = batch::plan_batch(sqls, &cfg, footprints);
+        self.execute(self.cost(), sqls, plan, skip, down, false)
+    }
+
+    /// Admit → execute → commit: the one path every statement takes to
+    /// the store, on one database or many. A read-only batch with
+    /// snapshot reads on (the default) runs against the published views —
+    /// no lock at all — and so overlaps any concurrent writer; with them
+    /// off it reads the live state, sharing the write order with other
+    /// readers; a batch that writes holds the write order alone and
+    /// publishes before releasing it. Stats and clock readers never block
+    /// behind an executing batch.
+    ///
+    /// `seeding` is the out-of-band variant ([`SimEnv::seed_sql`]): the
+    /// statement is admitted as a writer whatever it is, pays no injected
+    /// hold and leaves no counter behind.
+    fn execute(
+        &self,
+        cost: CostModel,
+        sqls: &[String],
+        plan: batch::BatchPlan,
+        skip: Option<&[Option<ResultSet>]>,
+        down: Option<&[bool]>,
+        seeding: bool,
+    ) -> RanBatch {
         let read_only = !plan.is_write.iter().any(|&w| w);
-        let exec = match &*self.backend {
-            Backend::Single { db, snap } => {
-                if read_only && self.knobs.snapshot_reads.load(Ordering::Relaxed) {
-                    // Snapshot path: no database lock at all — the batch
-                    // runs against the immutable published view and
-                    // overlaps any in-flight writer.
-                    let view = Self::fresh_single_snapshot(db, snap);
-                    sat_add(&self.stats.snapshot_batches, 1);
-                    let mut view = &*view;
-                    batch::exec_single(&mut view, &cost, sqls, &plan, skip)
-                } else if read_only {
-                    // Snapshot-off read-only batch: by contract it
-                    // observes the *live* state, so it takes the shared
-                    // read guard — serializing behind any in-flight
-                    // writer (the PR 8 ceiling the snapshot figure's
-                    // eager baseline measures) but never behind other
-                    // readers, and never paying the injected writer hold.
-                    let db = db
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let mut view: &Database = &db;
-                    batch::exec_single(&mut view, &cost, sqls, &plan, skip)
-                } else {
-                    let mut db = db
-                        .write() // commit-point
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let exec = batch::exec_single(&mut *db, &cost, sqls, &plan, skip);
-                    self.write_hold();
-                    // Publish-at-commit, still under the write guard, so
-                    // publishes are serialized and a reader can never
-                    // observe a version newer than the published cell.
-                    let mut cell = lock_snap(snap);
-                    if cell.version() != db.version() {
-                        *cell = Arc::new(db.snapshot());
-                    }
-                    exec
-                }
-            }
-            Backend::Sharded(fleet) => {
-                let snapshot = self.knobs.snapshot_reads.load(Ordering::Relaxed);
-                if snapshot && read_only {
-                    sat_add(&self.stats.snapshot_batches, 1);
-                }
-                fleet.exec_batch(&cost, sqls, &plan, skip, down, snapshot)
-            }
+        let mode = if seeding || !read_only {
+            Admit::Exclusive
+        } else if self.knobs.snapshot_reads.load(Ordering::Relaxed) {
+            Admit::Snapshot
+        } else {
+            Admit::Shared
         };
+        let admitted = self.store.admit(mode);
+        if mode == Admit::Snapshot {
+            sat_add(&self.stats.snapshot_batches, 1);
+        }
+        let exec = match &self.router {
+            Some(router) => router.exec_batch(&cost, sqls, &plan, skip, down, &admitted, !seeding),
+            None if mode == Admit::Exclusive => {
+                let mut db = admitted.write(0);
+                batch::exec_single(&mut *db, &cost, sqls, &plan, skip)
+            }
+            None => admitted
+                .view(0)
+                .with(|mut db| batch::exec_single(&mut db, &cost, sqls, &plan, skip)),
+        };
+        if mode == Admit::Exclusive {
+            if !seeding {
+                self.write_hold();
+            }
+            // Publish-at-commit, still holding the write order, so a
+            // reader can never observe a version newer than the published
+            // one and readers admitted afterwards see all of this batch
+            // or none of it.
+            admitted.publish(false);
+        }
+        // Stamped while the write order is still held: the published
+        // version is then exactly the state this batch saw or left.
+        let (plan_evictions, db_version) = (admitted.plan_evictions(), admitted.version());
+        drop(admitted);
         let mut fused_members: Vec<Option<usize>> = vec![None; sqls.len()];
         for (g, (_, members)) in plan.fused.iter().enumerate() {
             for &m in members {
@@ -1661,46 +1461,19 @@ impl SimEnv {
             rtt_ns: cost.rtt_ns,
             cost,
             exec,
+            plan_evictions,
+            db_version,
             fused_members,
             segments: plan.segments,
             cross_write_fused: plan.cross_write_fused,
             footprints_derived: plan.footprints_derived,
-            is_write: plan.is_write.clone(),
-        }
-    }
-
-    /// The published snapshot, refreshed first if the live database has
-    /// moved past it and is not currently write-locked. Out-of-band
-    /// holders of [`SimEnv::database`] can advance the database without
-    /// going through a write batch; `try_read` keeps the heal
-    /// non-blocking — if a writer holds the lock, the published cell is
-    /// by definition the latest *committed* state, exactly what a
-    /// snapshot read wants.
-    fn fresh_single_snapshot(db: &RwLock<Database>, snap: &Mutex<Arc<Snapshot>>) -> Arc<Snapshot> {
-        if let Ok(live) = db.try_read() {
-            let mut cell = lock_snap(snap);
-            if cell.version() != live.version() {
-                *cell = Arc::new(live.snapshot());
-            }
-            return Arc::clone(&cell);
-        }
-        Arc::clone(&lock_snap(snap))
-    }
-
-    /// The database version the currently published snapshot reflects
-    /// (summed across shards on a fleet). Touches only leaf snapshot
-    /// cells, so it is safe to call under the result-cache mutex — which
-    /// the settle pass does to gate fills.
-    fn published_version(&self) -> u64 {
-        match &*self.backend {
-            Backend::Single { snap, .. } => lock_snap(snap).version(),
-            Backend::Sharded(fleet) => fleet.published_version(),
+            is_write: plan.is_write,
         }
     }
 
     /// Pays the injected hot-writer hold (see
     /// [`SimEnv::set_write_hold_ns`]); called by write batches only,
-    /// while the write guard is held, before the publish.
+    /// while the write order is held, before the publish.
     fn write_hold(&self) {
         let ns = self.knobs.write_hold_ns.load(Ordering::Relaxed);
         if ns > 0 {
@@ -1749,7 +1522,7 @@ impl SimEnv {
         // [MIN_AUTO_FUSED_ARITY, DEFAULT_MAX_FUSED_ARITY] and converges
         // the same way — the tuner is a heuristic, not an invariant.
         if self.knobs.arity_override.load(Ordering::Relaxed) == 0 {
-            let evictions = ran.exec.plan_evictions;
+            let evictions = ran.plan_evictions;
             let last = self.knobs.last_evictions.swap(evictions, Ordering::Relaxed);
             let cur = self.knobs.auto_arity.load(Ordering::Relaxed);
             let next = if evictions > last {
@@ -1782,8 +1555,6 @@ impl SimEnv {
 /// positions are answered locally, which ship, and the per-position
 /// classification the post-execution settlement reuses.
 struct CacheProbe {
-    /// Original batch length.
-    n: usize,
     /// Cached answers, by original position (`None` = ships).
     hits: Vec<Option<ResultSet>>,
     /// Original positions of the shipped sub-batch, ascending.
@@ -1804,6 +1575,16 @@ struct RanBatch {
     /// inflated value on a slow (but under-deadline) trip.
     rtt_ns: u64,
     exec: batch::BatchExec,
+    /// The store's cumulative plan-cache eviction count after this batch
+    /// (summed over the admitted views) — the pressure signal the
+    /// self-tuning fused-probe arity watches.
+    plan_evictions: u64,
+    /// The data version the results reflect (summed over the store's
+    /// databases): the post-commit version for a batch that wrote, the
+    /// frozen one for a snapshot read. The result cache compares it
+    /// against the currently *published* version at settle time and
+    /// refuses to fill from results a later commit outdated.
+    db_version: u64,
     fused_members: Vec<Option<usize>>,
     segments: u64,
     cross_write_fused: u64,
@@ -1825,6 +1606,23 @@ mod tests {
                 .unwrap();
         }
         env
+    }
+
+    /// Ships `sqls` with partial-on-error charging.
+    fn partial(env: &SimEnv, sqls: &[String]) -> BatchOutcome {
+        env.ship(&BatchRequest {
+            errors: ErrorMode::Partial,
+            ..BatchRequest::new(sqls)
+        })
+    }
+
+    /// Ships `sqls` past the result cache's hit path, all-or-error.
+    fn uncached(env: &SimEnv, sqls: &[String]) -> Result<Vec<ResultSet>, SqlError> {
+        env.ship(&BatchRequest {
+            cache: CacheMode::Bypass,
+            ..BatchRequest::new(sqls)
+        })
+        .into_results()
     }
 
     #[test]
@@ -1990,9 +1788,10 @@ mod tests {
             "UPDATE t SET v = 'changed' WHERE id = 2".to_string(),
             "SELECT v FROM t WHERE id = 3".to_string(),
         ];
-        let o = env.query_batch_outcome(&sqls).unwrap();
-        assert_eq!(o.results[0].get(0, "v").unwrap().as_str(), Some("v1"));
-        assert_eq!(o.results[2].get(0, "v").unwrap().as_str(), Some("v3"));
+        let o = env.ship(&BatchRequest::new(&sqls));
+        let v = |i: usize| o.results[i].as_ref().unwrap().get(0, "v").unwrap();
+        assert_eq!(v(0).as_str(), Some("v1"));
+        assert_eq!(v(2).as_str(), Some("v3"));
         assert_eq!(o.fused_members, vec![Some(0), None, Some(0)]);
         assert_eq!(o.cross_write_fused, 2);
         assert_eq!(o.segments, 1, "all three footprints commute");
@@ -2000,7 +1799,7 @@ mod tests {
         // Legacy mode reproduces the old split.
         let legacy = seeded_env();
         legacy.set_write_batching(false);
-        let l = legacy.query_batch_outcome(&sqls).unwrap();
+        let l = legacy.ship(&BatchRequest::new(&sqls));
         assert_eq!(l.results, o.results, "results identical either way");
         assert_eq!(legacy.stats().fused_groups, 0);
         assert_eq!(l.cross_write_fused, 0);
@@ -2067,7 +1866,7 @@ mod tests {
             "SELECT v FROM missing WHERE id = 1".to_string(),
             "SELECT COUNT(*) FROM t".to_string(),
         ];
-        let p = env.query_batch_partial(&sqls);
+        let p = partial(&env, &sqls);
         let (pos, err) = p.error.expect("third statement fails");
         assert_eq!(pos, 2);
         assert!(err.to_string().contains("missing"));
@@ -2159,7 +1958,7 @@ mod tests {
             "SELECT COUNT(*) FROM t".to_string(),
             "SELECT v FROM t WHERE id = 5".to_string(),
         ];
-        let o = env.query_batch_outcome(&sqls).unwrap();
+        let o = env.ship(&BatchRequest::new(&sqls));
         assert_eq!(o.fused_members, vec![Some(0), None, Some(0)]);
         assert_eq!(o.fused_queries, 2);
         assert_eq!(o.fused_groups, 1);
@@ -2332,18 +2131,18 @@ mod tests {
             "UPDATE t SET v = 'x' WHERE id = 2".to_string(),
         ];
         // Without threaded footprints the planner derives them itself…
-        let o = env.query_batch_outcome(&sqls).unwrap();
+        let o = env.ship(&BatchRequest::new(&sqls));
         assert_eq!(o.footprints_derived, 2);
         // …and with them it derives none.
         let fps: Vec<sloth_sql::Footprint> = sqls.iter().map(|s| env.footprint_of(s)).collect();
-        let o = env.query_batch_outcome_with(&sqls, Some(&fps)).unwrap();
+        let o = env.ship(&BatchRequest {
+            footprints: Some(&fps),
+            ..BatchRequest::new(&sqls)
+        });
         assert_eq!(o.footprints_derived, 0);
         // Read-only batches never need footprints at all.
         let reads = vec!["SELECT v FROM t WHERE id = 1".to_string()];
-        assert_eq!(
-            env.query_batch_outcome(&reads).unwrap().footprints_derived,
-            0
-        );
+        assert_eq!(env.ship(&BatchRequest::new(&reads)).footprints_derived, 0);
     }
 
     #[test]
@@ -2474,7 +2273,7 @@ mod tests {
         assert_eq!(s.round_trips, 3, "every wasted attempt is charged");
         assert_eq!(s.queries, 0, "nothing ever executed");
         // The partial surface reports the same failure at position 0.
-        let p = env.query_batch_partial(&["SELECT v FROM t WHERE id = 2".to_string()]);
+        let p = partial(&env, &["SELECT v FROM t WHERE id = 2".to_string()]);
         let (pos, e) = p.error.expect("still exhausting");
         assert_eq!(pos, 0);
         assert!(is_transient_error(&e));
@@ -2500,10 +2299,13 @@ mod tests {
         // executed prefix — zero transfer latency at position 0, half at
         // the midpoint — while the trip itself still counts.
         let env = seeded_env();
-        let p = env.query_batch_partial(&[
-            "SELECT v FROM missing WHERE id = 1".to_string(),
-            "SELECT v FROM t WHERE id = 1".to_string(),
-        ]);
+        let p = partial(
+            &env,
+            &[
+                "SELECT v FROM missing WHERE id = 1".to_string(),
+                "SELECT v FROM t WHERE id = 1".to_string(),
+            ],
+        );
         assert_eq!(p.error.expect("fails at 0").0, 0);
         let s = env.stats();
         assert_eq!(s.round_trips, 1, "the trip is still accounted");
@@ -2514,12 +2316,15 @@ mod tests {
         );
         // Midpoint failure: half the RTT share, half the statements.
         let mid = seeded_env();
-        let p = mid.query_batch_partial(&[
-            "SELECT v FROM t WHERE id = 1".to_string(),
-            "SELECT v FROM t WHERE id = 2".to_string(),
-            "SELECT v FROM missing WHERE id = 1".to_string(),
-            "SELECT v FROM t WHERE id = 3".to_string(),
-        ]);
+        let p = partial(
+            &mid,
+            &[
+                "SELECT v FROM t WHERE id = 1".to_string(),
+                "SELECT v FROM t WHERE id = 2".to_string(),
+                "SELECT v FROM missing WHERE id = 1".to_string(),
+                "SELECT v FROM t WHERE id = 3".to_string(),
+            ],
+        );
         assert_eq!(p.error.expect("fails at 2").0, 2);
         let s = mid.stats();
         assert_eq!(s.round_trips, 1);
@@ -2688,15 +2493,10 @@ mod tests {
         env.query("SELECT v FROM t WHERE id = 2").unwrap();
         // Bypass surface: the cached entry must not answer …
         let trips = env.stats().round_trips;
-        env.query_batch_outcome_uncached_with(&["SELECT v FROM t WHERE id = 2".to_string()], None)
-            .unwrap();
+        uncached(&env, &["SELECT v FROM t WHERE id = 2".to_string()]).unwrap();
         assert_eq!(env.stats().round_trips, trips + 1, "bypass always ships");
         // … and its writes must still kill overlapping entries.
-        env.query_batch_outcome_uncached_with(
-            &["UPDATE t SET v = 'z' WHERE id = 2".to_string()],
-            None,
-        )
-        .unwrap();
+        uncached(&env, &["UPDATE t SET v = 'z' WHERE id = 2".to_string()]).unwrap();
         assert_eq!(env.result_cache_stats().invalidations, 1);
         let rs = env.query("SELECT v FROM t WHERE id = 2").unwrap();
         assert_eq!(rs.get(0, "v").unwrap().as_str(), Some("z"));
@@ -2715,5 +2515,107 @@ mod tests {
         toggled.query_batch(&sqls).unwrap();
         assert_eq!(plain.stats(), toggled.stats());
         assert_eq!(toggled.result_cache_stats(), ResultCacheStats::default());
+    }
+
+    /// Commit atomicity, once, for every deployment: a write batch that
+    /// touches rows on several shards plus a replicated table is visible
+    /// to a concurrent read-only batch entirely or not at all, readers
+    /// never travel back in time, and the published version never
+    /// decreases. Admission and publish exist once (see [`versioned`]),
+    /// so the single server and the fleets run the same code here — with
+    /// snapshot reads on (published views) and off (shared write order).
+    #[test]
+    fn commits_are_all_or_none_on_every_deployment() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        const ROWS: i64 = 8;
+        const BATCHES: i64 = 120;
+        const READERS: usize = 3;
+
+        for (shards, snapshot_reads) in [(1, true), (2, true), (4, true), (1, false), (4, false)] {
+            let env = if shards == 1 {
+                SimEnv::default_env()
+            } else {
+                let spec = ShardSpec::new().shard("acct", "id");
+                ShardedEnv::new(CostModel::default(), spec, shards).handle()
+            };
+            env.set_snapshot_reads(snapshot_reads);
+            env.seed_sql("CREATE TABLE acct (id INT PRIMARY KEY, stamp INT)")
+                .unwrap();
+            env.seed_sql("CREATE TABLE cfg (id INT PRIMARY KEY, stamp INT)")
+                .unwrap();
+            for id in 0..ROWS {
+                env.seed_sql(&format!("INSERT INTO acct VALUES ({id}, 0)"))
+                    .unwrap();
+            }
+            env.seed_sql("INSERT INTO cfg VALUES (0, 0)").unwrap();
+
+            // One read-only batch scattering over every shard, a replica
+            // and (fused) point routes.
+            let mut reads = vec![
+                "SELECT stamp FROM acct ORDER BY id".to_string(),
+                "SELECT stamp FROM cfg WHERE id = 0".to_string(),
+            ];
+            reads.extend((0..ROWS).map(|id| format!("SELECT stamp FROM acct WHERE id = {id}")));
+
+            let start = Barrier::new(READERS + 1);
+            let done = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                for _ in 0..READERS {
+                    scope.spawn(|| {
+                        let (mut last_stamp, mut last_version) = (0i64, 0u64);
+                        start.wait();
+                        loop {
+                            // One more batch once the writer has finished,
+                            // so every reader also checks the final state.
+                            let finishing = done.load(Ordering::SeqCst);
+                            let stamps: Vec<i64> = env
+                                .query_batch(&reads)
+                                .unwrap()
+                                .iter()
+                                .flat_map(|rs| rs.rows.iter().map(|r| r[0].as_i64().unwrap()))
+                                .collect();
+                            assert_eq!(stamps.len() as i64, 2 * ROWS + 1);
+                            let stamp = stamps[0];
+                            assert!(
+                                stamps.iter().all(|&s| s == stamp),
+                                "torn read at {shards} shard(s): {stamps:?}"
+                            );
+                            assert!(stamp >= last_stamp, "{stamp} after {last_stamp}");
+                            last_stamp = stamp;
+                            let version = env.store.published_version();
+                            assert!(version >= last_version);
+                            last_version = version;
+                            if finishing {
+                                assert_eq!(stamp, BATCHES, "final state");
+                                break;
+                            }
+                        }
+                    });
+                }
+                start.wait();
+                for b in 1..=BATCHES {
+                    // Alternate routed per-row writes with one un-routable
+                    // write every shard applies; the replicated table's
+                    // write broadcasts either way.
+                    let mut batch: Vec<String> = if b % 2 == 0 {
+                        (0..ROWS)
+                            .map(|id| format!("UPDATE acct SET stamp = {b} WHERE id = {id}"))
+                            .collect()
+                    } else {
+                        vec![format!("UPDATE acct SET stamp = {b} WHERE stamp >= 0")]
+                    };
+                    batch.push(format!("UPDATE cfg SET stamp = {b} WHERE id = 0"));
+                    env.query_batch(&batch).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            assert_eq!(
+                env.stats().snapshot_batches > 0,
+                snapshot_reads,
+                "readers took the admission the knob selects"
+            );
+        }
     }
 }

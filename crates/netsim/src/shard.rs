@@ -1,11 +1,11 @@
-//! The sharded backend: N independent database servers behind a
+//! The sharded deployment: N independent database servers behind a
 //! fusion-aware scatter-gather router.
 //!
 //! [`ShardedEnv`] is the horizontal-scaling step of the roadmap: instead
-//! of one simulated MySQL box, the deployment runs `N` independent
-//! [`Database`] instances (each with its own plan cache and indexes), and
-//! the batch driver routes every statement of a batch by the
-//! [`ShardSpec`] declared over the schema:
+//! of one simulated MySQL box, the deployment's versioned store holds `N`
+//! independent [`sloth_sql::Database`] instances (each with its own plan
+//! cache and indexes), and the batch driver routes every statement of a
+//! batch by the [`ShardSpec`] declared over the schema:
 //!
 //! * **point route** — a read whose predicate pins the base table's shard
 //!   key (`key = v`) executes on the one shard that owns `v`;
@@ -37,7 +37,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sloth_sql::ast::{Aggregate, BinOp, ColumnRef, Expr, Join, Projection, Statement, TableRef};
@@ -46,12 +46,13 @@ use sloth_sql::fuse;
 use sloth_sql::shard::{hash_key, shard_of};
 use sloth_sql::{
     parameterize, parse, Database, ExecStats, MergeKey, MergeTrace, Normalized, PlanCacheStats,
-    ResultSet, Row, ShardSpec, Snapshot, SqlError, Value,
+    ResultSet, Row, ShardSpec, SqlError, Value,
 };
 
 use crate::batch::{self, BatchExec, BatchPlan, Role};
 use crate::fault::transient_error;
-use crate::{Backend, CostModel, NetStats, SimEnv};
+use crate::versioned::{Admitted, ReadView};
+use crate::{CostModel, NetStats, SimEnv};
 
 /// Router and per-shard counters of a sharded deployment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -150,33 +151,14 @@ struct RouteCache {
     order: VecDeque<String>,
 }
 
-/// The read view one batch uses on one shard: the published MVCC
-/// snapshot (a read-only batch with snapshot reads on — no shard lock is
-/// ever taken) or the live database behind a short read guard (a
-/// write-containing batch must observe its own earlier writes; the
-/// fleet's `write_order` mutex keeps writers out meanwhile).
-#[derive(Clone)]
-enum ReadView {
-    Snap(Arc<Snapshot>),
-    Live(Arc<RwLock<Database>>),
-}
-
-impl ReadView {
-    fn with<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        match self {
-            ReadView::Snap(s) => f(s),
-            ReadView::Live(db) => f(&db.read().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-}
-
 /// Per-batch execution context: cost collection (read times and write
 /// time per shard, wire bytes — requests and results both cross the wire
 /// once per shard they touch), this round trip's outage mask, and the
-/// per-shard read views fixed at batch admission. One per batch, owned
-/// by the executing session — the fleet itself carries no per-batch
-/// mutable state, so concurrent batches never race on it.
-struct Costs {
+/// batch's admission to the store (its per-shard read views, and the
+/// write guards of a batch that holds the write order). One per batch,
+/// owned by the executing session — the router itself carries no
+/// per-batch mutable state, so concurrent batches never race on it.
+struct Costs<'a> {
     read_times: Vec<Vec<u64>>,
     write_ns: Vec<u64>,
     bytes: u64,
@@ -184,11 +166,10 @@ struct Costs {
     /// Per-shard outage mask for this round trip (`down[s]` = shard `s`
     /// unreachable), from the fault plan.
     down: Vec<bool>,
-    /// Per-shard read views, fixed at admission.
-    views: Vec<ReadView>,
+    adm: &'a Admitted<'a>,
 }
 
-impl Costs {
+impl Costs<'_> {
     /// Is shard `s` reachable during this round trip?
     fn live(&self, s: usize) -> bool {
         !self.down.get(s).copied().unwrap_or(false)
@@ -196,7 +177,7 @@ impl Costs {
 
     /// The read view for shard `s` (cheap `Arc` clone).
     fn view(&self, s: usize) -> ReadView {
-        self.views[s].clone()
+        self.adm.view(s)
     }
 }
 
@@ -261,26 +242,16 @@ impl Drop for ShardPool {
     }
 }
 
-/// The fleet: N independent shard databases plus the router state.
+/// The shard router: the partitioning spec plus the state routing needs
+/// (route cache, row-id sequences, worker pool, counters). It owns no
+/// database: every batch executes over the views — and, for writes, the
+/// live guards — the versioned store admitted it to.
 ///
-/// Interior-mutable by design: concurrent batches share one `Fleet`
-/// through `&self`. Snapshot read-only batches touch only the published
-/// snapshot vector (a leaf lock) and per-shard worker queues; batches
-/// that write serialize on [`Fleet::write_order`] and publish fresh
-/// per-shard snapshots at commit.
-pub(crate) struct Fleet {
-    /// Each shard behind its own `RwLock`: wave workers lock only their
-    /// own shard, the coordinator locks one shard at a time — there is
-    /// no fleet-wide database lock on any execution path.
-    shards: Vec<Arc<RwLock<Database>>>,
-    /// The published MVCC snapshots, one per shard: the last *committed*
-    /// state of the fleet. One `RwLock` over the whole vector, not a
-    /// lock per cell, so a commit's [`Fleet::publish_all`] swap is
-    /// atomic against snapshot admission and
-    /// [`Fleet::published_version`] — a reader can never pair shard 0's
-    /// post-broadcast state with shard 1's pre-broadcast state. Leaf
-    /// lock: held only to clone or swap `Arc`s, never across execution.
-    snaps: RwLock<Vec<Arc<Snapshot>>>,
+/// Interior-mutable by design: concurrent batches share one `Router`
+/// through `&self`.
+pub(crate) struct Router {
+    /// Shard count (the store's N).
+    n: usize,
     spec: ShardSpec,
     /// Per-table row sequences: every inserted row gets its table's next
     /// id, on whichever shard (replicated inserts share one id across all
@@ -298,44 +269,19 @@ pub(crate) struct Fleet {
     /// disables sleeping; the wall-clock shard bench sets it so timing a
     /// run measures the fleet's genuine overlap.
     db_sleep_ppm: AtomicU64,
-    /// Serializes batches that may write (and snapshot-off reads, which
-    /// by contract observe the live state): writers never interleave, so
-    /// every shard's live database moves through the same serial history
-    /// a single coordinator would produce. Snapshot read-only batches
-    /// never take it — that is the reader/writer overlap the MVCC path
-    /// exists to provide.
-    write_order: Mutex<()>,
 }
 
-impl Fleet {
-    pub(crate) fn new(spec: ShardSpec, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let dbs: Vec<Arc<RwLock<Database>>> = (0..shards)
-            .map(|_| Arc::new(RwLock::new(Database::new())))
-            .collect();
-        let snaps = dbs
-            .iter()
-            .map(|db| Arc::new(db.read().unwrap_or_else(PoisonError::into_inner).snapshot()))
-            .collect();
-        Fleet {
-            shards: dbs,
-            snaps: RwLock::new(snaps),
+impl Router {
+    fn new(spec: ShardSpec, shards: usize) -> Self {
+        Router {
+            n: shards,
             spec,
             next_rid: Mutex::new(HashMap::new()),
             routes: Mutex::new(RouteCache::default()),
             stats: Mutex::new(ShardStats::new(shards)),
             pool: Mutex::new(None),
             db_sleep_ppm: AtomicU64::new(0),
-            write_order: Mutex::new(()),
         }
-    }
-
-    pub(crate) fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub(crate) fn set_db_sleep_ppm(&self, ppm: u64) {
-        self.db_sleep_ppm.store(ppm, Ordering::Relaxed);
     }
 
     fn ppm(&self) -> u64 {
@@ -345,104 +291,6 @@ impl Fleet {
     /// The router counters, behind their poison-tolerant mutex.
     fn stats_mut(&self) -> MutexGuard<'_, ShardStats> {
         self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Read guard over the published snapshot vector (leaf lock: held
-    /// only to clone `Arc`s or sum versions, never across execution).
-    fn snaps_read(&self) -> RwLockReadGuard<'_, Vec<Arc<Snapshot>>> {
-        self.snaps.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Publishes every shard's committed state as its new snapshot —
-    /// the fleet's commit point. Only ever called under
-    /// [`Fleet::write_order`] (write batches and unmetered seeding both
-    /// hold it), so publishes are serialized, the published vector is
-    /// always the latest *committed* fleet state, and no heal-on-read
-    /// path is needed. The whole vector swaps under one write guard, so
-    /// a concurrent admission or version sum sees all of this batch's
-    /// shards or none of them. The version gate makes untouched shards
-    /// free — a routed single-shard write republishes only its own shard.
-    fn publish_all(&self) {
-        let mut cells = self
-            .snaps
-            .write() // commit-point (the snapshot vector, not the db lock)
-            .unwrap_or_else(PoisonError::into_inner);
-        for (db, cell) in self.shards.iter().zip(cells.iter_mut()) {
-            let live = db.read().unwrap_or_else(PoisonError::into_inner);
-            if cell.version() != live.version() {
-                *cell = Arc::new(live.snapshot());
-            }
-        }
-    }
-
-    /// Sum of the published per-shard snapshot versions: the fleet-wide
-    /// commit stamp the result cache compares fill eligibility against.
-    /// Summed under the vector's read guard, so the stamp always
-    /// reflects one published state — never a mid-publish mix.
-    pub(crate) fn published_version(&self) -> u64 {
-        self.snaps_read().iter().map(|s| s.version()).sum()
-    }
-
-    /// Builds one batch's execution context: cost accumulators, the
-    /// round trip's outage mask, and the per-shard read views fixed at
-    /// admission — published snapshots for a snapshot read-only batch,
-    /// live handles (read-locked per statement) otherwise.
-    fn batch_ctx(&self, snapshot_mode: bool, down: Option<&[bool]>) -> Costs {
-        let n = self.shards.len();
-        let views: Vec<ReadView> = if snapshot_mode {
-            // All cells under one read guard: admission is atomic
-            // against `publish_all`'s vector swap, so the batch sees a
-            // broadcast write on every shard or on none.
-            self.snaps_read()
-                .iter()
-                .map(|s| ReadView::Snap(Arc::clone(s)))
-                .collect()
-        } else {
-            self.shards
-                .iter()
-                .map(|db| ReadView::Live(Arc::clone(db)))
-                .collect()
-        };
-        Costs {
-            read_times: vec![Vec::new(); n],
-            write_ns: vec![0; n],
-            bytes: 0,
-            statements: vec![0; n],
-            down: down.map(<[bool]>::to_vec).unwrap_or_default(),
-            views,
-        }
-    }
-
-    /// Declared type of `table.column`, if the table exists. DDL
-    /// broadcasts to every shard, so shard 0's catalog answers for the
-    /// whole fleet.
-    pub(crate) fn column_type(
-        &self,
-        table: &str,
-        column: &str,
-    ) -> Option<sloth_sql::ast::ColumnType> {
-        self.db_read(0).table(table).and_then(|t| {
-            t.columns
-                .iter()
-                .find(|c| c.name.eq_ignore_ascii_case(column))
-                .map(|c| c.ty)
-        })
-    }
-
-    /// Write guard on shard `s`'s database — the only way execution
-    /// mutates a shard, taken per write statement under
-    /// [`Fleet::write_order`].
-    fn db(&self, s: usize) -> RwLockWriteGuard<'_, Database> {
-        self.shards[s]
-            .write() // commit-point
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Read guard on shard `s`'s database (catalog / cache stats).
-    fn db_read(&self, s: usize) -> RwLockReadGuard<'_, Database> {
-        self.shards[s]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs one closure per target shard **concurrently** — each on its
@@ -473,7 +321,7 @@ impl Fleet {
         // are queued lock-free and concurrent waves interleave freely.
         let senders: Vec<mpsc::Sender<Job>> = {
             let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-            let pool = pool.get_or_insert_with(|| ShardPool::new(self.shards.len()));
+            let pool = pool.get_or_insert_with(|| ShardPool::new(self.n));
             targets.iter().map(|&s| pool.senders[s].clone()).collect()
         };
         let (tx, rx) = mpsc::channel::<(usize, u64, Result<T, SqlError>)>();
@@ -511,84 +359,28 @@ impl Fleet {
         transient_error(&format!("shard {s} is down"))
     }
 
-    pub(crate) fn spec(&self) -> &ShardSpec {
-        &self.spec
-    }
-
-    pub(crate) fn stats(&self) -> ShardStats {
-        self.stats_mut().clone()
-    }
-
     pub(crate) fn reset_stats(&self) {
-        *self.stats_mut() = ShardStats::new(self.shards.len());
+        *self.stats_mut() = ShardStats::new(self.n);
     }
 
-    pub(crate) fn plan_cache_stats(&self) -> PlanCacheStats {
-        let mut total = PlanCacheStats::default();
-        for s in 0..self.shards.len() {
-            let s = self.db_read(s).plan_cache_stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.evictions += s.evictions;
-        }
-        total
-    }
-
-    /// Live rows of `table` on each shard (diagnostics / examples).
-    pub(crate) fn shard_row_counts(&self, table: &str) -> Vec<usize> {
-        (0..self.shards.len())
-            .map(|s| self.db_read(s).table(table).map(|t| t.len()).unwrap_or(0))
-            .collect()
-    }
-
-    /// Executes one statement through the router without charging time or
-    /// touching the router counters — the sharded analogue of seeding via
-    /// [`SimEnv::seed_sql`]. Mutation through here is invisible to the
-    /// footprint machinery, so the caller ([`SimEnv::seed_sql`], which
-    /// holds the deployment lock around this) drops the shared result
-    /// cache afterwards; the fleet itself lives *inside* that lock, which
-    /// is what keeps cache coherence per-fleet by construction — no shard
-    /// can apply a write without the deployment-level settlement seeing
-    /// its footprint.
-    pub(crate) fn execute_unmetered(&self, sql: &str) -> Result<ResultSet, SqlError> {
-        // Seeding mutates: serialize with write batches and publish the
-        // new state before releasing the order lock, like any writer.
-        let _order = self
-            .write_order
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let saved = self.stats_mut().clone();
-        let mut costs = self.batch_ctx(false, None);
-        let cost = CostModel::default();
-        let res = if sloth_sql::is_write_sql(sql) {
-            self.exec_write(sql, &cost, &mut costs)
-        } else {
-            let norm = sloth_sql::normalize(sql).ok();
-            self.exec_read(sql, norm.as_ref(), &cost, &mut costs)
-        };
-        *self.stats_mut() = saved;
-        self.publish_all();
-        res
-    }
-
-    /// Executes a planned batch against the fleet. Statements run in batch
-    /// order (reads after a conflicting write observe it); the batch's
-    /// database time is the **max over shards** of each shard's wave
-    /// makespan plus its serialized write time — shards are independent
-    /// servers working in parallel on the same round trip. Execution is
-    /// partial on error, exactly like the single server's. `skip` carries
-    /// journaled results from a prior faulted attempt (those positions are
-    /// answered from the journal, never re-executed); `down` marks shards
-    /// inside an outage window for this round trip.
+    /// Executes a planned batch over the shards it was admitted to.
+    /// Statements run in batch order (reads after a conflicting write
+    /// observe it); the batch's database time is the **max over shards**
+    /// of each shard's wave makespan plus its serialized write time —
+    /// shards are independent servers working in parallel on the same
+    /// round trip. Execution is partial on error, exactly like the single
+    /// server's. `skip` carries journaled results from a prior faulted
+    /// attempt (those positions are answered from the journal, never
+    /// re-executed); `down` marks shards inside an outage window for this
+    /// round trip.
     ///
-    /// `snapshot` enables MVCC admission for read-only batches: every
-    /// shard's read view is fixed to its published snapshot up front and
-    /// the batch never takes [`Fleet::write_order`] or any shard lock —
-    /// it overlaps freely with a concurrent write batch. Batches that
-    /// write (or eager-mode reads) serialize on `write_order`, execute
-    /// against the live databases, and publish new per-shard snapshots
-    /// at their commit point.
+    /// Admission and commit are the store's: a snapshot read-only batch
+    /// arrives with published views and touches no shard lock here, a
+    /// batch that writes arrives holding the write order and is published
+    /// by the caller once this returns. `metered: false` is the
+    /// out-of-band seeding path: the router counters are put back as they
+    /// were found.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_batch(
         &self,
         cost: &CostModel,
@@ -596,29 +388,21 @@ impl Fleet {
         plan: &BatchPlan,
         skip: Option<&[Option<ResultSet>]>,
         down: Option<&[bool]>,
-        snapshot: bool,
+        adm: &Admitted<'_>,
+        metered: bool,
     ) -> BatchExec {
-        let n = self.shards.len();
-        let read_only = !plan.is_write.iter().any(|&w| w);
-        let snapshot_mode = read_only && snapshot;
-        let _order = (!snapshot_mode).then(|| {
-            self.write_order
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-        });
+        let n = self.n;
+        let saved = (!metered).then(|| self.stats_mut().clone());
         let mut results: Vec<Option<ResultSet>> = vec![None; sqls.len()];
         let mut error: Option<(usize, SqlError)> = None;
-        let mut costs = self.batch_ctx(snapshot_mode, down);
-        // A snapshot batch's results are stamped with the versions frozen
-        // at admission — the sum mirrors `published_version()`.
-        let admitted_version: u64 = costs
-            .views
-            .iter()
-            .map(|v| match v {
-                ReadView::Snap(s) => s.version(),
-                ReadView::Live(_) => 0,
-            })
-            .sum();
+        let mut costs = Costs {
+            read_times: vec![Vec::new(); n],
+            write_ns: vec![0; n],
+            bytes: 0,
+            statements: vec![0; n],
+            down: down.map(<[bool]>::to_vec).unwrap_or_default(),
+            adm,
+        };
         let mut fused_queries = 0u64;
         let mut fused_groups = 0u64;
 
@@ -694,19 +478,10 @@ impl Fleet {
                 stats.statements[s] += costs.statements[s];
                 db_ns = db_ns.max(shard_ns);
             }
+            if let Some(saved) = saved {
+                *stats = saved;
+            }
         }
-
-        // Commit point: a batch that wrote publishes the new per-shard
-        // snapshots while still holding `write_order`, so readers admitted
-        // afterwards see all of this batch or none of it.
-        if !read_only {
-            self.publish_all();
-        }
-        let db_version = if snapshot_mode {
-            admitted_version
-        } else {
-            self.published_version()
-        };
 
         BatchExec {
             results,
@@ -715,21 +490,7 @@ impl Fleet {
             bytes: costs.bytes,
             fused_queries,
             fused_groups,
-            plan_evictions: self.plan_cache_stats().evictions,
-            db_version,
         }
-    }
-
-    /// Fleet-level footprint lookup: footprints are schema-level facts
-    /// identical on every shard, so shard 0's per-template cache answers
-    /// for the whole fleet.
-    pub(crate) fn footprint_of(&self, sql: &str) -> sloth_sql::Footprint {
-        self.db_read(0).footprint_of(sql)
-    }
-
-    /// Fleet-wide footprint-cache counters (shard 0 holds the cache).
-    pub(crate) fn footprint_cache_stats(&self) -> sloth_sql::FootprintCacheStats {
-        self.db_read(0).footprint_cache_stats()
     }
 
     // ---- reads ---------------------------------------------------------
@@ -739,7 +500,7 @@ impl Fleet {
         sql: &str,
         norm: Option<&Normalized>,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         let Some(norm) = norm else {
             // Unlexable "SELECT …": executes (and errors) identically on
@@ -750,7 +511,7 @@ impl Fleet {
             Some(e) => e,
             None => return self.read_on(0, sql, Some(norm), cost, costs),
         };
-        let n = self.shards.len();
+        let n = self.n;
         let bindable = entry.n_slots == norm.params.len();
         match (&entry.rule, bindable) {
             (Rule::Unsupported(msg), _) => Err(SqlError::new(msg.clone())),
@@ -787,11 +548,11 @@ impl Fleet {
     /// Replica reads may pick any copy: if the preferred shard is inside
     /// an outage window, fail over to the first live one instead of
     /// surfacing a transient error the retry loop would have to absorb.
-    fn failover(&self, preferred: usize, costs: &Costs) -> Result<usize, SqlError> {
+    fn failover(&self, preferred: usize, costs: &Costs<'_>) -> Result<usize, SqlError> {
         if costs.live(preferred) {
             return Ok(preferred);
         }
-        match (0..self.shards.len()).find(|&s| costs.live(s)) {
+        match (0..self.n).find(|&s| costs.live(s)) {
             Some(s) => {
                 self.stats_mut().replica_failovers += 1;
                 Ok(s)
@@ -809,7 +570,7 @@ impl Fleet {
         sql: &str,
         norm: Option<&Normalized>,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         if !costs.live(s) {
             return Err(Self::down_error(s));
@@ -836,7 +597,7 @@ impl Fleet {
         norm: &Normalized,
         entry: &RouteEntry,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         if let Some(&s) = targets.iter().find(|&&s| !costs.live(s)) {
             // A multi-shard gather needs every target; one out shard
@@ -885,7 +646,7 @@ impl Fleet {
         entry: &RouteEntry,
         agg: &Aggregate,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         if let Aggregate::CountDistinct(col) = agg {
             // Gather the projected column from every shard, count once.
@@ -1003,7 +764,7 @@ impl Fleet {
         norms: &[Option<Normalized>],
         max_arity: usize,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
         results: &mut [Option<ResultSet>],
     ) -> Result<(), SqlError> {
         let values: Vec<&Value> = batch::fused_values(norms, members);
@@ -1026,10 +787,10 @@ impl Fleet {
         values: &[&Value],
         targets: &[(usize, &Value)],
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
         results: &mut [Option<ResultSet>],
     ) -> Result<(), SqlError> {
-        let n = self.shards.len();
+        let n = self.n;
         let table = &lookup.select.from.name;
         let key_probe = self
             .spec
@@ -1155,7 +916,7 @@ impl Fleet {
         &self,
         sql: &str,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         let stmt = parse(sql)?;
         match &stmt {
@@ -1184,7 +945,7 @@ impl Fleet {
                 // every later key-routed statement miss it. Like
                 // cross-shard joins, this is refused, never answered
                 // wrongly (delete + re-insert re-homes a row).
-                if self.shards.len() > 1 {
+                if self.n > 1 {
                     if let Some(key) = self.spec.key_column(table) {
                         if sets.iter().any(|(c, _)| c.eq_ignore_ascii_case(key)) {
                             return Err(SqlError::new(format!(
@@ -1220,7 +981,7 @@ impl Fleet {
         stmt: &Statement,
         sql: &str,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         match self.spec.key_column(table).map(str::to_string) {
             None => {
@@ -1229,11 +990,11 @@ impl Fleet {
                 self.broadcast_write(stmt, sql, cost, costs)
             }
             Some(key) => {
-                let key_ty = self.key_column_type(table, &key);
+                let key_ty = key_column_type(costs, table, &key);
                 match literal_key_conjunct(predicate, &key) {
                     Some(v) => {
                         self.stats_mut().routed_writes += 1;
-                        let s = shard_of(&coerce_key(v, key_ty), self.shards.len());
+                        let s = shard_of(&coerce_key(v, key_ty), self.n);
                         self.write_on(s, stmt, sql, cost, costs)
                     }
                     None => {
@@ -1245,29 +1006,20 @@ impl Fleet {
         }
     }
 
-    /// Declared type of `table.key` (from shard 0's catalog — DDL
-    /// broadcasts, so every shard agrees). `None` when the table or
-    /// column is missing; execution will then error identically anyway.
-    fn key_column_type(&self, table: &str, key: &str) -> Option<sloth_sql::ast::ColumnType> {
-        let db0 = self.db_read(0);
-        let t = db0.table(table)?;
-        t.column_index(key).map(|ci| t.columns[ci].ty)
-    }
-
     fn write_on(
         &self,
         s: usize,
         stmt: &Statement,
         sql: &str,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         if !costs.live(s) {
             return Err(Self::down_error(s));
         }
         costs.bytes += sql.len() as u64;
         costs.statements[s] += 1;
-        let out = self.db(s).execute_stmt(stmt)?;
+        let out = costs.adm.write(s).execute_stmt(stmt)?;
         let ns = exec_cost(cost, &out.stats);
         costs.write_ns[s] += ns;
         db_sleep(self.ppm(), ns);
@@ -1279,16 +1031,16 @@ impl Fleet {
         stmt: &Statement,
         sql: &str,
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         // All-or-nothing under outages: check every target is live
         // *before* applying to any, so a broadcast never half-applies and
         // the retry loop can replay it safely.
-        if let Some(s) = (0..self.shards.len()).find(|&s| !costs.live(s)) {
+        if let Some(s) = (0..self.n).find(|&s| !costs.live(s)) {
             return Err(Self::down_error(s));
         }
         let mut first: Option<ResultSet> = None;
-        for s in 0..self.shards.len() {
+        for s in 0..self.n {
             let rs = self.write_on(s, stmt, sql, cost, costs)?;
             first.get_or_insert(rs);
         }
@@ -1306,9 +1058,9 @@ impl Fleet {
         columns: &[String],
         values: &[Vec<Expr>],
         cost: &CostModel,
-        costs: &mut Costs,
+        costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
-        let n = self.shards.len();
+        let n = self.n;
         // Evaluate all tuples first — the engine does the same, so any
         // evaluation error surfaces before any row is inserted.
         let mut tuples: Vec<Vec<Value>> = Vec::with_capacity(values.len());
@@ -1329,9 +1081,11 @@ impl Fleet {
                     // Declaration order: position from the catalog (all
                     // shards share DDL; a missing table errors on shard 0
                     // exactly as the single server would).
-                    let db0 = self.db_read(0);
-                    match db0.table(table) {
-                        Some(t) => t.column_index(key),
+                    let pos = costs
+                        .view(0)
+                        .with(|db0| db0.table(table).map(|t| t.column_index(key)));
+                    match pos {
+                        Some(pos) => pos,
                         None => {
                             return Err(SqlError::new(format!("no such table: {table}")));
                         }
@@ -1352,7 +1106,7 @@ impl Fleet {
         // later `key = 2` lookup probes.
         let key_ty = key_col
             .as_deref()
-            .and_then(|key| self.key_column_type(table, key));
+            .and_then(|key| key_column_type(costs, table, key));
         // All-or-nothing under outages: every shard a tuple routes to must
         // be live before any row (or row id) is allocated, so a replayed
         // insert after a transient failure never double-applies.
@@ -1386,12 +1140,17 @@ impl Fleet {
                     .unwrap_or(Value::Null);
                 let s = shard_of(&coerce_key(key_val, key_ty), n);
                 touched[s] = true;
-                self.db(s).insert_row_at(table, columns, tuple, rid)?;
+                costs
+                    .adm
+                    .write(s)
+                    .insert_row_at(table, columns, tuple, rid)?;
                 costs.statements[s] += 1;
             } else {
                 for (s, hit) in touched.iter_mut().enumerate().take(n) {
                     *hit = true;
-                    self.db(s)
+                    costs
+                        .adm
+                        .write(s)
                         .insert_row_at(table, columns, tuple.clone(), rid)?;
                     costs.statements[s] += 1;
                 }
@@ -1448,6 +1207,20 @@ impl Fleet {
         routes.map.insert(template.to_string(), Arc::clone(&entry));
         Some(entry)
     }
+}
+
+/// Declared type of `table.key`, from shard 0's admitted view (DDL
+/// broadcasts, so every shard agrees). `None` when the table or column is
+/// missing; execution will then error identically anyway.
+fn key_column_type(
+    costs: &Costs<'_>,
+    table: &str,
+    key: &str,
+) -> Option<sloth_sql::ast::ColumnType> {
+    costs.view(0).with(|db0| {
+        let t = db0.table(table)?;
+        t.column_index(key).map(|ci| t.columns[ci].ty)
+    })
 }
 
 /// Derives the route of one read template (one parse per template).
@@ -1701,13 +1474,18 @@ fn merge_lt(a: &MergeKey, b: &MergeKey, descs: &[bool]) -> bool {
 #[derive(Clone)]
 pub struct ShardedEnv {
     env: SimEnv,
+    router: Arc<Router>,
 }
 
 impl ShardedEnv {
-    /// A fleet of `shards` independent servers partitioned by `spec`.
+    /// A fleet of `shards` (≥ 1) independent servers partitioned by `spec`.
     pub fn new(cost: CostModel, spec: ShardSpec, shards: usize) -> Self {
+        let shards = shards.max(1);
+        let router = Arc::new(Router::new(spec, shards));
+        let dbs = (0..shards).map(|_| Database::new()).collect();
         ShardedEnv {
-            env: SimEnv::with_backend(cost, Backend::Sharded(Fleet::new(spec, shards))),
+            env: SimEnv::over(cost, dbs, Some(Arc::clone(&router))),
+            router,
         }
     }
 
@@ -1725,22 +1503,26 @@ impl ShardedEnv {
 
     /// Number of shards in the fleet.
     pub fn n_shards(&self) -> usize {
-        self.env.with_fleet(|f| f.n_shards())
+        self.router.n
     }
 
     /// The partitioning spec in force.
     pub fn spec(&self) -> ShardSpec {
-        self.env.with_fleet(|f| f.spec().clone())
+        self.router.spec.clone()
     }
 
     /// Router and per-shard counters.
     pub fn shard_stats(&self) -> ShardStats {
-        self.env.with_fleet(|f| f.stats())
+        self.router.stats_mut().clone()
     }
 
-    /// Live rows of `table` on each shard.
+    /// Committed rows of `table` on each shard (diagnostics / examples).
     pub fn shard_row_counts(&self, table: &str) -> Vec<usize> {
-        self.env.with_fleet(|f| f.shard_row_counts(table))
+        let views = self.env.store.published();
+        views
+            .iter()
+            .map(|db| db.table(table).map(|t| t.len()).unwrap_or(0))
+            .collect()
     }
 
     /// Scales modeled per-statement shard db time into **real sleeps**
@@ -1750,7 +1532,7 @@ impl ShardedEnv {
     /// wall-clock shard figure runs under this knob. Results and all
     /// simulated accounting are unaffected.
     pub fn set_db_realtime_ppm(&self, ppm: u64) {
-        self.env.with_fleet(|f| f.set_db_sleep_ppm(ppm));
+        self.router.db_sleep_ppm.store(ppm, Ordering::Relaxed);
     }
 
     /// `parallel_busy_ns / parallel_wave_ns` over all parallel waves so
@@ -2156,11 +1938,13 @@ mod tests {
             ))
             .unwrap();
         }
-        let counts = env.env().with_fleet(|f| {
-            (0..f.n_shards())
-                .map(|s| f.db_read(s).table("project").unwrap().next_rowid())
-                .collect::<Vec<_>>()
-        });
+        let counts = env
+            .env()
+            .store
+            .published()
+            .iter()
+            .map(|db| db.table("project").unwrap().next_rowid())
+            .collect::<Vec<_>>();
         // 6 seeded + 40 inserted project rows → ids stay below 46 + seed
         // margin on every replica, untouched by the 40 issue inserts.
         for c in counts {

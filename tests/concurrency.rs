@@ -341,6 +341,36 @@ fn dispatched_write_mix_matches_serial_reference() {
     );
 }
 
+/// A writer stalled mid-commit: a thread parked inside [`SimEnv::seed`] —
+/// holding the write order and the database write guard, `mutate` applied
+/// but nothing published — until released.
+struct Wedge {
+    release: std::sync::mpsc::Sender<()>,
+    holder: std::thread::JoinHandle<()>,
+}
+
+impl Wedge {
+    fn hold(env: &SimEnv, mutate: impl FnOnce(&mut sloth_sql::Database) + Send + 'static) -> Wedge {
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let (held_tx, held) = std::sync::mpsc::channel::<()>();
+        let env = env.clone();
+        let holder = std::thread::spawn(move || {
+            env.seed(|db| {
+                mutate(db);
+                held_tx.send(()).unwrap();
+                let _ = parked.recv();
+            })
+        });
+        held.recv().unwrap();
+        Wedge { release, holder }
+    }
+
+    fn release(self) {
+        self.release.send(()).unwrap();
+        self.holder.join().unwrap();
+    }
+}
+
 /// Satellite: the observability surfaces (`stats`, `now_ns`,
 /// `result_cache_stats`, `Dispatcher::stats`) must never block behind an
 /// in-flight batch. We wedge a **write** batch mid-ship by holding the
@@ -361,8 +391,7 @@ fn stats_reads_complete_while_a_batch_is_mid_ship() {
 
     // Wedge the backend: while this guard lives, any *write* batch that
     // reaches the database blocks mid-ship.
-    let db = env.database();
-    let guard = db.write().unwrap();
+    let guard = Wedge::hold(&env, |_| {});
 
     let batch_done = Arc::new(AtomicBool::new(false));
     let batch = {
@@ -408,7 +437,7 @@ fn stats_reads_complete_while_a_batch_is_mid_ship() {
         "stats reads finished while the batch was still mid-ship"
     );
 
-    drop(guard);
+    guard.release();
     batch.join().unwrap();
     let rs = env
         .query("SELECT name FROM patient WHERE patient_id = 1")
@@ -435,11 +464,10 @@ fn snapshot_read_completes_while_writer_holds_the_db() {
 
     // Wedge: hold the write lock and mutate the live database through
     // it, simulating a writer stalled mid-batch with half-applied state.
-    let db = env.database();
-    let mut guard = db.write().unwrap();
-    guard
-        .execute("UPDATE patient SET name = 'uncommitted' WHERE patient_id = 1")
-        .unwrap();
+    let guard = Wedge::hold(&env, |db| {
+        db.execute("UPDATE patient SET name = 'uncommitted' WHERE patient_id = 1")
+            .unwrap();
+    });
 
     let (tx, rx) = mpsc::channel();
     {
@@ -465,11 +493,82 @@ fn snapshot_read_completes_while_writer_holds_the_db() {
     );
 
     // Release the writer; subsequent reads observe its result.
-    drop(guard);
+    guard.release();
     let rs = env
         .query("SELECT name FROM patient WHERE patient_id = 1")
         .unwrap();
     assert_eq!(rs.get(0, "name").unwrap().as_str(), Some("uncommitted"));
+}
+
+/// Regression (reader-wedge, sharded): the injected hot-writer hold must
+/// keep a fleet's commit open exactly as it does the single server's —
+/// the knob used to be a silent no-op behind the router — and a
+/// read-only batch scattering over every shard meanwhile must take no
+/// shard lock: it answers from the last published state, well inside
+/// the hold, and sees the write on every shard or on none.
+#[test]
+fn sharded_snapshot_reads_overlap_a_held_commit() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
+
+    let spec = sloth_sql::ShardSpec::new().shard("t", "id");
+    let env = sloth_net::ShardedEnv::new(sloth_net::CostModel::default(), spec, 2).handle();
+    env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    for id in 0..8 {
+        env.seed_sql(&format!("INSERT INTO t VALUES ({id}, 0)"))
+            .unwrap();
+    }
+    let hold = Duration::from_millis(200);
+    env.set_write_hold_ns(hold.as_nanos() as u64);
+
+    let start = Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let read = ["SELECT v FROM t ORDER BY id".to_string()];
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let write: Vec<String> = (0..8)
+                .map(|id| format!("UPDATE t SET v = 1 WHERE id = {id}"))
+                .collect();
+            start.wait();
+            let t0 = Instant::now();
+            env.query_batch(&write).unwrap();
+            let took = t0.elapsed();
+            done.store(true, Ordering::SeqCst);
+            took
+        });
+        start.wait();
+        let mut overlapped = 0u32;
+        while !done.load(Ordering::SeqCst) {
+            let t0 = Instant::now();
+            let rs = env.query_batch(&read).unwrap().remove(0);
+            let took = t0.elapsed();
+            let vs: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+            assert!(
+                vs == [0; 8] || vs == [1; 8],
+                "the commit is visible on every shard or on none: {vs:?}"
+            );
+            assert!(
+                took < hold / 2,
+                "a snapshot read waited {took:?} behind a {hold:?} commit"
+            );
+            if vs == [0; 8] {
+                overlapped += 1;
+            }
+        }
+        let wrote_in = writer.join().unwrap();
+        assert!(
+            wrote_in >= hold,
+            "the fleet's commit stayed open for the hold: {wrote_in:?}"
+        );
+        assert!(
+            overlapped >= 1,
+            "a read returned the last committed rows while the writer was in flight"
+        );
+    });
+    assert!(env.snapshot_batches() >= 1);
+    let rs = env.query_batch(&read).unwrap().remove(0);
+    assert!(rs.rows.iter().all(|r| r[0].as_i64() == Some(1)));
 }
 
 /// Satellite: the 64-session dispatcher stress suite. Thirty-two reader
