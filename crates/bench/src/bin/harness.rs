@@ -21,31 +21,40 @@ use sloth_apps::{itracker_app, openmrs_app};
 use sloth_bench::throughput::{sweep, ThroughputCfg};
 use sloth_bench::*;
 
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 17] = [
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "appendix",
+    "fusion",
+    "shard",
+    "throughput",
+    "writebatch",
+    "deferral",
+    "chaos",
+    "cache",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "appendix",
-            "fusion",
-            "shard",
-            "throughput",
-            "writebatch",
-            "deferral",
-            "chaos",
-            "cache",
-        ]
+        EXPERIMENTS.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
     };
+    // A mistyped figure step must fail its CI job, not pass without
+    // running a gate — and fail before anything is measured.
+    if let Some(other) = wanted.iter().find(|w| !EXPERIMENTS.contains(w)) {
+        eprintln!("unknown experiment: {other}");
+        std::process::exit(2);
+    }
 
     // Figs 5/6 measurements are reused by 7/8/9/appendix.
     let need_pages = wanted
@@ -86,7 +95,7 @@ fn main() {
             "deferral" => deferral_figure_cmd(),
             "chaos" => chaos_figure_cmd(),
             "cache" => cache_figure_cmd(),
-            other => eprintln!("unknown experiment: {other}"),
+            other => unreachable!("{other} is in EXPERIMENTS"),
         }
     }
 }

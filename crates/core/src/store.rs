@@ -17,14 +17,15 @@
 //!
 //! A store is one **session** (one web request, typically). Stores are
 //! `Send + Sync`, and many sessions can be multiplexed onto one shared
-//! deployment — either directly ([`QueryStore::new`]) or through a
-//! [`Dispatcher`] ([`QueryStore::dispatched`]), which coalesces flushes
-//! from concurrent sessions into combined backend dispatches.
+//! deployment. Every flush leaves through a [`Dispatcher`]: a private
+//! one ([`QueryStore::new`]), which has nothing to combine the flush
+//! with, or a shared one ([`QueryStore::dispatched`]), which coalesces
+//! flushes from concurrent sessions into combined backend dispatches.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
-use sloth_net::{BatchRequest, CacheMode, Dispatcher, ErrorMode, SimEnv};
+use sloth_net::{BatchRequest, CacheMode, Dispatcher, SimEnv};
 use sloth_sql::ast::ColumnType;
 use sloth_sql::{
     is_write_sql, normalize, txn_boundary, Footprint, PostImage, ReadShape, ResultSet, SqlError,
@@ -67,8 +68,8 @@ pub struct StoreStats {
     /// Fused executions that answered ≥ 1 of this store's queries.
     pub fused_groups: u64,
     /// Batches of this store that shared a dispatcher round trip with
-    /// another session (always zero without a [`Dispatcher`], and zero at
-    /// one client).
+    /// another session (always zero on a private [`Dispatcher`], and zero
+    /// at one client).
     pub coalesced_batches: u64,
     /// Writes left lingering in the pending batch at registration because
     /// their footprint was disjoint from every pending statement —
@@ -149,17 +150,6 @@ impl DedupKey {
             Err(_) => DedupKey::Raw(sql.to_string()),
         }
     }
-}
-
-/// Where this session's flushes go.
-#[derive(Clone)]
-enum FlushTarget {
-    /// Straight to the deployment's batch driver (the single-session
-    /// path — bit-identical to the original serial behaviour).
-    Direct(SimEnv),
-    /// Through the shared dispatcher (multi-session serving): flushes may
-    /// coalesce with other sessions' flushes into one round trip.
-    Dispatched(Arc<Dispatcher>),
 }
 
 /// What one registration did: the id, and whether the statement (a write)
@@ -281,31 +271,32 @@ impl Drop for FlushPanicGuard<'_> {
 /// the handle is `Send + Sync`.
 #[derive(Clone)]
 pub struct QueryStore {
-    env: SimEnv,
-    target: FlushTarget,
+    /// Where every flush goes — the session's own dispatcher or one it
+    /// shares with other sessions.
+    dispatcher: Arc<Dispatcher>,
     shared: Arc<StoreShared>,
 }
 
 impl QueryStore {
-    /// A fresh store bound to a simulated deployment.
+    /// A fresh store bound to a simulated deployment, flushing through a
+    /// dispatcher of its own. A session blocks on its own flush, so that
+    /// dispatcher never has a second flush to combine with the first:
+    /// every batch goes to the wire as registered, in one round trip.
     pub fn new(env: SimEnv) -> Self {
-        let target = FlushTarget::Direct(env.clone());
-        QueryStore::with_target(env, target)
+        QueryStore::dispatched(Arc::new(Dispatcher::with_stripes(
+            env,
+            std::time::Duration::ZERO,
+            1,
+        )))
     }
 
     /// A fresh store whose flushes go through the shared `dispatcher`:
     /// the multi-session serving path. Concurrent sessions' flushes may
     /// coalesce into one backend round trip; a single session behaves
-    /// exactly like [`QueryStore::new`].
+    /// exactly like [`QueryStore::new`] — it is the same code.
     pub fn dispatched(dispatcher: Arc<Dispatcher>) -> Self {
-        let env = dispatcher.env().clone();
-        QueryStore::with_target(env, FlushTarget::Dispatched(dispatcher))
-    }
-
-    fn with_target(env: SimEnv, target: FlushTarget) -> Self {
         QueryStore {
-            env,
-            target,
+            dispatcher,
             shared: Arc::new(StoreShared {
                 inner: Mutex::new(StoreInner {
                     pending: Vec::new(),
@@ -345,7 +336,7 @@ impl QueryStore {
 
     /// The deployment this store talks to.
     pub fn env(&self) -> &SimEnv {
-        &self.env
+        self.dispatcher.env()
     }
 
     /// Registers `sql` with the current batch and returns its id (§3.3
@@ -377,7 +368,7 @@ impl QueryStore {
         let is_write = is_write_sql(&sql);
         // A degraded session gives up deferral entirely: every statement
         // ships as eagerly as possible on the solo path.
-        let deferral = self.env.write_deferral_enabled() && !self.lock().degraded;
+        let deferral = self.env().write_deferral_enabled() && !self.lock().degraded;
         if !is_write {
             return self.register_read(sql, deferral);
         }
@@ -434,7 +425,7 @@ impl QueryStore {
                     // *silent* — the batch executes in registration order,
                     // so pending reads still observe pre-write state — and
                     // it lingers in the batch instead of forcing a flush.
-                    let fp = self.env.footprint_of(&sql);
+                    let fp = self.env().footprint_of(&sql);
                     if !fp.barrier {
                         let mut inner = self.lock();
                         if let Some(t) = inner.txn.as_mut() {
@@ -452,7 +443,7 @@ impl QueryStore {
                         // per template).
                         for i in 0..inner.pending.len() {
                             if inner.pending[i].fp.is_none() {
-                                let f = self.env.footprint_of(&inner.pending[i].sql);
+                                let f = self.env().footprint_of(&inner.pending[i].sql);
                                 inner.pending[i].fp = Some(f);
                             }
                         }
@@ -486,7 +477,7 @@ impl QueryStore {
                 }
             }
         }
-        if self.env.write_batching_enabled() {
+        if self.env().write_batching_enabled() {
             return self.register_write_aware(sql, None).map(|id| Registration {
                 id,
                 deferred: false,
@@ -572,7 +563,7 @@ impl QueryStore {
                     // (batches execute in registration order).
                     let mut conflicting: Vec<String> = Vec::new();
                     if deferral && inner.pending_writes > 0 {
-                        let f = self.env.footprint_of(&sql);
+                        let f = self.env().footprint_of(&sql);
                         let base_pos = inner
                             .pending
                             .iter()
@@ -607,7 +598,7 @@ impl QueryStore {
                     let mut fp = None;
                     let mut conflicts = false;
                     if deferral && (inner.pending_writes > 0 || in_txn) {
-                        let f = self.env.footprint_of(&sql);
+                        let f = self.env().footprint_of(&sql);
                         conflicts = inner.pending.iter().any(|p| {
                             p.is_write && p.fp.as_ref().is_none_or(|w| w.conflicts_with(&f))
                         });
@@ -699,7 +690,7 @@ impl QueryStore {
                     inner.stats.registered += 1;
                     let id = QueryId(inner.next_id);
                     inner.next_id += 1;
-                    let f = self.env.footprint_of(&sql);
+                    let f = self.env().footprint_of(&sql);
                     let txn_tag = if in_txn {
                         inner.txn.as_ref().map(|t| t.serial)
                     } else {
@@ -750,7 +741,7 @@ impl QueryStore {
                 return None;
             }
             for (col, val) in post.sets {
-                let ty = self.env.column_type(&post.table, &col)?;
+                let ty = self.env().column_type(&post.table, &col)?;
                 let val = match (ty, &val) {
                     (ColumnType::Float, Value::Int(i)) => Value::Float(*i as f64),
                     (ColumnType::Int, Value::Float(f)) => Value::Int(*f as i64),
@@ -896,7 +887,7 @@ impl QueryStore {
             // The ride-along decision needs every footprint.
             for i in 0..inner.pending.len() {
                 if inner.pending[i].fp.is_none() {
-                    let f = self.env.footprint_of(&inner.pending[i].sql);
+                    let f = self.env().footprint_of(&inner.pending[i].sql);
                     inner.pending[i].fp = Some(f);
                 }
             }
@@ -994,65 +985,31 @@ impl QueryStore {
             }
         }
         let footprints: Option<Vec<Footprint>> = have_all_fps.then_some(fps);
-        let degraded = self.lock().degraded;
-        // Per-batch fusion attribution comes back with the outcome itself
-        // (not from deployment-wide counter deltas, which other sessions
-        // mutate concurrently). The direct path ships with **partial
-        // semantics**: statements the server executed before a failure
-        // keep their results — a read that rode a batch whose later write
-        // failed still answers with its rows, exactly as it would have
-        // serially. (Through a dispatcher only the whole-flush error is
-        // available, so there every id of a failed flush reports it.)
-        let (results, error, fused_queries, fused_groups, coalesced, segments) = match &self.target
-        {
-            FlushTarget::Direct(env) => {
-                // A degraded session no longer trusts the shared result
-                // cache's hit path — an earlier batch of its own died
-                // with ambiguous writes — so it ships uncached (its
-                // writes still invalidate other sessions' entries).
-                let p = env.ship(&BatchRequest {
-                    footprints: footprints.as_deref(),
-                    cache: if degraded {
-                        CacheMode::Bypass
-                    } else {
-                        CacheMode::Serve
-                    },
-                    errors: ErrorMode::Partial,
-                    ..BatchRequest::new(&sqls)
-                });
-                (
-                    p.results,
-                    p.error.map(|(_, e)| e),
-                    p.fused_queries,
-                    p.fused_groups,
-                    false,
-                    p.segments,
-                )
-            }
-            FlushTarget::Dispatched(d) => match if degraded {
-                // Degraded sessions bypass the coalescing queue: solo
-                // dispatch, footprints threaded through so even this path
-                // never re-analyzes a statement.
-                d.submit_solo(&sqls, footprints.as_deref())
-            } else {
-                // Thread the register-path footprints through dispatcher
-                // admission: a deferred silent transaction's BEGIN/COMMIT
-                // placeholders carry empty (non-barrier) footprints, so
-                // disjoint transactions from different sessions coalesce
-                // instead of dispatching solo as raw-SQL barriers would.
-                d.submit_with(&sqls, footprints.as_deref())
-            } {
-                Ok(r) => (
-                    r.results.into_iter().map(Some).collect(),
-                    None,
-                    r.fused_queries,
-                    r.fused_groups,
-                    r.coalesced,
-                    r.segments,
-                ),
-                Err(e) => (vec![None; sqls.len()], Some(e), 0, 0, false, 0),
-            },
+        // A degraded session trusts neither the shared result cache's hit
+        // path (an earlier batch of its own died with ambiguous writes)
+        // nor the coalescing queue: its `Bypass` requests ship solo and
+        // uncached, while its writes still invalidate other sessions'
+        // entries.
+        let cache = if self.lock().degraded {
+            CacheMode::Bypass
+        } else {
+            CacheMode::Serve
         };
+        // The register-path footprints ride along: dispatcher admission
+        // reasons about them verbatim (a deferred silent transaction's
+        // BEGIN/COMMIT placeholders carry empty, non-barrier footprints,
+        // so disjoint transactions from different sessions coalesce) and
+        // the planner never re-derives them. The outcome is partial on
+        // error — a read that rode a batch whose later write failed still
+        // answers with its rows, exactly as it would have serially — and
+        // carries this batch's own fusion attribution, not deployment-wide
+        // counter deltas other sessions mutate concurrently.
+        let outcome = self.dispatcher.ship(&BatchRequest {
+            footprints: footprints.as_deref(),
+            cache,
+            ..BatchRequest::new(&sqls)
+        });
+        let error = outcome.error.map(|(_, e)| e);
         panic_guard.armed = false;
         {
             let mut inner = self.lock();
@@ -1060,10 +1017,10 @@ impl QueryStore {
                 None => {
                     inner.stats.batches += 1;
                     inner.stats.batch_sizes.push(sqls.len());
-                    inner.stats.fused_queries += fused_queries;
-                    inner.stats.fused_groups += fused_groups;
-                    inner.stats.segments += segments;
-                    if coalesced {
+                    inner.stats.fused_queries += outcome.fused_queries;
+                    inner.stats.fused_groups += outcome.fused_groups;
+                    inner.stats.segments += outcome.segments;
+                    if outcome.coalesced {
                         inner.stats.coalesced_batches += 1;
                     }
                     if caused_by_write {
@@ -1091,7 +1048,7 @@ impl QueryStore {
             // The pending queries are already drained; every id records an
             // outcome — its real result when the server produced one, the
             // annotated batch error otherwise (never "unknown query id").
-            for ((id, sql), res) in ids.iter().zip(sqls.iter()).zip(results) {
+            for ((id, sql), res) in ids.iter().zip(sqls.iter()).zip(outcome.results) {
                 inner.in_flight.remove(id);
                 let record = match res {
                     Some(rs) => Ok(rs),
@@ -1458,9 +1415,23 @@ mod tests {
         assert!(store.flush().is_err());
     }
 
+    /// The two ways a session gets its dispatcher: a private one, and one
+    /// shared with other sessions. The serial-prefix properties below
+    /// hold over both.
+    fn store_arms() -> [fn(SimEnv) -> QueryStore; 2] {
+        [QueryStore::new, |e| {
+            QueryStore::dispatched(Arc::new(Dispatcher::new(e)))
+        }]
+    }
+
     #[test]
     fn failed_batch_queries_answer_with_batch_error() {
-        let store = QueryStore::new(env());
+        for store_over in store_arms() {
+            failed_batch_queries_answer_with_batch_error_on(store_over(env()));
+        }
+    }
+
+    fn failed_batch_queries_answer_with_batch_error_on(store: QueryStore) {
         let good = store.register("SELECT v FROM t WHERE id = 1").unwrap();
         let bad = store
             .register("SELECT v FROM missing_table WHERE id = 1")
@@ -1492,6 +1463,12 @@ mod tests {
 
     #[test]
     fn failed_write_does_not_poison_earlier_reads() {
+        for store_over in store_arms() {
+            failed_write_does_not_poison_earlier_reads_on(store_over);
+        }
+    }
+
+    fn failed_write_does_not_poison_earlier_reads_on(store_over: fn(SimEnv) -> QueryStore) {
         // A read rides the batch its (failing) write forces: the read
         // still answers with its rows, the write with the error — the
         // serial program's observable behaviour exactly. (Deferral off:
@@ -1499,7 +1476,7 @@ mod tests {
         // surfaces at the drain instead — see the deferral tests.)
         let e = env();
         e.set_write_deferral(false);
-        let store = QueryStore::new(e);
+        let store = store_over(e);
         let read = store.register("SELECT v FROM t WHERE id = 1").unwrap();
         let write = store.register("UPDATE missing SET v = 'x' WHERE id = 1");
         assert!(write.is_err(), "register surfaces the write's flush error");
@@ -1511,7 +1488,7 @@ mod tests {
         // Legacy mode behaves identically here (reads flush first).
         let legacy_env = env();
         legacy_env.set_write_batching(false);
-        let legacy = QueryStore::new(legacy_env);
+        let legacy = store_over(legacy_env);
         let read = legacy.register("SELECT v FROM t WHERE id = 1").unwrap();
         assert!(legacy
             .register("UPDATE missing SET v = 'x' WHERE id = 1")
@@ -1520,6 +1497,77 @@ mod tests {
             legacy.result(read).unwrap().get(0, "v").unwrap().as_str(),
             Some("v1")
         );
+    }
+
+    #[test]
+    fn failing_batch_answers_and_charges_alike_at_every_hop() {
+        // One failure contract from `register` to the wire: a batch that
+        // fails at position k of n answers its first k positions, reports
+        // the error for the rest, and charges one round trip and k
+        // queries — whichever layer it entered through.
+        let sqls = [
+            "SELECT v FROM t WHERE id = 1".to_string(),
+            "SELECT COUNT(*) FROM t".to_string(),
+            "SELECT v FROM missing WHERE id = 1".to_string(),
+            "SELECT id FROM t WHERE v = 'v2'".to_string(),
+        ];
+        let k = 2;
+        let want = env().query_batch(&sqls[..k]).unwrap();
+        let charged = |e: &SimEnv, hop: &str| {
+            let s = e.stats();
+            assert_eq!((s.round_trips, s.queries), (1, k as u64), "{hop}");
+        };
+        let check = |answers: Vec<Result<ResultSet, SqlError>>, hop: &str| {
+            for (i, r) in answers.iter().enumerate() {
+                match r {
+                    Ok(rs) => assert_eq!(Some(rs), want.get(i), "{hop}: position {i}"),
+                    Err(e) => {
+                        assert!(i >= k, "{hop}: position {i} lost its rows");
+                        assert!(e.to_string().contains("missing"), "{hop}: {e}");
+                    }
+                }
+            }
+            assert_eq!(answers.iter().filter(|r| r.is_ok()).count(), k, "{hop}");
+        };
+        let per_position = |o: sloth_net::BatchOutcome| {
+            let (pos, e) = o.error.expect("the batch fails");
+            assert_eq!(pos, k);
+            o.results
+                .into_iter()
+                .map(|r| r.ok_or_else(|| e.clone()))
+                .collect()
+        };
+
+        let e = env();
+        assert!(e.query_batch(&sqls).is_err());
+        charged(&e, "SimEnv::query_batch");
+
+        let e = env();
+        check(
+            per_position(e.ship(&BatchRequest::new(&sqls))),
+            "SimEnv::ship",
+        );
+        charged(&e, "SimEnv::ship");
+
+        let e = env();
+        let d = Dispatcher::new(e.clone());
+        check(
+            per_position(d.ship(&BatchRequest::new(&sqls))),
+            "Dispatcher::ship",
+        );
+        charged(&e, "Dispatcher::ship");
+
+        for (store_over, hop) in store_arms().into_iter().zip(["private", "shared"]) {
+            let e = env();
+            let store = store_over(e.clone());
+            let ids: Vec<QueryId> = sqls
+                .iter()
+                .map(|sql| store.register(sql.clone()).unwrap())
+                .collect();
+            assert!(store.flush().is_err());
+            check(ids.into_iter().map(|id| store.result(id)).collect(), hop);
+            charged(&e, hop);
+        }
     }
 
     #[test]
@@ -2010,7 +2058,7 @@ mod tests {
         );
         assert!(
             d.stats().degraded_solo >= 1,
-            "degraded flushes use submit_solo: {:?}",
+            "degraded flushes ship as Bypass requests: {:?}",
             d.stats()
         );
     }

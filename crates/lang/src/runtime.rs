@@ -146,12 +146,7 @@ impl DataLayer {
 
     /// Deferred (Sloth) data layer with a fresh query store.
     pub fn deferred(env: SimEnv, schema: Arc<Schema>) -> Self {
-        let store = QueryStore::new(env.clone());
-        DataLayer {
-            env,
-            schema,
-            store: Some(store),
-        }
+        DataLayer::over(QueryStore::new(env), schema)
     }
 
     /// Deferred (Sloth) data layer whose query store flushes through a
@@ -159,11 +154,14 @@ impl DataLayer {
     /// session's batches may coalesce with other sessions' batches into
     /// one backend round trip.
     pub fn dispatched(dispatcher: Arc<Dispatcher>, schema: Arc<Schema>) -> Self {
-        let env = dispatcher.env().clone();
+        DataLayer::over(QueryStore::dispatched(dispatcher), schema)
+    }
+
+    fn over(store: QueryStore, schema: Arc<Schema>) -> Self {
         DataLayer {
-            env,
+            env: store.env().clone(),
             schema,
-            store: Some(QueryStore::dispatched(dispatcher)),
+            store: Some(store),
         }
     }
 

@@ -30,10 +30,10 @@
 //! ## Partial execution
 //!
 //! Execution records per-position results and stops at the first error,
-//! reporting its batch position. The public driver surface keeps the
-//! original all-or-error semantics; the dispatcher uses the partial form
-//! to split a failed *combined* (multi-session) dispatch back into exact
-//! per-session outcomes without re-executing writes that already applied.
+//! reporting its batch position — what lets a query store answer the
+//! reads that ran before a failing write, and the dispatcher split a
+//! failed *combined* (multi-session) dispatch back into exact per-session
+//! outcomes without re-executing writes that already applied.
 
 use std::collections::HashMap;
 

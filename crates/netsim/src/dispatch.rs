@@ -67,16 +67,19 @@
 //!   enforces this), and coalesced batches are pairwise
 //!   footprint-disjoint, so each session's slice of a combined dispatch
 //!   is bit-identical to what its solo dispatch would have returned.
-//! * If a combined dispatch fails, the partial outcome
-//!   ([`crate::ErrorMode::Partial`]) splits exactly: sessions
-//!   whose statements all executed keep their results, the session owning
-//!   the failing statement gets its own error, and sessions whose
-//!   statements never ran **re-execute separately** — never re-running a
-//!   write that already applied, so first-error semantics stay
-//!   per-session and effects apply exactly once.
-//! * With a single client there is never a concurrent flush: every
-//!   dispatch carries one batch and all coalescing counters stay zero —
-//!   the serial path is preserved exactly, whatever the stripe count.
+//! * If a combined dispatch fails, its [`BatchOutcome`] splits exactly:
+//!   sessions whose statements all executed keep their results, the
+//!   session owning the failing statement gets its executed prefix plus
+//!   the error at its own position, and sessions whose statements never
+//!   ran **re-execute separately** — never re-running a write that
+//!   already applied, so first-error semantics stay per-session and
+//!   effects apply exactly once.
+//! * A flush that travels alone is handed to [`SimEnv::ship`] and its
+//!   outcome handed back untouched. A session blocks on its own flush,
+//!   so a dispatcher with one client (every query store's private one
+//!   included) never has two flushes to combine: all coalescing counters
+//!   stay zero and the session observes the wire's own answer, whatever
+//!   the stripe count.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -87,7 +90,7 @@ use std::time::{Duration, Instant};
 
 use sloth_sql::{is_write_sql, Footprint, ResultSet, SqlError};
 
-use crate::{BatchOutcome, BatchRequest, CacheMode, ErrorMode, SimEnv};
+use crate::{BatchOutcome, BatchRequest, CacheMode, SimEnv};
 
 /// Counters of one dispatcher (all sessions combined).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,9 +125,9 @@ pub struct DispatcherStats {
     /// Combined dispatches that failed and were split back into exact
     /// per-session outcomes.
     pub fallback_splits: u64,
-    /// Batches dispatched through [`Dispatcher::submit_solo`] by sessions
-    /// that degraded from the coalescing path after exhausting their
-    /// retry budget.
+    /// [`CacheMode::Bypass`] batches — shipped by sessions that degraded
+    /// from the coalescing path after exhausting their retry budget, and
+    /// dispatched solo without entering the queue.
     pub degraded_solo: u64,
     /// Combined dispatches that failed with a **transient** (fault-layer)
     /// error after the retry budget exhausted. Every rider gets the error
@@ -139,24 +142,6 @@ pub struct DispatcherStats {
     /// planner, so the dispatched path never re-analyzes a statement.
     /// The unit suite asserts this stays zero.
     pub planner_footprint_derivations: u64,
-}
-
-/// What one session's flush got back from the dispatcher.
-#[derive(Debug, Clone)]
-pub struct DispatchResult {
-    /// Per-statement results, in the session's batch order.
-    pub results: Vec<ResultSet>,
-    /// Statements of this batch answered by a fused group execution.
-    pub fused_queries: u64,
-    /// Fused groups that answered ≥ 1 statement of this batch.
-    pub fused_groups: u64,
-    /// Whether this batch shared its dispatch with another session.
-    pub coalesced: bool,
-    /// Conflict segments of this batch's dispatch when it travelled
-    /// alone; `0` when coalesced — the combined batch's count is not
-    /// attributable to any single session, and summing it into every
-    /// rider's stats would multiply-count it.
-    pub segments: u64,
 }
 
 struct PendingFlush {
@@ -192,12 +177,22 @@ impl PendingFlush {
         self.materialize(env);
         self.union.as_ref().expect("just materialized")
     }
+
+    /// This flush as a request of its own: what a dispatch that carries
+    /// nothing else ships, and what a rider whose statements never
+    /// started re-ships.
+    fn request(&self) -> BatchRequest<'_> {
+        BatchRequest {
+            footprints: self.fps.as_deref(),
+            ..BatchRequest::new(&self.sqls)
+        }
+    }
 }
 
 #[derive(Default)]
 struct DispatchState {
     queue: Vec<PendingFlush>,
-    done: HashMap<u64, Result<DispatchResult, SqlError>>,
+    done: HashMap<u64, BatchOutcome>,
     next_ticket: u64,
     dispatching: bool,
 }
@@ -220,7 +215,7 @@ pub const DEFAULT_STRIPES: usize = 8;
 /// sessions and coalesces them into combined backend dispatches.
 ///
 /// Cheap to share (`Arc<Dispatcher>`); every session's query store keeps a
-/// handle and calls [`Dispatcher::submit`] instead of talking to the
+/// handle and calls [`Dispatcher::ship`] instead of talking to the
 /// backend directly.
 pub struct Dispatcher {
     env: SimEnv,
@@ -316,10 +311,7 @@ impl Dispatcher {
     /// in-flight dispatch: the stats mutex is only ever held for counter
     /// updates, not across execution.
     pub fn stats(&self) -> DispatcherStats {
-        *self
-            .stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *self.lock_stats()
     }
 
     /// Routes one queued flush to its stripe. Write batches route by the
@@ -359,36 +351,47 @@ impl Dispatcher {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Submits one session's batch flush and blocks until its results are
-    /// available (possibly having ridden a dispatch shared with other
-    /// sessions — see the module docs for the equivalence argument).
-    pub fn submit(&self, sqls: &[String]) -> Result<DispatchResult, SqlError> {
-        self.submit_with(sqls, None)
+    /// [`Dispatcher::ship`] for the stock request, all-or-error: every
+    /// statement's result, or the batch's first error — what
+    /// [`SimEnv::query_batch`] is to [`SimEnv::ship`].
+    pub fn submit(&self, sqls: &[String]) -> Result<Vec<ResultSet>, SqlError> {
+        self.ship(&BatchRequest::new(sqls)).into_results()
     }
 
-    /// [`Dispatcher::submit`] with the session's already-derived
-    /// per-statement footprints threaded through (the query store's
-    /// deferral path has them in hand). Admission then reasons about the
-    /// caller's footprints verbatim — in particular, a deferred
-    /// `BEGIN…COMMIT` block whose boundaries carry empty placeholder
-    /// footprints (engine no-ops) enters the pairwise-disjoint
-    /// coalescing queue instead of being classified a barrier, which is
-    /// how disjoint transactions from different sessions share one
-    /// dispatch. A length mismatch falls back to deriving from the
-    /// template cache.
-    pub fn submit_with(
-        &self,
-        sqls: &[String],
-        precomputed: Option<&[Footprint]>,
-    ) -> Result<DispatchResult, SqlError> {
+    /// Ships one session's batch flush — the dispatcher's one entry
+    /// point, speaking the wire's own types — and blocks until its
+    /// outcome is available, possibly having ridden a dispatch shared
+    /// with other sessions ([`BatchOutcome::coalesced`]; see the module
+    /// docs for the equivalence argument). The failure contract is
+    /// [`SimEnv::ship`]'s: the executed prefix answers, the error sits at
+    /// the session's own failing position.
+    ///
+    /// Threaded footprints ([`BatchRequest::footprints`] — the query
+    /// store's deferral path has them in hand) are what admission reasons
+    /// about, verbatim: a deferred `BEGIN…COMMIT` block whose boundaries
+    /// carry empty placeholder footprints (engine no-ops) enters the
+    /// pairwise-disjoint coalescing queue instead of being classified a
+    /// barrier, which is how disjoint transactions from different
+    /// sessions share one dispatch. A length mismatch falls back to
+    /// deriving from the template cache.
+    ///
+    /// A [`CacheMode::Bypass`] request never queues: it is the degraded
+    /// path a session retreats to after its retry budget exhausts on the
+    /// shared path (see the degradation ladder in DESIGN.md), dispatched
+    /// solo and counted in [`DispatcherStats::degraded_solo`].
+    pub fn ship(&self, req: &BatchRequest<'_>) -> BatchOutcome {
+        let sqls = req.sqls;
         if sqls.is_empty() {
-            return Ok(DispatchResult {
-                results: Vec::new(),
-                fused_queries: 0,
-                fused_groups: 0,
-                coalesced: false,
-                segments: 0,
-            });
+            return BatchOutcome::default();
+        }
+        if req.cache == CacheMode::Bypass {
+            {
+                let mut stats = self.lock_stats();
+                stats.flushes += 1;
+                stats.dispatches += 1;
+                stats.degraded_solo += 1;
+            }
+            return self.wire(req);
         }
         self.lock_stats().flushes += 1;
         let has_write = sqls.iter().any(|s| is_write_sql(s));
@@ -400,7 +403,7 @@ impl Dispatcher {
             // Per-statement footprints come from the backend's template
             // cache and travel with the flush all the way to the planner.
             if self.env.write_batching_enabled() {
-                let per_stmt: Vec<Footprint> = match precomputed {
+                let per_stmt: Vec<Footprint> = match req.footprints {
                     Some(pre) if pre.len() == sqls.len() => pre.to_vec(),
                     _ => sqls.iter().map(|s| self.env.footprint_of(s)).collect(),
                 };
@@ -417,7 +420,10 @@ impl Dispatcher {
                     stats.solo_writes += 1;
                     stats.dispatches += 1;
                 }
-                return self.ship_solo(sqls, fps.as_deref(), CacheMode::Serve);
+                return self.wire(&BatchRequest {
+                    footprints: fps.as_deref(),
+                    ..*req
+                });
             }
         }
 
@@ -444,8 +450,8 @@ impl Dispatcher {
             stripe.cv.notify_all();
         }
         loop {
-            if let Some(r) = st.done.remove(&ticket) {
-                return r;
+            if let Some(outcome) = st.done.remove(&ticket) {
+                return outcome;
             }
             if st.dispatching {
                 st = stripe
@@ -499,16 +505,17 @@ impl Dispatcher {
             st.dispatching = false;
             match outcomes {
                 Ok(outcomes) => {
-                    for (t, r) in outcomes {
-                        st.done.insert(t, r);
-                    }
+                    st.done.extend(outcomes);
                     stripe.cv.notify_all();
                 }
                 Err(panic) => {
                     for f in &batch {
                         st.done.insert(
                             f.ticket,
-                            Err(SqlError::new("dispatch panicked on the leader session")),
+                            BatchOutcome::abandoned(
+                                f.sqls.len(),
+                                SqlError::new("dispatch panicked on the leader session"),
+                            ),
                         );
                     }
                     drop(st);
@@ -519,67 +526,14 @@ impl Dispatcher {
         }
     }
 
-    /// Dispatches one session's batch directly, bypassing the coalescing
-    /// queue — the degraded path a session retreats to after its retry
-    /// budget exhausts on the shared path (see the degradation ladder in
-    /// DESIGN.md). Keeps the all-or-error solo surface; `fps` threads the
-    /// session's admission footprints through so even the degraded path
-    /// never re-analyzes a statement.
-    ///
-    /// Solo dispatches also bypass the shared **result cache**'s hit
-    /// path: the session already lost a batch to an exhausted retry
-    /// budget, so a locally cached answer cannot be trusted to postdate
-    /// that batch's ambiguous writes. Its own shipped writes still
-    /// invalidate other sessions' entries.
-    pub fn submit_solo(
-        &self,
-        sqls: &[String],
-        fps: Option<&[Footprint]>,
-    ) -> Result<DispatchResult, SqlError> {
-        if sqls.is_empty() {
-            return Ok(DispatchResult {
-                results: Vec::new(),
-                fused_queries: 0,
-                fused_groups: 0,
-                coalesced: false,
-                segments: 0,
-            });
+    /// Puts one request on the wire and hands its outcome back untouched
+    /// — every dispatch, solo or combined, goes through here.
+    fn wire(&self, req: &BatchRequest<'_>) -> BatchOutcome {
+        let outcome = self.env.ship(req);
+        if outcome.footprints_derived > 0 {
+            self.lock_stats().planner_footprint_derivations += outcome.footprints_derived;
         }
-        {
-            let mut stats = self.lock_stats();
-            stats.flushes += 1;
-            stats.dispatches += 1;
-            stats.degraded_solo += 1;
-        }
-        self.ship_solo(sqls, fps, CacheMode::Bypass)
-    }
-
-    /// Ships one session's batch on its own, keeping the exact
-    /// all-or-error driver surface.
-    fn ship_solo(
-        &self,
-        sqls: &[String],
-        fps: Option<&[Footprint]>,
-        cache: CacheMode,
-    ) -> Result<DispatchResult, SqlError> {
-        let outcome = self.env.ship(&BatchRequest {
-            footprints: fps,
-            cache,
-            ..BatchRequest::new(sqls)
-        });
-        self.lock_stats().planner_footprint_derivations += outcome.footprints_derived;
-        let (fused_queries, fused_groups, segments) = (
-            outcome.fused_queries,
-            outcome.fused_groups,
-            outcome.segments,
-        );
-        Ok(DispatchResult {
-            results: outcome.into_results()?,
-            fused_queries,
-            fused_groups,
-            coalesced: false,
-            segments,
-        })
+        outcome
     }
 
     /// Drains the longest compatible prefix of the queue for one combined
@@ -617,48 +571,41 @@ impl Dispatcher {
         st.queue.drain(..k).collect()
     }
 
-    /// Executes a set of queued flushes as one combined backend dispatch
-    /// and splits the outcome back per flush. A failed combined dispatch
-    /// splits by its partial outcome — see the module docs.
-    fn dispatch(&self, batch: &[PendingFlush]) -> Vec<(u64, Result<DispatchResult, SqlError>)> {
-        let coalesced = batch.len() > 1;
+    /// Executes a set of queued flushes as one backend dispatch and hands
+    /// each flush its own [`BatchOutcome`]. A flush that travels alone
+    /// gets the wire's outcome as is; riders of a combined dispatch get
+    /// their slice of it — see the module docs for the failed case.
+    fn dispatch(&self, batch: &[PendingFlush]) -> Vec<(u64, BatchOutcome)> {
+        if let [f] = batch {
+            self.lock_stats().dispatches += 1;
+            return vec![(f.ticket, self.wire(&f.request()))];
+        }
         {
             let mut stats = self.lock_stats();
             stats.dispatches += 1;
-            if coalesced {
-                stats.coalesced_batches += batch.len() as u64;
-                stats.coalesced_queries += batch.iter().map(|f| f.sqls.len() as u64).sum::<u64>();
-                stats.max_coalesced = stats.max_coalesced.max(batch.len() as u64);
-                stats.coalesced_write_batches +=
-                    batch.iter().filter(|f| f.has_write).count() as u64;
-            }
+            stats.coalesced_batches += batch.len() as u64;
+            stats.coalesced_queries += batch.iter().map(|f| f.sqls.len() as u64).sum::<u64>();
+            stats.max_coalesced = stats.max_coalesced.max(batch.len() as u64);
+            stats.coalesced_write_batches += batch.iter().filter(|f| f.has_write).count() as u64;
         }
-        if !coalesced {
-            let f = &batch[0];
-            let r = self.ship_solo(&f.sqls, f.fps.as_deref(), CacheMode::Serve);
-            return vec![(f.ticket, r)];
-        }
-        let combined: Vec<String> = batch.iter().flat_map(|f| f.sqls.iter().cloned()).collect();
+        let sqls: Vec<String> = batch.iter().flat_map(|f| f.sqls.iter().cloned()).collect();
         // Thread the admission footprints through when every rider has
         // them (whenever a write batch is aboard, take_compatible
         // materialized them all; pure-read dispatches need none).
-        let combined_fps: Option<Vec<Footprint>> =
-            batch.iter().all(|f| f.fps.is_some()).then(|| {
-                batch
-                    .iter()
-                    .flat_map(|f| f.fps.as_ref().expect("checked").iter().cloned())
-                    .collect()
-            });
-        let partial = self.env.ship(&BatchRequest {
-            footprints: combined_fps.as_deref(),
-            errors: ErrorMode::Partial,
-            ..BatchRequest::new(&combined)
+        let fps: Option<Vec<Footprint>> = batch.iter().all(|f| f.fps.is_some()).then(|| {
+            batch
+                .iter()
+                .flat_map(|f| f.fps.as_ref().expect("checked").iter().cloned())
+                .collect()
         });
-        self.lock_stats().planner_footprint_derivations += partial.footprints_derived;
-        self.account_cross_session_fusion(batch, &partial);
-        match partial.error.clone() {
-            None => self.split_outcome(batch, partial, coalesced),
-            Some((_, e)) if crate::fault::is_transient_error(&e) => {
+        let combined = self.wire(&BatchRequest {
+            footprints: fps.as_deref(),
+            ..BatchRequest::new(&sqls)
+        });
+        self.account_cross_session_fusion(batch, &combined);
+        let failed_at = match &combined.error {
+            None => usize::MAX,
+            Some((_, e)) if crate::fault::is_transient_error(e) => {
                 // Retry budget exhausted on the combined dispatch. The
                 // at-most-once journal was abandoned with the batch, so a
                 // write shipped in a faulted attempt may already have
@@ -666,37 +613,46 @@ impl Dispatcher {
                 // Fail every ticket with the transient error instead;
                 // sessions degrade to eager-solo dispatch and retry there.
                 self.lock_stats().transient_failures += 1;
-                batch.iter().map(|f| (f.ticket, Err(e.clone()))).collect()
+                return batch
+                    .iter()
+                    .map(|f| (f.ticket, BatchOutcome::abandoned(f.sqls.len(), e.clone())))
+                    .collect();
             }
-            Some((pos, e)) => {
-                // Exact per-session split of a failed combined dispatch:
-                // fully-executed flushes keep their results, the flush
-                // owning position `pos` gets its own error (identical to
-                // its solo error — everything it shared the dispatch with
-                // was footprint-disjoint), and flushes that never started
-                // re-execute separately. No write ever runs twice.
+            Some((pos, _)) => {
                 self.lock_stats().fallback_splits += 1;
-                let mut out = Vec::with_capacity(batch.len());
-                let mut offset = 0usize;
-                for f in batch {
-                    let n = f.sqls.len();
-                    let r = if offset + n <= pos {
-                        let results: Vec<ResultSet> = partial.results[offset..offset + n]
-                            .iter()
-                            .map(|r| r.clone().expect("executed before the error"))
-                            .collect();
-                        Ok(per_flush_result(results, &partial, offset, n, coalesced))
-                    } else if offset <= pos {
-                        Err(e.clone())
-                    } else {
-                        self.ship_solo(&f.sqls, f.fps.as_deref(), CacheMode::Serve)
-                    };
-                    out.push((f.ticket, r));
-                    offset += n;
-                }
-                out
+                *pos
             }
-        }
+        };
+        // Exact per-session split: a flush the dispatch reached takes its
+        // slice — all of its results, or, for the flush owning position
+        // `failed_at`, its executed prefix and its own error (identical
+        // to its solo outcome: everything it shared the dispatch with was
+        // footprint-disjoint). A flush the dispatch never started ships
+        // on its own. No write ever runs twice.
+        let mut results = combined.results.into_iter();
+        let mut fused_members = combined.fused_members.into_iter();
+        let mut offset = 0usize;
+        batch
+            .iter()
+            .map(|f| {
+                let (start, n) = (offset, f.sqls.len());
+                offset += n;
+                let outcome = if start > failed_at {
+                    self.wire(&f.request())
+                } else {
+                    rider_outcome(
+                        results.by_ref().take(n).collect(),
+                        fused_members.by_ref().take(n).collect(),
+                        combined
+                            .error
+                            .as_ref()
+                            .filter(|(pos, _)| (start..offset).contains(pos))
+                            .map(|(pos, e)| (pos - start, e.clone())),
+                    )
+                };
+                (f.ticket, outcome)
+            })
+            .collect()
     }
 
     /// Cross-session fusion accounting: groups whose members span ≥ 2
@@ -745,55 +701,36 @@ impl Dispatcher {
             stats.cross_session_fused_queries += xq;
         }
     }
-
-    fn split_outcome(
-        &self,
-        batch: &[PendingFlush],
-        partial: BatchOutcome,
-        coalesced: bool,
-    ) -> Vec<(u64, Result<DispatchResult, SqlError>)> {
-        let mut results = partial.results.iter();
-        let mut offset = 0usize;
-        batch
-            .iter()
-            .map(|f| {
-                let n = f.sqls.len();
-                let slice: Vec<ResultSet> = results
-                    .by_ref()
-                    .take(n)
-                    .map(|r| {
-                        r.clone()
-                            .expect("error-free dispatch answers every position")
-                    })
-                    .collect();
-                let r = per_flush_result(slice, &partial, offset, n, coalesced);
-                offset += n;
-                (f.ticket, Ok(r))
-            })
-            .collect()
-    }
 }
 
-/// Builds one flush's [`DispatchResult`] from its slice of a combined
-/// dispatch.
-fn per_flush_result(
-    results: Vec<ResultSet>,
-    partial: &BatchOutcome,
-    offset: usize,
-    n: usize,
-    coalesced: bool,
-) -> DispatchResult {
-    let slice_members = &partial.fused_members[offset..offset + n];
-    let fused_queries = slice_members.iter().filter(|m| m.is_some()).count() as u64;
-    let mut groups: Vec<usize> = slice_members.iter().flatten().copied().collect();
+/// One rider's share of a combined dispatch: its slice of the
+/// per-position answers and fused-group indexes, the error (re-based to
+/// its own positions) when it owns the failing one, and the fusion
+/// attribution of the positions that were answered. `segments` is left at
+/// `0` — the combined batch's count is not attributable to any single
+/// session, and summing it into every rider's stats would multiply-count
+/// it.
+fn rider_outcome(
+    results: Vec<Option<ResultSet>>,
+    fused_members: Vec<Option<usize>>,
+    error: Option<(usize, SqlError)>,
+) -> BatchOutcome {
+    let mut groups: Vec<usize> = fused_members
+        .iter()
+        .zip(&results)
+        .filter_map(|(member, answered)| answered.as_ref().and(*member))
+        .collect();
+    let fused_queries = groups.len() as u64;
     groups.sort_unstable();
     groups.dedup();
-    DispatchResult {
+    BatchOutcome {
         results,
+        error,
+        fused_members,
         fused_queries,
         fused_groups: groups.len() as u64,
-        coalesced,
-        segments: if coalesced { 0 } else { partial.segments },
+        coalesced: true,
+        ..BatchOutcome::default()
     }
 }
 
@@ -802,6 +739,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Barrier};
+
+    /// The rows position `i` of `outcome` answered with.
+    fn rows(outcome: &BatchOutcome, i: usize) -> &ResultSet {
+        outcome.results[i].as_ref().expect("position answered")
+    }
 
     fn seeded_env() -> SimEnv {
         let env = SimEnv::default_env();
@@ -822,9 +764,9 @@ mod tests {
         let sqls: Vec<String> = (0..6)
             .map(|i| format!("SELECT v FROM t WHERE id = {i}"))
             .collect();
-        let r = d.submit(&sqls).unwrap();
+        let r = d.ship(&BatchRequest::new(&sqls));
         let want = reference.query_batch(&sqls).unwrap();
-        assert_eq!(r.results, want);
+        assert_eq!(r.clone().into_results().unwrap(), want);
         assert!(!r.coalesced);
         assert_eq!(r.fused_queries, 6);
         assert_eq!(r.fused_groups, 1);
@@ -841,7 +783,8 @@ mod tests {
         let d = Dispatcher::new(seeded_env());
         for round in 0..10 {
             let sqls = vec![format!("SELECT v FROM t WHERE id = {round}")];
-            let r = d.submit(&sqls).unwrap();
+            let r = d.ship(&BatchRequest::new(&sqls));
+            assert!(r.error.is_none());
             assert!(!r.coalesced);
         }
         let s = d.stats();
@@ -877,8 +820,9 @@ mod tests {
                         .map(|i| format!("SELECT v FROM t WHERE id = {}", t * 3 + i))
                         .collect();
                     barrier.wait();
-                    let r = d.submit(&sqls).unwrap();
-                    for (i, rs) in r.results.iter().enumerate() {
+                    let r = d.ship(&BatchRequest::new(&sqls));
+                    assert!(r.error.is_none());
+                    for (i, rs) in r.results.iter().flatten().enumerate() {
                         let want = format!("v{}", t * 3 + i);
                         assert_eq!(
                             rs.get(0, "v").unwrap().as_str(),
@@ -930,9 +874,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let sqls = vec![format!("SELECT v FROM t WHERE id = {t}")];
                     barrier.wait();
-                    let r = d.submit(&sqls).unwrap();
+                    let r = d.ship(&BatchRequest::new(&sqls));
                     assert_eq!(
-                        r.results[0].get(0, "v").unwrap().as_str(),
+                        rows(&r, 0).get(0, "v").unwrap().as_str(),
                         Some(format!("v{t}").as_str())
                     );
                     r.coalesced
@@ -962,9 +906,10 @@ mod tests {
         // A single session can never fill the queue to 8: the cap must
         // release the dispatch rather than wedge the flush.
         let start = Instant::now();
-        let r = d
-            .submit(&["SELECT v FROM t WHERE id = 0".to_string()])
-            .unwrap();
+        let r = d.ship(&BatchRequest::new(&[
+            "SELECT v FROM t WHERE id = 0".to_string()
+        ]));
+        assert!(r.error.is_none());
         assert!(!r.coalesced);
         assert!(
             start.elapsed() < HOLD_OPEN_CAP * 4,
@@ -983,13 +928,14 @@ mod tests {
             "UPDATE t SET v = 'x' WHERE id = 1".to_string(),
             "COMMIT".to_string(),
         ];
-        let r = d.submit(&sqls).unwrap();
+        let r = d.ship(&BatchRequest::new(&sqls));
+        assert!(r.error.is_none());
         assert!(!r.coalesced);
         assert_eq!(d.stats().solo_writes, 1, "barrier batches never queue");
         let rs = d
             .submit(&["SELECT v FROM t WHERE id = 1".to_string()])
             .unwrap();
-        assert_eq!(rs.results[0].get(0, "v").unwrap().as_str(), Some("x"));
+        assert_eq!(rs[0].get(0, "v").unwrap().as_str(), Some("x"));
     }
 
     #[test]
@@ -999,16 +945,16 @@ mod tests {
             "SELECT v FROM t WHERE id = 1".to_string(),
             "UPDATE t SET v = 'y' WHERE id = 1".to_string(),
         ];
-        let r = d.submit(&sqls).unwrap();
+        let r = d.ship(&BatchRequest::new(&sqls));
         assert!(!r.coalesced, "one client never coalesces");
-        assert_eq!(r.results[0].get(0, "v").unwrap().as_str(), Some("v1"));
+        assert_eq!(rows(&r, 0).get(0, "v").unwrap().as_str(), Some("v1"));
         let s = d.stats();
         assert_eq!(s.solo_writes, 0, "plain write batches queue like reads");
         assert_eq!(s.dispatches, 1, "read + write shipped in ONE round trip");
         let rs = d
             .submit(&["SELECT v FROM t WHERE id = 1".to_string()])
             .unwrap();
-        assert_eq!(rs.results[0].get(0, "v").unwrap().as_str(), Some("y"));
+        assert_eq!(rs[0].get(0, "v").unwrap().as_str(), Some("y"));
     }
 
     #[test]
@@ -1048,7 +994,7 @@ mod tests {
                     let r = d.submit(&sqls).unwrap();
                     // Pre-write read of the session's own row.
                     assert_eq!(
-                        r.results[0].get(0, "v").unwrap().as_str(),
+                        r[0].get(0, "v").unwrap().as_str(),
                         Some(format!("v{t}").as_str()),
                         "session {t}"
                     );
@@ -1064,7 +1010,7 @@ mod tests {
                 .submit(&[format!("SELECT v FROM t WHERE id = {t}")])
                 .unwrap();
             assert_eq!(
-                rs.results[0].get(0, "v").unwrap().as_str(),
+                rs[0].get(0, "v").unwrap().as_str(),
                 Some(format!("w{t}").as_str())
             );
         }
@@ -1105,7 +1051,7 @@ mod tests {
             .submit(&["SELECT n FROM c WHERE id = 1".to_string()])
             .unwrap();
         assert_eq!(
-            rs.results[0].get(0, "n").unwrap().as_i64(),
+            rs[0].get(0, "n").unwrap().as_i64(),
             Some(n as i64),
             "each increment applied exactly once: {:?}",
             d.stats()
@@ -1141,8 +1087,55 @@ mod tests {
         // Whether or not the two coalesced, the good session always gets
         // its rows and the bad one its own error.
         let good = good.expect("good session must not see the other's error");
-        assert_eq!(good.results[0].get(0, "v").unwrap().as_str(), Some("v2"));
+        assert_eq!(good[0].get(0, "v").unwrap().as_str(), Some("v2"));
         assert!(bad.unwrap_err().to_string().contains("missing"));
+    }
+
+    #[test]
+    fn failing_rider_keeps_its_prefix_and_its_own_error_position() {
+        // Session A reads `t`; session B updates and reads `c`, then
+        // fails, on one combined dispatch (hold-open 2 on one stripe
+        // makes the sharing deterministic). Whichever flush queued first,
+        // A keeps its rows, B gets what it would have got alone — its
+        // executed prefix and the error at ITS position 2 — and the
+        // UPDATE runs exactly once: it is never replayed by a re-ship.
+        let env = seeded_env();
+        env.seed_sql("CREATE TABLE c (id INT PRIMARY KEY, n INT)")
+            .unwrap();
+        env.seed_sql("INSERT INTO c VALUES (1, 0)").unwrap();
+        let d = Arc::new(Dispatcher::with_stripes(env.clone(), Duration::ZERO, 1));
+        d.set_hold_open(2);
+        let barrier = Arc::new(Barrier::new(2));
+        let flush = |sqls: Vec<String>| {
+            let d = Arc::clone(&d);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                d.ship(&BatchRequest::new(&sqls))
+            })
+        };
+        let a = flush(vec!["SELECT v FROM t WHERE id = 2".to_string()]);
+        let b = flush(vec![
+            "UPDATE c SET n = n + 1 WHERE id = 1".to_string(),
+            "SELECT n FROM c WHERE id = 1".to_string(),
+            "SELECT v FROM missing WHERE id = 1".to_string(),
+            "SELECT COUNT(*) FROM c".to_string(),
+        ]);
+        let a = a.join().unwrap();
+        let b = b.join().unwrap();
+        assert!(a.error.is_none(), "A must not see B's error: {:?}", a.error);
+        assert_eq!(rows(&a, 0).get(0, "v").unwrap().as_str(), Some("v2"));
+        assert!(b.coalesced);
+        assert_eq!(rows(&b, 1).get(0, "n").unwrap().as_i64(), Some(1));
+        assert!(b.results[0].is_some() && b.results[2].is_none() && b.results[3].is_none());
+        let (pos, e) = b.error.expect("B's third statement fails");
+        assert_eq!(pos, 2, "re-based to B's own slice");
+        assert!(e.to_string().contains("missing"));
+        let s = d.stats();
+        assert_eq!((s.dispatches, s.coalesced_batches), (1, 2), "{s:?}");
+        assert_eq!(s.fallback_splits, 1, "{s:?}");
+        let n = d.submit(&["SELECT n FROM c WHERE id = 1".to_string()]);
+        assert_eq!(n.unwrap()[0].get(0, "n").unwrap().as_i64(), Some(1));
     }
 
     #[test]
@@ -1180,7 +1173,7 @@ mod tests {
         let rs = d
             .submit(&["SELECT n FROM c WHERE id = 1".to_string()])
             .unwrap();
-        assert_eq!(rs.results[0].get(0, "n").unwrap().as_i64(), Some(1));
+        assert_eq!(rs[0].get(0, "n").unwrap().as_i64(), Some(1));
     }
 
     #[test]
@@ -1238,7 +1231,7 @@ mod tests {
     fn empty_submit_is_free() {
         let d = Dispatcher::new(seeded_env());
         let r = d.submit(&[]).unwrap();
-        assert!(r.results.is_empty());
+        assert!(r.is_empty());
         assert_eq!(d.stats().flushes, 0);
         assert_eq!(d.env().stats().round_trips, 0);
     }
@@ -1286,7 +1279,7 @@ mod tests {
         let rs = d
             .submit(&["SELECT n FROM c WHERE id = 1".to_string()])
             .unwrap();
-        assert_eq!(rs.results[0].get(0, "n").unwrap().as_i64(), Some(1));
+        assert_eq!(rs[0].get(0, "n").unwrap().as_i64(), Some(1));
     }
 
     #[test]
@@ -1328,7 +1321,7 @@ mod tests {
                 .submit(&["SELECT n FROM c WHERE id = 1".to_string()])
                 .unwrap();
             assert_eq!(
-                rs.results[0].get(0, "n").unwrap().as_i64(),
+                rs[0].get(0, "n").unwrap().as_i64(),
                 Some(round),
                 "round {round}: increment applied exactly once"
             );
@@ -1384,7 +1377,7 @@ mod tests {
             .submit(&["SELECT n FROM c WHERE id = 1".to_string()])
             .unwrap();
         assert_eq!(
-            rs.results[0].get(0, "n").unwrap().as_i64(),
+            rs[0].get(0, "n").unwrap().as_i64(),
             Some(1),
             "the journaled write applied exactly once despite 2 attempts"
         );
@@ -1414,7 +1407,7 @@ mod tests {
                         .collect();
                     barrier.wait();
                     let r = d.submit(&sqls).unwrap();
-                    for (i, rs) in r.results.iter().enumerate() {
+                    for (i, rs) in r.iter().enumerate() {
                         let want = format!("v{}", (t * 2 + i) % 32);
                         assert_eq!(rs.get(0, "v").unwrap().as_str(), Some(want.as_str()));
                     }
@@ -1439,19 +1432,20 @@ mod tests {
         let r = d
             .submit(&["SELECT v FROM t WHERE id = 0".to_string()])
             .unwrap();
-        assert_eq!(r.results[0].get(0, "v").unwrap().as_str(), Some("v0"));
+        assert_eq!(r[0].get(0, "v").unwrap().as_str(), Some("v0"));
         // Clamped: a zero stripe count still yields a working dispatcher.
         let d = Dispatcher::with_stripes(seeded_env(), Duration::ZERO, 0);
         assert_eq!(d.n_stripes(), 1);
     }
 
     #[test]
-    fn submit_solo_bypasses_coalescing_and_counts_degradation() {
+    fn bypass_request_skips_coalescing_and_counts_degradation() {
         let d = Dispatcher::new(seeded_env());
-        let r = d
-            .submit_solo(&["SELECT v FROM t WHERE id = 3".to_string()], None)
-            .unwrap();
-        assert_eq!(r.results[0].get(0, "v").unwrap().as_str(), Some("v3"));
+        let r = d.ship(&BatchRequest {
+            cache: CacheMode::Bypass,
+            ..BatchRequest::new(&["SELECT v FROM t WHERE id = 3".to_string()])
+        });
+        assert_eq!(rows(&r, 0).get(0, "v").unwrap().as_str(), Some("v3"));
         assert!(!r.coalesced);
         let s = d.stats();
         assert_eq!(s.degraded_solo, 1);

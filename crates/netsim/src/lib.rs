@@ -41,13 +41,13 @@ mod versioned;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use sloth_sql::{Database, ResultSet, SqlError};
 use versioned::{Admit, VersionedStore};
 
 pub use cache::ResultCacheStats;
-pub use dispatch::{DispatchResult, Dispatcher, DispatcherStats};
+pub use dispatch::{Dispatcher, DispatcherStats};
 pub use fault::{
     is_transient_error, transient_error, FaultDecision, FaultPlan, FaultStats, Outage, RetryPolicy,
 };
@@ -179,9 +179,9 @@ impl NetStats {
 }
 
 /// One batch for the driver to ship: the statements plus how the result
-/// cache and a mid-batch error are to be treated. [`BatchRequest::new`]
-/// gives the stock request (cache served, all-or-error); the other
-/// fields are set with struct-update syntax.
+/// cache is to be treated. [`BatchRequest::new`] gives the stock request
+/// (no threaded footprints, cache served); the other fields are set with
+/// struct-update syntax.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRequest<'a> {
     /// The statements, in execution order.
@@ -193,19 +193,16 @@ pub struct BatchRequest<'a> {
     pub footprints: Option<&'a [sloth_sql::Footprint]>,
     /// Whether the result cache may answer and be filled.
     pub cache: CacheMode,
-    /// What a mid-batch error does to the charge.
-    pub errors: ErrorMode,
 }
 
 impl<'a> BatchRequest<'a> {
     /// The stock request for `sqls`: no threaded footprints, cache
-    /// served, all-or-error.
+    /// served.
     pub fn new(sqls: &'a [String]) -> Self {
         BatchRequest {
             sqls,
             footprints: None,
             cache: CacheMode::Serve,
-            errors: ErrorMode::AllOrError,
         }
     }
 }
@@ -220,26 +217,10 @@ pub enum CacheMode {
     /// writes still invalidate overlapping entries — the batch really
     /// executes, so other sessions' cached reads are stale either way.
     /// The degraded-session mode: a session that exhausted its retry
-    /// budget no longer trusts locally cached answers (see
-    /// [`dispatch::Dispatcher::submit_solo`]).
+    /// budget no longer trusts locally cached answers — a cached answer
+    /// cannot be trusted to postdate its lost batch's ambiguous writes —
+    /// and no longer coalesces (see [`dispatch::Dispatcher::ship`]).
     Bypass,
-}
-
-/// What a batch that fails mid-flight charges. Execution always stops at
-/// the first error and the outcome always carries the executed prefix;
-/// the modes differ only in the accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorMode {
-    /// The legacy driver contract the query-store surface and the
-    /// equivalence suites are written against: a failed batch charges
-    /// nothing (it still settles the result cache — the engine has no
-    /// rollback, so the prefix's writes applied).
-    AllOrError,
-    /// The round trip is charged for the executed prefix (the wire was
-    /// used either way). The dispatcher uses this to split a failed
-    /// multi-session combined dispatch into exact per-session outcomes
-    /// without re-executing writes that already applied.
-    Partial,
 }
 
 /// What one batch execution produced, including the per-position fusion
@@ -272,6 +253,11 @@ pub struct BatchOutcome {
     /// Per-statement footprints the batch planner derived itself (zero
     /// when the caller threaded precomputed footprints in).
     pub footprints_derived: u64,
+    /// Whether this batch shared its round trip with another session's
+    /// (only a [`Dispatcher`] combines batches; `segments`,
+    /// `cross_write_fused` and `footprints_derived` are then `0` — they
+    /// belong to the combined batch, not to any one rider).
+    pub coalesced: bool,
 }
 
 impl BatchOutcome {
@@ -285,6 +271,12 @@ impl BatchOutcome {
             .into_iter()
             .map(|r| r.expect("error-free batch answers every position"))
             .collect())
+    }
+
+    /// A batch of `n` statements abandoned whole (retry budget exhausted,
+    /// dispatch leader panicked): nothing answered, `e` at position 0.
+    fn abandoned(n: usize, e: SqlError) -> Self {
+        BatchOutcome::unshipped(vec![None; n], Some((0, e)))
     }
 
     /// A batch that never reached the wire: `results` are local answers
@@ -467,17 +459,16 @@ pub struct SimEnv {
     stats: Arc<AtomicNetStats>,
     /// Lock-free configuration toggles; see [`Knobs`].
     knobs: Arc<Knobs>,
-    /// The cost model, read on every batch and replaced only by the
-    /// latency-sweep experiments — a reader/writer lock keeps the read
-    /// path uncontended.
-    cost: Arc<RwLock<CostModel>>,
+    /// The cost model, fixed at construction.
+    cost: CostModel,
     /// Lock-free mirror of the result cache's enabled flag: the default
     /// cache-off path costs one atomic load, no mutex.
     cache_on: Arc<AtomicBool>,
     /// Shared footprint-invalidated result cache (see [`cache`]) behind
     /// its own mutex, held only for probe/settle bookkeeping — never
-    /// across execution or a network sleep. Every session — direct,
-    /// dispatched, or on a sharded fleet — shares one coherent view.
+    /// across execution or a network sleep. Every session — on its own
+    /// dispatcher, on a shared one, or on a sharded fleet — shares one
+    /// coherent view.
     cache: Arc<Mutex<cache::ResultCache>>,
     /// Lock-free mirror of "a fault plan is installed": the perfect-
     /// network path skips the fault mutex entirely.
@@ -505,7 +496,7 @@ impl SimEnv {
             realtime_ppm: Arc::new(AtomicU64::new(0)),
             stats: Arc::new(AtomicNetStats::default()),
             knobs: Arc::new(Knobs::default()),
-            cost: Arc::new(RwLock::new(cost)),
+            cost,
             cache_on: Arc::new(AtomicBool::new(false)),
             cache: Arc::new(Mutex::new(cache::ResultCache::new())),
             faults_on: Arc::new(AtomicBool::new(false)),
@@ -526,14 +517,6 @@ impl SimEnv {
     fn fault(&self) -> std::sync::MutexGuard<'_, FaultState> {
         self.fault
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The cost model, read without contention on the batch path.
-    fn cost(&self) -> CostModel {
-        *self
-            .cost
-            .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
@@ -637,7 +620,7 @@ impl SimEnv {
 
     /// The cost model in force.
     pub fn cost_model(&self) -> CostModel {
-        self.cost()
+        self.cost
     }
 
     /// Enables or disables batch-level query fusion (on by default).
@@ -808,14 +791,6 @@ impl SimEnv {
         total
     }
 
-    /// Replaces the cost model (used by the latency-sweep experiments).
-    pub fn set_cost_model(&self, cost: CostModel) {
-        *self
-            .cost
-            .write() // not the db lock: cost-model swap
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = cost;
-    }
-
     /// Installs (or, with `None`, clears) the deterministic fault plan.
     /// Also rewinds the trip sequence, zeroes [`FaultStats`] and empties
     /// the statement journal, so the schedule replays from trip 0 — the
@@ -944,12 +919,12 @@ impl SimEnv {
     /// shard's wave makespan.
     ///
     /// Execution stops at the first error; the outcome carries its
-    /// position and the executed prefix. [`ErrorMode`] decides whether
-    /// such a batch is charged, [`CacheMode`] whether the result cache
-    /// may answer; the outcome also carries the per-position fusion
-    /// attribution of this one batch — what the query store and the
-    /// dispatcher use to account their own statistics without racing on
-    /// the deployment-wide counters.
+    /// position and the executed prefix, and the round trip is charged
+    /// for that prefix (the wire was used either way). [`CacheMode`]
+    /// decides whether the result cache may answer; the outcome also
+    /// carries the per-position fusion attribution of this one batch —
+    /// what the query store and the dispatcher use to account their own
+    /// statistics without racing on the deployment-wide counters.
     pub fn ship(&self, req: &BatchRequest<'_>) -> BatchOutcome {
         let n = req.sqls.len();
         if n == 0 {
@@ -982,7 +957,7 @@ impl SimEnv {
                 if let Some(probe) = &probe {
                     self.invalidate_after_ambiguous_failure(probe);
                 }
-                return BatchOutcome::unshipped(vec![None; n], Some((0, e)));
+                return BatchOutcome::abandoned(n, e);
             }
         };
         // Settle before surfacing any error: the engine has no rollback,
@@ -991,9 +966,7 @@ impl SimEnv {
         if let Some(probe) = &probe {
             self.settle_result_cache(probe, &ran.exec.results, ran.db_version);
         }
-        if ran.exec.error.is_none() || req.errors == ErrorMode::Partial {
-            self.charge_and_sleep(ran.exec.results.len(), &ran);
-        }
+        self.charge_and_sleep(ran.exec.results.len(), &ran);
         let RanBatch {
             exec,
             fused_members,
@@ -1025,6 +998,7 @@ impl SimEnv {
             segments,
             cross_write_fused,
             footprints_derived,
+            coalesced: false,
         }
     }
 
@@ -1231,7 +1205,7 @@ impl SimEnv {
                     skip.iter().any(Option::is_some).then_some(skip),
                 )
             };
-            let cost = self.cost();
+            let cost = self.cost;
             match decision {
                 fault::FaultDecision::Panic => {
                     // Injected inside the driver, before anything ships:
@@ -1391,7 +1365,7 @@ impl SimEnv {
             max_fused_arity: self.max_fused_arity(),
         };
         let plan = batch::plan_batch(sqls, &cfg, footprints);
-        self.execute(self.cost(), sqls, plan, skip, down, false)
+        self.execute(self.cost, sqls, plan, skip, down, false)
     }
 
     /// Admit → execute → commit: the one path every statement takes to
@@ -1606,14 +1580,6 @@ mod tests {
                 .unwrap();
         }
         env
-    }
-
-    /// Ships `sqls` with partial-on-error charging.
-    fn partial(env: &SimEnv, sqls: &[String]) -> BatchOutcome {
-        env.ship(&BatchRequest {
-            errors: ErrorMode::Partial,
-            ..BatchRequest::new(sqls)
-        })
     }
 
     /// Ships `sqls` past the result cache's hit path, all-or-error.
@@ -1866,7 +1832,7 @@ mod tests {
             "SELECT v FROM missing WHERE id = 1".to_string(),
             "SELECT COUNT(*) FROM t".to_string(),
         ];
-        let p = partial(&env, &sqls);
+        let p = env.ship(&BatchRequest::new(&sqls));
         let (pos, err) = p.error.expect("third statement fails");
         assert_eq!(pos, 2);
         assert!(err.to_string().contains("missing"));
@@ -2273,7 +2239,9 @@ mod tests {
         assert_eq!(s.round_trips, 3, "every wasted attempt is charged");
         assert_eq!(s.queries, 0, "nothing ever executed");
         // The partial surface reports the same failure at position 0.
-        let p = partial(&env, &["SELECT v FROM t WHERE id = 2".to_string()]);
+        let p = env.ship(&BatchRequest::new(&[
+            "SELECT v FROM t WHERE id = 2".to_string()
+        ]));
         let (pos, e) = p.error.expect("still exhausting");
         assert_eq!(pos, 0);
         assert!(is_transient_error(&e));
@@ -2299,13 +2267,10 @@ mod tests {
         // executed prefix — zero transfer latency at position 0, half at
         // the midpoint — while the trip itself still counts.
         let env = seeded_env();
-        let p = partial(
-            &env,
-            &[
-                "SELECT v FROM missing WHERE id = 1".to_string(),
-                "SELECT v FROM t WHERE id = 1".to_string(),
-            ],
-        );
+        let p = env.ship(&BatchRequest::new(&[
+            "SELECT v FROM missing WHERE id = 1".to_string(),
+            "SELECT v FROM t WHERE id = 1".to_string(),
+        ]));
         assert_eq!(p.error.expect("fails at 0").0, 0);
         let s = env.stats();
         assert_eq!(s.round_trips, 1, "the trip is still accounted");
@@ -2316,15 +2281,12 @@ mod tests {
         );
         // Midpoint failure: half the RTT share, half the statements.
         let mid = seeded_env();
-        let p = partial(
-            &mid,
-            &[
-                "SELECT v FROM t WHERE id = 1".to_string(),
-                "SELECT v FROM t WHERE id = 2".to_string(),
-                "SELECT v FROM missing WHERE id = 1".to_string(),
-                "SELECT v FROM t WHERE id = 3".to_string(),
-            ],
-        );
+        let p = mid.ship(&BatchRequest::new(&[
+            "SELECT v FROM t WHERE id = 1".to_string(),
+            "SELECT v FROM t WHERE id = 2".to_string(),
+            "SELECT v FROM missing WHERE id = 1".to_string(),
+            "SELECT v FROM t WHERE id = 3".to_string(),
+        ]));
         assert_eq!(p.error.expect("fails at 2").0, 2);
         let s = mid.stats();
         assert_eq!(s.round_trips, 1);

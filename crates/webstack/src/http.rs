@@ -18,18 +18,6 @@ use sloth_lang::{DataLayer, Prepared, RunResult, V};
 use sloth_net::{Dispatcher, SimEnv};
 use sloth_orm::Schema;
 
-/// Where request sessions are created from: one deployment, shared by
-/// every handler, either direct or through the coalescing dispatcher.
-#[derive(Clone)]
-enum SessionBackend {
-    /// One store per request, straight to the deployment.
-    Direct(SimEnv),
-    /// One store per request through the shared [`Dispatcher`]:
-    /// concurrent requests' flushes (and whole deferred transactions)
-    /// may coalesce into combined backend dispatches.
-    Dispatched(Arc<Dispatcher>),
-}
-
 /// A parsed request: path plus positional arguments for the page's
 /// `main`. (The simulator has no wire format — a request is its route.)
 #[derive(Debug, Clone)]
@@ -93,26 +81,26 @@ struct Route {
 /// single funnel into [`Prepared::run_with`], which ends every request
 /// with the deferred-write drain.
 pub struct Router {
-    backend: SessionBackend,
+    /// Every request's store flushes through this one dispatcher, so
+    /// concurrent requests' flushes (and whole deferred transactions)
+    /// may coalesce into combined backend dispatches.
+    dispatcher: Arc<Dispatcher>,
     schema: Arc<Schema>,
     routes: BTreeMap<String, Route>,
 }
 
 impl Router {
-    /// A router serving sessions straight off the deployment.
+    /// A router serving sessions off `env` through a dispatcher of its
+    /// own.
     pub fn new(env: SimEnv, schema: Arc<Schema>) -> Self {
-        Router {
-            backend: SessionBackend::Direct(env),
-            schema,
-            routes: BTreeMap::new(),
-        }
+        Router::dispatched(Arc::new(Dispatcher::new(env)), schema)
     }
 
     /// A router whose sessions flush through the shared dispatcher —
     /// the multi-client serving configuration.
     pub fn dispatched(dispatcher: Arc<Dispatcher>, schema: Arc<Schema>) -> Self {
         Router {
-            backend: SessionBackend::Dispatched(dispatcher),
+            dispatcher,
             schema,
             routes: BTreeMap::new(),
         }
@@ -165,23 +153,14 @@ impl Router {
         }
     }
 
-    /// A fresh per-request data layer (the request's session).
+    /// A fresh per-request data layer (the request's session). An eager
+    /// page runs immediate — it has no store to coalesce.
     fn session(&self, lazy: bool) -> DataLayer {
-        match (&self.backend, lazy) {
-            (SessionBackend::Direct(env), false) => {
-                DataLayer::immediate(env.clone(), Arc::clone(&self.schema))
-            }
-            (SessionBackend::Direct(env), true) => {
-                DataLayer::deferred(env.clone(), Arc::clone(&self.schema))
-            }
-            // An eager page through a dispatcher still runs immediate —
-            // it has no store to coalesce.
-            (SessionBackend::Dispatched(d), false) => {
-                DataLayer::immediate(d.env().clone(), Arc::clone(&self.schema))
-            }
-            (SessionBackend::Dispatched(d), true) => {
-                DataLayer::dispatched(Arc::clone(d), Arc::clone(&self.schema))
-            }
+        let schema = Arc::clone(&self.schema);
+        if lazy {
+            DataLayer::dispatched(Arc::clone(&self.dispatcher), schema)
+        } else {
+            DataLayer::immediate(self.dispatcher.env().clone(), schema)
         }
     }
 }

@@ -375,7 +375,12 @@ fn txn_deferral_saves_round_trips() {
 /// it, and the final state must all match the serial prefix.
 #[test]
 fn failing_statement_mid_txn_matches_serial_prefix() {
-    for case in 0..20u64 {
+    // Over a private dispatcher and over a shared one: the same code, and
+    // the arm the serving stack runs must hold the property too.
+    let arms: [fn(SimEnv) -> QueryStore; 2] = [QueryStore::new, |e| {
+        QueryStore::dispatched(Arc::new(Dispatcher::new(e)))
+    }];
+    for (case, store_over) in (0..20u64).flat_map(|case| arms.map(|arm| (case, arm))) {
         let mut rng = Rng::new(0xBAD_7A9 ^ case);
         let mut next_id = 700;
         let mut ops = arb_txn_stream(&mut rng, &mut next_id);
@@ -410,7 +415,7 @@ fn failing_statement_mid_txn_matches_serial_prefix() {
         let serial_err = serial_err.expect("the mid-txn statement must fail");
 
         let env = fresh_env();
-        let store = QueryStore::new(env.clone());
+        let store = store_over(env.clone());
         let mut ids = Vec::new();
         for op in &ops {
             match op {
