@@ -1,7 +1,7 @@
 //! The **chaos figure**: what fault recovery costs on the write-mixed
 //! pages, and proof that it costs nothing in correctness.
 //!
-//! Every workload of the `writebatch` figure runs twice: once over a
+//! Every write-mix workload ([`crate::writebatch`]) runs twice: once over a
 //! clean network and once under the *reference fault plan* — seeded,
 //! deterministic drops (10%) and deadline-busting timeouts (5%) per
 //! round trip — with a generous retry budget. The faulted side must

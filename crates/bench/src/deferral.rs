@@ -1,23 +1,22 @@
 //! The **selective-laziness figure**: what runtime write deferral buys on
-//! write-mixed pages, against the PR 4 write-aware baseline.
+//! write-mixed pages, against a flush per write.
 //!
-//! Write-aware batching (the `writebatch` figure) made a write ride the
-//! flush it forces — but it still *forces* a flush per write, so N
-//! consecutive disjoint writes cost N round trips. Selective laziness
-//! (§3.5–3.6, the "SC" effect of Fig. 12 at the runtime level) defers
-//! every write whose footprint is disjoint from the pending batch; a
-//! conflicting statement, a transaction boundary or an explicit force
-//! drains the accumulated writes in **one** round trip.
+//! A write that is not deferred rides the flush it forces — but it still
+//! *forces* that flush, so N consecutive disjoint writes cost N round
+//! trips. Selective laziness (§3.5–3.6, the "SC" effect of Fig. 12 at the
+//! runtime level) defers every write whose footprint is disjoint from the
+//! pending batch; a conflicting statement, a transaction boundary or an
+//! explicit force drains the accumulated writes in **one** round trip.
 //!
-//! Measured workloads — the same deterministic write-mixed pages as the
-//! `writebatch` figure, so the two documents compose: TPC-C new-order /
-//! payment / delivery pages and the itracker `edit_issue.save` /
-//! `triage_sweep` update pages. Each runs the same transaction stream
-//! twice — write deferral **off** (exactly the PR 4 write-aware driver)
-//! and **on** — asserting byte-identical program output and final
-//! database state, and reporting the round-trip reduction.
-//! [`DeferralFigure::to_json`] renders `BENCH_deferral.json`, gated in CI
-//! at **≥ 10 % fewer round trips** over the whole write mix.
+//! Measured workloads — the deterministic write-mixed pages of
+//! [`crate::writebatch`]: TPC-C new-order / payment / delivery pages and
+//! the itracker `edit_issue.save` / `triage_sweep` update pages. Each runs
+//! the same transaction stream twice — write deferral **off** (a flush per
+//! write; the document's `write_aware` side) and **on** — asserting
+//! byte-identical program output and final database state, and reporting
+//! the round-trip reduction. [`DeferralFigure::to_json`] renders
+//! `BENCH_deferral.json`, gated in CI at **≥ 10 % fewer round trips** over
+//! the whole write mix.
 
 use std::sync::Arc;
 
@@ -33,9 +32,9 @@ pub struct DeferralRow {
     pub name: String,
     /// Transactions / pages executed per side.
     pub txns: usize,
-    /// Write-aware, deferral off (the PR 4 baseline).
+    /// Deferral off: a flush per write (the baseline).
     pub baseline: WriteMixMeasure,
-    /// Write-aware + selective laziness.
+    /// Selective laziness on.
     pub deferred: WriteMixMeasure,
     /// Writes deferred at registration (deferral side).
     pub deferred_writes: u64,
@@ -107,8 +106,6 @@ pub fn deferral_figure() -> DeferralFigure {
             let mut sides = Vec::new();
             for deferral in [false, true] {
                 let env = SimEnv::from_database(w.seed_db.clone(), CostModel::default());
-                // Both sides run the write-aware driver; only selective
-                // laziness differs.
                 env.set_write_deferral(deferral);
                 let mut measure = WriteMixMeasure::default();
                 let mut stats = (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -246,7 +243,7 @@ mod tests {
 
     /// The acceptance gates of the selective-laziness work, enforced on
     /// every test run: identical output and final state per workload,
-    /// never more round trips than the PR 4 write-aware baseline, ≥ 10 %
+    /// never more round trips than the flush-per-write baseline, ≥ 10 %
     /// fewer over the whole write mix, and writes actually deferring.
     #[test]
     fn deferral_figure_meets_targets() {

@@ -2,19 +2,15 @@
 //! much reader throughput MVCC snapshot reads preserve while a hot
 //! writer churns, and what they do to the read tail.
 //!
-//! Three real-thread passes over the same single-server deployment
+//! Two real-thread passes over the same single-server deployment
 //! (rtt 0 — the figure isolates *lock* behaviour, not the wire):
 //!
-//! 1. **baseline** — snapshot reads on, no writer: the reader fleet's
-//!    unobstructed throughput.
-//! 2. **hot_snapshot** — snapshot reads on, plus a writer that commits a
-//!    small update and holds the database write guard open for
-//!    [`SnapshotCfg::write_hold_ns`] real nanoseconds per batch (the
-//!    injected "hot writer"). Readers execute against published
-//!    snapshots and never take the lock.
-//! 3. **hot_locked** — the same hot writer with snapshot reads **off**
-//!    (the PR 8 behaviour): every read batch serializes behind the held
-//!    write guard.
+//! 1. **baseline** — no writer: the reader fleet's unobstructed
+//!    throughput.
+//! 2. **hot_snapshot** — plus a writer that commits a small update and
+//!    holds the write order open for [`SnapshotCfg::write_hold_ns`] real
+//!    nanoseconds per batch (the injected "hot writer"). Readers execute
+//!    against published snapshots and never take the lock.
 //!
 //! The headline metric is **overlap**: with the writer busy a fraction
 //! `f` of the wall clock holding the write guard, a reader fleet that
@@ -28,8 +24,8 @@
 //! is ≈ 1 for fully-serialized readers and rises towards `1/(1 − f)` as
 //! readers overlap the writer. The release gate requires `overlap > 1`
 //! (readers demonstrably ran *during* the writer's lock hold) and that
-//! the snapshot pass's read p99 beats the locked pass's (whose tail is
-//! dominated by the hold).
+//! the hot pass's read p99 stays below one write hold (a reader that had
+//! waited out a single hold could not pass).
 //!
 //! Readers only touch the `item` table; the writer only churns the
 //! disjoint `churn` table — so every read's expected rows are known
@@ -55,12 +51,9 @@ pub struct SnapshotCfg {
     /// Writer think time between batches — paces the writer so its busy
     /// fraction lands mid-range instead of saturating the lock.
     pub writer_pause: Duration,
-    /// Reader think time between batches. Closed-loop clients with zero
-    /// think time monopolize the read guard and *starve the writer*
-    /// (an unfair `RwLock` admits new readers while a writer waits), so
-    /// the eager pass would measure a writer that rarely commits rather
-    /// than readers wedged behind a hot one. A small pause keeps the
-    /// guard free often enough for the writer to stay on its own pace.
+    /// Reader think time between batches: the readers are paced
+    /// closed-loop clients, not a spin loop competing with the writer
+    /// for a core.
     pub reader_think: Duration,
     /// Point reads per read-only batch.
     pub batch: usize,
@@ -88,8 +81,8 @@ pub struct SnapshotPass {
     pub reads_per_s: f64,
     /// Median read-batch latency (ms).
     pub p50_ms: f64,
-    /// 99th-percentile read-batch latency (ms) — the tail the held write
-    /// guard wrecks when readers serialize behind it.
+    /// 99th-percentile read-batch latency (ms) — the tail a held write
+    /// order would wreck if readers serialized behind it.
     pub p99_ms: f64,
     /// Write batches the hot writer committed (0 on the baseline pass).
     pub writer_batches: u64,
@@ -103,16 +96,13 @@ pub struct SnapshotPass {
     pub output_mismatches: u64,
 }
 
-/// The whole figure: three passes plus the derived overlap metric.
+/// The whole figure: two passes plus the derived overlap metric.
 #[derive(Debug, Clone)]
 pub struct SnapshotFigure {
-    /// Snapshot reads on, no writer.
+    /// No writer.
     pub baseline: SnapshotPass,
-    /// Snapshot reads on, hot writer churning.
+    /// Hot writer churning.
     pub hot_snapshot: SnapshotPass,
-    /// Snapshot reads off (every read batch takes the live read guard
-    /// and waits out the held write guard), hot writer churning.
-    pub hot_locked: SnapshotPass,
     /// `(hot_snapshot / baseline throughput) / (1 − writer busy
     /// fraction)` — > 1 means readers ran during the writer's lock hold.
     pub overlap: f64,
@@ -148,9 +138,8 @@ fn quantile_ms(samples: &mut [f64], q: f64) -> f64 {
     samples[idx.min(samples.len() - 1)]
 }
 
-fn run_pass(cfg: &SnapshotCfg, snapshot_on: bool, with_writer: bool) -> SnapshotPass {
+fn run_pass(cfg: &SnapshotCfg, with_writer: bool) -> SnapshotPass {
     let env = seeded_env();
-    env.set_snapshot_reads(snapshot_on);
     env.set_write_hold_ns(cfg.write_hold_ns);
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -248,11 +237,10 @@ fn run_pass(cfg: &SnapshotCfg, snapshot_on: bool, with_writer: bool) -> Snapshot
     }
 }
 
-/// Runs the three passes and derives the overlap metric.
+/// Runs the two passes and derives the overlap metric.
 pub fn snapshot_figure(cfg: &SnapshotCfg) -> SnapshotFigure {
-    let baseline = run_pass(cfg, true, false);
-    let hot_snapshot = run_pass(cfg, true, true);
-    let hot_locked = run_pass(cfg, false, true);
+    let baseline = run_pass(cfg, false);
+    let hot_snapshot = run_pass(cfg, true);
     // Clamp the busy fraction away from 1.0: a pathological writer that
     // monopolized the wall clock would otherwise divide by ~0 and mint
     // an arbitrarily large overlap out of noise.
@@ -262,7 +250,6 @@ pub fn snapshot_figure(cfg: &SnapshotCfg) -> SnapshotFigure {
         overlap: retained / (1.0 - f),
         baseline,
         hot_snapshot,
-        hot_locked,
     }
 }
 
@@ -271,10 +258,10 @@ mod tests {
     use super::*;
 
     /// A short figure run: every read of every pass must see the seeded
-    /// rows (the writer churns a disjoint table), the snapshot passes
-    /// must actually serve from snapshots, and the locked pass must not.
-    /// The overlap > 1 and p99 gates are asserted in release builds by
-    /// the harness, which the CI release job reproduces.
+    /// rows (the writer churns a disjoint table) and both passes must
+    /// actually serve from snapshots. The overlap > 1 and p99 gates are
+    /// asserted in release builds by the harness, which the CI release
+    /// job reproduces.
     #[test]
     fn figure_runs_and_reads_stay_correct() {
         let cfg = SnapshotCfg {
@@ -286,17 +273,12 @@ mod tests {
         for (name, pass) in [
             ("baseline", &fig.baseline),
             ("hot_snapshot", &fig.hot_snapshot),
-            ("hot_locked", &fig.hot_locked),
         ] {
             assert_eq!(pass.output_mismatches, 0, "{name}: reads diverged");
             assert!(pass.read_batches > 0, "{name}: no reads completed");
         }
         assert!(fig.baseline.snapshot_batches > 0);
         assert!(fig.hot_snapshot.snapshot_batches > 0);
-        assert_eq!(
-            fig.hot_locked.snapshot_batches, 0,
-            "snapshot-off pass must take the lock for every batch"
-        );
         assert!(fig.hot_snapshot.writer_batches > 0);
         assert!(fig.hot_snapshot.writer_busy_frac > 0.0);
         // The writer alternates a 1 ms hold with a 1 ms pause, so its

@@ -1,14 +1,5 @@
-//! The **write-mix figure**: what write-aware batching buys on workloads
-//! that interleave reads and writes.
-//!
-//! The legacy driver split every write out of its batch: registering a
-//! write flushed the pending reads in one round trip and then shipped the
-//! write alone in a second. Write-aware batching lets the write ride the
-//! flush it forces — one round trip — with footprint-analyzed segments
-//! keeping fusion and cross-session coalescing sound (see
-//! `sloth_sql::footprint` and the DESIGN notes).
-//!
-//! Measured workloads, all deterministic:
+//! The **write-mix workloads**: the deterministic write-mixed pages the
+//! `deferral` and `chaos` figures both measure, so the documents compose.
 //!
 //! 1. TPC-C **new-order** and **payment** (plus delivery), the paper's
 //!    write-heavy transactions, driven through the Sloth-compiled kernel
@@ -16,17 +7,14 @@
 //! 2. itracker-style **update pages** (edit-issue save and a triage
 //!    sweep) against the itracker schema.
 //!
-//! Each workload runs the same transaction stream twice — write-aware
-//! batching off (legacy split) and on — asserting byte-identical program
-//! output and final database state, and reporting the round-trip
-//! reduction. `writebatch_figure()` returns plain data;
-//! [`WriteBatchFigure::to_json`] renders `BENCH_writebatch.json`, gated
-//! in CI at **≥ 15 % fewer round trips** over the whole write mix.
+//! Beside the pages live what the figures over them share: the per-side
+//! counter aggregate ([`WriteMixMeasure`]) and the final-state
+//! fingerprint they (and the `cache` figure) compare byte for byte.
 
 use std::sync::Arc;
 
 use sloth_apps::{itracker_app, tpcc};
-use sloth_lang::{prepare, ExecStrategy, OptFlags, Prepared, RunResult, V};
+use sloth_lang::{prepare, ExecStrategy, OptFlags, Prepared, RunResult};
 use sloth_net::{CostModel, SimEnv};
 use sloth_orm::Schema;
 use sloth_sql::Database;
@@ -35,7 +23,7 @@ use sloth_sql::Database;
 /// Fig. 13 overhead programs, but rendering at the end of the
 /// transaction instead of interleaved `cell()` forces — the shape a
 /// Sloth-compiled page produces (display is deferred), and the shape
-/// where the legacy driver's write-splitting actually costs round trips.
+/// where a flush per write actually costs round trips.
 /// `tpcc.rs` keeps the paper's display-immediately variants for the
 /// overhead figure.
 fn tpcc_write_pages() -> Vec<(&'static str, String)> {
@@ -126,9 +114,6 @@ pub struct WriteMixMeasure {
     pub total_ns: u64,
     /// Flushes forced by a write registration.
     pub write_flushes: u64,
-    /// Writes that shipped in the same round trip as other statements
-    /// (zero on the legacy side by construction).
-    pub write_batched: u64,
     /// Conflict segments across all shipped batches.
     pub segments: u64,
     /// Largest batch in one round trip.
@@ -144,50 +129,9 @@ impl WriteMixMeasure {
         self.total_ns += r.net.total_ns();
         if let Some(s) = &r.store {
             self.write_flushes += s.write_flushes;
-            self.write_batched += s.write_batched;
             self.segments += s.segments;
             self.max_batch = self.max_batch.max(s.max_batch() as u64);
         }
-    }
-}
-
-/// One workload's legacy-vs-write-aware comparison.
-#[derive(Debug, Clone)]
-pub struct WriteMixRow {
-    /// Workload name.
-    pub name: String,
-    /// Transactions / pages executed per side.
-    pub txns: usize,
-    /// Legacy (write-split) measurement.
-    pub legacy: WriteMixMeasure,
-    /// Write-aware measurement.
-    pub batched: WriteMixMeasure,
-    /// Whether both sides printed byte-identical output.
-    pub outputs_equal: bool,
-    /// Whether both sides left byte-identical database state.
-    pub state_equal: bool,
-}
-
-impl WriteMixRow {
-    /// Fractional round-trip reduction (0.25 = 25 % fewer trips).
-    pub fn round_trip_reduction(&self) -> f64 {
-        1.0 - self.batched.round_trips as f64 / self.legacy.round_trips.max(1) as f64
-    }
-}
-
-/// Everything the write-mix figure reports.
-#[derive(Debug, Clone)]
-pub struct WriteBatchFigure {
-    /// One row per workload.
-    pub rows: Vec<WriteMixRow>,
-}
-
-impl WriteBatchFigure {
-    /// Round-trip reduction over the whole write mix.
-    pub fn overall_reduction(&self) -> f64 {
-        let legacy: u64 = self.rows.iter().map(|r| r.legacy.round_trips).sum();
-        let batched: u64 = self.rows.iter().map(|r| r.batched.round_trips).sum();
-        1.0 - batched as f64 / legacy.max(1) as f64
     }
 }
 
@@ -249,8 +193,8 @@ pub(crate) fn db_fingerprint(env: &SimEnv, tables: &[&str]) -> Vec<String> {
     })
 }
 
-/// One write-mixed workload, shared with the `deferral` figure so both
-/// documents measure the very same pages.
+/// One write-mixed workload, compiled once and shared by every figure
+/// over the write mix.
 pub(crate) struct Workload {
     pub(crate) name: String,
     pub(crate) prepared: Prepared,
@@ -258,40 +202,6 @@ pub(crate) struct Workload {
     pub(crate) seed_db: Database,
     pub(crate) txns: usize,
     pub(crate) tables: Vec<&'static str>,
-}
-
-fn measure(w: &Workload) -> WriteMixRow {
-    let mut sides = Vec::new();
-    for write_batching in [false, true] {
-        let env = SimEnv::from_database(w.seed_db.clone(), CostModel::default());
-        env.set_write_batching(write_batching);
-        // This figure isolates PR 4's write-aware batching against the
-        // legacy split; selective laziness stacks on top of it and is
-        // measured by the `deferral` figure against this very baseline.
-        env.set_write_deferral(false);
-        let mut measure = WriteMixMeasure::default();
-        let mut output = Vec::new();
-        for t in 0..w.txns {
-            let r = w
-                .prepared
-                .run(&env, Arc::clone(&w.schema), vec![V::Int(t as i64 + 1)])
-                .expect("write-mix workload must run");
-            measure.add(&r);
-            output.extend(r.output);
-        }
-        let state = db_fingerprint(&env, &w.tables);
-        sides.push((measure, output, state));
-    }
-    let (legacy, legacy_out, legacy_state) = sides.remove(0);
-    let (batched, batched_out, batched_state) = sides.remove(0);
-    WriteMixRow {
-        name: w.name.clone(),
-        txns: w.txns,
-        legacy,
-        batched,
-        outputs_equal: legacy_out == batched_out,
-        state_equal: legacy_state == batched_state,
-    }
 }
 
 /// The write-mixed workload set: TPC-C write-transaction pages plus the
@@ -340,121 +250,4 @@ pub(crate) fn write_mix_workloads() -> Vec<Workload> {
     }
 
     workloads
-}
-
-/// Runs the full write-mix figure.
-pub fn writebatch_figure() -> WriteBatchFigure {
-    WriteBatchFigure {
-        rows: write_mix_workloads().iter().map(measure).collect(),
-    }
-}
-
-fn measure_json(m: &WriteMixMeasure) -> String {
-    format!(
-        "{{\"round_trips\": {}, \"queries\": {}, \"db_ns\": {}, \"network_ns\": {}, \
-         \"total_ns\": {}, \"write_flushes\": {}, \"write_batched\": {}, \"segments\": {}, \
-         \"max_batch\": {}}}",
-        m.round_trips,
-        m.queries,
-        m.db_ns,
-        m.network_ns,
-        m.total_ns,
-        m.write_flushes,
-        m.write_batched,
-        m.segments,
-        m.max_batch
-    )
-}
-
-impl WriteBatchFigure {
-    /// Renders the figure as the `BENCH_writebatch.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"figure\": \"writebatch\",\n  \"workloads\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"txns\": {}, \"outputs_equal\": {}, \
-                 \"state_equal\": {}, \"round_trip_reduction_pct\": {:.1}, \
-                 \"legacy\": {}, \"write_aware\": {}}}{}\n",
-                row.name,
-                row.txns,
-                row.outputs_equal,
-                row.state_equal,
-                row.round_trip_reduction() * 100.0,
-                measure_json(&row.legacy),
-                measure_json(&row.batched),
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"gate\": {{\"overall_round_trip_reduction_pct\": {:.1}, \"min_required_pct\": 15.0, \
-             \"pass\": {}}}\n}}\n",
-            self.overall_reduction() * 100.0,
-            self.overall_reduction() >= 0.15
-        ));
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The acceptance gates of the write-aware batching work, enforced on
-    /// every test run: identical output and final state per workload,
-    /// strictly fewer round trips everywhere, ≥ 15 % fewer over the whole
-    /// write mix, and writes actually riding batches.
-    #[test]
-    fn writebatch_figure_meets_targets() {
-        let fig = writebatch_figure();
-        assert!(fig.rows.len() >= 5, "TPC-C trio + 2 itracker update pages");
-        for row in &fig.rows {
-            assert!(row.outputs_equal, "{}: output diverged", row.name);
-            assert!(row.state_equal, "{}: final DB state diverged", row.name);
-            assert!(
-                row.batched.round_trips < row.legacy.round_trips,
-                "{}: write-aware must strictly reduce round trips ({} vs {})",
-                row.name,
-                row.batched.round_trips,
-                row.legacy.round_trips
-            );
-            assert!(
-                row.batched.total_ns < row.legacy.total_ns,
-                "{}: fewer trips must mean less latency",
-                row.name
-            );
-            assert!(
-                row.batched.write_batched > 0,
-                "{}: no write ever rode a batch",
-                row.name
-            );
-            assert_eq!(
-                row.legacy.write_batched, 0,
-                "{}: legacy mode must never batch writes",
-                row.name
-            );
-            assert_eq!(
-                row.legacy.queries, row.batched.queries,
-                "{}: same statements either way",
-                row.name
-            );
-        }
-        assert!(
-            fig.overall_reduction() >= 0.15,
-            "write-mix round-trip reduction {:.1}% < 15%",
-            fig.overall_reduction() * 100.0
-        );
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let fig = writebatch_figure();
-        let json = fig.to_json();
-        assert!(json.contains("\"figure\": \"writebatch\""));
-        assert!(json.contains("tpcc new_order"));
-        assert!(json.contains("itracker edit_issue.save"));
-        assert!(json.contains("\"pass\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
 }

@@ -52,11 +52,10 @@ pub struct StoreStats {
     /// Batches that were forced out by a write/transaction statement.
     pub write_flushes: u64,
     /// Writes that shipped **in the same round trip** as other pending
-    /// statements (write-aware batching; always zero in legacy mode,
-    /// where every write ships alone after a separate flush).
+    /// statements.
     pub write_batched: u64,
     /// Conflict segments across all shipped batches, as found by the
-    /// write-aware planner (one per batch when every statement commutes;
+    /// batch planner (one per batch when every statement commutes;
     /// see `sloth_sql::footprint`).
     pub segments: u64,
     /// Batches whose execution failed; their queries answer with the batch
@@ -207,7 +206,6 @@ struct StoreInner {
     in_flight: HashSet<QueryId>,
     next_id: u64,
     stats: StoreStats,
-    flush_threshold: Option<usize>,
     /// Degraded mode (see [`StoreStats::degradations`]): set when a flush
     /// fails with a transient fault-layer error, never cleared — the
     /// session finishes its request on the safe eager-solo path.
@@ -310,21 +308,11 @@ impl QueryStore {
                     in_flight: HashSet::new(),
                     next_id: 0,
                     stats: StoreStats::default(),
-                    flush_threshold: None,
                     degraded: false,
                 }),
                 answered: Condvar::new(),
             }),
         }
-    }
-
-    /// An alternative execution policy from the paper's discussion (§6.7):
-    /// ship each batch as soon as it reaches `n` queries instead of waiting
-    /// for a force. Bounds per-batch latency at the cost of smaller batches.
-    pub fn with_flush_threshold(env: SimEnv, n: usize) -> Self {
-        let store = QueryStore::new(env);
-        store.lock().flush_threshold = Some(n.max(1));
-        store
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, StoreInner> {
@@ -344,17 +332,12 @@ impl QueryStore {
     ///
     /// Reads are deferred and deduplicated against the current batch by
     /// normalized template + parameters (formatting variants of the same
-    /// query collapse to one id). Writes and transaction boundaries are
-    /// never left lingering: they force the batch out immediately — and
-    /// with write-aware batching (the deployment default) the write
-    /// **rides that same batch**, so pending reads and the write share
-    /// one round trip. The batch executes in registration order on the
-    /// server, so the reads observe pre-write state exactly as the
-    /// serial program would. In legacy mode
-    /// ([`SimEnv::set_write_batching`]`(false)`) the pending batch
-    /// flushes first and the write then executes alone in its own round
-    /// trip — the old split behaviour the `writebatch` figure compares
-    /// against.
+    /// query collapse to one id). A write that cannot be deferred (see
+    /// [`QueryStore::register_stmt`]) forces the batch out immediately
+    /// and **rides that same batch**, so pending reads and the write
+    /// share one round trip. The batch executes in registration order on
+    /// the server, so the reads observe pre-write state exactly as the
+    /// serial program would.
     pub fn register(&self, sql: impl Into<String>) -> Result<QueryId, SqlError> {
         self.register_stmt(sql).map(|r| r.id)
     }
@@ -477,31 +460,7 @@ impl QueryStore {
                 }
             }
         }
-        if self.env().write_batching_enabled() {
-            return self.register_write_aware(sql, None).map(|id| Registration {
-                id,
-                deferred: false,
-            });
-        }
-        // Legacy path: flush whatever is pending, then run the write alone.
-        self.lock().stats.registered += 1;
-        self.flush_internal(true)?;
-        let id = {
-            let mut inner = self.lock();
-            let id = QueryId(inner.next_id);
-            inner.next_id += 1;
-            inner.pending.push(PendingStmt {
-                id,
-                sql,
-                is_write: true,
-                fp: None,
-                txn: None,
-            });
-            inner.generation += 1;
-            id
-        };
-        self.flush_internal(false)?;
-        Ok(Registration {
+        self.register_write_aware(sql, None).map(|id| Registration {
             id,
             deferred: false,
         })
@@ -637,12 +596,7 @@ impl QueryStore {
                     } else if conflicts {
                         inner.stats.conflict_drains += 1;
                         After::Flush(reg)
-                    } else if inner.degraded
-                        || inner
-                            .flush_threshold
-                            .map(|n| inner.pending.len() >= n)
-                            .unwrap_or(false)
-                    {
+                    } else if inner.degraded {
                         // Degraded sessions ship every read immediately.
                         After::Flush(reg)
                     } else {
@@ -1331,20 +1285,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_splits_writes_into_their_own_trip() {
-        let e = env();
-        e.set_write_batching(false);
-        let store = QueryStore::new(e.clone());
-        store.register("SELECT v FROM t WHERE id = 1").unwrap();
-        let w = store.register("UPDATE t SET v = 'x' WHERE id = 1").unwrap();
-        // Legacy: the flushed reads, then the write alone.
-        assert_eq!(e.stats().round_trips, 2);
-        assert_eq!(store.stats().write_flushes, 1);
-        assert_eq!(store.stats().write_batched, 0);
-        assert!(store.result(w).unwrap().is_empty());
-    }
-
-    #[test]
     fn transaction_boundaries_flush() {
         let e = env();
         let store = QueryStore::new(e.clone());
@@ -1380,30 +1320,6 @@ mod tests {
         store.flush().unwrap();
         assert_eq!(store.stats().batch_sizes, vec![2, 1]);
         assert_eq!(store.stats().queries_shipped(), 3);
-    }
-
-    #[test]
-    fn flush_threshold_ships_eagerly() {
-        let e = env();
-        let store = QueryStore::with_flush_threshold(e.clone(), 3);
-        for i in 0..7 {
-            store
-                .register(format!("SELECT v FROM t WHERE id = {i}"))
-                .unwrap();
-        }
-        // Batches of 3 ship automatically; one remainder stays pending.
-        assert_eq!(store.stats().batch_sizes, vec![3, 3]);
-        assert_eq!(store.pending_len(), 1);
-        assert_eq!(e.stats().round_trips, 2);
-    }
-
-    #[test]
-    fn threshold_one_degenerates_to_immediate() {
-        let e = env();
-        let store = QueryStore::with_flush_threshold(e.clone(), 1);
-        store.register("SELECT v FROM t WHERE id = 1").unwrap();
-        store.register("SELECT v FROM t WHERE id = 2").unwrap();
-        assert_eq!(e.stats().round_trips, 2, "every query ships alone");
     }
 
     #[test]
@@ -1484,18 +1400,6 @@ mod tests {
             store.result(read).unwrap().get(0, "v").unwrap().as_str(),
             Some("v1"),
             "the executed read must not report the write's error"
-        );
-        // Legacy mode behaves identically here (reads flush first).
-        let legacy_env = env();
-        legacy_env.set_write_batching(false);
-        let legacy = store_over(legacy_env);
-        let read = legacy.register("SELECT v FROM t WHERE id = 1").unwrap();
-        assert!(legacy
-            .register("UPDATE missing SET v = 'x' WHERE id = 1")
-            .is_err());
-        assert_eq!(
-            legacy.result(read).unwrap().get(0, "v").unwrap().as_str(),
-            Some("v1")
         );
     }
 

@@ -10,9 +10,8 @@
 //!
 //! ## Write-aware segmentation
 //!
-//! With write-aware batching enabled (the default), a batch containing
-//! writes is **not** split at every write. Instead each statement's
-//! [`Footprint`] (read/write table + key sets, see
+//! A batch containing writes is **not** split at every write. Instead
+//! each statement's [`Footprint`] (read/write table + key sets, see
 //! [`sloth_sql::footprint`]) feeds a conflict analysis:
 //!
 //! * a read may join a fusion group that opened *before* an intervening
@@ -56,8 +55,6 @@ pub(crate) const MIN_AUTO_FUSED_ARITY: usize = 8;
 pub(crate) struct BatchConfig {
     /// Fuse same-template point lookups into `IN` probes.
     pub fusion: bool,
-    /// Analyze footprints instead of splitting fusion at every write.
-    pub write_aware: bool,
     /// Max distinct values per fused probe (≥ 1).
     pub max_fused_arity: usize,
 }
@@ -102,9 +99,8 @@ pub(crate) struct BatchPlan {
 
 /// Plans a batch: normalizes reads, groups same-template single-literal
 /// lookups for fusion, and classifies one representative per multi-member
-/// group. With `cfg.write_aware`, fusion groups may span writes whose
-/// footprints are disjoint from the joining read; otherwise fusion never
-/// crosses a write.
+/// group. Fusion groups may span writes whose footprints are disjoint
+/// from the joining read.
 ///
 /// `precomputed` threads per-statement footprints already derived upstream
 /// (dispatcher admission, query-store deferral decisions) through to the
@@ -118,10 +114,10 @@ pub(crate) fn plan_batch(
     let is_write: Vec<bool> = sqls.iter().map(|s| sloth_sql::is_write_sql(s)).collect();
     let any_write = is_write.iter().any(|&w| w);
     // Footprints are only needed (and only paid for) when a write shares
-    // the batch and the planner may reorder around it.
+    // the batch with another statement the planner may reorder around it.
     let mut footprints_derived = 0u64;
     let footprints: Option<Vec<Footprint>> =
-        (cfg.write_aware && any_write).then(|| match precomputed {
+        (any_write && sqls.len() > 1).then(|| match precomputed {
             Some(fps) if fps.len() == sqls.len() => fps.to_vec(),
             _ => {
                 footprints_derived = sqls.len() as u64;
@@ -137,13 +133,9 @@ pub(crate) fn plan_batch(
         let mut writes_seen: Vec<usize> = Vec::new();
         for (i, sql) in sqls.iter().enumerate() {
             if is_write[i] {
-                match &footprints {
-                    // Write-aware: the write stays in place; groups stay
-                    // open for footprint-checked joins.
-                    Some(_) => writes_seen.push(i),
-                    // Legacy: fusion never crosses a write.
-                    None => open_groups.clear(),
-                }
+                // The write stays in place; groups stay open for
+                // footprint-checked joins.
+                writes_seen.push(i);
                 norms.push(None);
                 continue;
             }
@@ -211,7 +203,7 @@ pub(crate) fn plan_batch(
             fused.push((lookup, members));
         }
     }
-    let segments = count_segments(sqls.len(), &is_write, footprints.as_deref());
+    let segments = count_segments(sqls.len(), footprints.as_deref());
     BatchPlan {
         norms,
         roles,
@@ -224,40 +216,25 @@ pub(crate) fn plan_batch(
     }
 }
 
-/// Conflict segments of the batch. With footprints, a new segment starts
-/// whenever a statement conflicts with the union of the current segment;
-/// without them (write-aware off, or a pure-read batch), every write is
-/// its own segment exactly as the legacy planner split.
-fn count_segments(n: usize, is_write: &[bool], footprints: Option<&[Footprint]>) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    match footprints {
-        Some(fps) => {
-            let mut segments = 1u64;
-            let mut acc = fps[0].clone();
-            for fp in &fps[1..] {
-                if fp.conflicts_with(&acc) {
-                    segments += 1;
-                    acc = fp.clone();
-                } else {
-                    acc.merge(fp);
-                }
-            }
-            segments
-        }
-        None => {
-            let mut segments = 0u64;
-            let mut prev_write = true;
-            for &w in is_write {
-                if w || prev_write {
-                    segments += 1;
-                }
-                prev_write = w;
-            }
-            segments.max(1)
+/// Conflict segments of the batch: a new segment starts whenever a
+/// statement conflicts with the union of the current segment. A batch
+/// that needed no footprints (pure reads, or one statement) is one
+/// segment.
+fn count_segments(n: usize, footprints: Option<&[Footprint]>) -> u64 {
+    let Some(fps) = footprints else {
+        return n.min(1) as u64;
+    };
+    let mut segments = 1u64;
+    let mut acc = fps[0].clone();
+    for fp in &fps[1..] {
+        if fp.conflicts_with(&acc) {
+            segments += 1;
+            acc = fp.clone();
+        } else {
+            acc.merge(fp);
         }
     }
+    segments
 }
 
 /// The distinct probed values of a fused group, in first-seen order (each
@@ -356,9 +333,9 @@ pub(crate) struct BatchExec {
 /// implemented by the live [`sloth_sql::Database`] (full read/write
 /// surface, used by a batch that holds the write order) and by
 /// `&Database` (the read-only surface: a published MVCC snapshot, which
-/// derefs to one, or the live database behind a read guard). One executor
-/// body serves both, so the snapshot path cannot drift from the locked
-/// path in results, cost accounting, or fusion behaviour.
+/// derefs to one). One executor body serves both, so the snapshot path
+/// cannot drift from the locked path in results, cost accounting, or
+/// fusion behaviour.
 pub(crate) trait BatchDb {
     /// Executes a pre-normalized `SELECT`.
     fn exec_normalized(&mut self, sql: &str, norm: &Normalized) -> Result<ExecOutcome, SqlError>;

@@ -30,8 +30,7 @@
 //! ([`DispatcherStats::conflict_deferrals`]); batches containing
 //! transaction boundaries (or SQL the analyzer cannot parse) are
 //! footprint *barriers* and always dispatch solo
-//! ([`DispatcherStats::solo_writes`]), as does every write batch when
-//! write-aware batching is disabled on the deployment.
+//! ([`DispatcherStats::solo_writes`]).
 //!
 //! ## Striping: independent leaders for disjoint traffic
 //!
@@ -116,8 +115,7 @@ pub struct DispatcherStats {
     /// disjoint.
     pub coalesced_write_batches: u64,
     /// Batches dispatched solo by construction: transaction boundaries /
-    /// unanalyzable SQL (footprint barriers), or any write batch when
-    /// write-aware batching is off.
+    /// unanalyzable SQL (footprint barriers).
     pub solo_writes: u64,
     /// Times a queued batch was left for a later dispatch because its
     /// footprint conflicted with the batches ahead of it.
@@ -398,33 +396,31 @@ impl Dispatcher {
         let mut fps = None;
         let mut union = None;
         if has_write {
-            // Footprint admission: only barrier-free write batches (on a
-            // write-aware deployment) may enter the coalescing queue.
-            // Per-statement footprints come from the backend's template
-            // cache and travel with the flush all the way to the planner.
-            if self.env.write_batching_enabled() {
-                let per_stmt: Vec<Footprint> = match req.footprints {
-                    Some(pre) if pre.len() == sqls.len() => pre.to_vec(),
-                    _ => sqls.iter().map(|s| self.env.footprint_of(s)).collect(),
-                };
-                let mut u = Footprint::default();
-                for fp in &per_stmt {
-                    u.merge(fp);
-                }
-                fps = Some(per_stmt);
-                union = Some(u);
+            // Footprint admission: only barrier-free write batches may
+            // enter the coalescing queue. Per-statement footprints come
+            // from the backend's template cache and travel with the flush
+            // all the way to the planner.
+            let per_stmt: Vec<Footprint> = match req.footprints {
+                Some(pre) if pre.len() == sqls.len() => pre.to_vec(),
+                _ => sqls.iter().map(|s| self.env.footprint_of(s)).collect(),
+            };
+            let mut u = Footprint::default();
+            for fp in &per_stmt {
+                u.merge(fp);
             }
-            if union.as_ref().is_none_or(|f| f.barrier) {
+            if u.barrier {
                 {
                     let mut stats = self.lock_stats();
                     stats.solo_writes += 1;
                     stats.dispatches += 1;
                 }
                 return self.wire(&BatchRequest {
-                    footprints: fps.as_deref(),
+                    footprints: Some(&per_stmt),
                     ..*req
                 });
             }
+            fps = Some(per_stmt);
+            union = Some(u);
         }
 
         // Stripe selection happens once, before queueing: the flush joins
@@ -955,19 +951,6 @@ mod tests {
             .submit(&["SELECT v FROM t WHERE id = 1".to_string()])
             .unwrap();
         assert_eq!(rs[0].get(0, "v").unwrap().as_str(), Some("y"));
-    }
-
-    #[test]
-    fn legacy_mode_keeps_write_batches_solo() {
-        let env = seeded_env();
-        env.set_write_batching(false);
-        let d = Dispatcher::new(env);
-        let sqls = vec![
-            "SELECT v FROM t WHERE id = 1".to_string(),
-            "UPDATE t SET v = 'x' WHERE id = 1".to_string(),
-        ];
-        d.submit(&sqls).unwrap();
-        assert_eq!(d.stats().solo_writes, 1);
     }
 
     #[test]

@@ -244,11 +244,10 @@ pub struct BatchOutcome {
     pub fused_queries: u64,
     /// Fused group executions performed.
     pub fused_groups: u64,
-    /// Conflict segments the write-aware planner found in this batch (1
+    /// Conflict segments the batch planner found in this batch (1
     /// when every statement commutes; see [`sloth_sql::footprint`]).
     pub segments: u64,
-    /// Fused statements that crossed a disjoint-footprint write — reads
-    /// the write-split planner would have probed separately.
+    /// Fused statements that crossed a disjoint-footprint write.
     pub cross_write_fused: u64,
     /// Per-statement footprints the batch planner derived itself (zero
     /// when the caller threaded precomputed footprints in).
@@ -360,12 +359,9 @@ impl AtomicNetStats {
 /// flip and the batch path reads them without taking any lock.
 struct Knobs {
     fusion: AtomicBool,
-    /// Write-aware batching: footprint-analyzed segments instead of
-    /// splitting fusion (and cross-session coalescing) at every write.
-    write_batching: AtomicBool,
     /// Selective laziness (§3.5–3.6): query stores on this deployment may
     /// defer provably-silent writes instead of flushing on every write
-    /// registration. Only meaningful with `write_batching` on.
+    /// registration.
     write_deferral: AtomicBool,
     /// Explicit fused-probe arity cap ([`SimEnv::set_max_fused_arity`]);
     /// `0` = self-tuning (a real override clamps to ≥ 1, so the sentinel
@@ -376,10 +372,6 @@ struct Knobs {
     auto_arity: AtomicUsize,
     /// Plan-cache eviction count observed after the previous batch.
     last_evictions: AtomicU64,
-    /// MVCC snapshot reads (on by default): read-only batches execute
-    /// against the published views instead of queueing on the write
-    /// order, so they overlap in-flight write batches.
-    snapshot_reads: AtomicBool,
     /// Real nanoseconds a write batch holds the write order open after
     /// executing, before publishing — the injected "hot writer" the
     /// snapshot-overlap figure and the reader-wedge tests measure
@@ -391,12 +383,10 @@ impl Default for Knobs {
     fn default() -> Self {
         Knobs {
             fusion: AtomicBool::new(true),
-            write_batching: AtomicBool::new(true),
             write_deferral: AtomicBool::new(true),
             arity_override: AtomicUsize::new(0),
             auto_arity: AtomicUsize::new(batch::DEFAULT_MAX_FUSED_ARITY),
             last_evictions: AtomicU64::new(0),
-            snapshot_reads: AtomicBool::new(true),
             write_hold_ns: AtomicU64::new(0),
         }
     }
@@ -589,7 +579,6 @@ impl SimEnv {
         let sqls = [sql.to_string()];
         let solo = batch::BatchConfig {
             fusion: false,
-            write_aware: false,
             max_fused_arity: 1,
         };
         let plan = batch::plan_batch(&sqls, &solo, None);
@@ -635,59 +624,21 @@ impl SimEnv {
         self.knobs.fusion.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables **write-aware batching** (on by default). When
-    /// on, a flush containing writes ships as one round trip with fusion
-    /// allowed across disjoint-footprint writes, and the dispatcher may
-    /// coalesce write-containing batches whose footprints are disjoint.
-    /// When off, the driver reproduces the legacy behaviour — fusion
-    /// splits at every write and write batches never coalesce — which is
-    /// what the `writebatch` figure compares against.
-    pub fn set_write_batching(&self, on: bool) {
-        self.knobs.write_batching.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether write-aware batching is enabled.
-    pub fn write_batching_enabled(&self) -> bool {
-        self.knobs.write_batching.load(Ordering::Relaxed)
-    }
-
     /// Enables or disables **write deferral** (selective laziness, on by
     /// default): query stores on this deployment leave provably-silent
     /// writes — footprint-disjoint from every pending statement — in the
     /// pending batch instead of flushing, so N consecutive disjoint
     /// writes cost one round trip instead of N. A conflicting statement,
     /// an explicit force, or a transaction boundary drains them. Turning
-    /// this off reproduces the write-aware (PR 4) flush-per-write
-    /// behaviour exactly — the `deferral` figure's baseline.
+    /// this off flushes on every write registration — what a degraded
+    /// session does anyway, and the `deferral` figure's baseline.
     pub fn set_write_deferral(&self, on: bool) {
         self.knobs.write_deferral.store(on, Ordering::Relaxed);
     }
 
-    /// Whether write deferral is enabled (and write-aware batching with
-    /// it — deferral needs the footprint-analyzed batch planner).
+    /// Whether write deferral is enabled.
     pub fn write_deferral_enabled(&self) -> bool {
-        self.knobs.write_batching.load(Ordering::Relaxed)
-            && self.knobs.write_deferral.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables **MVCC snapshot reads** (on by default): a
-    /// read-only batch executes against the views the last committed
-    /// write batch published, without taking any lock at all — so
-    /// readers overlap an in-flight writer instead of serializing behind
-    /// it. Write batches are unaffected: they alone hold the write
-    /// order, and publish fresh views at commit. Turning this off
-    /// restores the PR 8 behaviour on one shard and on many alike (read
-    /// batches observe the live databases, sharing the write order as
-    /// readers: they wait for any in-flight writer, never for each
-    /// other) — the snapshot figure's baseline, and the equivalence
-    /// suites' on/off arm.
-    pub fn set_snapshot_reads(&self, on: bool) {
-        self.knobs.snapshot_reads.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether MVCC snapshot reads are enabled.
-    pub fn snapshot_reads_enabled(&self) -> bool {
-        self.knobs.snapshot_reads.load(Ordering::Relaxed)
+        self.knobs.write_deferral.load(Ordering::Relaxed)
     }
 
     /// Makes every write batch — on the single server and on a fleet —
@@ -1361,7 +1312,6 @@ impl SimEnv {
     ) -> RanBatch {
         let cfg = batch::BatchConfig {
             fusion: self.knobs.fusion.load(Ordering::Relaxed),
-            write_aware: self.knobs.write_batching.load(Ordering::Relaxed),
             max_fused_arity: self.max_fused_arity(),
         };
         let plan = batch::plan_batch(sqls, &cfg, footprints);
@@ -1369,11 +1319,9 @@ impl SimEnv {
     }
 
     /// Admit → execute → commit: the one path every statement takes to
-    /// the store, on one database or many. A read-only batch with
-    /// snapshot reads on (the default) runs against the published views —
-    /// no lock at all — and so overlaps any concurrent writer; with them
-    /// off it reads the live state, sharing the write order with other
-    /// readers; a batch that writes holds the write order alone and
+    /// the store, on one database or many. A read-only batch runs against
+    /// the published views — no lock at all — and so overlaps any
+    /// concurrent writer; a batch that writes holds the write order and
     /// publishes before releasing it. Stats and clock readers never block
     /// behind an executing batch.
     ///
@@ -1392,10 +1340,8 @@ impl SimEnv {
         let read_only = !plan.is_write.iter().any(|&w| w);
         let mode = if seeding || !read_only {
             Admit::Exclusive
-        } else if self.knobs.snapshot_reads.load(Ordering::Relaxed) {
-            Admit::Snapshot
         } else {
-            Admit::Shared
+            Admit::Snapshot
         };
         let admitted = self.store.admit(mode);
         if mode == Admit::Snapshot {
@@ -1762,13 +1708,6 @@ mod tests {
         assert_eq!(o.cross_write_fused, 2);
         assert_eq!(o.segments, 1, "all three footprints commute");
         assert_eq!(env.stats().fused_groups, 1);
-        // Legacy mode reproduces the old split.
-        let legacy = seeded_env();
-        legacy.set_write_batching(false);
-        let l = legacy.ship(&BatchRequest::new(&sqls));
-        assert_eq!(l.results, o.results, "results identical either way");
-        assert_eq!(legacy.stats().fused_groups, 0);
-        assert_eq!(l.cross_write_fused, 0);
     }
 
     #[test]
@@ -2012,17 +1951,13 @@ mod tests {
     }
 
     #[test]
-    fn write_deferral_toggle_defaults_on_and_requires_write_batching() {
+    fn write_deferral_toggle_defaults_on() {
         let env = seeded_env();
         assert!(env.write_deferral_enabled());
         env.set_write_deferral(false);
         assert!(!env.write_deferral_enabled());
         env.set_write_deferral(true);
-        env.set_write_batching(false);
-        assert!(
-            !env.write_deferral_enabled(),
-            "deferral needs the write-aware planner"
-        );
+        assert!(env.write_deferral_enabled());
     }
 
     #[test]
@@ -2484,8 +2419,7 @@ mod tests {
     /// to a concurrent read-only batch entirely or not at all, readers
     /// never travel back in time, and the published version never
     /// decreases. Admission and publish exist once (see [`versioned`]),
-    /// so the single server and the fleets run the same code here — with
-    /// snapshot reads on (published views) and off (shared write order).
+    /// so the single server and the fleets run the same code here.
     #[test]
     fn commits_are_all_or_none_on_every_deployment() {
         use std::sync::atomic::AtomicBool;
@@ -2495,14 +2429,13 @@ mod tests {
         const BATCHES: i64 = 120;
         const READERS: usize = 3;
 
-        for (shards, snapshot_reads) in [(1, true), (2, true), (4, true), (1, false), (4, false)] {
+        for shards in [1, 2, 4] {
             let env = if shards == 1 {
                 SimEnv::default_env()
             } else {
                 let spec = ShardSpec::new().shard("acct", "id");
                 ShardedEnv::new(CostModel::default(), spec, shards).handle()
             };
-            env.set_snapshot_reads(snapshot_reads);
             env.seed_sql("CREATE TABLE acct (id INT PRIMARY KEY, stamp INT)")
                 .unwrap();
             env.seed_sql("CREATE TABLE cfg (id INT PRIMARY KEY, stamp INT)")
@@ -2573,10 +2506,9 @@ mod tests {
                 }
                 done.store(true, Ordering::SeqCst);
             });
-            assert_eq!(
+            assert!(
                 env.stats().snapshot_batches > 0,
-                snapshot_reads,
-                "readers took the admission the knob selects"
+                "readers were admitted to the published views"
             );
         }
     }

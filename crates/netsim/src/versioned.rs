@@ -7,22 +7,19 @@
 //! admission function ([`VersionedStore::admit`]) and the only publish
 //! function ([`Admitted::publish`]) in the crate:
 //!
-//! * a read-only batch with snapshot reads on is admitted to the
-//!   published views and takes **no lock at all** beyond the leaf guard
-//!   that clones their `Arc`s, so it overlaps any in-flight writer;
-//! * anything that writes takes the write order exclusively, executes
-//!   against the live databases and publishes before releasing it, so a
-//!   reader admitted afterwards sees all of the batch — on every shard —
-//!   or none of it;
-//! * a snapshot-off read-only batch observes the live state by contract:
-//!   it shares the write order as a reader, waiting for an in-flight
-//!   writer but never for another reader.
+//! * a read-only batch is admitted to the published views and takes
+//!   **no lock at all** beyond the leaf guard that clones their `Arc`s,
+//!   so it overlaps any in-flight writer;
+//! * anything that writes takes the write order — a mutex: it has no
+//!   readers — executes against the live databases and publishes before
+//!   releasing it, so a reader admitted afterwards sees all of the batch
+//!   — on every shard — or none of it.
 //!
 //! Lock order: write order → one live database at a time → the published
 //! vector (leaf: held to clone, sum or swap `Arc`s, never across
 //! execution, so it may be taken under any other lock).
 
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use sloth_sql::{Database, Snapshot};
 
@@ -50,9 +47,7 @@ impl ReadView {
 pub(crate) enum Admit {
     /// Published views, no lock.
     Snapshot,
-    /// Live views, sharing the write order with other readers.
-    Shared,
-    /// Live views, holding the write order alone; may write.
+    /// Live views, holding the write order; may write.
     Exclusive,
 }
 
@@ -63,10 +58,8 @@ pub(crate) struct Admitted<'a> {
     views: Vec<ReadView>,
     /// Summed version of the views a snapshot admission froze.
     frozen: Option<u64>,
-    /// The write order, held as a reader ([`Admit::Shared`]) …
-    _shared: Option<RwLockReadGuard<'a, ()>>,
-    /// … or alone ([`Admit::Exclusive`]).
-    exclusive: Option<RwLockWriteGuard<'a, ()>>,
+    /// The write order ([`Admit::Exclusive`]).
+    exclusive: Option<MutexGuard<'a, ()>>,
 }
 
 impl Admitted<'_> {
@@ -133,7 +126,7 @@ pub(crate) struct VersionedStore {
     /// can never pair shard 0's post-broadcast state with shard 1's
     /// pre-broadcast state.
     published: RwLock<Vec<Arc<Snapshot>>>,
-    order: RwLock<()>,
+    order: Mutex<()>,
 }
 
 impl VersionedStore {
@@ -147,7 +140,7 @@ impl VersionedStore {
                 .map(|db| Arc::new(RwLock::new(db)))
                 .collect(),
             published: RwLock::new(published),
-            order: RwLock::new(()),
+            order: Mutex::new(()),
         }
     }
 
@@ -180,32 +173,27 @@ impl VersionedStore {
     /// Admits one batch: fixes its read views and takes its place in the
     /// write order. The only function that builds read views.
     pub(crate) fn admit(&self, mode: Admit) -> Admitted<'_> {
-        let live = || self.dbs.iter().cloned().map(ReadView::Live).collect();
-        let (views, frozen, _shared, exclusive) = match mode {
+        let (views, frozen, exclusive) = match mode {
             Admit::Snapshot => {
                 // All cells under one read guard: atomic against publish.
                 let cells = self.published();
                 let views = cells.iter().cloned().map(ReadView::Snap).collect();
                 let frozen = cells.iter().map(|s| s.version()).sum();
-                (views, Some(frozen), None, None)
-            }
-            Admit::Shared => {
-                let guard = self.order.read().unwrap_or_else(PoisonError::into_inner);
-                (live(), None, Some(guard), None)
+                (views, Some(frozen), None)
             }
             Admit::Exclusive => {
                 let guard = self
                     .order
-                    .write() // commit-point (the write order, not a database)
+                    .lock() // commit-point (the write order, not a database)
                     .unwrap_or_else(PoisonError::into_inner);
-                (live(), None, None, Some(guard))
+                let views = self.dbs.iter().cloned().map(ReadView::Live).collect();
+                (views, None, Some(guard))
             }
         };
         Admitted {
             store: self,
             views,
             frozen,
-            _shared,
             exclusive,
         }
     }

@@ -297,7 +297,7 @@ fn arb_write(rng: &mut Rng, next_insert_id: &mut i64) -> String {
 /// random write-heavy batches (≥ 30 % writes, overlapping and disjoint
 /// footprints) must produce per-statement results, final database state
 /// and first-error behaviour identical to executing the same statements
-/// one at a time — with fusion on and off, write-aware and legacy.
+/// one at a time — with fusion on and off.
 #[test]
 fn write_heavy_batches_match_serial_reference() {
     for case in 0..150u64 {
@@ -329,33 +329,26 @@ fn write_heavy_batches_match_serial_reference() {
             }
         }
 
-        for (fusion, write_aware) in [(true, true), (false, true), (true, false)] {
+        for fusion in [true, false] {
             let env = fresh_env();
             env.set_fusion(fusion);
-            env.set_write_batching(write_aware);
             match (env.query_batch(&batch), &serial_err) {
                 (Ok(results), None) => {
-                    assert_eq!(
-                        results, serial_results,
-                        "fusion={fusion} write_aware={write_aware}: {batch:#?}"
-                    );
+                    assert_eq!(results, serial_results, "fusion={fusion}: {batch:#?}");
                     assert_eq!(
                         db_state(&env),
                         db_state(&serial),
-                        "state diverged (fusion={fusion} write_aware={write_aware}): {batch:#?}"
+                        "state diverged (fusion={fusion}): {batch:#?}"
                     );
                 }
                 (Err(a), Some(b)) => {
-                    assert_eq!(
-                        &a, b,
-                        "first error (fusion={fusion} write_aware={write_aware}): {batch:#?}"
-                    );
+                    assert_eq!(&a, b, "first error (fusion={fusion}): {batch:#?}");
                     // Writes before the failing statement applied exactly
                     // as the serial prefix did.
                     assert_eq!(
                         db_state(&env),
                         db_state(&serial),
-                        "failed-batch state (fusion={fusion} write_aware={write_aware}): {batch:#?}"
+                        "failed-batch state (fusion={fusion}): {batch:#?}"
                     );
                 }
                 (a, b) => panic!(

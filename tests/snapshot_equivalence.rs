@@ -1,8 +1,10 @@
 //! MVCC snapshot-read equivalence, property-tested across the whole
-//! driver grid: with snapshot reads **on**, every configuration —
-//! deferral × fusion × result cache × shards ∈ {1, 2, 4} × dispatcher —
-//! must produce per-statement results, final database state and error
-//! behaviour byte-identical to the snapshot-off serial reference.
+//! driver grid: every configuration — deferral × fusion × result cache ×
+//! shards ∈ {1, 2, 4} × dispatcher — must produce per-statement results,
+//! final database state and error behaviour byte-identical to the serial
+//! reference. The reference is the engine itself — a bare
+//! [`sloth_sql::Database`] driven one `execute` at a time — so it shares
+//! no admission, publish or batch code with the driver under test.
 //!
 //! Snapshot reads change *when the database lock is taken*, never what a
 //! batch observes: a read-only batch executes against the snapshot the
@@ -18,7 +20,7 @@ use std::sync::Arc;
 
 use sloth_core::QueryStore;
 use sloth_net::{CostModel, Dispatcher, ShardedEnv, SimEnv};
-use sloth_sql::{ShardSpec, Value};
+use sloth_sql::{Database, ResultSet, ShardSpec, Value};
 
 struct Rng(u64);
 
@@ -76,6 +78,15 @@ fn fresh_sharded(n: usize) -> SimEnv {
         env.seed_sql(&sql).unwrap();
     }
     env
+}
+
+/// The serial reference: the seeded engine, nothing of the driver.
+fn reference_db() -> Database {
+    let mut db = Database::new();
+    for sql in seed_statements() {
+        db.execute(&sql).unwrap();
+    }
+    db
 }
 
 fn backend(shards: usize) -> SimEnv {
@@ -152,26 +163,29 @@ fn arb_batch(rng: &mut Rng, next_insert_id: &mut i64) -> Vec<String> {
         .collect()
 }
 
-fn state_fingerprint(env: &SimEnv) -> Vec<Vec<Value>> {
-    let mut rows = env
-        .query("SELECT id, project_id, title, sev FROM issue ORDER BY id")
-        .unwrap()
-        .rows;
-    rows.extend(
-        env.query("SELECT id, name FROM project ORDER BY id")
-            .unwrap()
-            .rows,
-    );
+/// Every row of both tables, read through `query` — the deployment's
+/// stock driver or the reference engine.
+fn state_fingerprint(mut query: impl FnMut(&str) -> ResultSet) -> Vec<Vec<Value>> {
+    let mut rows = query("SELECT id, project_id, title, sev FROM issue ORDER BY id").rows;
+    rows.extend(query("SELECT id, name FROM project ORDER BY id").rows);
     rows
 }
 
-/// The core batch-level grid: snapshot on vs snapshot off vs the serial
-/// single-server reference, across fusion × result cache × shards, on
-/// sequences of random batches. Sequential submission means every
-/// read-only batch's admission snapshot already reflects all prior
-/// writes, so all three must agree byte for byte.
+fn env_state(env: &SimEnv) -> Vec<Vec<Value>> {
+    state_fingerprint(|sql| env.query(sql).unwrap())
+}
+
+fn reference_state(db: &mut Database) -> Vec<Vec<Value>> {
+    state_fingerprint(|sql| db.execute(sql).unwrap().result)
+}
+
+/// The core batch-level grid: the deployment vs the serial engine
+/// reference, across fusion × result cache × shards, on sequences of
+/// random batches. Sequential submission means every read-only batch's
+/// admission snapshot already reflects all prior writes, so the two must
+/// agree byte for byte.
 #[test]
-fn random_batch_sequences_snapshot_on_equals_off() {
+fn random_batch_sequences_match_serial_reference() {
     let mut snapshot_batches_total = 0u64;
     for case in 0..24u64 {
         for shards in [1usize, 2, 4] {
@@ -185,51 +199,32 @@ fn random_batch_sequences_snapshot_on_equals_off() {
                     let label =
                         format!("case {case} shards={shards} fusion={fusion} cache={cache}");
 
-                    let serial = fresh_env();
-                    serial.set_snapshot_reads(false);
-                    let snap_on = backend(shards);
-                    let snap_off = backend(shards);
-                    for env in [&snap_on, &snap_off] {
-                        env.set_fusion(fusion);
-                        env.set_result_cache(cache);
-                    }
-                    snap_on.set_snapshot_reads(true);
-                    snap_off.set_snapshot_reads(false);
+                    let mut serial = reference_db();
+                    let env = backend(shards);
+                    env.set_fusion(fusion);
+                    env.set_result_cache(cache);
 
                     for (b, batch) in batches.iter().enumerate() {
                         let want: Vec<_> = batch
                             .iter()
                             .map(|sql| {
                                 serial
-                                    .query(sql)
+                                    .execute(sql)
                                     .unwrap_or_else(|e| panic!("{label}: serial {sql}: {e}"))
+                                    .result
                             })
                             .collect();
-                        let on = snap_on
+                        let got = env
                             .query_batch(batch)
-                            .unwrap_or_else(|e| panic!("{label}: snapshot-on batch {b}: {e}"));
-                        let off = snap_off
-                            .query_batch(batch)
-                            .unwrap_or_else(|e| panic!("{label}: snapshot-off batch {b}: {e}"));
-                        assert_eq!(on, want, "{label}: batch {b} on≠serial: {batch:#?}");
-                        assert_eq!(off, want, "{label}: batch {b} off≠serial: {batch:#?}");
+                            .unwrap_or_else(|e| panic!("{label}: batch {b}: {e}"));
+                        assert_eq!(got, want, "{label}: batch {b} ≠ serial: {batch:#?}");
                     }
                     assert_eq!(
-                        state_fingerprint(&snap_on),
-                        state_fingerprint(&serial),
-                        "{label}: final state (snapshot on) diverged"
+                        env_state(&env),
+                        reference_state(&mut serial),
+                        "{label}: final state diverged"
                     );
-                    assert_eq!(
-                        state_fingerprint(&snap_off),
-                        state_fingerprint(&serial),
-                        "{label}: final state (snapshot off) diverged"
-                    );
-                    snapshot_batches_total += snap_on.snapshot_batches();
-                    assert_eq!(
-                        snap_off.snapshot_batches(),
-                        0,
-                        "{label}: snapshot-off env must never serve from a snapshot"
-                    );
+                    snapshot_batches_total += env.snapshot_batches();
                 }
             }
         }
@@ -241,9 +236,9 @@ fn random_batch_sequences_snapshot_on_equals_off() {
 }
 
 /// The store-level grid: random registration streams through the query
-/// store (deferral's natural habitat) with snapshot reads on, across
-/// deferral × fusion × result cache × shards. Every result and the final
-/// state must match the statement-at-a-time serial reference.
+/// store (deferral's natural habitat), across deferral × fusion × result
+/// cache × shards. Every result and the final state must match the
+/// statement-at-a-time serial reference.
 #[test]
 fn random_streams_snapshot_grid_matches_serial_reference() {
     for case in 0..12u64 {
@@ -268,14 +263,14 @@ fn random_streams_snapshot_grid_matches_serial_reference() {
                              cache={cache} shards={shards}"
                         );
 
-                        let serial = fresh_env();
-                        serial.set_snapshot_reads(false);
+                        let mut serial = reference_db();
                         let want: Vec<_> = stream
                             .iter()
                             .map(|sql| {
                                 serial
-                                    .query(sql)
+                                    .execute(sql)
                                     .unwrap_or_else(|e| panic!("{label}: serial {sql}: {e}"))
+                                    .result
                             })
                             .collect();
 
@@ -283,7 +278,6 @@ fn random_streams_snapshot_grid_matches_serial_reference() {
                         env.set_write_deferral(deferral);
                         env.set_fusion(fusion);
                         env.set_result_cache(cache);
-                        env.set_snapshot_reads(true);
                         let store = QueryStore::new(env.clone());
                         let ids: Vec<_> = stream
                             .iter()
@@ -305,8 +299,8 @@ fn random_streams_snapshot_grid_matches_serial_reference() {
                             );
                         }
                         assert_eq!(
-                            state_fingerprint(&env),
-                            state_fingerprint(&serial),
+                            env_state(&env),
+                            reference_state(&mut serial),
                             "{label}: final state diverged ({stream:#?})"
                         );
                     }
@@ -329,19 +323,13 @@ fn failing_read_batches_snapshot_matches_serial_error() {
             let at = rng.range(0, batch.len() as i64) as usize;
             batch.insert(at, "SELECT v FROM missing WHERE id = 1".to_string());
 
-            let serial = fresh_env();
-            serial.set_snapshot_reads(false);
-            let mut serial_err = None;
-            for sql in &batch {
-                if let Err(e) = serial.query(sql) {
-                    serial_err = Some(e);
-                    break;
-                }
-            }
-            let serial_err = serial_err.expect("the injected read must fail");
+            let mut serial = reference_db();
+            let serial_err = batch
+                .iter()
+                .find_map(|sql| serial.execute(sql).err())
+                .expect("the injected read must fail");
 
             let env = backend(shards);
-            env.set_snapshot_reads(true);
             let err = env
                 .query_batch(&batch)
                 .expect_err("snapshot batch must surface the read error");
@@ -362,7 +350,6 @@ fn failing_read_batches_snapshot_matches_serial_error() {
 fn dispatched_readers_on_snapshots_match_serial_under_writers() {
     use std::sync::Barrier;
     let env = fresh_env();
-    env.set_snapshot_reads(true);
     let dispatcher = Arc::new(Dispatcher::with_window(
         env.clone(),
         std::time::Duration::from_millis(5),
@@ -378,7 +365,7 @@ fn dispatched_readers_on_snapshots_match_serial_under_writers() {
             let d = Arc::clone(&dispatcher);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let serial = fresh_env();
+                let mut serial = reference_db();
                 let mut rng = Rng::new(0x5EAD ^ t as u64);
                 let stream: Vec<String> = (0..10)
                     .map(|_| {
@@ -388,7 +375,10 @@ fn dispatched_readers_on_snapshots_match_serial_under_writers() {
                         )
                     })
                     .collect();
-                let expected: Vec<_> = stream.iter().map(|s| serial.query(s).unwrap()).collect();
+                let expected: Vec<_> = stream
+                    .iter()
+                    .map(|s| serial.execute(s).unwrap().result)
+                    .collect();
                 barrier.wait();
                 let store = QueryStore::dispatched(d);
                 let ids: Vec<_> = stream
