@@ -2414,6 +2414,26 @@ mod tests {
         assert_eq!(toggled.result_cache_stats(), ResultCacheStats::default());
     }
 
+    /// A statement that fails changes nothing, so the published view a
+    /// later reader is admitted to and the live database the next writer
+    /// reads agree: publish is version-gated and a failed statement bumps
+    /// no version, so rows it left behind would never be republished.
+    #[test]
+    fn failed_multi_row_insert_leaves_readers_and_writers_in_agreement() {
+        let env = seeded_env();
+        let bad = "INSERT INTO t VALUES (100, 'a'), (101, 'b'), (102)";
+        assert!(env.query(bad).is_err());
+        let count = "SELECT COUNT(*) FROM t".to_string();
+        let before = env.stats().snapshot_batches;
+        let reader = env.query(&count).unwrap();
+        assert_eq!(env.stats().snapshot_batches, before + 1, "read a view");
+        // A batch that writes reads the live database under the write order.
+        let noop = "UPDATE t SET v = 'x' WHERE id = -1".to_string();
+        let writer = env.query_batch(&[noop, count]).unwrap().remove(1);
+        assert_eq!(reader, writer);
+        assert_eq!(reader.rows, vec![vec![sloth_sql::Value::Int(20)]]);
+    }
+
     /// Commit atomicity, once, for every deployment: a write batch that
     /// touches rows on several shards plus a replicated table is visible
     /// to a concurrent read-only batch entirely or not at all, readers

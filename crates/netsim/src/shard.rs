@@ -1049,8 +1049,9 @@ impl Router {
 
     /// Routes an `INSERT`: replicated tables broadcast every tuple (same
     /// global row id on every copy), sharded tables send each tuple to
-    /// the shard owning its key value. Tuples are processed in statement
-    /// order so partial-failure state matches the single server exactly.
+    /// the shard owning its key value. Every tuple is validated before a
+    /// row id is allocated, so a failing statement inserts nothing — on
+    /// any shard — exactly as on the single server.
     fn exec_insert(
         &self,
         sql: &str,
@@ -1071,6 +1072,12 @@ impl Router {
             }
             tuples.push(evaluated);
         }
+        // DDL broadcasts, so shard 0's catalog speaks for every shard.
+        costs.view(0).with(|db0| {
+            tuples
+                .iter()
+                .try_for_each(|tuple| db0.check_insert(table, columns, tuple))
+        })?;
         let key_col = self.spec.key_column(table).map(str::to_string);
         let sharded = key_col.is_some() && n > 1;
         // Which tuple position carries the shard key?
@@ -1814,9 +1821,14 @@ mod tests {
             "INSERT INTO issue VALUES (100, 2, 'routed', 5)",
             "INSERT INTO issue (id, project_id, title, sev) VALUES (101, 3, 'cols', 5), (102, 4, 'cols2', 5)",
             "INSERT INTO project VALUES (6, 'replicated')",
+            // A bad tuple fails the whole statement with the single
+            // server's error and takes no row id with it: the rows
+            // inserted afterwards still merge back in order.
+            "INSERT INTO issue VALUES (103, 2, 'dropped', 5), (104, 3, 'short')",
+            "INSERT INTO project (id, nope) VALUES (7, 'x')",
+            "INSERT INTO issue VALUES (105, 5, 'after', 5), (106, 0, 'after', 5)",
         ] {
-            env.query(stmt).unwrap();
-            reference.query(stmt).unwrap();
+            assert_eq!(env.query(stmt), reference.query(stmt), "{stmt}");
         }
         for check in ["SELECT * FROM issue WHERE sev = 5", "SELECT * FROM project"] {
             assert_eq!(env.query(check).unwrap(), reference.query(check).unwrap());

@@ -315,7 +315,9 @@ impl FootprintCache {
 /// a plan cache.
 #[derive(Debug)]
 pub struct Database {
-    tables: HashMap<String, Table>,
+    /// Keyed by lowercased name; `Arc<str>` so a snapshot's clone of the
+    /// catalog copies no string.
+    tables: HashMap<Arc<str>, Table>,
     plans: Arc<PlanCache>,
     footprints: Arc<FootprintCache>,
     version: u64,
@@ -337,8 +339,9 @@ impl Clone for Database {
         // A clone is an *independent* database (serial references,
         // experiment restarts): the plan cache is deep-copied into a fresh
         // handle and the footprint cache starts cold, exactly as before the
-        // caches moved behind `Arc`s. Table storage itself is Arc-backed
-        // copy-on-write, so the row data is shared until first mutation.
+        // caches moved behind `Arc`s. Table storage itself is copy-on-write
+        // by page and index bucket (see `table.rs`), so a clone shares the
+        // data and each side copies only what it later writes.
         Database {
             tables: self.tables.clone(),
             plans: Arc::new((*self.plans).clone()),
@@ -352,8 +355,10 @@ impl Clone for Database {
 /// [`Database::snapshot`].
 ///
 /// Taking a snapshot is cheap — the table catalog is cloned but every
-/// table's row storage and indexes are `Arc`-shared copy-on-write, so the
-/// cost is reference-count bumps, not data copies. The snapshot **shares
+/// table's schema, row pages and index buckets are `Arc`-shared
+/// copy-on-write, so the cost is reference-count bumps, not data copies,
+/// and a write after it copies the page and buckets it touches, not the
+/// table (see [`crate::table::Table`]). The snapshot **shares
 /// the live database's plan cache and footprint cache** (both are
 /// interior-mutexed behind `Arc`s): a plan warmed through a snapshot read
 /// is warm for everyone, and cache statistics stay deployment-global.
@@ -406,13 +411,13 @@ impl Database {
 
     /// Looks up a table (case-insensitive).
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_ascii_lowercase())
+        self.tables.get(name.to_ascii_lowercase().as_str())
     }
 
     /// Names of all tables, sorted (deterministic). Borrows; no per-call
     /// string cloning.
     pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.values().map(|t| t.name.as_str()).collect();
+        let mut names: Vec<&str> = self.tables.values().map(|t| &*t.name).collect();
         names.sort_unstable();
         names
     }
@@ -607,11 +612,11 @@ impl Database {
         let out = match stmt {
             Statement::CreateTable { name, columns } => {
                 let key = name.to_ascii_lowercase();
-                if self.tables.contains_key(&key) {
+                if self.tables.contains_key(key.as_str()) {
                     return Err(SqlError::new(format!("table {name} already exists")));
                 }
                 self.tables
-                    .insert(key, Table::new(name.clone(), columns.clone()));
+                    .insert(key.into(), Table::new(name.clone(), columns.clone()));
                 Ok(write_outcome(0))
             }
             Statement::CreateIndex { table, column } => {
@@ -659,9 +664,22 @@ impl Database {
         Ok(())
     }
 
+    /// Whether an already-evaluated `INSERT` tuple has the shape the table
+    /// takes — its arity, and the names in `columns` (as in
+    /// [`Database::insert_row_at`]) — for the shard router to ask about
+    /// every tuple of a statement before it allocates the first row id.
+    pub fn check_insert(
+        &self,
+        table: &str,
+        columns: &[String],
+        tuple: &[Value],
+    ) -> Result<(), SqlError> {
+        check_tuple(self.table_ref(table)?, columns, tuple.len())
+    }
+
     fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
         self.tables
-            .get_mut(&name.to_ascii_lowercase())
+            .get_mut(name.to_ascii_lowercase().as_str())
             .ok_or_else(|| SqlError::new(format!("no such table: {name}")))
     }
 
@@ -687,10 +705,18 @@ impl Database {
             }
             tuples.push(evaluated);
         }
+        // Validate every row before inserting the first: a statement that
+        // fails leaves the table, and so the data version, untouched.
         let t = self.table_mut(table)?;
-        let n = tuples.len() as u64;
-        for tuple in tuples {
+        let first = t.next_rowid();
+        let mut rows = Vec::with_capacity(tuples.len());
+        for (i, tuple) in tuples.into_iter().enumerate() {
             let row = map_tuple(t, columns, tuple)?;
+            t.check_insert(first + i, &row)?;
+            rows.push(row);
+        }
+        let n = rows.len() as u64;
+        for row in rows {
             t.insert(row)?;
         }
         Ok(write_outcome(n))
@@ -709,38 +735,11 @@ impl Database {
         let mut scope = Scope::new();
         scope.add_source(&sel.from.alias, base);
 
-        // Base rows: try an index probe from an equality / IN conjunct.
-        // Every row keeps its base-table row id so traced executions can
-        // report exact merge keys.
-        let base_rows: Vec<(usize, &Row)> =
-            match find_index_probe(sel.predicate.as_ref(), &sel.from, base, params) {
-                Some(Probe::Eq(ci, key)) => {
-                    let ids = base.probe(ci, &key).unwrap_or(&[]);
-                    stats.rows_scanned += ids.len() as u64;
-                    ids.iter()
-                        .filter_map(|&rid| base.row(rid).map(|r| (rid, r)))
-                        .collect()
-                }
-                Some(Probe::In(ci, keys)) => {
-                    // K point probes instead of a full scan; row ids merge
-                    // back into scan order so results are order-identical
-                    // to the unindexed path.
-                    let mut ids: Vec<usize> = keys
-                        .iter()
-                        .flat_map(|key| base.probe(ci, key).unwrap_or(&[]).iter().copied())
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    stats.rows_scanned += ids.len() as u64;
-                    ids.iter()
-                        .filter_map(|&rid| base.row(rid).map(|r| (rid, r)))
-                        .collect()
-                }
-                None => {
-                    stats.rows_scanned += base.len() as u64;
-                    base.scan().collect()
-                }
-            };
+        // Base rows: an index probe from an equality / IN conjunct where
+        // one exists. Every row keeps its base-table row id so traced
+        // executions can report exact merge keys.
+        let base_rows = candidate_rows(sel.predicate.as_ref(), &sel.from, base, params);
+        stats.rows_scanned += base_rows.len() as u64;
         let mut current: Vec<(usize, Row)> = base_rows
             .into_iter()
             .map(|(rid, r)| (rid, r.clone()))
@@ -900,10 +899,13 @@ impl Database {
             })
             .collect::<Result<_, _>>()?;
 
-        let mut scanned = 0u64;
+        let mut candidates = candidate_rows(predicate, &bare_table(table), t, params);
+        // Apply in scan order whatever order the probe gave: the posting
+        // list of a value written here then fills as a scan would fill it.
+        candidates.sort_unstable_by_key(|&(rid, _)| rid);
+        let scanned = candidates.len() as u64;
         let mut updates: Vec<(usize, Vec<Value>)> = Vec::new();
-        for (rid, row) in t.scan() {
-            scanned += 1;
+        for (rid, row) in candidates {
             let keep = match predicate {
                 Some(p) => eval_expr(p, &scope, row, params)?.is_truthy(),
                 None => true,
@@ -937,10 +939,10 @@ impl Database {
         let t = self.table_ref(table)?;
         let mut scope = Scope::new();
         scope.add_source(table, t);
-        let mut scanned = 0u64;
+        let candidates = candidate_rows(predicate, &bare_table(table), t, params);
+        let scanned = candidates.len() as u64;
         let mut doomed = Vec::new();
-        for (rid, row) in t.scan() {
-            scanned += 1;
+        for (rid, row) in candidates {
             let hit = match predicate {
                 Some(p) => eval_expr(p, &scope, row, params)?.is_truthy(),
                 None => true,
@@ -964,20 +966,31 @@ impl Database {
 /// explicit column list (empty list = declaration order); shared by the
 /// standard insert path and the shard router's [`Database::insert_row_at`].
 fn map_tuple(t: &Table, columns: &[String], tuple: Vec<Value>) -> Result<Row, SqlError> {
+    check_tuple(t, columns, tuple.len())?;
     if columns.is_empty() {
         return Ok(tuple);
     }
-    if columns.len() != tuple.len() {
-        return Err(SqlError::new("column / value count mismatch"));
-    }
     let mut row = vec![Value::Null; t.columns.len()];
     for (name, v) in columns.iter().zip(tuple) {
-        let ci = t
-            .column_index(name)
-            .ok_or_else(|| SqlError::new(format!("no column {name}")))?;
-        row[ci] = v;
+        row[t.column_index(name).expect("checked")] = v;
     }
     Ok(row)
+}
+
+/// Every way the shape of an `INSERT` tuple of `width` values can be wrong
+/// for `t` under the statement's column list, read off without building
+/// the row.
+fn check_tuple(t: &Table, columns: &[String], width: usize) -> Result<(), SqlError> {
+    if columns.is_empty() {
+        return t.check_arity(width);
+    }
+    if columns.len() != width {
+        return Err(SqlError::new("column / value count mismatch"));
+    }
+    match columns.iter().find(|name| t.column_index(name).is_none()) {
+        Some(name) => Err(SqlError::new(format!("no column {name}"))),
+        None => Ok(()),
+    }
 }
 
 /// Evaluates an expression with no row scope and no bound parameters —
@@ -1275,6 +1288,48 @@ fn run_aggregate(
         }
     };
     Ok(ResultSet::new(vec![name], vec![vec![value]]))
+}
+
+/// The base-table rows a statement has to examine, each with its row id:
+/// those an indexed equality / `IN` conjunct of `predicate` pins, or every
+/// live row when no conjunct is usable. A superset of the rows that match
+/// — the caller still evaluates the whole predicate on each — whose length
+/// is the statement's `rows_scanned`.
+fn candidate_rows<'t>(
+    predicate: Option<&Expr>,
+    from: &TableRef,
+    table: &'t Table,
+    params: &[Value],
+) -> Vec<(usize, &'t Row)> {
+    let rows = |ids: &[usize]| {
+        ids.iter()
+            .filter_map(|&rid| table.row(rid).map(|r| (rid, r)))
+            .collect()
+    };
+    match find_index_probe(predicate, from, table, params) {
+        Some(Probe::Eq(ci, key)) => rows(table.probe(ci, &key).unwrap_or(&[])),
+        Some(Probe::In(ci, keys)) => {
+            // K point probes instead of a full scan; row ids merge back
+            // into scan order so results are order-identical to the
+            // unindexed path.
+            let mut ids: Vec<usize> = keys
+                .iter()
+                .flat_map(|key| table.probe(ci, key).unwrap_or(&[]).iter().copied())
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            rows(&ids)
+        }
+        None => table.scan().collect(),
+    }
+}
+
+/// `UPDATE` and `DELETE` name their table without an alias.
+fn bare_table(table: &str) -> TableRef {
+    TableRef {
+        name: table.to_string(),
+        alias: table.to_string(),
+    }
 }
 
 /// An index-probe plan extracted from the predicate.
@@ -1793,6 +1848,165 @@ mod tests {
         copy.execute("SELECT title FROM issue WHERE id = 10")
             .unwrap();
         assert_eq!(db.plan_cache_stats().misses, 1, "only the original's read");
+    }
+
+    #[test]
+    fn failing_multi_row_insert_inserts_nothing() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        let version = db.version();
+        for sql in [
+            "INSERT INTO t VALUES (1, 1), (2, 2), (3)",
+            "INSERT INTO t (id, v) VALUES (1, 1), (2, 2), (3)",
+            "INSERT INTO t (id, nope) VALUES (1, 1)",
+        ] {
+            assert!(db.execute(sql).is_err(), "{sql}");
+            assert_eq!(db.version(), version, "a failed statement is no write");
+            assert_eq!(db.table("t").unwrap().len(), 0, "{sql}");
+            assert_eq!(db.table("t").unwrap().next_rowid(), 0, "{sql}");
+        }
+        db.execute("INSERT INTO t VALUES (1, 1), (2, 2)").unwrap();
+        assert_eq!(db.version(), version + 1);
+        assert_eq!(db.table("t").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn update_and_delete_scan_only_the_rows_their_index_probe_pins() {
+        let mut db = db_with_issues();
+        db.execute("CREATE INDEX ON issue (project_id)").unwrap();
+        for (sql, scanned, affected) in [
+            ("UPDATE issue SET sev = 9 WHERE id = 11", 1, 1),
+            ("UPDATE issue SET sev = 9 WHERE id IN (10, 12, 99)", 2, 2),
+            (
+                "UPDATE issue SET sev = 8 WHERE project_id = 1 AND sev = 3",
+                2,
+                0,
+            ),
+            ("UPDATE issue SET sev = 7 WHERE title = 'slow'", 3, 1),
+            ("DELETE FROM issue WHERE project_id = 2", 1, 1),
+            ("DELETE FROM issue WHERE id = 99", 0, 0),
+            ("DELETE FROM issue", 2, 2),
+        ] {
+            let out = db.execute(sql).unwrap();
+            assert_eq!(out.stats.rows_scanned, scanned, "{sql}");
+            assert_eq!(out.stats.rows_returned, affected, "{sql}");
+        }
+    }
+
+    /// `UPDATE` / `DELETE` as they ran before they probed: filter `scan()`
+    /// with the predicate, then apply in scan order. Returns rows affected.
+    fn scan_driven_write(db: &mut Database, stmt: &Statement) -> u64 {
+        let (table, sets, predicate) = match stmt {
+            Statement::Update {
+                table,
+                sets,
+                predicate,
+            } => (table, Some(sets), predicate),
+            Statement::Delete { table, predicate } => (table, None, predicate),
+            other => panic!("not an UPDATE or DELETE: {other:?}"),
+        };
+        let t = db.table(table).unwrap();
+        let mut scope = Scope::new();
+        scope.add_source(table, t);
+        let mut hits: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
+        for (rid, row) in t.scan() {
+            let hit = predicate
+                .as_ref()
+                .is_none_or(|p| eval_expr(p, &scope, row, &[]).unwrap().is_truthy());
+            if hit {
+                let cells = sets.into_iter().flatten().map(|(name, e)| {
+                    let ci = t.column_index(name).unwrap();
+                    (ci, eval_expr(e, &scope, row, &[]).unwrap())
+                });
+                hits.push((rid, cells.collect()));
+            }
+        }
+        let t = db.table_mut(table).unwrap();
+        let n = hits.len() as u64;
+        for (rid, cells) in hits {
+            if sets.is_none() {
+                t.delete(rid);
+            }
+            for (ci, v) in cells {
+                t.update_cell(rid, ci, v);
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn table_after_probe_driven_writes_equals_table_after_scan_driven_writes() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        for seed in [11, 12, 13] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut db = Database::new();
+            db.execute("CREATE TABLE w (id INT PRIMARY KEY, k INT, u INT, s TEXT)")
+                .unwrap();
+            db.execute("CREATE INDEX ON w (k)").unwrap();
+            for id in 0..300 {
+                // Every seventh row has no `k`: `k = NULL` must not find it.
+                let k = match id % 7 {
+                    0 => "NULL".to_string(),
+                    _ => (id % 23).to_string(),
+                };
+                db.execute(&format!(
+                    "INSERT INTO w VALUES ({id}, {k}, {}, 's{id}')",
+                    id % 5
+                ))
+                .unwrap();
+            }
+            let mut reference = db.clone();
+            let mut next_id = 300;
+
+            for step in 0..400 {
+                let id = rng.random_range(0..next_id + 5);
+                let (k, k2) = (rng.random_range(0..26), rng.random_range(0..26));
+                let u = rng.random_range(0..5);
+                let sql = match rng.random_range(0..14) {
+                    0 => format!("UPDATE w SET u = {u} WHERE id = {id}"),
+                    1 => format!("UPDATE w SET u = u + 1, s = 'x' WHERE k = {k}"),
+                    // Rewrites the column it probes, and the primary key.
+                    2 => format!("UPDATE w SET k = {k2} WHERE k = {k}"),
+                    3 => format!("UPDATE w SET id = id + 1000 WHERE id = {id}"),
+                    4 => format!("UPDATE w SET k = {k2} WHERE k IN ({k}, {k2}, 77)"),
+                    5 => format!("UPDATE w SET k = {k2} WHERE k = {k} AND u < {u}"),
+                    6 => format!("UPDATE w SET k = {k} WHERE {u} = u AND id IN ({id}, 3, 3)"),
+                    // No usable conjunct: an unindexed column, an OR.
+                    7 => format!("UPDATE w SET k = {k} WHERE u = {u} AND s LIKE 's1%'"),
+                    8 => format!("UPDATE w SET u = 0 WHERE k = {k} OR id = {id}"),
+                    // A key no row holds, and the key no `=` ever matches.
+                    9 => "UPDATE w SET u = 4 WHERE k = 4096".to_string(),
+                    10 => "UPDATE w SET u = 4 WHERE k = NULL".to_string(),
+                    11 => format!("DELETE FROM w WHERE id = {id}"),
+                    12 => format!("DELETE FROM w WHERE k = {k} AND u = {u}"),
+                    _ => {
+                        next_id += 1;
+                        let sql = format!("INSERT INTO w VALUES ({next_id}, {k}, {u}, 'new')");
+                        db.execute(&sql).unwrap();
+                        reference.execute(&sql).unwrap();
+                        continue;
+                    }
+                };
+                let affected = db.execute(&sql).unwrap().stats.rows_returned;
+                let expected = scan_driven_write(&mut reference, &parse(&sql).unwrap());
+                assert_eq!(affected, expected, "step {step} of seed {seed}: {sql}");
+
+                let (t, r) = (db.table("w").unwrap(), reference.table("w").unwrap());
+                let at = format!("after step {step} of seed {seed}: {sql}");
+                assert!(t.scan().eq(r.scan()), "scan {at}");
+                for key in (-1..next_id + 1005).map(Value::Int).chain([Value::Null]) {
+                    assert_eq!(t.probe(0, &key), r.probe(0, &key), "id = {key} {at}");
+                    assert_eq!(t.probe(1, &key), r.probe(1, &key), "k = {key} {at}");
+                }
+            }
+            assert!(
+                db.table("w").unwrap().len() > 50,
+                "writes left rows to test on"
+            );
+        }
     }
 
     #[test]
