@@ -5,9 +5,12 @@
 
 use sloth_bench::microbench::bench;
 use sloth_core::{query_thunk, QueryStore, Thunk};
+use sloth_lang::{parse_program, prepare, ExecStrategy, OptFlags};
 use sloth_net::SimEnv;
+use sloth_orm::Schema;
 use sloth_sql::Database;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_thunks() {
     bench("thunk/alloc_force", || {
@@ -114,7 +117,60 @@ fn bench_sql() {
     });
 }
 
+/// The kernel-language evaluator's cost per counted operation, as a
+/// stopwatch reading: the view layer's template loop (`render_template`
+/// in `sloth-apps`, which selective compilation leaves under standard
+/// semantics and which is most of a page's operations), and a loop of
+/// delayed binary operations allocated and forced under lazy semantics.
+fn bench_interp() {
+    let env = SimEnv::default_env();
+    let schema = Arc::new(Schema::new());
+    let per_count = |name: &str, src: &str, strategy, count: fn(&sloth_lang::Counters) -> u64| {
+        let page = prepare(&parse_program(src).unwrap(), strategy);
+        let run = || page.run(&env, Arc::clone(&schema), vec![]).unwrap();
+        let n = count(&run().counters);
+        let ns = bench(&format!("interp/{name}_run"), run);
+        println!(
+            "{:<45} {:>12.1} ns ({n} per run)",
+            format!("interp/{name}"),
+            ns / n as f64
+        );
+    };
+    per_count(
+        "std_loop_per_op",
+        "fn render_template(n) {
+             let acc = 0;
+             let i = 0;
+             while (i < n && acc >= 0) {
+                 acc = (acc + i * 7 + 3) % 65536;
+                 i = i + 1;
+             }
+             return acc;
+         }
+         fn main() { return render_template(4000); }",
+        ExecStrategy::Original,
+        |c| c.std_ops,
+    );
+    // Without coalescing every `+` is its own thunk; the loop condition
+    // forces both chains each iteration, so they stay one link deep.
+    per_count(
+        "lazy_binary_alloc_force",
+        "fn main() {
+             let acc = 0;
+             let i = 0;
+             while (i < 1000 && acc >= 0) {
+                 acc = acc + i;
+                 i = i + 1;
+             }
+             return acc;
+         }",
+        ExecStrategy::Sloth(OptFlags::none()),
+        |c| c.thunk_allocs,
+    );
+}
+
 fn main() {
+    bench_interp();
     bench_thunks();
     bench_query_store();
     bench_sql();

@@ -6,11 +6,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Runs `f` repeatedly and reports the median per-iteration time.
+/// Runs `f` repeatedly, reports the median per-iteration time and returns
+/// it in nanoseconds (for callers that divide it by a count of their own).
 ///
 /// `name` is printed criterion-style (`group/name`), so existing tooling
 /// that greps bench output keeps working.
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> f64 {
     // Warmup + calibration: find an iteration count that takes ~10 ms.
     let mut iters = 1u64;
     loop {
@@ -43,4 +44,5 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     } else {
         println!("{name:<45} {:>12.1} ns/iter", med);
     }
+    med
 }

@@ -27,28 +27,148 @@ pub enum BuiltinKind {
     WriteQuery,
 }
 
-/// Looks up a builtin by name; `None` means a user-defined function.
-pub fn builtin_kind(name: &str) -> Option<BuiltinKind> {
-    use BuiltinKind::*;
-    Some(match name {
-        // String / scalar helpers (JDK-ish).
-        "str" | "upper" | "lower" | "concat" | "contains" | "starts_with" | "substr"
-        | "len_str" | "abs" | "min" | "max" | "is_null" | "not_null" | "to_int" => Pure,
-        // Collection / result-set reads.
-        "len" | "at" | "nrows" | "cell" | "first" | "obj_get" | "has_field" => EagerRead,
-        // Collection mutation.
-        "push" | "obj_put" | "clear" => HeapWrite,
-        // Output.
-        "print" | "write" | "render" | "log" => External,
-        // Reads against the database.
-        "query" | "orm_find" | "orm_assoc" | "orm_find_where" | "orm_find_all"
-        | "orm_count_where" => Query,
-        // Writes / transaction boundaries.
-        "exec" | "orm_save" | "orm_update" | "orm_delete" | "commit" | "begin" | "rollback" => {
-            WriteQuery
+/// A builtin, identified: what [`crate::resolve`] binds a callee name to at
+/// `prepare` time, so the evaluator dispatches on a variant instead of
+/// matching the name on every call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Builtin {
+    /// A [`BuiltinKind::Pure`] helper.
+    Pure(PureFn),
+    /// A [`BuiltinKind::EagerRead`] of a collection, result set or object.
+    EagerRead(ReadFn),
+    /// A [`BuiltinKind::HeapWrite`].
+    HeapWrite(HeapFn),
+    /// `print` / `write` / `render` / `log` — all append to the response.
+    External,
+    /// A [`BuiltinKind::Query`].
+    Query(QueryFn),
+    /// A [`BuiltinKind::WriteQuery`].
+    WriteQuery(WriteFn),
+}
+
+/// String / scalar helpers (JDK-ish).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PureFn {
+    Str,
+    Upper,
+    Lower,
+    Concat,
+    Contains,
+    StartsWith,
+    Substr,
+    LenStr,
+    Abs,
+    Min,
+    Max,
+    IsNull,
+    NotNull,
+    ToInt,
+}
+
+/// Collection / result-set reads (`len` and `nrows` are one builtin).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReadFn {
+    Len,
+    At,
+    Cell,
+    First,
+    ObjGet,
+    HasField,
+}
+
+/// Collection mutation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HeapFn {
+    Push,
+    ObjPut,
+    Clear,
+}
+
+/// Reads against the database.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum QueryFn {
+    Query,
+    OrmFind,
+    OrmAssoc,
+    OrmFindWhere,
+    OrmFindAll,
+    OrmCountWhere,
+}
+
+/// Writes / transaction boundaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteFn {
+    Exec,
+    OrmSave,
+    OrmUpdate,
+    OrmDelete,
+    Commit,
+    Begin,
+    Rollback,
+}
+
+impl Builtin {
+    /// Looks up a builtin by name; `None` means a user-defined function.
+    pub(crate) fn from_name(name: &str) -> Option<Builtin> {
+        use Builtin::*;
+        Some(match name {
+            "str" => Pure(PureFn::Str),
+            "upper" => Pure(PureFn::Upper),
+            "lower" => Pure(PureFn::Lower),
+            "concat" => Pure(PureFn::Concat),
+            "contains" => Pure(PureFn::Contains),
+            "starts_with" => Pure(PureFn::StartsWith),
+            "substr" => Pure(PureFn::Substr),
+            "len_str" => Pure(PureFn::LenStr),
+            "abs" => Pure(PureFn::Abs),
+            "min" => Pure(PureFn::Min),
+            "max" => Pure(PureFn::Max),
+            "is_null" => Pure(PureFn::IsNull),
+            "not_null" => Pure(PureFn::NotNull),
+            "to_int" => Pure(PureFn::ToInt),
+            "len" | "nrows" => EagerRead(ReadFn::Len),
+            "at" => EagerRead(ReadFn::At),
+            "cell" => EagerRead(ReadFn::Cell),
+            "first" => EagerRead(ReadFn::First),
+            "obj_get" => EagerRead(ReadFn::ObjGet),
+            "has_field" => EagerRead(ReadFn::HasField),
+            "push" => HeapWrite(HeapFn::Push),
+            "obj_put" => HeapWrite(HeapFn::ObjPut),
+            "clear" => HeapWrite(HeapFn::Clear),
+            "print" | "write" | "render" | "log" => External,
+            "query" => Query(QueryFn::Query),
+            "orm_find" => Query(QueryFn::OrmFind),
+            "orm_assoc" => Query(QueryFn::OrmAssoc),
+            "orm_find_where" => Query(QueryFn::OrmFindWhere),
+            "orm_find_all" => Query(QueryFn::OrmFindAll),
+            "orm_count_where" => Query(QueryFn::OrmCountWhere),
+            "exec" => WriteQuery(WriteFn::Exec),
+            "orm_save" => WriteQuery(WriteFn::OrmSave),
+            "orm_update" => WriteQuery(WriteFn::OrmUpdate),
+            "orm_delete" => WriteQuery(WriteFn::OrmDelete),
+            "commit" => WriteQuery(WriteFn::Commit),
+            "begin" => WriteQuery(WriteFn::Begin),
+            "rollback" => WriteQuery(WriteFn::Rollback),
+            _ => return None,
+        })
+    }
+
+    /// How this builtin behaves under lazy compilation.
+    pub(crate) fn kind(self) -> BuiltinKind {
+        match self {
+            Builtin::Pure(_) => BuiltinKind::Pure,
+            Builtin::EagerRead(_) => BuiltinKind::EagerRead,
+            Builtin::HeapWrite(_) => BuiltinKind::HeapWrite,
+            Builtin::External => BuiltinKind::External,
+            Builtin::Query(_) => BuiltinKind::Query,
+            Builtin::WriteQuery(_) => BuiltinKind::WriteQuery,
         }
-        _ => return None,
-    })
+    }
+}
+
+/// Looks up a builtin's kind by name; `None` means a user-defined function.
+pub fn builtin_kind(name: &str) -> Option<BuiltinKind> {
+    Builtin::from_name(name).map(Builtin::kind)
 }
 
 /// Whether calls to this builtin touch persistent data (for the §4.1
@@ -79,6 +199,8 @@ mod tests {
         assert_eq!(builtin_kind("orm_find"), Some(BuiltinKind::Query));
         assert_eq!(builtin_kind("commit"), Some(BuiltinKind::WriteQuery));
         assert_eq!(builtin_kind("my_user_fn"), None);
+        assert_eq!(Builtin::from_name("nrows"), Builtin::from_name("len"));
+        assert_eq!(Builtin::from_name("log"), Some(Builtin::External));
     }
 
     #[test]

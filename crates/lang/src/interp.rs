@@ -11,22 +11,28 @@
 //!
 //! One interpreter implements both; a per-frame mode switch implements
 //! selective compilation (§4.1). [`crate::opt`] pre-wraps deferrable
-//! regions in [`Stmt::DeferBlock`], which the lazy evaluator turns into a
-//! single block thunk (§4.2–4.3).
+//! regions in [`crate::ast::Stmt::DeferBlock`], which the lazy evaluator
+//! turns into a single block thunk (§4.2–4.3).
+//!
+//! The interpreter walks the slot-resolved form of the `resolve` pass and
+//! nothing else: a variable is an index into a `Vec`-backed frame, a
+//! callee is a builtin or a function index, and thunks name functions and
+//! deferred blocks by index.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use sloth_net::{NetStats, SimEnv};
-use sloth_orm::{sqlgen, AssocKind, FetchStrategy, Schema};
+use sloth_orm::{sqlgen, AssocDef, AssocKind, EntityDef, FetchStrategy, Schema};
 use sloth_sql::ResultSet;
 
-use crate::analysis::{analyze, Analysis};
-use crate::ast::*;
-use crate::builtins::{builtin_kind, BuiltinKind};
+use crate::analysis::analyze;
+use crate::ast::{BinOp, Lit, Program, UnOp};
+use crate::builtins::{Builtin, HeapFn, PureFn, QueryFn, ReadFn, WriteFn};
 use crate::opt::OptFlags;
+use crate::resolve::{resolve, Callee, RExpr, RStmt, Resolved, Slot};
 use crate::runtime::{row_to_entity, rs_to_entities, Counters, DataLayer, RunError, RunResult};
 use crate::simplify::simplify_program;
 use crate::value::{BlockDriver, Deser, LazyState, LazyVal, Pending, V};
@@ -43,22 +49,11 @@ pub enum ExecStrategy {
 /// A program prepared for execution (compiled once, runnable many times —
 /// including from many threads at once: `Prepared` is `Send + Sync`, so
 /// the throughput harness shares one compiled page across its workers).
+/// It keeps the resolved form only; the named AST it was lowered from is
+/// dropped by [`prepare_with_schema`].
 pub struct Prepared {
-    program: Program,
-    analysis: Arc<Analysis>,
+    page: Resolved,
     strategy: ExecStrategy,
-}
-
-impl Prepared {
-    /// The post-compilation program (after simplify + optimize for Sloth).
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The analysis results (persistence/purity labels).
-    pub fn analysis(&self) -> &Analysis {
-        &self.analysis
-    }
 }
 
 /// Runs the Sloth compilation pipeline. Both strategies execute the
@@ -80,21 +75,14 @@ pub fn prepare_with_schema(
 ) -> Prepared {
     let simplified = simplify_program(program);
     let analysis = analyze(&simplified);
-    match strategy {
-        ExecStrategy::Original => Prepared {
-            program: simplified,
-            analysis: Arc::new(analysis),
-            strategy,
-        },
-        ExecStrategy::Sloth(flags) => {
-            let optimized = crate::opt::optimize_with_schema(&simplified, &analysis, flags, schema);
-            Prepared {
-                program: optimized,
-                analysis: Arc::new(analysis),
-                strategy,
-            }
-        }
-    }
+    let page = match strategy {
+        ExecStrategy::Original => resolve(&simplified, &analysis),
+        ExecStrategy::Sloth(flags) => resolve(
+            &crate::opt::optimize_with_schema(&simplified, &analysis, flags, schema),
+            &analysis,
+        ),
+    };
+    Prepared { page, strategy }
 }
 
 impl Prepared {
@@ -131,13 +119,7 @@ impl Prepared {
             ));
         }
         let mut interp = Interp {
-            fn_index: self
-                .program
-                .functions
-                .iter()
-                .map(|f| (f.name.as_str(), f))
-                .collect(),
-            analysis: Arc::clone(&self.analysis),
+            page: &self.page,
             data,
             flags,
             counters: Counters::default(),
@@ -146,7 +128,11 @@ impl Prepared {
             effect_blocks: Vec::new(),
             depth: 0,
         };
-        let returned_v = interp.call_function("main", args, lazy)?;
+        let main = self
+            .page
+            .main
+            .ok_or_else(|| RunError::new("unknown function main"))?;
+        let returned_v = interp.call_function(main, args, lazy)?;
         // End of request: deferred *effectful* blocks (write-containing
         // branches kept lazy by BD-across-writes) run first — their
         // writes register now and may still share the output flush —
@@ -209,11 +195,17 @@ enum Flow {
     Return(V),
 }
 
-type Env = HashMap<String, V>;
+/// The variables of one activation — a function call, or a deferred block
+/// being driven: one value per slot of the function's resolved layout,
+/// `None` until first assigned.
+struct Frame {
+    /// The function whose layout (and slot names) this frame follows.
+    func: u32,
+    vals: Vec<Option<V>>,
+}
 
 struct Interp<'p> {
-    fn_index: HashMap<&'p str, &'p Function>,
-    analysis: Arc<Analysis>,
+    page: &'p Resolved,
     data: DataLayer,
     flags: OptFlags,
     counters: Counters,
@@ -244,17 +236,28 @@ impl<'p> Interp<'p> {
         V::Thunk(LazyVal::pending(p))
     }
 
+    fn new_frame(&self, func: u32) -> Frame {
+        Frame {
+            func,
+            vals: vec![None; self.page.fns[func as usize].slot_names.len()],
+        }
+    }
+
+    fn unbound(&self, frame: &Frame, slot: Slot) -> RunError {
+        let name = &self.page.fns[frame.func as usize].slot_names[slot as usize];
+        RunError::new(format!("unbound variable {name}"))
+    }
+
     // ------------------------------------------------------------------
     // Function calls
     // ------------------------------------------------------------------
 
-    fn call_function(&mut self, name: &str, args: Vec<V>, lazy: bool) -> Result<V, RunError> {
-        let Some(f) = self.fn_index.get(name).copied() else {
-            return Err(RunError::new(format!("unknown function {name}")));
-        };
+    fn call_function(&mut self, func: u32, args: Vec<V>, lazy: bool) -> Result<V, RunError> {
+        let f = &self.page.fns[func as usize];
         if f.params.len() != args.len() {
             return Err(RunError::new(format!(
-                "{name} expects {} args, got {}",
+                "{} expects {} args, got {}",
+                f.name,
                 f.params.len(),
                 args.len()
             )));
@@ -267,16 +270,17 @@ impl<'p> Interp<'p> {
         // Selective compilation: under a Sloth run, non-persistent
         // functions execute with standard semantics (their args forced at
         // the boundary, like the paper's generated dummy methods).
-        let run_lazy = lazy && (!self.flags.selective || self.analysis.is_persistent(name));
-        let args = if lazy && !run_lazy {
-            args.into_iter()
-                .map(|a| self.force(a))
-                .collect::<Result<Vec<_>, _>>()?
-        } else {
-            args
-        };
-        let mut env: Env = f.params.iter().cloned().zip(args).collect();
-        let flow = self.exec_block(&f.body, &mut env, run_lazy);
+        let run_lazy = lazy && (!self.flags.selective || f.persistent);
+        let mut frame = self.new_frame(func);
+        for (slot, arg) in f.params.iter().zip(args) {
+            let arg = if lazy && !run_lazy {
+                self.force(arg)?
+            } else {
+                arg
+            };
+            frame.vals[*slot as usize] = Some(arg);
+        }
+        let flow = self.exec_block(&f.body, &mut frame, run_lazy);
         self.depth -= 1;
         match flow? {
             Flow::Return(v) => Ok(v),
@@ -288,9 +292,14 @@ impl<'p> Interp<'p> {
     // Statements
     // ------------------------------------------------------------------
 
-    fn exec_block(&mut self, stmts: &[Stmt], env: &mut Env, lazy: bool) -> Result<Flow, RunError> {
+    fn exec_block(
+        &mut self,
+        stmts: &'p [RStmt],
+        frame: &mut Frame,
+        lazy: bool,
+    ) -> Result<Flow, RunError> {
         for s in stmts {
-            match self.exec_stmt(s, env, lazy)? {
+            match self.exec_stmt(s, frame, lazy)? {
                 Flow::Normal => {}
                 other => return Ok(other),
             }
@@ -298,28 +307,23 @@ impl<'p> Interp<'p> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, s: &Stmt, env: &mut Env, lazy: bool) -> Result<Flow, RunError> {
+    fn exec_stmt(&mut self, s: &'p RStmt, frame: &mut Frame, lazy: bool) -> Result<Flow, RunError> {
         self.op(lazy);
         match s {
-            Stmt::Let(name, e) => {
-                let v = self.eval(e, env, lazy)?;
-                env.insert(name.clone(), v);
+            RStmt::Set(slot, e) => {
+                let v = self.eval(e, frame, lazy)?;
+                frame.vals[*slot as usize] = Some(v);
                 Ok(Flow::Normal)
             }
-            Stmt::Assign(LValue::Var(name), e) => {
-                let v = self.eval(e, env, lazy)?;
-                env.insert(name.clone(), v);
-                Ok(Flow::Normal)
-            }
-            Stmt::Assign(LValue::Field(base, field), e) => {
+            RStmt::SetField(base, field, e) => {
                 // Heap writes are never deferred; the target is forced, the
                 // stored value may stay a thunk (§3.5).
-                let obj = self.eval(base, env, lazy)?;
+                let obj = self.eval(base, frame, lazy)?;
                 let obj = self.force(obj)?;
-                let v = self.eval(e, env, lazy)?;
+                let v = self.eval(e, frame, lazy)?;
                 match obj {
                     V::Obj(o) => {
-                        o.borrow_mut().insert(field.clone(), v);
+                        o.borrow_mut().insert(field.to_string(), v);
                         Ok(Flow::Normal)
                     }
                     other => Err(RunError::new(format!(
@@ -327,12 +331,12 @@ impl<'p> Interp<'p> {
                     ))),
                 }
             }
-            Stmt::Assign(LValue::Index(base, idx), e) => {
-                let list = self.eval(base, env, lazy)?;
+            RStmt::SetIndex(base, idx, e) => {
+                let list = self.eval(base, frame, lazy)?;
                 let list = self.force(list)?;
-                let i = self.eval(idx, env, lazy)?;
+                let i = self.eval(idx, frame, lazy)?;
                 let i = self.force(i)?;
-                let v = self.eval(e, env, lazy)?;
+                let v = self.eval(e, frame, lazy)?;
                 match (list, i) {
                     (V::List(xs), V::Int(i)) => {
                         let mut xs = xs.borrow_mut();
@@ -351,80 +355,75 @@ impl<'p> Interp<'p> {
                     ))),
                 }
             }
-            Stmt::If(cond, then, els) => {
-                let c = self.eval(cond, env, lazy)?;
+            RStmt::If(cond, then, els) => {
+                let c = self.eval(cond, frame, lazy)?;
                 let c = self.force(c)?;
                 if c.truthy() {
-                    self.exec_block(then, env, lazy)
+                    self.exec_block(then, frame, lazy)
                 } else {
-                    self.exec_block(els, env, lazy)
+                    self.exec_block(els, frame, lazy)
                 }
             }
-            Stmt::While(cond, body) => {
+            RStmt::While(cond, body) => {
                 let mut iters = 0u64;
                 loop {
                     iters += 1;
                     if iters > MAX_LOOP_ITERS {
                         return Err(RunError::new("loop iteration limit exceeded"));
                     }
-                    let c = self.eval(cond, env, lazy)?;
+                    let c = self.eval(cond, frame, lazy)?;
                     let c = self.force(c)?;
                     if !c.truthy() {
                         return Ok(Flow::Normal);
                     }
-                    match self.exec_block(body, env, lazy)? {
+                    match self.exec_block(body, frame, lazy)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => return Ok(Flow::Normal),
                         r @ Flow::Return(_) => return Ok(r),
                     }
                 }
             }
-            Stmt::Break => Ok(Flow::Break),
-            Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Return(e) => {
+            RStmt::Break => Ok(Flow::Break),
+            RStmt::Continue => Ok(Flow::Continue),
+            RStmt::Return(e) => {
                 let v = match e {
-                    Some(e) => self.eval(e, env, lazy)?,
+                    Some(e) => self.eval(e, frame, lazy)?,
                     None => V::Null,
                 };
                 Ok(Flow::Return(v))
             }
-            Stmt::ExprStmt(e) => {
-                self.eval(e, env, lazy)?;
+            RStmt::Expr(e) => {
+                self.eval(e, frame, lazy)?;
                 Ok(Flow::Normal)
             }
-            Stmt::DeferBlock {
-                body,
-                outputs,
-                effectful,
-            } => {
+            RStmt::Defer(id) => {
+                let block = &self.page.blocks[*id as usize];
                 if !lazy {
                     // Standard semantics: transparent.
-                    return self.exec_block(body, env, lazy);
+                    return self.exec_block(&block.body, frame, lazy);
                 }
                 // One thunk for the whole region (§4.2/4.3): capture the
                 // referenced variables by value, produce projection thunks
                 // for the outputs.
-                let mut referenced = HashMap::new();
-                crate::opt::count_occurrences_pub(body, &mut referenced);
-                let captured: Vec<(String, V)> = referenced
-                    .keys()
-                    .filter_map(|k| env.get(k).map(|v| (k.clone(), v.clone())))
+                let captured = block
+                    .captures
+                    .iter()
+                    .filter_map(|&s| Some((s, frame.vals[s as usize].clone()?)))
                     .collect();
                 let driver = Rc::new(BlockDriver {
-                    env: captured,
-                    body: Rc::new(body.clone()),
-                    outputs: outputs.clone(),
+                    block: *id,
+                    captured,
                     results: RefCell::new(None),
                 });
                 self.counters.thunk_allocs += 1;
-                for out in outputs {
+                for (i, out) in block.outputs.iter().enumerate() {
                     let proj = self.alloc_thunk(Pending::Block {
                         driver: Rc::clone(&driver),
-                        output: Some(out.clone()),
+                        output: Some(i),
                     });
-                    env.insert(out.clone(), proj);
+                    frame.vals[*out as usize] = Some(proj);
                 }
-                if *effectful {
+                if block.effectful {
                     // The block's writes must run even if no output is
                     // ever demanded: keep a handle for end-of-request.
                     let handle = self.alloc_thunk(Pending::Block {
@@ -442,42 +441,42 @@ impl<'p> Interp<'p> {
     // Expressions
     // ------------------------------------------------------------------
 
-    fn eval(&mut self, e: &Expr, env: &Env, lazy: bool) -> Result<V, RunError> {
+    fn eval(&mut self, e: &'p RExpr, frame: &Frame, lazy: bool) -> Result<V, RunError> {
         self.op(lazy);
         let v = match e {
-            Expr::Lit(l) => lit_to_v(l),
-            Expr::Var(name) => env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| RunError::new(format!("unbound variable {name}")))?,
-            Expr::Field(base, field) => {
+            RExpr::Lit(l) => lit_to_v(l),
+            RExpr::Slot(slot) => match &frame.vals[*slot as usize] {
+                Some(v) => v.clone(),
+                None => return Err(self.unbound(frame, *slot)),
+            },
+            RExpr::Field(base, field) => {
                 // Field reads execute at evaluation time, forcing the
                 // target; the field's stored value may be a thunk (§3.6).
-                let obj = self.eval(base, env, lazy)?;
+                let obj = self.eval(base, frame, lazy)?;
                 let obj = self.force(obj)?;
                 self.read_field(&obj, field)?
             }
-            Expr::Index(base, idx) => {
-                let b = self.eval(base, env, lazy)?;
+            RExpr::Index(base, idx) => {
+                let b = self.eval(base, frame, lazy)?;
                 let b = self.force(b)?;
-                let i = self.eval(idx, env, lazy)?;
+                let i = self.eval(idx, frame, lazy)?;
                 let i = self.force(i)?;
                 self.read_index(&b, &i)?
             }
-            Expr::Binary(op, a, b) => {
+            RExpr::Binary(op, a, b) => {
                 if lazy {
                     // Short-circuit operators force their left side (control
                     // dependence); everything else becomes a thunk.
                     match op {
                         BinOp::And | BinOp::Or => {
-                            let l = self.eval(a, env, lazy)?;
+                            let l = self.eval(a, frame, lazy)?;
                             let l = self.force(l)?;
                             let take_right = match op {
                                 BinOp::And => l.truthy(),
                                 _ => !l.truthy(),
                             };
                             if take_right {
-                                let r = self.eval(b, env, lazy)?;
+                                let r = self.eval(b, frame, lazy)?;
                                 let r = self.force(r)?;
                                 V::Bool(r.truthy())
                             } else {
@@ -485,50 +484,50 @@ impl<'p> Interp<'p> {
                             }
                         }
                         _ => {
-                            let va = self.eval(a, env, lazy)?;
-                            let vb = self.eval(b, env, lazy)?;
-                            let expr = Rc::new(Expr::Binary(
-                                *op,
-                                Box::new(Expr::Var("__l".into())),
-                                Box::new(Expr::Var("__r".into())),
-                            ));
-                            self.alloc_thunk(Pending::Expr {
-                                env: vec![("__l".into(), va), ("__r".into(), vb)],
-                                expr,
-                            })
+                            let va = self.eval(a, frame, lazy)?;
+                            let vb = self.eval(b, frame, lazy)?;
+                            self.alloc_thunk(Pending::Binary(*op, va, vb))
                         }
                     }
                 } else {
-                    let va = self.eval(a, env, lazy)?;
-                    let vb = self.eval(b, env, lazy)?;
-                    self.binop(*op, va, vb)?
+                    // Integer atoms — the template loops' operands after
+                    // §3.1 flattening — are read where they lie; the two
+                    // operations counted are the ones evaluating them
+                    // would have counted.
+                    if let (Some(x), Some(y)) = (int_atom(a, frame), int_atom(b, frame)) {
+                        self.counters.std_ops += 2;
+                        return int_binop(*op, x, y);
+                    }
+                    let va = self.eval(a, frame, lazy)?;
+                    let vb = self.eval(b, frame, lazy)?;
+                    // A call's result is not forced by `eval`.
+                    let va = self.force(va)?;
+                    let vb = self.force(vb)?;
+                    self.binop(*op, &va, &vb)?
                 }
             }
-            Expr::Unary(op, a) => {
-                let va = self.eval(a, env, lazy)?;
+            RExpr::Unary(op, a) => {
+                let va = self.eval(a, frame, lazy)?;
                 if lazy {
-                    let expr = Rc::new(Expr::Unary(*op, Box::new(Expr::Var("__x".into()))));
-                    self.alloc_thunk(Pending::Expr {
-                        env: vec![("__x".into(), va)],
-                        expr,
-                    })
+                    self.alloc_thunk(Pending::Unary(*op, va))
                 } else {
-                    self.unop(*op, va)?
+                    let va = self.force(va)?;
+                    unop(*op, &va)?
                 }
             }
-            Expr::Call(name, args) => return self.eval_call(name, args, env, lazy),
-            Expr::NewObject(fields) => {
+            RExpr::Call(callee, args) => return self.eval_call(callee, args, frame, lazy),
+            RExpr::NewObject(fields) => {
                 // Allocation is a heap operation: eager in both modes.
                 let mut map = BTreeMap::new();
                 for (f, e) in fields {
-                    map.insert(f.clone(), self.eval(e, env, lazy)?);
+                    map.insert(f.to_string(), self.eval(e, frame, lazy)?);
                 }
                 V::Obj(Rc::new(RefCell::new(map)))
             }
-            Expr::NewList(items) => {
+            RExpr::NewList(items) => {
                 let mut xs = Vec::with_capacity(items.len());
                 for e in items {
-                    xs.push(self.eval(e, env, lazy)?);
+                    xs.push(self.eval(e, frame, lazy)?);
                 }
                 V::list(xs)
             }
@@ -542,67 +541,60 @@ impl<'p> Interp<'p> {
 
     fn eval_call(
         &mut self,
-        name: &str,
-        args: &[Expr],
-        env: &Env,
+        callee: &'p Callee,
+        args: &'p [RExpr],
+        frame: &Frame,
         lazy: bool,
     ) -> Result<V, RunError> {
-        match builtin_kind(name) {
-            Some(BuiltinKind::Pure) => {
-                let vals = self.eval_args(args, env, lazy)?;
+        let mut vals = Vec::with_capacity(args.len());
+        for a in args {
+            vals.push(self.eval(a, frame, lazy)?);
+        }
+        match callee {
+            Callee::Builtin(Builtin::Pure(func)) => {
                 if lazy {
-                    Ok(self.alloc_thunk(Pending::Call {
-                        func: name.to_string(),
+                    Ok(self.alloc_thunk(Pending::Builtin {
+                        func: *func,
                         args: vals,
                     }))
                 } else {
-                    self.pure_builtin(name, vals)
+                    self.pure_builtin(*func, vals)
                 }
             }
-            Some(BuiltinKind::EagerRead) => {
-                let vals = self.eval_args(args, env, lazy)?;
-                self.eager_read_builtin(name, vals, lazy)
-            }
-            Some(BuiltinKind::HeapWrite) => {
-                let vals = self.eval_args(args, env, lazy)?;
-                self.heap_write_builtin(name, vals)
-            }
-            Some(BuiltinKind::External) => {
-                let vals = self.eval_args(args, env, lazy)?;
-                self.external_builtin(name, vals, lazy)
-            }
-            Some(BuiltinKind::Query) => {
-                let vals = self.eval_args(args, env, lazy)?;
-                self.query_builtin(name, vals, lazy)
-            }
-            Some(BuiltinKind::WriteQuery) => {
-                let vals = self.eval_args(args, env, lazy)?;
-                self.write_query_builtin(name, vals)
-            }
-            None => {
-                let vals = self.eval_args(args, env, lazy)?;
-                if lazy && self.analysis.is_pure_fn(name) {
+            Callee::Builtin(Builtin::EagerRead(func)) => self.eager_read_builtin(*func, vals),
+            Callee::Builtin(Builtin::HeapWrite(func)) => self.heap_write_builtin(*func, vals),
+            Callee::Builtin(Builtin::External) => self.external_builtin(vals),
+            Callee::Builtin(Builtin::Query(func)) => self.query_builtin(*func, vals, lazy),
+            Callee::Builtin(Builtin::WriteQuery(func)) => self.write_query_builtin(*func, vals),
+            Callee::User(func) => {
+                if lazy && self.page.fns[*func as usize].pure {
                     // Internal pure call: defer the whole call (§3.4).
                     Ok(self.alloc_thunk(Pending::Call {
-                        func: name.to_string(),
+                        func: *func,
                         args: vals,
                     }))
                 } else {
-                    self.call_function(name, vals, lazy)
+                    self.call_function(*func, vals, lazy)
                 }
             }
+            Callee::Unknown(name) => Err(RunError::new(format!("unknown function {name}"))),
         }
-    }
-
-    fn eval_args(&mut self, args: &[Expr], env: &Env, lazy: bool) -> Result<Vec<V>, RunError> {
-        args.iter().map(|a| self.eval(a, env, lazy)).collect()
     }
 
     // ------------------------------------------------------------------
     // Forcing
     // ------------------------------------------------------------------
 
+    /// The value `v` stands for: `v` itself unless it is a thunk.
+    #[inline]
     fn force(&mut self, v: V) -> Result<V, RunError> {
+        match v {
+            V::Thunk(_) => self.force_thunk(v),
+            v => Ok(v),
+        }
+    }
+
+    fn force_thunk(&mut self, v: V) -> Result<V, RunError> {
         let mut cur = v;
         loop {
             let V::Thunk(cell) = cur else { return Ok(cur) };
@@ -628,47 +620,49 @@ impl<'p> Interp<'p> {
 
     fn eval_pending(&mut self, p: Pending) -> Result<V, RunError> {
         match p {
-            Pending::Expr { env, expr } => {
-                // Forcing means computing *now*: evaluate strictly (operand
-                // thunks force transparently), otherwise the delayed op
-                // would just re-defer itself.
-                let frame: Env = env.into_iter().collect();
-                self.eval(&expr, &frame, false)
+            // Forcing means computing *now*, strictly, operands left to
+            // right. A delayed operator counts what strictly evaluating it
+            // over two (one) variables counts: itself and its operands.
+            Pending::Binary(op, a, b) => {
+                self.counters.std_ops += 3;
+                let a = self.force(a)?;
+                let b = self.force(b)?;
+                self.binop(op, &a, &b)
+            }
+            Pending::Unary(op, a) => {
+                self.counters.std_ops += 2;
+                let a = self.force(a)?;
+                unop(op, &a)
             }
             Pending::Query { id, deser } => {
                 let rs = self.data.fetch(id)?;
                 Ok(deserialize(&deser, rs))
             }
-            Pending::Call { func, args } => {
-                if builtin_kind(&func).is_some() {
-                    self.pure_builtin(&func, args)
-                } else {
-                    self.call_function(&func, args, true)
-                }
-            }
+            Pending::Call { func, args } => self.call_function(func, args, true),
+            Pending::Builtin { func, args } => self.pure_builtin(func, args),
             Pending::Block { driver, output } => {
                 if driver.results.borrow().is_none() {
                     // Forcing the block runs its statements *now*, strictly
                     // — that is the saving of §4.3: one thunk for the whole
                     // region instead of one per statement.
-                    let mut frame: Env = driver.env.iter().cloned().collect();
-                    self.exec_block(&driver.body, &mut frame, false)?;
-                    let outs: BTreeMap<String, V> = driver
+                    let block = &self.page.blocks[driver.block as usize];
+                    let mut frame = self.new_frame(block.func);
+                    for (slot, v) in &driver.captured {
+                        frame.vals[*slot as usize] = Some(v.clone());
+                    }
+                    self.exec_block(&block.body, &mut frame, false)?;
+                    let outs = block
                         .outputs
                         .iter()
-                        .map(|o| (o.clone(), frame.get(o).cloned().unwrap_or(V::Null)))
+                        .map(|&o| frame.vals[o as usize].clone().unwrap_or(V::Null))
                         .collect();
                     *driver.results.borrow_mut() = Some(outs);
                 }
-                match output {
-                    None => Ok(V::Null),
-                    Some(name) => Ok(driver
-                        .results
-                        .borrow()
-                        .as_ref()
-                        .and_then(|m| m.get(&name).cloned())
-                        .unwrap_or(V::Null)),
-                }
+                let results = driver.results.borrow();
+                Ok(match (output, &*results) {
+                    (Some(i), Some(outs)) => outs[i].clone(),
+                    _ => V::Null,
+                })
             }
         }
     }
@@ -718,126 +712,102 @@ impl<'p> Interp<'p> {
     // Scalar operators
     // ------------------------------------------------------------------
 
-    fn binop(&mut self, op: BinOp, a: V, b: V) -> Result<V, RunError> {
-        let a = self.force(a)?;
-        let b = self.force(b)?;
+    /// Applies `op` to two forced values.
+    fn binop(&mut self, op: BinOp, a: &V, b: &V) -> Result<V, RunError> {
         use BinOp::*;
+        if let (V::Int(x), V::Int(y)) = (a, b) {
+            return int_binop(op, *x, *y);
+        }
         Ok(match op {
-            Add => match (&a, &b) {
+            Add => match (a, b) {
                 (V::Str(_), _) | (_, V::Str(_)) => {
-                    let sa = self.display(&a)?;
-                    let sb = self.display(&b)?;
+                    let sa = self.display(a)?;
+                    let sb = self.display(b)?;
                     V::str(format!("{sa}{sb}"))
                 }
-                (V::Int(x), V::Int(y)) => V::Int(x.wrapping_add(*y)),
-                _ => V::Float(num(&a)? + num(&b)?),
+                _ => V::Float(num(a)? + num(b)?),
             },
-            Sub => arith(&a, &b, i64::wrapping_sub, |x, y| x - y)?,
-            Mul => arith(&a, &b, i64::wrapping_mul, |x, y| x * y)?,
-            Div => match (&a, &b) {
-                (V::Int(_), V::Int(0)) => return Err(RunError::new("division by zero")),
-                (V::Int(x), V::Int(y)) => V::Int(x / y),
-                _ => {
-                    let d = num(&b)?;
-                    if d == 0.0 {
-                        return Err(RunError::new("division by zero"));
-                    }
-                    V::Float(num(&a)? / d)
+            Sub => V::Float(num(a)? - num(b)?),
+            Mul => V::Float(num(a)? * num(b)?),
+            Div => {
+                let d = num(b)?;
+                if d == 0.0 {
+                    return Err(RunError::new("division by zero"));
                 }
-            },
-            Mod => match (&a, &b) {
-                (V::Int(_), V::Int(0)) => return Err(RunError::new("modulo by zero")),
-                (V::Int(x), V::Int(y)) => V::Int(x % y),
-                _ => return Err(RunError::new("modulo needs integers")),
-            },
-            Eq => V::Bool(values_eq(&a, &b)),
-            Ne => V::Bool(!values_eq(&a, &b)),
-            Lt | Le | Gt | Ge => {
-                let ord = compare(&a, &b)?;
-                V::Bool(match op {
-                    Lt => ord.is_lt(),
-                    Le => ord.is_le(),
-                    Gt => ord.is_gt(),
-                    _ => ord.is_ge(),
-                })
+                V::Float(num(a)? / d)
             }
+            Mod => return Err(RunError::new("modulo needs integers")),
+            Eq => V::Bool(values_eq(a, b)),
+            Ne => V::Bool(!values_eq(a, b)),
+            Lt => V::Bool(compare(a, b)?.is_lt()),
+            Le => V::Bool(compare(a, b)?.is_le()),
+            Gt => V::Bool(compare(a, b)?.is_gt()),
+            Ge => V::Bool(compare(a, b)?.is_ge()),
             And => V::Bool(a.truthy() && b.truthy()),
             Or => V::Bool(a.truthy() || b.truthy()),
         })
-    }
-
-    fn unop(&mut self, op: UnOp, a: V) -> Result<V, RunError> {
-        let a = self.force(a)?;
-        match op {
-            UnOp::Not => Ok(V::Bool(!a.truthy())),
-            UnOp::Neg => match a {
-                V::Int(i) => Ok(V::Int(-i)),
-                V::Float(f) => Ok(V::Float(-f)),
-                other => Err(RunError::new(format!("cannot negate {other:?}"))),
-            },
-        }
     }
 
     // ------------------------------------------------------------------
     // Builtins
     // ------------------------------------------------------------------
 
-    fn pure_builtin(&mut self, name: &str, args: Vec<V>) -> Result<V, RunError> {
+    fn pure_builtin(&mut self, func: PureFn, args: Vec<V>) -> Result<V, RunError> {
         let mut forced = Vec::with_capacity(args.len());
         for a in args {
             forced.push(self.force(a)?);
         }
         let arg = |i: usize| -> &V { forced.get(i).unwrap_or(&V::Null) };
-        Ok(match name {
-            "str" => V::str(self.display(arg(0))?),
-            "upper" => V::str(self.display(arg(0))?.to_uppercase()),
-            "lower" => V::str(self.display(arg(0))?.to_lowercase()),
-            "concat" => {
+        Ok(match func {
+            PureFn::Str => V::str(self.display(arg(0))?),
+            PureFn::Upper => V::str(self.display(arg(0))?.to_uppercase()),
+            PureFn::Lower => V::str(self.display(arg(0))?.to_lowercase()),
+            PureFn::Concat => {
                 let mut s = String::new();
                 for a in &forced {
                     s.push_str(&self.display(a)?);
                 }
                 V::str(s)
             }
-            "contains" => {
+            PureFn::Contains => {
                 let h = self.display(arg(0))?;
                 let n = self.display(arg(1))?;
                 V::Bool(h.contains(&n))
             }
-            "starts_with" => {
+            PureFn::StartsWith => {
                 let h = self.display(arg(0))?;
                 let n = self.display(arg(1))?;
                 V::Bool(h.starts_with(&n))
             }
-            "substr" => {
+            PureFn::Substr => {
                 let s = self.display(arg(0))?;
                 let start = int(arg(1))? as usize;
                 let len = int(arg(2))? as usize;
                 V::str(s.chars().skip(start).take(len).collect::<String>())
             }
-            "len_str" => V::Int(self.display(arg(0))?.chars().count() as i64),
-            "abs" => match arg(0) {
+            PureFn::LenStr => V::Int(self.display(arg(0))?.chars().count() as i64),
+            PureFn::Abs => match arg(0) {
                 V::Int(i) => V::Int(i.abs()),
                 V::Float(f) => V::Float(f.abs()),
                 other => return Err(RunError::new(format!("abs of {other:?}"))),
             },
-            "min" => {
+            PureFn::Min => {
                 if compare(arg(0), arg(1))?.is_le() {
                     arg(0).clone()
                 } else {
                     arg(1).clone()
                 }
             }
-            "max" => {
+            PureFn::Max => {
                 if compare(arg(0), arg(1))?.is_ge() {
                     arg(0).clone()
                 } else {
                     arg(1).clone()
                 }
             }
-            "is_null" => V::Bool(matches!(arg(0), V::Null)),
-            "not_null" => V::Bool(!matches!(arg(0), V::Null)),
-            "to_int" => match arg(0) {
+            PureFn::IsNull => V::Bool(matches!(arg(0), V::Null)),
+            PureFn::NotNull => V::Bool(!matches!(arg(0), V::Null)),
+            PureFn::ToInt => match arg(0) {
                 V::Int(i) => V::Int(*i),
                 V::Float(f) => V::Int(*f as i64),
                 V::Str(s) => V::Int(
@@ -847,34 +817,27 @@ impl<'p> Interp<'p> {
                 V::Bool(b) => V::Int(*b as i64),
                 other => return Err(RunError::new(format!("to_int on {other:?}"))),
             },
-            other => return Err(RunError::new(format!("unknown pure builtin {other}"))),
         })
     }
 
-    fn eager_read_builtin(
-        &mut self,
-        name: &str,
-        mut args: Vec<V>,
-        lazy: bool,
-    ) -> Result<V, RunError> {
-        let _ = lazy;
+    fn eager_read_builtin(&mut self, func: ReadFn, mut args: Vec<V>) -> Result<V, RunError> {
         let recv = self.force(args.remove(0))?;
-        match name {
-            "len" | "nrows" => match &recv {
+        match func {
+            ReadFn::Len => match &recv {
                 V::List(xs) => Ok(V::Int(xs.borrow().len() as i64)),
                 V::Rs(rs) => Ok(V::Int(rs.len() as i64)),
                 V::Obj(o) if o.borrow().contains_key("__proxy_sql") => {
                     let items = self.materialize_proxy(o)?;
-                    self.eager_read_builtin("len", vec![items], lazy)
+                    self.eager_read_builtin(ReadFn::Len, vec![items])
                 }
                 V::Null => Ok(V::Int(0)),
                 other => Err(RunError::new(format!("len of {other:?}"))),
             },
-            "at" => {
+            ReadFn::At => {
                 let i = self.force(args.remove(0))?;
                 self.read_index(&recv, &i)
             }
-            "first" => match &recv {
+            ReadFn::First => match &recv {
                 V::List(xs) => Ok(xs.borrow().first().cloned().unwrap_or(V::Null)),
                 V::Rs(rs) => {
                     if rs.is_empty() {
@@ -885,12 +848,12 @@ impl<'p> Interp<'p> {
                 }
                 V::Obj(o) if o.borrow().contains_key("__proxy_sql") => {
                     let items = self.materialize_proxy(o)?;
-                    self.eager_read_builtin("first", vec![items], lazy)
+                    self.eager_read_builtin(ReadFn::First, vec![items])
                 }
                 V::Null => Ok(V::Null),
                 other => Err(RunError::new(format!("first of {other:?}"))),
             },
-            "cell" => {
+            ReadFn::Cell => {
                 let i = self.force(args.remove(0))?;
                 let col = self.force(args.remove(0))?;
                 match (&recv, &i, &col) {
@@ -901,12 +864,12 @@ impl<'p> Interp<'p> {
                     _ => Err(RunError::new("cell(rs, row, col) expected")),
                 }
             }
-            "obj_get" => {
+            ReadFn::ObjGet => {
                 let field = self.force(args.remove(0))?;
                 let field = self.display(&field)?;
                 self.read_field(&recv, &field)
             }
-            "has_field" => {
+            ReadFn::HasField => {
                 let field = self.force(args.remove(0))?;
                 let field = self.display(&field)?;
                 match recv {
@@ -914,21 +877,20 @@ impl<'p> Interp<'p> {
                     _ => Ok(V::Bool(false)),
                 }
             }
-            other => Err(RunError::new(format!("unknown read builtin {other}"))),
         }
     }
 
-    fn heap_write_builtin(&mut self, name: &str, mut args: Vec<V>) -> Result<V, RunError> {
+    fn heap_write_builtin(&mut self, func: HeapFn, mut args: Vec<V>) -> Result<V, RunError> {
         let recv = self.force(args.remove(0))?;
-        match name {
-            "push" => match recv {
+        match func {
+            HeapFn::Push => match recv {
                 V::List(xs) => {
                     xs.borrow_mut().push(args.remove(0));
                     Ok(V::Null)
                 }
                 other => Err(RunError::new(format!("push to {other:?}"))),
             },
-            "obj_put" => {
+            HeapFn::ObjPut => {
                 let field = self.force(args.remove(0))?;
                 let field = self.display(&field)?;
                 match recv {
@@ -939,38 +901,32 @@ impl<'p> Interp<'p> {
                     other => Err(RunError::new(format!("obj_put on {other:?}"))),
                 }
             }
-            "clear" => match recv {
+            HeapFn::Clear => match recv {
                 V::List(xs) => {
                     xs.borrow_mut().clear();
                     Ok(V::Null)
                 }
                 other => Err(RunError::new(format!("clear of {other:?}"))),
             },
-            other => Err(RunError::new(format!("unknown write builtin {other}"))),
         }
     }
 
-    fn external_builtin(&mut self, name: &str, args: Vec<V>, lazy: bool) -> Result<V, RunError> {
-        let _ = lazy;
-        match name {
-            "print" | "write" | "render" | "log" => {
-                let v = args.into_iter().next().unwrap_or(V::Null);
-                // The buffering writer is request-global (§5): output from
-                // standard-compiled helper methods must interleave with
-                // lazily-produced output in program order.
-                let sloth_run = self.data.store.is_some();
-                if sloth_run && self.flags.buffered_writer {
-                    // §5 JSP extension: thunks are written to the buffer and
-                    // forced only when the page flushes.
-                    self.out_buffer.push(v);
-                } else {
-                    let s = self.display(&v)?;
-                    self.output.push(s);
-                }
-                Ok(V::Null)
-            }
-            other => Err(RunError::new(format!("unknown external builtin {other}"))),
+    /// `print` / `write` / `render` / `log`.
+    fn external_builtin(&mut self, args: Vec<V>) -> Result<V, RunError> {
+        let v = args.into_iter().next().unwrap_or(V::Null);
+        // The buffering writer is request-global (§5): output from
+        // standard-compiled helper methods must interleave with
+        // lazily-produced output in program order.
+        let sloth_run = self.data.store.is_some();
+        if sloth_run && self.flags.buffered_writer {
+            // §5 JSP extension: thunks are written to the buffer and
+            // forced only when the page flushes.
+            self.out_buffer.push(v);
+        } else {
+            let s = self.display(&v)?;
+            self.output.push(s);
         }
+        Ok(V::Null)
     }
 
     /// Forces every pending effectful block, in creation order. Forcing
@@ -995,9 +951,18 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn query_builtin(&mut self, name: &str, mut args: Vec<V>, lazy: bool) -> Result<V, RunError> {
-        match name {
-            "query" => {
+    fn query_builtin(
+        &mut self,
+        func: QueryFn,
+        mut args: Vec<V>,
+        lazy: bool,
+    ) -> Result<V, RunError> {
+        // The schema is borrowed through a handle of its own, so entity
+        // and association definitions are read in place while `self`
+        // forces and registers.
+        let schema = Arc::clone(&self.data.schema);
+        match func {
+            QueryFn::Query => {
                 let sql = self.force(args.remove(0))?;
                 let sql = self.display(&sql)?;
                 if lazy {
@@ -1006,11 +971,11 @@ impl<'p> Interp<'p> {
                     Ok(V::Rs(Rc::new(self.data.read_now(&sql)?)))
                 }
             }
-            "orm_find" => {
+            QueryFn::OrmFind => {
                 let entity = self.string_arg(args.remove(0))?;
                 let id = self.force(args.remove(0))?;
-                let def = self.entity_def(&entity)?;
-                let sql = sqlgen::select_by_pk(&def, &id.to_sql());
+                let def = entity_def(&schema, &entity)?;
+                let sql = sqlgen::select_by_pk(def, &id.to_sql());
                 if lazy {
                     self.register_thunk(&sql, Deser::EntityOpt(entity))
                 } else {
@@ -1019,21 +984,21 @@ impl<'p> Interp<'p> {
                         return Ok(V::Null);
                     }
                     let e = row_to_entity(&entity, &rs, 0);
-                    self.std_prefetch_eager(&entity, &e)?;
+                    self.std_prefetch_eager(def, &e)?;
                     Ok(e)
                 }
             }
-            "orm_assoc" => {
+            QueryFn::OrmAssoc => {
                 let owner = self.force(args.remove(0))?;
                 let assoc = self.string_arg(args.remove(0))?;
-                self.orm_assoc(owner, &assoc, lazy)
+                self.orm_assoc(&schema, owner, &assoc, lazy)
             }
-            "orm_find_where" => {
+            QueryFn::OrmFindWhere => {
                 let entity = self.string_arg(args.remove(0))?;
                 let col = self.string_arg(args.remove(0))?;
                 let v = self.force(args.remove(0))?;
-                let def = self.entity_def(&entity)?;
-                let sql = sqlgen::select_where_eq(&def, &col, &v.to_sql());
+                let def = entity_def(&schema, &entity)?;
+                let sql = sqlgen::select_where_eq(def, &col, &v.to_sql());
                 if lazy {
                     self.register_thunk(&sql, Deser::EntityList(entity))
                 } else {
@@ -1041,10 +1006,10 @@ impl<'p> Interp<'p> {
                     Ok(rs_to_entities(&entity, &rs))
                 }
             }
-            "orm_find_all" => {
+            QueryFn::OrmFindAll => {
                 let entity = self.string_arg(args.remove(0))?;
-                let def = self.entity_def(&entity)?;
-                let sql = sqlgen::select_all(&def);
+                let def = entity_def(&schema, &entity)?;
+                let sql = sqlgen::select_all(def);
                 if lazy {
                     self.register_thunk(&sql, Deser::EntityList(entity))
                 } else {
@@ -1052,12 +1017,12 @@ impl<'p> Interp<'p> {
                     Ok(rs_to_entities(&entity, &rs))
                 }
             }
-            "orm_count_where" => {
+            QueryFn::OrmCountWhere => {
                 let entity = self.string_arg(args.remove(0))?;
                 let col = self.string_arg(args.remove(0))?;
                 let v = self.force(args.remove(0))?;
-                let def = self.entity_def(&entity)?;
-                let sql = sqlgen::count_where_eq(&def, &col, &v.to_sql());
+                let def = entity_def(&schema, &entity)?;
+                let sql = sqlgen::count_where_eq(def, &col, &v.to_sql());
                 if lazy {
                     self.register_thunk(&sql, Deser::Scalar)
                 } else {
@@ -1070,23 +1035,23 @@ impl<'p> Interp<'p> {
                         .unwrap_or(V::Null))
                 }
             }
-            other => Err(RunError::new(format!("unknown query builtin {other}"))),
         }
     }
 
-    fn write_query_builtin(&mut self, name: &str, mut args: Vec<V>) -> Result<V, RunError> {
-        let sql = match name {
-            "exec" => {
+    fn write_query_builtin(&mut self, func: WriteFn, mut args: Vec<V>) -> Result<V, RunError> {
+        let schema = Arc::clone(&self.data.schema);
+        let sql = match func {
+            WriteFn::Exec => {
                 let s = self.force(args.remove(0))?;
                 self.display(&s)?
             }
-            "commit" => "COMMIT".to_string(),
-            "begin" => "BEGIN".to_string(),
-            "rollback" => "ROLLBACK".to_string(),
-            "orm_save" => {
+            WriteFn::Commit => "COMMIT".to_string(),
+            WriteFn::Begin => "BEGIN".to_string(),
+            WriteFn::Rollback => "ROLLBACK".to_string(),
+            WriteFn::OrmSave => {
                 let entity = self.string_arg(args.remove(0))?;
                 let vals = self.force(args.remove(0))?;
-                let def = self.entity_def(&entity)?;
+                let def = entity_def(&schema, &entity)?;
                 let V::List(xs) = vals else {
                     return Err(RunError::new("orm_save expects a list of values"));
                 };
@@ -1095,23 +1060,22 @@ impl<'p> Interp<'p> {
                     let f = self.force(v.clone())?;
                     sql_vals.push(f.to_sql());
                 }
-                sqlgen::insert_row(&def, &sql_vals)
+                sqlgen::insert_row(def, &sql_vals)
             }
-            "orm_update" => {
+            WriteFn::OrmUpdate => {
                 let entity = self.string_arg(args.remove(0))?;
                 let id = self.force(args.remove(0))?;
                 let col = self.string_arg(args.remove(0))?;
                 let v = self.force(args.remove(0))?;
-                let def = self.entity_def(&entity)?;
-                sqlgen::update_field(&def, &id.to_sql(), &col, &v.to_sql())
+                let def = entity_def(&schema, &entity)?;
+                sqlgen::update_field(def, &id.to_sql(), &col, &v.to_sql())
             }
-            "orm_delete" => {
+            WriteFn::OrmDelete => {
                 let entity = self.string_arg(args.remove(0))?;
                 let id = self.force(args.remove(0))?;
-                let def = self.entity_def(&entity)?;
-                sqlgen::delete_by_pk(&def, &id.to_sql())
+                let def = entity_def(&schema, &entity)?;
+                sqlgen::delete_by_pk(def, &id.to_sql())
             }
-            other => return Err(RunError::new(format!("unknown write builtin {other}"))),
         };
         // In Sloth mode a write registers with the store (§3.3): a
         // conflicting write (or barrier) drains the batch on the spot,
@@ -1139,52 +1103,44 @@ impl<'p> Interp<'p> {
 
     /// Original-mode eager prefetch at `orm_find` (§1: the "eager" strategy
     /// fetches associated collections whether used or not).
-    fn std_prefetch_eager(&mut self, entity: &str, e: &V) -> Result<(), RunError> {
-        let def = self.entity_def(entity)?;
-        let eager: Vec<String> = def
-            .assocs
-            .iter()
-            .filter(|a| a.strategy == FetchStrategy::Eager)
-            .map(|a| a.name.clone())
-            .collect();
-        for name in eager {
-            let items = self.fetch_assoc_now(e, entity, &name)?;
-            if let V::Obj(o) = e {
-                o.borrow_mut().insert(format!("__assoc_{name}"), items);
+    fn std_prefetch_eager(&mut self, def: &EntityDef, e: &V) -> Result<(), RunError> {
+        for a in &def.assocs {
+            if a.strategy == FetchStrategy::Eager {
+                let items = self.fetch_assoc_now(e, def, a)?;
+                if let V::Obj(o) = e {
+                    o.borrow_mut().insert(format!("__assoc_{}", a.name), items);
+                }
             }
         }
         Ok(())
     }
 
-    fn orm_assoc(&mut self, owner: V, assoc: &str, lazy: bool) -> Result<V, RunError> {
+    fn orm_assoc(
+        &mut self,
+        schema: &Schema,
+        owner: V,
+        assoc: &str,
+        lazy: bool,
+    ) -> Result<V, RunError> {
         let V::Obj(o) = &owner else {
             return Err(RunError::new(format!("orm_assoc on non-entity {owner:?}")));
         };
-        let entity = {
-            let b = o.borrow();
-            match b.get("__entity") {
-                Some(V::Str(s)) => s.to_string(),
-                _ => return Err(RunError::new("orm_assoc on non-entity object")),
-            }
+        let entity = match o.borrow().get("__entity") {
+            Some(V::Str(s)) => Rc::clone(s),
+            _ => return Err(RunError::new("orm_assoc on non-entity object")),
         };
         let memo_key = format!("__assoc_{assoc}");
         if let Some(cached) = o.borrow().get(&memo_key).cloned() {
             return Ok(cached);
         }
-        let def = self.entity_def(&entity)?;
-        let a = def
-            .assoc(assoc)
-            .ok_or_else(|| RunError::new(format!("no assoc {assoc} on {entity}")))?
-            .clone();
-        let key = match &a.kind {
-            AssocKind::OneToMany { .. } => self.read_field(&owner, &def.pk)?,
-            AssocKind::ManyToOne { fk_column } => self.read_field(&owner, fk_column)?,
-        };
-        let key = self.force(key)?;
+        let def = entity_def(schema, &entity)?;
+        let a = assoc_def(def, assoc)?;
+        let key = self.assoc_key(&owner, def, a)?;
         let (sql, target, many) = self.data.assoc_sql(&entity, assoc, &key.to_sql())?;
         let result = if lazy {
             // Sloth: register now (the owner is already materialized),
             // defer deserialization (§3.3).
+            let target = Rc::from(target);
             let deser = if many {
                 Deser::EntityList(target)
             } else {
@@ -1199,38 +1155,26 @@ impl<'p> Interp<'p> {
             V::Obj(Rc::new(RefCell::new(fields)))
         } else {
             let rs = self.data.read_now(&sql)?;
-            if many {
-                rs_to_entities(&target, &rs)
-            } else if rs.is_empty() {
-                V::Null
-            } else {
-                row_to_entity(&target, &rs, 0)
-            }
+            entities_of(&target, &rs, many)
         };
         o.borrow_mut().insert(memo_key, result.clone());
         Ok(result)
     }
 
-    fn fetch_assoc_now(&mut self, owner: &V, entity: &str, assoc: &str) -> Result<V, RunError> {
-        let def = self.entity_def(entity)?;
-        let a = def
-            .assoc(assoc)
-            .ok_or_else(|| RunError::new(format!("no assoc {assoc} on {entity}")))?
-            .clone();
+    fn fetch_assoc_now(&mut self, owner: &V, def: &EntityDef, a: &AssocDef) -> Result<V, RunError> {
+        let key = self.assoc_key(owner, def, a)?;
+        let (sql, target, many) = self.data.assoc_sql(&def.name, &a.name, &key.to_sql())?;
+        let rs = self.data.read_now(&sql)?;
+        Ok(entities_of(&target, &rs, many))
+    }
+
+    /// The owner-side key an association is fetched by, forced.
+    fn assoc_key(&mut self, owner: &V, def: &EntityDef, a: &AssocDef) -> Result<V, RunError> {
         let key = match &a.kind {
             AssocKind::OneToMany { .. } => self.read_field(owner, &def.pk)?,
             AssocKind::ManyToOne { fk_column } => self.read_field(owner, fk_column)?,
         };
-        let key = self.force(key)?;
-        let (sql, target, many) = self.data.assoc_sql(entity, assoc, &key.to_sql())?;
-        let rs = self.data.read_now(&sql)?;
-        Ok(if many {
-            rs_to_entities(&target, &rs)
-        } else if rs.is_empty() {
-            V::Null
-        } else {
-            row_to_entity(&target, &rs, 0)
-        })
+        self.force(key)
     }
 
     fn materialize_proxy(&mut self, o: &Rc<RefCell<BTreeMap<String, V>>>) -> Result<V, RunError> {
@@ -1256,18 +1200,10 @@ impl<'p> Interp<'p> {
         Ok(items)
     }
 
-    fn entity_def(&self, name: &str) -> Result<sloth_orm::EntityDef, RunError> {
-        self.data
-            .schema
-            .entity(name)
-            .cloned()
-            .ok_or_else(|| RunError::new(format!("unknown entity {name}")))
-    }
-
-    fn string_arg(&mut self, v: V) -> Result<String, RunError> {
+    fn string_arg(&mut self, v: V) -> Result<Rc<str>, RunError> {
         let v = self.force(v)?;
         match v {
-            V::Str(s) => Ok(s.to_string()),
+            V::Str(s) => Ok(s),
             other => Err(RunError::new(format!("expected string, got {other:?}"))),
         }
     }
@@ -1322,6 +1258,76 @@ impl<'p> Interp<'p> {
     }
 }
 
+/// A strict operand that is an integer where it lies: a literal, or a slot
+/// holding one. `None` sends the caller down the general path.
+fn int_atom(e: &RExpr, frame: &Frame) -> Option<i64> {
+    match e {
+        RExpr::Lit(Lit::Int(i)) => Some(*i),
+        RExpr::Slot(slot) => match frame.vals[*slot as usize] {
+            Some(V::Int(i)) => Some(i),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Applies `op` to two integers. Ordering goes through `f64` exactly as
+/// [`compare`] orders any two numbers.
+fn int_binop(op: BinOp, x: i64, y: i64) -> Result<V, RunError> {
+    use BinOp::*;
+    let ord = || (x as f64).total_cmp(&(y as f64));
+    Ok(match op {
+        Add => V::Int(x.wrapping_add(y)),
+        Sub => V::Int(x.wrapping_sub(y)),
+        Mul => V::Int(x.wrapping_mul(y)),
+        Div if y == 0 => return Err(RunError::new("division by zero")),
+        Div => V::Int(x / y),
+        Mod if y == 0 => return Err(RunError::new("modulo by zero")),
+        Mod => V::Int(x % y),
+        Eq => V::Bool(x == y),
+        Ne => V::Bool(x != y),
+        Lt => V::Bool(ord().is_lt()),
+        Le => V::Bool(ord().is_le()),
+        Gt => V::Bool(ord().is_gt()),
+        Ge => V::Bool(ord().is_ge()),
+        And => V::Bool(x != 0 && y != 0),
+        Or => V::Bool(x != 0 || y != 0),
+    })
+}
+
+/// Applies `op` to a forced value.
+fn unop(op: UnOp, a: &V) -> Result<V, RunError> {
+    match (op, a) {
+        (UnOp::Not, a) => Ok(V::Bool(!a.truthy())),
+        (UnOp::Neg, V::Int(i)) => Ok(V::Int(-i)),
+        (UnOp::Neg, V::Float(f)) => Ok(V::Float(-f)),
+        (UnOp::Neg, other) => Err(RunError::new(format!("cannot negate {other:?}"))),
+    }
+}
+
+fn entity_def<'s>(schema: &'s Schema, name: &str) -> Result<&'s EntityDef, RunError> {
+    schema
+        .entity(name)
+        .ok_or_else(|| RunError::new(format!("unknown entity {name}")))
+}
+
+fn assoc_def<'s>(def: &'s EntityDef, assoc: &str) -> Result<&'s AssocDef, RunError> {
+    def.assoc(assoc)
+        .ok_or_else(|| RunError::new(format!("no assoc {assoc} on {}", def.name)))
+}
+
+/// An association's fetched rows as its value: a list for a collection,
+/// one entity or `null` otherwise.
+fn entities_of(target: &str, rs: &ResultSet, many: bool) -> V {
+    if many {
+        rs_to_entities(target, rs)
+    } else if rs.is_empty() {
+        V::Null
+    } else {
+        row_to_entity(target, rs, 0)
+    }
+}
+
 fn lit_to_v(l: &Lit) -> V {
     match l {
         Lit::Null => V::Null,
@@ -1346,18 +1352,6 @@ fn int(v: &V) -> Result<i64, RunError> {
         V::Int(i) => Ok(*i),
         V::Float(f) => Ok(*f as i64),
         other => Err(RunError::new(format!("expected int, got {other:?}"))),
-    }
-}
-
-fn arith(
-    a: &V,
-    b: &V,
-    f_int: impl Fn(i64, i64) -> i64,
-    f_float: impl Fn(f64, f64) -> f64,
-) -> Result<V, RunError> {
-    match (a, b) {
-        (V::Int(x), V::Int(y)) => Ok(V::Int(f_int(*x, *y))),
-        _ => Ok(V::Float(f_float(num(a)?, num(b)?))),
     }
 }
 

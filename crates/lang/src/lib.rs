@@ -11,6 +11,8 @@
 //!   §4.2 deferrability.
 //! * [`opt`] — branch deferral and thunk coalescing transforms plus the
 //!   [`opt::OptFlags`] switchboard of Fig. 12.
+//! * `resolve` — the last pass: names bound to frame slots, builtins,
+//!   function and block indices; the only form the evaluator walks.
 //! * [`interp`] — the standard evaluator (original application) and the
 //!   extended-lazy evaluator (Sloth-compiled application) of §3.8, sharing
 //!   the ORM data layer so both generate identical SQL.
@@ -45,6 +47,7 @@ pub mod builtins;
 pub mod interp;
 pub mod opt;
 pub mod parser;
+mod resolve;
 pub mod runtime;
 pub mod simplify;
 pub mod value;

@@ -11,6 +11,10 @@ use std::rc::Rc;
 
 use sloth_sql::ResultSet;
 
+use crate::ast::{BinOp, UnOp};
+use crate::builtins::PureFn;
+use crate::resolve::Slot;
+
 /// A runtime value.
 #[derive(Clone)]
 pub enum V {
@@ -35,7 +39,7 @@ pub enum V {
 }
 
 /// State of a lazy value.
-pub enum LazyState {
+pub(crate) enum LazyState {
     /// Evaluated, memoized.
     Done(V),
     /// Not yet evaluated; the payload is interpreted by the lazy
@@ -46,15 +50,14 @@ pub enum LazyState {
 }
 
 /// What a pending thunk will do when forced. The lazy interpreter constructs
-/// and consumes these; they are defined here so `V` can embed them.
-pub enum Pending {
-    /// Evaluate `expr` under the captured variable snapshot.
-    Expr {
-        /// Captured free variables (by value — the paper's thunk env σ).
-        env: Vec<(String, V)>,
-        /// The delayed expression.
-        expr: Rc<crate::ast::Expr>,
-    },
+/// and consumes these; they are defined here so `V` can embed them. Code is
+/// named by index into the compiled page ([`crate::resolve`]), so a value
+/// borrows nothing from it.
+pub(crate) enum Pending {
+    /// Apply a binary operator to two captured (possibly thunked) operands.
+    Binary(BinOp, V, V),
+    /// Apply a unary operator to a captured (possibly thunked) operand.
+    Unary(UnOp, V),
     /// Fetch a registered query's result from the query store and
     /// deserialize it.
     Query {
@@ -69,52 +72,58 @@ pub enum Pending {
     Block {
         /// The shared block driver (one per deferred region).
         driver: Rc<BlockDriver>,
-        /// Which output this projection reads (`None` = drive only).
-        output: Option<String>,
+        /// Which of the block's outputs this projection reads (`None` =
+        /// drive only).
+        output: Option<usize>,
     },
     /// Call of a pure user function with already-evaluated (possibly
     /// thunked) arguments.
     Call {
-        /// Function name.
-        func: String,
+        /// Index of the function in the compiled page.
+        func: u32,
+        /// Argument values.
+        args: Vec<V>,
+    },
+    /// Call of a pure builtin with already-evaluated arguments.
+    Builtin {
+        /// The builtin.
+        func: PureFn,
         /// Argument values.
         args: Vec<V>,
     },
 }
 
-/// Shared state of one deferred statement block (§4.2–4.3): the captured
-/// environment, the statements, and the output values once driven.
-pub struct BlockDriver {
-    /// Captured variable snapshot (the thunk environment σ).
-    pub env: Vec<(String, V)>,
-    /// The deferred statements.
-    pub body: Rc<Vec<crate::ast::Stmt>>,
-    /// Names of output variables collected after the driver run.
-    pub outputs: Vec<String>,
-    /// `None` until the block has run; then the output variable values.
-    pub results: RefCell<Option<BTreeMap<String, V>>>,
+/// Shared state of one deferred statement block (§4.2–4.3): which block,
+/// the captured environment, and the output values once driven.
+pub(crate) struct BlockDriver {
+    /// Index of the block in the compiled page.
+    pub block: u32,
+    /// Captured variable snapshot (the thunk environment σ), by slot.
+    pub captured: Vec<(Slot, V)>,
+    /// `None` until the block has run; then the value of each output, in
+    /// the block's output order.
+    pub results: RefCell<Option<Vec<V>>>,
 }
 
 /// Deserialization applied to a fetched result set.
-#[derive(Clone)]
-pub enum Deser {
+pub(crate) enum Deser {
     /// Keep the raw result set.
     Raw,
     /// Single entity (or null) of the named entity type.
-    EntityOpt(String),
+    EntityOpt(Rc<str>),
     /// List of entities of the named entity type.
-    EntityList(String),
+    EntityList(Rc<str>),
     /// Scalar from row 0, column 0 (aggregates).
     Scalar,
 }
 
 /// A shared, memoizing lazy cell (clones share the cell).
 #[derive(Clone)]
-pub struct LazyVal(pub Rc<RefCell<LazyState>>);
+pub struct LazyVal(pub(crate) Rc<RefCell<LazyState>>);
 
 impl LazyVal {
     /// Wraps a pending computation.
-    pub fn pending(p: Pending) -> Self {
+    pub(crate) fn pending(p: Pending) -> Self {
         LazyVal(Rc::new(RefCell::new(LazyState::Pending(p))))
     }
 
