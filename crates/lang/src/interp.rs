@@ -463,48 +463,39 @@ impl<'p> Interp<'p> {
                 let i = self.force(i)?;
                 self.read_index(&b, &i)?
             }
-            RExpr::Binary(op, a, b) => {
-                if lazy {
-                    // Short-circuit operators force their left side (control
-                    // dependence); everything else becomes a thunk.
-                    match op {
-                        BinOp::And | BinOp::Or => {
-                            let l = self.eval(a, frame, lazy)?;
-                            let l = self.force(l)?;
-                            let take_right = match op {
-                                BinOp::And => l.truthy(),
-                                _ => !l.truthy(),
-                            };
-                            if take_right {
-                                let r = self.eval(b, frame, lazy)?;
-                                let r = self.force(r)?;
-                                V::Bool(r.truthy())
-                            } else {
-                                V::Bool(matches!(op, BinOp::Or))
-                            }
-                        }
-                        _ => {
-                            let va = self.eval(a, frame, lazy)?;
-                            let vb = self.eval(b, frame, lazy)?;
-                            self.alloc_thunk(Pending::Binary(*op, va, vb))
-                        }
-                    }
+            RExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+                // Short-circuit operators force their left side (control
+                // dependence) and evaluate the right one only when the left
+                // does not decide — under both semantics.
+                let l = self.eval(a, frame, lazy)?;
+                let l = self.force(l)?;
+                if l.truthy() == matches!(op, BinOp::And) {
+                    let r = self.eval(b, frame, lazy)?;
+                    let r = self.force(r)?;
+                    V::Bool(r.truthy())
                 } else {
-                    // Integer atoms — the template loops' operands after
-                    // §3.1 flattening — are read where they lie; the two
-                    // operations counted are the ones evaluating them
-                    // would have counted.
-                    if let (Some(x), Some(y)) = (int_atom(a, frame), int_atom(b, frame)) {
-                        self.counters.std_ops += 2;
-                        return int_binop(*op, x, y);
-                    }
-                    let va = self.eval(a, frame, lazy)?;
-                    let vb = self.eval(b, frame, lazy)?;
-                    // A call's result is not forced by `eval`.
-                    let va = self.force(va)?;
-                    let vb = self.force(vb)?;
-                    self.binop(*op, &va, &vb)?
+                    V::Bool(matches!(op, BinOp::Or))
                 }
+            }
+            RExpr::Binary(op, a, b) if lazy => {
+                let va = self.eval(a, frame, lazy)?;
+                let vb = self.eval(b, frame, lazy)?;
+                self.alloc_thunk(Pending::Binary(*op, va, vb))
+            }
+            RExpr::Binary(op, a, b) => {
+                // Integer atoms — the template loops' operands after §3.1
+                // flattening — are read where they lie; the two operations
+                // counted are the ones evaluating them would have counted.
+                if let (Some(x), Some(y)) = (int_atom(a, frame), int_atom(b, frame)) {
+                    self.counters.std_ops += 2;
+                    return int_binop(*op, x, y);
+                }
+                let va = self.eval(a, frame, lazy)?;
+                let vb = self.eval(b, frame, lazy)?;
+                // A call's result is not forced by `eval`.
+                let va = self.force(va)?;
+                let vb = self.force(vb)?;
+                self.binop(*op, &va, &vb)?
             }
             RExpr::Unary(op, a) => {
                 let va = self.eval(a, frame, lazy)?;

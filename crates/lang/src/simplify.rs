@@ -112,16 +112,21 @@ impl Ctx {
             }
             Expr::Binary(op, a, b) => {
                 // Short-circuit operators keep their right operand nested:
-                // hoisting it would change evaluation semantics.
+                // hoisting it would change evaluation semantics. It is
+                // flattened only when that needs no statements; otherwise
+                // its temporaries would have nowhere conditional to live,
+                // so it stays as written (the evaluators recurse fine —
+                // flattening is an optimization).
                 if matches!(op, BinOp::And | BinOp::Or) {
                     let a = self.atomize(a, out);
                     let mut rhs_stmts = Vec::new();
-                    let b = self.flatten(b, &mut rhs_stmts);
-                    if rhs_stmts.is_empty() {
-                        return Expr::Binary(*op, Box::new(a), Box::new(b));
-                    }
-                    // Conservative: leave the original nested form.
-                    return Expr::Binary(*op, Box::new(a), Box::new(e_sub(b, rhs_stmts)));
+                    let flat = self.flatten(b, &mut rhs_stmts);
+                    let b = if rhs_stmts.is_empty() {
+                        flat
+                    } else {
+                        (**b).clone()
+                    };
+                    return Expr::Binary(*op, Box::new(a), Box::new(b));
                 }
                 let a = self.atomize(a, out);
                 let b = self.atomize(b, out);
@@ -164,17 +169,17 @@ impl Ctx {
     }
 }
 
-/// Helper for the conservative short-circuit case: no nested-statement
-/// expression node exists, so we simply re-nest (the lazy interpreter
-/// evaluates nested expressions fine; flattening is an optimization).
-fn e_sub(e: Expr, _stmts: Vec<Stmt>) -> Expr {
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::{parse_block, parse_program};
+
+    fn parse_rhs(src: &str) -> Expr {
+        match parse_block(&format!("let r = {src};")).unwrap().remove(0) {
+            Stmt::Let(_, e) => e,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
 
     fn simplify_src(src: &str) -> Vec<Stmt> {
         let mut ctx = Ctx { next_temp: 0 };
@@ -243,6 +248,25 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn compound_right_operand_of_short_circuit_stays_nested() {
+        // `x.f > 0` would need `__t = x.f` hoisted above the `&&`, where it
+        // would run even when `x` is null: the operand stays as written,
+        // and no statement defines a temporary it does not use.
+        let stmts = simplify_src("let ok = x != null && x.f > 0;");
+        assert_eq!(stmts.len(), 2, "{stmts:?}");
+        match &stmts[1] {
+            Stmt::Let(_, Expr::Binary(BinOp::And, l, r)) => {
+                assert_eq!(**l, Expr::Var("__t0".into()));
+                assert_eq!(**r, parse_rhs("x.f > 0"));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // A right operand that flattens without statements still does.
+        let stmts = simplify_src("let ok = a && f(b);");
+        assert_eq!(stmts.len(), 1, "{stmts:?}");
     }
 
     #[test]

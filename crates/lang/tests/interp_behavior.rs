@@ -746,3 +746,45 @@ fn loop_carried_write_sql_blocks_branch_deferral() {
     let (o, s) = run_both(src);
     assert_eq!(o.output, s.output);
 }
+
+// ---------------------------------------------------------------------
+// Short-circuit operators (§3.1 flattening + both evaluators).
+// ---------------------------------------------------------------------
+
+fn run_as(src: &str, strategy: ExecStrategy) -> Result<RunResult, sloth_lang::RunError> {
+    let schema = clinic_schema();
+    let env = clinic_env(&schema);
+    run_source(src, &env, schema, strategy, vec![])
+}
+
+fn all_strategies() -> [ExecStrategy; 3] {
+    [
+        ExecStrategy::Original,
+        ExecStrategy::Sloth(OptFlags::all()),
+        ExecStrategy::Sloth(OptFlags::none()),
+    ]
+}
+
+#[test]
+fn compound_right_operand_is_evaluated_only_when_the_left_does_not_decide() {
+    // The right operand needs a temporary (`x.f`), so §3.1 must keep it
+    // nested; and it reads a field of `x`, so evaluating it when `x` is
+    // null is an error under any semantics that does not short-circuit.
+    let page = |x: &str| {
+        format!(
+            r#"fn main() {{
+                let r = query("SELECT name FROM patient WHERE patient_id = 1");
+                let x = {x};
+                if (x != null && x.f > 0) {{ print("a"); }} else {{ print("b"); }}
+                if (x == null || x.f > 0) {{ print("c"); }} else {{ print("d"); }}
+            }}"#
+        )
+    };
+    for strategy in all_strategies() {
+        let null = run_as(&page("null"), strategy).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        assert_eq!(null.output, ["b", "c"], "{strategy:?}");
+        let obj =
+            run_as(&page("new { f: 1 }"), strategy).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        assert_eq!(obj.output, ["a", "c"], "{strategy:?}");
+    }
+}
