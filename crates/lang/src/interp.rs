@@ -778,7 +778,7 @@ impl<'p> Interp<'p> {
             }
             PureFn::LenStr => V::Int(self.display(arg(0))?.chars().count() as i64),
             PureFn::Abs => match arg(0) {
-                V::Int(i) => V::Int(i.abs()),
+                V::Int(i) => V::Int(i.wrapping_abs()),
                 V::Float(f) => V::Float(f.abs()),
                 other => return Err(RunError::new(format!("abs of {other:?}"))),
             },
@@ -956,11 +956,7 @@ impl<'p> Interp<'p> {
             QueryFn::Query => {
                 let sql = self.force(args.remove(0))?;
                 let sql = self.display(&sql)?;
-                if lazy {
-                    self.register_thunk(&sql, Deser::Raw)
-                } else {
-                    Ok(V::Rs(Rc::new(self.data.read_now(&sql)?)))
-                }
+                self.read(&sql, Deser::Raw, lazy)
             }
             QueryFn::OrmFind => {
                 let entity = self.string_arg(args.remove(0))?;
@@ -990,23 +986,13 @@ impl<'p> Interp<'p> {
                 let v = self.force(args.remove(0))?;
                 let def = entity_def(&schema, &entity)?;
                 let sql = sqlgen::select_where_eq(def, &col, &v.to_sql());
-                if lazy {
-                    self.register_thunk(&sql, Deser::EntityList(entity))
-                } else {
-                    let rs = self.data.read_now(&sql)?;
-                    Ok(rs_to_entities(&entity, &rs))
-                }
+                self.read(&sql, Deser::EntityList(entity), lazy)
             }
             QueryFn::OrmFindAll => {
                 let entity = self.string_arg(args.remove(0))?;
                 let def = entity_def(&schema, &entity)?;
                 let sql = sqlgen::select_all(def);
-                if lazy {
-                    self.register_thunk(&sql, Deser::EntityList(entity))
-                } else {
-                    let rs = self.data.read_now(&sql)?;
-                    Ok(rs_to_entities(&entity, &rs))
-                }
+                self.read(&sql, Deser::EntityList(entity), lazy)
             }
             QueryFn::OrmCountWhere => {
                 let entity = self.string_arg(args.remove(0))?;
@@ -1014,17 +1000,7 @@ impl<'p> Interp<'p> {
                 let v = self.force(args.remove(0))?;
                 let def = entity_def(&schema, &entity)?;
                 let sql = sqlgen::count_where_eq(def, &col, &v.to_sql());
-                if lazy {
-                    self.register_thunk(&sql, Deser::Scalar)
-                } else {
-                    let rs = self.data.read_now(&sql)?;
-                    Ok(rs
-                        .rows
-                        .first()
-                        .and_then(|r| r.first())
-                        .map(V::from_sql)
-                        .unwrap_or(V::Null))
-                }
+                self.read(&sql, Deser::Scalar, lazy)
             }
         }
     }
@@ -1086,6 +1062,16 @@ impl<'p> Interp<'p> {
         Ok(V::Null)
     }
 
+    /// One read: registered now and deserialized when forced under lazy
+    /// semantics (§3.3), a round trip on the spot under standard ones.
+    fn read(&mut self, sql: &str, deser: Deser, lazy: bool) -> Result<V, RunError> {
+        if lazy {
+            self.register_thunk(sql, deser)
+        } else {
+            Ok(deserialize(&deser, self.data.read_now(sql)?))
+        }
+    }
+
     fn register_thunk(&mut self, sql: &str, deser: Deser) -> Result<V, RunError> {
         let id = self.data.register(sql)?;
         self.counters.queries_registered += 1;
@@ -1128,25 +1114,16 @@ impl<'p> Interp<'p> {
         let a = assoc_def(def, assoc)?;
         let key = self.assoc_key(&owner, def, a)?;
         let (sql, target, many) = self.data.assoc_sql(&entity, assoc, &key.to_sql())?;
-        let result = if lazy {
-            // Sloth: register now (the owner is already materialized),
-            // defer deserialization (§3.3).
-            let target = Rc::from(target);
-            let deser = if many {
-                Deser::EntityList(target)
-            } else {
-                Deser::EntityOpt(target)
-            };
-            self.register_thunk(&sql, deser)?
-        } else if many && a.strategy == FetchStrategy::Lazy {
+        let result = if !lazy && many && a.strategy == FetchStrategy::Lazy {
             // Hibernate collection proxy: no query until element access.
             let mut fields = BTreeMap::new();
             fields.insert("__proxy_sql".to_string(), V::str(&sql));
             fields.insert("__proxy_entity".to_string(), V::str(&target));
             V::Obj(Rc::new(RefCell::new(fields)))
         } else {
-            let rs = self.data.read_now(&sql)?;
-            entities_of(&target, &rs, many)
+            // Sloth: register now (the owner is already materialized),
+            // defer deserialization (§3.3).
+            self.read(&sql, assoc_deser(target, many), lazy)?
         };
         o.borrow_mut().insert(memo_key, result.clone());
         Ok(result)
@@ -1155,8 +1132,7 @@ impl<'p> Interp<'p> {
     fn fetch_assoc_now(&mut self, owner: &V, def: &EntityDef, a: &AssocDef) -> Result<V, RunError> {
         let key = self.assoc_key(owner, def, a)?;
         let (sql, target, many) = self.data.assoc_sql(&def.name, &a.name, &key.to_sql())?;
-        let rs = self.data.read_now(&sql)?;
-        Ok(entities_of(&target, &rs, many))
+        self.read(&sql, assoc_deser(target, many), false)
     }
 
     /// The owner-side key an association is fetched by, forced.
@@ -1272,15 +1248,16 @@ fn int_binop(op: BinOp, x: i64, y: i64) -> Result<V, RunError> {
         Sub => V::Int(x.wrapping_sub(y)),
         Mul => V::Int(x.wrapping_mul(y)),
         Div if y == 0 => return Err(RunError::new("division by zero")),
-        Div => V::Int(x / y),
+        Div => V::Int(x.wrapping_div(y)),
         Mod if y == 0 => return Err(RunError::new("modulo by zero")),
-        Mod => V::Int(x % y),
+        Mod => V::Int(x.wrapping_rem(y)),
         Eq => V::Bool(x == y),
         Ne => V::Bool(x != y),
         Lt => V::Bool(ord().is_lt()),
         Le => V::Bool(ord().is_le()),
         Gt => V::Bool(ord().is_gt()),
         Ge => V::Bool(ord().is_ge()),
+        // `eval` short-circuits these before any operand pair gets here.
         And => V::Bool(x != 0 && y != 0),
         Or => V::Bool(x != 0 || y != 0),
     })
@@ -1290,7 +1267,7 @@ fn int_binop(op: BinOp, x: i64, y: i64) -> Result<V, RunError> {
 fn unop(op: UnOp, a: &V) -> Result<V, RunError> {
     match (op, a) {
         (UnOp::Not, a) => Ok(V::Bool(!a.truthy())),
-        (UnOp::Neg, V::Int(i)) => Ok(V::Int(-i)),
+        (UnOp::Neg, V::Int(i)) => Ok(V::Int(i.wrapping_neg())),
         (UnOp::Neg, V::Float(f)) => Ok(V::Float(-f)),
         (UnOp::Neg, other) => Err(RunError::new(format!("cannot negate {other:?}"))),
     }
@@ -1307,15 +1284,13 @@ fn assoc_def<'s>(def: &'s EntityDef, assoc: &str) -> Result<&'s AssocDef, RunErr
         .ok_or_else(|| RunError::new(format!("no assoc {assoc} on {}", def.name)))
 }
 
-/// An association's fetched rows as its value: a list for a collection,
-/// one entity or `null` otherwise.
-fn entities_of(target: &str, rs: &ResultSet, many: bool) -> V {
+/// How an association's rows deserialize: a list for a collection, one
+/// entity or `null` otherwise.
+fn assoc_deser(target: String, many: bool) -> Deser {
     if many {
-        rs_to_entities(target, rs)
-    } else if rs.is_empty() {
-        V::Null
+        Deser::EntityList(target.into())
     } else {
-        row_to_entity(target, rs, 0)
+        Deser::EntityOpt(target.into())
     }
 }
 

@@ -788,3 +788,159 @@ fn compound_right_operand_is_evaluated_only_when_the_left_does_not_decide() {
         assert_eq!(obj.output, ["a", "c"], "{strategy:?}");
     }
 }
+
+#[test]
+fn integer_overflow_wraps_instead_of_panicking() {
+    // `i64::MIN / -1`, `i64::MIN % -1`, `-i64::MIN` and `abs(i64::MIN)`
+    // overflow; like `+`, `-` and `*` they wrap. Division by zero stays
+    // the typed error.
+    let src = r#"fn main() {
+        let min = 0 - 9223372036854775807 - 1;
+        let m1 = 0 - 1;
+        print(str(min / m1));
+        print(str(min % m1));
+        print(str(-min));
+        print(str(abs(min)));
+    }"#;
+    let (o, s) = run_both(src);
+    let min = i64::MIN.to_string();
+    assert_eq!(o.output, [&min[..], "0", &min[..], &min[..]]);
+    assert_eq!(o.output, s.output);
+    for strategy in all_strategies() {
+        let e = run_as("fn main() { print(str(7 % (1 - 1))); }", strategy).unwrap_err();
+        assert_eq!(e.message, "modulo by zero", "{strategy:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Frames, names and thunks: what the evaluator promises about variables,
+// independent of how a frame is stored.
+// ---------------------------------------------------------------------
+
+#[test]
+fn let_is_function_scoped() {
+    // A `let` inside a loop body or a branch is readable after it.
+    let src = r#"fn main() {
+        let i = 0;
+        while (i < 3) { let last = i; i = i + 1; }
+        if (i == 3) { let seen = "yes"; }
+        print(str(last));
+        print(seen);
+    }"#;
+    for strategy in all_strategies() {
+        let r = run_as(src, strategy).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        assert_eq!(r.output, ["2", "yes"], "{strategy:?}");
+    }
+}
+
+#[test]
+fn never_assigned_variable_is_unbound_by_its_source_name() {
+    let src = r#"fn helper(a) { return a + missing_total; }
+                 fn main() { print(str(helper(1))); }"#;
+    for strategy in all_strategies() {
+        let e = run_as(src, strategy).unwrap_err();
+        assert_eq!(e.message, "unbound variable missing_total", "{strategy:?}");
+    }
+}
+
+#[test]
+fn each_call_gets_a_fresh_frame() {
+    // `acc` and `sub` are written by the callee's own activation before
+    // the caller reads its `acc` again; `seen` is never assigned in the
+    // activation that reads it, whatever a deeper one did.
+    let src = r#"
+        fn fact(n) {
+            let acc = n;
+            if (n > 1) { let sub = fact(n - 1); acc = acc * sub; }
+            return acc;
+        }
+        fn leak(n) {
+            if (n > 0) { let seen = n; return leak(n - 1); }
+            return seen;
+        }
+        fn main() { print(str(fact(6))); print(str(leak(2))); }
+    "#;
+    for strategy in all_strategies() {
+        let src_fact = src.replace("print(str(leak(2)));", "");
+        let r = run_as(&src_fact, strategy).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        assert_eq!(r.output, ["720"], "{strategy:?}");
+        let e = run_as(src, strategy).unwrap_err();
+        assert_eq!(e.message, "unbound variable seen", "{strategy:?}");
+    }
+}
+
+#[test]
+fn deferred_block_binds_its_own_variables_and_unassigned_outputs_read_null() {
+    // The branch defers whole (§4.2). `t` and `w` are mentioned by the
+    // block but unbound when it is created, and bound by running it; `z`
+    // is an output the taken arm never assigns, which reads `null` once
+    // the block has run (without deferral it would be unbound). The query
+    // makes `main` persistent, so selective compilation runs it lazily.
+    let src = r#"fn main() {
+        let unused = query("SELECT name FROM patient WHERE patient_id = 1");
+        let c = 0;
+        if (c > 0) { z = 1; } else { let t = 20; w = t + 1; }
+        print(str(w));
+        print(str(z));
+    }"#;
+    let r = run_as(src, ExecStrategy::Sloth(OptFlags::all())).expect("deferred branch runs");
+    assert_eq!(r.output, ["21", "null"]);
+    let e = run_as(src, ExecStrategy::Sloth(OptFlags::none())).unwrap_err();
+    assert_eq!(e.message, "unbound variable z");
+}
+
+#[test]
+fn forcing_a_delayed_operator_counts_itself_and_its_operands() {
+    // With every optimization off `main` runs lazily and each operator is
+    // its own thunk, so the only standard-semantics operations of the run
+    // are the ones forcing them counts: 3 per binary, 2 per unary.
+    let lazy = ExecStrategy::Sloth(OptFlags::none());
+    let ops = |src: &str| run_as(src, lazy).expect("runs").counters.std_ops;
+    assert_eq!(ops("fn main() { let a = 1; print(str(a)); }"), 0);
+    assert_eq!(
+        ops("fn main() { let a = 1; let b = a + 2; print(str(b)); }"),
+        3
+    );
+    assert_eq!(
+        ops("fn main() { let a = 1; let b = -a; print(str(b)); }"),
+        2
+    );
+    assert_eq!(
+        ops("fn main() { let a = 1; let b = !(a < 2); print(str(b)); }"),
+        5
+    );
+    // Never forced, never counted.
+    assert_eq!(ops("fn main() { let a = 1; let b = a + 2; }"), 0);
+}
+
+#[test]
+fn a_delayed_operator_forces_its_operands_left_to_right() {
+    let src = |l: &str, r: &str| {
+        format!(
+            "fn main() {{ let z = 0; let l = 1 {l} z; let r = 1 {r} z; let s = l + r; print(str(s)); }}"
+        )
+    };
+    let lazy = ExecStrategy::Sloth(OptFlags::none());
+    let e = run_as(&src("/", "%"), lazy).unwrap_err();
+    assert_eq!(e.message, "division by zero");
+    let e = run_as(&src("%", "/"), lazy).unwrap_err();
+    assert_eq!(e.message, "modulo by zero");
+}
+
+#[test]
+fn unknown_callee_fails_at_call_time_after_its_arguments() {
+    for strategy in all_strategies() {
+        // Not at `prepare` time: an untaken call is harmless.
+        let r = run_as(
+            r#"fn main() { if (1 > 2) { nope(1); } print("ok"); }"#,
+            strategy,
+        )
+        .unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        assert_eq!(r.output, ["ok"], "{strategy:?}");
+        let e = run_as("fn main() { nope(1, 2); }", strategy).unwrap_err();
+        assert_eq!(e.message, "unknown function nope", "{strategy:?}");
+        // The arguments are evaluated first: theirs is the error reported.
+        let e = run_as("fn main() { nope(1, missing_arg); }", strategy).unwrap_err();
+        assert_eq!(e.message, "unbound variable missing_arg", "{strategy:?}");
+    }
+}
