@@ -28,8 +28,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use sloth_net::{BatchRequest, CacheMode, Dispatcher, SimEnv};
 use sloth_sql::ast::ColumnType;
 use sloth_sql::{
-    is_write_sql, normalize, txn_boundary, Footprint, PostImage, ReadShape, ResultSet, SqlError,
-    TxnBoundary, TxnFootprint, Value,
+    Footprint, PostImage, ReadShape, ResultSet, SqlError, Stmt, StmtClass, TxnBoundary,
+    TxnFootprint, Value,
 };
 
 /// Identifier of a registered query; stable for the life of the store.
@@ -132,25 +132,6 @@ struct OpenTxn {
     fp: TxnFootprint,
 }
 
-/// In-batch dedup key: the normalized template plus its extracted literal
-/// parameters — so `SELECT v FROM t WHERE id = 1` and
-/// `select  v from t where ID = 1` collapse, while `… = 2` does not.
-/// SQL the normalizer cannot lex falls back to exact-string identity.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum DedupKey {
-    Template(String, Vec<Value>),
-    Raw(String),
-}
-
-impl DedupKey {
-    fn of(sql: &str) -> DedupKey {
-        match normalize(sql) {
-            Ok(n) => DedupKey::Template(n.template, n.params),
-            Err(_) => DedupKey::Raw(sql.to_string()),
-        }
-    }
-}
-
 /// What one registration did: the id, and whether the statement (a write)
 /// was left lingering in the pending batch instead of forcing a flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,16 +149,11 @@ pub struct Registration {
 /// One statement waiting in the pending batch.
 struct PendingStmt {
     id: QueryId,
-    sql: String,
-    /// Write / transaction-boundary classification (writes only linger
-    /// here when write deferral is on and their footprint commutes with
-    /// everything pending).
-    is_write: bool,
-    /// The statement's footprint — materialized only once deferral needs
-    /// it (a write is, or is about to be, pending), via the backend's
-    /// per-template cache; threaded through the flush into the batch
-    /// planner so the dispatched path never re-derives it.
-    fp: Option<Footprint>,
+    /// The statement. Writes only linger here when write deferral is on
+    /// and their footprint commutes with everything pending; whatever
+    /// registration learned about it (template, footprint) rides the
+    /// flush inside it.
+    stmt: Stmt,
     /// Serial of the silent transaction this statement belongs to, if any
     /// — flush admission keeps statements with the same tag together.
     txn: Option<u64>,
@@ -187,7 +163,10 @@ struct StoreInner {
     pending: Vec<PendingStmt>,
     /// Writes currently lingering in `pending` (deferred writes).
     pending_writes: usize,
-    pending_by_key: HashMap<DedupKey, QueryId>,
+    /// In-batch dedup: statements are equal by template + parameters, so
+    /// `SELECT v FROM t WHERE id = 1` and `select  v from t where ID = 1`
+    /// collapse while `… = 2` does not (see [`Stmt`]).
+    pending_by_key: HashMap<Stmt, QueryId>,
     results: HashMap<QueryId, Result<ResultSet, SqlError>>,
     /// Reads answered by overlaying deferred post-images on a pending
     /// base read (read-your-writes); resolved lazily in [`QueryStore::result`].
@@ -347,13 +326,13 @@ impl QueryStore {
     /// session) that otherwise force a write's empty result immediately
     /// and would undo the deferral doing so.
     pub fn register_stmt(&self, sql: impl Into<String>) -> Result<Registration, SqlError> {
-        let sql = sql.into();
-        let is_write = is_write_sql(&sql);
+        // The door: from here to the engine the text is a `Stmt`.
+        let stmt = Stmt::new(sql);
         // A degraded session gives up deferral entirely: every statement
         // ships as eagerly as possible on the solo path.
         let deferral = self.env().write_deferral_enabled() && !self.lock().degraded;
-        if !is_write {
-            return self.register_read(sql, deferral);
+        if !stmt.is_write() {
+            return self.register_read(stmt, deferral);
         }
         if deferral {
             // Transaction-scoped laziness: `BEGIN` and `COMMIT` are engine
@@ -361,8 +340,8 @@ impl QueryStore {
             // placeholder writes with empty footprints, opening/closing a
             // *silent transaction* whose interior statements union their
             // footprints and travel as one unit.
-            match txn_boundary(&sql) {
-                Some(TxnBoundary::Begin) => {
+            match stmt.class() {
+                StmtClass::Txn(TxnBoundary::Begin) => {
                     let mut inner = self.lock();
                     if inner.txn.is_none() {
                         let serial = inner.next_txn;
@@ -371,44 +350,34 @@ impl QueryStore {
                             serial,
                             fp: TxnFootprint::new(),
                         });
-                        return Ok(self.push_deferred(
-                            inner,
-                            sql,
-                            Footprint::default(),
-                            Some(serial),
-                        ));
+                        let placeholder = stmt.with_footprint(Footprint::default());
+                        return Ok(self.push_deferred(inner, placeholder, Some(serial)));
                     }
                     // Nested BEGIN: poison the open block back to the
                     // barrier semantics it had before this relaxation.
                     inner.txn = None;
-                    drop(inner);
                 }
-                Some(TxnBoundary::Commit | TxnBoundary::Rollback) => {
+                StmtClass::Txn(TxnBoundary::Commit | TxnBoundary::Rollback) => {
                     let mut inner = self.lock();
                     if let Some(t) = inner.txn.take() {
                         if !t.fp.poisoned() {
                             // Close silently: the whole block is deferred
                             // and rides the next forced flush together.
                             inner.stats.deferred_txns += 1;
-                            return Ok(self.push_deferred(
-                                inner,
-                                sql,
-                                Footprint::default(),
-                                Some(t.serial),
-                            ));
+                            let placeholder = stmt.with_footprint(Footprint::default());
+                            return Ok(self.push_deferred(inner, placeholder, Some(t.serial)));
                         }
                     }
-                    drop(inner);
                     // No open silent block (or a poisoned one): the
                     // boundary keeps its original barrier semantics.
                 }
-                None => {
+                _ => {
                     // Selective laziness (§3.5–3.6): a write whose
                     // footprint is disjoint from every pending write is
                     // *silent* — the batch executes in registration order,
                     // so pending reads still observe pre-write state — and
                     // it lingers in the batch instead of forcing a flush.
-                    let fp = self.env().footprint_of(&sql);
+                    let fp = self.env().footprint(&stmt);
                     if !fp.barrier {
                         let mut inner = self.lock();
                         if let Some(t) = inner.txn.as_mut() {
@@ -416,54 +385,49 @@ impl QueryStore {
                                 // In-txn writes defer unconditionally: the
                                 // block ships whole, in order, so in-batch
                                 // conflicts resolve exactly as serially.
-                                t.fp.absorb(&fp);
+                                t.fp.absorb(fp);
                                 let serial = t.serial;
-                                return Ok(self.push_deferred(inner, sql, fp, Some(serial)));
-                            }
-                        }
-                        // Pending statements need footprints to check
-                        // against; materialize the missing ones (cached
-                        // per template).
-                        for i in 0..inner.pending.len() {
-                            if inner.pending[i].fp.is_none() {
-                                let f = self.env().footprint_of(&inner.pending[i].sql);
-                                inner.pending[i].fp = Some(f);
+                                return Ok(self.push_deferred(inner, stmt, Some(serial)));
                             }
                         }
                         // Only pending WRITES gate deferral: a write after
                         // a conflicting read may linger, because batches
                         // execute in registration order (the read runs
                         // first server-side, observing pre-write state).
-                        let conflicts = inner.pending.iter().any(|p| {
-                            p.is_write && p.fp.as_ref().is_none_or(|pf| pf.conflicts_with(&fp))
-                        });
-                        if !conflicts {
-                            return Ok(self.push_deferred(inner, sql, fp, None));
+                        if !self.conflicts_with_pending_write(&inner.pending, fp) {
+                            return Ok(self.push_deferred(inner, stmt, None));
                         }
                         // Write-after-write conflict: it drains the batch
                         // exactly as the write-aware (PR 4) path would —
                         // joining it, one round trip.
                         inner.stats.conflict_drains += 1;
-                        drop(inner);
-                        return self
-                            .register_write_aware(sql, Some(fp))
-                            .map(|id| Registration {
-                                id,
-                                deferred: false,
-                            });
+                    } else {
+                        // Barriers (DDL, unparseable SQL) conflict with
+                        // everything: they poison any open silent block
+                        // and fall through to the write-aware
+                        // join-and-flush, draining any deferred writes
+                        // with them.
+                        self.lock().txn = None;
                     }
-                    // Barriers (DDL, unparseable SQL) conflict with
-                    // everything: they poison any open silent block and
-                    // fall through to the write-aware join-and-flush,
-                    // draining any deferred writes with them.
-                    self.lock().txn = None;
                 }
             }
         }
-        self.register_write_aware(sql, None).map(|id| Registration {
+        self.register_write_aware(stmt).map(|id| Registration {
             id,
             deferred: false,
         })
+    }
+
+    /// Whether `fp` conflicts with a write lingering in `pending` — the
+    /// one question deferral asks of the batch. Footprints are memoised in
+    /// the statements, so a pending write analyzed at its own registration
+    /// is not analyzed again.
+    fn conflicts_with_pending_write(&self, pending: &[PendingStmt], fp: &Footprint) -> bool {
+        pending.iter().any(|p| self.is_conflicting_write(p, fp))
+    }
+
+    fn is_conflicting_write(&self, p: &PendingStmt, fp: &Footprint) -> bool {
+        p.stmt.is_write() && self.env().footprint(&p.stmt).conflicts_with(fp)
     }
 
     /// Registers a deferred write (or transaction placeholder) into the
@@ -472,21 +436,14 @@ impl QueryStore {
     fn push_deferred(
         &self,
         mut inner: std::sync::MutexGuard<'_, StoreInner>,
-        sql: String,
-        fp: Footprint,
+        stmt: Stmt,
         txn: Option<u64>,
     ) -> Registration {
         inner.stats.registered += 1;
         inner.stats.deferred_writes += 1;
         let id = QueryId(inner.next_id);
         inner.next_id += 1;
-        inner.pending.push(PendingStmt {
-            id,
-            sql,
-            is_write: true,
-            fp: Some(fp),
-            txn,
-        });
+        inner.pending.push(PendingStmt { id, stmt, txn });
         inner.pending_writes += 1;
         inner.generation += 1;
         Registration { id, deferred: true }
@@ -494,8 +451,10 @@ impl QueryStore {
 
     /// The read registration path: dedup, read-your-writes rewriting,
     /// in-transaction lingering, and the conservative conflict drain.
-    fn register_read(&self, sql: String, deferral: bool) -> Result<Registration, SqlError> {
-        let key = DedupKey::of(&sql);
+    fn register_read(&self, stmt: Stmt, deferral: bool) -> Result<Registration, SqlError> {
+        // The dedup lookup hashes the statement's template: lex it here,
+        // outside the critical section.
+        stmt.norm();
         // What to do after leaving the critical section.
         enum After {
             Done(Registration),
@@ -508,21 +467,21 @@ impl QueryStore {
             Analyze {
                 base: QueryId,
                 generation: u64,
-                writes: Vec<String>,
+                writes: Vec<Stmt>,
             },
         }
         loop {
             let after = {
                 let mut inner = self.lock();
                 let in_txn = deferral && inner.txn.as_ref().is_some_and(|t| !t.fp.poisoned());
-                if let Some(&base) = inner.pending_by_key.get(&key) {
+                if let Some(&base) = inner.pending_by_key.get(&stmt) {
                     // Dedup hit candidate. Sound only when no deferred
                     // write positioned AFTER the base conflicts with the
                     // read — then both positions observe identical rows
                     // (batches execute in registration order).
-                    let mut conflicting: Vec<String> = Vec::new();
+                    let mut conflicting: Vec<Stmt> = Vec::new();
                     if deferral && inner.pending_writes > 0 {
-                        let f = self.env().footprint_of(&sql);
+                        let f = self.env().footprint(&stmt);
                         let base_pos = inner
                             .pending
                             .iter()
@@ -530,10 +489,8 @@ impl QueryStore {
                             .expect("dedup key maps to a pending statement");
                         conflicting = inner.pending[base_pos + 1..]
                             .iter()
-                            .filter(|p| {
-                                p.is_write && p.fp.as_ref().is_none_or(|w| w.conflicts_with(&f))
-                            })
-                            .map(|p| p.sql.clone())
+                            .filter(|p| self.is_conflicting_write(p, f))
+                            .map(|p| p.stmt.clone())
                             .collect();
                     }
                     if conflicting.is_empty() {
@@ -554,19 +511,16 @@ impl QueryStore {
                     // batch with deferred writes aboard when it provably
                     // cannot observe them — unless it is inside a silent
                     // transaction, which always lingers whole.
-                    let mut fp = None;
-                    let mut conflicts = false;
-                    if deferral && (inner.pending_writes > 0 || in_txn) {
-                        let f = self.env().footprint_of(&sql);
-                        conflicts = inner.pending.iter().any(|p| {
-                            p.is_write && p.fp.as_ref().is_none_or(|w| w.conflicts_with(&f))
-                        });
-                        fp = Some(f);
-                    }
+                    let conflicts = deferral
+                        && inner.pending_writes > 0
+                        && self.conflicts_with_pending_write(
+                            &inner.pending,
+                            self.env().footprint(&stmt),
+                        );
                     inner.stats.registered += 1;
                     let id = QueryId(inner.next_id);
                     inner.next_id += 1;
-                    inner.pending_by_key.insert(key.clone(), id);
+                    inner.pending_by_key.insert(stmt.clone(), id);
                     let txn_tag = if in_txn {
                         inner.txn.as_ref().map(|t| t.serial)
                     } else {
@@ -574,9 +528,7 @@ impl QueryStore {
                     };
                     inner.pending.push(PendingStmt {
                         id,
-                        sql: sql.clone(),
-                        is_write: false,
-                        fp: fp.clone(),
+                        stmt: stmt.clone(),
                         txn: txn_tag,
                     });
                     inner.generation += 1;
@@ -589,8 +541,8 @@ impl QueryStore {
                         // block drains in one in-order batch, so the read
                         // observes the txn's earlier writes exactly as the
                         // serial program would.
-                        if let (Some(t), Some(f)) = (inner.txn.as_mut(), fp.as_ref()) {
-                            t.fp.absorb(f);
+                        if let Some(t) = inner.txn.as_mut() {
+                            t.fp.absorb(self.env().footprint(&stmt));
                         }
                         After::Done(reg)
                     } else if conflicts {
@@ -615,7 +567,7 @@ impl QueryStore {
                     generation,
                     writes,
                 } => {
-                    let overlays = self.plan_rewrite(&sql, &writes);
+                    let overlays = self.plan_rewrite(&stmt, &writes);
                     let mut inner = self.lock();
                     if inner.generation != generation {
                         // Pending changed while we analyzed: start over.
@@ -644,7 +596,6 @@ impl QueryStore {
                     inner.stats.registered += 1;
                     let id = QueryId(inner.next_id);
                     inner.next_id += 1;
-                    let f = self.env().footprint_of(&sql);
                     let txn_tag = if in_txn {
                         inner.txn.as_ref().map(|t| t.serial)
                     } else {
@@ -652,15 +603,13 @@ impl QueryStore {
                     };
                     inner.pending.push(PendingStmt {
                         id,
-                        sql: sql.clone(),
-                        is_write: false,
-                        fp: Some(f.clone()),
+                        stmt: stmt.clone(),
                         txn: txn_tag,
                     });
                     inner.generation += 1;
                     if in_txn {
                         if let Some(t) = inner.txn.as_mut() {
-                            t.fp.absorb(&f);
+                            t.fp.absorb(self.env().footprint(&stmt));
                         }
                         return Ok(Registration {
                             id,
@@ -679,18 +628,18 @@ impl QueryStore {
         }
     }
 
-    /// Plans a read-your-writes rewrite for `sql` against the pending
+    /// Plans a read-your-writes rewrite for `read` against the pending
     /// deferred writes (in order) that conflict with it: `Some(overlays)`
     /// iff **every** write is a key-exact literal `UPDATE` whose
     /// post-image fully determines the read's rows. Values are coerced to
     /// the declared column type exactly as the engine's storage layer
     /// would, so the overlaid rows are byte-identical to a real drain.
     /// Runs without the store lock (parses + catalog reads).
-    fn plan_rewrite(&self, sql: &str, writes: &[String]) -> Option<Vec<(String, Value)>> {
-        let shape = ReadShape::of_sql(sql)?;
+    fn plan_rewrite(&self, read: &Stmt, writes: &[Stmt]) -> Option<Vec<(String, Value)>> {
+        let shape = ReadShape::of_sql(read.sql())?;
         let mut overlays = Vec::new();
-        for wsql in writes {
-            let post = PostImage::of_sql(wsql)?;
+        for write in writes {
+            let post = PostImage::of_sql(write.sql())?;
             if !shape.covered_by(&post) {
                 return None;
             }
@@ -709,23 +658,16 @@ impl QueryStore {
 
     /// The write-aware (PR 4) write path: the write joins the pending
     /// batch and the whole thing ships as ONE round trip.
-    fn register_write_aware(
-        &self,
-        sql: String,
-        fp: Option<Footprint>,
-    ) -> Result<QueryId, SqlError> {
+    fn register_write_aware(&self, stmt: Stmt) -> Result<QueryId, SqlError> {
         let (id, had_pending) = {
             let mut inner = self.lock();
             inner.stats.registered += 1;
             let had_pending = !inner.pending.is_empty();
             let id = QueryId(inner.next_id);
             inner.next_id += 1;
-            let is_write = true;
             inner.pending.push(PendingStmt {
                 id,
-                sql,
-                is_write,
-                fp,
+                stmt,
                 txn: None,
             });
             inner.pending_writes += 1;
@@ -838,31 +780,23 @@ impl QueryStore {
             // End of request: an unclosed silent transaction ships whole
             // (its members are tagged and travel together).
             inner.txn = None;
-            // The ride-along decision needs every footprint.
-            for i in 0..inner.pending.len() {
-                if inner.pending[i].fp.is_none() {
-                    let f = self.env().footprint_of(&inner.pending[i].sql);
-                    inner.pending[i].fp = Some(f);
-                }
-            }
             let n = inner.pending.len();
-            let mut ship = vec![false; n];
-            for (i, p) in inner.pending.iter().enumerate() {
-                if p.is_write || p.txn.is_some() {
-                    ship[i] = true;
-                }
-            }
+            let mut ship: Vec<bool> = inner
+                .pending
+                .iter()
+                .map(|p| p.stmt.is_write() || p.txn.is_some())
+                .collect();
             // Right to left: a kept read must not conflict with any LATER
             // shipping write, or the drain would reorder them.
-            let mut later_write_fps: Vec<Footprint> = Vec::new();
+            let mut later_write_fps: Vec<&Footprint> = Vec::new();
             for i in (0..n).rev() {
                 let p = &inner.pending[i];
-                let f = p.fp.clone().expect("materialized above");
+                let f = self.env().footprint(&p.stmt);
                 if ship[i] {
-                    if p.is_write {
+                    if p.stmt.is_write() {
                         later_write_fps.push(f);
                     }
-                } else if later_write_fps.iter().any(|w| w.conflicts_with(&f)) {
+                } else if later_write_fps.iter().any(|w| w.conflicts_with(f)) {
                     ship[i] = true;
                 }
             }
@@ -921,24 +855,9 @@ impl QueryStore {
         mut panic_guard: FlushPanicGuard<'_>,
         caused_by_write: bool,
     ) -> Result<(), SqlError> {
-        let all_writes = drained.iter().all(|p| p.is_write);
-        let have_all_fps = drained.iter().all(|p| p.fp.is_some());
-        // Thread the footprints the register path already derived into
-        // the batch planner (they are complete exactly when a write is
-        // aboard under deferral — the only time the planner needs them).
-        // One destructuring pass by move: no footprint clones on the
-        // flush path.
-        let mut ids = Vec::with_capacity(drained.len());
-        let mut sqls = Vec::with_capacity(drained.len());
-        let mut fps = Vec::with_capacity(if have_all_fps { drained.len() } else { 0 });
-        for p in drained {
-            ids.push(p.id);
-            sqls.push(p.sql);
-            if have_all_fps {
-                fps.push(p.fp.expect("checked"));
-            }
-        }
-        let footprints: Option<Vec<Footprint>> = have_all_fps.then_some(fps);
+        let all_writes = drained.iter().all(|p| p.stmt.is_write());
+        let (ids, stmts): (Vec<QueryId>, Vec<Stmt>) =
+            drained.into_iter().map(|p| (p.id, p.stmt)).unzip();
         // A degraded session trusts neither the shared result cache's hit
         // path (an earlier batch of its own died with ambiguous writes)
         // nor the coalescing queue: its `Bypass` requests ship solo and
@@ -949,19 +868,18 @@ impl QueryStore {
         } else {
             CacheMode::Serve
         };
-        // The register-path footprints ride along: dispatcher admission
-        // reasons about them verbatim (a deferred silent transaction's
-        // BEGIN/COMMIT placeholders carry empty, non-barrier footprints,
-        // so disjoint transactions from different sessions coalesce) and
-        // the planner never re-derives them. The outcome is partial on
-        // error — a read that rode a batch whose later write failed still
-        // answers with its rows, exactly as it would have serially — and
-        // carries this batch's own fusion attribution, not deployment-wide
-        // counter deltas other sessions mutate concurrently.
+        // What registration learned rides along inside the statements:
+        // dispatcher admission reasons about their footprints verbatim (a
+        // deferred silent transaction's BEGIN/COMMIT placeholders carry
+        // empty, non-barrier footprints, so disjoint transactions from
+        // different sessions coalesce). The outcome is partial on error —
+        // a read that rode a batch whose later write failed still answers
+        // with its rows, exactly as it would have serially — and carries
+        // this batch's own fusion attribution, not deployment-wide counter
+        // deltas other sessions mutate concurrently.
         let outcome = self.dispatcher.ship(&BatchRequest {
-            footprints: footprints.as_deref(),
             cache,
-            ..BatchRequest::new(&sqls)
+            ..BatchRequest::new(&stmts)
         });
         let error = outcome.error.map(|(_, e)| e);
         panic_guard.armed = false;
@@ -970,7 +888,7 @@ impl QueryStore {
             match &error {
                 None => {
                     inner.stats.batches += 1;
-                    inner.stats.batch_sizes.push(sqls.len());
+                    inner.stats.batch_sizes.push(stmts.len());
                     inner.stats.fused_queries += outcome.fused_queries;
                     inner.stats.fused_groups += outcome.fused_groups;
                     inner.stats.segments += outcome.segments;
@@ -1002,14 +920,15 @@ impl QueryStore {
             // The pending queries are already drained; every id records an
             // outcome — its real result when the server produced one, the
             // annotated batch error otherwise (never "unknown query id").
-            for ((id, sql), res) in ids.iter().zip(sqls.iter()).zip(outcome.results) {
+            for ((id, stmt), res) in ids.iter().zip(&stmts).zip(outcome.results) {
                 inner.in_flight.remove(id);
                 let record = match res {
                     Some(rs) => Ok(rs),
                     None => {
                         let e = error.as_ref().expect("missing result implies batch error");
                         Err(SqlError::new(format!(
-                            "batch failed: {e} (while batched: {sql})"
+                            "batch failed: {e} (while batched: {})",
+                            stmt.sql()
                         )))
                     }
                 };
@@ -1054,6 +973,10 @@ impl QueryStore {
 mod tests {
     use super::*;
     use sloth_net::SimEnv;
+
+    fn stmts(sqls: &[String]) -> Vec<Stmt> {
+        sqls.iter().map(Stmt::new).collect()
+    }
 
     fn env() -> SimEnv {
         let env = SimEnv::default_env();
@@ -1448,7 +1371,7 @@ mod tests {
 
         let e = env();
         check(
-            per_position(e.ship(&BatchRequest::new(&sqls))),
+            per_position(e.ship(&BatchRequest::new(&stmts(&sqls)))),
             "SimEnv::ship",
         );
         charged(&e, "SimEnv::ship");
@@ -1456,7 +1379,7 @@ mod tests {
         let e = env();
         let d = Dispatcher::new(e.clone());
         check(
-            per_position(d.ship(&BatchRequest::new(&sqls))),
+            per_position(d.ship(&BatchRequest::new(&stmts(&sqls)))),
             "Dispatcher::ship",
         );
         charged(&e, "Dispatcher::ship");
@@ -1471,6 +1394,74 @@ mod tests {
             assert!(store.flush().is_err());
             check(ids.into_iter().map(|id| store.result(id)).collect(), hop);
             charged(&e, hop);
+        }
+
+        // The same contract for a batch that passes: a fusable read group,
+        // a disjoint write the third member crosses, and a read the write
+        // conflicts with. Whichever door the text came through — and
+        // whichever layer first asked a statement for its footprint — the
+        // answers and every count agree.
+        let sqls = [
+            "SELECT v FROM t WHERE id = 1".to_string(),
+            "SELECT v FROM t WHERE id = 2".to_string(),
+            "UPDATE t SET v = 'w' WHERE id = 5".to_string(),
+            "SELECT v FROM t WHERE id = 3".to_string(),
+            "SELECT COUNT(*) FROM t WHERE v = 'w'".to_string(),
+        ];
+        let serial = env();
+        let want: Vec<ResultSet> = sqls.iter().map(|s| serial.query(s).unwrap()).collect();
+        let counted = |e: &SimEnv, hop: &str| {
+            let s = e.stats();
+            assert_eq!(
+                (s.round_trips, s.queries, s.fused_groups, s.fused_queries),
+                (1, 5, 1, 3),
+                "{hop}"
+            );
+        };
+        let planned = |o: sloth_net::BatchOutcome, hop: &str| {
+            assert_eq!((o.segments, o.cross_write_fused), (2, 3), "{hop}");
+            assert_eq!(o.into_results().unwrap(), want, "{hop}");
+        };
+
+        let e = env();
+        assert_eq!(e.query_batch(&sqls).unwrap(), want);
+        counted(&e, "SimEnv::query_batch");
+
+        let e = env();
+        planned(e.ship(&BatchRequest::new(&stmts(&sqls))), "SimEnv::ship");
+        counted(&e, "SimEnv::ship");
+
+        let e = env();
+        assert_eq!(Dispatcher::new(e.clone()).submit(&sqls).unwrap(), want);
+        counted(&e, "Dispatcher::submit");
+
+        let e = env();
+        let d = Dispatcher::new(e.clone());
+        planned(
+            d.ship(&BatchRequest::new(&stmts(&sqls))),
+            "Dispatcher::ship",
+        );
+        counted(&e, "Dispatcher::ship");
+
+        for (store_over, hop) in store_arms().into_iter().zip(["private", "shared"]) {
+            let e = env();
+            let store = store_over(e.clone());
+            // The write defers, the third lookup lingers beside it, and
+            // the conflicting read drains all five in one flush.
+            let ids: Vec<QueryId> = sqls
+                .iter()
+                .map(|sql| store.register(sql.clone()).unwrap())
+                .collect();
+            assert_eq!(store.pending_len(), 0, "{hop}");
+            let got: Vec<ResultSet> = ids.iter().map(|&id| store.result(id).unwrap()).collect();
+            assert_eq!(got, want, "{hop}");
+            counted(&e, hop);
+            let s = store.stats();
+            assert_eq!(
+                (s.batches, s.segments, s.fused_groups, s.fused_queries),
+                (1, 2, 1, 3),
+                "{hop}"
+            );
         }
     }
 

@@ -1,10 +1,9 @@
 //! Batch planning shared by the single-server and sharded batch drivers.
 //!
-//! A batch plan is computed once per [`crate::SimEnv::query_batch`] call:
-//! one cheap lexer pass per read extracts its template, same-template
-//! point lookups group for **fusion**, and one representative per
-//! multi-member group is parsed to decide whether the group's shape is
-//! fusable. Both backends consume the same plan — the single server
+//! A batch plan is computed once per [`crate::SimEnv::ship`] call from
+//! what each [`Stmt`] already carries: same-template point lookups group
+//! for **fusion**, and one representative per multi-member group is
+//! parsed to decide whether the group's shape is fusable. Both backends consume the same plan — the single server
 //! executes fused groups as `IN` probes, the shard router additionally
 //! splits those probes into per-shard sub-probes.
 //!
@@ -37,18 +36,13 @@
 use std::collections::HashMap;
 
 use sloth_sql::fuse::{self, FusableLookup, FusedPlan};
-use sloth_sql::{ExecOutcome, Footprint, Normalized, ResultSet, SqlError, Value};
+use sloth_sql::{ExecOutcome, Footprint, Normalized, ResultSet, SqlError, Stmt, Value};
 
 /// Default cap on the arity of one fused `IN` probe. Groups with more
 /// distinct probed values split into several probes, bounding both the
 /// statement size and the number of distinct `IN (?, …)` templates that
 /// can land in the plan cache.
 pub const DEFAULT_MAX_FUSED_ARITY: usize = 64;
-
-/// Floor of the self-tuning arity: even under sustained plan-cache churn
-/// a fused probe still carries up to this many values (an `IN` of 8 is
-/// still one statement dispatch instead of eight).
-pub(crate) const MIN_AUTO_FUSED_ARITY: usize = 8;
 
 /// Planner knobs, snapshot from the deployment per batch.
 #[derive(Clone, Copy)]
@@ -70,16 +64,20 @@ pub(crate) enum Role {
     FusedMember,
 }
 
-/// The shared per-batch execution plan.
-pub(crate) struct BatchPlan {
-    /// Normalization of each read (`None` for writes and unlexable SQL).
-    pub norms: Vec<Option<Normalized>>,
+/// One fused group: the classified lookup shape plus, per member, its
+/// batch position and the value it probes (its single parameter).
+pub(crate) struct FusedGroup<'a> {
+    pub lookup: FusableLookup,
+    pub members: Vec<(usize, &'a Value)>,
+}
+
+/// The shared per-batch execution plan; borrows the probed values from
+/// the batch's statements.
+pub(crate) struct BatchPlan<'a> {
     /// Role of each batch position.
     pub roles: Vec<Role>,
-    /// Fused groups: the classified lookup shape plus member positions.
-    pub fused: Vec<(FusableLookup, Vec<usize>)>,
-    /// Write/transaction classification of each position.
-    pub is_write: Vec<bool>,
+    /// Fused groups, indexed by [`Role::FusedLead`].
+    pub fused: Vec<FusedGroup<'a>>,
     /// Conflict segments in the batch (1 for a batch of commuting
     /// statements; one extra per position whose footprint conflicts with
     /// the accumulated segment before it).
@@ -90,146 +88,124 @@ pub(crate) struct BatchPlan {
     pub cross_write_fused: u64,
     /// Max distinct values per fused probe.
     pub max_fused_arity: usize,
-    /// Per-statement footprints the planner had to derive **itself**
-    /// (zero when the caller threaded precomputed footprints through, or
-    /// when the batch needed none). The dispatcher's duplicate-work gate
-    /// asserts on this.
-    pub footprints_derived: u64,
 }
 
-/// Plans a batch: normalizes reads, groups same-template single-literal
-/// lookups for fusion, and classifies one representative per multi-member
-/// group. Fusion groups may span writes whose footprints are disjoint
-/// from the joining read.
+/// Plans a batch: groups same-template single-literal lookups for fusion
+/// and classifies one representative per multi-member group. Fusion
+/// groups may span writes whose footprints are disjoint from the joining
+/// read.
 ///
-/// `precomputed` threads per-statement footprints already derived upstream
-/// (dispatcher admission, query-store deferral decisions) through to the
-/// planner, so a write-containing flush is footprint-analyzed **once** on
-/// its way to the database instead of up to three times.
-pub(crate) fn plan_batch(
-    sqls: &[String],
+/// Footprints are read off the statements through `footprint`
+/// ([`crate::SimEnv::footprint`]: memoised, so a flush the query store or
+/// the dispatcher already analyzed is not analyzed again) and only when a
+/// write shares the batch with another statement the planner may reorder
+/// around it.
+pub(crate) fn plan_batch<'a>(
+    stmts: &'a [Stmt],
     cfg: &BatchConfig,
-    precomputed: Option<&[Footprint]>,
-) -> BatchPlan {
-    let is_write: Vec<bool> = sqls.iter().map(|s| sloth_sql::is_write_sql(s)).collect();
-    let any_write = is_write.iter().any(|&w| w);
-    // Footprints are only needed (and only paid for) when a write shares
-    // the batch with another statement the planner may reorder around it.
-    let mut footprints_derived = 0u64;
-    let footprints: Option<Vec<Footprint>> =
-        (any_write && sqls.len() > 1).then(|| match precomputed {
-            Some(fps) if fps.len() == sqls.len() => fps.to_vec(),
-            _ => {
-                footprints_derived = sqls.len() as u64;
-                sqls.iter().map(|s| Footprint::of_sql(s)).collect()
-            }
-        });
+    footprint: impl Fn(&'a Stmt) -> &'a Footprint,
+) -> BatchPlan<'a> {
+    let any_write = stmts.iter().any(Stmt::is_write);
+    let footprints: Option<Vec<&Footprint>> =
+        (any_write && stmts.len() > 1).then(|| stmts.iter().map(footprint).collect());
 
-    let mut norms: Vec<Option<Normalized>> = Vec::with_capacity(sqls.len());
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut cross_write_members: Vec<bool> = Vec::new();
-    {
-        let mut open_groups: HashMap<String, usize> = HashMap::new();
+    /// Same-template single-literal reads, before their shape is known.
+    struct Candidate<'a> {
+        template: &'a str,
+        members: Vec<(usize, &'a Value)>,
+        /// Whether a member joined across an intervening write.
+        crossed_write: bool,
+    }
+    let mut groups: Vec<Candidate<'a>> = Vec::new();
+    if cfg.fusion {
+        let mut open_groups: HashMap<&str, usize> = HashMap::new();
         let mut writes_seen: Vec<usize> = Vec::new();
-        for (i, sql) in sqls.iter().enumerate() {
-            if is_write[i] {
+        for (i, stmt) in stmts.iter().enumerate() {
+            if stmt.is_write() {
                 // The write stays in place; groups stay open for
                 // footprint-checked joins.
                 writes_seen.push(i);
-                norms.push(None);
                 continue;
             }
-            let norm = sloth_sql::normalize(sql).ok();
-            if cfg.fusion {
-                if let Some(n) = &norm {
-                    // Only single-literal statements can be point
-                    // lookups; anything else never joins a group.
-                    if n.params.len() == 1 {
-                        let joined = match open_groups.get(&n.template) {
-                            Some(&g) => {
-                                let start = groups[g][0];
-                                let crossed: Vec<usize> =
-                                    writes_seen.iter().copied().filter(|&w| w > start).collect();
-                                let blocked = footprints.as_ref().is_some_and(|fps| {
-                                    crossed.iter().any(|&w| fps[w].conflicts_with(&fps[i]))
-                                });
-                                if blocked {
-                                    None
-                                } else {
-                                    groups[g].push(i);
-                                    cross_write_members[g] |= !crossed.is_empty();
-                                    Some(g)
-                                }
-                            }
-                            None => None,
-                        };
-                        if joined.is_none() {
-                            open_groups.insert(n.template.clone(), groups.len());
-                            groups.push(vec![i]);
-                            cross_write_members.push(false);
-                        }
-                    }
+            // Only single-literal statements can be point lookups;
+            // anything else never joins a group.
+            let Some(Normalized { template, params }) = stmt.norm() else {
+                continue;
+            };
+            let [value] = params.as_slice() else {
+                continue;
+            };
+            let joined = open_groups.get(template.as_str()).is_some_and(|&g| {
+                let group = &mut groups[g];
+                let start = group.members[0].0;
+                let crossed: Vec<usize> =
+                    writes_seen.iter().copied().filter(|&w| w > start).collect();
+                let blocked = footprints
+                    .as_ref()
+                    .is_some_and(|fps| crossed.iter().any(|&w| fps[w].conflicts_with(fps[i])));
+                if !blocked {
+                    group.members.push((i, value));
+                    group.crossed_write |= !crossed.is_empty();
                 }
+                !blocked
+            });
+            if !joined {
+                open_groups.insert(template, groups.len());
+                groups.push(Candidate {
+                    template,
+                    members: vec![(i, value)],
+                    crossed_write: false,
+                });
             }
-            norms.push(norm);
         }
     }
     // Classify one representative per multi-member group; a group whose
     // representative is not a fusable shape dissolves back into
     // position-ordered singles (same-template statements share their
     // shape, so one parse decides for the whole group).
-    let mut roles: Vec<Role> = vec![Role::Single; sqls.len()];
-    let mut fused: Vec<(FusableLookup, Vec<usize>)> = Vec::new();
+    let mut roles: Vec<Role> = vec![Role::Single; stmts.len()];
+    let mut fused: Vec<FusedGroup<'a>> = Vec::new();
     let mut cross_write_fused = 0u64;
-    for (members, crossed) in groups
-        .into_iter()
-        .zip(cross_write_members)
-        .filter(|(m, _)| m.len() >= 2)
-    {
-        let first = members[0];
-        let template = norms[first]
-            .as_ref()
-            .expect("grouped reads have norms")
-            .template
-            .clone();
-        if let Some(lookup) = fuse::classify_with_template(&sqls[first], template) {
+    for group in groups.into_iter().filter(|g| g.members.len() >= 2) {
+        let first = group.members[0].0;
+        let template = group.template.to_string();
+        if let Some(lookup) = fuse::classify_with_template(stmts[first].sql(), template) {
             roles[first] = Role::FusedLead(fused.len());
-            for &m in &members[1..] {
+            for &(m, _) in &group.members[1..] {
                 roles[m] = Role::FusedMember;
             }
-            if crossed {
-                cross_write_fused += members.len() as u64;
+            if group.crossed_write {
+                cross_write_fused += group.members.len() as u64;
             }
-            fused.push((lookup, members));
+            fused.push(FusedGroup {
+                lookup,
+                members: group.members,
+            });
         }
     }
-    let segments = count_segments(sqls.len(), footprints.as_deref());
+    // A batch that needed no footprints (pure reads, or one statement)
+    // is one segment.
+    let segments = footprints
+        .as_deref()
+        .map_or(stmts.len().min(1) as u64, count_segments);
     BatchPlan {
-        norms,
         roles,
         fused,
-        is_write,
         segments,
         cross_write_fused,
         max_fused_arity: cfg.max_fused_arity.max(1),
-        footprints_derived,
     }
 }
 
-/// Conflict segments of the batch: a new segment starts whenever a
-/// statement conflicts with the union of the current segment. A batch
-/// that needed no footprints (pure reads, or one statement) is one
-/// segment.
-fn count_segments(n: usize, footprints: Option<&[Footprint]>) -> u64 {
-    let Some(fps) = footprints else {
-        return n.min(1) as u64;
-    };
+/// Conflict segments of a (non-empty) batch: a new segment starts
+/// whenever a statement conflicts with the union of the current segment.
+fn count_segments(fps: &[&Footprint]) -> u64 {
     let mut segments = 1u64;
     let mut acc = fps[0].clone();
     for fp in &fps[1..] {
         if fp.conflicts_with(&acc) {
             segments += 1;
-            acc = fp.clone();
+            acc = (*fp).clone();
         } else {
             acc.merge(fp);
         }
@@ -237,15 +213,10 @@ fn count_segments(n: usize, footprints: Option<&[Footprint]>) -> u64 {
     segments
 }
 
-/// The distinct probed values of a fused group, in first-seen order (each
-/// member's probed value is its single extracted parameter).
-pub(crate) fn fused_values<'a>(
-    norms: &'a [Option<Normalized>],
-    members: &[usize],
-) -> Vec<&'a Value> {
+/// The distinct probed values among `members`, in first-seen order.
+pub(crate) fn fused_values<'a>(members: &[(usize, &'a Value)]) -> Vec<&'a Value> {
     let mut values: Vec<&Value> = Vec::with_capacity(members.len());
-    for &m in members {
-        let v = &norms[m].as_ref().expect("member has norm").params[0];
+    for &(_, v) in members {
         if !values.contains(&v) {
             values.push(v);
         }
@@ -385,11 +356,11 @@ impl BatchDb for &sloth_sql::Database {
 pub(crate) fn exec_single<D: BatchDb>(
     db: &mut D,
     cost: &crate::CostModel,
-    sqls: &[String],
-    plan: &BatchPlan,
+    stmts: &[Stmt],
+    plan: &BatchPlan<'_>,
     skip: Option<&[Option<ResultSet>]>,
 ) -> BatchExec {
-    let mut results: Vec<Option<ResultSet>> = vec![None; sqls.len()];
+    let mut results: Vec<Option<ResultSet>> = vec![None; stmts.len()];
     let mut error: Option<(usize, SqlError)> = None;
     let mut read_times: Vec<u64> = Vec::new();
     let mut write_time = 0u64;
@@ -397,7 +368,7 @@ pub(crate) fn exec_single<D: BatchDb>(
     let mut fused_queries = 0u64;
     let mut fused_groups = 0u64;
     if let Some(skip) = skip {
-        for (i, s) in skip.iter().enumerate().take(sqls.len()) {
+        for (i, s) in skip.iter().enumerate().take(stmts.len()) {
             if let Some(rs) = s {
                 bytes += rs.wire_size() as u64;
                 results[i] = Some(rs.clone());
@@ -415,17 +386,19 @@ pub(crate) fn exec_single<D: BatchDb>(
     // first-error semantics: members of a template group share their
     // failure mode by construction, and everything else keeps its own
     // position.
-    'batch: for i in 0..sqls.len() {
+    'batch: for (i, stmt) in stmts.iter().enumerate() {
         match plan.roles[i].clone() {
             Role::FusedMember => {} // answered by its group's lead
             Role::Single => {
                 if results[i].is_some() {
                     continue; // answered from the journal
                 }
-                bytes += sqls[i].len() as u64;
-                let out = match &plan.norms[i] {
-                    Some(n) => db.exec_normalized(&sqls[i], n),
-                    None => db.exec_any(&sqls[i]),
+                bytes += stmt.sql().len() as u64;
+                // A write is parsed, never lexed for a template.
+                let norm = (!stmt.is_write()).then(|| stmt.norm()).flatten();
+                let out = match norm {
+                    Some(n) => db.exec_normalized(stmt.sql(), n),
+                    None => db.exec_any(stmt.sql()),
                 };
                 let out = match out {
                     Ok(out) => out,
@@ -445,28 +418,19 @@ pub(crate) fn exec_single<D: BatchDb>(
                 results[i] = Some(out.result);
             }
             Role::FusedLead(g) => {
-                let (lookup, members) = &plan.fused[g];
+                let FusedGroup { lookup, members } = &plan.fused[g];
                 // Members already answered from the journal drop out of
                 // the probe; the group executes over what's left (all of
                 // it, on a fault-free run).
-                let live: Vec<usize> = members
+                let live: Vec<(usize, &Value)> = members
                     .iter()
                     .copied()
-                    .filter(|&m| results[m].is_none())
+                    .filter(|&(m, _)| results[m].is_none())
                     .collect();
                 if live.is_empty() {
                     continue;
                 }
-                let values = fused_values(&plan.norms, &live);
-                let all_targets: Vec<(usize, &Value)> = live
-                    .iter()
-                    .map(|&m| {
-                        (
-                            m,
-                            &plan.norms[m].as_ref().expect("member has norm").params[0],
-                        )
-                    })
-                    .collect();
+                let values = fused_values(&live);
                 // One probe per arity chunk: K index probes total, one
                 // statement dispatch per chunk, each chunk demuxed to the
                 // members probing its values.
@@ -484,7 +448,7 @@ pub(crate) fn exec_single<D: BatchDb>(
                     };
                     read_times.push(exec_cost(&out.stats));
                     bytes += out.result.wire_size() as u64;
-                    let targets = chunk_targets(&all_targets, chunk);
+                    let targets = chunk_targets(&live, chunk);
                     match demux_fused(&out.result, &fplan, &targets) {
                         Ok(demuxed) => {
                             for (m, rs) in demuxed {

@@ -28,7 +28,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use sloth_sql::{Footprint, ResultSet, TableAccess, Value};
+use sloth_sql::{Footprint, ResultSet, Stmt, TableAccess};
 
 /// Max cached entries, matching the engine's plan-cache bound.
 pub(crate) const RESULT_CACHE_CAP: usize = 512;
@@ -53,9 +53,9 @@ pub struct ResultCacheStats {
     pub evictions: u64,
 }
 
-/// One cached read: the template+params key maps to the result it
-/// produced and the table accesses its footprint pinned (what a write
-/// must overlap to kill it).
+/// One cached read: the statement (equal by template + params, see
+/// [`Stmt`]) maps to the result it produced and the table accesses its
+/// footprint pinned (what a write must overlap to kill it).
 struct Entry {
     result: ResultSet,
     reads: Vec<TableAccess>,
@@ -72,8 +72,8 @@ struct Entry {
 /// invariants cannot be bypassed piecemeal elsewhere in the driver.
 pub(crate) struct ResultCache {
     enabled: bool,
-    result_map: HashMap<(String, Vec<Value>), Entry>,
-    fifo: VecDeque<((String, Vec<Value>), u64)>,
+    result_map: HashMap<Stmt, Entry>,
+    fifo: VecDeque<(Stmt, u64)>,
     next_generation: u64,
     pub(crate) stats: ResultCacheStats,
 }
@@ -119,7 +119,7 @@ impl ResultCache {
 
     /// Probes one key. Counts a hit or a miss; FIFO order is fill order,
     /// so a hit does not promote.
-    pub(crate) fn probe(&mut self, key: &(String, Vec<Value>)) -> Option<ResultSet> {
+    pub(crate) fn probe(&mut self, key: &Stmt) -> Option<ResultSet> {
         match self.result_map.get(key) {
             Some(e) => {
                 self.stats.hits += 1;
@@ -134,12 +134,7 @@ impl ResultCache {
 
     /// Records an executed read's result under its template+params key.
     /// Re-filling an existing key replaces the entry in place.
-    pub(crate) fn fill(
-        &mut self,
-        key: (String, Vec<Value>),
-        result: ResultSet,
-        reads: Vec<TableAccess>,
-    ) {
+    pub(crate) fn fill(&mut self, key: Stmt, result: ResultSet, reads: Vec<TableAccess>) {
         let generation = self.next_generation;
         self.next_generation += 1;
         if self
@@ -214,12 +209,13 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sloth_sql::Value;
 
-    fn key(template: &str, params: &[i64]) -> (String, Vec<Value>) {
-        (
-            template.to_string(),
-            params.iter().map(|&i| Value::Int(i)).collect(),
-        )
+    /// A statement that normalizes to `template` followed by one `?` per
+    /// parameter, with exactly `params` extracted.
+    fn key(template: &str, params: &[i64]) -> Stmt {
+        let literals: Vec<String> = params.iter().map(i64::to_string).collect();
+        Stmt::new(format!("{template} {}", literals.join(" ")))
     }
 
     fn rs(v: i64) -> ResultSet {

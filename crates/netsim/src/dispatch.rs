@@ -87,7 +87,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sloth_sql::{is_write_sql, Footprint, ResultSet, SqlError};
+use sloth_sql::{Footprint, ResultSet, SqlError, Stmt};
 
 use crate::{BatchOutcome, BatchRequest, CacheMode, SimEnv};
 
@@ -133,58 +133,35 @@ pub struct DispatcherStats {
     /// safe was abandoned with the batch, so re-running any rider here
     /// could double-apply a write that landed in a faulted attempt.
     pub transient_failures: u64,
-    /// Per-statement footprints the **batch planner** derived on this
-    /// dispatcher's dispatches. Zero by construction: the footprints
-    /// computed once at admission (through the backend's per-template
-    /// cache) are threaded through the [`BatchRequest`] into the
-    /// planner, so the dispatched path never re-analyzes a statement.
-    /// The unit suite asserts this stays zero.
-    pub planner_footprint_derivations: u64,
 }
 
 struct PendingFlush {
     ticket: u64,
-    sqls: Vec<String>,
+    stmts: Vec<Stmt>,
     /// Whether any statement is a write / transaction boundary.
     has_write: bool,
-    /// Per-statement footprints — computed eagerly for write batches
-    /// (admission needs them), lazily for read-only batches (only needed
-    /// when they share a dispatch with a write batch). Resolved through
-    /// the backend's per-template footprint cache and threaded into the
-    /// batch planner, so each statement is analyzed at most once.
-    fps: Option<Vec<Footprint>>,
-    /// Union of `fps` (the batch-level admission footprint).
+    /// Union of the statements' footprints (the batch-level admission
+    /// footprint) — computed eagerly for write batches (admission needs
+    /// it), lazily for read-only batches (only needed when they share a
+    /// dispatch with a write batch).
     union: Option<Footprint>,
 }
 
 impl PendingFlush {
-    fn materialize(&mut self, env: &SimEnv) {
-        if self.fps.is_none() {
-            self.fps = Some(self.sqls.iter().map(|s| env.footprint_of(s)).collect());
-        }
-        if self.union.is_none() {
-            let mut union = Footprint::default();
-            for fp in self.fps.as_ref().expect("just materialized") {
-                union.merge(fp);
-            }
-            self.union = Some(union);
-        }
-    }
-
     fn footprint(&mut self, env: &SimEnv) -> &Footprint {
-        self.materialize(env);
-        self.union.as_ref().expect("just materialized")
+        self.union
+            .get_or_insert_with(|| union_footprint(env, &self.stmts))
     }
+}
 
-    /// This flush as a request of its own: what a dispatch that carries
-    /// nothing else ships, and what a rider whose statements never
-    /// started re-ships.
-    fn request(&self) -> BatchRequest<'_> {
-        BatchRequest {
-            footprints: self.fps.as_deref(),
-            ..BatchRequest::new(&self.sqls)
-        }
+/// The union of the statements' footprints, each memoised in its
+/// statement (so the planner and the result cache read them back).
+fn union_footprint(env: &SimEnv, stmts: &[Stmt]) -> Footprint {
+    let mut union = Footprint::default();
+    for stmt in stmts {
+        union.merge(env.footprint(stmt));
     }
+    union
 }
 
 #[derive(Default)]
@@ -351,9 +328,11 @@ impl Dispatcher {
 
     /// [`Dispatcher::ship`] for the stock request, all-or-error: every
     /// statement's result, or the batch's first error — what
-    /// [`SimEnv::query_batch`] is to [`SimEnv::ship`].
+    /// [`SimEnv::query_batch`] is to [`SimEnv::ship`], and like it a door
+    /// where SQL text becomes a [`Stmt`].
     pub fn submit(&self, sqls: &[String]) -> Result<Vec<ResultSet>, SqlError> {
-        self.ship(&BatchRequest::new(sqls)).into_results()
+        let stmts: Vec<Stmt> = sqls.iter().map(Stmt::new).collect();
+        self.ship(&BatchRequest::new(&stmts)).into_results()
     }
 
     /// Ships one session's batch flush — the dispatcher's one entry
@@ -364,22 +343,20 @@ impl Dispatcher {
     /// [`SimEnv::ship`]'s: the executed prefix answers, the error sits at
     /// the session's own failing position.
     ///
-    /// Threaded footprints ([`BatchRequest::footprints`] — the query
-    /// store's deferral path has them in hand) are what admission reasons
-    /// about, verbatim: a deferred `BEGIN…COMMIT` block whose boundaries
-    /// carry empty placeholder footprints (engine no-ops) enters the
-    /// pairwise-disjoint coalescing queue instead of being classified a
-    /// barrier, which is how disjoint transactions from different
-    /// sessions share one dispatch. A length mismatch falls back to
-    /// deriving from the template cache.
+    /// Admission reasons about the footprints the statements carry,
+    /// verbatim: a deferred `BEGIN…COMMIT` block whose boundaries the
+    /// query store preset with empty placeholder footprints (engine
+    /// no-ops) enters the pairwise-disjoint coalescing queue instead of
+    /// being classified a barrier, which is how disjoint transactions
+    /// from different sessions share one dispatch.
     ///
     /// A [`CacheMode::Bypass`] request never queues: it is the degraded
     /// path a session retreats to after its retry budget exhausts on the
     /// shared path (see the degradation ladder in DESIGN.md), dispatched
     /// solo and counted in [`DispatcherStats::degraded_solo`].
     pub fn ship(&self, req: &BatchRequest<'_>) -> BatchOutcome {
-        let sqls = req.sqls;
-        if sqls.is_empty() {
+        let stmts = req.stmts;
+        if stmts.is_empty() {
             return BatchOutcome::default();
         }
         if req.cache == CacheMode::Bypass {
@@ -389,38 +366,20 @@ impl Dispatcher {
                 stats.dispatches += 1;
                 stats.degraded_solo += 1;
             }
-            return self.wire(req);
+            return self.env.ship(req);
         }
         self.lock_stats().flushes += 1;
-        let has_write = sqls.iter().any(|s| is_write_sql(s));
-        let mut fps = None;
-        let mut union = None;
-        if has_write {
-            // Footprint admission: only barrier-free write batches may
-            // enter the coalescing queue. Per-statement footprints come
-            // from the backend's template cache and travel with the flush
-            // all the way to the planner.
-            let per_stmt: Vec<Footprint> = match req.footprints {
-                Some(pre) if pre.len() == sqls.len() => pre.to_vec(),
-                _ => sqls.iter().map(|s| self.env.footprint_of(s)).collect(),
-            };
-            let mut u = Footprint::default();
-            for fp in &per_stmt {
-                u.merge(fp);
+        let has_write = stmts.iter().any(Stmt::is_write);
+        // Footprint admission: only barrier-free write batches may enter
+        // the coalescing queue.
+        let union = has_write.then(|| union_footprint(&self.env, stmts));
+        if union.as_ref().is_some_and(|u| u.barrier) {
+            {
+                let mut stats = self.lock_stats();
+                stats.solo_writes += 1;
+                stats.dispatches += 1;
             }
-            if u.barrier {
-                {
-                    let mut stats = self.lock_stats();
-                    stats.solo_writes += 1;
-                    stats.dispatches += 1;
-                }
-                return self.wire(&BatchRequest {
-                    footprints: Some(&per_stmt),
-                    ..*req
-                });
-            }
-            fps = Some(per_stmt);
-            union = Some(u);
+            return self.env.ship(req);
         }
 
         // Stripe selection happens once, before queueing: the flush joins
@@ -434,9 +393,8 @@ impl Dispatcher {
         st.next_ticket += 1;
         st.queue.push(PendingFlush {
             ticket,
-            sqls: sqls.to_vec(),
+            stmts: stmts.to_vec(),
             has_write,
-            fps,
             union,
         });
         if self.hold_open.load(Ordering::Relaxed) > 0 {
@@ -509,7 +467,7 @@ impl Dispatcher {
                         st.done.insert(
                             f.ticket,
                             BatchOutcome::abandoned(
-                                f.sqls.len(),
+                                f.stmts.len(),
                                 SqlError::new("dispatch panicked on the leader session"),
                             ),
                         );
@@ -520,16 +478,6 @@ impl Dispatcher {
                 }
             }
         }
-    }
-
-    /// Puts one request on the wire and hands its outcome back untouched
-    /// — every dispatch, solo or combined, goes through here.
-    fn wire(&self, req: &BatchRequest<'_>) -> BatchOutcome {
-        let outcome = self.env.ship(req);
-        if outcome.footprints_derived > 0 {
-            self.lock_stats().planner_footprint_derivations += outcome.footprints_derived;
-        }
-        outcome
     }
 
     /// Drains the longest compatible prefix of the queue for one combined
@@ -546,20 +494,19 @@ impl Dispatcher {
         let mut group_fp: Option<Footprint> = None;
         while k < st.queue.len() {
             if any_write || st.queue[k].has_write {
-                if group_fp.is_none() {
+                let union = group_fp.get_or_insert_with(|| {
                     let mut union = Footprint::default();
                     for f in st.queue[..k].iter_mut() {
                         union.merge(f.footprint(&self.env));
                     }
-                    group_fp = Some(union);
-                }
-                let next_fp = st.queue[k].footprint(&self.env).clone();
-                let union = group_fp.as_mut().expect("materialized above");
-                if k > 0 && union.conflicts_with(&next_fp) {
+                    union
+                });
+                let next_fp = st.queue[k].footprint(&self.env);
+                if k > 0 && union.conflicts_with(next_fp) {
                     self.lock_stats().conflict_deferrals += 1;
                     break;
                 }
-                union.merge(&next_fp);
+                union.merge(next_fp);
                 any_write |= st.queue[k].has_write;
             }
             k += 1;
@@ -574,30 +521,18 @@ impl Dispatcher {
     fn dispatch(&self, batch: &[PendingFlush]) -> Vec<(u64, BatchOutcome)> {
         if let [f] = batch {
             self.lock_stats().dispatches += 1;
-            return vec![(f.ticket, self.wire(&f.request()))];
+            return vec![(f.ticket, self.env.ship(&BatchRequest::new(&f.stmts)))];
         }
         {
             let mut stats = self.lock_stats();
             stats.dispatches += 1;
             stats.coalesced_batches += batch.len() as u64;
-            stats.coalesced_queries += batch.iter().map(|f| f.sqls.len() as u64).sum::<u64>();
+            stats.coalesced_queries += batch.iter().map(|f| f.stmts.len() as u64).sum::<u64>();
             stats.max_coalesced = stats.max_coalesced.max(batch.len() as u64);
             stats.coalesced_write_batches += batch.iter().filter(|f| f.has_write).count() as u64;
         }
-        let sqls: Vec<String> = batch.iter().flat_map(|f| f.sqls.iter().cloned()).collect();
-        // Thread the admission footprints through when every rider has
-        // them (whenever a write batch is aboard, take_compatible
-        // materialized them all; pure-read dispatches need none).
-        let fps: Option<Vec<Footprint>> = batch.iter().all(|f| f.fps.is_some()).then(|| {
-            batch
-                .iter()
-                .flat_map(|f| f.fps.as_ref().expect("checked").iter().cloned())
-                .collect()
-        });
-        let combined = self.wire(&BatchRequest {
-            footprints: fps.as_deref(),
-            ..BatchRequest::new(&sqls)
-        });
+        let stmts: Vec<Stmt> = batch.iter().flat_map(|f| f.stmts.iter().cloned()).collect();
+        let combined = self.env.ship(&BatchRequest::new(&stmts));
         self.account_cross_session_fusion(batch, &combined);
         let failed_at = match &combined.error {
             None => usize::MAX,
@@ -611,7 +546,7 @@ impl Dispatcher {
                 self.lock_stats().transient_failures += 1;
                 return batch
                     .iter()
-                    .map(|f| (f.ticket, BatchOutcome::abandoned(f.sqls.len(), e.clone())))
+                    .map(|f| (f.ticket, BatchOutcome::abandoned(f.stmts.len(), e.clone())))
                     .collect();
             }
             Some((pos, _)) => {
@@ -631,10 +566,10 @@ impl Dispatcher {
         batch
             .iter()
             .map(|f| {
-                let (start, n) = (offset, f.sqls.len());
+                let (start, n) = (offset, f.stmts.len());
                 offset += n;
                 let outcome = if start > failed_at {
-                    self.wire(&f.request())
+                    self.env.ship(&BatchRequest::new(&f.stmts))
                 } else {
                     rider_outcome(
                         results.by_ref().take(n).collect(),
@@ -665,7 +600,7 @@ impl Dispatcher {
             .unwrap_or(usize::MAX);
         let mut owner_of: Vec<usize> = Vec::with_capacity(partial.fused_members.len());
         for (fi, f) in batch.iter().enumerate() {
-            owner_of.extend(std::iter::repeat_n(fi, f.sqls.len()));
+            owner_of.extend(std::iter::repeat_n(fi, f.stmts.len()));
         }
         // Per group: owners of its members plus the lead (= first member)
         // position, in batch order because enumeration is in order.
@@ -741,6 +676,10 @@ mod tests {
         outcome.results[i].as_ref().expect("position answered")
     }
 
+    fn stmts(sqls: &[String]) -> Vec<Stmt> {
+        sqls.iter().map(Stmt::new).collect()
+    }
+
     fn seeded_env() -> SimEnv {
         let env = SimEnv::default_env();
         env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
@@ -760,7 +699,7 @@ mod tests {
         let sqls: Vec<String> = (0..6)
             .map(|i| format!("SELECT v FROM t WHERE id = {i}"))
             .collect();
-        let r = d.ship(&BatchRequest::new(&sqls));
+        let r = d.ship(&BatchRequest::new(&stmts(&sqls)));
         let want = reference.query_batch(&sqls).unwrap();
         assert_eq!(r.clone().into_results().unwrap(), want);
         assert!(!r.coalesced);
@@ -779,7 +718,7 @@ mod tests {
         let d = Dispatcher::new(seeded_env());
         for round in 0..10 {
             let sqls = vec![format!("SELECT v FROM t WHERE id = {round}")];
-            let r = d.ship(&BatchRequest::new(&sqls));
+            let r = d.ship(&BatchRequest::new(&stmts(&sqls)));
             assert!(r.error.is_none());
             assert!(!r.coalesced);
         }
@@ -816,7 +755,7 @@ mod tests {
                         .map(|i| format!("SELECT v FROM t WHERE id = {}", t * 3 + i))
                         .collect();
                     barrier.wait();
-                    let r = d.ship(&BatchRequest::new(&sqls));
+                    let r = d.ship(&BatchRequest::new(&stmts(&sqls)));
                     assert!(r.error.is_none());
                     for (i, rs) in r.results.iter().flatten().enumerate() {
                         let want = format!("v{}", t * 3 + i);
@@ -870,7 +809,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let sqls = vec![format!("SELECT v FROM t WHERE id = {t}")];
                     barrier.wait();
-                    let r = d.ship(&BatchRequest::new(&sqls));
+                    let r = d.ship(&BatchRequest::new(&stmts(&sqls)));
                     assert_eq!(
                         rows(&r, 0).get(0, "v").unwrap().as_str(),
                         Some(format!("v{t}").as_str())
@@ -902,9 +841,9 @@ mod tests {
         // A single session can never fill the queue to 8: the cap must
         // release the dispatch rather than wedge the flush.
         let start = Instant::now();
-        let r = d.ship(&BatchRequest::new(&[
-            "SELECT v FROM t WHERE id = 0".to_string()
-        ]));
+        let r = d.ship(&BatchRequest::new(&[Stmt::new(
+            "SELECT v FROM t WHERE id = 0",
+        )]));
         assert!(r.error.is_none());
         assert!(!r.coalesced);
         assert!(
@@ -924,7 +863,7 @@ mod tests {
             "UPDATE t SET v = 'x' WHERE id = 1".to_string(),
             "COMMIT".to_string(),
         ];
-        let r = d.ship(&BatchRequest::new(&sqls));
+        let r = d.ship(&BatchRequest::new(&stmts(&sqls)));
         assert!(r.error.is_none());
         assert!(!r.coalesced);
         assert_eq!(d.stats().solo_writes, 1, "barrier batches never queue");
@@ -941,7 +880,7 @@ mod tests {
             "SELECT v FROM t WHERE id = 1".to_string(),
             "UPDATE t SET v = 'y' WHERE id = 1".to_string(),
         ];
-        let r = d.ship(&BatchRequest::new(&sqls));
+        let r = d.ship(&BatchRequest::new(&stmts(&sqls)));
         assert!(!r.coalesced, "one client never coalesces");
         assert_eq!(rows(&r, 0).get(0, "v").unwrap().as_str(), Some("v1"));
         let s = d.stats();
@@ -1094,7 +1033,7 @@ mod tests {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                d.ship(&BatchRequest::new(&sqls))
+                d.ship(&BatchRequest::new(&stmts(&sqls)))
             })
         };
         let a = flush(vec!["SELECT v FROM t WHERE id = 2".to_string()]);
@@ -1161,10 +1100,10 @@ mod tests {
 
     #[test]
     fn dispatched_path_never_reanalyzes_footprints() {
-        // Satellite gate: footprints computed once at admission (via the
-        // backend's template cache) are threaded into the batch planner,
-        // so the planner derives ZERO footprints on the dispatched path —
-        // solo writes, coalesced write batches and barrier batches alike.
+        // Footprints resolved once at admission (via the backend's
+        // template cache) stay in the statements, so the planner looks
+        // NOTHING up on the dispatched path — solo writes, coalesced
+        // write batches and barrier batches alike.
         let env = seeded_env();
         let d = Arc::new(Dispatcher::with_window(
             env.clone(),
@@ -1200,13 +1139,14 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let s = d.stats();
-        assert_eq!(
-            s.planner_footprint_derivations, 0,
-            "dispatched flushes must never re-derive footprints: {s:?}"
-        );
-        // The backend cache did the real work, once per template.
+        // The backend cache did the real work: one lookup per statement
+        // submitted (2 + 3 + 4), one parse per template.
         let fs = env.footprint_cache_stats();
+        assert_eq!(
+            fs.hits + fs.misses,
+            9,
+            "dispatched flushes must never re-derive footprints: {fs:?}"
+        );
         assert!(fs.misses > 0);
     }
 
@@ -1426,7 +1366,7 @@ mod tests {
         let d = Dispatcher::new(seeded_env());
         let r = d.ship(&BatchRequest {
             cache: CacheMode::Bypass,
-            ..BatchRequest::new(&["SELECT v FROM t WHERE id = 3".to_string()])
+            ..BatchRequest::new(&[Stmt::new("SELECT v FROM t WHERE id = 3")])
         });
         assert_eq!(rows(&r, 0).get(0, "v").unwrap().as_str(), Some("v3"));
         assert!(!r.coalesced);

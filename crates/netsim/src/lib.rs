@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sloth_sql::{Database, ResultSet, SqlError};
+use sloth_sql::{Database, Footprint, ResultSet, SqlError, Stmt};
 use versioned::{Admit, VersionedStore};
 
 pub use cache::ResultCacheStats;
@@ -179,29 +179,23 @@ impl NetStats {
 }
 
 /// One batch for the driver to ship: the statements plus how the result
-/// cache is to be treated. [`BatchRequest::new`] gives the stock request
-/// (no threaded footprints, cache served); the other fields are set with
-/// struct-update syntax.
+/// cache is to be treated. Whatever an earlier layer already learned
+/// about a statement — template, parameters, footprint — travels inside
+/// its [`Stmt`]. [`BatchRequest::new`] gives the stock request (cache
+/// served).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRequest<'a> {
     /// The statements, in execution order.
-    pub sqls: &'a [String],
-    /// Per-statement footprints the caller already derived (dispatcher
-    /// admission, query-store deferral), threaded through to the batch
-    /// planner and the result cache so a write-containing flush is
-    /// footprint-analyzed once. A length mismatch falls back to deriving.
-    pub footprints: Option<&'a [sloth_sql::Footprint]>,
+    pub stmts: &'a [Stmt],
     /// Whether the result cache may answer and be filled.
     pub cache: CacheMode,
 }
 
 impl<'a> BatchRequest<'a> {
-    /// The stock request for `sqls`: no threaded footprints, cache
-    /// served.
-    pub fn new(sqls: &'a [String]) -> Self {
+    /// The stock request for `stmts`: cache served.
+    pub fn new(stmts: &'a [Stmt]) -> Self {
         BatchRequest {
-            sqls,
-            footprints: None,
+            stmts,
             cache: CacheMode::Serve,
         }
     }
@@ -249,13 +243,10 @@ pub struct BatchOutcome {
     pub segments: u64,
     /// Fused statements that crossed a disjoint-footprint write.
     pub cross_write_fused: u64,
-    /// Per-statement footprints the batch planner derived itself (zero
-    /// when the caller threaded precomputed footprints in).
-    pub footprints_derived: u64,
     /// Whether this batch shared its round trip with another session's
-    /// (only a [`Dispatcher`] combines batches; `segments`,
-    /// `cross_write_fused` and `footprints_derived` are then `0` — they
-    /// belong to the combined batch, not to any one rider).
+    /// (only a [`Dispatcher`] combines batches; `segments` and
+    /// `cross_write_fused` are then `0` — they belong to the combined
+    /// batch, not to any one rider).
     pub coalesced: bool,
 }
 
@@ -363,15 +354,8 @@ struct Knobs {
     /// defer provably-silent writes instead of flushing on every write
     /// registration.
     write_deferral: AtomicBool,
-    /// Explicit fused-probe arity cap ([`SimEnv::set_max_fused_arity`]);
-    /// `0` = self-tuning (a real override clamps to ≥ 1, so the sentinel
-    /// never collides with a legal cap).
-    arity_override: AtomicUsize,
-    /// Current self-tuned arity (halves under eviction pressure, doubles
-    /// back toward the default when the cache is quiet).
-    auto_arity: AtomicUsize,
-    /// Plan-cache eviction count observed after the previous batch.
-    last_evictions: AtomicU64,
+    /// Fused-probe arity cap ([`SimEnv::set_max_fused_arity`]), ≥ 1.
+    max_fused_arity: AtomicUsize,
     /// Real nanoseconds a write batch holds the write order open after
     /// executing, before publishing — the injected "hot writer" the
     /// snapshot-overlap figure and the reader-wedge tests measure
@@ -384,9 +368,7 @@ impl Default for Knobs {
         Knobs {
             fusion: AtomicBool::new(true),
             write_deferral: AtomicBool::new(true),
-            arity_override: AtomicUsize::new(0),
-            auto_arity: AtomicUsize::new(batch::DEFAULT_MAX_FUSED_ARITY),
-            last_evictions: AtomicU64::new(0),
+            max_fused_arity: AtomicUsize::new(batch::DEFAULT_MAX_FUSED_ARITY),
             write_hold_ns: AtomicU64::new(0),
         }
     }
@@ -576,14 +558,14 @@ impl SimEnv {
     /// broadcasts, rows land on their owning shards) — but always as a
     /// writer, with no counter touched and nothing charged.
     pub fn seed_sql(&self, sql: &str) -> Result<ResultSet, SqlError> {
-        let sqls = [sql.to_string()];
+        let stmts = [Stmt::new(sql)];
         let solo = batch::BatchConfig {
             fusion: false,
             max_fused_arity: 1,
         };
-        let plan = batch::plan_batch(&sqls, &solo, None);
+        let plan = batch::plan_batch(&stmts, &solo, |s| self.footprint(s));
         let mut exec = self
-            .execute(CostModel::default(), &sqls, plan, None, None, true)
+            .execute(CostModel::default(), &stmts, &plan, None, None, true)
             .exec;
         // Unmetered mutation is invisible to footprint invalidation:
         // drop every cached result.
@@ -684,43 +666,31 @@ impl SimEnv {
     }
 
     /// Caps the number of distinct values in one fused `IN` probe
-    /// (clamped to ≥ 1). Larger groups execute as several probes with
-    /// identical demuxed results — bounding statement size and plan-cache
-    /// template variety. Calling this **overrides** the self-tuning
-    /// arity; [`SimEnv::set_auto_fused_arity`] restores it.
+    /// (clamped to ≥ 1; 64 by default).
+    /// Larger groups execute as several probes with identical demuxed
+    /// results — bounding statement size and plan-cache template variety.
     pub fn set_max_fused_arity(&self, arity: usize) {
-        // 0 is the self-tuning sentinel; a real override clamps to ≥ 1.
         self.knobs
-            .arity_override
+            .max_fused_arity
             .store(arity.max(1), Ordering::Relaxed);
     }
 
-    /// Returns the arity cap to self-tuning mode (the default): the cap
-    /// starts at 64 and halves (down to 8) whenever a batch observes new
-    /// plan-cache evictions — template churn means every extra `IN (?, …)`
-    /// arity is another template competing for cache slots — then doubles
-    /// back toward 64 once the cache is quiet.
-    pub fn set_auto_fused_arity(&self) {
-        self.knobs.arity_override.store(0, Ordering::Relaxed);
-    }
-
-    /// The fused-probe arity cap in force (explicit override, or the
-    /// current self-tuned value).
+    /// The fused-probe arity cap in force.
     pub fn max_fused_arity(&self) -> usize {
-        match self.knobs.arity_override.load(Ordering::Relaxed) {
-            0 => self.knobs.auto_arity.load(Ordering::Relaxed),
-            cap => cap,
-        }
+        self.knobs.max_fused_arity.load(Ordering::Relaxed)
     }
 
-    /// The [`sloth_sql::Footprint`] of one statement, answered from the
-    /// store's per-template footprint cache — lock-free, through the
-    /// published view, which shares the live database's cache. This is
-    /// the driver-side entry point: the query store's deferral decisions
-    /// and the dispatcher's coalescing admission both resolve footprints
-    /// here, so repeated statements never re-derive their table/key sets.
-    pub fn footprint_of(&self, sql: &str) -> sloth_sql::Footprint {
-        self.store.catalog().footprint_of(sql)
+    /// The [`Footprint`] of one statement, memoised in the statement (see
+    /// [`Database::footprint`]): the first layer to ask — the query
+    /// store's deferral decision, the dispatcher's coalescing admission,
+    /// the result cache, the batch planner — resolves it through the
+    /// store's per-template footprint cache (lock-free, through the
+    /// published view, which shares the live database's cache); every
+    /// later layer reads it back.
+    pub fn footprint<'s>(&self, stmt: &'s Stmt) -> &'s Footprint {
+        // Reading it back touches nothing shared between sessions.
+        stmt.known_footprint()
+            .unwrap_or_else(|| self.store.catalog().footprint(stmt))
     }
 
     /// Footprint-cache counters of the store.
@@ -839,14 +809,18 @@ impl SimEnv {
 
     /// Executes one statement over the **stock driver**: one round trip.
     pub fn query(&self, sql: &str) -> Result<ResultSet, SqlError> {
-        let mut results = self.query_batch(std::slice::from_ref(&sql.to_string()))?;
+        let mut results = self
+            .ship(&BatchRequest::new(&[Stmt::new(sql)]))
+            .into_results()?;
         Ok(results.pop().expect("one result per query"))
     }
 
     /// [`SimEnv::ship`] for the stock request, all-or-error: every
-    /// statement's result, or the batch's first error.
+    /// statement's result, or the batch's first error. One of the doors
+    /// where SQL text becomes a [`Stmt`].
     pub fn query_batch(&self, sqls: &[String]) -> Result<Vec<ResultSet>, SqlError> {
-        self.ship(&BatchRequest::new(sqls)).into_results()
+        let stmts: Vec<Stmt> = sqls.iter().map(Stmt::new).collect();
+        self.ship(&BatchRequest::new(&stmts)).into_results()
     }
 
     /// Ships one batch over the **Sloth batch driver** — the one batch
@@ -877,26 +851,19 @@ impl SimEnv {
     /// what the query store and the dispatcher use to account their own
     /// statistics without racing on the deployment-wide counters.
     pub fn ship(&self, req: &BatchRequest<'_>) -> BatchOutcome {
-        let n = req.sqls.len();
+        let n = req.stmts.len();
         if n == 0 {
             return BatchOutcome::unshipped(Vec::new(), None);
         }
-        let bypass = req.cache == CacheMode::Bypass;
         // `None` = cache off: the batch ships verbatim, no sub-batch built.
-        let probe = self.probe_result_cache(req.sqls, req.footprints, bypass);
+        let probe = self.probe_result_cache(req);
         let ran = match probe {
-            None => self.run_batch_resilient(req.sqls, req.footprints),
+            None => self.run_batch_resilient(req.stmts),
             // Every position answered locally: no wire, no charge.
             Some(probe) if probe.ship.is_empty() => {
                 return BatchOutcome::unshipped(probe.hits, None)
             }
-            Some(ref probe) => {
-                let sub_sqls: Vec<String> =
-                    probe.ship.iter().map(|&i| req.sqls[i].clone()).collect();
-                let sub_fps: Vec<sloth_sql::Footprint> =
-                    probe.ship.iter().map(|&i| probe.fps[i].clone()).collect();
-                self.run_batch_resilient(&sub_sqls, Some(&sub_fps))
-            }
+            Some(ref probe) => self.run_batch_resilient(&probe.shipped),
         };
         let ran = match ran {
             Ok(ran) => ran,
@@ -923,7 +890,6 @@ impl SimEnv {
             fused_members,
             segments,
             cross_write_fused,
-            footprints_derived,
             ..
         } = ran;
         let (results, fused_members, error) = match probe {
@@ -948,7 +914,6 @@ impl SimEnv {
             fused_groups: exec.fused_groups,
             segments,
             cross_write_fused,
-            footprints_derived,
             coalesced: false,
         }
     }
@@ -962,47 +927,30 @@ impl SimEnv {
     /// the read from a pre-write entry would be stale. Eligible hits are
     /// answered locally; everything else ships.
     ///
-    /// Footprints come from the caller when threaded (dispatcher
-    /// admission, store deferral) and from the backend's per-template
-    /// footprint cache otherwise — resolved *before* the cache lock is
-    /// taken, honouring the lock hierarchy (cache above database, never
-    /// both at once).
-    fn probe_result_cache(
-        &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
-        bypass: bool,
-    ) -> Option<CacheProbe> {
+    /// Footprints are resolved *before* the cache lock is taken,
+    /// honouring the lock hierarchy (cache above database, never both at
+    /// once).
+    fn probe_result_cache(&self, req: &BatchRequest<'_>) -> Option<CacheProbe> {
         // Lock-free gate: the default cache-off path never takes a mutex.
         if !self.cache_on.load(Ordering::Relaxed) {
             return None;
         }
-        let norms: Vec<Option<sloth_sql::Normalized>> = sqls
-            .iter()
-            .map(|s| {
-                if sloth_sql::is_write_sql(s) {
-                    None
-                } else {
-                    sloth_sql::normalize(s).ok()
-                }
-            })
-            .collect();
-        let fps: Vec<sloth_sql::Footprint> = match footprints {
-            Some(fps) if fps.len() == sqls.len() => fps.to_vec(),
-            _ => sqls.iter().map(|s| self.footprint_of(s)).collect(),
-        };
-        let mut hits: Vec<Option<ResultSet>> = vec![None; sqls.len()];
-        let mut ship: Vec<usize> = Vec::with_capacity(sqls.len());
+        let stmts = req.stmts;
+        let bypass = req.cache == CacheMode::Bypass;
+        // One view fetch for the batch: on a pure-read page nothing above
+        // has asked these statements for a footprint yet.
+        let catalog = self.store.catalog();
+        let fps: Vec<&Footprint> = stmts.iter().map(|s| catalog.footprint(s)).collect();
+        let mut hits: Vec<Option<ResultSet>> = vec![None; stmts.len()];
+        let mut ship: Vec<usize> = Vec::with_capacity(stmts.len());
         let mut cache = self.cache();
-        for i in 0..sqls.len() {
+        for (i, stmt) in stmts.iter().enumerate() {
             let eligible = !bypass
-                && norms[i].is_some()
+                && cacheable(stmt)
                 && !fps[i].has_writes()
-                && (0..i).all(|j| !fps[j].has_writes() || !fps[j].conflicts_with(&fps[i]));
+                && (0..i).all(|j| !fps[j].has_writes() || !fps[j].conflicts_with(fps[i]));
             if eligible {
-                let n = norms[i].as_ref().expect("eligible reads normalize");
-                let key = (n.template.clone(), n.params.clone());
-                if let Some(rs) = cache.probe(&key) {
+                if let Some(rs) = cache.probe(stmt) {
                     hits[i] = Some(rs);
                     continue;
                 }
@@ -1012,9 +960,8 @@ impl SimEnv {
         drop(cache);
         Some(CacheProbe {
             hits,
+            shipped: ship.iter().map(|&i| stmts[i].clone()).collect(),
             ship,
-            fps,
-            norms,
             bypass,
         })
     }
@@ -1027,6 +974,8 @@ impl SimEnv {
     /// a read that trails a conflicting in-batch write refills *after*
     /// that write's invalidation, leaving the fresh post-write entry.
     fn settle_result_cache(&self, probe: &CacheProbe, results: &[Option<ResultSet>], version: u64) {
+        // Before the cache lock, like the probe (which memoised them all).
+        let fps: Vec<&Footprint> = probe.shipped.iter().map(|s| self.footprint(s)).collect();
         let mut cache = self.cache();
         // The cache may have been disabled (and cleared) between this
         // batch's probe and its settlement; filling a disabled cache
@@ -1044,20 +993,14 @@ impl SimEnv {
         // just-filled entry right after (publish happens before the
         // writer settles). Writes still invalidate unconditionally.
         let may_fill = cache.enabled() && version == self.store.published_version();
-        for (k, &i) in probe.ship.iter().enumerate() {
-            let Some(rs) = results.get(k).and_then(|r| r.as_ref()) else {
+        for ((stmt, fp), result) in probe.shipped.iter().zip(fps).zip(results) {
+            let Some(rs) = result else {
                 continue; // not executed (at or past the failing position)
             };
-            if probe.fps[i].has_writes() {
-                cache.invalidate(&probe.fps[i]);
-            } else if !probe.bypass && may_fill {
-                if let Some(n) = &probe.norms[i] {
-                    cache.fill(
-                        (n.template.clone(), n.params.clone()),
-                        rs.clone(),
-                        probe.fps[i].reads.clone(),
-                    );
-                }
+            if fp.has_writes() {
+                cache.invalidate(fp);
+            } else if !probe.bypass && may_fill && cacheable(stmt) {
+                cache.fill(stmt.clone(), rs.clone(), fp.reads.clone());
             }
         }
     }
@@ -1067,11 +1010,11 @@ impl SimEnv {
     /// shipped write footprint invalidates conservatively — a stale miss
     /// costs a round trip, a stale hit would cost correctness.
     fn invalidate_after_ambiguous_failure(&self, probe: &CacheProbe) {
+        let fps: Vec<&Footprint> = probe.shipped.iter().map(|s| self.footprint(s)).collect();
         let mut cache = self.cache();
-        for &i in &probe.ship {
-            if probe.fps[i].has_writes() {
-                cache.invalidate(&probe.fps[i]);
-            }
+        for fp in fps {
+            // `invalidate` ignores a footprint without writes.
+            cache.invalidate(fp);
         }
     }
 
@@ -1087,15 +1030,11 @@ impl SimEnv {
     /// attempt's [`RanBatch`] is returned **uncharged**; the caller
     /// applies its own surface semantics. `Err` means the retry budget
     /// ran out: all attempts already charged, batch abandoned.
-    fn run_batch_resilient(
-        &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
-    ) -> Result<RanBatch, SqlError> {
+    fn run_batch_resilient(&self, stmts: &[Stmt]) -> Result<RanBatch, SqlError> {
         // Lock-free gate: the perfect-network path never touches the
         // fault mutex at all.
         if !self.faults_on.load(Ordering::Relaxed) {
-            return Ok(self.run_batch(sqls, footprints, None, None));
+            return Ok(self.run_batch(stmts, None, None));
         }
         // Outage windows only apply behind a router (0 = none to draw).
         let n_shards = if self.is_sharded() {
@@ -1128,7 +1067,7 @@ impl SimEnv {
                     .as_ref()
                     .filter(|_| n_shards > 0)
                     .and_then(|p| p.down_shards(trip, n_shards));
-                let skip: Vec<Option<ResultSet>> = (0..sqls.len())
+                let skip: Vec<Option<ResultSet>> = (0..stmts.len())
                     .map(|i| {
                         fault
                             .journal
@@ -1138,7 +1077,7 @@ impl SimEnv {
                     .collect();
                 let hits = skip.iter().filter(|s| s.is_some()).count() as u64;
                 if hits > 0 {
-                    let writes = (0..sqls.len())
+                    let writes = (0..stmts.len())
                         .filter(|i| {
                             fault
                                 .journal
@@ -1172,13 +1111,12 @@ impl SimEnv {
                     self.charge_faulted_attempt(cost.rtt_ns, 0, 0);
                     faulted = true;
                     if attempt >= policy.max_attempts {
-                        return Err(self.abandon_batch(tag, sqls.len()));
+                        return Err(self.abandon_batch(tag, stmts.len()));
                     }
                     self.charge_backoff(policy.backoff_ns(attempt));
                 }
                 fault::FaultDecision::Deliver | fault::FaultDecision::Slow(_) => {
-                    let mut ran =
-                        self.run_batch(sqls, footprints, skip.as_deref(), down.as_deref());
+                    let mut ran = self.run_batch(stmts, skip.as_deref(), down.as_deref());
                     if let fault::FaultDecision::Slow(factor) = decision {
                         let inflated = cost.rtt_ns.saturating_mul(factor);
                         if inflated > policy.deadline_ns {
@@ -1187,14 +1125,14 @@ impl SimEnv {
                             // ran so the replay dedupes, charge the
                             // deadline wait plus the backend's work.
                             self.fault().stats.injected_timeouts += 1;
-                            self.journal_attempt(tag, &ran);
+                            self.journal_attempt(tag, stmts, &ran);
                             let wire = policy
                                 .deadline_ns
                                 .saturating_add(cost.per_byte_ns.saturating_mul(ran.exec.bytes));
                             self.charge_faulted_attempt(wire, ran.exec.db_ns, ran.exec.bytes);
                             faulted = true;
                             if attempt >= policy.max_attempts {
-                                return Err(self.abandon_batch(tag, sqls.len()));
+                                return Err(self.abandon_batch(tag, stmts.len()));
                             }
                             self.charge_backoff(policy.backoff_ns(attempt));
                             continue;
@@ -1212,18 +1150,18 @@ impl SimEnv {
                             // window may have passed by the next trip.
                             let (pos, e) = (*pos, e.clone());
                             self.fault().stats.outage_errors += 1;
-                            self.journal_attempt(tag, &ran);
+                            self.journal_attempt(tag, stmts, &ran);
                             let share = ran
                                 .rtt_ns
                                 .saturating_mul(pos as u64)
-                                .checked_div(sqls.len() as u64)
+                                .checked_div(stmts.len() as u64)
                                 .unwrap_or(0);
                             let wire = share
                                 .saturating_add(cost.per_byte_ns.saturating_mul(ran.exec.bytes));
                             self.charge_faulted_attempt(wire, ran.exec.db_ns, ran.exec.bytes);
                             faulted = true;
                             if attempt >= policy.max_attempts {
-                                self.abandon_batch(tag, sqls.len());
+                                self.abandon_batch(tag, stmts.len());
                                 return Err(e);
                             }
                             self.charge_backoff(policy.backoff_ns(attempt));
@@ -1233,7 +1171,7 @@ impl SimEnv {
                     // Success, or a genuine SQL error (which a retry
                     // would only repeat): hand back to the caller.
                     let mut fault = self.fault();
-                    for i in 0..sqls.len() {
+                    for i in 0..stmts.len() {
                         fault.journal.remove(&fault::stmt_id(tag, i));
                     }
                     if faulted {
@@ -1262,14 +1200,13 @@ impl SimEnv {
     /// replay consumes the recorded results instead of re-executing.
     /// Reads are journaled too: a replayed read re-executing *after* an
     /// already-applied same-batch write would observe the wrong state.
-    fn journal_attempt(&self, tag: u64, ran: &RanBatch) {
+    fn journal_attempt(&self, tag: u64, stmts: &[Stmt], ran: &RanBatch) {
         let mut fault = self.fault();
-        for (i, r) in ran.exec.results.iter().enumerate() {
+        for (i, (stmt, r)) in stmts.iter().zip(&ran.exec.results).enumerate() {
             if let Some(rs) = r {
-                let is_write = ran.is_write.get(i).copied().unwrap_or(false);
                 fault
                     .journal
-                    .insert(fault::stmt_id(tag, i), (rs.clone(), is_write));
+                    .insert(fault::stmt_id(tag, i), (rs.clone(), stmt.is_write()));
             }
         }
     }
@@ -1305,8 +1242,7 @@ impl SimEnv {
     /// `down` marks shards inside an outage window.
     fn run_batch(
         &self,
-        sqls: &[String],
-        footprints: Option<&[sloth_sql::Footprint]>,
+        stmts: &[Stmt],
         skip: Option<&[Option<ResultSet>]>,
         down: Option<&[bool]>,
     ) -> RanBatch {
@@ -1314,8 +1250,8 @@ impl SimEnv {
             fusion: self.knobs.fusion.load(Ordering::Relaxed),
             max_fused_arity: self.max_fused_arity(),
         };
-        let plan = batch::plan_batch(sqls, &cfg, footprints);
-        self.execute(self.cost, sqls, plan, skip, down, false)
+        let plan = batch::plan_batch(stmts, &cfg, |s| self.footprint(s));
+        self.execute(self.cost, stmts, &plan, skip, down, false)
     }
 
     /// Admit → execute → commit: the one path every statement takes to
@@ -1331,13 +1267,13 @@ impl SimEnv {
     fn execute(
         &self,
         cost: CostModel,
-        sqls: &[String],
-        plan: batch::BatchPlan,
+        stmts: &[Stmt],
+        plan: &batch::BatchPlan<'_>,
         skip: Option<&[Option<ResultSet>]>,
         down: Option<&[bool]>,
         seeding: bool,
     ) -> RanBatch {
-        let read_only = !plan.is_write.iter().any(|&w| w);
+        let read_only = !stmts.iter().any(Stmt::is_write);
         let mode = if seeding || !read_only {
             Admit::Exclusive
         } else {
@@ -1348,14 +1284,14 @@ impl SimEnv {
             sat_add(&self.stats.snapshot_batches, 1);
         }
         let exec = match &self.router {
-            Some(router) => router.exec_batch(&cost, sqls, &plan, skip, down, &admitted, !seeding),
+            Some(router) => router.exec_batch(&cost, stmts, plan, skip, down, &admitted, !seeding),
             None if mode == Admit::Exclusive => {
                 let mut db = admitted.write(0);
-                batch::exec_single(&mut *db, &cost, sqls, &plan, skip)
+                batch::exec_single(&mut *db, &cost, stmts, plan, skip)
             }
             None => admitted
                 .view(0)
-                .with(|mut db| batch::exec_single(&mut db, &cost, sqls, &plan, skip)),
+                .with(|mut db| batch::exec_single(&mut db, &cost, stmts, plan, skip)),
         };
         if mode == Admit::Exclusive {
             if !seeding {
@@ -1369,11 +1305,11 @@ impl SimEnv {
         }
         // Stamped while the write order is still held: the published
         // version is then exactly the state this batch saw or left.
-        let (plan_evictions, db_version) = (admitted.plan_evictions(), admitted.version());
+        let db_version = admitted.version();
         drop(admitted);
-        let mut fused_members: Vec<Option<usize>> = vec![None; sqls.len()];
-        for (g, (_, members)) in plan.fused.iter().enumerate() {
-            for &m in members {
+        let mut fused_members: Vec<Option<usize>> = vec![None; stmts.len()];
+        for (g, group) in plan.fused.iter().enumerate() {
+            for &(m, _) in &group.members {
                 fused_members[m] = Some(g);
             }
         }
@@ -1381,13 +1317,10 @@ impl SimEnv {
             rtt_ns: cost.rtt_ns,
             cost,
             exec,
-            plan_evictions,
             db_version,
             fused_members,
             segments: plan.segments,
             cross_write_fused: plan.cross_write_fused,
-            footprints_derived: plan.footprints_derived,
-            is_write: plan.is_write,
         }
     }
 
@@ -1433,27 +1366,6 @@ impl SimEnv {
             .fetch_max(n_sqls as u64, Ordering::Relaxed);
         sat_add(&self.stats.fused_queries, ran.exec.fused_queries);
         sat_add(&self.stats.fused_groups, ran.exec.fused_groups);
-        // Self-tuning fused-probe arity: each distinct `IN (?, …)` arity
-        // is its own plan-cache template, so under template churn
-        // (observed as fresh evictions) the cap halves to slow the churn
-        // down; a quiet cache doubles it back to the default. An explicit
-        // override freezes the tuner. Lock-free: concurrent batches may
-        // interleave their adjustments, but the cap always stays inside
-        // [MIN_AUTO_FUSED_ARITY, DEFAULT_MAX_FUSED_ARITY] and converges
-        // the same way — the tuner is a heuristic, not an invariant.
-        if self.knobs.arity_override.load(Ordering::Relaxed) == 0 {
-            let evictions = ran.plan_evictions;
-            let last = self.knobs.last_evictions.swap(evictions, Ordering::Relaxed);
-            let cur = self.knobs.auto_arity.load(Ordering::Relaxed);
-            let next = if evictions > last {
-                (cur / 2).max(batch::MIN_AUTO_FUSED_ARITY)
-            } else if cur < batch::DEFAULT_MAX_FUSED_ARITY {
-                (cur * 2).min(batch::DEFAULT_MAX_FUSED_ARITY)
-            } else {
-                cur
-            };
-            self.knobs.auto_arity.store(next, Ordering::Relaxed);
-        }
         // Real-time mode: pay the network latency in real wall-clock time
         // (no lock is held here, so concurrent sessions overlap their
         // waits — the whole point of measuring with threads).
@@ -1471,6 +1383,12 @@ impl SimEnv {
     }
 }
 
+/// Whether the result cache may hold `stmt` at all: a read with a
+/// template to be found under.
+fn cacheable(stmt: &Stmt) -> bool {
+    !stmt.is_write() && stmt.norm().is_some()
+}
+
 /// The result cache's pre-execution decision for one batch: which
 /// positions are answered locally, which ship, and the per-position
 /// classification the post-execution settlement reuses.
@@ -1479,10 +1397,8 @@ struct CacheProbe {
     hits: Vec<Option<ResultSet>>,
     /// Original positions of the shipped sub-batch, ascending.
     ship: Vec<usize>,
-    /// Per-position footprints (caller-threaded or cache-resolved).
-    fps: Vec<sloth_sql::Footprint>,
-    /// Per-position normalization (`None` for writes/unlexable SQL).
-    norms: Vec<Option<sloth_sql::Normalized>>,
+    /// The shipped sub-batch itself (clones: reference-count bumps).
+    shipped: Vec<Stmt>,
     /// Degraded-session bypass: no hits were served and no fills happen,
     /// but shipped writes still invalidate.
     bypass: bool,
@@ -1495,10 +1411,6 @@ struct RanBatch {
     /// inflated value on a slow (but under-deadline) trip.
     rtt_ns: u64,
     exec: batch::BatchExec,
-    /// The store's cumulative plan-cache eviction count after this batch
-    /// (summed over the admitted views) — the pressure signal the
-    /// self-tuning fused-probe arity watches.
-    plan_evictions: u64,
     /// The data version the results reflect (summed over the store's
     /// databases): the post-commit version for a batch that wrote, the
     /// frozen one for a snapshot read. The result cache compares it
@@ -1508,9 +1420,6 @@ struct RanBatch {
     fused_members: Vec<Option<usize>>,
     segments: u64,
     cross_write_fused: u64,
-    footprints_derived: u64,
-    /// Per-position write flags from the plan (journal bookkeeping).
-    is_write: Vec<bool>,
 }
 
 #[cfg(test)]
@@ -1528,11 +1437,15 @@ mod tests {
         env
     }
 
+    fn stmts(sqls: &[String]) -> Vec<Stmt> {
+        sqls.iter().map(Stmt::new).collect()
+    }
+
     /// Ships `sqls` past the result cache's hit path, all-or-error.
     fn uncached(env: &SimEnv, sqls: &[String]) -> Result<Vec<ResultSet>, SqlError> {
         env.ship(&BatchRequest {
             cache: CacheMode::Bypass,
-            ..BatchRequest::new(sqls)
+            ..BatchRequest::new(&stmts(sqls))
         })
         .into_results()
     }
@@ -1700,7 +1613,7 @@ mod tests {
             "UPDATE t SET v = 'changed' WHERE id = 2".to_string(),
             "SELECT v FROM t WHERE id = 3".to_string(),
         ];
-        let o = env.ship(&BatchRequest::new(&sqls));
+        let o = env.ship(&BatchRequest::new(&stmts(&sqls)));
         let v = |i: usize| o.results[i].as_ref().unwrap().get(0, "v").unwrap();
         assert_eq!(v(0).as_str(), Some("v1"));
         assert_eq!(v(2).as_str(), Some("v3"));
@@ -1771,7 +1684,7 @@ mod tests {
             "SELECT v FROM missing WHERE id = 1".to_string(),
             "SELECT COUNT(*) FROM t".to_string(),
         ];
-        let p = env.ship(&BatchRequest::new(&sqls));
+        let p = env.ship(&BatchRequest::new(&stmts(&sqls)));
         let (pos, err) = p.error.expect("third statement fails");
         assert_eq!(pos, 2);
         assert!(err.to_string().contains("missing"));
@@ -1863,7 +1776,7 @@ mod tests {
             "SELECT COUNT(*) FROM t".to_string(),
             "SELECT v FROM t WHERE id = 5".to_string(),
         ];
-        let o = env.ship(&BatchRequest::new(&sqls));
+        let o = env.ship(&BatchRequest::new(&stmts(&sqls)));
         assert_eq!(o.fused_members, vec![Some(0), None, Some(0)]);
         assert_eq!(o.fused_queries, 2);
         assert_eq!(o.fused_groups, 1);
@@ -1963,87 +1876,48 @@ mod tests {
     #[test]
     fn footprints_resolve_through_backend_cache() {
         let env = seeded_env();
-        let a = env.footprint_of("SELECT v FROM t WHERE id = 3");
-        let b = env.footprint_of("SELECT v FROM t WHERE id = 4");
-        assert!(!a.conflicts_with(&b), "reads never conflict");
+        let a = Stmt::new("SELECT v FROM t WHERE id = 3");
+        let b = Stmt::new("SELECT v FROM t WHERE id = 4");
+        assert!(
+            !env.footprint(&a).conflicts_with(env.footprint(&b)),
+            "reads never conflict"
+        );
         let s = env.footprint_cache_stats();
         assert_eq!((s.hits, s.misses), (1, 1), "one template, one parse");
-        let w = env.footprint_of("UPDATE t SET v = 'x' WHERE id = 3");
-        assert!(w.conflicts_with(&a));
-        assert!(!w.conflicts_with(&b));
-    }
-
-    #[test]
-    fn auto_arity_shrinks_under_eviction_pressure_and_recovers() {
-        let env = seeded_env();
-        assert_eq!(env.max_fused_arity(), 64, "auto default");
-        // Sustained template churn: > 512 distinct LIMIT templates evict.
-        for i in 1..=600usize {
-            env.query(&format!("SELECT v FROM t LIMIT {i}")).unwrap();
-        }
-        let squeezed = env.max_fused_arity();
-        assert!(
-            squeezed < 64,
-            "eviction pressure must shrink the arity, still {squeezed}"
+        let w = Stmt::new("UPDATE t SET v = 'x' WHERE id = 3");
+        assert!(env.footprint(&w).conflicts_with(env.footprint(&a)));
+        assert!(!env.footprint(&w).conflicts_with(env.footprint(&b)));
+        let s = env.footprint_cache_stats();
+        assert_eq!(
+            (s.hits, s.misses),
+            (1, 2),
+            "asking a statement again reads its memo, not the cache"
         );
-        assert!(squeezed >= 8, "floor holds: {squeezed}");
-        // A quiet cache (same template over and over) restores the default.
-        for _ in 0..8 {
-            env.query("SELECT v FROM t WHERE id = 1").unwrap();
-        }
-        assert_eq!(env.max_fused_arity(), 64, "quiet cache restores default");
-        // An explicit override freezes the tuner…
-        env.set_max_fused_arity(5);
-        for i in 601..=1300usize {
-            env.query(&format!("SELECT v FROM t LIMIT {i}")).unwrap();
-        }
-        assert_eq!(env.max_fused_arity(), 5, "override wins over pressure");
-        // …and auto mode can be restored.
-        env.set_auto_fused_arity();
-        for _ in 0..8 {
-            env.query("SELECT v FROM t WHERE id = 1").unwrap();
-        }
-        assert_eq!(env.max_fused_arity(), 64);
-    }
-
-    #[test]
-    fn auto_arity_chunking_stays_semantically_invisible() {
-        // Run a fused batch while the tuner is squeezed: results must be
-        // identical to an unpressured deployment.
-        let env = seeded_env();
-        for i in 1..=600usize {
-            env.query(&format!("SELECT v FROM t LIMIT {i}")).unwrap();
-        }
-        assert!(env.max_fused_arity() < 64);
-        let sqls: Vec<String> = (0..20)
-            .map(|i| format!("SELECT v FROM t WHERE id = {i}"))
-            .collect();
-        let squeezed = env.query_batch(&sqls).unwrap();
-        let calm = seeded_env();
-        let wide = calm.query_batch(&sqls).unwrap();
-        assert_eq!(squeezed, wide);
     }
 
     #[test]
     fn direct_write_batches_derive_footprints_once_in_the_planner() {
         let env = seeded_env();
-        let sqls = vec![
+        let lookups = || {
+            let s = env.footprint_cache_stats();
+            s.hits + s.misses
+        };
+        let batch = stmts(&[
             "SELECT v FROM t WHERE id = 1".to_string(),
             "UPDATE t SET v = 'x' WHERE id = 2".to_string(),
-        ];
-        // Without threaded footprints the planner derives them itself…
-        let o = env.ship(&BatchRequest::new(&sqls));
-        assert_eq!(o.footprints_derived, 2);
-        // …and with them it derives none.
-        let fps: Vec<sloth_sql::Footprint> = sqls.iter().map(|s| env.footprint_of(s)).collect();
-        let o = env.ship(&BatchRequest {
-            footprints: Some(&fps),
-            ..BatchRequest::new(&sqls)
-        });
-        assert_eq!(o.footprints_derived, 0);
+        ]);
+        // No layer above analyzed these statements: the planner resolves
+        // each footprint, once, through the template cache…
+        assert!(env.ship(&BatchRequest::new(&batch)).error.is_none());
+        assert_eq!(lookups(), 2);
+        // …and the statements keep them: the same values shipped again
+        // look nothing up.
+        assert!(env.ship(&BatchRequest::new(&batch)).error.is_none());
+        assert_eq!(lookups(), 2);
         // Read-only batches never need footprints at all.
-        let reads = vec!["SELECT v FROM t WHERE id = 1".to_string()];
-        assert_eq!(env.ship(&BatchRequest::new(&reads)).footprints_derived, 0);
+        let reads = stmts(&["SELECT v FROM t WHERE id = 1".to_string()]);
+        assert!(env.ship(&BatchRequest::new(&reads)).error.is_none());
+        assert_eq!(lookups(), 2);
     }
 
     #[test]
@@ -2174,9 +2048,9 @@ mod tests {
         assert_eq!(s.round_trips, 3, "every wasted attempt is charged");
         assert_eq!(s.queries, 0, "nothing ever executed");
         // The partial surface reports the same failure at position 0.
-        let p = env.ship(&BatchRequest::new(&[
-            "SELECT v FROM t WHERE id = 2".to_string()
-        ]));
+        let p = env.ship(&BatchRequest::new(&[Stmt::new(
+            "SELECT v FROM t WHERE id = 2",
+        )]));
         let (pos, e) = p.error.expect("still exhausting");
         assert_eq!(pos, 0);
         assert!(is_transient_error(&e));
@@ -2202,10 +2076,10 @@ mod tests {
         // executed prefix — zero transfer latency at position 0, half at
         // the midpoint — while the trip itself still counts.
         let env = seeded_env();
-        let p = env.ship(&BatchRequest::new(&[
+        let p = env.ship(&BatchRequest::new(&stmts(&[
             "SELECT v FROM missing WHERE id = 1".to_string(),
             "SELECT v FROM t WHERE id = 1".to_string(),
-        ]));
+        ])));
         assert_eq!(p.error.expect("fails at 0").0, 0);
         let s = env.stats();
         assert_eq!(s.round_trips, 1, "the trip is still accounted");
@@ -2216,12 +2090,12 @@ mod tests {
         );
         // Midpoint failure: half the RTT share, half the statements.
         let mid = seeded_env();
-        let p = mid.ship(&BatchRequest::new(&[
+        let p = mid.ship(&BatchRequest::new(&stmts(&[
             "SELECT v FROM t WHERE id = 1".to_string(),
             "SELECT v FROM t WHERE id = 2".to_string(),
             "SELECT v FROM missing WHERE id = 1".to_string(),
             "SELECT v FROM t WHERE id = 3".to_string(),
-        ]));
+        ])));
         assert_eq!(p.error.expect("fails at 2").0, 2);
         let s = mid.stats();
         assert_eq!(s.round_trips, 1);

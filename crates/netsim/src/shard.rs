@@ -34,7 +34,7 @@
 //! query store, ORM session, interpreters and benchmark apps all run
 //! unchanged on a sharded fleet.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -46,10 +46,10 @@ use sloth_sql::fuse;
 use sloth_sql::shard::{hash_key, shard_of};
 use sloth_sql::{
     parameterize, parse, Database, ExecStats, MergeKey, MergeTrace, Normalized, PlanCacheStats,
-    ResultSet, Row, ShardSpec, SqlError, Value,
+    ResultSet, Row, ShardSpec, SqlError, Stmt, TemplateMap, Value,
 };
 
-use crate::batch::{self, BatchExec, BatchPlan, Role};
+use crate::batch::{self, BatchExec, BatchPlan, FusedGroup, Role};
 use crate::fault::transient_error;
 use crate::versioned::{Admitted, ReadView};
 use crate::{CostModel, NetStats, SimEnv};
@@ -139,16 +139,6 @@ struct RouteEntry {
     /// The parameterized statement (used to rewrite `COUNT(DISTINCT c)`
     /// into a column gather under scatter).
     pstmt: Statement,
-}
-
-/// Route cache entries beyond this count evict FIFO (mirrors the engine's
-/// plan-cache bound).
-const ROUTE_CACHE_CAP: usize = 512;
-
-#[derive(Default)]
-struct RouteCache {
-    map: HashMap<String, Arc<RouteEntry>>,
-    order: VecDeque<String>,
 }
 
 /// Per-batch execution context: cost collection (read times and write
@@ -261,7 +251,7 @@ pub(crate) struct Router {
     /// dense in its own insert count (a fleet-wide counter would grow
     /// every table's backing store to the global insert total).
     next_rid: Mutex<HashMap<String, u64>>,
-    routes: Mutex<RouteCache>,
+    routes: Mutex<TemplateMap<Arc<RouteEntry>>>,
     stats: Mutex<ShardStats>,
     /// Worker threads for parallel read waves, spawned on first use.
     pool: Mutex<Option<ShardPool>>,
@@ -277,7 +267,7 @@ impl Router {
             n: shards,
             spec,
             next_rid: Mutex::new(HashMap::new()),
-            routes: Mutex::new(RouteCache::default()),
+            routes: Mutex::default(),
             stats: Mutex::new(ShardStats::new(shards)),
             pool: Mutex::new(None),
             db_sleep_ppm: AtomicU64::new(0),
@@ -384,8 +374,8 @@ impl Router {
     pub(crate) fn exec_batch(
         &self,
         cost: &CostModel,
-        sqls: &[String],
-        plan: &BatchPlan,
+        stmts: &[Stmt],
+        plan: &BatchPlan<'_>,
         skip: Option<&[Option<ResultSet>]>,
         down: Option<&[bool]>,
         adm: &Admitted<'_>,
@@ -393,7 +383,7 @@ impl Router {
     ) -> BatchExec {
         let n = self.n;
         let saved = (!metered).then(|| self.stats_mut().clone());
-        let mut results: Vec<Option<ResultSet>> = vec![None; sqls.len()];
+        let mut results: Vec<Option<ResultSet>> = vec![None; stmts.len()];
         let mut error: Option<(usize, SqlError)> = None;
         let mut costs = Costs {
             read_times: vec![Vec::new(); n],
@@ -407,7 +397,7 @@ impl Router {
         let mut fused_groups = 0u64;
 
         if let Some(skip) = skip {
-            for (i, s) in skip.iter().enumerate().take(sqls.len()) {
+            for (i, s) in skip.iter().enumerate().take(stmts.len()) {
                 if let Some(rs) = s {
                     costs.bytes += rs.wire_size() as u64;
                     results[i] = Some(rs.clone());
@@ -415,17 +405,17 @@ impl Router {
             }
         }
 
-        for i in 0..sqls.len() {
+        for (i, stmt) in stmts.iter().enumerate() {
             match plan.roles[i].clone() {
                 Role::FusedMember => {} // answered by its group's lead
                 Role::Single => {
                     if results[i].is_some() {
                         continue; // answered from the journal
                     }
-                    let rs = if plan.is_write[i] {
-                        self.exec_write(&sqls[i], cost, &mut costs)
+                    let rs = if stmt.is_write() {
+                        self.exec_write(stmt, cost, &mut costs)
                     } else {
-                        self.exec_read(&sqls[i], plan.norms[i].as_ref(), cost, &mut costs)
+                        self.exec_read(stmt, cost, &mut costs)
                     };
                     match rs {
                         Ok(rs) => results[i] = Some(rs),
@@ -436,11 +426,11 @@ impl Router {
                     }
                 }
                 Role::FusedLead(g) => {
-                    let (lookup, members) = &plan.fused[g];
-                    let live_members: Vec<usize> = members
+                    let FusedGroup { lookup, members } = &plan.fused[g];
+                    let live_members: Vec<(usize, &Value)> = members
                         .iter()
                         .copied()
-                        .filter(|&m| results[m].is_none())
+                        .filter(|&(m, _)| results[m].is_none())
                         .collect();
                     if live_members.is_empty() {
                         continue; // whole group answered from the journal
@@ -448,7 +438,6 @@ impl Router {
                     match self.exec_fused(
                         lookup,
                         &live_members,
-                        &plan.norms,
                         plan.max_fused_arity,
                         cost,
                         &mut costs,
@@ -497,12 +486,12 @@ impl Router {
 
     fn exec_read(
         &self,
-        sql: &str,
-        norm: Option<&Normalized>,
+        stmt: &Stmt,
         cost: &CostModel,
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
-        let Some(norm) = norm else {
+        let sql = stmt.sql();
+        let Some(norm) = stmt.norm() else {
             // Unlexable "SELECT …": executes (and errors) identically on
             // any shard — ship it to shard 0 for the authentic error.
             return self.read_on(0, sql, None, cost, costs);
@@ -756,24 +745,18 @@ impl Router {
     /// probes only the values it owns, all sub-probes share the parallel
     /// wave, and demux happens per sub-probe (a value's rows live
     /// entirely on its owning shard, so no cross-shard merge is needed).
-    #[allow(clippy::too_many_arguments)]
     fn exec_fused(
         &self,
         lookup: &fuse::FusableLookup,
-        members: &[usize],
-        norms: &[Option<Normalized>],
+        members: &[(usize, &Value)],
         max_arity: usize,
         cost: &CostModel,
         costs: &mut Costs<'_>,
         results: &mut [Option<ResultSet>],
     ) -> Result<(), SqlError> {
-        let values: Vec<&Value> = batch::fused_values(norms, members);
-        let all_targets: Vec<(usize, &Value)> = members
-            .iter()
-            .map(|&m| (m, &norms[m].as_ref().expect("member has norm").params[0]))
-            .collect();
+        let values: Vec<&Value> = batch::fused_values(members);
         for chunk in values.chunks(max_arity.max(1)) {
-            let targets = batch::chunk_targets(&all_targets, chunk);
+            let targets = batch::chunk_targets(members, chunk);
             self.exec_fused_probe(lookup, chunk, &targets, cost, costs, results)?;
         }
         Ok(())
@@ -914,10 +897,11 @@ impl Router {
 
     fn exec_write(
         &self,
-        sql: &str,
+        text: &Stmt,
         cost: &CostModel,
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
+        let sql = text.sql();
         let stmt = parse(sql)?;
         match &stmt {
             Statement::CreateTable { .. } | Statement::CreateIndex { .. } => {
@@ -962,10 +946,9 @@ impl Router {
                 self.route_dml(table, predicate.as_ref(), &stmt, sql, cost, costs)
             }
             Statement::Select(_) => {
-                // `is_write_sql` is a keyword heuristic; a statement it
+                // The classifier is a keyword heuristic; a statement it
                 // misclassifies still executes correctly as a read.
-                let norm = sloth_sql::normalize(sql).ok();
-                self.exec_read(sql, norm.as_ref(), cost, costs)
+                self.exec_read(text, cost, costs)
             }
         }
     }
@@ -1188,31 +1171,19 @@ impl Router {
     /// `None` means the statement does not parse — the caller ships it to
     /// shard 0 for the authentic error.
     fn route_for(&self, template: &str, sql: &str) -> Option<Arc<RouteEntry>> {
-        {
-            let routes = self.routes.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(e) = routes.map.get(template) {
-                let e = Arc::clone(e);
-                drop(routes);
-                self.stats_mut().route_cache_hits += 1;
-                return Some(e);
-            }
+        let lock = || self.routes.lock().unwrap_or_else(PoisonError::into_inner);
+        let cached = lock().get(template).cloned();
+        if cached.is_some() {
+            self.stats_mut().route_cache_hits += 1;
+            return cached;
         }
         self.stats_mut().route_cache_misses += 1;
         let entry = Arc::new(build_route(sql, &self.spec)?);
-        let mut routes = self.routes.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(e) = routes.map.get(template) {
-            // Another batch routed the template concurrently; share its
-            // entry (both derivations are identical — routing is pure).
-            return Some(Arc::clone(e));
-        }
-        if routes.map.len() >= ROUTE_CACHE_CAP {
-            if let Some(oldest) = routes.order.pop_front() {
-                routes.map.remove(&oldest);
-            }
-        }
-        routes.order.push_back(template.to_string());
-        routes.map.insert(template.to_string(), Arc::clone(&entry));
-        Some(entry)
+        // Another batch may have routed the template meanwhile; share the
+        // first entry (both derivations are identical — routing is pure).
+        let mut routes = lock();
+        routes.insert_if_absent(template, entry);
+        routes.get(template).cloned()
     }
 }
 

@@ -86,15 +86,6 @@ impl Admitted<'_> {
             .unwrap_or_else(|| self.store.published_version())
     }
 
-    /// Cumulative plan-cache evictions over the admitted views (the
-    /// caches are the live databases' own, shared by `Arc`).
-    pub(crate) fn plan_evictions(&self) -> u64 {
-        self.views
-            .iter()
-            .map(|v| v.with(|db| db.plan_cache_stats().evictions))
-            .sum()
-    }
-
     /// Publishes the live state — the commit point, and the only
     /// function that replaces a published view. Legal only under an
     /// exclusive admission, so publishes are serialized and the vector

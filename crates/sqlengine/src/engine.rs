@@ -2,15 +2,17 @@
 //! tables, reporting deterministic execution statistics used by the cost
 //! model in `sloth-net`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use crate::ast::*;
 use crate::error::SqlError;
 use crate::footprint::Footprint;
-use crate::normalize::{normalize, parameterize};
+use crate::normalize::{normalize, parameterize, Normalized};
 use crate::parser::parse;
+use crate::stmt::Stmt;
 use crate::table::Table;
+use crate::template_map::TemplateMap;
 use crate::value::{ResultSet, Row, Value};
 
 /// Per-statement execution statistics.
@@ -86,7 +88,7 @@ impl PlanCacheStats {
     }
 }
 
-/// Bounded template → parameterized-plan cache (FIFO eviction).
+/// Template → parameterized-plan cache, bounded by [`TemplateMap`].
 ///
 /// Lives inside [`Database`]; a template hit means repeated ORM-generated
 /// SQL skips lexing and parsing entirely and re-executes the cached plan
@@ -102,11 +104,9 @@ struct PlanCache {
 
 #[derive(Debug, Clone, Default)]
 struct PlanCacheInner {
-    map: HashMap<String, Arc<CachedPlan>>,
-    order: VecDeque<String>,
+    plans: TemplateMap<Arc<CachedPlan>>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl Clone for PlanCache {
@@ -123,11 +123,6 @@ struct CachedPlan {
     n_params: usize,
 }
 
-/// Cached plans beyond this count evict the oldest entry (FIFO): enough
-/// for every distinct template of the benchmark workloads while bounding
-/// memory for adversarial query streams.
-const PLAN_CACHE_CAP: usize = 512;
-
 impl PlanCache {
     fn lock(&self) -> std::sync::MutexGuard<'_, PlanCacheInner> {
         self.inner
@@ -137,7 +132,7 @@ impl PlanCache {
 
     fn lookup(&self, template: &str) -> Option<Arc<CachedPlan>> {
         let mut inner = self.lock();
-        match inner.map.get(template).map(Arc::clone) {
+        match inner.plans.get(template).map(Arc::clone) {
             Some(plan) => {
                 inner.hits += 1;
                 Some(plan)
@@ -149,25 +144,10 @@ impl PlanCache {
         }
     }
 
-    fn insert(&self, template: String, plan: CachedPlan) {
-        let mut inner = self.lock();
-        if inner.map.contains_key(&template) {
-            // Two sessions can miss the same template concurrently (the
-            // cache is shared across snapshots); a second insert would
-            // push a duplicate `order` entry whose pop later evicts the
-            // live entry early. First plan wins — they are identical.
-            return;
-        }
-        while inner.map.len() >= PLAN_CACHE_CAP {
-            let Some(oldest) = inner.order.pop_front() else {
-                break;
-            };
-            if inner.map.remove(&oldest).is_some() {
-                inner.evictions += 1;
-            }
-        }
-        inner.order.push_back(template.clone());
-        inner.map.insert(template, Arc::new(plan));
+    /// Two sessions can miss the same template concurrently (the cache is
+    /// shared across snapshots); the first plan wins — they are identical.
+    fn insert(&self, template: &str, plan: CachedPlan) {
+        self.lock().plans.insert_if_absent(template, Arc::new(plan));
     }
 
     fn stats(&self) -> PlanCacheStats {
@@ -175,8 +155,8 @@ impl PlanCache {
         PlanCacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            entries: inner.map.len(),
-            evictions: inner.evictions,
+            entries: inner.plans.len(),
+            evictions: inner.plans.evictions(),
         }
     }
 }
@@ -204,7 +184,7 @@ enum CachedFootprint {
     Barrier,
 }
 
-/// Bounded template → parameterized-footprint cache (FIFO eviction),
+/// Template → parameterized-footprint cache, bounded by [`TemplateMap`] and
 /// parameterized exactly like the plan cache: one parse per template, and
 /// every same-template statement derives its read/write table + key sets
 /// by substituting its own extracted parameters.
@@ -220,8 +200,7 @@ struct FootprintCache {
 
 #[derive(Debug, Default)]
 struct FootprintCacheInner {
-    map: HashMap<String, Arc<CachedFootprint>>,
-    order: VecDeque<String>,
+    templates: TemplateMap<Arc<CachedFootprint>>,
     hits: u64,
     misses: u64,
 }
@@ -234,8 +213,6 @@ impl Clone for FootprintCache {
     }
 }
 
-const FOOTPRINT_CACHE_CAP: usize = 512;
-
 impl FootprintCache {
     fn lock(&self) -> std::sync::MutexGuard<'_, FootprintCacheInner> {
         self.inner
@@ -243,14 +220,16 @@ impl FootprintCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn footprint_of(&self, sql: &str) -> Footprint {
-        let Ok(norm) = normalize(sql) else {
-            // Unlexable: no template to key on; always a barrier.
+    /// The footprint of `sql`, whose normalization the caller already
+    /// holds (`None` = the text does not lex: no template to key on,
+    /// always a barrier).
+    fn footprint_of(&self, sql: &str, norm: Option<&Normalized>) -> Footprint {
+        let Some(norm) = norm else {
             return Footprint::barrier();
         };
         {
             let mut inner = self.lock();
-            if let Some(cached) = inner.map.get(&norm.template).map(Arc::clone) {
+            if let Some(cached) = inner.templates.get(&norm.template).map(Arc::clone) {
                 inner.hits += 1;
                 drop(inner);
                 return match &*cached {
@@ -287,17 +266,9 @@ impl FootprintCache {
             CachedFootprint::Barrier => Footprint::barrier(),
             CachedFootprint::Stmt(pstmt, _) => Footprint::of_stmt_with(pstmt, &norm.params),
         };
-        let mut inner = self.lock();
-        if !inner.map.contains_key(&norm.template) {
-            while inner.map.len() >= FOOTPRINT_CACHE_CAP {
-                let Some(oldest) = inner.order.pop_front() else {
-                    break;
-                };
-                inner.map.remove(&oldest);
-            }
-            inner.order.push_back(norm.template.clone());
-            inner.map.insert(norm.template, Arc::new(entry));
-        }
+        self.lock()
+            .templates
+            .insert_if_absent(&norm.template, Arc::new(entry));
         fp
     }
 
@@ -306,7 +277,7 @@ impl FootprintCache {
         FootprintCacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            entries: inner.map.len(),
+            entries: inner.templates.len(),
         }
     }
 }
@@ -434,7 +405,18 @@ impl Database {
     /// is interior-mutexed, so the driver's hot register path never takes
     /// the executor's write lock.
     pub fn footprint_of(&self, sql: &str) -> Footprint {
-        self.footprints.footprint_of(sql)
+        self.footprints
+            .footprint_of(sql, normalize(sql).ok().as_ref())
+    }
+
+    /// The [`Footprint`] of a [`Stmt`], memoised in the statement: the
+    /// first call resolves it through the per-template footprint cache
+    /// with the statement's own normalization (no second lex), every
+    /// later call — on this or any clone of the statement, against this
+    /// or any database — reads it back. A footprint is a function of the
+    /// text alone, so which database's cache answered does not matter.
+    pub fn footprint<'s>(&self, stmt: &'s Stmt) -> &'s Footprint {
+        stmt.footprint_or(|| self.footprints.footprint_of(stmt.sql(), stmt.norm()))
     }
 
     /// Snapshot of the footprint-cache counters.
@@ -468,7 +450,7 @@ impl Database {
     pub fn execute_select_normalized(
         &self,
         sql: &str,
-        norm: &crate::normalize::Normalized,
+        norm: &Normalized,
     ) -> Result<ExecOutcome, SqlError> {
         self.execute_select_opts(sql, norm, false).map(|(o, _)| o)
     }
@@ -478,7 +460,7 @@ impl Database {
     pub fn execute_select_traced(
         &self,
         sql: &str,
-        norm: &crate::normalize::Normalized,
+        norm: &Normalized,
     ) -> Result<(ExecOutcome, Option<MergeTrace>), SqlError> {
         self.execute_select_opts(sql, norm, true)
     }
@@ -497,7 +479,7 @@ impl Database {
     fn execute_select_opts(
         &self,
         sql: &str,
-        norm: &crate::normalize::Normalized,
+        norm: &Normalized,
         trace: bool,
     ) -> Result<(ExecOutcome, Option<MergeTrace>), SqlError> {
         if let Some(plan) = self.plans.lookup(&norm.template) {
@@ -514,7 +496,7 @@ impl Database {
             // entry, and error texts must not depend on cache state.
             if out.is_ok() {
                 self.plans.insert(
-                    norm.template.clone(),
+                    &norm.template,
                     CachedPlan {
                         stmt: pstmt,
                         n_params: slots,

@@ -41,11 +41,12 @@ pub mod lexer;
 pub mod normalize;
 pub mod parser;
 pub mod shard;
+pub mod stmt;
 pub mod table;
+pub mod template_map;
 pub mod value;
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 pub use ast::Statement;
 pub use engine::{
@@ -57,6 +58,8 @@ pub use footprint::{Footprint, PostImage, ReadShape, TableAccess, TxnFootprint};
 pub use normalize::{normalize, parameterize, Normalized};
 pub use parser::parse;
 pub use shard::{shard_of, ShardSpec};
+pub use stmt::{Stmt, StmtClass};
+pub use template_map::TemplateMap;
 pub use value::{ResultSet, Row, Value};
 
 /// Classifies a SQL string the way the query store needs (§3.3): `true` for
@@ -112,18 +115,13 @@ pub fn txn_boundary(sql: &str) -> Option<TxnBoundary> {
 
 /// Read-statement classification cache: one parse per **template**, so the
 /// driver hot path pays a lexer pass (shared with dedup/fusion) instead of
-/// a parse per statement. Bounded FIFO, like the engine's plan cache.
-const CLASSIFY_CACHE_CAP: usize = 512;
-
-#[derive(Default)]
-struct ClassifyCache {
-    map: HashMap<String, bool>,
-    order: VecDeque<String>,
-}
-
-fn classify_cache() -> &'static Mutex<ClassifyCache> {
-    static CACHE: OnceLock<Mutex<ClassifyCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(ClassifyCache::default()))
+/// a parse per statement.
+fn classify_cache() -> MutexGuard<'static, TemplateMap<bool>> {
+    static CACHE: OnceLock<Mutex<TemplateMap<bool>>> = OnceLock::new();
+    CACHE
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// `true` for statements that read — the batching, plan-cache and fusion
@@ -156,28 +154,12 @@ pub fn is_select_sql(sql: &str) -> bool {
     // Odd shape: parser-backed classification, cached per template.
     match normalize(sql) {
         Ok(n) => {
-            if let Some(&v) = classify_cache()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .map
-                .get(&n.template)
-            {
-                return v;
-            }
-            let v = classify_uncached(sql);
-            let mut cache = classify_cache()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if !cache.map.contains_key(&n.template) {
-                if cache.map.len() >= CLASSIFY_CACHE_CAP {
-                    if let Some(oldest) = cache.order.pop_front() {
-                        cache.map.remove(&oldest);
-                    }
-                }
-                cache.order.push_back(n.template.clone());
-                cache.map.insert(n.template, v);
-            }
-            v
+            let cached = classify_cache().get(&n.template).copied();
+            cached.unwrap_or_else(|| {
+                let v = classify_uncached(sql);
+                classify_cache().insert_if_absent(&n.template, v);
+                v
+            })
         }
         // Unlexable SQL: no template to key a cache on, and the engine
         // will reject it anyway — conservatively a write (flushes).

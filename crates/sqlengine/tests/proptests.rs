@@ -200,3 +200,124 @@ fn delete_complement() {
         assert_eq!(out.result.rows[0][0], Value::Int(keep));
     });
 }
+
+/// One random statement of the shapes the driver sees — reads, writes,
+/// DDL, transaction boundaries — some comment-prefixed or parenthesized
+/// (the classifier's odd shapes), some that do not lex at all.
+fn arb_statement(rng: &mut Rng) -> String {
+    let (a, b, k) = (rng.range(0, 50), rng.range(0, 50), rng.range(1, 9));
+    let base = match rng.range(0, 14) {
+        0 => format!("SELECT v FROM t WHERE id = {a}"),
+        1 => format!("SELECT id, v FROM t WHERE name = 'x{a}' AND id IN ({a}, {b})"),
+        2 => "SELECT COUNT(*) FROM t".to_string(),
+        3 => format!("SELECT v FROM t WHERE v = -{a} ORDER BY id DESC LIMIT {k}"),
+        4 => format!("SELECT t.v FROM t JOIN u ON t.id = u.tid WHERE u.id = {a}"),
+        5 => format!("SELECT id FROM t WHERE name LIKE 'x{k}%' OR v > {b}"),
+        6 => format!("INSERT INTO t (id, v) VALUES ({a}, {b})"),
+        7 => format!("UPDATE t SET v = v + {k}, name = 'x{b}' WHERE id = {a}"),
+        8 => format!("DELETE FROM t WHERE id = {a} AND v = {b}"),
+        9 => format!("CREATE TABLE x{a} (id INT PRIMARY KEY)"),
+        10 => ["BEGIN", "START TRANSACTION", "COMMIT", "ROLLBACK", "ABORT"][k as usize % 5]
+            .to_string(),
+        11 => format!("SELECT v FROM t WHERE name = 'unterminated {a}"),
+        12 => format!("UPDATE t SET v = {a} WHERE id = {b} # {k}"),
+        _ => format!("selector_{a} t"),
+    };
+    match rng.range(0, 8) {
+        0 => format!("-- page {k}\n{base}"),
+        1 => format!("/* hint {k} */ {base}"),
+        2 => format!("({base})"),
+        3 => format!("  \n\t{base}"),
+        _ => base,
+    }
+}
+
+/// The same statement, formatted differently: keywords and identifiers
+/// in the other case, whitespace stretched. (Generated string literals
+/// are lowercase, so lowercasing the text leaves the data alone.)
+fn reformat(sql: &str, rng: &mut Rng) -> String {
+    let recased = if rng.range(0, 2) == 0 {
+        sql.to_ascii_lowercase()
+    } else {
+        sql.to_string()
+    };
+    let mut out = String::new();
+    for c in recased.chars() {
+        out.push(c);
+        if c == ' ' {
+            out.push_str(["", " ", "  ", "\t"][rng.range(0, 4) as usize]);
+        }
+    }
+    out
+}
+
+/// A `Stmt` says of a statement exactly what the text-level functions it
+/// replaces in the driver say: same class, same template + parameters,
+/// same footprint (cold cache, warm cache and memo alike), and formatting
+/// variants of one query are one dedup / result-cache key.
+#[test]
+fn stmt_agrees_with_the_text_functions() {
+    use sloth_sql::{
+        is_write_sql, normalize, txn_boundary, Footprint, Stmt, StmtClass, TxnBoundary,
+    };
+    use std::hash::{DefaultHasher, Hash, Hasher};
+
+    // One map key: equal, and hashing alike.
+    let same_key = |a: &Stmt, b: &Stmt| {
+        let hash = |s: &Stmt| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        a == b && hash(a) == hash(b)
+    };
+    let db = Database::new();
+    // Reads, writes, boundaries, unlexable texts generated.
+    let seen = std::cell::Cell::new([0u32; 4]);
+    cases(600, |rng| {
+        let sql = arb_statement(rng);
+        let stmt = Stmt::new(sql.as_str());
+        assert_eq!(stmt.sql(), sql);
+
+        assert_eq!(stmt.is_write(), is_write_sql(&sql), "{sql:?}");
+        let boundary: Option<TxnBoundary> = txn_boundary(&sql);
+        match stmt.class() {
+            StmtClass::Read => assert!(!is_write_sql(&sql) && boundary.is_none(), "{sql:?}"),
+            StmtClass::Write => assert!(is_write_sql(&sql) && boundary.is_none(), "{sql:?}"),
+            StmtClass::Txn(b) => assert_eq!(Some(b), boundary, "{sql:?}"),
+        }
+
+        assert_eq!(stmt.norm(), normalize(&sql).ok().as_ref(), "{sql:?}");
+        let kind = match (stmt.class(), stmt.norm()) {
+            (_, None) => 3,
+            (StmtClass::Read, _) => 0,
+            (StmtClass::Write, _) => 1,
+            (StmtClass::Txn(_), _) => 2,
+        };
+        let mut counts = seen.get();
+        counts[kind] += 1;
+        seen.set(counts);
+
+        let want = Footprint::of_sql(&sql);
+        assert_eq!(db.footprint(&stmt), &want, "{sql:?}");
+        assert_eq!(db.footprint(&stmt.clone()), &want, "memo, {sql:?}");
+        assert_eq!(db.footprint_of(&sql), want, "warm cache, {sql:?}");
+        if stmt.norm().is_none() {
+            assert!(want.barrier, "unlexable text is a barrier: {sql:?}");
+        }
+
+        assert!(same_key(&stmt, &Stmt::new(sql.as_str())), "{sql:?}");
+        if stmt.norm().is_some() {
+            let variant = Stmt::new(reformat(&sql, rng));
+            assert!(same_key(&stmt, &variant), "{sql:?} vs {variant:?}");
+            assert_eq!(db.footprint(&variant), &want, "{variant:?}");
+            if let Some(other) = sql.strip_suffix(|c: char| c.is_ascii_digit()) {
+                let other = Stmt::new(format!("{other}777"));
+                assert!(stmt != other, "{sql:?} vs {other:?}");
+            }
+        }
+    });
+    // The generator reaches every kind the property is about.
+    let [reads, writes, boundaries, unlexable] = seen.get();
+    assert!(reads > 50 && writes > 50 && boundaries > 10 && unlexable > 10);
+}
