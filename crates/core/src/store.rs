@@ -28,13 +28,32 @@ use std::sync::{Arc, Condvar, Mutex};
 use sloth_net::{BatchRequest, CacheMode, Dispatcher, SimEnv};
 use sloth_sql::ast::ColumnType;
 use sloth_sql::{
-    Footprint, PostImage, ReadShape, ResultSet, SqlError, Stmt, StmtClass, TxnBoundary,
+    Footprint, Param, PostImage, ReadShape, ResultSet, SqlError, Stmt, StmtClass, TxnBoundary,
     TxnFootprint, Value,
 };
 
 /// Identifier of a registered query; stable for the life of the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(u64);
+
+/// Why the store shipped a batch — stamped where the store decides to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum FlushReason {
+    /// A registered result was demanded ([`QueryStore::result`]).
+    Force,
+    /// A read could observe a deferred write lingering in the batch, so
+    /// the batch drained with the read aboard.
+    ConflictingRead,
+    /// A write that could not defer joined the batch and shipped it.
+    Write,
+    /// A `BEGIN` / `COMMIT` / `ROLLBACK` that kept its barrier semantics.
+    TxnBoundary,
+    /// The end-of-request drain ([`QueryStore::flush_deferred_writes`]),
+    /// or an explicit [`QueryStore::flush`].
+    RequestEnd,
+    /// A degraded session shipping a read the moment it registers.
+    Degraded,
+}
 
 /// Batching statistics for one store (one web request, typically).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -49,6 +68,8 @@ pub struct StoreStats {
     pub batches: u64,
     /// Size of every shipped batch, in ship order.
     pub batch_sizes: Vec<usize>,
+    /// Why each of those batches shipped, parallel to `batch_sizes`.
+    pub flush_reasons: Vec<FlushReason>,
     /// Batches that were forced out by a write/transaction statement.
     pub write_flushes: u64,
     /// Writes that shipped **in the same round trip** as other pending
@@ -321,6 +342,48 @@ impl QueryStore {
         self.register_stmt(sql).map(|r| r.id)
     }
 
+    /// Registers a **dependent** read: the statement `build` makes of a
+    /// parameter that is column `column` of the first row `parent`
+    /// answers — so a chain (`user → role → privileges`, a linked-list
+    /// walk) accumulates in one batch instead of costing a round trip per
+    /// link. The driver binds it when the parent's row arrives, in the
+    /// same trip.
+    ///
+    /// `None` when `parent` is not (or no longer) a read waiting in the
+    /// current batch — already answered, in flight, a read-your-writes
+    /// rewrite — or the session is degraded: the caller does what it did
+    /// before, force the parent (free, if answered) and register a
+    /// literal statement.
+    ///
+    /// A dependent read is never a dedup base until bound, and its
+    /// footprint is table-level until bound, so every conflict question
+    /// asked of the batch stays conservative. If the parent produces no
+    /// row the result is [`ResultSet::no_parent_row`].
+    pub fn register_dependent(
+        &self,
+        parent: QueryId,
+        column: &str,
+        build: impl FnOnce(&Param) -> Stmt,
+    ) -> Result<Option<QueryId>, SqlError> {
+        let stmt = build(&Param::reference(parent.0, column));
+        if stmt.is_write() || stmt.parent() != Some(parent.0) {
+            return Err(SqlError::new(format!(
+                "not a read dependent on {parent:?}: {}",
+                stmt.sql()
+            )));
+        }
+        // A degraded session is declined below, so deferral is the knob's.
+        let deferral = self.env().write_deferral_enabled();
+        Ok(self.register_read(stmt, deferral)?.map(|r| r.id))
+    }
+
+    /// Whether `id` is a read still waiting in the current batch — what
+    /// [`QueryStore::register_dependent`] requires of a parent.
+    pub fn is_pending(&self, id: QueryId) -> bool {
+        let inner = self.lock();
+        !inner.degraded && pending_read(&inner.pending, id)
+    }
+
     /// [`QueryStore::register`] reporting whether a write was deferred —
     /// the entry point for callers (the lazy interpreter, the ORM
     /// session) that otherwise force a write's empty result immediately
@@ -332,7 +395,10 @@ impl QueryStore {
         // ships as eagerly as possible on the solo path.
         let deferral = self.env().write_deferral_enabled() && !self.lock().degraded;
         if !stmt.is_write() {
-            return self.register_read(stmt, deferral);
+            // Only a dependent read can be declined (its parent gone).
+            return self
+                .register_read(stmt, deferral)?
+                .ok_or_else(|| SqlError::new("query store: literal read declined"));
         }
         if deferral {
             // Transaction-scoped laziness: `BEGIN` and `COMMIT` are engine
@@ -451,14 +517,17 @@ impl QueryStore {
 
     /// The read registration path: dedup, read-your-writes rewriting,
     /// in-transaction lingering, and the conservative conflict drain.
-    fn register_read(&self, stmt: Stmt, deferral: bool) -> Result<Registration, SqlError> {
+    /// `None` only for a dependent read whose parent is no longer a read
+    /// waiting in the batch (checked in the critical section that
+    /// registers it, so the two cannot part ways in between).
+    fn register_read(&self, stmt: Stmt, deferral: bool) -> Result<Option<Registration>, SqlError> {
         // The dedup lookup hashes the statement's template: lex it here,
         // outside the critical section.
         stmt.norm();
         // What to do after leaving the critical section.
         enum After {
             Done(Registration),
-            Flush(Registration),
+            Flush(Registration, FlushReason),
             /// Dedup base found but deferred writes after it conflict:
             /// attempt a local rewrite, with the parse/catalog analysis
             /// outside the lock (it takes the catalog read lock, which
@@ -473,6 +542,11 @@ impl QueryStore {
         loop {
             let after = {
                 let mut inner = self.lock();
+                if let Some(parent) = stmt.parent() {
+                    if inner.degraded || !pending_read(&inner.pending, QueryId(parent)) {
+                        return Ok(None);
+                    }
+                }
                 let in_txn = deferral && inner.txn.as_ref().is_some_and(|t| !t.fp.poisoned());
                 if let Some(&base) = inner.pending_by_key.get(&stmt) {
                     // Dedup hit candidate. Sound only when no deferred
@@ -482,11 +556,7 @@ impl QueryStore {
                     let mut conflicting: Vec<Stmt> = Vec::new();
                     if deferral && inner.pending_writes > 0 {
                         let f = self.env().footprint(&stmt);
-                        let base_pos = inner
-                            .pending
-                            .iter()
-                            .position(|p| p.id == base)
-                            .expect("dedup key maps to a pending statement");
+                        let base_pos = pending_pos(&inner.pending, base)?;
                         conflicting = inner.pending[base_pos + 1..]
                             .iter()
                             .filter(|p| self.is_conflicting_write(p, f))
@@ -496,10 +566,10 @@ impl QueryStore {
                     if conflicting.is_empty() {
                         inner.stats.registered += 1;
                         inner.stats.dedup_hits += 1;
-                        return Ok(Registration {
+                        return Ok(Some(Registration {
                             id: base,
                             deferred: false,
-                        });
+                        }));
                     }
                     After::Analyze {
                         base,
@@ -520,7 +590,10 @@ impl QueryStore {
                     inner.stats.registered += 1;
                     let id = QueryId(inner.next_id);
                     inner.next_id += 1;
-                    inner.pending_by_key.insert(stmt.clone(), id);
+                    // A dependent read is no dedup base until bound.
+                    if stmt.parent().is_none() {
+                        inner.pending_by_key.insert(stmt.clone(), id);
+                    }
                     let txn_tag = if in_txn {
                         inner.txn.as_ref().map(|t| t.serial)
                     } else {
@@ -547,20 +620,20 @@ impl QueryStore {
                         After::Done(reg)
                     } else if conflicts {
                         inner.stats.conflict_drains += 1;
-                        After::Flush(reg)
+                        After::Flush(reg, FlushReason::ConflictingRead)
                     } else if inner.degraded {
                         // Degraded sessions ship every read immediately.
-                        After::Flush(reg)
+                        After::Flush(reg, FlushReason::Degraded)
                     } else {
                         After::Done(reg)
                     }
                 }
             };
             match after {
-                After::Done(reg) => return Ok(reg),
-                After::Flush(reg) => {
-                    self.flush_internal(false)?;
-                    return Ok(reg);
+                After::Done(reg) => return Ok(Some(reg)),
+                After::Flush(reg, reason) => {
+                    self.flush_internal(reason)?;
+                    return Ok(Some(reg));
                 }
                 After::Analyze {
                     base,
@@ -583,10 +656,10 @@ impl QueryStore {
                         let id = QueryId(inner.next_id);
                         inner.next_id += 1;
                         inner.rewrites.insert(id, Rewrite { base, overlays });
-                        return Ok(Registration {
+                        return Ok(Some(Registration {
                             id,
                             deferred: false,
-                        });
+                        }));
                     }
                     // Conservative fallback: not key-exact enough to
                     // rewrite. Register the read and drain the batch (the
@@ -611,18 +684,18 @@ impl QueryStore {
                         if let Some(t) = inner.txn.as_mut() {
                             t.fp.absorb(self.env().footprint(&stmt));
                         }
-                        return Ok(Registration {
+                        return Ok(Some(Registration {
                             id,
                             deferred: false,
-                        });
+                        }));
                     }
                     inner.stats.conflict_drains += 1;
                     drop(inner);
-                    self.flush_internal(false)?;
-                    return Ok(Registration {
+                    self.flush_internal(FlushReason::ConflictingRead)?;
+                    return Ok(Some(Registration {
                         id,
                         deferred: false,
-                    });
+                    }));
                 }
             }
         }
@@ -659,6 +732,10 @@ impl QueryStore {
     /// The write-aware (PR 4) write path: the write joins the pending
     /// batch and the whole thing ships as ONE round trip.
     fn register_write_aware(&self, stmt: Stmt) -> Result<QueryId, SqlError> {
+        let reason = match stmt.class() {
+            StmtClass::Txn(_) => FlushReason::TxnBoundary,
+            _ => FlushReason::Write,
+        };
         let (id, had_pending) = {
             let mut inner = self.lock();
             inner.stats.registered += 1;
@@ -674,7 +751,7 @@ impl QueryStore {
             inner.generation += 1;
             (id, had_pending)
         };
-        self.flush_internal(had_pending)?;
+        self.flush_internal(reason)?;
         if had_pending {
             // Counted only once the combined batch actually shipped:
             // `write_batched` means "writes that shared a successful
@@ -733,7 +810,8 @@ impl QueryStore {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         }
-        self.flush_internal(false).ok(); // per-id outcome recorded below either way
+        // Per-id outcome recorded below either way.
+        self.flush_internal(FlushReason::Force).ok();
         let mut inner = self.lock();
         loop {
             if let Some(r) = inner.results.get(&id) {
@@ -753,7 +831,7 @@ impl QueryStore {
     /// Ships the current batch (if any) without demanding a result —
     /// draining any deferred writes with it.
     pub fn flush(&self) -> Result<(), SqlError> {
-        self.flush_internal(false)
+        self.flush_internal(FlushReason::RequestEnd)
     }
 
     /// Ships the **deferred writes** lingering in the pending batch (one
@@ -800,6 +878,18 @@ impl QueryStore {
                     ship[i] = true;
                 }
             }
+            // A dependent read is bound by the trip that carries its
+            // parent: whatever ships takes its parent along (parents sit
+            // earlier, so one right-to-left pass closes whole chains). A
+            // dependent read that stays behind while its parent ships is
+            // bound from the parent's row once it arrives (see `ship`).
+            for i in (0..n).rev() {
+                if let (true, Some(parent)) = (ship[i], inner.pending[i].stmt.parent()) {
+                    if let Some(p) = inner.pending[..i].iter().position(|p| p.id.0 == parent) {
+                        ship[p] = true;
+                    }
+                }
+            }
             let all: Vec<PendingStmt> = inner.pending.drain(..).collect();
             let mut drained = Vec::new();
             let mut kept = Vec::new();
@@ -822,10 +912,10 @@ impl QueryStore {
             }
             drained
         };
-        self.ship(drained, guard, false)
+        self.ship(drained, guard, FlushReason::RequestEnd)
     }
 
-    fn flush_internal(&self, caused_by_write: bool) -> Result<(), SqlError> {
+    fn flush_internal(&self, reason: FlushReason) -> Result<(), SqlError> {
         let mut guard = FlushPanicGuard::disarmed(&self.shared);
         let drained: Vec<PendingStmt> = {
             let mut inner = self.lock();
@@ -843,7 +933,7 @@ impl QueryStore {
             }
             drained
         };
-        self.ship(drained, guard, caused_by_write)
+        self.ship(drained, guard, reason)
     }
 
     /// Ships an already-drained batch and records per-id outcomes.
@@ -853,11 +943,29 @@ impl QueryStore {
         &self,
         drained: Vec<PendingStmt>,
         mut panic_guard: FlushPanicGuard<'_>,
-        caused_by_write: bool,
+        reason: FlushReason,
     ) -> Result<(), SqlError> {
         let all_writes = drained.iter().all(|p| p.stmt.is_write());
-        let (ids, stmts): (Vec<QueryId>, Vec<Stmt>) =
-            drained.into_iter().map(|p| (p.id, p.stmt)).unzip();
+        // A write that found company in the batch forced that company out.
+        let caused_by_write =
+            matches!(reason, FlushReason::Write | FlushReason::TxnBoundary) && drained.len() > 1;
+        let ids: Vec<QueryId> = drained.iter().map(|p| p.id).collect();
+        // On the wire a reference names a batch position, not a query id.
+        // Every flush ships a dependent read together with its parent; one
+        // that lost it (a session shared across threads, its parent in
+        // another thread's flight) keeps a reference to itself, which the
+        // driver refuses at that position.
+        let stmts: Vec<Stmt> = drained
+            .into_iter()
+            .enumerate()
+            .map(|(pos, p)| match p.stmt.parent() {
+                None => p.stmt,
+                Some(_) => p.stmt.rebase(|parent| {
+                    let at = ids[..pos].iter().position(|id| id.0 == parent);
+                    at.unwrap_or(pos) as u64
+                }),
+            })
+            .collect();
         // A degraded session trusts neither the shared result cache's hit
         // path (an earlier batch of its own died with ambiguous writes)
         // nor the coalescing queue: its `Bypass` requests ship solo and
@@ -889,6 +997,7 @@ impl QueryStore {
                 None => {
                     inner.stats.batches += 1;
                     inner.stats.batch_sizes.push(stmts.len());
+                    inner.stats.flush_reasons.push(reason);
                     inner.stats.fused_queries += outcome.fused_queries;
                     inner.stats.fused_groups += outcome.fused_groups;
                     inner.stats.segments += outcome.segments;
@@ -922,18 +1031,20 @@ impl QueryStore {
             // annotated batch error otherwise (never "unknown query id").
             for ((id, stmt), res) in ids.iter().zip(&stmts).zip(outcome.results) {
                 inner.in_flight.remove(id);
-                let record = match res {
-                    Some(rs) => Ok(rs),
-                    None => {
-                        let e = error.as_ref().expect("missing result implies batch error");
-                        Err(SqlError::new(format!(
-                            "batch failed: {e} (while batched: {})",
-                            stmt.sql()
-                        )))
-                    }
+                let record = match (res, &error) {
+                    (Some(rs), _) => Ok(rs),
+                    (None, Some(e)) => Err(SqlError::new(format!(
+                        "batch failed: {e} (while batched: {})",
+                        stmt.sql()
+                    ))),
+                    (None, None) => Err(SqlError::new(format!(
+                        "batch answered nothing for {}",
+                        stmt.sql()
+                    ))),
                 };
                 inner.results.insert(*id, record);
             }
+            bind_kept_dependants(&mut inner);
         }
         self.shared.answered.notify_all();
         match error {
@@ -966,6 +1077,59 @@ impl QueryStore {
     /// transient flush failure (see [`StoreStats::degradations`]).
     pub fn degraded(&self) -> bool {
         self.lock().degraded
+    }
+}
+
+/// Where `id` waits in `pending`. The callers hold an id they found
+/// through `pending` itself, so a miss is a broken invariant — reported,
+/// not panicked on.
+fn pending_pos(pending: &[PendingStmt], id: QueryId) -> Result<usize, SqlError> {
+    pending
+        .iter()
+        .position(|p| p.id == id)
+        .ok_or_else(|| SqlError::new(format!("query store: {id:?} is not pending")))
+}
+
+/// Whether `id` is a read waiting in `pending`.
+fn pending_read(pending: &[PendingStmt], id: QueryId) -> bool {
+    pending.iter().any(|p| p.id == id && !p.stmt.is_write())
+}
+
+/// Binds every dependent read still pending whose parent has been
+/// answered — the end-of-request drain may ship a parent (it rode with a
+/// write it conflicts with) and leave the child lazy. The child becomes
+/// the literal read it would have been had its parent been forced first;
+/// one whose parent had no row, or failed, is answered on the spot.
+fn bind_kept_dependants(inner: &mut StoreInner) {
+    let mut i = 0;
+    while i < inner.pending.len() {
+        let answer = inner.pending[i]
+            .stmt
+            .parent()
+            .and_then(|parent| inner.results.get(&QueryId(parent)));
+        let bound = match answer {
+            None => {
+                i += 1;
+                continue;
+            }
+            Some(Ok(row)) => inner.pending[i].stmt.bind_from(row),
+            Some(Err(e)) => Err(e.clone()),
+        };
+        match bound {
+            Ok(Some(stmt)) => {
+                inner.pending[i].stmt = stmt;
+                i += 1;
+            }
+            Ok(None) => {
+                let p = inner.pending.remove(i);
+                inner.results.insert(p.id, Ok(ResultSet::no_parent_row()));
+            }
+            Err(e) => {
+                let p = inner.pending.remove(i);
+                inner.results.insert(p.id, Err(e));
+            }
+        }
+        inner.generation += 1;
     }
 }
 
@@ -2210,5 +2374,174 @@ mod tests {
             Some("v2")
         );
         assert_eq!(e.stats().round_trips, 2);
+    }
+
+    // ---- dependent reads ----
+
+    /// `t` plus a linked list: `link.next` of row `i` is `i + 1`; row 5
+    /// points at a row that does not exist.
+    fn chain_env() -> SimEnv {
+        let e = env();
+        e.seed_sql("CREATE TABLE link (id INT PRIMARY KEY, next INT)")
+            .unwrap();
+        for i in 1..=5 {
+            e.seed_sql(&format!("INSERT INTO link VALUES ({i}, {})", i + 1))
+                .unwrap();
+        }
+        e
+    }
+
+    /// Registers `SELECT * FROM link WHERE id = <parent's next>`.
+    fn follow(store: &QueryStore, parent: QueryId) -> Option<QueryId> {
+        store
+            .register_dependent(parent, "next", |key| {
+                Stmt::with_param("SELECT * FROM link WHERE id = ", key, "")
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn a_dependent_chain_ships_in_its_parents_batch() {
+        let e = chain_env();
+        let store = QueryStore::new(e.clone());
+        let head = store.register("SELECT * FROM link WHERE id = 1").unwrap();
+        let second = follow(&store, head).unwrap();
+        let third = follow(&store, second).unwrap();
+        assert_eq!(store.pending_len(), 3);
+        assert_eq!(e.stats().round_trips, 0);
+        // Unbound, it is nobody's dedup base: the literal twin of what it
+        // will be bound to registers on its own.
+        let twin = store.register("SELECT * FROM link WHERE id = 2").unwrap();
+        assert_ne!(twin, second);
+        assert_eq!(store.stats().dedup_hits, 0);
+
+        let rs = store.result(third).unwrap();
+        assert_eq!(rs.get(0, "id").unwrap().as_i64(), Some(3));
+        assert_eq!(e.stats().round_trips, 1, "the whole chain in one trip");
+        assert_eq!(store.stats().batch_sizes, vec![4]);
+        assert_eq!(store.stats().flush_reasons, vec![FlushReason::Force]);
+        assert_eq!(store.result(second).unwrap(), store.result(twin).unwrap());
+        // Its parent answered, a would-be dependant is declined: the
+        // caller forces (free) and registers a literal read.
+        assert!(!store.is_pending(third));
+        assert_eq!(follow(&store, third), None);
+    }
+
+    #[test]
+    fn a_parent_without_a_row_answers_no_parent_row_down_the_chain() {
+        let e = chain_env();
+        let store = QueryStore::new(e.clone());
+        let last = store.register("SELECT * FROM link WHERE id = 5").unwrap();
+        let missing = follow(&store, last).unwrap(); // id = 6: no such row
+        let beyond = follow(&store, missing).unwrap();
+        let rs = store.result(missing).unwrap();
+        assert!(rs.is_empty() && !rs.is_no_parent_row());
+        assert!(store.result(beyond).unwrap().is_no_parent_row());
+        assert_eq!(e.stats().round_trips, 1);
+    }
+
+    #[test]
+    fn the_drain_ships_a_parent_with_its_child_and_binds_the_child_it_keeps() {
+        let e = chain_env();
+        let store = QueryStore::new(e.clone());
+        // `head` stays behind with its chain unless something drags it.
+        let head = store.register("SELECT * FROM link WHERE id = 1").unwrap();
+        let second = follow(&store, head).unwrap();
+        // An unbound read is table-level: this write conflicts with it,
+        // whatever row it will turn out to name, so the drain ships it —
+        // and its parent with it.
+        assert!(
+            store
+                .register_stmt("UPDATE link SET next = 9 WHERE id = 4")
+                .unwrap()
+                .deferred
+        );
+        // Registered after the write: conflicts with nothing later, and
+        // stays lazy while its parent ships.
+        let loner = store.register("SELECT * FROM t WHERE id = 1").unwrap();
+        let kept = store
+            .register_dependent(head, "id", |key| {
+                Stmt::with_param("SELECT v FROM t WHERE id = ", key, "")
+            })
+            .unwrap()
+            .unwrap();
+        store.flush_deferred_writes().unwrap();
+        assert_eq!(e.stats().round_trips, 1);
+        assert_eq!(
+            store.stats().batch_sizes,
+            vec![3],
+            "head, second, the write"
+        );
+        assert_eq!(store.stats().flush_reasons, vec![FlushReason::RequestEnd]);
+        assert_eq!(store.pending_len(), 2, "loner and the kept child");
+        assert_eq!(
+            store.result(second).unwrap().get(0, "id").unwrap().as_i64(),
+            Some(2)
+        );
+        assert_eq!(e.stats().round_trips, 1);
+        // The kept child was bound from the row its parent came back
+        // with: it is now the literal read `… WHERE id = 1`.
+        assert_eq!(
+            store.result(kept).unwrap().get(0, "v").unwrap().as_str(),
+            Some("v1")
+        );
+        assert_eq!(e.stats().round_trips, 2);
+        assert!(store.result(loner).is_ok());
+        assert_eq!(e.stats().round_trips, 2);
+    }
+
+    #[test]
+    fn a_dependent_read_conflicting_with_a_deferred_write_drains_in_order() {
+        let e = chain_env();
+        let store = QueryStore::new(e.clone());
+        let head = store.register("SELECT * FROM link WHERE id = 1").unwrap();
+        store
+            .register_stmt("UPDATE link SET next = 4 WHERE id = 2")
+            .unwrap();
+        // Registered after the write, executes after it: sees next = 4.
+        let second = follow(&store, head).unwrap();
+        assert_eq!(
+            store.stats().flush_reasons,
+            vec![FlushReason::ConflictingRead]
+        );
+        assert_eq!(
+            store
+                .result(second)
+                .unwrap()
+                .get(0, "next")
+                .unwrap()
+                .as_i64(),
+            Some(4)
+        );
+        assert_eq!(e.stats().round_trips, 1);
+    }
+
+    #[test]
+    fn flush_reasons_name_what_shipped_each_batch() {
+        let e = env();
+        let store = QueryStore::new(e.clone());
+        let r = store.register("SELECT v FROM t WHERE id = 1").unwrap();
+        store.result(r).unwrap();
+        store.register("SELECT v FROM t WHERE id = 2").unwrap();
+        store
+            .register_stmt("CREATE TABLE u (id INT PRIMARY KEY)")
+            .unwrap();
+        store.register_stmt("BEGIN").unwrap();
+        store.register_stmt("BEGIN").unwrap(); // nested: a barrier again
+        store
+            .register_stmt("UPDATE t SET v = 'w' WHERE id = 3")
+            .unwrap();
+        store.flush_deferred_writes().unwrap();
+        let stats = store.stats();
+        assert_eq!(
+            stats.flush_reasons,
+            vec![
+                FlushReason::Force,
+                FlushReason::Write,
+                FlushReason::TxnBoundary,
+                FlushReason::RequestEnd,
+            ]
+        );
+        assert_eq!(stats.flush_reasons.len(), stats.batch_sizes.len());
     }
 }

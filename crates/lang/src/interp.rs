@@ -24,8 +24,10 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use sloth_core::QueryId;
 use sloth_net::{NetStats, SimEnv};
-use sloth_orm::{sqlgen, AssocDef, AssocKind, EntityDef, FetchStrategy, Schema};
+use sloth_orm::sqlgen::{self, KeyedRead};
+use sloth_orm::{AssocDef, AssocKind, EntityDef, FetchStrategy, Schema};
 use sloth_sql::ResultSet;
 
 use crate::analysis::analyze;
@@ -35,7 +37,7 @@ use crate::opt::OptFlags;
 use crate::resolve::{resolve, Callee, RExpr, RStmt, Resolved, Slot};
 use crate::runtime::{row_to_entity, rs_to_entities, Counters, DataLayer, RunError, RunResult};
 use crate::simplify::simplify_program;
-use crate::value::{BlockDriver, Deser, LazyState, LazyVal, Pending, V};
+use crate::value::{BlockDriver, Dep, DepKind, Deser, LazyState, LazyVal, Pending, V};
 
 /// How to execute a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -452,9 +454,17 @@ impl<'p> Interp<'p> {
             RExpr::Field(base, field) => {
                 // Field reads execute at evaluation time, forcing the
                 // target; the field's stored value may be a thunk (§3.6).
+                // The one read that waits is a column of a row nobody has
+                // fetched yet: it may turn out to be a query's key, and
+                // that query can then ride the batch its parent rides.
                 let obj = self.eval(base, frame, lazy)?;
-                let obj = self.force(obj)?;
-                self.read_field(&obj, field)?
+                match self.unfetched_column(&obj, field, lazy) {
+                    Some(pending) => self.alloc_thunk(pending),
+                    None => {
+                        let obj = self.force(obj)?;
+                        self.read_field(&obj, field)?
+                    }
+                }
             }
             RExpr::Index(base, idx) => {
                 let b = self.eval(base, frame, lazy)?;
@@ -625,9 +635,33 @@ impl<'p> Interp<'p> {
                 let a = self.force(a)?;
                 unop(op, &a)
             }
-            Pending::Query { id, deser } => {
+            Pending::Query {
+                id,
+                deser,
+                dep,
+                assocs,
+            } => {
                 let rs = self.data.fetch(id)?;
-                Ok(deserialize(&deser, rs))
+                if let (true, Some(dep)) = (rs.is_no_parent_row(), &dep) {
+                    return Err(self.missing_parent(dep));
+                }
+                let v = deserialize(&deser, rs);
+                if let V::Obj(o) = &v {
+                    o.borrow_mut().extend(assocs);
+                }
+                Ok(v)
+            }
+            Pending::QueryField { id, column, up } => {
+                let rs = self.data.fetch(id)?;
+                match rs.rows.first() {
+                    Some(row) => Ok(rs
+                        .column_index(&column)
+                        .map_or(V::Null, |c| V::from_sql(&row[c]))),
+                    None => Err(match &up {
+                        Some(up) if rs.is_no_parent_row() => self.missing_parent(up),
+                        _ => null_field_read(&column),
+                    }),
+                }
             }
             Pending::Call { func, args } => self.call_function(func, args, true),
             Pending::Builtin { func, args } => self.pure_builtin(func, args),
@@ -672,7 +706,7 @@ impl<'p> Interp<'p> {
                 }
                 Ok(o.borrow().get(field).cloned().unwrap_or(V::Null))
             }
-            V::Null => Err(RunError::new(format!("field {field} read on null"))),
+            V::Null => Err(null_field_read(field)),
             other => Err(RunError::new(format!("field {field} read on {other:?}"))),
         }
     }
@@ -960,13 +994,14 @@ impl<'p> Interp<'p> {
             }
             QueryFn::OrmFind => {
                 let entity = self.string_arg(args.remove(0))?;
-                let id = self.force(args.remove(0))?;
+                let id = args.remove(0);
                 let def = entity_def(&schema, &entity)?;
-                let sql = sqlgen::select_by_pk(def, &id.to_sql());
+                let read = KeyedRead::by_pk(def);
                 if lazy {
-                    self.register_thunk(&sql, Deser::EntityOpt(entity))
+                    self.keyed_read(&read, id, Deser::EntityOpt(entity), lazy)
                 } else {
-                    let rs = self.data.read_now(&sql)?;
+                    let id = self.force(id)?;
+                    let rs = self.data.read_now(&read.sql(&id.to_sql()))?;
                     if rs.is_empty() {
                         return Ok(V::Null);
                     }
@@ -976,17 +1011,31 @@ impl<'p> Interp<'p> {
                 }
             }
             QueryFn::OrmAssoc => {
-                let owner = self.force(args.remove(0))?;
+                let mut owner = args.remove(0);
+                // An owner nobody has fetched yet stays unfetched: the
+                // association is keyed by a column of its row.
+                let unfetched = lazy.then(|| unfetched_entity(&owner)).flatten();
+                if unfetched.is_none() {
+                    owner = self.force(owner)?;
+                }
                 let assoc = self.string_arg(args.remove(0))?;
+                if let Some((id, entity, up)) = unfetched {
+                    if let Some(v) =
+                        self.assoc_of_unfetched(&schema, &owner, id, &entity, up, &assoc)?
+                    {
+                        return Ok(v);
+                    }
+                    owner = self.force(owner)?;
+                }
                 self.orm_assoc(&schema, owner, &assoc, lazy)
             }
             QueryFn::OrmFindWhere => {
                 let entity = self.string_arg(args.remove(0))?;
                 let col = self.string_arg(args.remove(0))?;
-                let v = self.force(args.remove(0))?;
+                let v = args.remove(0);
                 let def = entity_def(&schema, &entity)?;
-                let sql = sqlgen::select_where_eq(def, &col, &v.to_sql());
-                self.read(&sql, Deser::EntityList(entity), lazy)
+                let read = KeyedRead::where_eq(def, &col);
+                self.keyed_read(&read, v, Deser::EntityList(entity), lazy)
             }
             QueryFn::OrmFindAll => {
                 let entity = self.string_arg(args.remove(0))?;
@@ -997,10 +1046,10 @@ impl<'p> Interp<'p> {
             QueryFn::OrmCountWhere => {
                 let entity = self.string_arg(args.remove(0))?;
                 let col = self.string_arg(args.remove(0))?;
-                let v = self.force(args.remove(0))?;
+                let v = args.remove(0);
                 let def = entity_def(&schema, &entity)?;
-                let sql = sqlgen::count_where_eq(def, &col, &v.to_sql());
-                self.read(&sql, Deser::Scalar, lazy)
+                let read = KeyedRead::count_where_eq(def, &col);
+                self.keyed_read(&read, v, Deser::Scalar, lazy)
             }
         }
     }
@@ -1074,8 +1123,133 @@ impl<'p> Interp<'p> {
 
     fn register_thunk(&mut self, sql: &str, deser: Deser) -> Result<V, RunError> {
         let id = self.data.register(sql)?;
+        Ok(self.query_thunk(id, deser, None))
+    }
+
+    fn query_thunk(&mut self, id: QueryId, deser: Deser, dep: Option<Rc<Dep>>) -> V {
         self.counters.queries_registered += 1;
-        Ok(self.alloc_thunk(Pending::Query { id, deser }))
+        self.alloc_thunk(Pending::Query {
+            id,
+            deser,
+            dep,
+            assocs: Vec::new(),
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Dependent chains: a query keyed by a column of a row nobody has
+    // fetched yet registers as a dependent of that row's query instead
+    // of forcing it (§3.3 forces a query's parameters at registration,
+    // which makes every link of `user → role → privileges` a batch of
+    // one). Everything here falls back to that force whenever the store
+    // says the parent is no longer waiting in the batch.
+    // ------------------------------------------------------------------
+
+    /// `obj.field` as a deferred column read, when `obj` is a single-row
+    /// query nobody has fetched and `field` one of its entity's columns.
+    fn unfetched_column(&self, obj: &V, field: &str, lazy: bool) -> Option<Pending> {
+        if !lazy {
+            return None;
+        }
+        let (id, entity, up) = unfetched_entity(obj)?;
+        let def = self.data.schema.entity(&entity)?;
+        let declared = def.columns.iter().any(|(name, _)| name == field);
+        (declared && self.data.store().is_pending(id)).then(|| Pending::QueryField {
+            id,
+            column: field.into(),
+            up,
+        })
+    }
+
+    /// One keyed read. Under lazy semantics a key that is a deferred
+    /// column read makes it a dependent of the row the column belongs to;
+    /// otherwise the key is forced and the read is a literal statement
+    /// like any other.
+    fn keyed_read(
+        &mut self,
+        read: &KeyedRead,
+        key: V,
+        deser: Deser,
+        lazy: bool,
+    ) -> Result<V, RunError> {
+        if let Some((parent, column, up)) = lazy.then(|| deferred_column(&key)).flatten() {
+            if let Some(id) = self.data.register_dependent(parent, &column, read)? {
+                let how = DepKind::Field(column);
+                let dep = Rc::new(Dep { parent, how, up });
+                return Ok(self.query_thunk(id, deser, Some(dep)));
+            }
+        }
+        let key = self.force(key)?;
+        self.read(&read.sql(&key.to_sql()), deser, lazy)
+    }
+
+    /// `orm_assoc` on an owner nobody has fetched: answered from the memo
+    /// the unfetched owner carries, or registered as a dependent of the
+    /// owner's query and remembered there. `None` sends the caller down
+    /// the forcing path — which also raises, in its own order, whatever
+    /// is wrong with the entity or association name.
+    fn assoc_of_unfetched(
+        &mut self,
+        schema: &Schema,
+        owner: &V,
+        id: QueryId,
+        entity: &str,
+        up: Option<Rc<Dep>>,
+        assoc: &str,
+    ) -> Result<Option<V>, RunError> {
+        let V::Thunk(cell) = owner else {
+            return Ok(None);
+        };
+        let memo_key = format!("__assoc_{assoc}");
+        if let LazyState::Pending(Pending::Query { assocs, .. }) = &*cell.0.borrow() {
+            if let Some((_, v)) = assocs.iter().find(|(k, _)| *k == memo_key) {
+                return Ok(Some(v.clone()));
+            }
+        }
+        let Some(def) = schema.entity(entity) else {
+            return Ok(None);
+        };
+        let Some(a) = def.assoc(assoc) else {
+            return Ok(None);
+        };
+        let Ok((read, target, many)) = self.data.assoc_read(entity, assoc) else {
+            return Ok(None);
+        };
+        let column = match &a.kind {
+            AssocKind::OneToMany { .. } => &def.pk,
+            AssocKind::ManyToOne { fk_column } => fk_column,
+        };
+        let Some(qid) = self.data.register_dependent(id, column, &read)? else {
+            return Ok(None);
+        };
+        let dep = Rc::new(Dep {
+            parent: id,
+            how: DepKind::Assoc,
+            up,
+        });
+        let v = self.query_thunk(qid, assoc_deser(target, many), Some(dep));
+        if let LazyState::Pending(Pending::Query { assocs, .. }) = &mut *cell.0.borrow_mut() {
+            assocs.push((memo_key, v.clone()));
+        }
+        Ok(Some(v))
+    }
+
+    /// A dependent query answered "no parent row": raises what the
+    /// program would have hit had it forced the parent first — the
+    /// parent's own failure if it has one, else the operation on `null`
+    /// that produced the key.
+    fn missing_parent(&mut self, dep: &Dep) -> RunError {
+        match self.data.fetch(dep.parent) {
+            Err(e) => e,
+            Ok(rs) if rs.is_no_parent_row() => match &dep.up {
+                Some(up) => self.missing_parent(up),
+                None => RunError::new("dependent query without a parent"),
+            },
+            Ok(_) => match &dep.how {
+                DepKind::Field(column) => null_field_read(column),
+                DepKind::Assoc => not_an_entity(&V::Null),
+            },
+        }
     }
 
     /// Original-mode eager prefetch at `orm_find` (§1: the "eager" strategy
@@ -1100,7 +1274,7 @@ impl<'p> Interp<'p> {
         lazy: bool,
     ) -> Result<V, RunError> {
         let V::Obj(o) = &owner else {
-            return Err(RunError::new(format!("orm_assoc on non-entity {owner:?}")));
+            return Err(not_an_entity(&owner));
         };
         let entity = match o.borrow().get("__entity") {
             Some(V::Str(s)) => Rc::clone(s),
@@ -1113,7 +1287,8 @@ impl<'p> Interp<'p> {
         let def = entity_def(schema, &entity)?;
         let a = assoc_def(def, assoc)?;
         let key = self.assoc_key(&owner, def, a)?;
-        let (sql, target, many) = self.data.assoc_sql(&entity, assoc, &key.to_sql())?;
+        let (read, target, many) = self.data.assoc_read(&entity, assoc)?;
+        let sql = read.sql(&key.to_sql());
         let result = if !lazy && many && a.strategy == FetchStrategy::Lazy {
             // Hibernate collection proxy: no query until element access.
             let mut fields = BTreeMap::new();
@@ -1131,8 +1306,8 @@ impl<'p> Interp<'p> {
 
     fn fetch_assoc_now(&mut self, owner: &V, def: &EntityDef, a: &AssocDef) -> Result<V, RunError> {
         let key = self.assoc_key(owner, def, a)?;
-        let (sql, target, many) = self.data.assoc_sql(&def.name, &a.name, &key.to_sql())?;
-        self.read(&sql, assoc_deser(target, many), false)
+        let (read, target, many) = self.data.assoc_read(&def.name, &a.name)?;
+        self.read(&read.sql(&key.to_sql()), assoc_deser(target, many), false)
     }
 
     /// The owner-side key an association is fetched by, forced.
@@ -1271,6 +1446,41 @@ fn unop(op: UnOp, a: &V) -> Result<V, RunError> {
         (UnOp::Neg, V::Float(f)) => Ok(V::Float(-f)),
         (UnOp::Neg, other) => Err(RunError::new(format!("cannot negate {other:?}"))),
     }
+}
+
+/// `v` as a deferred column read nobody has forced: the query whose row
+/// it reads, the column, and that query's own dependence.
+fn deferred_column(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
+    let V::Thunk(cell) = v else { return None };
+    match &*cell.0.borrow() {
+        LazyState::Pending(Pending::QueryField { id, column, up }) => {
+            Some((*id, Rc::clone(column), up.clone()))
+        }
+        _ => None,
+    }
+}
+
+/// `v` as a single-row query nobody has forced: its query id, entity and
+/// own dependence.
+fn unfetched_entity(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
+    let V::Thunk(cell) = v else { return None };
+    match &*cell.0.borrow() {
+        LazyState::Pending(Pending::Query {
+            id,
+            deser: Deser::EntityOpt(entity),
+            dep,
+            ..
+        }) => Some((*id, Rc::clone(entity), dep.clone())),
+        _ => None,
+    }
+}
+
+fn null_field_read(field: &str) -> RunError {
+    RunError::new(format!("field {field} read on null"))
+}
+
+fn not_an_entity(owner: &V) -> RunError {
+    RunError::new(format!("orm_assoc on non-entity {owner:?}"))
 }
 
 fn entity_def<'s>(schema: &'s Schema, name: &str) -> Result<&'s EntityDef, RunError> {

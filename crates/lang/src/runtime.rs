@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use sloth_core::{QueryId, QueryStore, Registration, StoreStats};
 use sloth_net::{Dispatcher, NetStats, SimEnv};
-use sloth_orm::{sqlgen, AssocKind, Schema};
+use sloth_orm::sqlgen::KeyedRead;
+use sloth_orm::{AssocKind, Schema};
 use sloth_sql::{ResultSet, SqlError};
 
 use crate::value::V;
@@ -187,19 +188,34 @@ impl DataLayer {
         Ok(self.store().register_stmt(sql.to_string())?)
     }
 
+    /// Registers `read`, keyed by `column` of the row `parent` will
+    /// answer, as a dependent of `parent` — `None` when `parent` is no
+    /// longer waiting in the batch (see
+    /// [`QueryStore::register_dependent`]).
+    pub fn register_dependent(
+        &self,
+        parent: QueryId,
+        column: &str,
+        read: &KeyedRead,
+    ) -> Result<Option<QueryId>, RunError> {
+        Ok(self
+            .store()
+            .register_dependent(parent, column, |key| read.stmt(key))?)
+    }
+
     /// Fetches a registered result (ships the batch if needed).
     pub fn fetch(&self, id: QueryId) -> Result<ResultSet, RunError> {
         Ok(self.store().result(id)?)
     }
 
-    /// Builds the SQL for an association access and reports whether it
-    /// returns a collection (`true`) or a single entity (`false`).
-    pub fn assoc_sql(
+    /// The read an association access issues, before its key is known;
+    /// also the target entity and whether the read returns a collection
+    /// (`true`) or a single entity (`false`).
+    pub fn assoc_read(
         &self,
         entity: &str,
         assoc: &str,
-        key: &sloth_sql::Value,
-    ) -> Result<(String, String, bool), RunError> {
+    ) -> Result<(KeyedRead, String, bool), RunError> {
         let def = self
             .schema
             .entity(entity)
@@ -212,7 +228,7 @@ impl DataLayer {
             .entity(&a.target)
             .ok_or_else(|| RunError::new(format!("unknown entity {}", a.target)))?;
         let many = matches!(a.kind, AssocKind::OneToMany { .. });
-        Ok((sqlgen::select_assoc(a, target, key), a.target.clone(), many))
+        Ok((KeyedRead::assoc(a, target), a.target.clone(), many))
     }
 }
 

@@ -65,6 +65,28 @@ pub(crate) enum Pending {
         id: sloth_core::QueryId,
         /// How to turn the result set into a value.
         deser: Deser,
+        /// For a dependent query — one whose key is a column of another
+        /// query's row, registered without fetching that row: where the
+        /// key comes from, so a missing parent row raises what forcing
+        /// the parent first would have raised.
+        dep: Option<Rc<Dep>>,
+        /// Associations fetched through this row while it was still
+        /// unfetched, as `(memo field, value)`: the entity object takes
+        /// them over when it materializes, so the `__assoc_*` memo holds
+        /// before and after the fetch.
+        assocs: Vec<(String, V)>,
+    },
+    /// Read one column of the first row of a registered single-row query
+    /// — a field read on an entity nobody has fetched yet. Reads the
+    /// immutable result row, not the heap object: no object existed when
+    /// the read was evaluated, so no later field write can reach it.
+    QueryField {
+        /// The query whose row is read.
+        id: sloth_core::QueryId,
+        /// The column.
+        column: Rc<str>,
+        /// That query's own dependence, if it has one.
+        up: Option<Rc<Dep>>,
     },
     /// Run a whole deferred statement block (branch deferral / thunk
     /// coalescing §4.2–4.3); outputs are read from the shared driver
@@ -91,6 +113,25 @@ pub(crate) enum Pending {
         /// Argument values.
         args: Vec<V>,
     },
+}
+
+/// Where a dependent query's key comes from: one link of a chain, by
+/// query id (no thunk is held, so a chain keeps nothing alive).
+pub(crate) struct Dep {
+    /// The query whose first row supplies the key.
+    pub parent: sloth_core::QueryId,
+    /// What the program did to that row to get the key.
+    pub how: DepKind,
+    /// The parent's own link, when it is dependent too.
+    pub up: Option<Rc<Dep>>,
+}
+
+/// The operation a dependent query's key stands for.
+pub(crate) enum DepKind {
+    /// A field read (`row.column`), later passed as a query key.
+    Field(Rc<str>),
+    /// An `orm_assoc` on the row.
+    Assoc,
 }
 
 /// Shared state of one deferred statement block (§4.2–4.3): which block,

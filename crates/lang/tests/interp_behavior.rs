@@ -138,8 +138,11 @@ fn outputs_identical_arithmetic() {
 
 #[test]
 fn fig2_batching_pipeline() {
-    // The paper's Fig. 2: getPatient forces batch 1; encounters/visits/
-    // active-visits accumulate in batch 2, shipped at render time.
+    // The paper's Fig. 2, where getPatient forces batch 1 and encounters/
+    // visits/active-visits accumulate in batch 2 — one step further: the
+    // associations are keyed by a column of the patient row, so they
+    // register as dependents of the patient query and all three ship in
+    // the one batch the render forces.
     let src = r#"
         fn main() {
             let model = new { };
@@ -153,11 +156,11 @@ fn fig2_batching_pipeline() {
     "#;
     let (o, s) = run_both(src);
     assert_eq!(o.output, s.output, "same rendered page");
-    // Sloth: orm_assoc forces p (batch 1 = patient), then encounters +
-    // visits ship together at render (batch 2).
-    assert_eq!(s.net.round_trips, 2);
+    // Sloth: orm_assoc does not force p; patient + encounters + visits
+    // ship together at render.
+    assert_eq!(s.net.round_trips, 1);
     let store = s.store.unwrap();
-    assert_eq!(store.batch_sizes, vec![1, 2]);
+    assert_eq!(store.batch_sizes, vec![3]);
     // Original (eager encounters fetched at find + visits proxy on render):
     // find + eager-encounters + visits = 3 round trips.
     assert_eq!(o.net.round_trips, 3);
@@ -943,4 +946,205 @@ fn unknown_callee_fails_at_call_time_after_its_arguments() {
         let e = run_as("fn main() { nope(1, missing_arg); }", strategy).unwrap_err();
         assert_eq!(e.message, "unbound variable missing_arg", "{strategy:?}");
     }
+}
+
+// ---- dependent chains ------------------------------------------------
+
+/// Patients form a linked list through `creator_id` here: patient 2 was
+/// "created by" id 1, which `orm_find("patient", …)` follows; patient 3's
+/// creator (id 9) does not exist.
+fn chain_env(schema: &Schema) -> SimEnv {
+    let env = clinic_env(schema);
+    env.seed_sql("INSERT INTO patient VALUES (3, 'Orphan', 9)")
+        .unwrap();
+    env
+}
+
+fn run_chain(src: &str, strategy: ExecStrategy) -> Result<RunResult, sloth_lang::RunError> {
+    let schema = clinic_schema();
+    run_source(src, &chain_env(&schema), schema, strategy, vec![])
+}
+
+#[test]
+fn a_dependent_chain_costs_one_round_trip() {
+    // patient → creator (many-to-one) → and a find keyed by a field of
+    // the unfetched patient: three statements, each keyed by a column of
+    // the first one's row.
+    let src = r#"
+        fn main() {
+            let p = orm_find("patient", 2);
+            let doc = orm_assoc(p, "creator");
+            let cid = p.creator_id;
+            let first = orm_find("patient", cid);
+            let visits = orm_assoc(first, "visits");
+            print(doc.login);
+            print(first.name);
+            print(str(len(visits)));
+        }
+    "#;
+    let o = run_chain(src, ExecStrategy::Original).unwrap();
+    let s = run_chain(src, ExecStrategy::Sloth(OptFlags::all())).unwrap();
+    assert_eq!(o.output, vec!["doc", "Ada", "2"]);
+    assert_eq!(o.output, s.output);
+    assert_eq!(s.net.round_trips, 1, "every link rides the head's batch");
+    assert_eq!(s.store.unwrap().batch_sizes, vec![4]);
+    assert!(o.net.round_trips >= 4);
+}
+
+#[test]
+fn a_deferred_field_read_sees_the_row_not_a_later_heap_write() {
+    let src = r#"
+        fn main() {
+            let p = orm_find("patient", 2);
+            let n = p.creator_id;
+            p.creator_id = 99;
+            print(str(n));
+            print(str(p.creator_id));
+        }
+    "#;
+    for strategy in all_strategies() {
+        let r = run_chain(src, strategy).unwrap();
+        assert_eq!(r.output, vec!["1", "99"], "{strategy:?}");
+    }
+}
+
+#[test]
+fn a_missing_parent_raises_what_forcing_it_would_have_raised() {
+    // Patient 3's creator does not exist: the field read on it, and the
+    // association through it, fail exactly as they do when the parent is
+    // forced first — at the force that demands the dependent value.
+    let field = r#"
+        fn main() {
+            let p = orm_find("patient", 3);
+            let nobody = orm_find("patient", p.creator_id);
+            let next = orm_find("patient", nobody.creator_id);
+            print("before");
+            print(next.name);
+        }
+    "#;
+    let assoc = r#"
+        fn main() {
+            let p = orm_find("patient", 3);
+            let nobody = orm_assoc(p, "creator");
+            let visits = orm_assoc(nobody, "visits");
+            print("before");
+            print(str(len(visits)));
+        }
+    "#;
+    for (src, text) in [
+        (field, "field creator_id read on null"),
+        (assoc, "orm_assoc on non-entity null"),
+    ] {
+        for strategy in all_strategies() {
+            let e = run_chain(src, strategy).unwrap_err();
+            assert_eq!(e.message, text, "{strategy:?}");
+        }
+    }
+    // The first missing link is the one reported, however long the chain
+    // behind it.
+    let long = r#"
+        fn main() {
+            let p = orm_find("patient", 3);
+            let nobody = orm_assoc(p, "creator");
+            let visits = orm_assoc(nobody, "visits");
+            let deeper = orm_find("patient", nobody.user_id);
+            print(deeper.name);
+        }
+    "#;
+    for strategy in all_strategies() {
+        let e = run_chain(long, strategy).unwrap_err();
+        assert_eq!(e.message, "orm_assoc on non-entity null", "{strategy:?}");
+    }
+}
+
+#[test]
+fn a_never_demanded_dependant_raises_nothing() {
+    // As with any query nobody demands: under Sloth it never runs, so it
+    // cannot fail (the original program does fail here).
+    let src = r#"
+        fn main() {
+            let p = orm_find("patient", 3);
+            let nobody = orm_find("patient", p.creator_id);
+            let next = orm_find("patient", nobody.creator_id);
+            print(p.name);
+        }
+    "#;
+    let s = run_chain(src, ExecStrategy::Sloth(OptFlags::all())).unwrap();
+    assert_eq!(s.output, vec!["Orphan"]);
+    assert_eq!(s.net.round_trips, 1);
+    assert!(run_chain(src, ExecStrategy::Original).is_err());
+}
+
+#[test]
+fn the_association_memo_holds_before_and_after_the_owner_is_fetched() {
+    let src = r#"
+        fn main() {
+            let p = orm_find("patient", 1);
+            let a = orm_assoc(p, "encounters");
+            let b = orm_assoc(p, "encounters");
+            if (p.name == "Ada") { print("fetched"); }
+            let c = orm_assoc(p, "encounters");
+            push(a, 7);
+            print(str(len(b)));
+            print(str(len(c)));
+        }
+    "#;
+    let o = run_chain(src, ExecStrategy::Original).unwrap();
+    let s = run_chain(src, ExecStrategy::Sloth(OptFlags::all())).unwrap();
+    // One list, three names for it — two taken before the owner was
+    // fetched, one after: the push through `a` shows in all.
+    assert_eq!(s.output, vec!["fetched", "9", "9"]);
+    assert_eq!(o.output, s.output);
+    assert_eq!(
+        s.counters.queries_registered, 2,
+        "the patient, its encounters once"
+    );
+    assert_eq!(s.net.round_trips, 1);
+}
+
+#[test]
+fn a_fetched_parent_is_read_where_it_lies() {
+    // Once the parent has been answered, a field read allocates no
+    // deferred read and a keyed query registers a literal statement: the
+    // counters of a program that forces first are those of this one.
+    let forced_first = |key: &str| {
+        let src = format!(
+            r#"
+            fn main() {{
+                let p = orm_find("patient", 2);
+                if (p.name == "Grace") {{ print("fetched"); }}
+                let first = orm_find("patient", {key});
+                print(first.name);
+            }}
+        "#
+        );
+        run_chain(&src, ExecStrategy::Sloth(OptFlags::all())).unwrap()
+    };
+    let by_field = forced_first("p.creator_id");
+    let by_literal = forced_first("1");
+    assert_eq!(by_field.output, vec!["fetched", "Ada"]);
+    assert_eq!(by_field.output, by_literal.output);
+    assert_eq!(
+        by_field.net.round_trips, 2,
+        "the key is known: nothing to chain"
+    );
+    assert_eq!(
+        by_field.counters.thunk_allocs,
+        by_literal.counters.thunk_allocs
+    );
+    assert_eq!(by_field.store.unwrap().batch_sizes, vec![1, 1]);
+}
+
+#[test]
+fn a_standard_callee_receives_the_forced_column() {
+    let src = r#"
+        fn fmt(a, b) { return concat(a, ": ", b); }
+        fn main() {
+            let p = orm_find("patient", 2);
+            print(fmt("creator", str(p.creator_id)));
+        }
+    "#;
+    let r = run_chain(src, ExecStrategy::Sloth(OptFlags::all())).unwrap();
+    assert_eq!(r.output, vec!["creator: 1"]);
+    assert!(r.counters.std_ops > 0, "fmt ran under standard semantics");
 }

@@ -33,10 +33,11 @@
 //! failed *combined* (multi-session) dispatch back into exact per-session
 //! outcomes without re-executing writes that already applied.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use sloth_sql::fuse::{self, FusableLookup, FusedPlan};
-use sloth_sql::{ExecOutcome, Footprint, Normalized, ResultSet, SqlError, Stmt, Value};
+use sloth_sql::{ExecOutcome, Footprint, Normalized, Param, ResultSet, SqlError, Stmt, Value};
 
 /// Default cap on the arity of one fused `IN` probe. Groups with more
 /// distinct probed values split into several probes, bounding both the
@@ -278,6 +279,76 @@ pub(crate) fn demux_fused(
     Ok(out)
 }
 
+/// What position `pos`'s reference to an earlier position resolves to.
+pub(crate) enum Binding {
+    /// The statement has no open parameter: it runs as written.
+    Literal,
+    /// The parent's row closed it.
+    Bound(Stmt),
+    /// The parent answered without a row: the position answers
+    /// [`ResultSet::no_parent_row`] and nothing executes.
+    NoParentRow,
+    /// The parent has no answer here. The result cache's probe leaves
+    /// such a position for the wire; on the wire, where every earlier
+    /// position has run, it cannot happen.
+    Unanswered,
+}
+
+/// Resolves the open parameter of `stmts[pos]` (see
+/// [`sloth_sql::Param::Ref`]) against the answers so far — the one place
+/// the driver binds, called where a position is about to be answered:
+/// the two executors' single-statement arm and the result cache's probe.
+/// A reference that does not name an earlier read of the same batch, or
+/// names a column the parent's row lacks, is an error at `pos`.
+pub(crate) fn bind(
+    stmts: &[Stmt],
+    pos: usize,
+    answers: &[Option<ResultSet>],
+) -> Result<Binding, SqlError> {
+    let stmt = &stmts[pos];
+    let Some(Param::Ref { parent, .. }) = stmt.open_param() else {
+        return Ok(Binding::Literal);
+    };
+    let malformed = |why: &str| {
+        Err(SqlError::new(format!(
+            "reference to position {parent} from position {pos} {why} (in {})",
+            stmt.sql()
+        )))
+    };
+    let Some(parent) = usize::try_from(*parent).ok().filter(|p| *p < pos) else {
+        return malformed("does not name an earlier position");
+    };
+    if stmts[parent].is_write() {
+        return malformed("names a write or transaction boundary");
+    }
+    match &answers[parent] {
+        None => Ok(Binding::Unanswered),
+        Some(rs) => Ok(match stmt.bind_from(rs)? {
+            Some(bound) => Binding::Bound(bound),
+            None => Binding::NoParentRow,
+        }),
+    }
+}
+
+/// [`bind`] on the wire: every earlier position has been answered, so the
+/// position either runs (`Some`: the statement to execute, and whether it
+/// was dependent) or answers [`ResultSet::no_parent_row`] (`None`).
+pub(crate) fn bind_to_run<'a>(
+    stmts: &'a [Stmt],
+    pos: usize,
+    answers: &[Option<ResultSet>],
+) -> Result<Option<(Cow<'a, Stmt>, bool)>, SqlError> {
+    match bind(stmts, pos, answers)? {
+        Binding::Literal => Ok(Some((Cow::Borrowed(&stmts[pos]), false))),
+        Binding::Bound(bound) => Ok(Some((Cow::Owned(bound), true))),
+        Binding::NoParentRow => Ok(None),
+        Binding::Unanswered => Err(SqlError::new(format!(
+            "reference to an unanswered position (in {})",
+            stmts[pos].sql()
+        ))),
+    }
+}
+
 /// What a batch execution reports back to the driver for stats/clock
 /// accounting (shared by both backends). Execution is **partial on
 /// error**: positions executed before the first error carry results, the
@@ -298,6 +369,9 @@ pub(crate) struct BatchExec {
     pub fused_queries: u64,
     /// Fused group executions performed.
     pub fused_groups: u64,
+    /// The statements dependent positions executed as, once bound — what
+    /// the result cache files their answers under.
+    pub bound: Vec<(usize, Stmt)>,
 }
 
 /// What the single-server batch executor needs from its execution target —
@@ -363,10 +437,13 @@ pub(crate) fn exec_single<D: BatchDb>(
     let mut results: Vec<Option<ResultSet>> = vec![None; stmts.len()];
     let mut error: Option<(usize, SqlError)> = None;
     let mut read_times: Vec<u64> = Vec::new();
-    let mut write_time = 0u64;
+    // Work that cannot share a wave: writes serialize on the server, and
+    // a dependent read starts only once its parent has answered.
+    let mut serial_time = 0u64;
     let mut bytes = 0u64;
     let mut fused_queries = 0u64;
     let mut fused_groups = 0u64;
+    let mut bound: Vec<(usize, Stmt)> = Vec::new();
     if let Some(skip) = skip {
         for (i, s) in skip.iter().enumerate().take(stmts.len()) {
             if let Some(rs) = s {
@@ -393,7 +470,20 @@ pub(crate) fn exec_single<D: BatchDb>(
                 if results[i].is_some() {
                     continue; // answered from the journal
                 }
+                // What travelled is the statement as shipped: for a
+                // dependent one, its template and the reference.
                 bytes += stmt.sql().len() as u64;
+                let (stmt, dependent) = match bind_to_run(stmts, i, &results) {
+                    Ok(Some(run)) => run,
+                    Ok(None) => {
+                        results[i] = Some(ResultSet::no_parent_row());
+                        continue;
+                    }
+                    Err(e) => {
+                        error = Some((i, e));
+                        break 'batch;
+                    }
+                };
                 // A write is parsed, never lexed for a template.
                 let norm = (!stmt.is_write()).then(|| stmt.norm()).flatten();
                 let out = match norm {
@@ -408,14 +498,16 @@ pub(crate) fn exec_single<D: BatchDb>(
                     }
                 };
                 let exec_ns = exec_cost(&out.stats);
-                if out.stats.is_write {
-                    // Writes serialize on the server.
-                    write_time += exec_ns;
+                if out.stats.is_write || dependent {
+                    serial_time += exec_ns;
                 } else {
                     read_times.push(exec_ns);
                 }
                 bytes += out.result.wire_size() as u64;
                 results[i] = Some(out.result);
+                if dependent {
+                    bound.push((i, stmt.into_owned()));
+                }
             }
             Role::FusedLead(g) => {
                 let FusedGroup { lookup, members } = &plan.fused[g];
@@ -466,7 +558,7 @@ pub(crate) fn exec_single<D: BatchDb>(
             }
         }
     }
-    let db_ns = wave_makespan(read_times, cost.db_workers) + write_time;
+    let db_ns = wave_makespan(read_times, cost.db_workers) + serial_time;
     BatchExec {
         results,
         error,
@@ -474,6 +566,7 @@ pub(crate) fn exec_single<D: BatchDb>(
         bytes,
         fused_queries,
         fused_groups,
+        bound,
     }
 }
 

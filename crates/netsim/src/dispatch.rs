@@ -531,7 +531,13 @@ impl Dispatcher {
             stats.max_coalesced = stats.max_coalesced.max(batch.len() as u64);
             stats.coalesced_write_batches += batch.iter().filter(|f| f.has_write).count() as u64;
         }
-        let stmts: Vec<Stmt> = batch.iter().flat_map(|f| f.stmts.iter().cloned()).collect();
+        // Riders concatenate; a reference follows its parent to the
+        // rider's offset, the way an error position is re-based below.
+        let mut stmts: Vec<Stmt> = Vec::with_capacity(batch.iter().map(|f| f.stmts.len()).sum());
+        for f in batch {
+            let start = stmts.len() as u64;
+            stmts.extend(f.stmts.iter().map(|s| s.rebase(|parent| parent + start)));
+        }
         let combined = self.env.ship(&BatchRequest::new(&stmts));
         self.account_cross_session_fusion(batch, &combined);
         let failed_at = match &combined.error {

@@ -39,6 +39,7 @@ pub mod fault;
 pub mod shard;
 mod versioned;
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -861,7 +862,7 @@ impl SimEnv {
             None => self.run_batch_resilient(req.stmts),
             // Every position answered locally: no wire, no charge.
             Some(probe) if probe.ship.is_empty() => {
-                return BatchOutcome::unshipped(probe.hits, None)
+                return BatchOutcome::unshipped(probe.hits, probe.stop)
             }
             Some(ref probe) => self.run_batch_resilient(&probe.shipped),
         };
@@ -882,7 +883,7 @@ impl SimEnv {
         // so the executed prefix's writes have applied (must invalidate)
         // and its reads are current (may fill).
         if let Some(probe) = &probe {
-            self.settle_result_cache(probe, &ran.exec.results, ran.db_version);
+            self.settle_result_cache(probe, &ran.exec, ran.db_version);
         }
         self.charge_and_sleep(ran.exec.results.len(), &ran);
         let RanBatch {
@@ -902,7 +903,10 @@ impl SimEnv {
                     results[i] = r;
                     members[i] = m;
                 }
-                let error = exec.error.map(|(pos, e)| (probe.ship[pos], e));
+                let error = exec
+                    .error
+                    .map(|(pos, e)| (probe.ship[pos], e))
+                    .or(probe.stop);
                 (results, members, error)
             }
         };
@@ -927,6 +931,13 @@ impl SimEnv {
     /// the read from a pre-write entry would be stale. Eligible hits are
     /// answered locally; everything else ships.
     ///
+    /// The probe **binds as it goes**: a dependent position whose parent
+    /// was just answered from the cache is bound from that row and probed
+    /// in turn, so a warm chain is all hits and costs no trip. One whose
+    /// parent ships is shipped too, its reference re-based to the
+    /// parent's index in the sub-batch. A reference that cannot be bound
+    /// at all stops the batch there ([`CacheProbe::stop`]).
+    ///
     /// Footprints are resolved *before* the cache lock is taken,
     /// honouring the lock hierarchy (cache above database, never both at
     /// once).
@@ -938,31 +949,70 @@ impl SimEnv {
         let stmts = req.stmts;
         let bypass = req.cache == CacheMode::Bypass;
         // One view fetch for the batch: on a pure-read page nothing above
-        // has asked these statements for a footprint yet.
+        // has asked these statements for a footprint yet. A dependent
+        // statement's footprint waits for its bound form.
         let catalog = self.store.catalog();
-        let fps: Vec<&Footprint> = stmts.iter().map(|s| catalog.footprint(s)).collect();
+        let fps: Vec<Option<&Footprint>> = stmts
+            .iter()
+            .map(|s| s.parent().is_none().then(|| catalog.footprint(s)))
+            .collect();
         let mut hits: Vec<Option<ResultSet>> = vec![None; stmts.len()];
         let mut ship: Vec<usize> = Vec::with_capacity(stmts.len());
+        let mut shipped: Vec<Stmt> = Vec::with_capacity(stmts.len());
+        // Original position → index in the shipped sub-batch.
+        let mut sub: Vec<u64> = vec![u64::MAX; stmts.len()];
+        let mut stop = None;
         let mut cache = self.cache();
-        for (i, stmt) in stmts.iter().enumerate() {
+        for i in 0..stmts.len() {
+            let stmt = match batch::bind(stmts, i, &hits) {
+                Ok(batch::Binding::Literal) => Cow::Borrowed(&stmts[i]),
+                Ok(batch::Binding::Bound(bound)) => {
+                    drop(cache);
+                    catalog.footprint(&bound);
+                    cache = self.cache();
+                    Cow::Owned(bound)
+                }
+                Ok(batch::Binding::NoParentRow) => {
+                    hits[i] = Some(ResultSet::no_parent_row());
+                    continue;
+                }
+                Ok(batch::Binding::Unanswered) => {
+                    // Its parent ships, and so does it.
+                    sub[i] = ship.len() as u64;
+                    ship.push(i);
+                    shipped.push(stmts[i].rebase(|p| sub[p as usize]));
+                    continue;
+                }
+                Err(e) => {
+                    stop = Some((i, e));
+                    break;
+                }
+            };
+            let fp = fps[i].unwrap_or_else(|| catalog.footprint(&stmt));
             let eligible = !bypass
-                && cacheable(stmt)
-                && !fps[i].has_writes()
-                && (0..i).all(|j| !fps[j].has_writes() || !fps[j].conflicts_with(fps[i]));
+                && cacheable(&stmt)
+                && !fp.has_writes()
+                && fps[..i]
+                    .iter()
+                    .flatten()
+                    .all(|w| !w.has_writes() || !w.conflicts_with(fp));
             if eligible {
-                if let Some(rs) = cache.probe(stmt) {
+                if let Some(rs) = cache.probe(&stmt) {
                     hits[i] = Some(rs);
                     continue;
                 }
             }
+            sub[i] = ship.len() as u64;
             ship.push(i);
+            shipped.push(stmt.into_owned());
         }
         drop(cache);
         Some(CacheProbe {
             hits,
-            shipped: ship.iter().map(|&i| stmts[i].clone()).collect(),
+            shipped,
             ship,
             bypass,
+            stop,
         })
     }
 
@@ -973,9 +1023,23 @@ impl SimEnv {
     /// exactly once, here), an executed pure read fills. Order matters:
     /// a read that trails a conflicting in-batch write refills *after*
     /// that write's invalidation, leaving the fresh post-write entry.
-    fn settle_result_cache(&self, probe: &CacheProbe, results: &[Option<ResultSet>], version: u64) {
+    /// A dependent read fills under the statement it was bound to; one
+    /// that never ran (no parent row) has nothing to file.
+    fn settle_result_cache(&self, probe: &CacheProbe, exec: &batch::BatchExec, version: u64) {
         // Before the cache lock, like the probe (which memoised them all).
-        let fps: Vec<&Footprint> = probe.shipped.iter().map(|s| self.footprint(s)).collect();
+        let mut bound = exec.bound.iter().peekable();
+        let settled: Vec<(&Stmt, &Footprint, &ResultSet)> = probe
+            .shipped
+            .iter()
+            .zip(&exec.results)
+            .enumerate()
+            .filter_map(|(i, (stmt, result))| {
+                let stmt = bound.next_if(|(pos, _)| *pos == i).map_or(stmt, |(_, b)| b);
+                // `None`: not executed (at or past the failing position).
+                let rs = result.as_ref()?;
+                (stmt.parent().is_none()).then(|| (stmt, self.footprint(stmt), rs))
+            })
+            .collect();
         let mut cache = self.cache();
         // The cache may have been disabled (and cleared) between this
         // batch's probe and its settlement; filling a disabled cache
@@ -993,10 +1057,7 @@ impl SimEnv {
         // just-filled entry right after (publish happens before the
         // writer settles). Writes still invalidate unconditionally.
         let may_fill = cache.enabled() && version == self.store.published_version();
-        for ((stmt, fp), result) in probe.shipped.iter().zip(fps).zip(results) {
-            let Some(rs) = result else {
-                continue; // not executed (at or past the failing position)
-            };
+        for (stmt, fp, rs) in settled {
             if fp.has_writes() {
                 cache.invalidate(fp);
             } else if !probe.bypass && may_fill && cacheable(stmt) {
@@ -1010,10 +1071,14 @@ impl SimEnv {
     /// shipped write footprint invalidates conservatively — a stale miss
     /// costs a round trip, a stale hit would cost correctness.
     fn invalidate_after_ambiguous_failure(&self, probe: &CacheProbe) {
-        let fps: Vec<&Footprint> = probe.shipped.iter().map(|s| self.footprint(s)).collect();
+        let fps: Vec<&Footprint> = probe
+            .shipped
+            .iter()
+            .filter(|s| s.is_write())
+            .map(|s| self.footprint(s))
+            .collect();
         let mut cache = self.cache();
         for fp in fps {
-            // `invalidate` ignores a footprint without writes.
             cache.invalidate(fp);
         }
     }
@@ -1402,6 +1467,12 @@ struct CacheProbe {
     /// Degraded-session bypass: no hits were served and no fills happen,
     /// but shipped writes still invalidate.
     bypass: bool,
+    /// A reference the probe could not bind (it names no earlier read, or
+    /// a column its cached parent lacks): the batch ends before that
+    /// position, exactly as it would on the wire — everything from there
+    /// on is neither answered nor shipped, and the outcome carries the
+    /// error at that position.
+    stop: Option<(usize, SqlError)>,
 }
 
 /// Internal carrier between planning/execution and accounting.
@@ -2405,5 +2476,297 @@ mod tests {
                 "readers were admitted to the published views"
             );
         }
+    }
+
+    // ---- dependent statements -----------------------------------------
+
+    /// A linked list: row `i` points at row `i + 1`; the last points
+    /// nowhere.
+    fn chain_env() -> SimEnv {
+        let env = SimEnv::default_env();
+        seed_chain(&env);
+        env
+    }
+
+    fn seed_chain(env: &SimEnv) {
+        env.seed_sql("CREATE TABLE node (id INT PRIMARY KEY, next_id INT, label TEXT)")
+            .unwrap();
+        for i in 1..=8 {
+            let next = if i == 8 {
+                "NULL".to_string()
+            } else {
+                (i + 1).to_string()
+            };
+            env.seed_sql(&format!("INSERT INTO node VALUES ({i}, {next}, 'n{i}')"))
+                .unwrap();
+        }
+    }
+
+    fn node(id: i64) -> Stmt {
+        Stmt::new(format!("SELECT * FROM node WHERE id = {id}"))
+    }
+
+    /// `SELECT * FROM node WHERE id = <next_id of position `parent`>`.
+    fn next_of(parent: u64) -> Stmt {
+        Stmt::with_param(
+            "SELECT * FROM node WHERE id = ",
+            &sloth_sql::Param::reference(parent, "next_id"),
+            "",
+        )
+    }
+
+    fn walk(depth: u64) -> Vec<Stmt> {
+        std::iter::once(node(1))
+            .chain((0..depth).map(next_of))
+            .collect()
+    }
+
+    #[test]
+    fn a_chain_ships_whole_and_answers_what_the_eager_walk_answers() {
+        let env = chain_env();
+        let out = env
+            .ship(&BatchRequest::new(&walk(4)))
+            .into_results()
+            .unwrap();
+        let eager = chain_env();
+        for (i, rs) in out.iter().enumerate() {
+            let want = eager
+                .query(&format!("SELECT * FROM node WHERE id = {}", i + 1))
+                .unwrap();
+            assert_eq!(rs, &want);
+        }
+        let (s, e) = (env.stats(), eager.stats());
+        assert_eq!((s.round_trips, s.queries), (1, 5), "one trip, k queries");
+        assert_eq!((e.round_trips, e.queries), (5, 5));
+    }
+
+    #[test]
+    fn a_missing_parent_row_answers_its_dependants_without_failing_the_batch() {
+        let env = chain_env();
+        // Row 8 exists but points nowhere (NULL key); row 9 does not exist.
+        let batch = vec![node(8), next_of(0), next_of(1), node(2)];
+        let out = env.ship(&BatchRequest::new(&batch));
+        assert!(out.error.is_none());
+        let rs: Vec<ResultSet> = out.results.into_iter().map(Option::unwrap).collect();
+        assert_eq!(rs[0].len(), 1);
+        // `WHERE id = NULL` runs and matches nothing: an ordinary empty
+        // answer. Its own dependant has no parent row.
+        assert!(rs[1].is_empty() && !rs[1].is_no_parent_row());
+        assert!(rs[2].is_no_parent_row());
+        assert_eq!(rs[3].len(), 1, "the batch carries on");
+        assert_eq!(env.stats().round_trips, 1);
+    }
+
+    #[test]
+    fn a_chain_is_serial_on_the_virtual_clock_and_a_fan_out_is_one_wave() {
+        let cost = CostModel::default();
+        let link = cost.db_base_ns + cost.db_row_scan_ns + cost.db_row_out_ns;
+        let chain = chain_env();
+        chain
+            .ship(&BatchRequest::new(&walk(3)))
+            .into_results()
+            .unwrap();
+        assert_eq!(
+            chain.stats().db_ns,
+            4 * link,
+            "depth 4: the sum of its links"
+        );
+        let wide = chain_env();
+        wide.set_fusion(false);
+        let independent: Vec<Stmt> = (1..=4).map(node).collect();
+        wide.ship(&BatchRequest::new(&independent))
+            .into_results()
+            .unwrap();
+        assert!(cost.db_workers >= 4);
+        assert_eq!(wide.stats().db_ns, link, "4 wide: one wave");
+        // The wire carries the template and the reference, once.
+        let text: u64 = walk(3).iter().map(|s| s.sql().len() as u64).sum();
+        let rows: u64 = (1..=4)
+            .map(|i| {
+                chain_env()
+                    .query(&format!("SELECT * FROM node WHERE id = {i}"))
+                    .unwrap()
+            })
+            .map(|rs| rs.wire_size() as u64)
+            .sum();
+        assert_eq!(chain.stats().bytes, text + rows);
+    }
+
+    /// SplitMix64, as in the randomized suites.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// `ship` is public, so a malformed reference is input: whatever a
+    /// batch says, the outcome is the executed prefix plus a typed error
+    /// at the offending position — on one server and on a fleet, cache on
+    /// and off — and never a panic.
+    #[test]
+    fn malformed_references_are_typed_errors_at_their_position() {
+        let mut rng = 0x5107_u64;
+        for round in 0..300 {
+            let n = 2 + (splitmix(&mut rng) % 6) as usize;
+            let bad = (splitmix(&mut rng) % n as u64) as usize;
+            let mut batch: Vec<Stmt> = Vec::new();
+            for pos in 0..n {
+                let stmt = if pos == bad {
+                    match splitmix(&mut rng) % 4 {
+                        // Not an earlier position: itself, a later one, far out.
+                        0 => next_of(pos as u64 + splitmix(&mut rng) % 3),
+                        1 => next_of(u64::MAX - splitmix(&mut rng) % 2),
+                        // A column the parent's row lacks.
+                        2 if pos > 0 => Stmt::with_param(
+                            "SELECT * FROM node WHERE id = ",
+                            &sloth_sql::Param::reference(0, "no_such_column"),
+                            "",
+                        ),
+                        // A write or a transaction boundary (placed just before).
+                        _ if pos > 0 => {
+                            let boundary = ["UPDATE node SET label = 'w' WHERE id = 7", "COMMIT"];
+                            batch[pos - 1] = Stmt::new(boundary[(splitmix(&mut rng) % 2) as usize]);
+                            next_of(pos as u64 - 1)
+                        }
+                        _ => next_of(pos as u64),
+                    }
+                } else if pos > 0
+                    && !batch[pos - 1].is_write()
+                    && splitmix(&mut rng).is_multiple_of(2)
+                {
+                    next_of(pos as u64 - 1)
+                } else {
+                    node(1 + (splitmix(&mut rng) % 9) as i64)
+                };
+                batch.push(stmt);
+            }
+            // Position 0 must answer a row for "no such column" to be seen.
+            if batch[bad].sql().contains("no_such_column") {
+                batch[0] = node(1);
+            }
+            for (shards, cache) in [(1, false), (1, true), (4, false), (4, true)] {
+                let env = match shards {
+                    1 => chain_env(),
+                    n => {
+                        let fleet = ShardedEnv::new(
+                            CostModel::default(),
+                            ShardSpec::new().shard("node", "id"),
+                            n,
+                        );
+                        let env = fleet.handle();
+                        seed_chain(&env);
+                        env
+                    }
+                };
+                env.set_result_cache(cache);
+                // A fused lookup is answered where its group's lead sits,
+                // possibly ahead of the error; unfused, "nothing at or
+                // past the error is answered" is exact.
+                env.set_fusion(false);
+                for pass in 0..2 {
+                    // The second pass finds the cache warm.
+                    let before = env.stats().round_trips;
+                    let out = env.ship(&BatchRequest::new(&batch));
+                    let (pos, e) = out.error.clone().unwrap_or_else(|| {
+                        panic!("round {round} shards {shards} cache {cache}: no error")
+                    });
+                    assert_eq!(pos, bad, "round {round} shards {shards} cache {cache}: {e}");
+                    assert!(!is_transient_error(&e));
+                    assert!(
+                        out.results[..bad].iter().all(Option::is_some),
+                        "prefix kept"
+                    );
+                    assert!(out.results[bad..].iter().all(Option::is_none));
+                    if !cache || (pass == 0 && bad > 0) {
+                        assert_eq!(env.stats().round_trips, before + 1, "trip charged");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unbound_reference_never_reaches_the_engine_as_sql() {
+        // Text is text: the placeholder is not SQL, with or without a
+        // `Stmt` around it.
+        let env = chain_env();
+        let e = env.query(next_of(0).sql()).unwrap_err();
+        assert!(e.to_string().contains("lex error"), "{e}");
+    }
+
+    #[test]
+    fn the_result_cache_binds_as_it_probes() {
+        let env = chain_env();
+        env.set_result_cache(true);
+        let cold = env
+            .ship(&BatchRequest::new(&walk(4)))
+            .into_results()
+            .unwrap();
+        assert_eq!(env.stats().round_trips, 1);
+        // Warm: the hit on the head binds link 1, whose hit binds link 2 …
+        let warm = env
+            .ship(&BatchRequest::new(&walk(4)))
+            .into_results()
+            .unwrap();
+        assert_eq!(warm, cold);
+        assert_eq!(env.stats().round_trips, 1, "a warm chain costs no trip");
+        // And the links were filed under the statements their literal
+        // text builds.
+        env.query_batch(&["SELECT * FROM node WHERE id = 3".to_string()])
+            .unwrap();
+        assert_eq!(env.stats().round_trips, 1);
+        // Invalidate the middle: links 0–1 hit, link 2 ships bound, and
+        // the rest follow it into the sub-batch, references re-based.
+        env.query("UPDATE node SET label = 'x' WHERE id = 3")
+            .unwrap();
+        let trips = env.stats().round_trips;
+        let half = env
+            .ship(&BatchRequest::new(&walk(4)))
+            .into_results()
+            .unwrap();
+        assert_eq!(env.stats().round_trips, trips + 1);
+        assert_eq!(env.stats().max_batch, 5);
+        assert_eq!(half[2].get(0, "label").unwrap().as_str(), Some("x"));
+        assert_eq!(half[3..], cold[3..]);
+        // A warm parent without a row answers its dependants locally too.
+        let dead_end = vec![node(8), next_of(0), next_of(1)];
+        env.ship(&BatchRequest::new(&dead_end))
+            .into_results()
+            .unwrap();
+        let trips = env.stats().round_trips;
+        let again = env
+            .ship(&BatchRequest::new(&dead_end))
+            .into_results()
+            .unwrap();
+        assert_eq!(env.stats().round_trips, trips);
+        assert!(again[2].is_no_parent_row());
+    }
+
+    #[test]
+    fn a_coalesced_rider_keeps_its_references() {
+        let env = chain_env();
+        let d = std::sync::Arc::new(Dispatcher::with_stripes(
+            env.clone(),
+            std::time::Duration::ZERO,
+            1,
+        ));
+        d.set_hold_open(2);
+        let riders: Vec<_> = [1u64, 3]
+            .into_iter()
+            .map(|depth| {
+                let d = std::sync::Arc::clone(&d);
+                std::thread::spawn(move || d.ship(&BatchRequest::new(&walk(depth))))
+            })
+            .collect();
+        for (rider, depth) in riders.into_iter().zip([1usize, 3]) {
+            let out = rider.join().unwrap();
+            assert!(out.coalesced);
+            let rs = out.into_results().unwrap();
+            let last = rs.last().unwrap();
+            assert_eq!(last.get(0, "id").unwrap().as_i64(), Some(depth as i64 + 1));
+        }
+        assert_eq!(env.stats().round_trips, 1, "two chains, one combined trip");
     }
 }

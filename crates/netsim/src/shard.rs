@@ -151,6 +151,9 @@ struct RouteEntry {
 struct Costs<'a> {
     read_times: Vec<Vec<u64>>,
     write_ns: Vec<u64>,
+    /// Per shard, the time of dependent reads: busy time of that shard,
+    /// but outside its waves (see [`Costs::take_link`]).
+    link_ns: Vec<u64>,
     bytes: u64,
     statements: Vec<u64>,
     /// Per-shard outage mask for this round trip (`down[s]` = shard `s`
@@ -168,6 +171,27 @@ impl Costs<'_> {
     /// The read view for shard `s` (cheap `Arc` clone).
     fn view(&self, s: usize) -> ReadView {
         self.adm.view(s)
+    }
+
+    /// How many reads each shard's wave holds — taken before a dependent
+    /// read runs, for [`Costs::take_link`].
+    fn wave_marks(&self) -> Vec<usize> {
+        self.read_times.iter().map(Vec::len).collect()
+    }
+
+    /// Takes the reads executed since `marks` out of the waves: a
+    /// dependent read starts only once its parent has answered, so it
+    /// overlaps nothing that came before it. Returns how long the link
+    /// took — its slowest shard, the shards of one gather working in
+    /// parallel.
+    fn take_link(&mut self, marks: &[usize]) -> u64 {
+        let mut link = 0u64;
+        for (s, &mark) in marks.iter().enumerate() {
+            let ns: u64 = self.read_times[s].drain(mark..).sum();
+            self.link_ns[s] += ns;
+            link = link.max(ns);
+        }
+        link
     }
 }
 
@@ -388,6 +412,7 @@ impl Router {
         let mut costs = Costs {
             read_times: vec![Vec::new(); n],
             write_ns: vec![0; n],
+            link_ns: vec![0; n],
             bytes: 0,
             statements: vec![0; n],
             down: down.map(<[bool]>::to_vec).unwrap_or_default(),
@@ -395,6 +420,10 @@ impl Router {
         };
         let mut fused_queries = 0u64;
         let mut fused_groups = 0u64;
+        let mut bound: Vec<(usize, Stmt)> = Vec::new();
+        // Links of dependent chains, end to end: each waits for its
+        // parent, on whichever shard that ran.
+        let mut chain_ns = 0u64;
 
         if let Some(skip) = skip {
             for (i, s) in skip.iter().enumerate().take(stmts.len()) {
@@ -405,24 +434,44 @@ impl Router {
             }
         }
 
-        for (i, stmt) in stmts.iter().enumerate() {
+        for i in 0..stmts.len() {
             match plan.roles[i].clone() {
                 Role::FusedMember => {} // answered by its group's lead
                 Role::Single => {
                     if results[i].is_some() {
                         continue; // answered from the journal
                     }
-                    let rs = if stmt.is_write() {
-                        self.exec_write(stmt, cost, &mut costs)
-                    } else {
-                        self.exec_read(stmt, cost, &mut costs)
+                    // Bind, then route: a bound statement is routed
+                    // exactly as the literal one it equals.
+                    let (stmt, dependent) = match batch::bind_to_run(stmts, i, &results) {
+                        Ok(Some(run)) => run,
+                        Ok(None) => {
+                            results[i] = Some(ResultSet::no_parent_row());
+                            continue;
+                        }
+                        Err(e) => {
+                            error = Some((i, e));
+                            break;
+                        }
                     };
+                    let marks = dependent.then(|| costs.wave_marks());
+                    let rs = if stmt.is_write() {
+                        self.exec_write(&stmt, cost, &mut costs)
+                    } else {
+                        self.exec_read(&stmt, cost, &mut costs)
+                    };
+                    if let Some(marks) = marks {
+                        chain_ns += costs.take_link(&marks);
+                    }
                     match rs {
                         Ok(rs) => results[i] = Some(rs),
                         Err(e) => {
                             error = Some((i, e));
                             break;
                         }
+                    }
+                    if dependent {
+                        bound.push((i, stmt.into_owned()));
                     }
                 }
                 Role::FusedLead(g) => {
@@ -463,10 +512,11 @@ impl Router {
                 let shard_ns =
                     batch::wave_makespan(std::mem::take(&mut costs.read_times[s]), cost.db_workers)
                         + costs.write_ns[s];
-                stats.db_ns[s] += shard_ns;
+                stats.db_ns[s] += shard_ns + costs.link_ns[s];
                 stats.statements[s] += costs.statements[s];
                 db_ns = db_ns.max(shard_ns);
             }
+            db_ns += chain_ns;
             if let Some(saved) = saved {
                 *stats = saved;
             }
@@ -479,6 +529,7 @@ impl Router {
             bytes: costs.bytes,
             fused_queries,
             fused_groups,
+            bound,
         }
     }
 
@@ -1603,6 +1654,51 @@ mod tests {
             ))
             .unwrap();
         }
+    }
+
+    /// A chain hops from shard to shard behind one client trip: each link
+    /// is bound from its parent's row, then routed like the literal
+    /// statement it equals, and the links add up on the virtual clock
+    /// whichever shards they ran on.
+    #[test]
+    fn a_chain_binds_then_routes_and_its_links_add_up() {
+        let issues_of = |project: &sloth_sql::Param| {
+            Stmt::with_param(
+                "SELECT id FROM issue WHERE project_id = ",
+                project,
+                " ORDER BY id LIMIT 1",
+            )
+        };
+        // project 1 → its first issue (id 1) → the issues of project
+        // `id` = 1 again, by reference; then once more.
+        let chain = vec![
+            Stmt::new("SELECT id FROM project WHERE id = 1"),
+            issues_of(&sloth_sql::Param::reference(0, "id")),
+            issues_of(&sloth_sql::Param::reference(1, "id")),
+            issues_of(&sloth_sql::Param::reference(2, "id")),
+        ];
+        let literal: Vec<Stmt> = std::iter::once(chain[0].clone())
+            .chain((0..3).map(|_| issues_of(&sloth_sql::Param::Lit(Value::Int(1)))))
+            .collect();
+        let fleet = fleet(4);
+        let got = fleet.handle().ship(&crate::BatchRequest::new(&chain));
+        let want = single().ship(&crate::BatchRequest::new(&literal));
+        assert_eq!(got.into_results().unwrap(), want.into_results().unwrap());
+        assert_eq!(fleet.stats().round_trips, 1);
+        assert_eq!(
+            fleet.shard_stats().point_reads,
+            3,
+            "bound, then point-routed"
+        );
+        // Serially — one statement per trip — the same four reads cost
+        // the same database time: nothing of the chain overlapped.
+        let serial = self::fleet(4);
+        for stmt in &literal {
+            serial
+                .handle()
+                .ship(&crate::BatchRequest::new(std::slice::from_ref(stmt)));
+        }
+        assert_eq!(fleet.stats().db_ns, serial.stats().db_ns);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! saw).
 
 use crate::schema::{AssocDef, AssocKind, EntityDef};
-use sloth_sql::Value;
+use sloth_sql::{Param, Stmt, Value};
 
 /// Renders a value as a SQL literal (delegates to the engine's single
 /// source of truth so every layer emits byte-identical SQL).
@@ -15,14 +15,71 @@ pub fn literal(v: &Value) -> String {
     v.sql_literal()
 }
 
+/// A read with exactly one key — by primary key, by column equality, a
+/// count, an association — written around the place its key goes. The
+/// key can then be a literal ([`KeyedRead::sql`], what the `select_*`
+/// functions below return) or a reference to another statement's row
+/// ([`KeyedRead::stmt`] with a [`Param::Ref`]): one definition of each
+/// shape's text serves both.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyedRead {
+    head: String,
+    tail: String,
+}
+
+impl KeyedRead {
+    /// `SELECT *` of one entity by primary key.
+    pub fn by_pk(def: &EntityDef) -> KeyedRead {
+        KeyedRead {
+            head: format!("SELECT * FROM {} WHERE {} = ", def.table, def.pk),
+            tail: String::new(),
+        }
+    }
+
+    /// `SELECT *` filtered by one column equality.
+    pub fn where_eq(def: &EntityDef, column: &str) -> KeyedRead {
+        KeyedRead {
+            head: format!("SELECT * FROM {} WHERE {} = ", def.table, column),
+            tail: format!(" ORDER BY {}", def.pk),
+        }
+    }
+
+    /// `COUNT(*)` of an entity filtered by one column equality.
+    pub fn count_where_eq(def: &EntityDef, column: &str) -> KeyedRead {
+        KeyedRead {
+            head: format!("SELECT COUNT(*) FROM {} WHERE {} = ", def.table, column),
+            tail: String::new(),
+        }
+    }
+
+    /// The query an association access issues, keyed by the owner's
+    /// relevant column:
+    ///
+    /// * one-to-many: the key is the **owner's PK**; selects children by
+    ///   FK.
+    /// * many-to-one: the key is the **FK value stored on the owner**;
+    ///   selects the single target row by its PK.
+    pub fn assoc(assoc: &AssocDef, target: &EntityDef) -> KeyedRead {
+        match &assoc.kind {
+            AssocKind::OneToMany { fk_column } => KeyedRead::where_eq(target, fk_column),
+            AssocKind::ManyToOne { .. } => KeyedRead::by_pk(target),
+        }
+    }
+
+    /// The SQL text with `key` as a literal.
+    pub fn sql(&self, key: &Value) -> String {
+        format!("{}{}{}", self.head, literal(key), self.tail)
+    }
+
+    /// The statement keyed by `param`.
+    pub fn stmt(&self, param: &Param) -> Stmt {
+        Stmt::with_param(&self.head, param, &self.tail)
+    }
+}
+
 /// `SELECT *` of one entity by primary key.
 pub fn select_by_pk(def: &EntityDef, id: &Value) -> String {
-    format!(
-        "SELECT * FROM {} WHERE {} = {}",
-        def.table,
-        def.pk,
-        literal(id)
-    )
+    KeyedRead::by_pk(def).sql(id)
 }
 
 /// `SELECT *` of all rows of an entity.
@@ -32,43 +89,18 @@ pub fn select_all(def: &EntityDef) -> String {
 
 /// `SELECT *` filtered by one column equality.
 pub fn select_where_eq(def: &EntityDef, column: &str, v: &Value) -> String {
-    format!(
-        "SELECT * FROM {} WHERE {} = {} ORDER BY {}",
-        def.table,
-        column,
-        literal(v),
-        def.pk
-    )
+    KeyedRead::where_eq(def, column).sql(v)
 }
 
-/// The query an association access issues, given the owner's relevant key.
-///
-/// * one-to-many: key is the **owner's PK**; selects children by FK.
-/// * many-to-one: key is the **FK value stored on the owner**; selects the
-///   single target row by its PK.
+/// The query an association access issues, given the owner's relevant
+/// key (see [`KeyedRead::assoc`]).
 pub fn select_assoc(assoc: &AssocDef, target: &EntityDef, key: &Value) -> String {
-    match &assoc.kind {
-        AssocKind::OneToMany { fk_column } => {
-            format!(
-                "SELECT * FROM {} WHERE {} = {} ORDER BY {}",
-                target.table,
-                fk_column,
-                literal(key),
-                target.pk
-            )
-        }
-        AssocKind::ManyToOne { .. } => select_by_pk(target, key),
-    }
+    KeyedRead::assoc(assoc, target).sql(key)
 }
 
 /// `COUNT(*)` of an entity filtered by one column equality.
 pub fn count_where_eq(def: &EntityDef, column: &str, v: &Value) -> String {
-    format!(
-        "SELECT COUNT(*) FROM {} WHERE {} = {}",
-        def.table,
-        column,
-        literal(v)
-    )
+    KeyedRead::count_where_eq(def, column).sql(v)
 }
 
 /// `INSERT` for a full row in column declaration order.
@@ -183,6 +215,22 @@ mod tests {
             delete_by_pk(&p, &Value::Int(1)),
             "DELETE FROM patient WHERE patient_id = 1"
         );
+    }
+
+    #[test]
+    fn a_bound_reference_is_the_literal_statement() {
+        let p = patient();
+        let read = KeyedRead::where_eq(&p, "name");
+        let open = read.stmt(&Param::reference(3, "name"));
+        assert_eq!(
+            open.sql(),
+            "SELECT * FROM patient WHERE name = $3.name ORDER BY patient_id"
+        );
+        let key = Value::Str("O'Hara".into());
+        let literal = Stmt::new(select_where_eq(&p, "name", &key));
+        assert_eq!(open.bind(&key), literal);
+        assert_eq!(open.bind(&key).sql(), literal.sql());
+        assert_eq!(read.stmt(&Param::Lit(key)), literal);
     }
 
     #[test]

@@ -415,8 +415,21 @@ impl Database {
     /// later call — on this or any clone of the statement, against this
     /// or any database — reads it back. A footprint is a function of the
     /// text alone, so which database's cache answered does not matter.
+    ///
+    /// A dependent statement (open parameter) reports the table-level
+    /// footprint of its template until it is bound: whatever value
+    /// arrives, the bound statement touches a subset of that.
     pub fn footprint<'s>(&self, stmt: &'s Stmt) -> &'s Footprint {
-        stmt.footprint_or(|| self.footprints.footprint_of(stmt.sql(), stmt.norm()))
+        stmt.footprint_or(|| {
+            if stmt.parent().is_none() {
+                return self.footprints.footprint_of(stmt.sql(), stmt.norm());
+            }
+            // Any literal stands in: its pins are dropped again.
+            let sibling = stmt.bind(&Value::Int(0));
+            self.footprints
+                .footprint_of(sibling.sql(), sibling.norm())
+                .table_level()
+        })
     }
 
     /// Snapshot of the footprint-cache counters.

@@ -280,6 +280,16 @@ impl Footprint {
         }
     }
 
+    /// This footprint with every key pin dropped: whole tables. What a
+    /// dependent statement touches while its parameter is still open —
+    /// any row of the tables its bound form will name.
+    pub fn table_level(mut self) -> Footprint {
+        for access in self.reads.iter_mut().chain(self.writes.iter_mut()) {
+            access.keys.clear();
+        }
+        self
+    }
+
     /// Whether this statement can mutate state (or is a barrier).
     pub fn has_writes(&self) -> bool {
         self.barrier || !self.writes.is_empty()

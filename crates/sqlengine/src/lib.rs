@@ -58,7 +58,7 @@ pub use footprint::{Footprint, PostImage, ReadShape, TableAccess, TxnFootprint};
 pub use normalize::{normalize, parameterize, Normalized};
 pub use parser::parse;
 pub use shard::{shard_of, ShardSpec};
-pub use stmt::{Stmt, StmtClass};
+pub use stmt::{Param, Stmt, StmtClass};
 pub use template_map::TemplateMap;
 pub use value::{ResultSet, Row, Value};
 

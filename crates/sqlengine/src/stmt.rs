@@ -9,13 +9,60 @@
 //!
 //! The text still travels: wire bytes are charged on it, error messages
 //! quote it, and a plan-cache miss parses it.
+//!
+//! ## Dependent statements
+//!
+//! A statement may leave one parameter **open**: [`Param::Ref`] names a
+//! column of the first row another statement answers, so `user → role →
+//! privileges` ships as one batch instead of one round trip per link. An
+//! open statement is inert — it has no template (never a dedup, fusion or
+//! result-cache key), a table-level footprint, and text the engine's
+//! lexer rejects — until [`Stmt::bind_from`] closes it over the parent's
+//! row. The bound statement is built by the same constructor a literal
+//! one goes through, so it *is* the statement its text would have built.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::footprint::Footprint;
 use crate::normalize::{normalize, Normalized};
-use crate::{is_select_sql, txn_boundary, TxnBoundary};
+use crate::value::{ResultSet, Value};
+use crate::{is_select_sql, txn_boundary, SqlError, TxnBoundary};
+
+/// The one parameter [`Stmt::with_param`] splices into a statement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Param {
+    /// A literal, known when the statement is built.
+    Lit(Value),
+    /// Column `column` of the first row `parent` answers. `parent` means
+    /// what the layer holding the statement says it means: a query id in
+    /// the query store, a batch position on the wire ([`Stmt::rebase`]
+    /// translates).
+    Ref {
+        /// The statement whose answer supplies the value.
+        parent: u64,
+        /// The column of its first row.
+        column: String,
+    },
+}
+
+impl Param {
+    /// `column` of the first row `parent` answers.
+    pub fn reference(parent: u64, column: &str) -> Param {
+        Param::Ref {
+            parent,
+            column: column.to_string(),
+        }
+    }
+}
+
+/// The open parameter of a dependent statement: where its placeholder
+/// sits in the text, and the [`Param::Ref`] that fills it.
+struct Open {
+    at: Range<usize>,
+    param: Param,
+}
 
 /// What kind of statement a [`Stmt`] is, as far as batching cares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +87,8 @@ struct Inner {
     /// per-template footprint cache ([`crate::Database::footprint`]) or
     /// preset by [`Stmt::with_footprint`].
     footprint: OnceLock<Footprint>,
+    /// The parameter still waiting for its parent's row, if any.
+    open: Option<Open>,
 }
 
 /// One SQL statement: its text, its class, and — each computed at most
@@ -59,7 +108,28 @@ impl Stmt {
     /// [`is_select_sql`] and [`txn_boundary`]) and wraps it. Lexing and
     /// footprint analysis wait for the first consumer that asks.
     pub fn new(sql: impl Into<String>) -> Stmt {
-        let sql = sql.into();
+        Stmt::build(sql.into(), None)
+    }
+
+    /// The statement whose text is `head`, the parameter, `tail`. With a
+    /// [`Param::Lit`] that is exactly [`Stmt::new`] of the spliced text;
+    /// with a [`Param::Ref`] it is a dependent statement, whose text
+    /// shows the reference as `$parent.column`.
+    pub fn with_param(head: &str, param: &Param, tail: &str) -> Stmt {
+        match param {
+            Param::Lit(v) => Stmt::new(format!("{head}{}{tail}", v.sql_literal())),
+            Param::Ref { parent, column } => {
+                let sql = format!("{head}${parent}.{column}{tail}");
+                let open = Open {
+                    at: head.len()..sql.len() - tail.len(),
+                    param: param.clone(),
+                };
+                Stmt::build(sql, Some(open))
+            }
+        }
+    }
+
+    fn build(sql: String, open: Option<Open>) -> Stmt {
         let class = if is_select_sql(&sql) {
             StmtClass::Read
         } else {
@@ -70,7 +140,82 @@ impl Stmt {
             class,
             norm: OnceLock::new(),
             footprint: OnceLock::new(),
+            open,
         }))
+    }
+
+    /// The open parameter — the [`Param::Ref`] a dependent statement was
+    /// built from; `None` for every other statement.
+    pub fn open_param(&self) -> Option<&Param> {
+        self.0.open.as_ref().map(|o| &o.param)
+    }
+
+    /// The statement a dependent one takes its parameter from.
+    pub fn parent(&self) -> Option<u64> {
+        match self.open_param()? {
+            Param::Ref { parent, .. } => Some(*parent),
+            Param::Lit(_) => None,
+        }
+    }
+
+    /// This statement with its parent renamed by `f` — how a reference
+    /// follows its parent when positions are renumbered (query id → batch
+    /// position, rider offset in a combined dispatch, index in a cache
+    /// sub-batch). A statement without an open parameter is returned as
+    /// it is.
+    pub fn rebase(&self, f: impl FnOnce(u64) -> u64) -> Stmt {
+        match &self.0.open {
+            Some(
+                o @ Open {
+                    param: Param::Ref { parent, column },
+                    ..
+                },
+            ) => {
+                let renamed = f(*parent);
+                if renamed == *parent {
+                    return self.clone();
+                }
+                let (head, tail) = self.around(o);
+                Stmt::with_param(head, &Param::reference(renamed, column), tail)
+            }
+            _ => self.clone(),
+        }
+    }
+
+    /// This statement with `value` in its open parameter.
+    pub fn bind(&self, value: &Value) -> Stmt {
+        match &self.0.open {
+            Some(o) => {
+                let (head, tail) = self.around(o);
+                Stmt::with_param(head, &Param::Lit(value.clone()), tail)
+            }
+            None => self.clone(),
+        }
+    }
+
+    /// Closes the open parameter over the parent's answer: the bound
+    /// statement, `None` when the parent produced no row (its dependants
+    /// answer [`ResultSet::no_parent_row`]), or an error when the row has
+    /// no such column.
+    pub fn bind_from(&self, parent: &ResultSet) -> Result<Option<Stmt>, SqlError> {
+        let Some(Param::Ref { column, .. }) = self.open_param() else {
+            return Ok(Some(self.clone()));
+        };
+        let Some(row) = parent.rows.first() else {
+            return Ok(None);
+        };
+        match parent.column_index(column) {
+            Some(c) => Ok(Some(self.bind(&row[c]))),
+            None => Err(SqlError::new(format!(
+                "reference to column {column} the parent's result lacks (in {})",
+                self.0.sql
+            ))),
+        }
+    }
+
+    /// The text before and after the open parameter's placeholder.
+    fn around(&self, o: &Open) -> (&str, &str) {
+        (&self.0.sql[..o.at.start], &self.0.sql[o.at.end..])
     }
 
     /// Presets the footprint of a statement nobody has analyzed yet,
@@ -101,8 +246,12 @@ impl Stmt {
         self.0.class != StmtClass::Read
     }
 
-    /// Template + parameters; `None` when the text does not lex.
+    /// Template + parameters; `None` when the text does not lex — and
+    /// for a dependent statement, which has no template until bound.
     pub fn norm(&self) -> Option<&Normalized> {
+        if self.0.open.is_some() {
+            return None;
+        }
         self.0
             .norm
             .get_or_init(|| normalize(&self.0.sql).ok())

@@ -227,6 +227,19 @@ impl ResultSet {
         ResultSet::default()
     }
 
+    /// What a dependent statement answers when its parent produced no
+    /// row to take the parameter from (see [`crate::stmt::Param::Ref`]):
+    /// no columns at all, which no executed `SELECT` returns — so the
+    /// caller can tell "my parent was missing" from "I matched nothing".
+    pub fn no_parent_row() -> Self {
+        ResultSet::default()
+    }
+
+    /// Whether this is [`ResultSet::no_parent_row`].
+    pub fn is_no_parent_row(&self) -> bool {
+        self.columns.is_empty()
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()

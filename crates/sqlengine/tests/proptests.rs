@@ -321,3 +321,87 @@ fn stmt_agrees_with_the_text_functions() {
     let [reads, writes, boundaries, unlexable] = seen.get();
     assert!(reads > 50 && writes > 50 && boundaries > 10 && unlexable > 10);
 }
+
+/// A dependent statement, once bound, *is* the statement its literal text
+/// builds — one dedup key, one result-cache key, one plan-cache template,
+/// one footprint — for every shape the ORM keys by one value and every
+/// kind of value a row can hold; renaming its parent never changes what
+/// it binds to; and until it is bound its footprint conflicts with every
+/// write any of its bound forms conflicts with.
+#[test]
+fn a_bound_reference_is_the_literal_statement() {
+    use sloth_sql::{Param, ResultSet, Stmt};
+    use std::hash::{DefaultHasher, Hash, Hasher};
+
+    let hash = |s: &Stmt| {
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    };
+    let db = Database::new();
+    cases(400, |rng| {
+        // The ORM's keyed reads: by primary key, by column (ordered),
+        // count by column.
+        let (head, tail) = match rng.range(0, 3) {
+            0 => ("SELECT * FROM t WHERE id = ", ""),
+            1 => ("SELECT * FROM t WHERE v = ", " ORDER BY id"),
+            _ => ("SELECT COUNT(*) FROM t WHERE name = ", ""),
+        };
+        let key = match rng.range(0, 6) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.range(0, 2) == 0),
+            2 => Value::Int(rng.range(-50, 50)),
+            3 => Value::Float(rng.range(-50, 50) as f64 / 4.0),
+            4 => Value::Str(format!("it's {}", rng.range(0, 9))),
+            _ => Value::Str(String::new()),
+        };
+        let parent = rng.range(0, 1000) as u64;
+        let open = Stmt::with_param(head, &Param::reference(parent, "k"), tail);
+        assert_eq!(open.parent(), Some(parent));
+        assert!(open.norm().is_none() && !open.is_write());
+        assert_eq!(open.sql(), format!("{head}${parent}.k{tail}"));
+
+        let literal = Stmt::new(format!("{head}{}{tail}", key.sql_literal()));
+        let row = ResultSet::new(
+            vec!["id".into(), "K".into()],
+            vec![vec![Value::Int(1), key.clone()]],
+        );
+        let renamed = open.rebase(|p| p + rng.range(0, 5) as u64);
+        for bound in [
+            open.bind(&key),
+            open.bind_from(&row).unwrap().expect("the parent has a row"),
+            renamed.bind(&key),
+            Stmt::with_param(head, &Param::Lit(key.clone()), tail),
+        ] {
+            assert_eq!(bound, literal, "{literal:?}");
+            assert_eq!(hash(&bound), hash(&literal), "{literal:?}");
+            assert_eq!(bound.sql(), literal.sql());
+            assert_eq!(bound.norm(), literal.norm());
+            assert_eq!(bound.parent(), None);
+            assert_eq!(db.footprint(&bound), db.footprint(&literal));
+        }
+        assert_ne!(open, literal, "never a dedup hit until bound");
+        // No parent row, no statement; no such column, an error.
+        assert!(open
+            .bind_from(&ResultSet::new(vec!["k".into()], vec![]))
+            .unwrap()
+            .is_none());
+        assert!(open
+            .bind_from(&ResultSet::no_parent_row())
+            .unwrap()
+            .is_none());
+        let other = ResultSet::new(vec!["id".into()], vec![vec![Value::Int(1)]]);
+        assert!(open.bind_from(&other).is_err());
+
+        // Table-level until bound: at least as wide as any bound form.
+        let unbound = db.footprint(&open);
+        assert!(!unbound.has_writes() && !unbound.barrier);
+        for _ in 0..8 {
+            let write = Stmt::new(arb_statement(rng));
+            let w = db.footprint(&write);
+            if db.footprint(&literal).conflicts_with(w) {
+                assert!(unbound.conflicts_with(w), "{write:?} vs {open:?}");
+            }
+        }
+    });
+}

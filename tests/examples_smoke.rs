@@ -53,3 +53,21 @@ fn kernel_language_example_runs_end_to_end() {
         "sloth batches the independent queries: {sloth_trips} vs {orig_trips}"
     );
 }
+
+#[path = "../examples/explain.rs"]
+mod explain;
+
+#[test]
+fn explain_example_runs_end_to_end() {
+    use sloth_core::FlushReason;
+    let pages = explain::run();
+    assert_eq!(pages.len(), 2, "one itracker page, one OpenMRS page");
+    for flushes in &pages {
+        assert!(!flushes.is_empty());
+        // The framework preamble's dependent chains ride the first batch:
+        // no flush of one statement before the page's big one.
+        let (first, reason) = flushes[0];
+        assert!(first > 40, "the preamble ships whole: {flushes:?}");
+        assert_eq!(reason, FlushReason::Force);
+    }
+}
