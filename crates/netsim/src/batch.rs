@@ -1,11 +1,13 @@
-//! Batch planning shared by the single-server and sharded batch drivers.
+//! Batch planning, binding and demux for the one batch executor
+//! ([`crate::shard::Router::exec_batch`], over one database or N).
 //!
 //! A batch plan is computed once per [`crate::SimEnv::ship`] call from
 //! what each [`Stmt`] already carries: same-template point lookups group
 //! for **fusion**, and one representative per multi-member group is
-//! parsed to decide whether the group's shape is fusable. Both backends consume the same plan — the single server
-//! executes fused groups as `IN` probes, the shard router additionally
-//! splits those probes into per-shard sub-probes.
+//! parsed to decide whether the group's shape is fusable. The executor
+//! runs each fused group as `IN` probes of at most [`MAX_FUSED_ARITY`]
+//! values — on a fleet, split into per-shard sub-probes when the probed
+//! column is the shard key.
 //!
 //! ## Write-aware segmentation
 //!
@@ -37,22 +39,13 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use sloth_sql::fuse::{self, FusableLookup, FusedPlan};
-use sloth_sql::{ExecOutcome, Footprint, Normalized, Param, ResultSet, SqlError, Stmt, Value};
+use sloth_sql::{Footprint, Normalized, Param, ResultSet, SqlError, Stmt, Value};
 
-/// Default cap on the arity of one fused `IN` probe. Groups with more
-/// distinct probed values split into several probes, bounding both the
-/// statement size and the number of distinct `IN (?, …)` templates that
-/// can land in the plan cache.
-pub const DEFAULT_MAX_FUSED_ARITY: usize = 64;
-
-/// Planner knobs, snapshot from the deployment per batch.
-#[derive(Clone, Copy)]
-pub(crate) struct BatchConfig {
-    /// Fuse same-template point lookups into `IN` probes.
-    pub fusion: bool,
-    /// Max distinct values per fused probe (≥ 1).
-    pub max_fused_arity: usize,
-}
+/// Cap on the arity of one fused `IN` probe. Groups with more distinct
+/// probed values split into several probes, bounding both the statement
+/// size and the number of distinct `IN (?, …)` templates that can land in
+/// the plan cache.
+pub(crate) const MAX_FUSED_ARITY: usize = 64;
 
 /// What a batch position contributes to execution.
 #[derive(Clone)]
@@ -87,14 +80,12 @@ pub(crate) struct BatchPlan<'a> {
     /// (disjoint-footprint) write — the reads the old planner would have
     /// split into another probe.
     pub cross_write_fused: u64,
-    /// Max distinct values per fused probe.
-    pub max_fused_arity: usize,
 }
 
-/// Plans a batch: groups same-template single-literal lookups for fusion
-/// and classifies one representative per multi-member group. Fusion
-/// groups may span writes whose footprints are disjoint from the joining
-/// read.
+/// Plans a batch: with `fusion` on, groups same-template single-literal
+/// lookups and classifies one representative per multi-member group.
+/// Fusion groups may span writes whose footprints are disjoint from the
+/// joining read.
 ///
 /// Footprints are read off the statements through `footprint`
 /// ([`crate::SimEnv::footprint`]: memoised, so a flush the query store or
@@ -103,7 +94,7 @@ pub(crate) struct BatchPlan<'a> {
 /// around it.
 pub(crate) fn plan_batch<'a>(
     stmts: &'a [Stmt],
-    cfg: &BatchConfig,
+    fusion: bool,
     footprint: impl Fn(&'a Stmt) -> &'a Footprint,
 ) -> BatchPlan<'a> {
     let any_write = stmts.iter().any(Stmt::is_write);
@@ -118,7 +109,7 @@ pub(crate) fn plan_batch<'a>(
         crossed_write: bool,
     }
     let mut groups: Vec<Candidate<'a>> = Vec::new();
-    if cfg.fusion {
+    if fusion {
         let mut open_groups: HashMap<&str, usize> = HashMap::new();
         let mut writes_seen: Vec<usize> = Vec::new();
         for (i, stmt) in stmts.iter().enumerate() {
@@ -194,7 +185,6 @@ pub(crate) fn plan_batch<'a>(
         fused,
         segments,
         cross_write_fused,
-        max_fused_arity: cfg.max_fused_arity.max(1),
     }
 }
 
@@ -226,9 +216,8 @@ pub(crate) fn fused_values<'a>(members: &[(usize, &'a Value)]) -> Vec<&'a Value>
 }
 
 /// The members of a fused group whose probed value falls in `chunk` —
-/// the demux targets of that chunk's probe. One definition shared by
-/// both backends so the value-matching semantics (SQL equality, the
-/// same relation demux itself uses) cannot diverge between them.
+/// the demux targets of that chunk's probe, matched by SQL equality, the
+/// same relation demux itself uses.
 pub(crate) fn chunk_targets<'a>(
     targets: &[(usize, &'a Value)],
     chunk: &[&Value],
@@ -297,7 +286,7 @@ pub(crate) enum Binding {
 /// Resolves the open parameter of `stmts[pos]` (see
 /// [`sloth_sql::Param::Ref`]) against the answers so far — the one place
 /// the driver binds, called where a position is about to be answered:
-/// the two executors' single-statement arm and the result cache's probe.
+/// the executor's single-statement arm and the result cache's probe.
 /// A reference that does not name an earlier read of the same batch, or
 /// names a column the parent's row lacks, is an error at `pos`.
 pub(crate) fn bind(
@@ -350,7 +339,7 @@ pub(crate) fn bind_to_run<'a>(
 }
 
 /// What a batch execution reports back to the driver for stats/clock
-/// accounting (shared by both backends). Execution is **partial on
+/// accounting. Execution is **partial on
 /// error**: positions executed before the first error carry results, the
 /// rest stay `None`, and `error` records the failing position.
 pub(crate) struct BatchExec {
@@ -359,9 +348,8 @@ pub(crate) struct BatchExec {
     pub results: Vec<Option<ResultSet>>,
     /// First error and the batch position it occurred at.
     pub error: Option<(usize, SqlError)>,
-    /// Database-side time of the executed work (wave model; for the
-    /// sharded backend this is the max over shards — shards execute in
-    /// parallel).
+    /// Database-side time of the executed work (wave model; the max over
+    /// databases — they execute in parallel).
     pub db_ns: u64,
     /// Bytes moved over the wire (requests + results).
     pub bytes: u64,
@@ -372,202 +360,6 @@ pub(crate) struct BatchExec {
     /// The statements dependent positions executed as, once bound — what
     /// the result cache files their answers under.
     pub bound: Vec<(usize, Stmt)>,
-}
-
-/// What the single-server batch executor needs from its execution target —
-/// implemented by the live [`sloth_sql::Database`] (full read/write
-/// surface, used by a batch that holds the write order) and by
-/// `&Database` (the read-only surface: a published MVCC snapshot, which
-/// derefs to one). One executor body serves both, so the snapshot path
-/// cannot drift from the locked path in results, cost accounting, or
-/// fusion behaviour.
-pub(crate) trait BatchDb {
-    /// Executes a pre-normalized `SELECT`.
-    fn exec_normalized(&mut self, sql: &str, norm: &Normalized) -> Result<ExecOutcome, SqlError>;
-    /// Executes arbitrary SQL (reads and, on the live database, writes).
-    fn exec_any(&mut self, sql: &str) -> Result<ExecOutcome, SqlError>;
-    /// Executes an already-built fused `SELECT … IN (…)` probe.
-    fn exec_fused(&mut self, stmt: &sloth_sql::Statement) -> Result<ExecOutcome, SqlError>;
-}
-
-impl BatchDb for sloth_sql::Database {
-    fn exec_normalized(&mut self, sql: &str, norm: &Normalized) -> Result<ExecOutcome, SqlError> {
-        self.execute_select_normalized(sql, norm)
-    }
-
-    fn exec_any(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        self.execute(sql)
-    }
-
-    fn exec_fused(&mut self, stmt: &sloth_sql::Statement) -> Result<ExecOutcome, SqlError> {
-        self.execute_stmt(stmt)
-    }
-}
-
-impl BatchDb for &sloth_sql::Database {
-    fn exec_normalized(&mut self, sql: &str, norm: &Normalized) -> Result<ExecOutcome, SqlError> {
-        self.execute_select_normalized(sql, norm)
-    }
-
-    fn exec_any(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        self.execute_readonly(sql)
-    }
-
-    fn exec_fused(&mut self, stmt: &sloth_sql::Statement) -> Result<ExecOutcome, SqlError> {
-        self.execute_read_stmt(stmt)
-    }
-}
-
-/// The single-server batch executor (the original Sloth deployment): one
-/// database runs every statement; fused groups execute as `IN` probes
-/// (chunked at the configured max arity) and demultiplex; reads share
-/// longest-first parallel waves.
-///
-/// `skip` carries journaled results from a previous ambiguous attempt of
-/// the same batch (see the fault layer): those positions are answered
-/// from the journal — charged as result bytes, never re-executed — which
-/// is what makes replaying a timed-out write batch exactly-once.
-pub(crate) fn exec_single<D: BatchDb>(
-    db: &mut D,
-    cost: &crate::CostModel,
-    stmts: &[Stmt],
-    plan: &BatchPlan<'_>,
-    skip: Option<&[Option<ResultSet>]>,
-) -> BatchExec {
-    let mut results: Vec<Option<ResultSet>> = vec![None; stmts.len()];
-    let mut error: Option<(usize, SqlError)> = None;
-    let mut read_times: Vec<u64> = Vec::new();
-    // Work that cannot share a wave: writes serialize on the server, and
-    // a dependent read starts only once its parent has answered.
-    let mut serial_time = 0u64;
-    let mut bytes = 0u64;
-    let mut fused_queries = 0u64;
-    let mut fused_groups = 0u64;
-    let mut bound: Vec<(usize, Stmt)> = Vec::new();
-    if let Some(skip) = skip {
-        for (i, s) in skip.iter().enumerate().take(stmts.len()) {
-            if let Some(rs) = s {
-                bytes += rs.wire_size() as u64;
-                results[i] = Some(rs.clone());
-            }
-        }
-    }
-    let exec_cost = |stats: &sloth_sql::ExecStats| {
-        cost.db_base_ns
-            + cost.db_row_scan_ns * stats.rows_scanned
-            + cost.db_row_out_ns * stats.rows_returned
-    };
-    // Execute in batch position order. A fused group runs where its first
-    // member sat — correct for members that crossed a write because the
-    // planner proved their footprints disjoint — which also preserves
-    // first-error semantics: members of a template group share their
-    // failure mode by construction, and everything else keeps its own
-    // position.
-    'batch: for (i, stmt) in stmts.iter().enumerate() {
-        match plan.roles[i].clone() {
-            Role::FusedMember => {} // answered by its group's lead
-            Role::Single => {
-                if results[i].is_some() {
-                    continue; // answered from the journal
-                }
-                // What travelled is the statement as shipped: for a
-                // dependent one, its template and the reference.
-                bytes += stmt.sql().len() as u64;
-                let (stmt, dependent) = match bind_to_run(stmts, i, &results) {
-                    Ok(Some(run)) => run,
-                    Ok(None) => {
-                        results[i] = Some(ResultSet::no_parent_row());
-                        continue;
-                    }
-                    Err(e) => {
-                        error = Some((i, e));
-                        break 'batch;
-                    }
-                };
-                // A write is parsed, never lexed for a template.
-                let norm = (!stmt.is_write()).then(|| stmt.norm()).flatten();
-                let out = match norm {
-                    Some(n) => db.exec_normalized(stmt.sql(), n),
-                    None => db.exec_any(stmt.sql()),
-                };
-                let out = match out {
-                    Ok(out) => out,
-                    Err(e) => {
-                        error = Some((i, e));
-                        break 'batch;
-                    }
-                };
-                let exec_ns = exec_cost(&out.stats);
-                if out.stats.is_write || dependent {
-                    serial_time += exec_ns;
-                } else {
-                    read_times.push(exec_ns);
-                }
-                bytes += out.result.wire_size() as u64;
-                results[i] = Some(out.result);
-                if dependent {
-                    bound.push((i, stmt.into_owned()));
-                }
-            }
-            Role::FusedLead(g) => {
-                let FusedGroup { lookup, members } = &plan.fused[g];
-                // Members already answered from the journal drop out of
-                // the probe; the group executes over what's left (all of
-                // it, on a fault-free run).
-                let live: Vec<(usize, &Value)> = members
-                    .iter()
-                    .copied()
-                    .filter(|&(m, _)| results[m].is_none())
-                    .collect();
-                if live.is_empty() {
-                    continue;
-                }
-                let values = fused_values(&live);
-                // One probe per arity chunk: K index probes total, one
-                // statement dispatch per chunk, each chunk demuxed to the
-                // members probing its values.
-                for chunk in values.chunks(plan.max_fused_arity) {
-                    let owned: Vec<Value> = chunk.iter().map(|v| (*v).clone()).collect();
-                    let fplan = fuse::build_fused(&lookup.select, &lookup.column, &owned);
-                    let fused_sql = fuse::render_select(&fplan.stmt);
-                    bytes += fused_sql.len() as u64;
-                    let out = match db.exec_fused(&fplan.stmt) {
-                        Ok(out) => out,
-                        Err(e) => {
-                            error = Some((i, e));
-                            break 'batch;
-                        }
-                    };
-                    read_times.push(exec_cost(&out.stats));
-                    bytes += out.result.wire_size() as u64;
-                    let targets = chunk_targets(&live, chunk);
-                    match demux_fused(&out.result, &fplan, &targets) {
-                        Ok(demuxed) => {
-                            for (m, rs) in demuxed {
-                                results[m] = Some(rs);
-                            }
-                        }
-                        Err(e) => {
-                            error = Some((i, e));
-                            break 'batch;
-                        }
-                    }
-                }
-                fused_groups += 1;
-                fused_queries += live.len() as u64;
-            }
-        }
-    }
-    let db_ns = wave_makespan(read_times, cost.db_workers) + serial_time;
-    BatchExec {
-        results,
-        error,
-        db_ns,
-        bytes,
-        fused_queries,
-        fused_groups,
-        bound,
-    }
 }
 
 /// Longest-first parallel wave makespan over `workers` cores.

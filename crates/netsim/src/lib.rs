@@ -19,9 +19,10 @@
 //!   handle is `Send + Sync`: any number of sessions on any number of
 //!   threads may share one deployment.
 //! * [`ShardedEnv`] — the horizontally-partitioned deployment: the same
-//!   store with N > 1 behind a fusion-aware scatter-gather router (see
-//!   [`shard`]). Its handle **is** a [`SimEnv`], so the query store, ORM
-//!   and interpreters run unchanged on a fleet.
+//!   store and the same batch executor, with a [`ShardSpec`] the
+//!   fusion-aware scatter-gather router routes by (see [`shard`]). Its
+//!   handle **is** a [`SimEnv`], so the query store, ORM and
+//!   interpreters run unchanged on a fleet.
 //! * [`Dispatcher`] — the multi-session front door (see [`dispatch`]):
 //!   accepts batch flushes from concurrent sessions and opportunistically
 //!   coalesces them into one backend dispatch, SharedDB-style.
@@ -41,7 +42,7 @@ mod versioned;
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sloth_sql::{Database, Footprint, ResultSet, SqlError, Stmt};
@@ -355,8 +356,6 @@ struct Knobs {
     /// defer provably-silent writes instead of flushing on every write
     /// registration.
     write_deferral: AtomicBool,
-    /// Fused-probe arity cap ([`SimEnv::set_max_fused_arity`]), ≥ 1.
-    max_fused_arity: AtomicUsize,
     /// Real nanoseconds a write batch holds the write order open after
     /// executing, before publishing — the injected "hot writer" the
     /// snapshot-overlap figure and the reader-wedge tests measure
@@ -369,7 +368,6 @@ impl Default for Knobs {
         Knobs {
             fusion: AtomicBool::new(true),
             write_deferral: AtomicBool::new(true),
-            max_fused_arity: AtomicUsize::new(batch::DEFAULT_MAX_FUSED_ARITY),
             write_hold_ns: AtomicU64::new(0),
         }
     }
@@ -410,17 +408,17 @@ struct FaultState {
 /// views, and the result cache and fault layer sit behind their own
 /// short-lived mutexes — so any number of sessions ship batches
 /// concurrently, exactly like pooled connections to one database server.
-/// The deployment is either a single server ([`SimEnv::new`]) or a
-/// sharded fleet ([`ShardedEnv::handle`]); the driver interface is
-/// identical.
+/// The deployment is a single server ([`SimEnv::new`]) or a sharded
+/// fleet ([`ShardedEnv::handle`]) — one store of N ≥ 1 databases behind
+/// one router, N = 1 for the single server.
 #[derive(Clone)]
 pub struct SimEnv {
     /// The databases, their published views and the write order (see
-    /// [`versioned`]): N = 1 for the single server.
+    /// [`versioned`]).
     store: Arc<VersionedStore>,
-    /// The scatter-gather router of a sharded deployment; `None` on the
-    /// single server, whose one database runs every statement itself.
-    router: Option<Arc<shard::Router>>,
+    /// The batch executor over the store (see [`shard`]). Over one
+    /// database it routes nothing: every statement runs as written.
+    router: Arc<shard::Router>,
     clock: Clock,
     /// Real nanoseconds slept per virtual network nanosecond, stored in
     /// parts per million (0 = pure virtual time) — permille quantization
@@ -457,14 +455,12 @@ impl SimEnv {
         SimEnv::from_database(Database::new(), cost)
     }
 
-    pub(crate) fn over(
-        cost: CostModel,
-        dbs: Vec<Database>,
-        router: Option<Arc<shard::Router>>,
-    ) -> Self {
+    /// A deployment over `dbs`, partitioned by `spec` (empty for the
+    /// single server).
+    pub(crate) fn over(cost: CostModel, spec: ShardSpec, dbs: Vec<Database>) -> Self {
         SimEnv {
+            router: Arc::new(shard::Router::new(spec, dbs.len())),
             store: Arc::new(VersionedStore::new(dbs)),
-            router,
             clock: Clock::new(),
             realtime_ppm: Arc::new(AtomicU64::new(0)),
             stats: Arc::new(AtomicNetStats::default()),
@@ -502,43 +498,40 @@ impl SimEnv {
     /// experiment harness to "restart" the server between measurements
     /// without re-seeding.
     pub fn from_database(db: Database, cost: CostModel) -> Self {
-        SimEnv::over(cost, vec![db], None)
+        SimEnv::over(cost, ShardSpec::new(), vec![db])
     }
 
-    /// Whether this deployment runs behind the shard router.
-    pub fn is_sharded(&self) -> bool {
-        self.router.is_some()
-    }
-
-    /// A clone of the last committed database contents (single-server
-    /// only) — lock-free: it clones the published view.
+    /// A clone of the last committed database contents (one-database
+    /// deployments only) — lock-free: it clones the published view.
     ///
     /// # Panics
-    /// Panics on a sharded deployment — there is no single database to
-    /// snapshot; query the fleet instead.
+    /// Panics on a fleet of more than one database — there is no single
+    /// database to snapshot; query the fleet instead.
     pub fn snapshot_db(&self) -> Database {
-        assert!(
-            !self.is_sharded(),
-            "snapshot_db: sharded deployments have no single database"
+        assert_eq!(
+            self.store.len(),
+            1,
+            "snapshot_db: this deployment has more than one database"
         );
         Database::clone(&self.store.catalog())
     }
 
     /// Direct mutable access to the database for seeding fixtures
-    /// (single-server only). No time or round trips are charged — this
-    /// models loading the database out of band before the experiment
-    /// starts. The closure runs holding the write order, exactly like a
+    /// (one-database deployments only). No time or round trips are
+    /// charged — this models loading the database out of band before the
+    /// experiment starts. The closure runs holding the write order, exactly like a
     /// write batch mid-commit: write batches wait for it, snapshot reads
     /// keep answering from the last published state, and whatever it did
     /// is published when it returns.
     ///
     /// # Panics
-    /// Panics on a sharded deployment; seed through [`SimEnv::seed_sql`],
-    /// which routes rows to their shards.
+    /// Panics on a fleet of more than one database; seed through
+    /// [`SimEnv::seed_sql`], which routes rows to their shards.
     pub fn seed<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        assert!(
-            !self.is_sharded(),
-            "seed: sharded deployments have no single database"
+        assert_eq!(
+            self.store.len(),
+            1,
+            "seed: this deployment has more than one database"
         );
         let admitted = self.store.admit(Admit::Exclusive);
         let out = f(&mut admitted.write(0));
@@ -560,11 +553,7 @@ impl SimEnv {
     /// writer, with no counter touched and nothing charged.
     pub fn seed_sql(&self, sql: &str) -> Result<ResultSet, SqlError> {
         let stmts = [Stmt::new(sql)];
-        let solo = batch::BatchConfig {
-            fusion: false,
-            max_fused_arity: 1,
-        };
-        let plan = batch::plan_batch(&stmts, &solo, |s| self.footprint(s));
+        let plan = batch::plan_batch(&stmts, false, |s| self.footprint(s));
         let mut exec = self
             .execute(CostModel::default(), &stmts, &plan, None, None, true)
             .exec;
@@ -664,21 +653,6 @@ impl SimEnv {
     /// Counters of the shared result cache.
     pub fn result_cache_stats(&self) -> ResultCacheStats {
         self.cache().stats
-    }
-
-    /// Caps the number of distinct values in one fused `IN` probe
-    /// (clamped to ≥ 1; 64 by default).
-    /// Larger groups execute as several probes with identical demuxed
-    /// results — bounding statement size and plan-cache template variety.
-    pub fn set_max_fused_arity(&self, arity: usize) {
-        self.knobs
-            .max_fused_arity
-            .store(arity.max(1), Ordering::Relaxed);
-    }
-
-    /// The fused-probe arity cap in force.
-    pub fn max_fused_arity(&self) -> usize {
-        self.knobs.max_fused_arity.load(Ordering::Relaxed)
     }
 
     /// The [`Footprint`] of one statement, memoised in the statement (see
@@ -802,9 +776,7 @@ impl SimEnv {
         // Counters only: surviving entries are still legal (the database
         // contents are kept, and invalidation never paused).
         self.cache().reset_stats();
-        if let Some(router) = &self.router {
-            router.reset_stats();
-        }
+        self.router.reset_stats();
         self.clock.reset();
     }
 
@@ -837,12 +809,12 @@ impl SimEnv {
     /// (order inside the batch is preserved), and per-query results, row
     /// order, and error behaviour are identical with fusion on and off.
     ///
-    /// On a sharded deployment the planned batch goes through the
-    /// scatter-gather router instead (see [`shard`]): point lookups hit
-    /// one shard, fused probes split into per-shard sub-probes, everything
-    /// else scatter-gathers with an order-preserving merge — still one
-    /// round trip, with the batch's database time being the slowest
-    /// shard's wave makespan.
+    /// One executor runs the planned batch on one database or N (see
+    /// [`shard`]). Over one database every statement runs as written; on
+    /// a fleet point lookups hit one shard, fused probes split into
+    /// per-shard sub-probes, everything else scatter-gathers with an
+    /// order-preserving merge — still one round trip, with the batch's
+    /// database time being the slowest shard's wave makespan.
     ///
     /// Execution stops at the first error; the outcome carries its
     /// position and the executed prefix, and the round trip is charged
@@ -1101,12 +1073,6 @@ impl SimEnv {
         if !self.faults_on.load(Ordering::Relaxed) {
             return Ok(self.run_batch(stmts, None, None));
         }
-        // Outage windows only apply behind a router (0 = none to draw).
-        let n_shards = if self.is_sharded() {
-            self.store.len()
-        } else {
-            0
-        };
         let (policy, tag) = {
             let mut fault = self.fault();
             let tag = fault.next_batch_tag;
@@ -1130,8 +1096,7 @@ impl SimEnv {
                 let down = fault
                     .plan
                     .as_ref()
-                    .filter(|_| n_shards > 0)
-                    .and_then(|p| p.down_shards(trip, n_shards));
+                    .and_then(|p| p.down_shards(trip, self.store.len()));
                 let skip: Vec<Option<ResultSet>> = (0..stmts.len())
                     .map(|i| {
                         fault
@@ -1311,11 +1276,8 @@ impl SimEnv {
         skip: Option<&[Option<ResultSet>]>,
         down: Option<&[bool]>,
     ) -> RanBatch {
-        let cfg = batch::BatchConfig {
-            fusion: self.knobs.fusion.load(Ordering::Relaxed),
-            max_fused_arity: self.max_fused_arity(),
-        };
-        let plan = batch::plan_batch(stmts, &cfg, |s| self.footprint(s));
+        let fusion = self.knobs.fusion.load(Ordering::Relaxed);
+        let plan = batch::plan_batch(stmts, fusion, |s| self.footprint(s));
         self.execute(self.cost, stmts, &plan, skip, down, false)
     }
 
@@ -1348,16 +1310,9 @@ impl SimEnv {
         if mode == Admit::Snapshot {
             sat_add(&self.stats.snapshot_batches, 1);
         }
-        let exec = match &self.router {
-            Some(router) => router.exec_batch(&cost, stmts, plan, skip, down, &admitted, !seeding),
-            None if mode == Admit::Exclusive => {
-                let mut db = admitted.write(0);
-                batch::exec_single(&mut *db, &cost, stmts, plan, skip)
-            }
-            None => admitted
-                .view(0)
-                .with(|mut db| batch::exec_single(&mut db, &cost, stmts, plan, skip)),
-        };
+        let exec = self
+            .router
+            .exec_batch(&cost, stmts, plan, skip, down, &admitted, !seeding);
         if mode == Admit::Exclusive {
             if !seeding {
                 self.write_hold();
@@ -1712,16 +1667,20 @@ mod tests {
 
     #[test]
     fn fused_probes_chunk_at_max_arity() {
+        let lookups = |n: usize| -> Vec<String> {
+            (0..n)
+                .map(|i| format!("SELECT v FROM t WHERE id = {i}"))
+                .collect()
+        };
+        let sqls = lookups(batch::MAX_FUSED_ARITY + 6);
         let env = seeded_env();
-        env.set_max_fused_arity(4);
-        assert_eq!(env.max_fused_arity(), 4);
-        let sqls: Vec<String> = (0..10)
-            .map(|i| format!("SELECT v FROM t WHERE id = {i}"))
-            .collect();
         let results = env.query_batch(&sqls).unwrap();
-        // Demux equivalence across chunk boundaries: every lookup gets
-        // exactly its own row although the group ran as 3 probes.
-        for (i, rs) in results.iter().enumerate() {
+        // Demux equivalence across the chunk boundary: every lookup gets
+        // exactly its own row (or none) although the group ran as 2 probes.
+        let off = seeded_env();
+        off.set_fusion(false);
+        assert_eq!(results, off.query_batch(&sqls).unwrap());
+        for (i, rs) in results.iter().enumerate().take(20) {
             assert_eq!(
                 rs.get(0, "v").unwrap().as_str(),
                 Some(format!("v{i}").as_str()),
@@ -1729,21 +1688,23 @@ mod tests {
             );
         }
         let s = env.stats();
-        assert_eq!(s.fused_queries, 10, "all members still answered fused");
+        assert_eq!(s.fused_queries, sqls.len() as u64, "all answered fused");
         assert_eq!(s.fused_groups, 1, "one logical group");
-        // An unchunked run returns byte-identical results.
-        let wide = seeded_env();
-        let r2 = wide.query_batch(&sqls).unwrap();
-        assert_eq!(results, r2);
+        // One value past the cap ships a second statement, not a longer
+        // `IN` list.
+        let at_cap = seeded_env();
+        at_cap
+            .query_batch(&lookups(batch::MAX_FUSED_ARITY))
+            .unwrap();
+        let past_cap = seeded_env();
+        past_cap
+            .query_batch(&lookups(batch::MAX_FUSED_ARITY + 1))
+            .unwrap();
         assert!(
-            s.bytes > wide.stats().bytes,
-            "chunking ships extra statement texts"
+            past_cap.stats().bytes - at_cap.stats().bytes
+                > "SELECT v FROM t WHERE id IN (64)".len() as u64,
+            "chunking ships an extra statement text"
         );
-        // Arity clamps to >= 1 and still demuxes correctly.
-        let tiny = seeded_env();
-        tiny.set_max_fused_arity(0);
-        assert_eq!(tiny.max_fused_arity(), 1);
-        assert_eq!(tiny.query_batch(&sqls).unwrap(), r2);
     }
 
     #[test]
@@ -2209,6 +2170,24 @@ mod tests {
         assert_eq!(fs.recovered_batches, 1);
     }
 
+    /// An outage window is drawn over however many databases the store
+    /// holds — one, on the single server — and absorbed the same way.
+    #[test]
+    fn an_outage_on_the_single_server_is_retried_and_absorbed() {
+        let env = seeded_env();
+        env.set_faults(Some(FaultPlan::seeded(5).outage(0, 0, 2)));
+        let sqls: Vec<String> = (0..4)
+            .map(|i| format!("SELECT v FROM t WHERE id = {i}"))
+            .collect();
+        let results = env.query_batch(&sqls).unwrap();
+        assert_eq!(results, seeded_env().query_batch(&sqls).unwrap());
+        let fs = env.fault_stats();
+        assert_eq!(fs.outage_errors, 2, "both in-window attempts failed");
+        assert_eq!(fs.retries, 2);
+        assert_eq!(fs.recovered_batches, 1);
+        assert_eq!(env.stats().round_trips, 3);
+    }
+
     #[test]
     fn replica_reads_fail_over_around_an_outage() {
         // Whichever replica the hash prefers, one of the two outage
@@ -2557,29 +2536,24 @@ mod tests {
         assert_eq!(env.stats().round_trips, 1);
     }
 
+    /// The chain over one server, a fleet of one and a fleet of four
+    /// (point-routed by `id`).
+    fn chain_deployments() -> [SimEnv; 3] {
+        let fleet = |n| {
+            let spec = ShardSpec::new().shard("node", "id");
+            let env = ShardedEnv::new(CostModel::default(), spec, n).handle();
+            seed_chain(&env);
+            env
+        };
+        [chain_env(), fleet(1), fleet(4)]
+    }
+
     #[test]
     fn a_chain_is_serial_on_the_virtual_clock_and_a_fan_out_is_one_wave() {
         let cost = CostModel::default();
         let link = cost.db_base_ns + cost.db_row_scan_ns + cost.db_row_out_ns;
-        let chain = chain_env();
-        chain
-            .ship(&BatchRequest::new(&walk(3)))
-            .into_results()
-            .unwrap();
-        assert_eq!(
-            chain.stats().db_ns,
-            4 * link,
-            "depth 4: the sum of its links"
-        );
-        let wide = chain_env();
-        wide.set_fusion(false);
-        let independent: Vec<Stmt> = (1..=4).map(node).collect();
-        wide.ship(&BatchRequest::new(&independent))
-            .into_results()
-            .unwrap();
-        assert!(cost.db_workers >= 4);
-        assert_eq!(wide.stats().db_ns, link, "4 wide: one wave");
-        // The wire carries the template and the reference, once.
+        // The wire carries the template and the reference, once per
+        // database a statement touches — on every deployment alike.
         let text: u64 = walk(3).iter().map(|s| s.sql().len() as u64).sum();
         let rows: u64 = (1..=4)
             .map(|i| {
@@ -2589,7 +2563,39 @@ mod tests {
             })
             .map(|rs| rs.wire_size() as u64)
             .sum();
-        assert_eq!(chain.stats().bytes, text + rows);
+        for chain in chain_deployments() {
+            chain
+                .ship(&BatchRequest::new(&walk(3)))
+                .into_results()
+                .unwrap();
+            assert_eq!(
+                chain.stats().db_ns,
+                4 * link,
+                "depth 4: the sum of its links"
+            );
+            assert_eq!(chain.stats().bytes, text + rows);
+        }
+        let wide = chain_env();
+        wide.set_fusion(false);
+        let independent: Vec<Stmt> = (1..=4).map(node).collect();
+        wide.ship(&BatchRequest::new(&independent))
+            .into_results()
+            .unwrap();
+        assert!(cost.db_workers >= 4);
+        assert_eq!(wide.stats().db_ns, link, "4 wide: one wave");
+        // A dead end: the parent has no row, and its dependant, answered
+        // without touching a database, still cost the text it shipped.
+        let dead_end = vec![node(9), next_of(0)];
+        let empty = chain_env().query(node(9).sql()).unwrap().wire_size() as u64;
+        let shipped: u64 = dead_end.iter().map(|s| s.sql().len() as u64).sum();
+        for env in chain_deployments() {
+            let out = env
+                .ship(&BatchRequest::new(&dead_end))
+                .into_results()
+                .unwrap();
+            assert!(out[1].is_no_parent_row());
+            assert_eq!(env.stats().bytes, shipped + empty);
+        }
     }
 
     /// SplitMix64, as in the randomized suites.

@@ -30,6 +30,15 @@
 //! statement routes by binding its extracted parameters — the same
 //! template-keyed design as the engine's plan cache.
 //!
+//! The router is also the single server's executor: a store of **one**
+//! database routes nothing, so every statement runs there as written —
+//! no route-cache probe, no router counter, no row-id sequence (rows a
+//! deployment was handed by [`SimEnv::from_database`] or
+//! [`SimEnv::seed`] keep the ids the engine gave them), no merge and
+//! nothing refused. That is decided from the store's size where a read,
+//! a write and a fused probe are dispatched, so a [`ShardedEnv`] of one
+//! shard is exactly the single server.
+//!
 //! Cloning the inner [`SimEnv`] handle shares the deployment, so the
 //! query store, ORM session, interpreters and benchmark apps all run
 //! unchanged on a sharded fleet.
@@ -155,6 +164,10 @@ struct Costs<'a> {
     /// but outside its waves (see [`Costs::take_link`]).
     link_ns: Vec<u64>,
     bytes: u64,
+    /// Length of the statement text as shipped, while a dependent
+    /// statement executes: its template and reference travel, not the
+    /// text it was bound to.
+    shipped: Option<u64>,
     statements: Vec<u64>,
     /// Per-shard outage mask for this round trip (`down[s]` = shard `s`
     /// unreachable), from the fault plan.
@@ -171,6 +184,12 @@ impl Costs<'_> {
     /// The read view for shard `s` (cheap `Arc` clone).
     fn view(&self, s: usize) -> ReadView {
         self.adm.view(s)
+    }
+
+    /// Charges one copy of the executing statement's text: `sql`, or what
+    /// was shipped for it.
+    fn ship_text(&mut self, sql: &str) {
+        self.bytes += self.shipped.unwrap_or(sql.len() as u64);
     }
 
     /// How many reads each shard's wave holds — taken before a dependent
@@ -256,10 +275,12 @@ impl Drop for ShardPool {
     }
 }
 
-/// The shard router: the partitioning spec plus the state routing needs
-/// (route cache, row-id sequences, worker pool, counters). It owns no
-/// database: every batch executes over the views — and, for writes, the
-/// live guards — the versioned store admitted it to.
+/// The batch executor — of the single server (N = 1, an empty spec) and
+/// of a fleet alike: the partitioning spec plus the state routing needs
+/// (route cache, row-id sequences, worker pool, counters), all idle over
+/// one database. It owns no database: every batch executes over the
+/// views — and, for writes, the live guards — the versioned store
+/// admitted it to.
 ///
 /// Interior-mutable by design: concurrent batches share one `Router`
 /// through `&self`.
@@ -286,7 +307,7 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    fn new(spec: ShardSpec, shards: usize) -> Self {
+    pub(crate) fn new(spec: ShardSpec, shards: usize) -> Self {
         Router {
             n: shards,
             spec,
@@ -377,13 +398,17 @@ impl Router {
         *self.stats_mut() = ShardStats::new(self.n);
     }
 
-    /// Executes a planned batch over the shards it was admitted to.
-    /// Statements run in batch order (reads after a conflicting write
-    /// observe it); the batch's database time is the **max over shards**
-    /// of each shard's wave makespan plus its serialized write time —
-    /// shards are independent servers working in parallel on the same
-    /// round trip. Execution is partial on error, exactly like the single
-    /// server's. `skip` carries journaled results from a prior faulted
+    /// Executes a planned batch over the databases it was admitted to —
+    /// the one batch executor. Statements run in batch position order
+    /// (reads after a conflicting write observe it); a fused group runs
+    /// where its first member sat, correct for members that crossed a
+    /// write because the planner proved their footprints disjoint. The
+    /// batch's database time is the **max over shards** of each shard's
+    /// wave makespan plus its serialized write time — shards are
+    /// independent servers working in parallel on the same round trip —
+    /// plus the links of dependent chains, which overlap nothing.
+    /// Execution stops at the first error and reports its position.
+    /// `skip` carries journaled results from a prior faulted
     /// attempt (those positions are answered from the journal, never
     /// re-executed); `down` marks shards inside an outage window for this
     /// round trip.
@@ -406,7 +431,7 @@ impl Router {
         metered: bool,
     ) -> BatchExec {
         let n = self.n;
-        let saved = (!metered).then(|| self.stats_mut().clone());
+        let saved = (!metered && n > 1).then(|| self.stats_mut().clone());
         let mut results: Vec<Option<ResultSet>> = vec![None; stmts.len()];
         let mut error: Option<(usize, SqlError)> = None;
         let mut costs = Costs {
@@ -414,6 +439,7 @@ impl Router {
             write_ns: vec![0; n],
             link_ns: vec![0; n],
             bytes: 0,
+            shipped: None,
             statements: vec![0; n],
             down: down.map(<[bool]>::to_vec).unwrap_or_default(),
             adm,
@@ -442,24 +468,32 @@ impl Router {
                         continue; // answered from the journal
                     }
                     // Bind, then route: a bound statement is routed
-                    // exactly as the literal one it equals.
+                    // exactly as the literal one it equals. What travels
+                    // is the text as shipped — for a dependent one, its
+                    // template and reference — once per database it
+                    // touches, and once if it touches none.
+                    let shipped = stmts[i].sql().len() as u64;
                     let (stmt, dependent) = match batch::bind_to_run(stmts, i, &results) {
                         Ok(Some(run)) => run,
                         Ok(None) => {
+                            costs.bytes += shipped;
                             results[i] = Some(ResultSet::no_parent_row());
                             continue;
                         }
                         Err(e) => {
+                            costs.bytes += shipped;
                             error = Some((i, e));
                             break;
                         }
                     };
                     let marks = dependent.then(|| costs.wave_marks());
+                    costs.shipped = dependent.then_some(shipped);
                     let rs = if stmt.is_write() {
                         self.exec_write(&stmt, cost, &mut costs)
                     } else {
                         self.exec_read(&stmt, cost, &mut costs)
                     };
+                    costs.shipped = None;
                     if let Some(marks) = marks {
                         chain_ns += costs.take_link(&marks);
                     }
@@ -484,14 +518,7 @@ impl Router {
                     if live_members.is_empty() {
                         continue; // whole group answered from the journal
                     }
-                    match self.exec_fused(
-                        lookup,
-                        &live_members,
-                        plan.max_fused_arity,
-                        cost,
-                        &mut costs,
-                        &mut results,
-                    ) {
+                    match self.exec_fused(lookup, &live_members, cost, &mut costs, &mut results) {
                         Ok(()) => {
                             fused_groups += 1;
                             fused_queries += live_members.len() as u64;
@@ -505,22 +532,23 @@ impl Router {
             }
         }
         // Per-shard wave makespans; the batch waits for the slowest shard.
+        // One database keeps no router counters: nothing was routed.
         let mut db_ns = 0u64;
-        {
-            let mut stats = self.stats_mut();
-            for s in 0..n {
-                let shard_ns =
-                    batch::wave_makespan(std::mem::take(&mut costs.read_times[s]), cost.db_workers)
-                        + costs.write_ns[s];
+        let mut stats = (n > 1).then(|| self.stats_mut());
+        for s in 0..n {
+            let shard_ns =
+                batch::wave_makespan(std::mem::take(&mut costs.read_times[s]), cost.db_workers)
+                    + costs.write_ns[s];
+            if let Some(stats) = stats.as_mut() {
                 stats.db_ns[s] += shard_ns + costs.link_ns[s];
                 stats.statements[s] += costs.statements[s];
-                db_ns = db_ns.max(shard_ns);
             }
-            db_ns += chain_ns;
-            if let Some(saved) = saved {
-                *stats = saved;
-            }
+            db_ns = db_ns.max(shard_ns);
         }
+        if let (Some(stats), Some(saved)) = (stats.as_mut(), saved) {
+            **stats = saved;
+        }
+        db_ns += chain_ns;
 
         BatchExec {
             results,
@@ -542,6 +570,10 @@ impl Router {
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         let sql = stmt.sql();
+        if self.n == 1 {
+            // One database: nothing to route.
+            return self.read_on(0, sql, stmt.norm(), cost, costs);
+        }
         let Some(norm) = stmt.norm() else {
             // Unlexable "SELECT …": executes (and errors) identically on
             // any shard — ship it to shard 0 for the authentic error.
@@ -557,8 +589,7 @@ impl Router {
             (Rule::Unsupported(msg), _) => Err(SqlError::new(msg.clone())),
             (Rule::Replica, _) => {
                 self.stats_mut().replica_reads += 1;
-                let s = (hash_key(&Value::Str(norm.template.clone())) % n as u64) as usize;
-                let s = self.failover(s, costs)?;
+                let s = self.failover(self.replica(&norm.template), costs)?;
                 self.read_on(s, sql, Some(norm), cost, costs)
             }
             (Rule::Point { slot }, true) => {
@@ -582,6 +613,15 @@ impl Router {
                 let all: Vec<usize> = (0..n).collect();
                 self.gather(&all, sql, norm, &entry, cost, costs)
             }
+        }
+    }
+
+    /// The copy a replicated-table read of `template` prefers: a
+    /// deterministic hash, spreading templates over the fleet.
+    fn replica(&self, template: &str) -> usize {
+        match self.n {
+            1 => 0,
+            n => (hash_key(&Value::Str(template.to_string())) % n as u64) as usize,
         }
     }
 
@@ -615,7 +655,7 @@ impl Router {
         if !costs.live(s) {
             return Err(Self::down_error(s));
         }
-        costs.bytes += sql.len() as u64;
+        costs.ship_text(sql);
         costs.statements[s] += 1;
         let out = costs.view(s).with(|db| match norm {
             Some(norm) => db.execute_select_normalized(sql, norm),
@@ -665,7 +705,7 @@ impl Router {
         });
         let mut parts: Vec<(ResultSet, MergeTrace)> = Vec::with_capacity(targets.len());
         for (&s, res) in targets.iter().zip(outs) {
-            costs.bytes += sql.len() as u64;
+            costs.ship_text(sql);
             costs.statements[s] += 1;
             let (out, trace) = res?;
             costs.read_times[s].push(exec_cost(cost, &out.stats));
@@ -712,7 +752,7 @@ impl Router {
             });
             let mut distinct: HashSet<Value> = HashSet::new();
             for (&s, res) in targets.iter().zip(outs) {
-                costs.bytes += sql.len() as u64;
+                costs.ship_text(sql);
                 costs.statements[s] += 1;
                 let out = res?;
                 costs.read_times[s].push(exec_cost(cost, &out.stats));
@@ -744,7 +784,7 @@ impl Router {
         let mut partials: Vec<Value> = Vec::with_capacity(targets.len());
         let mut columns: Vec<String> = Vec::new();
         for (&s, res) in targets.iter().zip(outs) {
-            costs.bytes += sql.len() as u64;
+            costs.ship_text(sql);
             costs.statements[s] += 1;
             let out = res?;
             costs.read_times[s].push(exec_cost(cost, &out.stats));
@@ -800,13 +840,12 @@ impl Router {
         &self,
         lookup: &fuse::FusableLookup,
         members: &[(usize, &Value)],
-        max_arity: usize,
         cost: &CostModel,
         costs: &mut Costs<'_>,
         results: &mut [Option<ResultSet>],
     ) -> Result<(), SqlError> {
         let values: Vec<&Value> = batch::fused_values(members);
-        for chunk in values.chunks(max_arity.max(1)) {
+        for chunk in values.chunks(batch::MAX_FUSED_ARITY) {
             let targets = batch::chunk_targets(members, chunk);
             self.exec_fused_probe(lookup, chunk, &targets, cost, costs, results)?;
         }
@@ -826,12 +865,13 @@ impl Router {
     ) -> Result<(), SqlError> {
         let n = self.n;
         let table = &lookup.select.from.name;
-        let key_probe = self
-            .spec
-            .key_column(table)
-            .is_some_and(|k| lookup.column.column.eq_ignore_ascii_case(k));
+        let key_probe = n > 1
+            && self
+                .spec
+                .key_column(table)
+                .is_some_and(|k| lookup.column.column.eq_ignore_ascii_case(k));
 
-        if key_probe && n > 1 {
+        if key_probe {
             // Split into per-shard sub-probes over each shard's values.
             let mut per_shard: Vec<Vec<Value>> = vec![Vec::new(); n];
             for v in values {
@@ -894,14 +934,14 @@ impl Router {
         }
 
         // Not a shard-key probe: build the whole fused statement and run
-        // it like any read — one replica for replicated tables, traced
-        // scatter + order-preserving merge for sharded ones.
+        // it like any read — on the one database, on one replica for
+        // replicated tables, traced scatter + order-preserving merge for
+        // sharded ones.
         let owned: Vec<Value> = values.iter().map(|v| (*v).clone()).collect();
         let fplan = fuse::build_fused(&lookup.select, &lookup.column, &owned);
         let fsql = fuse::render_select(&fplan.stmt);
-        let merged = if !self.spec.is_sharded(table) {
-            let s = (hash_key(&Value::Str(lookup.template.clone())) % n as u64) as usize;
-            let s = self.failover(s, costs)?;
+        let merged = if n == 1 || !self.spec.is_sharded(table) {
+            let s = self.failover(self.replica(&lookup.template), costs)?;
             costs.bytes += fsql.len() as u64;
             costs.statements[s] += 1;
             let out = costs.view(s).with(|db| db.execute_read_stmt(&fplan.stmt))?;
@@ -953,8 +993,17 @@ impl Router {
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         let sql = text.sql();
-        let stmt = parse(sql)?;
+        // The text travelled even if it does not parse.
+        let stmt = parse(sql).inspect_err(|_| costs.ship_text(sql))?;
         match &stmt {
+            Statement::Select(_) => {
+                // The classifier is a keyword heuristic; a statement it
+                // misclassifies still executes correctly as a read.
+                self.exec_read(text, cost, costs)
+            }
+            // One database: nothing to route, no row id to allocate and
+            // nothing to refuse — the statement runs as written.
+            _ if self.n == 1 => self.write_on(0, &stmt, sql, cost, costs),
             Statement::CreateTable { .. } | Statement::CreateIndex { .. } => {
                 self.stats_mut().broadcast_writes += 1;
                 self.broadcast_write(&stmt, sql, cost, costs)
@@ -980,26 +1029,19 @@ impl Router {
                 // every later key-routed statement miss it. Like
                 // cross-shard joins, this is refused, never answered
                 // wrongly (delete + re-insert re-homes a row).
-                if self.n > 1 {
-                    if let Some(key) = self.spec.key_column(table) {
-                        if sets.iter().any(|(c, _)| c.eq_ignore_ascii_case(key)) {
-                            return Err(SqlError::new(format!(
-                                "updating shard key {key} of sharded table {table} is \
-                                 unsupported: rows cannot be re-homed in place; DELETE \
-                                 and re-INSERT instead"
-                            )));
-                        }
+                if let Some(key) = self.spec.key_column(table) {
+                    if sets.iter().any(|(c, _)| c.eq_ignore_ascii_case(key)) {
+                        return Err(SqlError::new(format!(
+                            "updating shard key {key} of sharded table {table} is \
+                             unsupported: rows cannot be re-homed in place; DELETE \
+                             and re-INSERT instead"
+                        )));
                     }
                 }
                 self.route_dml(table, predicate.as_ref(), &stmt, sql, cost, costs)
             }
             Statement::Delete { table, predicate } => {
                 self.route_dml(table, predicate.as_ref(), &stmt, sql, cost, costs)
-            }
-            Statement::Select(_) => {
-                // The classifier is a keyword heuristic; a statement it
-                // misclassifies still executes correctly as a read.
-                self.exec_read(text, cost, costs)
             }
         }
     }
@@ -1051,7 +1093,7 @@ impl Router {
         if !costs.live(s) {
             return Err(Self::down_error(s));
         }
-        costs.bytes += sql.len() as u64;
+        costs.ship_text(sql);
         costs.statements[s] += 1;
         let out = costs.adm.write(s).execute_stmt(stmt)?;
         let ns = exec_cost(cost, &out.stats);
@@ -1113,7 +1155,7 @@ impl Router {
                 .try_for_each(|tuple| db0.check_insert(table, columns, tuple))
         })?;
         let key_col = self.spec.key_column(table).map(str::to_string);
-        let sharded = key_col.is_some() && n > 1;
+        let sharded = key_col.is_some();
         // Which tuple position carries the shard key?
         let key_pos: Option<usize> = match &key_col {
             None => None,
@@ -1202,14 +1244,14 @@ impl Router {
         // per-row output cost (mirrors the single server's insert cost).
         for (s, hit) in touched.iter().enumerate() {
             if *hit {
-                costs.bytes += sql.len() as u64;
+                costs.ship_text(sql);
                 let ns = cost.db_base_ns + cost.db_row_out_ns * count;
                 costs.write_ns[s] += ns;
                 db_sleep(self.ppm(), ns);
             }
         }
         if count == 0 {
-            costs.bytes += sql.len() as u64;
+            costs.ship_text(sql);
             costs.write_ns[0] += cost.db_base_ns;
             db_sleep(self.ppm(), cost.db_base_ns);
         }
@@ -1503,18 +1545,15 @@ fn merge_lt(a: &MergeKey, b: &MergeKey, descs: &[bool]) -> bool {
 #[derive(Clone)]
 pub struct ShardedEnv {
     env: SimEnv,
-    router: Arc<Router>,
 }
 
 impl ShardedEnv {
     /// A fleet of `shards` (≥ 1) independent servers partitioned by `spec`.
+    /// A fleet of one is the single server: nothing routes.
     pub fn new(cost: CostModel, spec: ShardSpec, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let router = Arc::new(Router::new(spec, shards));
-        let dbs = (0..shards).map(|_| Database::new()).collect();
+        let dbs = (0..shards.max(1)).map(|_| Database::new()).collect();
         ShardedEnv {
-            env: SimEnv::over(cost, dbs, Some(Arc::clone(&router))),
-            router,
+            env: SimEnv::over(cost, spec, dbs),
         }
     }
 
@@ -1532,17 +1571,17 @@ impl ShardedEnv {
 
     /// Number of shards in the fleet.
     pub fn n_shards(&self) -> usize {
-        self.router.n
+        self.env.router.n
     }
 
     /// The partitioning spec in force.
     pub fn spec(&self) -> ShardSpec {
-        self.router.spec.clone()
+        self.env.router.spec.clone()
     }
 
     /// Router and per-shard counters.
     pub fn shard_stats(&self) -> ShardStats {
-        self.router.stats_mut().clone()
+        self.env.router.stats_mut().clone()
     }
 
     /// Committed rows of `table` on each shard (diagnostics / examples).
@@ -1561,7 +1600,7 @@ impl ShardedEnv {
     /// wall-clock shard figure runs under this knob. Results and all
     /// simulated accounting are unaffected.
     pub fn set_db_realtime_ppm(&self, ppm: u64) {
-        self.router.db_sleep_ppm.store(ppm, Ordering::Relaxed);
+        self.env.router.db_sleep_ppm.store(ppm, Ordering::Relaxed);
     }
 
     /// `parallel_busy_ns / parallel_wave_ns` over all parallel waves so

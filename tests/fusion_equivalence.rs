@@ -138,34 +138,55 @@ fn random_batches_fused_equals_unfused() {
     }
 }
 
-/// Chunked fused probes (bounded `IN` arity) must be invisible: random
-/// batches demux identically with a tiny arity cap, an arity of one,
-/// and the default — across chunk boundaries and write segments.
+/// [`fresh_env`] plus `item`, 150 rows a key-chunk batch probes.
+fn chunk_env() -> SimEnv {
+    let env = fresh_env();
+    env.seed_sql("CREATE TABLE item (id INT PRIMARY KEY, label TEXT)")
+        .unwrap();
+    let rows: Vec<String> = (0..150).map(|i| format!("({i}, 'item{i}')")).collect();
+    env.seed_sql(&format!("INSERT INTO item VALUES {}", rows.join(", ")))
+        .unwrap();
+    env
+}
+
+/// Chunked fused probes (bounded `IN` arity) must be invisible: batches
+/// of 65–200 distinct keys of one template — past the 64-value cap, so
+/// the group runs as two to four probes — interleaved with the suite's
+/// random statements (writes included) demux identically with fusion on
+/// and off, across chunk boundaries and write segments.
 #[test]
 fn random_batches_demux_equivalently_across_chunk_boundaries() {
-    for case in 0..60u64 {
+    for case in 0..40u64 {
         let mut rng = Rng::new(0xC4_0BEE ^ case);
-        let n = rng.range(4, 30);
-        let batch: Vec<String> = (0..n).map(|_| arb_statement(&mut rng)).collect();
-        let wide = fresh_env();
-        let reference = wide.query_batch(&batch);
-        for arity in [1usize, 3] {
-            let chunked = fresh_env();
-            chunked.set_max_fused_arity(arity);
-            let got = chunked.query_batch(&batch);
-            match (&reference, &got) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a, b, "arity {arity}: {batch:#?}");
-                    assert_eq!(db_state(&wide), db_state(&chunked), "arity {arity}");
-                    assert_eq!(
-                        wide.stats().round_trips,
-                        chunked.stats().round_trips,
-                        "chunking must not change batching"
-                    );
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "arity {arity}: {batch:#?}"),
-                (a, b) => panic!("one arity failed: wide={a:?} chunked={b:?} {batch:#?}"),
+        let keys = rng.range(65, 201);
+        // Distinct keys, shuffled; those past the seeded rows probe
+        // nothing.
+        let mut ids: Vec<i64> = (0..keys).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.range(0, i as i64 + 1) as usize);
+        }
+        let mut batch: Vec<String> = Vec::new();
+        for id in ids {
+            if rng.range(0, 4) == 0 {
+                batch.push(arb_statement(&mut rng));
             }
+            batch.push(format!("SELECT * FROM item WHERE id = {id}"));
+        }
+        let on = chunk_env();
+        let off = chunk_env();
+        off.set_fusion(false);
+        match (on.query_batch(&batch), off.query_batch(&batch)) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "case {case}: {batch:#?}");
+                assert_eq!(db_state(&on), db_state(&off), "case {case}");
+                assert_eq!(on.stats().round_trips, off.stats().round_trips);
+                assert!(
+                    on.stats().fused_queries >= keys as u64,
+                    "case {case}: every key joined the item group"
+                );
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "case {case}: {batch:#?}"),
+            (a, b) => panic!("one mode failed: on={a:?} off={b:?} {batch:#?}"),
         }
     }
 }

@@ -1,8 +1,12 @@
 //! Sharded equivalence, property-tested at the batch-driver level: for
 //! random batches of mixed reads and writes, a [`ShardedEnv`] with
 //! N ∈ {1, 2, 4} shards must produce per-query result sets identical to
-//! the single-server [`SimEnv`] — same rows, same row order, same first
-//! error, same final database state — with fusion on and off.
+//! the serial reference — same rows, same row order, same first error,
+//! same final database state — with fusion on and off. The reference is
+//! the engine itself: a bare [`sloth_sql::Database`] driven one
+//! `execute` at a time up to the first error, sharing no admission,
+//! planning, routing or batch code with the driver under test (the
+//! single server *is* a fleet of one).
 //!
 //! The statement generator is biased towards the router's interesting
 //! shapes: shard-key point lookups (single-shard route), shard-key `IN`
@@ -14,8 +18,8 @@
 //! Deterministic SplitMix64 cases (no third-party crates available);
 //! failures print the generating batch.
 
-use sloth_net::{CostModel, ShardedEnv, SimEnv};
-use sloth_sql::{ShardSpec, Value};
+use sloth_net::{CostModel, ShardStats, ShardedEnv, SimEnv};
+use sloth_sql::{Database, ResultSet, ShardSpec, SqlError, Value};
 
 struct Rng(u64);
 
@@ -43,31 +47,46 @@ fn spec() -> ShardSpec {
     ShardSpec::new().shard("issue", "project_id")
 }
 
-fn seed(env: &SimEnv) {
-    env.seed_sql("CREATE TABLE project (id INT PRIMARY KEY, name TEXT)")
-        .unwrap();
-    env.seed_sql("CREATE TABLE issue (id INT PRIMARY KEY, project_id INT, title TEXT, sev INT)")
-        .unwrap();
-    env.seed_sql("CREATE INDEX ON issue (project_id)").unwrap();
-    for p in 0..8 {
-        env.seed_sql(&format!("INSERT INTO project VALUES ({p}, 'proj{p}')"))
-            .unwrap();
-    }
-    for i in 0..40 {
-        env.seed_sql(&format!(
+fn seed_statements() -> Vec<String> {
+    let mut sqls = vec![
+        "CREATE TABLE project (id INT PRIMARY KEY, name TEXT)".to_string(),
+        "CREATE TABLE issue (id INT PRIMARY KEY, project_id INT, title TEXT, sev INT)".to_string(),
+        "CREATE INDEX ON issue (project_id)".to_string(),
+    ];
+    sqls.extend((0..8).map(|p| format!("INSERT INTO project VALUES ({p}, 'proj{p}')")));
+    sqls.extend((0..40).map(|i| {
+        format!(
             "INSERT INTO issue VALUES ({i}, {}, 'bug{}', {})",
             i % 8,
             i % 5,
             i % 4
-        ))
-        .unwrap();
+        )
+    }));
+    sqls
+}
+
+fn seed(env: &SimEnv) {
+    for sql in seed_statements() {
+        env.seed_sql(&sql).unwrap();
     }
 }
 
-fn single() -> SimEnv {
-    let env = SimEnv::default_env();
-    seed(&env);
-    env
+/// The serial reference: the seeded engine, nothing of the driver.
+fn reference_db() -> Database {
+    let mut db = Database::new();
+    for sql in seed_statements() {
+        db.execute(&sql).unwrap();
+    }
+    db
+}
+
+/// `batch` one statement at a time on the reference, up to the first
+/// error — what the batch driver's semantics promise.
+fn serial(db: &mut Database, batch: &[String]) -> Result<Vec<ResultSet>, SqlError> {
+    batch
+        .iter()
+        .map(|sql| db.execute(sql).map(|out| out.result))
+        .collect()
 }
 
 fn fleet(n: usize) -> ShardedEnv {
@@ -140,130 +159,100 @@ fn arb_statement(rng: &mut Rng, next_insert_id: &mut i64) -> String {
     }
 }
 
-/// Final database state, read through each backend's own driver (which
-/// also exercises the scatter merge one last time).
-fn db_state(
-    query: &dyn Fn(&str) -> Result<sloth_sql::ResultSet, sloth_sql::SqlError>,
-) -> Vec<Vec<Value>> {
-    let mut state = query("SELECT id, project_id, title, sev FROM issue ORDER BY id")
-        .unwrap()
-        .rows;
-    state.extend(
-        query("SELECT id, name FROM project ORDER BY id")
-            .unwrap()
-            .rows,
-    );
+/// Final database state, read through `query` (on a fleet, the scatter
+/// merge runs one last time).
+fn db_state(mut query: impl FnMut(&str) -> ResultSet) -> Vec<Vec<Value>> {
+    let mut state = query("SELECT id, project_id, title, sev FROM issue ORDER BY id").rows;
+    state.extend(query("SELECT id, name FROM project ORDER BY id").rows);
     state
+}
+
+fn fleet_state(fleet: &ShardedEnv) -> Vec<Vec<Value>> {
+    db_state(|sql| fleet.query(sql).unwrap())
+}
+
+fn reference_state(db: &mut Database) -> Vec<Vec<Value>> {
+    db_state(|sql| db.execute(sql).unwrap().result)
+}
+
+/// One batch against the serial reference at every fleet size, fusion on
+/// and off: the same answers or the same first error, the same final
+/// state, one round trip.
+fn assert_batch_matches_serial(batch: &[String], label: &str) {
+    let mut reference = reference_db();
+    let want = serial(&mut reference, batch);
+    for n in [1usize, 2, 4] {
+        for fusion in [true, false] {
+            let sharded = fleet(n);
+            sharded.set_fusion(fusion);
+            let got = sharded.query_batch(batch);
+            assert_eq!(
+                sharded.stats().round_trips,
+                1,
+                "{label}: one round trip at {n} shards"
+            );
+            match (&want, got) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.len(), b.len());
+                    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                        assert_eq!(
+                            x, y,
+                            "{label}: statement {i} at {n} shards (fusion {fusion}): {batch:#?}"
+                        );
+                    }
+                }
+                (Err(a), Err(b)) => assert_eq!(
+                    a, &b,
+                    "{label}: first error at {n} shards (fusion {fusion}): {batch:#?}"
+                ),
+                (a, b) => panic!("{label}: serial={a:?} sharded={b:?} batch {batch:#?}"),
+            }
+            // Writes before a failing statement applied exactly as the
+            // serial prefix did.
+            assert_eq!(
+                fleet_state(&sharded),
+                reference_state(&mut reference),
+                "{label}: final state at {n} shards (fusion {fusion}): {batch:#?}"
+            );
+        }
+    }
 }
 
 #[test]
 fn random_batches_sharded_equals_single() {
     for case in 0..120u64 {
-        for &n in &[1usize, 2, 4] {
-            for fusion in [true, false] {
-                let mut rng = Rng::new(0x5AADD ^ (case << 3) ^ n as u64);
-                let mut next_id = 100;
-                let len = rng.range(1, 22);
-                let batch: Vec<String> = (0..len)
-                    .map(|_| arb_statement(&mut rng, &mut next_id))
-                    .collect();
-
-                let reference = single();
-                let sharded = fleet(n);
-                reference.set_fusion(fusion);
-                sharded.set_fusion(fusion);
-
-                let r_ref = reference.query_batch(&batch);
-                let r_sh = sharded.query_batch(&batch);
-                match (r_ref, r_sh) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.len(), b.len());
-                        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                            assert_eq!(
-                                x, y,
-                                "statement {i} at {n} shards (fusion {fusion}): {batch:#?}"
-                            );
-                        }
-                        assert_eq!(
-                            db_state(&|sql| reference.query(sql)),
-                            db_state(&|sql| sharded.query(sql)),
-                            "final state at {n} shards (fusion {fusion}): {batch:#?}"
-                        );
-                        assert_eq!(
-                            reference.stats().round_trips,
-                            sharded.stats().round_trips,
-                            "sharding must not change round-trip count"
-                        );
-                    }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(
-                            a, b,
-                            "first error at {n} shards (fusion {fusion}): {batch:#?}"
-                        )
-                    }
-                    (a, b) => {
-                        panic!("one backend failed: single={a:?} sharded={b:?} batch {batch:#?}")
-                    }
-                }
-            }
-        }
+        let mut rng = Rng::new(0x5AADD ^ (case << 3));
+        let mut next_id = 100;
+        let len = rng.range(1, 22);
+        let batch: Vec<String> = (0..len)
+            .map(|_| arb_statement(&mut rng, &mut next_id))
+            .collect();
+        assert_batch_matches_serial(&batch, &format!("case {case}"));
     }
 }
 
 /// Write-heavy batches (≥ 30 % writes, overlapping and disjoint tables
-/// and keys) under the **write-aware segment planner**: a sharded fleet
-/// must still match the single server statement for statement — results,
-/// row order, final state, first error — with fusion on and off. This is
-/// the sharded half of the write-mix acceptance gate: fused groups may
-/// now cross disjoint-footprint writes, and the router must agree with
-/// the single server about what every statement sees.
+/// and keys) under the **write-aware segment planner**: every fleet size
+/// must still match the serial reference statement for statement —
+/// results, row order, final state, first error — with fusion on and
+/// off. Fused groups may cross disjoint-footprint writes, and the router
+/// must agree with the engine about what every statement sees.
 #[test]
 fn write_heavy_batches_sharded_equals_single() {
     for case in 0..80u64 {
-        for &n in &[2usize, 4] {
-            for fusion in [true, false] {
-                let mut rng = Rng::new(0x3217E817 ^ (case << 4) ^ n as u64);
-                let mut next_id = 300;
-                let len = rng.range(3, 20);
-                let batch: Vec<String> = (0..len)
-                    .map(|_| {
-                        if rng.range(0, 10) < 4 {
-                            arb_write_statement(&mut rng, &mut next_id)
-                        } else {
-                            arb_statement(&mut rng, &mut next_id)
-                        }
-                    })
-                    .collect();
-
-                let reference = single();
-                let sharded = fleet(n);
-                reference.set_fusion(fusion);
-                sharded.set_fusion(fusion);
-
-                let r_ref = reference.query_batch(&batch);
-                let r_sh = sharded.query_batch(&batch);
-                match (r_ref, r_sh) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            a, b,
-                            "write-mix at {n} shards (fusion {fusion}): {batch:#?}"
-                        );
-                        assert_eq!(
-                            db_state(&|sql| reference.query(sql)),
-                            db_state(&|sql| sharded.query(sql)),
-                            "write-mix final state at {n} shards (fusion {fusion}): {batch:#?}"
-                        );
-                    }
-                    (Err(a), Err(b)) => assert_eq!(
-                        a, b,
-                        "write-mix first error at {n} shards (fusion {fusion}): {batch:#?}"
-                    ),
-                    (a, b) => {
-                        panic!("one backend failed: single={a:?} sharded={b:?} batch {batch:#?}")
-                    }
+        let mut rng = Rng::new(0x3217E817 ^ (case << 4));
+        let mut next_id = 300;
+        let len = rng.range(3, 20);
+        let batch: Vec<String> = (0..len)
+            .map(|_| {
+                if rng.range(0, 10) < 4 {
+                    arb_write_statement(&mut rng, &mut next_id)
+                } else {
+                    arb_statement(&mut rng, &mut next_id)
                 }
-            }
-        }
+            })
+            .collect();
+        assert_batch_matches_serial(&batch, &format!("write-mix case {case}"));
     }
 }
 
@@ -331,4 +320,70 @@ fn fused_subprobe_split_saves_db_time() {
         four.stats().db_ns,
         one.stats().db_ns
     );
+}
+
+/// One database routes nothing. Rows a deployment was handed — by
+/// `from_database` or `seed(|db| …)` — keep the ids the engine gave them,
+/// so later inserts neither collide with them nor reorder them; and a
+/// fleet of one keeps no router counters, lets a shard key be updated and
+/// answers the join four shards refuse.
+#[test]
+fn one_database_runs_every_statement_as_written() {
+    let inserts = [
+        "INSERT INTO issue VALUES (100, 3, 'late', 1)",
+        "INSERT INTO issue (id, project_id, title, sev) VALUES (101, 9, 'later', 2)",
+    ];
+    let mut reference = reference_db();
+    for sql in inserts {
+        reference.execute(sql).unwrap();
+    }
+    let scan = "SELECT * FROM issue";
+    let want = reference.execute(scan).unwrap().result;
+    let handed = SimEnv::from_database(reference_db(), CostModel::default());
+    let seeded = SimEnv::default_env();
+    seeded.seed(|db| {
+        for sql in seed_statements() {
+            db.execute(&sql).unwrap();
+        }
+    });
+    for env in [handed, seeded] {
+        for sql in inserts {
+            env.query(sql).unwrap();
+        }
+        let got = env.query(scan).unwrap();
+        assert_eq!(got, want, "insertion order");
+        assert_eq!(got.rows[41][0], Value::Int(101));
+    }
+
+    let spec = ShardSpec::new()
+        .shard("issue", "project_id")
+        .shard("project", "name");
+    let join = "SELECT i.title, p.name FROM issue i JOIN project p ON i.project_id = p.id \
+                ORDER BY i.id";
+    let rekey = "UPDATE issue SET project_id = 0 WHERE project_id = 1";
+    let one = ShardedEnv::new(CostModel::default(), spec.clone(), 1);
+    seed(&one.handle());
+    let mut reference = reference_db();
+    let batch: Vec<String> = [rekey, join, "SELECT COUNT(*) FROM issue WHERE id = 3"]
+        .map(String::from)
+        .to_vec();
+    assert_eq!(
+        one.query_batch(&batch).unwrap(),
+        serial(&mut reference, &batch).unwrap()
+    );
+    assert_eq!(
+        one.shard_stats(),
+        ShardStats {
+            statements: vec![0],
+            db_ns: vec![0],
+            ..ShardStats::default()
+        },
+        "nothing routed"
+    );
+    let four = ShardedEnv::new(CostModel::default(), spec, 4);
+    seed(&four.handle());
+    let err = four.query(join).unwrap_err();
+    assert!(err.to_string().contains("cross-shard join"), "{err}");
+    let err = four.query(rekey).unwrap_err();
+    assert!(err.to_string().contains("shard key"), "{err}");
 }
