@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use sloth_lang::{prepare, ExecStrategy, OptFlags, Prepared, V};
+use sloth_lang::{prepare_with_schema, ExecStrategy, OptFlags, Prepared, V};
 use sloth_net::{CostModel, ResultCacheStats, SimEnv};
 
 use crate::writebatch;
@@ -169,7 +169,11 @@ pub fn cache_figure() -> CacheFigure {
                 .find(|p| p.name.contains(w.page_needle))
                 .unwrap_or_else(|| panic!("{}: page not found", w.name));
             let program = sloth_lang::parse_program(&page.source).expect("page parses");
-            let prepared: Prepared = prepare(&program, ExecStrategy::Sloth(OptFlags::all()));
+            let prepared: Prepared = prepare_with_schema(
+                &program,
+                ExecStrategy::Sloth(OptFlags::all()),
+                Some(&app.schema),
+            );
 
             let mut sides = Vec::new();
             for cache in [false, true] {

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use sloth_apps::{itracker_app, openmrs_app, BenchApp};
-use sloth_lang::{prepare, ExecStrategy, OptFlags, Prepared, RunResult, V};
+use sloth_lang::{prepare_with_schema, ExecStrategy, OptFlags, Prepared, RunResult, V};
 use sloth_net::{CostModel, PlanCacheStats, SimEnv};
 use sloth_orm::Schema;
 use sloth_sql::Database;
@@ -148,7 +148,11 @@ fn measure_fusion_app(app: &BenchApp) -> AppFusionRow {
     let mut outputs_equal = true;
     for page in &app.pages {
         let program = sloth_lang::parse_program(&page.source).expect("page parses");
-        let sloth = prepare(&program, ExecStrategy::Sloth(OptFlags::all()));
+        let sloth = prepare_with_schema(
+            &program,
+            ExecStrategy::Sloth(OptFlags::all()),
+            Some(&app.schema),
+        );
         let r_on = run_with_fusion(&sloth, &db, &app.schema, page.arg, true);
         let r_off = run_with_fusion(&sloth, &db, &app.schema, page.arg, false);
         outputs_equal &= r_on.output == r_off.output;
@@ -181,7 +185,11 @@ pub fn fusion_figure() -> FusionFigure {
     // Headline page.
     let page = list_page(&it);
     let program = sloth_lang::parse_program(&page.source).unwrap();
-    let sloth = prepare(&program, ExecStrategy::Sloth(OptFlags::all()));
+    let sloth = prepare_with_schema(
+        &program,
+        ExecStrategy::Sloth(OptFlags::all()),
+        Some(&it.schema),
+    );
     let db = it.fresh_env(CostModel::default()).snapshot_db();
     let mut on = FusionMeasure::default();
     let mut off = FusionMeasure::default();

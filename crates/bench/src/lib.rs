@@ -21,7 +21,7 @@ pub mod writebatch;
 use std::sync::Arc;
 
 use sloth_apps::{itracker_app, openmrs_app, tpcc, tpcw, BenchApp};
-use sloth_lang::{prepare, ExecStrategy, OptFlags, Prepared, RunResult, V};
+use sloth_lang::{prepare_with_schema, ExecStrategy, OptFlags, Prepared, RunResult, V};
 use sloth_net::{CostModel, SimEnv};
 use sloth_sql::Database;
 
@@ -119,8 +119,9 @@ pub fn measure_app(app: &BenchApp, flags: OptFlags, cost: CostModel) -> Vec<Page
         .iter()
         .map(|page| {
             let program = sloth_lang::parse_program(&page.source).expect("page parses");
-            let orig = prepare(&program, ExecStrategy::Original);
-            let sloth = prepare(&program, ExecStrategy::Sloth(flags));
+            let orig = prepare_with_schema(&program, ExecStrategy::Original, Some(&app.schema));
+            let sloth =
+                prepare_with_schema(&program, ExecStrategy::Sloth(flags), Some(&app.schema));
             let o = run_page(&orig, &db, &app.schema, cost, page.arg);
             let s = run_page(&sloth, &db, &app.schema, cost, page.arg);
             debug_assert_eq!(o.output, s.output, "page {} output mismatch", page.name);
@@ -211,8 +212,12 @@ pub fn fig10_itracker(scales: &[usize]) -> Vec<ScalePoint> {
         .find(|p| p.name.contains("list_projects") && !p.name.contains("admin"))
         .expect("list_projects page");
     let program = sloth_lang::parse_program(&page.source).unwrap();
-    let orig = prepare(&program, ExecStrategy::Original);
-    let sloth = prepare(&program, ExecStrategy::Sloth(OptFlags::all()));
+    let orig = prepare_with_schema(&program, ExecStrategy::Original, Some(&app.schema));
+    let sloth = prepare_with_schema(
+        &program,
+        ExecStrategy::Sloth(OptFlags::all()),
+        Some(&app.schema),
+    );
     scales
         .iter()
         .map(|&n| {
@@ -244,8 +249,12 @@ pub fn fig10_openmrs(scales: &[usize]) -> Vec<ScalePoint> {
         .find(|p| p.name.contains("encounterDisplay"))
         .expect("encounterDisplay page");
     let program = sloth_lang::parse_program(&page.source).unwrap();
-    let orig = prepare(&program, ExecStrategy::Original);
-    let sloth = prepare(&program, ExecStrategy::Sloth(OptFlags::all()));
+    let orig = prepare_with_schema(&program, ExecStrategy::Original, Some(&app.schema));
+    let sloth = prepare_with_schema(
+        &program,
+        ExecStrategy::Sloth(OptFlags::all()),
+        Some(&app.schema),
+    );
     scales
         .iter()
         .map(|&n| {
@@ -293,7 +302,7 @@ pub fn fig12_total_time(app: &BenchApp, flags: OptFlags) -> f64 {
     let mut total_ns = 0u64;
     for page in &app.pages {
         let program = sloth_lang::parse_program(&page.source).unwrap();
-        let sloth = prepare(&program, ExecStrategy::Sloth(flags));
+        let sloth = prepare_with_schema(&program, ExecStrategy::Sloth(flags), Some(&app.schema));
         let r = run_page(&sloth, &db, &app.schema, CostModel::default(), page.arg);
         total_ns += r.net.total_ns();
     }
@@ -372,8 +381,12 @@ fn overhead_row(
     txns: usize,
 ) -> OverheadRow {
     let program = sloth_lang::parse_program(src).unwrap();
-    let orig = prepare(&program, ExecStrategy::Original);
-    let sloth = prepare(&program, ExecStrategy::Sloth(OptFlags::all()));
+    let orig = prepare_with_schema(&program, ExecStrategy::Original, Some(&schema));
+    let sloth = prepare_with_schema(
+        &program,
+        ExecStrategy::Sloth(OptFlags::all()),
+        Some(&schema),
+    );
     // Each mode runs against its own copy (the measured quantity is
     // single-stream execution time, not contention). Write deferral is
     // pinned off on the Sloth side: Fig. 13 isolates the bookkeeping cost

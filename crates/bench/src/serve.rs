@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sloth_apps::{BenchApp, Page};
-use sloth_lang::{prepare, DataLayer, ExecStrategy, OptFlags, Prepared, V};
+use sloth_lang::{prepare_with_schema, DataLayer, ExecStrategy, OptFlags, Prepared, V};
 use sloth_net::{CostModel, Dispatcher, DispatcherStats, SimEnv};
 use sloth_orm::{entity, Schema};
 use sloth_sql::ast::ColumnType::{Int, Text};
@@ -166,7 +166,8 @@ fn prepare_pages(app: &BenchApp, strategy: ExecStrategy, page_mix: usize) -> Vec
         .take(page_mix.max(1))
         .map(|page| {
             let program = sloth_lang::parse_program(&page.source).expect("page parses");
-            let reference = prepare(&program, ExecStrategy::Original);
+            let reference =
+                prepare_with_schema(&program, ExecStrategy::Original, Some(&app.schema));
             let env = SimEnv::from_database(db.clone(), CostModel::default());
             let expected = reference
                 .run(&env, Arc::clone(&app.schema), vec![V::Int(page.arg)])
@@ -174,7 +175,7 @@ fn prepare_pages(app: &BenchApp, strategy: ExecStrategy, page_mix: usize) -> Vec
                 .output;
             PreparedPage {
                 name: page.name.clone(),
-                prepared: prepare(&program, strategy),
+                prepared: prepare_with_schema(&program, strategy, Some(&app.schema)),
                 arg: page.arg,
                 expected,
             }

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use sloth_apps::tpcc::{seed_tpcc, tpcc_schema, tpcc_shard_spec, tpcc_transactions};
-use sloth_lang::{prepare, ExecStrategy, OptFlags, V};
+use sloth_lang::{prepare_with_schema, ExecStrategy, OptFlags, V};
 use sloth_net::{CostModel, ShardedEnv, SimEnv};
 
 /// Configuration of the shard experiments.
@@ -137,7 +137,11 @@ fn run_tpcc_mix(env: &SimEnv, txns_per_type: usize) -> Vec<Vec<String>> {
     let mut outputs = Vec::new();
     for (name, src) in tpcc_transactions() {
         let program = sloth_lang::parse_program(&src).expect("transaction parses");
-        let sloth = prepare(&program, ExecStrategy::Sloth(OptFlags::all()));
+        let sloth = prepare_with_schema(
+            &program,
+            ExecStrategy::Sloth(OptFlags::all()),
+            Some(&tpcc_schema()),
+        );
         for t in 0..txns_per_type {
             let r = sloth
                 .run(env, Arc::clone(&tpcc_schema()), vec![V::Int(t as i64 + 1)])

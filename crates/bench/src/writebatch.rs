@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use sloth_apps::{itracker_app, tpcc};
-use sloth_lang::{prepare, ExecStrategy, OptFlags, Prepared, RunResult};
+use sloth_lang::{prepare_with_schema, ExecStrategy, OptFlags, Prepared, RunResult};
 use sloth_net::{CostModel, SimEnv};
 use sloth_orm::Schema;
 use sloth_sql::Database;
@@ -226,7 +226,11 @@ pub(crate) fn write_mix_workloads() -> Vec<Workload> {
         let program = sloth_lang::parse_program(&src).expect("tpcc page parses");
         workloads.push(Workload {
             name: name.to_string(),
-            prepared: prepare(&program, ExecStrategy::Sloth(OptFlags::all())),
+            prepared: prepare_with_schema(
+                &program,
+                ExecStrategy::Sloth(OptFlags::all()),
+                Some(&tpcc::tpcc_schema()),
+            ),
             schema: tpcc::tpcc_schema(),
             seed_db: tpcc_db.clone(),
             txns: 25,
@@ -241,7 +245,11 @@ pub(crate) fn write_mix_workloads() -> Vec<Workload> {
         let program = sloth_lang::parse_program(&src).expect("update page parses");
         workloads.push(Workload {
             name: name.to_string(),
-            prepared: prepare(&program, ExecStrategy::Sloth(OptFlags::all())),
+            prepared: prepare_with_schema(
+                &program,
+                ExecStrategy::Sloth(OptFlags::all()),
+                Some(&it.schema),
+            ),
             schema: Arc::clone(&it.schema),
             seed_db: it_db.clone(),
             txns: 25,

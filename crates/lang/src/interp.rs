@@ -178,7 +178,8 @@ impl Prepared {
     }
 }
 
-/// Convenience: parse, prepare and run a source string.
+/// Convenience: parse, prepare (with the schema the run uses) and run a
+/// source string.
 pub fn run_source(
     src: &str,
     env: &SimEnv,
@@ -187,7 +188,7 @@ pub fn run_source(
     args: Vec<V>,
 ) -> Result<RunResult, RunError> {
     let program = crate::parser::parse_program(src)?;
-    prepare(&program, strategy).run(env, schema, args)
+    prepare_with_schema(&program, strategy, Some(&schema)).run(env, schema, args)
 }
 
 enum Flow {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use sloth_apps::tpcc::{seed_tpcc, tpcc_schema, tpcc_transactions};
 use sloth_apps::{itracker_app, openmrs_app};
-use sloth_lang::{parse_program, prepare, ExecStrategy, OptFlags, RunResult, V};
+use sloth_lang::{parse_program, prepare_with_schema, ExecStrategy, OptFlags, RunResult, V};
 use sloth_net::{CostModel, SimEnv};
 use sloth_orm::Schema;
 use sloth_sql::Database;
@@ -55,7 +55,7 @@ fn golden_line(
     let program = parse_program(src).unwrap_or_else(|e| panic!("{name}: {e}"));
     let run = |strategy| {
         let env = SimEnv::from_database(db.clone(), CostModel::default());
-        prepare(&program, strategy)
+        prepare_with_schema(&program, strategy, Some(schema))
             .run(&env, Arc::clone(schema), vec![V::Int(arg)])
             .unwrap_or_else(|e| panic!("{name} under {strategy:?}: {e}"))
     };
