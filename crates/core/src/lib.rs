@@ -40,7 +40,7 @@
 pub mod store;
 pub mod thunk;
 
-pub use store::{FlushReason, QueryId, QueryStore, Registration, StoreStats};
+pub use store::{Demand, FlushReason, QueryId, QueryStore, Registration, StoreStats};
 pub use thunk::{thunk_counters, Thunk, ThunkBlock, ThunkCounters};
 
 use sloth_sql::ResultSet;

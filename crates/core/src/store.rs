@@ -39,8 +39,9 @@ pub struct QueryId(u64);
 /// Why the store shipped a batch — stamped where the store decides to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FlushReason {
-    /// A registered result was demanded ([`QueryStore::result`]).
-    Force,
+    /// A registered result was demanded ([`QueryStore::result_for`]), by
+    /// the consumer named.
+    Force(Demand),
     /// A read could observe a deferred write lingering in the batch, so
     /// the batch drained with the read aboard.
     ConflictingRead,
@@ -53,6 +54,29 @@ pub enum FlushReason {
     RequestEnd,
     /// A degraded session shipping a read the moment it registers.
     Degraded,
+}
+
+/// What a demanded result was needed for: the consumer that made a lazy
+/// program stop and wait for its batch. A program's flushes are only as
+/// few as its consumers allow, so this is what says where the next round
+/// trip can be saved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Demand {
+    /// A branch or loop condition, or an operand of `&&` / `||`.
+    Condition,
+    /// An operation that reads its argument now: an eager builtin (`len`,
+    /// `at`, …), a field or index read or write, or an argument crossing
+    /// into code compiled under standard semantics.
+    EagerArg,
+    /// The end of the page: deferred writing blocks run, then the output
+    /// flushes.
+    Output,
+    /// A statement being registered needs it: a query's key or SQL text,
+    /// an `orm_assoc` owner, a write's values.
+    QueryParam,
+    /// The result is returned to whoever asked for it: the value `main`
+    /// returns, or a caller of [`QueryStore::result`].
+    Return,
 }
 
 /// Batching statistics for one store (one web request, typically).
@@ -770,14 +794,23 @@ impl QueryStore {
     /// Stores are `Send + Sync`: if another thread's flush is mid-flight
     /// with this id on board, this call waits for that flush's outcome
     /// instead of misreporting the id as unknown.
+    ///
+    /// A batch this ships is recorded as `Force(Demand::Return)`; a lazy
+    /// evaluator that knows its consumer calls [`QueryStore::result_for`].
     pub fn result(&self, id: QueryId) -> Result<ResultSet, SqlError> {
+        self.result_for(id, Demand::Return)
+    }
+
+    /// [`QueryStore::result`], naming what the result is demanded for: a
+    /// batch this ships is recorded as `Force(why)`.
+    pub fn result_for(&self, id: QueryId, why: Demand) -> Result<ResultSet, SqlError> {
         let rewrite = self.lock().rewrites.get(&id).cloned();
         if let Some(rw) = rewrite {
             // Read-your-writes: resolve the base read (itself possibly
             // still lazy) and overlay the deferred post-images in write
             // order. A failed base propagates its error — the rewritten
             // read would have died on the same batch.
-            let mut rs = self.result(rw.base)?;
+            let mut rs = self.result_for(rw.base, why)?;
             for (col, val) in &rw.overlays {
                 let idxs: Vec<usize> = rs
                     .columns
@@ -811,7 +844,7 @@ impl QueryStore {
             }
         }
         // Per-id outcome recorded below either way.
-        self.flush_internal(FlushReason::Force).ok();
+        self.flush_internal(FlushReason::Force(why)).ok();
         let mut inner = self.lock();
         loop {
             if let Some(r) = inner.results.get(&id) {
@@ -2419,7 +2452,10 @@ mod tests {
         assert_eq!(rs.get(0, "id").unwrap().as_i64(), Some(3));
         assert_eq!(e.stats().round_trips, 1, "the whole chain in one trip");
         assert_eq!(store.stats().batch_sizes, vec![4]);
-        assert_eq!(store.stats().flush_reasons, vec![FlushReason::Force]);
+        assert_eq!(
+            store.stats().flush_reasons,
+            vec![FlushReason::Force(Demand::Return)]
+        );
         assert_eq!(store.result(second).unwrap(), store.result(twin).unwrap());
         // Its parent answered, a would-be dependant is declined: the
         // caller forces (free) and registers a literal read.
@@ -2536,12 +2572,61 @@ mod tests {
         assert_eq!(
             stats.flush_reasons,
             vec![
-                FlushReason::Force,
+                FlushReason::Force(Demand::Return),
                 FlushReason::Write,
                 FlushReason::TxnBoundary,
                 FlushReason::RequestEnd,
             ]
         );
         assert_eq!(stats.flush_reasons.len(), stats.batch_sizes.len());
+    }
+
+    /// Two reads, the first demanded for `why`: one flush, stamped with
+    /// `why`; the second read, answered by it, ships nothing and stamps
+    /// nothing whatever it is demanded for.
+    fn force_stamps(why: Demand) {
+        let e = env();
+        let store = QueryStore::new(e.clone());
+        let a = store.register("SELECT v FROM t WHERE id = 1").unwrap();
+        let b = store.register("SELECT v FROM t WHERE id = 2").unwrap();
+        store.result_for(a, why).unwrap();
+        store.result_for(b, Demand::Output).unwrap();
+        assert_eq!(e.stats().round_trips, 1);
+        assert_eq!(store.stats().batch_sizes, vec![2]);
+        assert_eq!(store.stats().flush_reasons, vec![FlushReason::Force(why)]);
+    }
+
+    #[test]
+    fn a_force_names_a_condition() {
+        force_stamps(Demand::Condition);
+    }
+
+    #[test]
+    fn a_force_names_an_eager_argument() {
+        force_stamps(Demand::EagerArg);
+    }
+
+    #[test]
+    fn a_force_names_the_output() {
+        force_stamps(Demand::Output);
+    }
+
+    #[test]
+    fn a_force_names_a_query_parameter() {
+        force_stamps(Demand::QueryParam);
+    }
+
+    #[test]
+    fn a_force_names_a_return() {
+        force_stamps(Demand::Return);
+        // `result` is `result_for(…, Return)`.
+        let e = env();
+        let store = QueryStore::new(e);
+        let a = store.register("SELECT v FROM t WHERE id = 1").unwrap();
+        store.result(a).unwrap();
+        assert_eq!(
+            store.stats().flush_reasons,
+            vec![FlushReason::Force(Demand::Return)]
+        );
     }
 }

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sloth_core::QueryId;
+use sloth_core::{Demand, QueryId};
 use sloth_net::{NetStats, SimEnv};
 use sloth_orm::sqlgen::{self, KeyedRead};
 use sloth_orm::{AssocDef, AssocKind, EntityDef, FetchStrategy, Schema};
@@ -129,6 +129,7 @@ impl Prepared {
             out_buffer: Vec::new(),
             effect_blocks: Vec::new(),
             depth: 0,
+            demand: Demand::Output,
         };
         let main = self
             .page
@@ -144,7 +145,7 @@ impl Prepared {
         interp.flush_buffer()?;
         let returned = match returned_v {
             V::Null => None,
-            v => Some(interp.display(&v)?),
+            v => Some(interp.display_for(&v, Demand::Return)?),
         };
         // Any write still deferred ships now, in one write-only round
         // trip — dead reads stay dead (never-demanded queries never
@@ -220,6 +221,10 @@ struct Interp<'p> {
     /// deferred branch's writes must always execute.
     effect_blocks: Vec<V>,
     depth: usize,
+    /// What the value being forced is for: set by each consumer
+    /// ([`Interp::force_for`]) and inherited by the delayed computations
+    /// forcing it runs; a batch a fetch ships is recorded with it.
+    demand: Demand,
 }
 
 const MAX_DEPTH: usize = 200;
@@ -277,7 +282,7 @@ impl<'p> Interp<'p> {
         let mut frame = self.new_frame(func);
         for (slot, arg) in f.params.iter().zip(args) {
             let arg = if lazy && !run_lazy {
-                self.force(arg)?
+                self.force_for(arg, Demand::EagerArg)?
             } else {
                 arg
             };
@@ -322,7 +327,7 @@ impl<'p> Interp<'p> {
                 // Heap writes are never deferred; the target is forced, the
                 // stored value may stay a thunk (§3.5).
                 let obj = self.eval(base, frame, lazy)?;
-                let obj = self.force(obj)?;
+                let obj = self.force_for(obj, Demand::EagerArg)?;
                 let v = self.eval(e, frame, lazy)?;
                 match obj {
                     V::Obj(o) => {
@@ -336,9 +341,9 @@ impl<'p> Interp<'p> {
             }
             RStmt::SetIndex(base, idx, e) => {
                 let list = self.eval(base, frame, lazy)?;
-                let list = self.force(list)?;
+                let list = self.force_for(list, Demand::EagerArg)?;
                 let i = self.eval(idx, frame, lazy)?;
-                let i = self.force(i)?;
+                let i = self.force_for(i, Demand::EagerArg)?;
                 let v = self.eval(e, frame, lazy)?;
                 match (list, i) {
                     (V::List(xs), V::Int(i)) => {
@@ -360,7 +365,7 @@ impl<'p> Interp<'p> {
             }
             RStmt::If(cond, then, els) => {
                 let c = self.eval(cond, frame, lazy)?;
-                let c = self.force(c)?;
+                let c = self.force_for(c, Demand::Condition)?;
                 if c.truthy() {
                     self.exec_block(then, frame, lazy)
                 } else {
@@ -375,7 +380,7 @@ impl<'p> Interp<'p> {
                         return Err(RunError::new("loop iteration limit exceeded"));
                     }
                     let c = self.eval(cond, frame, lazy)?;
-                    let c = self.force(c)?;
+                    let c = self.force_for(c, Demand::Condition)?;
                     if !c.truthy() {
                         return Ok(Flow::Normal);
                     }
@@ -462,16 +467,16 @@ impl<'p> Interp<'p> {
                 match self.unfetched_column(&obj, field, lazy) {
                     Some(pending) => self.alloc_thunk(pending),
                     None => {
-                        let obj = self.force(obj)?;
+                        let obj = self.force_for(obj, Demand::EagerArg)?;
                         self.read_field(&obj, field)?
                     }
                 }
             }
             RExpr::Index(base, idx) => {
                 let b = self.eval(base, frame, lazy)?;
-                let b = self.force(b)?;
+                let b = self.force_for(b, Demand::EagerArg)?;
                 let i = self.eval(idx, frame, lazy)?;
-                let i = self.force(i)?;
+                let i = self.force_for(i, Demand::EagerArg)?;
                 self.read_index(&b, &i)?
             }
             RExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
@@ -479,10 +484,10 @@ impl<'p> Interp<'p> {
                 // dependence) and evaluate the right one only when the left
                 // does not decide — under both semantics.
                 let l = self.eval(a, frame, lazy)?;
-                let l = self.force(l)?;
+                let l = self.force_for(l, Demand::Condition)?;
                 if l.truthy() == matches!(op, BinOp::And) {
                     let r = self.eval(b, frame, lazy)?;
-                    let r = self.force(r)?;
+                    let r = self.force_for(r, Demand::Condition)?;
                     V::Bool(r.truthy())
                 } else {
                     V::Bool(matches!(op, BinOp::Or))
@@ -587,11 +592,29 @@ impl<'p> Interp<'p> {
     // Forcing
     // ------------------------------------------------------------------
 
-    /// The value `v` stands for: `v` itself unless it is a thunk.
+    /// The value `v` stands for: `v` itself unless it is a thunk. Forcing
+    /// here is for whatever the current consumer wants it for: operands of
+    /// delayed and strict computations.
     #[inline]
     fn force(&mut self, v: V) -> Result<V, RunError> {
         match v {
             V::Thunk(_) => self.force_thunk(v),
+            v => Ok(v),
+        }
+    }
+
+    /// [`Interp::force`] by a consumer, which names what it needs the value
+    /// for. The innermost consumer names a flush: a `len` inside a deferred
+    /// call that a condition forces is an eager argument.
+    #[inline]
+    fn force_for(&mut self, v: V, why: Demand) -> Result<V, RunError> {
+        match v {
+            V::Thunk(_) => {
+                let outer = std::mem::replace(&mut self.demand, why);
+                let r = self.force_thunk(v);
+                self.demand = outer;
+                r
+            }
             v => Ok(v),
         }
     }
@@ -642,7 +665,7 @@ impl<'p> Interp<'p> {
                 dep,
                 assocs,
             } => {
-                let rs = self.data.fetch(id)?;
+                let rs = self.data.fetch(id, self.demand)?;
                 if let (true, Some(dep)) = (rs.is_no_parent_row(), &dep) {
                     return Err(self.missing_parent(dep));
                 }
@@ -653,7 +676,7 @@ impl<'p> Interp<'p> {
                 Ok(v)
             }
             Pending::QueryField { id, column, up } => {
-                let rs = self.data.fetch(id)?;
+                let rs = self.data.fetch(id, self.demand)?;
                 match rs.rows.first() {
                     Some(row) => Ok(rs
                         .column_index(&column)
@@ -666,6 +689,7 @@ impl<'p> Interp<'p> {
             }
             Pending::Call { func, args } => self.call_function(func, args, true),
             Pending::Builtin { func, args } => self.pure_builtin(func, args),
+            Pending::Failed(e) => Err(e),
             Pending::Block { driver, output } => {
                 if driver.results.borrow().is_none() {
                     // Forcing the block runs its statements *now*, strictly
@@ -847,7 +871,7 @@ impl<'p> Interp<'p> {
     }
 
     fn eager_read_builtin(&mut self, func: ReadFn, mut args: Vec<V>) -> Result<V, RunError> {
-        let recv = self.force(args.remove(0))?;
+        let recv = self.force_for(args.remove(0), Demand::EagerArg)?;
         match func {
             ReadFn::Len => match &recv {
                 V::List(xs) => Ok(V::Int(xs.borrow().len() as i64)),
@@ -860,7 +884,7 @@ impl<'p> Interp<'p> {
                 other => Err(RunError::new(format!("len of {other:?}"))),
             },
             ReadFn::At => {
-                let i = self.force(args.remove(0))?;
+                let i = self.force_for(args.remove(0), Demand::EagerArg)?;
                 self.read_index(&recv, &i)
             }
             ReadFn::First => match &recv {
@@ -880,8 +904,8 @@ impl<'p> Interp<'p> {
                 other => Err(RunError::new(format!("first of {other:?}"))),
             },
             ReadFn::Cell => {
-                let i = self.force(args.remove(0))?;
-                let col = self.force(args.remove(0))?;
+                let i = self.force_for(args.remove(0), Demand::EagerArg)?;
+                let col = self.force_for(args.remove(0), Demand::EagerArg)?;
                 match (&recv, &i, &col) {
                     (V::Rs(rs), V::Int(i), V::Str(c)) => rs
                         .get(*i as usize, c)
@@ -891,13 +915,13 @@ impl<'p> Interp<'p> {
                 }
             }
             ReadFn::ObjGet => {
-                let field = self.force(args.remove(0))?;
-                let field = self.display(&field)?;
+                let field = self.force_for(args.remove(0), Demand::EagerArg)?;
+                let field = self.display_for(&field, Demand::EagerArg)?;
                 self.read_field(&recv, &field)
             }
             ReadFn::HasField => {
-                let field = self.force(args.remove(0))?;
-                let field = self.display(&field)?;
+                let field = self.force_for(args.remove(0), Demand::EagerArg)?;
+                let field = self.display_for(&field, Demand::EagerArg)?;
                 match recv {
                     V::Obj(o) => Ok(V::Bool(o.borrow().contains_key(&field))),
                     _ => Ok(V::Bool(false)),
@@ -907,7 +931,7 @@ impl<'p> Interp<'p> {
     }
 
     fn heap_write_builtin(&mut self, func: HeapFn, mut args: Vec<V>) -> Result<V, RunError> {
-        let recv = self.force(args.remove(0))?;
+        let recv = self.force_for(args.remove(0), Demand::EagerArg)?;
         match func {
             HeapFn::Push => match recv {
                 V::List(xs) => {
@@ -917,8 +941,8 @@ impl<'p> Interp<'p> {
                 other => Err(RunError::new(format!("push to {other:?}"))),
             },
             HeapFn::ObjPut => {
-                let field = self.force(args.remove(0))?;
-                let field = self.display(&field)?;
+                let field = self.force_for(args.remove(0), Demand::EagerArg)?;
+                let field = self.display_for(&field, Demand::EagerArg)?;
                 match recv {
                     V::Obj(o) => {
                         o.borrow_mut().insert(field, args.remove(0));
@@ -949,7 +973,7 @@ impl<'p> Interp<'p> {
             // forced only when the page flushes.
             self.out_buffer.push(v);
         } else {
-            let s = self.display(&v)?;
+            let s = self.display_for(&v, Demand::Output)?;
             self.output.push(s);
         }
         Ok(V::Null)
@@ -962,7 +986,7 @@ impl<'p> Interp<'p> {
         while !self.effect_blocks.is_empty() {
             let blocks = std::mem::take(&mut self.effect_blocks);
             for v in blocks {
-                self.force(v)?;
+                self.force_for(v, Demand::Output)?;
             }
         }
         Ok(())
@@ -971,7 +995,7 @@ impl<'p> Interp<'p> {
     fn flush_buffer(&mut self) -> Result<(), RunError> {
         let buffered = std::mem::take(&mut self.out_buffer);
         for v in buffered {
-            let s = self.display(&v)?;
+            let s = self.display_for(&v, Demand::Output)?;
             self.output.push(s);
         }
         Ok(())
@@ -989,8 +1013,8 @@ impl<'p> Interp<'p> {
         let schema = Arc::clone(&self.data.schema);
         match func {
             QueryFn::Query => {
-                let sql = self.force(args.remove(0))?;
-                let sql = self.display(&sql)?;
+                let sql = self.force_for(args.remove(0), Demand::QueryParam)?;
+                let sql = self.display_for(&sql, Demand::QueryParam)?;
                 self.read(&sql, Deser::Raw, lazy)
             }
             QueryFn::OrmFind => {
@@ -1001,7 +1025,7 @@ impl<'p> Interp<'p> {
                 if lazy {
                     self.keyed_read(&read, id, Deser::EntityOpt(entity), lazy)
                 } else {
-                    let id = self.force(id)?;
+                    let id = self.force_for(id, Demand::QueryParam)?;
                     let rs = self.data.read_now(&read.sql(&id.to_sql()))?;
                     if rs.is_empty() {
                         return Ok(V::Null);
@@ -1017,7 +1041,7 @@ impl<'p> Interp<'p> {
                 // association is keyed by a column of its row.
                 let unfetched = lazy.then(|| unfetched_entity(&owner)).flatten();
                 if unfetched.is_none() {
-                    owner = self.force(owner)?;
+                    owner = self.force_for(owner, Demand::QueryParam)?;
                 }
                 let assoc = self.string_arg(args.remove(0))?;
                 if let Some((id, entity, up)) = unfetched {
@@ -1026,7 +1050,7 @@ impl<'p> Interp<'p> {
                     {
                         return Ok(v);
                     }
-                    owner = self.force(owner)?;
+                    owner = self.force_for(owner, Demand::QueryParam)?;
                 }
                 self.orm_assoc(&schema, owner, &assoc, lazy)
             }
@@ -1059,37 +1083,37 @@ impl<'p> Interp<'p> {
         let schema = Arc::clone(&self.data.schema);
         let sql = match func {
             WriteFn::Exec => {
-                let s = self.force(args.remove(0))?;
-                self.display(&s)?
+                let s = self.force_for(args.remove(0), Demand::QueryParam)?;
+                self.display_for(&s, Demand::QueryParam)?
             }
             WriteFn::Commit => "COMMIT".to_string(),
             WriteFn::Begin => "BEGIN".to_string(),
             WriteFn::Rollback => "ROLLBACK".to_string(),
             WriteFn::OrmSave => {
                 let entity = self.string_arg(args.remove(0))?;
-                let vals = self.force(args.remove(0))?;
+                let vals = self.force_for(args.remove(0), Demand::QueryParam)?;
                 let def = entity_def(&schema, &entity)?;
                 let V::List(xs) = vals else {
                     return Err(RunError::new("orm_save expects a list of values"));
                 };
                 let mut sql_vals = Vec::new();
                 for v in xs.borrow().iter() {
-                    let f = self.force(v.clone())?;
+                    let f = self.force_for(v.clone(), Demand::QueryParam)?;
                     sql_vals.push(f.to_sql());
                 }
                 sqlgen::insert_row(def, &sql_vals)
             }
             WriteFn::OrmUpdate => {
                 let entity = self.string_arg(args.remove(0))?;
-                let id = self.force(args.remove(0))?;
+                let id = self.force_for(args.remove(0), Demand::QueryParam)?;
                 let col = self.string_arg(args.remove(0))?;
-                let v = self.force(args.remove(0))?;
+                let v = self.force_for(args.remove(0), Demand::QueryParam)?;
                 let def = entity_def(&schema, &entity)?;
                 sqlgen::update_field(def, &id.to_sql(), &col, &v.to_sql())
             }
             WriteFn::OrmDelete => {
                 let entity = self.string_arg(args.remove(0))?;
-                let id = self.force(args.remove(0))?;
+                let id = self.force_for(args.remove(0), Demand::QueryParam)?;
                 let def = entity_def(&schema, &entity)?;
                 sqlgen::delete_by_pk(def, &id.to_sql())
             }
@@ -1104,7 +1128,7 @@ impl<'p> Interp<'p> {
             let reg = self.data.register_write(&sql)?;
             self.counters.queries_registered += 1;
             if !reg.deferred {
-                self.data.fetch(reg.id)?;
+                self.data.fetch(reg.id, Demand::QueryParam)?;
             }
         } else {
             self.data.read_now(&sql)?;
@@ -1180,15 +1204,17 @@ impl<'p> Interp<'p> {
                 return Ok(self.query_thunk(id, deser, Some(dep)));
             }
         }
-        let key = self.force(key)?;
+        let key = self.force_for(key, Demand::QueryParam)?;
         self.read(&read.sql(&key.to_sql()), deser, lazy)
     }
 
     /// `orm_assoc` on an owner nobody has fetched: answered from the memo
     /// the unfetched owner carries, or registered as a dependent of the
-    /// owner's query and remembered there. `None` sends the caller down
-    /// the forcing path — which also raises, in its own order, whatever
-    /// is wrong with the entity or association name.
+    /// owner's query and remembered there — or, when that query has
+    /// shipped already and found no row, a value that fails on demand.
+    /// `None` sends the caller down the forcing path — which also raises,
+    /// in its own order, whatever is wrong with the entity or association
+    /// name.
     fn assoc_of_unfetched(
         &mut self,
         schema: &Schema,
@@ -1221,7 +1247,16 @@ impl<'p> Interp<'p> {
             AssocKind::ManyToOne { fk_column } => fk_column,
         };
         let Some(qid) = self.data.register_dependent(id, column, &read)? else {
-            return Ok(None);
+            // Its row shipped before the association could hang off it. A
+            // row that turned out missing (or failed) fails where the
+            // association is demanded, as the dependant would have:
+            // whether the row's batch had shipped yet is no business of
+            // the program's.
+            return Ok(match self.force_for(owner.clone(), Demand::QueryParam) {
+                Ok(V::Null) => Some(self.alloc_thunk(Pending::Failed(not_an_entity(&V::Null)))),
+                Err(e) => Some(self.alloc_thunk(Pending::Failed(e))),
+                Ok(_) => None,
+            });
         };
         let dep = Rc::new(Dep {
             parent: id,
@@ -1240,7 +1275,7 @@ impl<'p> Interp<'p> {
     /// parent's own failure if it has one, else the operation on `null`
     /// that produced the key.
     fn missing_parent(&mut self, dep: &Dep) -> RunError {
-        match self.data.fetch(dep.parent) {
+        match self.data.fetch(dep.parent, self.demand) {
             Err(e) => e,
             Ok(rs) if rs.is_no_parent_row() => match &dep.up {
                 Some(up) => self.missing_parent(up),
@@ -1317,7 +1352,7 @@ impl<'p> Interp<'p> {
             AssocKind::OneToMany { .. } => self.read_field(owner, &def.pk)?,
             AssocKind::ManyToOne { fk_column } => self.read_field(owner, fk_column)?,
         };
-        self.force(key)
+        self.force_for(key, Demand::QueryParam)
     }
 
     fn materialize_proxy(&mut self, o: &Rc<RefCell<BTreeMap<String, V>>>) -> Result<V, RunError> {
@@ -1344,7 +1379,7 @@ impl<'p> Interp<'p> {
     }
 
     fn string_arg(&mut self, v: V) -> Result<Rc<str>, RunError> {
-        let v = self.force(v)?;
+        let v = self.force_for(v, Demand::QueryParam)?;
         match v {
             V::Str(s) => Ok(s),
             other => Err(RunError::new(format!("expected string, got {other:?}"))),
@@ -1357,6 +1392,14 @@ impl<'p> Interp<'p> {
 
     fn display(&mut self, v: &V) -> Result<String, RunError> {
         self.display_depth(v, 0)
+    }
+
+    /// [`Interp::display`] by a consumer (see [`Interp::force_for`]).
+    fn display_for(&mut self, v: &V, why: Demand) -> Result<String, RunError> {
+        let outer = std::mem::replace(&mut self.demand, why);
+        let r = self.display_depth(v, 0);
+        self.demand = outer;
+        r
     }
 
     fn display_depth(&mut self, v: &V, depth: usize) -> Result<String, RunError> {

@@ -9,7 +9,8 @@
 //!   expression flattening).
 //! * [`analysis`] — §4.1 persistence labelling, purity labelling, and
 //!   §4.2 deferrability.
-//! * [`opt`] — branch deferral and thunk coalescing transforms plus the
+//! * [`opt`] — guard hoisting (an `if` arm's ORM reads register before
+//!   the `if`), branch deferral and thunk coalescing transforms plus the
 //!   [`opt::OptFlags`] switchboard of Fig. 12.
 //! * `resolve` — the last pass: names bound to frame slots, builtins,
 //!   function and block indices; the only form the evaluator walks.
@@ -44,6 +45,7 @@
 pub mod analysis;
 pub mod ast;
 pub mod builtins;
+mod hoist;
 pub mod interp;
 pub mod opt;
 pub mod parser;

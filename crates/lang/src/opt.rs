@@ -1,5 +1,6 @@
 //! The optimizer (§4): branch deferral and thunk coalescing, implemented as
-//! AST transforms that wrap deferrable regions in [`Stmt::DeferBlock`].
+//! AST transforms that wrap deferrable regions in [`Stmt::DeferBlock`],
+//! after guard hoisting has moved `if` arms' ORM reads above their `if`.
 //! Selective compilation (§4.1) and the buffered thunk writer (§5) are
 //! runtime flags consumed by the lazy interpreter.
 
@@ -9,6 +10,7 @@ use sloth_orm::Schema;
 
 use crate::analysis::{stmt_deferrable, Analysis};
 use crate::ast::*;
+use crate::hoist::GuardHoist;
 use crate::writedefer::{self, WdCtx};
 
 /// Optimization switches (Fig. 12 turns these on cumulatively).
@@ -64,6 +66,10 @@ pub fn optimize(p: &Program, a: &Analysis, flags: OptFlags) -> Program {
 /// backing tables, so **branch deferral across writes** (§3.5 + §4.2)
 /// can bound `orm_save`/`orm_update`/`orm_delete` calls too. Without a
 /// schema only raw `exec`/`query` SQL is statically traceable.
+///
+/// With a schema, branch deferral also brings **guard hoisting** (see
+/// `hoist.rs`): an `if` arm's ORM reads move above the `if` first, so
+/// they ride the flush its condition forces.
 pub fn optimize_with_schema(
     p: &Program,
     a: &Analysis,
@@ -73,11 +79,17 @@ pub fn optimize_with_schema(
     if !flags.coalesce && !flags.defer_branches {
         return p.clone();
     }
+    let hoist = match schema {
+        Some(schema) if flags.defer_branches => Some(GuardHoist::new(p, schema)),
+        _ => None,
+    };
     Program {
         functions: p
             .functions
             .iter()
             .map(|f| {
+                let hoisted = hoist.as_ref().and_then(|h| h.function(f));
+                let f = hoisted.as_ref().unwrap_or(f);
                 let mut occurrences = HashMap::new();
                 count_occurrences(&f.body, &mut occurrences);
                 for p in &f.params {

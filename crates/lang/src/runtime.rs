@@ -7,7 +7,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sloth_core::{QueryId, QueryStore, Registration, StoreStats};
+use sloth_core::{Demand, QueryId, QueryStore, Registration, StoreStats};
 use sloth_net::{Dispatcher, NetStats, SimEnv};
 use sloth_orm::sqlgen::KeyedRead;
 use sloth_orm::{AssocKind, Schema};
@@ -203,9 +203,10 @@ impl DataLayer {
             .register_dependent(parent, column, |key| read.stmt(key))?)
     }
 
-    /// Fetches a registered result (ships the batch if needed).
-    pub fn fetch(&self, id: QueryId) -> Result<ResultSet, RunError> {
-        Ok(self.store().result(id)?)
+    /// Fetches a registered result (ships the batch if needed, recording
+    /// what it was demanded for).
+    pub fn fetch(&self, id: QueryId, why: Demand) -> Result<ResultSet, RunError> {
+        Ok(self.store().result_for(id, why)?)
     }
 
     /// The read an association access issues, before its key is known;

@@ -14,6 +14,7 @@ use sloth_sql::ResultSet;
 use crate::ast::{BinOp, UnOp};
 use crate::builtins::PureFn;
 use crate::resolve::Slot;
+use crate::runtime::RunError;
 
 /// A runtime value.
 #[derive(Clone)]
@@ -113,6 +114,10 @@ pub(crate) enum Pending {
         /// Argument values.
         args: Vec<V>,
     },
+    /// An `orm_assoc` on a row nobody has fetched that turned out missing
+    /// (or failed) before the association could register as its
+    /// dependant: it fails where it is demanded, as the dependant would.
+    Failed(RunError),
 }
 
 /// Where a dependent query's key comes from: one link of a chain, by

@@ -251,6 +251,17 @@ fn call_footprint(
     }
 }
 
+/// [`call_footprint`] of a call whose string arguments are literals where
+/// they lie (no temporaries resolved): guard hoisting's view of the writes
+/// issued before an `if`.
+pub(crate) fn literal_call_footprint(
+    name: &str,
+    args: &[Expr],
+    schema: Option<&Schema>,
+) -> Option<Footprint> {
+    call_footprint(name, args, &SEnv::new(), schema)
+}
+
 /// Context shared by the two walks.
 pub(crate) struct WdCtx<'a> {
     pub analysis: &'a Analysis,

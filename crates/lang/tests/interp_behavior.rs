@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use sloth_core::{Demand, FlushReason};
 use sloth_lang::{run_source, ExecStrategy, OptFlags, RunResult};
 use sloth_net::SimEnv;
 use sloth_orm::{entity, many_to_one, one_to_many, FetchStrategy, Schema};
@@ -1147,4 +1148,138 @@ fn a_standard_callee_receives_the_forced_column() {
     let r = run_chain(src, ExecStrategy::Sloth(OptFlags::all())).unwrap();
     assert_eq!(r.output, vec!["creator: 1"]);
     assert!(r.counters.std_ops > 0, "fmt ran under standard semantics");
+}
+
+// ---- guard hoisting --------------------------------------------------
+
+/// Fig. 1's shape: a body behind a check that must fetch a list to decide.
+fn guarded(guard: &str, body: &str) -> String {
+    format!(
+        r#"
+        fn allowed(xs) {{ let n = len(xs); return n > 0; }}
+        fn main() {{
+            let visits = orm_find_where("visit", "patient_id", 1);
+            if ({guard}) {{ {body} }} else {{ print("denied"); }}
+        }}
+    "#
+    )
+}
+
+#[test]
+fn a_guarded_body_rides_the_flush_its_guard_forces() {
+    let src = guarded(
+        "allowed(visits)",
+        r#"let p = orm_find("patient", 1);
+           let doc = orm_assoc(p, "creator");
+           print(p.name);
+           print(doc.login);"#,
+    );
+    let runs: Vec<RunResult> = all_strategies()
+        .into_iter()
+        .map(|s| run_as(&src, s).unwrap_or_else(|e| panic!("{s:?}: {e}")))
+        .collect();
+    for r in &runs {
+        assert_eq!(r.output, ["Ada", "doc"]);
+    }
+    let (all, none) = (&runs[1], &runs[2]);
+    assert_eq!(all.net.round_trips, 1, "the body rides the guard's batch");
+    assert_eq!(none.net.round_trips, 2);
+    assert_eq!(
+        all.store.as_ref().unwrap().flush_reasons,
+        [FlushReason::Force(Demand::EagerArg)],
+        "forced by the guard's len"
+    );
+}
+
+#[test]
+fn an_untaken_arm_fails_nobody() {
+    // Neither failing read moves (raw SQL; a column the schema does not
+    // know), so nothing poisons the batch the read after the `if` rides.
+    let src = guarded(
+        "!allowed(visits)",
+        r#"let p = orm_find("patient", 1);
+           let bad = query("SELECT * FROM no_such_table");
+           let worse = orm_find_where("patient", "nope", 1);
+           print(p.name); print(str(bad)); print(str(worse));"#,
+    )
+    .replace(
+        r#"print("denied"); }"#,
+        r#"print("denied"); }
+            let after = orm_find("patient", 2);
+            print(after.name);"#,
+    );
+    for strategy in all_strategies() {
+        let r = run_as(&src, strategy).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        assert_eq!(r.output, ["denied", "Grace"], "{strategy:?}");
+    }
+}
+
+#[test]
+fn an_association_off_a_shipped_missing_row_fails_only_on_demand() {
+    // The read conflicts with the deferred write and drains the batch as
+    // it registers, so the association finds its row answered — and
+    // missing — instead of waiting beside it as a dependant. It fails
+    // where a dependant would: on demand (the original program fails at
+    // the call, like any never-demanded dependant's).
+    let src = |tail: &str| {
+        format!(
+            r#"fn main() {{
+                orm_update("patient", 7, "name", "Ada2");
+                let p = orm_find("patient", 7);
+                let doc = orm_assoc(p, "creator");
+                print("ok");
+                {tail}
+            }}"#
+        )
+    };
+    for flags in [OptFlags::all(), OptFlags::none()] {
+        let r = run_as(&src(""), ExecStrategy::Sloth(flags)).unwrap();
+        assert_eq!(r.output, ["ok"], "{flags:?}");
+        assert_eq!(r.store.unwrap().conflict_drains, 1, "{flags:?}");
+    }
+    for strategy in all_strategies() {
+        let e = run_as(&src("print(doc.login);"), strategy).unwrap_err();
+        assert_eq!(e.message, "orm_assoc on non-entity null", "{strategy:?}");
+    }
+}
+
+// ---- force provenance ------------------------------------------------
+
+fn flush_reasons(src: &str) -> Vec<FlushReason> {
+    let r = run_as(src, ExecStrategy::Sloth(OptFlags::all())).unwrap();
+    r.store.unwrap().flush_reasons
+}
+
+#[test]
+fn each_flush_names_the_consumer_that_forced_it() {
+    let force = |d| FlushReason::Force(d);
+    let cases = [
+        (
+            r#"fn main() { let p = orm_find("patient", 1); if (p.name == "Ada") { print("yes"); } }"#,
+            vec![force(Demand::Condition)],
+        ),
+        (
+            r#"fn main() { let v = orm_find_where("visit", "patient_id", 1); let n = len(v); print(str(n)); }"#,
+            vec![force(Demand::EagerArg)],
+        ),
+        (
+            r#"fn main() { let p = orm_find("patient", 1); print(p.name); }"#,
+            vec![force(Demand::Output)],
+        ),
+        (
+            r#"fn main() {
+                let p = orm_find("patient", 1);
+                let q = orm_find("patient", p.creator_id + 1);
+                print(q.name);
+            }"#,
+            vec![force(Demand::QueryParam), force(Demand::Output)],
+        ),
+        (
+            r#"fn main() { let p = orm_find("patient", 1); return p.name; }"#,
+            vec![force(Demand::Return)],
+        ),
+    ];
+    for (src, want) in cases {
+        assert_eq!(flush_reasons(src), want, "{src}");
+    }
 }

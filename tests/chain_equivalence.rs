@@ -17,6 +17,13 @@
 //! half-warm, invalidated mid-chain) × 1- / 4-shard fleet × two sessions
 //! coalescing in one dispatcher × drops, timeouts and journal replays.
 //!
+//! A second generator wraps such reads in a guard — `if (…) { body }` —
+//! whose arms' reads guard hoisting moves above the `if`: true and false
+//! guards, guards that force a row, a list or a write, chained hoists,
+//! every shape that must stay put, and untaken arms holding reads that
+//! would fail. `Original`, `Sloth(none)` (no hoisting) and `Sloth(all)`
+//! must agree, and hoisting must never cost a round trip.
+//!
 //! Deterministic SplitMix64 cases (no third-party crates available);
 //! failures print the generating program.
 
@@ -764,4 +771,439 @@ fn chains_under_drops_timeouts_and_replays() {
         retries > 20 && journal_hits > 20,
         "{retries} {journal_hits}"
     );
+}
+
+// ---- guarded bodies ---------------------------------------------------
+
+/// A guarded program's statement: a line outside the guard, or the guard.
+enum Item {
+    Line(String),
+    Guard {
+        cond: String,
+        /// Then-arm and else-arm statements.
+        arms: [Vec<String>; 2],
+    },
+}
+
+/// Helpers every guarded program defines: a `has_privilege`-shaped check
+/// that forces a list to decide, and a condition that writes.
+const GUARD_HELPERS: &str = r#"
+fn allowed(xs, want) {
+    let n = len(xs);
+    let i = 0;
+    let ok = false;
+    while (i < n) {
+        let t = at(xs, i);
+        if (t.node_id == want) { ok = true; }
+        i = i + 1;
+    }
+    return ok;
+}
+fn touch(id) {
+    orm_update("node", id, "label", "touched");
+    return true;
+}
+"#;
+
+/// A guarded program as a sequence of *steps* — each line, the guard
+/// itself, each arm statement — so that a prefix of it is a program too.
+struct Guarded(Vec<Item>);
+
+impl Guarded {
+    fn steps(&self) -> usize {
+        self.0
+            .iter()
+            .map(|item| match item {
+                Item::Line(_) => 1,
+                Item::Guard { arms, .. } => 1 + arms[0].len() + arms[1].len(),
+            })
+            .sum()
+    }
+
+    /// The text of step `i` (empty for the guard itself).
+    fn step(&self, mut i: usize) -> &str {
+        for item in &self.0 {
+            match item {
+                Item::Line(l) if i == 0 => return l,
+                Item::Line(_) => i -= 1,
+                Item::Guard { arms, .. } => {
+                    if i == 0 {
+                        return "";
+                    }
+                    i -= 1;
+                    for arm in arms {
+                        if i < arm.len() {
+                            return &arm[i];
+                        }
+                        i -= arm.len();
+                    }
+                }
+            }
+        }
+        ""
+    }
+
+    /// The program of the first `steps` steps, `demand` placed right
+    /// after the last of them, in its block.
+    fn render(&self, steps: usize, demand: &str) -> String {
+        let mut left = steps;
+        let mut body = String::new();
+        for item in &self.0 {
+            if left == 0 {
+                break;
+            }
+            match item {
+                Item::Line(l) => {
+                    left -= 1;
+                    body.push_str(l);
+                    if left == 0 {
+                        body.push_str(demand);
+                    }
+                }
+                Item::Guard { cond, arms } => {
+                    left -= 1;
+                    let at_header = left == 0;
+                    let mut rendered = [String::new(), String::new()];
+                    for (arm, out) in arms.iter().zip(&mut rendered) {
+                        for l in arm.iter().take(left) {
+                            out.push_str("    ");
+                            out.push_str(l);
+                            left -= 1;
+                            if left == 0 {
+                                out.push_str("    ");
+                                out.push_str(demand);
+                            }
+                        }
+                    }
+                    let [then, els] = rendered;
+                    body.push_str(&format!(
+                        "    if ({cond}) {{\n{then}    }} else {{\n{els}    }}\n"
+                    ));
+                    if at_header {
+                        body.push_str(demand);
+                    }
+                }
+            }
+        }
+        format!("{GUARD_HELPERS}fn main(arg) {{\n    let scratch = new {{ }};\n{body}}}\n")
+    }
+}
+
+/// One arm of a guard: reads the hoist may move, the shapes it must not,
+/// and what the program prints of them.
+struct ArmGen<'r> {
+    rng: &'r mut Rng,
+    lines: Vec<String>,
+    /// Node rows bound in this arm.
+    nodes: Vec<String>,
+    /// Bindings printed after the `if` (unbound there when the arm is
+    /// not taken: `let` is function-scoped, not conditional).
+    after: Vec<String>,
+    /// Whether the guard takes this arm.
+    taken: bool,
+    n: &'r mut usize,
+}
+
+impl ArmGen<'_> {
+    fn fresh(&mut self, prefix: &str) -> String {
+        *self.n += 1;
+        format!("{prefix}{}", self.n)
+    }
+
+    fn key(&mut self) -> String {
+        match self.rng.range(0, 11) {
+            0 => "99".to_string(), // no such node
+            1 => "k".to_string(),  // bound before the guard
+            2 => "arg".to_string(),
+            // A pending read: a key that would force the batch.
+            3 => "c".to_string(),
+            _ => self.rng.range(1, NODES + 1).to_string(),
+        }
+    }
+
+    /// `let v = src;`, then `v` printed — whole, or by a column that a
+    /// missing row fails to have.
+    fn define(&mut self, v: &str, src: &str, column: Option<&str>) {
+        self.lines.push(format!("    let {v} = {src};\n"));
+        match column {
+            Some(c) if self.rng.chance(4) => {
+                self.lines.push(format!("    print(str({v}.{c}));\n"));
+            }
+            _ => self.lines.push(format!("    print(str({v}));\n")),
+        }
+    }
+
+    fn node(&mut self) -> String {
+        let v = self.fresh("x");
+        let key = self.key();
+        self.define(&v, &format!("orm_find(\"node\", {key})"), Some("label"));
+        self.nodes.push(v.clone());
+        v
+    }
+
+    fn step(&mut self) {
+        let node = match self.nodes.last() {
+            Some(n) if !self.rng.chance(4) => n.clone(),
+            _ => self.node(),
+        };
+        let n = self.fresh("");
+        match self.rng.range(0, 16) {
+            // Chained hoists: an association off a moved row, and off
+            // what that one returns.
+            0 | 1 => {
+                let o = format!("o{n}");
+                self.define(&o, &format!("orm_assoc({node}, \"owner\")"), Some("name"));
+                if self.rng.chance(2) {
+                    let g = format!("g{n}");
+                    self.define(&g, &format!("orm_assoc({o}, \"group\")"), None);
+                }
+            }
+            2 => self.define(
+                &format!("t{n}"),
+                &format!("orm_assoc({node}, \"tags\")"),
+                None,
+            ),
+            3 => {
+                let key = self.key();
+                let f = ["orm_find_where", "orm_count_where"][self.rng.range(0, 2) as usize];
+                self.define(
+                    &format!("w{n}"),
+                    &format!("{f}(\"tag\", \"node_id\", {key})"),
+                    None,
+                );
+            }
+            4 => self.define(&format!("a{n}"), "orm_find_all(\"grp\")", None),
+            // A key the arm assigns first: stays.
+            5 => {
+                self.lines.push("    k = k + 1;\n".to_string());
+                self.define(&format!("y{n}"), "orm_find(\"node\", k)", Some("label"));
+            }
+            // A write: every read after it stays (a read of `grp` moved
+            // above it would miss it).
+            6 => {
+                let write = match self.rng.range(0, 2) {
+                    0 => format!(
+                        "orm_update(\"owner\", {}, \"name\", \"a{n}\")",
+                        self.rng.range(1, 6)
+                    ),
+                    _ => format!("exec(\"UPDATE grp SET title = 'a{n}' WHERE id = 1\")"),
+                };
+                self.lines.push(format!("    {write};\n"));
+                self.define(&format!("a{n}"), "orm_find_all(\"grp\")", None);
+            }
+            // Heap writes: the scan goes on.
+            7 => self.lines.push(format!("    scratch.seen = {node};\n")),
+            8 => {
+                let key = self.key();
+                self.lines
+                    .push(format!("    scratch.v{n} = orm_find(\"node\", {key});\n"));
+                self.lines.push(format!("    print(str(scratch.v{n}));\n"));
+            }
+            // A binding read after the `if` (which fails when the arm is
+            // not taken).
+            9 if self.taken || self.rng.chance(4) => {
+                let z = format!("z{n}");
+                let key = self.key();
+                self.lines
+                    .push(format!("    let {z} = orm_find(\"node\", {key});\n"));
+                self.after.push(z);
+            }
+            _ => {
+                self.node();
+            }
+        }
+    }
+}
+
+/// The reads of an untaken arm that would fail: raw SQL on a missing
+/// table, and a column the schema does not know.
+const FAILING_READS: [&str; 4] = [
+    "    let bad = query(\"SELECT * FROM no_such_table\");\n",
+    "    let worse = orm_find_where(\"node\", \"nope\", 1);\n",
+    "    print(str(bad));\n",
+    "    print(str(worse));\n",
+];
+
+/// A random guarded program (its steps, and whether the guard holds).
+fn arb_guarded(rng: &mut Rng) -> Guarded {
+    let mut items = Vec::new();
+    let line = |s: String| Item::Line(s);
+    let head = match rng.range(0, 6) {
+        0 => 99,
+        _ => rng.range(1, NODES + 1),
+    };
+    items.push(line(format!("    let h = orm_find(\"node\", {head});\n")));
+    items.push(line(format!("    let k = {};\n", rng.range(1, NODES + 1))));
+    items.push(line(format!(
+        "    let c = orm_count_where(\"tag\", \"node_id\", {});\n",
+        rng.range(1, NODES + 1)
+    )));
+    // A deferred write before the guard: the moved reads of its table
+    // drain the batch as they register.
+    match rng.range(0, 4) {
+        0 => items.push(line(format!(
+            "    orm_update(\"node\", {}, \"label\", \"w\");\n",
+            rng.range(1, NODES + 1)
+        ))),
+        1 => items.push(line(
+            "    exec(\"UPDATE grp SET title = 'w' WHERE id = 1\");\n".to_string(),
+        )),
+        _ => {}
+    }
+    let tagged = rng.range(1, NODES + 1);
+    let (cond, holds) = match rng.range(0, 7) {
+        0 => ("arg == 0".to_string(), true),
+        1 => ("arg != 0".to_string(), false),
+        2 => ("h != null".to_string(), head != 99),
+        3 => ("h == null".to_string(), head == 99),
+        4 if head != 99 => ("h.label != \"zz\"".to_string(), true),
+        5 => {
+            items.push(line(format!(
+                "    let tags = orm_find_where(\"tag\", \"node_id\", {tagged});\n"
+            )));
+            (format!("allowed(tags, {tagged})"), tagged % 3 != 0)
+        }
+        6 => ("touch(k)".to_string(), true),
+        _ => ("arg == 0".to_string(), true),
+    };
+    let mut n = 0usize;
+    let mut arms: [Vec<String>; 2] = [Vec::new(), Vec::new()];
+    let mut after = Vec::new();
+    let mut failing_reads = false;
+    for (i, arm) in arms.iter_mut().enumerate() {
+        let mut g = ArmGen {
+            rng: &mut *rng,
+            lines: Vec::new(),
+            nodes: Vec::new(),
+            after: Vec::new(),
+            taken: (i == 0) == holds,
+            n: &mut n,
+        };
+        let steps = if i == 0 {
+            g.rng.range(1, 8)
+        } else {
+            g.rng.range(0, 3)
+        };
+        for _ in 0..steps {
+            g.step();
+        }
+        if !g.taken && g.rng.chance(3) {
+            g.lines.extend(FAILING_READS.iter().map(|l| l.to_string()));
+            failing_reads = true;
+        }
+        if i == 1 {
+            g.lines.push("    print(\"denied\");\n".to_string());
+        }
+        after.extend(g.after);
+        *arm = g.lines.into_iter().map(|l| l[4..].to_string()).collect();
+    }
+    items.push(Item::Guard { cond, arms });
+    for z in after {
+        items.push(line(format!("    print(str({z}));\n")));
+    }
+    // A read after the `if`, forced: a moved read that could fail would
+    // have poisoned its batch. (Elsewhere it would cost a trip of its own
+    // whatever moved, hiding what hoisting saves.)
+    if failing_reads || rng.chance(4) {
+        items.push(line(format!(
+            "    let after = orm_find(\"node\", {});\n",
+            rng.range(1, NODES + 1)
+        )));
+        items.push(line("    print(str(after.label));\n".to_string()));
+    }
+    Guarded(items)
+}
+
+/// `g` cut at its first failing step, the failing value demanded (as
+/// [`generate`] does), what `Original` makes of it, and its database.
+fn generate_guarded(g: &Guarded) -> (String, Body, SimEnv) {
+    let original = |src: &str| {
+        let reference = single();
+        let (body, _) = run(src, &reference, ExecStrategy::Original, 0);
+        (body, reference)
+    };
+    let whole = g.render(g.steps(), "");
+    let (body, reference) = original(&whole);
+    if body.is_ok() {
+        return (whole, body, reference);
+    }
+    let (mut ok, mut failing) = (0, g.steps());
+    while failing - ok > 1 {
+        let mid = (ok + failing) / 2;
+        if original(&g.render(mid, "")).0.is_ok() {
+            ok = mid;
+        } else {
+            failing = mid;
+        }
+    }
+    let demand = g
+        .step(failing - 1)
+        .trim_start()
+        .strip_prefix("let ")
+        .and_then(|rest| rest.split(' ').next())
+        .map(|var| format!("    print(str({var}));\n"))
+        .unwrap_or_default();
+    let src = g.render(failing, &demand);
+    let (body, reference) = original(&src);
+    (src, body, reference)
+}
+
+/// Guarded bodies: `Original` ≡ `Sloth(none)` ≡ `Sloth(all)` on output,
+/// error text and final state, on one server and on a fleet — and
+/// hoisting never costs a round trip.
+#[test]
+fn guarded_bodies_run_as_written_in_no_more_trips_than_unhoisted() {
+    let none = ExecStrategy::Sloth(OptFlags::none());
+    let (mut hoisted, mut unhoisted, mut failing, mut saved) = (0u64, 0u64, 0u64, 0u64);
+    let mut failing_reads_untaken = 0u64;
+    for case in 0..400 {
+        let mut rng = Rng::new(0x6A4D ^ case);
+        let g = arb_guarded(&mut rng);
+        let (src, want, reference) = generate_guarded(&g);
+        failing += want.is_err() as u64;
+        failing_reads_untaken += (want.is_ok() && src.contains("no_such_table")) as u64;
+        let mut trips = [0u64; 2];
+        for (i, strategy) in [SLOTH, none].into_iter().enumerate() {
+            let env = single();
+            let (got, _) = run(&src, &env, strategy, 0);
+            trips[i] = env.stats().round_trips;
+            assert_eq!(got, want, "case {case} {strategy:?}\n{src}");
+            if want.is_ok() {
+                assert_eq!(
+                    state(&env),
+                    state(&reference),
+                    "case {case} {strategy:?}\n{src}"
+                );
+            }
+        }
+        let env = fleet(4);
+        let (got, _) = run(&src, &env, SLOTH, 0);
+        assert_eq!(got, want, "case {case} 4 shards\n{src}");
+        if want.is_ok() {
+            assert_eq!(
+                state(&env),
+                state(&reference),
+                "case {case} 4 shards\n{src}"
+            );
+            let [all, none] = trips;
+            assert!(
+                all <= none,
+                "case {case}: {all} trips hoisted, {none} not\n{src}"
+            );
+            hoisted += all;
+            unhoisted += none;
+            saved += (all < none) as u64;
+        }
+    }
+    assert!(failing > 40, "failures were reached: {failing}");
+    assert!(
+        failing_reads_untaken > 30,
+        "untaken failing reads: {failing_reads_untaken}"
+    );
+    // Most programs demand something the moved reads cannot answer (a
+    // read after a write, after the `if`, keyed by what the arm
+    // assigned), or force nothing before their output: the saving is
+    // real where the guard forces and the body is all reads.
+    assert!(saved > 10, "hoisting saved a trip in {saved} programs");
+    assert!(hoisted < unhoisted, "{hoisted} vs {unhoisted}");
 }

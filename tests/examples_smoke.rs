@@ -59,15 +59,19 @@ mod explain;
 
 #[test]
 fn explain_example_runs_end_to_end() {
-    use sloth_core::FlushReason;
+    use sloth_core::{Demand, FlushReason};
     let pages = explain::run();
     assert_eq!(pages.len(), 2, "one itracker page, one OpenMRS page");
     for flushes in &pages {
         assert!(!flushes.is_empty());
         // The framework preamble's dependent chains ride the first batch:
-        // no flush of one statement before the page's big one.
+        // no flush of one statement before the page's big one. The
+        // privilege guard forces it, at `has_privilege`'s `len`.
         let (first, reason) = flushes[0];
         assert!(first > 40, "the preamble ships whole: {flushes:?}");
-        assert_eq!(reason, FlushReason::Force);
+        assert_eq!(reason, FlushReason::Force(Demand::EagerArg));
     }
+    // The guarded body's reads ride the guard's flush: itracker's
+    // error.jsp ships in that one flush.
+    assert_eq!(pages[0].len(), 1, "error.jsp: {:?}", pages[0]);
 }
