@@ -444,10 +444,10 @@ impl Hoister<'_, '_> {
                 break;
             }
             for owner in scan.owners.values_mut() {
-                match (&mut owner.written, fx.any_field) {
-                    (w @ Some(_), true) => *w = None,
-                    (Some(w), false) => w.extend(fx.fields.iter().map(|f| f.to_string())),
-                    (None, _) => {}
+                if fx.any_field {
+                    owner.written = None;
+                } else if let Some(w) = &mut owner.written {
+                    w.extend(fx.fields.iter().map(|f| f.to_string()));
                 }
             }
             count_mentions(std::slice::from_ref(&s), &mut mentioned);
@@ -602,7 +602,7 @@ mod tests {
         s
     }
 
-    /// `p` with every function hoisting rewrites rewritten.
+    /// `p` after guard hoisting.
     fn hoisted(p: &Program) -> Program {
         let schema = schema();
         let h = GuardHoist::new(p, &schema);

@@ -69,7 +69,8 @@ pub fn prepare(program: &Program, strategy: ExecStrategy) -> Prepared {
 /// [`prepare`] with ORM schema metadata available at compile time:
 /// branch deferral across writes can then bound `orm_*` write calls by
 /// their backing tables too (raw `exec`/`query` SQL is statically
-/// traceable either way).
+/// traceable either way), and guard hoisting can move an `if` arm's ORM
+/// reads above the `if`. Compile a page with the schema it runs on.
 pub fn prepare_with_schema(
     program: &Program,
     strategy: ExecStrategy,
@@ -916,12 +917,12 @@ impl<'p> Interp<'p> {
             }
             ReadFn::ObjGet => {
                 let field = self.force_for(args.remove(0), Demand::EagerArg)?;
-                let field = self.display_for(&field, Demand::EagerArg)?;
+                let field = self.display(&field)?;
                 self.read_field(&recv, &field)
             }
             ReadFn::HasField => {
                 let field = self.force_for(args.remove(0), Demand::EagerArg)?;
-                let field = self.display_for(&field, Demand::EagerArg)?;
+                let field = self.display(&field)?;
                 match recv {
                     V::Obj(o) => Ok(V::Bool(o.borrow().contains_key(&field))),
                     _ => Ok(V::Bool(false)),
@@ -942,7 +943,7 @@ impl<'p> Interp<'p> {
             },
             HeapFn::ObjPut => {
                 let field = self.force_for(args.remove(0), Demand::EagerArg)?;
-                let field = self.display_for(&field, Demand::EagerArg)?;
+                let field = self.display(&field)?;
                 match recv {
                     V::Obj(o) => {
                         o.borrow_mut().insert(field, args.remove(0));
@@ -1014,7 +1015,7 @@ impl<'p> Interp<'p> {
         match func {
             QueryFn::Query => {
                 let sql = self.force_for(args.remove(0), Demand::QueryParam)?;
-                let sql = self.display_for(&sql, Demand::QueryParam)?;
+                let sql = self.display(&sql)?;
                 self.read(&sql, Deser::Raw, lazy)
             }
             QueryFn::OrmFind => {
@@ -1084,7 +1085,7 @@ impl<'p> Interp<'p> {
         let sql = match func {
             WriteFn::Exec => {
                 let s = self.force_for(args.remove(0), Demand::QueryParam)?;
-                self.display_for(&s, Demand::QueryParam)?
+                self.display(&s)?
             }
             WriteFn::Commit => "COMMIT".to_string(),
             WriteFn::Begin => "BEGIN".to_string(),
