@@ -256,15 +256,26 @@ fn fig12() {
 fn fig13() {
     println!("\n== Figure 13 — TPC-C / TPC-W lazy evaluation overhead ==");
     println!(
-        "  {:<15} {:>12} {:>12} {:>10}",
-        "transaction", "orig (s)", "sloth (s)", "overhead"
+        "  {:<15} {:>11} {:>11} {:>9} {:>9} {:>13} {:>13} {:>13}",
+        "transaction",
+        "orig trips",
+        "sloth trips",
+        "orig (s)",
+        "sloth (s)",
+        "orig app (ms)",
+        "sloth app(ms)",
+        "app overhead"
     );
     for r in fig13_overhead(200) {
         println!(
-            "  {:<15} {:>12.3} {:>12.3} {:>9.1}%",
+            "  {:<15} {:>11} {:>11} {:>9.3} {:>9.3} {:>13.1} {:>13.1} {:>12.1}%",
             r.name,
+            r.orig_trips,
+            r.sloth_trips,
             r.orig_s,
             r.sloth_s,
+            r.orig_app_ns as f64 / 1e6,
+            r.sloth_app_ns as f64 / 1e6,
             r.overhead_pct()
         );
     }

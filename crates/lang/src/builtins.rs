@@ -13,7 +13,9 @@ pub enum BuiltinKind {
     Pure,
     /// Reads mutable state (heap / result sets) — executes at evaluation,
     /// forcing the receiver, like field and array reads (§3.6). The result
-    /// may still contain thunks.
+    /// may still contain thunks. Under lazy semantics a `len`, `at`, `cell`
+    /// or `first` of a raw query nobody has fetched waits for its demand
+    /// instead: nothing writes a result set.
     EagerRead,
     /// Mutates the heap — executes at evaluation; the written value may
     /// stay a thunk (§3.5 heap writes).

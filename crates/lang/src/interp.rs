@@ -569,7 +569,22 @@ impl<'p> Interp<'p> {
                     self.pure_builtin(*func, vals)
                 }
             }
-            Callee::Builtin(Builtin::EagerRead(func)) => self.eager_read_builtin(*func, vals),
+            Callee::Builtin(Builtin::EagerRead(func)) => {
+                // A read of a raw result set nobody has fetched waits for
+                // its demand: nothing can write the rows it reads.
+                let delays = matches!(
+                    func,
+                    ReadFn::Len | ReadFn::Cell | ReadFn::At | ReadFn::First
+                );
+                if lazy && delays && vals.first().is_some_and(unfetched_rows) {
+                    Ok(self.alloc_thunk(Pending::ResultRead {
+                        func: *func,
+                        args: vals,
+                    }))
+                } else {
+                    self.eager_read_builtin(*func, vals)
+                }
+            }
             Callee::Builtin(Builtin::HeapWrite(func)) => self.heap_write_builtin(*func, vals),
             Callee::Builtin(Builtin::External) => self.external_builtin(vals),
             Callee::Builtin(Builtin::Query(func)) => self.query_builtin(*func, vals, lazy),
@@ -687,6 +702,12 @@ impl<'p> Interp<'p> {
                         _ => null_field_read(&column),
                     }),
                 }
+            }
+            Pending::ResultRead { func, mut args } => {
+                // The query ships for whoever demanded the read, not as an
+                // eager argument; the read itself is the eager code.
+                args[0] = self.force(std::mem::replace(&mut args[0], V::Null))?;
+                self.eager_read_builtin(func, args)
             }
             Pending::Call { func, args } => self.call_function(func, args, true),
             Pending::Builtin { func, args } => self.pure_builtin(func, args),
@@ -1503,6 +1524,18 @@ fn deferred_column(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
         }
         _ => None,
     }
+}
+
+/// Whether `v` is a raw `query` nobody has forced.
+fn unfetched_rows(v: &V) -> bool {
+    let V::Thunk(cell) = v else { return false };
+    matches!(
+        &*cell.0.borrow(),
+        LazyState::Pending(Pending::Query {
+            deser: Deser::Raw,
+            ..
+        })
+    )
 }
 
 /// `v` as a single-row query nobody has forced: its query id, entity and

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use sloth_sql::ResultSet;
 
 use crate::ast::{BinOp, UnOp};
-use crate::builtins::PureFn;
+use crate::builtins::{PureFn, ReadFn};
 use crate::resolve::Slot;
 use crate::runtime::RunError;
 
@@ -88,6 +88,16 @@ pub(crate) enum Pending {
         column: Rc<str>,
         /// That query's own dependence, if it has one.
         up: Option<Rc<Dep>>,
+    },
+    /// A `len` / `nrows`, `cell`, `at` or `first` of a raw result set
+    /// nobody has fetched yet. Runs the read when it is demanded: no
+    /// builtin writes a result set, so the rows it reads are the ones
+    /// the query answered, whenever that is.
+    ResultRead {
+        /// The read.
+        func: ReadFn,
+        /// Its (possibly thunked) arguments, the unfetched query first.
+        args: Vec<V>,
     },
     /// Run a whole deferred statement block (branch deferral / thunk
     /// coalescing §4.2–4.3); outputs are read from the shared driver

@@ -487,14 +487,17 @@ fn errors_match_between_modes() {
 
 #[test]
 fn lazy_overhead_visible_in_app_time() {
-    // With no batching opportunity (result used immediately), Sloth is
-    // slower — the Fig. 13 overhead effect.
+    // With no batching opportunity (each result decides a branch before
+    // the next query exists), Sloth is slower — the Fig. 13 overhead
+    // effect.
     let src = r#"
         fn main() {
             let i = 0;
             while (i < 50) {
                 let rs = query("SELECT name FROM patient WHERE patient_id = 1");
-                print(cell(rs, 0, "name"));
+                if (nrows(rs) > 0) {
+                    print(cell(rs, 0, "name"));
+                }
                 i = i + 1;
             }
         }
@@ -538,13 +541,16 @@ fn disjoint_writes_defer_and_share_one_round_trip() {
 fn trailing_writes_drain_at_end_of_request() {
     // A page that ends with writes (the audit-trail idiom): the deferred
     // writes still execute — in one write-only flush — before the
-    // request completes.
+    // request completes. The `if` ships the read before the writes
+    // register, so nothing is pending for them to ride.
     let schema = clinic_schema();
     let env = clinic_env(&schema);
     let src = r#"
         fn main() {
             let p = query("SELECT name FROM patient WHERE patient_id = 1");
-            print(cell(p, 0, "name"));
+            if (nrows(p) > 0) {
+                print(cell(p, 0, "name"));
+            }
             exec("UPDATE users SET login = 'audit' WHERE user_id = 1");
             exec("UPDATE concept SET text = 'audit' WHERE concept_id = 100");
         }
@@ -638,13 +644,10 @@ fn write_branch_defers_when_disjoint_from_tail() {
                 "the deferred branch's write must still apply"
             );
         }
-        // Both reads share one trip; the branch write (when taken) drains
-        // in the end-of-request write-only flush.
-        assert_eq!(
-            s.net.round_trips,
-            if flag > 0 { 2 } else { 1 },
-            "flag {flag}"
-        );
+        // Both reads share one trip. The branch (when taken) runs at end
+        // of request, before the output flush, so its write rides it too:
+        // the `cell`s wait for the page's output.
+        assert_eq!(s.net.round_trips, 1, "flag {flag}");
     }
 }
 
@@ -1281,5 +1284,141 @@ fn each_flush_names_the_consumer_that_forced_it() {
     ];
     for (src, want) in cases {
         assert_eq!(flush_reasons(src), want, "{src}");
+    }
+}
+
+// ---- delayed result-set reads ----------------------------------------
+
+#[test]
+fn a_delayed_read_ships_for_the_consumer_that_demands_it() {
+    let force = |d| FlushReason::Force(d);
+    let cases = [
+        (
+            r#"fn main() {
+                let rs = query("SELECT name FROM patient WHERE patient_id = 1");
+                let n = nrows(rs);
+                if (n > 0) { print("yes"); }
+            }"#,
+            vec![force(Demand::Condition)],
+        ),
+        (
+            r#"fn main() {
+                let rs = query("SELECT creator_id FROM patient WHERE patient_id = 1");
+                let id = cell(rs, 0, "creator_id");
+                let u = query("SELECT login FROM users WHERE user_id = " + str(id));
+                print(cell(u, 0, "login"));
+            }"#,
+            vec![force(Demand::QueryParam), force(Demand::Output)],
+        ),
+        (
+            r#"fn main() {
+                let rs = query("SELECT name FROM patient WHERE patient_id = 1");
+                print(cell(rs, 0, "name"));
+                let vs = query("SELECT visit_id FROM visit");
+                print(str(nrows(vs)));
+            }"#,
+            vec![force(Demand::Output)],
+        ),
+    ];
+    for (src, want) in cases {
+        assert_eq!(flush_reasons(src), want, "{src}");
+    }
+}
+
+#[test]
+fn a_fetched_result_set_is_read_where_it_lies() {
+    // Once the query has been answered, a read allocates nothing: the
+    // counters are those of a program that prints a literal instead.
+    let page = |guard: &str, out: &str| {
+        format!(
+            r#"fn main() {{
+                let rs = query("SELECT name FROM patient WHERE patient_id = 1");
+                {guard}
+                print({out});
+            }}"#
+        )
+    };
+    let sloth = ExecStrategy::Sloth(OptFlags::all());
+    let allocs = |src: &str| {
+        let r = run_as(src, sloth).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        assert_eq!(r.output.last().map(String::as_str), Some("Ada"), "{src}");
+        r.counters.thunk_allocs
+    };
+    let forced = "if (nrows(rs) > 0) { print(\"found\"); }";
+    assert_eq!(
+        allocs(&page(forced, "cell(rs, 0, \"name\")")),
+        allocs(&page(forced, "\"Ada\""))
+    );
+    // Before the answer, the read is the one thunk more.
+    assert_eq!(
+        allocs(&page("", "cell(rs, 0, \"name\")")),
+        allocs(&page("", "\"Ada\"")) + 1
+    );
+}
+
+#[test]
+fn a_read_nobody_demands_raises_nothing_and_ships_nothing() {
+    let src = r#"fn main() {
+        let rs = query("SELECT name FROM patient WHERE patient_id = 1");
+        let bad = cell(rs, 5, "name");
+        let n = nrows(rs);
+        print("done");
+    }"#;
+    let s = run_as(src, ExecStrategy::Sloth(OptFlags::all())).unwrap();
+    assert_eq!(s.output, ["done"]);
+    assert_eq!(s.net.round_trips, 0, "no demand, no trip");
+    let e = run_as(src, ExecStrategy::Original).unwrap_err();
+    assert_eq!(e.message, "no cell [5].name", "the original program fails");
+}
+
+#[test]
+fn a_delayed_row_is_one_object_for_every_reader() {
+    // `at` and `first` build a plain object from the row: a heap value
+    // once built, so `obj_get` and `obj_put` reach the same one.
+    let src = r#"fn main() {
+        let rs = query("SELECT patient_id, name FROM patient ORDER BY patient_id");
+        let r = at(rs, 1);
+        let f = first(rs);
+        print(obj_get(r, "name"));
+        obj_put(r, "name", "renamed");
+        print(obj_get(r, "name"));
+        print(f.name);
+        print(str(obj_get(at(rs, 0), "patient_id")));
+        print(str(nrows(rs)));
+    }"#;
+    for strategy in all_strategies() {
+        let r = run_as(src, strategy).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        assert_eq!(
+            r.output,
+            ["Grace", "renamed", "Ada", "1", "2"],
+            "{strategy:?}"
+        );
+    }
+}
+
+#[test]
+fn a_delayed_read_fails_at_demand_with_the_original_text() {
+    let page = |read: &str| {
+        format!(
+            r#"fn main() {{
+                let rs = query("SELECT name FROM patient WHERE patient_id = 1");
+                let v = {read};
+                print("before");
+                print(str(v));
+            }}"#
+        )
+    };
+    for read in [
+        "cell(rs, 3, \"name\")",
+        "cell(rs, 0, \"nope\")",
+        "at(rs, 9)",
+        "cell(rs, \"0\", \"name\")",
+    ] {
+        let src = page(read);
+        let want = run_as(&src, ExecStrategy::Original).unwrap_err().message;
+        for strategy in all_strategies() {
+            let e = run_as(&src, strategy).unwrap_err();
+            assert_eq!(e.message, want, "{strategy:?}: {read}");
+        }
     }
 }

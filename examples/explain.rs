@@ -2,7 +2,9 @@
 //! one OpenMRS page under Sloth and prints, per flush of the query store,
 //! how many statements it carried and why it shipped
 //! ([`sloth_core::FlushReason`]) — then the same histogram over all 150
-//! pages, which is what says where the next round trip can be saved.
+//! pages, which is what says where the next round trip can be saved —
+//! and last the five TPC-C transactions on a 4-shard fleet, flush by
+//! flush.
 //!
 //! ```sh
 //! cargo run --release --example explain
@@ -11,15 +13,21 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use sloth_apps::tpcc::{seed_tpcc, tpcc_schema, tpcc_shard_spec, tpcc_transactions};
 use sloth_apps::{itracker_app, openmrs_app, BenchApp};
 use sloth_core::FlushReason;
-use sloth_lang::{parse_program, prepare_with_schema, ExecStrategy, OptFlags, V};
-use sloth_net::{CostModel, SimEnv};
+use sloth_lang::{
+    parse_program, prepare_with_schema, run_source, ExecStrategy, OptFlags, RunResult, V,
+};
+use sloth_net::{CostModel, ShardedEnv, SimEnv};
 use sloth_sql::Database;
 
+/// A run's flushes: `(batch size, reason)` in ship order.
+pub type Flushes = Vec<(usize, FlushReason)>;
+
 /// The flushes of one page over a copy of `db` (the app's seeded
-/// database): `(batch size, reason)` in ship order.
-pub fn flushes(app: &BenchApp, db: &Database, page: &str) -> Vec<(usize, FlushReason)> {
+/// database).
+pub fn flushes(app: &BenchApp, db: &Database, page: &str) -> Flushes {
     let page = app
         .pages
         .iter()
@@ -35,6 +43,10 @@ pub fn flushes(app: &BenchApp, db: &Database, page: &str) -> Vec<(usize, FlushRe
     let run = prepared
         .run(&env, Arc::clone(&app.schema), vec![V::Int(page.arg)])
         .expect("page runs");
+    sized_reasons(run)
+}
+
+fn sized_reasons(run: RunResult) -> Flushes {
     let store = run.store.expect("a Sloth run has a query store");
     store
         .batch_sizes
@@ -43,9 +55,31 @@ pub fn flushes(app: &BenchApp, db: &Database, page: &str) -> Vec<(usize, FlushRe
         .collect()
 }
 
-/// Prints both tours and returns the two explained pages' flushes
-/// (wired into `cargo test` by `tests/examples_smoke.rs`).
-pub fn run() -> Vec<Vec<(usize, FlushReason)>> {
+/// The flushes of each TPC-C transaction, run once in order on a 4-shard
+/// fleet of four warehouses.
+pub fn tpcc_flushes() -> Vec<(&'static str, Flushes)> {
+    let fleet = ShardedEnv::new(CostModel::default(), tpcc_shard_spec(), 4);
+    seed_tpcc(&fleet.handle(), 4);
+    tpcc_transactions()
+        .into_iter()
+        .map(|(name, src)| {
+            let run = run_source(
+                &src,
+                &fleet.handle(),
+                tpcc_schema(),
+                ExecStrategy::Sloth(OptFlags::all()),
+                vec![V::Int(7)],
+            )
+            .expect("transaction runs");
+            (name, sized_reasons(run))
+        })
+        .collect()
+}
+
+/// Prints the three tours and returns the two explained pages' flushes
+/// and the TPC-C transactions' (wired into `cargo test` by
+/// `tests/examples_smoke.rs`).
+pub fn run() -> (Vec<Flushes>, Vec<(&'static str, Flushes)>) {
     let apps: Vec<(BenchApp, Database)> = [itracker_app(), openmrs_app()]
         .into_iter()
         .map(|app| {
@@ -82,7 +116,16 @@ pub fn run() -> Vec<Vec<(usize, FlushReason)>> {
             *n as f64 / pages as f64
         );
     }
-    explained
+
+    let tpcc = tpcc_flushes();
+    println!("TPC-C on a 4-shard fleet:");
+    for (name, flushes) in &tpcc {
+        println!("  {name}: {} round trips", flushes.len());
+        for (size, reason) in flushes {
+            println!("    {size:>3} × {reason:?}");
+        }
+    }
+    (explained, tpcc)
 }
 
 #[allow(dead_code)]

@@ -1,7 +1,8 @@
 //! The paper's soundness theorem (§3.8 / appendix) as a property test:
 //! for randomly generated kernel-language programs, standard evaluation and
 //! extended lazy evaluation (under every optimization configuration) must
-//! produce the same output and leave the database in the same state.
+//! produce the same output and leave the database in the same state, or
+//! fail with the same error — on one server and on a 4-shard fleet.
 //!
 //! Uses a deterministic SplitMix64 generator instead of `proptest` (no
 //! third-party crates are available in the build environment); each case is
@@ -10,8 +11,9 @@
 use std::sync::Arc;
 
 use sloth_lang::{run_source, ExecStrategy, OptFlags};
-use sloth_net::SimEnv;
+use sloth_net::{CostModel, ShardedEnv, SimEnv};
 use sloth_orm::Schema;
+use sloth_sql::ShardSpec;
 
 struct Rng(u64);
 
@@ -34,12 +36,18 @@ impl Rng {
 }
 
 /// Builds a random straight-line/branchy/loopy program over integer
-/// variables `v0..v4`, reads and writes against a seeded table, and prints.
+/// variables `v0..v4` and result sets `r0..r2`, reads and writes against a
+/// seeded table, and prints. The result-set shapes read a `query` later
+/// than it registers — by `cell`, `nrows`, `at(…).v` and `first(…).v` —
+/// across writes to the row they read, in loops bounded by `nrows`, and,
+/// rarely, where the read fails: a row or column the result lacks, or a
+/// table that does not exist.
 fn arb_program(rng: &mut Rng) -> String {
     let n = rng.range(1, 12);
     let mut stmts = Vec::new();
+    let mut pool = false;
     for _ in 0..n {
-        let stmt = match rng.range(0, 8) {
+        let stmt = match rng.range(0, 13) {
             0 | 1 => {
                 // Arithmetic assignment over the variable pool.
                 let (dst, a, b) = (rng.range(0, 5), rng.range(0, 5), rng.range(0, 5));
@@ -76,18 +84,96 @@ fn arb_program(rng: &mut Rng) -> String {
                 // Output.
                 format!("print(str(v{}));", rng.range(0, 5))
             }
-            _ => {
+            7 => {
                 // Pure helper call.
                 let (dst, a) = (rng.range(0, 5), rng.range(0, 5));
                 format!("v{dst} = double(v{a});")
             }
+            8 => {
+                // A result set into the pool: one row keyed by a variable,
+                // or every row from a literal id up.
+                pool = true;
+                let (r, src, lo) = (rng.range(0, 3), rng.range(0, 5), rng.range(0, 5));
+                if rng.range(0, 2) == 0 {
+                    format!(
+                        "let id = v{src} % 5; if (id < 0) {{ id = 0 - id; }} \
+                         r{r} = query(\"SELECT v FROM t WHERE id = \" + str(id));"
+                    )
+                } else {
+                    format!("r{r} = query(\"SELECT id, v FROM t WHERE id >= {lo} ORDER BY id\");")
+                }
+            }
+            9 => {
+                // A pool read, into a variable or straight to the output.
+                pool = true;
+                let (r, dst) = (rng.range(0, 3), rng.range(0, 5));
+                let read = match rng.range(0, 4) {
+                    0 => format!("cell(r{r}, 0, \"v\")"),
+                    1 => format!("at(r{r}, 0).v"),
+                    2 => format!("first(r{r}).v"),
+                    _ => format!("nrows(r{r})"),
+                };
+                if rng.range(0, 2) == 0 {
+                    format!("v{dst} = v{dst} + {read};")
+                } else {
+                    format!("print(str({read}));")
+                }
+            }
+            10 => {
+                // The row changes between the query and its read: the read
+                // shows the row as the query found it.
+                let (id, dst) = (rng.range(0, 5), rng.range(0, 5));
+                format!(
+                    "let rw = query(\"SELECT v FROM t WHERE id = {id}\"); \
+                     exec(\"UPDATE t SET v = v + 100 WHERE id = {id}\"); \
+                     print(str(cell(rw, 0, \"v\"))); v{dst} = v{dst} + nrows(rw);"
+                )
+            }
+            11 => {
+                // A loop bounded by a result set's size.
+                let (lo, dst) = (rng.range(0, 5), rng.range(0, 5));
+                format!(
+                    "let rl = query(\"SELECT id, v FROM t WHERE id >= {lo} ORDER BY id\"); \
+                     let j = 0; while (j < nrows(rl)) {{ v{dst} = v{dst} + cell(rl, j, \"v\"); j = j + 1; }}"
+                )
+            }
+            _ => {
+                // Rarely, a demanded read that fails.
+                let r = rng.range(0, 3);
+                match rng.range(0, 12) {
+                    0 => {
+                        pool = true;
+                        format!("print(str(cell(r{r}, 9, \"v\")));")
+                    }
+                    1 => {
+                        pool = true;
+                        format!("print(str(cell(r{r}, 0, \"w\")));")
+                    }
+                    2 => "let rm = query(\"SELECT v FROM missing\"); print(str(nrows(rm)));".into(),
+                    _ => {
+                        pool = true;
+                        format!("print(str(nrows(r{r})));")
+                    }
+                }
+            }
         };
         stmts.push(stmt);
     }
+    // The pool is declared only where it is used: a program without a
+    // query keeps a non-persistent `main`, which selective compilation
+    // runs under standard semantics.
+    let pool = if pool {
+        "let r0 = query(\"SELECT v FROM t WHERE id = 0\"); \
+         let r1 = query(\"SELECT v FROM t WHERE id = 1\"); \
+         let r2 = query(\"SELECT id, v FROM t ORDER BY id\");"
+    } else {
+        ""
+    };
     format!(
         "fn double(x) {{ return x * 2; }}\n\
          fn main() {{\n\
          let v0 = 1; let v1 = 2; let v2 = 3; let v3 = 4; let v4 = 5;\n\
+         {pool}\n\
          {}\n\
          print(str(v0 + v1 + v2 + v3 + v4));\n\
          }}",
@@ -95,8 +181,17 @@ fn arb_program(rng: &mut Rng) -> String {
     )
 }
 
-fn fresh_env() -> SimEnv {
-    let env = SimEnv::default_env();
+/// The deployments every property runs on: one server, and the table
+/// hash-partitioned over a 4-shard fleet.
+const FLEETS: [usize; 2] = [1, 4];
+
+fn fresh_env(shards: usize) -> SimEnv {
+    let env = if shards == 1 {
+        SimEnv::default_env()
+    } else {
+        let spec = ShardSpec::new().shard("t", "id");
+        ShardedEnv::new(CostModel::default(), spec, shards).handle()
+    };
     env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         .unwrap();
     for i in 0..5 {
@@ -107,17 +202,21 @@ fn fresh_env() -> SimEnv {
 }
 
 fn table_state(env: &SimEnv) -> Vec<Vec<sloth_sql::Value>> {
-    env.seed(|db| {
-        db.execute("SELECT id, v FROM t ORDER BY id")
-            .unwrap()
-            .result
-            .rows
-    })
+    env.query("SELECT id, v FROM t ORDER BY id").unwrap().rows
 }
 
-fn check_equivalent(src: &str, flags: OptFlags) {
+/// A lazy run's error as the serial program states it: a SQL error that
+/// surfaced from a batch also names the batch it failed in.
+fn unbatched(message: &str) -> &str {
+    message
+        .split_once("batch failed: ")
+        .and_then(|(_, rest)| rest.rsplit_once(" (while batched: "))
+        .map_or(message, |(inner, _)| inner)
+}
+
+fn check_equivalent(src: &str, flags: OptFlags, shards: usize) {
     let schema = Arc::new(Schema::new());
-    let env_o = fresh_env();
+    let env_o = fresh_env(shards);
     let o = run_source(
         src,
         &env_o,
@@ -125,7 +224,7 @@ fn check_equivalent(src: &str, flags: OptFlags) {
         ExecStrategy::Original,
         vec![],
     );
-    let env_s = fresh_env();
+    let env_s = fresh_env(shards);
     let s = run_source(
         src,
         &env_s,
@@ -135,12 +234,21 @@ fn check_equivalent(src: &str, flags: OptFlags) {
     );
     match (o, s) {
         (Ok(o), Ok(s)) => {
-            assert_eq!(o.output, s.output, "program:\n{src}");
-            assert_eq!(table_state(&env_o), table_state(&env_s), "program:\n{src}");
+            assert_eq!(o.output, s.output, "{shards} shard(s), program:\n{src}");
+            assert_eq!(
+                table_state(&env_o),
+                table_state(&env_s),
+                "{shards} shard(s), program:\n{src}"
+            );
         }
-        (Err(_), Err(_)) => {} // both fail symmetrically
+        // Both fail, with the same error.
+        (Err(o), Err(s)) => assert_eq!(
+            o.message,
+            unbatched(&s.message),
+            "{shards} shard(s), program:\n{src}"
+        ),
         (o, s) => panic!(
-            "one mode failed: orig={:?} sloth={:?} program:\n{src}",
+            "one mode failed on {shards} shard(s): orig={:?} sloth={:?} program:\n{src}",
             o.map(|r| r.output),
             s.map(|r| r.output)
         ),
@@ -151,10 +259,12 @@ fn check_equivalent(src: &str, flags: OptFlags) {
 /// for the fully optimized configuration.
 #[test]
 fn lazy_equals_standard_all_opts() {
-    for case in 0..64u64 {
-        let mut rng = Rng::new(0xA11_0975 ^ case);
-        let src = arb_program(&mut rng);
-        check_equivalent(&src, OptFlags::all());
+    for shards in FLEETS {
+        for case in 0..64u64 {
+            let mut rng = Rng::new(0xA11_0975 ^ case);
+            let src = arb_program(&mut rng);
+            check_equivalent(&src, OptFlags::all(), shards);
+        }
     }
 }
 
@@ -162,50 +272,54 @@ fn lazy_equals_standard_all_opts() {
 /// the optimizations are semantics-preserving (§4).
 #[test]
 fn lazy_equals_standard_all_flag_combinations() {
-    for case in 0..64u64 {
-        let mut rng = Rng::new(0xF1A6 ^ case);
-        let src = arb_program(&mut rng);
-        let mask = rng.range(0, 16) as u8;
-        let flags = OptFlags {
-            selective: mask & 1 != 0,
-            coalesce: mask & 2 != 0,
-            defer_branches: mask & 4 != 0,
-            buffered_writer: mask & 8 != 0,
-        };
-        check_equivalent(&src, flags);
+    for shards in FLEETS {
+        for case in 0..64u64 {
+            let mut rng = Rng::new(0xF1A6 ^ case);
+            let src = arb_program(&mut rng);
+            let mask = rng.range(0, 16) as u8;
+            let flags = OptFlags {
+                selective: mask & 1 != 0,
+                coalesce: mask & 2 != 0,
+                defer_branches: mask & 4 != 0,
+                buffered_writer: mask & 8 != 0,
+            };
+            check_equivalent(&src, flags, shards);
+        }
     }
 }
 
 /// Lazy evaluation never *increases* round trips.
 #[test]
 fn lazy_never_more_round_trips() {
-    for case in 0..64u64 {
-        let mut rng = Rng::new(0x0007_2195 ^ case);
-        let src = arb_program(&mut rng);
-        let schema = Arc::new(Schema::new());
-        let env_o = fresh_env();
-        let o = run_source(
-            &src,
-            &env_o,
-            Arc::clone(&schema),
-            ExecStrategy::Original,
-            vec![],
-        );
-        let env_s = fresh_env();
-        let s = run_source(
-            &src,
-            &env_s,
-            Arc::clone(&schema),
-            ExecStrategy::Sloth(OptFlags::all()),
-            vec![],
-        );
-        if let (Ok(o), Ok(s)) = (o, s) {
-            assert!(
-                s.net.round_trips <= o.net.round_trips,
-                "sloth {} trips > original {} program:\n{src}",
-                s.net.round_trips,
-                o.net.round_trips
+    for shards in FLEETS {
+        for case in 0..64u64 {
+            let mut rng = Rng::new(0x0007_2195 ^ case);
+            let src = arb_program(&mut rng);
+            let schema = Arc::new(Schema::new());
+            let env_o = fresh_env(shards);
+            let o = run_source(
+                &src,
+                &env_o,
+                Arc::clone(&schema),
+                ExecStrategy::Original,
+                vec![],
             );
+            let env_s = fresh_env(shards);
+            let s = run_source(
+                &src,
+                &env_s,
+                Arc::clone(&schema),
+                ExecStrategy::Sloth(OptFlags::all()),
+                vec![],
+            );
+            if let (Ok(o), Ok(s)) = (o, s) {
+                assert!(
+                    s.net.round_trips <= o.net.round_trips,
+                    "{shards} shard(s): sloth {} trips > original {} program:\n{src}",
+                    s.net.round_trips,
+                    o.net.round_trips
+                );
+            }
         }
     }
 }

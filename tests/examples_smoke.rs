@@ -60,7 +60,7 @@ mod explain;
 #[test]
 fn explain_example_runs_end_to_end() {
     use sloth_core::{Demand, FlushReason};
-    let pages = explain::run();
+    let (pages, tpcc) = explain::run();
     assert_eq!(pages.len(), 2, "one itracker page, one OpenMRS page");
     for flushes in &pages {
         assert!(!flushes.is_empty());
@@ -74,4 +74,27 @@ fn explain_example_runs_end_to_end() {
     // The guarded body's reads ride the guard's flush: itracker's
     // error.jsp ships in that one flush.
     assert_eq!(pages[0].len(), 1, "error.jsp: {:?}", pages[0]);
+
+    // TPC-C's reads of raw result sets wait for whoever demands them: no
+    // flush is forced by an eager argument. New order ships its reads
+    // when the `INSERT INTO orders` splices `oid` into its SQL, then
+    // everything else with the page's output.
+    let trips: Vec<usize> = tpcc.iter().map(|(_, f)| f.len()).collect();
+    assert_eq!(trips, [2, 2, 1, 1, 4], "{tpcc:?}");
+    for (name, flushes) in &tpcc {
+        assert!(
+            flushes
+                .iter()
+                .all(|(_, r)| *r != FlushReason::Force(Demand::EagerArg)),
+            "{name}: {flushes:?}"
+        );
+    }
+    assert_eq!(tpcc[0].0, "New order");
+    assert_eq!(
+        tpcc[0].1,
+        [
+            (4, FlushReason::Force(Demand::QueryParam)),
+            (22, FlushReason::Force(Demand::Output)),
+        ]
+    );
 }
