@@ -411,11 +411,10 @@ fn throughput_figure_cmd() {
         "speedup",
         "lazy p50",
         "lazy p99",
-        "coalesced",
+        "lazy trips",
         "outputs"
     );
     for p in &fig.points {
-        let d = p.lazy.dispatcher.as_ref().expect("lazy dispatcher");
         println!(
             "  {:>8} {:>14.1} {:>14.1} {:>8.2}x {:>8.1}ms {:>8.1}ms {:>10} {:>8}",
             p.clients,
@@ -424,7 +423,7 @@ fn throughput_figure_cmd() {
             p.speedup(),
             p.lazy.p50_ms,
             p.lazy.p99_ms,
-            d.coalesced_batches,
+            p.lazy.round_trips,
             if p.eager.output_mismatches + p.lazy.output_mismatches == 0 {
                 "equal"
             } else {
@@ -439,16 +438,9 @@ fn throughput_figure_cmd() {
         );
     }
     // The acceptance gates of the concurrency work: speedup must not
-    // collapse at high client counts (striped dispatcher + lock-free hot
-    // path), and the lazy driver's tail must stay below the eager one's.
-    let one = fig.at(1).expect("1-client point");
-    let d1 = one.lazy.dispatcher.as_ref().unwrap();
-    assert_eq!(
-        d1.coalesced_batches, 0,
-        "one client must never coalesce: {d1:?}"
-    );
+    // collapse at high client counts (lock-free hot path, snapshot
+    // readers), and the lazy driver's tail must stay below the eager one's.
     let eight = fig.at(8).expect("8-client point");
-    let d8 = eight.lazy.dispatcher.as_ref().unwrap();
     assert!(
         eight.speedup() >= 1.5,
         "lazy-batched must sustain ≥ 1.5x eager at 8 clients, got {:.2}x",
@@ -472,43 +464,14 @@ fn throughput_figure_cmd() {
         big.lazy.p99_ms,
         big.eager.p99_ms
     );
-
-    // Coalescing presence, gated deterministically at 8 clients: a
-    // dedicated pass with one stripe and the injected leader hold-open
-    // (the leader waits on queue *depth*, not the wall clock), so eight
-    // closed-loop clients always share dispatches. This replaces the old
-    // wall-clock heuristic that needed 16 clients to coalesce reliably
-    // within the 150 µs window on a fast release build.
-    use sloth_bench::serve::{serve, ServeDriver};
-    let hold_cfg = ServeCfg {
-        clients: 8,
-        threads: 8,
-        duration: std::time::Duration::from_millis(400),
-        stripes: 1,
-        hold_open: 8,
-        ..cfg
-    };
-    let held = serve(&app, ServeDriver::LazyBatched, &hold_cfg);
-    let dh = held.dispatcher.as_ref().expect("hold-open dispatcher");
-    assert_eq!(
-        held.output_mismatches, 0,
-        "hold-open pass: per-page output equality violated"
-    );
-    assert!(
-        dh.coalesced_batches > 0,
-        "8 clients under leader hold-open must coalesce: {dh:?}"
-    );
     println!(
         "  gate: {:.2}x at 8 (≥ 1.5x), {:.2}x at 16 (≥ 2.5x), \
-         {:.2}x at 64 (≥ 2.0x); 64-client p99 lazy {:.1}ms vs eager {:.1}ms; \
-         hold-open coalesced {} of {} flushes at 8 clients",
+         {:.2}x at 64 (≥ 2.0x); 64-client p99 lazy {:.1}ms vs eager {:.1}ms",
         eight.speedup(),
         sixteen.speedup(),
         big.speedup(),
         big.lazy.p99_ms,
-        big.eager.p99_ms,
-        dh.coalesced_batches,
-        dh.flushes
+        big.eager.p99_ms
     );
 
     // The write-mix workload: transactional save pages, bare audit
@@ -559,11 +522,9 @@ fn throughput_figure_cmd() {
         wm8.speedup()
     );
     println!(
-        "  gate: {:.2}x at 8 clients (≥ 1.5x), {} whole transactions deferred, \
-         {} read-your-writes rewrites",
+        "  gate: {:.2}x at 8 clients (≥ 1.5x), {} whole transactions deferred",
         wm8.speedup(),
-        wm8.lazy.deferred_txns,
-        wm8.lazy.ryw_rewrites
+        wm8.lazy.deferred_txns
     );
 
     // The snapshot-overlap figure: a read-mostly fleet against a hot
@@ -632,13 +593,8 @@ fn throughput_figure_cmd() {
     json.push_str(&format!("  \"real_threads\": {},\n", fig.to_json()));
     json.push_str(&format!(
         "  \"gate\": {{\"clients\": 8, \"speedup\": {:.2}, \"min_required\": 1.5, \
-         \"coalesced_batches\": {}, \"cross_session_fused_queries\": {}, \
-         \"hold_open_coalesced_batches\": {}, \"hold_open_flushes\": {}, \"pass\": true}},\n",
-        eight.speedup(),
-        d8.coalesced_batches,
-        d8.cross_session_fused_queries,
-        dh.coalesced_batches,
-        dh.flushes
+         \"pass\": true}},\n",
+        eight.speedup()
     ));
     json.push_str(&format!(
         "  \"tail_gates\": [\n    {{\"clients\": 16, \"speedup\": {:.2}, \"min_required\": 2.5, \
@@ -653,12 +609,11 @@ fn throughput_figure_cmd() {
     json.push_str(&format!(
         "  \"write_mix_gate\": {{\"clients\": 8, \"speedup\": {:.2}, \"min_required\": 1.5, \
          \"lazy_p99_ms\": {:.2}, \"eager_p99_ms\": {:.2}, \"deferred_txns\": {}, \
-         \"ryw_rewrites\": {}, \"pass\": true}},\n",
+         \"pass\": true}},\n",
         wm8.speedup(),
         wm8.lazy.p99_ms,
         wm8.eager.p99_ms,
-        wm8.lazy.deferred_txns,
-        wm8.lazy.ryw_rewrites
+        wm8.lazy.deferred_txns
     ));
     json.push_str(&format!(
         "  \"snapshot\": {{\"readers\": 4, \"overlap\": {:.2}, \"min_overlap\": 1.0, \

@@ -45,8 +45,6 @@ pub struct DeferralRow {
     /// Whole `BEGIN … COMMIT` blocks that deferred silently (deferral
     /// side) — transaction-scoped laziness.
     pub deferred_txns: u64,
-    /// Reads answered locally from deferred post-images (deferral side).
-    pub ryw_rewrites: u64,
     /// Whether both sides printed byte-identical output.
     pub outputs_equal: bool,
     /// Whether both sides left byte-identical database state.
@@ -108,7 +106,7 @@ pub fn deferral_figure() -> DeferralFigure {
                 let env = SimEnv::from_database(w.seed_db.clone(), CostModel::default());
                 env.set_write_deferral(deferral);
                 let mut measure = WriteMixMeasure::default();
-                let mut stats = (0u64, 0u64, 0u64, 0u64, 0u64);
+                let mut stats = (0u64, 0u64, 0u64, 0u64);
                 let mut output = Vec::new();
                 for t in 0..w.txns {
                     let r: RunResult = w
@@ -125,7 +123,6 @@ pub fn deferral_figure() -> DeferralFigure {
                         stats.1 += s.write_only_flushes;
                         stats.2 += s.conflict_drains;
                         stats.3 += s.deferred_txns;
-                        stats.4 += s.ryw_rewrites;
                     }
                     output.extend(r.output);
                 }
@@ -144,7 +141,6 @@ pub fn deferral_figure() -> DeferralFigure {
                 write_only_flushes: def_stats.1,
                 conflict_drains: def_stats.2,
                 deferred_txns: def_stats.3,
-                ryw_rewrites: def_stats.4,
                 outputs_equal: base_out == def_out,
                 state_equal: base_state == def_state,
             }
@@ -177,7 +173,7 @@ impl DeferralFigure {
                 "    {{\"name\": \"{}\", \"txns\": {}, \"outputs_equal\": {}, \
                  \"state_equal\": {}, \"round_trip_reduction_pct\": {:.1}, \
                  \"deferred_writes\": {}, \"write_only_flushes\": {}, \
-                 \"conflict_drains\": {}, \"deferred_txns\": {}, \"ryw_rewrites\": {}, \
+                 \"conflict_drains\": {}, \"deferred_txns\": {}, \
                  \"write_aware\": {}, \"deferral\": {}}}{}\n",
                 row.name,
                 row.txns,
@@ -188,7 +184,6 @@ impl DeferralFigure {
                 row.write_only_flushes,
                 row.conflict_drains,
                 row.deferred_txns,
-                row.ryw_rewrites,
                 measure_json(&row.baseline),
                 measure_json(&row.deferred),
                 if i + 1 < self.rows.len() { "," } else { "" }
@@ -203,12 +198,11 @@ impl DeferralFigure {
         for (i, row) in txn_rows.iter().enumerate() {
             out.push_str(&format!(
                 "      {{\"name\": \"{}\", \"round_trip_reduction_pct\": {:.1}, \
-                 \"deferred_txns\": {}, \"ryw_rewrites\": {}, \"outputs_equal\": {}, \
+                 \"deferred_txns\": {}, \"outputs_equal\": {}, \
                  \"state_equal\": {}}}{}\n",
                 row.name,
                 row.round_trip_reduction() * 100.0,
                 row.deferred_txns,
-                row.ryw_rewrites,
                 row.outputs_equal,
                 row.state_equal,
                 if i + 1 < txn_rows.len() { "," } else { "" }

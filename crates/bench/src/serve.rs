@@ -12,9 +12,8 @@
 //!   trip per query ([`ExecStrategy::Original`]).
 //! * **lazy-batched** — the Sloth-compiled application on the
 //!   multi-session path: each page request gets its own session
-//!   (query store) flushing through one shared
-//!   [`Dispatcher`], which coalesces concurrent sessions'
-//!   batches into combined round trips (cross-session fusion included).
+//!   (query store) flushing through one shared [`Dispatcher`], one
+//!   round trip per batch.
 //!
 //! Every rendered page is checked against the output of a serial
 //! single-session reference run, so the speedup is measured **at equal
@@ -38,7 +37,7 @@ pub enum ServeDriver {
     /// Stock driver, standard semantics: one round trip per query.
     Eager,
     /// Sloth batch driver through the shared dispatcher: per-session
-    /// batching plus cross-session coalescing.
+    /// batching.
     LazyBatched,
 }
 
@@ -67,19 +66,6 @@ pub struct ServeCfg {
     /// Real nanoseconds slept per virtual network nanosecond (1.0 = the
     /// cost model's latency for real).
     pub realtime_scale: f64,
-    /// Dispatcher coalescing window (lazy driver only).
-    pub window: Duration,
-    /// Injected leader hold-open rider count (lazy driver only; `0`
-    /// disables). When set, each dispatch leader holds its dispatch open
-    /// until the stripe queue reaches this depth (bounded by
-    /// [`sloth_net::dispatch::HOLD_OPEN_CAP`]), making coalescing a
-    /// workload property instead of a scheduler race — the
-    /// coalescing-presence gate runs on a dedicated pass with this set.
-    pub hold_open: usize,
-    /// Dispatcher stripe count (lazy driver only; `0` = the dispatcher's
-    /// [`sloth_net::dispatch::DEFAULT_STRIPES`]). The hold-open pass pins
-    /// `1` so every flush meets the same leader.
-    pub stripes: usize,
     /// How many of the app's pages rotate through the mix.
     pub page_mix: usize,
 }
@@ -92,9 +78,6 @@ impl Default for ServeCfg {
             duration: Duration::from_millis(1_000),
             rtt_ms: 2.0,
             realtime_scale: 1.0,
-            window: Duration::from_micros(150),
-            hold_open: 0,
-            stripes: 0,
             page_mix: 6,
         }
     }
@@ -131,8 +114,6 @@ pub struct ServeOutcome {
     /// Silent `BEGIN … COMMIT` blocks deferred whole across requests
     /// (lazy driver on a write mix; always 0 for the eager driver).
     pub deferred_txns: u64,
-    /// Point reads answered locally from a pending write's post-image.
-    pub ryw_rewrites: u64,
     /// Dispatcher counters (lazy driver only).
     pub dispatcher: Option<DispatcherStats>,
 }
@@ -201,22 +182,13 @@ pub fn serve(app: &BenchApp, driver: ServeDriver, cfg: &ServeCfg) -> ServeOutcom
     env.set_realtime(cfg.realtime_scale);
     let dispatcher = match driver {
         ServeDriver::Eager => None,
-        ServeDriver::LazyBatched => {
-            let d = Arc::new(if cfg.stripes > 0 {
-                Dispatcher::with_stripes(env.clone(), cfg.window, cfg.stripes)
-            } else {
-                Dispatcher::with_window(env.clone(), cfg.window)
-            });
-            d.set_hold_open(cfg.hold_open);
-            Some(d)
-        }
+        ServeDriver::LazyBatched => Some(Arc::new(Dispatcher::new(env.clone()))),
     };
 
     let stop = Arc::new(AtomicBool::new(false));
     let completed = Arc::new(AtomicU64::new(0));
     let mismatches = Arc::new(AtomicU64::new(0));
     let deferred_txns = Arc::new(AtomicU64::new(0));
-    let ryw_rewrites = Arc::new(AtomicU64::new(0));
     let threads = cfg.threads.max(1);
     let clients = cfg.clients.max(1);
     let t0 = Instant::now();
@@ -230,7 +202,6 @@ pub fn serve(app: &BenchApp, driver: ServeDriver, cfg: &ServeCfg) -> ServeOutcom
             let completed = Arc::clone(&completed);
             let mismatches = Arc::clone(&mismatches);
             let deferred_txns = Arc::clone(&deferred_txns);
-            let ryw_rewrites = Arc::clone(&ryw_rewrites);
             std::thread::spawn(move || {
                 // This worker owns clients t, t+threads, t+2·threads, …
                 // and serves them round-robin; each client is closed-loop
@@ -264,7 +235,6 @@ pub fn serve(app: &BenchApp, driver: ServeDriver, cfg: &ServeCfg) -> ServeOutcom
                         }
                         if let Some(s) = &result.store {
                             deferred_txns.fetch_add(s.deferred_txns, Ordering::Relaxed);
-                            ryw_rewrites.fetch_add(s.ryw_rewrites, Ordering::Relaxed);
                         }
                         completed.fetch_add(1, Ordering::Relaxed);
                     }
@@ -297,7 +267,6 @@ pub fn serve(app: &BenchApp, driver: ServeDriver, cfg: &ServeCfg) -> ServeOutcom
         round_trips: net.round_trips,
         queries: net.queries,
         deferred_txns: deferred_txns.load(Ordering::Relaxed),
-        ryw_rewrites: ryw_rewrites.load(Ordering::Relaxed),
         dispatcher: dispatcher.map(|d| d.stats()),
     }
 }
@@ -389,9 +358,8 @@ const WRITE_MIX_AUDIT_IDS: [i64; 2] = [20, 24];
 ///   page ever writes;
 /// * the one read of a written row (`ticket.save`'s read-back) follows
 ///   that request's own update, so it observes `'done'` on every driver
-///   — on the lazy path it is answered locally from the pending write's
-///   post-image (a read-your-writes rewrite) without draining the
-///   deferred transaction.
+///   — on the lazy path it lingers inside the deferred transaction and
+///   runs after the update in the same batch.
 pub fn write_mix_app() -> BenchApp {
     let mut s = Schema::new();
     s.add(entity(
@@ -486,28 +454,14 @@ fn main(id) {
 fn outcome_json(o: &ServeOutcome) -> String {
     let dispatcher = match &o.dispatcher {
         None => "null".to_string(),
-        Some(d) => format!(
-            "{{\"flushes\": {}, \"dispatches\": {}, \"coalesced_batches\": {}, \
-             \"coalesced_queries\": {}, \"max_coalesced\": {}, \
-             \"cross_session_fused_queries\": {}, \"cross_session_fused_groups\": {}, \
-             \"solo_writes\": {}, \"fallback_splits\": {}}}",
-            d.flushes,
-            d.dispatches,
-            d.coalesced_batches,
-            d.coalesced_queries,
-            d.max_coalesced,
-            d.cross_session_fused_queries,
-            d.cross_session_fused_groups,
-            d.solo_writes,
-            d.fallback_splits
-        ),
+        Some(d) => format!("{{\"flushes\": {}}}", d.flushes),
     };
     format!(
         "{{\"driver\": \"{}\", \"clients\": {}, \"threads\": {}, \"pages\": {}, \
          \"wall_s\": {:.3}, \"pages_per_s\": {:.1}, \"output_mismatches\": {}, \
          \"p50_ms\": {:.2}, \"p95_ms\": {:.2}, \"p99_ms\": {:.2}, \
          \"round_trips\": {}, \"queries\": {}, \"deferred_txns\": {}, \
-         \"ryw_rewrites\": {}, \"dispatcher\": {}}}",
+         \"dispatcher\": {}}}",
         o.driver,
         o.clients,
         o.threads,
@@ -521,7 +475,6 @@ fn outcome_json(o: &ServeOutcome) -> String {
         o.round_trips,
         o.queries,
         o.deferred_txns,
-        o.ryw_rewrites,
         dispatcher
     )
 }
@@ -572,8 +525,8 @@ mod tests {
 
     /// The correctness half of the acceptance gate, enforced on every
     /// `cargo test` run: real threads, shared deployment, per-page output
-    /// equality, coalescing active under concurrency and absent at one
-    /// client. (The ≥ 1.5× throughput ratio is asserted in release builds
+    /// equality, and one round trip per dispatcher flush at any client
+    /// count. (The ≥ 1.5× throughput ratio is asserted in release builds
     /// — see `serve_gate_throughput_ratio` — and by the CI harness run;
     /// debug-build interpreter CPU on small containers would make a
     /// wall-clock ratio assertion meaningless here.)
@@ -604,12 +557,12 @@ mod tests {
             "lazy {lazy_tpp:.1} trips/page vs eager {eager_tpp:.1}"
         );
 
-        // Cross-session coalescing happened under concurrent load.
+        // Every flush is one round trip, under concurrent load…
         let d = lazy.dispatcher.expect("lazy driver has a dispatcher");
-        assert!(d.coalesced_batches > 0, "{d:?}");
-        assert!(d.dispatches < d.flushes, "{d:?}");
+        assert!(d.flushes > 0, "{d:?}");
+        assert_eq!(d.flushes, lazy.round_trips, "{d:?}");
 
-        // …and never at one client.
+        // …and at one client.
         let solo_cfg = ServeCfg {
             clients: 1,
             threads: 1,
@@ -619,16 +572,14 @@ mod tests {
         let solo = serve(&app, ServeDriver::LazyBatched, &solo_cfg);
         assert_eq!(solo.output_mismatches, 0);
         let d = solo.dispatcher.expect("dispatcher present");
-        assert_eq!(d.coalesced_batches, 0, "one client never coalesces: {d:?}");
-        assert_eq!(d.coalesced_queries, 0);
-        assert_eq!(d.cross_session_fused_groups, 0);
+        assert_eq!(d.flushes, solo.round_trips, "{d:?}");
     }
 
     /// The write-mix correctness gate: real threads serving transactional
     /// save pages, bare audit writes and read-only views concurrently on
     /// one shared deployment — every page's output still bit-equal to the
-    /// serial reference, silent transactions deferred whole, read-backs
-    /// answered from post-images, and the final ticket state exactly the
+    /// serial reference, silent transactions deferred whole with their
+    /// read-backs aboard, and the final ticket state exactly the
     /// constant values the pages write.
     #[test]
     fn write_mix_gate_correctness() {
@@ -643,12 +594,10 @@ mod tests {
         assert_eq!(lazy.output_mismatches, 0, "{lazy:?}");
         assert!(eager.pages >= 8 && lazy.pages >= 8);
 
-        // The lazy driver defers the save transactions whole and answers
-        // the read-backs locally; the eager driver never does either.
+        // The lazy driver defers the save transactions whole; the eager
+        // driver never does.
         assert_eq!(eager.deferred_txns, 0);
-        assert_eq!(eager.ryw_rewrites, 0);
         assert!(lazy.deferred_txns > 0, "{lazy:?}");
-        assert!(lazy.ryw_rewrites > 0, "{lazy:?}");
 
         // Fewer trips per page even though every page carries writes.
         let eager_tpp = eager.round_trips as f64 / eager.pages as f64;

@@ -9,27 +9,27 @@
 //!   `UPDATE` or `DELETE`, or DDL, never lingers. Under write deferral
 //!   (the default), disjoint writes and **silent transactions** (whole
 //!   `BEGIN … COMMIT` blocks) do linger and ride a later flush; a read
-//!   conflicting only with a deferred key-exact `UPDATE` is answered
-//!   locally from its post-image (read-your-writes).
+//!   that could observe a deferred write drains the batch with the read
+//!   aboard, in one round trip, unless a silent transaction is open, in
+//!   which case it lingers inside it.
 //!
 //! Registering a read identical to one already in the current batch returns
-//! the existing [`QueryId`] (in-batch dedup).
+//! the existing [`QueryId`] (in-batch dedup), unless a deferred write
+//! between the two could change its rows.
 //!
 //! A store is one **session** (one web request, typically). Stores are
 //! `Send + Sync`, and many sessions can be multiplexed onto one shared
 //! deployment. Every flush leaves through a [`Dispatcher`]: a private
-//! one ([`QueryStore::new`]), which has nothing to combine the flush
-//! with, or a shared one ([`QueryStore::dispatched`]), which coalesces
-//! flushes from concurrent sessions into combined backend dispatches.
+//! one ([`QueryStore::new`]) or one shared with other sessions
+//! ([`QueryStore::dispatched`]). Either ships each flush as it is, in one
+//! round trip.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
 use sloth_net::{BatchRequest, CacheMode, Dispatcher, SimEnv};
-use sloth_sql::ast::ColumnType;
 use sloth_sql::{
-    Footprint, Param, PostImage, ReadShape, ResultSet, SqlError, Stmt, StmtClass, TxnBoundary,
-    TxnFootprint, Value,
+    Footprint, Param, ResultSet, SqlError, Stmt, StmtClass, TxnBoundary, TxnFootprint,
 };
 
 /// Identifier of a registered query; stable for the life of the store.
@@ -111,10 +111,6 @@ pub struct StoreStats {
     pub fused_queries: u64,
     /// Fused executions that answered ≥ 1 of this store's queries.
     pub fused_groups: u64,
-    /// Batches of this store that shared a dispatcher round trip with
-    /// another session (always zero on a private [`Dispatcher`], and zero
-    /// at one client).
-    pub coalesced_batches: u64,
     /// Writes left lingering in the pending batch at registration because
     /// their footprint was disjoint from every pending statement —
     /// selective laziness (§3.5–3.6): these cost **no** round trip of
@@ -127,20 +123,20 @@ pub struct StoreStats {
     /// conflicted with a pending **deferred write** (the read-after-write
     /// and write-after-write drain triggers).
     pub conflict_drains: u64,
-    /// Times this session dropped from lazy-coalesced to **eager-solo**
+    /// Times this session dropped from lazy batching to **eager-solo**
     /// dispatch because a flush failed with a transient (fault-layer)
     /// error after the retry budget exhausted. A degraded session ships
     /// every statement immediately, never defers writes, and bypasses
-    /// dispatcher coalescing — correctness over batching wins.
+    /// the result cache — correctness over batching wins.
     pub degradations: u64,
     /// Silent transactions: `BEGIN … COMMIT` blocks whose boundaries and
     /// interior statements all deferred, so the whole block rode a later
     /// flush as one unit instead of draining the batch twice. Always zero
     /// with write deferral off.
     pub deferred_txns: u64,
-    /// Reads answered locally by rewriting a pending read's rows through
-    /// the post-images of deferred writes (read-your-writes) instead of
-    /// draining the batch. These cost no round trip at all.
+    /// Reads answered locally from the post-images of deferred writes.
+    /// The store answers every read from the server, so this is always
+    /// 0; the field stays for readers that still report it.
     pub ryw_rewrites: u64,
 }
 
@@ -154,17 +150,6 @@ impl StoreStats {
     pub fn queries_shipped(&self) -> usize {
         self.batch_sizes.iter().sum()
     }
-}
-
-/// A read answered **locally**: its rows come from an identical pending
-/// read (`base`) with the post-images of the deferred writes between them
-/// overlaid on top — read-your-writes without a drain. Overlays are flat
-/// `(column, value)` pairs in write order, values already coerced to the
-/// column's declared type exactly as the engine's storage layer would.
-#[derive(Clone)]
-struct Rewrite {
-    base: QueryId,
-    overlays: Vec<(String, Value)>,
 }
 
 /// An open silent transaction: its `BEGIN` deferred, and statements since
@@ -213,16 +198,9 @@ struct StoreInner {
     /// collapse while `… = 2` does not (see [`Stmt`]).
     pending_by_key: HashMap<Stmt, QueryId>,
     results: HashMap<QueryId, Result<ResultSet, SqlError>>,
-    /// Reads answered by overlaying deferred post-images on a pending
-    /// base read (read-your-writes); resolved lazily in [`QueryStore::result`].
-    rewrites: HashMap<QueryId, Rewrite>,
     /// The open silent transaction, if one is accumulating.
     txn: Option<OpenTxn>,
     next_txn: u64,
-    /// Bumped on every mutation of `pending` — lets the read-your-writes
-    /// planner run its parse/catalog analysis **outside** this lock and
-    /// detect a concurrent change on re-entry.
-    generation: u64,
     /// Ids drained from `pending` by a flush that has not recorded its
     /// outcome yet. A concurrent [`QueryStore::result`] for one of these
     /// waits on `StoreShared::answered` instead of reporting the id
@@ -301,21 +279,15 @@ pub struct QueryStore {
 
 impl QueryStore {
     /// A fresh store bound to a simulated deployment, flushing through a
-    /// dispatcher of its own. A session blocks on its own flush, so that
-    /// dispatcher never has a second flush to combine with the first:
-    /// every batch goes to the wire as registered, in one round trip.
+    /// dispatcher of its own: every batch goes to the wire as registered,
+    /// in one round trip.
     pub fn new(env: SimEnv) -> Self {
-        QueryStore::dispatched(Arc::new(Dispatcher::with_stripes(
-            env,
-            std::time::Duration::ZERO,
-            1,
-        )))
+        QueryStore::dispatched(Arc::new(Dispatcher::new(env)))
     }
 
     /// A fresh store whose flushes go through the shared `dispatcher`:
-    /// the multi-session serving path. Concurrent sessions' flushes may
-    /// coalesce into one backend round trip; a single session behaves
-    /// exactly like [`QueryStore::new`] — it is the same code.
+    /// the multi-session serving path. It behaves exactly like
+    /// [`QueryStore::new`] — it is the same code.
     pub fn dispatched(dispatcher: Arc<Dispatcher>) -> Self {
         QueryStore {
             dispatcher,
@@ -325,10 +297,8 @@ impl QueryStore {
                     pending_writes: 0,
                     pending_by_key: HashMap::new(),
                     results: HashMap::new(),
-                    rewrites: HashMap::new(),
                     txn: None,
                     next_txn: 0,
-                    generation: 0,
                     in_flight: HashSet::new(),
                     next_id: 0,
                     stats: StoreStats::default(),
@@ -374,8 +344,8 @@ impl QueryStore {
     /// same trip.
     ///
     /// `None` when `parent` is not (or no longer) a read waiting in the
-    /// current batch — already answered, in flight, a read-your-writes
-    /// rewrite — or the session is degraded: the caller does what it did
+    /// current batch — already answered or in flight — or the session is
+    /// degraded: the caller does what it did
     /// before, force the parent (free, if answered) and register a
     /// literal statement.
     ///
@@ -535,222 +505,91 @@ impl QueryStore {
         inner.next_id += 1;
         inner.pending.push(PendingStmt { id, stmt, txn });
         inner.pending_writes += 1;
-        inner.generation += 1;
         Registration { id, deferred: true }
     }
 
-    /// The read registration path: dedup, read-your-writes rewriting,
-    /// in-transaction lingering, and the conservative conflict drain.
-    /// `None` only for a dependent read whose parent is no longer a read
-    /// waiting in the batch (checked in the critical section that
-    /// registers it, so the two cannot part ways in between).
+    /// The read registration path: dedup, in-transaction lingering, and
+    /// the conservative conflict drain. `None` only for a dependent read
+    /// whose parent is no longer a read waiting in the batch (checked in
+    /// the critical section that registers it, so the two cannot part
+    /// ways in between).
     fn register_read(&self, stmt: Stmt, deferral: bool) -> Result<Option<Registration>, SqlError> {
         // The dedup lookup hashes the statement's template: lex it here,
         // outside the critical section.
         stmt.norm();
-        // What to do after leaving the critical section.
-        enum After {
-            Done(Registration),
-            Flush(Registration, FlushReason),
-            /// Dedup base found but deferred writes after it conflict:
-            /// attempt a local rewrite, with the parse/catalog analysis
-            /// outside the lock (it takes the catalog read lock, which
-            /// must never nest under the store lock — the non-blocking
-            /// observability contract).
-            Analyze {
-                base: QueryId,
-                generation: u64,
-                writes: Vec<Stmt>,
-            },
-        }
-        loop {
-            let after = {
-                let mut inner = self.lock();
-                if let Some(parent) = stmt.parent() {
-                    if inner.degraded || !pending_read(&inner.pending, QueryId(parent)) {
-                        return Ok(None);
-                    }
-                }
-                let in_txn = deferral && inner.txn.as_ref().is_some_and(|t| !t.fp.poisoned());
-                if let Some(&base) = inner.pending_by_key.get(&stmt) {
-                    // Dedup hit candidate. Sound only when no deferred
-                    // write positioned AFTER the base conflicts with the
-                    // read — then both positions observe identical rows
-                    // (batches execute in registration order).
-                    let mut conflicting: Vec<Stmt> = Vec::new();
-                    if deferral && inner.pending_writes > 0 {
-                        let f = self.env().footprint(&stmt);
-                        let base_pos = pending_pos(&inner.pending, base)?;
-                        conflicting = inner.pending[base_pos + 1..]
-                            .iter()
-                            .filter(|p| self.is_conflicting_write(p, f))
-                            .map(|p| p.stmt.clone())
-                            .collect();
-                    }
-                    if conflicting.is_empty() {
-                        inner.stats.registered += 1;
-                        inner.stats.dedup_hits += 1;
-                        return Ok(Some(Registration {
-                            id: base,
-                            deferred: false,
-                        }));
-                    }
-                    After::Analyze {
-                        base,
-                        generation: inner.generation,
-                        writes: conflicting,
-                    }
-                } else {
-                    // Fresh read. Selective laziness: it may only join a
-                    // batch with deferred writes aboard when it provably
-                    // cannot observe them — unless it is inside a silent
-                    // transaction, which always lingers whole.
-                    let conflicts = deferral
-                        && inner.pending_writes > 0
-                        && self.conflicts_with_pending_write(
-                            &inner.pending,
-                            self.env().footprint(&stmt),
-                        );
-                    inner.stats.registered += 1;
-                    let id = QueryId(inner.next_id);
-                    inner.next_id += 1;
-                    // A dependent read is no dedup base until bound.
-                    if stmt.parent().is_none() {
-                        inner.pending_by_key.insert(stmt.clone(), id);
-                    }
-                    let txn_tag = if in_txn {
-                        inner.txn.as_ref().map(|t| t.serial)
-                    } else {
-                        None
-                    };
-                    inner.pending.push(PendingStmt {
-                        id,
-                        stmt: stmt.clone(),
-                        txn: txn_tag,
-                    });
-                    inner.generation += 1;
-                    let reg = Registration {
-                        id,
-                        deferred: false,
-                    };
-                    if in_txn {
-                        // In-txn reads linger even across conflicts: the
-                        // block drains in one in-order batch, so the read
-                        // observes the txn's earlier writes exactly as the
-                        // serial program would.
-                        if let Some(t) = inner.txn.as_mut() {
-                            t.fp.absorb(self.env().footprint(&stmt));
-                        }
-                        After::Done(reg)
-                    } else if conflicts {
-                        inner.stats.conflict_drains += 1;
-                        After::Flush(reg, FlushReason::ConflictingRead)
-                    } else if inner.degraded {
-                        // Degraded sessions ship every read immediately.
-                        After::Flush(reg, FlushReason::Degraded)
-                    } else {
-                        After::Done(reg)
-                    }
-                }
-            };
-            match after {
-                After::Done(reg) => return Ok(Some(reg)),
-                After::Flush(reg, reason) => {
-                    self.flush_internal(reason)?;
-                    return Ok(Some(reg));
-                }
-                After::Analyze {
-                    base,
-                    generation,
-                    writes,
-                } => {
-                    let overlays = self.plan_rewrite(&stmt, &writes);
-                    let mut inner = self.lock();
-                    if inner.generation != generation {
-                        // Pending changed while we analyzed: start over.
-                        continue;
-                    }
-                    if let Some(overlays) = overlays {
-                        // Read-your-writes: answer locally from the base
-                        // read plus the writes' post-images — no drain, no
-                        // round trip. The rewritten id is virtual (never
-                        // pending, never a dedup target).
-                        inner.stats.registered += 1;
-                        inner.stats.ryw_rewrites += 1;
-                        let id = QueryId(inner.next_id);
-                        inner.next_id += 1;
-                        inner.rewrites.insert(id, Rewrite { base, overlays });
-                        return Ok(Some(Registration {
-                            id,
-                            deferred: false,
-                        }));
-                    }
-                    // Conservative fallback: not key-exact enough to
-                    // rewrite. Register the read and drain the batch (the
-                    // read riding it, so it is still one round trip) —
-                    // unless a silent transaction is open, which lingers.
-                    let in_txn = deferral && inner.txn.as_ref().is_some_and(|t| !t.fp.poisoned());
-                    inner.stats.registered += 1;
-                    let id = QueryId(inner.next_id);
-                    inner.next_id += 1;
-                    let txn_tag = if in_txn {
-                        inner.txn.as_ref().map(|t| t.serial)
-                    } else {
-                        None
-                    };
-                    inner.pending.push(PendingStmt {
-                        id,
-                        stmt: stmt.clone(),
-                        txn: txn_tag,
-                    });
-                    inner.generation += 1;
-                    if in_txn {
-                        if let Some(t) = inner.txn.as_mut() {
-                            t.fp.absorb(self.env().footprint(&stmt));
-                        }
-                        return Ok(Some(Registration {
-                            id,
-                            deferred: false,
-                        }));
-                    }
-                    inner.stats.conflict_drains += 1;
-                    drop(inner);
-                    self.flush_internal(FlushReason::ConflictingRead)?;
-                    return Ok(Some(Registration {
-                        id,
-                        deferred: false,
-                    }));
+        let (reg, flush) = {
+            let mut inner = self.lock();
+            if let Some(parent) = stmt.parent() {
+                if inner.degraded || !pending_read(&inner.pending, QueryId(parent)) {
+                    return Ok(None);
                 }
             }
-        }
-    }
-
-    /// Plans a read-your-writes rewrite for `read` against the pending
-    /// deferred writes (in order) that conflict with it: `Some(overlays)`
-    /// iff **every** write is a key-exact literal `UPDATE` whose
-    /// post-image fully determines the read's rows. Values are coerced to
-    /// the declared column type exactly as the engine's storage layer
-    /// would, so the overlaid rows are byte-identical to a real drain.
-    /// Runs without the store lock (parses + catalog reads).
-    fn plan_rewrite(&self, read: &Stmt, writes: &[Stmt]) -> Option<Vec<(String, Value)>> {
-        let shape = ReadShape::of_sql(read.sql())?;
-        let mut overlays = Vec::new();
-        for write in writes {
-            let post = PostImage::of_sql(write.sql())?;
-            if !shape.covered_by(&post) {
-                return None;
-            }
-            for (col, val) in post.sets {
-                let ty = self.env().column_type(&post.table, &col)?;
-                let val = match (ty, &val) {
-                    (ColumnType::Float, Value::Int(i)) => Value::Float(*i as f64),
-                    (ColumnType::Int, Value::Float(f)) => Value::Int(*f as i64),
-                    _ => val,
+            // Selective laziness: a read may only join a batch with
+            // deferred writes aboard when it provably cannot observe them.
+            // A repeat of a pending read asks only of the writes after the
+            // first copy: when none conflicts, both positions observe
+            // identical rows (batches execute in registration order) and
+            // the repeat dedups onto the first.
+            let base = inner.pending_by_key.get(&stmt).copied();
+            let conflicts = deferral && inner.pending_writes > 0 && {
+                let from = match base {
+                    Some(base) => pending_pos(&inner.pending, base)? + 1,
+                    None => 0,
                 };
-                overlays.push((col, val));
+                let fp = self.env().footprint(&stmt);
+                self.conflicts_with_pending_write(&inner.pending[from..], fp)
+            };
+            inner.stats.registered += 1;
+            if let (Some(id), false) = (base, conflicts) {
+                inner.stats.dedup_hits += 1;
+                return Ok(Some(Registration {
+                    id,
+                    deferred: false,
+                }));
             }
+            let id = QueryId(inner.next_id);
+            inner.next_id += 1;
+            // A dependent read is no dedup base until bound; a repeat that
+            // could not dedup leaves the first copy the base.
+            if stmt.parent().is_none() && base.is_none() {
+                inner.pending_by_key.insert(stmt.clone(), id);
+            }
+            let txn = match &inner.txn {
+                Some(t) if deferral && !t.fp.poisoned() => Some(t.serial),
+                _ => None,
+            };
+            inner.pending.push(PendingStmt {
+                id,
+                stmt: stmt.clone(),
+                txn,
+            });
+            let reg = Registration {
+                id,
+                deferred: false,
+            };
+            if txn.is_some() {
+                // In-txn reads linger even across conflicts: the block
+                // drains in one in-order batch, so the read observes the
+                // txn's earlier writes exactly as the serial program
+                // would.
+                if let Some(t) = inner.txn.as_mut() {
+                    t.fp.absorb(self.env().footprint(&stmt));
+                }
+                (reg, None)
+            } else if conflicts {
+                inner.stats.conflict_drains += 1;
+                (reg, Some(FlushReason::ConflictingRead))
+            } else if inner.degraded {
+                // Degraded sessions ship every read immediately.
+                (reg, Some(FlushReason::Degraded))
+            } else {
+                (reg, None)
+            }
+        };
+        if let Some(reason) = flush {
+            self.flush_internal(reason)?;
         }
-        Some(overlays)
+        Ok(Some(reg))
     }
 
     /// The write-aware (PR 4) write path: the write joins the pending
@@ -772,7 +611,6 @@ impl QueryStore {
                 txn: None,
             });
             inner.pending_writes += 1;
-            inner.generation += 1;
             (id, had_pending)
         };
         self.flush_internal(reason)?;
@@ -804,29 +642,6 @@ impl QueryStore {
     /// [`QueryStore::result`], naming what the result is demanded for: a
     /// batch this ships is recorded as `Force(why)`.
     pub fn result_for(&self, id: QueryId, why: Demand) -> Result<ResultSet, SqlError> {
-        let rewrite = self.lock().rewrites.get(&id).cloned();
-        if let Some(rw) = rewrite {
-            // Read-your-writes: resolve the base read (itself possibly
-            // still lazy) and overlay the deferred post-images in write
-            // order. A failed base propagates its error — the rewritten
-            // read would have died on the same batch.
-            let mut rs = self.result_for(rw.base, why)?;
-            for (col, val) in &rw.overlays {
-                let idxs: Vec<usize> = rs
-                    .columns
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.eq_ignore_ascii_case(col))
-                    .map(|(i, _)| i)
-                    .collect();
-                for ci in idxs {
-                    for row in &mut rs.rows {
-                        row[ci] = val.clone();
-                    }
-                }
-            }
-            return Ok(rs);
-        }
         {
             let mut inner = self.lock();
             loop {
@@ -935,7 +750,6 @@ impl QueryStore {
             }
             inner.pending = kept;
             inner.pending_writes = 0;
-            inner.generation += 1;
             let keep_ids: HashSet<QueryId> = inner.pending.iter().map(|p| p.id).collect();
             inner.pending_by_key.retain(|_, id| keep_ids.contains(id));
             guard.armed = true;
@@ -957,7 +771,6 @@ impl QueryStore {
             }
             inner.pending_by_key.clear();
             inner.pending_writes = 0;
-            inner.generation += 1;
             let drained: Vec<PendingStmt> = inner.pending.drain(..).collect();
             guard.armed = true;
             for p in &drained {
@@ -999,21 +812,17 @@ impl QueryStore {
                 }),
             })
             .collect();
-        // A degraded session trusts neither the shared result cache's hit
-        // path (an earlier batch of its own died with ambiguous writes)
-        // nor the coalescing queue: its `Bypass` requests ship solo and
-        // uncached, while its writes still invalidate other sessions'
-        // entries.
+        // A degraded session does not trust the shared result cache's hit
+        // path (an earlier batch of its own died with ambiguous writes):
+        // its `Bypass` requests ship uncached, while its writes still
+        // invalidate other sessions' entries.
         let cache = if self.lock().degraded {
             CacheMode::Bypass
         } else {
             CacheMode::Serve
         };
-        // What registration learned rides along inside the statements:
-        // dispatcher admission reasons about their footprints verbatim (a
-        // deferred silent transaction's BEGIN/COMMIT placeholders carry
-        // empty, non-barrier footprints, so disjoint transactions from
-        // different sessions coalesce). The outcome is partial on error —
+        // What registration learned (template, footprint) rides along
+        // inside the statements. The outcome is partial on error —
         // a read that rode a batch whose later write failed still answers
         // with its rows, exactly as it would have serially — and carries
         // this batch's own fusion attribution, not deployment-wide counter
@@ -1034,9 +843,6 @@ impl QueryStore {
                     inner.stats.fused_queries += outcome.fused_queries;
                     inner.stats.fused_groups += outcome.fused_groups;
                     inner.stats.segments += outcome.segments;
-                    if outcome.coalesced {
-                        inner.stats.coalesced_batches += 1;
-                    }
                     if caused_by_write {
                         inner.stats.write_flushes += 1;
                     }
@@ -1049,7 +855,7 @@ impl QueryStore {
                     // Graceful degradation: a transient error here means
                     // the retry budget exhausted under faults. Drop the
                     // session to eager-solo dispatch for the rest of its
-                    // life — no more deferral, no more coalescing.
+                    // life — no more deferral, no more cached answers.
                     if sloth_net::is_transient_error(e) && !inner.degraded {
                         inner.degraded = true;
                         // No deferral in degraded mode; any open silent
@@ -1162,7 +968,6 @@ fn bind_kept_dependants(inner: &mut StoreInner) {
                 inner.results.insert(p.id, Err(e));
             }
         }
-        inner.generation += 1;
     }
 }
 
@@ -2013,27 +1818,17 @@ mod tests {
             dispatched.stats().fused_queries
         );
         assert_eq!(direct_env.stats().round_trips, disp_env.stats().round_trips);
-        assert_eq!(
-            dispatched.stats().coalesced_batches,
-            0,
-            "a single session never coalesces"
-        );
         assert_eq!(dispatcher.stats().flushes, 1);
     }
 
     #[test]
     fn concurrent_dispatched_sessions_coalesce() {
+        // Four sessions on one shared dispatcher force their batches at
+        // once: each gets its own rows, in one round trip of its own.
         use sloth_net::Dispatcher;
         use std::sync::Barrier;
         let e = env();
-        // One stripe: this test asserts a deterministic coalescing count,
-        // so all four flushes must meet under the same leader (with the
-        // default 8 stripes, round-robin routing spreads them out).
-        let dispatcher = Arc::new(Dispatcher::with_stripes(
-            e.clone(),
-            std::time::Duration::from_millis(20),
-            1,
-        ));
+        let dispatcher = Arc::new(Dispatcher::new(e.clone()));
         let n = 4;
         let barrier = Arc::new(Barrier::new(n));
         let handles: Vec<_> = (0..n)
@@ -2058,13 +1853,15 @@ mod tests {
                         let want = format!("v{}", (t * 2 + i) % 10);
                         assert_eq!(rs.get(0, "v").unwrap().as_str(), Some(want.as_str()));
                     }
-                    store.stats().coalesced_batches
+                    store.stats().batch_sizes
                 })
             })
             .collect();
-        let coalesced: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(coalesced >= 2, "sessions shared a round trip: {coalesced}");
-        assert!(e.stats().round_trips < n as u64);
+        for h in handles {
+            assert_eq!(h.join().unwrap(), vec![2]);
+        }
+        assert_eq!(e.stats().round_trips, n as u64);
+        assert_eq!(dispatcher.stats().flushes, n as u64);
     }
 
     #[test]
@@ -2090,6 +1887,39 @@ mod tests {
             store.result(id2).unwrap().get(0, "v").unwrap().as_str(),
             Some("v2")
         );
+    }
+
+    #[test]
+    fn repeated_flush_panics_answer_their_ids_then_recover() {
+        // Two flushes in a row hit an injected driver panic: each panic
+        // reaches the session that flushed, each drained id answers with
+        // it, no write applies, and the third flush applies exactly once.
+        let e = env();
+        e.seed_sql("CREATE TABLE c (id INT PRIMARY KEY, n INT)")
+            .unwrap();
+        e.seed_sql("INSERT INTO c VALUES (1, 0)").unwrap();
+        e.set_faults(Some(
+            sloth_net::FaultPlan::seeded(7).panic_at(0).panic_at(1),
+        ));
+        let store = QueryStore::new(e.clone());
+        let increment = "UPDATE c SET n = n + 1 WHERE id = 1";
+        for round in 0..2 {
+            let w = store.register_stmt(increment).unwrap();
+            assert!(w.deferred);
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.flush()));
+            assert!(res.is_err(), "round {round}: the flush re-raises the panic");
+            let err = store.result(w.id).unwrap_err();
+            assert!(
+                err.to_string().contains("batch flush panicked"),
+                "round {round}: {err}"
+            );
+        }
+        assert_eq!(e.fault_stats().injected_panics, 2);
+        // Trip 2 delivers: the increment applies exactly once overall.
+        store.register(increment).unwrap();
+        store.flush().unwrap();
+        let rs = e.query("SELECT n FROM c WHERE id = 1").unwrap();
+        assert_eq!(rs.get(0, "n").unwrap().as_i64(), Some(1));
     }
 
     #[test]
@@ -2130,8 +1960,12 @@ mod tests {
 
     #[test]
     fn degraded_dispatched_session_bypasses_coalescing() {
+        // A degraded session on a shared dispatcher ships `Bypass`
+        // requests: even a read the result cache holds goes to the wire.
         use sloth_net::Dispatcher;
         let e = env();
+        e.set_result_cache(true);
+        e.query("SELECT v FROM t WHERE id = 2").unwrap();
         e.set_faults(Some(sloth_net::FaultPlan::seeded(11).drops(1000)));
         e.set_retry_policy(sloth_net::RetryPolicy {
             max_attempts: 1,
@@ -2143,16 +1977,15 @@ mod tests {
         assert!(store.flush().is_err());
         assert!(store.degraded());
         e.set_faults(None);
+        let (hits, trips) = (e.result_cache_stats().hits, e.stats().round_trips);
         let id = store.register("SELECT v FROM t WHERE id = 2").unwrap();
         assert_eq!(
             store.result(id).unwrap().get(0, "v").unwrap().as_str(),
             Some("v2")
         );
-        assert!(
-            d.stats().degraded_solo >= 1,
-            "degraded flushes ship as Bypass requests: {:?}",
-            d.stats()
-        );
+        assert_eq!(e.result_cache_stats().hits, hits, "not served cached");
+        assert_eq!(e.stats().round_trips, trips + 1);
+        assert_eq!(d.stats().flushes, 2);
     }
 
     // ---- transaction-scoped laziness ----
@@ -2266,7 +2099,7 @@ mod tests {
         );
     }
 
-    // ---- read-your-writes rewrites ----
+    // ---- read-your-writes: a conflicting repeat drains ----
 
     #[test]
     fn read_your_writes_answers_locally_from_post_image() {
@@ -2280,14 +2113,15 @@ mod tests {
                 .deferred
         );
         // Re-reading the same row after the deferred write: the dedup hit
-        // is unsound (the write sits between the two positions), but the
-        // write's post-image fully determines the answer — rewrite.
+        // is unsound (the write sits between the two positions), so the
+        // repeat registers and drains the batch with itself aboard.
         let after = store.register("SELECT v FROM t WHERE id = 6").unwrap();
         assert_ne!(base, after);
-        assert_eq!(e.stats().round_trips, 0, "no drain for the rewrite");
-        assert_eq!(store.stats().ryw_rewrites, 1);
-        // The base still answers pre-write, the rewrite post-write —
-        // byte-identical to the serial program at both positions.
+        assert_eq!(e.stats().round_trips, 1, "one drain, the read riding it");
+        assert_eq!(store.stats().conflict_drains, 1);
+        assert_eq!(store.stats().ryw_rewrites, 0);
+        // The base answers pre-write, the repeat post-write — the serial
+        // program at both positions.
         assert_eq!(
             store.result(after).unwrap().get(0, "v").unwrap().as_str(),
             Some("rw")
@@ -2296,7 +2130,6 @@ mod tests {
             store.result(base).unwrap().get(0, "v").unwrap().as_str(),
             Some("v6")
         );
-        // One drain shipped everything (base read + write).
         assert_eq!(e.stats().round_trips, 1);
         assert_eq!(
             e.query("SELECT v FROM t WHERE id = 6")
@@ -2311,8 +2144,8 @@ mod tests {
     #[test]
     fn read_your_writes_composes_overlays_in_write_order() {
         // Two same-key updates can only both be pending inside a silent
-        // transaction (outside one, write-after-write drains); the
-        // rewrite overlays their post-images in write order.
+        // transaction (outside one, write-after-write drains); a repeat
+        // after the block drains it and sees the later write.
         let e = env();
         let store = QueryStore::new(e.clone());
         store.register("SELECT v FROM t WHERE id = 7").unwrap();
@@ -2324,19 +2157,21 @@ mod tests {
             .register_stmt("UPDATE t SET v = 'second' WHERE id = 7")
             .unwrap();
         store.register_stmt("COMMIT").unwrap();
-        let r = store.register("SELECT v FROM t WHERE id = 7").unwrap();
         assert_eq!(e.stats().round_trips, 0);
+        let r = store.register("SELECT v FROM t WHERE id = 7").unwrap();
+        assert_eq!(e.stats().round_trips, 1);
+        assert_eq!(store.stats().batch_sizes, vec![6]);
         assert_eq!(
             store.result(r).unwrap().get(0, "v").unwrap().as_str(),
             Some("second"),
-            "later post-images overwrite earlier ones"
+            "the later write wins"
         );
     }
 
     #[test]
     fn read_your_writes_coerces_to_declared_column_type() {
-        // The overlay must store what the ENGINE would store: an integer
-        // literal written into a FLOAT column lands as a float.
+        // The repeat reads what the ENGINE stored: an integer literal
+        // written into a FLOAT column lands as a float.
         let e = SimEnv::default_env();
         e.seed_sql("CREATE TABLE m (id INT PRIMARY KEY, score FLOAT)")
             .unwrap();
@@ -2347,14 +2182,11 @@ mod tests {
             .register_stmt("UPDATE m SET score = 2 WHERE id = 1")
             .unwrap();
         let r = store.register("SELECT score FROM m WHERE id = 1").unwrap();
-        assert_eq!(store.stats().ryw_rewrites, 1);
-        let local = store.result(r).unwrap();
-        store.flush().unwrap();
+        assert_eq!(store.stats().conflict_drains, 1);
+        let drained = store.result(r).unwrap();
         let served = e.query("SELECT score FROM m WHERE id = 1").unwrap();
-        assert_eq!(
-            local.rows, served.rows,
-            "rewritten rows must be byte-identical to a real drain"
-        );
+        assert_eq!(drained.rows, served.rows);
+        assert_eq!(drained.get(0, "score"), Some(&sloth_sql::Value::Float(2.0)));
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Prepared {
 
     /// Runs `main(args…)` over an explicit data layer — how the serving
     /// harness runs one page per session against a shared deployment
-    /// (e.g. [`DataLayer::dispatched`] for the coalescing path).
+    /// (e.g. [`DataLayer::dispatched`] for a shared dispatcher).
     ///
     /// The data layer's mode must match the strategy: `Original` needs an
     /// immediate layer, `Sloth` a deferred one.

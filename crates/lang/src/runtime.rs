@@ -151,9 +151,7 @@ impl DataLayer {
     }
 
     /// Deferred (Sloth) data layer whose query store flushes through a
-    /// shared [`Dispatcher`] — the multi-session serving path: this
-    /// session's batches may coalesce with other sessions' batches into
-    /// one backend round trip.
+    /// shared [`Dispatcher`] — the multi-session serving path.
     pub fn dispatched(dispatcher: Arc<Dispatcher>, schema: Arc<Schema>) -> Self {
         DataLayer::over(QueryStore::dispatched(dispatcher), schema)
     }

@@ -31,9 +31,7 @@
 //!
 //! Execution records per-position results and stops at the first error,
 //! reporting its batch position — what lets a query store answer the
-//! reads that ran before a failing write, and the dispatcher split a
-//! failed *combined* (multi-session) dispatch back into exact per-session
-//! outcomes without re-executing writes that already applied.
+//! reads that ran before a failing write.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -88,8 +86,8 @@ pub(crate) struct BatchPlan<'a> {
 /// joining read.
 ///
 /// Footprints are read off the statements through `footprint`
-/// ([`crate::SimEnv::footprint`]: memoised, so a flush the query store or
-/// the dispatcher already analyzed is not analyzed again) and only when a
+/// ([`crate::SimEnv::footprint`]: memoised, so a flush the query store
+/// already analyzed is not analyzed again) and only when a
 /// write shares the batch with another statement the planner may reorder
 /// around it.
 pub(crate) fn plan_batch<'a>(

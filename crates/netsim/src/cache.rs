@@ -15,8 +15,8 @@
 //! A hit is legal iff **no overlapping write shipped since the entry was
 //! filled**. Invalidation therefore runs at the single point every write
 //! funnels through: batch settlement in the driver, which sees writes
-//! from this session, writes coalesced in from other sessions by the
-//! dispatcher, and writes whose results were replayed from the
+//! from this session, writes other sessions ship concurrently, and
+//! writes whose results were replayed from the
 //! at-most-once fault journal (a journaled write still *shipped*, so it
 //! still invalidates — exactly once, at its final surface). Overlap is
 //! decided by [`Footprint::writes_overlap`]: table-level when the write

@@ -71,7 +71,7 @@ pub enum FaultDecision {
     /// was lost, so the replay must be deduplicated by the journal.
     Slow(u64),
     /// Panic inside the driver before anything executes — exercises the
-    /// store's flush drop-guard and the dispatcher's leader unwind path.
+    /// store's flush drop-guard.
     Panic,
 }
 

@@ -23,9 +23,8 @@
 //!   fusion-aware scatter-gather router routes by (see [`shard`]). Its
 //!   handle **is** a [`SimEnv`], so the query store, ORM and
 //!   interpreters run unchanged on a fleet.
-//! * [`Dispatcher`] — the multi-session front door (see [`dispatch`]):
-//!   accepts batch flushes from concurrent sessions and opportunistically
-//!   coalesces them into one backend dispatch, SharedDB-style.
+//! * [`Dispatcher`] — the front door every session's flush enters (see
+//!   [`dispatch`]): it counts the flush and ships it.
 //! * [`NetStats`] — deterministic counters: round trips, queries, and time
 //!   split into network / database / application-server buckets, exactly the
 //!   decomposition of Fig. 8. Accumulation is saturating, so shared-clock
@@ -215,14 +214,14 @@ pub enum CacheMode {
     /// The degraded-session mode: a session that exhausted its retry
     /// budget no longer trusts locally cached answers — a cached answer
     /// cannot be trusted to postdate its lost batch's ambiguous writes —
-    /// and no longer coalesces (see [`dispatch::Dispatcher::ship`]).
+    /// and ships its batches as they are.
     Bypass,
 }
 
 /// What one batch execution produced, including the per-position fusion
-/// attribution the query store and the dispatcher need for their own
-/// statistics (race-free: derived from this batch's plan, not from global
-/// counter deltas another session could perturb).
+/// attribution the query store needs for its own statistics (race-free:
+/// derived from this batch's plan, not from global counter deltas another
+/// session could perturb).
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
     /// Per-position results; `None` for the failing statement and
@@ -245,11 +244,6 @@ pub struct BatchOutcome {
     pub segments: u64,
     /// Fused statements that crossed a disjoint-footprint write.
     pub cross_write_fused: u64,
-    /// Whether this batch shared its round trip with another session's
-    /// (only a [`Dispatcher`] combines batches; `segments` and
-    /// `cross_write_fused` are then `0` — they belong to the combined
-    /// batch, not to any one rider).
-    pub coalesced: bool,
 }
 
 impl BatchOutcome {
@@ -265,8 +259,8 @@ impl BatchOutcome {
             .collect())
     }
 
-    /// A batch of `n` statements abandoned whole (retry budget exhausted,
-    /// dispatch leader panicked): nothing answered, `e` at position 0.
+    /// A batch of `n` statements abandoned whole (retry budget
+    /// exhausted): nothing answered, `e` at position 0.
     fn abandoned(n: usize, e: SqlError) -> Self {
         BatchOutcome::unshipped(vec![None; n], Some((0, e)))
     }
@@ -566,19 +560,6 @@ impl SimEnv {
         }
     }
 
-    /// Declared type of `table.column`, if the table exists — the query
-    /// store's read-your-writes rewriter uses this to coerce overlay
-    /// values exactly as the engine's storage layer would (Int↔Float).
-    /// Answers lock-free from the published catalog.
-    pub fn column_type(&self, table: &str, column: &str) -> Option<sloth_sql::ast::ColumnType> {
-        self.store.catalog().table(table).and_then(|t| {
-            t.columns
-                .iter()
-                .find(|c| c.name.eq_ignore_ascii_case(column))
-                .map(|c| c.ty)
-        })
-    }
-
     /// The cost model in force.
     pub fn cost_model(&self) -> CostModel {
         self.cost
@@ -657,11 +638,10 @@ impl SimEnv {
 
     /// The [`Footprint`] of one statement, memoised in the statement (see
     /// [`Database::footprint`]): the first layer to ask — the query
-    /// store's deferral decision, the dispatcher's coalescing admission,
-    /// the result cache, the batch planner — resolves it through the
-    /// store's per-template footprint cache (lock-free, through the
-    /// published view, which shares the live database's cache); every
-    /// later layer reads it back.
+    /// store's deferral decision, the result cache, the batch planner —
+    /// resolves it through the store's per-template footprint cache
+    /// (lock-free, through the published view, which shares the live
+    /// database's cache); every later layer reads it back.
     pub fn footprint<'s>(&self, stmt: &'s Stmt) -> &'s Footprint {
         // Reading it back touches nothing shared between sessions.
         stmt.known_footprint()
@@ -730,7 +710,7 @@ impl SimEnv {
     ///
     /// This is what makes the multi-threaded throughput harness *real*:
     /// closed-loop clients block on the wire for real wall-clock time, and
-    /// batching/coalescing convert directly into measured pages/second.
+    /// batching converts directly into measured pages/second.
     ///
     /// The scale is stored in parts per million, so the sub-permille
     /// scales fast CI runs use (e.g. `1e-4`) still sleep instead of being
@@ -821,8 +801,8 @@ impl SimEnv {
     /// for that prefix (the wire was used either way). [`CacheMode`]
     /// decides whether the result cache may answer; the outcome also
     /// carries the per-position fusion attribution of this one batch —
-    /// what the query store and the dispatcher use to account their own
-    /// statistics without racing on the deployment-wide counters.
+    /// what the query store uses to account its own statistics without
+    /// racing on the deployment-wide counters.
     pub fn ship(&self, req: &BatchRequest<'_>) -> BatchOutcome {
         let n = req.stmts.len();
         if n == 0 {
@@ -890,7 +870,6 @@ impl SimEnv {
             fused_groups: exec.fused_groups,
             segments,
             cross_write_fused,
-            coalesced: false,
         }
     }
 
@@ -1129,8 +1108,8 @@ impl SimEnv {
             match decision {
                 fault::FaultDecision::Panic => {
                     // Injected inside the driver, before anything ships:
-                    // exercises the store's flush drop-guard and the
-                    // dispatcher's leader unwind. No locks are held.
+                    // exercises the store's flush drop-guard. No locks
+                    // are held.
                     self.fault().stats.injected_panics += 1;
                     panic!("injected fault: driver panic");
                 }
@@ -2752,27 +2731,28 @@ mod tests {
 
     #[test]
     fn a_coalesced_rider_keeps_its_references() {
+        // Two sessions ship chains of different depths through one shared
+        // dispatcher at once: each chain's references resolve within its
+        // own batch, one round trip each.
         let env = chain_env();
-        let d = std::sync::Arc::new(Dispatcher::with_stripes(
-            env.clone(),
-            std::time::Duration::ZERO,
-            1,
-        ));
-        d.set_hold_open(2);
+        let d = std::sync::Arc::new(Dispatcher::new(env.clone()));
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
         let riders: Vec<_> = [1u64, 3]
             .into_iter()
             .map(|depth| {
                 let d = std::sync::Arc::clone(&d);
-                std::thread::spawn(move || d.ship(&BatchRequest::new(&walk(depth))))
+                let barrier = std::sync::Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    d.ship(&BatchRequest::new(&walk(depth)))
+                })
             })
             .collect();
         for (rider, depth) in riders.into_iter().zip([1usize, 3]) {
-            let out = rider.join().unwrap();
-            assert!(out.coalesced);
-            let rs = out.into_results().unwrap();
+            let rs = rider.join().unwrap().into_results().unwrap();
             let last = rs.last().unwrap();
             assert_eq!(last.get(0, "id").unwrap().as_i64(), Some(depth as i64 + 1));
         }
-        assert_eq!(env.stats().round_trips, 1, "two chains, one combined trip");
+        assert_eq!(env.stats().round_trips, 2, "two chains, a trip each");
     }
 }

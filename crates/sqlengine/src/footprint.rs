@@ -3,9 +3,9 @@
 //!
 //! Sloth's promise is that *all* deferred statements — reads and writes —
 //! travel in as few round trips as possible. To let a flush that contains
-//! writes still ship (and fuse, and coalesce across sessions) as one round
-//! trip, the driver needs to know which statements can possibly observe or
-//! disturb each other. A [`Footprint`] answers that conservatively:
+//! writes still ship (and fuse) as one round trip, the driver needs to
+//! know which statements can possibly observe or disturb each other. A
+//! [`Footprint`] answers that conservatively:
 //!
 //! * every statement reports the tables it **reads** and the tables it
 //!   **writes**;
@@ -24,13 +24,14 @@
 //! post-image rows are covered, `OR`/`NOT` predicates pin nothing, and a
 //! column pinned in only one of the two accesses proves nothing.
 //!
-//! Used by `sloth-net`'s batch planner (fusion groups may cross a write
-//! only when their members' footprints are disjoint from every intervening
-//! write) and dispatcher (write-containing batches coalesce with other
-//! sessions' batches only when the batch footprints are pairwise
-//! disjoint).
+//! Used by `sloth-core`'s query store (a write defers, and a read joins a
+//! batch with deferred writes aboard, only when disjoint from them),
+//! `sloth-net`'s batch planner (fusion groups may cross a write only when
+//! their members' footprints are disjoint from every intervening write)
+//! and its result cache (a shipped write kills the cached reads it
+//! overlaps).
 
-use crate::ast::{BinOp, Expr, Projection, Statement, TableRef};
+use crate::ast::{BinOp, Expr, Statement, TableRef};
 use crate::error::SqlError;
 use crate::value::Value;
 
@@ -82,137 +83,9 @@ impl TxnFootprint {
     }
 
     /// The union footprint of everything absorbed so far (a barrier once
-    /// poisoned). This is what cross-session admission reasons about:
-    /// two silent transactions coalesce exactly when their unions are
-    /// disjoint.
+    /// poisoned).
     pub fn union(&self) -> &Footprint {
         &self.union
-    }
-}
-
-/// The key-pinned **post-image** of a deferred `UPDATE`: exactly which
-/// rows it touches (`pins` — every top-level conjunct an equality/IN
-/// pin) and the literal values it assigns (`sets`). A pending write
-/// whose post-image exists can answer a conflicting point read locally
-/// (overlay the sets onto the read's pending base result) instead of
-/// draining the batch. [`PostImage::of_sql`] returns `None` — and the
-/// store falls back to the conservative drain — whenever the statement
-/// is not key-exact: non-`UPDATE` writes, predicates with any
-/// `OR`/`NOT`/inequality/`LIKE` conjunct, or non-literal `SET`
-/// expressions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PostImage {
-    /// Updated table, lowercased.
-    pub table: String,
-    /// Exact equality pins of the pre-image rows: every top-level
-    /// conjunct of the predicate contributed one. Empty means the whole
-    /// table (an unfiltered `UPDATE` is still key-exact: it covers
-    /// every row).
-    pub pins: Vec<(String, Vec<Value>)>,
-    /// Literal column assignments, in statement order.
-    pub sets: Vec<(String, Value)>,
-}
-
-impl PostImage {
-    /// Extracts the post-image of one SQL string, if it is a key-exact
-    /// literal `UPDATE`.
-    pub fn of_sql(sql: &str) -> Option<PostImage> {
-        PostImage::of_stmt(&crate::parser::parse(sql).ok()?)
-    }
-
-    /// Extracts the post-image of a parsed statement.
-    pub fn of_stmt(stmt: &Statement) -> Option<PostImage> {
-        let Statement::Update {
-            table,
-            sets,
-            predicate,
-        } = stmt
-        else {
-            return None;
-        };
-        let pins = exact_pins(predicate.as_ref(), None)?;
-        let mut out = Vec::with_capacity(sets.len());
-        for (col, expr) in sets {
-            let Expr::Literal(v) = expr else { return None };
-            out.push((col.to_ascii_lowercase(), v.clone()));
-        }
-        Some(PostImage {
-            table: table.to_ascii_lowercase(),
-            pins,
-            sets: out,
-        })
-    }
-}
-
-/// The shape of a point read eligible for a read-your-writes rewrite:
-/// single table, no joins, a non-aggregate projection, and a predicate
-/// made entirely of exact equality/IN pins. `None` means the read is
-/// not key-exact and a conflict must drain instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReadShape {
-    /// Read table, lowercased.
-    pub table: String,
-    /// Exact equality pins: every top-level conjunct contributed one.
-    pub pins: Vec<(String, Vec<Value>)>,
-    /// Columns named in `ORDER BY` (an overlay must not disturb them,
-    /// or the row order of the rewritten result could diverge).
-    pub order_cols: Vec<String>,
-}
-
-impl ReadShape {
-    /// Extracts the shape of one SQL string, if it is a key-exact
-    /// single-table read.
-    pub fn of_sql(sql: &str) -> Option<ReadShape> {
-        let stmt = crate::parser::parse(sql).ok()?;
-        let Statement::Select(sel) = &stmt else {
-            return None;
-        };
-        if !sel.joins.is_empty() || matches!(sel.projection, Projection::Aggregate(_)) {
-            return None;
-        }
-        let pins = exact_pins(sel.predicate.as_ref(), Some(&sel.from))?;
-        Some(ReadShape {
-            table: sel.from.name.to_ascii_lowercase(),
-            pins,
-            order_cols: sel
-                .order_by
-                .iter()
-                .map(|k| k.column.column.to_ascii_lowercase())
-                .collect(),
-        })
-    }
-
-    /// Whether `post`'s rows provably cover **every** row of this read —
-    /// the read-your-writes legality condition. When it holds, the
-    /// update's `SET`s may be overlaid unconditionally onto the read's
-    /// base result (the identical read pending *before* the update):
-    ///
-    /// * same table;
-    /// * no `SET` column among the read's pin columns — an assignment
-    ///   there could move rows into or out of the read's row set
-    ///   (`UPDATE` widening), which an overlay cannot see;
-    /// * no `SET` column among the read's `ORDER BY` columns;
-    /// * every update pin is implied by a read pin: the read pins the
-    ///   same column to a subset of the update's values, so every row
-    ///   the read returns matches the update's predicate. An update
-    ///   with no pins covers the whole table, trivially covering the
-    ///   read.
-    pub fn covered_by(&self, post: &PostImage) -> bool {
-        if self.table != post.table {
-            return false;
-        }
-        for (col, _) in &post.sets {
-            if self.pins.iter().any(|(pc, _)| pc == col)
-                || self.order_cols.iter().any(|oc| oc == col)
-            {
-                return false;
-            }
-        }
-        post.pins.iter().all(|(col, wvals)| {
-            self.pins.iter().any(|(rc, rvals)| {
-                rc == col && rvals.iter().all(|rv| wvals.iter().any(|wv| wv.sql_eq(rv)))
-            })
-        })
     }
 }
 
@@ -544,69 +417,6 @@ fn collect_pins(
     }
 }
 
-/// The strict cousin of [`eq_pins`]: `Some(pins)` only when **every**
-/// top-level `AND` conjunct is an equality/IN pin on a literal — the
-/// predicate then selects exactly the rows the pins describe, nothing
-/// more. Any other conjunct (`OR`, `NOT`, inequality, `LIKE`,
-/// `IS NULL`, a non-literal operand) makes the row set inexact and
-/// returns `None`. No predicate is exact: it pins nothing and covers
-/// the whole table.
-fn exact_pins(pred: Option<&Expr>, base: Option<&TableRef>) -> Option<Vec<(String, Vec<Value>)>> {
-    let mut pins = Vec::new();
-    match pred {
-        None => Some(pins),
-        Some(p) => collect_exact(p, base, &mut pins).then_some(pins),
-    }
-}
-
-fn collect_exact(e: &Expr, base: Option<&TableRef>, pins: &mut Vec<(String, Vec<Value>)>) -> bool {
-    match e {
-        Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } => collect_exact(left, base, pins) && collect_exact(right, base, pins),
-        Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } => {
-            let (c, v) = match (&**left, &**right) {
-                (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => (c, v),
-                _ => return false,
-            };
-            if !qualifier_ok(c, base) {
-                return false;
-            }
-            pins.push((c.column.to_ascii_lowercase(), vec![v.clone()]));
-            true
-        }
-        Expr::InList { expr, list } => {
-            let Expr::Column(c) = &**expr else {
-                return false;
-            };
-            if !qualifier_ok(c, base) {
-                return false;
-            }
-            let vals: Option<Vec<Value>> = list
-                .iter()
-                .map(|item| match item {
-                    Expr::Literal(v) => Some(v.clone()),
-                    _ => None,
-                })
-                .collect();
-            match vals {
-                Some(vals) => {
-                    pins.push((c.column.to_ascii_lowercase(), vals));
-                    true
-                }
-                None => false,
-            }
-        }
-        _ => false,
-    }
-}
-
 /// A convenience for drivers: `Err` carries no footprint, so map parse
 /// failures to barriers via [`Footprint::of_sql`] instead.
 pub fn footprint_of(sql: &str) -> Result<Footprint, SqlError> {
@@ -795,10 +605,8 @@ mod tests {
         assert!(w.writes_overlap(&r.reads), "one shared member suffices");
     }
 
-    // Transaction-union footprints and read-your-writes post-image
-    // legality (PR 9). These edges decide when a pending UPDATE may
-    // answer a conflicting point read locally — each refusal boundary
-    // gets its own witness.
+    // Transaction-union footprints: the deferral unit of a silent
+    // `BEGIN … COMMIT` block.
 
     #[test]
     fn txn_footprint_unions_and_poisons() {
@@ -825,98 +633,6 @@ mod tests {
         assert!(txn
             .union()
             .conflicts_with(&fp("SELECT * FROM other WHERE id = 1")));
-    }
-
-    #[test]
-    fn post_image_requires_key_exact_literal_update() {
-        let p = PostImage::of_sql("UPDATE issue SET sev = 3, title = 'x' WHERE id = 7").unwrap();
-        assert_eq!(p.table, "issue");
-        assert_eq!(p.pins, vec![("id".to_string(), vec![Value::Int(7)])]);
-        assert_eq!(
-            p.sets,
-            vec![
-                ("sev".to_string(), Value::Int(3)),
-                ("title".to_string(), Value::Str("x".into())),
-            ]
-        );
-        // An unfiltered UPDATE is exact too: it covers every row.
-        assert!(PostImage::of_sql("UPDATE issue SET sev = 1")
-            .unwrap()
-            .pins
-            .is_empty());
-        // Non-key-exact shapes refuse: arithmetic SET, predicate with
-        // OR / inequality / LIKE, non-UPDATE writes.
-        for sql in [
-            "UPDATE issue SET sev = sev + 1 WHERE id = 7",
-            "UPDATE issue SET sev = 1 WHERE id = 7 OR id = 8",
-            "UPDATE issue SET sev = 1 WHERE id > 7",
-            "UPDATE issue SET sev = 1 WHERE title LIKE 'a%'",
-            "DELETE FROM issue WHERE id = 7",
-            "INSERT INTO issue (id) VALUES (7)",
-        ] {
-            assert!(PostImage::of_sql(sql).is_none(), "{sql}");
-        }
-    }
-
-    #[test]
-    fn read_shape_requires_key_exact_point_read() {
-        let r = ReadShape::of_sql("SELECT * FROM issue WHERE id = 7 AND sev = 1").unwrap();
-        assert_eq!(r.table, "issue");
-        assert_eq!(r.pins.len(), 2);
-        for sql in [
-            "SELECT * FROM issue WHERE id = 7 OR sev = 1",
-            "SELECT * FROM issue WHERE id > 7",
-            "SELECT COUNT(*) FROM issue WHERE id = 7",
-            "SELECT i.id FROM issue i JOIN project p ON i.pid = p.id WHERE i.id = 7",
-        ] {
-            assert!(ReadShape::of_sql(sql).is_none(), "{sql}");
-        }
-    }
-
-    #[test]
-    fn overlay_coverage_subset_and_in_list_pins() {
-        let read = ReadShape::of_sql("SELECT * FROM issue WHERE id = 7").unwrap();
-        // Exact pin match covers.
-        assert!(
-            read.covered_by(&PostImage::of_sql("UPDATE issue SET sev = 1 WHERE id = 7").unwrap())
-        );
-        // IN-list superset covers: every read row matches the update.
-        assert!(read.covered_by(
-            &PostImage::of_sql("UPDATE issue SET sev = 1 WHERE id IN (6, 7, 8)").unwrap()
-        ));
-        // Whole-table update covers any read of the table.
-        assert!(read.covered_by(&PostImage::of_sql("UPDATE issue SET sev = 1").unwrap()));
-        // Read pinned to a SUPERSET of the update's rows is not covered:
-        // some read rows would keep their old values.
-        let wide = ReadShape::of_sql("SELECT * FROM issue WHERE id IN (6, 7)").unwrap();
-        assert!(
-            !wide.covered_by(&PostImage::of_sql("UPDATE issue SET sev = 1 WHERE id = 7").unwrap())
-        );
-        // An update pinned on a column the read does not pin proves
-        // nothing about the read's rows.
-        assert!(!read.covered_by(
-            &PostImage::of_sql("UPDATE issue SET sev = 1 WHERE project_id = 2").unwrap()
-        ));
-        // Different table never covers.
-        assert!(!read.covered_by(&PostImage::of_sql("UPDATE project SET name = 'x'").unwrap()));
-    }
-
-    #[test]
-    fn overlay_refuses_update_widening_and_order_disturbance() {
-        // The update assigns one of the read's pin columns: rows could
-        // move into or out of the read's result set — refuse.
-        let read = ReadShape::of_sql("SELECT * FROM issue WHERE project_id = 2").unwrap();
-        assert!(!read.covered_by(
-            &PostImage::of_sql("UPDATE issue SET project_id = 3 WHERE project_id = 2").unwrap()
-        ));
-        // The update assigns an ORDER BY column: the rewritten result's
-        // row order could diverge — refuse.
-        let ordered = ReadShape::of_sql("SELECT * FROM issue WHERE id = 7 ORDER BY sev").unwrap();
-        assert!(!ordered
-            .covered_by(&PostImage::of_sql("UPDATE issue SET sev = 0 WHERE id = 7").unwrap()));
-        // The same update on a column outside pins and order keys is fine.
-        assert!(ordered
-            .covered_by(&PostImage::of_sql("UPDATE issue SET title = 'x' WHERE id = 7").unwrap()));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use engine::{
     Snapshot,
 };
 pub use error::SqlError;
-pub use footprint::{Footprint, PostImage, ReadShape, TableAccess, TxnFootprint};
+pub use footprint::{Footprint, TableAccess, TxnFootprint};
 pub use normalize::{normalize, parameterize, Normalized};
 pub use parser::parse;
 pub use shard::{shard_of, ShardSpec};
@@ -137,8 +137,7 @@ fn classify_cache() -> MutexGuard<'static, TemplateMap<bool>> {
 /// back to the lexer — skipping comments and wrapping parentheses the
 /// same way the engine does — because a `(SELECT …)` or comment-prefixed
 /// read misclassified as a write would flush the batch and kill
-/// fusion/coalescing for it (the old 6-byte prefix sniff did exactly
-/// that).
+/// fusion for it (the old 6-byte prefix sniff did exactly that).
 pub fn is_select_sql(sql: &str) -> bool {
     let head = sql.trim_start();
     if keyword_is(head, "SELECT") || keyword_is(head, "WITH") {
@@ -220,8 +219,8 @@ mod tests {
 
     /// The regression suite for the old 6-byte prefix sniff: parenthesized
     /// reads, comment-prefixed reads, CTE shapes and odd formatting must
-    /// all classify as reads (a misclassification silently forces solo
-    /// dispatch and kills fusion/coalescing for them).
+    /// all classify as reads (a misclassification silently flushes the
+    /// batch and kills fusion for them).
     #[test]
     fn classifier_handles_wrapped_and_commented_reads() {
         for sql in [

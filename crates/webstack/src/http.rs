@@ -81,9 +81,7 @@ struct Route {
 /// single funnel into [`Prepared::run_with`], which ends every request
 /// with the deferred-write drain.
 pub struct Router {
-    /// Every request's store flushes through this one dispatcher, so
-    /// concurrent requests' flushes (and whole deferred transactions)
-    /// may coalesce into combined backend dispatches.
+    /// Every request's store flushes through this one dispatcher.
     dispatcher: Arc<Dispatcher>,
     schema: Arc<Schema>,
     routes: BTreeMap<String, Route>,
@@ -154,7 +152,7 @@ impl Router {
     }
 
     /// A fresh per-request data layer (the request's session). An eager
-    /// page runs immediate — it has no store to coalesce.
+    /// page runs immediate — it has no store to flush.
     fn session(&self, lazy: bool) -> DataLayer {
         let schema = Arc::clone(&self.schema);
         if lazy {

@@ -419,10 +419,7 @@ fn dispatched_sessions_with_cache_match_serial_reference() {
     use std::sync::Barrier;
     let env = fresh_env();
     env.set_result_cache(true);
-    let dispatcher = Arc::new(Dispatcher::with_window(
-        env.clone(),
-        std::time::Duration::from_millis(15),
-    ));
+    let dispatcher = Arc::new(Dispatcher::new(env.clone()));
     let n = 4usize;
     let rows_per = 10i64;
     let barrier = Arc::new(Barrier::new(n));

@@ -14,8 +14,9 @@
 //! link did before dependent statements existed):
 //!
 //! fusion on / off × optimizations all / none × result cache (cold, warm,
-//! half-warm, invalidated mid-chain) × 1- / 4-shard fleet × two sessions
-//! coalescing in one dispatcher × drops, timeouts and journal replays.
+//! half-warm, invalidated mid-chain) × 1- / 4-shard fleet × two
+//! concurrent sessions on one dispatcher × drops, timeouts and journal
+//! replays.
 //!
 //! A second generator wraps such reads in a guard — `if (…) { body }` —
 //! whose arms' reads guard hoisting moves above the `if`: true and false
@@ -27,7 +28,7 @@
 //! Deterministic SplitMix64 cases (no third-party crates available);
 //! failures print the generating program.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use sloth_lang::{
     parse_program, prepare_with_schema, DataLayer, ExecStrategy, OptFlags, RunResult, V,
@@ -688,12 +689,11 @@ fn chains_on_a_fleet() {
     }
 }
 
-/// Two sessions, one dispatcher: chains from different pages concatenate
-/// into one combined dispatch, each reference following its own parent.
+/// Two sessions, one dispatcher, started together: each session's chains
+/// ship in its own flushes, each reference following its own parent.
 #[test]
 fn chains_from_two_coalescing_sessions() {
     let schema = schema();
-    let mut coalesced = 0u64;
     for case in 0..24 {
         // Read-only pages: what two sessions may do to each other's rows
         // is the dispatcher suites' subject, not this one's.
@@ -705,20 +705,18 @@ fn chains_from_two_coalescing_sessions() {
             })
             .collect();
         let env = single();
-        let dispatcher = Arc::new(Dispatcher::with_stripes(
-            env.clone(),
-            std::time::Duration::ZERO,
-            1,
-        ));
-        dispatcher.set_hold_open(2);
+        let dispatcher = Arc::new(Dispatcher::new(env.clone()));
+        let start = Barrier::new(pages.len());
         std::thread::scope(|scope| {
             for (p, want) in &pages {
                 let dispatcher = Arc::clone(&dispatcher);
                 let schema = Arc::clone(&schema);
+                let start = &start;
                 scope.spawn(move || {
                     let program = parse_program(&p.chained).unwrap();
                     let prepared = prepare_with_schema(&program, SLOTH, Some(&schema));
                     let data = DataLayer::dispatched(dispatcher, schema);
+                    start.wait();
                     let got = match prepared.run_with(data, vec![V::Int(0)]) {
                         Ok(r) => Ok(r.output),
                         Err(e) => Err(e.message),
@@ -727,9 +725,9 @@ fn chains_from_two_coalescing_sessions() {
                 });
             }
         });
-        coalesced += dispatcher.stats().coalesced_batches;
+        let d = dispatcher.stats();
+        assert_eq!(d.flushes, env.stats().round_trips, "case {case}");
     }
-    assert!(coalesced > 0, "sessions did share dispatches");
 }
 
 /// Dropped requests, timeouts and journal replays: a replayed chain

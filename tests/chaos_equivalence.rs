@@ -358,8 +358,8 @@ fn exhausted_session_degrades_then_keeps_serving() {
 }
 
 /// Multi-session chaos through the shared dispatcher: sessions with
-/// disjoint row ranges coalesce under a faulty network, and every write
-/// still lands exactly once.
+/// disjoint row ranges flush at once under a faulty network, and every
+/// write still lands exactly once.
 #[test]
 fn dispatched_sessions_survive_chaos_with_exact_once_effects() {
     use std::sync::Barrier;
@@ -368,10 +368,7 @@ fn dispatched_sessions_survive_chaos_with_exact_once_effects() {
     env.set_faults(Some(
         FaultPlan::seeded(0x159A7C4).drops(100).timeouts(50, 8),
     ));
-    let dispatcher = Arc::new(Dispatcher::with_window(
-        env.clone(),
-        std::time::Duration::from_millis(15),
-    ));
+    let dispatcher = Arc::new(Dispatcher::new(env.clone()));
     let n = 4usize;
     let rows_per = 10i64;
     let barrier = Arc::new(Barrier::new(n));

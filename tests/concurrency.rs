@@ -1,12 +1,12 @@
 //! Concurrent multi-session serving: end-to-end tests of the thread-safe
 //! driver core across the Rust-level stack (`sloth-orm` sessions +
-//! `sloth-web` rendering on shared deployments, with and without the
-//! cross-session [`Dispatcher`]).
+//! `sloth-web` rendering on shared deployments, with and without a shared
+//! [`Dispatcher`]).
 //!
 //! The invariant under test everywhere: at equal inputs, a page rendered
 //! by a session on a shared concurrent deployment is bit-identical to the
-//! same page rendered alone — batching, fusion and cross-session
-//! coalescing are performance features, never semantic ones.
+//! same page rendered alone — batching and fusion are performance
+//! features, never semantic ones.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -123,10 +123,7 @@ fn concurrent_sessions_through_dispatcher_coalesce_with_equal_pages() {
     let schema = clinic_schema();
     let patients = 12i64;
     let env = seeded_env(&schema, patients);
-    let dispatcher = Arc::new(Dispatcher::with_window(
-        env.clone(),
-        Duration::from_millis(5),
-    ));
+    let dispatcher = Arc::new(Dispatcher::new(env.clone()));
     let expected: Vec<String> = (1..=patients)
         .map(|pid| reference_page(&schema, patients, pid))
         .collect();
@@ -159,15 +156,7 @@ fn concurrent_sessions_through_dispatcher_coalesce_with_equal_pages() {
     }
     let d = dispatcher.stats();
     assert_eq!(d.flushes, 8 * 8 * 2, "two flushes per page");
-    assert!(
-        d.dispatches < d.flushes,
-        "concurrent flushes must share round trips: {d:?}"
-    );
-    assert!(d.coalesced_batches > 0, "{d:?}");
-    assert!(
-        d.cross_session_fused_queries > 0,
-        "same-template lookups from different sessions fuse: {d:?}"
-    );
+    assert_eq!(d.dispatches, d.flushes, "every flush is one dispatch");
     assert_eq!(env.stats().round_trips, d.dispatches);
 }
 
@@ -188,11 +177,11 @@ fn dispatcher_matches_serial_at_one_session() {
             render_dashboard(&dispatched, pid)
         );
     }
-    // Bit-identical driver behaviour: same trips, same statements, and no
-    // coalescing ever happened.
+    // Bit-identical driver behaviour: same trips, same statements, one
+    // dispatcher flush per trip.
     assert_eq!(env_direct.stats().round_trips, env_disp.stats().round_trips);
     assert_eq!(env_direct.stats().queries, env_disp.stats().queries);
-    assert_eq!(dispatcher.stats().coalesced_batches, 0);
+    assert_eq!(dispatcher.stats().flushes, env_disp.stats().round_trips);
 }
 
 /// Satellite: the 512-entry plan-cache bound, exercised through two
@@ -245,22 +234,17 @@ fn plan_cache_shared_by_two_sessions_hits_and_evicts() {
     );
 }
 
-/// The write-mixed dispatcher equivalence suite (the release concurrency
-/// gate): concurrent sessions interleave read-only dashboards with
+/// The write-mixed multi-session suite (the release concurrency gate):
+/// concurrent sessions interleave read-only dashboards with
 /// **write-containing flushes** through one shared dispatcher. Each
-/// session owns a disjoint key range, so its batches are footprint-
-/// disjoint from every other session's and eligible for cross-session
-/// coalescing — and every page and every write must still come out
-/// bit-identical to the serial reference.
+/// session owns a disjoint key range, and every page and every write
+/// must come out bit-identical to the serial reference.
 #[test]
 fn dispatched_write_mix_matches_serial_reference() {
     let schema = clinic_schema();
     let patients = 12i64;
     let env = seeded_env(&schema, patients);
-    let dispatcher = Arc::new(Dispatcher::with_window(
-        env.clone(),
-        Duration::from_millis(5),
-    ));
+    let dispatcher = Arc::new(Dispatcher::new(env.clone()));
     let n = 6usize;
     let rounds = 5i64;
     let barrier = Arc::new(Barrier::new(n));
@@ -331,14 +315,7 @@ fn dispatched_write_mix_matches_serial_reference() {
         }
     }
     let d = dispatcher.stats();
-    assert_eq!(
-        d.solo_writes, 0,
-        "disjoint write batches are admitted: {d:?}"
-    );
-    assert!(
-        d.dispatches <= d.flushes,
-        "write admission must not inflate dispatches: {d:?}"
-    );
+    assert_eq!(d.dispatches, d.flushes, "{d:?}");
 }
 
 /// A writer stalled mid-commit: a thread parked inside [`SimEnv::seed`] —
@@ -575,8 +552,8 @@ fn sharded_snapshot_reads_overlap_a_held_commit() {
 /// sessions render dashboards over a never-written key range (checked
 /// byte-for-byte against serial references) while thirty-two writer
 /// sessions mix footprint-disjoint row updates with inserts into one
-/// shared table (conflicting footprints that must serialize through
-/// admission). A monitor thread snapshots env + dispatcher stats
+/// shared table (conflicting footprints that the versioned store
+/// serialises at admission). A monitor thread snapshots env + dispatcher stats
 /// throughout and requires every counter to be monotone — no torn or
 /// backwards reads under contention. Afterwards every write must have
 /// landed exactly once.
@@ -590,10 +567,7 @@ fn stress_64_sessions_mixed_footprints_match_serial_references() {
     let env = seeded_env(&schema, patients);
     env.seed_sql("CREATE TABLE audit_log (id INT PRIMARY KEY, tag TEXT)")
         .unwrap();
-    let dispatcher = Arc::new(Dispatcher::with_window(
-        env.clone(),
-        Duration::from_millis(1),
-    ));
+    let dispatcher = Arc::new(Dispatcher::new(env.clone()));
     let expected: Vec<String> = (1..=read_pids)
         .map(|pid| reference_page(&schema, patients, pid))
         .collect();
@@ -729,6 +703,6 @@ fn stress_64_sessions_mixed_footprints_match_serial_references() {
     assert_eq!(ids, deduped, "no insert was applied twice");
 
     let d = dispatcher.stats();
-    assert!(d.dispatches < d.flushes, "coalescing happened: {d:?}");
-    assert!(d.coalesced_batches > 0, "{d:?}");
+    assert_eq!(d.dispatches, d.flushes, "{d:?}");
+    assert!(d.flushes > 0, "{d:?}");
 }

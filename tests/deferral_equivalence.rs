@@ -346,17 +346,14 @@ fn trailing_failing_write_matches_serial_prefix() {
 }
 
 /// Multi-session deferral through the shared dispatcher: sessions with
-/// disjoint row ranges defer their writes, coalesce, and every effect
+/// disjoint row ranges defer their writes, flush at once, and every effect
 /// applies exactly once — per-session results identical to each
 /// session's own serial reference.
 #[test]
 fn dispatched_sessions_defer_with_exact_once_effects() {
     use std::sync::Barrier;
     let env = fresh_env();
-    let dispatcher = Arc::new(Dispatcher::with_window(
-        env.clone(),
-        std::time::Duration::from_millis(15),
-    ));
+    let dispatcher = Arc::new(Dispatcher::new(env.clone()));
     let n = 4usize;
     let rows_per = 10i64;
     let barrier = Arc::new(Barrier::new(n));

@@ -350,10 +350,7 @@ fn failing_read_batches_snapshot_matches_serial_error() {
 fn dispatched_readers_on_snapshots_match_serial_under_writers() {
     use std::sync::Barrier;
     let env = fresh_env();
-    let dispatcher = Arc::new(Dispatcher::with_window(
-        env.clone(),
-        std::time::Duration::from_millis(5),
-    ));
+    let dispatcher = Arc::new(Dispatcher::new(env.clone()));
     let readers = 4usize;
     let writers = 2usize;
     let barrier = Arc::new(Barrier::new(readers + writers));
