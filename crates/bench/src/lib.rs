@@ -484,6 +484,10 @@ mod tests {
                 r.overhead_pct()
             );
         }
+        // Order status's lines ride the flush its `nrows(o) > 0` forces:
+        // one trip a transaction.
+        let status = rows.iter().find(|r| r.name == "Order status").unwrap();
+        assert_eq!((status.orig_trips, status.sloth_trips), (15, 5));
     }
 
     #[test]

@@ -1822,7 +1822,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_dispatched_sessions_coalesce() {
+    fn concurrent_dispatched_sessions_each_ship_their_own_batch() {
         // Four sessions on one shared dispatcher force their batches at
         // once: each gets its own rows, in one round trip of its own.
         use sloth_net::Dispatcher;

@@ -168,8 +168,23 @@ impl Builtin {
     }
 }
 
+/// The two callees guard hoisting writes for a `query(text)` under an
+/// `if (nrows(q) > 0)`: above the `if`, `GUARDED_READ(q, column, head,
+/// tail)` registers `head + str(cell(q, 0, column)) + tail` as a dependant
+/// of `q`; where the query stood, `GUARDED_QUERY(read, text)` is the query,
+/// answered by `read` when it ran `text` itself. The lexer cannot spell
+/// either name, so no source program calls them; `resolve` lowers each to
+/// a form of its own.
+pub(crate) const GUARDED_READ: &str = "read@guarded";
+/// See [`GUARDED_READ`].
+pub(crate) const GUARDED_QUERY: &str = "query@guarded";
+
 /// Looks up a builtin's kind by name; `None` means a user-defined function.
+/// The two guard-hoisting callees are queries.
 pub fn builtin_kind(name: &str) -> Option<BuiltinKind> {
+    if name == GUARDED_READ || name == GUARDED_QUERY {
+        return Some(BuiltinKind::Query);
+    }
     Builtin::from_name(name).map(Builtin::kind)
 }
 
@@ -203,6 +218,10 @@ mod tests {
         assert_eq!(builtin_kind("my_user_fn"), None);
         assert_eq!(Builtin::from_name("nrows"), Builtin::from_name("len"));
         assert_eq!(Builtin::from_name("log"), Some(Builtin::External));
+        for name in [GUARDED_READ, GUARDED_QUERY] {
+            assert_eq!(builtin_kind(name), Some(BuiltinKind::Query));
+            assert_eq!(Builtin::from_name(name), None);
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! 1. **its names resolve in the schema** — entity, column and association
 //!    arguments are string literals the prepare-time schema knows, so the
 //!    generated SQL cannot fail: a failing position stops its batch, and
-//!    the condition's own reads ride that batch. Raw `query(…)` text is
-//!    never moved, and without a schema nothing is;
+//!    the condition's own reads ride that batch. Raw `query(…)` text moves
+//!    only as a guarded read (below), and without a schema nothing moves;
 //! 2. **its key is known before the `if`, without a round trip** — a
 //!    literal, or a variable bound before the `if` that no earlier
 //!    statement of the arm assigns and that holds a plain value (every
@@ -54,6 +54,40 @@
 //! The read is moved, never duplicated: the store only deduplicates a
 //! statement while it is still pending, so a second registration inside
 //! the arm after the condition's flush would cost a trip of its own.
+//!
+//! **Guarded reads.** One raw read rides the condition's flush too: in the
+//! then-arm of an `if (nrows(q) > 0)`, the first `query(T)` whose text `T`
+//! is literal around one `str(x)`, `x` being `cell(q, 0, "c")`. Its
+//! registration moves: `let h = `[`GUARDED_READ`]`(q, "c", head, tail)`
+//! ahead of the `if` registers `head + str(cell(q, 0, "c")) + tail` as a
+//! dependant of `q`, which the binder fills from `q`'s first row in the
+//! same trip. The call stays where it stood, as
+//! [`GUARDED_QUERY`]`(h, T)`: it builds `T` as `query` does and takes
+//! `h`'s rows when `h` ran exactly `T` and succeeded, else reads `T`
+//! there. Four rules make that sound:
+//!
+//! 1. **the guard is exactly `nrows(q) > 0`** (`len` is the same builtin),
+//!    through the temporaries simplification binds, with `q` a raw `query`
+//!    bound before the `if` in its block and none of them assigned again
+//!    before it. Then "`q` has a row" is exactly "the arm runs", and the
+//!    binder runs the read only when `q` has a row — only when the eager
+//!    program runs it. The condition registers nothing, and the read goes
+//!    last of all the `if` moves, so it is the last position of the flush
+//!    the condition forces: a read that fails there stops no other;
+//! 2. **`x`'s binding is in the arm** and names a literal column of row 0,
+//!    with `q` not assigned in the arm before it or before the query, so
+//!    the read predicts the text the query builds. Nothing else moves: the
+//!    key's binding and the text's temporaries stay for the query;
+//! 3. **rules 3 and 5 above hold**: no write first in the arm, no earlier
+//!    write to the tables named before the splice (`writedefer`'s prefix
+//!    footprint — text naming none never moves) and no writing condition,
+//!    so nothing writes between the read and the query it answers;
+//! 4. **the rows a query takes are those of its own text.** The binder
+//!    splices the parent's cell as its SQL literal, which is the text
+//!    `str` makes of an integer but not of a string or `NULL`: the query
+//!    compares the two texts byte for byte. One that differs, or a read
+//!    that failed, is read again where the program issues it, so a
+//!    failure surfaces in program order, as `cell`'s and `query`'s do.
 
 use std::collections::{HashMap, HashSet};
 
@@ -61,7 +95,7 @@ use sloth_orm::{AssocKind, Schema};
 use sloth_sql::{Footprint, TableAccess};
 
 use crate::ast::*;
-use crate::builtins::{Builtin, BuiltinKind, HeapFn};
+use crate::builtins::{Builtin, BuiltinKind, HeapFn, GUARDED_QUERY, GUARDED_READ};
 use crate::opt::count_occurrences_pub as count_mentions;
 use crate::writedefer::literal_call_footprint;
 
@@ -374,6 +408,137 @@ struct Scan<'s> {
     assigned: HashSet<String>,
     /// Moved single-row reads, by name.
     owners: HashMap<String, Owner>,
+    /// In the then-arm of an `if (nrows(rows) > 0)`: `rows`.
+    rows: Option<String>,
+    /// Names the arm has bound to a value built from the first row of
+    /// `rows`, and bound nothing since.
+    known: HashMap<String, Known>,
+}
+
+/// A value built from the first row of a guard's result set.
+#[derive(Debug, Clone)]
+enum Known {
+    /// `cell(rows, 0, column)`.
+    Cell(String),
+    /// Literal text.
+    Text(String),
+    /// Literal text around `str(cell(rows, 0, column))`.
+    Splice {
+        head: String,
+        column: String,
+        tail: String,
+    },
+}
+
+impl Known {
+    /// `self + other`, when both are text and at most one is spliced.
+    fn concat(self, other: Known) -> Option<Known> {
+        Some(match (self, other) {
+            (Known::Text(a), Known::Text(b)) => Known::Text(a + &b),
+            (Known::Text(a), Known::Splice { head, column, tail }) => Known::Splice {
+                head: a + &head,
+                column,
+                tail,
+            },
+            (Known::Splice { head, column, tail }, Known::Text(b)) => Known::Splice {
+                head,
+                column,
+                tail: tail + &b,
+            },
+            _ => return None,
+        })
+    }
+}
+
+impl Scan<'_> {
+    /// What `e` is, evaluated at the current statement.
+    fn known(&self, e: &Expr) -> Option<Known> {
+        let rows = self.rows.as_deref()?;
+        match e {
+            Expr::Var(v) => self.known.get(v).cloned(),
+            Expr::Lit(Lit::Str(s)) => Some(Known::Text(s.clone())),
+            Expr::Binary(BinOp::Add, a, b) => self.known(a)?.concat(self.known(b)?),
+            Expr::Call(f, args) => match (f.as_str(), &args[..]) {
+                ("cell", [Expr::Var(r), Expr::Lit(Lit::Int(0)), Expr::Lit(Lit::Str(c))])
+                    if r == rows && !self.assigned.contains(rows) =>
+                {
+                    Some(Known::Cell(c.clone()))
+                }
+                ("str", [x]) => match self.known(x)? {
+                    Known::Cell(column) => Some(Known::Splice {
+                        head: String::new(),
+                        column,
+                        tail: String::new(),
+                    }),
+                    text => Some(text),
+                },
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// The guarded read that may answer `query(args)`: its text is literal
+    /// around `str(cell(rows, 0, c))`, `rows` is still the guard's, and no
+    /// earlier write touches the tables named before the splice.
+    fn guarded(&self, args: &[Expr]) -> Option<Expr> {
+        let rows = self.rows.as_deref()?;
+        let [text] = args else { return None };
+        let Known::Splice { head, column, tail } = self.known(text)? else {
+            return None;
+        };
+        if self.assigned.contains(rows) {
+            return None;
+        }
+        let lit = |s| Expr::Lit(Lit::Str(s));
+        let args = vec![Expr::Var(rows.into()), lit(column), lit(head), lit(tail)];
+        let fp = literal_call_footprint(GUARDED_READ, &args, None)?;
+        (!fp.conflicts_with(self.written)).then(|| Expr::Call(GUARDED_READ.into(), args))
+    }
+}
+
+/// `rows` when `c`, an `if`'s condition after the statements `before`
+/// of its block, is `nrows(rows) > 0` (`len` is the same builtin) and
+/// `rows` holds a raw `query` — following the temporaries simplification
+/// binds, with neither they nor `rows` assigned again before the `if`.
+fn guarded_rows(c: &Expr, before: &[Stmt]) -> Option<String> {
+    // `e`, or the expression the variable `e` was last bound to ahead of
+    // `end`; and where that expression was evaluated.
+    fn value<'a>(e: &'a Expr, before: &'a [Stmt], end: usize) -> Option<(&'a Expr, usize)> {
+        match e {
+            Expr::Var(v) => binding(v, &before[..end]),
+            e => Some((e, end)),
+        }
+    }
+    let (Expr::Binary(BinOp::Gt, count, zero), at) = value(c, before, before.len())? else {
+        return None;
+    };
+    let (Expr::Call(f, args), at) = value(count, before, at)? else {
+        return None;
+    };
+    let (true, Expr::Lit(Lit::Int(0)), [Expr::Var(rows)]) =
+        (f == "nrows" || f == "len", &**zero, &args[..])
+    else {
+        return None;
+    };
+    let (Expr::Call(query, _), bound_at) = binding(rows, before)? else {
+        return None;
+    };
+    (query == "query" && bound_at < at).then(|| rows.clone())
+}
+
+/// The expression `name` was last bound to at the top level of `before`,
+/// and its position — `None` when it was not, or was assigned again
+/// inside a later statement.
+fn binding<'a>(name: &str, before: &'a [Stmt]) -> Option<(&'a Expr, usize)> {
+    for (k, s) in before.iter().enumerate().rev() {
+        match s {
+            Stmt::Let(n, e) | Stmt::Assign(LValue::Var(n), e) if n == name => return Some((e, k)),
+            s if assigned_names(s).iter().any(|n| n == name) => return None,
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Rewrites one function's `if`s.
@@ -395,14 +560,19 @@ impl Hoister<'_, '_> {
         let mut bound = bound.clone();
         let mut written = written.clone();
         let mut out = Vec::with_capacity(stmts.len());
-        for s in stmts {
+        for (i, s) in stmts.iter().enumerate() {
             let fx = self.hoist.effects(s);
             if let Stmt::If(c, t, e) = s {
                 let mut t = self.block(t, &bound, &written);
                 let mut e = self.block(e, &bound, &written);
                 if !self.hoist.effects(&Stmt::ExprStmt(c.clone())).writes_db() {
-                    t = self.arm(t, &bound, &written, &mut out);
-                    e = self.arm(e, &bound, &written, &mut out);
+                    let rows = guarded_rows(c, &stmts[..i]);
+                    let guarded;
+                    (t, guarded) = self.arm(t, &bound, &written, rows, &mut out);
+                    (e, _) = self.arm(e, &bound, &written, None, &mut out);
+                    // Last of all, so a splice that fails stops no other
+                    // position of the batch the condition ships.
+                    out.extend(guarded);
                 }
                 out.push(Stmt::If(c.clone(), t, e));
             } else {
@@ -417,14 +587,17 @@ impl Hoister<'_, '_> {
     }
 
     /// Scans one arm, appending what moves to `before` (the statements
-    /// ahead of the `if`) and returning what stays.
+    /// ahead of the `if`) and returning what stays — and, for the
+    /// then-arm of an `if (nrows(rows) > 0)`, the guarded read to register
+    /// after them.
     fn arm(
         &mut self,
         arm: Vec<Stmt>,
         bound: &HashSet<String>,
         written: &Footprint,
+        rows: Option<String>,
         before: &mut Vec<Stmt>,
-    ) -> Vec<Stmt> {
+    ) -> (Vec<Stmt>, Option<Stmt>) {
         let mut inside = HashMap::new();
         count_mentions(&arm, &mut inside);
         // How often the arm's statements so far mention each name.
@@ -434,10 +607,13 @@ impl Hoister<'_, '_> {
             written,
             assigned: HashSet::new(),
             owners: HashMap::new(),
+            rows,
+            known: HashMap::new(),
         };
+        let mut guarded = None;
         let mut kept = Vec::with_capacity(arm.len());
         let mut rest = arm.into_iter();
-        for s in rest.by_ref() {
+        for mut s in rest.by_ref() {
             let fx = self.hoist.effects(&s);
             if fx.writes_db() {
                 kept.push(s);
@@ -467,7 +643,39 @@ impl Hoister<'_, '_> {
                 }
                 _ => None,
             };
+            let splice = match &s {
+                Stmt::Let(_, Expr::Call(f, args)) | Stmt::Assign(_, Expr::Call(f, args))
+                    if f == "query" && guarded.is_none() =>
+                {
+                    scan.guarded(args)
+                }
+                _ => None,
+            };
+            let value = match &s {
+                Stmt::Let(name, e) | Stmt::Assign(LValue::Var(name), e) => {
+                    scan.known(e).map(|k| (name.clone(), k))
+                }
+                _ => None,
+            };
+            for name in &names {
+                scan.known.remove(name);
+            }
+            scan.known.extend(value);
             scan.assigned.extend(names);
+            if let Some(read) = splice {
+                // The read registers ahead of the `if`; the query stays,
+                // to take its answer.
+                let temp = self.fresh();
+                if let Stmt::Let(_, Expr::Call(f, args)) | Stmt::Assign(_, Expr::Call(f, args)) =
+                    &mut s
+                {
+                    *f = GUARDED_QUERY.into();
+                    args.insert(0, Expr::Var(temp.clone()));
+                }
+                guarded = Some(Stmt::Let(temp, read));
+                kept.push(s);
+                continue;
+            }
             let Some(one_row_of) = moved else {
                 kept.push(s);
                 continue;
@@ -490,7 +698,7 @@ impl Hoister<'_, '_> {
             }
         }
         kept.extend(rest);
-        kept
+        (kept, guarded)
     }
 
     /// Whether the read `f(args)` may move above the `if`: `Some` with the
@@ -915,6 +1123,224 @@ mod tests {
         fn main(u) { section(u); }"#;
         let p = simplify_program(&parse_program(src).unwrap());
         assert_eq!(hoisted(&p), p);
+    }
+
+    /// Order status's shape: `pre` before the `if (guard)`, whose then-arm
+    /// binds `key`, runs `arm`, reads `lines` by `text` and prints both;
+    /// the else-arm holds an ORM read, and `post` follows the `if`.
+    #[derive(Debug, Clone, Copy)]
+    struct Page {
+        pre: &'static str,
+        guard: &'static str,
+        key: &'static str,
+        arm: &'static str,
+        text: &'static str,
+        post: &'static str,
+    }
+
+    const PAGE: Page = Page {
+        pre: "",
+        guard: "nrows(o) > 0",
+        key: r#"let oid = cell(o, 0, "o_id");"#,
+        arm: "",
+        text: r#""SELECT i_id FROM order_line WHERE o_id = " + str(oid) + " ORDER BY i_id""#,
+        post: "",
+    };
+
+    impl Page {
+        fn src(self) -> String {
+            let Page {
+                pre,
+                guard,
+                key,
+                arm,
+                text,
+                post,
+            } = self;
+            format!(
+                r#"fn main(u) {{
+                    let o = query("SELECT o_id FROM orders WHERE c_id = " + str(u));
+                    {pre}
+                    if ({guard}) {{
+                        {key}
+                        {arm}
+                        let lines = query({text});
+                        print(str(oid)); print(lines);
+                    }} else {{
+                        let b = orm_find("role", 1);
+                        print(b);
+                    }}
+                    {post}
+                }}"#
+            )
+        }
+
+        fn moved(self) -> Vec<String> {
+            moved(&self.src())
+        }
+    }
+
+    /// The names the then-arm binds to a query a guarded read answers.
+    fn answered(page: Page) -> Vec<String> {
+        let (_, then) = split(&page.src());
+        let query = |e: &Expr| matches!(e, Expr::Call(f, _) if f == GUARDED_QUERY);
+        then.iter()
+            .filter_map(|s| match s {
+                Stmt::Let(x, e) if query(e) => Some(x.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_spliced_read_under_a_row_guard_registers_last_ahead_of_its_if() {
+        let page = Page {
+            arm: r#"let a = orm_find("user", 1); print(a);"#,
+            ..PAGE
+        };
+        assert_eq!(page.moved(), ["a", "b", "__h0"]);
+        let (ahead, then) = split(&page.src());
+        let lit = |s: &str| Expr::Lit(Lit::Str(s.into()));
+        let read = Expr::Call(
+            GUARDED_READ.into(),
+            vec![
+                Expr::Var("o".into()),
+                lit("o_id"),
+                lit("SELECT i_id FROM order_line WHERE o_id = "),
+                lit(" ORDER BY i_id"),
+            ],
+        );
+        assert_eq!(ahead[2], Stmt::Let("__h0".into(), read));
+        // The key's binding stays in the arm, and so does the query, now
+        // answered by the read.
+        assert!(then
+            .iter()
+            .any(|s| matches!(s, Stmt::Let(x, _) if x == "oid")));
+        let query = then.iter().find_map(|s| match s {
+            Stmt::Let(x, Expr::Call(f, args)) if x == "lines" => Some((f, args)),
+            _ => None,
+        });
+        let (f, args) = query.unwrap();
+        assert_eq!(
+            (f.as_str(), &args[0]),
+            (GUARDED_QUERY, &Expr::Var("__h0".into()))
+        );
+        assert_eq!(answered(page), ["lines"]);
+
+        // `len` is `nrows`, a guard bound to names first is the same guard,
+        // and literal text may come in pieces.
+        for page in [
+            Page {
+                guard: "len(o) > 0",
+                ..PAGE
+            },
+            Page {
+                pre: "let n = nrows(o); let g = n > 0;",
+                guard: "g",
+                ..PAGE
+            },
+            Page {
+                text: r#""SELECT i_id FROM order_line " + "WHERE o_id = " + str(oid)"#,
+                ..PAGE
+            },
+        ] {
+            assert_eq!(page.moved(), ["b", "__h0"], "{page:?}");
+        }
+    }
+
+    #[test]
+    fn only_a_row_guard_on_an_unchanged_raw_query_moves_a_splice() {
+        for guard in [
+            "nrows(o) > 1",
+            "nrows(o) >= 1",
+            "0 < nrows(o)",
+            "nrows(o) != 0",
+            "u > 0",
+        ] {
+            assert_eq!(Page { guard, ..PAGE }.moved(), ["b"], "{guard}");
+        }
+        for (pre, guard) in [
+            // `o` changes after the guard reads it, or on some path.
+            (
+                r#"let n = nrows(o); o = query("SELECT o_id FROM orders"); let g = n > 0;"#,
+                "g",
+            ),
+            (
+                r#"if (u > 9) { o = query("SELECT o_id FROM orders"); }"#,
+                "nrows(o) > 0",
+            ),
+            // The guard's name changes before the `if`.
+            ("let g = nrows(o) > 0; g = u > 1;", "g"),
+            // Rows that are not a raw query's.
+            (r#"o = orm_find_all("role");"#, "nrows(o) > 0"),
+        ] {
+            assert_eq!(Page { pre, guard, ..PAGE }.moved(), ["b"], "{pre}");
+        }
+    }
+
+    #[test]
+    fn the_splice_is_str_of_a_row_zero_cell_bound_in_the_arm() {
+        for arm in [
+            // `o` or the key changes in the arm before the read.
+            r#"o = query("SELECT o_id FROM orders");"#,
+            "oid = 7;",
+            "if (u > 1) { oid = 8; }",
+        ] {
+            assert_eq!(Page { arm, ..PAGE }.moved(), ["b"], "{arm}");
+        }
+        for key in [
+            r#"let oid = cell(o, 1, "o_id");"#,
+            r#"let oid = cell(o, u, "o_id");"#,
+            "let oid = cell(o, 0, u);",
+            "let oid = u;",
+            "let oid = first(o).o_id;",
+            // Bound before the `if`: not the arm's.
+            "",
+        ] {
+            let pre = if key.is_empty() {
+                r#"let oid = cell(o, 0, "o_id");"#
+            } else {
+                ""
+            };
+            assert_eq!(Page { pre, key, ..PAGE }.moved(), ["b"], "{key}");
+        }
+        for text in [
+            // No splice, two, or one that is not `str(x)`.
+            r#""SELECT i_id FROM order_line WHERE o_id = 1""#,
+            r#""SELECT i_id FROM order_line WHERE o_id = " + str(oid) + " OR o_id = " + str(oid)"#,
+            r#""SELECT i_id FROM order_line WHERE o_id = " + oid"#,
+            // No table named before the splice.
+            r#""SELECT " + str(oid) + " FROM order_line""#,
+        ] {
+            assert_eq!(Page { text, ..PAGE }.moved(), ["b"], "{text}");
+        }
+        // Two spliced queries: the first is answered.
+        let arm = r#"let qty = query("SELECT qty FROM order_line WHERE o_id = " + str(oid)); print(qty);"#;
+        assert_eq!(Page { arm, ..PAGE }.moved(), ["b", "__h0"]);
+        assert_eq!(answered(Page { arm, ..PAGE }), ["qty"]);
+    }
+
+    #[test]
+    fn a_splice_keeps_the_hoisting_rules() {
+        let write = |table: &str| format!(r#"exec("UPDATE {table} SET qty = 1 WHERE id = 1");"#);
+        let stock = write("stock").leak();
+        let lines = write("order_line").leak();
+        // A write first in the arm; one before the `if` to the read's table.
+        assert_eq!(Page { arm: stock, ..PAGE }.moved(), ["b"]);
+        assert_eq!(Page { pre: lines, ..PAGE }.moved(), ["b"]);
+        assert_eq!(Page { pre: stock, ..PAGE }.moved(), ["b", "__h0"]);
+        // The query keeps its binding, so its name need not be the arm's.
+        let post = "print(lines);";
+        assert_eq!(Page { post, ..PAGE }.moved(), ["b", "__h0"]);
+        // A writing condition moves nothing.
+        let src = Page {
+            guard: "nrows(o) > 0 && audit()",
+            ..PAGE
+        }
+        .src();
+        let src =
+            format!(r#"fn audit() {{ exec("DELETE FROM log WHERE id = 1"); return true; }} {src}"#);
+        assert_eq!(moved(&src), Vec::<String>::new());
     }
 
     #[test]

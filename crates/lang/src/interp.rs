@@ -28,13 +28,13 @@ use sloth_core::{Demand, QueryId};
 use sloth_net::{NetStats, SimEnv};
 use sloth_orm::sqlgen::{self, KeyedRead};
 use sloth_orm::{AssocDef, AssocKind, EntityDef, FetchStrategy, Schema};
-use sloth_sql::ResultSet;
+use sloth_sql::{Param, ResultSet, Stmt};
 
 use crate::analysis::analyze;
 use crate::ast::{BinOp, Lit, Program, UnOp};
 use crate::builtins::{Builtin, HeapFn, PureFn, QueryFn, ReadFn, WriteFn};
 use crate::opt::OptFlags;
-use crate::resolve::{resolve, Callee, RExpr, RStmt, Resolved, Slot};
+use crate::resolve::{resolve, Callee, GuardedRead, RExpr, RStmt, Resolved, Slot};
 use crate::runtime::{row_to_entity, rs_to_entities, Counters, DataLayer, RunError, RunResult};
 use crate::simplify::simplify_program;
 use crate::value::{BlockDriver, Dep, DepKind, Deser, LazyState, LazyVal, Pending, V};
@@ -539,6 +539,11 @@ impl<'p> Interp<'p> {
                 }
                 V::list(xs)
             }
+            // Both out of line: inline, their code slows every other arm
+            // of this match (by about 8 % of the `cpu_pages` workload's
+            // pages a second, on a 2-core x86-64 machine).
+            RExpr::GuardedRead(read) => self.guarded_read(read, frame)?,
+            RExpr::GuardedQuery { read, text } => self.guarded_query(*read, text, frame, lazy)?,
         };
         if lazy {
             Ok(v)
@@ -1201,7 +1206,7 @@ impl<'p> Interp<'p> {
         let (id, entity, up) = unfetched_entity(obj)?;
         let def = self.data.schema.entity(&entity)?;
         let declared = def.columns.iter().any(|(name, _)| name == field);
-        (declared && self.data.store().is_pending(id)).then(|| Pending::QueryField {
+        (declared && self.data.is_pending(id)).then(|| Pending::QueryField {
             id,
             column: field.into(),
             up,
@@ -1220,7 +1225,10 @@ impl<'p> Interp<'p> {
         lazy: bool,
     ) -> Result<V, RunError> {
         if let Some((parent, column, up)) = lazy.then(|| deferred_column(&key)).flatten() {
-            if let Some(id) = self.data.register_dependent(parent, &column, read)? {
+            if let Some(id) = self
+                .data
+                .register_dependent(parent, &column, |key| read.stmt(key))?
+            {
                 let how = DepKind::Field(column);
                 let dep = Rc::new(Dep { parent, how, up });
                 return Ok(self.query_thunk(id, deser, Some(dep)));
@@ -1268,7 +1276,10 @@ impl<'p> Interp<'p> {
             AssocKind::OneToMany { .. } => &def.pk,
             AssocKind::ManyToOne { fk_column } => fk_column,
         };
-        let Some(qid) = self.data.register_dependent(id, column, &read)? else {
+        let Some(qid) = self
+            .data
+            .register_dependent(id, column, |key| read.stmt(key))?
+        else {
             // Its row shipped before the association could hang off it. A
             // row that turned out missing (or failed) fails where the
             // association is demanded, as the dependant would have:
@@ -1306,8 +1317,87 @@ impl<'p> Interp<'p> {
             Ok(_) => match &dep.how {
                 DepKind::Field(column) => null_field_read(column),
                 DepKind::Assoc => not_an_entity(&V::Null),
+                DepKind::Cell { column, .. } => RunError::new(format!("no cell [0].{column}")),
             },
         }
+    }
+
+    /// A read guard hoisting registers above its `if (nrows(rows) > 0)`
+    /// (see `hoist.rs`): `head + str(cell(rows, 0, column)) + tail`, as a
+    /// dependant of `rows` while they wait in the batch — bound from their
+    /// first row in the same trip — and `null` otherwise: the query in the
+    /// arm then reads where it stands.
+    #[inline(never)]
+    fn guarded_read(&mut self, read: &GuardedRead, frame: &Frame) -> Result<V, RunError> {
+        let Some(rows) = &frame.vals[read.parent as usize] else {
+            return Err(self.unbound(frame, read.parent));
+        };
+        let Some(parent) = unfetched_query(rows) else {
+            return Ok(V::Null);
+        };
+        let GuardedRead {
+            column, head, tail, ..
+        } = read;
+        let build = |key: &Param| Stmt::with_param(head, key, tail);
+        let Some(id) = self.data.register_dependent(parent, column, build)? else {
+            return Ok(V::Null);
+        };
+        let how = DepKind::Cell {
+            column: (**column).into(),
+            head: (**head).into(),
+            tail: (**tail).into(),
+        };
+        let dep = Rc::new(Dep {
+            parent,
+            how,
+            up: None,
+        });
+        Ok(self.query_thunk(id, Deser::Raw, Some(dep)))
+    }
+
+    /// `query(text)` where guard hoisting left it: the rows of the guarded
+    /// read in slot `read` if it ran exactly `text` and succeeded — the
+    /// binder splices a SQL literal, which is the text `str` makes only of
+    /// some values — and otherwise a read of `text` registered here, where
+    /// the program issues it.
+    #[inline(never)]
+    fn guarded_query(
+        &mut self,
+        read: Slot,
+        text: &'p RExpr,
+        frame: &Frame,
+        lazy: bool,
+    ) -> Result<V, RunError> {
+        let text = self.eval(text, frame, lazy)?;
+        let Some(read) = frame.vals[read as usize].clone() else {
+            return Err(self.unbound(frame, read));
+        };
+        let text = self.force_for(text, Demand::QueryParam)?;
+        let sql = self.display(&text)?;
+        match self.guarded_answer(&read, &sql) {
+            Some(rows) => Ok(V::Rs(Rc::new(rows))),
+            None => self.read(&sql, Deser::Raw, lazy),
+        }
+    }
+
+    /// The rows the guarded read `read` answered, if it ran `sql`.
+    fn guarded_answer(&mut self, read: &V, sql: &str) -> Option<ResultSet> {
+        let V::Thunk(cell) = read else { return None };
+        let (id, dep) = match &*cell.0.borrow() {
+            LazyState::Pending(Pending::Query {
+                id, dep: Some(dep), ..
+            }) => (*id, Rc::clone(dep)),
+            _ => return None,
+        };
+        let DepKind::Cell { column, head, tail } = &dep.how else {
+            return None;
+        };
+        // Both were answered by the flush the guard forced.
+        let rows = self.data.fetch(dep.parent, Demand::QueryParam).ok()?;
+        let key = rows.get(0, column)?.sql_literal();
+        (sql == format!("{head}{key}{tail}"))
+            .then(|| self.data.fetch(id, Demand::QueryParam).ok())
+            .flatten()
     }
 
     /// Original-mode eager prefetch at `orm_find` (§1: the "eager" strategy
@@ -1429,6 +1519,11 @@ impl<'p> Interp<'p> {
             return Ok("<deep>".to_string());
         }
         let v = self.force(v.clone())?;
+        self.render(v, depth)
+    }
+
+    /// The text of a forced value, its parts forced as they are shown.
+    fn render(&mut self, v: V, depth: usize) -> Result<String, RunError> {
         Ok(match v {
             V::Null => "null".to_string(),
             V::Bool(b) => b.to_string(),
@@ -1461,7 +1556,7 @@ impl<'p> Interp<'p> {
                 format!("{{{}}}", parts.join(", "))
             }
             V::Rs(rs) => format_rs(&rs),
-            V::Thunk(_) => unreachable!("forced above"),
+            V::Thunk(_) => return Err(RunError::new("render of an unforced value")),
         })
     }
 }
@@ -1536,6 +1631,21 @@ fn unfetched_rows(v: &V) -> bool {
             ..
         })
     )
+}
+
+/// `v` as a raw `query` nobody has forced, keyed by no other row: its
+/// query id.
+fn unfetched_query(v: &V) -> Option<QueryId> {
+    let V::Thunk(cell) = v else { return None };
+    match &*cell.0.borrow() {
+        LazyState::Pending(Pending::Query {
+            id,
+            deser: Deser::Raw,
+            dep: None,
+            ..
+        }) => Some(*id),
+        _ => None,
+    }
 }
 
 /// `v` as a single-row query nobody has forced: its query id, entity and
@@ -1671,4 +1781,39 @@ fn format_rs(rs: &ResultSet) -> String {
         rows.push(cells.join(","));
     }
     format!("rs[{}]", rows.join("|"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rendering_an_unforced_value_is_an_error() {
+        let page = Resolved {
+            fns: Vec::new(),
+            blocks: Vec::new(),
+            main: None,
+        };
+        let env = SimEnv::default_env();
+        let mut interp = Interp {
+            page: &page,
+            data: DataLayer::immediate(env, Arc::new(Schema::new())),
+            flags: OptFlags::all(),
+            counters: Counters::default(),
+            output: Vec::new(),
+            out_buffer: Vec::new(),
+            effect_blocks: Vec::new(),
+            depth: 0,
+            demand: Demand::Output,
+        };
+        let thunk = V::Thunk(LazyVal::pending(Pending::Binary(
+            BinOp::Add,
+            V::Int(1),
+            V::Int(2),
+        )));
+        let e = interp.render(thunk.clone(), 0).unwrap_err();
+        assert_eq!(e.message, "render of an unforced value");
+        // Displaying forces first.
+        assert_eq!(interp.display(&thunk).unwrap(), "3");
+    }
 }

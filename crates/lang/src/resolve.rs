@@ -15,7 +15,10 @@
 //!   for selective compilation, `pure` for call deferral) become flags on
 //!   the function;
 //! * a **deferred block** becomes an index into the page's block table,
-//!   which holds its body with its capture and output slots worked out.
+//!   which holds its body with its capture and output slots worked out;
+//! * the two calls guard hoisting writes for a spliced `query` under an
+//!   `if (nrows(q) > 0)` become [`RExpr::GuardedRead`] and
+//!   [`RExpr::GuardedQuery`], the forms no source program can produce.
 //!
 //! The form holds [`Lit`]s and indices, never a runtime value, so a
 //! compiled page stays `Send + Sync`; and it is what a compiled page keeps
@@ -25,7 +28,7 @@ use std::collections::HashMap;
 
 use crate::analysis::Analysis;
 use crate::ast::*;
-use crate::builtins::Builtin;
+use crate::builtins::{Builtin, GUARDED_QUERY, GUARDED_READ};
 
 /// Index of a variable in its function's frame.
 pub(crate) type Slot = u32;
@@ -93,6 +96,24 @@ pub(crate) enum RExpr {
     Call(Callee, Vec<RExpr>),
     NewObject(Vec<(Box<str>, RExpr)>),
     NewList(Vec<RExpr>),
+    /// A read guard hoisting registers above an `if (nrows(q) > 0)`, boxed
+    /// so that the rare variant does not widen every node of the tree.
+    GuardedRead(Box<GuardedRead>),
+    /// `query(text)` in that `if`'s arm, answered by the guarded read in
+    /// slot `read` when it ran `text` itself.
+    GuardedQuery {
+        read: Slot,
+        text: Box<RExpr>,
+    },
+}
+
+/// [`RExpr::GuardedRead`]: the text `head + str(cell(q, 0, column)) +
+/// tail`, `q` in slot `parent`.
+pub(crate) struct GuardedRead {
+    pub parent: Slot,
+    pub column: Box<str>,
+    pub head: Box<str>,
+    pub tail: Box<str>,
 }
 
 /// [`Stmt`] with names bound. `let x = e` and `x = e` are one statement:
@@ -226,6 +247,31 @@ impl<'a> Scope<'a> {
                 RExpr::Binary(*op, Box::new(self.expr(a)), Box::new(self.expr(b)))
             }
             Expr::Unary(op, a) => RExpr::Unary(*op, Box::new(self.expr(a))),
+            Expr::Call(name, args) if name == GUARDED_READ => {
+                let text = |i: usize| match args.get(i) {
+                    Some(Expr::Lit(Lit::Str(s))) => Some(s.as_str().into()),
+                    _ => None,
+                };
+                match (args.first(), text(1), text(2), text(3)) {
+                    (Some(Expr::Var(q)), Some(column), Some(head), Some(tail)) => {
+                        RExpr::GuardedRead(Box::new(GuardedRead {
+                            parent: self.slot(q),
+                            column,
+                            head,
+                            tail,
+                        }))
+                    }
+                    // Only guard hoisting emits the name, always so.
+                    _ => RExpr::Call(Callee::Unknown(name.as_str().into()), Vec::new()),
+                }
+            }
+            Expr::Call(name, args) if name == GUARDED_QUERY => match &args[..] {
+                [Expr::Var(read), text] => RExpr::GuardedQuery {
+                    read: self.slot(read),
+                    text: Box::new(self.expr(text)),
+                },
+                _ => RExpr::Call(Callee::Unknown(name.as_str().into()), Vec::new()),
+            },
             Expr::Call(name, args) => {
                 let callee = match (Builtin::from_name(name), self.fn_ids.get(name.as_str())) {
                     (Some(b), _) => Callee::Builtin(b),

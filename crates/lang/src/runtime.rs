@@ -11,7 +11,7 @@ use sloth_core::{Demand, QueryId, QueryStore, Registration, StoreStats};
 use sloth_net::{Dispatcher, NetStats, SimEnv};
 use sloth_orm::sqlgen::KeyedRead;
 use sloth_orm::{AssocKind, Schema};
-use sloth_sql::{ResultSet, SqlError};
+use sloth_sql::{Param, ResultSet, SqlError, Stmt};
 
 use crate::value::V;
 
@@ -164,9 +164,17 @@ impl DataLayer {
         }
     }
 
-    /// The query store (panics if in immediate mode — interpreter bug).
-    pub fn store(&self) -> &QueryStore {
-        self.store.as_ref().expect("deferred data layer required")
+    /// The query store; an error in immediate mode, which has none.
+    pub fn store(&self) -> Result<&QueryStore, RunError> {
+        self.store
+            .as_ref()
+            .ok_or_else(|| RunError::new("deferred data layer required"))
+    }
+
+    /// Whether `id` is a read still waiting in the store's batch (never,
+    /// in immediate mode).
+    pub fn is_pending(&self, id: QueryId) -> bool {
+        self.store.as_ref().is_some_and(|s| s.is_pending(id))
     }
 
     /// Executes a statement immediately (one round trip).
@@ -176,35 +184,33 @@ impl DataLayer {
 
     /// Registers a read with the store (Sloth mode).
     pub fn register(&self, sql: &str) -> Result<QueryId, RunError> {
-        Ok(self.store().register(sql.to_string())?)
+        Ok(self.store()?.register(sql.to_string())?)
     }
 
     /// Registers a write with the store, reporting whether it was
     /// deferred (selective laziness) — deferred writes must not have
     /// their empty result demanded, or the deferral is undone.
     pub fn register_write(&self, sql: &str) -> Result<Registration, RunError> {
-        Ok(self.store().register_stmt(sql.to_string())?)
+        Ok(self.store()?.register_stmt(sql.to_string())?)
     }
 
-    /// Registers `read`, keyed by `column` of the row `parent` will
-    /// answer, as a dependent of `parent` — `None` when `parent` is no
-    /// longer waiting in the batch (see
+    /// Registers the read `build` makes of a reference to `column` of the
+    /// row `parent` will answer, as a dependent of `parent` — `None` when
+    /// `parent` is no longer waiting in the batch (see
     /// [`QueryStore::register_dependent`]).
     pub fn register_dependent(
         &self,
         parent: QueryId,
         column: &str,
-        read: &KeyedRead,
+        build: impl FnOnce(&Param) -> Stmt,
     ) -> Result<Option<QueryId>, RunError> {
-        Ok(self
-            .store()
-            .register_dependent(parent, column, |key| read.stmt(key))?)
+        Ok(self.store()?.register_dependent(parent, column, build)?)
     }
 
     /// Fetches a registered result (ships the batch if needed, recording
     /// what it was demanded for).
     pub fn fetch(&self, id: QueryId, why: Demand) -> Result<ResultSet, RunError> {
-        Ok(self.store().result_for(id, why)?)
+        Ok(self.store()?.result_for(id, why)?)
     }
 
     /// The read an association access issues, before its key is known;
@@ -267,6 +273,20 @@ mod tests {
         };
         assert!(b.app_ns() > a.app_ns());
         assert_eq!(a.app_ns(), 10 * cost::STD_OP_NS);
+    }
+
+    #[test]
+    fn an_immediate_layer_refuses_what_needs_a_store() {
+        let (env, schema) = (SimEnv::default_env(), Arc::new(Schema::new()));
+        let id = DataLayer::deferred(env.clone(), Arc::clone(&schema))
+            .register("SELECT 1")
+            .unwrap();
+        let data = DataLayer::immediate(env, schema);
+        let want = "deferred data layer required";
+        assert_eq!(data.store().err().unwrap().message, want);
+        assert_eq!(data.register("SELECT 1").unwrap_err().message, want);
+        assert_eq!(data.fetch(id, Demand::Output).unwrap_err().message, want);
+        assert!(!data.is_pending(id));
     }
 
     #[test]

@@ -147,6 +147,16 @@ pub(crate) enum DepKind {
     Field(Rc<str>),
     /// An `orm_assoc` on the row.
     Assoc,
+    /// `str(cell(rows, 0, column))` spliced between `head` and `tail` — a
+    /// guarded read, whose parent is a raw result set.
+    Cell {
+        /// The column of the parent's first row.
+        column: Rc<str>,
+        /// The text before the splice.
+        head: Rc<str>,
+        /// The text after it.
+        tail: Rc<str>,
+    },
 }
 
 /// Shared state of one deferred statement block (§4.2–4.3): which block,

@@ -39,7 +39,7 @@ use sloth_sql::{Footprint, TableAccess, Value};
 
 use crate::analysis::{expr_deferrable, Analysis};
 use crate::ast::*;
-use crate::builtins::{builtin_kind, BuiltinKind};
+use crate::builtins::{builtin_kind, BuiltinKind, GUARDED_QUERY, GUARDED_READ};
 
 /// What the analysis statically knows about a string-valued expression.
 #[derive(Debug, Clone)]
@@ -216,6 +216,12 @@ fn call_footprint(
     match name {
         "exec" => sql_footprint(&static_str(args.first()?, env), true),
         "query" => sql_footprint(&static_str(args.first()?, env), false),
+        GUARDED_QUERY => sql_footprint(&static_str(args.get(1)?, env), false),
+        // A guarded read's tables are named before its splice.
+        GUARDED_READ => match args.get(2)? {
+            Expr::Lit(Lit::Str(head)) => prefix_read_footprint(head),
+            _ => None,
+        },
         // Transaction boundaries are barriers: never bounded.
         "begin" | "commit" | "rollback" => None,
         "orm_save" | "orm_delete" => {
@@ -253,7 +259,7 @@ fn call_footprint(
 
 /// [`call_footprint`] of a call whose string arguments are literals where
 /// they lie (no temporaries resolved): guard hoisting's view of the writes
-/// issued before an `if`.
+/// issued before an `if`, and of the tables a guarded read touches.
 pub(crate) fn literal_call_footprint(
     name: &str,
     args: &[Expr],

@@ -1422,3 +1422,173 @@ fn a_delayed_read_fails_at_demand_with_the_original_text() {
         }
     }
 }
+
+// ---- guarded reads ---------------------------------------------------
+
+/// The clinic, plus a patient whose creator is `NULL` and a user whose
+/// login is a patient's name.
+fn run_guarded(src: &str, strategy: ExecStrategy) -> Result<RunResult, sloth_lang::RunError> {
+    let schema = clinic_schema();
+    let env = clinic_env(&schema);
+    env.seed_sql("INSERT INTO patient VALUES (4, 'Nobody', NULL)")
+        .unwrap();
+    env.seed_sql("INSERT INTO users VALUES (2, 'Ada')").unwrap();
+    run_source(src, &env, schema, strategy, vec![])
+}
+
+/// A read keyed by `column` of patient `id`'s row, read by `text` behind
+/// `if ({guard})`; `pre` runs before the `if` and `arm` before the read.
+fn row_guarded(id: u32, column: &str, text: &str, pre: &str, guard: &str, arm: &str) -> String {
+    format!(
+        r#"fn main() {{
+            let p = query("SELECT patient_id, name, creator_id FROM patient WHERE patient_id = {id}");
+            {pre}
+            if ({guard}) {{
+                let k = cell(p, 0, "{column}");
+                {arm}
+                let u = query({text});
+                let i = 0;
+                while (i < nrows(u)) {{ print(str(cell(u, i, "login"))); i = i + 1; }}
+            }}
+            print("done");
+        }}"#
+    )
+}
+
+const BY_ID: &str = r#""SELECT login FROM users WHERE user_id = " + str(k)"#;
+const BY_LOGIN: &str = r#""SELECT login FROM users WHERE login = '" + str(k) + "'""#;
+const ROW_GUARD: &str = "nrows(p) > 0";
+
+#[test]
+fn a_row_guarded_read_rides_the_flush_its_guard_forces() {
+    let src = row_guarded(1, "creator_id", BY_ID, "", ROW_GUARD, "");
+    let runs: Vec<RunResult> = all_strategies()
+        .into_iter()
+        .map(|s| run_guarded(&src, s).unwrap_or_else(|e| panic!("{s:?}: {e}")))
+        .collect();
+    for r in &runs {
+        assert_eq!(r.output, ["doc", "done"]);
+    }
+    let (all, none) = (&runs[1], &runs[2]);
+    assert_eq!(none.net.round_trips, 2);
+    assert_eq!(all.net.round_trips, 1, "the read rides the guard's batch");
+    let store = all.store.as_ref().unwrap();
+    assert_eq!(store.batch_sizes, [2]);
+    assert_eq!(store.flush_reasons, [FlushReason::Force(Demand::Condition)]);
+}
+
+#[test]
+fn a_row_guarded_read_answers_as_the_text_the_program_spells() {
+    // No row: the arm is not taken and the dependant runs nothing. A NULL
+    // or text key splices differently as a SQL literal: the query does not
+    // take that answer and reads its own text, in a trip of its own.
+    for (id, column, text, want, trips) in [
+        (9, "creator_id", BY_ID, &["done"][..], 1),
+        (4, "creator_id", BY_ID, &["done"][..], 2),
+        (1, "name", BY_LOGIN, &["Ada", "done"][..], 2),
+    ] {
+        let src = row_guarded(id, column, text, "", ROW_GUARD, "");
+        for strategy in all_strategies() {
+            let r = run_guarded(&src, strategy).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+            assert_eq!(r.output, want, "{strategy:?}: {id}.{column}");
+        }
+        let r = run_guarded(&src, ExecStrategy::Sloth(OptFlags::all())).unwrap();
+        assert_eq!(r.net.round_trips, trips, "{id}.{column}");
+    }
+    // A missing column fails as the `cell` that read it; a failing text
+    // as the text does.
+    let cases = [
+        (
+            row_guarded(1, "nope", BY_ID, "", ROW_GUARD, ""),
+            "no cell [0].nope",
+        ),
+        (
+            row_guarded(
+                1,
+                "creator_id",
+                r#""SELECT login FROM nowhere WHERE user_id = " + str(k)"#,
+                "",
+                ROW_GUARD,
+                "",
+            ),
+            "nowhere",
+        ),
+    ];
+    for (src, want) in cases {
+        let orig = run_guarded(&src, ExecStrategy::Original)
+            .unwrap_err()
+            .message;
+        assert!(orig.contains(want), "{orig}");
+        for strategy in all_strategies() {
+            let e = run_guarded(&src, strategy).unwrap_err().message;
+            assert!(e.contains(&orig), "{strategy:?}: {e} vs {orig}");
+        }
+    }
+}
+
+#[test]
+fn a_read_outside_the_row_guard_shape_stays_in_its_arm() {
+    let sloth = ExecStrategy::Sloth(OptFlags::all());
+    let fetch_first = r#"if (nrows(p) > 5) { print("many"); }"#;
+    let write = r#"exec("UPDATE visit SET active = TRUE WHERE visit_id = 500");"#;
+    let in_loop = row_guarded(1, "creator_id", BY_ID, "", ROW_GUARD, "").replace(
+        &format!("let u = query({BY_ID});"),
+        &format!("let u = 0; let j = 0; while (j < 1) {{ u = query({BY_ID}); j = j + 1; }}"),
+    );
+    for (name, src, batches) in [
+        (
+            "another guard",
+            row_guarded(1, "creator_id", BY_ID, "", "nrows(p) >= 1", ""),
+            vec![1, 1],
+        ),
+        (
+            "rows reassigned after the guard read them",
+            row_guarded(
+                1,
+                "creator_id",
+                BY_ID,
+                r#"let n = nrows(p); p = query("SELECT patient_id, name, creator_id FROM patient WHERE patient_id = 2"); let g = n > 0;"#,
+                "g",
+                "",
+            ),
+            vec![2, 1],
+        ),
+        (
+            "a write first in the arm",
+            row_guarded(1, "creator_id", BY_ID, "", ROW_GUARD, write),
+            vec![1, 2],
+        ),
+        ("a read inside a loop", in_loop, vec![1, 1]),
+        // Fetched already: nothing registers ahead of the `if`, and the
+        // query reads where it stands.
+        (
+            "rows fetched before the if",
+            row_guarded(1, "creator_id", BY_ID, fetch_first, ROW_GUARD, ""),
+            vec![1, 1],
+        ),
+    ] {
+        let want = run_guarded(&src, ExecStrategy::Original).unwrap().output;
+        for strategy in all_strategies() {
+            let r = run_guarded(&src, strategy).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(r.output, want, "{name}: {strategy:?}");
+        }
+        let r = run_guarded(&src, sloth).unwrap();
+        assert_eq!(r.store.unwrap().batch_sizes, batches, "{name}");
+    }
+    // Fetched already, without the row or the cell: the query fails (or
+    // not) where it stands, as the original program does.
+    for (id, column, want) in [
+        (9, "creator_id", Ok(())),
+        (1, "nope", Err("no cell [0].nope")),
+    ] {
+        let src = row_guarded(id, column, BY_ID, fetch_first, ROW_GUARD, "");
+        for strategy in all_strategies() {
+            let r = run_guarded(&src, strategy);
+            assert_eq!(
+                r.as_ref().map(|_| ()).map_err(|e| e.message.as_str()),
+                want,
+                "{strategy:?}"
+            );
+        }
+    }
+}

@@ -216,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_write_batches_coalesce_across_sessions() {
+    fn disjoint_write_batches_from_many_sessions_apply_once_each() {
         // Each session reads and updates ITS OWN row, all at once: every
         // session's read sees its row before its own write, and every
         // update lands exactly once.

@@ -544,6 +544,40 @@ fn arb_commute_stmt(tables: &[TableShape; 2], rng: &mut Rng) -> String {
     }
 }
 
+/// Two random tables of the commute properties' schema and the
+/// statements that create and fill them.
+fn arb_world(rng: &mut Rng) -> ([TableShape; 2], Vec<String>) {
+    let tables = [TableShape::arb("p", rng), TableShape::arb("q", rng)];
+    let mut setup: Vec<String> = Vec::new();
+    for t in &tables {
+        setup.extend(t.ddl(rng));
+        for id in 0..6 {
+            if rng.range(0, 3) != 0 {
+                setup.push(format!("INSERT INTO {} VALUES {}", t.name, t.row(id, rng)));
+            }
+        }
+    }
+    (tables, setup)
+}
+
+/// A database `setup` built.
+fn build(setup: &[String]) -> Database {
+    let mut db = Database::new();
+    for sql in setup {
+        db.execute(sql).unwrap();
+    }
+    db
+}
+
+/// What running `sql` answers: its rows, or its error's text.
+type Outcome = Result<Vec<Vec<Value>>, String>;
+
+fn outcome(db: &mut Database, sql: &str) -> Outcome {
+    db.execute(sql)
+        .map(|o| o.result.rows)
+        .map_err(|e| e.to_string())
+}
+
 /// Both tables as multisets of rows. The primary key is indexed, not
 /// unique, and a table keeps rows in insertion order, so two inserts of
 /// one key leave the same rows in an order that depends on which ran
@@ -573,29 +607,12 @@ fn commute_state(db: &mut Database) -> Vec<Vec<String>> {
 fn non_conflicting_statements_commute() {
     use sloth_sql::Footprint;
 
-    type Outcome = Result<Vec<Vec<Value>>, String>;
     let pairs = 4_000u64;
     // Commuting pairs by how many of the two statements are reads.
     let mut commuting = [0u64; 3];
     for case in 0..pairs {
         let mut rng = Rng::new(0xC0_4417E ^ case);
-        let tables = [
-            TableShape::arb("p", &mut rng),
-            TableShape::arb("q", &mut rng),
-        ];
-        let mut setup: Vec<String> = Vec::new();
-        for t in &tables {
-            setup.extend(t.ddl(&mut rng));
-            for id in 0..6 {
-                if rng.range(0, 3) != 0 {
-                    setup.push(format!(
-                        "INSERT INTO {} VALUES {}",
-                        t.name,
-                        t.row(id, &mut rng)
-                    ));
-                }
-            }
-        }
+        let (tables, setup) = arb_world(&mut rng);
         let a = arb_commute_stmt(&tables, &mut rng);
         let b = arb_commute_stmt(&tables, &mut rng);
         if Footprint::of_sql(&a).conflicts_with(&Footprint::of_sql(&b)) {
@@ -604,16 +621,8 @@ fn non_conflicting_statements_commute() {
         let reads = [&a, &b].iter().filter(|s| s.starts_with("SELECT")).count();
         commuting[reads] += 1;
         let run = |first: &str, second: &str| {
-            let mut db = Database::new();
-            for sql in &setup {
-                db.execute(sql).unwrap();
-            }
-            let mut exec = |sql: &str| -> Outcome {
-                db.execute(sql)
-                    .map(|o| o.result.rows)
-                    .map_err(|e| e.to_string())
-            };
-            let (r1, r2) = (exec(first), exec(second));
+            let mut db = build(&setup);
+            let (r1, r2) = (outcome(&mut db, first), outcome(&mut db, second));
             (r1, r2, commute_state(&mut db))
         };
         let (ab_a, ab_b, ab_state) = run(&a, &b);
@@ -630,4 +639,42 @@ fn non_conflicting_statements_commute() {
     );
     // Every kind of pair the driver reasons about is drawn often.
     assert!(writes > 400 && mixed > 400 && reads > 400, "{commuting:?}");
+}
+
+/// The result cache's predicate: a write whose footprint overlaps none of
+/// a read's accesses leaves the read's answer as it was. Over random
+/// write / read pairs on a random schema and data, whenever
+/// `!w.writes_overlap(&r.reads)`, running `r; w; r` gives the read the
+/// same rows (or error text) both times.
+#[test]
+fn a_read_no_write_overlaps_reads_the_same_rows() {
+    use sloth_sql::Footprint;
+
+    let pairs = 4_000u64;
+    let mut disjoint = 0u64;
+    for case in 0..pairs {
+        let mut rng = Rng::new(0x0_CAC4E ^ case);
+        let (tables, setup) = arb_world(&mut rng);
+        let mut draw = |read: bool| loop {
+            let sql = arb_commute_stmt(&tables, &mut rng);
+            if sql.starts_with("SELECT") == read {
+                return sql;
+            }
+        };
+        let (w, r) = (draw(false), draw(true));
+        if Footprint::of_sql(&w).writes_overlap(&Footprint::of_sql(&r).reads) {
+            continue;
+        }
+        disjoint += 1;
+        let mut db = build(&setup);
+        let before = outcome(&mut db, &r);
+        let _ = outcome(&mut db, &w);
+        let after = outcome(&mut db, &r);
+        assert_eq!(
+            before, after,
+            "case {case}: {w:?} then {r:?} after {setup:?}"
+        );
+    }
+    println!("{disjoint} of {pairs} write / read pairs do not overlap");
+    assert!(disjoint > 1_000, "{disjoint}");
 }

@@ -119,7 +119,7 @@ fn concurrent_sessions_render_identical_pages_on_shared_env() {
 }
 
 #[test]
-fn concurrent_sessions_through_dispatcher_coalesce_with_equal_pages() {
+fn concurrent_sessions_through_dispatcher_serve_equal_pages() {
     let schema = clinic_schema();
     let patients = 12i64;
     let env = seeded_env(&schema, patients);

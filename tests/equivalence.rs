@@ -41,13 +41,17 @@ impl Rng {
 /// than it registers — by `cell`, `nrows`, `at(…).v` and `first(…).v` —
 /// across writes to the row they read, in loops bounded by `nrows`, and,
 /// rarely, where the read fails: a row or column the result lacks, or a
-/// table that does not exist.
+/// table that does not exist. Guarded shapes read a second table by
+/// `str(cell(q, 0, c))` at the head of an `if (nrows(q) > 0)` arm — the
+/// query guard hoisting answers from the condition's flush — where `q`
+/// may be empty, `c` an integer, a text, a `NULL` or a missing column,
+/// with or without an `else` arm and a read of `q` after the `if`.
 fn arb_program(rng: &mut Rng) -> String {
     let n = rng.range(1, 12);
     let mut stmts = Vec::new();
     let mut pool = false;
-    for _ in 0..n {
-        let stmt = match rng.range(0, 13) {
+    for i in 0..n {
+        let stmt = match rng.range(0, 15) {
             0 | 1 => {
                 // Arithmetic assignment over the variable pool.
                 let (dst, a, b) = (rng.range(0, 5), rng.range(0, 5), rng.range(0, 5));
@@ -137,7 +141,7 @@ fn arb_program(rng: &mut Rng) -> String {
                      let j = 0; while (j < nrows(rl)) {{ v{dst} = v{dst} + cell(rl, j, \"v\"); j = j + 1; }}"
                 )
             }
-            _ => {
+            12 => {
                 // Rarely, a demanded read that fails.
                 let r = rng.range(0, 3);
                 match rng.range(0, 12) {
@@ -156,6 +160,7 @@ fn arb_program(rng: &mut Rng) -> String {
                     }
                 }
             }
+            _ => guarded_read(rng, i),
         };
         stmts.push(stmt);
     }
@@ -181,6 +186,49 @@ fn arb_program(rng: &mut Rng) -> String {
     )
 }
 
+/// A read of `u` keyed by `str(cell(q, 0, c))` heading the then-arm of
+/// `if (nrows(q) > 0)`, its names suffixed by `i` so that no other draw
+/// reassigns them. `q` is a row of `t` or none; `c` is `id`, `v` (integers),
+/// `s` (text, `NULL` for id 3) or `w` (missing); the read is demanded by
+/// `nrows`, by a loop over its rows, or — where it cannot fail — not at
+/// all.
+fn guarded_read(rng: &mut Rng, i: i64) -> String {
+    let (src, dst) = (rng.range(0, 5), rng.range(0, 5));
+    let column = ["id", "v", "v", "s", "s", "w"][rng.range(0, 6) as usize];
+    let text = match (column, rng.range(0, 3)) {
+        ("s", 0) => format!("\"SELECT id, v FROM u WHERE id = \" + str(k{i})"),
+        ("s", _) => format!("\"SELECT id, v FROM u WHERE s = '\" + str(k{i}) + \"' ORDER BY id\""),
+        (_, 0) => format!("\"SELECT id, v FROM u WHERE v >= \" + str(k{i}) + \" ORDER BY id\""),
+        _ => format!("\"SELECT id, v FROM u WHERE id = \" + str(k{i})"),
+    };
+    // A text or NULL key spliced unquoted fails the original program's
+    // query: that read is always demanded, as every failing draw is.
+    let fails = column == "s" && !text.contains('\'');
+    let demand = match rng.range(0, if fails { 3 } else { 4 }) {
+        0 => format!("print(str(nrows(g{i})));"),
+        1 => format!("v{dst} = v{dst} + nrows(g{i});"),
+        2 => format!(
+            "let j{i} = 0; while (j{i} < nrows(g{i})) {{ v{dst} = v{dst} + cell(g{i}, j{i}, \"v\"); j{i} = j{i} + 1; }}"
+        ),
+        _ => String::new(),
+    };
+    let mut maybe = |s: String| {
+        if rng.range(0, 2) == 0 {
+            String::new()
+        } else {
+            s
+        }
+    };
+    let key_use = maybe(format!("print(str(k{i}));"));
+    let els = maybe(format!(" else {{ v{dst} = v{dst} - 1; }}"));
+    let after = maybe(format!("print(str(nrows(q{i})));"));
+    format!(
+        "let q{i} = query(\"SELECT id, v, s FROM t WHERE id = \" + str(v{src} % 7)); \
+         if (nrows(q{i}) > 0) {{ let k{i} = cell(q{i}, 0, \"{column}\"); {key_use} \
+         let g{i} = query({text}); {demand} }}{els} {after}"
+    )
+}
+
 /// The deployments every property runs on: one server, and the table
 /// hash-partitioned over a 4-shard fleet.
 const FLEETS: [usize; 2] = [1, 4];
@@ -189,14 +237,29 @@ fn fresh_env(shards: usize) -> SimEnv {
     let env = if shards == 1 {
         SimEnv::default_env()
     } else {
-        let spec = ShardSpec::new().shard("t", "id");
+        let spec = ShardSpec::new().shard("t", "id").shard("u", "id");
         ShardedEnv::new(CostModel::default(), spec, shards).handle()
     };
-    env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT)")
         .unwrap();
     for i in 0..5 {
-        env.seed_sql(&format!("INSERT INTO t VALUES ({i}, {})", i * 7 + 1))
+        let s = if i == 3 {
+            "NULL".into()
+        } else {
+            format!("'a{i}'")
+        };
+        env.seed_sql(&format!("INSERT INTO t VALUES ({i}, {}, {s})", i * 7 + 1))
             .unwrap();
+    }
+    env.seed_sql("CREATE TABLE u (id INT PRIMARY KEY, v INT, s TEXT)")
+        .unwrap();
+    for i in 0..12 {
+        env.seed_sql(&format!(
+            "INSERT INTO u VALUES ({i}, {}, 'a{}')",
+            i * 3,
+            i % 5
+        ))
+        .unwrap();
     }
     env
 }

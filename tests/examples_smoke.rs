@@ -80,7 +80,7 @@ fn explain_example_runs_end_to_end() {
     // when the `INSERT INTO orders` splices `oid` into its SQL, then
     // everything else with the page's output.
     let trips: Vec<usize> = tpcc.iter().map(|(_, f)| f.len()).collect();
-    assert_eq!(trips, [2, 2, 1, 1, 4], "{tpcc:?}");
+    assert_eq!(trips, [2, 1, 1, 1, 4], "{tpcc:?}");
     for (name, flushes) in &tpcc {
         assert!(
             flushes
@@ -97,4 +97,8 @@ fn explain_example_runs_end_to_end() {
             (22, FlushReason::Force(Demand::Output)),
         ]
     );
+    // Order status's lines ride the flush its `nrows(o) > 0` forces, bound
+    // from `o`'s first row in the same trip.
+    assert_eq!(tpcc[1].0, "Order status");
+    assert_eq!(tpcc[1].1, [(3, FlushReason::Force(Demand::Condition))]);
 }
