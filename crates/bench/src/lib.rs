@@ -282,7 +282,7 @@ pub fn fig11_persistence(app: &BenchApp) -> (usize, usize) {
     let mut non_persistent = 0usize;
     for page in &app.pages {
         let program = sloth_lang::parse_program(&page.source).unwrap();
-        let analysis = sloth_lang::analyze(&program);
+        let analysis = sloth_lang::analyze(&program, None);
         for f in &program.functions {
             if analysis.is_persistent(&f.name) {
                 persistent += 1;

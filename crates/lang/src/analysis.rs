@@ -1,228 +1,342 @@
-//! The Sloth compiler's analysis passes (§4.1, §4.2):
+//! The Sloth compiler's analysis (§4.1, §4.2): one **effect summary** per
+//! function, and the deferrability checks that read it.
 //!
-//! * **Persistence labelling** — an interprocedural, flow-insensitive
-//!   fixpoint marking every function that may touch persistent data. Only
-//!   persistent functions are compiled to lazy semantics when selective
-//!   compilation is on.
-//! * **Purity labelling** — functions with no externally visible effects,
-//!   no heap writes, and no queries; calls to pure functions may be
-//!   deferred whole.
-//! * **Deferrability** — whether a statement subtree can be swallowed into
-//!   a thunk block (no queries, no external calls, no heap writes, no
-//!   forcing operations, no control escape).
+//! A `Summary` says what code may do:
+//!
+//! * **persistence** (§4.1) — it may touch persistent data: it issues a
+//!   query, reads or writes an object (field, index or result-set read —
+//!   the paper's third criterion, "accesses object fields that are stored
+//!   persistently", taken as any heap access, since every object graph in
+//!   these applications is rooted in ORM entities), or calls code that
+//!   may. Only persistent functions are compiled to lazy semantics when
+//!   selective compilation is on;
+//! * **purity** — it issues no query, writes no object, calls no external
+//!   and calls only pure functions. Calls to pure functions may be
+//!   deferred whole;
+//! * **its database footprint** — the reads and the writes it may issue,
+//!   as [`Footprint`]s, each a barrier where one cannot be bounded (SQL
+//!   built at run time, a transaction boundary, a call to a persistent
+//!   function's reads);
+//! * **the heap fields it may write** (`e.f = …`), or any (`obj_put`).
+//!
+//! One statement walker computes it, for a function's body and for any
+//! stretch of statements a pass asks about. It resolves the string
+//! temporaries simplification binds through a static-string environment
+//! (`writedefer::SStr`). An `if`'s arms each start from what held before
+//! it, and what either binds is unknown after it; a loop's body binds
+//! names that differ between iterations, so they are unknown before its
+//! condition and body are walked. A call adds its callee's summary. The
+//! summaries close over the call graph in one worklist fixpoint: each
+//! body is walked once, and a function is summarised again only when a
+//! function it calls has grown.
+//!
+//! **Deferrability** — whether a statement subtree can be swallowed into
+//! a thunk block (no queries, no external calls, no heap writes, no
+//! forcing operations, no control escape) — reads the purity of callees.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
+
+use sloth_orm::Schema;
+use sloth_sql::{Footprint, TableAccess};
 
 use crate::ast::*;
-use crate::builtins::{builtin_is_persistent, builtin_kind, BuiltinKind};
+use crate::builtins::{builtin_kind, Builtin, BuiltinKind, HeapFn};
+use crate::writedefer::{call_footprint, invalidate_assigned, record_def, SEnv};
 
-/// Result of analysing a program.
+/// What code may do (see the module documentation).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Summary {
+    /// May touch persistent data.
+    pub persistent: bool,
+    /// Not pure.
+    pub impure: bool,
+    /// The database reads it may issue; a barrier when one cannot be
+    /// bounded. A persistent callee's reads are one: its own summary does
+    /// not bound them yet.
+    pub reads: Footprint,
+    /// The database writes it may issue; a barrier when one cannot be
+    /// bounded or it opens or closes a transaction.
+    pub writes: Footprint,
+    /// Fields it may write on some object (`e.f = …`).
+    pub fields: HashSet<String>,
+    /// May write any field (`obj_put` names it at run time).
+    pub any_field: bool,
+}
+
+/// Adds the accesses of `from` that `into` lacks — a set union, so that
+/// the fixpoint over recursive calls settles.
+fn add(into: &mut Vec<TableAccess>, from: impl IntoIterator<Item = TableAccess>) {
+    for access in from {
+        if !into.contains(&access) {
+            into.push(access);
+        }
+    }
+}
+
+impl Summary {
+    /// Adds everything `other` may do.
+    fn join(&mut self, other: &Summary) {
+        self.persistent |= other.persistent;
+        self.impure |= other.impure;
+        self.reads.barrier |= other.reads.barrier;
+        add(&mut self.reads.reads, other.reads.reads.iter().cloned());
+        self.writes.barrier |= other.writes.barrier;
+        add(&mut self.writes.writes, other.writes.writes.iter().cloned());
+        self.fields.extend(other.fields.iter().cloned());
+        self.any_field |= other.any_field;
+    }
+
+    /// Adds a call of a function `callee` summarises.
+    fn call(&mut self, callee: &Summary) {
+        self.join(callee);
+        self.reads.barrier |= callee.persistent;
+    }
+
+    /// Adds a database call whose footprint is `fp` — `None` when it
+    /// cannot be bounded, a barrier on the side of the call (`write`).
+    fn database(&mut self, fp: Option<Footprint>, write: bool) {
+        self.persistent = true;
+        self.impure = true;
+        match fp {
+            Some(fp) => {
+                add(&mut self.reads.reads, fp.reads);
+                add(&mut self.writes.writes, fp.writes);
+            }
+            None if write => self.writes.barrier = true,
+            None => self.reads.barrier = true,
+        }
+    }
+
+    /// Grows with every change [`Summary::join`] makes.
+    fn size(&self) -> [usize; 8] {
+        let (r, w) = (&self.reads, &self.writes);
+        [
+            self.persistent.into(),
+            self.impure.into(),
+            r.barrier.into(),
+            r.reads.len(),
+            w.barrier.into(),
+            w.writes.len(),
+            self.any_field.into(),
+            self.fields.len(),
+        ]
+    }
+}
+
+/// The statement walker: adds what the statements it is given do to a
+/// [`Summary`], each call with its callee's summary.
+struct Walker<'f, 'p> {
+    /// The summaries of the program's functions.
+    fns: &'f HashMap<String, Summary>,
+    schema: Option<&'f Schema>,
+    /// What each string-valued name is known to hold.
+    env: SEnv,
+    /// The program's functions called, in order.
+    calls: Vec<&'p str>,
+}
+
+impl<'f, 'p> Walker<'f, 'p> {
+    fn new(fns: &'f HashMap<String, Summary>, schema: Option<&'f Schema>) -> Walker<'f, 'p> {
+        Walker {
+            fns,
+            schema,
+            env: SEnv::new(),
+            calls: Vec::new(),
+        }
+    }
+
+    fn stmts(&mut self, stmts: &'p [Stmt], fx: &mut Summary) {
+        for s in stmts {
+            self.stmt(s, fx);
+        }
+    }
+
+    fn stmt(&mut self, s: &'p Stmt, fx: &mut Summary) {
+        match s {
+            Stmt::Let(name, e) | Stmt::Assign(LValue::Var(name), e) => {
+                self.expr(e, fx);
+                record_def(name, e, &mut self.env);
+            }
+            Stmt::Assign(lv, e) => {
+                fx.persistent = true;
+                fx.impure = true;
+                match lv {
+                    LValue::Field(b, f) => {
+                        fx.fields.insert(f.clone());
+                        self.expr(b, fx);
+                    }
+                    LValue::Index(b, i) => {
+                        self.expr(b, fx);
+                        self.expr(i, fx);
+                    }
+                    LValue::Var(_) => {}
+                }
+                self.expr(e, fx);
+            }
+            Stmt::ExprStmt(e) | Stmt::Return(Some(e)) => self.expr(e, fx),
+            Stmt::If(c, t, e) => {
+                self.expr(c, fx);
+                // Walking `t` changes only what it binds, unknown after
+                // the `if` in any case.
+                let before = (!e.is_empty()).then(|| self.env.clone());
+                self.stmts(t, fx);
+                if let Some(before) = before {
+                    self.env = before;
+                }
+                self.stmts(e, fx);
+                invalidate_assigned(t, &mut self.env);
+                invalidate_assigned(e, &mut self.env);
+            }
+            Stmt::While(c, b) => {
+                invalidate_assigned(b, &mut self.env);
+                self.expr(c, fx);
+                self.stmts(b, fx);
+                invalidate_assigned(b, &mut self.env);
+            }
+            Stmt::DeferBlock { body, .. } => self.stmts(body, fx),
+            Stmt::Break | Stmt::Continue | Stmt::Return(None) => {}
+        }
+    }
+
+    fn expr(&mut self, e: &'p Expr, fx: &mut Summary) {
+        match e {
+            Expr::Call(name, args) => {
+                for a in args {
+                    self.expr(a, fx);
+                }
+                self.call(name, args, fx);
+            }
+            Expr::Field(b, _) => {
+                fx.persistent = true;
+                self.expr(b, fx);
+            }
+            Expr::Index(b, i) => {
+                fx.persistent = true;
+                self.expr(b, fx);
+                self.expr(i, fx);
+            }
+            Expr::Binary(_, a, b) => {
+                self.expr(a, fx);
+                self.expr(b, fx);
+            }
+            Expr::Unary(_, a) => self.expr(a, fx),
+            Expr::NewObject(fields) => fields.iter().for_each(|(_, v)| self.expr(v, fx)),
+            Expr::NewList(items) => items.iter().for_each(|v| self.expr(v, fx)),
+            Expr::Lit(_) | Expr::Var(_) => {}
+        }
+    }
+
+    fn call(&mut self, name: &'p str, args: &[Expr], fx: &mut Summary) {
+        let Some(builtin) = Builtin::from_name(name) else {
+            match self.fns.get(name) {
+                Some(callee) => {
+                    fx.call(callee);
+                    self.calls.push(name);
+                }
+                // Not the program's: nothing is known of it.
+                None => fx.impure = true,
+            }
+            return;
+        };
+        match builtin.kind() {
+            BuiltinKind::Pure => {}
+            BuiltinKind::EagerRead => fx.persistent = true,
+            BuiltinKind::HeapWrite => {
+                fx.impure = true;
+                fx.any_field |= builtin == Builtin::HeapWrite(HeapFn::ObjPut);
+            }
+            BuiltinKind::External => fx.impure = true,
+            kind @ (BuiltinKind::Query | BuiltinKind::WriteQuery) => fx.database(
+                call_footprint(name, args, &self.env, self.schema),
+                kind == BuiltinKind::WriteQuery,
+            ),
+        }
+    }
+}
+
+/// Result of analysing a program: every function's effect summary, its calls
+/// included (definitions sharing a name are merged).
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
-    /// Functions that may access persistent data.
-    pub persistent: HashSet<String>,
-    /// Functions with no side effects (deferrable as whole calls).
-    pub pure_fns: HashSet<String>,
+    fns: HashMap<String, Summary>,
 }
 
 impl Analysis {
     /// Whether function `name` is labelled persistent.
     pub fn is_persistent(&self, name: &str) -> bool {
-        self.persistent.contains(name)
+        self.fns.get(name).is_some_and(|f| f.persistent)
     }
 
     /// Whether function `name` is pure.
     pub fn is_pure_fn(&self, name: &str) -> bool {
-        self.pure_fns.contains(name)
+        self.fns.get(name).is_some_and(|f| !f.impure)
+    }
+
+    /// What `stmts` may do, their calls included, walked in order from a
+    /// point where no string is known.
+    pub(crate) fn effects(&self, stmts: &[Stmt], schema: Option<&Schema>) -> Summary {
+        let mut fx = Summary::default();
+        Walker::new(&self.fns, schema).stmts(stmts, &mut fx);
+        fx
     }
 }
 
-/// Runs all analyses over `p`.
-pub fn analyze(p: &Program) -> Analysis {
-    Analysis {
-        persistent: persistence(p),
-        pure_fns: purity(p),
-    }
-}
-
-/// Every function name called within `stmts`.
-fn called_functions(stmts: &[Stmt], out: &mut HashSet<String>) {
-    fn expr(e: &Expr, out: &mut HashSet<String>) {
-        match e {
-            Expr::Call(name, args) => {
-                out.insert(name.clone());
-                for a in args {
-                    expr(a, out);
-                }
-            }
-            Expr::Field(b, _) => expr(b, out),
-            Expr::Index(b, i) => {
-                expr(b, out);
-                expr(i, out);
-            }
-            Expr::Binary(_, a, b) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            Expr::Unary(_, a) => expr(a, out),
-            Expr::NewObject(fs) => fs.iter().for_each(|(_, v)| expr(v, out)),
-            Expr::NewList(xs) => xs.iter().for_each(|v| expr(v, out)),
-            Expr::Lit(_) | Expr::Var(_) => {}
-        }
-    }
-    for s in stmts {
-        match s {
-            Stmt::Let(_, e) | Stmt::ExprStmt(e) | Stmt::Return(Some(e)) => expr(e, out),
-            Stmt::Assign(lv, e) => {
-                match lv {
-                    LValue::Field(b, _) => expr(b, out),
-                    LValue::Index(b, i) => {
-                        expr(b, out);
-                        expr(i, out);
-                    }
-                    LValue::Var(_) => {}
-                }
-                expr(e, out);
-            }
-            Stmt::If(c, t, e) => {
-                expr(c, out);
-                called_functions(t, out);
-                called_functions(e, out);
-            }
-            Stmt::While(c, b) => {
-                expr(c, out);
-                called_functions(b, out);
-            }
-            Stmt::DeferBlock { body, .. } => called_functions(body, out),
-            Stmt::Break | Stmt::Continue | Stmt::Return(None) => {}
-        }
-    }
-}
-
-/// §4.1: fixpoint over the call graph starting from direct query issuers
-/// and from functions that touch persistently-stored objects (the paper's
-/// third criterion: "accesses object fields that are stored persistently" —
-/// approximated here as any heap access, since in these applications every
-/// object graph is rooted in ORM entities).
-fn persistence(p: &Program) -> HashSet<String> {
-    let mut persistent: HashSet<String> = HashSet::new();
-    let calls: Vec<(String, HashSet<String>)> = p
+/// Summarises every function of `p`. With a `schema`, the `orm_*` calls'
+/// footprints name their entities' tables; without one they are barriers.
+pub fn analyze(p: &Program, schema: Option<&Schema>) -> Analysis {
+    let mut fns: HashMap<String, Summary> = p
         .functions
         .iter()
-        .map(|f| {
-            let mut c = HashSet::new();
-            called_functions(&f.body, &mut c);
-            (f.name.clone(), c)
-        })
+        .map(|f| (f.name.clone(), Summary::default()))
         .collect();
-    // Seed: functions calling query builtins directly, or reading heap
-    // objects (entity field/collection access).
+    // Each body is walked once, with no callee known to do anything yet,
+    // for what it does itself and whom it calls.
+    let mut own: Vec<(&str, Summary)> = Vec::with_capacity(p.functions.len());
+    let mut callees: HashMap<&str, BTreeSet<&str>> = HashMap::new();
+    let mut callers: HashMap<&str, BTreeSet<&str>> = HashMap::new();
     for f in &p.functions {
-        if stmts_access_heap(&f.body) {
-            persistent.insert(f.name.clone());
+        let mut walker = Walker::new(&fns, schema);
+        let mut fx = Summary::default();
+        walker.stmts(&f.body, &mut fx);
+        for callee in walker.calls {
+            callers.entry(callee).or_default().insert(&f.name);
+            callees.entry(&f.name).or_default().insert(callee);
+        }
+        own.push((&f.name, fx));
+    }
+    for (name, fx) in own {
+        if let Some(summary) = fns.get_mut(name) {
+            summary.join(&fx);
         }
     }
-    for (name, callees) in &calls {
-        if callees.iter().any(|c| builtin_is_persistent(c)) {
-            persistent.insert(name.clone());
-        }
-    }
-    // Propagate through callers until fixpoint.
-    loop {
-        let mut changed = false;
-        for (name, callees) in &calls {
-            if !persistent.contains(name) && callees.iter().any(|c| persistent.contains(c)) {
-                persistent.insert(name.clone());
-                changed = true;
+    // Semi-naive: only the callers of the functions whose summary grew in
+    // the last round take in their callees' summaries again.
+    let mut delta: BTreeSet<&str> = p.functions.iter().map(|f| f.name.as_str()).collect();
+    while !delta.is_empty() {
+        let stale: BTreeSet<&str> = delta
+            .iter()
+            .filter_map(|f| callers.get(f))
+            .flatten()
+            .copied()
+            .collect();
+        delta.clear();
+        for f in stale {
+            let mut calls = Summary::default();
+            for callee in callees.get(f).into_iter().flatten() {
+                if let Some(c) = fns.get(*callee) {
+                    calls.call(c);
+                }
+            }
+            if let Some(fx) = fns.get_mut(f) {
+                let before = fx.size();
+                fx.join(&calls);
+                if fx.size() != before {
+                    delta.insert(f);
+                }
             }
         }
-        if !changed {
-            return persistent;
-        }
     }
-}
-
-/// Whether a statement subtree reads or writes heap objects (field/index
-/// access or collection builtins) — the persistence criterion-3 signal.
-fn stmts_access_heap(stmts: &[Stmt]) -> bool {
-    fn expr_heap(e: &Expr) -> bool {
-        match e {
-            Expr::Field(..) | Expr::Index(..) => true,
-            Expr::Call(name, args) => {
-                matches!(builtin_kind(name), Some(BuiltinKind::EagerRead))
-                    || args.iter().any(expr_heap)
-            }
-            Expr::Binary(_, a, b) => expr_heap(a) || expr_heap(b),
-            Expr::Unary(_, a) => expr_heap(a),
-            Expr::NewObject(fs) => fs.iter().any(|(_, v)| expr_heap(v)),
-            Expr::NewList(xs) => xs.iter().any(expr_heap),
-            Expr::Lit(_) | Expr::Var(_) => false,
-        }
-    }
-    stmts.iter().any(|s| match s {
-        Stmt::Let(_, e) | Stmt::ExprStmt(e) | Stmt::Return(Some(e)) => expr_heap(e),
-        Stmt::Assign(LValue::Var(_), e) => expr_heap(e),
-        Stmt::Assign(_, _) => true,
-        Stmt::If(c, t, e) => expr_heap(c) || stmts_access_heap(t) || stmts_access_heap(e),
-        Stmt::While(c, b) => expr_heap(c) || stmts_access_heap(b),
-        Stmt::DeferBlock { body, .. } => stmts_access_heap(body),
-        Stmt::Break | Stmt::Continue | Stmt::Return(None) => false,
-    })
-}
-
-/// Whether a statement subtree is effect-free (given the current pure set).
-fn stmts_effect_free(stmts: &[Stmt], pure_fns: &HashSet<String>) -> bool {
-    fn expr_free(e: &Expr, pure_fns: &HashSet<String>) -> bool {
-        match e {
-            Expr::Call(name, args) => {
-                let callee_ok = match builtin_kind(name) {
-                    Some(BuiltinKind::Pure) | Some(BuiltinKind::EagerRead) => true,
-                    Some(_) => false,
-                    None => pure_fns.contains(name),
-                };
-                callee_ok && args.iter().all(|a| expr_free(a, pure_fns))
-            }
-            Expr::Field(b, _) => expr_free(b, pure_fns),
-            Expr::Index(b, i) => expr_free(b, pure_fns) && expr_free(i, pure_fns),
-            Expr::Binary(_, a, b) => expr_free(a, pure_fns) && expr_free(b, pure_fns),
-            Expr::Unary(_, a) => expr_free(a, pure_fns),
-            Expr::NewObject(fs) => fs.iter().all(|(_, v)| expr_free(v, pure_fns)),
-            Expr::NewList(xs) => xs.iter().all(|v| expr_free(v, pure_fns)),
-            Expr::Lit(_) | Expr::Var(_) => true,
-        }
-    }
-    stmts.iter().all(|s| match s {
-        Stmt::Let(_, e) | Stmt::ExprStmt(e) | Stmt::Return(Some(e)) => expr_free(e, pure_fns),
-        Stmt::Assign(LValue::Var(_), e) => expr_free(e, pure_fns),
-        // Heap writes are side effects.
-        Stmt::Assign(_, _) => false,
-        Stmt::If(c, t, e) => {
-            expr_free(c, pure_fns)
-                && stmts_effect_free(t, pure_fns)
-                && stmts_effect_free(e, pure_fns)
-        }
-        Stmt::While(c, b) => expr_free(c, pure_fns) && stmts_effect_free(b, pure_fns),
-        Stmt::DeferBlock { body, .. } => stmts_effect_free(body, pure_fns),
-        Stmt::Break | Stmt::Continue | Stmt::Return(None) => true,
-    })
-}
-
-/// Purity fixpoint: start optimistic (every user function pure), remove
-/// functions whose bodies have effects, repeat.
-fn purity(p: &Program) -> HashSet<String> {
-    let mut pure: HashSet<String> = p.functions.iter().map(|f| f.name.clone()).collect();
-    loop {
-        let mut changed = false;
-        for f in &p.functions {
-            if pure.contains(&f.name) && !stmts_effect_free(&f.body, &pure) {
-                pure.remove(&f.name);
-                changed = true;
-            }
-        }
-        if !changed {
-            return pure;
-        }
-    }
+    Analysis { fns }
 }
 
 /// §4.2: whether an expression can live inside a deferred block — it must
@@ -307,7 +421,7 @@ mod tests {
 
     #[test]
     fn persistence_propagates_through_callers() {
-        let a = analyze(&program());
+        let a = analyze(&program(), None);
         assert!(a.is_persistent("get_patient"));
         assert!(a.is_persistent("controller"), "transitively persistent");
         assert!(!a.is_persistent("format_name"));
@@ -317,7 +431,7 @@ mod tests {
 
     #[test]
     fn purity_detects_effects() {
-        let a = analyze(&program());
+        let a = analyze(&program(), None);
         assert!(a.is_pure_fn("format_name"));
         assert!(a.is_pure_fn("helper_chain"));
         assert!(!a.is_pure_fn("print_it"), "print is external");
@@ -334,7 +448,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         assert!(a.is_pure_fn("even") && a.is_pure_fn("odd"));
     }
 
@@ -345,7 +459,7 @@ mod tests {
             "fn f(c, b, d) { let a = 0; if (c) { a = b; } else { a = d; } return a; }",
         )
         .unwrap();
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         match &p.function("f").unwrap().body[1] {
             s @ Stmt::If(..) => assert!(stmt_deferrable(s, &a)),
             other => panic!("unexpected {other:?}"),
@@ -358,7 +472,7 @@ mod tests {
             r#"fn f(c) { let a = 0; if (c) { a = query("SELECT 1 FROM t"); } return a; }"#,
         )
         .unwrap();
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         match &p.function("f").unwrap().body[1] {
             s @ Stmt::If(..) => assert!(!stmt_deferrable(s, &a)),
             other => panic!("unexpected {other:?}"),
@@ -368,7 +482,7 @@ mod tests {
     #[test]
     fn branch_with_heap_write_not_deferrable() {
         let p = parse_program("fn f(c, m) { if (c) { m.x = 1; } }").unwrap();
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         match &p.function("f").unwrap().body[0] {
             s @ Stmt::If(..) => assert!(!stmt_deferrable(s, &a)),
             other => panic!("unexpected {other:?}"),
@@ -382,7 +496,7 @@ mod tests {
             "fn flt(v) { return v; } fn f(c, v) { let a = 0; if (c) { a = flt(v); } return a; }",
         )
         .unwrap();
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         match &p.function("f").unwrap().body[1] {
             s @ Stmt::If(..) => assert!(stmt_deferrable(s, &a)),
             other => panic!("unexpected {other:?}"),
@@ -392,7 +506,7 @@ mod tests {
     #[test]
     fn branch_with_return_not_deferrable() {
         let p = parse_program("fn f(c) { if (c) { return 1; } return 2; }").unwrap();
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         match &p.function("f").unwrap().body[0] {
             s @ Stmt::If(..) => assert!(!stmt_deferrable(s, &a)),
             other => panic!("unexpected {other:?}"),

@@ -212,6 +212,21 @@ pub fn assigned_vars(stmts: &[Stmt], out: &mut Vec<String>) {
     }
 }
 
+/// Collects every name a statement subtree binds with `let`, in order.
+pub fn let_names(stmts: &[Stmt], out: &mut Vec<String>) {
+    for s in stmts {
+        match s {
+            Stmt::Let(name, _) => out.push(name.clone()),
+            Stmt::If(_, t, e) => {
+                let_names(t, out);
+                let_names(e, out);
+            }
+            Stmt::While(_, b) | Stmt::DeferBlock { body: b, .. } => let_names(b, out),
+            _ => {}
+        }
+    }
+}
+
 /// Collects free variable reads of an expression.
 pub fn expr_vars(e: &Expr, out: &mut Vec<String>) {
     match e {

@@ -36,7 +36,8 @@
 //!    dependant of that read, in the same trip;
 //! 3. **no write comes first** — the scan stops at the first statement
 //!    that may write to the database or open or close a transaction,
-//!    itself or through a call: a read moved above a write would miss it.
+//!    itself or through a call (its effect summary's writes, `analysis.rs`):
+//!    a read moved above a write would miss it.
 //!    Heap writes, prints, forces and write-free loops do not stop it.
 //!    Nor may a write *before* the `if` touch the read's table: under
 //!    write deferral it may still linger in the batch, and a read
@@ -99,195 +100,37 @@
 //!    end-of-request check, which raises what forcing it raises;
 //! 5. **a splice cannot name a table** — a read's text must reach its
 //!    `WHERE`, a write's its `SET`, `WHERE` or `VALUES`, in literal text
-//!    before anything computed, so the table set the open statement's
-//!    table-level footprint names is the bound one's.
+//!    before anything computed (outside comments and quoted text, the rule
+//!    branch deferral's prefixes follow too: `writedefer::lead_words`), so
+//!    the table set the open statement's table-level footprint names is
+//!    the bound one's.
 
 use std::collections::{HashMap, HashSet};
 
 use sloth_orm::{AssocKind, Schema};
 use sloth_sql::{Footprint, TableAccess};
 
+use crate::analysis::{Analysis, Summary};
 use crate::ast::*;
-use crate::builtins::{Builtin, BuiltinKind, HeapFn, ReadFn, ROW_GUARD};
-use crate::opt::count_occurrences_pub as count_mentions;
-use crate::writedefer::literal_call_footprint;
+use crate::builtins::{Builtin, ReadFn, ROW_GUARD};
+use crate::opt::count_occurrences as count_mentions;
+use crate::writedefer::lead_words;
 
-/// What code may do that a read must not be moved across. Field names
-/// borrow the program.
-#[derive(Debug, Clone, Default)]
-struct Effects<'p> {
-    /// The database writes it may issue; a barrier when one cannot be
-    /// bounded (a transaction boundary, SQL built at run time).
-    writes: Footprint,
-    /// Fields it may write on some object (`e.f = …`).
-    fields: HashSet<&'p str>,
-    /// May write any field (`obj_put` names it at run time).
-    any_field: bool,
-}
-
-/// Adds `fp`'s writes to `into`, as a set union — so that the fixpoint
-/// over recursive calls settles.
-fn add_writes(into: &mut Footprint, fp: &Footprint) {
-    into.barrier |= fp.barrier;
-    for w in &fp.writes {
-        if !into.writes.contains(w) {
-            into.writes.push(w.clone());
-        }
-    }
-}
-
-impl<'p> Effects<'p> {
-    fn merge(&mut self, other: &Effects<'p>) {
-        add_writes(&mut self.writes, &other.writes);
-        self.any_field |= other.any_field;
-        self.fields.extend(other.fields.iter().copied());
-    }
-
-    /// Grows with every merge that adds something.
-    fn size(&self) -> (bool, usize, bool, usize) {
-        let w = &self.writes;
-        (w.barrier, w.writes.len(), self.any_field, self.fields.len())
-    }
-
-    fn writes_db(&self) -> bool {
-        self.writes.barrier || !self.writes.writes.is_empty()
-    }
-}
-
-/// Adds what `e` does itself to `fx`, handing each user-function call to
-/// `call`.
-fn expr_effects<'s>(
-    e: &'s Expr,
-    schema: &Schema,
-    fx: &mut Effects<'s>,
-    call: &mut impl FnMut(&'s str, &mut Effects<'s>),
-) {
-    match e {
-        Expr::Call(name, args) => {
-            match Builtin::from_name(name) {
-                Some(b) if b.kind() == BuiltinKind::WriteQuery => {
-                    let fp = literal_call_footprint(name, args, Some(schema));
-                    add_writes(&mut fx.writes, &fp.unwrap_or_else(Footprint::barrier));
-                }
-                Some(Builtin::HeapWrite(HeapFn::ObjPut)) => fx.any_field = true,
-                Some(_) => {}
-                None => call(name, fx),
-            }
-            for a in args {
-                expr_effects(a, schema, fx, call);
-            }
-        }
-        Expr::Field(b, _) | Expr::Unary(_, b) => expr_effects(b, schema, fx, call),
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-            expr_effects(a, schema, fx, call);
-            expr_effects(b, schema, fx, call);
-        }
-        Expr::NewObject(fields) => fields
-            .iter()
-            .for_each(|(_, v)| expr_effects(v, schema, fx, call)),
-        Expr::NewList(items) => items.iter().for_each(|v| expr_effects(v, schema, fx, call)),
-        Expr::Lit(_) | Expr::Var(_) => {}
-    }
-}
-
-fn stmt_effects<'s>(
-    s: &'s Stmt,
-    schema: &Schema,
-    fx: &mut Effects<'s>,
-    call: &mut impl FnMut(&'s str, &mut Effects<'s>),
-) {
-    let mut expr = |e: &'s Expr, fx: &mut Effects<'s>| expr_effects(e, schema, fx, call);
-    match s {
-        Stmt::Let(_, e) | Stmt::ExprStmt(e) | Stmt::Return(Some(e)) => expr(e, fx),
-        Stmt::Assign(lv, e) => {
-            match lv {
-                LValue::Var(_) => {}
-                LValue::Field(b, f) => {
-                    fx.fields.insert(f);
-                    expr(b, fx);
-                }
-                LValue::Index(b, i) => {
-                    expr(b, fx);
-                    expr(i, fx);
-                }
-            }
-            expr(e, fx);
-        }
-        Stmt::If(c, t, e) => {
-            expr(c, fx);
-            for s in t.iter().chain(e) {
-                stmt_effects(s, schema, fx, call);
-            }
-        }
-        Stmt::While(c, b) => {
-            expr(c, fx);
-            for s in b {
-                stmt_effects(s, schema, fx, call);
-            }
-        }
-        Stmt::DeferBlock { body, .. } => {
-            for s in body {
-                stmt_effects(s, schema, fx, call);
-            }
-        }
-        Stmt::Break | Stmt::Continue | Stmt::Return(None) => {}
-    }
-}
-
-/// Guard hoisting over one program: what each of its functions may do,
-/// transitively (definitions sharing a name are merged).
+/// Guard hoisting over one program, reading its effect summary.
 pub(crate) struct GuardHoist<'p> {
-    fns: HashMap<&'p str, Effects<'p>>,
+    analysis: &'p Analysis,
     schema: &'p Schema,
 }
 
 impl<'p> GuardHoist<'p> {
-    pub(crate) fn new(p: &'p Program, schema: &'p Schema) -> GuardHoist<'p> {
-        // Each body is walked once, for what it does itself and whom it
-        // calls; the calls' effects then close over the call graph.
-        let mut fns: HashMap<&str, Effects> = HashMap::new();
-        let mut calls: Vec<(&str, Vec<&str>)> = Vec::new();
-        for f in &p.functions {
-            let mut callees = Vec::new();
-            let fx = fns.entry(&f.name).or_default();
-            for s in &f.body {
-                stmt_effects(s, schema, fx, &mut |name, _| callees.push(name));
-            }
-            calls.push((&f.name, callees));
-        }
-        loop {
-            let mut changed = false;
-            for (name, callees) in &calls {
-                let mut add = Effects::default();
-                for callee in callees {
-                    if let Some(fx) = fns.get(callee) {
-                        add.merge(fx);
-                    }
-                }
-                if let Some(fx) = fns.get_mut(name) {
-                    let before = fx.size();
-                    fx.merge(&add);
-                    changed |= fx.size() != before;
-                }
-            }
-            if !changed {
-                return GuardHoist { fns, schema };
-            }
-        }
+    pub(crate) fn new(analysis: &'p Analysis, schema: &'p Schema) -> GuardHoist<'p> {
+        GuardHoist { analysis, schema }
     }
 
     /// What `s` may do, its calls included.
-    fn effects<'s>(&self, s: &'s Stmt) -> Effects<'s>
-    where
-        'p: 's,
-    {
-        let mut fx = Effects::default();
-        stmt_effects(s, self.schema, &mut fx, &mut |name, fx| {
-            if let Some(callee) = self.fns.get(name) {
-                fx.merge(callee);
-            }
-        });
-        fx
+    fn effects(&self, s: &Stmt) -> Summary {
+        self.analysis
+            .effects(std::slice::from_ref(s), Some(self.schema))
     }
 
     /// `f` with the qualifying reads of its `if`s moved above them (see
@@ -322,20 +165,7 @@ fn assigned_names(s: &Stmt) -> Vec<String> {
     let stmts = std::slice::from_ref(s);
     let mut out = Vec::new();
     assigned_vars(stmts, &mut out);
-    fn lets(stmts: &[Stmt], out: &mut Vec<String>) {
-        for s in stmts {
-            match s {
-                Stmt::Let(name, _) => out.push(name.clone()),
-                Stmt::If(_, t, e) => {
-                    lets(t, out);
-                    lets(e, out);
-                }
-                Stmt::While(_, b) | Stmt::DeferBlock { body: b, .. } => lets(b, out),
-                _ => {}
-            }
-        }
-    }
-    lets(stmts, &mut out);
+    let_names(stmts, &mut out);
     out
 }
 
@@ -527,27 +357,6 @@ impl Known {
     }
 }
 
-/// Whether `lead`, the literal start of a statement's text, reaches one of
-/// `clauses` (outside quoted text): every table it names comes before.
-fn reaches(lead: &str, clauses: &[&str]) -> bool {
-    let mut quoted = false;
-    let mut word = String::new();
-    for c in lead.chars().chain([' ']) {
-        if c == '\'' {
-            quoted = !quoted;
-        }
-        if !quoted && (c.is_ascii_alphanumeric() || c == '_') {
-            word.push(c);
-            continue;
-        }
-        if clauses.iter().any(|c| word.eq_ignore_ascii_case(c)) {
-            return true;
-        }
-        word.clear();
-    }
-    false
-}
-
 impl Head<'_> {
     fn defined(&self, name: &str) -> bool {
         self.bound.contains(name) || self.defined.contains(name)
@@ -660,9 +469,7 @@ impl Head<'_> {
             "query" => &["where"],
             _ => return None,
         };
-        if !reaches(&lead, clauses) {
-            return None;
-        }
+        lead_words(&lead, clauses)?;
         let column = Expr::Lit(Lit::Str(column));
         Some(Expr::Call(
             f.clone(),
@@ -783,7 +590,13 @@ impl Hoister<'_, '_> {
                 Stmt::If(c, t, e) => {
                     let mut t = self.block(t, &bound, &written, in_loop);
                     let mut e = self.block(e, &bound, &written, in_loop);
-                    if !in_loop && !self.hoist.effects(&Stmt::ExprStmt(c.clone())).writes_db() {
+                    if !in_loop
+                        && !self
+                            .hoist
+                            .effects(&Stmt::ExprStmt(c.clone()))
+                            .writes
+                            .has_writes()
+                    {
                         let at = out.len();
                         t = self.arm(t, &bound, &written, &mut out);
                         e = self.arm(e, &bound, &written, &mut out);
@@ -814,7 +627,7 @@ impl Hoister<'_, '_> {
                     out.push(s.clone());
                 }
             }
-            add_writes(&mut written, &fx.writes);
+            written.merge(&fx.writes);
         }
         out
     }
@@ -842,7 +655,7 @@ impl Hoister<'_, '_> {
         let mut rest = arm.into_iter();
         for s in rest.by_ref() {
             let fx = self.hoist.effects(&s);
-            if fx.writes_db() {
+            if fx.writes.has_writes() {
                 kept.push(s);
                 break;
             }
@@ -850,7 +663,7 @@ impl Hoister<'_, '_> {
                 if fx.any_field {
                     owner.written = None;
                 } else if let Some(w) = &mut owner.written {
-                    w.extend(fx.fields.iter().map(|f| f.to_string()));
+                    w.extend(fx.fields.iter().cloned());
                 }
             }
             count_mentions(std::slice::from_ref(&s), &mut mentioned);
@@ -1065,7 +878,8 @@ mod tests {
     /// `p` after guard hoisting.
     fn hoisted(p: &Program) -> Program {
         let schema = schema();
-        let h = GuardHoist::new(p, &schema);
+        let a = analyze(p, Some(&schema));
+        let h = GuardHoist::new(&a, &schema);
         let functions = p.functions.iter();
         Program {
             functions: functions
@@ -1132,7 +946,7 @@ mod tests {
 
         // Without a schema nothing moves; nor without branch deferral.
         let p = simplify_program(&parse_program(src).unwrap());
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         for (flags, schema) in [(OptFlags::all(), None), (OptFlags::none(), Some(schema()))] {
             let o = optimize_with_schema(&p, &a, flags, schema.as_ref());
             let body = &o.function("main").unwrap().body;
@@ -1633,6 +1447,7 @@ mod tests {
             r#"exec("DELETE FROM log WHERE id = " + str(oid));"#,
             r#"exec("INSERT INTO log (id) VALUES (" + str(oid) + ")");"#,
             r#"exec("UPDATE orders" + " SET v = " + str(oid));"#,
+            r#"exec("DELETE FROM log /* from t */ WHERE id = " + str(oid));"#,
         ] {
             assert_eq!(Page { arm, ..PAGE }.spliced().0, ["lines"], "{arm}");
         }
@@ -1643,6 +1458,11 @@ mod tests {
             r#"exec("UPDATE " + str(oid) + " SET v = 1");"#,
             r#"exec("DELETE FROM log_" + str(oid));"#,
             r#"exec("INSERT INTO log_" + str(oid) + " VALUES (1)");"#,
+            // A clause in a comment or in quotes is no clause.
+            r#"exec("UPDATE /* set */ t" + str(oid) + " SET v = 1");"#,
+            r#"exec("DELETE FROM -- where\n log_" + str(oid));"#,
+            r#"exec("INSERT INTO /* values */ log_" + str(oid) + " VALUES (1)");"#,
+            r#"exec("UPDATE t 'set' " + str(oid) + " SET v = 1");"#,
         ] {
             assert_eq!(Page { arm, ..PAGE }.spliced().1, 0, "{arm}");
         }

@@ -77,7 +77,7 @@ pub fn prepare_with_schema(
     schema: Option<&Schema>,
 ) -> Prepared {
     let simplified = simplify_program(program);
-    let analysis = analyze(&simplified);
+    let analysis = analyze(&simplified, schema);
     let page = match strategy {
         ExecStrategy::Original => resolve(&simplified, &analysis),
         ExecStrategy::Sloth(flags) => resolve(

@@ -7,10 +7,13 @@
 //! * [`parser`] — Java-ish concrete syntax.
 //! * [`simplify`] — §3.1 code simplification (loop canonicalization,
 //!   expression flattening).
-//! * [`analysis`] — §4.1 persistence labelling, purity labelling, and
-//!   §4.2 deferrability.
+//! * [`analysis`] — one effect summary per function, closed over the
+//!   call graph: §4.1 persistence, purity, the database reads and writes
+//!   it may issue and the heap fields it may write; and §4.2
+//!   deferrability. Every later pass reads it.
 //! * [`opt`] — guard hoisting (an `if` arm's ORM reads register before
-//!   the `if`), branch deferral and thunk coalescing transforms plus the
+//!   the `if`), branch deferral (across writes too, where no later access
+//!   can touch them) and thunk coalescing transforms plus the
 //!   [`opt::OptFlags`] switchboard of Fig. 12.
 //! * `resolve` — the last pass: names bound to frame slots, builtins,
 //!   function and block indices; the only form the evaluator walks.

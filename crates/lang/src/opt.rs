@@ -71,6 +71,8 @@ pub fn optimize(p: &Program, a: &Analysis, flags: OptFlags) -> Program {
 /// With a schema, branch deferral also brings **guard hoisting** (see
 /// `hoist.rs`): an `if` arm's ORM reads move above the `if` first, so
 /// they ride the flush its condition forces.
+///
+/// `a` is `analyze(p, schema)`: both passes read its effect summary.
 pub fn optimize_with_schema(
     p: &Program,
     a: &Analysis,
@@ -81,7 +83,7 @@ pub fn optimize_with_schema(
         return p.clone();
     }
     let hoist = match schema {
-        Some(schema) if flags.defer_branches => Some(GuardHoist::new(p, schema)),
+        Some(schema) if flags.defer_branches => Some(GuardHoist::new(a, schema)),
         _ => None,
     };
     Program {
@@ -117,13 +119,10 @@ pub fn optimize_with_schema(
 }
 
 /// Counts every occurrence of each variable name in a statement subtree
-/// (reads, assignment targets, `let` bindings, block outputs). Public so
-/// the lazy interpreter can compute capture sets for deferred blocks.
-pub fn count_occurrences_pub(stmts: &[Stmt], out: &mut HashMap<String, usize>) {
-    count_occurrences(stmts, out)
-}
-
-fn count_occurrences(stmts: &[Stmt], out: &mut HashMap<String, usize>) {
+/// (reads, assignment targets, `let` bindings; block outputs are not
+/// counted, see below): coalescing's liveness, guard hoisting's mentions
+/// and the capture sets `resolve` gives deferred blocks.
+pub(crate) fn count_occurrences(stmts: &[Stmt], out: &mut HashMap<String, usize>) {
     fn expr(e: &Expr, out: &mut HashMap<String, usize>) {
         let mut vars = Vec::new();
         expr_vars(e, &mut vars);
@@ -290,24 +289,9 @@ fn block_outputs(stmts: &[Stmt]) -> Vec<String> {
     let mut assigned = Vec::new();
     assigned_vars(stmts, &mut assigned);
     let mut declared = Vec::new();
-    collect_lets(stmts, &mut declared);
+    let_names(stmts, &mut declared);
     assigned.retain(|v| !declared.contains(v));
     assigned
-}
-
-fn collect_lets(stmts: &[Stmt], out: &mut Vec<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Let(name, _) => out.push(name.clone()),
-            Stmt::If(_, t, e) => {
-                collect_lets(t, out);
-                collect_lets(e, out);
-            }
-            Stmt::While(_, b) => collect_lets(b, out),
-            Stmt::DeferBlock { body, .. } => collect_lets(body, out),
-            _ => {}
-        }
-    }
 }
 
 /// §4.3: groups maximal runs (≥ 2) of consecutive deferrable statements
@@ -380,7 +364,7 @@ fn coalescable(s: &Stmt, a: &Analysis) -> bool {
 /// "used anywhere else" is a sound over-approximation of live-after).
 fn run_outputs(body: &[Stmt], occurrences: &HashMap<String, usize>) -> Vec<String> {
     let mut defined = Vec::new();
-    collect_lets(body, &mut defined);
+    let_names(body, &mut defined);
     assigned_vars(body, &mut defined);
     let mut inside = HashMap::new();
     count_occurrences(body, &mut inside);
@@ -405,7 +389,7 @@ mod tests {
 
     fn pipeline(src: &str, flags: OptFlags) -> Program {
         let p = simplify_program(&parse_program(src).unwrap());
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         optimize(&p, &a, flags)
     }
 
@@ -492,7 +476,7 @@ mod tests {
     fn no_flags_is_identity() {
         let src = "fn f(a) { let x = a + 1; let y = x + 2; return y; }";
         let p = simplify_program(&parse_program(src).unwrap());
-        let a = analyze(&p);
+        let a = analyze(&p, None);
         let o = optimize(&p, &a, OptFlags::none());
         assert_eq!(p, o);
     }

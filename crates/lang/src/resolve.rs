@@ -250,7 +250,7 @@ impl<'a> Scope<'a> {
                 // the occurrence map below iterates in.
                 let lowered = self.stmts(body);
                 let mut referenced = HashMap::new();
-                crate::opt::count_occurrences_pub(body, &mut referenced);
+                crate::opt::count_occurrences(body, &mut referenced);
                 let mut captures: Vec<Slot> = referenced.keys().map(|n| self.slots[&**n]).collect();
                 captures.sort_unstable();
                 let outputs = outputs.iter().map(|o| self.slot(o)).collect();
@@ -350,7 +350,7 @@ mod tests {
 
     fn lower(src: &str) -> Resolved {
         let p = parse_program(src).unwrap();
-        resolve(&p, &crate::analysis::analyze(&p))
+        resolve(&p, &crate::analysis::analyze(&p, None))
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //!   SQL with no usable prefix, `orm_assoc` on an unknown entity, a call
 //!   to a persistent user function) conflicts with everything.
 //!
+//! The tail's footprint is the effect summary's (`analysis.rs`), whose
+//! walker also resolves string temporaries through the [`SStr`]
+//! environment and the footprint of one call ([`call_footprint`]) defined
+//! here; a literal prefix bounds a statement only when it reaches its
+//! clause past every table it names ([`lead_words`]).
+//!
 //! Statically derived footprints are **over-approximations** (whole-table
 //! accesses when key pins are not literal), so a "disjoint" verdict here
 //! implies runtime disjointness; the runtime's own footprint checks in the
@@ -43,7 +49,7 @@ use crate::builtins::{builtin_kind, BuiltinKind};
 
 /// What the analysis statically knows about a string-valued expression.
 #[derive(Debug, Clone)]
-enum SStr {
+pub(crate) enum SStr {
     /// The whole string is known.
     Full(String),
     /// A known prefix followed by dynamic parts (the ORM-page idiom
@@ -67,7 +73,7 @@ impl SStr {
 
 /// Static-string environment: local variables (mostly `__t` temporaries
 /// from the simplify pass) whose string value is at least partially known.
-type SEnv = HashMap<String, SStr>;
+pub(crate) type SEnv = HashMap<String, SStr>;
 
 fn static_str(e: &Expr, env: &SEnv) -> SStr {
     match e {
@@ -83,17 +89,56 @@ fn static_str(e: &Expr, env: &SEnv) -> SStr {
 }
 
 /// Records an assignment into the static-string environment.
-fn record_def(name: &str, e: &Expr, env: &mut SEnv) {
-    let v = static_str(e, env);
-    env.insert(name.to_string(), v);
+pub(crate) fn record_def(name: &str, e: &Expr, env: &mut SEnv) {
+    match static_str(e, env) {
+        SStr::Unknown => {
+            env.remove(name);
+        }
+        known => {
+            env.insert(name.to_string(), known);
+        }
+    }
 }
 
-/// Splits a SQL fragment into bare words (identifiers / keywords).
-fn words(s: &str) -> Vec<String> {
-    s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| !w.is_empty())
-        .map(|w| w.to_ascii_lowercase())
-        .collect()
+/// The words of `lead`, the literal start of a statement's text, ahead of
+/// the first of `clauses`, lowercased — `None` when it reaches none. The
+/// grammar names every table of a statement ahead of its `SET`, `VALUES`
+/// or `WHERE`, so a lead that reaches the clause names them whole.
+/// Comments (`--`, `/* */`, which `sloth_sql`'s lexer skips) and quoted
+/// text hold no words, and `lead` may end inside either.
+pub(crate) fn lead_words(lead: &str, clauses: &[&str]) -> Option<Vec<String>> {
+    let b = lead.as_bytes();
+    let word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    // Just past the first `end` at or after `from`, or the end of `lead`.
+    let past = |from: usize, end: &[u8]| {
+        b[from..]
+            .windows(end.len())
+            .position(|w| w == end)
+            .map_or(b.len(), |k| from + k + end.len())
+    };
+    let mut words = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        i = match &b[i..] {
+            [b'-', b'-', ..] => past(i + 2, b"\n"),
+            [b'/', b'*', ..] => past(i + 2, b"*/"),
+            [b'\'', ..] => past(i + 1, b"'"),
+            [c, rest @ ..] if word(*c) => {
+                let end = rest
+                    .iter()
+                    .position(|&c| !word(c))
+                    .map_or(b.len(), |k| i + 1 + k);
+                let w = lead[i..end].to_ascii_lowercase();
+                if clauses.contains(&w.as_str()) {
+                    return Some(words);
+                }
+                words.push(w);
+                end
+            }
+            _ => i + 1,
+        };
+    }
+    None
 }
 
 fn whole_write(table: &str) -> Footprint {
@@ -128,39 +173,26 @@ fn whole_read(tables: &[String]) -> Footprint {
 /// completed statement can touch (statements that fail to parse at
 /// runtime error without touching anything).
 fn prefix_write_footprint(prefix: &str) -> Option<Footprint> {
-    let w = words(prefix);
-    match w.first().map(String::as_str) {
-        // `UPDATE <table> SET …` — require SET so the table is complete.
-        Some("update") if w.len() >= 3 && w.iter().any(|x| x == "set") => Some(whole_write(&w[1])),
-        // `DELETE FROM <table> WHERE …` — require WHERE (a full-literal
-        // DELETE goes through `Footprint::of_sql` instead).
-        Some("delete") if w.len() >= 4 && w[1] == "from" && w.iter().any(|x| x == "where") => {
-            Some(whole_write(&w[2]))
-        }
-        // `INSERT INTO <table> … VALUES …` — require VALUES.
-        Some("insert") if w.len() >= 4 && w[1] == "into" && w.iter().any(|x| x == "values") => {
-            Some(whole_write(&w[2]))
+    let w = lead_words(prefix, &["set", "where", "values"])?;
+    match w.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["update", table, ..] | ["delete", "from", table, ..] | ["insert", "into", table, ..] => {
+            Some(whole_write(table))
         }
         _ => None,
     }
 }
 
-/// Table-level footprint of a **read** statement's literal prefix. Sound
-/// for the supported grammar only when the prefix reaches `WHERE`: every
-/// `FROM`/`JOIN` table reference precedes it, so the table set is closed.
+/// Table-level footprint of a **read** statement's literal prefix: it
+/// must reach `WHERE`, past every `FROM` / `JOIN` table.
 fn prefix_read_footprint(prefix: &str) -> Option<Footprint> {
-    let w = words(prefix);
-    if w.first().map(String::as_str) != Some("select") || !w.iter().any(|x| x == "where") {
+    let w = lead_words(prefix, &["where"])?;
+    if w.first().map(String::as_str) != Some("select") {
         return None;
     }
     let mut tables = Vec::new();
     for (i, word) in w.iter().enumerate() {
-        if (word == "from" || word == "join") && i + 1 < w.len() {
-            let t = &w[i + 1];
-            if t == "where" {
-                return None;
-            }
-            tables.push(t.clone());
+        if word == "from" || word == "join" {
+            tables.push(w.get(i + 1)?.clone());
         }
     }
     if tables.is_empty() {
@@ -207,7 +239,7 @@ fn entity_table(entity: &str, schema: Option<&Schema>) -> Option<String> {
 
 /// Footprint of one builtin query call, or `None` when it cannot be
 /// bounded. `env` resolves the simplify pass's string temporaries.
-fn call_footprint(
+pub(crate) fn call_footprint(
     name: &str,
     args: &[Expr],
     env: &SEnv,
@@ -251,18 +283,7 @@ fn call_footprint(
     }
 }
 
-/// [`call_footprint`] of a call whose string arguments are literals where
-/// they lie (no temporaries resolved): guard hoisting's view of the writes
-/// issued before an `if`.
-pub(crate) fn literal_call_footprint(
-    name: &str,
-    args: &[Expr],
-    schema: Option<&Schema>,
-) -> Option<Footprint> {
-    call_footprint(name, args, &SEnv::new(), schema)
-}
-
-/// Context shared by the two walks.
+/// What the branch side and the tail read.
 pub(crate) struct WdCtx<'a> {
     pub analysis: &'a Analysis,
     pub schema: Option<&'a Schema>,
@@ -411,129 +432,31 @@ fn branch_expr_ok(
 /// Union footprint of every database access in the given tail regions
 /// (the statements after the branch in its own block, the bodies of
 /// enclosing loops — one unrolling covers them, footprints being sets —
-/// and the enclosing blocks' tails). `None` = some access could not be
-/// bounded, which the caller must treat as conflicting with everything.
+/// and the enclosing blocks' tails), each walked by the effect summary
+/// from a point where no string is known. `None` = some access could not
+/// be bounded (a call to a persistent user function among them), which
+/// the caller must treat as conflicting with everything.
 pub(crate) fn tail_footprint(regions: &[&[Stmt]], ctx: &WdCtx) -> Option<Footprint> {
     let mut fp = Footprint::default();
     for region in regions {
-        let mut env = SEnv::new();
-        for s in *region {
-            if !tail_stmt(s, ctx, &mut env, &mut fp) {
-                return None;
-            }
-        }
+        let fx = ctx.analysis.effects(region, ctx.schema);
+        fp.merge(&fx.reads);
+        fp.merge(&fx.writes);
     }
-    Some(fp)
-}
-
-/// Accumulates the database accesses of one tail statement; `false` =
-/// unanalyzable.
-fn tail_stmt(s: &Stmt, ctx: &WdCtx, env: &mut SEnv, fp: &mut Footprint) -> bool {
-    match s {
-        Stmt::Let(name, e) => {
-            let ok = tail_expr(e, ctx, env, fp);
-            record_def(name, e, env);
-            ok
-        }
-        Stmt::Assign(lv, e) => {
-            let lv_ok = match lv {
-                LValue::Var(name) => {
-                    // handled after the value walk below
-                    record_def(name, e, env);
-                    true
-                }
-                LValue::Field(b, _) => tail_expr(b, ctx, env, fp),
-                LValue::Index(b, i) => tail_expr(b, ctx, env, fp) && tail_expr(i, ctx, env, fp),
-            };
-            lv_ok && tail_expr(e, ctx, env, fp)
-        }
-        Stmt::ExprStmt(e) | Stmt::Return(Some(e)) => tail_expr(e, ctx, env, fp),
-        Stmt::If(c, t, els) => {
-            let ok = tail_expr(c, ctx, env, fp)
-                && walk_nested(t, ctx, env, fp)
-                && walk_nested(els, ctx, env, fp);
-            invalidate_assigned(t, env);
-            invalidate_assigned(els, env);
-            ok
-        }
-        Stmt::While(c, b) => {
-            let ok = tail_expr(c, ctx, env, fp) && walk_nested(b, ctx, env, fp);
-            invalidate_assigned(b, env);
-            ok
-        }
-        Stmt::DeferBlock { body, .. } => {
-            let ok = walk_nested(body, ctx, env, fp);
-            invalidate_assigned(body, env);
-            ok
-        }
-        Stmt::Break | Stmt::Continue | Stmt::Return(None) => true,
-    }
-}
-
-fn walk_nested(stmts: &[Stmt], ctx: &WdCtx, env: &SEnv, fp: &mut Footprint) -> bool {
-    let mut inner = env.clone();
-    stmts.iter().all(|s| tail_stmt(s, ctx, &mut inner, fp))
+    (!fp.barrier).then_some(fp)
 }
 
 /// After a conditionally executed region, anything it assigned is no
 /// longer statically known in the outer environment.
-fn invalidate_assigned(stmts: &[Stmt], env: &mut SEnv) {
-    let mut assigned = Vec::new();
-    assigned_vars(stmts, &mut assigned);
-    let mut lets = Vec::new();
-    collect_let_names(stmts, &mut lets);
-    for v in assigned.into_iter().chain(lets) {
-        env.insert(v, SStr::Unknown);
+pub(crate) fn invalidate_assigned(stmts: &[Stmt], env: &mut SEnv) {
+    if env.is_empty() {
+        return;
     }
-}
-
-fn collect_let_names(stmts: &[Stmt], out: &mut Vec<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Let(name, _) => out.push(name.clone()),
-            Stmt::If(_, t, e) => {
-                collect_let_names(t, out);
-                collect_let_names(e, out);
-            }
-            Stmt::While(_, b) => collect_let_names(b, out),
-            Stmt::DeferBlock { body, .. } => collect_let_names(body, out),
-            _ => {}
-        }
-    }
-}
-
-fn tail_expr(e: &Expr, ctx: &WdCtx, env: &SEnv, fp: &mut Footprint) -> bool {
-    match e {
-        Expr::Call(name, args) => {
-            let args_ok = args.iter().all(|a| tail_expr(a, ctx, env, fp));
-            if !args_ok {
-                return false;
-            }
-            match builtin_kind(name) {
-                Some(BuiltinKind::Query) | Some(BuiltinKind::WriteQuery) => {
-                    match call_footprint(name, args, env, ctx.schema) {
-                        Some(f) => {
-                            fp.merge(&f);
-                            true
-                        }
-                        None => false,
-                    }
-                }
-                Some(_) => true,
-                // User functions: pure ones touch nothing; persistent
-                // ones issue queries we cannot see — unanalyzable.
-                // Impure non-persistent functions (output/heap only)
-                // have no database footprint.
-                None => !ctx.analysis.is_persistent(name),
-            }
-        }
-        Expr::Field(b, _) => tail_expr(b, ctx, env, fp),
-        Expr::Index(b, i) => tail_expr(b, ctx, env, fp) && tail_expr(i, ctx, env, fp),
-        Expr::Binary(_, a, b) => tail_expr(a, ctx, env, fp) && tail_expr(b, ctx, env, fp),
-        Expr::Unary(_, a) => tail_expr(a, ctx, env, fp),
-        Expr::NewObject(fields) => fields.iter().all(|(_, v)| tail_expr(v, ctx, env, fp)),
-        Expr::NewList(items) => items.iter().all(|v| tail_expr(v, ctx, env, fp)),
-        Expr::Lit(_) | Expr::Var(_) => true,
+    let mut names = Vec::new();
+    assigned_vars(stmts, &mut names);
+    let_names(stmts, &mut names);
+    for v in names {
+        env.remove(&v);
     }
 }
 
@@ -546,7 +469,7 @@ mod tests {
 
     fn ctx_for(p: &Program) -> (Program, Analysis) {
         let s = simplify_program(p);
-        let a = analyze(&s);
+        let a = analyze(&s, None);
         (s, a)
     }
 

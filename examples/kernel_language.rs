@@ -48,7 +48,7 @@ pub fn run() -> Vec<(&'static str, Vec<String>, u64)> {
     );
 
     // Stage 2: analysis (§4.1) — persistence and purity labels.
-    let analysis = analyze(&simplified);
+    let analysis = analyze(&simplified, None);
     for f in &simplified.functions {
         println!(
             "  fn {:<12} persistent={:<5} pure={}",

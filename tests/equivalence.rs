@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use sloth_lang::{run_source, ExecStrategy, OptFlags};
+use sloth_lang::{run_source, ExecStrategy, OptFlags, V};
 use sloth_net::{CostModel, ShardedEnv, SimEnv};
 use sloth_orm::Schema;
 use sloth_sql::ShardSpec;
@@ -298,6 +298,85 @@ fn guarded_arm(rng: &mut Rng, i: i64, failing: &mut bool) -> String {
     }
 }
 
+/// A write branch and the reads after it: what branch deferral across
+/// writes decides on, and what its static footprints must cover. It runs
+/// as `main(1)`, so text ending in `"t" + str(x)` names table `t1`. The
+/// branch writes `t`, `u` or `t1` by literal SQL, by a literal prefix
+/// ahead of a `str` splice, or by SQL whose table is spliced (behind a
+/// comment naming a clause, or not). The reads after it build their text
+/// from literals and `str` splices, some with a comment naming a clause or
+/// quoted keywords in the literal lead, or a lead that ends inside a
+/// quote; each reaches `query` directly or through a string variable that
+/// a loop or an `if` arm reassigns.
+fn arb_write_tail(rng: &mut Rng) -> String {
+    const TABLES: [&str; 3] = ["t", "u", "t1"];
+    let table = |rng: &mut Rng| TABLES[rng.range(0, 3) as usize];
+    let write = |rng: &mut Rng| {
+        let (t, id, v) = (table(rng), rng.range(0, 5), rng.range(50, 99));
+        match rng.range(0, 6) {
+            0 => format!("exec(\"UPDATE {t} SET v = {v} WHERE id = {id}\");"),
+            1 => format!("exec(\"UPDATE {t} SET v = \" + str(x + {v}) + \" WHERE id = {id}\");"),
+            2 => format!("exec(\"DELETE FROM {t} WHERE id = \" + str(x + {id}));"),
+            3 => {
+                format!("exec(\"INSERT INTO {t} (id, v) VALUES (\" + str(x + {v}) + \", {id})\");")
+            }
+            4 => format!("exec(\"UPDATE t\" + str(x) + \" SET v = {v} WHERE id = {id}\");"),
+            _ => {
+                format!("exec(\"UPDATE /* set */ t\" + str(x) + \" SET v = {v} WHERE id = {id}\");")
+            }
+        }
+    };
+    let text = |rng: &mut Rng| {
+        let (t, key) = (table(rng), rng.range(0, 5));
+        match rng.range(0, 7) {
+            0 => format!("\"SELECT v FROM {t} WHERE id = {key}\""),
+            1 => format!("\"SELECT v FROM {t} WHERE id = \" + str(x + {})", key - 1),
+            2 => format!("\"SELECT /* where */ v FROM t\" + str(x) + \" WHERE id = {key}\""),
+            3 => format!("\"SELECT v -- where\\n FROM t\" + str(x) + \" WHERE id = {key}\""),
+            4 => format!(
+                "\"SELECT v FROM {t} WHERE s = 'from t1 where' OR id = \" + str(x + {})",
+                key - 1
+            ),
+            5 => format!(
+                "\"SELECT v FROM {t} WHERE s = 'a\" + str(x + {}) + \"'\"",
+                key - 1
+            ),
+            _ => format!("\"SELECT v FROM {t} WHERE id <= \" + str({key}) + \" ORDER BY id\""),
+        }
+    };
+    let cond = rng.range(0, 2);
+    let els = if rng.range(0, 3) == 0 {
+        format!(" else {{ {} }}", write(rng))
+    } else {
+        String::new()
+    };
+    let mut stmts = vec![format!("if (x > {cond}) {{ {} }}{els}", write(rng))];
+    if rng.range(0, 2) == 0 {
+        stmts.push("print(\"start\");".into());
+    }
+    for k in 0..rng.range(1, 4) {
+        let show = format!(
+            "print(str(nrows(r{k}))); if (nrows(r{k}) > 0) {{ print(str(cell(r{k}, 0, \"v\"))); }}"
+        );
+        stmts.push(match rng.range(0, 3) {
+            0 => format!("let r{k} = query({}); {show}", text(rng)),
+            1 => format!(
+                "let q{k} = {}; let i{k} = 0; \
+                 while (i{k} < 2) {{ let r{k} = query(q{k}); {show} q{k} = {}; i{k} = i{k} + 1; }}",
+                text(rng),
+                text(rng)
+            ),
+            _ => format!(
+                "let q{k} = {}; if (x > {}) {{ q{k} = {}; }} let r{k} = query(q{k}); {show}",
+                text(rng),
+                rng.range(0, 2),
+                text(rng)
+            ),
+        });
+    }
+    format!("fn main(x) {{\n{}\n}}", stmts.join("\n"))
+}
+
 /// The deployments every property runs on: one server, and the table
 /// hash-partitioned over a 4-shard fleet.
 const FLEETS: [usize; 2] = [1, 4];
@@ -306,7 +385,10 @@ fn fresh_env(shards: usize) -> SimEnv {
     let env = if shards == 1 {
         SimEnv::default_env()
     } else {
-        let spec = ShardSpec::new().shard("t", "id").shard("u", "id");
+        let spec = ShardSpec::new()
+            .shard("t", "id")
+            .shard("u", "id")
+            .shard("t1", "id");
         ShardedEnv::new(CostModel::default(), spec, shards).handle()
     };
     env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT, f FLOAT)")
@@ -334,12 +416,19 @@ fn fresh_env(shards: usize) -> SimEnv {
         ))
         .unwrap();
     }
+    env.seed_sql("CREATE TABLE t1 (id INT PRIMARY KEY, v INT, s TEXT)")
+        .unwrap();
+    for i in 0..5 {
+        env.seed_sql(&format!("INSERT INTO t1 VALUES ({i}, {}, 'a{i}')", i * 5))
+            .unwrap();
+    }
     env
 }
 
 fn table_state(env: &SimEnv) -> Vec<Vec<sloth_sql::Value>> {
     let mut rows = env.query("SELECT id, v FROM t ORDER BY id").unwrap().rows;
     rows.extend(env.query("SELECT id, v FROM u ORDER BY id").unwrap().rows);
+    rows.extend(env.query("SELECT id, v FROM t1 ORDER BY id").unwrap().rows);
     rows
 }
 
@@ -353,6 +442,12 @@ fn unbatched(message: &str) -> &str {
 }
 
 fn check_equivalent(src: &str, flags: OptFlags, shards: usize) {
+    check_equivalent_with(src, &[], flags, shards);
+}
+
+/// [`check_equivalent`] of `main(args…)`.
+fn check_equivalent_with(src: &str, args: &[i64], flags: OptFlags, shards: usize) {
+    let args = || args.iter().map(|&a| V::Int(a)).collect();
     let schema = Arc::new(Schema::new());
     let env_o = fresh_env(shards);
     let o = run_source(
@@ -360,7 +455,7 @@ fn check_equivalent(src: &str, flags: OptFlags, shards: usize) {
         &env_o,
         Arc::clone(&schema),
         ExecStrategy::Original,
-        vec![],
+        args(),
     );
     let env_s = fresh_env(shards);
     let s = run_source(
@@ -368,7 +463,7 @@ fn check_equivalent(src: &str, flags: OptFlags, shards: usize) {
         &env_s,
         Arc::clone(&schema),
         ExecStrategy::Sloth(flags),
-        vec![],
+        args(),
     );
     match (o, s) {
         (Ok(o), Ok(s)) => {
@@ -519,6 +614,42 @@ fn a_guarded_arm_over_no_row_runs_nothing() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A write branch is deferred only past reads its footprint cannot touch:
+/// `Original` ≡ `Sloth(all)` over [`arb_write_tail`]'s programs.
+#[test]
+fn a_write_branch_defers_only_past_reads_it_cannot_touch() {
+    for shards in FLEETS {
+        for case in 0..256u64 {
+            let mut rng = Rng::new(0x3B1F_7A11 ^ case);
+            let src = arb_write_tail(&mut rng);
+            check_equivalent_with(&src, &[1], OptFlags::all(), shards);
+        }
+    }
+}
+
+/// Two programs branch deferral once miscompiled: a read whose text a loop
+/// carries into its second iteration, and a read whose literal lead holds
+/// a comment naming a clause — both read `t1` after a branch writes it.
+#[test]
+fn a_loop_carried_or_commented_read_sees_the_write_before_it() {
+    let looped = "fn main(x) { \
+         if (x > 0) { exec(\"UPDATE t1 SET v = 100 WHERE id = 1\"); } \
+         print(\"start\"); \
+         let q = \"SELECT v FROM u WHERE id = 1\"; let i = 0; \
+         while (i < 2) { let r = query(q); print(str(cell(r, 0, \"v\"))); \
+         q = \"SELECT v FROM t1 WHERE id = 1\"; i = i + 1; } }";
+    let commented = "fn main(x) { \
+         if (x > 0) { exec(\"UPDATE t1 SET v = 100 WHERE id = 1\"); } \
+         print(\"start\"); \
+         let r = query(\"SELECT /* where */ v FROM t\" + str(x) + \" WHERE id = 1\"); \
+         print(str(cell(r, 0, \"v\"))); }";
+    for src in [looped, commented] {
+        for shards in FLEETS {
+            check_equivalent_with(src, &[1], OptFlags::all(), shards);
         }
     }
 }

@@ -192,7 +192,7 @@ fn persistence_majority() {
     for app in [itracker_app(), openmrs_app()] {
         let page = &app.pages[0];
         let program = sloth_lang::parse_program(&page.source).unwrap();
-        let analysis = sloth_lang::analyze(&program);
+        let analysis = sloth_lang::analyze(&program, None);
         let total = program.functions.len();
         let persistent = program
             .functions
