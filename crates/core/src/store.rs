@@ -205,6 +205,9 @@ struct StoreInner {
     /// unknown.
     in_flight: HashSet<QueryId>,
     next_id: u64,
+    /// The lowest-numbered statement failure recorded so far (see
+    /// [`QueryStore::failure`]).
+    failure: Option<(QueryId, SqlError)>,
     stats: StoreStats,
     /// Degraded mode (see [`StoreStats::degradations`]): set when a flush
     /// fails with a transient fault-layer error, never cleared — the
@@ -299,6 +302,7 @@ impl QueryStore {
                     next_txn: 0,
                     in_flight: HashSet::new(),
                     next_id: 0,
+                    failure: None,
                     stats: StoreStats::default(),
                     degraded: false,
                 }),
@@ -656,61 +660,62 @@ impl QueryStore {
     /// A batch this ships is recorded as `Force(Demand::Return)`; a lazy
     /// evaluator that knows its consumer calls [`QueryStore::result_for`].
     pub fn result(&self, id: QueryId) -> Result<ResultSet, SqlError> {
-        self.result_for(id, Demand::Return)
+        self.result_for(id, Demand::Return).0
     }
 
     /// [`QueryStore::result`], naming what the result is demanded for: a
-    /// batch this ships is recorded as `Force(why)`.
-    pub fn result_for(&self, id: QueryId, why: Demand) -> Result<ResultSet, SqlError> {
-        {
-            let mut inner = self.lock();
-            loop {
-                if let Some(r) = inner.results.get(&id) {
-                    return r.clone();
-                }
-                if !inner.in_flight.contains(&id) {
-                    break;
-                }
+    /// batch this ships is recorded as `Force(why)`. Alongside the result
+    /// comes [`QueryStore::failure`], read in the same critical section.
+    pub fn result_for(
+        &self,
+        id: QueryId,
+        why: Demand,
+    ) -> (Result<ResultSet, SqlError>, Option<(QueryId, SqlError)>) {
+        let mut shipped = false;
+        let mut inner = self.lock();
+        loop {
+            if let Some(r) = inner.results.get(&id) {
+                return (r.clone(), inner.failure.clone());
+            }
+            if inner.in_flight.contains(&id) {
                 inner = self
                     .shared
                     .answered
                     .wait(inner)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
+            } else if shipped {
+                let unknown = SqlError::new(format!("unknown query id {id:?}"));
+                return (Err(unknown), inner.failure.clone());
+            } else {
+                drop(inner);
+                // Per-id outcome recorded either way.
+                self.flush_internal(FlushReason::Force(why)).ok();
+                (shipped, inner) = (true, self.lock());
             }
-        }
-        // Per-id outcome recorded below either way.
-        self.flush_internal(FlushReason::Force(why)).ok();
-        let mut inner = self.lock();
-        loop {
-            if let Some(r) = inner.results.get(&id) {
-                return r.clone();
-            }
-            if !inner.in_flight.contains(&id) {
-                return Err(SqlError::new(format!("unknown query id {id:?}")));
-            }
-            inner = self
-                .shared
-                .answered
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
-    /// Drops from `ids` every statement a flush has answered, and returns
-    /// the first of them (in `ids`' order) it answered with an error —
-    /// asked under one lock, without shipping anything.
-    pub fn settle(&self, ids: &mut Vec<QueryId>) -> Option<(QueryId, SqlError)> {
+    /// The lowest-numbered statement failure recorded, with the error the
+    /// statement raises alone (see DESIGN.md "Failure order").
+    pub fn failure(&self) -> Option<(QueryId, SqlError)> {
+        self.lock().failure.clone()
+    }
+
+    /// The id the next registered statement takes: every statement
+    /// registered so far has a lower one.
+    pub fn next_id(&self) -> QueryId {
+        QueryId(self.lock().next_id)
+    }
+
+    /// The text of every statement still waiting in the current batch, in
+    /// registration order: what this session has not shipped.
+    pub fn unshipped(&self) -> Vec<String> {
         let inner = self.lock();
-        let mut failed = None;
-        ids.retain(|id| match inner.results.get(id) {
-            None => true,
-            Some(Ok(_)) => false,
-            Some(Err(e)) => {
-                failed.get_or_insert_with(|| (*id, e.clone()));
-                false
-            }
-        });
-        failed
+        inner
+            .pending
+            .iter()
+            .map(|p| p.stmt.sql().to_string())
+            .collect()
     }
 
     /// Ships the current batch (if any) without demanding a result —
@@ -868,10 +873,13 @@ impl QueryStore {
             cache,
             ..BatchRequest::new(&stmts)
         });
-        let error = outcome.error.map(|(_, e)| e);
+        let (failed_at, error) = outcome.error.unzip();
         panic_guard.armed = false;
         {
             let mut inner = self.lock();
+            if let (Some(&id), Some(e)) = (failed_at.and_then(|pos| ids.get(pos)), &error) {
+                note_failure(&mut inner, id, e.clone());
+            }
             match &error {
                 None => {
                     inner.stats.batches += 1;
@@ -912,10 +920,7 @@ impl QueryStore {
                     (None, Some(e)) => Err(
                         e.annotated(format!("batch failed: {e} (while batched: {})", stmt.sql()))
                     ),
-                    (None, None) => Err(SqlError::new(format!(
-                        "batch answered nothing for {}",
-                        stmt.sql()
-                    ))),
+                    (None, None) => Err(sloth_net::answered_nothing(stmt.sql())),
                 };
                 inner.results.insert(*id, record);
             }
@@ -985,17 +990,17 @@ fn parent_gone(inner: &StoreInner, stmt: &Stmt) -> bool {
 fn bind_kept_dependants(inner: &mut StoreInner) {
     let mut i = 0;
     while i < inner.pending.len() {
-        let answer = inner.pending[i]
-            .stmt
-            .parent()
-            .and_then(|parent| inner.results.get(&QueryId(parent)));
-        let bound = match answer {
-            None => {
+        let p = &inner.pending[i];
+        let parent = p.stmt.parent().map(QueryId);
+        // A dependant whose parent failed fails at the parent's id; one
+        // whose binding fails, at its own.
+        let (bound, at) = match parent.map(|q| (q, inner.results.get(&q))) {
+            Some((_, Some(Ok(row)))) => (p.stmt.bind_from(row), p.id),
+            Some((parent, Some(Err(e)))) => (Err(e.clone()), parent),
+            _ => {
                 i += 1;
                 continue;
             }
-            Some(Ok(row)) => inner.pending[i].stmt.bind_from(row),
-            Some(Err(e)) => Err(e.clone()),
         };
         match bound {
             Ok(Some(stmt)) => {
@@ -1008,9 +1013,17 @@ fn bind_kept_dependants(inner: &mut StoreInner) {
             }
             Err(e) => {
                 let p = inner.pending.remove(i);
+                note_failure(inner, at, e.clone());
                 inner.results.insert(p.id, Err(e));
             }
         }
+    }
+}
+
+/// Records `id`'s failure, unless a lower-numbered one is recorded.
+fn note_failure(inner: &mut StoreInner, id: QueryId, e: SqlError) {
+    if inner.failure.as_ref().is_none_or(|(first, _)| id < *first) {
+        inner.failure = Some((id, e));
     }
 }
 
@@ -2407,6 +2420,49 @@ mod tests {
     }
 
     #[test]
+    fn the_failure_recorded_is_the_lowest_failing_statement() {
+        let e = chain_env();
+        let store = QueryStore::new(e.clone());
+        let ok = store.register("SELECT * FROM link WHERE id = 1").unwrap();
+        let failing = store.register("SELECT * FROM missing").unwrap();
+        let write = store.register_stmt("UPDATE link SET next = 9 WHERE id = 4");
+        let write = write.unwrap().id;
+        assert_eq!(store.failure(), None);
+        assert!(store.flush().is_err());
+        // The failing read, as it fails alone — not the write the batch
+        // annotates after it.
+        let (id, err) = store.failure().unwrap();
+        assert_eq!((id, err.message()), (failing, "no such table: missing"));
+        assert!(store.result(ok).is_ok());
+        let annotated = store.result(write).unwrap_err();
+        assert!(annotated.message().starts_with("batch failed: "));
+        // A later flush's failure does not displace it.
+        store.register("SELECT * FROM gone").unwrap();
+        assert!(store.flush().is_err());
+        assert_eq!(store.failure().unwrap().0, failing);
+
+        // The drain ships a failing parent and keeps its child: the child
+        // fails at its parent's id.
+        let store = QueryStore::new(e);
+        let head = store.register("SELECT * FROM link WHERE nope = 1").unwrap();
+        store
+            .register_stmt("UPDATE link SET next = 9 WHERE id = 4")
+            .unwrap();
+        let kept = store
+            .register_dependent(head, |p| {
+                let key = Param::reference(p, "id");
+                Stmt::with_param("SELECT v FROM t WHERE id = ", &key, "")
+            })
+            .unwrap()
+            .unwrap()
+            .id;
+        assert!(store.flush_deferred_writes().is_err());
+        assert_eq!(store.pending_len(), 0, "the child is answered");
+        assert!(store.result(kept).is_err());
+        assert_eq!(store.failure().unwrap().0, head);
+    }
+
+    #[test]
     fn a_dependent_read_conflicting_with_a_deferred_write_drains_in_order() {
         let e = chain_env();
         let store = QueryStore::new(e.clone());
@@ -2551,8 +2607,8 @@ mod tests {
         let store = QueryStore::new(e.clone());
         let a = store.register("SELECT v FROM t WHERE id = 1").unwrap();
         let b = store.register("SELECT v FROM t WHERE id = 2").unwrap();
-        store.result_for(a, why).unwrap();
-        store.result_for(b, Demand::Output).unwrap();
+        store.result_for(a, why).0.unwrap();
+        store.result_for(b, Demand::Output).0.unwrap();
         assert_eq!(e.stats().round_trips, 1);
         assert_eq!(store.stats().batch_sizes, vec![2]);
         assert_eq!(store.stats().flush_reasons, vec![FlushReason::Force(why)]);

@@ -20,15 +20,15 @@
 //! deferred blocks by index.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sloth_core::{Demand, QueryId, Registration};
+use sloth_core::{Demand, QueryId, QueryStore, Registration};
 use sloth_net::{NetStats, SimEnv};
 use sloth_orm::sqlgen::{self, KeyedRead};
 use sloth_orm::{AssocDef, AssocKind, EntityDef, FetchStrategy, Schema};
-use sloth_sql::{Param, ResultSet, SqlError, Stmt};
+use sloth_sql::{Param, ResultSet, Stmt};
 
 use crate::analysis::analyze;
 use crate::ast::{BinOp, Lit, Program, UnOp};
@@ -127,10 +127,10 @@ impl Prepared {
             flags,
             counters: Counters::default(),
             output: Vec::new(),
-            out_buffer: Vec::new(),
-            checks: Vec::new(),
-            unanswered: Vec::new(),
-            failed: None,
+            out_buffer: VecDeque::new(),
+            conditions: Vec::new(),
+            forcing: 0,
+            stop: None,
             effect_blocks: Vec::new(),
             depth: 0,
             demand: Demand::Output,
@@ -179,17 +179,6 @@ pub fn run_source(
     prepare_with_schema(&program, strategy, Some(&schema)).run(env, schema, args)
 }
 
-/// What a row guard leaves to raise.
-enum Check {
-    /// The condition of a guard whose head was its whole arm: forced at
-    /// the end of the request.
-    Cond(V),
-    /// A statement of a head, registered as a dependant: once a flush has
-    /// answered it with an error, the eager program stopped there (see
-    /// [`Interp::fetch`]).
-    Dependant(QueryId),
-}
-
 enum Flow {
     Normal,
     Break,
@@ -212,15 +201,17 @@ struct Interp<'p> {
     flags: OptFlags,
     counters: Counters,
     output: Vec<String>,
-    /// The buffered writer (§5): each value written, and the result set a
-    /// row guard's arm waits on, if it was written there.
-    out_buffer: Vec<(V, Option<V>)>,
-    /// What row guards left to raise at the end of the request.
-    checks: Vec<Check>,
-    /// The row guards' dependants no flush has answered yet.
-    unanswered: Vec<QueryId>,
-    /// The first of them a flush answered with an error.
-    failed: Option<(QueryId, SqlError)>,
+    /// The buffered writer (§5): each value written, the result set a row
+    /// guard's arm waits on if it was written there, and its place in the
+    /// failure order — the id of the first statement registered after it.
+    out_buffer: VecDeque<(V, Option<V>, QueryId)>,
+    /// The conditions of row guards whose head was their whole arm: forced
+    /// at the end of the request.
+    conditions: Vec<V>,
+    /// Forces in progress, and the failure a fetch inside them stops the
+    /// program for once the outermost has memoised its value.
+    forcing: u32,
+    stop: Option<RunError>,
     /// Thunk handles of deferred **effectful** blocks (write-containing
     /// branches deferred by BD-across-writes), in creation order. Forced
     /// at end of request if nothing demanded their outputs earlier — a
@@ -238,33 +229,82 @@ const MAX_LOOP_ITERS: u64 = 50_000_000;
 
 impl<'p> Interp<'p> {
     /// Runs `main(args…)` and ends the request: what the framework renders
-    /// of the value it returns.
+    /// of the value it returns. The output flush and the end of the
+    /// request are observation points of the failure order, and so is
+    /// wherever an error stops the program.
     fn request(&mut self, main: u32, args: Vec<V>, lazy: bool) -> Result<Option<String>, RunError> {
-        let returned = self.call_function(main, args, lazy)?;
-        // End of request: deferred *effectful* blocks (write-containing
-        // branches kept lazy by BD-across-writes) run first — their
-        // writes register now and may still share the output flush —
-        // then the buffering writer flushes (forcing in order), then the
-        // framework renders the returned value if any.
-        self.run_effect_blocks()?;
-        self.flush_buffer()?;
-        let returned = match returned {
-            V::Null => None,
-            v => Some(self.display_for(&v, Demand::Return)?),
-        };
-        // Any write still deferred ships now, in one write-only round
-        // trip — dead reads stay dead (never-demanded queries never
-        // execute), but writes always apply before the request ends.
-        let drained = match &self.data.store {
-            Some(store) => store.flush_deferred_writes(),
-            None => Ok(()),
-        };
-        // A row guard's failed dependant raises what the drain failed on,
-        // as the eager program raised it.
-        self.settle();
-        self.run_checks()?;
-        drained?;
-        Ok(returned)
+        // Deferred *effectful* blocks (write-containing branches kept lazy
+        // by BD-across-writes) run first — their writes register now and
+        // may still share the output flush — then the buffering writer
+        // flushes, forcing in order.
+        let ran = self.call_function(main, args, lazy).and_then(|v| {
+            // Forcing is memoised: a block whose outputs were demanded is a
+            // no-op here; one forced here may defer another.
+            while !self.effect_blocks.is_empty() {
+                for block in std::mem::take(&mut self.effect_blocks) {
+                    self.force_for(block, Demand::Output)?;
+                }
+            }
+            Ok(v)
+        });
+        self.observe(ran.as_ref().err())?;
+        // The framework renders the returned value, if any. Any write still
+        // deferred ships, in one write-only round trip, its failure
+        // recorded: dead reads stay dead, but writes always apply before
+        // the request ends. Then the conditions no statement decided force.
+        let ended = ran.and_then(|returned| {
+            let returned = match returned {
+                V::Null => None,
+                v => Some(self.display_for(&v, Demand::Return)?),
+            };
+            if let Some(store) = &self.data.store {
+                store.flush_deferred_writes().ok();
+            }
+            for c in std::mem::take(&mut self.conditions) {
+                self.force_for(c, Demand::Condition)?;
+            }
+            Ok(returned)
+        });
+        self.observe(ended.as_ref().err())?;
+        ended
+    }
+
+    /// An observation point of the failure order (DESIGN.md "Failure
+    /// order"): writes the buffered output placed before the lowest failure
+    /// known — the store's, or `raised`, an error raised now, after all of
+    /// it — forcing each value in order, and raises that failure, or the
+    /// first value's that fails. Before it raises, the store ships what it
+    /// still holds, so that no failure before it stays unknown.
+    fn observe(&mut self, raised: Option<&RunError>) -> Result<(), RunError> {
+        let store = self.data.store.clone();
+        let failure = || store.as_ref().and_then(QueryStore::failure);
+        let mut first = None;
+        while let Some((v, guard, at)) = self.out_buffer.pop_front() {
+            if failure().is_some_and(|(id, _)| id < at) {
+                break;
+            }
+            // Nothing stops a value being written: the loop weighs what a
+            // fetch finds.
+            self.forcing += 1;
+            let written = self.write(v, guard);
+            self.forcing -= 1;
+            self.stop = None;
+            if let Err(e) = written {
+                first = Some((at, e));
+                break;
+            }
+        }
+        let failing = raised.is_some() || first.is_some() || failure().is_some();
+        if let (true, Some(store)) = (failing, &store) {
+            // Its failure, if any, is recorded.
+            store.flush().ok();
+        }
+        match (failure(), first) {
+            (Some((id, e)), Some((at, _))) if id < at => Err(e.into()),
+            (_, Some((_, e))) => Err(e),
+            (Some((_, e)), None) => Err(e.into()),
+            (None, None) => raised.map_or(Ok(()), |e| Err(e.clone())),
+        }
     }
 
     fn op(&mut self, lazy: bool) {
@@ -674,7 +714,17 @@ impl<'p> Interp<'p> {
         }
     }
 
+    /// Forces `v`, and once the outermost force has memoised its value,
+    /// raises the failure a fetch inside it stopped the program for.
     fn force_thunk(&mut self, v: V) -> Result<V, RunError> {
+        self.forcing += 1;
+        let forced = self.force_chain(v);
+        self.forcing -= 1;
+        let outermost = self.forcing == 0;
+        self.stop.take_if(|_| outermost).map_or(forced, Err)
+    }
+
+    fn force_chain(&mut self, v: V) -> Result<V, RunError> {
         let mut cur = v;
         loop {
             let V::Thunk(cell) = cur else { return Ok(cur) };
@@ -689,8 +739,15 @@ impl<'p> Interp<'p> {
                 }
                 LazyState::Pending(p) => {
                     self.counters.forces += 1;
-                    let v = self.eval_pending(p)?;
-                    let v = self.force(v)?;
+                    let v = match self.eval_pending(p).and_then(|v| self.force(v)) {
+                        Ok(v) => v,
+                        Err(e) => {
+                            // Forced again, by buffered output written
+                            // after the error, it fails alike.
+                            *cell.0.borrow_mut() = LazyState::Pending(Pending::Failed(e.clone()));
+                            return Err(e);
+                        }
+                    };
                     *cell.0.borrow_mut() = LazyState::Done(v.clone());
                     cur = v;
                 }
@@ -1031,7 +1088,8 @@ impl<'p> Interp<'p> {
         if self.buffers_output() {
             // §5 JSP extension: thunks are written to the buffer and
             // forced only when the page flushes.
-            self.out_buffer.push((v, None));
+            let at = self.data.store()?.next_id();
+            self.out_buffer.push_back((v, None, at));
         } else {
             let s = self.display_for(&v, Demand::Output)?;
             self.output.push(s);
@@ -1039,48 +1097,12 @@ impl<'p> Interp<'p> {
         Ok(V::Null)
     }
 
-    /// Forces every pending effectful block, in creation order. Forcing
-    /// is memoized, so blocks whose outputs were already demanded are
-    /// no-ops here.
-    fn run_effect_blocks(&mut self) -> Result<(), RunError> {
-        while !self.effect_blocks.is_empty() {
-            let blocks = std::mem::take(&mut self.effect_blocks);
-            for v in blocks {
-                self.force_for(v, Demand::Output)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn flush_buffer(&mut self) -> Result<(), RunError> {
-        let buffered = std::mem::take(&mut self.out_buffer);
-        for (v, guard) in buffered {
-            if let Some(rows) = guard {
-                if !self.arm_runs(&rows, Demand::Output)? {
-                    continue;
-                }
-            }
+    /// Writes a buffered value, unless it waits on a row guard's arm that
+    /// does not run.
+    fn write(&mut self, v: V, guard: Option<V>) -> Result<(), RunError> {
+        if guard.map_or(Ok(true), |rows| self.arm_runs(&rows, Demand::Output))? {
             let s = self.display_for(&v, Demand::Output)?;
             self.output.push(s);
-        }
-        Ok(())
-    }
-
-    /// Raises, in program order, what the row guards leave to raise: a
-    /// condition no statement decided, and a dependant that failed where
-    /// nothing demanded it.
-    fn run_checks(&mut self) -> Result<(), RunError> {
-        for i in 0..self.checks.len() {
-            match &self.checks[i] {
-                Check::Cond(c) => {
-                    let c = c.clone();
-                    self.force_for(c, Demand::Condition)?;
-                }
-                Check::Dependant(id) => match &self.failed {
-                    Some((first, e)) if first == id => return Err(e.clone().into()),
-                    _ => {}
-                },
-            }
         }
         Ok(())
     }
@@ -1361,7 +1383,7 @@ impl<'p> Interp<'p> {
     /// parent's own failure if it has one, else the operation on `null`
     /// that produced the key.
     fn missing_parent(&mut self, dep: &Dep) -> RunError {
-        match self.data.fetch(dep.parent, self.demand) {
+        match self.fetch(dep.parent, self.demand) {
             Err(e) => e,
             Ok(rs) if rs.is_no_parent_row() => match &dep.up {
                 Some(up) => self.missing_parent(up),
@@ -1429,7 +1451,7 @@ impl<'p> Interp<'p> {
                     // Nothing left to decide: the condition stays only to
                     // raise at the end of the request what forcing it
                     // raises.
-                    self.checks.push(Check::Cond(c));
+                    self.conditions.push(c);
                     return Ok(Flow::Normal);
                 }
                 self.force_for(c, Demand::Condition)?.truthy()
@@ -1458,7 +1480,8 @@ impl<'p> Interp<'p> {
                     Some(e) => self.eval(e, frame, true)?,
                     None => V::Null,
                 };
-                self.out_buffer.push((v, Some(rows.clone())));
+                let at = self.data.store()?.next_id();
+                self.out_buffer.push_back((v, Some(rows.clone()), at));
                 return Ok(true);
             }
             // A binding that registers nothing and cannot fail.
@@ -1469,28 +1492,17 @@ impl<'p> Interp<'p> {
             let v = this.eval(e, frame, true)?;
             this.display_for(&v, Demand::QueryParam)
         };
-        let (head, tail) =
-            match text(self, &splice.head).and_then(|h| Ok((h, text(self, &splice.tail)?))) {
-                Ok(text) => text,
-                // What the arm raises, if it runs.
-                Err(e) if self.arm_runs(rows, Demand::QueryParam)? => return Err(e),
-                Err(_) => return Ok(false),
-            };
-        let column = &*splice.column;
-        let build = |p| Stmt::with_param(&head, &Param::raw_reference(p, column), &tail);
-        // A registration that drains the batch reports how it failed —
-        // unless a dependant registered before it failed first.
-        let reg = self.data.register_dependent(parent, build).map_err(|e| {
-            self.settle();
-            self.failed
-                .as_ref()
-                .map_or(e, |(_, first)| first.clone().into())
-        });
-        let Some(reg) = reg? else {
+        // A text that fails fails again under the arm, if it runs.
+        let Ok((head, tail)) =
+            text(self, &splice.head).and_then(|h| Ok((h, text(self, &splice.tail)?)))
+        else {
             return Ok(false);
         };
-        self.checks.push(Check::Dependant(reg.id));
-        self.unanswered.push(reg.id);
+        let column = &*splice.column;
+        let build = |p| Stmt::with_param(&head, &Param::raw_reference(p, column), &tail);
+        let Some(reg) = self.data.register_dependent(parent, build)? else {
+            return Ok(false);
+        };
         if let RStmt::Set(slot, _) = &entry.stmt {
             let how = DepKind::Cell(column.into());
             let dep = Rc::new(Dep {
@@ -1508,34 +1520,19 @@ impl<'p> Interp<'p> {
         Ok(true)
     }
 
-    /// A registered result, demanded for `why` — or the error of a row
-    /// guard's dependant a flush failed, which the eager program raised
-    /// first, where the dependant stood: when this result registered after
-    /// it, and, for a missing cell, whatever is demanded after the flush
-    /// (the eager program's `cell` fails where the statement stands, as
-    /// the text of a query does when it is built). A dependant's SQL error
-    /// otherwise waits for its demand, as any query's does.
+    /// A registered result, demanded for `why`: an observation point of the
+    /// failure order (DESIGN.md "Failure order"). A statement failure the
+    /// store knows of stops the program, once the forces in progress have
+    /// memoised their values (see [`Interp::force_thunk`]).
     fn fetch(&mut self, id: QueryId, why: Demand) -> Result<ResultSet, RunError> {
-        let rs = self.data.fetch(id, why);
-        self.settle();
-        match (&self.failed, rs) {
-            (Some((first, e)), _) if *first < id => Err(e.clone().into()),
-            (Some((_, e)), Ok(_)) if e.missing_cell_error().is_some() => Err(e.clone().into()),
-            (_, rs) => rs,
-        }
-    }
-
-    /// Notes which of the row guards' dependants flushes have answered,
-    /// keeping the first that failed.
-    fn settle(&mut self) {
-        if self.unanswered.is_empty() {
-            return;
-        }
-        if let Some((id, e)) = self.data.settle(&mut self.unanswered) {
-            if self.failed.as_ref().is_none_or(|(first, _)| id < *first) {
-                self.failed = Some((id, e));
+        let (rs, failure) = self.data.store()?.result_for(id, why);
+        if let Some((_, e)) = failure {
+            if self.forcing == 0 {
+                return Err(e.into());
             }
+            self.stop = Some(e.into());
         }
+        Ok(rs?)
     }
 
     /// Whether a row guard's arm runs: `nrows(rows) > 0`, forced for `why`.
@@ -1953,10 +1950,10 @@ mod tests {
             flags: OptFlags::all(),
             counters: Counters::default(),
             output: Vec::new(),
-            out_buffer: Vec::new(),
-            checks: Vec::new(),
-            unanswered: Vec::new(),
-            failed: None,
+            out_buffer: VecDeque::new(),
+            conditions: Vec::new(),
+            forcing: 0,
+            stop: None,
             effect_blocks: Vec::new(),
             depth: 0,
             demand: Demand::Output,

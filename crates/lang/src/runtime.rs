@@ -7,7 +7,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sloth_core::{Demand, QueryId, QueryStore, Registration, StoreStats};
+use sloth_core::{QueryId, QueryStore, Registration, StoreStats};
 use sloth_net::{Dispatcher, NetStats, SimEnv};
 use sloth_orm::sqlgen::KeyedRead;
 use sloth_orm::{AssocKind, Schema};
@@ -210,18 +210,6 @@ impl DataLayer {
         Ok(self.store()?.register_dependent(parent, build)?)
     }
 
-    /// Drops from `ids` what a flush has answered, returning the first of
-    /// those answered with an error (see [`QueryStore::settle`]).
-    pub fn settle(&self, ids: &mut Vec<QueryId>) -> Option<(QueryId, SqlError)> {
-        self.store.as_ref()?.settle(ids)
-    }
-
-    /// Fetches a registered result (ships the batch if needed, recording
-    /// what it was demanded for).
-    pub fn fetch(&self, id: QueryId, why: Demand) -> Result<ResultSet, RunError> {
-        Ok(self.store()?.result_for(id, why)?)
-    }
-
     /// The read an association access issues, before its key is known;
     /// also the target entity and whether the read returns a collection
     /// (`true`) or a single entity (`false`).
@@ -294,7 +282,6 @@ mod tests {
         let want = "deferred data layer required";
         assert_eq!(data.store().err().unwrap().message, want);
         assert_eq!(data.register("SELECT 1").unwrap_err().message, want);
-        assert_eq!(data.fetch(id, Demand::Output).unwrap_err().message, want);
         assert!(!data.is_pending(id));
     }
 

@@ -124,7 +124,8 @@ pub(crate) enum Pending {
         /// Argument values.
         args: Vec<V>,
     },
-    /// An `orm_assoc` on a row nobody has fetched that turned out missing
+    /// A value whose computation failed, forced again: it fails alike. Also
+    /// an `orm_assoc` on a row nobody has fetched that turned out missing
     /// (or failed) before the association could register as its
     /// dependant: it fails where it is demanded, as the dependant would.
     Failed(RunError),

@@ -246,17 +246,21 @@ pub struct BatchOutcome {
     pub cross_write_fused: u64,
 }
 
+/// What a position an error-free batch left unanswered reads as: a broken
+/// driver invariant, reported rather than panicked on.
+pub fn answered_nothing(what: impl std::fmt::Display) -> SqlError {
+    SqlError::new(format!("batch answered nothing for {what}"))
+}
+
 impl BatchOutcome {
     /// The all-or-error view: every result, or the first error.
     pub fn into_results(self) -> Result<Vec<ResultSet>, SqlError> {
         if let Some((_, e)) = self.error {
             return Err(e);
         }
-        Ok(self
-            .results
-            .into_iter()
-            .map(|r| r.expect("error-free batch answers every position"))
-            .collect())
+        let at = |pos| answered_nothing(format_args!("position {pos}"));
+        let answered = self.results.into_iter().enumerate();
+        answered.map(|(pos, r)| r.ok_or_else(|| at(pos))).collect()
     }
 
     /// A batch of `n` statements abandoned whole (retry budget
@@ -548,7 +552,7 @@ impl SimEnv {
     pub fn seed_sql(&self, sql: &str) -> Result<ResultSet, SqlError> {
         let stmts = [Stmt::new(sql)];
         let plan = batch::plan_batch(&stmts, false, |s| self.footprint(s));
-        let mut exec = self
+        let exec = self
             .execute(CostModel::default(), &stmts, &plan, None, None, true)
             .exec;
         // Unmetered mutation is invisible to footprint invalidation:
@@ -556,7 +560,12 @@ impl SimEnv {
         self.cache().clear();
         match exec.error {
             Some((_, e)) => Err(e),
-            None => Ok(exec.results.swap_remove(0).expect("executed without error")),
+            None => exec
+                .results
+                .into_iter()
+                .next()
+                .flatten()
+                .ok_or_else(|| answered_nothing(sql)),
         }
     }
 
@@ -765,7 +774,7 @@ impl SimEnv {
         let mut results = self
             .ship(&BatchRequest::new(&[Stmt::new(sql)]))
             .into_results()?;
-        Ok(results.pop().expect("one result per query"))
+        results.pop().ok_or_else(|| answered_nothing(sql))
     }
 
     /// [`SimEnv::ship`] for the stock request, all-or-error: every
@@ -1455,6 +1464,14 @@ mod tests {
             ..BatchRequest::new(&stmts(sqls))
         })
         .into_results()
+    }
+
+    #[test]
+    fn an_unanswered_position_is_an_error_not_a_panic() {
+        let rs = ResultSet::new(vec!["v".into()], Vec::new());
+        let outcome = BatchOutcome::unshipped(vec![Some(rs), None], None);
+        let e = outcome.into_results().unwrap_err();
+        assert_eq!(e.message(), "batch answered nothing for position 1");
     }
 
     #[test]
