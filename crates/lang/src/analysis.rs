@@ -13,19 +13,18 @@
 //! * **purity** — it issues no query, writes no object, calls no external
 //!   and calls only pure functions. Calls to pure functions may be
 //!   deferred whole;
-//! * **its database footprint** — the reads and the writes it may issue,
-//!   as [`Footprint`]s, each a barrier where one cannot be bounded (SQL
-//!   built at run time, a transaction boundary, a call to a persistent
-//!   function's reads);
+//! * **the database writes it may issue**, as a [`Footprint`], a barrier
+//!   where one cannot be bounded (SQL built at run time, a transaction
+//!   boundary);
 //! * **the heap fields it may write** (`e.f = …`), or any (`obj_put`).
 //!
 //! One statement walker computes it, for a function's body and for any
 //! stretch of statements a pass asks about. It resolves the string
 //! temporaries simplification binds through a static-string environment
-//! (`writedefer::SStr`). An `if`'s arms each start from what held before
-//! it, and what either binds is unknown after it; a loop's body binds
-//! names that differ between iterations, so they are unknown before its
-//! condition and body are walked. A call adds its callee's summary. The
+//! (`SStr`). An `if`'s arms each start from what held before it, and
+//! what either binds is unknown after it; a loop's body binds names that
+//! differ between iterations, so they are unknown before its condition
+//! and body are walked. A call adds its callee's summary. The
 //! summaries close over the call graph in one worklist fixpoint: each
 //! body is walked once, and a function is summarised again only when a
 //! function it calls has grown.
@@ -41,7 +40,6 @@ use sloth_sql::{Footprint, TableAccess};
 
 use crate::ast::*;
 use crate::builtins::{builtin_kind, Builtin, BuiltinKind, HeapFn};
-use crate::writedefer::{call_footprint, invalidate_assigned, record_def, SEnv};
 
 /// What code may do (see the module documentation).
 #[derive(Debug, Clone, Default)]
@@ -50,10 +48,6 @@ pub(crate) struct Summary {
     pub persistent: bool,
     /// Not pure.
     pub impure: bool,
-    /// The database reads it may issue; a barrier when one cannot be
-    /// bounded. A persistent callee's reads are one: its own summary does
-    /// not bound them yet.
-    pub reads: Footprint,
     /// The database writes it may issue; a barrier when one cannot be
     /// bounded or it opens or closes a transaction.
     pub writes: Footprint,
@@ -78,45 +72,30 @@ impl Summary {
     fn join(&mut self, other: &Summary) {
         self.persistent |= other.persistent;
         self.impure |= other.impure;
-        self.reads.barrier |= other.reads.barrier;
-        add(&mut self.reads.reads, other.reads.reads.iter().cloned());
         self.writes.barrier |= other.writes.barrier;
         add(&mut self.writes.writes, other.writes.writes.iter().cloned());
         self.fields.extend(other.fields.iter().cloned());
         self.any_field |= other.any_field;
     }
 
-    /// Adds a call of a function `callee` summarises.
-    fn call(&mut self, callee: &Summary) {
-        self.join(callee);
-        self.reads.barrier |= callee.persistent;
-    }
-
-    /// Adds a database call whose footprint is `fp` — `None` when it
-    /// cannot be bounded, a barrier on the side of the call (`write`).
-    fn database(&mut self, fp: Option<Footprint>, write: bool) {
+    /// Adds a write call whose footprint is `fp` — `None` when it cannot
+    /// be bounded.
+    fn write(&mut self, fp: Option<Footprint>) {
         self.persistent = true;
         self.impure = true;
         match fp {
-            Some(fp) => {
-                add(&mut self.reads.reads, fp.reads);
-                add(&mut self.writes.writes, fp.writes);
-            }
-            None if write => self.writes.barrier = true,
-            None => self.reads.barrier = true,
+            Some(fp) => add(&mut self.writes.writes, fp.writes),
+            None => self.writes.barrier = true,
         }
     }
 
     /// Grows with every change [`Summary::join`] makes.
-    fn size(&self) -> [usize; 8] {
-        let (r, w) = (&self.reads, &self.writes);
+    fn size(&self) -> [usize; 6] {
         [
             self.persistent.into(),
             self.impure.into(),
-            r.barrier.into(),
-            r.reads.len(),
-            w.barrier.into(),
-            w.writes.len(),
+            self.writes.barrier.into(),
+            self.writes.writes.len(),
             self.any_field.into(),
             self.fields.len(),
         ]
@@ -230,7 +209,7 @@ impl<'f, 'p> Walker<'f, 'p> {
         let Some(builtin) = Builtin::from_name(name) else {
             match self.fns.get(name) {
                 Some(callee) => {
-                    fx.call(callee);
+                    fx.join(callee);
                     self.calls.push(name);
                 }
                 // Not the program's: nothing is known of it.
@@ -246,10 +225,13 @@ impl<'f, 'p> Walker<'f, 'p> {
                 fx.any_field |= builtin == Builtin::HeapWrite(HeapFn::ObjPut);
             }
             BuiltinKind::External => fx.impure = true,
-            kind @ (BuiltinKind::Query | BuiltinKind::WriteQuery) => fx.database(
-                call_footprint(name, args, &self.env, self.schema),
-                kind == BuiltinKind::WriteQuery,
-            ),
+            BuiltinKind::Query => {
+                fx.persistent = true;
+                fx.impure = true;
+            }
+            BuiltinKind::WriteQuery => {
+                fx.write(write_footprint(name, args, &self.env, self.schema))
+            }
         }
     }
 }
@@ -324,7 +306,7 @@ pub fn analyze(p: &Program, schema: Option<&Schema>) -> Analysis {
             let mut calls = Summary::default();
             for callee in callees.get(f).into_iter().flatten() {
                 if let Some(c) = fns.get(*callee) {
-                    calls.call(c);
+                    calls.join(c);
                 }
             }
             if let Some(fx) = fns.get_mut(f) {
@@ -337,6 +319,177 @@ pub fn analyze(p: &Program, schema: Option<&Schema>) -> Analysis {
         }
     }
     Analysis { fns }
+}
+
+// ---------------------------------------------------------------------
+// Static strings and write footprints.
+// ---------------------------------------------------------------------
+
+/// What the analysis statically knows about a string-valued expression.
+#[derive(Debug, Clone)]
+enum SStr {
+    /// The whole string is known.
+    Full(String),
+    /// A known prefix followed by dynamic parts (the ORM-page idiom
+    /// `"UPDATE t SET c = " + str(v)`).
+    Prefix(String),
+    /// Nothing usable.
+    Unknown,
+}
+
+impl SStr {
+    fn concat(self, rhs: SStr) -> SStr {
+        match (self, rhs) {
+            (SStr::Full(a), SStr::Full(b)) => SStr::Full(a + &b),
+            (SStr::Full(a), SStr::Prefix(b)) => SStr::Prefix(a + &b),
+            (SStr::Full(a), SStr::Unknown) => SStr::Prefix(a),
+            (SStr::Prefix(a), _) => SStr::Prefix(a),
+            (SStr::Unknown, _) => SStr::Unknown,
+        }
+    }
+}
+
+/// Static-string environment: local variables (mostly `__t` temporaries
+/// from the simplify pass) whose string value is at least partially known.
+type SEnv = HashMap<String, SStr>;
+
+/// What `e` is known to hold. A dynamic part (`str(…)` of anything) does
+/// not poison the literal prefix ahead of it.
+fn static_str(e: &Expr, env: &SEnv) -> SStr {
+    match e {
+        Expr::Lit(Lit::Str(s)) => SStr::Full(s.clone()),
+        Expr::Lit(Lit::Int(i)) => SStr::Full(i.to_string()),
+        Expr::Var(v) => env.get(v).cloned().unwrap_or(SStr::Unknown),
+        Expr::Binary(BinOp::Add, a, b) => static_str(a, env).concat(static_str(b, env)),
+        _ => SStr::Unknown,
+    }
+}
+
+/// Records an assignment into the static-string environment.
+fn record_def(name: &str, e: &Expr, env: &mut SEnv) {
+    match static_str(e, env) {
+        SStr::Unknown => {
+            env.remove(name);
+        }
+        known => {
+            env.insert(name.to_string(), known);
+        }
+    }
+}
+
+/// After a conditionally executed region, anything it assigned is no
+/// longer statically known in the outer environment.
+fn invalidate_assigned(stmts: &[Stmt], env: &mut SEnv) {
+    if env.is_empty() {
+        return;
+    }
+    let mut names = Vec::new();
+    assigned_vars(stmts, &mut names);
+    let_names(stmts, &mut names);
+    for v in names {
+        env.remove(&v);
+    }
+}
+
+/// The words of `lead`, the literal start of a statement's text, ahead of
+/// the first of `clauses`, lowercased — `None` when it reaches none. The
+/// grammar names every table of a statement ahead of its `SET`, `VALUES`
+/// or `WHERE`, so a lead that reaches the clause names them whole.
+/// Comments (`--`, `/* */`, which `sloth_sql`'s lexer skips) and quoted
+/// text hold no words, and `lead` may end inside either.
+pub(crate) fn lead_words(lead: &str, clauses: &[&str]) -> Option<Vec<String>> {
+    let b = lead.as_bytes();
+    let word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    // Just past the first `end` at or after `from`, or the end of `lead`.
+    let past = |from: usize, end: &[u8]| {
+        b[from..]
+            .windows(end.len())
+            .position(|w| w == end)
+            .map_or(b.len(), |k| from + k + end.len())
+    };
+    let mut words = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        i = match &b[i..] {
+            [b'-', b'-', ..] => past(i + 2, b"\n"),
+            [b'/', b'*', ..] => past(i + 2, b"*/"),
+            [b'\'', ..] => past(i + 1, b"'"),
+            [c, rest @ ..] if word(*c) => {
+                let end = rest
+                    .iter()
+                    .position(|&c| !word(c))
+                    .map_or(b.len(), |k| i + 1 + k);
+                let w = lead[i..end].to_ascii_lowercase();
+                if clauses.contains(&w.as_str()) {
+                    return Some(words);
+                }
+                words.push(w);
+                end
+            }
+            _ => i + 1,
+        };
+    }
+    None
+}
+
+fn whole_write(table: &str) -> Footprint {
+    Footprint {
+        writes: vec![TableAccess {
+            table: table.to_string(),
+            keys: Vec::new(),
+        }],
+        ..Footprint::default()
+    }
+}
+
+/// Footprint of a write whose text is at least partly known: the
+/// statement's own for a whole literal, else a whole-table write on the
+/// table a literal prefix names. The table precedes the first dynamic
+/// fragment in every supported shape, and the engine's grammar admits no
+/// second statement, so that over-approximates whatever the completed
+/// statement can touch (a statement that fails to parse at run time
+/// errors without touching anything). `None` means "cannot bound it".
+fn sql_write_footprint(s: &SStr) -> Option<Footprint> {
+    match s {
+        SStr::Full(sql) => {
+            let fp = Footprint::of_sql(sql);
+            (!fp.barrier).then_some(fp)
+        }
+        SStr::Prefix(p) => {
+            let w = lead_words(p, &["set", "where", "values"])?;
+            match w.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+                ["update", table, ..]
+                | ["delete", "from", table, ..]
+                | ["insert", "into", table, ..] => Some(whole_write(table)),
+                _ => None,
+            }
+        }
+        SStr::Unknown => None,
+    }
+}
+
+/// Footprint of one builtin write call, or `None` when it cannot be
+/// bounded. `env` resolves the simplify pass's string temporaries. An
+/// `orm_*` write bounds to its entity's table when the entity is a
+/// literal the schema knows: entity and table names need not coincide.
+fn write_footprint(
+    name: &str,
+    args: &[Expr],
+    env: &SEnv,
+    schema: Option<&Schema>,
+) -> Option<Footprint> {
+    match name {
+        "exec" => sql_write_footprint(&static_str(args.first()?, env)),
+        "orm_save" | "orm_update" | "orm_delete" => {
+            let Some(Expr::Lit(Lit::Str(entity))) = args.first() else {
+                return None;
+            };
+            let def = schema?.entity(entity)?;
+            Some(whole_write(&def.table.to_ascii_lowercase()))
+        }
+        // Transaction boundaries are barriers: never bounded.
+        _ => None,
+    }
 }
 
 /// §4.2: whether an expression can live inside a deferred block — it must
@@ -501,6 +654,54 @@ mod tests {
             s @ Stmt::If(..) => assert!(stmt_deferrable(s, &a)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// The write footprint the summary gives `main`'s body.
+    fn main_writes(src: &str) -> Footprint {
+        let p = crate::simplify::simplify_program(&parse_program(src).unwrap());
+        let a = analyze(&p, None);
+        a.effects(&p.function("main").unwrap().body, None).writes
+    }
+
+    #[test]
+    fn literal_prefix_write_names_its_table() {
+        let w = main_writes(
+            r#"fn main(x) { if (x > 0) { exec("UPDATE audit SET n = " + str(x) + " WHERE id = 1"); } }"#,
+        );
+        assert!(!w.barrier);
+        assert_eq!(w.writes.len(), 1);
+        assert_eq!(w.writes[0].table, "audit");
+        assert!(w.writes[0].keys.is_empty(), "a prefix pins no key");
+    }
+
+    #[test]
+    fn fully_literal_write_pins_its_key() {
+        let w = main_writes(r#"fn main() { exec("UPDATE audit SET n = 1 WHERE id = 7"); }"#);
+        assert!(!w.barrier);
+        assert_eq!(w.writes[0].table, "audit");
+        assert_eq!(
+            w.writes[0].keys,
+            vec![("id".to_string(), vec![sloth_sql::Value::Int(7)])]
+        );
+    }
+
+    #[test]
+    fn dynamic_sql_and_transaction_boundaries_are_write_barriers() {
+        for src in [
+            r#"fn main(q) { exec(q); }"#,
+            r#"fn main() { commit(); }"#,
+            r#"fn main(x) { if (x) { begin(); } }"#,
+        ] {
+            assert!(main_writes(src).barrier, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_read_adds_no_write() {
+        let w = main_writes(
+            r#"fn main(x) { let r = query("SELECT v FROM t WHERE id = " + str(x)); print(r); }"#,
+        );
+        assert!(!w.has_writes(), "{w:?}");
     }
 
     #[test]

@@ -126,11 +126,6 @@ pub enum Stmt {
         /// Variables defined/assigned inside that are observable after the
         /// block.
         outputs: Vec<String>,
-        /// Whether the body issues write queries (BD-across-writes,
-        /// §3.5): effectful blocks are tracked by the lazy interpreter
-        /// and forced at end of request if nothing demanded their
-        /// outputs — deferred writes must always execute.
-        effectful: bool,
     },
 }
 

@@ -12,13 +12,12 @@
 //! Only reads the engine cannot refuse move, only where nothing they could
 //! observe happens in between, and only where registering them costs no
 //! round trip of its own. The `if`s are `main`'s, outside every loop
-//! (as for branch deferral across writes, what may still be pending in
-//! the batch at an `if` is closed-form only for the request's entry
-//! point; and a read moved out of an iteration would register once more,
-//! for the exit test). An arm's top-level statements are scanned in order,
-//! and a statement that stores an `orm_find`, `orm_find_where`,
-//! `orm_count_where`, `orm_find_all` or `orm_assoc` call (`let x = R`,
-//! `e.f = R`) moves when:
+//! (what may still be pending in the batch at an `if` is closed-form only
+//! for the request's entry point; and a read moved out of an iteration
+//! would register once more, for the exit test). An arm's top-level
+//! statements are scanned in order, and a statement that stores an
+//! `orm_find`, `orm_find_where`, `orm_count_where`, `orm_find_all` or
+//! `orm_assoc` call (`let x = R`, `e.f = R`) moves when:
 //!
 //! 1. **its names resolve in the schema** — entity, column and association
 //!    arguments are string literals the prepare-time schema knows, so the
@@ -101,20 +100,19 @@
 //! 5. **a splice cannot name a table** — a read's text must reach its
 //!    `WHERE`, a write's its `SET`, `WHERE` or `VALUES`, in literal text
 //!    before anything computed (outside comments and quoted text, the rule
-//!    branch deferral's prefixes follow too: `writedefer::lead_words`), so
-//!    the table set the open statement's table-level footprint names is
-//!    the bound one's.
+//!    the effect summary's write prefixes follow too:
+//!    `analysis::lead_words`), so the table set the open statement's
+//!    table-level footprint names is the bound one's.
 
 use std::collections::{HashMap, HashSet};
 
 use sloth_orm::{AssocKind, Schema};
 use sloth_sql::{Footprint, TableAccess};
 
-use crate::analysis::{Analysis, Summary};
+use crate::analysis::{lead_words, Analysis, Summary};
 use crate::ast::*;
 use crate::builtins::{Builtin, ReadFn, ROW_GUARD};
 use crate::opt::count_occurrences as count_mentions;
-use crate::writedefer::lead_words;
 
 /// Guard hoisting over one program, reading its effect summary.
 pub(crate) struct GuardHoist<'p> {

@@ -66,11 +66,11 @@ pub fn prepare(program: &Program, strategy: ExecStrategy) -> Prepared {
     prepare_with_schema(program, strategy, None)
 }
 
-/// [`prepare`] with ORM schema metadata available at compile time:
-/// branch deferral across writes can then bound `orm_*` write calls by
-/// their backing tables too (raw `exec`/`query` SQL is statically
-/// traceable either way), and guard hoisting can move an `if` arm's ORM
-/// reads above the `if`. Compile a page with the schema it runs on.
+/// [`prepare`] with ORM schema metadata available at compile time: the
+/// effect summary can then bound `orm_*` write calls by their backing
+/// tables too (raw `exec` SQL is statically traceable either way), and
+/// guard hoisting can move an `if` arm's ORM reads above the `if`.
+/// Compile a page with the schema it runs on.
 pub fn prepare_with_schema(
     program: &Program,
     strategy: ExecStrategy,
@@ -131,7 +131,6 @@ impl Prepared {
             conditions: Vec::new(),
             forcing: 0,
             stop: None,
-            effect_blocks: Vec::new(),
             depth: 0,
             demand: Demand::Output,
         };
@@ -212,11 +211,6 @@ struct Interp<'p> {
     /// program for once the outermost has memoised its value.
     forcing: u32,
     stop: Option<RunError>,
-    /// Thunk handles of deferred **effectful** blocks (write-containing
-    /// branches deferred by BD-across-writes), in creation order. Forced
-    /// at end of request if nothing demanded their outputs earlier — a
-    /// deferred branch's writes must always execute.
-    effect_blocks: Vec<V>,
     depth: usize,
     /// What the value being forced is for: set by each consumer
     /// ([`Interp::force_for`]) and inherited by the delayed computations
@@ -233,20 +227,7 @@ impl<'p> Interp<'p> {
     /// request are observation points of the failure order, and so is
     /// wherever an error stops the program.
     fn request(&mut self, main: u32, args: Vec<V>, lazy: bool) -> Result<Option<String>, RunError> {
-        // Deferred *effectful* blocks (write-containing branches kept lazy
-        // by BD-across-writes) run first — their writes register now and
-        // may still share the output flush — then the buffering writer
-        // flushes, forcing in order.
-        let ran = self.call_function(main, args, lazy).and_then(|v| {
-            // Forcing is memoised: a block whose outputs were demanded is a
-            // no-op here; one forced here may defer another.
-            while !self.effect_blocks.is_empty() {
-                for block in std::mem::take(&mut self.effect_blocks) {
-                    self.force_for(block, Demand::Output)?;
-                }
-            }
-            Ok(v)
-        });
+        let ran = self.call_function(main, args, lazy);
         self.observe(ran.as_ref().err())?;
         // The framework renders the returned value, if any. Any write still
         // deferred ships, in one write-only round trip, its failure
@@ -503,18 +484,9 @@ impl<'p> Interp<'p> {
                 for (i, out) in block.outputs.iter().enumerate() {
                     let proj = self.alloc_thunk(Pending::Block {
                         driver: Rc::clone(&driver),
-                        output: Some(i),
+                        output: i,
                     });
                     frame.vals[*out as usize] = Some(proj);
-                }
-                if block.effectful {
-                    // The block's writes must run even if no output is
-                    // ever demanded: keep a handle for end-of-request.
-                    let handle = self.alloc_thunk(Pending::Block {
-                        driver: Rc::clone(&driver),
-                        output: None,
-                    });
-                    self.effect_blocks.push(handle);
                 }
                 Ok(Flow::Normal)
             }
@@ -827,10 +799,9 @@ impl<'p> Interp<'p> {
                     *driver.results.borrow_mut() = Some(outs);
                 }
                 let results = driver.results.borrow();
-                Ok(match (output, &*results) {
-                    (Some(i), Some(outs)) => outs[i].clone(),
-                    _ => V::Null,
-                })
+                Ok(results
+                    .as_ref()
+                    .map_or(V::Null, |outs| outs[output].clone()))
             }
         }
     }
@@ -1954,7 +1925,6 @@ mod tests {
             conditions: Vec::new(),
             forcing: 0,
             stop: None,
-            effect_blocks: Vec::new(),
             depth: 0,
             demand: Demand::Output,
         };

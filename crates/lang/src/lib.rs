@@ -8,13 +8,13 @@
 //! * [`simplify`] — §3.1 code simplification (loop canonicalization,
 //!   expression flattening).
 //! * [`analysis`] — one effect summary per function, closed over the
-//!   call graph: §4.1 persistence, purity, the database reads and writes
-//!   it may issue and the heap fields it may write; and §4.2
-//!   deferrability. Every later pass reads it.
+//!   call graph: §4.1 persistence, purity, the database writes it may
+//!   issue and the heap fields it may write; and §4.2 deferrability.
+//!   Every later pass reads it.
 //! * [`opt`] — guard hoisting (an `if` arm's ORM reads register before
-//!   the `if`), branch deferral (across writes too, where no later access
-//!   can touch them) and thunk coalescing transforms plus the
-//!   [`opt::OptFlags`] switchboard of Fig. 12.
+//!   the `if`), branch deferral (of branches with only local effects) and
+//!   thunk coalescing transforms plus the [`opt::OptFlags`] switchboard
+//!   of Fig. 12. A write is deferred in one place, the query store.
 //! * `resolve` — the last pass: names bound to frame slots, builtins,
 //!   function and block indices; the only form the evaluator walks.
 //! * [`interp`] — the standard evaluator (original application) and the
@@ -56,7 +56,6 @@ mod resolve;
 pub mod runtime;
 pub mod simplify;
 pub mod value;
-mod writedefer;
 
 pub use analysis::{analyze, Analysis};
 pub use ast::{Expr, Function, Lit, Program, Stmt};

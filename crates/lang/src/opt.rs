@@ -12,7 +12,6 @@ use crate::analysis::{stmt_deferrable, Analysis};
 use crate::ast::*;
 use crate::builtins::ROW_GUARD;
 use crate::hoist::GuardHoist;
-use crate::writedefer::{self, WdCtx};
 
 /// Optimization switches (Fig. 12 turns these on cumulatively).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +62,10 @@ pub fn optimize(p: &Program, a: &Analysis, flags: OptFlags) -> Program {
     optimize_with_schema(p, a, flags, None)
 }
 
-/// [`optimize`] with ORM schema metadata: entity names resolve to their
-/// backing tables, so **branch deferral across writes** (§3.5 + §4.2)
-/// can bound `orm_save`/`orm_update`/`orm_delete` calls too. Without a
-/// schema only raw `exec`/`query` SQL is statically traceable.
-///
-/// With a schema, branch deferral also brings **guard hoisting** (see
-/// `hoist.rs`): an `if` arm's ORM reads move above the `if` first, so
-/// they ride the flush its condition forces.
+/// [`optimize`] with ORM schema metadata, which makes branch deferral
+/// bring **guard hoisting** along (see `hoist.rs`): an `if` arm's ORM
+/// reads move above the `if` first, so they ride the flush its condition
+/// forces.
 ///
 /// `a` is `analyze(p, schema)`: both passes read its effect summary.
 pub fn optimize_with_schema(
@@ -98,16 +93,7 @@ pub fn optimize_with_schema(
                 for p in &f.params {
                     *occurrences.entry(p.clone()).or_insert(0) += 1;
                 }
-                // BD-across-writes is restricted to the request entry
-                // point: its tail analysis covers "everything issued
-                // after the branch until the request ends", which is
-                // only closed-form for `main` (a branch inside a helper
-                // could be followed by arbitrary caller code).
-                let wd = (flags.defer_branches && f.name == "main").then_some(WdCtx {
-                    analysis: a,
-                    schema,
-                });
-                let body = transform_block(&f.body, a, flags, &occurrences, wd.as_ref(), &[]);
+                let body = transform_block(&f.body, a, flags, &occurrences);
                 Function {
                     name: f.name.clone(),
                     params: f.params.clone(),
@@ -167,55 +153,25 @@ pub(crate) fn count_occurrences(stmts: &[Stmt], out: &mut HashMap<String, usize>
     }
 }
 
-fn transform_block<'a>(
-    stmts: &'a [Stmt],
+fn transform_block(
+    stmts: &[Stmt],
     a: &Analysis,
     flags: OptFlags,
     occurrences: &HashMap<String, usize>,
-    wd: Option<&WdCtx<'_>>,
-    tail: &[&'a [Stmt]],
 ) -> Vec<Stmt> {
-    // Recurse first, then wrap at this level. Each nested block's tail
-    // context is "everything after its statement here" plus this block's
-    // own tail; a loop body's tail additionally includes the body itself
-    // (iteration wrap-around — one unrolling suffices, footprints being
-    // sets).
+    // Recurse first, then wrap at this level.
     let mut rewritten: Vec<Stmt> = stmts
         .iter()
-        .enumerate()
-        .map(|(i, s)| match s {
+        .map(|s| match s {
             Stmt::If(c, t, e) => {
-                let mut child_tail: Vec<&'a [Stmt]> = Vec::with_capacity(tail.len() + 1);
-                child_tail.push(&stmts[i + 1..]);
-                child_tail.extend_from_slice(tail);
                 // A row guard's head stays as guard hoisting left it: it
                 // registers where the `if` stands.
                 let (head, rest) = t.split_at(row_guard_len(c).min(t.len()));
                 let mut then = head.to_vec();
-                then.extend(transform_block(
-                    rest,
-                    a,
-                    flags,
-                    occurrences,
-                    wd,
-                    &child_tail,
-                ));
-                Stmt::If(
-                    c.clone(),
-                    then,
-                    transform_block(e, a, flags, occurrences, wd, &child_tail),
-                )
+                then.extend(transform_block(rest, a, flags, occurrences));
+                Stmt::If(c.clone(), then, transform_block(e, a, flags, occurrences))
             }
-            Stmt::While(c, b) => {
-                let mut child_tail: Vec<&'a [Stmt]> = Vec::with_capacity(tail.len() + 2);
-                child_tail.push(&b[..]);
-                child_tail.push(&stmts[i + 1..]);
-                child_tail.extend_from_slice(tail);
-                Stmt::While(
-                    c.clone(),
-                    transform_block(b, a, flags, occurrences, wd, &child_tail),
-                )
-            }
+            Stmt::While(c, b) => Stmt::While(c.clone(), transform_block(b, a, flags, occurrences)),
             other => other.clone(),
         })
         .collect();
@@ -223,42 +179,16 @@ fn transform_block<'a>(
     if flags.defer_branches {
         rewritten = rewritten
             .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if !matches!(s, Stmt::If(..) | Stmt::While(..)) {
-                    return s;
-                }
-                // Defer whole branches/loops with only local effects (the
-                // plain §4.2 path: the rewritten shape is equivalent for
-                // the check — nested DeferBlocks are checked by body).
-                if stmt_deferrable(&s, a) {
+            .map(|s| {
+                // Defer whole branches/loops with only local effects (§4.2:
+                // the rewritten shape is equivalent for the check — nested
+                // DeferBlocks are checked by body).
+                if matches!(s, Stmt::If(..) | Stmt::While(..)) && stmt_deferrable(&s, a) {
                     let outputs = block_outputs(std::slice::from_ref(&s));
                     return Stmt::DeferBlock {
                         body: vec![s],
                         outputs,
-                        effectful: false,
                     };
-                }
-                // BD across writes (§3.5): a branch issuing statically
-                // bounded writes stays deferred when its write footprint
-                // is disjoint from every database access issued after it
-                // (this block's tail + enclosing tails + loop bodies).
-                if let Some(ctx) = wd {
-                    if let Some(wfp) = writedefer::write_branch_footprint(&s, ctx) {
-                        let mut regions: Vec<&[Stmt]> = Vec::with_capacity(tail.len() + 1);
-                        regions.push(&stmts[i + 1..]);
-                        regions.extend_from_slice(tail);
-                        let disjoint = writedefer::tail_footprint(&regions, ctx)
-                            .is_some_and(|tfp| !wfp.conflicts_with(&tfp));
-                        if disjoint {
-                            let outputs = block_outputs(std::slice::from_ref(&s));
-                            return Stmt::DeferBlock {
-                                body: vec![s],
-                                outputs,
-                                effectful: true,
-                            };
-                        }
-                    }
                 }
                 s
             })
@@ -307,28 +237,16 @@ fn coalesce_runs(
     let flush = |run: &mut Vec<Stmt>, out: &mut Vec<Stmt>| {
         if run.len() >= 2 {
             // Splice nested defer blocks: the whole run is one thunk
-            // anyway. A run absorbing an effectful block stays effectful.
+            // anyway.
             let mut body = Vec::new();
-            let mut effectful = false;
             for s in run.drain(..) {
                 match s {
-                    Stmt::DeferBlock {
-                        body: inner,
-                        effectful: ef,
-                        ..
-                    } => {
-                        body.extend(inner);
-                        effectful |= ef;
-                    }
+                    Stmt::DeferBlock { body: inner, .. } => body.extend(inner),
                     other => body.push(other),
                 }
             }
             let outputs = run_outputs(&body, occurrences);
-            out.push(Stmt::DeferBlock {
-                body,
-                outputs,
-                effectful,
-            });
+            out.push(Stmt::DeferBlock { body, outputs });
         } else {
             out.append(run);
         }

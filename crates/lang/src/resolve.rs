@@ -70,8 +70,6 @@ pub(crate) struct Block {
     pub captures: Vec<Slot>,
     /// Slots observable after the block, each read through a projection.
     pub outputs: Vec<Slot>,
-    /// Whether the body issues writes (forced at end of request).
-    pub effectful: bool,
 }
 
 /// What a call site calls.
@@ -240,11 +238,7 @@ impl<'a> Scope<'a> {
             Stmt::Continue => RStmt::Continue,
             Stmt::Return(e) => RStmt::Return(e.as_ref().map(|e| self.expr(e))),
             Stmt::ExprStmt(e) => RStmt::Expr(self.expr(e)),
-            Stmt::DeferBlock {
-                body,
-                outputs,
-                effectful,
-            } => {
+            Stmt::DeferBlock { body, outputs } => {
                 // Lowering the body first gives every name in it a slot in
                 // source order, so the layout does not depend on the order
                 // the occurrence map below iterates in.
@@ -259,7 +253,6 @@ impl<'a> Scope<'a> {
                     body: lowered,
                     captures,
                     outputs,
-                    effectful: *effectful,
                 });
                 RStmt::Defer((self.blocks.len() - 1) as u32)
             }
@@ -402,7 +395,6 @@ mod tests {
                             Stmt::Assign(LValue::Var("acc".into()), Expr::Var("t".into())),
                         ],
                         outputs: vec!["acc".into()],
-                        effectful: false,
                     },
                 ],
             }],

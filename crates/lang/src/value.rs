@@ -105,9 +105,8 @@ pub(crate) enum Pending {
     Block {
         /// The shared block driver (one per deferred region).
         driver: Rc<BlockDriver>,
-        /// Which of the block's outputs this projection reads (`None` =
-        /// drive only).
-        output: Option<usize>,
+        /// Which of the block's outputs this projection reads.
+        output: usize,
     },
     /// Call of a pure user function with already-evaluated (possibly
     /// thunked) arguments.

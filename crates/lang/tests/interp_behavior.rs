@@ -595,10 +595,11 @@ fn conflicting_read_still_observes_deferred_write() {
 }
 
 #[test]
-fn write_branch_defers_when_disjoint_from_tail() {
-    // The branch writes `users`; everything after it touches `patient`:
-    // BD-across-writes keeps the branch deferred (it forces at end of
-    // request), output and state staying identical to Original.
+fn write_branch_rides_the_tail_reads_trip_in_the_store() {
+    // The branch writes `users`; everything after it touches `patient`.
+    // The branch runs where it stands, and the query store holds its
+    // write: no later read can observe it, so it ships with the reads.
+    // Output and state stay identical to Original.
     let src = r#"
         fn main(flag) {
             let p = query("SELECT name FROM patient WHERE patient_id = 1");
@@ -645,18 +646,17 @@ fn write_branch_defers_when_disjoint_from_tail() {
                 "the deferred branch's write must still apply"
             );
         }
-        // Both reads share one trip. The branch (when taken) runs at end
-        // of request, before the output flush, so its write rides it too:
-        // the `cell`s wait for the page's output.
+        // Both reads share one trip, and the store's deferred write (when
+        // the branch is taken) rides it too: the `cell`s wait for the
+        // page's output.
         assert_eq!(s.net.round_trips, 1, "flag {flag}");
     }
 }
 
 #[test]
 fn write_branch_with_conflicting_tail_is_not_deferred() {
-    // The tail reads the written table: the branch must execute eagerly
-    // (its write registers in program order and the conflicting read
-    // drains it), and the read must observe the write.
+    // The tail reads the written table: the read drains the branch's
+    // write from the store and observes it, as under Original.
     let src = r#"
         fn main(flag) {
             if (flag > 0) {
@@ -681,11 +681,10 @@ fn write_branch_with_conflicting_tail_is_not_deferred() {
 
 #[test]
 fn conditionally_reassigned_write_sql_blocks_branch_deferral() {
-    // Regression: the branch's SQL variable is reassigned in a nested
-    // arm, so its static footprint depends on which path runs. The
-    // analyzer must treat it as unbounded (no deferral) — otherwise the
-    // tail read of `concept` would ship before the branch's UPDATE and
-    // Sloth would print stale data.
+    // The branch's SQL variable is reassigned in a nested arm, so which
+    // table it writes depends on the path taken. On every path the tail
+    // read of `concept` sees what Original's does, and the final state
+    // matches.
     let src = r#"
         fn main(flag) {
             if (flag > 0) {
@@ -736,8 +735,8 @@ fn conditionally_reassigned_write_sql_blocks_branch_deferral() {
 #[test]
 fn loop_carried_write_sql_blocks_branch_deferral() {
     // A loop that rebuilds its SQL from the previous iteration's value:
-    // the static prefix only holds for iteration one, so the analyzer
-    // must refuse to bound it and the loop must execute eagerly.
+    // the second iteration writes `concept`, and the read after the loop
+    // sees it, as under Original.
     let src = r#"
         fn main() {
             let q = "UPDATE users SET login = 'a' WHERE user_id = 1";

@@ -289,22 +289,24 @@ fn guarded_arm(rng: &mut Rng, i: i64) -> String {
     }
 }
 
-/// A write branch and the reads after it: what branch deferral across
-/// writes decides on, and what its static footprints must cover. It runs
+/// A write branch and the reads after it: the query store holds the
+/// branch's write until a read that may observe it drains it, and the
+/// lazy run must raise what `Original` raises when either fails. It runs
 /// as `main(1)`, so text ending in `"t" + str(x)` names table `t1`. The
 /// branch writes `t`, `u` or `t1` by literal SQL, by a literal prefix
 /// ahead of a `str` splice, or by SQL whose table is spliced (behind a
-/// comment naming a clause, or not). The reads after it build their text
-/// from literals and `str` splices, some with a comment naming a clause or
-/// quoted keywords in the literal lead, or a lead that ends inside a
-/// quote; each reaches `query` directly or through a string variable that
-/// a loop or an `if` arm reassigns.
+/// comment naming a clause, or not), or sets a column no table has. The
+/// reads after it build their text from literals and `str` splices, some
+/// with a comment naming a clause or quoted keywords in the literal lead,
+/// or a lead that ends inside a quote; each reaches `query` directly or
+/// through a string variable that a loop or an `if` arm reassigns. Or the
+/// read names a table that does not exist.
 fn arb_write_tail(rng: &mut Rng) -> String {
     const TABLES: [&str; 3] = ["t", "u", "t1"];
     let table = |rng: &mut Rng| TABLES[rng.range(0, 3) as usize];
     let write = |rng: &mut Rng| {
         let (t, id, v) = (table(rng), rng.range(0, 5), rng.range(50, 99));
-        match rng.range(0, 6) {
+        match rng.range(0, 7) {
             0 => format!("exec(\"UPDATE {t} SET v = {v} WHERE id = {id}\");"),
             1 => format!("exec(\"UPDATE {t} SET v = \" + str(x + {v}) + \" WHERE id = {id}\");"),
             2 => format!("exec(\"DELETE FROM {t} WHERE id = \" + str(x + {id}));"),
@@ -312,6 +314,7 @@ fn arb_write_tail(rng: &mut Rng) -> String {
                 format!("exec(\"INSERT INTO {t} (id, v) VALUES (\" + str(x + {v}) + \", {id})\");")
             }
             4 => format!("exec(\"UPDATE t\" + str(x) + \" SET v = {v} WHERE id = {id}\");"),
+            5 => format!("exec(\"UPDATE {t} SET nope = {v} WHERE id = {id}\");"),
             _ => {
                 format!("exec(\"UPDATE /* set */ t\" + str(x) + \" SET v = {v} WHERE id = {id}\");")
             }
@@ -349,13 +352,17 @@ fn arb_write_tail(rng: &mut Rng) -> String {
         let show = format!(
             "print(str(nrows(r{k}))); if (nrows(r{k}) > 0) {{ print(str(cell(r{k}, 0, \"v\"))); }}"
         );
-        stmts.push(match rng.range(0, 3) {
+        stmts.push(match rng.range(0, 4) {
             0 => format!("let r{k} = query({}); {show}", text(rng)),
             1 => format!(
                 "let q{k} = {}; let i{k} = 0; \
                  while (i{k} < 2) {{ let r{k} = query(q{k}); {show} q{k} = {}; i{k} = i{k} + 1; }}",
                 text(rng),
                 text(rng)
+            ),
+            3 => format!(
+                "let r{k} = query(\"SELECT v FROM missing WHERE id = \" + str(x + {})); {show}",
+                rng.range(0, 5)
             ),
             _ => format!(
                 "let q{k} = {}; if (x > {}) {{ q{k} = {}; }} let r{k} = query(q{k}); {show}",
@@ -662,10 +669,10 @@ fn a_guarded_arm_over_no_row_runs_nothing() {
     }
 }
 
-/// A write branch is deferred only past reads its footprint cannot touch:
-/// `Original` ≡ `Sloth(all)` over [`arb_write_tail`]'s programs.
+/// A write branch and the reads after it give `Original`'s output, final
+/// state and error under `Sloth(all)`, over [`arb_write_tail`]'s programs.
 #[test]
-fn a_write_branch_defers_only_past_reads_it_cannot_touch() {
+fn a_write_branch_and_the_reads_after_it_match_original() {
     for shards in FLEETS {
         for case in 0..256u64 {
             let mut rng = Rng::new(0x3B1F_7A11 ^ case);
@@ -675,7 +682,20 @@ fn a_write_branch_defers_only_past_reads_it_cannot_touch() {
     }
 }
 
-/// Two programs branch deferral once miscompiled: a read whose text a loop
+/// A failing write in a branch fails before a later failing read, as in
+/// the eager program: the branch registers its write where it stands.
+#[test]
+fn a_write_branch_fails_in_program_order() {
+    let src = "fn main(x) { if (x > 0) { exec(\"UPDATE t SET nope = 1 WHERE id = 1\"); } \
+         print(\"a\"); let r = query(\"SELECT v FROM missing\"); print(str(nrows(r))); }";
+    for shards in FLEETS {
+        for flags in [OptFlags::none(), OptFlags::all()] {
+            check_equivalent_with(src, &[1], flags, shards);
+        }
+    }
+}
+
+/// Two programs the compiler once miscompiled: a read whose text a loop
 /// carries into its second iteration, and a read whose literal lead holds
 /// a comment naming a clause — both read `t1` after a branch writes it.
 #[test]
