@@ -15,7 +15,7 @@
 //!   deferred whole;
 //! * **the database writes it may issue**, as a [`Footprint`], a barrier
 //!   where one cannot be bounded (SQL built at run time, a transaction
-//!   boundary);
+//!   boundary). A `query` whose text names a write issues it too;
 //! * **the heap fields it may write** (`e.f = …`), or any (`obj_put`).
 //!
 //! One statement walker computes it, for a function's body and for any
@@ -49,7 +49,9 @@ pub(crate) struct Summary {
     /// Not pure.
     pub impure: bool,
     /// The database writes it may issue; a barrier when one cannot be
-    /// bounded or it opens or closes a transaction.
+    /// bounded or it opens or closes a transaction. The key pins of a
+    /// literal statement are carried because `Footprint::of_sql` yields
+    /// them; guard hoisting, the one reader, compares tables only.
     pub writes: Footprint,
     /// Fields it may write on some object (`e.f = …`).
     pub fields: HashSet<String>,
@@ -228,6 +230,14 @@ impl<'f, 'p> Walker<'f, 'p> {
             BuiltinKind::Query => {
                 fx.persistent = true;
                 fx.impure = true;
+                // `query` runs whatever statement it is given: one whose
+                // text names a write issues it.
+                let text = args
+                    .first()
+                    .map_or(SStr::Unknown, |a| static_str(a, &self.env));
+                if let Some(fp) = sql_write_footprint(&text) {
+                    add(&mut fx.writes.writes, fp.writes);
+                }
             }
             BuiltinKind::WriteQuery => {
                 fx.write(write_footprint(name, args, &self.env, self.schema))
@@ -702,6 +712,19 @@ mod tests {
             r#"fn main(x) { let r = query("SELECT v FROM t WHERE id = " + str(x)); print(r); }"#,
         );
         assert!(!w.has_writes(), "{w:?}");
+    }
+
+    #[test]
+    fn a_query_whose_text_is_a_write_adds_it() {
+        for src in [
+            r#"fn main() { query("UPDATE audit SET n = 1 WHERE id = 7"); }"#,
+            r#"fn main(x) { query("DELETE FROM audit WHERE id = " + str(x)); }"#,
+        ] {
+            let w = main_writes(src);
+            assert!(!w.barrier, "{src}");
+            assert_eq!(w.writes.len(), 1, "{src}");
+            assert_eq!(w.writes[0].table, "audit", "{src}");
+        }
     }
 
     #[test]

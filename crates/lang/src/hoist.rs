@@ -1079,6 +1079,26 @@ mod tests {
     }
 
     #[test]
+    fn a_query_whose_text_is_a_write_stops_the_scan() {
+        for write in [
+            r#"query("UPDATE patient SET name = 'n' WHERE patient_id = 1");"#,
+            r#"query("DELETE FROM role WHERE role_id = 3");"#,
+        ] {
+            let src = format!(
+                r#"fn main(u) {{
+                    if (u > 0) {{
+                        let a = orm_find("user", 1);
+                        {write}
+                        let p = orm_find("user", 2);
+                        print(a); print(p);
+                    }}
+                }}"#
+            );
+            assert_eq!(moved(&src), ["a"], "{write}");
+        }
+    }
+
+    #[test]
     fn a_binding_moves_only_when_its_name_is_the_arms_own() {
         let src = r#"fn main(u, model) {
             if (u > 0) {

@@ -655,8 +655,10 @@ fn write_branch_rides_the_tail_reads_trip_in_the_store() {
 
 #[test]
 fn write_branch_with_conflicting_tail_is_not_deferred() {
-    // The tail reads the written table: the read drains the branch's
-    // write from the store and observes it, as under Original.
+    // Branch deferral never wraps a branch that writes, and the store
+    // does not hold this write past the tail: the tail reads the written
+    // table, so the read drains the branch's write and observes it, as
+    // under Original.
     let src = r#"
         fn main(flag) {
             if (flag > 0) {
@@ -682,9 +684,9 @@ fn write_branch_with_conflicting_tail_is_not_deferred() {
 #[test]
 fn conditionally_reassigned_write_sql_blocks_branch_deferral() {
     // The branch's SQL variable is reassigned in a nested arm, so which
-    // table it writes depends on the path taken. On every path the tail
-    // read of `concept` sees what Original's does, and the final state
-    // matches.
+    // table it writes depends on the path taken, and branch deferral
+    // leaves the branch in place. On every path the tail read of
+    // `concept` sees what Original's does, and the final state matches.
     let src = r#"
         fn main(flag) {
             if (flag > 0) {
@@ -734,9 +736,9 @@ fn conditionally_reassigned_write_sql_blocks_branch_deferral() {
 
 #[test]
 fn loop_carried_write_sql_blocks_branch_deferral() {
-    // A loop that rebuilds its SQL from the previous iteration's value:
-    // the second iteration writes `concept`, and the read after the loop
-    // sees it, as under Original.
+    // A loop that rebuilds its SQL from the previous iteration's value,
+    // which branch deferral leaves in place: the second iteration writes
+    // `concept`, and the read after the loop sees it, as under Original.
     let src = r#"
         fn main() {
             let q = "UPDATE users SET login = 'a' WHERE user_id = 1";
@@ -751,6 +753,25 @@ fn loop_carried_write_sql_blocks_branch_deferral() {
         }
     "#;
     let (o, s) = run_both(src);
+    assert_eq!(o.output, s.output);
+}
+
+#[test]
+fn a_read_after_a_write_query_in_an_arm_sees_the_write() {
+    // `query` runs a write as `exec` does: guard hoisting keeps the
+    // `orm_find` after it inside the arm, where it observes the write.
+    let src = r#"
+        fn main() {
+            let c = 1;
+            if (c > 0) {
+                query("UPDATE patient SET name = 'n' WHERE patient_id = 1");
+                let p = orm_find("patient", 1);
+                print(p.name);
+            }
+        }
+    "#;
+    let (o, s) = run_both(src);
+    assert_eq!(o.output, vec!["n"]);
     assert_eq!(o.output, s.output);
 }
 
