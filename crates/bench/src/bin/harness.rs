@@ -282,7 +282,7 @@ fn fig13() {
 }
 
 fn fusion_figure_cmd() {
-    println!("\n== Fusion figure — batch fusion + plan cache on the driver path ==");
+    println!("\n== Fusion figure — batch fusion + template cache on the driver path ==");
     let fig = sloth_bench::fusion::fusion_figure();
     println!(
         "  {:<10} {:>6} {:>10} {:>12} {:>12} {:>8} {:>8} {:>7}",
@@ -312,7 +312,7 @@ fn fusion_figure_cmd() {
         lp.on.round_trips
     );
     println!(
-        "  plan cache: first load {}h/{}m, repeat load {}h/{}m (hit rate {:.1}%)",
+        "  template cache: first load {}h/{}m, repeat load {}h/{}m (hit rate {:.1}%)",
         fig.plan_cache.first_load.hits,
         fig.plan_cache.first_load.misses,
         fig.plan_cache.repeat_load.hits,

@@ -1,5 +1,5 @@
 //! The **fusion figure**: what batch-level query fusion and the
-//! parameterized plan cache buy on the real page workloads.
+//! template cache buy on the real page workloads.
 //!
 //! Three measurements, all deterministic:
 //!
@@ -8,7 +8,7 @@
 //!    simulated database time and wire bytes, and byte-identical page
 //!    output (the equivalence guarantee, re-checked here on every run);
 //! 2. the itracker `list_projects` page — the headline N+1 workload;
-//! 3. plan-cache hit rate across repeated loads of the same page against
+//! 3. template-cache hit rate across repeated loads of the same page against
 //!    one database server (the steady-state web-serving pattern).
 //!
 //! `fusion_figure()` returns plain data; [`FusionFigure::to_json`] renders
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use sloth_apps::{itracker_app, openmrs_app, BenchApp};
 use sloth_lang::{prepare_with_schema, ExecStrategy, OptFlags, Prepared, RunResult, V};
-use sloth_net::{CostModel, PlanCacheStats, SimEnv};
+use sloth_net::{CostModel, SimEnv, TemplateCacheStats};
 use sloth_orm::Schema;
 use sloth_sql::Database;
 
@@ -104,9 +104,9 @@ impl ListPageRow {
 #[derive(Debug, Clone, Copy)]
 pub struct PlanCacheRow {
     /// Counters accumulated during the first (cold) load.
-    pub first_load: PlanCacheStats,
+    pub first_load: TemplateCacheStats,
     /// Counter deltas during the second (warm) load.
-    pub repeat_load: PlanCacheStats,
+    pub repeat_load: TemplateCacheStats,
 }
 
 impl PlanCacheRow {
@@ -213,13 +213,13 @@ pub fn fusion_figure() -> FusionFigure {
         .expect("repeat load");
     let after_second = env.plan_cache_stats();
     let plan_cache = PlanCacheRow {
-        first_load: PlanCacheStats {
+        first_load: TemplateCacheStats {
             hits: after_first.hits - zero.hits,
             misses: after_first.misses - zero.misses,
             entries: after_first.entries,
             evictions: after_first.evictions - zero.evictions,
         },
-        repeat_load: PlanCacheStats {
+        repeat_load: TemplateCacheStats {
             hits: after_second.hits - after_first.hits,
             misses: after_second.misses - after_first.misses,
             entries: after_second.entries,
@@ -297,7 +297,7 @@ mod tests {
 
     /// The acceptance gates of the fusion work, enforced on every test run:
     /// equivalence on every page, ≥ 20 % db-time cut on the list page at
-    /// unchanged round trips, > 90 % plan-cache hit rate on a warm load.
+    /// unchanged round trips, > 90 % template-cache hit rate on a warm load.
     #[test]
     fn fusion_figure_meets_targets() {
         let fig = fusion_figure();
@@ -326,7 +326,7 @@ mod tests {
         );
         assert!(
             fig.plan_cache.repeat_hit_rate() > 0.90,
-            "repeat-load plan-cache hit rate {:.3} ≤ 0.9",
+            "repeat-load template-cache hit rate {:.3} ≤ 0.9",
             fig.plan_cache.repeat_hit_rate()
         );
     }

@@ -39,7 +39,7 @@ use sloth_orm::Schema;
 use sloth_sql::{Footprint, TableAccess};
 
 use crate::ast::*;
-use crate::builtins::{builtin_kind, Builtin, BuiltinKind, HeapFn};
+use crate::builtins::{builtin_kind, Builtin, BuiltinKind, HeapFn, QueryFn};
 
 /// What code may do (see the module documentation).
 #[derive(Debug, Clone, Default)]
@@ -231,12 +231,15 @@ impl<'f, 'p> Walker<'f, 'p> {
                 fx.persistent = true;
                 fx.impure = true;
                 // `query` runs whatever statement it is given: one whose
-                // text names a write issues it.
-                let text = args
-                    .first()
-                    .map_or(SStr::Unknown, |a| static_str(a, &self.env));
-                if let Some(fp) = sql_write_footprint(&text) {
-                    add(&mut fx.writes.writes, fp.writes);
+                // text is not known to be a read may be a write, bounded
+                // as `exec`'s is — or not at all.
+                if builtin == Builtin::Query(QueryFn::Query) {
+                    let text = args
+                        .first()
+                        .map_or(SStr::Unknown, |a| static_str(a, &self.env));
+                    if !reads_only(&text) {
+                        fx.write(sql_write_footprint(&text));
+                    }
                 }
             }
             BuiltinKind::WriteQuery => {
@@ -264,11 +267,37 @@ impl Analysis {
         self.fns.get(name).is_some_and(|f| !f.impure)
     }
 
-    /// What `stmts` may do, their calls included, walked in order from a
-    /// point where no string is known.
-    pub(crate) fn effects(&self, stmts: &[Stmt], schema: Option<&Schema>) -> Summary {
+    /// A walk over statements given in order, starting where no string
+    /// is known (see [`EffectWalk`]).
+    pub(crate) fn effects<'a>(&'a self, schema: Option<&'a Schema>) -> EffectWalk<'a> {
+        EffectWalk {
+            fns: &self.fns,
+            schema,
+            env: SEnv::new(),
+        }
+    }
+}
+
+/// The walker, a stretch of statements at a time: what each stretch may
+/// do, its calls included, with the strings the stretches before it bound
+/// resolved as the function-level walk resolves them. A clone continues
+/// from the same point — how a pass walks an `if`'s arms from where the
+/// `if` stands.
+#[derive(Clone)]
+pub(crate) struct EffectWalk<'a> {
+    fns: &'a HashMap<String, Summary>,
+    schema: Option<&'a Schema>,
+    env: SEnv,
+}
+
+impl EffectWalk<'_> {
+    /// What `stmts` may do; the walk continues after them.
+    pub(crate) fn of(&mut self, stmts: &[Stmt]) -> Summary {
+        let mut walker = Walker::new(self.fns, self.schema);
+        walker.env = std::mem::take(&mut self.env);
         let mut fx = Summary::default();
-        Walker::new(&self.fns, schema).stmts(stmts, &mut fx);
+        walker.stmts(stmts, &mut fx);
+        self.env = walker.env;
         fx
     }
 }
@@ -478,6 +507,21 @@ fn sql_write_footprint(s: &SStr) -> Option<Footprint> {
     }
 }
 
+/// Whether text known this far is a read: a `SELECT` (or `WITH`) whose
+/// verb the known text holds whole.
+fn reads_only(s: &SStr) -> bool {
+    match s {
+        SStr::Full(sql) => sloth_sql::is_select_sql(sql),
+        // A prefix ending in its verb could be continued into a longer
+        // word (`SELECT` + `ion …`).
+        SStr::Prefix(p) => {
+            let end = p.trim_end().to_ascii_lowercase();
+            sloth_sql::is_select_sql(p) && !end.ends_with("select") && !end.ends_with("with")
+        }
+        SStr::Unknown => false,
+    }
+}
+
 /// Footprint of one builtin write call, or `None` when it cannot be
 /// bounded. `env` resolves the simplify pass's string temporaries. An
 /// `orm_*` write bounds to its entity's table when the entity is a
@@ -670,7 +714,7 @@ mod tests {
     fn main_writes(src: &str) -> Footprint {
         let p = crate::simplify::simplify_program(&parse_program(src).unwrap());
         let a = analyze(&p, None);
-        a.effects(&p.function("main").unwrap().body, None).writes
+        a.effects(None).of(&p.function("main").unwrap().body).writes
     }
 
     #[test]
@@ -724,6 +768,24 @@ mod tests {
             assert!(!w.barrier, "{src}");
             assert_eq!(w.writes.len(), 1, "{src}");
             assert_eq!(w.writes[0].table, "audit", "{src}");
+        }
+    }
+
+    #[test]
+    fn a_query_whose_text_may_be_a_write_is_a_barrier() {
+        for src in [
+            r#"fn main(q) { query(q); }"#,
+            r#"fn main(x) { query("UPDATE " + str(x) + " SET n = 1"); }"#,
+            r#"fn main(x) { query("COMMIT"); }"#,
+            r#"fn main(x) { query("SELECT" + str(x)); }"#,
+        ] {
+            assert!(main_writes(src).barrier, "{src}");
+        }
+        for src in [
+            r#"fn main() { query("SELECT n FROM audit WHERE id = 7"); }"#,
+            r#"fn main(x) { query("SELECT n FROM audit WHERE id =" + str(x)); }"#,
+        ] {
+            assert!(!main_writes(src).has_writes(), "{src}");
         }
     }
 

@@ -109,7 +109,7 @@ use std::collections::{HashMap, HashSet};
 use sloth_orm::{AssocKind, Schema};
 use sloth_sql::{Footprint, TableAccess};
 
-use crate::analysis::{lead_words, Analysis, Summary};
+use crate::analysis::{lead_words, Analysis, EffectWalk};
 use crate::ast::*;
 use crate::builtins::{Builtin, ReadFn, ROW_GUARD};
 use crate::opt::count_occurrences as count_mentions;
@@ -125,10 +125,10 @@ impl<'p> GuardHoist<'p> {
         GuardHoist { analysis, schema }
     }
 
-    /// What `s` may do, its calls included.
-    fn effects(&self, s: &Stmt) -> Summary {
-        self.analysis
-            .effects(std::slice::from_ref(s), Some(self.schema))
+    /// A walk of the effect summary from the start of a block where no
+    /// string is known.
+    fn walk(&self) -> EffectWalk<'p> {
+        self.analysis.effects(Some(self.schema))
     }
 
     /// `f` with the qualifying reads of its `if`s moved above them (see
@@ -153,7 +153,7 @@ impl<'p> GuardHoist<'p> {
         Some(Function {
             name: f.name.clone(),
             params: f.params.clone(),
-            body: h.block(&f.body, &bound, &Footprint::default(), false),
+            body: h.block(&f.body, &bound, &Footprint::default(), false, &self.walk()),
         })
     }
 }
@@ -571,33 +571,32 @@ impl Hoister<'_, '_> {
     /// Rewrites a block. `bound`: the names bound on every path to its
     /// first statement; `written`: the writes that may have been issued
     /// before it; `in_loop`: whether a loop encloses it, where only guarded
-    /// prefixes apply (they move nothing).
+    /// prefixes apply (they move nothing); `walk`: the effect summary's
+    /// walk at its first statement.
     fn block(
         &mut self,
         stmts: &[Stmt],
         bound: &HashSet<String>,
         written: &Footprint,
         in_loop: bool,
+        walk: &EffectWalk<'_>,
     ) -> Vec<Stmt> {
         let mut bound = bound.clone();
         let mut written = written.clone();
+        let mut walk = walk.clone();
         let mut out = Vec::with_capacity(stmts.len());
         for (i, s) in stmts.iter().enumerate() {
-            let fx = self.hoist.effects(s);
+            let at_s = walk.clone();
+            let fx = walk.of(std::slice::from_ref(s));
             match s {
                 Stmt::If(c, t, e) => {
-                    let mut t = self.block(t, &bound, &written, in_loop);
-                    let mut e = self.block(e, &bound, &written, in_loop);
-                    if !in_loop
-                        && !self
-                            .hoist
-                            .effects(&Stmt::ExprStmt(c.clone()))
-                            .writes
-                            .has_writes()
-                    {
+                    let mut t = self.block(t, &bound, &written, in_loop, &at_s);
+                    let mut e = self.block(e, &bound, &written, in_loop, &at_s);
+                    let cond = at_s.clone().of(&[Stmt::ExprStmt(c.clone())]);
+                    if !in_loop && !cond.writes.has_writes() {
                         let at = out.len();
-                        t = self.arm(t, &bound, &written, &mut out);
-                        e = self.arm(e, &bound, &written, &mut out);
+                        t = self.arm(t, &bound, &written, &mut out, &at_s);
+                        e = self.arm(e, &bound, &written, &mut out, &at_s);
                         for moved in &out[at..] {
                             if let Stmt::Let(name, _) = moved {
                                 bound.insert(name.clone());
@@ -615,7 +614,9 @@ impl Hoister<'_, '_> {
                     out.push(Stmt::If(guard.unwrap_or_else(|| c.clone()), t, e));
                 }
                 Stmt::While(c, b) => {
-                    let b = self.block(b, &bound, &written, true);
+                    // A name the body binds differs between iterations:
+                    // the body's walk starts knowing no string.
+                    let b = self.block(b, &bound, &written, true, &self.hoist.walk());
                     out.push(Stmt::While(c.clone(), b));
                 }
                 _ => {
@@ -631,14 +632,17 @@ impl Hoister<'_, '_> {
     }
 
     /// Scans one arm, appending what moves to `before` (the statements
-    /// ahead of the `if`) and returning what stays.
+    /// ahead of the `if`) and returning what stays. `walk`: the effect
+    /// summary's walk where the `if` stands.
     fn arm(
         &mut self,
         arm: Vec<Stmt>,
         bound: &HashSet<String>,
         written: &Footprint,
         before: &mut Vec<Stmt>,
+        walk: &EffectWalk<'_>,
     ) -> Vec<Stmt> {
+        let mut walk = walk.clone();
         let mut inside = HashMap::new();
         count_mentions(&arm, &mut inside);
         // How often the arm's statements so far mention each name.
@@ -652,7 +656,7 @@ impl Hoister<'_, '_> {
         let mut kept = Vec::with_capacity(arm.len());
         let mut rest = arm.into_iter();
         for s in rest.by_ref() {
-            let fx = self.hoist.effects(&s);
+            let fx = walk.of(std::slice::from_ref(&s));
             if fx.writes.has_writes() {
                 kept.push(s);
                 break;

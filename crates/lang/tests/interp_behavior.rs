@@ -775,6 +775,26 @@ fn a_read_after_a_write_query_in_an_arm_sees_the_write() {
     assert_eq!(o.output, s.output);
 }
 
+#[test]
+fn a_read_after_a_write_query_built_in_a_temporary_sees_the_write() {
+    // The write's text is built from a splice, so simplification moves it
+    // into a temporary: hoisting must resolve the temporary as the
+    // function-level summary does, and still keep the `orm_find` inside.
+    let src = r#"
+        fn main() {
+            let c = 1; let id = 1;
+            if (c > 0) {
+                query("UPDATE patient SET name = 'n' WHERE patient_id = " + str(id));
+                let p = orm_find("patient", 1);
+                print(p.name);
+            }
+        }
+    "#;
+    let (o, s) = run_both(src);
+    assert_eq!(o.output, vec!["n"]);
+    assert_eq!(o.output, s.output);
+}
+
 // ---------------------------------------------------------------------
 // Short-circuit operators (§3.1 flattening + both evaluators).
 // ---------------------------------------------------------------------

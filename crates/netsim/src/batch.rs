@@ -3,8 +3,9 @@
 //!
 //! A batch plan is computed once per [`crate::SimEnv::ship`] call from
 //! what each [`Stmt`] already carries: same-template point lookups group
-//! for **fusion**, and one representative per multi-member group is
-//! parsed to decide whether the group's shape is fusable. The executor
+//! for **fusion**, and each multi-member group's template entry (from the
+//! deployment's [`TemplateCache`], parsed once per template, not per
+//! batch) decides whether the group's shape is fusable. The executor
 //! runs each fused group as `IN` probes of at most [`MAX_FUSED_ARITY`]
 //! values — on a fleet, split into per-shard sub-probes when the probed
 //! column is the shard key.
@@ -37,12 +38,12 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use sloth_sql::fuse::{self, FusableLookup, FusedPlan};
-use sloth_sql::{Footprint, Normalized, Param, ResultSet, SqlError, Stmt, Value};
+use sloth_sql::{Footprint, Normalized, Param, ResultSet, SqlError, Stmt, TemplateCache, Value};
 
 /// Cap on the arity of one fused `IN` probe. Groups with more distinct
 /// probed values split into several probes, bounding both the statement
 /// size and the number of distinct `IN (?, …)` templates that can land in
-/// the plan cache.
+/// the template cache.
 pub(crate) const MAX_FUSED_ARITY: usize = 64;
 
 /// What a batch position contributes to execution.
@@ -56,9 +57,11 @@ pub(crate) enum Role {
     FusedMember,
 }
 
-/// One fused group: the classified lookup shape plus, per member, its
-/// batch position and the value it probes (its single parameter).
+/// One fused group: its template, the classified lookup shape plus, per
+/// member, its batch position and the value it probes (its single
+/// parameter).
 pub(crate) struct FusedGroup<'a> {
+    pub template: &'a str,
     pub lookup: FusableLookup,
     pub members: Vec<(usize, &'a Value)>,
 }
@@ -81,7 +84,7 @@ pub(crate) struct BatchPlan<'a> {
 }
 
 /// Plans a batch: with `fusion` on, groups same-template single-literal
-/// lookups and classifies one representative per multi-member group.
+/// lookups and classifies each multi-member group's template entry.
 /// Fusion groups may span writes whose footprints are disjoint from the
 /// joining read.
 ///
@@ -93,6 +96,7 @@ pub(crate) struct BatchPlan<'a> {
 pub(crate) fn plan_batch<'a>(
     stmts: &'a [Stmt],
     fusion: bool,
+    templates: &TemplateCache,
     footprint: impl Fn(&'a Stmt) -> &'a Footprint,
 ) -> BatchPlan<'a> {
     let any_write = stmts.iter().any(Stmt::is_write);
@@ -149,17 +153,19 @@ pub(crate) fn plan_batch<'a>(
             }
         }
     }
-    // Classify one representative per multi-member group; a group whose
-    // representative is not a fusable shape dissolves back into
-    // position-ordered singles (same-template statements share their
-    // shape, so one parse decides for the whole group).
+    // Classify each multi-member group's template entry; a group whose
+    // template is not a fusable shape dissolves back into position-ordered
+    // singles (same-template statements share their shape).
     let mut roles: Vec<Role> = vec![Role::Single; stmts.len()];
     let mut fused: Vec<FusedGroup<'a>> = Vec::new();
     let mut cross_write_fused = 0u64;
     for group in groups.into_iter().filter(|g| g.members.len() >= 2) {
         let first = group.members[0].0;
-        let template = group.template.to_string();
-        if let Some(lookup) = fuse::classify_with_template(stmts[first].sql(), template) {
+        let shape = templates
+            .plan(stmts[first].sql(), stmts[first].norm())
+            .ok()
+            .and_then(|plan| fuse::classify(&plan.template.stmt));
+        if let Some(lookup) = shape {
             roles[first] = Role::FusedLead(fused.len());
             for &(m, _) in &group.members[1..] {
                 roles[m] = Role::FusedMember;
@@ -168,6 +174,7 @@ pub(crate) fn plan_batch<'a>(
                 cross_write_fused += group.members.len() as u64;
             }
             fused.push(FusedGroup {
+                template: group.template,
                 lookup,
                 members: group.members,
             });

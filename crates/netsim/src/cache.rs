@@ -5,7 +5,7 @@
 //! parameters) is answered from the driver without touching the wire —
 //! until a write that can overlap its rows ships, which kills exactly
 //! the overlapping entries. The cache lives in the deployment
-//! ([`crate::SimEnv`]'s inner state, next to the plan cache), so all
+//! ([`crate::SimEnv`]'s inner state), so all
 //! sessions multiplexed onto one deployment — directly, through the
 //! [`crate::Dispatcher`], or onto a sharded fleet — share one coherent
 //! view by construction.
@@ -22,7 +22,7 @@
 //! decided by [`Footprint::writes_overlap`]: table-level when the write
 //! pins no keys, key-precise when it does.
 //!
-//! Entries are bounded (512, FIFO like the plan cache) and the whole
+//! Entries are bounded (512, FIFO like the template cache) and the whole
 //! cache is droppable at zero cost — out-of-band mutation (seeding) and
 //! disabling the cache both clear it rather than reason about staleness.
 
@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 
 use sloth_sql::{Footprint, ResultSet, Stmt, TableAccess};
 
-/// Max cached entries, matching the engine's plan-cache bound.
+/// Max cached entries, matching the template cache's bound.
 pub(crate) const RESULT_CACHE_CAP: usize = 512;
 
 /// Counters of the shared result cache (see [`crate::SimEnv::result_cache_stats`]).

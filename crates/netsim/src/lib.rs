@@ -53,7 +53,7 @@ pub use fault::{
     is_transient_error, transient_error, FaultDecision, FaultPlan, FaultStats, Outage, RetryPolicy,
 };
 pub use shard::{ShardStats, ShardedEnv};
-pub use sloth_sql::{PlanCacheStats, ShardSpec};
+pub use sloth_sql::{ShardSpec, TemplateCacheStats};
 
 /// A shared virtual clock counting nanoseconds since simulation start.
 ///
@@ -454,10 +454,18 @@ impl SimEnv {
     }
 
     /// A deployment over `dbs`, partitioned by `spec` (empty for the
-    /// single server).
-    pub(crate) fn over(cost: CostModel, spec: ShardSpec, dbs: Vec<Database>) -> Self {
+    /// single server). Its databases, their published views and the
+    /// router share one template cache: the first database's.
+    pub(crate) fn over(cost: CostModel, spec: ShardSpec, mut dbs: Vec<Database>) -> Self {
+        let templates = dbs
+            .first()
+            .map(|db| Arc::clone(db.template_cache()))
+            .unwrap_or_default();
+        for db in &mut dbs {
+            db.set_template_cache(Arc::clone(&templates));
+        }
         SimEnv {
-            router: Arc::new(shard::Router::new(spec, dbs.len())),
+            router: Arc::new(shard::Router::new(spec, dbs.len(), templates)),
             store: Arc::new(VersionedStore::new(dbs)),
             clock: Clock::new(),
             realtime_ppm: Arc::new(AtomicU64::new(0)),
@@ -551,7 +559,7 @@ impl SimEnv {
     /// writer, with no counter touched and nothing charged.
     pub fn seed_sql(&self, sql: &str) -> Result<ResultSet, SqlError> {
         let stmts = [Stmt::new(sql)];
-        let plan = batch::plan_batch(&stmts, false, |s| self.footprint(s));
+        let plan = batch::plan_batch(&stmts, false, &self.router.templates, |s| self.footprint(s));
         let exec = self
             .execute(CostModel::default(), &stmts, &plan, None, None, true)
             .exec;
@@ -623,7 +631,7 @@ impl SimEnv {
     /// answered locally with zero charged network time, and every shipped
     /// write's [`sloth_sql::Footprint`] kills exactly the cached reads it
     /// can overlap — across sessions, shards, and fault-layer retries.
-    /// Bounded at 512 entries, FIFO like the plan cache. Turning the
+    /// Bounded at 512 entries, FIFO like the template cache. Turning the
     /// cache off drops every entry (invalidation pauses with it, so
     /// nothing surviving a disabled window could be trusted again).
     pub fn set_result_cache(&self, on: bool) {
@@ -646,34 +654,25 @@ impl SimEnv {
     }
 
     /// The [`Footprint`] of one statement, memoised in the statement (see
-    /// [`Database::footprint`]): the first layer to ask — the query
-    /// store's deferral decision, the result cache, the batch planner —
-    /// resolves it through the store's per-template footprint cache
-    /// (lock-free, through the published view, which shares the live
-    /// database's cache); every later layer reads it back.
+    /// [`sloth_sql::TemplateCache::stmt_footprint`]): the first layer to
+    /// ask — the query store's deferral decision, the result cache, the
+    /// batch planner — resolves it through the deployment's template
+    /// cache; every later layer reads it back.
     pub fn footprint<'s>(&self, stmt: &'s Stmt) -> &'s Footprint {
-        // Reading it back touches nothing shared between sessions.
-        stmt.known_footprint()
-            .unwrap_or_else(|| self.store.catalog().footprint(stmt))
+        self.router.templates.stmt_footprint(stmt)
     }
 
-    /// Footprint-cache counters of the store.
-    pub fn footprint_cache_stats(&self) -> sloth_sql::FootprintCacheStats {
-        self.store.catalog().footprint_cache_stats()
+    /// Counters of the deployment's one template cache — the same as
+    /// [`SimEnv::plan_cache_stats`]: plan execution, footprints, fusion's
+    /// shape check and the router's routes all read its entries.
+    pub fn footprint_cache_stats(&self) -> TemplateCacheStats {
+        self.router.templates.stats()
     }
 
-    /// Plan-cache counters of the store (summed across shards on a
-    /// sharded deployment).
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        let mut total = PlanCacheStats::default();
-        for view in self.store.published().iter() {
-            let s = view.plan_cache_stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.evictions += s.evictions;
-        }
-        total
+    /// Counters of the deployment's one template cache (see
+    /// [`SimEnv::footprint_cache_stats`]).
+    pub fn plan_cache_stats(&self) -> TemplateCacheStats {
+        self.router.templates.stats()
     }
 
     /// Installs (or, with `None`, clears) the deterministic fault plan.
@@ -899,8 +898,8 @@ impl SimEnv {
     /// at all stops the batch there ([`CacheProbe::stop`]).
     ///
     /// Footprints are resolved *before* the cache lock is taken,
-    /// honouring the lock hierarchy (cache above database, never both at
-    /// once).
+    /// honouring the lock hierarchy (result cache above template cache,
+    /// never both at once).
     fn probe_result_cache(&self, req: &BatchRequest<'_>) -> Option<CacheProbe> {
         // Lock-free gate: the default cache-off path never takes a mutex.
         if !self.cache_on.load(Ordering::Relaxed) {
@@ -908,15 +907,14 @@ impl SimEnv {
         }
         let stmts = req.stmts;
         let bypass = req.cache == CacheMode::Bypass;
-        // One view fetch for the batch: on a pure-read page nothing above
-        // has asked these statements for a footprint yet. A dependent
-        // read's footprint waits for its bound form; a dependent write's
-        // is its table-level one, which every later read is checked
-        // against whether or not the write is bound here.
-        let catalog = self.store.catalog();
+        // On a pure-read page nothing above has asked these statements
+        // for a footprint yet. A dependent read's footprint waits for its
+        // bound form; a dependent write's is its table-level one, which
+        // every later read is checked against whether or not the write is
+        // bound here.
         let fps: Vec<Option<&Footprint>> = stmts
             .iter()
-            .map(|s| (s.parent().is_none() || s.is_write()).then(|| catalog.footprint(s)))
+            .map(|s| (s.parent().is_none() || s.is_write()).then(|| self.footprint(s)))
             .collect();
         let mut hits: Vec<Option<ResultSet>> = vec![None; stmts.len()];
         let mut ship: Vec<usize> = Vec::with_capacity(stmts.len());
@@ -930,7 +928,7 @@ impl SimEnv {
                 Ok(batch::Binding::Literal) => Cow::Borrowed(&stmts[i]),
                 Ok(batch::Binding::Bound(bound)) => {
                     drop(cache);
-                    catalog.footprint(&bound);
+                    self.footprint(&bound);
                     cache = self.cache();
                     Cow::Owned(bound)
                 }
@@ -950,7 +948,7 @@ impl SimEnv {
                     break;
                 }
             };
-            let fp = fps[i].unwrap_or_else(|| catalog.footprint(&stmt));
+            let fp = fps[i].unwrap_or_else(|| self.footprint(&stmt));
             let eligible = !bypass
                 && cacheable(&stmt)
                 && !fp.has_writes()
@@ -1267,7 +1265,7 @@ impl SimEnv {
         down: Option<&[bool]>,
     ) -> RanBatch {
         let fusion = self.knobs.fusion.load(Ordering::Relaxed);
-        let plan = batch::plan_batch(stmts, fusion, |s| self.footprint(s));
+        let plan = batch::plan_batch(stmts, fusion, &self.router.templates, |s| self.footprint(s));
         self.execute(self.cost, stmts, &plan, skip, down, false)
     }
 
@@ -1937,17 +1935,20 @@ mod tests {
             "UPDATE t SET v = 'x' WHERE id = 2".to_string(),
         ]);
         // No layer above analyzed these statements: the planner resolves
-        // each footprint, once, through the template cache…
+        // each footprint, once, through the template cache — and the
+        // read's plan is the third lookup, answered by the entry its
+        // footprint filled (the cache is one: two parses in all)…
         assert!(env.ship(&BatchRequest::new(&batch)).error.is_none());
-        assert_eq!(lookups(), 2);
-        // …and the statements keep them: the same values shipped again
-        // look nothing up.
+        assert_eq!(lookups(), 3);
+        // …and the statements keep their footprints: the same values
+        // shipped again look up only the read's plan.
         assert!(env.ship(&BatchRequest::new(&batch)).error.is_none());
-        assert_eq!(lookups(), 2);
-        // Read-only batches never need footprints at all.
+        assert_eq!(lookups(), 4);
+        // Read-only batches never need footprints at all: one plan.
         let reads = stmts(&["SELECT v FROM t WHERE id = 1".to_string()]);
         assert!(env.ship(&BatchRequest::new(&reads)).error.is_none());
-        assert_eq!(lookups(), 2);
+        assert_eq!(lookups(), 5);
+        assert_eq!(env.footprint_cache_stats().misses, 2);
     }
 
     #[test]

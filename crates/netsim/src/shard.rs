@@ -3,9 +3,10 @@
 //!
 //! [`ShardedEnv`] is the horizontal-scaling step of the roadmap: instead
 //! of one simulated MySQL box, the deployment's versioned store holds `N`
-//! independent [`sloth_sql::Database`] instances (each with its own plan
-//! cache and indexes), and the batch driver routes every statement of a
-//! batch by the [`ShardSpec`] declared over the schema:
+//! independent [`sloth_sql::Database`] instances (each with its own
+//! indexes; all of them, and the router, share the deployment's one
+//! [`sloth_sql::TemplateCache`]), and the batch driver routes every
+//! statement of a batch by the [`ShardSpec`] declared over the schema:
 //!
 //! * **point route** — a read whose predicate pins the base table's shard
 //!   key (`key = v`) executes on the one shard that owns `v`;
@@ -25,14 +26,15 @@
 //!   `MAX` / `MIN` merge partials; `COUNT(DISTINCT c)` gathers the
 //!   projected column and counts at the router.
 //!
-//! Routing happens on the normalizer's hot path: the route for a template
-//! is computed once (one parse) and cached, then every same-template
-//! statement routes by binding its extracted parameters — the same
-//! template-keyed design as the engine's plan cache.
+//! Routing happens on the normalizer's hot path: a read looks its template
+//! up once in the template cache, whose entry holds the parameterized
+//! statement and the template's [`Route`] (derived on first use), routes
+//! by its extracted parameters, and hands that plan to the shards that run
+//! it — they do not look it up again.
 //!
 //! The router is also the single server's executor: a store of **one**
 //! database routes nothing, so every statement runs there as written —
-//! no route-cache probe, no router counter, no row-id sequence (rows a
+//! no route, no router counter, no row-id sequence (rows a
 //! deployment was handed by [`SimEnv::from_database`] or
 //! [`SimEnv::seed`] keep the ids the engine gave them), no merge and
 //! nothing refused. That is decided from the store's size where a read,
@@ -49,13 +51,13 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sloth_sql::ast::{Aggregate, BinOp, ColumnRef, Expr, Join, Projection, Statement, TableRef};
+use sloth_sql::ast::{Aggregate, BinOp, Expr, Projection, SelectStmt, Statement};
 use sloth_sql::engine::eval_const;
 use sloth_sql::fuse;
 use sloth_sql::shard::{hash_key, shard_of};
 use sloth_sql::{
-    parameterize, parse, Database, ExecStats, MergeKey, MergeTrace, Normalized, PlanCacheStats,
-    ResultSet, Row, ShardSpec, SqlError, Stmt, TemplateMap, Value,
+    parse, Database, ExecOutcome, ExecStats, MergeKey, MergeTrace, Plan, ResultSet, Route, Row,
+    ShardSpec, SqlError, Stmt, TemplateCache, Value,
 };
 
 use crate::batch::{self, BatchExec, BatchPlan, FusedGroup, Role};
@@ -87,10 +89,6 @@ pub struct ShardStats {
     pub broadcast_writes: u64,
     /// Per-shard sub-probes created by splitting fused `IN` probes.
     pub fused_subprobes: u64,
-    /// Route-cache hits (template already routed; no parse).
-    pub route_cache_hits: u64,
-    /// Route-cache misses (template parsed once to derive its route).
-    pub route_cache_misses: u64,
     /// Replica-routed reads that failed over to another replica because
     /// their preferred shard was inside an outage window.
     pub replica_failovers: u64,
@@ -115,39 +113,6 @@ impl ShardStats {
             ..ShardStats::default()
         }
     }
-}
-
-/// How statements of one template route (derived once per template).
-#[derive(Debug, Clone)]
-enum Rule {
-    /// `shard_key = ?slot` → the shard owning the bound parameter.
-    Point { slot: usize },
-    /// `shard_key IN (?slots…)` → the shards owning the bound parameters.
-    List { slots: Vec<usize> },
-    /// Execute on every shard and merge.
-    Scatter,
-    /// Replicated base (and joins): one deterministic replica.
-    Replica,
-    /// Statement the router cannot make shard-correct (a join between
-    /// differently-sharded tables): fails with this message.
-    Unsupported(String),
-}
-
-/// Cached routing decision for one statement template.
-struct RouteEntry {
-    rule: Rule,
-    /// Parameter slot count of `pstmt` (cross-checked against each
-    /// statement's extracted parameters; mismatch falls back to scatter).
-    n_slots: usize,
-    /// `ORDER BY` descending flags, for the order-preserving merge.
-    descs: Vec<bool>,
-    /// `LIMIT`, applied after the merge.
-    limit: Option<usize>,
-    /// Aggregate projection, if any (merged by re-aggregation).
-    agg: Option<Aggregate>,
-    /// The parameterized statement (used to rewrite `COUNT(DISTINCT c)`
-    /// into a column gather under scatter).
-    pstmt: Statement,
 }
 
 /// Per-batch execution context: cost collection (read times and write
@@ -192,6 +157,29 @@ impl Costs<'_> {
         self.bytes += self.shipped.unwrap_or(sql.len() as u64);
     }
 
+    /// Books one read on shard `s`: the text shipped for it and the
+    /// statement, then — if it answered — its time and its result's
+    /// bytes. `sleep_ppm` scales the modeled db time still owed as a real
+    /// sleep: an inline read's (a wave's job slept on its worker, and
+    /// passes 0).
+    fn book<T>(
+        &mut self,
+        s: usize,
+        sql: &str,
+        cost: &CostModel,
+        out: Result<(ExecOutcome, T), SqlError>,
+        sleep_ppm: u64,
+    ) -> Result<(ResultSet, T), SqlError> {
+        self.ship_text(sql);
+        self.statements[s] += 1;
+        let (out, t) = out?;
+        let ns = exec_cost(cost, &out.stats);
+        self.read_times[s].push(ns);
+        self.bytes += out.result.wire_size() as u64;
+        db_sleep(sleep_ppm, ns);
+        Ok((out.result, t))
+    }
+
     /// How many reads each shard's wave holds — taken before a dependent
     /// read runs, for [`Costs::take_link`].
     fn wave_marks(&self) -> Vec<usize> {
@@ -233,6 +221,16 @@ fn db_sleep(ppm: u64, ns: u64) {
 /// A job queued on one shard's worker thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// One shard's part of a read wave.
+type WaveJob<T> = Box<dyn FnOnce() -> Result<T, SqlError> + Send>;
+
+/// What a wave slot answers when its worker died before answering it.
+fn worker_died(s: usize) -> SqlError {
+    SqlError::new(format!(
+        "shard {s}'s worker died without answering its wave slot"
+    ))
+}
+
 /// One persistent worker thread per shard, executing read-wave jobs.
 ///
 /// Spawned lazily on the first multi-target wave, so single-shard fleets
@@ -245,24 +243,27 @@ struct ShardPool {
 }
 
 impl ShardPool {
-    fn new(shards: usize) -> Self {
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
+    /// One worker per shard, or the error of the first spawn that failed
+    /// (the workers already spawned see their queues close and exit).
+    fn new(shards: usize) -> Result<Self, SqlError> {
+        let mut pool = ShardPool {
+            senders: Vec::with_capacity(shards),
+            workers: Vec::with_capacity(shards),
+        };
         for s in 0..shards {
             let (tx, rx) = mpsc::channel::<Job>();
-            senders.push(tx);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("shard-{s}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("spawn shard worker"),
-            );
+            let worker = std::thread::Builder::new()
+                .name(format!("shard-{s}"))
+                .spawn(move || {
+                    while let Ok(job) = rx.recv() {
+                        job();
+                    }
+                })
+                .map_err(|e| SqlError::new(format!("cannot spawn shard {s}'s worker: {e}")))?;
+            pool.senders.push(tx);
+            pool.workers.push(worker);
         }
-        ShardPool { senders, workers }
+        Ok(pool)
     }
 }
 
@@ -277,10 +278,10 @@ impl Drop for ShardPool {
 
 /// The batch executor — of the single server (N = 1, an empty spec) and
 /// of a fleet alike: the partitioning spec plus the state routing needs
-/// (route cache, row-id sequences, worker pool, counters), all idle over
-/// one database. It owns no database: every batch executes over the
-/// views — and, for writes, the live guards — the versioned store
-/// admitted it to.
+/// (the deployment's template cache, row-id sequences, worker pool,
+/// counters), all but the cache idle over one database. It owns no
+/// database: every batch executes over the views — and, for writes, the
+/// live guards — the versioned store admitted it to.
 ///
 /// Interior-mutable by design: concurrent batches share one `Router`
 /// through `&self`.
@@ -296,7 +297,8 @@ pub(crate) struct Router {
     /// dense in its own insert count (a fleet-wide counter would grow
     /// every table's backing store to the global insert total).
     next_rid: Mutex<HashMap<String, u64>>,
-    routes: Mutex<TemplateMap<Arc<RouteEntry>>>,
+    /// The deployment's one template cache, shared with its databases.
+    pub(crate) templates: Arc<TemplateCache>,
     stats: Mutex<ShardStats>,
     /// Worker threads for parallel read waves, spawned on first use.
     pool: Mutex<Option<ShardPool>>,
@@ -307,12 +309,12 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    pub(crate) fn new(spec: ShardSpec, shards: usize) -> Self {
+    pub(crate) fn new(spec: ShardSpec, shards: usize, templates: Arc<TemplateCache>) -> Self {
         Router {
             n: shards,
             spec,
             next_rid: Mutex::new(HashMap::new()),
-            routes: Mutex::default(),
+            templates,
             stats: Mutex::new(ShardStats::new(shards)),
             pool: Mutex::new(None),
             db_sleep_ppm: AtomicU64::new(0),
@@ -328,54 +330,62 @@ impl Router {
         self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs one closure per target shard **concurrently** — each on its
-    /// shard's worker thread — and returns the outcomes in `targets`
-    /// order.
+    /// Runs one job per `(shard, job)` **concurrently** — each on its
+    /// shard's worker thread — and returns the outcomes in `jobs` order.
     ///
     /// Legality: waves carry only reads, and every job carries its own
     /// [`ReadView`] — a snapshot job touches no lock at all, a live-view
     /// job read-locks only its own shard — so jobs cannot deadlock
     /// against each other or against the coordinator (which blocks only
     /// on the result channel). All cost and stat accounting stays on the
-    /// coordinator and is applied *in target order* after collection, so
+    /// coordinator and is applied *in job order* after collection, so
     /// the books — including partial accounting on error — are
-    /// byte-identical to the sequential loop this replaces; the
-    /// order-exact k-way merge then consumes per-shard results exactly
-    /// as before. A single-target wave runs inline: no handoff, and no
-    /// pool for fleets that never scatter.
+    /// byte-identical to a sequential loop; the order-exact k-way merge
+    /// then consumes per-shard results exactly as before. A single-job
+    /// wave runs inline: no handoff, and no pool for fleets that never
+    /// scatter. A slot whose worker died (or never spawned) answers an
+    /// error, never a panic.
     fn run_wave<T: Send + 'static>(
         &self,
-        targets: &[usize],
-        mut make: impl FnMut(usize) -> Box<dyn FnOnce() -> Result<T, SqlError> + Send>,
+        jobs: Vec<(usize, WaveJob<T>)>,
     ) -> Vec<Result<T, SqlError>> {
-        if targets.len() <= 1 {
-            return targets.iter().map(|&s| make(s)()).collect();
+        if jobs.len() <= 1 {
+            return jobs.into_iter().map(|(_, job)| job()).collect();
         }
         let wall = Instant::now();
         // Senders clone under the pool mutex, then the guard drops: jobs
         // are queued lock-free and concurrent waves interleave freely.
-        let senders: Vec<mpsc::Sender<Job>> = {
+        let senders: Vec<Option<mpsc::Sender<Job>>> = {
             let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-            let pool = pool.get_or_insert_with(|| ShardPool::new(self.n));
-            targets.iter().map(|&s| pool.senders[s].clone()).collect()
+            if pool.is_none() {
+                match ShardPool::new(self.n) {
+                    Ok(p) => *pool = Some(p),
+                    Err(e) => return jobs.iter().map(|_| Err(e.clone())).collect(),
+                }
+            }
+            jobs.iter()
+                .map(|(s, _)| pool.as_ref().and_then(|p| p.senders.get(*s).cloned()))
+                .collect()
         };
+        let shards: Vec<usize> = jobs.iter().map(|(s, _)| *s).collect();
         let (tx, rx) = mpsc::channel::<(usize, u64, Result<T, SqlError>)>();
-        for (i, (&s, sender)) in targets.iter().zip(&senders).enumerate() {
-            let job = make(s);
+        for (i, ((_, job), sender)) in jobs.into_iter().zip(senders).enumerate() {
             let tx = tx.clone();
-            let _ = sender.send(Box::new(move || {
-                let t0 = Instant::now();
-                let out = job();
-                let _ = tx.send((i, t0.elapsed().as_nanos() as u64, out));
-            }));
+            // A job its worker never runs (or dies running) drops its
+            // result sender: the slot stays unanswered.
+            if let Some(sender) = sender {
+                let _ = sender.send(Box::new(move || {
+                    let t0 = Instant::now();
+                    let out = job();
+                    let _ = tx.send((i, t0.elapsed().as_nanos() as u64, out));
+                }));
+            }
         }
         drop(tx);
-        let mut outs: Vec<Option<Result<T, SqlError>>> = targets.iter().map(|_| None).collect();
+        let mut outs: Vec<Option<Result<T, SqlError>>> = shards.iter().map(|_| None).collect();
         let mut busy = 0u64;
-        for _ in targets {
-            let (i, ns, out) = rx
-                .recv()
-                .expect("a shard worker died without answering its wave slot");
+        // Ends early once every sender is gone: the rest will never answer.
+        while let Ok((i, ns, out)) = rx.recv() {
             busy += ns;
             outs[i] = Some(out);
         }
@@ -385,7 +395,8 @@ impl Router {
         stats.parallel_wave_ns += wall.elapsed().as_nanos() as u64;
         drop(stats);
         outs.into_iter()
-            .map(|o| o.expect("every wave slot answered"))
+            .zip(shards)
+            .map(|(o, s)| o.unwrap_or_else(|| Err(worker_died(s))))
             .collect()
     }
 
@@ -509,8 +520,9 @@ impl Router {
                     }
                 }
                 Role::FusedLead(g) => {
-                    let FusedGroup { lookup, members } = &plan.fused[g];
-                    let live_members: Vec<(usize, &Value)> = members
+                    let group = &plan.fused[g];
+                    let live_members: Vec<(usize, &Value)> = group
+                        .members
                         .iter()
                         .copied()
                         .filter(|&(m, _)| results[m].is_none())
@@ -518,7 +530,7 @@ impl Router {
                     if live_members.is_empty() {
                         continue; // whole group answered from the journal
                     }
-                    match self.exec_fused(lookup, &live_members, cost, &mut costs, &mut results) {
+                    match self.exec_fused(group, &live_members, cost, &mut costs, &mut results) {
                         Ok(()) => {
                             fused_groups += 1;
                             fused_queries += live_members.len() as u64;
@@ -570,48 +582,42 @@ impl Router {
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         let sql = stmt.sql();
-        if self.n == 1 {
-            // One database: nothing to route.
-            return self.read_on(0, sql, stmt.norm(), cost, costs);
-        }
-        let Some(norm) = stmt.norm() else {
-            // Unlexable "SELECT …": executes (and errors) identically on
-            // any shard — ship it to shard 0 for the authentic error.
-            return self.read_on(0, sql, None, cost, costs);
-        };
-        let entry = match self.route_for(&norm.template, sql) {
-            Some(e) => e,
-            None => return self.read_on(0, sql, Some(norm), cost, costs),
+        // The one lookup: every shard the read runs on executes this plan.
+        let plan = self.templates.plan(sql, stmt.norm());
+        let (plan, template) = match (plan, stmt.norm()) {
+            (Ok(plan), Some(norm)) if self.n > 1 => (plan, &norm.template),
+            // One database: nothing to route. A text that does not parse
+            // travels to shard 0 and fails there, as on the single server.
+            (plan, _) => return self.read_on(0, sql, plan.as_ref(), cost, costs),
         };
         let n = self.n;
-        let bindable = entry.n_slots == norm.params.len();
-        match (&entry.rule, bindable) {
-            (Rule::Unsupported(msg), _) => Err(SqlError::new(msg.clone())),
-            (Rule::Replica, _) => {
+        let params = plan.params;
+        match plan.template.route(&self.spec) {
+            Route::Unsupported(msg) => Err(SqlError::new(msg.clone())),
+            Route::Replica => {
                 self.stats_mut().replica_reads += 1;
-                let s = self.failover(self.replica(&norm.template), costs)?;
-                self.read_on(s, sql, Some(norm), cost, costs)
+                let s = self.failover(self.replica(template), costs)?;
+                self.read_on(s, sql, Ok(&plan), cost, costs)
             }
-            (Rule::Point { slot }, true) => {
+            Route::Point { slot } if *slot < params.len() => {
                 self.stats_mut().point_reads += 1;
-                let s = shard_of(&norm.params[*slot], n);
-                self.read_on(s, sql, Some(norm), cost, costs)
+                let s = shard_of(&params[*slot], n);
+                self.read_on(s, sql, Ok(&plan), cost, costs)
             }
-            (Rule::List { slots }, true) if !slots.is_empty() => {
+            Route::List { slots }
+                if !slots.is_empty() && slots.iter().all(|&sl| sl < params.len()) =>
+            {
                 self.stats_mut().subset_reads += 1;
-                let mut targets: Vec<usize> = slots
-                    .iter()
-                    .map(|&sl| shard_of(&norm.params[sl], n))
-                    .collect();
+                let mut targets: Vec<usize> =
+                    slots.iter().map(|&sl| shard_of(&params[sl], n)).collect();
                 targets.sort_unstable();
                 targets.dedup();
-                self.gather(&targets, sql, norm, &entry, cost, costs)
+                self.gather(&targets, sql, &plan, cost, costs)
             }
-            // Scatter, plus the fallbacks (slot mismatch, empty list).
             _ => {
                 self.stats_mut().scatter_reads += 1;
                 let all: Vec<usize> = (0..n).collect();
-                self.gather(&all, sql, norm, &entry, cost, costs)
+                self.gather(&all, sql, &plan, cost, costs)
             }
         }
     }
@@ -641,41 +647,55 @@ impl Router {
         }
     }
 
-    /// One read on one shard (point / replica routes): full plan-cache hot
-    /// path, no merge tracing needed — through the batch's admitted read
-    /// view, never a write guard.
+    /// One read on one shard (point / replica routes, and the single
+    /// server): its plan, or the parse error it travelled with, executed
+    /// through the batch's admitted read view — never a write guard.
     fn read_on(
         &self,
         s: usize,
         sql: &str,
-        norm: Option<&Normalized>,
+        plan: Result<&Plan<'_>, &SqlError>,
         cost: &CostModel,
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         if !costs.live(s) {
             return Err(Self::down_error(s));
         }
-        costs.ship_text(sql);
-        costs.statements[s] += 1;
-        let out = costs.view(s).with(|db| match norm {
-            Some(norm) => db.execute_select_normalized(sql, norm),
-            None => db.execute_readonly(sql),
-        })?;
-        let ns = exec_cost(cost, &out.stats);
-        costs.read_times[s].push(ns);
-        costs.bytes += out.result.wire_size() as u64;
-        db_sleep(self.ppm(), ns);
-        Ok(out.result)
+        let out = plan.map_err(SqlError::clone).and_then(|plan| {
+            costs
+                .view(s)
+                .with(|db| db.execute_read_stmt_with(&plan.template.stmt, plan.params))
+                .map(|out| (out, ()))
+        });
+        Ok(costs.book(s, sql, cost, out, self.ppm())?.0)
     }
 
-    /// Scatter-gather over `targets`: execute on each target shard and
-    /// merge (rows by merge trace, aggregates by re-aggregation).
+    /// One shard's job of a read wave: `run` over its read view, then the
+    /// modeled db sleep.
+    fn wave_job<T: Send + 'static>(
+        &self,
+        s: usize,
+        cost: &CostModel,
+        costs: &Costs<'_>,
+        run: impl FnOnce(&Database) -> Result<(ExecOutcome, T), SqlError> + Send + 'static,
+    ) -> (usize, WaveJob<(ExecOutcome, T)>) {
+        let (ppm, cm, view) = (self.ppm(), *cost, costs.view(s));
+        let job: WaveJob<(ExecOutcome, T)> = Box::new(move || {
+            let out = view.with(run)?;
+            db_sleep(ppm, exec_cost(&cm, &out.0.stats));
+            Ok(out)
+        });
+        (s, job)
+    }
+
+    /// Scatter-gather of `plan` over `targets`: execute on each target
+    /// shard and merge (rows by merge trace, aggregates by
+    /// re-aggregation).
     fn gather(
         &self,
         targets: &[usize],
         sql: &str,
-        norm: &Normalized,
-        entry: &RouteEntry,
+        plan: &Plan<'_>,
         cost: &CostModel,
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
@@ -685,34 +705,33 @@ impl Router {
             // it once the outage window closes).
             return Err(Self::down_error(s));
         }
-        if targets.len() == 1 {
-            return self.read_on(targets[0], sql, Some(norm), cost, costs);
+        if let [s] = targets {
+            return self.read_on(*s, sql, Ok(plan), cost, costs);
         }
-        if let Some(agg) = entry.agg.clone() {
-            return self.gather_aggregate(targets, sql, norm, entry, &agg, cost, costs);
-        }
-        let ppm = self.ppm();
-        let cm = *cost;
-        let outs = self.run_wave(targets, |s| {
-            let sql = sql.to_string();
-            let norm = norm.clone();
-            let view = costs.view(s);
-            Box::new(move || {
-                let (out, trace) = view.with(|db| db.execute_select_traced(&sql, &norm))?;
-                db_sleep(ppm, exec_cost(&cm, &out.stats));
-                Ok((out, trace))
+        let (descs, limit) = match &plan.template.stmt {
+            Statement::Select(sel) => {
+                if let Projection::Aggregate(agg) = &sel.projection {
+                    return self.gather_aggregate(targets, sql, plan, sel, agg, cost, costs);
+                }
+                (sel.order_by.iter().map(|k| k.desc).collect(), sel.limit)
+            }
+            _ => (Vec::new(), None),
+        };
+        let jobs = targets
+            .iter()
+            .map(|&s| {
+                let (template, params) = (Arc::clone(&plan.template), plan.params.to_vec());
+                self.wave_job(s, cost, costs, move |db| {
+                    db.execute_read_stmt_traced(&template.stmt, &params)
+                })
             })
-        });
+            .collect();
         let mut parts: Vec<(ResultSet, MergeTrace)> = Vec::with_capacity(targets.len());
-        for (&s, res) in targets.iter().zip(outs) {
-            costs.ship_text(sql);
-            costs.statements[s] += 1;
-            let (out, trace) = res?;
-            costs.read_times[s].push(exec_cost(cost, &out.stats));
-            costs.bytes += out.result.wire_size() as u64;
-            parts.push((out.result, trace.unwrap_or_default()));
+        for (&s, res) in targets.iter().zip(self.run_wave(jobs)) {
+            let (rs, trace) = costs.book(s, sql, cost, res, 0)?;
+            parts.push((rs, trace.unwrap_or_default()));
         }
-        Ok(merge_parts(parts, &entry.descs, entry.limit))
+        Ok(merge_parts(parts, &descs, limit))
     }
 
     /// Scattered aggregates: decomposable ones merge partials; `COUNT
@@ -722,110 +741,85 @@ impl Router {
         &self,
         targets: &[usize],
         sql: &str,
-        norm: &Normalized,
-        entry: &RouteEntry,
+        plan: &Plan<'_>,
+        sel: &SelectStmt,
         agg: &Aggregate,
         cost: &CostModel,
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
-        if let Aggregate::CountDistinct(col) = agg {
-            // Gather the projected column from every shard, count once.
-            let Statement::Select(psel) = &entry.pstmt else {
-                unreachable!("aggregate routes are selects")
-            };
-            let mut gather_sel = psel.clone();
-            gather_sel.projection = Projection::Columns(vec![col.clone()]);
-            gather_sel.order_by.clear();
-            gather_sel.limit = None;
-            let gather_stmt = Statement::Select(gather_sel);
-            let ppm = self.ppm();
-            let cm = *cost;
-            let outs = self.run_wave(targets, |s| {
-                let stmt = gather_stmt.clone();
-                let params = norm.params.clone();
-                let view = costs.view(s);
-                Box::new(move || {
-                    let out = view.with(|db| db.execute_read_stmt_with(&stmt, &params))?;
-                    db_sleep(ppm, exec_cost(&cm, &out.stats));
-                    Ok(out)
-                })
-            });
-            let mut distinct: HashSet<Value> = HashSet::new();
-            for (&s, res) in targets.iter().zip(outs) {
-                costs.ship_text(sql);
-                costs.statements[s] += 1;
-                let out = res?;
-                costs.read_times[s].push(exec_cost(cost, &out.stats));
-                costs.bytes += out.result.wire_size() as u64;
-                for row in out.result.rows {
-                    let v = row.into_iter().next().expect("one projected column");
-                    if !v.is_null() {
-                        distinct.insert(v);
-                    }
+        let merge: fn(&[Value]) -> Value = match agg {
+            Aggregate::CountDistinct(col) => {
+                // Gather the projected column from every shard, count once.
+                let mut gather_sel = sel.clone();
+                gather_sel.projection = Projection::Columns(vec![col.clone()]);
+                gather_sel.order_by.clear();
+                gather_sel.limit = None;
+                let gather_stmt = Arc::new(Statement::Select(gather_sel));
+                let jobs = targets
+                    .iter()
+                    .map(|&s| {
+                        let (stmt, params) = (Arc::clone(&gather_stmt), plan.params.to_vec());
+                        self.wave_job(s, cost, costs, move |db| {
+                            db.execute_read_stmt_with(&stmt, &params).map(|o| (o, ()))
+                        })
+                    })
+                    .collect();
+                let mut distinct: HashSet<Value> = HashSet::new();
+                for (&s, res) in targets.iter().zip(self.run_wave(jobs)) {
+                    let (rs, ()) = costs.book(s, sql, cost, res, 0)?;
+                    distinct.extend(rs.rows.into_iter().flatten().filter(|v| !v.is_null()));
                 }
+                return Ok(ResultSet::new(
+                    vec!["count".to_string()],
+                    vec![vec![Value::Int(distinct.len() as i64)]],
+                ));
             }
-            return Ok(ResultSet::new(
-                vec!["count".to_string()],
-                vec![vec![Value::Int(distinct.len() as i64)]],
-            ));
-        }
-        let ppm = self.ppm();
-        let cm = *cost;
-        let outs = self.run_wave(targets, |s| {
-            let sql = sql.to_string();
-            let norm = norm.clone();
-            let view = costs.view(s);
-            Box::new(move || {
-                let out = view.with(|db| db.execute_select_normalized(&sql, &norm))?;
-                db_sleep(ppm, exec_cost(&cm, &out.stats));
-                Ok(out)
+            Aggregate::CountStar => |p| Value::Int(p.iter().map(|v| v.as_i64().unwrap_or(0)).sum()),
+            Aggregate::Sum(_) => |p| {
+                if p.iter().all(|v| matches!(v, Value::Int(_))) {
+                    Value::Int(p.iter().map(|v| v.as_i64().unwrap_or(0)).sum())
+                } else {
+                    Value::Float(p.iter().map(|v| v.as_f64().unwrap_or(0.0)).sum())
+                }
+            },
+            Aggregate::Max(_) => |p| {
+                p.iter()
+                    .filter(|v| !v.is_null())
+                    .max_by(|a, b| a.total_cmp(b))
+                    .cloned()
+                    .unwrap_or(Value::Null)
+            },
+            Aggregate::Min(_) => |p| {
+                p.iter()
+                    .filter(|v| !v.is_null())
+                    .min_by(|a, b| a.total_cmp(b))
+                    .cloned()
+                    .unwrap_or(Value::Null)
+            },
+        };
+        let jobs = targets
+            .iter()
+            .map(|&s| {
+                let (template, params) = (Arc::clone(&plan.template), plan.params.to_vec());
+                self.wave_job(s, cost, costs, move |db| {
+                    db.execute_read_stmt_with(&template.stmt, &params)
+                        .map(|o| (o, ()))
+                })
             })
-        });
+            .collect();
         let mut partials: Vec<Value> = Vec::with_capacity(targets.len());
         let mut columns: Vec<String> = Vec::new();
-        for (&s, res) in targets.iter().zip(outs) {
-            costs.ship_text(sql);
-            costs.statements[s] += 1;
-            let out = res?;
-            costs.read_times[s].push(exec_cost(cost, &out.stats));
-            costs.bytes += out.result.wire_size() as u64;
-            columns = out.result.columns.clone();
-            partials.push(out.result.rows[0][0].clone());
+        for (&s, res) in targets.iter().zip(self.run_wave(jobs)) {
+            let (rs, ()) = costs.book(s, sql, cost, res, 0)?;
+            partials.extend(
+                rs.rows
+                    .into_iter()
+                    .next()
+                    .and_then(|row| row.into_iter().next()),
+            );
+            columns = rs.columns;
         }
-        let merged = match agg {
-            Aggregate::CountStar => Value::Int(
-                partials
-                    .iter()
-                    .map(|v| v.as_i64().unwrap_or(0))
-                    .sum::<i64>(),
-            ),
-            Aggregate::Sum(_) => {
-                if partials.iter().all(|v| matches!(v, Value::Int(_))) {
-                    Value::Int(partials.iter().map(|v| v.as_i64().unwrap_or(0)).sum())
-                } else {
-                    Value::Float(
-                        partials
-                            .iter()
-                            .map(|v| v.as_f64().unwrap_or(0.0))
-                            .sum::<f64>(),
-                    )
-                }
-            }
-            Aggregate::Max(_) => partials
-                .iter()
-                .filter(|v| !v.is_null())
-                .max_by(|a, b| a.total_cmp(b))
-                .cloned()
-                .unwrap_or(Value::Null),
-            Aggregate::Min(_) => partials
-                .iter()
-                .filter(|v| !v.is_null())
-                .min_by(|a, b| a.total_cmp(b))
-                .cloned()
-                .unwrap_or(Value::Null),
-            Aggregate::CountDistinct(_) => unreachable!("handled above"),
-        };
-        Ok(ResultSet::new(columns, vec![vec![merged]]))
+        Ok(ResultSet::new(columns, vec![vec![merge(&partials)]]))
     }
 
     // ---- fused groups --------------------------------------------------
@@ -838,7 +832,7 @@ impl Router {
     /// entirely on its owning shard, so no cross-shard merge is needed).
     fn exec_fused(
         &self,
-        lookup: &fuse::FusableLookup,
+        group: &FusedGroup<'_>,
         members: &[(usize, &Value)],
         cost: &CostModel,
         costs: &mut Costs<'_>,
@@ -847,7 +841,7 @@ impl Router {
         let values: Vec<&Value> = batch::fused_values(members);
         for chunk in values.chunks(batch::MAX_FUSED_ARITY) {
             let targets = batch::chunk_targets(members, chunk);
-            self.exec_fused_probe(lookup, chunk, &targets, cost, costs, results)?;
+            self.exec_fused_probe(group, chunk, &targets, cost, costs, results)?;
         }
         Ok(())
     }
@@ -856,7 +850,7 @@ impl Router {
     /// members in `targets`.
     fn exec_fused_probe(
         &self,
-        lookup: &fuse::FusableLookup,
+        group: &FusedGroup<'_>,
         values: &[&Value],
         targets: &[(usize, &Value)],
         cost: &CostModel,
@@ -864,6 +858,7 @@ impl Router {
         results: &mut [Option<ResultSet>],
     ) -> Result<(), SqlError> {
         let n = self.n;
+        let lookup = &group.lookup;
         let table = &lookup.select.from.name;
         let key_probe = n > 1
             && self
@@ -883,8 +878,7 @@ impl Router {
             // A retry after the window closes re-executes only the
             // positions that truly needed the down shard.
             let mut down_err: Option<SqlError> = None;
-            let mut wave: Vec<usize> = Vec::new();
-            let mut probes: Vec<Option<(fuse::FusedPlan, String)>> = vec![None; n];
+            let mut probes: Vec<(usize, fuse::FusedPlan, String)> = Vec::new();
             for (s, vals) in per_shard.iter().enumerate() {
                 if vals.is_empty() {
                     continue;
@@ -895,35 +889,26 @@ impl Router {
                 }
                 let fplan = fuse::build_fused(&lookup.select, &lookup.column, vals)?;
                 let fsql = fuse::render_select(&fplan.stmt)?;
-                probes[s] = Some((fplan, fsql));
-                wave.push(s);
+                probes.push((s, fplan, fsql));
             }
-            let ppm = self.ppm();
-            let cm = *cost;
-            let outs = self.run_wave(&wave, |s| {
-                let (fplan, _) = probes[s].as_ref().expect("wave target has a probe");
-                let stmt = fplan.stmt.clone();
-                let view = costs.view(s);
-                Box::new(move || {
-                    let out = view.with(|db| db.execute_read_stmt(&stmt))?;
-                    db_sleep(ppm, exec_cost(&cm, &out.stats));
-                    Ok(out)
+            let jobs = probes
+                .iter()
+                .map(|(s, fplan, _)| {
+                    let stmt = fplan.stmt.clone();
+                    self.wave_job(*s, cost, costs, move |db| {
+                        db.execute_read_stmt(&stmt).map(|o| (o, ()))
+                    })
                 })
-            });
-            for (&s, res) in wave.iter().zip(outs) {
-                let (fplan, fsql) = probes[s].as_ref().expect("wave target has a probe");
-                costs.bytes += fsql.len() as u64;
-                costs.statements[s] += 1;
-                let out = res?;
-                costs.read_times[s].push(exec_cost(cost, &out.stats));
-                costs.bytes += out.result.wire_size() as u64;
+                .collect();
+            for ((s, fplan, fsql), res) in probes.iter().zip(self.run_wave(jobs)) {
+                let (rs, ()) = costs.book(*s, fsql, cost, res, 0)?;
                 self.stats_mut().fused_subprobes += 1;
                 let local: Vec<(usize, &Value)> = targets
                     .iter()
-                    .filter(|(_, v)| shard_of(v, n) == s)
+                    .filter(|(_, v)| shard_of(v, n) == *s)
                     .cloned()
                     .collect();
-                for (m, rs) in batch::demux_fused(&out.result, fplan, &local)? {
+                for (m, rs) in batch::demux_fused(&rs, fplan, &local)? {
                     results[m] = Some(rs);
                 }
             }
@@ -941,40 +926,29 @@ impl Router {
         let fplan = fuse::build_fused(&lookup.select, &lookup.column, &owned)?;
         let fsql = fuse::render_select(&fplan.stmt)?;
         let merged = if n == 1 || !self.spec.is_sharded(table) {
-            let s = self.failover(self.replica(&lookup.template), costs)?;
-            costs.bytes += fsql.len() as u64;
-            costs.statements[s] += 1;
-            let out = costs.view(s).with(|db| db.execute_read_stmt(&fplan.stmt))?;
-            let ns = exec_cost(cost, &out.stats);
-            costs.read_times[s].push(ns);
-            costs.bytes += out.result.wire_size() as u64;
-            db_sleep(self.ppm(), ns);
-            out.result
+            let s = self.failover(self.replica(group.template), costs)?;
+            let out = costs
+                .view(s)
+                .with(|db| db.execute_read_stmt(&fplan.stmt))
+                .map(|o| (o, ()));
+            costs.book(s, &fsql, cost, out, self.ppm())?.0
         } else {
             let descs: Vec<bool> = lookup.select.order_by.iter().map(|k| k.desc).collect();
             if let Some(s) = (0..n).find(|&s| !costs.live(s)) {
                 return Err(Self::down_error(s));
             }
-            let all: Vec<usize> = (0..n).collect();
-            let ppm = self.ppm();
-            let cm = *cost;
-            let outs = self.run_wave(&all, |s| {
-                let stmt = fplan.stmt.clone();
-                let view = costs.view(s);
-                Box::new(move || {
-                    let (out, trace) = view.with(|db| db.execute_read_stmt_traced(&stmt, &[]))?;
-                    db_sleep(ppm, exec_cost(&cm, &out.stats));
-                    Ok((out, trace))
+            let jobs = (0..n)
+                .map(|s| {
+                    let stmt = fplan.stmt.clone();
+                    self.wave_job(s, cost, costs, move |db| {
+                        db.execute_read_stmt_traced(&stmt, &[])
+                    })
                 })
-            });
+                .collect();
             let mut parts: Vec<(ResultSet, MergeTrace)> = Vec::with_capacity(n);
-            for (&s, res) in all.iter().zip(outs) {
-                costs.bytes += fsql.len() as u64;
-                costs.statements[s] += 1;
-                let (out, trace) = res?;
-                costs.read_times[s].push(exec_cost(cost, &out.stats));
-                costs.bytes += out.result.wire_size() as u64;
-                parts.push((out.result, trace.unwrap_or_default()));
+            for (s, res) in self.run_wave(jobs).into_iter().enumerate() {
+                let (rs, trace) = costs.book(s, &fsql, cost, res, 0)?;
+                parts.push((rs, trace.unwrap_or_default()));
             }
             merge_parts(parts, &descs, None)
         };
@@ -1257,27 +1231,6 @@ impl Router {
         }
         Ok(ResultSet::empty())
     }
-
-    // ---- routing -------------------------------------------------------
-
-    /// The cached route for a template (parse once, route forever).
-    /// `None` means the statement does not parse — the caller ships it to
-    /// shard 0 for the authentic error.
-    fn route_for(&self, template: &str, sql: &str) -> Option<Arc<RouteEntry>> {
-        let lock = || self.routes.lock().unwrap_or_else(PoisonError::into_inner);
-        let cached = lock().get(template).cloned();
-        if cached.is_some() {
-            self.stats_mut().route_cache_hits += 1;
-            return cached;
-        }
-        self.stats_mut().route_cache_misses += 1;
-        let entry = Arc::new(build_route(sql, &self.spec)?);
-        // Another batch may have routed the template meanwhile; share the
-        // first entry (both derivations are identical — routing is pure).
-        let mut routes = lock();
-        routes.insert_if_absent(template, entry);
-        routes.get(template).cloned()
-    }
 }
 
 /// Declared type of `table.key`, from shard 0's admitted view (DDL
@@ -1292,127 +1245,6 @@ fn key_column_type(
         let t = db0.table(table)?;
         t.column_index(key).map(|ci| t.columns[ci].ty)
     })
-}
-
-/// Derives the route of one read template (one parse per template).
-fn build_route(sql: &str, spec: &ShardSpec) -> Option<RouteEntry> {
-    let stmt = parse(sql).ok()?;
-    let Statement::Select(sel) = &stmt else {
-        return None;
-    };
-    let (pstmt, n_slots) = parameterize(&stmt);
-    let Statement::Select(psel) = &pstmt else {
-        unreachable!("parameterize preserves statement kind")
-    };
-    let base_key = spec.key_column(&sel.from.name).map(str::to_string);
-
-    // Join support: replicated join tables are always safe (full copy on
-    // every shard); a sharded join table is safe only when co-sharded —
-    // the join condition equates both tables' shard keys, so matching
-    // rows are colocated by construction.
-    let mut unsupported: Option<String> = None;
-    for join in &sel.joins {
-        if let Some(jkey) = spec.key_column(&join.table.name) {
-            let co = base_key
-                .as_deref()
-                .is_some_and(|bkey| co_sharded(join, &sel.from, bkey, jkey));
-            if !co {
-                unsupported = Some(format!(
-                    "cross-shard join between {} and sharded table {}: join on both shard \
-                     keys or declare {} replicated",
-                    sel.from.name, join.table.name, join.table.name
-                ));
-                break;
-            }
-        }
-    }
-
-    let rule = if let Some(msg) = unsupported {
-        Rule::Unsupported(msg)
-    } else {
-        match &base_key {
-            None => Rule::Replica,
-            Some(key) => {
-                key_conjunct_rule(psel.predicate.as_ref(), &psel.from, key).unwrap_or(Rule::Scatter)
-            }
-        }
-    };
-    Some(RouteEntry {
-        rule,
-        n_slots,
-        descs: sel.order_by.iter().map(|k| k.desc).collect(),
-        limit: sel.limit,
-        agg: match &sel.projection {
-            Projection::Aggregate(a) => Some(a.clone()),
-            _ => None,
-        },
-        pstmt,
-    })
-}
-
-/// Whether a join equates the base table's shard key with the joined
-/// table's shard key (either orientation).
-fn co_sharded(join: &Join, from: &TableRef, base_key: &str, join_key: &str) -> bool {
-    let refers = |c: &ColumnRef, t: &TableRef, key: &str| -> bool {
-        c.column.eq_ignore_ascii_case(key)
-            && c.table
-                .as_deref()
-                .is_none_or(|q| q.eq_ignore_ascii_case(&t.alias) || q.eq_ignore_ascii_case(&t.name))
-    };
-    (refers(&join.left, from, base_key) && refers(&join.right, &join.table, join_key))
-        || (refers(&join.right, from, base_key) && refers(&join.left, &join.table, join_key))
-}
-
-/// Finds a top-level AND-conjunct that pins the shard key to a parameter
-/// slot (`key = ?s`) or a slot list (`key IN (?s…)`). Conjuncts under
-/// `OR`/`NOT` never route — they don't restrict the key.
-fn key_conjunct_rule(pred: Option<&Expr>, from: &TableRef, key: &str) -> Option<Rule> {
-    fn qualifies(c: &ColumnRef, from: &TableRef, key: &str) -> bool {
-        c.column.eq_ignore_ascii_case(key)
-            && c.table.as_deref().is_none_or(|q| {
-                q.eq_ignore_ascii_case(&from.alias) || q.eq_ignore_ascii_case(&from.name)
-            })
-    }
-    fn walk(e: &Expr, from: &TableRef, key: &str) -> Option<Rule> {
-        match e {
-            Expr::Binary {
-                op: BinOp::And,
-                left,
-                right,
-            } => walk(left, from, key).or_else(|| walk(right, from, key)),
-            Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } => {
-                let (col, slot) = match (&**left, &**right) {
-                    (Expr::Column(c), Expr::Param(s)) | (Expr::Param(s), Expr::Column(c)) => {
-                        (c, *s)
-                    }
-                    _ => return None,
-                };
-                qualifies(col, from, key).then_some(Rule::Point { slot })
-            }
-            Expr::InList { expr, list } => {
-                let Expr::Column(col) = &**expr else {
-                    return None;
-                };
-                if !qualifies(col, from, key) {
-                    return None;
-                }
-                let slots: Option<Vec<usize>> = list
-                    .iter()
-                    .map(|item| match item {
-                        Expr::Param(s) => Some(*s),
-                        _ => None,
-                    })
-                    .collect();
-                slots.map(|slots| Rule::List { slots })
-            }
-            _ => None,
-        }
-    }
-    walk(pred?, from, key)
 }
 
 /// Mirrors `Table`'s harmless int ↔ float coercion for shard-key values,
@@ -1644,11 +1476,6 @@ impl ShardedEnv {
     pub fn reset_stats(&self) {
         self.env.reset_stats()
     }
-
-    /// Aggregated plan-cache counters across every shard.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.env.plan_cache_stats()
-    }
 }
 
 #[cfg(test)]
@@ -1777,17 +1604,35 @@ mod tests {
     }
 
     #[test]
-    fn route_cache_hits_on_same_template() {
+    fn one_parse_routes_every_statement_of_a_template() {
         let env = fleet(4);
+        let before = env.env().plan_cache_stats();
         env.query("SELECT * FROM issue WHERE project_id = 1")
             .unwrap();
         env.query("SELECT * FROM issue WHERE project_id = 2")
             .unwrap();
         env.query("SELECT * FROM issue WHERE project_id = 3")
             .unwrap();
-        let s = env.shard_stats();
-        assert_eq!(s.route_cache_misses, 1, "one parse for the template");
-        assert_eq!(s.route_cache_hits, 2);
+        let s = env.env().plan_cache_stats();
+        // One lookup a read — the router's; the shard it routes to runs
+        // the plan it is handed and looks nothing up.
+        assert_eq!(s.misses - before.misses, 1, "one parse for the template");
+        assert_eq!(s.hits - before.hits, 2);
+        assert_eq!(env.shard_stats().point_reads, 3);
+    }
+
+    #[test]
+    fn a_wave_whose_worker_dies_answers_an_error() {
+        let router = Router::new(ShardSpec::new(), 2, Arc::default());
+        let outs = router.run_wave::<u8>(vec![
+            (0, Box::new(|| Ok(7))),
+            (1, Box::new(|| panic!("the worker dies mid-job"))),
+        ]);
+        assert_eq!(outs[0], Ok(7));
+        assert_eq!(outs[1], Err(worker_died(1)));
+        // Its shard stays dead, and keeps answering errors, not hangs.
+        let again = router.run_wave::<u8>(vec![(0, Box::new(|| Ok(1))), (1, Box::new(|| Ok(2)))]);
+        assert_eq!(again, vec![Ok(1), Err(worker_died(1))]);
     }
 
     #[test]

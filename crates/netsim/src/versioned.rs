@@ -147,9 +147,8 @@ impl VersionedStore {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Database 0's published view. DDL reaches every database and the
-    /// footprint cache is schema-level, so it answers catalog and
-    /// footprint questions for the whole store — lock-free.
+    /// Database 0's published view. DDL reaches every database, so it
+    /// answers catalog questions for the whole store — lock-free.
     pub(crate) fn catalog(&self) -> Arc<Snapshot> {
         Arc::clone(&self.published()[0])
     }

@@ -3,16 +3,15 @@
 //! model in `sloth-net`.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::error::SqlError;
 use crate::footprint::Footprint;
-use crate::normalize::{normalize, parameterize, Normalized};
+use crate::normalize::{normalize, Normalized};
 use crate::parser::parse;
-use crate::stmt::Stmt;
 use crate::table::Table;
-use crate::template_map::TemplateMap;
+use crate::template_cache::TemplateCache;
 use crate::value::{ResultSet, Row, Value};
 
 /// Per-statement execution statistics.
@@ -62,261 +61,28 @@ pub struct MergeTrace {
     pub keys: Vec<MergeKey>,
 }
 
-/// Statistics of the per-database plan cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Executions answered by a cached parameterized plan (no lex, no
-    /// parse).
-    pub hits: u64,
-    /// Executions that had to parse (and, when possible, filled the cache).
-    pub misses: u64,
-    /// Plans currently cached.
-    pub entries: usize,
-    /// Cached plans evicted by the FIFO bound.
-    pub evictions: u64,
-}
-
-impl PlanCacheStats {
-    /// Hit fraction in `[0, 1]`; zero before any lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Template → parameterized-plan cache, bounded by [`TemplateMap`].
-///
-/// Lives inside [`Database`]; a template hit means repeated ORM-generated
-/// SQL skips lexing and parsing entirely and re-executes the cached plan
-/// with freshly extracted parameters. Entries are `Arc`-shared and the
-/// whole cache is **interior-mutexed** so `SELECT` execution works through
-/// `&Database`: concurrent sessions multiplexed onto one database share one
-/// cache, and MVCC snapshots ([`Database::snapshot`]) share the *live*
-/// cache — a plan warmed by a snapshot read serves later writers too.
+/// An in-memory SQL database: a catalog of [`Table`]s plus an executor,
+/// reading its deployment's [`TemplateCache`].
 #[derive(Debug, Default)]
-struct PlanCache {
-    inner: Mutex<PlanCacheInner>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct PlanCacheInner {
-    plans: TemplateMap<Arc<CachedPlan>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl Clone for PlanCache {
-    fn clone(&self) -> Self {
-        PlanCache {
-            inner: Mutex::new(self.lock().clone()),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct CachedPlan {
-    stmt: Statement,
-    n_params: usize,
-}
-
-impl PlanCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, PlanCacheInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lookup(&self, template: &str) -> Option<Arc<CachedPlan>> {
-        let mut inner = self.lock();
-        match inner.plans.get(template).map(Arc::clone) {
-            Some(plan) => {
-                inner.hits += 1;
-                Some(plan)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Two sessions can miss the same template concurrently (the cache is
-    /// shared across snapshots); the first plan wins — they are identical.
-    fn insert(&self, template: &str, plan: CachedPlan) {
-        self.lock().plans.insert_if_absent(template, Arc::new(plan));
-    }
-
-    fn stats(&self) -> PlanCacheStats {
-        let inner = self.lock();
-        PlanCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.plans.len(),
-            evictions: inner.plans.evictions(),
-        }
-    }
-}
-
-/// Statistics of the per-database footprint cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FootprintCacheStats {
-    /// Footprints answered by a cached parameterized template (no parse).
-    pub hits: u64,
-    /// Footprints that had to parse (and, when possible, filled the cache).
-    pub misses: u64,
-    /// Templates currently cached.
-    pub entries: usize,
-}
-
-/// What the footprint cache remembers about one template.
-#[derive(Debug)]
-enum CachedFootprint {
-    /// Parameterized statement + its slot count: substitute each
-    /// statement's extracted literals to get its concrete footprint.
-    /// (Boxed: statements are much larger than the `Barrier` variant.)
-    Stmt(Box<Statement>, usize),
-    /// The template is a barrier (transaction boundary, DDL) — or SQL the
-    /// parser rejects; either way it conflicts with everything.
-    Barrier,
-}
-
-/// Template → parameterized-footprint cache, bounded by [`TemplateMap`] and
-/// parameterized exactly like the plan cache: one parse per template, and
-/// every same-template statement derives its read/write table + key sets
-/// by substituting its own extracted parameters.
-///
-/// Interior-mutexed so the **driver side** (query store write-deferral
-/// decisions, dispatcher admission) can use it through a shared
-/// `RwLock<Database>` *read* guard without serializing on the executor's
-/// write lock.
-#[derive(Debug, Default)]
-struct FootprintCache {
-    inner: Mutex<FootprintCacheInner>,
-}
-
-#[derive(Debug, Default)]
-struct FootprintCacheInner {
-    templates: TemplateMap<Arc<CachedFootprint>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl Clone for FootprintCache {
-    fn clone(&self) -> Self {
-        // Snapshot clones (experiment restarts) start with a cold cache:
-        // footprints are re-derivable and the counters are per-instance.
-        FootprintCache::default()
-    }
-}
-
-impl FootprintCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, FootprintCacheInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The footprint of `sql`, whose normalization the caller already
-    /// holds (`None` = the text does not lex: no template to key on,
-    /// always a barrier).
-    fn footprint_of(&self, sql: &str, norm: Option<&Normalized>) -> Footprint {
-        let Some(norm) = norm else {
-            return Footprint::barrier();
-        };
-        {
-            let mut inner = self.lock();
-            if let Some(cached) = inner.templates.get(&norm.template).map(Arc::clone) {
-                inner.hits += 1;
-                drop(inner);
-                return match &*cached {
-                    CachedFootprint::Barrier => Footprint::barrier(),
-                    CachedFootprint::Stmt(pstmt, slots) if *slots == norm.params.len() => {
-                        Footprint::of_stmt_with(pstmt, &norm.params)
-                    }
-                    // Slot disagreement (outside the supported grammar):
-                    // derive from the concrete statement, uncached.
-                    CachedFootprint::Stmt(..) => Footprint::of_sql(sql),
-                };
-            }
-            inner.misses += 1;
-        }
-        let entry = match parse(sql) {
-            Ok(stmt) => {
-                let fp = Footprint::of_stmt(&stmt);
-                if fp.barrier {
-                    CachedFootprint::Barrier
-                } else {
-                    let (pstmt, slots) = parameterize(&stmt);
-                    if slots != norm.params.len() {
-                        // Normalizer/parser slot disagreement (outside the
-                        // supported grammar): the concrete footprint cannot
-                        // be re-derived from a template — stay uncached.
-                        return fp;
-                    }
-                    CachedFootprint::Stmt(Box::new(pstmt), slots)
-                }
-            }
-            Err(_) => CachedFootprint::Barrier,
-        };
-        let fp = match &entry {
-            CachedFootprint::Barrier => Footprint::barrier(),
-            CachedFootprint::Stmt(pstmt, _) => Footprint::of_stmt_with(pstmt, &norm.params),
-        };
-        self.lock()
-            .templates
-            .insert_if_absent(&norm.template, Arc::new(entry));
-        fp
-    }
-
-    fn stats(&self) -> FootprintCacheStats {
-        let inner = self.lock();
-        FootprintCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.templates.len(),
-        }
-    }
-}
-
-/// An in-memory SQL database: a catalog of [`Table`]s plus an executor and
-/// a plan cache.
-#[derive(Debug)]
 pub struct Database {
     /// Keyed by lowercased name; `Arc<str>` so a snapshot's clone of the
     /// catalog copies no string.
     tables: HashMap<Arc<str>, Table>,
-    plans: Arc<PlanCache>,
-    footprints: Arc<FootprintCache>,
+    templates: Arc<TemplateCache>,
     version: u64,
-}
-
-impl Default for Database {
-    fn default() -> Self {
-        Database {
-            tables: HashMap::new(),
-            plans: Arc::new(PlanCache::default()),
-            footprints: Arc::new(FootprintCache::default()),
-            version: 0,
-        }
-    }
 }
 
 impl Clone for Database {
     fn clone(&self) -> Self {
         // A clone is an *independent* database (serial references,
-        // experiment restarts): the plan cache is deep-copied into a fresh
-        // handle and the footprint cache starts cold, exactly as before the
-        // caches moved behind `Arc`s. Table storage itself is copy-on-write
-        // by page and index bucket (see `table.rs`), so a clone shares the
-        // data and each side copies only what it later writes.
+        // experiment restarts), so it starts with a template cache of its
+        // own, cold: entries are re-derivable and the counters are
+        // per-deployment. Table storage itself is copy-on-write by page
+        // and index bucket (see `table.rs`), so a clone shares the data
+        // and each side copies only what it later writes.
         Database {
             tables: self.tables.clone(),
-            plans: Arc::new((*self.plans).clone()),
-            footprints: Arc::new((*self.footprints).clone()),
+            templates: Arc::default(),
             version: self.version,
         }
     }
@@ -330,9 +96,9 @@ impl Clone for Database {
 /// copy-on-write, so the cost is reference-count bumps, not data copies,
 /// and a write after it copies the page and buckets it touches, not the
 /// table (see [`crate::table::Table`]). The snapshot **shares
-/// the live database's plan cache and footprint cache** (both are
-/// interior-mutexed behind `Arc`s): a plan warmed through a snapshot read
-/// is warm for everyone, and cache statistics stay deployment-global.
+/// the live database's template cache**: a template parsed through a
+/// snapshot read is parsed for everyone, and its counters stay
+/// deployment-global.
 ///
 /// The snapshot derefs to `&Database`, exposing exactly the shared-receiver
 /// read surface ([`Database::execute_readonly`],
@@ -373,8 +139,7 @@ impl Database {
         Snapshot {
             db: Database {
                 tables: self.tables.clone(),
-                plans: Arc::clone(&self.plans),
-                footprints: Arc::clone(&self.footprints),
+                templates: Arc::clone(&self.templates),
                 version: self.version,
             },
         }
@@ -393,61 +158,31 @@ impl Database {
         names
     }
 
-    /// Snapshot of the plan-cache counters.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plans.stats()
+    /// The template cache this database reads — its deployment's.
+    pub fn template_cache(&self) -> &Arc<TemplateCache> {
+        &self.templates
     }
 
-    /// The [`Footprint`] of one SQL string, answered from the per-template
-    /// footprint cache (one parameterized parse per template; repeated
-    /// statements substitute their extracted literals into the cached
-    /// template's key pins). Works through a shared read guard: the cache
-    /// is interior-mutexed, so the driver's hot register path never takes
-    /// the executor's write lock.
+    /// Makes this database read `cache`: how a deployment gives all its
+    /// databases, and the router in front of them, one template cache.
+    pub fn set_template_cache(&mut self, cache: Arc<TemplateCache>) {
+        self.templates = cache;
+    }
+
+    /// The [`Footprint`] of one SQL string, answered from the template
+    /// cache (one parameterized parse per template; repeated statements
+    /// substitute their extracted literals into the cached template's key
+    /// pins).
     pub fn footprint_of(&self, sql: &str) -> Footprint {
-        self.footprints
-            .footprint_of(sql, normalize(sql).ok().as_ref())
-    }
-
-    /// The [`Footprint`] of a [`Stmt`], memoised in the statement: the
-    /// first call resolves it through the per-template footprint cache
-    /// with the statement's own normalization (no second lex), every
-    /// later call — on this or any clone of the statement, against this
-    /// or any database — reads it back. A footprint is a function of the
-    /// text alone, so which database's cache answered does not matter.
-    ///
-    /// A dependent statement (open parameter) reports the table-level
-    /// footprint of its template until it is bound: whatever value
-    /// arrives, the bound statement touches a subset of that. A reference
-    /// inside a word of the text — a table's name, perhaps — is a barrier.
-    pub fn footprint<'s>(&self, stmt: &'s Stmt) -> &'s Footprint {
-        stmt.footprint_or(|| {
-            if stmt.parent().is_none() {
-                return self.footprints.footprint_of(stmt.sql(), stmt.norm());
-            }
-            if stmt.open_inside_a_word() {
-                return Footprint::barrier();
-            }
-            // Any literal stands in: its pins are dropped again.
-            let sibling = stmt.bind(&Value::Int(0));
-            self.footprints
-                .footprint_of(sibling.sql(), sibling.norm())
-                .table_level()
-        })
-    }
-
-    /// Snapshot of the footprint-cache counters.
-    pub fn footprint_cache_stats(&self) -> FootprintCacheStats {
-        self.footprints.stats()
+        self.templates.footprint(sql, normalize(sql).ok().as_ref())
     }
 
     /// Parses and executes one SQL statement.
     ///
-    /// `SELECT`s go through the plan cache: the statement is normalized
-    /// (one lexer pass) and, on a template hit, the cached parameterized
-    /// plan executes against the extracted literals — no parsing. Writes
-    /// and DDL always parse (they are not hot, and DDL self-invalidates
-    /// nothing this way).
+    /// `SELECT`s go through the template cache: the statement is
+    /// normalized (one lexer pass) and its template's parameterized
+    /// statement executes against the extracted literals — parsed only
+    /// the first time the template is seen. Writes and DDL always parse.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
         if !crate::is_select_sql(sql) {
             let stmt = parse(sql)?;
@@ -462,24 +197,15 @@ impl Database {
     /// grouping and reuses it here instead of lexing twice.
     ///
     /// Takes `&self`: `SELECT` execution never mutates table state, and the
-    /// plan cache is interior-mutexed — this is the surface MVCC snapshots
-    /// read through.
+    /// template cache is interior-mutexed — this is the surface MVCC
+    /// snapshots read through.
     pub fn execute_select_normalized(
         &self,
         sql: &str,
         norm: &Normalized,
     ) -> Result<ExecOutcome, SqlError> {
-        self.execute_select_opts(sql, norm, false).map(|(o, _)| o)
-    }
-
-    /// [`Database::execute_select_normalized`] with merge tracing enabled —
-    /// the entry point the shard router uses for scatter-gathered reads.
-    pub fn execute_select_traced(
-        &self,
-        sql: &str,
-        norm: &Normalized,
-    ) -> Result<(ExecOutcome, Option<MergeTrace>), SqlError> {
-        self.execute_select_opts(sql, norm, true)
+        let plan = self.templates.plan(sql, Some(norm))?;
+        self.execute_read_stmt_with(&plan.template.stmt, plan.params)
     }
 
     /// Parses and executes one statement through `&self`, refusing anything
@@ -491,41 +217,6 @@ impl Database {
         }
         let norm = normalize(sql)?;
         self.execute_select_normalized(sql, &norm)
-    }
-
-    fn execute_select_opts(
-        &self,
-        sql: &str,
-        norm: &Normalized,
-        trace: bool,
-    ) -> Result<(ExecOutcome, Option<MergeTrace>), SqlError> {
-        if let Some(plan) = self.plans.lookup(&norm.template) {
-            if plan.n_params == norm.params.len() {
-                return self.execute_read_opts(&plan.stmt, &norm.params, trace);
-            }
-        }
-        let stmt = parse(sql)?;
-        let (pstmt, slots) = parameterize(&stmt);
-        if slots == norm.params.len() {
-            let out = self.execute_read_opts(&pstmt, &norm.params, trace);
-            // Cache only plans that executed cleanly: a statement that
-            // errors (unknown table/column) would otherwise pin a useless
-            // entry, and error texts must not depend on cache state.
-            if out.is_ok() {
-                self.plans.insert(
-                    &norm.template,
-                    CachedPlan {
-                        stmt: pstmt,
-                        n_params: slots,
-                    },
-                );
-            }
-            out
-        } else {
-            // Normalizer/parser slot disagreement (possible outside the
-            // supported grammar): execute the concrete statement, uncached.
-            self.execute_read_opts(&stmt, &[], trace)
-        }
     }
 
     /// Executes an already-parsed statement (no parameters).
@@ -1621,15 +1312,15 @@ mod tests {
     #[test]
     fn plan_cache_hits_on_same_template() {
         let mut db = db_with_issues();
-        assert_eq!(db.plan_cache_stats().hits, 0);
+        assert_eq!(db.template_cache().stats().hits, 0);
         let a = db.execute("SELECT title FROM issue WHERE id = 10").unwrap();
-        let stats = db.plan_cache_stats();
+        let stats = db.template_cache().stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
         // Different literal, different whitespace/case — same template.
         let b = db
             .execute("select TITLE from ISSUE  where id = 11")
             .unwrap();
-        let stats = db.plan_cache_stats();
+        let stats = db.template_cache().stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(a.result.get(0, "title"), Some(&Value::Str("crash".into())));
         assert_eq!(b.result.get(0, "title"), Some(&Value::Str("typo".into())));
@@ -1638,21 +1329,53 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_skipped_for_writes_and_errors() {
+    fn writes_bypass_the_template_cache_and_errors_repeat() {
         let mut db = db_with_issues();
         db.execute("UPDATE issue SET sev = 1 WHERE id = 10")
             .unwrap();
-        assert_eq!(db.plan_cache_stats().misses, 0, "writes bypass the cache");
-        assert!(db.execute("SELECT * FROM nope WHERE id = 1").is_err());
         assert_eq!(
-            db.plan_cache_stats().entries,
+            db.template_cache().stats().misses,
             0,
-            "failed plans are not cached"
+            "writes bypass the cache"
         );
+        assert!(db.execute("SELECT * FROM nope WHERE id = 1").is_err());
+        // A template that parses is remembered even when its statement
+        // fails to execute: the entry is its parse, not its outcome.
+        assert_eq!(db.template_cache().stats().entries, 1);
         // The same failing statement errors identically on every try.
         let e1 = db.execute("SELECT * FROM nope WHERE id = 1").unwrap_err();
         let e2 = db.execute("SELECT * FROM nope WHERE id = 2").unwrap_err();
         assert_eq!(e1, e2);
+    }
+
+    /// A statement's error text is the same whether its template was
+    /// cached or not — for a template that does not parse (its parse
+    /// error quotes the statement's own text) and for one that parses but
+    /// fails to execute.
+    #[test]
+    fn error_text_does_not_depend_on_the_cache() {
+        for (sql, warm, parses) in [
+            (
+                "SELECT * FROM issue WHERE id = 1 AND",
+                "SELECT * FROM issue WHERE id = 2 AND",
+                false,
+            ),
+            (
+                "SELECT nope FROM issue WHERE id = 1",
+                "SELECT nope FROM issue WHERE id = 2",
+                true,
+            ),
+        ] {
+            let uncached = db_with_issues().execute(sql).unwrap_err();
+            let mut db = db_with_issues();
+            assert!(db.execute(warm).is_err());
+            assert_eq!(db.template_cache().stats().entries, 1, "{sql}: remembered");
+            let cached = db.execute(sql).unwrap_err();
+            assert_eq!(cached, uncached, "{sql}");
+            // A parse error quotes the failing statement, not the one
+            // that filled the entry.
+            assert_eq!(cached.message().contains(sql), !parses, "{cached:?}");
+        }
     }
 
     #[test]
@@ -1673,7 +1396,7 @@ mod tests {
             assert_eq!(second.result, reference.result, "{sql}");
             assert_eq!(second.stats, reference.stats, "{sql}");
         }
-        assert!(db.plan_cache_stats().hits >= 4);
+        assert!(db.template_cache().stats().hits >= 4);
     }
 
     #[test]
@@ -1684,7 +1407,7 @@ mod tests {
         for i in 1..1200usize {
             db.execute(&format!("SELECT id FROM t LIMIT {i}")).unwrap();
         }
-        assert!(db.plan_cache_stats().entries <= 512);
+        assert!(db.template_cache().stats().entries <= 512);
     }
 
     #[test]
@@ -1695,31 +1418,31 @@ mod tests {
         for i in 1..=512usize {
             db.execute(&format!("SELECT id FROM t LIMIT {i}")).unwrap();
         }
-        let full = db.plan_cache_stats();
+        let full = db.template_cache().stats();
         assert_eq!(full.entries, 512);
         assert_eq!(full.evictions, 0);
         assert_eq!(full.misses, 512);
         // One more distinct template evicts the oldest (FIFO).
         db.execute("SELECT id FROM t LIMIT 600").unwrap();
-        let after = db.plan_cache_stats();
+        let after = db.template_cache().stats();
         assert_eq!(after.entries, 512, "bound holds");
         assert_eq!(after.evictions, 1);
         // The evicted template (LIMIT 1, oldest) now misses again and
         // re-enters, evicting the next-oldest; a young template still hits.
         db.execute("SELECT id FROM t LIMIT 1").unwrap();
-        let refill = db.plan_cache_stats();
+        let refill = db.template_cache().stats();
         assert_eq!(refill.misses, after.misses + 1, "evicted template misses");
         assert_eq!(refill.evictions, 2);
         db.execute("SELECT id FROM t LIMIT 600").unwrap();
-        assert_eq!(db.plan_cache_stats().hits, refill.hits + 1);
+        assert_eq!(db.template_cache().stats().hits, refill.hits + 1);
         // Hit rate reflects the churn.
-        assert!(db.plan_cache_stats().hit_rate() < 0.1);
+        assert!(db.template_cache().stats().hit_rate() < 0.1);
     }
 
     #[test]
     fn database_is_send_and_sync() {
         // The concurrency refactor hinges on this: a `Database` (with its
-        // Arc-shared plan cache) can live behind an `RwLock` shared by
+        // Arc-shared template cache) can live behind an `RwLock` shared by
         // many sessions.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Database>();
@@ -1745,7 +1468,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let stats = shared.read().unwrap().plan_cache_stats();
+        let stats = shared.read().unwrap().template_cache().stats();
         assert_eq!(stats.hits, 4, "all threads hit the one warmed plan");
         assert_eq!(stats.entries, 1);
     }
@@ -1753,13 +1476,13 @@ mod tests {
     #[test]
     fn footprint_cache_hits_on_same_template() {
         let db = db_with_issues();
-        assert_eq!(db.footprint_cache_stats().hits, 0);
+        assert_eq!(db.template_cache().stats().hits, 0);
         let a = db.footprint_of("SELECT title FROM issue WHERE id = 10");
-        let s = db.footprint_cache_stats();
+        let s = db.template_cache().stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 1, 1));
         // Different literal, different formatting — same template, no parse.
         let b = db.footprint_of("select TITLE from ISSUE  where id = 11");
-        let s = db.footprint_cache_stats();
+        let s = db.template_cache().stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         // The substituted pins are each statement's own literals.
         assert_eq!(a.reads[0].keys, vec![("id".into(), vec![Value::Int(10)])]);
@@ -1780,7 +1503,7 @@ mod tests {
             assert_eq!(warm, direct, "{sql}");
             assert_eq!(again, direct, "cached re-derivation diverged: {sql}");
         }
-        assert!(db.footprint_cache_stats().hits >= 7);
+        assert!(db.template_cache().stats().hits >= 7);
     }
 
     #[test]
@@ -1792,9 +1515,9 @@ mod tests {
         }
         // Unparseable-but-lexable SQL caches its barrier verdict.
         assert!(db.footprint_of("GRANT ALL ON issue").barrier);
-        let before = db.footprint_cache_stats();
+        let before = db.template_cache().stats();
         assert!(db.footprint_of("GRANT ALL ON issue").barrier);
-        assert_eq!(db.footprint_cache_stats().hits, before.hits + 1);
+        assert_eq!(db.template_cache().stats().hits, before.hits + 1);
         // Unlexable SQL is a barrier and never caches.
         assert!(db.footprint_of("SELECT \u{1}\"").barrier);
     }
@@ -1836,10 +1559,14 @@ mod tests {
         // A plan warmed through the snapshot is warm on the live database.
         snap.execute_readonly("SELECT title FROM issue WHERE id = 10")
             .unwrap();
-        let warmed = db.plan_cache_stats();
+        let warmed = db.template_cache().stats();
         assert_eq!((warmed.hits, warmed.misses, warmed.entries), (0, 1, 1));
         db.execute("SELECT title FROM issue WHERE id = 11").unwrap();
-        assert_eq!(db.plan_cache_stats().hits, 1, "live execution hits it");
+        assert_eq!(
+            db.template_cache().stats().hits,
+            1,
+            "live execution hits it"
+        );
     }
 
     #[test]
@@ -1850,10 +1577,14 @@ mod tests {
             .unwrap();
         let original = db.execute("SELECT sev FROM issue WHERE id = 10").unwrap();
         assert_eq!(original.result.rows, vec![vec![Value::Int(3)]]);
-        // And the clone's plan cache is independent of the original's.
+        // And the clone's template cache is independent of the original's.
         copy.execute("SELECT title FROM issue WHERE id = 10")
             .unwrap();
-        assert_eq!(db.plan_cache_stats().misses, 1, "only the original's read");
+        assert_eq!(
+            db.template_cache().stats().misses,
+            1,
+            "only the original's read"
+        );
     }
 
     #[test]

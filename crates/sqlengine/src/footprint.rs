@@ -183,8 +183,8 @@ impl Footprint {
     }
 
     /// Extracts the footprint of a (possibly parameterized) statement with
-    /// `params` bound to its `?` slots — the entry point of the
-    /// per-template footprint cache: one parameterized parse serves every
+    /// `params` bound to its `?` slots — how the template cache answers a
+    /// footprint: one parameterized parse serves every
     /// statement of the template, with each statement's own literals
     /// substituted into the key pins. An unresolvable slot (out-of-range
     /// parameter) conservatively pins nothing.

@@ -30,34 +30,20 @@
 
 use crate::ast::{ColumnRef, Expr, Projection, SelectStmt, Statement};
 use crate::error::SqlError;
-use crate::normalize::normalize;
 use crate::value::Value;
 
-/// A batch statement recognized as a fusable point lookup.
+/// A template recognized as a fusable point lookup.
 #[derive(Debug, Clone)]
 pub struct FusableLookup {
-    /// Normalized template — the grouping key (same template ⇒ identical
-    /// statement up to the probed value).
-    pub template: String,
     /// The probed column as written in the predicate.
     pub column: ColumnRef,
-    /// The equality literal.
-    pub value: Value,
-    /// The parsed statement (used as the prototype for the fused plan).
+    /// The template's select (the prototype for the fused plan).
     pub select: SelectStmt,
 }
 
-/// Classifies one SQL string; `None` means "execute unfused".
-pub fn classify(sql: &str) -> Option<FusableLookup> {
-    let norm = normalize(sql).ok()?;
-    classify_with_template(sql, norm.template)
-}
-
-/// [`classify`] for a statement whose template the caller already computed
-/// (the batch driver normalizes every read once for grouping and parses
-/// only one representative per template group — this is that parse).
-pub fn classify_with_template(sql: &str, template: String) -> Option<FusableLookup> {
-    let stmt = crate::parser::parse(sql).ok()?;
+/// Classifies a template's parameterized statement (its
+/// [`crate::Template`] entry's); `None` means "execute unfused".
+pub fn classify(stmt: &Statement) -> Option<FusableLookup> {
     let Statement::Select(sel) = stmt else {
         return None;
     };
@@ -67,16 +53,14 @@ pub fn classify_with_template(sql: &str, template: String) -> Option<FusableLook
     if matches!(sel.projection, Projection::Aggregate(_)) {
         return None;
     }
-    // Predicate must be exactly `col = literal` (either side).
-    let (column, value) = match sel.predicate.as_ref()? {
+    // Predicate must be exactly `col = ?` (either side).
+    let column = match sel.predicate.as_ref()? {
         Expr::Binary {
             op: crate::ast::BinOp::Eq,
             left,
             right,
         } => match (&**left, &**right) {
-            (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => {
-                (c.clone(), v.clone())
-            }
+            (Expr::Column(c), Expr::Param(_)) | (Expr::Param(_), Expr::Column(c)) => c.clone(),
             _ => return None,
         },
         _ => return None,
@@ -89,10 +73,8 @@ pub fn classify_with_template(sql: &str, template: String) -> Option<FusableLook
         }
     }
     Some(FusableLookup {
-        template,
         column,
-        value,
-        select: sel,
+        select: sel.clone(),
     })
 }
 
@@ -250,21 +232,35 @@ fn render_expr(e: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Database;
+    use crate::{normalize, parameterize, parse, Database};
+
+    /// What fusion's shape check sees of `sql`: its template's entry.
+    fn lookup(sql: &str) -> Option<FusableLookup> {
+        classify(&parameterize(&parse(sql).ok()?).0)
+    }
 
     #[test]
     fn point_lookup_is_fusable() {
-        let f = classify("SELECT * FROM issue WHERE project_id = 7 ORDER BY id").unwrap();
+        let f = lookup("SELECT * FROM issue WHERE project_id = 7 ORDER BY id").unwrap();
         assert_eq!(f.column.column, "project_id");
-        assert_eq!(f.value, Value::Int(7));
+        // The probed value is the statement's literal, not the template's.
+        assert!(
+            matches!(&f.select.predicate, Some(Expr::Binary { right, .. }) if **right == Expr::Param(0))
+        );
     }
 
     #[test]
     fn same_template_same_group() {
-        let a = classify("SELECT * FROM issue WHERE project_id = 7").unwrap();
-        let b = classify("select * FROM issue where  project_id = 8").unwrap();
-        assert_eq!(a.template, b.template);
-        assert_ne!(a.value, b.value);
+        let (a, b) = (
+            "SELECT * FROM issue WHERE project_id = 7",
+            "select * FROM issue where  project_id = 8",
+        );
+        assert_eq!(
+            normalize(a).unwrap().template,
+            normalize(b).unwrap().template
+        );
+        assert_eq!(lookup(a).unwrap().select, lookup(b).unwrap().select);
+        assert_ne!(normalize(a).unwrap().params, normalize(b).unwrap().params);
     }
 
     #[test]
@@ -282,13 +278,13 @@ mod tests {
             "UPDATE issue SET sev = 1 WHERE id = 2",
             "not even sql",
         ] {
-            assert!(classify(sql).is_none(), "{sql} must not fuse");
+            assert!(lookup(sql).is_none(), "{sql} must not fuse");
         }
     }
 
     #[test]
     fn fused_plan_widens_projection_when_needed() {
-        let f = classify("SELECT title FROM issue WHERE project_id = 7").unwrap();
+        let f = lookup("SELECT title FROM issue WHERE project_id = 7").unwrap();
         let plan = build_fused(&f.select, &f.column, &[Value::Int(7), Value::Int(8)]).unwrap();
         assert!(plan.strip_demux);
         assert_eq!(plan.demux_column, "project_id");
@@ -300,7 +296,7 @@ mod tests {
 
     #[test]
     fn fused_star_needs_no_widening() {
-        let f = classify("SELECT * FROM issue WHERE project_id = 7 ORDER BY id DESC").unwrap();
+        let f = lookup("SELECT * FROM issue WHERE project_id = 7 ORDER BY id DESC").unwrap();
         let plan = build_fused(&f.select, &f.column, &[Value::Int(7), Value::Int(9)]).unwrap();
         assert!(!plan.strip_demux);
         assert_eq!(
@@ -322,7 +318,7 @@ mod tests {
             ))
             .unwrap();
         }
-        let f = classify("SELECT * FROM issue WHERE pid = 1 ORDER BY id").unwrap();
+        let f = lookup("SELECT * FROM issue WHERE pid = 1 ORDER BY id").unwrap();
         let plan = build_fused(&f.select, &f.column, &[Value::Int(1), Value::Int(3)]).unwrap();
         let fused = db.execute_stmt(&plan.stmt).unwrap();
         // K probes, not a full scan: only the matching rows were examined.

@@ -15,10 +15,10 @@
 //! Every execution reports [`ExecStats`] (rows scanned / returned) which the
 //! network simulator converts into deterministic execution time. On top of
 //! plain execution the engine provides the driver-path machinery: the
-//! statement [`normalize()`] pass and [`engine::PlanCacheStats`] plan cache, the
-//! [`fuse`] shape analysis for batch fusion, the [`shard`] hash-partition
-//! spec, and traced execution ([`MergeTrace`]) for order-exact
-//! scatter-gather merges.
+//! statement [`normalize()`] pass and the [`TemplateCache`] that parses each
+//! template once per deployment, the [`fuse`] shape analysis for batch
+//! fusion, the [`shard`] hash-partition spec and routes, and traced
+//! execution ([`MergeTrace`]) for order-exact scatter-gather merges.
 //!
 //! ```
 //! use sloth_sql::{Database, Value};
@@ -43,22 +43,19 @@ pub mod parser;
 pub mod shard;
 pub mod stmt;
 pub mod table;
+pub mod template_cache;
 pub mod template_map;
 pub mod value;
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
 pub use ast::Statement;
-pub use engine::{
-    Database, ExecOutcome, ExecStats, FootprintCacheStats, MergeKey, MergeTrace, PlanCacheStats,
-    Snapshot,
-};
+pub use engine::{Database, ExecOutcome, ExecStats, MergeKey, MergeTrace, Snapshot};
 pub use error::SqlError;
 pub use footprint::{Footprint, TableAccess, TxnFootprint};
 pub use normalize::{normalize, parameterize, Normalized};
 pub use parser::parse;
-pub use shard::{shard_of, ShardSpec};
+pub use shard::{shard_of, Route, ShardSpec};
 pub use stmt::{Param, Stmt, StmtClass};
+pub use template_cache::{Plan, Template, TemplateCache, TemplateCacheStats};
 pub use template_map::TemplateMap;
 pub use value::{ResultSet, Row, Value};
 
@@ -113,27 +110,15 @@ pub fn txn_boundary(sql: &str) -> Option<TxnBoundary> {
     }
 }
 
-/// Read-statement classification cache: one parse per **template**, so the
-/// driver hot path pays a lexer pass (shared with dedup/fusion) instead of
-/// a parse per statement.
-fn classify_cache() -> MutexGuard<'static, TemplateMap<bool>> {
-    static CACHE: OnceLock<Mutex<TemplateMap<bool>>> = OnceLock::new();
-    CACHE
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// `true` for statements that read — the batching, plan-cache and fusion
+/// `true` for statements that read — the batching, template-cache and fusion
 /// fast paths.
 ///
 /// The overwhelmingly common shapes — statements that begin with a
 /// keyword at a word boundary — classify with a lock-free prefix check
 /// (the grammar guarantees what follows `SELECT` vs `UPDATE` etc.).
 /// Everything else is **parser-backed**: a statement that parses is a
-/// read exactly when it parses to a `SELECT`, with the verdict cached
-/// per normalized template so formatting variants share one parse. SQL
-/// outside the grammar (parenthesized reads, CTEs, vendor syntax) falls
+/// read exactly when it parses to a `SELECT` (uncached — no statement the
+/// workloads send takes this path). SQL outside the grammar (parenthesized reads, CTEs, vendor syntax) falls
 /// back to the lexer — skipping comments and wrapping parentheses the
 /// same way the engine does — because a `(SELECT …)` or comment-prefixed
 /// read misclassified as a write would flush the batch and kill
@@ -150,23 +135,8 @@ pub fn is_select_sql(sql: &str) -> bool {
             return false;
         }
     }
-    // Odd shape: parser-backed classification, cached per template.
-    match normalize(sql) {
-        Ok(n) => {
-            let cached = classify_cache().get(&n.template).copied();
-            cached.unwrap_or_else(|| {
-                let v = classify_uncached(sql);
-                classify_cache().insert_if_absent(&n.template, v);
-                v
-            })
-        }
-        // Unlexable SQL: no template to key a cache on, and the engine
-        // will reject it anyway — conservatively a write (flushes).
-        Err(_) => false,
-    }
-}
-
-fn classify_uncached(sql: &str) -> bool {
+    // Odd shape: parser-backed classification. Unlexable SQL the engine
+    // will reject anyway: conservatively a write (flushes).
     match parse(sql) {
         Ok(stmt) => !stmt.is_write(),
         Err(_) => {
@@ -266,9 +236,8 @@ mod tests {
     }
 
     #[test]
-    fn classification_is_cached_per_template() {
-        // Formatting variants of one template classify consistently (and
-        // share a cache entry — observable only as consistency here).
+    fn formatting_variants_classify_alike() {
+        // Formatting variants of one template classify consistently.
         assert!(is_select_sql("SELECT v FROM cache_t WHERE id = 1"));
         assert!(is_select_sql("select  V  from CACHE_T where ID = 2"));
         assert!(is_write_sql("UPDATE cache_t SET v = 1 WHERE id = 1"));

@@ -10,8 +10,8 @@
 //!
 //! The template is the key of three hot-path mechanisms:
 //!
-//! * the **plan cache** in [`crate::Database`]: a template hit skips lexing
-//!   and parsing entirely and executes a cached parameterized plan,
+//! * the deployment's **template cache** ([`crate::TemplateCache`]): a
+//!   template hit skips parsing and executes its parameterized statement,
 //! * **in-batch dedup** in the query store: two registrations that differ
 //!   only in whitespace / keyword case collapse to one query,
 //! * **batch fusion** in the network driver: same-template point lookups

@@ -14,12 +14,16 @@
 //! so a row inserted through an `INT` column is always found again by a
 //! predicate written with a float literal, and vice versa.
 //!
-//! The driver-side router that consumes this spec lives in `sloth-net`
-//! (`ShardedEnv`); this module is pure data + hashing so the engine crate
-//! stays free of any networking concerns.
+//! [`Route::of`] derives how the statements of one read template route
+//! under a spec — once per template, cached in the template's
+//! [`crate::Template`] entry. The driver-side router that consumes both
+//! lives in `sloth-net` (`ShardedEnv`); this module is pure data, hashing
+//! and AST inspection, so the engine crate stays free of any networking
+//! concerns.
 
 use std::collections::HashMap;
 
+use crate::ast::{BinOp, ColumnRef, Expr, Join, Statement, TableRef};
 use crate::value::Value;
 
 /// Declares which tables are hash-partitioned and by which column.
@@ -124,6 +128,123 @@ pub fn shard_of(v: &Value, n: usize) -> usize {
         return 0;
     }
     (hash_key(v) % n as u64) as usize
+}
+
+/// How the statements of one read template route over a fleet.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Route {
+    /// `shard_key = ?slot` → the shard owning the bound parameter.
+    Point {
+        /// The parameter slot holding the key.
+        slot: usize,
+    },
+    /// `shard_key IN (?slots…)` → the shards owning the bound parameters.
+    List {
+        /// The parameter slots holding the keys.
+        slots: Vec<usize>,
+    },
+    /// Execute on every shard and merge.
+    Scatter,
+    /// Replicated base table (and joins), or not a read at all: any one
+    /// copy answers — and the engine refuses a non-read on every copy
+    /// alike.
+    Replica,
+    /// A read the router cannot make shard-correct (a join between
+    /// differently-sharded tables): fails with this message.
+    Unsupported(String),
+}
+
+impl Route {
+    /// The route of `stmt` — a template's parameterized statement, whose
+    /// key conjuncts hold [`Expr::Param`] slots — under `spec`. A
+    /// statement with literals in their place routes nowhere narrower
+    /// than [`Route::Scatter`].
+    pub fn of(stmt: &Statement, spec: &ShardSpec) -> Route {
+        let Statement::Select(sel) = stmt else {
+            return Route::Replica;
+        };
+        let base_key = spec.key_column(&sel.from.name);
+        // Replicated join tables are always safe (full copy on every
+        // shard); a sharded join table is safe only when co-sharded — the
+        // join condition equates both tables' shard keys, so matching
+        // rows are colocated by construction.
+        for join in &sel.joins {
+            if let Some(jkey) = spec.key_column(&join.table.name) {
+                if !base_key.is_some_and(|bkey| co_sharded(join, &sel.from, bkey, jkey)) {
+                    return Route::Unsupported(format!(
+                        "cross-shard join between {} and sharded table {}: join on both shard \
+                         keys or declare {} replicated",
+                        sel.from.name, join.table.name, join.table.name
+                    ));
+                }
+            }
+        }
+        match base_key {
+            None => Route::Replica,
+            Some(key) => {
+                key_conjunct_route(sel.predicate.as_ref(), &sel.from, key).unwrap_or(Route::Scatter)
+            }
+        }
+    }
+}
+
+/// Whether `c` names column `key` of table `t` (unqualified, or qualified
+/// by its alias or name).
+fn refers(c: &ColumnRef, t: &TableRef, key: &str) -> bool {
+    c.column.eq_ignore_ascii_case(key)
+        && c.table
+            .as_deref()
+            .is_none_or(|q| q.eq_ignore_ascii_case(&t.alias) || q.eq_ignore_ascii_case(&t.name))
+}
+
+/// Whether a join equates the base table's shard key with the joined
+/// table's shard key (either orientation).
+fn co_sharded(join: &Join, from: &TableRef, base_key: &str, join_key: &str) -> bool {
+    (refers(&join.left, from, base_key) && refers(&join.right, &join.table, join_key))
+        || (refers(&join.right, from, base_key) && refers(&join.left, &join.table, join_key))
+}
+
+/// Finds a top-level AND-conjunct that pins the shard key to a parameter
+/// slot (`key = ?s`) or a slot list (`key IN (?s…)`). Conjuncts under
+/// `OR`/`NOT` never route — they don't restrict the key.
+fn key_conjunct_route(pred: Option<&Expr>, from: &TableRef, key: &str) -> Option<Route> {
+    match pred? {
+        Expr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => key_conjunct_route(Some(left), from, key)
+            .or_else(|| key_conjunct_route(Some(right), from, key)),
+        Expr::Binary {
+            op: BinOp::Eq,
+            left,
+            right,
+        } => match (&**left, &**right) {
+            (Expr::Column(c), Expr::Param(slot)) | (Expr::Param(slot), Expr::Column(c))
+                if refers(c, from, key) =>
+            {
+                Some(Route::Point { slot: *slot })
+            }
+            _ => None,
+        },
+        Expr::InList { expr, list } => {
+            let Expr::Column(c) = &**expr else {
+                return None;
+            };
+            if !refers(c, from, key) {
+                return None;
+            }
+            let slots: Option<Vec<usize>> = list
+                .iter()
+                .map(|item| match item {
+                    Expr::Param(s) => Some(*s),
+                    _ => None,
+                })
+                .collect();
+            slots.map(|slots| Route::List { slots })
+        }
+        _ => None,
+    }
 }
 
 #[cfg(test)]

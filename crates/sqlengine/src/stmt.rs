@@ -8,7 +8,7 @@
 //! footprint — instead of asking the text again.
 //!
 //! The text still travels: wire bytes are charged on it, error messages
-//! quote it, and a plan-cache miss parses it.
+//! quote it, and a template-cache miss parses it.
 //!
 //! ## Dependent statements
 //!
@@ -105,7 +105,7 @@ struct Inner {
     /// does not lex.
     norm: OnceLock<Option<Normalized>>,
     /// Read/write sets, resolved on first use through a database's
-    /// per-template footprint cache ([`crate::Database::footprint`]) or
+    /// deployment's template cache ([`crate::TemplateCache::stmt_footprint`]) or
     /// preset by [`Stmt::with_footprint`].
     footprint: OnceLock<Footprint>,
     /// The parameter still waiting for its parent's row, if any.
@@ -303,13 +303,6 @@ impl Stmt {
             .norm
             .get_or_init(|| normalize(&self.0.sql).ok())
             .as_ref()
-    }
-
-    /// The footprint, if some layer has already resolved (or preset) it —
-    /// for callers that would have to fetch a database handle to ask
-    /// [`crate::Database::footprint`].
-    pub fn known_footprint(&self) -> Option<&Footprint> {
-        self.0.footprint.get()
     }
 
     /// The memoised footprint, resolved by `derive` on first use.

@@ -1,12 +1,11 @@
-//! The one bounded template-keyed map behind every per-template cache.
+//! The bounded template-keyed map behind the template cache.
 //!
-//! The plan cache, the footprint cache, the read-classification cache and
-//! the shard router's route cache all remember one value per normalized
-//! **template**, all bound their memory the same way (FIFO, first in
-//! first out — templates of a live workload are few and stable, so
-//! recency tracking would buy nothing) and all face the same race: two
-//! sessions miss the same template concurrently and both come back to
-//! insert it. This type is that map, once.
+//! [`crate::TemplateCache`] remembers one entry per normalized
+//! **template** of a deployment, bounds its memory FIFO (first in first
+//! out — templates of a live workload are few and stable, so recency
+//! tracking would buy nothing) and faces one race: two sessions miss the
+//! same template concurrently and both come back to insert it. This type
+//! is that map.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -300,8 +300,12 @@ fn stmt_agrees_with_the_text_functions() {
         seen.set(counts);
 
         let want = Footprint::of_sql(&sql);
-        assert_eq!(db.footprint(&stmt), &want, "{sql:?}");
-        assert_eq!(db.footprint(&stmt.clone()), &want, "memo, {sql:?}");
+        assert_eq!(db.template_cache().stmt_footprint(&stmt), &want, "{sql:?}");
+        assert_eq!(
+            db.template_cache().stmt_footprint(&stmt.clone()),
+            &want,
+            "memo, {sql:?}"
+        );
         assert_eq!(db.footprint_of(&sql), want, "warm cache, {sql:?}");
         if stmt.norm().is_none() {
             assert!(want.barrier, "unlexable text is a barrier: {sql:?}");
@@ -311,7 +315,11 @@ fn stmt_agrees_with_the_text_functions() {
         if stmt.norm().is_some() {
             let variant = Stmt::new(reformat(&sql, rng));
             assert!(same_key(&stmt, &variant), "{sql:?} vs {variant:?}");
-            assert_eq!(db.footprint(&variant), &want, "{variant:?}");
+            assert_eq!(
+                db.template_cache().stmt_footprint(&variant),
+                &want,
+                "{variant:?}"
+            );
             if let Some(other) = sql.strip_suffix(|c: char| c.is_ascii_digit()) {
                 let other = Stmt::new(format!("{other}777"));
                 assert!(stmt != other, "{sql:?} vs {other:?}");
@@ -379,7 +387,10 @@ fn a_bound_reference_is_the_literal_statement() {
             assert_eq!(bound.sql(), literal.sql());
             assert_eq!(bound.norm(), literal.norm());
             assert_eq!(bound.parent(), None);
-            assert_eq!(db.footprint(&bound), db.footprint(&literal));
+            assert_eq!(
+                db.template_cache().stmt_footprint(&bound),
+                db.template_cache().stmt_footprint(&literal)
+            );
         }
         assert_ne!(open, literal, "never a dedup hit until bound");
         // No parent row, no statement; no such column, an error.
@@ -395,12 +406,16 @@ fn a_bound_reference_is_the_literal_statement() {
         assert!(open.bind_from(&other).is_err());
 
         // Table-level until bound: at least as wide as any bound form.
-        let unbound = db.footprint(&open);
+        let unbound = db.template_cache().stmt_footprint(&open);
         assert!(!unbound.has_writes() && !unbound.barrier);
         for _ in 0..8 {
             let write = Stmt::new(arb_statement(rng));
-            let w = db.footprint(&write);
-            if db.footprint(&literal).conflicts_with(w) {
+            let w = db.template_cache().stmt_footprint(&write);
+            if db
+                .template_cache()
+                .stmt_footprint(&literal)
+                .conflicts_with(w)
+            {
                 assert!(unbound.conflicts_with(w), "{write:?} vs {open:?}");
             }
         }
@@ -785,7 +800,7 @@ fn a_bound_statement_conflicts_within_its_open_one() {
             continue;
         }
         bound_parsed += 1;
-        let wide = db.footprint(&open);
+        let wide = db.template_cache().stmt_footprint(&open);
         for _ in 0..8 {
             let other = arb_commute_stmt(&tables, &mut rng);
             let x = Footprint::of_sql(&other);

@@ -3,7 +3,7 @@
 //! A Rust reproduction of **“Sloth: Being Lazy is a Virtue (When Issuing
 //! Database Queries)”** (Cheung, Madden, Solar-Lezama — SIGMOD 2014),
 //! grown toward a production-shaped system: batch-level query fusion and
-//! a parameterized plan cache on the driver path, and a sharded
+//! a template cache on the driver path, and a sharded
 //! multi-server backend with fusion-aware scatter-gather routing.
 //!
 //! This façade crate re-exports the whole workspace, one crate per layer
@@ -11,7 +11,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`sql`] (`sloth-sql`) | in-memory SQL engine, normalizer, plan cache, shard spec (the MySQL stand-in of the §6 testbed) |
+//! | [`sql`] (`sloth-sql`) | in-memory SQL engine, normalizer, template cache, shard spec (the MySQL stand-in of the §6 testbed) |
 //! | [`net`] (`sloth-net`) | virtual clock, latency simulation, batch driver (§5), [`net::ShardedEnv`] router |
 //! | [`core`] (`sloth-core`) | thunks + the query store — the extended-lazy runtime (§3.2, §3.3) |
 //! | [`orm`] (`sloth-orm`) | mini-Hibernate with eager/lazy fetch strategies (§1, §5) |

@@ -28,10 +28,11 @@
 //! Deterministic SplitMix64 cases (no third-party crates available);
 //! failures print the generating program.
 
-use std::sync::{Arc, Barrier};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Barrier, Mutex};
 
 use sloth_lang::{
-    parse_program, prepare_with_schema, DataLayer, ExecStrategy, OptFlags, RunResult, V,
+    parse_program, prepare_with_schema, DataLayer, ExecStrategy, OptFlags, RunError, V,
 };
 use sloth_net::{CostModel, Dispatcher, FaultPlan, RetryPolicy, ShardedEnv, SimEnv};
 use sloth_orm::{entity, many_to_one, one_to_many, FetchStrategy, Schema};
@@ -480,13 +481,105 @@ fn arb_program(rng: &mut Rng, writes: bool) -> (Lines, Vec<i64>) {
 /// What a run shows the outside: its printed lines, or its error text.
 type Body = Result<Vec<String>, String>;
 
-fn run(src: &str, env: &SimEnv, strategy: ExecStrategy, arg: i64) -> (Body, Option<RunResult>) {
+/// Runs `src` on `env`: its body and, for a lazy run, the statements its
+/// query store never shipped.
+fn run(src: &str, env: &SimEnv, strategy: ExecStrategy, arg: i64) -> (Body, Vec<String>) {
     let program = parse_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
     let schema = schema();
     let prepared = prepare_with_schema(&program, strategy, Some(&schema));
-    match prepared.run(env, schema, vec![V::Int(arg)]) {
-        Ok(r) => (Ok(r.output.clone()), Some(r)),
-        Err(e) => (Err(e.message), None),
+    let data = match strategy {
+        ExecStrategy::Original => DataLayer::immediate(env.clone(), schema),
+        ExecStrategy::Sloth(_) => DataLayer::deferred(env.clone(), schema),
+    };
+    ran(prepared.run_with(data.clone(), vec![V::Int(arg)]), &data)
+}
+
+/// A run's body, and the statements `data`'s store never shipped.
+fn ran(result: Result<sloth_lang::RunResult, RunError>, data: &DataLayer) -> (Body, Vec<String>) {
+    let unshipped = data
+        .store
+        .as_ref()
+        .map(|s| s.unshipped())
+        .unwrap_or_default();
+    (result.map(|r| r.output).map_err(|e| e.message), unshipped)
+}
+
+/// The cases of one suite whose programs differ from `Original` by
+/// DESIGN.md's one exception to the failure order, and the cases seen
+/// to differ that way.
+///
+/// The exception: a thunk's computation error is raised where the thunk
+/// is forced. Here that is a read keyed by a row that does not exist —
+/// `orm_find(…, v.f)` or `orm_assoc(v, …)` with `v` null — which
+/// `Original` fails on where it stands and a lazy run only where (if
+/// ever) it forces the read. A listed program's lazy run may then
+/// succeed, or fail on another such `null`; never with a database's
+/// error. Every other judgment is exact, and the suite fails if a case
+/// it does not list differs or a case it lists stops differing.
+struct Excepted {
+    listed: &'static [u64],
+    seen: Mutex<BTreeSet<u64>>,
+}
+
+impl Excepted {
+    fn new(listed: &'static [u64]) -> Self {
+        Excepted {
+            listed,
+            seen: Mutex::default(),
+        }
+    }
+
+    /// Records that `case` differed by the exception; whether it is listed.
+    fn admit(&self, case: u64) -> bool {
+        self.seen.lock().unwrap().insert(case);
+        self.listed.contains(&case)
+    }
+
+    /// Asserts that every listed case differed.
+    fn finish(self) {
+        let seen: Vec<u64> = self.seen.into_inner().unwrap().into_iter().collect();
+        assert_eq!(seen, self.listed, "cases differing by the exception");
+    }
+}
+
+/// Judges a lazy run's body `got` against `Original`'s `want` as
+/// `tests/equivalence.rs` does: error text compared exactly, and a lazy
+/// success over an `Original` failure accepted only when a statement the
+/// store never shipped, run alone on `fresh()`, raises that error (§3.3:
+/// a read nothing demands never runs). A program `excepted` lists may
+/// differ by the exception [`Excepted`] describes.
+fn judge(
+    label: &str,
+    src: &str,
+    (got, unshipped): &(Body, Vec<String>),
+    want: &Body,
+    fresh: &dyn Fn() -> SimEnv,
+    (excepted, case): (&Excepted, u64),
+) {
+    let on_null = |e: &str| e.ends_with(" read on null") || e == "orm_assoc on non-entity null";
+    match (want, got) {
+        (Err(o), _)
+            if got != want && on_null(o) && got.as_ref().err().is_none_or(|s| on_null(s)) =>
+        {
+            assert!(
+                excepted.admit(case),
+                "{label}: {got:?} where Original failed with {o:?}, \
+                 a case not listed as differing by the exception\n{src}"
+            );
+        }
+        (Err(o), Ok(_)) => {
+            let raises = |sql: &String| {
+                fresh()
+                    .query(sql)
+                    .is_err_and(|e| RunError::from(e).message == *o)
+            };
+            assert!(
+                unshipped.iter().any(raises),
+                "{label}: lazy run succeeded where Original failed with {o:?}, \
+                 unshipped {unshipped:?}\n{src}"
+            );
+        }
+        _ => assert_eq!(got, want, "{label}: body diverged\n{src}"),
     }
 }
 
@@ -498,54 +591,30 @@ const SLOTH: ExecStrategy = ExecStrategy::Sloth(OptFlags {
 });
 
 /// A random program, what `Original` makes of it on a fresh database, and
-/// that database afterwards.
-///
-/// A program that fails ends at its first failing statement, with that
-/// statement's value demanded: under `Original` nothing after it runs
-/// anyway, and under Sloth a failure surfaces at whichever force meets it
-/// first — of two failing queries, not necessarily the one the program
-/// text reaches first — so "the same error text" is a claim about one
-/// failure, which is what this suite makes it about.
+/// that database afterwards. A failing program is judged whole (see
+/// [`judge`]).
 fn generate(rng: &mut Rng, writes: bool) -> (Program, Body, SimEnv) {
-    let (mut lines, heads) = arb_program(rng, writes);
-    let original = |lines: &[(String, String)]| {
-        let reference = single();
-        let p = render(lines, &heads);
-        let (body, _) = run(&p.chained, &reference, ExecStrategy::Original, 0);
-        (p, body, reference)
-    };
-    let whole = original(&lines);
-    if whole.1.is_ok() {
-        return whole;
-    }
-    // Failing is monotone in the prefix: find the first failing statement.
-    let (mut ok, mut failing) = (0, lines.len());
-    while failing - ok > 1 {
-        let mid = (ok + failing) / 2;
-        if original(&lines[..mid]).1.is_ok() {
-            ok = mid;
-        } else {
-            failing = mid;
-        }
-    }
-    lines.truncate(failing);
-    if let Some(var) = lines[failing - 1]
-        .0
-        .trim_start()
-        .strip_prefix("let ")
-        .and_then(|rest| rest.split(' ').next())
-    {
-        lines.push((format!("    print(str({var}));\n"), String::new()));
-    }
-    original(&lines)
+    let (lines, heads) = arb_program(rng, writes);
+    let reference = single();
+    let p = render(&lines, &heads);
+    let (body, _) = run(&p.chained, &reference, ExecStrategy::Original, 0);
+    (p, body, reference)
 }
 
-/// Runs the program on `env` under Sloth and checks it against the
-/// reference run; returns its round trips.
-fn check(label: &str, p: &Program, env: &SimEnv, want: &Body, reference: &SimEnv) -> u64 {
+/// Runs the program on `env` (a deployment `fresh` builds another of)
+/// under Sloth and judges it against the reference run (`excepted` as
+/// [`judge`] takes it); returns its round trips.
+fn check(
+    label: &str,
+    p: &Program,
+    (env, fresh): (&SimEnv, &dyn Fn() -> SimEnv),
+    want: &Body,
+    reference: &SimEnv,
+    excepted: (&Excepted, u64),
+) -> u64 {
     let before = env.stats().round_trips;
-    let (got, _) = run(&p.chained, env, SLOTH, 0);
-    assert_eq!(&got, want, "{label}: body diverged\n{}", p.chained);
+    let got = run(&p.chained, env, SLOTH, 0);
+    judge(label, &p.chained, &got, want, fresh, excepted);
     let trips = env.stats().round_trips - before;
     // A failed request stops where it failed — under Sloth, possibly with
     // deferred writes unshipped — so only a served page has a final state
@@ -568,6 +637,7 @@ fn check(label: &str, p: &Program, env: &SimEnv, want: &Body, reference: &SimEnv
 #[test]
 fn chains_print_what_the_original_prints_in_no_more_trips_than_forcing() {
     let (mut chained, mut forced, mut failing) = (0u64, 0u64, 0u64);
+    let excepted = Excepted::new(&[36, 58, 89, 150]);
     for case in 0..160 {
         let mut rng = Rng::new(0xC4A1 ^ case);
         let (p, want, reference) = generate(&mut rng, true);
@@ -575,7 +645,14 @@ fn chains_print_what_the_original_prints_in_no_more_trips_than_forcing() {
         for (label, fusion) in [("fusion on", true), ("fusion off", false)] {
             let env = single();
             env.set_fusion(fusion);
-            let trips = check(&format!("case {case} {label}"), &p, &env, &want, &reference);
+            let trips = check(
+                &format!("case {case} {label}"),
+                &p,
+                (&env, &single),
+                &want,
+                &reference,
+                (&excepted, case),
+            );
             if !fusion {
                 continue;
             }
@@ -596,12 +673,20 @@ fn chains_print_what_the_original_prints_in_no_more_trips_than_forcing() {
             }
         }
         let env = single();
-        let (got, _) = run(&p.chained, &env, ExecStrategy::Sloth(OptFlags::none()), 0);
-        assert_eq!(got, want, "case {case} noopt\n{}", p.chained);
+        let got = run(&p.chained, &env, ExecStrategy::Sloth(OptFlags::none()), 0);
+        judge(
+            &format!("case {case} noopt"),
+            &p.chained,
+            &got,
+            &want,
+            &single,
+            (&excepted, case),
+        );
         if want.is_ok() {
             assert_eq!(state(&env), state(&reference), "case {case} noopt");
         }
     }
+    excepted.finish();
     assert!(failing > 10, "missing parents were reached: {failing}");
     // The programs force on purpose (branches, heap writes, conflicting
     // writes), so the saving is far from the whole chain — but it is
@@ -619,6 +704,7 @@ fn chains_print_what_the_original_prints_in_no_more_trips_than_forcing() {
 fn chains_through_the_result_cache() {
     let mut warm_trips = 0u64;
     let mut cold_trips = 0u64;
+    let excepted = Excepted::new(&[30, 79]);
     for case in 0..80 {
         let mut rng = Rng::new(0xCAC4E ^ case);
         let (p, want, reference) = generate(&mut rng, true);
@@ -631,7 +717,14 @@ fn chains_through_the_result_cache() {
                     .unwrap();
             }
         }
-        cold_trips += check(&format!("case {case} cold"), &p, &env, &want, &reference);
+        cold_trips += check(
+            &format!("case {case} cold"),
+            &p,
+            (&env, &single),
+            &want,
+            &reference,
+            (&excepted, case),
+        );
         if want.is_err() {
             continue; // the two sides stopped at different points
         }
@@ -653,6 +746,7 @@ fn chains_through_the_result_cache() {
         assert_eq!(state(&env), state(&reference), "case {case} warm");
         warm_trips += env.stats().round_trips - before;
     }
+    excepted.finish();
     assert!(
         warm_trips < cold_trips,
         "the cache answered chains: {warm_trips} warm vs {cold_trips} cold"
@@ -662,15 +756,17 @@ fn chains_through_the_result_cache() {
 /// A fleet binds, then routes: one client trip, hops behind it.
 #[test]
 fn chains_on_a_fleet() {
+    let excepted = Excepted::new(&[27, 29, 39]);
     for case in 0..60 {
         let mut rng = Rng::new(0xF1EE7 ^ case);
         let (p, want, reference) = generate(&mut rng, true);
         let single_trips = check(
             &format!("case {case} single"),
             &p,
-            &single(),
+            (&single(), &single),
             &want,
             &reference,
+            (&excepted, case),
         );
         for shards in [1, 4] {
             let env = fleet(shards);
@@ -678,15 +774,17 @@ fn chains_on_a_fleet() {
             let trips = check(
                 &format!("case {case} {shards} shards"),
                 &p,
-                &env,
+                (&env, &|| fleet(shards)),
                 &want,
                 &reference,
+                (&excepted, case),
             );
             if case % 2 == 1 {
                 assert_eq!(trips, single_trips, "case {case}: fleet = single server");
             }
         }
     }
+    excepted.finish();
 }
 
 /// Two sessions, one dispatcher, started together: each session's chains
@@ -694,6 +792,7 @@ fn chains_on_a_fleet() {
 #[test]
 fn chains_from_two_concurrent_sessions() {
     let schema = schema();
+    let excepted = Excepted::new(&[]);
     for case in 0..24 {
         // Read-only pages: what two sessions may do to each other's rows
         // is the dispatcher suites' subject, not this one's.
@@ -711,17 +810,21 @@ fn chains_from_two_concurrent_sessions() {
             for (p, want) in &pages {
                 let dispatcher = Arc::clone(&dispatcher);
                 let schema = Arc::clone(&schema);
-                let start = &start;
+                let (start, excepted) = (&start, &excepted);
                 scope.spawn(move || {
                     let program = parse_program(&p.chained).unwrap();
                     let prepared = prepare_with_schema(&program, SLOTH, Some(&schema));
                     let data = DataLayer::dispatched(dispatcher, schema);
                     start.wait();
-                    let got = match prepared.run_with(data, vec![V::Int(0)]) {
-                        Ok(r) => Ok(r.output),
-                        Err(e) => Err(e.message),
-                    };
-                    assert_eq!(&got, want, "case {case}\n{}", p.chained);
+                    let got = ran(prepared.run_with(data.clone(), vec![V::Int(0)]), &data);
+                    judge(
+                        &format!("case {case}"),
+                        &p.chained,
+                        &got,
+                        want,
+                        &single,
+                        (excepted, case),
+                    );
                 });
             }
         });
@@ -736,6 +839,7 @@ fn chains_from_two_concurrent_sessions() {
 #[test]
 fn chains_under_drops_timeouts_and_replays() {
     let (mut retries, mut journal_hits) = (0u64, 0u64);
+    let excepted = Excepted::new(&[]);
     for case in 0..60 {
         let mut rng = Rng::new(0xCA05 ^ case);
         let (p, want, reference) = generate(&mut rng, true);
@@ -749,13 +853,21 @@ fn chains_under_drops_timeouts_and_replays() {
             env.set_faults(Some(
                 FaultPlan::seeded(0xFA17 ^ case).drops(150).timeouts(150, 8),
             ));
-            let (got, _) = run(&p.chained, &env, SLOTH, 0);
+            let got = run(&p.chained, &env, SLOTH, 0);
             let fs = env.fault_stats();
             assert_eq!(fs.exhausted_batches, 0, "case {case}: absorbable: {fs:?}");
             retries += fs.retries;
             journal_hits += fs.journal_hits;
             env.set_faults(None);
-            assert_eq!(got, want, "case {case} {shards} shards\n{}", p.chained);
+            let fresh = || if shards == 1 { single() } else { fleet(shards) };
+            judge(
+                &format!("case {case} {shards} shards"),
+                &p.chained,
+                &got,
+                &want,
+                &fresh,
+                (&excepted, case),
+            );
             if want.is_ok() {
                 assert_eq!(
                     state(&env),
@@ -803,83 +915,23 @@ fn touch(id) {
 }
 "#;
 
-/// A guarded program as a sequence of *steps* — each line, the guard
-/// itself, each arm statement — so that a prefix of it is a program too.
+/// A guarded program: its lines and its guard, in order.
 struct Guarded(Vec<Item>);
 
 impl Guarded {
-    fn steps(&self) -> usize {
-        self.0
-            .iter()
-            .map(|item| match item {
-                Item::Line(_) => 1,
-                Item::Guard { arms, .. } => 1 + arms[0].len() + arms[1].len(),
-            })
-            .sum()
-    }
-
-    /// The text of step `i` (empty for the guard itself).
-    fn step(&self, mut i: usize) -> &str {
-        for item in &self.0 {
-            match item {
-                Item::Line(l) if i == 0 => return l,
-                Item::Line(_) => i -= 1,
-                Item::Guard { arms, .. } => {
-                    if i == 0 {
-                        return "";
-                    }
-                    i -= 1;
-                    for arm in arms {
-                        if i < arm.len() {
-                            return &arm[i];
-                        }
-                        i -= arm.len();
-                    }
-                }
-            }
-        }
-        ""
-    }
-
-    /// The program of the first `steps` steps, `demand` placed right
-    /// after the last of them, in its block.
-    fn render(&self, steps: usize, demand: &str) -> String {
-        let mut left = steps;
+    /// The program's text.
+    fn render(&self) -> String {
         let mut body = String::new();
         for item in &self.0 {
-            if left == 0 {
-                break;
-            }
             match item {
-                Item::Line(l) => {
-                    left -= 1;
-                    body.push_str(l);
-                    if left == 0 {
-                        body.push_str(demand);
-                    }
-                }
+                Item::Line(l) => body.push_str(l),
                 Item::Guard { cond, arms } => {
-                    left -= 1;
-                    let at_header = left == 0;
-                    let mut rendered = [String::new(), String::new()];
-                    for (arm, out) in arms.iter().zip(&mut rendered) {
-                        for l in arm.iter().take(left) {
-                            out.push_str("    ");
-                            out.push_str(l);
-                            left -= 1;
-                            if left == 0 {
-                                out.push_str("    ");
-                                out.push_str(demand);
-                            }
-                        }
-                    }
-                    let [then, els] = rendered;
+                    let [then, els] = arms
+                        .each_ref()
+                        .map(|arm| arm.iter().map(|l| format!("    {l}")).collect::<String>());
                     body.push_str(&format!(
                         "    if ({cond}) {{\n{then}    }} else {{\n{els}    }}\n"
                     ));
-                    if at_header {
-                        body.push_str(demand);
-                    }
                 }
             }
         }
@@ -1112,37 +1164,12 @@ fn arb_guarded(rng: &mut Rng) -> Guarded {
     Guarded(items)
 }
 
-/// `g` cut at its first failing step, the failing value demanded (as
-/// [`generate`] does), what `Original` makes of it, and its database.
+/// `g` whole, what `Original` makes of it, and its database (judged
+/// whole, as [`generate`]'s programs are).
 fn generate_guarded(g: &Guarded) -> (String, Body, SimEnv) {
-    let original = |src: &str| {
-        let reference = single();
-        let (body, _) = run(src, &reference, ExecStrategy::Original, 0);
-        (body, reference)
-    };
-    let whole = g.render(g.steps(), "");
-    let (body, reference) = original(&whole);
-    if body.is_ok() {
-        return (whole, body, reference);
-    }
-    let (mut ok, mut failing) = (0, g.steps());
-    while failing - ok > 1 {
-        let mid = (ok + failing) / 2;
-        if original(&g.render(mid, "")).0.is_ok() {
-            ok = mid;
-        } else {
-            failing = mid;
-        }
-    }
-    let demand = g
-        .step(failing - 1)
-        .trim_start()
-        .strip_prefix("let ")
-        .and_then(|rest| rest.split(' ').next())
-        .map(|var| format!("    print(str({var}));\n"))
-        .unwrap_or_default();
-    let src = g.render(failing, &demand);
-    let (body, reference) = original(&src);
+    let src = g.render();
+    let reference = single();
+    let (body, _) = run(&src, &reference, ExecStrategy::Original, 0);
     (src, body, reference)
 }
 
@@ -1154,6 +1181,7 @@ fn guarded_bodies_run_as_written_in_no_more_trips_than_unhoisted() {
     let none = ExecStrategy::Sloth(OptFlags::none());
     let (mut hoisted, mut unhoisted, mut failing, mut saved) = (0u64, 0u64, 0u64, 0u64);
     let mut failing_reads_untaken = 0u64;
+    let excepted = Excepted::new(&[]);
     for case in 0..400 {
         let mut rng = Rng::new(0x6A4D ^ case);
         let g = arb_guarded(&mut rng);
@@ -1163,9 +1191,16 @@ fn guarded_bodies_run_as_written_in_no_more_trips_than_unhoisted() {
         let mut trips = [0u64; 2];
         for (i, strategy) in [SLOTH, none].into_iter().enumerate() {
             let env = single();
-            let (got, _) = run(&src, &env, strategy, 0);
+            let got = run(&src, &env, strategy, 0);
             trips[i] = env.stats().round_trips;
-            assert_eq!(got, want, "case {case} {strategy:?}\n{src}");
+            judge(
+                &format!("case {case} {strategy:?}"),
+                &src,
+                &got,
+                &want,
+                &single,
+                (&excepted, case),
+            );
             if want.is_ok() {
                 assert_eq!(
                     state(&env),
@@ -1175,8 +1210,15 @@ fn guarded_bodies_run_as_written_in_no_more_trips_than_unhoisted() {
             }
         }
         let env = fleet(4);
-        let (got, _) = run(&src, &env, SLOTH, 0);
-        assert_eq!(got, want, "case {case} 4 shards\n{src}");
+        let got = run(&src, &env, SLOTH, 0);
+        judge(
+            &format!("case {case} 4 shards"),
+            &src,
+            &got,
+            &want,
+            &|| fleet(4),
+            (&excepted, case),
+        );
         if want.is_ok() {
             assert_eq!(
                 state(&env),

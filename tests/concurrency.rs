@@ -184,7 +184,7 @@ fn dispatcher_matches_serial_at_one_session() {
     assert_eq!(dispatcher.stats().flushes, env_disp.stats().round_trips);
 }
 
-/// Satellite: the 512-entry plan-cache bound, exercised through two
+/// Satellite: the 512-entry template-cache bound, exercised through two
 /// sessions sharing one `Database` (one deployment), with hit/miss/
 /// eviction counters asserted across the sessions.
 #[test]
@@ -203,7 +203,7 @@ fn plan_cache_shared_by_two_sessions_hits_and_evicts() {
     assert_eq!(warm.entries, 1);
 
     // Session B reuses it: pure hit, no parse — one shared Database, one
-    // shared plan cache.
+    // shared template cache.
     let b = QueryStore::new(env.clone());
     let id = b.register("SELECT v FROM t WHERE id = 1").unwrap();
     b.result(id).unwrap();
