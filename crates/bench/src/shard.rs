@@ -196,9 +196,9 @@ pub fn shard_figure(cfg: &ShardCfg) -> ShardFigure {
             // modeled db time as real sleeps.
             let fleet = ShardedEnv::new(CostModel::default(), tpcc_shard_spec(), n);
             seed_tpcc(&fleet.handle(), cfg.warehouses);
-            fleet.set_fusion(fusion);
+            fleet.env().set_fusion(fusion);
             let outputs = run_tpcc_mix(&fleet.handle(), cfg.txns_per_type);
-            let equal = outputs == ref_outputs && fleet.stats().round_trips == ref_trips;
+            let equal = outputs == ref_outputs && fleet.env().stats().round_trips == ref_trips;
             // The timed pass only runs fusion-on: the wall figure compares
             // shard counts at one ns→real conversion rate derived from the
             // fused reference, and sleeping out the unfused workloads'
@@ -216,8 +216,11 @@ pub fn shard_figure(cfg: &ShardCfg) -> ShardFigure {
             // Probe-split sweep.
             let fleet = ShardedEnv::new(CostModel::default(), tpcc_shard_spec(), n);
             seed_tpcc(&fleet.handle(), cfg.warehouses);
-            fleet.set_fusion(fusion);
-            let results = fleet.query_batch(&probe_batch(cfg.warehouses)).unwrap();
+            fleet.env().set_fusion(fusion);
+            let results = fleet
+                .env()
+                .query_batch(&probe_batch(cfg.warehouses))
+                .unwrap();
             let equal = results == probe_ref_results;
             let (wall_ms, overlap) = if fusion {
                 timed_run(cfg, n, fusion, probe_ppm, |env| {
@@ -251,7 +254,7 @@ fn timed_run(
     }
     let fleet = ShardedEnv::new(CostModel::default(), tpcc_shard_spec(), shards);
     seed_tpcc(&fleet.handle(), cfg.warehouses);
-    fleet.set_fusion(fusion);
+    fleet.env().set_fusion(fusion);
     fleet.set_db_realtime_ppm(ppm);
     let t0 = std::time::Instant::now();
     work(&fleet.handle());
@@ -267,7 +270,7 @@ fn point_of(
     wave_overlap: f64,
     outputs_equal: bool,
 ) -> ShardPoint {
-    let net = fleet.stats();
+    let net = fleet.env().stats();
     let ss = fleet.shard_stats();
     ShardPoint {
         shards,

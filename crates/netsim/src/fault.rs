@@ -50,13 +50,6 @@ pub fn is_transient_error(e: &SqlError) -> bool {
     e.to_string().contains(TRANSIENT_PREFIX)
 }
 
-/// The statement-journal key for `pos` within the batch tagged `tag`.
-/// Positions are capped at 2^16 per batch — far above any real batch.
-pub(crate) fn stmt_id(tag: u64, pos: usize) -> u64 {
-    debug_assert!(pos < (1 << 16), "batch position overflows the journal key");
-    (tag << 16) | pos as u64
-}
-
 /// What the fault plan decided for one round trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultDecision {

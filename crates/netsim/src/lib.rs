@@ -387,12 +387,13 @@ struct FaultState {
     trip_seq: u64,
     /// Next batch tag for the at-most-once statement journal.
     next_batch_tag: u64,
-    /// At-most-once journal: statement id → (result, was it a write).
+    /// At-most-once journal: (batch tag, position) → (result, was it a
+    /// write).
     /// A statement that executed in an ambiguous attempt (timed out, or
     /// failed mid-batch on an out shard) parks its result here; the
     /// replay consumes it instead of re-executing, so effects apply
     /// exactly once. Empty whenever no batch is mid-recovery.
-    journal: HashMap<u64, (ResultSet, bool)>,
+    journal: HashMap<(u64, usize), (ResultSet, bool)>,
 }
 
 /// The simulated deployment: application server + database backend +
@@ -1086,22 +1087,12 @@ impl SimEnv {
                     .as_ref()
                     .and_then(|p| p.down_shards(trip, self.store.len()));
                 let skip: Vec<Option<ResultSet>> = (0..stmts.len())
-                    .map(|i| {
-                        fault
-                            .journal
-                            .get(&fault::stmt_id(tag, i))
-                            .map(|(rs, _)| rs.clone())
-                    })
+                    .map(|i| fault.journal.get(&(tag, i)).map(|(rs, _)| rs.clone()))
                     .collect();
                 let hits = skip.iter().filter(|s| s.is_some()).count() as u64;
                 if hits > 0 {
                     let writes = (0..stmts.len())
-                        .filter(|i| {
-                            fault
-                                .journal
-                                .get(&fault::stmt_id(tag, *i))
-                                .is_some_and(|(_, w)| *w)
-                        })
+                        .filter(|i| fault.journal.get(&(tag, *i)).is_some_and(|(_, w)| *w))
                         .count() as u64;
                     let fs = &mut fault.stats;
                     fs.journal_hits = fs.journal_hits.saturating_add(hits);
@@ -1190,7 +1181,7 @@ impl SimEnv {
                     // would only repeat): hand back to the caller.
                     let mut fault = self.fault();
                     for i in 0..stmts.len() {
-                        fault.journal.remove(&fault::stmt_id(tag, i));
+                        fault.journal.remove(&(tag, i));
                     }
                     if faulted {
                         fault.stats.recovered_batches += 1;
@@ -1208,7 +1199,7 @@ impl SimEnv {
     fn abandon_batch(&self, tag: u64, n: usize) -> SqlError {
         let mut fault = self.fault();
         for i in 0..n {
-            fault.journal.remove(&fault::stmt_id(tag, i));
+            fault.journal.remove(&(tag, i));
         }
         fault.stats.exhausted_batches += 1;
         transient_error("retry budget exhausted")
@@ -1224,7 +1215,7 @@ impl SimEnv {
             if let Some(rs) = r {
                 fault
                     .journal
-                    .insert(fault::stmt_id(tag, i), (rs.clone(), stmt.is_write()));
+                    .insert((tag, i), (rs.clone(), stmt.is_write()));
             }
         }
     }
@@ -1904,20 +1895,23 @@ mod tests {
     #[test]
     fn footprints_resolve_through_backend_cache() {
         let env = seeded_env();
+        let seeded = env.footprint_cache_stats();
+        let counts = || {
+            let s = env.footprint_cache_stats();
+            (s.hits - seeded.hits, s.misses - seeded.misses)
+        };
         let a = Stmt::new("SELECT v FROM t WHERE id = 3");
         let b = Stmt::new("SELECT v FROM t WHERE id = 4");
         assert!(
             !env.footprint(&a).conflicts_with(env.footprint(&b)),
             "reads never conflict"
         );
-        let s = env.footprint_cache_stats();
-        assert_eq!((s.hits, s.misses), (1, 1), "one template, one parse");
+        assert_eq!(counts(), (1, 1), "one template, one parse");
         let w = Stmt::new("UPDATE t SET v = 'x' WHERE id = 3");
         assert!(env.footprint(&w).conflicts_with(env.footprint(&a)));
         assert!(!env.footprint(&w).conflicts_with(env.footprint(&b)));
-        let s = env.footprint_cache_stats();
         assert_eq!(
-            (s.hits, s.misses),
+            counts(),
             (1, 2),
             "asking a statement again reads its memo, not the cache"
         );
@@ -1926,9 +1920,10 @@ mod tests {
     #[test]
     fn direct_write_batches_derive_footprints_once_in_the_planner() {
         let env = seeded_env();
+        let seeded = env.footprint_cache_stats();
         let lookups = || {
             let s = env.footprint_cache_stats();
-            s.hits + s.misses
+            s.hits + s.misses - seeded.hits - seeded.misses
         };
         let batch = stmts(&[
             "SELECT v FROM t WHERE id = 1".to_string(),
@@ -1936,19 +1931,20 @@ mod tests {
         ]);
         // No layer above analyzed these statements: the planner resolves
         // each footprint, once, through the template cache — and the
-        // read's plan is the third lookup, answered by the entry its
-        // footprint filled (the cache is one: two parses in all)…
-        assert!(env.ship(&BatchRequest::new(&batch)).error.is_none());
-        assert_eq!(lookups(), 3);
-        // …and the statements keep their footprints: the same values
-        // shipped again look up only the read's plan.
+        // plans of the read and the write are the third and fourth
+        // lookups, answered by the entries their footprints filled (the
+        // cache is one: two parses in all)…
         assert!(env.ship(&BatchRequest::new(&batch)).error.is_none());
         assert_eq!(lookups(), 4);
+        // …and the statements keep their footprints: the same values
+        // shipped again look up only their plans.
+        assert!(env.ship(&BatchRequest::new(&batch)).error.is_none());
+        assert_eq!(lookups(), 6);
         // Read-only batches never need footprints at all: one plan.
         let reads = stmts(&["SELECT v FROM t WHERE id = 1".to_string()]);
         assert!(env.ship(&BatchRequest::new(&reads)).error.is_none());
-        assert_eq!(lookups(), 5);
-        assert_eq!(env.footprint_cache_stats().misses, 2);
+        assert_eq!(lookups(), 7);
+        assert_eq!(env.footprint_cache_stats().misses - seeded.misses, 2);
     }
 
     #[test]
@@ -2019,6 +2015,26 @@ mod tests {
             s.network_ns >= 2 * CostModel::default().rtt_ns,
             "the inflated RTT is charged: {s:?}"
         );
+    }
+
+    /// The journal keys a statement by its batch's tag and its position,
+    /// with no bound on either: past position 65 535 a timed-out batch
+    /// still replays every position from its own entry.
+    #[test]
+    fn a_timed_out_batch_of_65_537_reads_replays_every_result() {
+        let env = seeded_env();
+        env.set_faults(Some(FaultPlan::seeded(2).timeout_at(0)));
+        let sqls: Vec<String> = (0..65_537)
+            .map(|i| format!("SELECT v FROM t WHERE id = {}", i % 20))
+            .collect();
+        let results = env.query_batch(&sqls).unwrap();
+        for (i, rs) in results.iter().enumerate() {
+            let want = format!("v{}", i % 20);
+            assert_eq!(rs.get(0, "v").unwrap().as_str(), Some(&*want), "{i}");
+        }
+        let fs = env.fault_stats();
+        assert_eq!((fs.injected_timeouts, fs.recovered_batches), (1, 1));
+        assert_eq!(fs.journal_hits, 65_537, "every position replayed");
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //!   `MAX` / `MIN` merge partials; `COUNT(DISTINCT c)` gathers the
 //!   projected column and counts at the router.
 //!
-//! Routing happens on the normalizer's hot path: a read looks its template
-//! up once in the template cache, whose entry holds the parameterized
-//! statement and the template's [`Route`] (derived on first use), routes
-//! by its extracted parameters, and hands that plan to the shards that run
-//! it — they do not look it up again.
+//! Routing happens on the normalizer's hot path: a statement — read or
+//! write — looks its template up once in the template cache, whose entry
+//! holds the parameterized statement and the template's [`Route`]
+//! (derived on first use), routes by its extracted parameters, and hands
+//! that plan to the shards that run it — they do not look it up again.
 //!
 //! The router is also the single server's executor: a store of **one**
 //! database routes nothing, so every statement runs there as written —
@@ -51,19 +51,19 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sloth_sql::ast::{Aggregate, BinOp, Expr, Projection, SelectStmt, Statement};
+use sloth_sql::ast::{Aggregate, Expr, Projection, SelectStmt, Statement};
 use sloth_sql::engine::eval_const;
 use sloth_sql::fuse;
 use sloth_sql::shard::{hash_key, shard_of};
 use sloth_sql::{
-    parse, Database, ExecOutcome, ExecStats, MergeKey, MergeTrace, Plan, ResultSet, Route, Row,
-    ShardSpec, SqlError, Stmt, TemplateCache, Value,
+    Database, ExecOutcome, ExecStats, MergeKey, MergeTrace, Plan, ResultSet, Route, Row, ShardSpec,
+    SqlError, Stmt, TemplateCache, Value,
 };
 
 use crate::batch::{self, BatchExec, BatchPlan, FusedGroup, Role};
 use crate::fault::transient_error;
 use crate::versioned::{Admitted, ReadView};
-use crate::{CostModel, NetStats, SimEnv};
+use crate::{CostModel, SimEnv};
 
 /// Router and per-shard counters of a sharded deployment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -499,10 +499,13 @@ impl Router {
                     };
                     let marks = dependent.then(|| costs.wave_marks());
                     costs.shipped = dependent.then_some(shipped);
+                    // The one lookup: every shard the statement runs on
+                    // executes this plan.
+                    let plan = self.templates.plan(stmt.sql(), stmt.norm());
                     let rs = if stmt.is_write() {
-                        self.exec_write(&stmt, cost, &mut costs)
+                        self.exec_write(&stmt, plan, cost, &mut costs)
                     } else {
-                        self.exec_read(&stmt, cost, &mut costs)
+                        self.exec_read(&stmt, plan, cost, &mut costs)
                     };
                     costs.shipped = None;
                     if let Some(marks) = marks {
@@ -578,12 +581,11 @@ impl Router {
     fn exec_read(
         &self,
         stmt: &Stmt,
+        plan: Result<Plan<'_>, SqlError>,
         cost: &CostModel,
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         let sql = stmt.sql();
-        // The one lookup: every shard the read runs on executes this plan.
-        let plan = self.templates.plan(sql, stmt.norm());
         let (plan, template) = match (plan, stmt.norm()) {
             (Ok(plan), Some(norm)) if self.n > 1 => (plan, &norm.template),
             // One database: nothing to route. A text that does not parse
@@ -664,8 +666,7 @@ impl Router {
         let out = plan.map_err(SqlError::clone).and_then(|plan| {
             costs
                 .view(s)
-                .with(|db| db.execute_read_stmt_with(&plan.template.stmt, plan.params))
-                .map(|out| (out, ()))
+                .with(|db| db.execute_read(&plan.template.stmt, plan.params, false))
         });
         Ok(costs.book(s, sql, cost, out, self.ppm())?.0)
     }
@@ -722,7 +723,7 @@ impl Router {
             .map(|&s| {
                 let (template, params) = (Arc::clone(&plan.template), plan.params.to_vec());
                 self.wave_job(s, cost, costs, move |db| {
-                    db.execute_read_stmt_traced(&template.stmt, &params)
+                    db.execute_read(&template.stmt, &params, true)
                 })
             })
             .collect();
@@ -760,13 +761,13 @@ impl Router {
                     .map(|&s| {
                         let (stmt, params) = (Arc::clone(&gather_stmt), plan.params.to_vec());
                         self.wave_job(s, cost, costs, move |db| {
-                            db.execute_read_stmt_with(&stmt, &params).map(|o| (o, ()))
+                            db.execute_read(&stmt, &params, false)
                         })
                     })
                     .collect();
                 let mut distinct: HashSet<Value> = HashSet::new();
                 for (&s, res) in targets.iter().zip(self.run_wave(jobs)) {
-                    let (rs, ()) = costs.book(s, sql, cost, res, 0)?;
+                    let (rs, _) = costs.book(s, sql, cost, res, 0)?;
                     distinct.extend(rs.rows.into_iter().flatten().filter(|v| !v.is_null()));
                 }
                 return Ok(ResultSet::new(
@@ -802,15 +803,14 @@ impl Router {
             .map(|&s| {
                 let (template, params) = (Arc::clone(&plan.template), plan.params.to_vec());
                 self.wave_job(s, cost, costs, move |db| {
-                    db.execute_read_stmt_with(&template.stmt, &params)
-                        .map(|o| (o, ()))
+                    db.execute_read(&template.stmt, &params, false)
                 })
             })
             .collect();
         let mut partials: Vec<Value> = Vec::with_capacity(targets.len());
         let mut columns: Vec<String> = Vec::new();
         for (&s, res) in targets.iter().zip(self.run_wave(jobs)) {
-            let (rs, ()) = costs.book(s, sql, cost, res, 0)?;
+            let (rs, _) = costs.book(s, sql, cost, res, 0)?;
             partials.extend(
                 rs.rows
                     .into_iter()
@@ -896,12 +896,12 @@ impl Router {
                 .map(|(s, fplan, _)| {
                     let stmt = fplan.stmt.clone();
                     self.wave_job(*s, cost, costs, move |db| {
-                        db.execute_read_stmt(&stmt).map(|o| (o, ()))
+                        db.execute_read(&stmt, &[], false)
                     })
                 })
                 .collect();
             for ((s, fplan, fsql), res) in probes.iter().zip(self.run_wave(jobs)) {
-                let (rs, ()) = costs.book(*s, fsql, cost, res, 0)?;
+                let (rs, _) = costs.book(*s, fsql, cost, res, 0)?;
                 self.stats_mut().fused_subprobes += 1;
                 let local: Vec<(usize, &Value)> = targets
                     .iter()
@@ -929,8 +929,7 @@ impl Router {
             let s = self.failover(self.replica(group.template), costs)?;
             let out = costs
                 .view(s)
-                .with(|db| db.execute_read_stmt(&fplan.stmt))
-                .map(|o| (o, ()));
+                .with(|db| db.execute_read(&fplan.stmt, &[], false));
             costs.book(s, &fsql, cost, out, self.ppm())?.0
         } else {
             let descs: Vec<bool> = lookup.select.order_by.iter().map(|k| k.desc).collect();
@@ -940,9 +939,7 @@ impl Router {
             let jobs = (0..n)
                 .map(|s| {
                     let stmt = fplan.stmt.clone();
-                    self.wave_job(s, cost, costs, move |db| {
-                        db.execute_read_stmt_traced(&stmt, &[])
-                    })
+                    self.wave_job(s, cost, costs, move |db| db.execute_read(&stmt, &[], true))
                 })
                 .collect();
             let mut parts: Vec<(ResultSet, MergeTrace)> = Vec::with_capacity(n);
@@ -963,41 +960,38 @@ impl Router {
     fn exec_write(
         &self,
         text: &Stmt,
+        plan: Result<Plan<'_>, SqlError>,
         cost: &CostModel,
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
         let sql = text.sql();
         // The text travelled even if it does not parse.
-        let stmt = parse(sql).inspect_err(|_| costs.ship_text(sql))?;
-        match &stmt {
+        let plan = plan.inspect_err(|_| costs.ship_text(sql))?;
+        match &plan.template.stmt {
             Statement::Select(_) => {
                 // The classifier is a keyword heuristic; a statement it
                 // misclassifies still executes correctly as a read.
-                self.exec_read(text, cost, costs)
+                self.exec_read(text, Ok(plan), cost, costs)
             }
             // One database: nothing to route, no row id to allocate and
             // nothing to refuse — the statement runs as written.
-            _ if self.n == 1 => self.write_on(0, &stmt, sql, cost, costs),
+            _ if self.n == 1 => self.write_on(0, &plan, sql, cost, costs),
             Statement::CreateTable { .. } | Statement::CreateIndex { .. } => {
                 self.stats_mut().broadcast_writes += 1;
-                self.broadcast_write(&stmt, sql, cost, costs)
+                self.broadcast_write(&plan, sql, cost, costs)
             }
             Statement::Begin | Statement::Commit | Statement::Rollback => {
                 // Transaction boundaries are coordinator-side no-ops:
                 // charged once, like the single server charges them.
                 self.stats_mut().routed_writes += 1;
-                self.write_on(0, &stmt, sql, cost, costs)
+                self.write_on(0, &plan, sql, cost, costs)
             }
             Statement::Insert {
                 table,
                 columns,
                 values,
-            } => self.exec_insert(sql, table, columns, values, cost, costs),
-            Statement::Update {
-                table,
-                sets,
-                predicate,
-            } => {
+            } => self.exec_insert(sql, &plan, table, columns, values, cost, costs),
+            Statement::Update { table, sets, .. } => {
                 // A row's shard key decides where it lives; updating it
                 // in place would leave the row on its old shard and make
                 // every later key-routed statement miss it. Like
@@ -1012,46 +1006,36 @@ impl Router {
                         )));
                     }
                 }
-                self.route_dml(table, predicate.as_ref(), &stmt, sql, cost, costs)
+                self.route_dml(&plan, sql, cost, costs)
             }
-            Statement::Delete { table, predicate } => {
-                self.route_dml(table, predicate.as_ref(), &stmt, sql, cost, costs)
-            }
+            Statement::Delete { .. } => self.route_dml(&plan, sql, cost, costs),
         }
     }
 
-    /// Routes an `UPDATE`/`DELETE`: replicated tables broadcast (copies
-    /// stay in sync); sharded tables route by a literal key conjunct when
-    /// one pins the row set, else every shard updates its own rows.
-    #[allow(clippy::too_many_arguments)]
+    /// Routes an `UPDATE`/`DELETE` by its template's [`Route`]: a key
+    /// conjunct pinning the row set to one slot's value goes to the shard
+    /// owning that value; everything else — a replicated table (copies
+    /// stay in sync), or a predicate that pins no one shard — broadcasts,
+    /// and every shard updates its own rows.
     fn route_dml(
         &self,
-        table: &str,
-        predicate: Option<&Expr>,
-        stmt: &Statement,
+        plan: &Plan<'_>,
         sql: &str,
         cost: &CostModel,
         costs: &mut Costs<'_>,
     ) -> Result<ResultSet, SqlError> {
-        match self.spec.key_column(table).map(str::to_string) {
-            None => {
-                // Replicated table: keep every copy in sync.
-                self.stats_mut().broadcast_writes += 1;
-                self.broadcast_write(stmt, sql, cost, costs)
+        let key = match plan.template.route(&self.spec) {
+            Route::Point { slot } => plan.params.get(*slot),
+            _ => None,
+        };
+        match key {
+            Some(v) => {
+                self.stats_mut().routed_writes += 1;
+                self.write_on(shard_of(v, self.n), plan, sql, cost, costs)
             }
-            Some(key) => {
-                let key_ty = key_column_type(costs, table, &key);
-                match literal_key_conjunct(predicate, &key) {
-                    Some(v) => {
-                        self.stats_mut().routed_writes += 1;
-                        let s = shard_of(&coerce_key(v, key_ty), self.n);
-                        self.write_on(s, stmt, sql, cost, costs)
-                    }
-                    None => {
-                        self.stats_mut().broadcast_writes += 1;
-                        self.broadcast_write(stmt, sql, cost, costs)
-                    }
-                }
+            None => {
+                self.stats_mut().broadcast_writes += 1;
+                self.broadcast_write(plan, sql, cost, costs)
             }
         }
     }
@@ -1059,7 +1043,7 @@ impl Router {
     fn write_on(
         &self,
         s: usize,
-        stmt: &Statement,
+        plan: &Plan<'_>,
         sql: &str,
         cost: &CostModel,
         costs: &mut Costs<'_>,
@@ -1069,7 +1053,10 @@ impl Router {
         }
         costs.ship_text(sql);
         costs.statements[s] += 1;
-        let out = costs.adm.write(s).execute_stmt(stmt)?;
+        let out = costs
+            .adm
+            .write(s)
+            .execute_write(&plan.template.stmt, plan.params)?;
         let ns = exec_cost(cost, &out.stats);
         costs.write_ns[s] += ns;
         db_sleep(self.ppm(), ns);
@@ -1078,7 +1065,7 @@ impl Router {
 
     fn broadcast_write(
         &self,
-        stmt: &Statement,
+        plan: &Plan<'_>,
         sql: &str,
         cost: &CostModel,
         costs: &mut Costs<'_>,
@@ -1091,7 +1078,7 @@ impl Router {
         }
         let mut first: Option<ResultSet> = None;
         for s in 0..self.n {
-            let rs = self.write_on(s, stmt, sql, cost, costs)?;
+            let rs = self.write_on(s, plan, sql, cost, costs)?;
             first.get_or_insert(rs);
         }
         Ok(first.unwrap_or_else(ResultSet::empty))
@@ -1102,9 +1089,11 @@ impl Router {
     /// the shard owning its key value. Every tuple is validated before a
     /// row id is allocated, so a failing statement inserts nothing — on
     /// any shard — exactly as on the single server.
+    #[allow(clippy::too_many_arguments)]
     fn exec_insert(
         &self,
         sql: &str,
+        plan: &Plan<'_>,
         table: &str,
         columns: &[String],
         values: &[Vec<Expr>],
@@ -1114,14 +1103,7 @@ impl Router {
         let n = self.n;
         // Evaluate all tuples first — the engine does the same, so any
         // evaluation error surfaces before any row is inserted.
-        let mut tuples: Vec<Vec<Value>> = Vec::with_capacity(values.len());
-        for tuple in values {
-            let mut evaluated = Vec::with_capacity(tuple.len());
-            for e in tuple {
-                evaluated.push(eval_const(e)?);
-            }
-            tuples.push(evaluated);
-        }
+        let tuples = eval_const(values, plan.params)?;
         // DDL broadcasts, so shard 0's catalog speaks for every shard.
         costs.view(0).with(|db0| {
             tuples
@@ -1235,7 +1217,7 @@ impl Router {
 
 /// Declared type of `table.key`, from shard 0's admitted view (DDL
 /// broadcasts, so every shard agrees). `None` when the table or column is
-/// missing; execution will then error identically anyway.
+/// missing; the insert will then error identically anyway.
 fn key_column_type(
     costs: &Costs<'_>,
     table: &str,
@@ -1247,8 +1229,8 @@ fn key_column_type(
     })
 }
 
-/// Mirrors `Table`'s harmless int ↔ float coercion for shard-key values,
-/// so routing hashes what the engine stores / probes.
+/// Mirrors `Table`'s int ↔ float coercion for an inserted shard-key
+/// value, so routing hashes what the table stores.
 fn coerce_key(v: Value, ty: Option<sloth_sql::ast::ColumnType>) -> Value {
     use sloth_sql::ast::ColumnType;
     match (ty, &v) {
@@ -1256,34 +1238,6 @@ fn coerce_key(v: Value, ty: Option<sloth_sql::ast::ColumnType>) -> Value {
         (Some(ColumnType::Float), Value::Int(i)) => Value::Float(*i as f64),
         _ => v,
     }
-}
-
-/// A literal `key = v` conjunct of a write predicate (writes are parsed
-/// concrete, so the value is a literal, not a slot).
-fn literal_key_conjunct(pred: Option<&Expr>, key: &str) -> Option<Value> {
-    fn walk(e: &Expr, key: &str) -> Option<Value> {
-        match e {
-            Expr::Binary {
-                op: BinOp::And,
-                left,
-                right,
-            } => walk(left, key).or_else(|| walk(right, key)),
-            Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } => match (&**left, &**right) {
-                (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c))
-                    if c.column.eq_ignore_ascii_case(key) =>
-                {
-                    Some(v.clone())
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-    walk(pred?, key)
 }
 
 /// K-way merge of per-shard results by `(sort keys, row id)` — exactly
@@ -1365,12 +1319,13 @@ fn merge_lt(a: &MergeKey, b: &MergeKey, descs: &[bool]) -> bool {
 ///
 /// let spec = ShardSpec::new().shard("stock", "s_id");
 /// let fleet = ShardedEnv::new(CostModel::default(), spec, 4);
-/// fleet.seed_sql("CREATE TABLE stock (s_id INT PRIMARY KEY, quantity INT)").unwrap();
+/// let env = fleet.env();
+/// env.seed_sql("CREATE TABLE stock (s_id INT PRIMARY KEY, quantity INT)").unwrap();
 /// for i in 0..8 {
-///     fleet.seed_sql(&format!("INSERT INTO stock VALUES ({i}, {})", i * 10)).unwrap();
+///     env.seed_sql(&format!("INSERT INTO stock VALUES ({i}, {})", i * 10)).unwrap();
 /// }
 /// // Point lookups route to the one shard owning the key:
-/// let rs = fleet.handle().query("SELECT quantity FROM stock WHERE s_id = 3").unwrap();
+/// let rs = env.query("SELECT quantity FROM stock WHERE s_id = 3").unwrap();
 /// assert_eq!(rs.get(0, "quantity").unwrap().as_i64(), Some(30));
 /// assert_eq!(fleet.shard_stats().point_reads, 1);
 /// ```
@@ -1446,36 +1401,6 @@ impl ShardedEnv {
             s.parallel_busy_ns as f64 / s.parallel_wave_ns as f64
         }
     }
-
-    /// Seeds SQL through the router without charging time.
-    pub fn seed_sql(&self, sql: &str) -> Result<ResultSet, SqlError> {
-        self.env.seed_sql(sql)
-    }
-
-    /// Executes one statement over the stock driver (one round trip).
-    pub fn query(&self, sql: &str) -> Result<ResultSet, SqlError> {
-        self.env.query(sql)
-    }
-
-    /// Executes a batch in one round trip (see [`SimEnv::query_batch`]).
-    pub fn query_batch(&self, sqls: &[String]) -> Result<Vec<ResultSet>, SqlError> {
-        self.env.query_batch(sqls)
-    }
-
-    /// Accumulated driver statistics.
-    pub fn stats(&self) -> NetStats {
-        self.env.stats()
-    }
-
-    /// Enables or disables batch-level query fusion (on by default).
-    pub fn set_fusion(&self, on: bool) {
-        self.env.set_fusion(on)
-    }
-
-    /// Resets driver statistics, shard counters and the clock.
-    pub fn reset_stats(&self) {
-        self.env.reset_stats()
-    }
 }
 
 #[cfg(test)]
@@ -1550,7 +1475,7 @@ mod tests {
         let got = fleet.handle().ship(&crate::BatchRequest::new(&chain));
         let want = single().ship(&crate::BatchRequest::new(&literal));
         assert_eq!(got.into_results().unwrap(), want.into_results().unwrap());
-        assert_eq!(fleet.stats().round_trips, 1);
+        assert_eq!(fleet.env().stats().round_trips, 1);
         assert_eq!(
             fleet.shard_stats().point_reads,
             3,
@@ -1564,7 +1489,7 @@ mod tests {
                 .handle()
                 .ship(&crate::BatchRequest::new(std::slice::from_ref(stmt)));
         }
-        assert_eq!(fleet.stats().db_ns, serial.stats().db_ns);
+        assert_eq!(fleet.env().stats().db_ns, serial.env().stats().db_ns);
     }
 
     #[test]
@@ -1587,6 +1512,7 @@ mod tests {
     fn point_lookup_routes_to_one_shard() {
         let env = fleet(4);
         let rs = env
+            .env()
             .query("SELECT title FROM issue WHERE project_id = 2 AND sev = 0")
             .unwrap();
         let reference = single()
@@ -1607,11 +1533,14 @@ mod tests {
     fn one_parse_routes_every_statement_of_a_template() {
         let env = fleet(4);
         let before = env.env().plan_cache_stats();
-        env.query("SELECT * FROM issue WHERE project_id = 1")
+        env.env()
+            .query("SELECT * FROM issue WHERE project_id = 1")
             .unwrap();
-        env.query("SELECT * FROM issue WHERE project_id = 2")
+        env.env()
+            .query("SELECT * FROM issue WHERE project_id = 2")
             .unwrap();
-        env.query("SELECT * FROM issue WHERE project_id = 3")
+        env.env()
+            .query("SELECT * FROM issue WHERE project_id = 3")
             .unwrap();
         let s = env.env().plan_cache_stats();
         // One lookup a read — the router's; the shard it routes to runs
@@ -1647,7 +1576,7 @@ mod tests {
             for n in [1usize, 2, 4] {
                 let env = fleet(n);
                 assert_eq!(
-                    env.query(sql).unwrap(),
+                    env.env().query(sql).unwrap(),
                     single().query(sql).unwrap(),
                     "{sql} at {n} shards"
                 );
@@ -1659,7 +1588,7 @@ mod tests {
     fn subset_route_for_key_in_list() {
         let env = fleet(4);
         let sql = "SELECT * FROM issue WHERE project_id IN (1, 2) ORDER BY id";
-        assert_eq!(env.query(sql).unwrap(), single().query(sql).unwrap());
+        assert_eq!(env.env().query(sql).unwrap(), single().query(sql).unwrap());
         let s = env.shard_stats();
         assert_eq!(s.subset_reads, 1);
         assert!(
@@ -1683,7 +1612,7 @@ mod tests {
             for n in [2usize, 4] {
                 let env = fleet(n);
                 assert_eq!(
-                    env.query(sql).unwrap(),
+                    env.env().query(sql).unwrap(),
                     single().query(sql).unwrap(),
                     "{sql} at {n} shards"
                 );
@@ -1698,9 +1627,9 @@ mod tests {
             .collect();
         let env = fleet(4);
         let reference = single().query_batch(&sqls).unwrap();
-        let results = env.query_batch(&sqls).unwrap();
+        let results = env.env().query_batch(&sqls).unwrap();
         assert_eq!(results, reference);
-        let net = env.stats();
+        let net = env.env().stats();
         assert_eq!(net.round_trips, 1);
         assert_eq!(net.fused_groups, 1);
         assert_eq!(net.fused_queries, 6);
@@ -1721,14 +1650,17 @@ mod tests {
             .collect();
         let one = fleet(1);
         let four = fleet(4);
-        one.query_batch(&sqls).unwrap();
-        four.query_batch(&sqls).unwrap();
-        assert_eq!(one.stats().round_trips, four.stats().round_trips);
+        one.env().query_batch(&sqls).unwrap();
+        four.env().query_batch(&sqls).unwrap();
+        assert_eq!(
+            one.env().stats().round_trips,
+            four.env().stats().round_trips
+        );
         assert!(
-            four.stats().db_ns < one.stats().db_ns,
+            four.env().stats().db_ns < one.env().stats().db_ns,
             "4 shards {} ≥ 1 shard {}",
-            four.stats().db_ns,
-            one.stats().db_ns
+            four.env().stats().db_ns,
+            one.env().stats().db_ns
         );
     }
 
@@ -1736,15 +1668,18 @@ mod tests {
     fn writes_route_and_broadcast() {
         let env = fleet(4);
         // Key-pinned update: one shard.
-        env.query("UPDATE issue SET sev = 9 WHERE project_id = 3")
+        env.env()
+            .query("UPDATE issue SET sev = 9 WHERE project_id = 3")
             .unwrap();
         assert_eq!(env.shard_stats().routed_writes, 1);
         // Un-routable update: every shard updates its own rows.
-        env.query("UPDATE issue SET sev = sev + 1 WHERE id < 10")
+        env.env()
+            .query("UPDATE issue SET sev = sev + 1 WHERE id < 10")
             .unwrap();
         assert!(env.shard_stats().broadcast_writes >= 1);
         // Replicated-table write: broadcast keeps copies identical.
-        env.query("UPDATE project SET name = 'renamed' WHERE id = 1")
+        env.env()
+            .query("UPDATE project SET name = 'renamed' WHERE id = 1")
             .unwrap();
         for s in env.shard_row_counts("project") {
             assert_eq!(s, 6);
@@ -1761,7 +1696,10 @@ mod tests {
             .query("UPDATE project SET name = 'renamed' WHERE id = 1")
             .unwrap();
         let check = "SELECT * FROM issue ORDER BY id";
-        assert_eq!(env.query(check).unwrap(), reference.query(check).unwrap());
+        assert_eq!(
+            env.env().query(check).unwrap(),
+            reference.query(check).unwrap()
+        );
     }
 
     #[test]
@@ -1779,10 +1717,13 @@ mod tests {
             "INSERT INTO project (id, nope) VALUES (7, 'x')",
             "INSERT INTO issue VALUES (105, 5, 'after', 5), (106, 0, 'after', 5)",
         ] {
-            assert_eq!(env.query(stmt), reference.query(stmt), "{stmt}");
+            assert_eq!(env.env().query(stmt), reference.query(stmt), "{stmt}");
         }
         for check in ["SELECT * FROM issue WHERE sev = 5", "SELECT * FROM project"] {
-            assert_eq!(env.query(check).unwrap(), reference.query(check).unwrap());
+            assert_eq!(
+                env.env().query(check).unwrap(),
+                reference.query(check).unwrap()
+            );
         }
     }
 
@@ -1791,7 +1732,7 @@ mod tests {
         let env = fleet(4);
         let sql = "SELECT i.title, p.name FROM issue i JOIN project p ON i.project_id = p.id \
                    WHERE i.project_id = 2 ORDER BY i.id";
-        assert_eq!(env.query(sql).unwrap(), single().query(sql).unwrap());
+        assert_eq!(env.env().query(sql).unwrap(), single().query(sql).unwrap());
         // Joining on something other than both shard keys is refused, not
         // silently wrong (project is sharded by name, joined by id).
         let env2 = ShardedEnv::new(
@@ -1802,7 +1743,7 @@ mod tests {
             4,
         );
         seed(&env2.handle());
-        let err = env2.query(sql).unwrap_err();
+        let err = env2.env().query(sql).unwrap_err();
         assert!(err.to_string().contains("cross-shard join"), "{err}");
     }
 
@@ -1817,7 +1758,7 @@ mod tests {
         let reference = single();
         let sql = "SELECT i.title, p.name FROM issue i JOIN project p ON i.project_id = p.id \
                    ORDER BY i.id";
-        assert_eq!(env.query(sql).unwrap(), reference.query(sql).unwrap());
+        assert_eq!(env.env().query(sql).unwrap(), reference.query(sql).unwrap());
     }
 
     #[test]
@@ -1829,7 +1770,7 @@ mod tests {
             "UPDATE issue SET nope = 1 WHERE project_id = 2",
         ] {
             let env = fleet(4);
-            let a = env.query(sql).unwrap_err();
+            let a = env.env().query(sql).unwrap_err();
             let b = single().query(sql).unwrap_err();
             assert_eq!(a, b, "{sql}");
         }
@@ -1843,7 +1784,7 @@ mod tests {
             "SELECT * FROM issue ORDER BY sev, id",
             "SELECT COUNT(*) FROM issue WHERE project_id = 2",
         ] {
-            assert_eq!(env.query(sql).unwrap(), reference.query(sql).unwrap());
+            assert_eq!(env.env().query(sql).unwrap(), reference.query(sql).unwrap());
         }
     }
 
@@ -1853,15 +1794,18 @@ mod tests {
         // Re-homing rows in place is impossible; the router refuses the
         // statement instead of leaving rows on a stale shard.
         let err = env
+            .env()
             .query("UPDATE issue SET project_id = 0 WHERE project_id = 1")
             .unwrap_err();
         assert!(err.to_string().contains("shard key"), "{err}");
         // Updating any other column with the key in the predicate is fine.
-        env.query("UPDATE issue SET sev = 3 WHERE project_id = 1")
+        env.env()
+            .query("UPDATE issue SET sev = 3 WHERE project_id = 1")
             .unwrap();
         // On a one-shard fleet there is nothing to re-home; allowed.
         let one = fleet(1);
-        one.query("UPDATE issue SET project_id = 0 WHERE project_id = 1")
+        one.env()
+            .query("UPDATE issue SET project_id = 0 WHERE project_id = 1")
             .unwrap();
     }
 
@@ -1872,14 +1816,14 @@ mod tests {
         let env = fleet(4);
         let reference = single();
         let insert = "INSERT INTO issue VALUES (200, 2.5, 'frac', 1)";
-        env.query(insert).unwrap();
+        env.env().query(insert).unwrap();
         reference.query(insert).unwrap();
         for check in [
             "SELECT * FROM issue WHERE project_id = 2 ORDER BY id",
             "SELECT * FROM issue WHERE id = 200",
         ] {
             assert_eq!(
-                env.query(check).unwrap(),
+                env.env().query(check).unwrap(),
                 reference.query(check).unwrap(),
                 "{check}"
             );
@@ -1893,13 +1837,15 @@ mod tests {
         // counter would tombstone-pad every table to the global total.
         let env = fleet(2);
         for i in 100..140 {
-            env.seed_sql(&format!("INSERT INTO project VALUES ({i}, 'p{i}')"))
+            env.env()
+                .seed_sql(&format!("INSERT INTO project VALUES ({i}, 'p{i}')"))
                 .unwrap();
-            env.seed_sql(&format!(
-                "INSERT INTO issue VALUES ({i}, {}, 't', 0)",
-                i % 3
-            ))
-            .unwrap();
+            env.env()
+                .seed_sql(&format!(
+                    "INSERT INTO issue VALUES ({i}, {}, 't', 0)",
+                    i % 3
+                ))
+                .unwrap();
         }
         let counts = env
             .env()
@@ -1930,13 +1876,13 @@ mod tests {
             .collect();
         let on = fleet(4);
         let off = fleet(4);
-        off.set_fusion(false);
+        off.env().set_fusion(false);
         assert_eq!(
-            on.query_batch(&sqls).unwrap(),
-            off.query_batch(&sqls).unwrap()
+            on.env().query_batch(&sqls).unwrap(),
+            off.env().query_batch(&sqls).unwrap()
         );
-        assert!(on.stats().fused_queries > 0);
-        assert_eq!(off.stats().fused_queries, 0);
+        assert!(on.env().stats().fused_queries > 0);
+        assert_eq!(off.env().stats().fused_queries, 0);
     }
 
     #[test]
@@ -1983,7 +1929,7 @@ mod tests {
         // ~100 ms and busy/wall ≈ 1; true parallelism keeps wall ≈ one
         // sleep and pushes the ratio toward the shard count.
         env.set_db_realtime_ppm(110_000_000);
-        let rs = env.query("SELECT * FROM issue ORDER BY id").unwrap();
+        let rs = env.env().query("SELECT * FROM issue ORDER BY id").unwrap();
         env.set_db_realtime_ppm(0);
         assert_eq!(
             rs,

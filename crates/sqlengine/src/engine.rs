@@ -8,8 +8,7 @@ use std::sync::Arc;
 use crate::ast::*;
 use crate::error::SqlError;
 use crate::footprint::Footprint;
-use crate::normalize::{normalize, Normalized};
-use crate::parser::parse;
+use crate::normalize::normalize;
 use crate::table::Table;
 use crate::template_cache::TemplateCache;
 use crate::value::{ResultSet, Row, Value};
@@ -101,10 +100,10 @@ impl Clone for Database {
 /// deployment-global.
 ///
 /// The snapshot derefs to `&Database`, exposing exactly the shared-receiver
-/// read surface ([`Database::execute_readonly`],
-/// [`Database::execute_select_normalized`], [`Database::execute_read_stmt`]
-/// and friends); there is no `DerefMut`, so mutation is unreachable by
-/// construction.
+/// surface: the read door [`Database::execute_read`], footprints and the
+/// catalog. There is no `DerefMut`, so the write door
+/// ([`Database::execute_write`]) and [`Database::execute`] are unreachable
+/// by construction.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     db: Database,
@@ -177,80 +176,28 @@ impl Database {
         self.templates.footprint(sql, normalize(sql).ok().as_ref())
     }
 
-    /// Parses and executes one SQL statement.
-    ///
-    /// `SELECT`s go through the template cache: the statement is
-    /// normalized (one lexer pass) and its template's parameterized
-    /// statement executes against the extracted literals — parsed only
-    /// the first time the template is seen. Writes and DDL always parse.
+    /// Executes one SQL statement — read or write, DML or DDL — from its
+    /// template's entry: the statement is normalized (one lexer pass), and
+    /// its template's parameterized statement runs against the extracted
+    /// literals, parsed only the first time the deployment sees the
+    /// template.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        if !crate::is_select_sql(sql) {
-            let stmt = parse(sql)?;
-            return self.execute_stmt(&stmt);
-        }
         let norm = normalize(sql)?;
-        self.execute_select_normalized(sql, &norm)
-    }
-
-    /// [`Database::execute`] for a `SELECT` whose normalization the caller
-    /// already computed — the batch driver normalizes once for fusion
-    /// grouping and reuses it here instead of lexing twice.
-    ///
-    /// Takes `&self`: `SELECT` execution never mutates table state, and the
-    /// template cache is interior-mutexed — this is the surface MVCC
-    /// snapshots read through.
-    pub fn execute_select_normalized(
-        &self,
-        sql: &str,
-        norm: &Normalized,
-    ) -> Result<ExecOutcome, SqlError> {
-        let plan = self.templates.plan(sql, Some(norm))?;
-        self.execute_read_stmt_with(&plan.template.stmt, plan.params)
-    }
-
-    /// Parses and executes one statement through `&self`, refusing anything
-    /// that is not a `SELECT` — the string-level entry point of the
-    /// snapshot read path.
-    pub fn execute_readonly(&self, sql: &str) -> Result<ExecOutcome, SqlError> {
-        if !crate::is_select_sql(sql) {
-            return Err(read_only_error());
+        let plan = self.templates.plan(sql, Some(&norm))?;
+        match &plan.template.stmt {
+            stmt @ Statement::Select(_) => {
+                self.execute_read(stmt, plan.params, false).map(|(o, _)| o)
+            }
+            stmt => self.execute_write(stmt, plan.params),
         }
-        let norm = normalize(sql)?;
-        self.execute_select_normalized(sql, &norm)
     }
 
-    /// Executes an already-parsed statement (no parameters).
-    pub fn execute_stmt(&mut self, stmt: &Statement) -> Result<ExecOutcome, SqlError> {
-        self.execute_stmt_with(stmt, &[])
-    }
-
-    /// Executes an already-parsed `SELECT` through `&self`, erroring on any
-    /// other statement kind — the fused-probe entry point of the snapshot
-    /// read path.
-    pub fn execute_read_stmt(&self, stmt: &Statement) -> Result<ExecOutcome, SqlError> {
-        self.execute_read_stmt_with(stmt, &[])
-    }
-
-    /// [`Database::execute_read_stmt`] with bound `params`.
-    pub fn execute_read_stmt_with(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<ExecOutcome, SqlError> {
-        self.execute_read_opts(stmt, params, false).map(|(o, _)| o)
-    }
-
-    /// [`Database::execute_read_stmt_with`] with merge tracing — the
-    /// scatter-gather entry point of the snapshot read path.
-    pub fn execute_read_stmt_traced(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<(ExecOutcome, Option<MergeTrace>), SqlError> {
-        self.execute_read_opts(stmt, params, true)
-    }
-
-    fn execute_read_opts(
+    /// Executes a `SELECT` — its `?` slots bound to `params` — through
+    /// `&self`, refusing any other statement kind: the read door, and the
+    /// one a [`Snapshot`] offers. With `trace`, the outcome of a row
+    /// (non-aggregate) read carries a [`MergeTrace`], so a scatter-gather
+    /// router can merge per-shard results in exact single-server order.
+    pub fn execute_read(
         &self,
         stmt: &Statement,
         params: &[Value],
@@ -262,36 +209,14 @@ impl Database {
         }
     }
 
-    /// Executes a (possibly parameterized) statement with bound `params`.
-    pub fn execute_stmt_with(
+    /// Executes a write, DDL or transaction boundary — its `?` slots bound
+    /// to `params`: the write door. A `SELECT` belongs to
+    /// [`Database::execute_read`] and is refused.
+    pub fn execute_write(
         &mut self,
         stmt: &Statement,
         params: &[Value],
     ) -> Result<ExecOutcome, SqlError> {
-        self.execute_opts(stmt, params, false).map(|(o, _)| o)
-    }
-
-    /// [`Database::execute_stmt_with`] with merge tracing: for `SELECT`s
-    /// the outcome carries a [`MergeTrace`] so a scatter-gather router can
-    /// merge per-shard results in exact single-server order. Non-`SELECT`
-    /// statements return no trace.
-    pub fn execute_stmt_traced(
-        &mut self,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<(ExecOutcome, Option<MergeTrace>), SqlError> {
-        self.execute_opts(stmt, params, true)
-    }
-
-    fn execute_opts(
-        &mut self,
-        stmt: &Statement,
-        params: &[Value],
-        trace: bool,
-    ) -> Result<(ExecOutcome, Option<MergeTrace>), SqlError> {
-        if let Statement::Select(sel) = stmt {
-            return self.run_select(sel, params, trace);
-        }
         // Transaction boundaries are engine no-ops: they must not bump the
         // data version (a snapshot taken before a bare COMMIT is still
         // perfectly current).
@@ -318,7 +243,6 @@ impl Database {
                 columns,
                 values,
             } => self.run_insert(table, columns, values, params),
-            // Answered above; reaching here is a caller's broken invariant.
             Statement::Select(_) => Err(SqlError::new("a SELECT reached the write path")),
             Statement::Update {
                 table,
@@ -333,7 +257,7 @@ impl Database {
         if bumps && out.is_ok() {
             self.version = self.version.wrapping_add(1);
         }
-        out.map(|o| (o, None))
+        out
     }
 
     /// Inserts one already-evaluated tuple at an explicit row id — the
@@ -386,16 +310,7 @@ impl Database {
         values: &[Vec<Expr>],
         params: &[Value],
     ) -> Result<ExecOutcome, SqlError> {
-        // Evaluate value tuples first (literals or literal arithmetic).
-        let empty = Scope::empty();
-        let mut tuples = Vec::with_capacity(values.len());
-        for tuple in values {
-            let mut evaluated = Vec::with_capacity(tuple.len());
-            for e in tuple {
-                evaluated.push(eval_expr(e, &empty, &[], params)?);
-            }
-            tuples.push(evaluated);
-        }
+        let tuples = eval_const(values, params)?;
         // Validate every row before inserting the first: a statement that
         // fails leaves the table, and so the data version, untouched.
         let t = self.table_mut(table)?;
@@ -689,14 +604,24 @@ fn check_tuple(t: &Table, columns: &[String], width: usize) -> Result<(), SqlErr
     }
 }
 
-/// Evaluates an expression with no row scope and no bound parameters —
-/// exactly the context `INSERT … VALUES` tuples evaluate in. The shard
-/// router uses this to extract shard-key values when routing inserts; it
-/// errors on precisely the expressions the engine itself would reject
-/// (column references, unbound parameters), so routing never succeeds
-/// where execution would fail.
-pub fn eval_const(e: &Expr) -> Result<Value, SqlError> {
-    eval_expr(e, &Scope::empty(), &[], &[])
+/// Evaluates the tuples of `INSERT … VALUES` — literals, `?` slots bound
+/// to `params`, and their arithmetic — with no row scope, every tuple
+/// before the first row is inserted. The engine's insert and the shard
+/// router's (which routes each tuple by its shard-key value) both evaluate
+/// tuples here, so they error on precisely the same expressions (column
+/// references, unbound slots). Each tuple is allocated at its exact width:
+/// a tuple in declaration order becomes the stored row as it is.
+pub fn eval_const(values: &[Vec<Expr>], params: &[Value]) -> Result<Vec<Row>, SqlError> {
+    let scope = Scope::empty();
+    let mut tuples = Vec::with_capacity(values.len());
+    for tuple in values {
+        let mut evaluated = Vec::with_capacity(tuple.len());
+        for e in tuple {
+            evaluated.push(eval_expr(e, &scope, &[], params)?);
+        }
+        tuples.push(evaluated);
+    }
+    Ok(tuples)
 }
 
 /// The error every read-only execution surface returns for a non-`SELECT`:
@@ -1114,6 +1039,7 @@ fn find_index_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
 
     fn db_with_issues() -> Database {
         let mut db = Database::new();
@@ -1127,7 +1053,18 @@ mod tests {
             "INSERT INTO issue VALUES (10, 1, 'crash', 3), (11, 1, 'typo', 1), (12, 2, 'slow', 2)",
         )
         .unwrap();
+        // The tests count template-cache lookups from here.
+        db.set_template_cache(Arc::default());
         db
+    }
+
+    /// A read through `&self` as the batch driver runs one: normalize,
+    /// look the template up, execute the entry's statement.
+    fn read(db: &Database, sql: &str) -> Result<ExecOutcome, SqlError> {
+        let norm = normalize(sql)?;
+        let plan = db.template_cache().plan(sql, Some(&norm))?;
+        db.execute_read(&plan.template.stmt, plan.params, false)
+            .map(|(out, _)| out)
     }
 
     #[test]
@@ -1328,24 +1265,25 @@ mod tests {
         assert_eq!(b.stats.rows_scanned, 1);
     }
 
+    /// A write executes from its template's entry, as a read does: the
+    /// template parses once, and every later statement of it is a hit. A
+    /// write that does not parse raises its own parse error, every time.
     #[test]
-    fn writes_bypass_the_template_cache_and_errors_repeat() {
+    fn a_write_executes_from_its_template_entry() {
         let mut db = db_with_issues();
-        db.execute("UPDATE issue SET sev = 1 WHERE id = 10")
-            .unwrap();
-        assert_eq!(
-            db.template_cache().stats().misses,
-            0,
-            "writes bypass the cache"
-        );
-        assert!(db.execute("SELECT * FROM nope WHERE id = 1").is_err());
-        // A template that parses is remembered even when its statement
-        // fails to execute: the entry is its parse, not its outcome.
-        assert_eq!(db.template_cache().stats().entries, 1);
-        // The same failing statement errors identically on every try.
-        let e1 = db.execute("SELECT * FROM nope WHERE id = 1").unwrap_err();
-        let e2 = db.execute("SELECT * FROM nope WHERE id = 2").unwrap_err();
+        for i in 0..1000 {
+            db.execute(&format!("UPDATE issue SET sev = {} WHERE id = 10", i % 7))
+                .unwrap();
+        }
+        let stats = db.template_cache().stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 999, 1));
+        let sev = db.execute("SELECT sev FROM issue WHERE id = 10").unwrap();
+        assert_eq!(sev.result.rows, vec![vec![Value::Int(999 % 7)]]);
+        let bad = "UPDATE issue SET sev = WHERE id = 1";
+        let e1 = db.execute(bad).unwrap_err();
+        let e2 = db.execute(bad).unwrap_err();
         assert_eq!(e1, e2);
+        assert_eq!(e1, parse(bad).unwrap_err(), "its own parse error");
     }
 
     /// A statement's error text is the same whether its template was
@@ -1381,7 +1319,7 @@ mod tests {
     #[test]
     fn plan_cache_results_match_uncached() {
         let mut db = db_with_issues();
-        let mut cold = db_with_issues();
+        let cold = db_with_issues();
         for sql in [
             "SELECT * FROM issue WHERE sev >= 2 ORDER BY id DESC LIMIT 2",
             "SELECT title FROM issue WHERE title LIKE 'c%'",
@@ -1391,7 +1329,7 @@ mod tests {
             // Warm the cache, then re-execute: second run is the cached plan.
             let first = db.execute(sql).unwrap();
             let second = db.execute(sql).unwrap();
-            let reference = cold.execute_stmt(&parse(sql).unwrap()).unwrap();
+            let (reference, _) = cold.execute_read(&parse(sql).unwrap(), &[], false).unwrap();
             assert_eq!(first.result, reference.result, "{sql}");
             assert_eq!(second.result, reference.result, "{sql}");
             assert_eq!(second.stats, reference.stats, "{sql}");
@@ -1414,6 +1352,7 @@ mod tests {
     fn plan_cache_eviction_accounting() {
         let mut db = Database::new();
         db.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
+        db.set_template_cache(Arc::default());
         // Fill exactly to the 512-entry bound: no evictions yet.
         for i in 1..=512usize {
             db.execute(&format!("SELECT id FROM t LIMIT {i}")).unwrap();
@@ -1536,11 +1475,9 @@ mod tests {
         assert_eq!(db.version(), v0 + 3);
         assert_eq!(snap.version(), v0, "snapshot version is frozen");
         // The snapshot still sees the pre-write state, rows and indexes.
-        let old = snap
-            .execute_readonly("SELECT sev FROM issue WHERE id = 10")
-            .unwrap();
+        let old = read(&snap, "SELECT sev FROM issue WHERE id = 10").unwrap();
         assert_eq!(old.result.rows, vec![vec![Value::Int(3)]]);
-        let all = snap.execute_readonly("SELECT id FROM issue").unwrap();
+        let all = read(&snap, "SELECT id FROM issue").unwrap();
         assert_eq!(all.result.len(), 3);
         // The live database sees the post-write state.
         let new = db.execute("SELECT sev FROM issue WHERE id = 10").unwrap();
@@ -1552,13 +1489,15 @@ mod tests {
     fn snapshot_refuses_writes_and_shares_the_plan_cache() {
         let mut db = db_with_issues();
         let snap = db.snapshot();
-        assert!(snap.execute_readonly("UPDATE issue SET sev = 1").is_err());
-        assert!(snap
-            .execute_read_stmt(&parse("DELETE FROM issue").unwrap())
-            .is_err());
+        for write in ["UPDATE issue SET sev = 1", "DELETE FROM issue"] {
+            let stmt = parse(write).unwrap();
+            assert_eq!(
+                snap.execute_read(&stmt, &[], false).unwrap_err(),
+                read_only_error()
+            );
+        }
         // A plan warmed through the snapshot is warm on the live database.
-        snap.execute_readonly("SELECT title FROM issue WHERE id = 10")
-            .unwrap();
+        read(&snap, "SELECT title FROM issue WHERE id = 10").unwrap();
         let warmed = db.template_cache().stats();
         assert_eq!((warmed.hits, warmed.misses, warmed.entries), (0, 1, 1));
         db.execute("SELECT title FROM issue WHERE id = 11").unwrap();
@@ -1606,6 +1545,18 @@ mod tests {
         db.execute("INSERT INTO t VALUES (1, 1), (2, 2)").unwrap();
         assert_eq!(db.version(), version + 1);
         assert_eq!(db.table("t").unwrap().len(), 2);
+    }
+
+    /// A row is stored at its table's width: a tuple in declaration order
+    /// becomes the row as `eval_const` allocated it.
+    #[test]
+    fn inserted_rows_are_stored_at_their_width() {
+        let mut db = db_with_issues();
+        db.execute("INSERT INTO issue VALUES (13, 2, 'new', 5), (14, 2, 'newer', 1)")
+            .unwrap();
+        for (_, row) in db.table("issue").unwrap().scan() {
+            assert_eq!(row.capacity(), 4, "{row:?}");
+        }
     }
 
     #[test]

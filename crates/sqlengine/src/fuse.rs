@@ -320,7 +320,7 @@ mod tests {
         }
         let f = lookup("SELECT * FROM issue WHERE pid = 1 ORDER BY id").unwrap();
         let plan = build_fused(&f.select, &f.column, &[Value::Int(1), Value::Int(3)]).unwrap();
-        let fused = db.execute_stmt(&plan.stmt).unwrap();
+        let (fused, _) = db.execute_read(&plan.stmt, &[], false).unwrap();
         // K probes, not a full scan: only the matching rows were examined.
         assert_eq!(fused.stats.rows_scanned, 6);
         let ci = fused.result.column_index("pid").unwrap();

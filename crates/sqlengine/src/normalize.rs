@@ -206,10 +206,12 @@ pub fn parameterize(stmt: &Statement) -> (Statement, usize) {
 
 fn param_expr(e: Expr, n: &mut usize) -> Expr {
     match e {
-        Expr::Literal(v) => {
+        // `NULL`, `TRUE` and `FALSE` are words, which `normalize` keeps in
+        // the template: they stay literals here too.
+        Expr::Literal(Value::Null | Value::Bool(_)) => e,
+        Expr::Literal(_) => {
             let slot = *n;
             *n += 1;
-            let _ = v;
             Expr::Param(slot)
         }
         Expr::Param(_) => e, // already parameterized
@@ -345,6 +347,9 @@ mod tests {
             "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')",
             "UPDATE t SET a = a + 1, b = 'z' WHERE id = 9",
             "DELETE FROM t WHERE sev < 2",
+            "UPDATE t SET a = NULL, b = TRUE WHERE id = 9",
+            "INSERT INTO t VALUES (1, FALSE, NULL, 'x')",
+            "SELECT id FROM t WHERE a = NULL OR b = FALSE AND c = 3",
             "SELECT i.id FROM issue i JOIN project p ON i.pid = p.id WHERE p.name = 'a'",
             "COMMIT",
         ] {

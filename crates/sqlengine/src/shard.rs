@@ -14,9 +14,9 @@
 //! so a row inserted through an `INT` column is always found again by a
 //! predicate written with a float literal, and vice versa.
 //!
-//! [`Route::of`] derives how the statements of one read template route
-//! under a spec — once per template, cached in the template's
-//! [`crate::Template`] entry. The driver-side router that consumes both
+//! [`Route::of`] derives how the statements of one template — a read, an
+//! `UPDATE` or a `DELETE` — route under a spec, once per template, cached
+//! in the template's [`crate::Template`] entry. The driver-side router that consumes both
 //! lives in `sloth-net` (`ShardedEnv`); this module is pure data, hashing
 //! and AST inspection, so the engine crate stays free of any networking
 //! concerns.
@@ -130,7 +130,7 @@ pub fn shard_of(v: &Value, n: usize) -> usize {
     (hash_key(v) % n as u64) as usize
 }
 
-/// How the statements of one read template route over a fleet.
+/// How the statements of one template route over a fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Route {
     /// `shard_key = ?slot` → the shard owning the bound parameter.
@@ -138,16 +138,17 @@ pub enum Route {
         /// The parameter slot holding the key.
         slot: usize,
     },
-    /// `shard_key IN (?slots…)` → the shards owning the bound parameters.
+    /// `shard_key IN (?slots…)` → the shards owning the bound parameters
+    /// (reads only: such a write is [`Route::Scatter`]).
     List {
         /// The parameter slots holding the keys.
         slots: Vec<usize>,
     },
-    /// Execute on every shard and merge.
+    /// Execute on every shard: a read merges, a write broadcasts.
     Scatter,
-    /// Replicated base table (and joins), or not a read at all: any one
-    /// copy answers — and the engine refuses a non-read on every copy
-    /// alike.
+    /// Replicated base table (and joins): any one copy answers a read, and
+    /// a write applies to every copy. Also every statement that is neither
+    /// a read nor an `UPDATE` / `DELETE`: the router routes those by kind.
     Replica,
     /// A read the router cannot make shard-correct (a join between
     /// differently-sharded tables): fails with this message.
@@ -160,8 +161,25 @@ impl Route {
     /// statement with literals in their place routes nowhere narrower
     /// than [`Route::Scatter`].
     pub fn of(stmt: &Statement, spec: &ShardSpec) -> Route {
-        let Statement::Select(sel) = stmt else {
-            return Route::Replica;
+        let sel = match stmt {
+            Statement::Select(sel) => sel,
+            Statement::Update {
+                table, predicate, ..
+            }
+            | Statement::Delete { table, predicate } => {
+                let Some(key) = spec.key_column(table) else {
+                    return Route::Replica;
+                };
+                let from = TableRef {
+                    name: table.clone(),
+                    alias: table.clone(),
+                };
+                return match key_conjunct_route(predicate.as_ref(), &from, key) {
+                    Some(point @ Route::Point { .. }) => point,
+                    _ => Route::Scatter,
+                };
+            }
+            _ => return Route::Replica,
         };
         let base_key = spec.key_column(&sel.from.name);
         // Replicated join tables are always safe (full copy on every
@@ -286,6 +304,35 @@ mod tests {
     fn one_shard_takes_everything() {
         assert_eq!(shard_of(&Value::Str("x".into()), 1), 0);
         assert_eq!(shard_of(&Value::Null, 1), 0);
+    }
+
+    #[test]
+    fn writes_route_by_their_key_slot() {
+        let spec = ShardSpec::new().shard("issue", "project_id");
+        let route = |sql: &str| {
+            let (stmt, _) = crate::parameterize(&crate::parse(sql).unwrap());
+            Route::of(&stmt, &spec)
+        };
+        let point = |slot| Route::Point { slot };
+        assert_eq!(
+            route("UPDATE issue SET sev = 1 WHERE project_id = 3"),
+            point(1)
+        );
+        assert_eq!(
+            route("DELETE FROM issue WHERE sev = 2 AND 3 = issue.project_id"),
+            point(1)
+        );
+        // An `IN` list or a key under `OR` pins no one shard.
+        assert_eq!(
+            route("DELETE FROM issue WHERE project_id IN (1, 2)"),
+            Route::Scatter
+        );
+        assert_eq!(
+            route("UPDATE issue SET sev = 1 WHERE project_id = 1 OR sev = 2"),
+            Route::Scatter
+        );
+        assert_eq!(route("DELETE FROM project WHERE id = 1"), Route::Replica);
+        assert_eq!(route("INSERT INTO issue VALUES (1, 2)"), Route::Replica);
     }
 
     #[test]

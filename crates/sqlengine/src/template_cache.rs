@@ -10,10 +10,11 @@
 //! template once, into one [`Template`] entry, and every layer reads that
 //! entry:
 //!
-//! * execution runs the entry's statement against the literals
-//!   ([`crate::Database::execute_select_normalized`], and the shard
-//!   router, which looks a statement up once and hands the plan to the
-//!   shard that runs it);
+//! * execution runs the entry's statement against the literals — a
+//!   read's and a write's alike, DDL included ([`crate::Database::execute`],
+//!   and the shard router, which looks a statement up once and hands the
+//!   plan to every shard that runs it through
+//!   [`crate::Database::execute_read`] or [`crate::Database::execute_write`]);
 //! * [`TemplateCache::footprint`] substitutes the literals into the
 //!   entry's key pins;
 //! * fusion's shape check ([`crate::fuse::classify`]) inspects the entry's

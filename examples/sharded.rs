@@ -44,6 +44,7 @@ pub fn run() -> ShardedEnv {
     // 1. Point lookup: `s_id` is stock's shard key, so this touches ONE
     // shard — no scatter, no merge.
     let rs = fleet
+        .env()
         .query("SELECT quantity FROM stock WHERE s_id = 17")
         .unwrap();
     println!(
@@ -57,8 +58,8 @@ pub fn run() -> ShardedEnv {
     let batch: Vec<String> = (1..=40)
         .map(|i| format!("SELECT * FROM stock WHERE s_id = {i}"))
         .collect();
-    let results = fleet.query_batch(&batch).unwrap();
-    let stats = fleet.stats();
+    let results = fleet.env().query_batch(&batch).unwrap();
+    let stats = fleet.env().stats();
     let shard_stats = fleet.shard_stats();
     println!(
         "\nbatch of {} lookups: {} fused group(s), {} per-shard sub-probes, \
@@ -73,6 +74,7 @@ pub fn run() -> ShardedEnv {
     // 3. A scattered aggregate: every shard counts its own rows, the
     // router sums the partials.
     let low = fleet
+        .env()
         .query("SELECT COUNT(*) FROM stock WHERE quantity < 25")
         .unwrap();
     println!(

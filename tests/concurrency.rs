@@ -193,14 +193,17 @@ fn plan_cache_shared_by_two_sessions_hits_and_evicts() {
     env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         .unwrap();
     env.seed_sql("INSERT INTO t VALUES (1, 10)").unwrap();
+    // Seeding executed two templates from their entries.
+    let seeded = env.plan_cache_stats();
+    assert_eq!((seeded.misses, seeded.entries), (2, 2));
 
     // Session A warms one template.
     let a = QueryStore::new(env.clone());
     let id = a.register("SELECT v FROM t WHERE id = 1").unwrap();
     a.result(id).unwrap();
     let warm = env.plan_cache_stats();
-    assert_eq!(warm.misses, 1);
-    assert_eq!(warm.entries, 1);
+    assert_eq!(warm.misses, 3);
+    assert_eq!(warm.entries, 3);
 
     // Session B reuses it: pure hit, no parse — one shared Database, one
     // shared template cache.

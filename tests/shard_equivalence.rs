@@ -168,7 +168,7 @@ fn db_state(mut query: impl FnMut(&str) -> ResultSet) -> Vec<Vec<Value>> {
 }
 
 fn fleet_state(fleet: &ShardedEnv) -> Vec<Vec<Value>> {
-    db_state(|sql| fleet.query(sql).unwrap())
+    db_state(|sql| fleet.env().query(sql).unwrap())
 }
 
 fn reference_state(db: &mut Database) -> Vec<Vec<Value>> {
@@ -184,10 +184,10 @@ fn assert_batch_matches_serial(batch: &[String], label: &str) {
     for n in [1usize, 2, 4] {
         for fusion in [true, false] {
             let sharded = fleet(n);
-            sharded.set_fusion(fusion);
-            let got = sharded.query_batch(batch);
+            sharded.env().set_fusion(fusion);
+            let got = sharded.env().query_batch(batch);
             assert_eq!(
-                sharded.stats().round_trips,
+                sharded.env().stats().round_trips,
                 1,
                 "{label}: one round trip at {n} shards"
             );
@@ -256,6 +256,55 @@ fn write_heavy_batches_sharded_equals_single() {
     }
 }
 
+/// Write routing, shape by shape: an `UPDATE` or `DELETE` on 4 shards
+/// answers what the single server answers and leaves the same rows, and
+/// the router sends it to the one shard owning `project_id` 3 exactly when
+/// a top-level conjunct pins the key to that one value — anything else
+/// broadcasts, and every shard runs it.
+#[test]
+fn writes_route_shape_by_shape() {
+    let shapes: [(&str, bool); 8] = [
+        ("project_id = 3", true),
+        ("3 = project_id", true),
+        ("issue.project_id = 3", true),
+        // An integral float hashes like the integer it equals.
+        ("project_id = 3.0", true),
+        ("project_id = 3 AND sev = 1", true),
+        ("sev = 1 AND project_id = 3", true),
+        ("project_id = 3 OR sev = 1", false),
+        ("project_id IN (3, 5)", false),
+    ];
+    // `NULL` is a word of the template, not one of its slots.
+    let heads = [
+        "UPDATE issue SET sev = 7 WHERE",
+        "UPDATE issue SET title = NULL WHERE",
+        "DELETE FROM issue WHERE",
+    ];
+    let owner = sloth_sql::shard_of(&Value::Int(3), 4);
+    for (predicate, routed) in shapes {
+        for head in heads {
+            let sql = format!("{head} {predicate}");
+            let mut reference = reference_db();
+            let want = reference.execute(&sql).map(|out| out.result);
+            let fleet = fleet(4);
+            assert_eq!(fleet.env().query(&sql), want, "{sql}");
+            let stats = fleet.shard_stats();
+            let counts = (stats.routed_writes, stats.broadcast_writes);
+            let statements: Vec<u64> = match routed {
+                true => (0..4).map(|s| u64::from(s == owner)).collect(),
+                false => vec![1; 4],
+            };
+            assert_eq!(counts, (routed.into(), (!routed).into()), "{sql}");
+            assert_eq!(stats.statements, statements, "{sql}");
+            assert_eq!(
+                fleet_state(&fleet),
+                reference_state(&mut reference),
+                "{sql}"
+            );
+        }
+    }
+}
+
 /// Write-biased statements for the write-mix suite: routed and broadcast
 /// updates, deletes, and inserts that overlap the read templates'
 /// key ranges (same `project_id` space) or miss them entirely.
@@ -305,20 +354,23 @@ fn fused_subprobe_split_saves_db_time() {
         .collect();
     let one = fleet(1);
     let four = fleet(4);
-    let a = one.query_batch(&batch).unwrap();
-    let b = four.query_batch(&batch).unwrap();
+    let a = one.env().query_batch(&batch).unwrap();
+    let b = four.env().query_batch(&batch).unwrap();
     assert_eq!(a, b);
-    assert_eq!(one.stats().round_trips, four.stats().round_trips);
-    assert_eq!(four.stats().fused_queries, 32);
+    assert_eq!(
+        one.env().stats().round_trips,
+        four.env().stats().round_trips
+    );
+    assert_eq!(four.env().stats().fused_queries, 32);
     assert!(
         four.shard_stats().fused_subprobes > 1,
         "probe split across shards"
     );
     assert!(
-        four.stats().db_ns < one.stats().db_ns,
+        four.env().stats().db_ns < one.env().stats().db_ns,
         "4 shards {} ≥ 1 shard {}",
-        four.stats().db_ns,
-        one.stats().db_ns
+        four.env().stats().db_ns,
+        one.env().stats().db_ns
     );
 }
 
@@ -368,7 +420,7 @@ fn one_database_runs_every_statement_as_written() {
         .map(String::from)
         .to_vec();
     assert_eq!(
-        one.query_batch(&batch).unwrap(),
+        one.env().query_batch(&batch).unwrap(),
         serial(&mut reference, &batch).unwrap()
     );
     assert_eq!(
@@ -382,8 +434,8 @@ fn one_database_runs_every_statement_as_written() {
     );
     let four = ShardedEnv::new(CostModel::default(), spec, 4);
     seed(&four.handle());
-    let err = four.query(join).unwrap_err();
+    let err = four.env().query(join).unwrap_err();
     assert!(err.to_string().contains("cross-shard join"), "{err}");
-    let err = four.query(rekey).unwrap_err();
+    let err = four.env().query(rekey).unwrap_err();
     assert!(err.to_string().contains("shard key"), "{err}");
 }

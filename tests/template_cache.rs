@@ -10,12 +10,13 @@ use sloth_lang::{parse_program, prepare_with_schema, ExecStrategy, OptFlags, V};
 use sloth_net::{CostModel, ShardedEnv};
 
 /// Distinct statement templates the five TPC-C transactions send: 9
-/// reads, 7 updates, 3 inserts.
-const TPCC_TEMPLATES: usize = 19;
+/// reads, 7 updates, 3 inserts, and `BEGIN` / `COMMIT`.
+const TPCC_TEMPLATES: usize = 21;
 
-/// The five TPC-C transactions, many times over on a 4-shard fleet: the
-/// cache parses each template once — not once per shard database, and not
-/// again for the footprint, the route or a fused group's shape.
+/// Seeding and the five TPC-C transactions, many times over on a 4-shard
+/// fleet: the cache parses each template once — not once per shard
+/// database, not once per execution of a write, and not again for the
+/// footprint, the route or a fused group's shape.
 #[test]
 fn a_fleet_parses_each_tpcc_template_once() {
     let fleet = ShardedEnv::new(CostModel::default(), tpcc_shard_spec(), 4);
@@ -41,6 +42,10 @@ fn a_fleet_parses_each_tpcc_template_once() {
     let s = env.plan_cache_stats();
     assert_eq!(s.entries - seeded.entries, TPCC_TEMPLATES, "{s:?}");
     assert_eq!(s.misses - seeded.misses, TPCC_TEMPLATES as u64, "{s:?}");
+    assert_eq!(
+        s.misses, s.entries as u64,
+        "seeding parsed each template once too"
+    );
     assert_eq!(s.evictions, 0);
     assert!(s.hits > 100 * TPCC_TEMPLATES as u64, "{s:?}");
     // The footprint getter reads the same counters: one cache.
