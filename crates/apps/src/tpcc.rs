@@ -2,15 +2,13 @@
 //! measure lazy-evaluation overhead. Every transaction displays its query
 //! results as it goes; the buffered writer lets those reads wait for the
 //! page's output, so what still costs a trip is a result that decides a
-//! branch or is spliced into the next statement's SQL. The splices that
-//! do not are those heading the arm of an `if (nrows(o) > 0)`, keyed by
-//! `o`'s first row: that head registers where the `if` stands, each
-//! spliced statement a dependant of `o` bound in the same trip. Order
-//! status's order lines ride the flush its condition forces; Delivery's
-//! arms are all head, so its three `if`s force nothing and the whole
-//! transaction — reads, writes and all — ships with the page's output.
-//! New order still makes two trips: its `order_line` inserts splice
-//! `oid * 100 + k + 10000`, arithmetic over a cell.
+//! branch. SQL text spliced from a result's first row is pending text: the
+//! statement registers as a dependant of that result, bound from its row
+//! in the same trip — New order's inserts, which splice `oid` and `oid *
+//! 100 + k + 10000`, and the statements heading the arm of an
+//! `if (nrows(o) > 0)`, which register where the `if` stands. Order
+//! status's order lines ride the flush its condition forces; every other
+//! transaction forces nothing, and ships whole with the page's output.
 
 use std::sync::Arc;
 

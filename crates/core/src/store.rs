@@ -2489,12 +2489,24 @@ mod tests {
     }
 
     /// Registers `UPDATE t SET v = 'seen' WHERE id = <parent's next>`,
-    /// the key spliced as text.
+    /// the key spliced as the text the kernel language's `str` makes of
+    /// it, failing as its `cell` does without the column.
     fn mark(store: &QueryStore, parent: QueryId) -> Option<Registration> {
+        let next = |rows: &ResultSet| match rows.rows.first() {
+            None => Ok(None),
+            Some(_) => rows
+                .get(0, "next")
+                .map(|v| Some(v.text()))
+                .ok_or_else(|| SqlError::program("no cell [0].next")),
+        };
+        let hole = sloth_sql::Hole::new("next", next);
         store
             .register_dependent(parent, |p| {
-                let key = Param::raw_reference(p, "next");
-                Stmt::with_param("UPDATE t SET v = 'seen' WHERE id = ", &key, "")
+                Stmt::dependent(
+                    p,
+                    "UPDATE t SET v = 'seen' WHERE id = ",
+                    vec![(hole, String::new())],
+                )
             })
             .unwrap()
     }
@@ -2565,7 +2577,7 @@ mod tests {
         let one = store.register("SELECT id FROM link WHERE id = 1").unwrap();
         let w = mark(&store, one).unwrap();
         let err = store.flush_deferred_writes().unwrap_err();
-        assert_eq!(err, SqlError::missing_cell("next"));
+        assert_eq!(err, SqlError::program("no cell [0].next"));
         assert!(store.result(w.id).is_err());
         assert!(seen(&e).is_empty());
     }

@@ -21,6 +21,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::ControlFlow;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -28,13 +29,13 @@ use sloth_core::{Demand, QueryId, QueryStore, Registration};
 use sloth_net::{NetStats, SimEnv};
 use sloth_orm::sqlgen::{self, KeyedRead};
 use sloth_orm::{AssocDef, AssocKind, EntityDef, FetchStrategy, Schema};
-use sloth_sql::{Param, ResultSet, Stmt};
+use sloth_sql::{Hole, Param, ResultSet, SqlError, Stmt, Value as SqlValue};
 
-use crate::analysis::analyze;
+use crate::analysis::{analyze, lead_words};
 use crate::ast::{BinOp, Lit, Program, UnOp};
 use crate::builtins::{Builtin, HeapFn, PureFn, QueryFn, ReadFn, WriteFn};
 use crate::opt::OptFlags;
-use crate::resolve::{resolve, Callee, Guarded, GuardedIf, RExpr, RStmt, Resolved, Slot};
+use crate::resolve::{resolve, Callee, GuardedIf, RExpr, RStmt, Resolved, Slot};
 use crate::runtime::{row_to_entity, rs_to_entities, Counters, DataLayer, RunError, RunResult};
 use crate::simplify::simplify_program;
 use crate::value::{BlockDriver, Dep, DepKind, Deser, LazyState, LazyVal, Pending, V};
@@ -563,7 +564,7 @@ impl<'p> Interp<'p> {
                 // A call's result is not forced by `eval`.
                 let va = self.force(va)?;
                 let vb = self.force(vb)?;
-                self.binop(*op, &va, &vb)?
+                binop(*op, &va, &vb, |v| self.display(v))?
             }
             RExpr::Unary(op, a) => {
                 let va = self.eval(a, frame, lazy)?;
@@ -627,7 +628,7 @@ impl<'p> Interp<'p> {
                     func,
                     ReadFn::Len | ReadFn::Cell | ReadFn::At | ReadFn::First
                 );
-                if lazy && delays && vals.first().is_some_and(unfetched_rows) {
+                if lazy && delays && vals.first().and_then(unfetched_query).is_some() {
                     Ok(self.alloc_thunk(Pending::ResultRead {
                         func: *func,
                         args: vals,
@@ -736,7 +737,7 @@ impl<'p> Interp<'p> {
                 self.counters.std_ops += 3;
                 let a = self.force(a)?;
                 let b = self.force(b)?;
-                self.binop(op, &a, &b)
+                binop(op, &a, &b, |v| self.display(v))
             }
             Pending::Unary(op, a) => {
                 self.counters.std_ops += 2;
@@ -848,46 +849,6 @@ impl<'p> Interp<'p> {
     }
 
     // ------------------------------------------------------------------
-    // Scalar operators
-    // ------------------------------------------------------------------
-
-    /// Applies `op` to two forced values.
-    fn binop(&mut self, op: BinOp, a: &V, b: &V) -> Result<V, RunError> {
-        use BinOp::*;
-        if let (V::Int(x), V::Int(y)) = (a, b) {
-            return int_binop(op, *x, *y);
-        }
-        Ok(match op {
-            Add => match (a, b) {
-                (V::Str(_), _) | (_, V::Str(_)) => {
-                    let sa = self.display(a)?;
-                    let sb = self.display(b)?;
-                    V::str(format!("{sa}{sb}"))
-                }
-                _ => V::Float(num(a)? + num(b)?),
-            },
-            Sub => V::Float(num(a)? - num(b)?),
-            Mul => V::Float(num(a)? * num(b)?),
-            Div => {
-                let d = num(b)?;
-                if d == 0.0 {
-                    return Err(RunError::new("division by zero"));
-                }
-                V::Float(num(a)? / d)
-            }
-            Mod => return Err(RunError::new("modulo needs integers")),
-            Eq => V::Bool(values_eq(a, b)),
-            Ne => V::Bool(!values_eq(a, b)),
-            Lt => V::Bool(compare(a, b)?.is_lt()),
-            Le => V::Bool(compare(a, b)?.is_le()),
-            Gt => V::Bool(compare(a, b)?.is_gt()),
-            Ge => V::Bool(compare(a, b)?.is_ge()),
-            And => V::Bool(a.truthy() && b.truthy()),
-            Or => V::Bool(a.truthy() || b.truthy()),
-        })
-    }
-
-    // ------------------------------------------------------------------
     // Builtins
     // ------------------------------------------------------------------
 
@@ -996,10 +957,7 @@ impl<'p> Interp<'p> {
                 let i = self.force_for(args.remove(0), Demand::EagerArg)?;
                 let col = self.force_for(args.remove(0), Demand::EagerArg)?;
                 match (&recv, &i, &col) {
-                    (V::Rs(rs), V::Int(i), V::Str(c)) => rs
-                        .get(*i as usize, c)
-                        .map(V::from_sql)
-                        .ok_or_else(|| RunError::new(format!("no cell [{i}].{c}"))),
+                    (V::Rs(rs), V::Int(i), V::Str(c)) => cell_of(rs, *i, c),
                     _ => Err(RunError::new("cell(rs, row, col) expected")),
                 }
             }
@@ -1090,7 +1048,11 @@ impl<'p> Interp<'p> {
         let schema = Arc::clone(&self.data.schema);
         match func {
             QueryFn::Query => {
-                let sql = self.force_for(args.remove(0), Demand::QueryParam)?;
+                let text = match self.register_text(args.remove(0), false, None)? {
+                    ControlFlow::Break(v) => return Ok(v),
+                    ControlFlow::Continue(text) => text,
+                };
+                let sql = self.force_for(text, Demand::QueryParam)?;
                 let sql = self.display(&sql)?;
                 self.read(&sql, Deser::Raw, lazy)
             }
@@ -1160,7 +1122,11 @@ impl<'p> Interp<'p> {
         let schema = Arc::clone(&self.data.schema);
         let sql = match func {
             WriteFn::Exec => {
-                let s = self.force_for(args.remove(0), Demand::QueryParam)?;
+                let text = match self.register_text(args.remove(0), true, None)? {
+                    ControlFlow::Break(v) => return Ok(v),
+                    ControlFlow::Continue(text) => text,
+                };
+                let s = self.force_for(text, Demand::QueryParam)?;
                 self.display(&s)?
             }
             WriteFn::Commit => "COMMIT".to_string(),
@@ -1363,17 +1329,147 @@ impl<'p> Interp<'p> {
             Ok(_) => match &dep.how {
                 DepKind::Field(column) => null_field_read(column),
                 DepKind::Assoc => not_an_entity(&V::Null),
-                DepKind::Cell(column) => RunError::new(format!("no cell [0].{column}")),
             },
         }
     }
 
+    /// `query(text)` (`exec(text)` when `write`) as a dependant of the raw
+    /// query whose first row `text` is pending on (DESIGN.md "Dependent
+    /// statements"): `Break` with its value (`null` for a write). Under a
+    /// row guard a missing row skips it; unguarded it fails as `cell` does.
+    /// Else `Continue` with the text to run as written — bound here, hole
+    /// by hole in program order, when the parent's row has shipped.
+    fn register_text(
+        &mut self,
+        text: V,
+        write: bool,
+        guard: Option<QueryId>,
+    ) -> Result<ControlFlow<V, V>, RunError> {
+        let Some((parent, pending)) = PendingText::of(self, &text) else {
+            return Ok(ControlFlow::Continue(text));
+        };
+        if guard.is_some_and(|g| g != parent) || !opens_past_its_tables(&pending.lead, write) {
+            return Ok(ControlFlow::Continue(text));
+        }
+        let mut built = None;
+        let build = |p| built.insert(pending.stmt(p, guard.is_some())).clone();
+        let Some(reg) = self.data.register_dependent(parent, build)? else {
+            let (None, Some(stmt)) = (guard, built) else {
+                return Ok(ControlFlow::Continue(text));
+            };
+            let rs = self.fetch(parent, Demand::QueryParam)?;
+            return Ok(ControlFlow::Continue(match stmt.bind_from(&rs)? {
+                Some(bound) => V::str(bound.sql()),
+                None => text,
+            }));
+        };
+        if !write {
+            return Ok(ControlFlow::Break(self.query_thunk(
+                reg.id,
+                Deser::Raw,
+                None,
+            )));
+        }
+        self.counters.queries_registered += 1;
+        if !reg.deferred {
+            self.fetch(reg.id, Demand::QueryParam)?;
+        }
+        Ok(ControlFlow::Break(V::Null))
+    }
+
+    /// `v` as an expression over plain values and cells of one row, that
+    /// row noted in `walk`. Nothing is forced and nothing runs: a coalesced
+    /// block nobody has run is read off its statements.
+    fn hole(&mut self, v: &V, walk: &mut Walk) -> Option<HoleExpr> {
+        walk.nodes = walk.nodes.checked_sub(1)?;
+        let V::Thunk(cell) = v else {
+            let plain = matches!(
+                v,
+                V::Null | V::Bool(_) | V::Int(_) | V::Float(_) | V::Str(_)
+            );
+            return plain.then(|| HoleExpr::Const(v.to_sql()));
+        };
+        let state = cell.0.borrow();
+        let pending = match &*state {
+            LazyState::Done(v) => return self.hole(v, walk),
+            LazyState::Pending(pending) => pending,
+            LazyState::InFlight => return None,
+        };
+        let mut hole = |v: &V| self.hole(v, walk).map(Box::new);
+        Some(match pending {
+            Pending::Binary(op, a, b) => HoleExpr::Binary(*op, hole(a)?, hole(b)?),
+            Pending::Unary(op, a) => HoleExpr::Unary(*op, hole(a)?),
+            Pending::Builtin { func, args } => match (func, &args[..]) {
+                (PureFn::Str, [a]) => HoleExpr::Str(hole(a)?),
+                _ => return None,
+            },
+            Pending::ResultRead { func, args } => match (func, &args[..]) {
+                (ReadFn::Cell, [rows, V::Int(0), V::Str(column)]) => {
+                    let q = unfetched_query(rows)?;
+                    let column = column.to_string();
+                    (*walk.parent.get_or_insert(q) == q).then_some(HoleExpr::Cell(column))?
+                }
+                _ => return None,
+            },
+            Pending::Block { driver, output } => {
+                if let Some(outs) = &*driver.results.borrow() {
+                    return self.hole(&outs[*output], walk);
+                }
+                let block = &self.page.blocks[driver.block as usize];
+                let slot = RExpr::Slot(block.outputs[*output]);
+                return self.expr_hole(driver, block.body.len(), &slot, walk);
+            }
+            _ => return None,
+        })
+    }
+
+    /// Expression `e` of statement `at` of a block nobody has run, as
+    /// [`Interp::hole`] sees what a lazy run of it would make: a slot is
+    /// its last assignment ahead of `at`, or its capture. A statement
+    /// other than an assignment on the way, a short circuit (which
+    /// forces) or a call other than `str` is no hole.
+    fn expr_hole(
+        &mut self,
+        driver: &BlockDriver,
+        at: usize,
+        e: &RExpr,
+        walk: &mut Walk,
+    ) -> Option<HoleExpr> {
+        walk.nodes = walk.nodes.checked_sub(1)?;
+        let mut hole = |e: &RExpr| self.expr_hole(driver, at, e, walk).map(Box::new);
+        Some(match e {
+            RExpr::Lit(l) => HoleExpr::Const(lit_to_v(l).to_sql()),
+            RExpr::Slot(slot) => {
+                let body = &self.page.blocks[driver.block as usize].body;
+                for (i, stmt) in body[..at].iter().enumerate().rev() {
+                    match stmt {
+                        RStmt::Set(set, e) if set == slot => {
+                            return self.expr_hole(driver, i, e, walk)
+                        }
+                        RStmt::Set(..) => {}
+                        _ => return None,
+                    }
+                }
+                let (_, v) = driver.captured.iter().find(|(s, _)| s == slot)?;
+                return self.hole(v, walk);
+            }
+            RExpr::Binary(op, a, b) if !matches!(op, BinOp::And | BinOp::Or) => {
+                HoleExpr::Binary(*op, hole(a)?, hole(b)?)
+            }
+            RExpr::Unary(op, a) => HoleExpr::Unary(*op, hole(a)?),
+            RExpr::Call(Callee::Builtin(Builtin::Pure(PureFn::Str)), args) if args.len() == 1 => {
+                HoleExpr::Str(hole(&args[0])?)
+            }
+            _ => return None,
+        })
+    }
+
     // ------------------------------------------------------------------
     // Row guards: the head of an `if (nrows(q) > 0)`'s then-arm registers
-    // where the `if` stands, its spliced statements as dependants of `q`
-    // (see `hoist.rs`). While `q` waits in the batch the arm's fate is the
-    // binder's to decide; once `q` has an answer, every statement left
-    // does what it would do under the `if`.
+    // where the `if` stands, its statements of pending text over `q` as
+    // dependants of `q` (see `hoist.rs`). While `q` waits in the batch the
+    // arm's fate is the binder's to decide; once `q` has an answer, every
+    // statement left does what it would do under the `if`.
     // ------------------------------------------------------------------
 
     #[inline(never)]
@@ -1391,8 +1487,8 @@ impl<'p> Interp<'p> {
             // An ordinary `if`.
             let c = self.eval(&g.cond, frame, lazy)?;
             return if self.force_for(c, Demand::Condition)?.truthy() {
-                for entry in &g.prefix {
-                    self.exec_stmt(&entry.stmt, frame, lazy)?;
+                for stmt in &g.prefix {
+                    self.exec_stmt(stmt, frame, lazy)?;
                 }
                 self.exec_block(&g.then, frame, lazy)
             } else {
@@ -1401,8 +1497,8 @@ impl<'p> Interp<'p> {
         };
         // `None` while undecided.
         let mut runs = None;
-        for entry in &g.prefix {
-            if runs.is_none() && self.guarded_entry(entry, parent, &rows, frame)? {
+        for stmt in &g.prefix {
+            if runs.is_none() && self.guarded_entry(stmt, parent, &rows, frame)? {
                 continue;
             }
             let decided = match runs {
@@ -1412,7 +1508,7 @@ impl<'p> Interp<'p> {
             if !decided {
                 break;
             }
-            self.exec_stmt(&entry.stmt, frame, lazy)?;
+            self.exec_stmt(stmt, frame, lazy)?;
         }
         let c = match runs {
             Some(runs) => runs,
@@ -1432,21 +1528,27 @@ impl<'p> Interp<'p> {
     }
 
     /// One statement of a row guard's head while `rows` (query `parent`)
-    /// waits in the batch: registered, bound or buffered behind the arm's
-    /// fate — `false` when it cannot be, and must wait for that fate.
+    /// waits in the batch: registered under the guard, or buffered behind
+    /// the arm's fate — `false` when it cannot be, and must wait for that
+    /// fate.
     fn guarded_entry(
         &mut self,
-        entry: &'p Guarded,
+        stmt: &'p RStmt,
         parent: QueryId,
         rows: &V,
         frame: &mut Frame,
     ) -> Result<bool, RunError> {
-        let Some(splice) = &entry.splice else {
-            if let RStmt::Expr(RExpr::Call(Callee::Builtin(Builtin::External), args)) = &entry.stmt
-            {
-                if !self.buffers_output() {
-                    return Ok(false);
-                }
+        let (RStmt::Set(_, RExpr::Call(Callee::Builtin(callee), args))
+        | RStmt::Expr(RExpr::Call(Callee::Builtin(callee), args))) = stmt
+        else {
+            // A binding that registers nothing and cannot fail.
+            self.exec_stmt(stmt, frame, true)?;
+            return Ok(true);
+        };
+        let write = match callee {
+            Builtin::Query(QueryFn::Query) => false,
+            Builtin::WriteQuery(WriteFn::Exec) => true,
+            Builtin::External if self.buffers_output() => {
                 let v = match args.first() {
                     Some(e) => self.eval(e, frame, true)?,
                     None => V::Null,
@@ -1455,38 +1557,18 @@ impl<'p> Interp<'p> {
                 self.out_buffer.push_back((v, Some(rows.clone()), at));
                 return Ok(true);
             }
-            // A binding that registers nothing and cannot fail.
-            self.exec_stmt(&entry.stmt, frame, true)?;
-            return Ok(true);
-        };
-        let text = |this: &mut Self, e: &'p RExpr| {
-            let v = this.eval(e, frame, true)?;
-            this.display_for(&v, Demand::QueryParam)
+            Builtin::External => return Ok(false),
+            _ => return self.exec_stmt(stmt, frame, true).map(|_| true),
         };
         // A text that fails fails again under the arm, if it runs.
-        let Ok((head, tail)) =
-            text(self, &splice.head).and_then(|h| Ok((h, text(self, &splice.tail)?)))
-        else {
+        let Some(Ok(text)) = args.first().map(|e| self.eval(e, frame, true)) else {
             return Ok(false);
         };
-        let column = &*splice.column;
-        let build = |p| Stmt::with_param(&head, &Param::raw_reference(p, column), &tail);
-        let Some(reg) = self.data.register_dependent(parent, build)? else {
+        let ControlFlow::Break(v) = self.register_text(text, write, Some(parent))? else {
             return Ok(false);
         };
-        if let RStmt::Set(slot, _) = &entry.stmt {
-            let how = DepKind::Cell(column.into());
-            let dep = Rc::new(Dep {
-                parent,
-                how,
-                up: None,
-            });
-            frame.vals[*slot as usize] = Some(self.query_thunk(reg.id, Deser::Raw, Some(dep)));
-            return Ok(true);
-        }
-        self.counters.queries_registered += 1;
-        if splice.write && !reg.deferred {
-            self.fetch(reg.id, Demand::QueryParam)?;
+        if let RStmt::Set(slot, _) = stmt {
+            frame.vals[*slot as usize] = Some(v);
         }
         Ok(true)
     }
@@ -1646,10 +1728,7 @@ impl<'p> Interp<'p> {
     /// The text of a forced value, its parts forced as they are shown.
     fn render(&mut self, v: V, depth: usize) -> Result<String, RunError> {
         Ok(match v {
-            // A scalar's text is the SQL value's, so a reference spliced
-            // raw binds to the text `str` makes here.
-            V::Null | V::Bool(_) | V::Int(_) | V::Float(_) => v.to_sql().text(),
-            V::Str(s) => s.to_string(),
+            V::Null | V::Bool(_) | V::Int(_) | V::Float(_) | V::Str(_) => scalar_text(&v),
             V::List(xs) => {
                 let items = xs.borrow().clone();
                 let mut parts = Vec::with_capacity(items.len());
@@ -1694,6 +1773,47 @@ fn int_atom(e: &RExpr, frame: &Frame) -> Option<i64> {
     }
 }
 
+/// Applies `op` to two forced values; `text` shows an operand of a
+/// concatenation. The evaluator shows it as `str` does, forcing what a
+/// list or object holds; a hole of pending text holds scalars only. Out
+/// of line: inlined, it slows the loops that force delayed operators.
+#[inline(never)]
+fn binop(
+    op: BinOp,
+    a: &V,
+    b: &V,
+    mut text: impl FnMut(&V) -> Result<String, RunError>,
+) -> Result<V, RunError> {
+    use BinOp::*;
+    if let (V::Int(x), V::Int(y)) = (a, b) {
+        return int_binop(op, *x, *y);
+    }
+    Ok(match op {
+        Add => match (a, b) {
+            (V::Str(_), _) | (_, V::Str(_)) => V::str(text(a)? + &text(b)?),
+            _ => V::Float(num(a)? + num(b)?),
+        },
+        Sub => V::Float(num(a)? - num(b)?),
+        Mul => V::Float(num(a)? * num(b)?),
+        Div => {
+            let d = num(b)?;
+            if d == 0.0 {
+                return Err(RunError::new("division by zero"));
+            }
+            V::Float(num(a)? / d)
+        }
+        Mod => return Err(RunError::new("modulo needs integers")),
+        Eq => V::Bool(values_eq(a, b)),
+        Ne => V::Bool(!values_eq(a, b)),
+        Lt => V::Bool(compare(a, b)?.is_lt()),
+        Le => V::Bool(compare(a, b)?.is_le()),
+        Gt => V::Bool(compare(a, b)?.is_gt()),
+        Ge => V::Bool(compare(a, b)?.is_ge()),
+        And => V::Bool(a.truthy() && b.truthy()),
+        Or => V::Bool(a.truthy() || b.truthy()),
+    })
+}
+
 /// Applies `op` to two integers. Ordering goes through `f64` exactly as
 /// [`compare`] orders any two numbers.
 fn int_binop(op: BinOp, x: i64, y: i64) -> Result<V, RunError> {
@@ -1729,6 +1849,160 @@ fn unop(op: UnOp, a: &V) -> Result<V, RunError> {
     }
 }
 
+/// `cell(rs, i, c)`.
+fn cell_of(rs: &ResultSet, i: i64, c: &str) -> Result<V, RunError> {
+    rs.get(i as usize, c)
+        .map(V::from_sql)
+        .ok_or_else(|| RunError::new(format!("no cell [{i}].{c}")))
+}
+
+/// The text `str` makes of a scalar: the SQL value's, so text pending on a
+/// row binds to the bytes the program would have built.
+fn scalar_text(v: &V) -> String {
+    match v {
+        V::Str(s) => s.to_string(),
+        v => v.to_sql().text(),
+    }
+}
+
+/// Text pending on the first row of one raw query nobody has fetched: a
+/// literal lead, then holes, each followed by a literal piece.
+struct PendingText {
+    lead: String,
+    holes: Vec<(HoleExpr, String)>,
+}
+
+/// A hole of pending text: an expression over plain values and cells of
+/// the parent's first row, shown as `str` shows its value. It holds no
+/// runtime value, so the statement it fills stays `Send + Sync`.
+enum HoleExpr {
+    Const(SqlValue),
+    Cell(String),
+    Binary(BinOp, Box<HoleExpr>, Box<HoleExpr>),
+    Unary(UnOp, Box<HoleExpr>),
+    Str(Box<HoleExpr>),
+}
+
+/// How far [`Interp::hole`] has looked: the one query whose row it reads,
+/// once met, and how many more nodes it may visit. A text that shares its
+/// thunks can stand for a tree exponentially larger than itself; past
+/// [`WALK_NODES`] it is forced as written.
+struct Walk {
+    parent: Option<QueryId>,
+    nodes: usize,
+}
+
+const WALK_NODES: usize = 256;
+
+impl PendingText {
+    /// `v` as pending text: a tree of `+` and `str` whose leaves are
+    /// literals, plain values and `cell(q, 0, c)` reads of one unfetched
+    /// raw query `q`, with arithmetic around the reads — and `q`. Nothing
+    /// is forced.
+    fn of(interp: &mut Interp, v: &V) -> Option<(QueryId, PendingText)> {
+        let V::Thunk(_) = v else { return None };
+        let mut walk = Walk {
+            parent: None,
+            nodes: WALK_NODES,
+        };
+        let hole = interp.hole(v, &mut walk)?;
+        let parent = walk.parent?;
+        let mut text = PendingText {
+            lead: String::new(),
+            holes: Vec::new(),
+        };
+        text.push(hole);
+        Some((parent, text))
+    }
+
+    /// Appends `e`, shown as text: the operands of a concatenation in
+    /// turn, a value that reads no cell as it shows — unless it fails:
+    /// then it fails where it is bound, in its place among the holes.
+    fn push(&mut self, e: HoleExpr) {
+        match e {
+            HoleExpr::Binary(BinOp::Add, a, b) if a.is_text() || b.is_text() => {
+                self.push(*a);
+                self.push(*b);
+            }
+            e => match e.value(&ResultSet::default()) {
+                Ok(v) => {
+                    let piece = self.holes.last_mut().map_or(&mut self.lead, |(_, p)| p);
+                    piece.push_str(&scalar_text(&v));
+                }
+                Err(_) => self.holes.push((e, String::new())),
+            },
+        }
+    }
+
+    /// The dependent statement of this text, holes filled from the first
+    /// row of `parent`: `guarded`, a missing row skips it.
+    fn stmt(self, parent: u64, guarded: bool) -> Stmt {
+        let holes = self.holes.into_iter().map(|(hole, piece)| {
+            let label = hole.label().unwrap_or_default().to_owned();
+            let render = move |rows: &ResultSet| {
+                if guarded && rows.is_empty() {
+                    return Ok(None);
+                }
+                match hole.value(rows) {
+                    Ok(v) => Ok(Some(scalar_text(&v))),
+                    Err(e) => Err(SqlError::program(e.message)),
+                }
+            };
+            (Hole::new(label, render), piece)
+        });
+        Stmt::dependent(parent, self.lead, holes.collect())
+    }
+}
+
+impl HoleExpr {
+    /// Whether its value is text, whatever the row: a string, `str(…)`, or
+    /// `+` with text on either side.
+    fn is_text(&self) -> bool {
+        match self {
+            HoleExpr::Const(SqlValue::Str(_)) | HoleExpr::Str(_) => true,
+            HoleExpr::Binary(BinOp::Add, a, b) => a.is_text() || b.is_text(),
+            _ => false,
+        }
+    }
+
+    /// Its value over `rows`' first row, computed by the evaluator's own
+    /// `cell`, operators and `str`.
+    fn value(&self, rows: &ResultSet) -> Result<V, RunError> {
+        Ok(match self {
+            HoleExpr::Const(v) => V::from_sql(v),
+            HoleExpr::Cell(column) => cell_of(rows, 0, column)?,
+            HoleExpr::Binary(op, a, b) => {
+                let (a, b) = (a.value(rows)?, b.value(rows)?);
+                binop(*op, &a, &b, |v| Ok(scalar_text(v)))?
+            }
+            HoleExpr::Unary(op, a) => unop(*op, &a.value(rows)?)?,
+            HoleExpr::Str(a) => V::str(scalar_text(&a.value(rows)?)),
+        })
+    }
+
+    /// The first column it reads: how its open statement shows it.
+    fn label(&self) -> Option<&str> {
+        match self {
+            HoleExpr::Const(_) => None,
+            HoleExpr::Cell(column) => Some(column),
+            HoleExpr::Binary(_, a, b) => a.label().or_else(|| b.label()),
+            HoleExpr::Unary(_, a) | HoleExpr::Str(a) => a.label(),
+        }
+    }
+}
+
+/// Whether holes may follow the literal `lead`: it reaches a read's
+/// `WHERE`, or a write's `SET`, `WHERE` or `VALUES`, past every table the
+/// statement names, which its open form's footprint then covers.
+fn opens_past_its_tables(lead: &str, write: bool) -> bool {
+    let clauses: &[&str] = if write {
+        &["set", "where", "values"]
+    } else {
+        &["where"]
+    };
+    lead_words(lead, clauses).is_some()
+}
+
 /// `v` as a deferred column read nobody has forced: the query whose row
 /// it reads, the column, and that query's own dependence.
 fn deferred_column(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
@@ -1741,27 +2015,13 @@ fn deferred_column(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
     }
 }
 
-/// Whether `v` is a raw `query` nobody has forced.
-fn unfetched_rows(v: &V) -> bool {
-    let V::Thunk(cell) = v else { return false };
-    matches!(
-        &*cell.0.borrow(),
-        LazyState::Pending(Pending::Query {
-            deser: Deser::Raw,
-            ..
-        })
-    )
-}
-
-/// `v` as a raw `query` nobody has forced, keyed by no other row: its
-/// query id.
+/// `v` as a raw `query` nobody has forced: its query id.
 fn unfetched_query(v: &V) -> Option<QueryId> {
     let V::Thunk(cell) = v else { return None };
     match &*cell.0.borrow() {
         LazyState::Pending(Pending::Query {
             id,
             deser: Deser::Raw,
-            dep: None,
             ..
         }) => Some(*id),
         _ => None,
@@ -1937,5 +2197,263 @@ mod tests {
         assert_eq!(e.message, "render of an unforced value");
         // Displaying forces first.
         assert_eq!(interp.display(&thunk).unwrap(), "3");
+    }
+
+    /// Two orders of customer 1, one of customer 2, an order line and an
+    /// empty log.
+    fn orders_env() -> SimEnv {
+        let env = SimEnv::default_env();
+        for sql in [
+            "CREATE TABLE orders (o_id INT PRIMARY KEY, c_id INT, carrier_id INT)",
+            "INSERT INTO orders VALUES (10, 1, 0), (11, 1, 0), (12, 2, 0)",
+            "CREATE TABLE order_line (ol_id INT PRIMARY KEY, o_id INT)",
+            "INSERT INTO order_line VALUES (1, 10), (2, 21)",
+            "CREATE TABLE log (id INT PRIMARY KEY)",
+        ] {
+            env.seed_sql(sql).unwrap();
+        }
+        env
+    }
+
+    /// The flushes of `stmt`, run after `o` (customer 1's orders), `p`
+    /// (customer 2's) and `oid = cell(o, 0, "o_id")` under `flags`, ending
+    /// as the eager run ends.
+    fn flushes(stmt: &str, flags: OptFlags) -> Vec<sloth_core::FlushReason> {
+        let src = format!(
+            r#"fn main(u) {{
+                let o = query("SELECT o_id, c_id FROM orders WHERE c_id = 1");
+                let p = query("SELECT o_id FROM orders WHERE c_id = 2");
+                let oid = cell(o, 0, "o_id");
+                {stmt}
+                print("done");
+            }}"#
+        );
+        let program = crate::parser::parse_program(&src).unwrap();
+        let schema = Arc::new(Schema::new());
+        let prepared = |strategy| prepare_with_schema(&program, strategy, Some(&schema));
+        let want = prepared(ExecStrategy::Original).run(
+            &orders_env(),
+            Arc::clone(&schema),
+            vec![V::Int(1)],
+        );
+        let data = DataLayer::deferred(orders_env(), Arc::clone(&schema));
+        let got = prepared(ExecStrategy::Sloth(flags)).run_with(data.clone(), vec![V::Int(1)]);
+        match (&want, got) {
+            (Ok(w), Ok(g)) => assert_eq!(w.output, g.output, "{stmt}"),
+            (Err(w), Err(g)) => assert_eq!(w.message, g.message, "{stmt}"),
+            (w, g) => panic!("{stmt}: {w:?} vs {g:?}"),
+        }
+        data.store.as_ref().unwrap().stats().flush_reasons
+    }
+
+    /// Whether `stmt`, run as [`flushes`] runs it, registers as a
+    /// dependant of `o` instead of forcing its text — under every
+    /// optimization and none.
+    fn registers(stmt: &str) -> bool {
+        let registered = [OptFlags::none(), OptFlags::all()].map(|flags| {
+            let param = sloth_core::FlushReason::Force(Demand::QueryParam);
+            !flushes(stmt, flags).contains(&param)
+        });
+        assert_eq!(registered[0], registered[1], "{stmt}");
+        registered[0]
+    }
+
+    #[test]
+    fn pending_text_is_str_and_arithmetic_over_one_rows_first_cells() {
+        // Two holes, arithmetic and `-` around the cells, plain values
+        // between them; a hole that fails as `cell` or `/` do fails so
+        // where it is bound.
+        for stmt in [
+            r#"exec("UPDATE orders SET carrier_id = " + str(oid * 100 + 7) + " WHERE o_id = " + str(oid));"#,
+            r#"let r = query("SELECT ol_id FROM order_line WHERE o_id = " + str(oid) + " OR o_id = " + str(cell(o, 0, "c_id") + 20)); print(str(nrows(r)));"#,
+            r#"exec("INSERT INTO log (id) VALUES (" + str(-oid) + ")");"#,
+            r#"let k = u + 1; exec("DELETE FROM log WHERE id = " + str(k) + " OR id = " + str(oid / 2));"#,
+            r#"exec("UPDATE orders SET carrier_id = " + str(cell(o, 0, "nope")) + " WHERE o_id = 1");"#,
+            r#"exec("UPDATE orders SET carrier_id = " + str(oid / 0) + " WHERE o_id = 1");"#,
+        ] {
+            assert!(registers(stmt), "{stmt}");
+        }
+        // Another row, a computed row, two parents, a builtin other than
+        // `str`: the text is forced.
+        for stmt in [
+            r#"exec("UPDATE orders SET carrier_id = " + str(cell(o, 1, "o_id")) + " WHERE o_id = 1");"#,
+            r#"exec("UPDATE orders SET carrier_id = " + str(cell(o, u, "o_id")) + " WHERE o_id = 1");"#,
+            r#"exec("UPDATE orders SET carrier_id = " + str(oid + cell(p, 0, "o_id")) + " WHERE o_id = 1");"#,
+            r#"exec("UPDATE orders SET carrier_id = " + upper(str(oid)) + " WHERE o_id = 1");"#,
+        ] {
+            assert!(!registers(stmt), "{stmt}");
+        }
+    }
+
+    #[test]
+    fn a_text_over_shared_thunks_ends_at_once() {
+        // Two loop-carried values, or Fibonacci's, share their thunks: 60
+        // rounds stand for trees of 2^60 nodes. The walk that looks for a
+        // row stops within its budget, under every optimization and none.
+        let rounds = |body: &str, from: &str, text: &str| {
+            format!(
+                r#"let i = 0; let a = {from}; let b = {from};
+                while (i < 60) {{ {body} print(str(i)); i = i + 1; }}
+                exec("DELETE FROM log WHERE id = " + {text});"#
+            )
+        };
+        let two = "a = a + 1; b = b + 2;";
+        let fib = "let t = a + b; a = b; b = t;";
+        for flags in [OptFlags::none(), OptFlags::all()] {
+            for from in ["u", "oid"] {
+                for body in [two, fib] {
+                    flushes(
+                        &rounds(body, from, r#"str(a) + " OR id = " + str(b)"#),
+                        flags,
+                    );
+                }
+            }
+        }
+        // Past the budget the text is forced as written; a chain of 60
+        // rounds is not past it.
+        let param = sloth_core::FlushReason::Force(Demand::QueryParam);
+        let forced =
+            |body| flushes(&rounds(body, "oid", "str(a)"), OptFlags::none()).contains(&param);
+        assert!(forced(fib));
+        assert!(!forced(two));
+    }
+
+    #[test]
+    fn a_block_is_read_without_running_it() {
+        // The text's temporaries coalesce with a short circuit over the
+        // row: reading the text off the block forces nothing, so `o` and
+        // its dependant ship together, with the output that forces `ok`.
+        let stmt = r#"let ok = oid > 0 && u > 0;
+            exec("DELETE FROM log WHERE id = " + str(oid + 1));
+            print(str(ok));"#;
+        assert_eq!(
+            flushes(stmt, OptFlags::all()),
+            [sloth_core::FlushReason::Force(Demand::Output)]
+        );
+    }
+
+    #[test]
+    fn pending_text_reaches_its_clause_in_literal_text() {
+        // Holes after the tables the statement names.
+        for stmt in [
+            r#"exec("UPDATE orders SET carrier_id = " + str(oid) + " WHERE o_id = 1");"#,
+            r#"exec("DELETE FROM log WHERE id = " + str(oid));"#,
+            r#"exec("INSERT INTO log (id) VALUES (" + str(oid) + ")");"#,
+            r#"exec("UPDATE orders" + " SET carrier_id = " + str(oid));"#,
+            r#"exec("DELETE FROM log /* from t */ WHERE id = " + str(oid));"#,
+            r#"let r = query("SELECT ol_id FROM order_line WHERE o_id = " + str(oid)); print(str(nrows(r)));"#,
+        ] {
+            assert!(registers(stmt), "{stmt}");
+        }
+        // A hole that is, or may be, part of a table's name, or ahead of
+        // the clause: a clause in a comment or in quotes is no clause.
+        for stmt in [
+            r#"exec("UPDATE orders" + str(oid) + " SET carrier_id = 1");"#,
+            r#"exec("UPDATE " + str(oid) + " SET v = 1");"#,
+            r#"exec("DELETE FROM log_" + str(oid));"#,
+            r#"exec("INSERT INTO log_" + str(oid) + " VALUES (1)");"#,
+            r#"exec("UPDATE /* set */ t" + str(oid) + " SET v = 1");"#,
+            r#"exec("DELETE FROM -- where\n log_" + str(oid));"#,
+            r#"exec("INSERT INTO /* values */ log_" + str(oid) + " VALUES (1)");"#,
+            r#"exec("UPDATE t 'set' " + str(oid) + " SET v = 1");"#,
+            r#"let r = query("SELECT " + str(oid) + " FROM orders"); print(str(nrows(r)));"#,
+            r#"let r = query("SELECT o_id FROM orders o JOIN order_line l ON o.o_id = " + str(oid)); print(str(nrows(r)));"#,
+        ] {
+            assert!(!registers(stmt), "{stmt}");
+        }
+    }
+
+    /// Pending text registers only where its open statement's footprint
+    /// covers the footprint of every form it binds to: over random literal
+    /// leads holding `--` and `/* */` comments and quoted text — naming
+    /// clauses and tables, some left open for the text after the hole to
+    /// close — and holes that may render any text, tables of their own
+    /// included, every bound form that parses touches only tables its
+    /// open form names.
+    #[test]
+    fn a_pending_statement_covers_every_form_it_binds_to() {
+        let mut seed = 0x5_11CEu64;
+        let mut next = |n: usize| {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let starts = [
+            "SELECT v FROM t",
+            "UPDATE t",
+            "DELETE FROM t",
+            "INSERT INTO t (id, v)",
+        ];
+        // Fragments of a lead, and what the text after the hole must open
+        // with to close what the fragment leaves open.
+        let fragments = [
+            (" /* where set values */", ""),
+            (" -- where from u\n", ""),
+            (" /* from u */", ""),
+            (" WHERE v = ", ""),
+            (" SET v = ", ""),
+            (" VALUES (1, ", ")"),
+            (" WHERE s = 'it''s where' AND v = ", ""),
+            (" WHERE s = '", "'"),
+            (" /* WHERE ", " */ WHERE id = 1"),
+            (" -- SET ", "\n SET v = 1"),
+            (" 'where' ", ""),
+        ];
+        let renders = [
+            "1",
+            "'x'",
+            "*/ JOIN u ON t.id = u.id /*",
+            "\n JOIN u ON t.id = u.id --",
+            "' OR s = '",
+            "1 OR id = 2",
+            "id",
+        ];
+        let cache = sloth_sql::TemplateCache::default();
+        let (mut accepted, mut checked) = (0, 0);
+        for _ in 0..4_000 {
+            let start = next(starts.len());
+            let mut lead = starts[start].to_string();
+            let mut close = String::new();
+            for _ in 0..1 + next(3) {
+                let (piece, closer) = fragments[next(fragments.len())];
+                lead.push_str(piece);
+                close = closer.to_string();
+            }
+            if !opens_past_its_tables(&lead, start > 0) {
+                continue;
+            }
+            accepted += 1;
+            let tail = close + [" ", " AND id = 3", ""][next(3)];
+            let hole = Hole::new("k", |_: &ResultSet| Ok(Some("0".to_string())));
+            let open = Stmt::dependent(0, lead.clone(), vec![(hole, tail.clone())]);
+            let wide = cache.stmt_footprint(&open);
+            for render in renders {
+                let bound = sloth_sql::Footprint::of_sql(&format!("{lead}{render}{tail}"));
+                if bound.barrier || wide.barrier {
+                    continue;
+                }
+                checked += 1;
+                let has = |accesses: &[sloth_sql::TableAccess], table: &str| {
+                    accesses.iter().any(|a| a.table == table)
+                };
+                for read in &bound.reads {
+                    let covered = has(&wide.reads, &read.table) || has(&wide.writes, &read.table);
+                    assert!(
+                        covered,
+                        "{lead:?} {render:?} {tail:?}: {bound:?} vs {wide:?}"
+                    );
+                }
+                for write in &bound.writes {
+                    let covered = has(&wide.writes, &write.table);
+                    assert!(
+                        covered,
+                        "{lead:?} {render:?} {tail:?}: {bound:?} vs {wide:?}"
+                    );
+                }
+            }
+        }
+        assert!(accepted > 1_000 && checked > 1_000, "{accepted} {checked}");
     }
 }

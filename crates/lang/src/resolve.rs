@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use crate::analysis::Analysis;
 use crate::ast::*;
-use crate::builtins::{Builtin, QueryFn, WriteFn, ROW_GUARD};
+use crate::builtins::{Builtin, ROW_GUARD};
 
 /// Index of a variable in its function's frame.
 pub(crate) type Slot = u32;
@@ -122,28 +122,11 @@ pub(crate) struct GuardedIf {
     /// The condition, as written.
     pub cond: RExpr,
     /// The head of the then-arm, in order.
-    pub prefix: Vec<Guarded>,
+    pub prefix: Vec<RStmt>,
     /// The rest of the then-arm.
     pub then: Vec<RStmt>,
     /// The else-arm.
     pub els: Vec<RStmt>,
-}
-
-/// One statement of a row guard's head.
-pub(crate) struct Guarded {
-    /// The statement as written: what runs once `q` is known to have a row.
-    pub stmt: RStmt,
-    /// For a `query` / `exec`, where `q`'s row goes in its text.
-    pub splice: Option<Splice>,
-}
-
-/// The text `head + str(cell(q, 0, column)) + tail` of a spliced statement.
-pub(crate) struct Splice {
-    pub head: RExpr,
-    pub column: Box<str>,
-    pub tail: RExpr,
-    /// An `exec`, not a `query`.
-    pub write: bool,
 }
 
 /// Lowers a (simplified, optimized) program.
@@ -221,7 +204,7 @@ impl<'a> Scope<'a> {
                     RStmt::Guarded(Box::new(GuardedIf {
                         rows: self.slot(rows),
                         cond: self.expr(cond),
-                        prefix: prefix.iter().map(|s| self.guarded(s)).collect(),
+                        prefix: self.stmts(prefix),
                         then: self.stmts(then),
                         els: self.stmts(e),
                     }))
@@ -256,49 +239,6 @@ impl<'a> Scope<'a> {
                 });
                 RStmt::Defer((self.blocks.len() - 1) as u32)
             }
-        }
-    }
-
-    /// One statement of a row guard's head: a spliced `f(text, column,
-    /// head, tail)` becomes `f(text)` and its splice.
-    fn guarded(&mut self, s: &'a Stmt) -> Guarded {
-        let (out, e) = match s {
-            Stmt::Let(name, e) | Stmt::Assign(LValue::Var(name), e) => (Some(name), e),
-            Stmt::ExprStmt(e) => (None, e),
-            other => return self.plain(other),
-        };
-        let Expr::Call(f, args) = e else {
-            return self.plain(s);
-        };
-        let (callee, write) = match f.as_str() {
-            "query" => (Builtin::Query(QueryFn::Query), false),
-            "exec" => (Builtin::WriteQuery(WriteFn::Exec), true),
-            _ => return self.plain(s),
-        };
-        let [text, Expr::Lit(Lit::Str(column)), head, tail] = &args[..] else {
-            return self.plain(s);
-        };
-        let call = RExpr::Call(Callee::Builtin(callee), vec![self.expr(text)]);
-        let stmt = match out {
-            Some(name) => RStmt::Set(self.slot(name), call),
-            None => RStmt::Expr(call),
-        };
-        let splice = Splice {
-            head: self.expr(head),
-            column: column.as_str().into(),
-            tail: self.expr(tail),
-            write,
-        };
-        Guarded {
-            stmt,
-            splice: Some(splice),
-        }
-    }
-
-    fn plain(&mut self, s: &'a Stmt) -> Guarded {
-        Guarded {
-            stmt: self.stmt(s),
-            splice: None,
         }
     }
 

@@ -85,11 +85,11 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 impl From<SqlError> for RunError {
-    /// A missing cell a row guard's binder found reads as `cell`'s error:
-    /// the eager program stopped at that `cell`.
+    /// An error a hole of pending text raised where the binder rendered
+    /// it reads as the program's own: the eager program stopped there.
     fn from(e: SqlError) -> Self {
-        match e.missing_cell_error() {
-            Some(cell) => RunError::new(cell),
+        match e.program_error() {
+            Some(raised) => RunError::new(raised),
             None => RunError::new(e.to_string()),
         }
     }

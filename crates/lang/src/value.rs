@@ -147,9 +147,6 @@ pub(crate) enum DepKind {
     Field(Rc<str>),
     /// An `orm_assoc` on the row.
     Assoc,
-    /// `str(cell(rows, 0, column))` spliced into a query of a row guard's
-    /// head, whose parent is a raw result set.
-    Cell(Rc<str>),
 }
 
 /// Shared state of one deferred statement block (§4.2–4.3): which block,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use sloth_core::{Demand, FlushReason};
 use sloth_lang::{run_source, ExecStrategy, OptFlags, RunResult};
-use sloth_net::SimEnv;
+use sloth_net::{CostModel, SimEnv};
 use sloth_orm::{entity, many_to_one, one_to_many, FetchStrategy, Schema};
 use sloth_sql::ast::ColumnType::*;
 use sloth_sql::Value;
@@ -1342,10 +1342,21 @@ fn a_delayed_read_ships_for_the_consumer_that_demands_it() {
             }"#,
             vec![force(Demand::Condition)],
         ),
+        // Text pending on the first row registers as its dependant; text
+        // of a later row is forced to build the next statement.
         (
             r#"fn main() {
                 let rs = query("SELECT creator_id FROM patient WHERE patient_id = 1");
                 let id = cell(rs, 0, "creator_id");
+                let u = query("SELECT login FROM users WHERE user_id = " + str(id));
+                print(cell(u, 0, "login"));
+            }"#,
+            vec![force(Demand::Output)],
+        ),
+        (
+            r#"fn main() {
+                let rs = query("SELECT creator_id FROM patient ORDER BY patient_id");
+                let id = cell(rs, 1, "creator_id");
                 let u = query("SELECT login FROM users WHERE user_id = " + str(id));
                 print(cell(u, 0, "login"));
             }"#,
@@ -1592,8 +1603,7 @@ fn a_read_outside_the_row_guard_shape_stays_in_its_arm() {
         &format!("let u = query({BY_ID});"),
         &format!("let u = 0; let j = 0; while (j < 1) {{ u = query({BY_ID}); j = j + 1; }}"),
     );
-    let two_splices =
-        r#""SELECT login FROM users WHERE user_id = " + str(k) + " OR user_id = " + str(k)"#;
+    let not_str = r#""SELECT login FROM users WHERE user_id = " + substr(str(k), 0, 9)"#;
     for (name, src, batches) in [
         (
             "another guard",
@@ -1623,8 +1633,8 @@ fn a_read_outside_the_row_guard_shape_stays_in_its_arm() {
             vec![1, 1],
         ),
         (
-            "two splices",
-            row_guarded(1, "creator_id", two_splices, "", ROW_GUARD, ""),
+            "a builtin other than str",
+            row_guarded(1, "creator_id", not_str, "", ROW_GUARD, ""),
             vec![1, 1],
         ),
         ("a read inside a nested loop", in_loop, vec![1, 1]),
@@ -1765,13 +1775,17 @@ fn a_head_whose_rows_were_answered_runs_or_skips_each_statement() {
 #[test]
 fn str_of_a_cell_is_the_text_a_raw_reference_binds() {
     // The binder splices `Value::text` where the program splices `str`:
-    // the same bytes, for every SQL type.
+    // the same bytes, for every SQL type and extreme integers.
     let env = SimEnv::default_env();
     env.seed_sql("CREATE TABLE c (id INT PRIMARY KEY, b BOOL, i INT, f FLOAT, s TEXT)")
         .unwrap();
     env.seed_sql("INSERT INTO c VALUES (1, TRUE, -3, 2.5, 'it''s'), (2, FALSE, 0, 3.0, '')")
         .unwrap();
     env.seed_sql("INSERT INTO c VALUES (3, NULL, NULL, -0.25, NULL)")
+        .unwrap();
+    env.seed_sql("INSERT INTO c VALUES (4, TRUE, 9223372036854775807, 9.5, 'a b')")
+        .unwrap();
+    env.seed_sql("INSERT INTO c VALUES (5, FALSE, -9223372036854775807, -9.5, 'x')")
         .unwrap();
     let src = r#"fn main() {
         let r = query("SELECT * FROM c ORDER BY id");
@@ -1801,4 +1815,32 @@ fn str_of_a_cell_is_the_text_a_raw_reference_binds() {
     assert_eq!(out, want);
     assert_eq!(want[0], "true|-3|2.5|it's");
     assert_eq!(want[2], "null|null|-0.25|null");
+    assert_eq!(want[3], "true|9223372036854775807|9.5|a b");
+
+    // Pending text binds those bytes: each write registers as a dependant
+    // of its row's query and stores what Original stores.
+    let src = r#"fn main() {
+        let k = 1;
+        while (k <= 5) {
+            let r = query("SELECT * FROM c WHERE id = " + str(k));
+            exec("INSERT INTO seen VALUES (" + str(k) + ", '" + str(cell(r, 0, "b")) + "|" + str(cell(r, 0, "i")) + "|" + str(cell(r, 0, "f") * 2) + "')");
+            k = k + 1;
+        }
+    }"#;
+    let seen = |strategy| {
+        let run = SimEnv::from_database(env.snapshot_db(), CostModel::default());
+        run.seed_sql("CREATE TABLE seen (id INT PRIMARY KEY, t TEXT)")
+            .unwrap();
+        let r = run_source(src, &run, Arc::new(Schema::new()), strategy, vec![]).unwrap();
+        let rows = run.query("SELECT t FROM seen ORDER BY id").unwrap().rows;
+        (r.store.map(|s| s.flush_reasons), rows)
+    };
+    let (_, want) = seen(ExecStrategy::Original);
+    assert_eq!(want[3], [Value::Str("true|9223372036854775807|19".into())]);
+    for strategy in all_strategies().into_iter().skip(1) {
+        let (reasons, got) = seen(strategy);
+        assert_eq!(got, want, "{strategy:?}");
+        let forced = FlushReason::Force(Demand::QueryParam);
+        assert!(!reasons.unwrap().contains(&forced), "{strategy:?}");
+    }
 }

@@ -38,7 +38,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use sloth_sql::fuse::{self, FusableLookup, FusedPlan};
-use sloth_sql::{Footprint, Normalized, Param, ResultSet, SqlError, Stmt, TemplateCache, Value};
+use sloth_sql::{Footprint, Normalized, ResultSet, SqlError, Stmt, TemplateCache, Value};
 
 /// Cap on the arity of one fused `IN` probe. Groups with more distinct
 /// probed values split into several probes, bounding both the statement
@@ -288,19 +288,19 @@ pub(crate) enum Binding {
     Unanswered,
 }
 
-/// Resolves the open parameter of `stmts[pos]` (see
-/// [`sloth_sql::Param::Ref`]) against the answers so far — the one place
-/// the driver binds, called where a position is about to be answered:
-/// the executor's single-statement arm and the result cache's probe.
-/// A reference that does not name an earlier read of the same batch, or
-/// names a column the parent's row lacks, is an error at `pos`.
+/// Fills the holes of `stmts[pos]` (see [`sloth_sql::Hole`]) from the
+/// answers so far — the one place the driver binds, called where a
+/// position is about to be answered: the executor's single-statement arm
+/// and the result cache's probe. A reference that does not name an
+/// earlier read of the same batch, or a hole that fails to render (a
+/// column the parent's row lacks), is an error at `pos`.
 pub(crate) fn bind(
     stmts: &[Stmt],
     pos: usize,
     answers: &[Option<ResultSet>],
 ) -> Result<Binding, SqlError> {
     let stmt = &stmts[pos];
-    let Some(Param::Ref { parent, .. }) = stmt.open_param() else {
+    let Some(parent) = stmt.parent() else {
         return Ok(Binding::Literal);
     };
     let malformed = |why: &str| {
@@ -309,7 +309,7 @@ pub(crate) fn bind(
             stmt.sql()
         )))
     };
-    let Some(parent) = usize::try_from(*parent).ok().filter(|p| *p < pos) else {
+    let Some(parent) = usize::try_from(parent).ok().filter(|p| *p < pos) else {
         return malformed("does not name an earlier position");
     };
     if stmts[parent].is_write() {

@@ -2551,12 +2551,11 @@ mod tests {
         assert_eq!(env.stats().round_trips, 1);
     }
 
-    /// `UPDATE node SET <set> WHERE id = <next_id of position `parent`>`,
-    /// the key spliced as text.
+    /// `UPDATE node SET <set> WHERE id = <next_id of position `parent`>`.
     fn mark_next_of(parent: u64, set: &str) -> Stmt {
         Stmt::with_param(
             &format!("UPDATE node SET {set} WHERE id = "),
-            &sloth_sql::Param::raw_reference(parent, "next_id"),
+            &sloth_sql::Param::reference(parent, "next_id"),
             "",
         )
     }

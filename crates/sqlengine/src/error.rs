@@ -6,10 +6,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SqlError {
     message: String,
-    /// Set when a raw reference found no such column in its parent's row:
-    /// the kernel language's own error for that cell, `no cell [0].c`,
-    /// kept through every annotation.
-    cell: Option<String>,
+    /// Set when a dependent statement's hole raised the kernel language's
+    /// own error (`no cell [0].c`, `division by zero`), kept through every
+    /// annotation.
+    program: Option<String>,
 }
 
 impl SqlError {
@@ -17,31 +17,31 @@ impl SqlError {
     pub fn new(message: impl Into<String>) -> Self {
         SqlError {
             message: message.into(),
-            cell: None,
+            program: None,
         }
     }
 
-    /// A raw reference to `column` whose parent row lacks it: what the
-    /// kernel language's `cell(rows, 0, column)` raises.
-    pub fn missing_cell(column: &str) -> Self {
-        let message = format!("no cell [0].{column}");
+    /// The kernel language's error `message`, raised where a hole of a
+    /// dependent statement renders (see [`crate::stmt::Hole`]).
+    pub fn program(message: impl Into<String>) -> Self {
+        let message = message.into();
         SqlError {
-            cell: Some(message.clone()),
+            program: Some(message.clone()),
             message,
         }
     }
 
-    /// This error restated as `message`, still the missing cell it was.
+    /// This error restated as `message`, still the program's error it was.
     pub fn annotated(&self, message: impl Into<String>) -> Self {
         SqlError {
             message: message.into(),
-            cell: self.cell.clone(),
+            program: self.program.clone(),
         }
     }
 
-    /// The kernel language's error, when this is a missing cell.
-    pub fn missing_cell_error(&self) -> Option<&str> {
-        self.cell.as_deref()
+    /// The kernel language's error, when a hole raised this one.
+    pub fn program_error(&self) -> Option<&str> {
+        self.program.as_deref()
     }
 
     /// Lex error annotated with the source position.
@@ -69,10 +69,10 @@ mod tests {
 
     #[test]
     fn an_annotated_missing_cell_keeps_its_cell() {
-        let e = SqlError::missing_cell("k").annotated("batch failed");
+        let e = SqlError::program("no cell [0].k").annotated("batch failed");
         assert_eq!(e.message(), "batch failed");
-        assert_eq!(e.missing_cell_error(), Some("no cell [0].k"));
-        assert_eq!(SqlError::new("no cell [0].k").missing_cell_error(), None);
+        assert_eq!(e.program_error(), Some("no cell [0].k"));
+        assert_eq!(SqlError::new("no cell [0].k").program_error(), None);
     }
 
     #[test]

@@ -12,25 +12,25 @@
 //!
 //! ## Dependent statements
 //!
-//! A statement may leave one parameter **open**: [`Param::Ref`] names a
-//! column of the first row another statement answers, so `user → role →
-//! privileges` ships as one batch instead of one round trip per link. An
-//! open statement is inert — it has no template (never a dedup, fusion or
-//! result-cache key), a table-level footprint, and text the engine's
-//! lexer rejects — until [`Stmt::bind_from`] closes it over the parent's
-//! row. The bound statement is built by the same constructor a literal
-//! one goes through, so it *is* the statement its text would have built.
+//! A statement may leave **holes** in its text — literal pieces around
+//! them — each filled from the first row another statement answers, so
+//! `user → role → privileges`, or an `INSERT` keyed by the id a `SELECT`
+//! reads, ships as one batch instead of a round trip per link. The ORM
+//! keys a read by one hole, [`Param::Ref`], a column as a SQL literal
+//! (`'a'`, `NULL`); the kernel language's holes render what its own `str`
+//! and operators make of the row (`sloth-lang`'s pending text).
 //!
-//! A reference splices its value as a SQL literal (`'a'`, `NULL`) — how
-//! the ORM builds keyed reads — or, when **raw**, as [`Value::text`] —
-//! how a program builds `"… = " + str(x)`. A raw splice may be any text,
-//! so the conflict footprint of its open statement covers its bound form
-//! only where the splice cannot name a table: after a `SELECT`'s `WHERE`,
-//! or anywhere in an `UPDATE`, `DELETE` or `INSERT` (whose grammar joins
-//! nothing). Its callers splice only there.
+//! An open statement is inert — no template (never a dedup, fusion or
+//! result-cache key), a table-level footprint, and text the engine's lexer
+//! rejects (`… WHERE id = $3.next_id`) — until [`Stmt::bind_from`] closes
+//! it over the parent's answer through the constructor a literal one goes
+//! through, so it *is* the statement its text would have built. A hole may
+//! render any text, so the open footprint covers the bound forms only
+//! where a hole cannot name a table: after a `SELECT`'s `WHERE`, or a
+//! write's `SET`, `WHERE` or `VALUES` (the grammar names every table ahead
+//! of them). Its callers open statements only there.
 
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::footprint::Footprint;
@@ -43,18 +43,15 @@ use crate::{is_select_sql, txn_boundary, SqlError, TxnBoundary};
 pub enum Param {
     /// A literal, known when the statement is built.
     Lit(Value),
-    /// Column `column` of the first row `parent` answers. `parent` means
-    /// what the layer holding the statement says it means: a query id in
-    /// the query store, a batch position on the wire ([`Stmt::rebase`]
-    /// translates).
+    /// Column `column` of the first row `parent` answers, as a SQL
+    /// literal. `parent` means what the layer holding the statement says
+    /// it means: a query id in the query store, a batch position on the
+    /// wire ([`Stmt::rebase`] translates).
     Ref {
         /// The statement whose answer supplies the value.
         parent: u64,
         /// The column of its first row.
         column: String,
-        /// Spliced as [`Value::text`] rather than as a SQL literal; a
-        /// missing column then fails as the kernel language's `cell` does.
-        raw: bool,
     },
 }
 
@@ -64,25 +61,77 @@ impl Param {
         Param::Ref {
             parent,
             column: column.to_string(),
-            raw: false,
-        }
-    }
-
-    /// `column` of the first row `parent` answers, as unquoted text.
-    pub fn raw_reference(parent: u64, column: &str) -> Param {
-        Param::Ref {
-            parent,
-            column: column.to_string(),
-            raw: true,
         }
     }
 }
 
-/// The open parameter of a dependent statement: where its placeholder
-/// sits in the text, and the [`Param::Ref`] that fills it.
+/// How a [`Hole`] renders from its parent's answer: its text, `None` when
+/// the statement is skipped, or the error binding raises at the statement.
+type Render = dyn Fn(&ResultSet) -> Result<Option<String>, SqlError> + Send + Sync;
+
+/// One hole of a dependent statement's text, shown as `$parent.label`
+/// until bound.
+#[derive(Clone)]
+pub struct Hole {
+    label: String,
+    render: Arc<Render>,
+}
+
+impl Hole {
+    /// A hole shown as `label` and filled by `render`: its text from the
+    /// parent's answer, `None` to skip the statement, or the error binding
+    /// raises at the statement.
+    pub fn new(
+        label: impl Into<String>,
+        render: impl Fn(&ResultSet) -> Result<Option<String>, SqlError> + Send + Sync + 'static,
+    ) -> Hole {
+        Hole {
+            label: label.into(),
+            render: Arc::new(render),
+        }
+    }
+
+    /// [`Param::Ref`]'s hole: `column` of the first row as a SQL literal;
+    /// no row skips the statement.
+    fn literal(column: &str) -> Hole {
+        let name = column.to_string();
+        Hole::new(column, move |parent: &ResultSet| {
+            match (parent.rows.first(), parent.column_index(&name)) {
+                (None, _) => Ok(None),
+                (Some(row), Some(c)) => Ok(Some(row[c].sql_literal())),
+                (Some(_), None) => Err(SqlError::new(format!(
+                    "no column {name} in the parent's row"
+                ))),
+            }
+        })
+    }
+}
+
+/// The holes of a dependent statement, each with the literal piece after
+/// it, behind a lead piece, and the statement that fills them.
 struct Open {
-    at: Range<usize>,
-    param: Param,
+    parent: u64,
+    lead: String,
+    holes: Vec<(Hole, String)>,
+}
+
+impl Open {
+    /// The text with each hole as `fill` renders it; `None` when a hole
+    /// skips the statement.
+    fn text(
+        &self,
+        mut fill: impl FnMut(&Hole) -> Result<Option<String>, SqlError>,
+    ) -> Result<Option<String>, SqlError> {
+        let mut sql = self.lead.clone();
+        for (hole, piece) in &self.holes {
+            let Some(text) = fill(hole)? else {
+                return Ok(None);
+            };
+            sql.push_str(&text);
+            sql.push_str(piece);
+        }
+        Ok(Some(sql))
+    }
 }
 
 /// What kind of statement a [`Stmt`] is, as far as batching cares.
@@ -108,7 +157,7 @@ struct Inner {
     /// deployment's template cache ([`crate::TemplateCache::stmt_footprint`]) or
     /// preset by [`Stmt::with_footprint`].
     footprint: OnceLock<Footprint>,
-    /// The parameter still waiting for its parent's row, if any.
+    /// The holes still waiting for their parent's answer, if any.
     open: Option<Open>,
 }
 
@@ -134,20 +183,28 @@ impl Stmt {
 
     /// The statement whose text is `head`, the parameter, `tail`. With a
     /// [`Param::Lit`] that is exactly [`Stmt::new`] of the spliced text;
-    /// with a [`Param::Ref`] it is a dependent statement, whose text
-    /// shows the reference as `$parent.column`.
+    /// with a [`Param::Ref`] it is a dependent statement of one hole.
     pub fn with_param(head: &str, param: &Param, tail: &str) -> Stmt {
         match param {
             Param::Lit(v) => Stmt::new(format!("{head}{}{tail}", v.sql_literal())),
-            Param::Ref { parent, column, .. } => {
-                let sql = format!("{head}${parent}.{column}{tail}");
-                let open = Open {
-                    at: head.len()..sql.len() - tail.len(),
-                    param: param.clone(),
-                };
-                Stmt::build(sql, Some(open))
+            Param::Ref { parent, column } => {
+                Stmt::dependent(*parent, head, vec![(Hole::literal(column), tail.into())])
             }
         }
+    }
+
+    /// The dependent statement whose text is `lead`, then each hole
+    /// followed by its literal piece, the holes filled from the answer of
+    /// `parent`.
+    pub fn dependent(parent: u64, lead: impl Into<String>, holes: Vec<(Hole, String)>) -> Stmt {
+        let open = Open {
+            parent,
+            lead: lead.into(),
+            holes,
+        };
+        let shown = |h: &Hole| Ok(Some(format!("${parent}.{}", h.label)));
+        let sql = open.text(shown).ok().flatten().unwrap_or_default();
+        Stmt::build(sql, Some(open))
     }
 
     fn build(sql: String, open: Option<Open>) -> Stmt {
@@ -165,104 +222,57 @@ impl Stmt {
         }))
     }
 
-    /// The open parameter — the [`Param::Ref`] a dependent statement was
-    /// built from; `None` for every other statement.
-    pub fn open_param(&self) -> Option<&Param> {
-        self.0.open.as_ref().map(|o| &o.param)
-    }
-
-    /// The statement a dependent one takes its parameter from.
+    /// The statement a dependent one takes its holes from.
     pub fn parent(&self) -> Option<u64> {
-        match self.open_param()? {
-            Param::Ref { parent, .. } => Some(*parent),
-            Param::Lit(_) => None,
-        }
+        self.0.open.as_ref().map(|o| o.parent)
     }
 
     /// This statement with its parent renamed by `f` — how a reference
     /// follows its parent when positions are renumbered (query id → batch
     /// position, rider offset in a combined dispatch, index in a cache
-    /// sub-batch). A statement without an open parameter is returned as
-    /// it is.
+    /// sub-batch). A statement without holes is returned as it is.
     pub fn rebase(&self, f: impl FnOnce(u64) -> u64) -> Stmt {
-        match &self.0.open {
-            Some(
-                o @ Open {
-                    param:
-                        Param::Ref {
-                            parent,
-                            column,
-                            raw,
-                        },
-                    ..
-                },
-            ) => {
-                let renamed = f(*parent);
-                if renamed == *parent {
-                    return self.clone();
-                }
-                let (head, tail) = self.around(o);
-                let param = Param::Ref {
-                    parent: renamed,
-                    column: column.clone(),
-                    raw: *raw,
-                };
-                Stmt::with_param(head, &param, tail)
-            }
-            _ => self.clone(),
+        let Some(o) = &self.0.open else {
+            return self.clone();
+        };
+        match f(o.parent) {
+            same if same == o.parent => self.clone(),
+            renamed => Stmt::dependent(renamed, o.lead.clone(), o.holes.clone()),
         }
     }
 
-    /// This statement with `value` in its open parameter.
+    /// This statement with `value`, as a SQL literal, in every hole.
     pub fn bind(&self, value: &Value) -> Stmt {
         match &self.0.open {
             Some(o) => {
-                let (head, tail) = self.around(o);
-                match &o.param {
-                    Param::Ref { raw: true, .. } => {
-                        Stmt::new(format!("{head}{}{tail}", value.text()))
-                    }
-                    _ => Stmt::with_param(head, &Param::Lit(value.clone()), tail),
-                }
+                let literal = |_: &Hole| Ok(Some(value.sql_literal()));
+                Stmt::new(o.text(literal).ok().flatten().unwrap_or_default())
             }
             None => self.clone(),
         }
     }
 
-    /// Closes the open parameter over the parent's answer: the bound
-    /// statement, `None` when the parent produced no row (its dependants
-    /// answer [`ResultSet::no_parent_row`]), or an error when the row has
-    /// no such column — for a raw splice, the error the kernel language's
-    /// `cell(rows, 0, column)` raises.
+    /// Closes the holes over the parent's answer: the bound statement,
+    /// `None` when a hole skips it (the parent produced no row: its
+    /// dependants answer [`ResultSet::no_parent_row`]), or the error a
+    /// hole raises.
     pub fn bind_from(&self, parent: &ResultSet) -> Result<Option<Stmt>, SqlError> {
-        let Some(Param::Ref { column, raw, .. }) = self.open_param() else {
-            return Ok(Some(self.clone()));
-        };
-        let Some(row) = parent.rows.first() else {
-            return Ok(None);
-        };
-        match parent.column_index(column) {
-            Some(c) => Ok(Some(self.bind(&row[c]))),
-            None if *raw => Err(SqlError::missing_cell(column)),
-            None => Err(SqlError::new(format!(
-                "reference to column {column} the parent's result lacks (in {})",
-                self.0.sql
-            ))),
+        match &self.0.open {
+            Some(o) => Ok(o.text(|h| (h.render)(parent))?.map(Stmt::new)),
+            None => Ok(Some(self.clone())),
         }
     }
 
-    /// Whether the open parameter's placeholder touches a word of the
-    /// text — `t` + reference — so that its value may rename a table.
+    /// Whether a hole touches a word of the text — `t` + hole — so that
+    /// its value may rename a table.
     pub(crate) fn open_inside_a_word(&self) -> bool {
         let Some(o) = &self.0.open else { return false };
-        let (head, tail) = self.around(o);
         let word = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        word(head.chars().next_back()) || word(tail.chars().next())
-    }
-
-    /// The text before and after the open parameter's placeholder.
-    fn around(&self, o: &Open) -> (&str, &str) {
-        (&self.0.sql[..o.at.start], &self.0.sql[o.at.end..])
+        let before = std::iter::once(&o.lead).chain(o.holes.iter().map(|(_, piece)| piece));
+        let after = o.holes.iter().map(|(_, piece)| piece);
+        before
+            .zip(after)
+            .any(|(b, a)| word(b.chars().next_back()) || word(a.chars().next()))
     }
 
     /// Presets the footprint of a statement nobody has analyzed yet,

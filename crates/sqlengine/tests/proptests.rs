@@ -731,69 +731,127 @@ fn str_of(v: &Value) -> String {
     }
 }
 
-/// A raw reference binds through [`Value::text`], which is `str`'s text
-/// for every SQL value; the bound statement is the literal one the
-/// program's own concatenation builds.
+/// A hole the way the kernel language renders one: `str` of `k` in the
+/// parent's first row — of `k * 100 + 7` when `arithmetic` and `k` is an
+/// integer — skipping the statement without a row and failing as `cell`
+/// does without the column.
+fn str_hole(arithmetic: bool) -> sloth_sql::Hole {
+    sloth_sql::Hole::new("k", move |rows: &sloth_sql::ResultSet| {
+        if rows.is_empty() {
+            return Ok(None);
+        }
+        match rows.get(0, "k") {
+            Some(Value::Int(i)) if arithmetic => Ok(Some(str_of(&Value::Int(i * 100 + 7)))),
+            Some(v) => Ok(Some(v.text())),
+            None => Err(sloth_sql::SqlError::program("no cell [0].k")),
+        }
+    })
+}
+
+/// A hole renders as the kernel language's `str` (through [`Value::text`])
+/// for every SQL value — negative and extreme integers, `9.5`, `NULL`,
+/// text with a quote — and the statement its holes bind to is the
+/// literal one the program's own concatenation builds; renaming its parent
+/// changes nothing of that. A missing column fails with the program's
+/// error; a parent without a row binds no statement.
 #[test]
 fn a_raw_reference_binds_the_text_str_makes() {
-    use sloth_sql::{Param, ResultSet, Stmt};
+    use sloth_sql::{ResultSet, SqlError, Stmt};
+    let extremes = [
+        Value::Int(-7),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Float(9.5),
+        Value::Null,
+        Value::Str("it's".into()),
+    ];
     cases(400, |rng| {
-        let v = arb_value(rng);
+        let v = match rng.range(0, 2) {
+            0 => extremes[rng.range(0, extremes.len() as i64) as usize].clone(),
+            _ => arb_value(rng),
+        };
         assert_eq!(v.text(), str_of(&v), "{v:?}");
-        let (head, tail) = ("SELECT * FROM p WHERE a = '", "' ORDER BY id");
-        let open = Stmt::with_param(head, &Param::raw_reference(7, "k"), tail);
-        let literal = Stmt::new(format!("{head}{}{tail}", str_of(&v)));
+        let pieces = [
+            "SELECT * FROM p WHERE a = '",
+            "' AND b = '",
+            "' ORDER BY id",
+        ];
+        let open = Stmt::dependent(
+            7,
+            pieces[0],
+            vec![
+                (str_hole(false), pieces[1].to_string()),
+                (str_hole(false), pieces[2].to_string()),
+            ],
+        );
+        assert_eq!(
+            open.sql(),
+            "SELECT * FROM p WHERE a = '$7.k' AND b = '$7.k' ORDER BY id"
+        );
+        let [head, mid, tail] = pieces;
+        let literal = Stmt::new(format!("{head}{}{mid}{}{tail}", str_of(&v), str_of(&v)));
         let row = ResultSet::new(vec!["k".into()], vec![vec![v.clone()]]);
-        let bound = open.bind_from(&row).unwrap().unwrap();
-        assert_eq!((bound.sql(), &bound), (literal.sql(), &literal));
-        assert_eq!(open.rebase(|p| p + 1).bind(&v), literal);
-        // A missing column fails as the kernel language's `cell` does.
+        for open in [open.clone(), open.rebase(|p| p + 1)] {
+            let bound = open.bind_from(&row).unwrap().unwrap();
+            assert_eq!((bound.sql(), &bound), (literal.sql(), &literal));
+        }
         let other = ResultSet::new(vec!["id".into()], vec![vec![Value::Int(1)]]);
         let e = open.bind_from(&other).unwrap_err();
-        assert_eq!(e, sloth_sql::SqlError::missing_cell("k"));
+        assert_eq!(e, SqlError::program("no cell [0].k"));
+        let empty = ResultSet::new(vec!["k".into()], vec![]);
+        assert!(open.bind_from(&empty).unwrap().is_none());
     });
 }
 
 /// The driver reasons about a dependent statement through its open form's
 /// footprint: table-level, over the tables its text names. Over random
-/// open reads and writes — the reference in a `WHERE`, a `SET` or a
-/// `VALUES` list, or in a table's name, quoted or raw — and random parent
+/// open reads and writes — one hole or two, in a `WHERE`, a `SET` or a
+/// `VALUES` list, or in a table's name, quoted or raw, each a SQL literal,
+/// `str` of the parent's value or arithmetic over it — and random parent
 /// values, whatever the bound statement conflicts with (or, a write,
 /// invalidates) the open one does too, wherever the bound text parses at
 /// all.
 #[test]
 fn a_bound_statement_conflicts_within_its_open_one() {
-    use sloth_sql::{Footprint, Param, Stmt};
+    use sloth_sql::{Footprint, Param, ResultSet, Stmt};
 
     let db = Database::new();
-    let opens = [
-        ("SELECT * FROM p WHERE a = ", " ORDER BY id"),
-        ("SELECT * FROM p WHERE a = '", "'"),
-        ("SELECT COUNT(*) FROM q WHERE id > ", ""),
-        ("SELECT p.id FROM p JOIN q ON p.id = q.id WHERE p.a = ", ""),
-        ("UPDATE p SET a = ", " WHERE id = 3"),
-        ("UPDATE q SET b = 1 WHERE a = ", ""),
-        ("UPDATE q SET b = 1 WHERE a = '", "' AND id = 2"),
-        ("DELETE FROM p WHERE id = ", ""),
-        ("INSERT INTO q (id, a) VALUES (", ", 1)"),
-        ("UPDATE p", " SET a = 1"),
-        ("DELETE FROM q", " WHERE id = 2"),
-        ("SELECT * FROM p", " WHERE a = 1"),
+    let opens: [&[&str]; 16] = [
+        &["SELECT * FROM p WHERE a = ", " ORDER BY id"],
+        &["SELECT * FROM p WHERE a = '", "'"],
+        &["SELECT COUNT(*) FROM q WHERE id > ", ""],
+        &["SELECT p.id FROM p JOIN q ON p.id = q.id WHERE p.a = ", ""],
+        &["UPDATE p SET a = ", " WHERE id = 3"],
+        &["UPDATE q SET b = 1 WHERE a = ", ""],
+        &["UPDATE q SET b = 1 WHERE a = '", "' AND id = 2"],
+        &["DELETE FROM p WHERE id = ", ""],
+        &["INSERT INTO q (id, a) VALUES (", ", 1)"],
+        &["UPDATE p", " SET a = 1"],
+        &["DELETE FROM q", " WHERE id = 2"],
+        &["SELECT * FROM p", " WHERE a = 1"],
+        &["SELECT * FROM p WHERE a = ", " OR id = ", ""],
+        &["UPDATE q SET a = ", " WHERE id = ", ""],
+        &["INSERT INTO p (id, a) VALUES (", ", '", "')"],
+        &["UPDATE p", " SET a = ", ""],
     ];
     let (mut bound_parsed, mut checked) = (0u64, 0u64);
     for case in 0..2_000u64 {
         let mut rng = Rng::new(0x0B_0A4D ^ case);
         let (tables, _) = arb_world(&mut rng);
-        let (head, tail) = opens[rng.range(0, opens.len() as i64) as usize];
-        let raw = rng.range(0, 2) == 0;
-        let param = if raw {
-            Param::raw_reference(0, "k")
-        } else {
-            Param::reference(0, "k")
+        let pieces = opens[rng.range(0, opens.len() as i64) as usize];
+        let kind = rng.range(0, 3);
+        let open = match (pieces, kind) {
+            ([head, tail], 0) => Stmt::with_param(head, &Param::reference(0, "k"), tail),
+            _ => {
+                let holes = pieces[1..]
+                    .iter()
+                    .map(|p| (str_hole(kind == 2), p.to_string()));
+                Stmt::dependent(0, pieces[0], holes.collect())
+            }
         };
-        let open = Stmt::with_param(head, &param, tail);
         let value = arb_value(&mut rng);
-        let bound = open.bind(&value);
+        let row = ResultSet::new(vec!["k".into()], vec![vec![value.clone()]]);
+        let bound = open.bind_from(&row).unwrap().unwrap();
         let fp = Footprint::of_sql(bound.sql());
         if fp.barrier {
             // Unparseable: it fails where it runs, touching nothing.

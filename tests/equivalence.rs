@@ -49,13 +49,15 @@ impl Rng {
 /// may be empty, `c` an integer, a text, a `NULL` or a missing column,
 /// with or without an `else` arm and a read of `q` after the `if`.
 /// Guarded arms register whole: cells of `q` splice into reads and writes
-/// (see [`guarded_arm`]). Any draw may fail, and any number of them.
+/// (see [`guarded_arm`]). Pending splices build a statement's text from
+/// `q`'s first row with or without a guard, by arithmetic, in one hole or
+/// two (see [`pending_splice`]). Any draw may fail, and any number of them.
 fn arb_program(rng: &mut Rng) -> String {
     let n = rng.range(1, 12);
     let mut stmts = Vec::new();
     let mut pool = false;
     for i in 0..n {
-        let stmt = match rng.range(0, 17) {
+        let stmt = match rng.range(0, 19) {
             0 | 1 => {
                 // Arithmetic assignment over the variable pool.
                 let (dst, a, b) = (rng.range(0, 5), rng.range(0, 5), rng.range(0, 5));
@@ -165,7 +167,8 @@ fn arb_program(rng: &mut Rng) -> String {
                 }
             }
             13 | 14 => guarded_read(rng, i),
-            _ => guarded_arm(rng, i),
+            15 | 16 => guarded_arm(rng, i),
+            _ => pending_splice(rng, i),
         };
         stmts.push(stmt);
     }
@@ -232,8 +235,55 @@ fn guarded_read(rng: &mut Rng, i: i64) -> String {
     )
 }
 
+/// A read of `u` or a write of `t` or `u` whose text is pending on `q`'s
+/// first row — one hole or two, each `str` of a cell of `q` or of
+/// arithmetic over cells and literals — unguarded, or heading the
+/// arm of an `if (nrows(q) > 0)` with or without an `else`. `q` is a row of
+/// `t` or none, so an unguarded statement fails as its `cell` does; the
+/// cell is an integer, a float, a text, a `NULL` (which fails arithmetic)
+/// or a missing column. The read is demanded. Names are suffixed by `i`.
+fn pending_splice(rng: &mut Rng, i: i64) -> String {
+    let src = rng.range(0, 5);
+    // Arithmetic never over text: a lazy run raises an operator's error
+    // where it forces the operator (DESIGN.md "Failure order").
+    let hole = |rng: &mut Rng| {
+        let column = ["id", "v", "v", "f", "s", "w"][rng.range(0, 6) as usize];
+        let cell = format!("cell(p{i}, 0, \"{column}\")");
+        let lit = rng.range(-3, 4);
+        match rng.range(0, 4) {
+            _ if column == "s" => format!("str({cell})"),
+            0 => format!("str({cell})"),
+            1 => format!("str({cell} * 2 + {lit})"),
+            2 => format!("str({lit} - {cell})"),
+            _ => format!("str(cell(p{i}, 0, \"id\") * {lit} + {cell})"),
+        }
+    };
+    let (a, b) = (hole(rng), hole(rng));
+    let stmt = match rng.range(0, 5) {
+        0 => format!(
+            "let g{i} = query(\"SELECT id, v FROM u WHERE v >= \" + {a} + \" ORDER BY id\"); \
+             print(str(nrows(g{i})));"
+        ),
+        1 => format!(
+            "let g{i} = query(\"SELECT id, v FROM u WHERE v >= \" + {a} + \" AND id <= \" + {b} + \" ORDER BY id\"); \
+             print(str(nrows(g{i})));"
+        ),
+        2 => format!("exec(\"UPDATE t SET v = v + 1 WHERE id = \" + {a});"),
+        3 => format!("exec(\"UPDATE u SET v = \" + {a} + \" WHERE id = \" + {b});"),
+        _ => format!("exec(\"INSERT INTO u (id, v, s) VALUES (\" + {a} + \", \" + {b} + \", 'p')\");"),
+    };
+    let parent =
+        format!("let p{i} = query(\"SELECT id, v, s, f FROM t WHERE id = \" + str(v{src} % 7));");
+    match rng.range(0, 4) {
+        0 | 1 => format!("{parent} {stmt}"),
+        2 => format!("{parent} if (nrows(p{i}) > 0) {{ {stmt} }}"),
+        _ => format!("{parent} if (nrows(p{i}) > 0) {{ {stmt} }} else {{ print(\"none\"); }}"),
+    }
+}
+
 /// An `if (nrows(q) > 0)` whose then-arm is all head: cells of `q` spliced
-/// unquoted into a write of `t` or `u` and a read of `u`, and a print of
+/// unquoted into a write of `t` or `u` and a read of `u` — some by
+/// arithmetic over the cell, some in two holes — and a print of
 /// what the read found — names suffixed by `i`. `q` is a row of `t`, none,
 /// or (rarely) a failing query; the cell is an integer, a text (which
 /// fails the write it keys), a `NULL`, a float or a missing column. The
@@ -252,14 +302,20 @@ fn guarded_arm(rng: &mut Rng, i: i64) -> String {
         format!("\"SELECT id, v, s, f FROM t WHERE id = \" + str((v{src} + n{i}) % 7)")
     };
     // A text key spliced unquoted fails the write it keys.
-    let write = match rng.range(0, 3) {
+    let write = match rng.range(0, 4) {
         0 => format!("exec(\"UPDATE t SET v = v + {delta} WHERE id = \" + str(k{i}));"),
         1 => format!("exec(\"UPDATE u SET v = \" + str(k{i}) + \" WHERE id = {src}\");"),
+        2 => format!(
+            "exec(\"UPDATE u SET v = \" + str(cell(q{i}, 0, \"v\") * 3 - {delta}) + \" WHERE id = \" + str(cell(q{i}, 0, \"id\") + 1));"
+        ),
         _ => String::new(),
     };
-    let read = match column {
-        "s" => format!("\"SELECT id, v FROM u WHERE s = '\" + str(k{i}) + \"' ORDER BY id\""),
-        _ => format!("\"SELECT id, v FROM u WHERE v >= \" + str(k{i}) + \" ORDER BY id\""),
+    let read = match (column, rng.range(0, 2)) {
+        ("s", _) => format!("\"SELECT id, v FROM u WHERE s = '\" + str(k{i}) + \"' ORDER BY id\""),
+        (_, 0) => format!("\"SELECT id, v FROM u WHERE v >= \" + str(k{i}) + \" ORDER BY id\""),
+        _ => format!(
+            "\"SELECT id, v FROM u WHERE v >= \" + str(k{i}) + \" AND id < \" + str(k{i} + {delta} + 6) + \" ORDER BY id\""
+        ),
     };
     let mut maybe = |s: String| {
         if rng.range(0, 2) == 0 {

@@ -76,11 +76,12 @@ fn explain_example_runs_end_to_end() {
     assert_eq!(pages[0].len(), 1, "error.jsp: {:?}", pages[0]);
 
     // TPC-C's reads of raw result sets wait for whoever demands them: no
-    // flush is forced by an eager argument. New order ships its reads
-    // when the `INSERT INTO orders` splices `oid` into its SQL, then
-    // everything else with the page's output.
+    // flush is forced by an eager argument. New order's inserts splice
+    // `oid` and `oid * 100 + k + 10000` from the district's row: pending
+    // text, each a dependant of that read, so the whole transaction ships
+    // with the page's output.
     let trips: Vec<usize> = tpcc.iter().map(|(_, f)| f.len()).collect();
-    assert_eq!(trips, [2, 1, 1, 1, 1], "{tpcc:?}");
+    assert_eq!(trips, [1, 1, 1, 1, 1], "{tpcc:?}");
     for (name, flushes) in &tpcc {
         assert!(
             flushes
@@ -90,13 +91,7 @@ fn explain_example_runs_end_to_end() {
         );
     }
     assert_eq!(tpcc[0].0, "New order");
-    assert_eq!(
-        tpcc[0].1,
-        [
-            (4, FlushReason::Force(Demand::QueryParam)),
-            (22, FlushReason::Force(Demand::Output)),
-        ]
-    );
+    assert_eq!(tpcc[0].1, [(26, FlushReason::Force(Demand::Output))]);
     // Order status's lines ride the flush its `nrows(o) > 0` forces, bound
     // from `o`'s first row in the same trip.
     assert_eq!(tpcc[1].0, "Order status");
