@@ -197,24 +197,24 @@ fn fig10() {
     let scales = [50, 250, 500, 1000, 2000];
     println!("\n== Figure 10(a) — itracker list_projects vs #projects ==");
     println!(
-        "  {:>8} {:>12} {:>12} {:>10}",
-        "projects", "orig ms", "sloth ms", "max batch"
+        "  {:>8} {:>12} {:>12} {:>10} {:>12}",
+        "projects", "orig ms", "sloth ms", "max batch", "sloth trips"
     );
     for p in fig10_itracker(&scales) {
         println!(
-            "  {:>8} {:>12.1} {:>12.1} {:>10}",
-            p.scale, p.orig_ms, p.sloth_ms, p.max_batch
+            "  {:>8} {:>12.1} {:>12.1} {:>10} {:>12}",
+            p.scale, p.orig_ms, p.sloth_ms, p.max_batch, p.sloth_trips
         );
     }
     println!("\n== Figure 10(b) — OpenMRS encounterDisplay vs #observations ==");
     println!(
-        "  {:>8} {:>12} {:>12} {:>10}",
-        "obs", "orig ms", "sloth ms", "max batch"
+        "  {:>8} {:>12} {:>12} {:>10} {:>12}",
+        "obs", "orig ms", "sloth ms", "max batch", "sloth trips"
     );
     for p in fig10_openmrs(&scales) {
         println!(
-            "  {:>8} {:>12.1} {:>12.1} {:>10}",
-            p.scale, p.orig_ms, p.sloth_ms, p.max_batch
+            "  {:>8} {:>12.1} {:>12.1} {:>10} {:>12}",
+            p.scale, p.orig_ms, p.sloth_ms, p.max_batch, p.sloth_trips
         );
     }
 }

@@ -95,6 +95,8 @@ pub(crate) enum QueryFn {
     OrmFindWhere,
     OrmFindAll,
     OrmCountWhere,
+    /// [`ASSOC_ROWS`]: one association of every element of a list read.
+    OrmAssocRows,
 }
 
 /// Writes / transaction boundaries.
@@ -144,6 +146,7 @@ impl Builtin {
             "orm_find_where" => Query(QueryFn::OrmFindWhere),
             "orm_find_all" => Query(QueryFn::OrmFindAll),
             "orm_count_where" => Query(QueryFn::OrmCountWhere),
+            ASSOC_ROWS => Query(QueryFn::OrmAssocRows),
             "exec" => WriteQuery(WriteFn::Exec),
             "orm_save" => WriteQuery(WriteFn::OrmSave),
             "orm_update" => WriteQuery(WriteFn::OrmUpdate),
@@ -176,6 +179,13 @@ impl Builtin {
 /// own, and to every analysis that runs in between it is a call of no
 /// effect.
 pub(crate) const ROW_GUARD: &str = "if@rows";
+
+/// The callee guard hoisting lowers a 1+N association loop to:
+/// `ASSOC_ROWS(base, "a")` is the list `[orm_assoc(at(base, 0), "a"), …]`
+/// the loop pushes, registered as one each-row dependant of the list read
+/// `base` (see `hoist.rs`). Like [`ROW_GUARD`] no source program can
+/// spell it.
+pub(crate) const ASSOC_ROWS: &str = "assoc@rows";
 
 /// Looks up a builtin's kind by name; `None` means a user-defined function.
 pub fn builtin_kind(name: &str) -> Option<BuiltinKind> {
@@ -213,6 +223,7 @@ mod tests {
         assert_eq!(Builtin::from_name("nrows"), Builtin::from_name("len"));
         assert_eq!(Builtin::from_name("log"), Some(Builtin::External));
         assert_eq!(builtin_kind(ROW_GUARD), None);
+        assert_eq!(builtin_kind(ASSOC_ROWS), Some(BuiltinKind::Query));
     }
 
     #[test]

@@ -30,9 +30,12 @@
 //!    statement of the arm assigns and that holds a plain value (every
 //!    binding of it in `main` is a literal, a parameter, `len(…)` or
 //!    arithmetic over such), so registering forces nothing. An
-//!    `orm_assoc` owner must instead be an earlier moved single-row read
-//!    whose key field nothing since may have written: it registers as a
-//!    dependant of that read, in the same trip;
+//!    `orm_assoc` owner must instead be an earlier moved single-row read,
+//!    and the list of an [`ASSOC_ROWS`] read (a lowered 1+N loop, below)
+//!    an earlier moved list read, whose key field nothing since may have
+//!    written (and, for a list, that nothing since has mentioned but to
+//!    bind its length: a `push` or `clear` writes no field): it registers
+//!    as a dependant of that read, in the same trip;
 //! 3. **no write comes first** — the scan stops at the first statement
 //!    that may write to the database or open or close a transaction,
 //!    itself or through a call (its effect summary's writes, `analysis.rs`):
@@ -55,6 +58,26 @@
 //! The read is moved, never duplicated: the store only deduplicates a
 //! statement while it is still pending, so a second registration inside
 //! the arm after the condition's flush would cost a trip of its own.
+//!
+//! **Each-row loops.** Before the `if`s are scanned, every function's 1+N
+//! association loops are lowered — after simplification, exactly
+//!
+//! ```text
+//! let acc = []; let k = 0; …
+//! while (true) { [let t = len(base);] if (k < t) {
+//!     let el = at(base, k); let v = orm_assoc(el, "a"); push(acc, v); k = k + 1;
+//! } else { break; } }
+//! ```
+//!
+//! with the bound `len(base)` read in the loop or bound to a `bn` before
+//! it — to `let acc = ASSOC_ROWS(base, "a")`, one read the interpreter
+//! registers as an each-row dependant of `base`, and `let acc = []` and
+//! `let k = 0` go. It lowers only when `base` is an `orm_find_where` /
+//! `orm_find_all` of the same block, not bound again since (and, for a
+//! `bn`, mentioned nowhere between `bn` and the loop); `acc` is a `[]`
+//! nothing mentions before the loop does; `k` a `0` nothing mentions
+//! outside the loop; the loop's other names appear nowhere else; and the
+//! association resolves in the schema. Any other loop stays a loop.
 //!
 //! **Guarded prefixes.** An `if (nrows(q) > 0)` — `len` is the same
 //! builtin; the condition may reach the `if` through the temporaries
@@ -95,7 +118,7 @@ use sloth_sql::{Footprint, TableAccess};
 
 use crate::analysis::{Analysis, EffectWalk};
 use crate::ast::*;
-use crate::builtins::{Builtin, ReadFn, ROW_GUARD};
+use crate::builtins::{Builtin, ReadFn, ASSOC_ROWS, ROW_GUARD};
 use crate::opt::count_occurrences as count_mentions;
 
 /// Guard hoisting over one program, reading its effect summary.
@@ -115,13 +138,16 @@ impl<'p> GuardHoist<'p> {
         self.analysis.effects(Some(self.schema))
     }
 
-    /// `f` with the qualifying reads of its `if`s moved above them (see
-    /// the module documentation) — if it is `main`, the only function
-    /// rewritten.
+    /// `f` with its 1+N association loops lowered to each-row reads, and —
+    /// if it is `main`, the only function whose `if`s are rewritten — the
+    /// qualifying reads of its `if`s moved above them (see the module
+    /// documentation); `None` when nothing changes.
     pub(crate) fn function(&self, f: &Function) -> Option<Function> {
+        let lowered = each_row_loops(f, self.schema);
         if f.name != "main" {
-            return None;
+            return lowered;
         }
+        let f = lowered.as_ref().unwrap_or(f);
         let mut mentions = HashMap::new();
         count_mentions(&f.body, &mut mentions);
         for param in &f.params {
@@ -208,11 +234,14 @@ fn table_read(table: &str) -> Footprint {
     }
 }
 
-/// A moved single-row read an `orm_assoc` further down the arm may hang
-/// off, by the name it is bound to.
+/// A moved read an association further down the arm may hang off, by the
+/// name it is bound to: a single row for `orm_assoc`, a list for an
+/// each-row read.
 struct Owner {
     /// Its entity.
     entity: String,
+    /// Whether it is a list read.
+    list: bool,
     /// Fields the arm may have written since (`None`: any field).
     written: Option<HashSet<String>>,
 }
@@ -359,6 +388,224 @@ fn binding<'a>(name: &str, before: &'a [Stmt]) -> Option<(&'a Expr, usize)> {
     None
 }
 
+/// Whether `s` mentions `list` other than as `let t = len(list)`.
+fn mentions_beyond_len(s: &Stmt, list: &str) -> bool {
+    match s {
+        Stmt::Let(_, Expr::Call(f, args))
+            if (f == "len" || f == "nrows") && matches!(&args[..], [Expr::Var(v)] if v == list) =>
+        {
+            false
+        }
+        s => {
+            let mut mentions = HashMap::new();
+            count_mentions(std::slice::from_ref(s), &mut mentions);
+            mentions.contains_key(list)
+        }
+    }
+}
+
+/// `f` with every 1+N association loop of its body lowered to one
+/// each-row read (see the module documentation); `None` when it has none.
+fn each_row_loops(f: &Function, schema: &Schema) -> Option<Function> {
+    if !has_assoc_loop(&f.body) {
+        return None;
+    }
+    let mut mentions = HashMap::new();
+    count_mentions(&f.body, &mut mentions);
+    for param in &f.params {
+        *mentions.entry(param.clone()).or_insert(0) += 1;
+    }
+    let mut changed = false;
+    let body = lower_loops(&f.body, schema, &mentions, &mut changed);
+    changed.then(|| Function {
+        name: f.name.clone(),
+        params: f.params.clone(),
+        body,
+    })
+}
+
+/// Whether `stmts` hold a loop whose body's second statement binds an
+/// `orm_assoc`, as a 1+N loop's does: what [`assoc_loop`] looks for.
+fn has_assoc_loop(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::If(_, t, e) => has_assoc_loop(t) || has_assoc_loop(e),
+        Stmt::While(_, b) => {
+            let assoc = matches!(b.last(), Some(Stmt::If(_, body, _))
+                if matches!(body.get(1), Some(Stmt::Let(_, Expr::Call(f, _))) if f == "orm_assoc"));
+            assoc || has_assoc_loop(b)
+        }
+        _ => false,
+    })
+}
+
+/// A block with its association loops, and those of the blocks it holds,
+/// lowered.
+fn lower_loops(
+    stmts: &[Stmt],
+    schema: &Schema,
+    mentions: &HashMap<String, usize>,
+    changed: &mut bool,
+) -> Vec<Stmt> {
+    let mut out: Vec<Stmt> = stmts
+        .iter()
+        .map(|s| match s {
+            Stmt::If(c, t, e) => Stmt::If(
+                c.clone(),
+                lower_loops(t, schema, mentions, changed),
+                lower_loops(e, schema, mentions, changed),
+            ),
+            Stmt::While(c, b) => Stmt::While(c.clone(), lower_loops(b, schema, mentions, changed)),
+            s => s.clone(),
+        })
+        .collect();
+    let mut i = 0;
+    while i < out.len() {
+        if let Some((inits, read)) = assoc_loop(&out, i, schema, mentions) {
+            out[i] = read;
+            for at in inits {
+                out.remove(at);
+                i -= 1;
+            }
+            *changed = true;
+        }
+        i += 1;
+    }
+    out
+}
+
+/// `stmts[i]` as a 1+N association loop over a list read of its block —
+/// after simplification,
+///
+/// ```text
+/// let acc = []; let k = 0; …
+/// while (true) { [let t = len(base);] if (k < t) {
+///     let el = at(base, k); let v = orm_assoc(el, "a"); push(acc, v); k = k + 1;
+/// } else { break; } }
+/// ```
+///
+/// the bound `t` possibly a `bn = len(base)` bound before the loop — and
+/// what replaces it: `let acc = ASSOC_ROWS(base, "a")`, and the positions
+/// of `let acc = []` and `let k = 0`, highest first, which go.
+fn assoc_loop(
+    stmts: &[Stmt],
+    i: usize,
+    schema: &Schema,
+    mentions: &HashMap<String, usize>,
+) -> Option<([usize; 2], Stmt)> {
+    let Stmt::While(Expr::Lit(Lit::Bool(true)), inner) = &stmts[i] else {
+        return None;
+    };
+    let (Stmt::If(Expr::Binary(BinOp::Lt, k, bound), body, els), temps) = inner.split_last()?
+    else {
+        return None;
+    };
+    let ([Stmt::Break], Expr::Var(k), Expr::Var(bound)) = (&els[..], &**k, &**bound) else {
+        return None;
+    };
+    let [Stmt::Let(el, Expr::Call(at, at_args)), Stmt::Let(v, Expr::Call(assoc, assoc_args)), Stmt::ExprStmt(Expr::Call(push, push_args)), Stmt::Assign(LValue::Var(step), next)] =
+        &body[..]
+    else {
+        return None;
+    };
+    let (
+        [Expr::Var(base), Expr::Var(at_k)],
+        [Expr::Var(owner), Expr::Lit(Lit::Str(a))],
+        [Expr::Var(acc), Expr::Var(pushed)],
+    ) = (&at_args[..], &assoc_args[..], &push_args[..])
+    else {
+        return None;
+    };
+    let one = Expr::Binary(
+        BinOp::Add,
+        Box::new(Expr::Var(k.clone())),
+        Box::new(Expr::Lit(Lit::Int(1))),
+    );
+    let shape = (at.as_str(), assoc.as_str(), push.as_str()) == ("at", "orm_assoc", "push")
+        && (at_k, step, owner, pushed) == (k, k, el, v)
+        && *next == one;
+    if !shape {
+        return None;
+    }
+    // The bound is `len(base)`, read in the loop or bound before it, and
+    // `base` an ORM list read of this block, not bound again since. A
+    // bound read before the loop also has nothing mention `base` in
+    // between: a `push` or `clear` there would make the loop's count
+    // differ from the list's.
+    let before = &stmts[..i];
+    let len_of = |e: &Expr| match e {
+        Expr::Call(f, args) if f == "len" || f == "nrows" => match &args[..] {
+            [Expr::Var(r)] => Some(r.clone()),
+            _ => None,
+        },
+        _ => None,
+    };
+    let (base_read, base_at) = binding(base, before)?;
+    let mut local = vec![el.clone(), v.clone()];
+    match temps {
+        [] => {
+            let (len, len_at) = binding(bound, before)?;
+            let mut gap = HashMap::new();
+            count_mentions(&stmts[len_at + 1..i], &mut gap);
+            (len_of(len)? == *base && base_at < len_at && !gap.contains_key(base)).then_some(())?;
+        }
+        [Stmt::Let(t, len)] if t == bound && len_of(len).as_ref() == Some(base) => {
+            local.push(t.clone())
+        }
+        _ => return None,
+    }
+    let Expr::Call(f, args) = base_read else {
+        return None;
+    };
+    let Some(Expr::Lit(Lit::Str(entity))) = args.first() else {
+        return None;
+    };
+    let def = schema.entity(entity)?;
+    let has = |cols: &[(String, _)], c: &str| cols.iter().any(|(n, _)| n == c);
+    let resolves = match &def.assoc(a)?.kind {
+        AssocKind::ManyToOne { fk_column } => has(&def.columns, fk_column),
+        AssocKind::OneToMany { fk_column } => {
+            has(&schema.entity(&def.assoc(a)?.target)?.columns, fk_column)
+        }
+    };
+    if !matches!(f.as_str(), "orm_find_where" | "orm_find_all") || !resolves {
+        return None;
+    }
+    // `acc` is a fresh `[]` nothing reads until the loop, and `k` a `0`
+    // nothing reads outside it; the loop's own names are its own.
+    let mut inside = HashMap::new();
+    count_mentions(std::slice::from_ref(&stmts[i]), &mut inside);
+    let count = |m: &HashMap<String, usize>, n: &str| m.get(n).copied().unwrap_or(0);
+    let mut names = local.clone();
+    names.extend([k.clone(), acc.clone(), base.clone()]);
+    if (1..names.len()).any(|j| names[j..].contains(&names[j - 1])) {
+        return None;
+    }
+    let own = local
+        .iter()
+        .all(|n| count(mentions, n) == count(&inside, n));
+    let (Expr::NewList(empty), acc_at) = binding(acc, before)? else {
+        return None;
+    };
+    let (Expr::Lit(Lit::Int(0)), k_at) = binding(k, before)? else {
+        return None;
+    };
+    let mut between = HashMap::new();
+    count_mentions(&stmts[acc_at + 1..i], &mut between);
+    let fresh = empty.is_empty() && count(&between, acc) == 0 && count(&inside, acc) == 1;
+    let dead = count(mentions, k) == count(&inside, k) + 1;
+    if !(own && fresh && dead) {
+        return None;
+    }
+    let read = Expr::Call(
+        ASSOC_ROWS.into(),
+        vec![Expr::Var(base.clone()), Expr::Lit(Lit::Str(a.clone()))],
+    );
+    Some((
+        [acc_at.max(k_at), acc_at.min(k_at)],
+        Stmt::Let(acc.clone(), read),
+    ))
+}
+
 /// Rewrites one function's `if`s.
 struct Hoister<'h, 'p> {
     hoist: &'h GuardHoist<'p>,
@@ -488,15 +735,26 @@ impl Hoister<'_, '_> {
                 _ => None,
             };
             scan.assigned.extend(names);
-            let Some(one_row_of) = moved else {
+            let Some(owner_of) = moved else {
+                // A `push`, a `clear`, an element store or an alias changes
+                // a list without writing a field: an each-row read hangs
+                // off a moved list only while nothing but its length has
+                // been read.
+                scan.owners
+                    .retain(|name, o| !o.list || !mentions_beyond_len(&s, name));
                 kept.push(s);
                 continue;
             };
             match s {
                 Stmt::Let(name, call) => {
-                    if let Some(entity) = one_row_of {
+                    if let Some((entity, list)) = owner_of {
                         let written = Some(HashSet::new());
-                        scan.owners.insert(name.clone(), Owner { entity, written });
+                        let owner = Owner {
+                            entity,
+                            list,
+                            written,
+                        };
+                        scan.owners.insert(name.clone(), owner);
                     }
                     before.push(Stmt::Let(name, call));
                 }
@@ -559,9 +817,9 @@ impl Hoister<'_, '_> {
     }
 
     /// Whether the read `f(args)` may move above the `if`: `Some` with the
-    /// entity of its row when it returns one row (what an `orm_assoc` may
-    /// then hang off).
-    fn movable(&self, f: &str, args: &[Expr], scan: &Scan) -> Option<Option<String>> {
+    /// entity of its rows, and whether it is a list, when an association
+    /// may then hang off it.
+    fn movable(&self, f: &str, args: &[Expr], scan: &Scan) -> Option<Option<(String, bool)>> {
         let schema = self.hoist.schema;
         let key_ok = |key: &Expr| match key {
             Expr::Lit(_) => true,
@@ -575,19 +833,24 @@ impl Hoister<'_, '_> {
             _ => None,
         };
         let has = |cols: &[(String, _)], c: &str| cols.iter().any(|(n, _)| n == c);
-        let (table, one_row_of) = match (f, args) {
+        let (table, owner_of) = match (f, args) {
             ("orm_find", [entity, key]) => {
                 let def = schema.entity(&str_lit(entity)?)?;
-                key_ok(key).then_some((&def.table, Some(def.name.clone())))?
+                key_ok(key).then_some((&def.table, Some((def.name.clone(), false))))?
             }
             ("orm_find_where" | "orm_count_where", [entity, column, key]) => {
                 let def = schema.entity(&str_lit(entity)?)?;
                 let known = has(&def.columns, &str_lit(column)?);
-                (known && key_ok(key)).then_some((&def.table, None))?
+                let list = (f == "orm_find_where").then(|| (def.name.clone(), true));
+                (known && key_ok(key)).then_some((&def.table, list))?
             }
-            ("orm_find_all", [entity]) => (&schema.entity(&str_lit(entity)?)?.table, None),
-            ("orm_assoc", [Expr::Var(owner), assoc]) => {
-                let o = scan.owners.get(owner)?;
+            ("orm_find_all", [entity]) => {
+                let def = schema.entity(&str_lit(entity)?)?;
+                (&def.table, Some((def.name.clone(), true)))
+            }
+            ("orm_assoc" | ASSOC_ROWS, [Expr::Var(owner), assoc]) => {
+                let each_row = f == ASSOC_ROWS;
+                let o = scan.owners.get(owner).filter(|o| o.list == each_row)?;
                 let assoc = str_lit(assoc)?;
                 let def = schema.entity(&o.entity)?;
                 let a = def.assoc(&assoc)?;
@@ -605,11 +868,12 @@ impl Hoister<'_, '_> {
                 if !has(&def.columns, key) || o.may_have_written(key) || o.may_have_written(&memo) {
                     return None;
                 }
-                (&target.table, one_row.then(|| target.name.clone()))
+                let row_of = (one_row && !each_row).then(|| (target.name.clone(), false));
+                (&target.table, row_of)
             }
             _ => return None,
         };
-        (!table_read(table).conflicts_with(scan.written)).then_some(one_row_of)
+        (!table_read(table).conflicts_with(scan.written)).then_some(owner_of)
     }
 
     /// A name the function does not use yet, mentioned twice: where the

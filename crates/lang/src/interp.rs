@@ -38,7 +38,7 @@ use crate::opt::OptFlags;
 use crate::resolve::{resolve, Callee, GuardedIf, RExpr, RStmt, Resolved, Slot};
 use crate::runtime::{row_to_entity, rs_to_entities, Counters, DataLayer, RunError, RunResult};
 use crate::simplify::simplify_program;
-use crate::value::{BlockDriver, Dep, DepKind, Deser, LazyState, LazyVal, Pending, V};
+use crate::value::{BlockDriver, Dep, DepKind, Deser, EachRow, LazyState, LazyVal, Pending, V};
 
 /// How to execute a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -622,19 +622,17 @@ impl<'p> Interp<'p> {
                 }
             }
             Callee::Builtin(Builtin::EagerRead(func)) => {
-                // A read of a raw result set nobody has fetched waits for
-                // its demand: nothing can write the rows it reads.
-                let delays = matches!(
-                    func,
-                    ReadFn::Len | ReadFn::Cell | ReadFn::At | ReadFn::First
-                );
-                if lazy && delays && vals.first().and_then(unfetched_query).is_some() {
-                    Ok(self.alloc_thunk(Pending::ResultRead {
-                        func: *func,
-                        args: vals,
-                    }))
-                } else {
-                    self.eager_read_builtin(*func, vals)
+                // A read of a result set nobody has fetched waits for its
+                // demand: nothing can write the rows it reads.
+                match lazy.then(|| self.unfetched_rows(*func, &vals)).flatten() {
+                    Some(rows) => {
+                        vals[0] = rows;
+                        Ok(self.alloc_thunk(Pending::ResultRead {
+                            func: *func,
+                            args: vals,
+                        }))
+                    }
+                    None => self.eager_read_builtin(*func, vals),
                 }
             }
             Callee::Builtin(Builtin::HeapWrite(func)) => self.heap_write_builtin(*func, vals),
@@ -754,9 +752,23 @@ impl<'p> Interp<'p> {
                 if let (true, Some(dep)) = (rs.is_no_parent_row(), &dep) {
                     return Err(self.missing_parent(dep));
                 }
-                let v = deserialize(&deser, rs);
-                if let V::Obj(o) = &v {
-                    o.borrow_mut().extend(assocs);
+                let v = match &deser {
+                    Deser::EachRow(rows, part) => self.each_row_value(rows, *part, &rs)?,
+                    deser => deserialize(deser, rs),
+                };
+                match &v {
+                    V::Obj(o) => o.borrow_mut().extend(assocs),
+                    V::List(items) => {
+                        for (memo, rows) in assocs {
+                            for (j, item) in items.borrow().iter().enumerate() {
+                                if let (V::Obj(o), Some(value)) = (item, row_value(&rows, j)) {
+                                    let value = self.alloc_thunk(value);
+                                    o.borrow_mut().insert(memo.clone(), value);
+                                }
+                            }
+                        }
+                    }
+                    _ => {}
                 }
                 Ok(v)
             }
@@ -1093,6 +1105,30 @@ impl<'p> Interp<'p> {
                 }
                 self.orm_assoc(&schema, owner, &assoc, lazy)
             }
+            QueryFn::OrmAssocRows => {
+                let base = args.remove(0);
+                let assoc = self.string_arg(args.remove(0))?;
+                if lazy {
+                    if let Some(v) = self.assoc_rows_of_unfetched(&schema, &base, &assoc)? {
+                        return Ok(v);
+                    }
+                }
+                // The loop it stands for: `orm_assoc` of every element, in
+                // order, pushed to a fresh list.
+                let base = self.force_for(base, Demand::EagerArg)?;
+                let mut values = Vec::new();
+                let mut k = 0;
+                while matches!(
+                    self.eager_read_builtin(ReadFn::Len, vec![base.clone()])?,
+                    V::Int(n) if k < n
+                ) {
+                    let el = self.read_index(&base, &V::Int(k))?;
+                    let assoc = V::Str(Rc::clone(&assoc));
+                    values.push(self.query_builtin(QueryFn::OrmAssoc, vec![el, assoc], lazy)?);
+                    k += 1;
+                }
+                Ok(V::list(values))
+            }
             QueryFn::OrmFindWhere => {
                 let entity = self.string_arg(args.remove(0))?;
                 let col = self.string_arg(args.remove(0))?;
@@ -1313,6 +1349,109 @@ impl<'p> Interp<'p> {
             assocs.push((memo_key, v.clone()));
         }
         Ok(Some(v))
+    }
+
+    /// `ASSOC_ROWS(base, assoc)` on a list read nobody has fetched: one
+    /// each-row dependant of `base`, keyed by every row's owner-side
+    /// column, whose answer is the list the 1+N loop pushes — and each
+    /// element's `__assoc_*` memo once `base` materializes. `None` sends
+    /// the caller down the loop: `base` no longer waits in the batch, the
+    /// memo is there already (the loop then reads it), or a name does not
+    /// resolve (the loop raises what it raises).
+    fn assoc_rows_of_unfetched(
+        &mut self,
+        schema: &Schema,
+        base: &V,
+        assoc: &str,
+    ) -> Result<Option<V>, RunError> {
+        let (V::Thunk(cell), Some((id, entity, up))) = (base, unfetched_list(base)) else {
+            return Ok(None);
+        };
+        let memo_key = format!("__assoc_{assoc}");
+        if let LazyState::Pending(Pending::Query { assocs, .. }) = &*cell.0.borrow() {
+            if assocs.iter().any(|(k, _)| *k == memo_key) {
+                return Ok(None);
+            }
+        }
+        let (Some(def), Ok((read, target, many))) =
+            (schema.entity(&entity), self.data.assoc_read(&entity, assoc))
+        else {
+            return Ok(None);
+        };
+        let column = match def.assoc(assoc).map(|a| &a.kind) {
+            Some(AssocKind::OneToMany { .. }) => &def.pk,
+            Some(AssocKind::ManyToOne { fk_column }) => fk_column,
+            None => return Ok(None),
+        };
+        let build = |p| read.stmt(&Param::each_row(p, column));
+        let Some(reg) = self.data.register_dependent(id, build)? else {
+            return Ok(None);
+        };
+        self.counters.queries_registered += 1;
+        let rows = Rc::new(EachRow {
+            parent: id,
+            deser: assoc_deser(target, many),
+            values: RefCell::new(None),
+        });
+        let dep = Some(Rc::new(Dep {
+            parent: id,
+            how: DepKind::Assoc,
+            up,
+        }));
+        let held = self.alloc_thunk(each_row_read(reg.id, &rows, None, &dep));
+        let kept = self.alloc_thunk(each_row_read(reg.id, &rows, None, &dep));
+        if let LazyState::Pending(Pending::Query { assocs, .. }) = &mut *cell.0.borrow_mut() {
+            assocs.push((memo_key, kept));
+        }
+        Ok(Some(held))
+    }
+
+    /// The value an each-row read's thunk stands for: its list, or row
+    /// `part`'s value — deserialized once, part by part, from the parts
+    /// its answer `rs` holds, one per row of the list read it hangs off.
+    fn each_row_value(
+        &mut self,
+        rows: &EachRow,
+        part: Option<usize>,
+        rs: &ResultSet,
+    ) -> Result<V, RunError> {
+        if rows.values.borrow().is_none() {
+            let n = self.fetch(rows.parent, self.demand)?.len();
+            let values = rs.parts(n).into_iter();
+            let values = values.map(|p| deserialize(&rows.deser, p)).collect();
+            *rows.values.borrow_mut() = Some(values);
+        }
+        let values = rows.values.borrow();
+        let values = values.as_deref().unwrap_or_default();
+        Ok(match part {
+            None => V::list(values.to_vec()),
+            Some(j) => values.get(j).cloned().unwrap_or(V::Null),
+        })
+    }
+
+    /// The result set a delayed read of `func` over `args` reads: a raw
+    /// query nobody has fetched, or, for `len`, the rows of an ORM list
+    /// read nobody has fetched — one per element, read off the answer,
+    /// which no `push` reaches. `None`: the read runs now.
+    fn unfetched_rows(&mut self, func: ReadFn, args: &[V]) -> Option<V> {
+        let recv = args.first()?;
+        match func {
+            ReadFn::Len | ReadFn::Cell | ReadFn::At | ReadFn::First
+                if unfetched_query(recv).is_some() =>
+            {
+                Some(recv.clone())
+            }
+            ReadFn::Len => {
+                let (id, _, dep) = unfetched_list(recv)?;
+                Some(self.alloc_thunk(Pending::Query {
+                    id,
+                    deser: Deser::Raw,
+                    dep,
+                    assocs: Vec::new(),
+                }))
+            }
+            _ => None,
+        }
     }
 
     /// A dependent query answered "no parent row": raises what the
@@ -2043,6 +2182,51 @@ fn unfetched_entity(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
     }
 }
 
+/// `v` as an ORM list read nobody has forced: its query id, entity and
+/// own dependence.
+fn unfetched_list(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
+    let V::Thunk(cell) = v else { return None };
+    match &*cell.0.borrow() {
+        LazyState::Pending(Pending::Query {
+            id,
+            deser: Deser::EntityList(entity),
+            dep,
+            ..
+        }) => Some((*id, Rc::clone(entity), dep.clone())),
+        _ => None,
+    }
+}
+
+/// Row `j`'s value of the each-row read whose list `rows` is, to memoise
+/// on the `j`-th element of the list read it hangs off.
+fn row_value(rows: &V, j: usize) -> Option<Pending> {
+    let V::Thunk(cell) = rows else { return None };
+    match &*cell.0.borrow() {
+        LazyState::Pending(Pending::Query {
+            id,
+            deser: Deser::EachRow(each, _),
+            dep,
+            ..
+        }) => Some(each_row_read(*id, each, Some(j), dep)),
+        _ => None,
+    }
+}
+
+/// The each-row read `id` as the value of row `part`, or its list.
+fn each_row_read(
+    id: QueryId,
+    rows: &Rc<EachRow>,
+    part: Option<usize>,
+    dep: &Option<Rc<Dep>>,
+) -> Pending {
+    Pending::Query {
+        id,
+        deser: Deser::EachRow(Rc::clone(rows), part),
+        dep: dep.clone(),
+        assocs: Vec::new(),
+    }
+}
+
 fn null_field_read(field: &str) -> RunError {
     RunError::new(format!("field {field} read on null"))
 }
@@ -2142,6 +2326,9 @@ fn deserialize(deser: &Deser, rs: ResultSet) -> V {
             .and_then(|r| r.first())
             .map(V::from_sql)
             .unwrap_or(V::Null),
+        // Its parts are deserialized by `Interp::each_row_value`, which
+        // knows how many rows they answer.
+        Deser::EachRow(..) => V::Null,
     }
 }
 

@@ -74,7 +74,9 @@ pub(crate) enum Pending {
         /// Associations fetched through this row while it was still
         /// unfetched, as `(memo field, value)`: the entity object takes
         /// them over when it materializes, so the `__assoc_*` memo holds
-        /// before and after the fetch.
+        /// before and after the fetch. For a list read, the value is an
+        /// each-row read's list (`Deser::EachRow`, never handed out):
+        /// element `j` takes row `j`'s value of it.
         assocs: Vec<(String, V)>,
     },
     /// Read one column of the first row of a registered single-row query
@@ -171,6 +173,25 @@ pub(crate) enum Deser {
     EntityList(Rc<str>),
     /// Scalar from row 0, column 0 (aggregates).
     Scalar,
+    /// An each-row association read's answer: the list of every parent
+    /// row's value (`None`) or row `j`'s alone (`Some(j)`), all read from
+    /// one deserialization.
+    EachRow(Rc<EachRow>, Option<usize>),
+}
+
+/// What the values of one each-row association read share: one value per
+/// row of the list read it hangs off, deserialized once. The list the
+/// program holds is a fresh list of them, and each row's `__assoc_*`
+/// memo one of them, so a heap write to one is seen through the other as
+/// under the loop the read stands for, and a `push` to the list is not.
+pub(crate) struct EachRow {
+    /// The list read whose rows key it.
+    pub parent: sloth_core::QueryId,
+    /// How each row's value deserializes: one entity or `null`, or a
+    /// collection.
+    pub deser: Deser,
+    /// One value per parent row, once deserialized.
+    pub values: RefCell<Option<Vec<V>>>,
 }
 
 /// A shared, memoizing lazy cell (clones share the cell).

@@ -239,12 +239,14 @@ fn one_plus_n_collapses_to_one_batch() {
     // Original: 1 (find_where) + 8 concept fetches (memoized per entity,
     // distinct entities → 8).
     assert_eq!(o.net.round_trips, 9);
-    // Sloth: find_where forced by len() → 1 trip; all 8 concept queries
-    // registered in the loop, deduped to 4 distinct, shipped together.
-    assert_eq!(s.net.round_trips, 2);
+    // Sloth: the loop is one each-row read of `encs`, registered as its
+    // dependant — `len(encs)` waits — and shipped with it: one trip, two
+    // statements, the 8 concept reads one fused probe over their 4
+    // distinct keys.
+    assert_eq!(s.net.round_trips, 1);
     let store = s.store.unwrap();
-    assert_eq!(store.batch_sizes, vec![1, 4]);
-    assert!(store.dedup_hits >= 4, "identical concept queries deduped");
+    assert_eq!(store.batch_sizes, vec![2]);
+    assert_eq!((store.fused_groups, store.fused_queries), (1, 8));
 }
 
 #[test]
@@ -1230,8 +1232,8 @@ fn a_guarded_body_rides_the_flush_its_guard_forces() {
     assert_eq!(none.net.round_trips, 2);
     assert_eq!(
         all.store.as_ref().unwrap().flush_reasons,
-        [FlushReason::Force(Demand::EagerArg)],
-        "forced by the guard's len"
+        [FlushReason::Force(Demand::Condition)],
+        "forced by the guard, whose len waits for it"
     );
 }
 
@@ -1303,8 +1305,13 @@ fn each_flush_names_the_consumer_that_forced_it() {
             vec![force(Demand::Condition)],
         ),
         (
-            r#"fn main() { let v = orm_find_where("visit", "patient_id", 1); let n = len(v); print(str(n)); }"#,
+            r#"fn main() { let v = orm_find_where("visit", "patient_id", 1); let r = at(v, 0); print(str(r.id)); }"#,
             vec![force(Demand::EagerArg)],
+        ),
+        (
+            // The `len` of a list nobody has fetched waits for its demand.
+            r#"fn main() { let v = orm_find_where("visit", "patient_id", 1); let n = len(v); print(str(n)); }"#,
+            vec![force(Demand::Output)],
         ),
         (
             r#"fn main() { let p = orm_find("patient", 1); print(p.name); }"#,
@@ -1374,6 +1381,25 @@ fn a_delayed_read_ships_for_the_consumer_that_demands_it() {
     ];
     for (src, want) in cases {
         assert_eq!(flush_reasons(src), want, "{src}");
+    }
+}
+
+/// The `len` of an ORM list nobody has fetched waits for its demand and
+/// reads the list's answer, not the list: a `push` between the call and
+/// the force does not reach it, as under `Original`.
+#[test]
+fn a_delayed_list_length_reads_the_answer() {
+    let src = r#"fn main() {
+        let v = orm_find_where("visit", "patient_id", 1);
+        let n = len(v);
+        push(v, 5);
+        print(str(n));
+        print(str(len(v)));
+    }"#;
+    let want = run_as(src, ExecStrategy::Original).unwrap().output;
+    assert_ne!(want[0], want[1]);
+    for s in all_strategies() {
+        assert_eq!(run_as(src, s).unwrap().output, want, "{s:?}");
     }
 }
 

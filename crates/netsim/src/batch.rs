@@ -81,6 +81,9 @@ pub(crate) struct BatchPlan<'a> {
     /// (disjoint-footprint) write — the reads the old planner would have
     /// split into another probe.
     pub cross_write_fused: u64,
+    /// Whether fusion was on: a bound each-row statement's members are
+    /// planned the same way.
+    pub fusion: bool,
 }
 
 /// Plans a batch: with `fusion` on, groups same-template single-literal
@@ -190,6 +193,7 @@ pub(crate) fn plan_batch<'a>(
         fused,
         segments,
         cross_write_fused,
+        fusion,
     }
 }
 

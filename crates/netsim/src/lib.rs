@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sloth_sql::{Database, Footprint, ResultSet, SqlError, Stmt};
-use versioned::{Admit, VersionedStore};
+use versioned::{Admitted, VersionedStore};
 
 pub use cache::ResultCacheStats;
 pub use dispatch::{Dispatcher, DispatcherStats};
@@ -457,17 +457,19 @@ impl SimEnv {
     /// A deployment over `dbs`, partitioned by `spec` (empty for the
     /// single server). Its databases, their published views and the
     /// router share one template cache: the first database's.
-    pub(crate) fn over(cost: CostModel, spec: ShardSpec, mut dbs: Vec<Database>) -> Self {
-        let templates = dbs
-            .first()
-            .map(|db| Arc::clone(db.template_cache()))
-            .unwrap_or_default();
-        for db in &mut dbs {
+    pub(crate) fn over(
+        cost: CostModel,
+        spec: ShardSpec,
+        first: Database,
+        mut rest: Vec<Database>,
+    ) -> Self {
+        let templates = Arc::clone(first.template_cache());
+        for db in &mut rest {
             db.set_template_cache(Arc::clone(&templates));
         }
         SimEnv {
-            router: Arc::new(shard::Router::new(spec, dbs.len(), templates)),
-            store: Arc::new(VersionedStore::new(dbs)),
+            router: Arc::new(shard::Router::new(spec, 1 + rest.len(), templates)),
+            store: Arc::new(VersionedStore::new(first, rest)),
             clock: Clock::new(),
             realtime_ppm: Arc::new(AtomicU64::new(0)),
             stats: Arc::new(AtomicNetStats::default()),
@@ -505,7 +507,7 @@ impl SimEnv {
     /// experiment harness to "restart" the server between measurements
     /// without re-seeding.
     pub fn from_database(db: Database, cost: CostModel) -> Self {
-        SimEnv::over(cost, ShardSpec::new(), vec![db])
+        SimEnv::over(cost, ShardSpec::new(), db, Vec::new())
     }
 
     /// A clone of the last committed database contents (one-database
@@ -540,7 +542,7 @@ impl SimEnv {
             1,
             "seed: this deployment has more than one database"
         );
-        let admitted = self.store.admit(Admit::Exclusive);
+        let admitted = self.store.admit_exclusive();
         let out = f(&mut admitted.write(0));
         // Publish unconditionally: out-of-band mutation may not go
         // through the version-bumping execute path, so the version gate
@@ -949,18 +951,37 @@ impl SimEnv {
                     break;
                 }
             };
-            let fp = fps[i].unwrap_or_else(|| self.footprint(&stmt));
-            let eligible = !bypass
-                && cacheable(&stmt)
-                && !fp.has_writes()
-                && fps[..i]
+            let eligible = |fp: &Footprint, stmt: &Stmt| {
+                !bypass
+                    && cacheable(stmt)
+                    && !fp.has_writes()
+                    && fps[..i]
+                        .iter()
+                        .flatten()
+                        .all(|w| !w.has_writes() || !w.conflicts_with(fp))
+            };
+            if let Some(members) = stmt.members() {
+                // Each member is the key its literal twin is: all hits
+                // answer the position, a miss ships it whole.
+                drop(cache);
+                let fps: Vec<&Footprint> = members.iter().map(|m| self.footprint(m)).collect();
+                cache = self.cache();
+                let parts: Option<Vec<ResultSet>> = members
                     .iter()
-                    .flatten()
-                    .all(|w| !w.has_writes() || !w.conflicts_with(fp));
-            if eligible {
-                if let Some(rs) = cache.probe(&stmt) {
-                    hits[i] = Some(rs);
+                    .zip(fps)
+                    .map(|(m, fp)| eligible(fp, m).then(|| cache.probe(m)).flatten())
+                    .collect();
+                if let Some(parts) = parts {
+                    hits[i] = Some(ResultSet::from_parts(&parts));
                     continue;
+                }
+            } else {
+                let fp = fps[i].unwrap_or_else(|| self.footprint(&stmt));
+                if eligible(fp, &stmt) {
+                    if let Some(rs) = cache.probe(&stmt) {
+                        hits[i] = Some(rs);
+                        continue;
+                    }
                 }
             }
             sub[i] = ship.len() as u64;
@@ -984,23 +1005,25 @@ impl SimEnv {
     /// exactly once, here), an executed pure read fills. Order matters:
     /// a read that trails a conflicting in-batch write refills *after*
     /// that write's invalidation, leaving the fresh post-write entry.
-    /// A dependent read fills under the statement it was bound to; one
-    /// that never ran (no parent row) has nothing to file.
+    /// A dependent read fills under the statement it was bound to, a bound
+    /// each-row one under each member with its part; one that never ran
+    /// (no parent row) has nothing to file.
     fn settle_result_cache(&self, probe: &CacheProbe, exec: &batch::BatchExec, version: u64) {
         // Before the cache lock, like the probe (which memoised them all).
         let mut bound = exec.bound.iter().peekable();
-        let settled: Vec<(&Stmt, &Footprint, &ResultSet)> = probe
-            .shipped
-            .iter()
-            .zip(&exec.results)
-            .enumerate()
-            .filter_map(|(i, (stmt, result))| {
-                let stmt = bound.next_if(|(pos, _)| *pos == i).map_or(stmt, |(_, b)| b);
-                // `None`: not executed (at or past the failing position).
-                let rs = result.as_ref()?;
-                (stmt.parent().is_none()).then(|| (stmt, self.footprint(stmt), rs))
-            })
-            .collect();
+        let mut settled: Vec<(&Stmt, &Footprint, Cow<'_, ResultSet>)> = Vec::new();
+        for (i, (stmt, result)) in probe.shipped.iter().zip(&exec.results).enumerate() {
+            let stmt = bound.next_if(|(pos, _)| *pos == i).map_or(stmt, |(_, b)| b);
+            // `None`: not executed (at or past the failing position).
+            let Some(rs) = result else { continue };
+            if let Some(members) = stmt.members() {
+                for (m, part) in members.iter().zip(rs.parts(members.len())) {
+                    settled.push((m, self.footprint(m), Cow::Owned(part)));
+                }
+            } else if stmt.parent().is_none() {
+                settled.push((stmt, self.footprint(stmt), Cow::Borrowed(rs)));
+            }
+        }
         let mut cache = self.cache();
         // The cache may have been disabled (and cleared) between this
         // batch's probe and its settlement; filling a disabled cache
@@ -1022,7 +1045,7 @@ impl SimEnv {
             if fp.has_writes() {
                 cache.invalidate(fp);
             } else if !probe.bypass && may_fill && cacheable(stmt) {
-                cache.fill(stmt.clone(), rs.clone(), fp.reads.clone());
+                cache.fill(stmt.clone(), rs.into_owned(), fp.reads.clone());
             }
         }
     }
@@ -1280,19 +1303,16 @@ impl SimEnv {
         seeding: bool,
     ) -> RanBatch {
         let read_only = !stmts.iter().any(Stmt::is_write);
-        let mode = if seeding || !read_only {
-            Admit::Exclusive
+        let admitted = if seeding || !read_only {
+            Admitted::Exclusive(self.store.admit_exclusive())
         } else {
-            Admit::Snapshot
-        };
-        let admitted = self.store.admit(mode);
-        if mode == Admit::Snapshot {
             sat_add(&self.stats.snapshot_batches, 1);
-        }
+            self.store.admit_snapshot()
+        };
         let exec = self
             .router
             .exec_batch(&cost, stmts, plan, skip, down, &admitted, !seeding);
-        if mode == Admit::Exclusive {
+        if let Admitted::Exclusive(x) = &admitted {
             if !seeding {
                 self.write_hold();
             }
@@ -1300,7 +1320,7 @@ impl SimEnv {
             // reader can never observe a version newer than the published
             // one and readers admitted afterwards see all of this batch
             // or none of it.
-            admitted.publish(false);
+            x.publish(false);
         }
         // Stamped while the write order is still held: the published
         // version is then exactly the state this batch saw or left.
@@ -2851,5 +2871,149 @@ mod tests {
             assert_eq!(last.get(0, "id").unwrap().as_i64(), Some(depth as i64 + 1));
         }
         assert_eq!(env.stats().round_trips, 2, "two chains, a trip each");
+    }
+
+    /// A deployment of one server, or of four shards over `p`'s and `q`'s
+    /// ids, holding `p (id, k, s)` — `k` a key into `q` that repeats, is
+    /// `NULL` or names no row — and `q (id, a, b)`, `a` repeating.
+    fn each_row_env(shards: usize, rows: u64, rng: &mut u64) -> SimEnv {
+        let env = if shards == 1 {
+            SimEnv::default_env()
+        } else {
+            let spec = ShardSpec::new().shard("p", "id").shard("q", "id");
+            ShardedEnv::new(CostModel::default(), spec, shards).handle()
+        };
+        env.seed_sql("CREATE TABLE p (id INT PRIMARY KEY, k INT, s TEXT)")
+            .unwrap();
+        env.seed_sql("CREATE TABLE q (id INT PRIMARY KEY, a INT, b TEXT)")
+            .unwrap();
+        for id in 0..rows {
+            let k = match splitmix(rng) % 6 {
+                0 => "NULL".to_string(),
+                _ => (splitmix(rng) % 200).to_string(),
+            };
+            let s = ["x", "y"][(splitmix(rng) % 2) as usize];
+            env.seed_sql(&format!("INSERT INTO p VALUES ({id}, {k}, '{s}')"))
+                .unwrap();
+        }
+        for id in 0..80 {
+            let a = splitmix(rng) % 20;
+            env.seed_sql(&format!("INSERT INTO q VALUES ({id}, {a}, 'b{id}')"))
+                .unwrap();
+        }
+        env
+    }
+
+    /// An each-row statement's answer, split back per parent row, is what
+    /// each row's literal statement answers alone — rows and their order —
+    /// over parents of no row, one and many (past the fused arity, so the
+    /// `IN` probe is chunked), keys that repeat, are `NULL` or name no row,
+    /// by primary key and by a column with an `ORDER BY`, on one server and
+    /// a 4-shard fleet. With fusion off the members run one by one.
+    #[test]
+    fn an_each_row_answer_splits_into_its_literal_statements_answers() {
+        let reads = [
+            ("SELECT * FROM q WHERE id = ", ""),
+            ("SELECT * FROM q WHERE a = ", " ORDER BY id DESC"),
+            ("SELECT id, b FROM q WHERE a = ", " ORDER BY b"),
+        ];
+        let mut split = 0;
+        for shards in [1, 4] {
+            for case in 0..60u64 {
+                let mut rng = 0x000E_AC40 ^ case;
+                let rows = [0, 1, 5, 300][(splitmix(&mut rng) % 4) as usize];
+                let env = each_row_env(shards, rows, &mut rng);
+                let (head, tail) = reads[(splitmix(&mut rng) % 3) as usize];
+                let parent = Stmt::new(format!(
+                    "SELECT * FROM p WHERE s = '{}' ORDER BY id",
+                    ["x", "y"][(splitmix(&mut rng) % 2) as usize]
+                ));
+                let each = Stmt::with_param(head, &sloth_sql::Param::each_row(0, "k"), tail);
+                let batch = [parent, each];
+                let fused = env.ship(&BatchRequest::new(&batch));
+                env.set_fusion(false);
+                let unfused = env.ship(&BatchRequest::new(&batch));
+                env.set_fusion(true);
+                assert_eq!(unfused.fused_groups, 0, "case {case}, {shards} shard(s)");
+                let out = fused.into_results().unwrap();
+                assert_eq!(unfused.into_results().unwrap(), out);
+                let parts = out[1].parts(out[0].len());
+                assert_eq!(parts.len(), out[0].len());
+                for (row, part) in out[0].rows.iter().zip(&parts) {
+                    let key = &row[out[0].column_index("k").unwrap()];
+                    let literal = format!("{head}{}{tail}", key.sql_literal());
+                    assert_eq!(
+                        part,
+                        &env.query(&literal).unwrap(),
+                        "case {case}, {shards} shard(s): {literal}"
+                    );
+                    split += 1;
+                }
+            }
+        }
+        assert!(split > 2_000, "{split}");
+    }
+
+    /// With the result cache on, an each-row read whose members are all
+    /// cached ships nothing, and a write to one member's row invalidates
+    /// that member alone — on one server and a 4-shard fleet.
+    #[test]
+    fn an_each_row_read_is_cached_member_by_member() {
+        for shards in [1, 4] {
+            let env = each_row_env(shards, 0, &mut 7);
+            for (id, k) in [(0, 3), (1, 4), (2, 3), (3, 5)] {
+                env.seed_sql(&format!("INSERT INTO p VALUES ({id}, {k}, 'x')"))
+                    .unwrap();
+            }
+            env.set_result_cache(true);
+            let batch = [
+                Stmt::new("SELECT * FROM p WHERE s = 'x' ORDER BY id"),
+                Stmt::with_param(
+                    "SELECT * FROM q WHERE id = ",
+                    &sloth_sql::Param::each_row(0, "k"),
+                    "",
+                ),
+            ];
+            let first = env.ship(&BatchRequest::new(&batch)).into_results().unwrap();
+            let trips = env.stats().round_trips;
+            let again = env.ship(&BatchRequest::new(&batch)).into_results().unwrap();
+            assert_eq!(again, first, "{shards} shard(s)");
+            assert_eq!(env.stats().round_trips, trips, "all hits: nothing ships");
+
+            let before = env.result_cache_stats();
+            env.ship(&BatchRequest::new(&[Stmt::new(
+                "UPDATE q SET b = 'w' WHERE id = 4",
+            )]))
+            .into_results()
+            .unwrap();
+            let after = env.result_cache_stats();
+            assert_eq!(after.invalidations - before.invalidations, 1, "one member");
+            // The members keyed 3 and 5 are still cached.
+            for key in [3, 5] {
+                let before = env.result_cache_stats();
+                let member = Stmt::new(format!("SELECT * FROM q WHERE id = {key}"));
+                env.ship(&BatchRequest::new(&[member]))
+                    .into_results()
+                    .unwrap();
+                let after = env.result_cache_stats();
+                assert_eq!(after.hits - before.hits, 1, "{shards} shard(s): q {key}");
+            }
+            // The list and the member keyed 3 answer from the cache; the
+            // member keyed 4 misses, and the read ships whole.
+            let before = env.result_cache_stats();
+            let fresh = env.ship(&BatchRequest::new(&batch)).into_results().unwrap();
+            let after = env.result_cache_stats();
+            let probed = (after.hits - before.hits, after.misses - before.misses);
+            assert_eq!(probed, (2, 1), "{shards} shard(s)");
+            let parts = fresh[1].parts(4);
+            assert_eq!(
+                parts[1].get(0, "b"),
+                Some(&sloth_sql::Value::Str("w".into()))
+            );
+            for (part, key) in parts.iter().zip([3, 4, 3, 5]) {
+                let literal = env.query(&format!("SELECT * FROM q WHERE id = {key}"));
+                assert_eq!(part, &literal.unwrap(), "{shards} shard(s): q {key}");
+            }
+        }
     }
 }

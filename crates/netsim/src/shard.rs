@@ -188,18 +188,30 @@ impl Costs<'_> {
 
     /// Takes the reads executed since `marks` out of the waves: a
     /// dependent read starts only once its parent has answered, so it
-    /// overlaps nothing that came before it. Returns how long the link
-    /// took — its slowest shard, the shards of one gather working in
-    /// parallel.
-    fn take_link(&mut self, marks: &[usize]) -> u64 {
+    /// overlaps nothing that came before it. The link's own reads — an
+    /// each-row statement's members — share a wave of their own on each
+    /// shard. Returns how long the link took — its slowest shard, the
+    /// shards of one gather working in parallel.
+    fn take_link(&mut self, marks: &[usize], workers: usize) -> u64 {
         let mut link = 0u64;
         for (s, &mark) in marks.iter().enumerate() {
-            let ns: u64 = self.read_times[s].drain(mark..).sum();
+            let ns = batch::wave_makespan(self.read_times[s].drain(mark..).collect(), workers);
             self.link_ns[s] += ns;
             link = link.max(ns);
         }
         link
     }
+}
+
+/// What a batch's positions ran besides their answers: the fused groups
+/// and their members, the dependants as bound (for the result cache), and
+/// the time of the dependent chains' links.
+#[derive(Default)]
+struct Ran {
+    fused_queries: u64,
+    fused_groups: u64,
+    bound: Vec<(usize, Stmt)>,
+    chain_ns: u64,
 }
 
 fn exec_cost(cost: &CostModel, stats: &ExecStats) -> u64 {
@@ -444,7 +456,6 @@ impl Router {
         let n = self.n;
         let saved = (!metered && n > 1).then(|| self.stats_mut().clone());
         let mut results: Vec<Option<ResultSet>> = vec![None; stmts.len()];
-        let mut error: Option<(usize, SqlError)> = None;
         let mut costs = Costs {
             read_times: vec![Vec::new(); n],
             write_ns: vec![0; n],
@@ -455,12 +466,7 @@ impl Router {
             down: down.map(<[bool]>::to_vec).unwrap_or_default(),
             adm,
         };
-        let mut fused_queries = 0u64;
-        let mut fused_groups = 0u64;
-        let mut bound: Vec<(usize, Stmt)> = Vec::new();
-        // Links of dependent chains, end to end: each waits for its
-        // parent, on whichever shard that ran.
-        let mut chain_ns = 0u64;
+        let mut ran = Ran::default();
 
         if let Some(skip) = skip {
             for (i, s) in skip.iter().enumerate().take(stmts.len()) {
@@ -471,81 +477,9 @@ impl Router {
             }
         }
 
-        for i in 0..stmts.len() {
-            match plan.roles[i].clone() {
-                Role::FusedMember => {} // answered by its group's lead
-                Role::Single => {
-                    if results[i].is_some() {
-                        continue; // answered from the journal
-                    }
-                    // Bind, then route: a bound statement is routed
-                    // exactly as the literal one it equals. What travels
-                    // is the text as shipped — for a dependent one, its
-                    // template and reference — once per database it
-                    // touches, and once if it touches none.
-                    let shipped = stmts[i].sql().len() as u64;
-                    let (stmt, dependent) = match batch::bind_to_run(stmts, i, &results) {
-                        Ok(Some(run)) => run,
-                        Ok(None) => {
-                            costs.bytes += shipped;
-                            results[i] = Some(ResultSet::no_parent_row());
-                            continue;
-                        }
-                        Err(e) => {
-                            costs.bytes += shipped;
-                            error = Some((i, e));
-                            break;
-                        }
-                    };
-                    let marks = dependent.then(|| costs.wave_marks());
-                    costs.shipped = dependent.then_some(shipped);
-                    // The one lookup: every shard the statement runs on
-                    // executes this plan.
-                    let plan = self.templates.plan(stmt.sql(), stmt.norm());
-                    let rs = if stmt.is_write() {
-                        self.exec_write(&stmt, plan, cost, &mut costs)
-                    } else {
-                        self.exec_read(&stmt, plan, cost, &mut costs)
-                    };
-                    costs.shipped = None;
-                    if let Some(marks) = marks {
-                        chain_ns += costs.take_link(&marks);
-                    }
-                    match rs {
-                        Ok(rs) => results[i] = Some(rs),
-                        Err(e) => {
-                            error = Some((i, e));
-                            break;
-                        }
-                    }
-                    if dependent {
-                        bound.push((i, stmt.into_owned()));
-                    }
-                }
-                Role::FusedLead(g) => {
-                    let group = &plan.fused[g];
-                    let live_members: Vec<(usize, &Value)> = group
-                        .members
-                        .iter()
-                        .copied()
-                        .filter(|&(m, _)| results[m].is_none())
-                        .collect();
-                    if live_members.is_empty() {
-                        continue; // whole group answered from the journal
-                    }
-                    match self.exec_fused(group, &live_members, cost, &mut costs, &mut results) {
-                        Ok(()) => {
-                            fused_groups += 1;
-                            fused_queries += live_members.len() as u64;
-                        }
-                        Err(e) => {
-                            error = Some((i, e));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        let error = self
+            .run_plan(stmts, plan, cost, &mut costs, &mut results, &mut ran)
+            .err();
         // Per-shard wave makespans; the batch waits for the slowest shard.
         // One database keeps no router counters: nothing was routed.
         let mut db_ns = 0u64;
@@ -563,17 +497,105 @@ impl Router {
         if let (Some(stats), Some(saved)) = (stats.as_mut(), saved) {
             **stats = saved;
         }
-        db_ns += chain_ns;
+        db_ns += ran.chain_ns;
 
         BatchExec {
             results,
             error,
             db_ns,
             bytes: costs.bytes,
-            fused_queries,
-            fused_groups,
-            bound,
+            fused_queries: ran.fused_queries,
+            fused_groups: ran.fused_groups,
+            bound: ran.bound,
         }
+    }
+
+    /// Runs the positions of `plan` that `results` does not hold yet, in
+    /// order, each as its role says, and answers them into `results`;
+    /// stops at the first error and reports its position. A bound each-row
+    /// statement's members run through here too, as a plan of their own
+    /// ([`Router::exec_each`]).
+    fn run_plan(
+        &self,
+        stmts: &[Stmt],
+        plan: &BatchPlan<'_>,
+        cost: &CostModel,
+        costs: &mut Costs<'_>,
+        results: &mut [Option<ResultSet>],
+        ran: &mut Ran,
+    ) -> Result<(), (usize, SqlError)> {
+        for i in 0..stmts.len() {
+            match plan.roles[i] {
+                Role::FusedMember => {} // answered by its group's lead
+                Role::Single => {
+                    if results[i].is_some() {
+                        continue; // answered from the journal
+                    }
+                    // Bind, then route: a bound statement is routed
+                    // exactly as the literal one it equals. What travels
+                    // is the text as shipped — for a dependent one, its
+                    // template and reference — once per database it
+                    // touches, and once if it touches none.
+                    let shipped = stmts[i].sql().len() as u64;
+                    let (stmt, dependent) = match batch::bind_to_run(stmts, i, results) {
+                        Ok(Some(run)) => run,
+                        Ok(None) => {
+                            costs.bytes += shipped;
+                            results[i] = Some(ResultSet::no_parent_row());
+                            continue;
+                        }
+                        Err(e) => {
+                            costs.bytes += shipped;
+                            return Err((i, e));
+                        }
+                    };
+                    let marks = dependent.then(|| {
+                        costs.shipped = Some(shipped);
+                        costs.wave_marks()
+                    });
+                    let rs = match stmt.members() {
+                        Some(members) => {
+                            self.exec_each(stmt.sql(), members, plan.fusion, cost, costs, ran)
+                        }
+                        None => {
+                            // The one lookup: every shard the statement
+                            // runs on executes this plan.
+                            let plan = self.templates.plan(stmt.sql(), stmt.norm());
+                            if stmt.is_write() {
+                                self.exec_write(&stmt, plan, cost, costs)
+                            } else {
+                                self.exec_read(&stmt, plan, cost, costs)
+                            }
+                        }
+                    };
+                    if let Some(marks) = marks {
+                        costs.shipped = None;
+                        ran.chain_ns += costs.take_link(&marks, cost.db_workers);
+                    }
+                    results[i] = Some(rs.map_err(|e| (i, e))?);
+                    if dependent {
+                        ran.bound.push((i, stmt.into_owned()));
+                    }
+                }
+                Role::FusedLead(g) => {
+                    let group = &plan.fused[g];
+                    let live_members: Vec<(usize, &Value)> = group
+                        .members
+                        .iter()
+                        .copied()
+                        .filter(|&(m, _)| results[m].is_none())
+                        .collect();
+                    if live_members.is_empty() {
+                        continue; // whole group answered from the journal
+                    }
+                    self.exec_fused(group, &live_members, cost, costs, results)
+                        .map_err(|e| (i, e))?;
+                    ran.fused_groups += 1;
+                    ran.fused_queries += live_members.len() as u64;
+                }
+            }
+        }
+        Ok(())
     }
 
     // ---- reads ---------------------------------------------------------
@@ -822,6 +844,39 @@ impl Router {
         Ok(ResultSet::new(columns, vec![vec![merge(&partials)]]))
     }
 
+    // ---- each-row statements ------------------------------------------
+
+    /// A bound each-row statement ([`Stmt::members`]): its members planned
+    /// as a batch of their own, with fusion as the batch has it, so
+    /// same-template point lookups run as fused `IN` probes over their
+    /// distinct keys (at most [`batch::MAX_FUSED_ARITY`] a probe, split per
+    /// shard as any fused group is) and anything else as itself. Each
+    /// member's answer is its part of the position's answer
+    /// ([`ResultSet::from_parts`]); a fan without members runs nothing.
+    fn exec_each(
+        &self,
+        sql: &str,
+        members: &[Stmt],
+        fusion: bool,
+        cost: &CostModel,
+        costs: &mut Costs<'_>,
+        ran: &mut Ran,
+    ) -> Result<ResultSet, SqlError> {
+        if members.is_empty() {
+            // Its text still travelled, once.
+            costs.ship_text(sql);
+            return Ok(ResultSet::from_parts(&[]));
+        }
+        let plan = batch::plan_batch(members, fusion, &self.templates, |m| {
+            self.templates.stmt_footprint(m)
+        });
+        let mut parts: Vec<Option<ResultSet>> = vec![None; members.len()];
+        self.run_plan(members, &plan, cost, costs, &mut parts, ran)
+            .map_err(|(_, e)| e)?;
+        let parts: Vec<ResultSet> = parts.into_iter().map(Option::unwrap_or_default).collect();
+        Ok(ResultSet::from_parts(&parts))
+    }
+
     // ---- fused groups --------------------------------------------------
 
     /// Executes one fused group, one probe per arity chunk of its
@@ -1055,6 +1110,7 @@ impl Router {
         costs.statements[s] += 1;
         let out = costs
             .adm
+            .writer()?
             .write(s)
             .execute_write(&plan.template.stmt, plan.params)?;
         let ns = exec_cost(cost, &out.stats);
@@ -1181,16 +1237,19 @@ impl Router {
                 touched[s] = true;
                 costs
                     .adm
+                    .writer()?
                     .write(s)
                     .insert_row_at(table, columns, tuple, rid)?;
                 costs.statements[s] += 1;
             } else {
                 for (s, hit) in touched.iter_mut().enumerate().take(n) {
                     *hit = true;
-                    costs
-                        .adm
-                        .write(s)
-                        .insert_row_at(table, columns, tuple.clone(), rid)?;
+                    costs.adm.writer()?.write(s).insert_row_at(
+                        table,
+                        columns,
+                        tuple.clone(),
+                        rid,
+                    )?;
                     costs.statements[s] += 1;
                 }
             }
@@ -1338,9 +1397,9 @@ impl ShardedEnv {
     /// A fleet of `shards` (≥ 1) independent servers partitioned by `spec`.
     /// A fleet of one is the single server: nothing routes.
     pub fn new(cost: CostModel, spec: ShardSpec, shards: usize) -> Self {
-        let dbs = (0..shards.max(1)).map(|_| Database::new()).collect();
+        let rest = (1..shards.max(1)).map(|_| Database::new()).collect();
         ShardedEnv {
-            env: SimEnv::over(cost, spec, dbs),
+            env: SimEnv::over(cost, spec, Database::new(), rest),
         }
     }
 

@@ -4,8 +4,10 @@
 //! (N > 1) alike. It owns the N live databases, the vector of
 //! **published views** — the immutable MVCC snapshots of the last
 //! committed state — and the **write-order lock**, and with them the only
-//! admission function ([`VersionedStore::admit`]) and the only publish
-//! function ([`Admitted::publish`]) in the crate:
+//! admission functions ([`VersionedStore::admit_snapshot`],
+//! [`VersionedStore::admit_exclusive`]) and the only publish function
+//! ([`Exclusive::publish`]) in the crate. Only an exclusive admission can
+//! write or publish — by type, not by a check:
 //!
 //! * a read-only batch is admitted to the published views and takes
 //!   **no lock at all** beyond the leaf guard that clones their `Arc`s,
@@ -21,7 +23,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use sloth_sql::{Database, Snapshot};
+use sloth_sql::{Database, Snapshot, SqlError};
 
 /// The read view a batch uses on one database: a published snapshot (no
 /// lock is ever taken) or the live database behind a short read guard (a
@@ -42,39 +44,33 @@ impl ReadView {
     }
 }
 
-/// How a batch enters the store; see the module docs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Admit {
-    /// Published views, no lock.
-    Snapshot,
+/// One batch's admission: its read views, fixed up front — the published
+/// ones, frozen, for a read-only batch; the live ones for a batch that
+/// holds the write order ([`Exclusive`], the only admission that can write
+/// or publish).
+pub(crate) enum Admitted<'a> {
+    /// Published views, no lock, and the summed version they froze.
+    Snapshot(Vec<ReadView>, u64),
     /// Live views, holding the write order; may write.
-    Exclusive,
-}
-
-/// One batch's admission: its read views, fixed up front, and its place
-/// in the write order, held until this value drops.
-pub(crate) struct Admitted<'a> {
-    store: &'a VersionedStore,
-    views: Vec<ReadView>,
-    /// Summed version of the views a snapshot admission froze.
-    frozen: Option<u64>,
-    /// The write order ([`Admit::Exclusive`]).
-    exclusive: Option<MutexGuard<'a, ()>>,
+    Exclusive(Exclusive<'a>),
 }
 
 impl Admitted<'_> {
     /// The read view for database `s` (cheap `Arc` clone).
     pub(crate) fn view(&self, s: usize) -> ReadView {
-        self.views[s].clone()
+        match self {
+            Admitted::Snapshot(views, _) => views[s].clone(),
+            Admitted::Exclusive(x) => x.views[s].clone(),
+        }
     }
 
-    /// Write guard on live database `s` — the only way execution mutates
-    /// the store, legal only under an exclusive admission.
-    pub(crate) fn write(&self, s: usize) -> RwLockWriteGuard<'_, Database> {
-        assert!(self.exclusive.is_some(), "writes need the write order");
-        self.store.dbs[s]
-            .write() // commit-point
-            .unwrap_or_else(PoisonError::into_inner)
+    /// The write order's holder: a batch admitted to the published views
+    /// writes nothing.
+    pub(crate) fn writer(&self) -> Result<&Exclusive<'_>, SqlError> {
+        match self {
+            Admitted::Snapshot(..) => Err(SqlError::new("a read-only batch cannot write")),
+            Admitted::Exclusive(x) => Ok(x),
+        }
     }
 
     /// The data version this batch's results reflect (summed over the
@@ -82,19 +78,37 @@ impl Admitted<'_> {
     /// published one — which, read while the write order is still held,
     /// is exactly the live state the batch saw or left behind.
     pub(crate) fn version(&self) -> u64 {
-        self.frozen
-            .unwrap_or_else(|| self.store.published_version())
+        match self {
+            Admitted::Snapshot(_, frozen) => *frozen,
+            Admitted::Exclusive(x) => x.store.published_version(),
+        }
+    }
+}
+
+/// A batch's place in the write order, held until this value drops, and
+/// the live views it reads: the only way execution mutates the store.
+pub(crate) struct Exclusive<'a> {
+    store: &'a VersionedStore,
+    views: Vec<ReadView>,
+    _order: MutexGuard<'a, ()>,
+}
+
+impl Exclusive<'_> {
+    /// Write guard on live database `s`.
+    pub(crate) fn write(&self, s: usize) -> RwLockWriteGuard<'_, Database> {
+        self.store.dbs[s]
+            .write() // commit-point
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes the live state — the commit point, and the only
-    /// function that replaces a published view. Legal only under an
-    /// exclusive admission, so publishes are serialized and the vector
+    /// function that replaces a published view. Only the write order's
+    /// holder can call it, so publishes are serialized and the vector
     /// is always the latest *committed* state. The version gate makes
     /// untouched databases free (a routed single-shard write republishes
     /// only its own shard); `force` republishes regardless, for
     /// out-of-band mutation that may not have bumped a version.
     pub(crate) fn publish(&self, force: bool) {
-        assert!(self.exclusive.is_some(), "publishing needs the write order");
         let mut cells = self
             .store
             .published
@@ -121,9 +135,10 @@ pub(crate) struct VersionedStore {
 }
 
 impl VersionedStore {
-    /// A store over `dbs` with their current state published.
-    pub(crate) fn new(dbs: Vec<Database>) -> Self {
-        assert!(!dbs.is_empty(), "a store holds at least one database");
+    /// A store over `first` and the `rest` of its databases with their
+    /// current state published.
+    pub(crate) fn new(first: Database, rest: Vec<Database>) -> Self {
+        let dbs: Vec<Database> = std::iter::once(first).chain(rest).collect();
         let published = dbs.iter().map(|db| Arc::new(db.snapshot())).collect();
         VersionedStore {
             dbs: dbs
@@ -160,31 +175,28 @@ impl VersionedStore {
         self.published().iter().map(|s| s.version()).sum()
     }
 
-    /// Admits one batch: fixes its read views and takes its place in the
-    /// write order. The only function that builds read views.
-    pub(crate) fn admit(&self, mode: Admit) -> Admitted<'_> {
-        let (views, frozen, exclusive) = match mode {
-            Admit::Snapshot => {
-                // All cells under one read guard: atomic against publish.
-                let cells = self.published();
-                let views = cells.iter().cloned().map(ReadView::Snap).collect();
-                let frozen = cells.iter().map(|s| s.version()).sum();
-                (views, Some(frozen), None)
-            }
-            Admit::Exclusive => {
-                let guard = self
-                    .order
-                    .lock() // commit-point (the write order, not a database)
-                    .unwrap_or_else(PoisonError::into_inner);
-                let views = self.dbs.iter().cloned().map(ReadView::Live).collect();
-                (views, None, Some(guard))
-            }
-        };
-        Admitted {
+    /// Admits a read-only batch to the published views: no lock beyond
+    /// the leaf guard that clones them. One of the two functions that
+    /// build read views.
+    pub(crate) fn admit_snapshot(&self) -> Admitted<'_> {
+        // All cells under one read guard: atomic against publish.
+        let cells = self.published();
+        let views = cells.iter().cloned().map(ReadView::Snap).collect();
+        let frozen = cells.iter().map(|s| s.version()).sum();
+        Admitted::Snapshot(views, frozen)
+    }
+
+    /// Admits a batch that may write: takes its place in the write order
+    /// and the live views. The other function that builds read views.
+    pub(crate) fn admit_exclusive(&self) -> Exclusive<'_> {
+        let order = self
+            .order
+            .lock() // commit-point (the write order, not a database)
+            .unwrap_or_else(PoisonError::into_inner);
+        Exclusive {
             store: self,
-            views,
-            frozen,
-            exclusive,
+            views: self.dbs.iter().cloned().map(ReadView::Live).collect(),
+            _order: order,
         }
     }
 }

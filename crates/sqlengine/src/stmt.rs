@@ -20,15 +20,24 @@
 //! (`'a'`, `NULL`); the kernel language's holes render what its own `str`
 //! and operators make of the row (`sloth-lang`'s pending text).
 //!
+//! An **each-row** statement ([`Param::EachRow`]) reads every row of its
+//! parent instead of row 0: it stands for one statement per row — the
+//! 1+N loop's N association reads as one dependant. Bound, it is a
+//! *fan* of those literal statements, its **members** ([`Stmt::members`]),
+//! which the driver answers as `IN` probes over their distinct keys and
+//! splits back per row ([`ResultSet::from_parts`]); each member is the
+//! dedup, result-cache and footprint key its literal twin is.
+//!
 //! An open statement is inert — no template (never a dedup, fusion or
 //! result-cache key), a table-level footprint, and text the engine's lexer
-//! rejects (`… WHERE id = $3.next_id`) — until [`Stmt::bind_from`] closes
-//! it over the parent's answer through the constructor a literal one goes
-//! through, so it *is* the statement its text would have built. A hole may
-//! render any text, so the open footprint covers the bound forms only
-//! where a hole cannot name a table: after a `SELECT`'s `WHERE`, or a
-//! write's `SET`, `WHERE` or `VALUES` (the grammar names every table ahead
-//! of them). Its callers open statements only there.
+//! rejects (`… WHERE id = $3.next_id`, `$3[*].k` for an each-row one) —
+//! until [`Stmt::bind_from`] closes it over the parent's answer through
+//! the constructor a literal one goes through, so it *is* the statement
+//! its text would have built (each member is, for an each-row one). A
+//! hole may render any text, so the open footprint covers the bound forms
+//! only where a hole cannot name a table: after a `SELECT`'s `WHERE`, or
+//! a write's `SET`, `WHERE` or `VALUES` (the grammar names every table
+//! ahead of them). Its callers open statements only there.
 
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -53,12 +62,28 @@ pub enum Param {
         /// The column of its first row.
         column: String,
     },
+    /// Column `column` of **every** row `parent` answers, as a SQL
+    /// literal: the statement is each-row, one literal statement per row.
+    EachRow {
+        /// The statement whose rows supply the values.
+        parent: u64,
+        /// The column of each row.
+        column: String,
+    },
 }
 
 impl Param {
     /// `column` of the first row `parent` answers, as a SQL literal.
     pub fn reference(parent: u64, column: &str) -> Param {
         Param::Ref {
+            parent,
+            column: column.to_string(),
+        }
+    }
+
+    /// `column` of every row `parent` answers, as a SQL literal.
+    pub fn each_row(parent: u64, column: &str) -> Param {
+        Param::EachRow {
             parent,
             column: column.to_string(),
         }
@@ -92,7 +117,8 @@ impl Hole {
     }
 
     /// [`Param::Ref`]'s hole: `column` of the first row as a SQL literal;
-    /// no row skips the statement.
+    /// no row skips the statement. An each-row statement
+    /// ([`Param::EachRow`]) renders it from each row in turn.
     fn literal(column: &str) -> Hole {
         let name = column.to_string();
         Hole::new(column, move |parent: &ResultSet| {
@@ -108,11 +134,13 @@ impl Hole {
 }
 
 /// The holes of a dependent statement, each with the literal piece after
-/// it, behind a lead piece, and the statement that fills them.
+/// it, behind a lead piece, and the statement that fills them — from its
+/// first row, or `each_row`, from every row in turn.
 struct Open {
     parent: u64,
     lead: String,
     holes: Vec<(Hole, String)>,
+    each_row: bool,
 }
 
 impl Open {
@@ -159,6 +187,9 @@ struct Inner {
     footprint: OnceLock<Footprint>,
     /// The holes still waiting for their parent's answer, if any.
     open: Option<Open>,
+    /// A bound each-row statement's literal statements, one per parent
+    /// row; `None` for any other statement.
+    members: Option<Vec<Stmt>>,
 }
 
 /// One SQL statement: its text, its class, and — each computed at most
@@ -178,18 +209,25 @@ impl Stmt {
     /// [`is_select_sql`] and [`txn_boundary`]) and wraps it. Lexing and
     /// footprint analysis wait for the first consumer that asks.
     pub fn new(sql: impl Into<String>) -> Stmt {
-        Stmt::build(sql.into(), None)
+        Stmt::build(sql.into(), None, None)
     }
 
     /// The statement whose text is `head`, the parameter, `tail`. With a
     /// [`Param::Lit`] that is exactly [`Stmt::new`] of the spliced text;
-    /// with a [`Param::Ref`] it is a dependent statement of one hole.
+    /// with a [`Param::Ref`] it is a dependent statement of one hole, and
+    /// with a [`Param::EachRow`] an each-row one.
     pub fn with_param(head: &str, param: &Param, tail: &str) -> Stmt {
         match param {
             Param::Lit(v) => Stmt::new(format!("{head}{}{tail}", v.sql_literal())),
             Param::Ref { parent, column } => {
                 Stmt::dependent(*parent, head, vec![(Hole::literal(column), tail.into())])
             }
+            Param::EachRow { parent, column } => Stmt::open(Open {
+                parent: *parent,
+                lead: head.into(),
+                holes: vec![(Hole::literal(column), tail.into())],
+                each_row: true,
+            }),
         }
     }
 
@@ -197,17 +235,24 @@ impl Stmt {
     /// followed by its literal piece, the holes filled from the answer of
     /// `parent`.
     pub fn dependent(parent: u64, lead: impl Into<String>, holes: Vec<(Hole, String)>) -> Stmt {
-        let open = Open {
+        Stmt::open(Open {
             parent,
             lead: lead.into(),
             holes,
-        };
-        let shown = |h: &Hole| Ok(Some(format!("${parent}.{}", h.label)));
-        let sql = open.text(shown).ok().flatten().unwrap_or_default();
-        Stmt::build(sql, Some(open))
+            each_row: false,
+        })
     }
 
-    fn build(sql: String, open: Option<Open>) -> Stmt {
+    /// The open statement `open`, shown with its holes as `$parent.label`
+    /// (`$parent[*].label` for an each-row one).
+    fn open(open: Open) -> Stmt {
+        let rows = if open.each_row { "[*]" } else { "" };
+        let shown = |h: &Hole| Ok(Some(format!("${}{rows}.{}", open.parent, h.label)));
+        let sql = open.text(shown).ok().flatten().unwrap_or_default();
+        Stmt::build(sql, Some(open), None)
+    }
+
+    fn build(sql: String, open: Option<Open>, members: Option<Vec<Stmt>>) -> Stmt {
         let class = if is_select_sql(&sql) {
             StmtClass::Read
         } else {
@@ -219,6 +264,7 @@ impl Stmt {
             norm: OnceLock::new(),
             footprint: OnceLock::new(),
             open,
+            members,
         }))
     }
 
@@ -237,7 +283,12 @@ impl Stmt {
         };
         match f(o.parent) {
             same if same == o.parent => self.clone(),
-            renamed => Stmt::dependent(renamed, o.lead.clone(), o.holes.clone()),
+            renamed => Stmt::open(Open {
+                parent: renamed,
+                lead: o.lead.clone(),
+                holes: o.holes.clone(),
+                each_row: o.each_row,
+            }),
         }
     }
 
@@ -256,11 +307,39 @@ impl Stmt {
     /// `None` when a hole skips it (the parent produced no row: its
     /// dependants answer [`ResultSet::no_parent_row`]), or the error a
     /// hole raises.
+    ///
+    /// An each-row statement binds every row in turn, into a fan of one
+    /// literal statement per row ([`Stmt::members`]) — none for a parent
+    /// without rows. Its text stays the open one's, which is what travels.
+    /// A parent that itself had no parent row skips it.
     pub fn bind_from(&self, parent: &ResultSet) -> Result<Option<Stmt>, SqlError> {
-        match &self.0.open {
-            Some(o) => Ok(o.text(|h| (h.render)(parent))?.map(Stmt::new)),
-            None => Ok(Some(self.clone())),
+        let Some(o) = &self.0.open else {
+            return Ok(Some(self.clone()));
+        };
+        if !o.each_row {
+            return Ok(o.text(|h| (h.render)(parent))?.map(Stmt::new));
         }
+        if parent.is_no_parent_row() {
+            return Ok(None);
+        }
+        let mut members = Vec::with_capacity(parent.len());
+        for (j, row) in parent.rows.iter().enumerate() {
+            let one = ResultSet::new(parent.columns.clone(), vec![row.clone()]);
+            let Some(text) = o.text(|h| (h.render)(&one))? else {
+                return Err(SqlError::new(format!(
+                    "a hole skipped row {j} (in {})",
+                    self.sql()
+                )));
+            };
+            members.push(Stmt::new(text));
+        }
+        Ok(Some(Stmt::build(self.0.sql.clone(), None, Some(members))))
+    }
+
+    /// A bound each-row statement's literal statements, one per row of
+    /// its parent in row order; `None` for any other statement.
+    pub fn members(&self) -> Option<&[Stmt]> {
+        self.0.members.as_deref()
     }
 
     /// Whether a hole touches a word of the text — `t` + hole — so that
@@ -304,9 +383,10 @@ impl Stmt {
     }
 
     /// Template + parameters; `None` when the text does not lex — and
-    /// for a dependent statement, which has no template until bound.
+    /// for a dependent statement, which has no template until bound, and
+    /// a bound each-row one, whose members have theirs.
     pub fn norm(&self) -> Option<&Normalized> {
-        if self.0.open.is_some() {
+        if self.0.open.is_some() || self.0.members.is_some() {
             return None;
         }
         self.0

@@ -221,8 +221,17 @@ impl TemplateCache {
     /// footprint of its template until it is bound: whatever value
     /// arrives, the bound statement touches a subset of that. A reference
     /// inside a word of the text — a table's name, perhaps — is a barrier.
+    /// A bound each-row statement touches what its members touch.
     pub fn stmt_footprint<'s>(&self, stmt: &'s Stmt) -> &'s Footprint {
         stmt.footprint_or(|| {
+            if let Some(members) = stmt.members() {
+                // A fan touches what its members touch.
+                let mut fp = Footprint::default();
+                for m in members {
+                    fp.merge(self.stmt_footprint(m));
+                }
+                return fp;
+            }
             if stmt.parent().is_none() {
                 return self.footprint(stmt.sql(), stmt.norm());
             }

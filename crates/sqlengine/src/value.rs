@@ -220,6 +220,9 @@ impl From<f64> for Value {
 /// One row of a table or result set.
 pub type Row = Vec<Value>;
 
+/// The column [`ResultSet::from_parts`] tags each row with: its part.
+const PART_COLUMN: &str = "@part";
+
 /// A query result: named columns plus rows, in deterministic order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResultSet {
@@ -252,6 +255,43 @@ impl ResultSet {
     /// Whether this is [`ResultSet::no_parent_row`].
     pub fn is_no_parent_row(&self) -> bool {
         self.columns.is_empty()
+    }
+
+    /// The answer of a bound each-row statement ([`crate::Stmt::members`]):
+    /// part `j`, what member `j` answers, in one result set whose rows
+    /// lead with the part they belong to ([`ResultSet::parts`] splits it
+    /// back).
+    pub fn from_parts(parts: &[ResultSet]) -> Self {
+        let mut columns = vec![PART_COLUMN.to_string()];
+        if let Some(first) = parts.iter().find(|p| !p.is_no_parent_row()) {
+            columns.extend(first.columns.iter().cloned());
+        }
+        let rows = parts.iter().enumerate().flat_map(|(j, part)| {
+            part.rows.iter().map(move |row| {
+                let mut tagged = Vec::with_capacity(row.len() + 1);
+                tagged.push(Value::Int(j as i64));
+                tagged.extend(row.iter().cloned());
+                tagged
+            })
+        });
+        ResultSet::new(columns, rows.collect())
+    }
+
+    /// The `n` parts [`ResultSet::from_parts`] joined, in order; a part
+    /// without rows keeps the header.
+    pub fn parts(&self, n: usize) -> Vec<ResultSet> {
+        let columns: Vec<String> = self.columns.iter().skip(1).cloned().collect();
+        let mut parts = vec![ResultSet::new(columns, Vec::new()); n];
+        for row in &self.rows {
+            let part = match row.first() {
+                Some(Value::Int(j)) => parts.get_mut(*j as usize),
+                _ => None,
+            };
+            if let Some(part) = part {
+                part.rows.push(row[1..].to_vec());
+            }
+        }
+        parts
     }
 
     /// Number of rows.

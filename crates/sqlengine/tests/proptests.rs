@@ -807,10 +807,11 @@ fn a_raw_reference_binds_the_text_str_makes() {
 /// footprint: table-level, over the tables its text names. Over random
 /// open reads and writes — one hole or two, in a `WHERE`, a `SET` or a
 /// `VALUES` list, or in a table's name, quoted or raw, each a SQL literal,
-/// `str` of the parent's value or arithmetic over it — and random parent
-/// values, whatever the bound statement conflicts with (or, a write,
-/// invalidates) the open one does too, wherever the bound text parses at
-/// all.
+/// `str` of the parent's value or arithmetic over it, or read from every
+/// row of the parent (an each-row statement, bound to one member per row)
+/// — and random parent values, whatever the bound statement (each member)
+/// conflicts with (or, a write, invalidates) the open one does too,
+/// wherever the bound text parses at all.
 #[test]
 fn a_bound_statement_conflicts_within_its_open_one() {
     use sloth_sql::{Footprint, Param, ResultSet, Stmt};
@@ -839,36 +840,49 @@ fn a_bound_statement_conflicts_within_its_open_one() {
         let mut rng = Rng::new(0x0B_0A4D ^ case);
         let (tables, _) = arb_world(&mut rng);
         let pieces = opens[rng.range(0, opens.len() as i64) as usize];
-        let kind = rng.range(0, 3);
-        let open = match (pieces, kind) {
-            ([head, tail], 0) => Stmt::with_param(head, &Param::reference(0, "k"), tail),
+        let kind = rng.range(0, 4);
+        let (open, rows) = match (pieces, kind) {
+            ([head, tail], 0) => (Stmt::with_param(head, &Param::reference(0, "k"), tail), 1),
+            ([head, tail], 3) => (
+                Stmt::with_param(head, &Param::each_row(0, "k"), tail),
+                rng.range(0, 5),
+            ),
             _ => {
                 let holes = pieces[1..]
                     .iter()
                     .map(|p| (str_hole(kind == 2), p.to_string()));
-                Stmt::dependent(0, pieces[0], holes.collect())
+                (Stmt::dependent(0, pieces[0], holes.collect()), 1)
             }
         };
-        let value = arb_value(&mut rng);
-        let row = ResultSet::new(vec!["k".into()], vec![vec![value.clone()]]);
-        let bound = open.bind_from(&row).unwrap().unwrap();
-        let fp = Footprint::of_sql(bound.sql());
-        if fp.barrier {
-            // Unparseable: it fails where it runs, touching nothing.
-            continue;
-        }
-        bound_parsed += 1;
+        let values: Vec<Value> = (0..rows).map(|_| arb_value(&mut rng)).collect();
+        let parent = ResultSet::new(
+            vec!["k".into()],
+            values.iter().map(|v| vec![v.clone()]).collect(),
+        );
+        let bound = open.bind_from(&parent).unwrap().unwrap();
+        let members = bound
+            .members()
+            .map_or_else(|| vec![bound.clone()], <[Stmt]>::to_vec);
+        assert_eq!(members.len(), values.len(), "{open:?}: one member a row");
         let wide = db.template_cache().stmt_footprint(&open);
-        for _ in 0..8 {
-            let other = arb_commute_stmt(&tables, &mut rng);
-            let x = Footprint::of_sql(&other);
-            let ctx = format!("case {case}: {open:?} bound to {value:?} vs {other:?}");
-            if fp.conflicts_with(&x) {
-                checked += 1;
-                assert!(wide.conflicts_with(&x), "{ctx}");
+        for (member, value) in members.iter().zip(&values) {
+            let fp = Footprint::of_sql(member.sql());
+            if fp.barrier {
+                // Unparseable: it fails where it runs, touching nothing.
+                continue;
             }
-            if fp.writes_overlap(&x.reads) {
-                assert!(wide.writes_overlap(&x.reads), "{ctx}");
+            bound_parsed += 1;
+            for _ in 0..8 {
+                let other = arb_commute_stmt(&tables, &mut rng);
+                let x = Footprint::of_sql(&other);
+                let ctx = format!("case {case}: {open:?} bound to {value:?} vs {other:?}");
+                if fp.conflicts_with(&x) {
+                    checked += 1;
+                    assert!(wide.conflicts_with(&x), "{ctx}");
+                }
+                if fp.writes_overlap(&x.reads) {
+                    assert!(wide.writes_overlap(&x.reads), "{ctx}");
+                }
             }
         }
     }

@@ -2,7 +2,8 @@
 //! one OpenMRS page under Sloth and prints, per flush of the query store,
 //! how many statements it carried and why it shipped
 //! ([`sloth_core::FlushReason`]) — then the same histogram over all 150
-//! pages, which is what says where the next round trip can be saved —
+//! pages, and every page that took more than one round trip with its
+//! flushes, which is what says where the next round trip can be saved —
 //! and last the five TPC-C transactions on a 4-shard fleet, flush by
 //! flush.
 //!
@@ -76,10 +77,21 @@ pub fn tpcc_flushes() -> Vec<(&'static str, Flushes)> {
         .collect()
 }
 
-/// Prints the three tours and returns the two explained pages' flushes
-/// and the TPC-C transactions' (wired into `cargo test` by
-/// `tests/examples_smoke.rs`).
-pub fn run() -> (Vec<Flushes>, Vec<(&'static str, Flushes)>) {
+/// What [`run`] explains: the two pages' flushes, every page of the 150
+/// that took more than one round trip with its flushes, and the TPC-C
+/// transactions' flushes.
+pub struct Explained {
+    /// itracker's error.jsp, then OpenMRS's patientDashboardForm.jsp.
+    pub pages: Vec<Flushes>,
+    /// `app/page` of each page above one round trip, and its flushes.
+    pub over_one_trip: Vec<(String, Flushes)>,
+    /// The five TPC-C transactions, by name.
+    pub tpcc: Vec<(&'static str, Flushes)>,
+}
+
+/// Prints the tours and returns what they explain (wired into `cargo
+/// test` by `tests/examples_smoke.rs`).
+pub fn run() -> Explained {
     let apps: Vec<(BenchApp, Database)> = [itracker_app(), openmrs_app()]
         .into_iter()
         .map(|app| {
@@ -99,11 +111,16 @@ pub fn run() -> (Vec<Flushes>, Vec<(&'static str, Flushes)>) {
 
     let mut histogram: BTreeMap<(FlushReason, bool), usize> = BTreeMap::new();
     let mut pages = 0usize;
+    let mut over_one_trip = Vec::new();
     for (app, db) in &apps {
         for page in &app.pages {
             pages += 1;
-            for (size, reason) in flushes(app, db, &page.name) {
+            let flushes = flushes(app, db, &page.name);
+            for &(size, reason) in &flushes {
                 *histogram.entry((reason, size == 1)).or_default() += 1;
+            }
+            if flushes.len() > 1 {
+                over_one_trip.push((format!("{}/{}", app.name, page.name), flushes));
             }
         }
     }
@@ -117,6 +134,14 @@ pub fn run() -> (Vec<Flushes>, Vec<(&'static str, Flushes)>) {
         );
     }
 
+    println!(
+        "pages above one round trip: {} of {pages}",
+        over_one_trip.len()
+    );
+    for (page, flushes) in &over_one_trip {
+        println!("  {page}: {flushes:?}");
+    }
+
     let tpcc = tpcc_flushes();
     println!("TPC-C on a 4-shard fleet:");
     for (name, flushes) in &tpcc {
@@ -125,7 +150,11 @@ pub fn run() -> (Vec<Flushes>, Vec<(&'static str, Flushes)>) {
             println!("    {size:>3} × {reason:?}");
         }
     }
-    (explained, tpcc)
+    Explained {
+        pages: explained,
+        over_one_trip,
+        tpcc,
+    }
 }
 
 #[allow(dead_code)]

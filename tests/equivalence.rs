@@ -51,13 +51,15 @@ impl Rng {
 /// Guarded arms register whole: cells of `q` splice into reads and writes
 /// (see [`guarded_arm`]). Pending splices build a statement's text from
 /// `q`'s first row with or without a guard, by arithmetic, in one hole or
-/// two (see [`pending_splice`]). Any draw may fail, and any number of them.
+/// two (see [`pending_splice`]). 1+N association loops, and loops that
+/// only look like them, run over ORM lists (see [`assoc_loop`]). Any draw
+/// may fail, and any number of them.
 fn arb_program(rng: &mut Rng) -> String {
     let n = rng.range(1, 12);
     let mut stmts = Vec::new();
     let mut pool = false;
     for i in 0..n {
-        let stmt = match rng.range(0, 19) {
+        let stmt = match rng.range(0, 21) {
             0 | 1 => {
                 // Arithmetic assignment over the variable pool.
                 let (dst, a, b) = (rng.range(0, 5), rng.range(0, 5), rng.range(0, 5));
@@ -168,6 +170,7 @@ fn arb_program(rng: &mut Rng) -> String {
             }
             13 | 14 => guarded_read(rng, i),
             15 | 16 => guarded_arm(rng, i),
+            19 | 20 => assoc_loop(rng, i),
             _ => pending_splice(rng, i),
         };
         stmts.push(stmt);
@@ -345,6 +348,116 @@ fn guarded_arm(rng: &mut Rng, i: i64) -> String {
     }
 }
 
+/// A 1+N association loop (`while (k < len(b)) { let el = at(b, k);
+/// push(acc, orm_assoc(el, a)); k = k + 1; }`) over an ORM list read `b`
+/// — which the compiler lowers to one each-row read — or a near miss that
+/// must stay a loop, names suffixed by `i`. `b` has no row, one or many;
+/// its keys repeat and some are `NULL` or name no row; the association is
+/// many-to-one or one-to-many. The bound reaches the loop directly or
+/// through `bn = len(b)`; the loop may stand in an `if` (which guard
+/// hoisting moves its reads above). The near misses: `k` or `el` read
+/// after the loop, `acc` aliased before it, a `print` or a write in the
+/// body, a bound other than `len(b)`, a step of 2, a `push` to or `clear`
+/// of `b` between `bn` and the loop. After the loop the
+/// list is shown, an element's field read (which fails on a `null`), the
+/// association read again through the memo — and heap-written through it
+/// — the list cleared first, or the association's table written first.
+fn assoc_loop(rng: &mut Rng, i: i64) -> String {
+    let (base, assoc) = match rng.range(0, 6) {
+        0 => ("orm_find_all(\"wr\")".to_string(), "row"),
+        1 => {
+            let s = ["a", "b", "c", "zz"][rng.range(0, 4) as usize];
+            (format!("orm_find_where(\"wr\", \"s\", \"{s}\")"), "row")
+        }
+        2 => ("orm_find_all(\"tr\")".to_string(), "ws"),
+        3 => {
+            let v = [1, 8, 15, 99][rng.range(0, 4) as usize];
+            (format!("orm_find_where(\"tr\", \"v\", {v})"), "ws")
+        }
+        4 => ("orm_find_all(\"tr\")".to_string(), "item"),
+        _ => {
+            let s = ["a", "b", "zz"][rng.range(0, 3) as usize];
+            (format!("orm_find_where(\"wr\", \"s\", \"{s}\")"), "row")
+        }
+    };
+    let direct = rng.range(0, 2) == 0;
+    let mut bound = if direct {
+        format!("len(b{i})")
+    } else {
+        format!("bn{i}")
+    };
+    let mut step = 1;
+    let (mut alias, mut in_body, mut after) = (String::new(), String::new(), String::new());
+    let mut touch = String::new();
+    match rng.range(0, 14) {
+        0 => after = format!("print(str(k{i}));"),
+        1 => after = format!("print(str(el{i}));"),
+        2 => {
+            alias = format!("let al{i} = acc{i};");
+            after = format!("print(str(len(al{i})));");
+        }
+        3 => in_body = format!("print(str(k{i}));"),
+        4 => in_body = "exec(\"UPDATE t SET v = v + 1 WHERE id = 1\");".into(),
+        5 => bound = "2".into(),
+        6 => step = 2,
+        // The list changed after its length was read (a near miss under
+        // `bn`; read in the loop, the bound sees the change).
+        7 => touch = format!("push(b{i}, 5);"),
+        8 => touch = format!("clear(b{i});"),
+        // The lowered shape.
+        _ => {}
+    }
+    let show = match rng.range(0, 6) {
+        0 => format!("print(str(acc{i}));"),
+        1 => format!("if (len(acc{i}) > 0) {{ print(str(at(acc{i}, 0).id)); }}"),
+        2 => format!(
+            "if (len(b{i}) > 0) {{ let m{i} = orm_assoc(at(b{i}, 0), \"{assoc}\"); \
+             print(str(m{i})); }} print(str(acc{i}));"
+        ),
+        3 => format!(
+            "clear(acc{i}); if (len(b{i}) > 1) {{ print(str(orm_assoc(at(b{i}, 1), \"{assoc}\"))); }} \
+             print(str(len(acc{i})));"
+        ),
+        4 => {
+            let table = if assoc == "ws" { "w" } else if assoc == "item" { "u" } else { "t" };
+            format!(
+                "exec(\"UPDATE {table} SET v = v + 5 WHERE id = 1\"); print(str(acc{i})); \
+                 print(str(len(b{i})));"
+            )
+        }
+        _ => {
+            // A collection is a list: its rows are written one by one.
+            let write = if assoc == "ws" {
+                format!("if (len(m{i}) > 0) {{ at(m{i}, 0).s = \"set\"; }}")
+            } else {
+                format!("if (m{i} != null) {{ m{i}.s = \"set\"; }}")
+            };
+            format!(
+                "if (len(b{i}) > 0) {{ let m{i} = orm_assoc(at(b{i}, 0), \"{assoc}\"); {write} }} \
+                 print(str(acc{i}));"
+            )
+        }
+    };
+    let bn = if direct {
+        String::new()
+    } else {
+        format!("let bn{i} = len(b{i});")
+    };
+    let body = format!(
+        "let b{i} = {base}; {bn} {touch} let acc{i} = []; {alias} let k{i} = 0; \
+         while (k{i} < {bound}) {{ let el{i} = at(b{i}, k{i}); {in_body} \
+         push(acc{i}, orm_assoc(el{i}, \"{assoc}\")); k{i} = k{i} + {step}; }} \
+         {after} {show}"
+    );
+    match rng.range(0, 3) {
+        0 => {
+            let (c, lit) = (rng.range(0, 5), rng.range(-2, 6));
+            format!("if (v{c} > {lit}) {{ {body} }} else {{ print(\"skip\"); }}")
+        }
+        _ => body,
+    }
+}
+
 /// A write branch and the reads after it: the query store holds the
 /// branch's write until a read that may observe it drains it, and the
 /// lazy run must raise what `Original` raises when either fails. It runs
@@ -442,7 +555,8 @@ fn fresh_env(shards: usize) -> SimEnv {
         let spec = ShardSpec::new()
             .shard("t", "id")
             .shard("u", "id")
-            .shard("t1", "id");
+            .shard("t1", "id")
+            .shard("w", "id");
         ShardedEnv::new(CostModel::default(), spec, shards).handle()
     };
     env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT, f FLOAT)")
@@ -476,13 +590,57 @@ fn fresh_env(shards: usize) -> SimEnv {
         env.seed_sql(&format!("INSERT INTO t1 VALUES ({i}, {}, 'a{i}')", i * 5))
             .unwrap();
     }
+    // Keys into `t` that repeat, are `NULL` or name no row.
+    env.seed_sql("CREATE TABLE w (id INT PRIMARY KEY, k INT, v INT, s TEXT)")
+        .unwrap();
+    let keys = ["1", "1", "NULL", "3", "9", "0", "NULL", "1"];
+    let ss = ["a", "a", "b", "a", "c", "b", "a", "b"];
+    for (i, (k, s)) in keys.iter().zip(ss).enumerate() {
+        env.seed_sql(&format!("INSERT INTO w VALUES ({i}, {k}, {i}, '{s}')"))
+            .unwrap();
+    }
     env
+}
+
+/// The ORM's view of the tables: `wr` rows (`w`) point at `tr` rows (`t`)
+/// by `k`; a `tr` row has the `wr` rows pointing at it, and points at a
+/// `ur` row (`u`) by `v`.
+fn schema() -> Arc<Schema> {
+    use sloth_orm::{entity, many_to_one, one_to_many, FetchStrategy};
+    use sloth_sql::ast::ColumnType::{Float, Int, Text};
+    let mut s = Schema::new();
+    s.add(entity(
+        "wr",
+        "w",
+        "id",
+        &[("id", Int), ("k", Int), ("v", Int), ("s", Text)],
+        vec![many_to_one("row", "tr", "k", FetchStrategy::Lazy)],
+    ));
+    s.add(entity(
+        "tr",
+        "t",
+        "id",
+        &[("id", Int), ("v", Int), ("s", Text), ("f", Float)],
+        vec![
+            one_to_many("ws", "wr", "k", FetchStrategy::Eager),
+            many_to_one("item", "ur", "v", FetchStrategy::Lazy),
+        ],
+    ));
+    s.add(entity(
+        "ur",
+        "u",
+        "id",
+        &[("id", Int), ("v", Int), ("s", Text)],
+        vec![],
+    ));
+    Arc::new(s)
 }
 
 fn table_state(env: &SimEnv) -> Vec<Vec<sloth_sql::Value>> {
     let mut rows = env.query("SELECT id, v FROM t ORDER BY id").unwrap().rows;
     rows.extend(env.query("SELECT id, v FROM u ORDER BY id").unwrap().rows);
     rows.extend(env.query("SELECT id, v FROM t1 ORDER BY id").unwrap().rows);
+    rows.extend(env.query("SELECT id, v FROM w ORDER BY id").unwrap().rows);
     rows
 }
 
@@ -496,7 +654,7 @@ fn check_equivalent(src: &str, flags: OptFlags, shards: usize) {
 /// alone on a fresh fleet, raises `Original`'s error.
 fn check_equivalent_with(src: &str, args: &[i64], flags: OptFlags, shards: usize) {
     let args = || args.iter().map(|&a| V::Int(a)).collect();
-    let schema = Arc::new(Schema::new());
+    let schema = schema();
     let program = parse_program(src).unwrap();
     let prepare = |strategy| prepare_with_schema(&program, strategy, Some(&schema));
     let env_o = fresh_env(shards);
@@ -602,7 +760,7 @@ fn lazy_never_more_round_trips() {
         for case in 0..64u64 {
             let mut rng = Rng::new(0x0007_2195 ^ case);
             let src = arb_program(&mut rng);
-            let schema = Arc::new(Schema::new());
+            let schema = schema();
             let env_o = fresh_env(shards);
             let o = sloth_lang::run_source(
                 &src,
@@ -770,6 +928,83 @@ fn a_loop_carried_or_commented_read_sees_the_write_before_it() {
     for src in [looped, commented] {
         for shards in FLEETS {
             check_equivalent_with(src, &[1], OptFlags::all(), shards);
+        }
+    }
+}
+
+/// Every 1+N loop [`assoc_loop`] draws in the lowered shape — over each
+/// list and association, bound directly or through `bn`, guarded or not —
+/// gives `Original`'s output and ships with its list: Sloth makes one
+/// round trip where the loop itself cost one more.
+#[test]
+fn a_one_plus_n_loop_ships_with_its_list() {
+    let bases = [
+        ("orm_find_all(\"wr\")", "row"),
+        ("orm_find_where(\"wr\", \"s\", \"a\")", "row"),
+        ("orm_find_where(\"wr\", \"s\", \"c\")", "row"),
+        ("orm_find_where(\"wr\", \"s\", \"zz\")", "row"),
+        ("orm_find_all(\"tr\")", "ws"),
+        ("orm_find_where(\"tr\", \"v\", 8)", "ws"),
+        ("orm_find_all(\"tr\")", "item"),
+    ];
+    for shards in FLEETS {
+        for (base, assoc) in bases {
+            for (bn, bound) in [("", "len(b)"), ("let bn = len(b);", "bn")] {
+                let body = format!(
+                    "let b = {base}; {bn} let acc = []; let k = 0; \
+                     while (k < {bound}) {{ let el = at(b, k); push(acc, orm_assoc(el, \"{assoc}\")); k = k + 1; }} \
+                     print(str(acc));"
+                );
+                for guarded in [false, true] {
+                    let src = if guarded {
+                        format!(
+                            "fn main(x) {{ if (x > 0) {{ {body} }} else {{ print(\"no\"); }} }}"
+                        )
+                    } else {
+                        format!("fn main(x) {{ {body} }}")
+                    };
+                    for flags in [OptFlags::none(), OptFlags::all()] {
+                        check_equivalent_with(&src, &[1], flags, shards);
+                    }
+                    let run = sloth_lang::run_source(
+                        &src,
+                        &fresh_env(shards),
+                        schema(),
+                        ExecStrategy::Sloth(OptFlags::all()),
+                        vec![V::Int(1)],
+                    )
+                    .unwrap();
+                    assert_eq!(run.net.round_trips, 1, "{shards} shard(s): {src}");
+                }
+            }
+        }
+    }
+}
+
+/// A list pushed to, cleared or aliased before its 1+N loop gives what
+/// `Original` gives: the loop runs `bn` times when its bound was read
+/// before the change, and over the list as changed when the bound is read
+/// in the loop — guarded too, where the list's read moves above the `if`
+/// and the loop's read must stay behind the change.
+#[test]
+fn a_list_changed_before_its_loop_gives_the_loops_answer() {
+    for shards in FLEETS {
+        for touch in ["push(b, 5);", "clear(b);", "let c = b; push(c, 5);"] {
+            for (bn, bound) in [("let bn = len(b);", "bn"), ("", "len(b)")] {
+                let body = format!(
+                    "let b = orm_find_all(\"wr\"); {bn} {touch} let acc = []; let k = 0; \
+                     while (k < {bound}) {{ let el = at(b, k); push(acc, orm_assoc(el, \"row\")); k = k + 1; }} \
+                     print(str(acc));"
+                );
+                for src in [
+                    format!("fn main(x) {{ {body} }}"),
+                    format!("fn main(x) {{ if (x > 0) {{ {body} }} else {{ print(\"no\"); }} }}"),
+                ] {
+                    for flags in [OptFlags::none(), OptFlags::all()] {
+                        check_equivalent_with(&src, &[1], flags, shards);
+                    }
+                }
+            }
         }
     }
 }

@@ -60,20 +60,34 @@ mod explain;
 #[test]
 fn explain_example_runs_end_to_end() {
     use sloth_core::{Demand, FlushReason};
-    let (pages, tpcc) = explain::run();
+    let explain::Explained {
+        pages,
+        over_one_trip,
+        tpcc,
+    } = explain::run();
     assert_eq!(pages.len(), 2, "one itracker page, one OpenMRS page");
     for flushes in &pages {
         assert!(!flushes.is_empty());
         // The framework preamble's dependent chains ride the first batch:
         // no flush of one statement before the page's big one. The
-        // privilege guard forces it, at `has_privilege`'s `len`.
+        // privilege guard forces it: `has_privilege`'s loop condition
+        // reads the `len` of the privileges, which waits for it.
         let (first, reason) = flushes[0];
         assert!(first > 40, "the preamble ships whole: {flushes:?}");
-        assert_eq!(reason, FlushReason::Force(Demand::EagerArg));
+        assert_eq!(reason, FlushReason::Force(Demand::Condition));
     }
     // The guarded body's reads ride the guard's flush: itracker's
-    // error.jsp ships in that one flush.
+    // error.jsp ships in that one flush, and so does the 1+N loop of
+    // patientDashboardForm.jsp, one each-row read of its list.
     assert_eq!(pages[0].len(), 1, "error.jsp: {:?}", pages[0]);
+    assert_eq!(
+        pages[1].len(),
+        1,
+        "patientDashboardForm.jsp: {:?}",
+        pages[1]
+    );
+    // No page of the 150 takes a second round trip.
+    assert!(over_one_trip.is_empty(), "{over_one_trip:?}");
 
     // TPC-C's reads of raw result sets wait for whoever demands them: no
     // flush is forced by an eager argument. New order's inserts splice
