@@ -28,7 +28,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
 use sloth_net::{BatchRequest, CacheMode, Dispatcher, SimEnv};
-use sloth_sql::{Footprint, ResultSet, SqlError, Stmt, StmtClass, TxnBoundary, TxnFootprint};
+use sloth_sql::{
+    Bound, Footprint, ResultSet, SqlError, Stmt, StmtClass, TxnBoundary, TxnFootprint,
+};
 
 /// Identifier of a registered query; stable for the life of the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -1003,13 +1005,15 @@ fn bind_kept_dependants(inner: &mut StoreInner) {
             }
         };
         match bound {
-            Ok(Some(stmt)) => {
+            Ok(Bound::To(stmt)) => {
                 inner.pending[i].stmt = stmt;
                 i += 1;
             }
-            Ok(None) => {
+            Ok(Bound::Skip(why)) => {
                 let p = inner.pending.remove(i);
-                inner.results.insert(p.id, Ok(ResultSet::no_parent_row()));
+                inner
+                    .results
+                    .insert(p.id, Ok(ResultSet::no_parent_row(why)));
             }
             Err(e) => {
                 let p = inner.pending.remove(i);
@@ -1031,7 +1035,7 @@ fn note_failure(inner: &mut StoreInner, id: QueryId, e: SqlError) {
 mod tests {
     use super::*;
     use sloth_net::SimEnv;
-    use sloth_sql::Param;
+    use sloth_sql::Hole;
 
     fn stmts(sqls: &[String]) -> Vec<Stmt> {
         sqls.iter().map(Stmt::new).collect()
@@ -1039,13 +1043,17 @@ mod tests {
 
     fn env() -> SimEnv {
         let env = SimEnv::default_env();
+        seed_t(&env);
+        env
+    }
+
+    fn seed_t(env: &SimEnv) {
         env.seed_sql("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
             .unwrap();
         for i in 0..10 {
             env.seed_sql(&format!("INSERT INTO t VALUES ({i}, 'v{i}')"))
                 .unwrap();
         }
-        env
     }
 
     #[test]
@@ -2304,21 +2312,31 @@ mod tests {
     /// points at a row that does not exist.
     fn chain_env() -> SimEnv {
         let e = env();
+        seed_links(&e);
+        e
+    }
+
+    fn seed_links(e: &SimEnv) {
         e.seed_sql("CREATE TABLE link (id INT PRIMARY KEY, next INT)")
             .unwrap();
         for i in 1..=5 {
             e.seed_sql(&format!("INSERT INTO link VALUES ({i}, {})", i + 1))
                 .unwrap();
         }
-        e
+    }
+
+    /// The read `lead` + the parent's `column`, skipped on a missing row
+    /// with `<column> of no row`.
+    fn keyed(parent: u64, lead: &str, column: &str) -> Stmt {
+        let hole = Hole::column(column, format!("{column} of no row"));
+        Stmt::dependent(parent, lead, vec![(hole, String::new())])
     }
 
     /// Registers `SELECT * FROM link WHERE id = <parent's next>`.
     fn follow(store: &QueryStore, parent: QueryId) -> Option<QueryId> {
         store
             .register_dependent(parent, |p| {
-                let key = Param::reference(p, "next");
-                Stmt::with_param("SELECT * FROM link WHERE id = ", &key, "")
+                keyed(p, "SELECT * FROM link WHERE id = ", "next")
             })
             .unwrap()
             .map(|r| r.id)
@@ -2362,8 +2380,9 @@ mod tests {
         let missing = follow(&store, last).unwrap(); // id = 6: no such row
         let beyond = follow(&store, missing).unwrap();
         let rs = store.result(missing).unwrap();
-        assert!(rs.is_empty() && !rs.is_no_parent_row());
-        assert!(store.result(beyond).unwrap().is_no_parent_row());
+        assert!(rs.is_empty() && rs.skipped().is_none());
+        let skipped = store.result(beyond).unwrap();
+        assert_eq!(skipped.skipped().map(|t| &**t), Some("next of no row"));
         assert_eq!(e.stats().round_trips, 1);
     }
 
@@ -2387,10 +2406,7 @@ mod tests {
         // stays lazy while its parent ships.
         let loner = store.register("SELECT * FROM t WHERE id = 1").unwrap();
         let kept = store
-            .register_dependent(head, |p| {
-                let key = Param::reference(p, "id");
-                Stmt::with_param("SELECT v FROM t WHERE id = ", &key, "")
-            })
+            .register_dependent(head, |p| keyed(p, "SELECT v FROM t WHERE id = ", "id"))
             .unwrap()
             .unwrap()
             .id;
@@ -2417,6 +2433,63 @@ mod tests {
         assert_eq!(e.stats().round_trips, 2);
         assert!(store.result(loner).is_ok());
         assert_eq!(e.stats().round_trips, 2);
+    }
+
+    /// A chain whose middle row is missing (link 5 points at 6), two
+    /// links and an each-row fan kept past a write drain: the store binds
+    /// each from its arrived parent, and every skip carries the first
+    /// missing link's text — on one server and on 4 shards.
+    #[test]
+    fn a_kept_chain_off_a_missing_row_skips_with_the_first_missing_links_text() {
+        let fleet = || {
+            let spec = sloth_sql::ShardSpec::new()
+                .shard("t", "id")
+                .shard("link", "id");
+            let e = sloth_net::ShardedEnv::new(sloth_net::CostModel::default(), spec, 4).handle();
+            seed_t(&e);
+            seed_links(&e);
+            e
+        };
+        for e in [chain_env(), fleet()] {
+            let store = QueryStore::new(e.clone());
+            let head = store.register("SELECT * FROM link WHERE id = 5").unwrap();
+            let middle = follow(&store, head).unwrap(); // id = 6: no such row
+                                                        // Conflicts with the unbound `middle`: the drain ships it.
+            store
+                .register_stmt("UPDATE link SET next = 9 WHERE id = 4")
+                .unwrap();
+            let lead = "SELECT v FROM t WHERE id = ";
+            let kept = |parent: QueryId, text: &str| {
+                let build = |p| {
+                    let hole = Hole::column("next", text);
+                    Stmt::dependent(p, lead, vec![(hole, String::new())])
+                };
+                store.register_dependent(parent, build).unwrap().unwrap().id
+            };
+            let third = kept(middle, "third");
+            let fourth = kept(third, "fourth");
+            let fan = store
+                .register_dependent(third, |p| {
+                    let hole = Hole::column("v", "fan");
+                    Stmt::each_row(p, lead, vec![(hole, String::new())])
+                })
+                .unwrap()
+                .unwrap()
+                .id;
+            store.flush_deferred_writes().unwrap();
+            assert_eq!(
+                store.stats().batch_sizes,
+                vec![3],
+                "head, middle, the write"
+            );
+            assert_eq!(store.pending_len(), 0, "every kept dependant answered");
+            assert!(store.result(middle).unwrap().is_empty());
+            for id in [third, fourth, fan] {
+                let rs = store.result(id).unwrap();
+                assert_eq!(rs.skipped().map(|t| &**t), Some("third"));
+            }
+            assert_eq!(e.stats().round_trips, 1);
+        }
     }
 
     #[test]
@@ -2449,10 +2522,7 @@ mod tests {
             .register_stmt("UPDATE link SET next = 9 WHERE id = 4")
             .unwrap();
         let kept = store
-            .register_dependent(head, |p| {
-                let key = Param::reference(p, "id");
-                Stmt::with_param("SELECT v FROM t WHERE id = ", &key, "")
-            })
+            .register_dependent(head, |p| keyed(p, "SELECT v FROM t WHERE id = ", "id"))
             .unwrap()
             .unwrap()
             .id;
@@ -2493,10 +2563,10 @@ mod tests {
     /// it, failing as its `cell` does without the column.
     fn mark(store: &QueryStore, parent: QueryId) -> Option<Registration> {
         let next = |rows: &ResultSet| match rows.rows.first() {
-            None => Ok(None),
+            None => Ok(Bound::Skip("no cell [0].next".into())),
             Some(_) => rows
                 .get(0, "next")
-                .map(|v| Some(v.text()))
+                .map(|v| Bound::To(v.text()))
                 .ok_or_else(|| SqlError::program("no cell [0].next")),
         };
         let hole = sloth_sql::Hole::new("next", next);
@@ -2538,7 +2608,8 @@ mod tests {
         assert!(two.deferred && !skipped.deferred);
         assert_eq!(e.stats().round_trips, 2);
         assert_eq!(seen(&e), vec![2]);
-        assert!(store.result(skipped.id).unwrap().is_no_parent_row());
+        let rs = store.result(skipped.id).unwrap();
+        assert_eq!(rs.skipped().map(|t| &**t), Some("no cell [0].next"));
         // Answered, a parent takes no more dependants.
         assert!(mark(&store, one).is_none());
     }

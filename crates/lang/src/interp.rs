@@ -28,17 +28,19 @@ use std::sync::Arc;
 use sloth_core::{Demand, QueryId, QueryStore, Registration};
 use sloth_net::{NetStats, SimEnv};
 use sloth_orm::sqlgen::{self, KeyedRead};
-use sloth_orm::{AssocDef, AssocKind, EntityDef, FetchStrategy, Schema};
-use sloth_sql::{Hole, Param, ResultSet, SqlError, Stmt, Value as SqlValue};
+use sloth_orm::{EntityDef, FetchStrategy, Schema};
+use sloth_sql::{Bound, Hole, ResultSet, SqlError, Stmt, Value as SqlValue};
 
 use crate::analysis::{analyze, lead_words};
 use crate::ast::{BinOp, Lit, Program, UnOp};
 use crate::builtins::{Builtin, HeapFn, PureFn, QueryFn, ReadFn, WriteFn};
 use crate::opt::OptFlags;
 use crate::resolve::{resolve, Callee, GuardedIf, RExpr, RStmt, Resolved, Slot};
-use crate::runtime::{row_to_entity, rs_to_entities, Counters, DataLayer, RunError, RunResult};
+use crate::runtime::{
+    row_to_entity, rs_to_entities, AssocRead, Counters, DataLayer, RunError, RunResult,
+};
 use crate::simplify::simplify_program;
-use crate::value::{BlockDriver, Dep, DepKind, Deser, EachRow, LazyState, LazyVal, Pending, V};
+use crate::value::{BlockDriver, Deser, EachRow, LazyState, LazyVal, Pending, V};
 
 /// How to execute a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -742,18 +744,19 @@ impl<'p> Interp<'p> {
                 let a = self.force(a)?;
                 unop(op, &a)
             }
-            Pending::Query {
-                id,
-                deser,
-                dep,
-                assocs,
-            } => {
+            Pending::Query { id, deser, assocs } => {
                 let rs = self.fetch(id, self.demand)?;
-                if let (true, Some(dep)) = (rs.is_no_parent_row(), &dep) {
-                    return Err(self.missing_parent(dep));
+                if let Some(why) = rs.skipped() {
+                    return Err(RunError::new(&**why));
                 }
                 let v = match &deser {
                     Deser::EachRow(rows, part) => self.each_row_value(rows, *part, &rs)?,
+                    Deser::Field(column) => match rs.rows.first() {
+                        Some(row) => rs
+                            .column_index(column)
+                            .map_or(V::Null, |c| V::from_sql(&row[c])),
+                        None => return Err(null_field_read(column)),
+                    },
                     deser => deserialize(deser, rs),
                 };
                 match &v {
@@ -761,8 +764,13 @@ impl<'p> Interp<'p> {
                     V::List(items) => {
                         for (memo, rows) in assocs {
                             for (j, item) in items.borrow().iter().enumerate() {
-                                if let (V::Obj(o), Some(value)) = (item, row_value(&rows, j)) {
-                                    let value = self.alloc_thunk(value);
+                                // Row `j`'s value of the each-row read
+                                // whose list `rows` is.
+                                if let (V::Obj(o), Some((id, Deser::EachRow(each, _)))) =
+                                    (item, unfetched(&rows))
+                                {
+                                    let part = Deser::EachRow(each, Some(j));
+                                    let value = self.alloc_thunk(Pending::query(id, part));
                                     o.borrow_mut().insert(memo.clone(), value);
                                 }
                             }
@@ -771,18 +779,6 @@ impl<'p> Interp<'p> {
                     _ => {}
                 }
                 Ok(v)
-            }
-            Pending::QueryField { id, column, up } => {
-                let rs = self.fetch(id, self.demand)?;
-                match rs.rows.first() {
-                    Some(row) => Ok(rs
-                        .column_index(&column)
-                        .map_or(V::Null, |c| V::from_sql(&row[c]))),
-                    None => Err(match &up {
-                        Some(up) if rs.is_no_parent_row() => self.missing_parent(up),
-                        _ => null_field_read(&column),
-                    }),
-                }
             }
             Pending::ResultRead { func, mut args } => {
                 // The query ships for whoever demanded the read, not as an
@@ -1090,26 +1086,27 @@ impl<'p> Interp<'p> {
                 let mut owner = args.remove(0);
                 // An owner nobody has fetched yet stays unfetched: the
                 // association is keyed by a column of its row.
-                let unfetched = lazy.then(|| unfetched_entity(&owner)).flatten();
-                if unfetched.is_none() {
+                let entity = match lazy.then(|| unfetched(&owner)).flatten() {
+                    Some((id, Deser::EntityOpt(entity))) => Some((id, entity)),
+                    _ => None,
+                };
+                if entity.is_none() {
                     owner = self.force_for(owner, Demand::QueryParam)?;
                 }
                 let assoc = self.string_arg(args.remove(0))?;
-                if let Some((id, entity, up)) = unfetched {
-                    if let Some(v) =
-                        self.assoc_of_unfetched(&schema, &owner, id, &entity, up, &assoc)?
-                    {
+                if let Some((id, entity)) = entity {
+                    if let Some(v) = self.assoc_of_unfetched(&owner, id, &entity, &assoc)? {
                         return Ok(v);
                     }
                     owner = self.force_for(owner, Demand::QueryParam)?;
                 }
-                self.orm_assoc(&schema, owner, &assoc, lazy)
+                self.orm_assoc(owner, &assoc, lazy)
             }
             QueryFn::OrmAssocRows => {
                 let base = args.remove(0);
                 let assoc = self.string_arg(args.remove(0))?;
                 if lazy {
-                    if let Some(v) = self.assoc_rows_of_unfetched(&schema, &base, &assoc)? {
+                    if let Some(v) = self.assoc_rows_of_unfetched(&base, &assoc)? {
                         return Ok(v);
                     }
                 }
@@ -1227,17 +1224,12 @@ impl<'p> Interp<'p> {
 
     fn register_thunk(&mut self, sql: &str, deser: Deser) -> Result<V, RunError> {
         let id = self.data.register(sql)?;
-        Ok(self.query_thunk(id, deser, None))
+        Ok(self.query_thunk(id, deser))
     }
 
-    fn query_thunk(&mut self, id: QueryId, deser: Deser, dep: Option<Rc<Dep>>) -> V {
+    fn query_thunk(&mut self, id: QueryId, deser: Deser) -> V {
         self.counters.queries_registered += 1;
-        self.alloc_thunk(Pending::Query {
-            id,
-            deser,
-            dep,
-            assocs: Vec::new(),
-        })
+        self.alloc_thunk(Pending::query(id, deser))
     }
 
     // ------------------------------------------------------------------
@@ -1246,23 +1238,21 @@ impl<'p> Interp<'p> {
     // of forcing it (§3.3 forces a query's parameters at registration,
     // which makes every link of `user → role → privileges` a batch of
     // one). Everything here falls back to that force whenever the store
-    // says the parent is no longer waiting in the batch.
+    // says the parent is no longer waiting in the batch. A dependant's
+    // hole skips it, on a missing row, with what the force it replaces
+    // raises on `null`; the batch carries that text down the chain.
     // ------------------------------------------------------------------
 
     /// `obj.field` as a deferred column read, when `obj` is a single-row
     /// query nobody has fetched and `field` one of its entity's columns.
     fn unfetched_column(&self, obj: &V, field: &str, lazy: bool) -> Option<Pending> {
-        if !lazy {
+        let Some((id, Deser::EntityOpt(entity))) = lazy.then(|| unfetched(obj)).flatten() else {
             return None;
-        }
-        let (id, entity, up) = unfetched_entity(obj)?;
+        };
         let def = self.data.schema.entity(&entity)?;
         let declared = def.columns.iter().any(|(name, _)| name == field);
-        (declared && self.data.is_pending(id)).then(|| Pending::QueryField {
-            id,
-            column: field.into(),
-            up,
-        })
+        (declared && self.data.is_pending(id))
+            .then(|| Pending::query(id, Deser::Field(field.into())))
     }
 
     /// One keyed read. Under lazy semantics a key that is a deferred
@@ -1276,12 +1266,13 @@ impl<'p> Interp<'p> {
         deser: Deser,
         lazy: bool,
     ) -> Result<V, RunError> {
-        if let Some((parent, column, up)) = lazy.then(|| deferred_column(&key)).flatten() {
-            let build = |p| read.stmt(&Param::reference(p, &column));
-            if let Some(reg) = self.data.register_dependent(parent, build)? {
-                let how = DepKind::Field(column);
-                let dep = Rc::new(Dep { parent, how, up });
-                return Ok(self.query_thunk(reg.id, deser, Some(dep)));
+        if let Some((parent, Deser::Field(column))) = lazy.then(|| unfetched(&key)).flatten() {
+            let hole = Hole::column(&column, null_field_read(&column).message);
+            if let Some(reg) = self
+                .data
+                .register_dependent(parent, |p| read.stmt(p, hole))?
+            {
+                return Ok(self.query_thunk(reg.id, deser));
             }
         }
         let key = self.force_for(key, Demand::QueryParam)?;
@@ -1297,11 +1288,9 @@ impl<'p> Interp<'p> {
     /// name.
     fn assoc_of_unfetched(
         &mut self,
-        schema: &Schema,
         owner: &V,
         id: QueryId,
         entity: &str,
-        up: Option<Rc<Dep>>,
         assoc: &str,
     ) -> Result<Option<V>, RunError> {
         let V::Thunk(cell) = owner else {
@@ -1313,20 +1302,10 @@ impl<'p> Interp<'p> {
                 return Ok(Some(v.clone()));
             }
         }
-        let Some(def) = schema.entity(entity) else {
+        let Ok(a) = self.data.assoc_read(entity, assoc) else {
             return Ok(None);
         };
-        let Some(a) = def.assoc(assoc) else {
-            return Ok(None);
-        };
-        let Ok((read, target, many)) = self.data.assoc_read(entity, assoc) else {
-            return Ok(None);
-        };
-        let column = match &a.kind {
-            AssocKind::OneToMany { .. } => &def.pk,
-            AssocKind::ManyToOne { fk_column } => fk_column,
-        };
-        let build = |p| read.stmt(&Param::reference(p, column));
+        let build = |p| a.read.stmt(p, owner_hole(&a));
         let Some(Registration { id: qid, .. }) = self.data.register_dependent(id, build)? else {
             // Its row shipped before the association could hang off it. A
             // row that turned out missing (or failed) fails where the
@@ -1339,12 +1318,7 @@ impl<'p> Interp<'p> {
                 Ok(_) => None,
             });
         };
-        let dep = Rc::new(Dep {
-            parent: id,
-            how: DepKind::Assoc,
-            up,
-        });
-        let v = self.query_thunk(qid, assoc_deser(target, many), Some(dep));
+        let v = self.query_thunk(qid, a.deser());
         if let LazyState::Pending(Pending::Query { assocs, .. }) = &mut *cell.0.borrow_mut() {
             assocs.push((memo_key, v.clone()));
         }
@@ -1358,13 +1332,9 @@ impl<'p> Interp<'p> {
     /// the caller down the loop: `base` no longer waits in the batch, the
     /// memo is there already (the loop then reads it), or a name does not
     /// resolve (the loop raises what it raises).
-    fn assoc_rows_of_unfetched(
-        &mut self,
-        schema: &Schema,
-        base: &V,
-        assoc: &str,
-    ) -> Result<Option<V>, RunError> {
-        let (V::Thunk(cell), Some((id, entity, up))) = (base, unfetched_list(base)) else {
+    fn assoc_rows_of_unfetched(&mut self, base: &V, assoc: &str) -> Result<Option<V>, RunError> {
+        let (V::Thunk(cell), Some((id, Deser::EntityList(entity)))) = (base, unfetched(base))
+        else {
             return Ok(None);
         };
         let memo_key = format!("__assoc_{assoc}");
@@ -1373,33 +1343,22 @@ impl<'p> Interp<'p> {
                 return Ok(None);
             }
         }
-        let (Some(def), Ok((read, target, many))) =
-            (schema.entity(&entity), self.data.assoc_read(&entity, assoc))
-        else {
+        let Ok(a) = self.data.assoc_read(&entity, assoc) else {
             return Ok(None);
         };
-        let column = match def.assoc(assoc).map(|a| &a.kind) {
-            Some(AssocKind::OneToMany { .. }) => &def.pk,
-            Some(AssocKind::ManyToOne { fk_column }) => fk_column,
-            None => return Ok(None),
-        };
-        let build = |p| read.stmt(&Param::each_row(p, column));
+        let build = |p| a.read.each_row(p, owner_hole(&a));
         let Some(reg) = self.data.register_dependent(id, build)? else {
             return Ok(None);
         };
         self.counters.queries_registered += 1;
         let rows = Rc::new(EachRow {
             parent: id,
-            deser: assoc_deser(target, many),
+            deser: a.deser(),
             values: RefCell::new(None),
         });
-        let dep = Some(Rc::new(Dep {
-            parent: id,
-            how: DepKind::Assoc,
-            up,
-        }));
-        let held = self.alloc_thunk(each_row_read(reg.id, &rows, None, &dep));
-        let kept = self.alloc_thunk(each_row_read(reg.id, &rows, None, &dep));
+        let list = || Pending::query(reg.id, Deser::EachRow(Rc::clone(&rows), None));
+        let held = self.alloc_thunk(list());
+        let kept = self.alloc_thunk(list());
         if let LazyState::Pending(Pending::Query { assocs, .. }) = &mut *cell.0.borrow_mut() {
             assocs.push((memo_key, kept));
         }
@@ -1435,40 +1394,14 @@ impl<'p> Interp<'p> {
     /// which no `push` reaches. `None`: the read runs now.
     fn unfetched_rows(&mut self, func: ReadFn, args: &[V]) -> Option<V> {
         let recv = args.first()?;
-        match func {
-            ReadFn::Len | ReadFn::Cell | ReadFn::At | ReadFn::First
-                if unfetched_query(recv).is_some() =>
-            {
+        match (func, unfetched(recv)?) {
+            (ReadFn::Len | ReadFn::Cell | ReadFn::At | ReadFn::First, (_, Deser::Raw)) => {
                 Some(recv.clone())
             }
-            ReadFn::Len => {
-                let (id, _, dep) = unfetched_list(recv)?;
-                Some(self.alloc_thunk(Pending::Query {
-                    id,
-                    deser: Deser::Raw,
-                    dep,
-                    assocs: Vec::new(),
-                }))
+            (ReadFn::Len, (id, Deser::EntityList(_))) => {
+                Some(self.alloc_thunk(Pending::query(id, Deser::Raw)))
             }
             _ => None,
-        }
-    }
-
-    /// A dependent query answered "no parent row": raises what the
-    /// program would have hit had it forced the parent first — the
-    /// parent's own failure if it has one, else the operation on `null`
-    /// that produced the key.
-    fn missing_parent(&mut self, dep: &Dep) -> RunError {
-        match self.fetch(dep.parent, self.demand) {
-            Err(e) => e,
-            Ok(rs) if rs.is_no_parent_row() => match &dep.up {
-                Some(up) => self.missing_parent(up),
-                None => RunError::new("dependent query without a parent"),
-            },
-            Ok(_) => match &dep.how {
-                DepKind::Field(column) => null_field_read(column),
-                DepKind::Assoc => not_an_entity(&V::Null),
-            },
         }
     }
 
@@ -1498,16 +1431,12 @@ impl<'p> Interp<'p> {
             };
             let rs = self.fetch(parent, Demand::QueryParam)?;
             return Ok(ControlFlow::Continue(match stmt.bind_from(&rs)? {
-                Some(bound) => V::str(bound.sql()),
-                None => text,
+                Bound::To(bound) => V::str(bound.sql()),
+                Bound::Skip(_) => text,
             }));
         };
         if !write {
-            return Ok(ControlFlow::Break(self.query_thunk(
-                reg.id,
-                Deser::Raw,
-                None,
-            )));
+            return Ok(ControlFlow::Break(self.query_thunk(reg.id, Deser::Raw)));
         }
         self.counters.queries_registered += 1;
         if !reg.deferred {
@@ -1544,7 +1473,9 @@ impl<'p> Interp<'p> {
             },
             Pending::ResultRead { func, args } => match (func, &args[..]) {
                 (ReadFn::Cell, [rows, V::Int(0), V::Str(column)]) => {
-                    let q = unfetched_query(rows)?;
+                    let (q, Deser::Raw) = unfetched(rows)? else {
+                        return None;
+                    };
                     let column = column.to_string();
                     (*walk.parent.get_or_insert(q) == q).then_some(HoleExpr::Cell(column))?
                 }
@@ -1621,8 +1552,11 @@ impl<'p> Interp<'p> {
         let Some(rows) = frame.vals[g.rows as usize].clone() else {
             return Err(self.unbound(frame, g.rows));
         };
-        let pending = lazy.then(|| unfetched_query(&rows)).flatten();
-        let Some(parent) = pending.filter(|&id| self.data.is_pending(id)) else {
+        let pending = match lazy.then(|| unfetched(&rows)).flatten() {
+            Some((id, Deser::Raw)) => self.data.is_pending(id).then_some(id),
+            _ => None,
+        };
+        let Some(parent) = pending else {
             // An ordinary `if`.
             let c = self.eval(&g.cond, frame, lazy)?;
             return if self.force_for(c, Demand::Condition)?.truthy() {
@@ -1747,7 +1681,7 @@ impl<'p> Interp<'p> {
     fn std_prefetch_eager(&mut self, def: &EntityDef, e: &V) -> Result<(), RunError> {
         for a in &def.assocs {
             if a.strategy == FetchStrategy::Eager {
-                let items = self.fetch_assoc_now(e, def, a)?;
+                let items = self.fetch_assoc_now(e, def, &a.name)?;
                 if let V::Obj(o) = e {
                     o.borrow_mut().insert(format!("__assoc_{}", a.name), items);
                 }
@@ -1756,13 +1690,7 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn orm_assoc(
-        &mut self,
-        schema: &Schema,
-        owner: V,
-        assoc: &str,
-        lazy: bool,
-    ) -> Result<V, RunError> {
+    fn orm_assoc(&mut self, owner: V, assoc: &str, lazy: bool) -> Result<V, RunError> {
         let V::Obj(o) = &owner else {
             return Err(not_an_entity(&owner));
         };
@@ -1774,38 +1702,33 @@ impl<'p> Interp<'p> {
         if let Some(cached) = o.borrow().get(&memo_key).cloned() {
             return Ok(cached);
         }
-        let def = entity_def(schema, &entity)?;
-        let a = assoc_def(def, assoc)?;
-        let key = self.assoc_key(&owner, def, a)?;
-        let (read, target, many) = self.data.assoc_read(&entity, assoc)?;
-        let sql = read.sql(&key.to_sql());
-        let result = if !lazy && many && a.strategy == FetchStrategy::Lazy {
+        let a = self.data.assoc_read(&entity, assoc)?;
+        let key = self.assoc_key(&owner, &a)?;
+        let sql = a.read.sql(&key.to_sql());
+        let result = if !lazy && a.many && a.strategy == FetchStrategy::Lazy {
             // Hibernate collection proxy: no query until element access.
             let mut fields = BTreeMap::new();
             fields.insert("__proxy_sql".to_string(), V::str(&sql));
-            fields.insert("__proxy_entity".to_string(), V::str(&target));
+            fields.insert("__proxy_entity".to_string(), V::str(&a.target));
             V::Obj(Rc::new(RefCell::new(fields)))
         } else {
             // Sloth: register now (the owner is already materialized),
             // defer deserialization (§3.3).
-            self.read(&sql, assoc_deser(target, many), lazy)?
+            self.read(&sql, a.deser(), lazy)?
         };
         o.borrow_mut().insert(memo_key, result.clone());
         Ok(result)
     }
 
-    fn fetch_assoc_now(&mut self, owner: &V, def: &EntityDef, a: &AssocDef) -> Result<V, RunError> {
-        let key = self.assoc_key(owner, def, a)?;
-        let (read, target, many) = self.data.assoc_read(&def.name, &a.name)?;
-        self.read(&read.sql(&key.to_sql()), assoc_deser(target, many), false)
+    fn fetch_assoc_now(&mut self, owner: &V, def: &EntityDef, assoc: &str) -> Result<V, RunError> {
+        let a = self.data.assoc_read(&def.name, assoc)?;
+        let key = self.assoc_key(owner, &a)?;
+        self.read(&a.read.sql(&key.to_sql()), a.deser(), false)
     }
 
     /// The owner-side key an association is fetched by, forced.
-    fn assoc_key(&mut self, owner: &V, def: &EntityDef, a: &AssocDef) -> Result<V, RunError> {
-        let key = match &a.kind {
-            AssocKind::OneToMany { .. } => self.read_field(owner, &def.pk)?,
-            AssocKind::ManyToOne { fk_column } => self.read_field(owner, fk_column)?,
-        };
+    fn assoc_key(&mut self, owner: &V, a: &AssocRead) -> Result<V, RunError> {
+        let key = self.read_field(owner, &a.key)?;
         self.force_for(key, Demand::QueryParam)
     }
 
@@ -2074,18 +1997,16 @@ impl PendingText {
     }
 
     /// The dependent statement of this text, holes filled from the first
-    /// row of `parent`: `guarded`, a missing row skips it.
+    /// row of `parent`: `guarded`, a missing row skips it (with the error
+    /// the hole raises unguarded).
     fn stmt(self, parent: u64, guarded: bool) -> Stmt {
         let holes = self.holes.into_iter().map(|(hole, piece)| {
             let label = hole.label().unwrap_or_default().to_owned();
-            let render = move |rows: &ResultSet| {
-                if guarded && rows.is_empty() {
-                    return Ok(None);
-                }
-                match hole.value(rows) {
-                    Ok(v) => Ok(Some(scalar_text(&v))),
-                    Err(e) => Err(SqlError::program(e.message)),
-                }
+            // Over no row every hole fails: guarded, that skips.
+            let render = move |rows: &ResultSet| match hole.value(rows) {
+                Ok(v) => Ok(Bound::To(scalar_text(&v))),
+                Err(e) if guarded && rows.is_empty() => Ok(Bound::Skip(e.message.into())),
+                Err(e) => Err(SqlError::program(e.message)),
             };
             (Hole::new(label, render), piece)
         });
@@ -2142,89 +2063,22 @@ fn opens_past_its_tables(lead: &str, write: bool) -> bool {
     lead_words(lead, clauses).is_some()
 }
 
-/// `v` as a deferred column read nobody has forced: the query whose row
-/// it reads, the column, and that query's own dependence.
-fn deferred_column(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
+/// `v` as a registered read nobody has forced: its query id, and how its
+/// answer deserializes — which says what it is: a raw `query`, an entity,
+/// a list, a column of a row, an each-row read's list or row.
+fn unfetched(v: &V) -> Option<(QueryId, Deser)> {
     let V::Thunk(cell) = v else { return None };
     match &*cell.0.borrow() {
-        LazyState::Pending(Pending::QueryField { id, column, up }) => {
-            Some((*id, Rc::clone(column), up.clone()))
-        }
+        LazyState::Pending(Pending::Query { id, deser, .. }) => Some((*id, deser.clone())),
         _ => None,
     }
 }
 
-/// `v` as a raw `query` nobody has forced: its query id.
-fn unfetched_query(v: &V) -> Option<QueryId> {
-    let V::Thunk(cell) = v else { return None };
-    match &*cell.0.borrow() {
-        LazyState::Pending(Pending::Query {
-            id,
-            deser: Deser::Raw,
-            ..
-        }) => Some(*id),
-        _ => None,
-    }
-}
-
-/// `v` as a single-row query nobody has forced: its query id, entity and
-/// own dependence.
-fn unfetched_entity(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
-    let V::Thunk(cell) = v else { return None };
-    match &*cell.0.borrow() {
-        LazyState::Pending(Pending::Query {
-            id,
-            deser: Deser::EntityOpt(entity),
-            dep,
-            ..
-        }) => Some((*id, Rc::clone(entity), dep.clone())),
-        _ => None,
-    }
-}
-
-/// `v` as an ORM list read nobody has forced: its query id, entity and
-/// own dependence.
-fn unfetched_list(v: &V) -> Option<(QueryId, Rc<str>, Option<Rc<Dep>>)> {
-    let V::Thunk(cell) = v else { return None };
-    match &*cell.0.borrow() {
-        LazyState::Pending(Pending::Query {
-            id,
-            deser: Deser::EntityList(entity),
-            dep,
-            ..
-        }) => Some((*id, Rc::clone(entity), dep.clone())),
-        _ => None,
-    }
-}
-
-/// Row `j`'s value of the each-row read whose list `rows` is, to memoise
-/// on the `j`-th element of the list read it hangs off.
-fn row_value(rows: &V, j: usize) -> Option<Pending> {
-    let V::Thunk(cell) = rows else { return None };
-    match &*cell.0.borrow() {
-        LazyState::Pending(Pending::Query {
-            id,
-            deser: Deser::EachRow(each, _),
-            dep,
-            ..
-        }) => Some(each_row_read(*id, each, Some(j), dep)),
-        _ => None,
-    }
-}
-
-/// The each-row read `id` as the value of row `part`, or its list.
-fn each_row_read(
-    id: QueryId,
-    rows: &Rc<EachRow>,
-    part: Option<usize>,
-    dep: &Option<Rc<Dep>>,
-) -> Pending {
-    Pending::Query {
-        id,
-        deser: Deser::EachRow(Rc::clone(rows), part),
-        dep: dep.clone(),
-        assocs: Vec::new(),
-    }
+/// The hole an association of an owner nobody has fetched is keyed by:
+/// the owner's key column, skipped on a missing row with what `orm_assoc`
+/// on `null` raises.
+fn owner_hole(a: &AssocRead) -> Hole {
+    Hole::column(&a.key, not_an_entity(&V::Null).message)
 }
 
 fn null_field_read(field: &str) -> RunError {
@@ -2239,21 +2093,6 @@ fn entity_def<'s>(schema: &'s Schema, name: &str) -> Result<&'s EntityDef, RunEr
     schema
         .entity(name)
         .ok_or_else(|| RunError::new(format!("unknown entity {name}")))
-}
-
-fn assoc_def<'s>(def: &'s EntityDef, assoc: &str) -> Result<&'s AssocDef, RunError> {
-    def.assoc(assoc)
-        .ok_or_else(|| RunError::new(format!("no assoc {assoc} on {}", def.name)))
-}
-
-/// How an association's rows deserialize: a list for a collection, one
-/// entity or `null` otherwise.
-fn assoc_deser(target: String, many: bool) -> Deser {
-    if many {
-        Deser::EntityList(target.into())
-    } else {
-        Deser::EntityOpt(target.into())
-    }
 }
 
 fn lit_to_v(l: &Lit) -> V {
@@ -2326,9 +2165,10 @@ fn deserialize(deser: &Deser, rs: ResultSet) -> V {
             .and_then(|r| r.first())
             .map(V::from_sql)
             .unwrap_or(V::Null),
-        // Its parts are deserialized by `Interp::each_row_value`, which
-        // knows how many rows they answer.
-        Deser::EachRow(..) => V::Null,
+        // Deserialized where it is forced: an each-row read's parts by
+        // `Interp::each_row_value`, which knows how many rows they answer,
+        // a column of a row nobody fetched by the force, which may fail.
+        Deser::EachRow(..) | Deser::Field(_) => V::Null,
     }
 }
 
@@ -2613,7 +2453,7 @@ mod tests {
             }
             accepted += 1;
             let tail = close + [" ", " AND id = 3", ""][next(3)];
-            let hole = Hole::new("k", |_: &ResultSet| Ok(Some("0".to_string())));
+            let hole = Hole::new("k", |_: &ResultSet| Ok(Bound::To("0".to_string())));
             let open = Stmt::dependent(0, lead.clone(), vec![(hole, tail.clone())]);
             let wide = cache.stmt_footprint(&open);
             for render in renders {

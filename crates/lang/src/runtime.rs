@@ -10,10 +10,10 @@ use std::sync::Arc;
 use sloth_core::{QueryId, QueryStore, Registration, StoreStats};
 use sloth_net::{Dispatcher, NetStats, SimEnv};
 use sloth_orm::sqlgen::KeyedRead;
-use sloth_orm::{AssocKind, Schema};
+use sloth_orm::{AssocKind, FetchStrategy, Schema};
 use sloth_sql::{ResultSet, SqlError, Stmt};
 
-use crate::value::V;
+use crate::value::{Deser, V};
 
 /// Per-operation application-server costs (nanoseconds).
 ///
@@ -210,14 +210,8 @@ impl DataLayer {
         Ok(self.store()?.register_dependent(parent, build)?)
     }
 
-    /// The read an association access issues, before its key is known;
-    /// also the target entity and whether the read returns a collection
-    /// (`true`) or a single entity (`false`).
-    pub fn assoc_read(
-        &self,
-        entity: &str,
-        assoc: &str,
-    ) -> Result<(KeyedRead, String, bool), RunError> {
+    /// The read an association access issues, before its key is known.
+    pub(crate) fn assoc_read(&self, entity: &str, assoc: &str) -> Result<AssocRead, RunError> {
         let def = self
             .schema
             .entity(entity)
@@ -229,8 +223,46 @@ impl DataLayer {
             .schema
             .entity(&a.target)
             .ok_or_else(|| RunError::new(format!("unknown entity {}", a.target)))?;
-        let many = matches!(a.kind, AssocKind::OneToMany { .. });
-        Ok((KeyedRead::assoc(a, target), a.target.clone(), many))
+        let (key, many) = match &a.kind {
+            AssocKind::OneToMany { .. } => (&def.pk, true),
+            AssocKind::ManyToOne { fk_column } => (fk_column, false),
+        };
+        Ok(AssocRead {
+            read: KeyedRead::assoc(a, target),
+            key: key.clone(),
+            target: a.target.clone(),
+            many,
+            strategy: a.strategy,
+        })
+    }
+}
+
+/// The read an association access issues, and what it is keyed by.
+pub(crate) struct AssocRead {
+    /// The read, keyed by the owner's `key` column.
+    pub read: KeyedRead,
+    /// The owner's column the read is keyed by: its primary key for a
+    /// one-to-many, the foreign key it holds for a many-to-one.
+    pub key: String,
+    /// The target entity.
+    pub target: String,
+    /// Whether the read returns a collection (`true`) or a single entity
+    /// (`false`).
+    pub many: bool,
+    /// When standard semantics fetches it.
+    pub strategy: FetchStrategy,
+}
+
+impl AssocRead {
+    /// How its rows deserialize: a list for a collection, one entity or
+    /// `null` otherwise.
+    pub(crate) fn deser(&self) -> Deser {
+        let target = self.target.as_str().into();
+        if self.many {
+            Deser::EntityList(target)
+        } else {
+            Deser::EntityOpt(target)
+        }
     }
 }
 

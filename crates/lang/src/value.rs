@@ -60,17 +60,14 @@ pub(crate) enum Pending {
     /// Apply a unary operator to a captured (possibly thunked) operand.
     Unary(UnOp, V),
     /// Fetch a registered query's result from the query store and
-    /// deserialize it.
+    /// deserialize it. A dependant skipped for a missing parent row
+    /// raises the text its answer carries: what forcing the parent first
+    /// would have raised.
     Query {
         /// Registered query id.
         id: sloth_core::QueryId,
         /// How to turn the result set into a value.
         deser: Deser,
-        /// For a dependent query — one whose key is a column of another
-        /// query's row, registered without fetching that row: where the
-        /// key comes from, so a missing parent row raises what forcing
-        /// the parent first would have raised.
-        dep: Option<Rc<Dep>>,
         /// Associations fetched through this row while it was still
         /// unfetched, as `(memo field, value)`: the entity object takes
         /// them over when it materializes, so the `__assoc_*` memo holds
@@ -78,18 +75,6 @@ pub(crate) enum Pending {
         /// each-row read's list (`Deser::EachRow`, never handed out):
         /// element `j` takes row `j`'s value of it.
         assocs: Vec<(String, V)>,
-    },
-    /// Read one column of the first row of a registered single-row query
-    /// — a field read on an entity nobody has fetched yet. Reads the
-    /// immutable result row, not the heap object: no object existed when
-    /// the read was evaluated, so no later field write can reach it.
-    QueryField {
-        /// The query whose row is read.
-        id: sloth_core::QueryId,
-        /// The column.
-        column: Rc<str>,
-        /// That query's own dependence, if it has one.
-        up: Option<Rc<Dep>>,
     },
     /// A `len` / `nrows`, `cell`, `at` or `first` of a raw result set
     /// nobody has fetched yet. Runs the read when it is demanded: no
@@ -132,25 +117,6 @@ pub(crate) enum Pending {
     Failed(RunError),
 }
 
-/// Where a dependent query's key comes from: one link of a chain, by
-/// query id (no thunk is held, so a chain keeps nothing alive).
-pub(crate) struct Dep {
-    /// The query whose first row supplies the key.
-    pub parent: sloth_core::QueryId,
-    /// What the program did to that row to get the key.
-    pub how: DepKind,
-    /// The parent's own link, when it is dependent too.
-    pub up: Option<Rc<Dep>>,
-}
-
-/// The operation a dependent query's key stands for.
-pub(crate) enum DepKind {
-    /// A field read (`row.column`), later passed as a query key.
-    Field(Rc<str>),
-    /// An `orm_assoc` on the row.
-    Assoc,
-}
-
 /// Shared state of one deferred statement block (§4.2–4.3): which block,
 /// the captured environment, and the output values once driven.
 pub(crate) struct BlockDriver {
@@ -163,7 +129,19 @@ pub(crate) struct BlockDriver {
     pub results: RefCell<Option<Vec<V>>>,
 }
 
+impl Pending {
+    /// Registered query `id`'s value, deserialized by `deser`.
+    pub(crate) fn query(id: sloth_core::QueryId, deser: Deser) -> Pending {
+        Pending::Query {
+            id,
+            deser,
+            assocs: Vec::new(),
+        }
+    }
+}
+
 /// Deserialization applied to a fetched result set.
+#[derive(Clone)]
 pub(crate) enum Deser {
     /// Keep the raw result set.
     Raw,
@@ -173,6 +151,11 @@ pub(crate) enum Deser {
     EntityList(Rc<str>),
     /// Scalar from row 0, column 0 (aggregates).
     Scalar,
+    /// One column of row 0 — a field read on an entity nobody has fetched
+    /// yet. It reads the immutable result row, not the heap object: no
+    /// object existed when the read was evaluated, so no later field
+    /// write can reach it. No row raises the read on `null`.
+    Field(Rc<str>),
     /// An each-row association read's answer: the list of every parent
     /// row's value (`None`) or row `j`'s alone (`Some(j)`), all read from
     /// one deserialization.

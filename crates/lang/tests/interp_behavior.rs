@@ -1078,9 +1078,28 @@ fn a_missing_parent_raises_what_forcing_it_would_have_raised() {
             print(str(len(visits)));
         }
     "#;
+    // The 1+N loop over a list keyed by the missing row: one each-row
+    // read, skipped with the list's text.
+    let fan = r#"
+        fn main() {
+            let p = orm_find("patient", 3);
+            let nobody = orm_find("patient", p.creator_id);
+            let es = orm_find_where("encounter", "patient_id", nobody.patient_id);
+            let acc = [];
+            let k = 0;
+            while (k < len(es)) {
+                let el = at(es, k);
+                push(acc, orm_assoc(el, "concept"));
+                k = k + 1;
+            }
+            print("before");
+            print(str(acc));
+        }
+    "#;
     for (src, text) in [
         (field, "field creator_id read on null"),
         (assoc, "orm_assoc on non-entity null"),
+        (fan, "field patient_id read on null"),
     ] {
         for strategy in all_strategies() {
             let e = run_chain(src, strategy).unwrap_err();
@@ -1235,6 +1254,23 @@ fn a_guarded_body_rides_the_flush_its_guard_forces() {
         [FlushReason::Force(Demand::Condition)],
         "forced by the guard, whose len waits for it"
     );
+}
+
+#[test]
+fn a_key_read_off_an_unfetched_list_keeps_its_read_in_the_arm() {
+    // `n` is a delayed read of the list's answer: a read keyed by it,
+    // moved above the `if`, would force the list where it registers.
+    let src = r#"fn main(u) {
+        let n = len(orm_find_all("visit"));
+        if (u > 0) { let d = orm_find("patient", n); print(d); }
+    }"#;
+    for flags in [OptFlags::all(), OptFlags::none()] {
+        let schema = clinic_schema();
+        let env = clinic_env(&schema);
+        let args = vec![sloth_lang::V::Int(0)];
+        let r = run_source(src, &env, schema, ExecStrategy::Sloth(flags), args).unwrap();
+        assert_eq!(r.net.round_trips, 0, "{flags:?}: nothing is demanded");
+    }
 }
 
 #[test]

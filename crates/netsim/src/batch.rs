@@ -36,9 +36,10 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sloth_sql::fuse::{self, FusableLookup, FusedPlan};
-use sloth_sql::{Footprint, Normalized, ResultSet, SqlError, Stmt, TemplateCache, Value};
+use sloth_sql::{Bound, Footprint, Normalized, ResultSet, SqlError, Stmt, TemplateCache, Value};
 
 /// Cap on the arity of one fused `IN` probe. Groups with more distinct
 /// probed values split into several probes, bounding both the statement
@@ -283,9 +284,10 @@ pub(crate) enum Binding {
     Literal,
     /// The parent's row closed it.
     Bound(Stmt),
-    /// The parent answered without a row: the position answers
-    /// [`ResultSet::no_parent_row`] and nothing executes.
-    NoParentRow,
+    /// A hole found no row: the position answers
+    /// [`ResultSet::no_parent_row`] with the skip's text and nothing
+    /// executes.
+    NoParentRow(Arc<str>),
     /// The parent has no answer here. The result cache's probe leaves
     /// such a position for the wire; on the wire, where every earlier
     /// position has run, it cannot happen.
@@ -322,24 +324,24 @@ pub(crate) fn bind(
     match &answers[parent] {
         None => Ok(Binding::Unanswered),
         Some(rs) => Ok(match stmt.bind_from(rs)? {
-            Some(bound) => Binding::Bound(bound),
-            None => Binding::NoParentRow,
+            Bound::To(bound) => Binding::Bound(bound),
+            Bound::Skip(why) => Binding::NoParentRow(why),
         }),
     }
 }
 
 /// [`bind`] on the wire: every earlier position has been answered, so the
-/// position either runs (`Some`: the statement to execute, and whether it
-/// was dependent) or answers [`ResultSet::no_parent_row`] (`None`).
+/// position either runs (the statement to execute, and whether it was
+/// dependent) or is skipped, answering [`ResultSet::no_parent_row`].
 pub(crate) fn bind_to_run<'a>(
     stmts: &'a [Stmt],
     pos: usize,
     answers: &[Option<ResultSet>],
-) -> Result<Option<(Cow<'a, Stmt>, bool)>, SqlError> {
+) -> Result<Bound<(Cow<'a, Stmt>, bool)>, SqlError> {
     match bind(stmts, pos, answers)? {
-        Binding::Literal => Ok(Some((Cow::Borrowed(&stmts[pos]), false))),
-        Binding::Bound(bound) => Ok(Some((Cow::Owned(bound), true))),
-        Binding::NoParentRow => Ok(None),
+        Binding::Literal => Ok(Bound::To((Cow::Borrowed(&stmts[pos]), false))),
+        Binding::Bound(bound) => Ok(Bound::To((Cow::Owned(bound), true))),
+        Binding::NoParentRow(why) => Ok(Bound::Skip(why)),
         Binding::Unanswered => Err(SqlError::new(format!(
             "reference to an unanswered position (in {})",
             stmts[pos].sql()

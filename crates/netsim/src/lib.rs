@@ -935,8 +935,8 @@ impl SimEnv {
                     cache = self.cache();
                     Cow::Owned(bound)
                 }
-                Ok(batch::Binding::NoParentRow) => {
-                    hits[i] = Some(ResultSet::no_parent_row());
+                Ok(batch::Binding::NoParentRow(why)) => {
+                    hits[i] = Some(ResultSet::no_parent_row(why));
                     continue;
                 }
                 Ok(batch::Binding::Unanswered) => {
@@ -2520,13 +2520,20 @@ mod tests {
         Stmt::new(format!("SELECT * FROM node WHERE id = {id}"))
     }
 
+    /// The hole the tests key a dependant by: `column` of the parent's
+    /// row, skipped on a missing row with `<column> of no row`.
+    fn key_of(column: &str) -> sloth_sql::Hole {
+        sloth_sql::Hole::column(column, format!("{column} of no row"))
+    }
+
+    /// `lead` + `column` of position `parent`'s row.
+    fn keyed(parent: u64, lead: &str, column: &str) -> Stmt {
+        Stmt::dependent(parent, lead, vec![(key_of(column), String::new())])
+    }
+
     /// `SELECT * FROM node WHERE id = <next_id of position `parent`>`.
     fn next_of(parent: u64) -> Stmt {
-        Stmt::with_param(
-            "SELECT * FROM node WHERE id = ",
-            &sloth_sql::Param::reference(parent, "next_id"),
-            "",
-        )
+        keyed(parent, "SELECT * FROM node WHERE id = ", "next_id")
     }
 
     fn walk(depth: u64) -> Vec<Stmt> {
@@ -2565,18 +2572,58 @@ mod tests {
         assert_eq!(rs[0].len(), 1);
         // `WHERE id = NULL` runs and matches nothing: an ordinary empty
         // answer. Its own dependant has no parent row.
-        assert!(rs[1].is_empty() && !rs[1].is_no_parent_row());
-        assert!(rs[2].is_no_parent_row());
+        assert!(rs[1].is_empty() && rs[1].skipped().is_none());
+        assert_eq!(rs[2].skipped().map(|t| &**t), Some("next_id of no row"));
         assert_eq!(rs[3].len(), 1, "the batch carries on");
         assert_eq!(env.stats().round_trips, 1);
     }
 
+    /// A chain whose middle row is missing — `node(8)`'s `next_id` is
+    /// `NULL` — two links past it, and an each-row fan hung off each
+    /// skipped link: every skip carries the first missing link's text on
+    /// every hop that binds — the executor, the result cache's probe of
+    /// the warm chain, a journal replay after a timed-out trip — on one
+    /// server and on fleets of 1 and 4 shards.
+    #[test]
+    fn a_skip_carries_the_first_missing_links_text_on_every_hop() {
+        let lead = "SELECT * FROM node WHERE id = ";
+        let hole = |what: &str, parent: u64| {
+            let text = format!("{what} {}", parent + 1);
+            vec![(sloth_sql::Hole::column("next_id", text), String::new())]
+        };
+        let link = |parent| Stmt::dependent(parent, lead, hole("link", parent));
+        let fan = |parent| Stmt::each_row(parent, lead, hole("fan", parent));
+        let batch = [node(8), link(0), link(1), link(2), fan(2), fan(3)];
+        let skipped = |out: Vec<ResultSet>, hop: &str| {
+            assert!(out[1].is_empty() && out[1].skipped().is_none(), "{hop}");
+            for rs in &out[2..] {
+                assert_eq!(rs.skipped().map(|t| &**t), Some("link 2"), "{hop}");
+            }
+        };
+        for env in chain_deployments() {
+            let ship = || env.ship(&BatchRequest::new(&batch)).into_results().unwrap();
+            skipped(ship(), "executor");
+            env.set_result_cache(true);
+            ship();
+            let trips = env.stats().round_trips;
+            skipped(ship(), "warm cache");
+            assert_eq!(env.stats().round_trips, trips, "the warm chain is all hits");
+            env.set_result_cache(false);
+            env.set_faults(Some(FaultPlan::seeded(3).timeout_at(0)));
+            skipped(ship(), "journal replay");
+            let fs = env.fault_stats();
+            assert_eq!(fs.injected_timeouts, 1);
+            assert!(fs.journal_hits >= batch.len() as u64, "{fs:?}");
+            env.set_faults(None);
+        }
+    }
+
     /// `UPDATE node SET <set> WHERE id = <next_id of position `parent`>`.
     fn mark_next_of(parent: u64, set: &str) -> Stmt {
-        Stmt::with_param(
+        keyed(
+            parent,
             &format!("UPDATE node SET {set} WHERE id = "),
-            &sloth_sql::Param::reference(parent, "next_id"),
-            "",
+            "next_id",
         )
     }
 
@@ -2689,7 +2736,7 @@ mod tests {
                 .ship(&BatchRequest::new(&dead_end))
                 .into_results()
                 .unwrap();
-            assert!(out[1].is_no_parent_row());
+            assert_eq!(out[1].skipped().map(|t| &**t), Some("next_id of no row"));
             assert_eq!(env.stats().bytes, shipped + empty);
         }
     }
@@ -2721,11 +2768,9 @@ mod tests {
                         0 => next_of(pos as u64 + splitmix(&mut rng) % 3),
                         1 => next_of(u64::MAX - splitmix(&mut rng) % 2),
                         // A column the parent's row lacks.
-                        2 if pos > 0 => Stmt::with_param(
-                            "SELECT * FROM node WHERE id = ",
-                            &sloth_sql::Param::reference(0, "no_such_column"),
-                            "",
-                        ),
+                        2 if pos > 0 => {
+                            keyed(0, "SELECT * FROM node WHERE id = ", "no_such_column")
+                        }
                         // A write or a transaction boundary (placed just before).
                         _ if pos > 0 => {
                             let boundary = ["UPDATE node SET label = 'w' WHERE id = 7", "COMMIT"];
@@ -2843,7 +2888,7 @@ mod tests {
             .into_results()
             .unwrap();
         assert_eq!(env.stats().round_trips, trips);
-        assert!(again[2].is_no_parent_row());
+        assert_eq!(again[2].skipped().map(|t| &**t), Some("next_id of no row"));
     }
 
     #[test]
@@ -2928,7 +2973,7 @@ mod tests {
                     "SELECT * FROM p WHERE s = '{}' ORDER BY id",
                     ["x", "y"][(splitmix(&mut rng) % 2) as usize]
                 ));
-                let each = Stmt::with_param(head, &sloth_sql::Param::each_row(0, "k"), tail);
+                let each = Stmt::each_row(0, head, vec![(key_of("k"), tail.to_string())]);
                 let batch = [parent, each];
                 let fused = env.ship(&BatchRequest::new(&batch));
                 env.set_fusion(false);
@@ -2968,10 +3013,10 @@ mod tests {
             env.set_result_cache(true);
             let batch = [
                 Stmt::new("SELECT * FROM p WHERE s = 'x' ORDER BY id"),
-                Stmt::with_param(
+                Stmt::each_row(
+                    0,
                     "SELECT * FROM q WHERE id = ",
-                    &sloth_sql::Param::each_row(0, "k"),
-                    "",
+                    vec![(key_of("k"), String::new())],
                 ),
             ];
             let first = env.ship(&BatchRequest::new(&batch)).into_results().unwrap();

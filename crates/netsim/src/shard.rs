@@ -56,8 +56,8 @@ use sloth_sql::engine::eval_const;
 use sloth_sql::fuse;
 use sloth_sql::shard::{hash_key, shard_of};
 use sloth_sql::{
-    Database, ExecOutcome, ExecStats, MergeKey, MergeTrace, Plan, ResultSet, Route, Row, ShardSpec,
-    SqlError, Stmt, TemplateCache, Value,
+    Bound, Database, ExecOutcome, ExecStats, MergeKey, MergeTrace, Plan, ResultSet, Route, Row,
+    ShardSpec, SqlError, Stmt, TemplateCache, Value,
 };
 
 use crate::batch::{self, BatchExec, BatchPlan, FusedGroup, Role};
@@ -538,10 +538,10 @@ impl Router {
                     // touches, and once if it touches none.
                     let shipped = stmts[i].sql().len() as u64;
                     let (stmt, dependent) = match batch::bind_to_run(stmts, i, results) {
-                        Ok(Some(run)) => run,
-                        Ok(None) => {
+                        Ok(Bound::To(run)) => run,
+                        Ok(Bound::Skip(why)) => {
                             costs.bytes += shipped;
-                            results[i] = Some(ResultSet::no_parent_row());
+                            results[i] = Some(ResultSet::no_parent_row(why));
                             continue;
                         }
                         Err(e) => {
@@ -1512,23 +1512,24 @@ mod tests {
     /// whichever shards they ran on.
     #[test]
     fn a_chain_binds_then_routes_and_its_links_add_up() {
-        let issues_of = |project: &sloth_sql::Param| {
-            Stmt::with_param(
-                "SELECT id FROM issue WHERE project_id = ",
-                project,
-                " ORDER BY id LIMIT 1",
-            )
+        let (head, tail) = (
+            "SELECT id FROM issue WHERE project_id = ",
+            " ORDER BY id LIMIT 1",
+        );
+        let issues_of = |project: u64| {
+            let hole = sloth_sql::Hole::column("id", "no project");
+            Stmt::dependent(project, head, vec![(hole, tail.to_string())])
         };
         // project 1 → its first issue (id 1) → the issues of project
         // `id` = 1 again, by reference; then once more.
         let chain = vec![
             Stmt::new("SELECT id FROM project WHERE id = 1"),
-            issues_of(&sloth_sql::Param::reference(0, "id")),
-            issues_of(&sloth_sql::Param::reference(1, "id")),
-            issues_of(&sloth_sql::Param::reference(2, "id")),
+            issues_of(0),
+            issues_of(1),
+            issues_of(2),
         ];
         let literal: Vec<Stmt> = std::iter::once(chain[0].clone())
-            .chain((0..3).map(|_| issues_of(&sloth_sql::Param::Lit(Value::Int(1)))))
+            .chain((0..3).map(|_| Stmt::new(format!("{head}1{tail}"))))
             .collect();
         let fleet = fleet(4);
         let got = fleet.handle().ship(&crate::BatchRequest::new(&chain));

@@ -7,7 +7,7 @@
 //! saw).
 
 use crate::schema::{AssocDef, AssocKind, EntityDef};
-use sloth_sql::{Param, Stmt, Value};
+use sloth_sql::{Hole, Stmt, Value};
 
 /// Renders a value as a SQL literal (delegates to the engine's single
 /// source of truth so every layer emits byte-identical SQL).
@@ -18,9 +18,9 @@ pub fn literal(v: &Value) -> String {
 /// A read with exactly one key — by primary key, by column equality, a
 /// count, an association — written around the place its key goes. The
 /// key can then be a literal ([`KeyedRead::sql`], what the `select_*`
-/// functions below return) or a reference to another statement's row
-/// ([`KeyedRead::stmt`] with a [`Param::Ref`]): one definition of each
-/// shape's text serves both.
+/// functions below return) or a hole filled from another statement's row
+/// ([`KeyedRead::stmt`], [`KeyedRead::each_row`]; usually a
+/// [`Hole::column`]): one definition of each shape's text serves both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyedRead {
     head: String,
@@ -71,9 +71,16 @@ impl KeyedRead {
         format!("{}{}{}", self.head, literal(key), self.tail)
     }
 
-    /// The statement keyed by `param`.
-    pub fn stmt(&self, param: &Param) -> Stmt {
-        Stmt::with_param(&self.head, param, &self.tail)
+    /// The dependent statement keyed by `hole`, filled from the first row
+    /// `parent` answers.
+    pub fn stmt(&self, parent: u64, hole: Hole) -> Stmt {
+        Stmt::dependent(parent, &self.head, vec![(hole, self.tail.clone())])
+    }
+
+    /// The each-row statement keyed by `hole`, filled from every row
+    /// `parent` answers.
+    pub fn each_row(&self, parent: u64, hole: Hole) -> Stmt {
+        Stmt::each_row(parent, &self.head, vec![(hole, self.tail.clone())])
     }
 }
 
@@ -221,7 +228,7 @@ mod tests {
     fn a_bound_reference_is_the_literal_statement() {
         let p = patient();
         let read = KeyedRead::where_eq(&p, "name");
-        let open = read.stmt(&Param::reference(3, "name"));
+        let open = read.stmt(3, Hole::column("name", "no row"));
         assert_eq!(
             open.sql(),
             "SELECT * FROM patient WHERE name = $3.name ORDER BY patient_id"
@@ -230,7 +237,6 @@ mod tests {
         let literal = Stmt::new(select_where_eq(&p, "name", &key));
         assert_eq!(open.bind(&key), literal);
         assert_eq!(open.bind(&key).sql(), literal.sql());
-        assert_eq!(read.stmt(&Param::Lit(key)), literal);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use footprint::{Footprint, TableAccess, TxnFootprint};
 pub use normalize::{normalize, parameterize, Normalized};
 pub use parser::parse;
 pub use shard::{shard_of, Route, ShardSpec};
-pub use stmt::{Hole, Param, Stmt, StmtClass};
+pub use stmt::{Bound, Hole, Stmt, StmtClass};
 pub use template_cache::{Plan, Template, TemplateCache, TemplateCacheStats};
 pub use template_map::TemplateMap;
 pub use value::{ResultSet, Row, Value};

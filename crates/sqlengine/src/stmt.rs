@@ -15,12 +15,20 @@
 //! A statement may leave **holes** in its text — literal pieces around
 //! them — each filled from the first row another statement answers, so
 //! `user → role → privileges`, or an `INSERT` keyed by the id a `SELECT`
-//! reads, ships as one batch instead of a round trip per link. The ORM
-//! keys a read by one hole, [`Param::Ref`], a column as a SQL literal
-//! (`'a'`, `NULL`); the kernel language's holes render what its own `str`
-//! and operators make of the row (`sloth-lang`'s pending text).
+//! reads, ships as one batch instead of a round trip per link
+//! ([`Stmt::dependent`]). The ORM keys a read by one hole,
+//! [`Hole::column`], a column as a SQL literal (`'a'`, `NULL`); the kernel
+//! language's holes render what its own `str` and operators make of the
+//! row (`sloth-lang`'s pending text).
 //!
-//! An **each-row** statement ([`Param::EachRow`]) reads every row of its
+//! A hole that finds no row either fails the statement or **skips** it
+//! with a text: what forcing the skipped statement raises. The skip is
+//! its answer ([`ResultSet::no_parent_row`]), and a statement bound over
+//! a skipped parent skips with the parent's text — so the batch itself
+//! says what a missing link means, and no layer above keeps a copy of
+//! the chain to rebuild it.
+//!
+//! An **each-row** statement ([`Stmt::each_row`]) reads every row of its
 //! parent instead of row 0: it stands for one statement per row — the
 //! 1+N loop's N association reads as one dependant. Bound, it is a
 //! *fan* of those literal statements, its **members** ([`Stmt::members`]),
@@ -47,52 +55,31 @@ use crate::normalize::{normalize, Normalized};
 use crate::value::{ResultSet, Value};
 use crate::{is_select_sql, txn_boundary, SqlError, TxnBoundary};
 
-/// The one parameter [`Stmt::with_param`] splices into a statement.
+/// What closing over a parent's answer gives: `T` — a hole's text, a
+/// bound statement — or a skip, carrying what forcing the skipped
+/// statement raises. A skipped statement answers
+/// [`ResultSet::no_parent_row`] with that text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Param {
-    /// A literal, known when the statement is built.
-    Lit(Value),
-    /// Column `column` of the first row `parent` answers, as a SQL
-    /// literal. `parent` means what the layer holding the statement says
-    /// it means: a query id in the query store, a batch position on the
-    /// wire ([`Stmt::rebase`] translates).
-    Ref {
-        /// The statement whose answer supplies the value.
-        parent: u64,
-        /// The column of its first row.
-        column: String,
-    },
-    /// Column `column` of **every** row `parent` answers, as a SQL
-    /// literal: the statement is each-row, one literal statement per row.
-    EachRow {
-        /// The statement whose rows supply the values.
-        parent: u64,
-        /// The column of each row.
-        column: String,
-    },
+pub enum Bound<T> {
+    /// Every hole filled.
+    To(T),
+    /// A hole found no row to fill it from.
+    Skip(Arc<str>),
 }
 
-impl Param {
-    /// `column` of the first row `parent` answers, as a SQL literal.
-    pub fn reference(parent: u64, column: &str) -> Param {
-        Param::Ref {
-            parent,
-            column: column.to_string(),
-        }
-    }
-
-    /// `column` of every row `parent` answers, as a SQL literal.
-    pub fn each_row(parent: u64, column: &str) -> Param {
-        Param::EachRow {
-            parent,
-            column: column.to_string(),
+impl<T> Bound<T> {
+    /// The filled value mapped by `f`; a skip stays a skip.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Bound<U> {
+        match self {
+            Bound::To(t) => Bound::To(f(t)),
+            Bound::Skip(why) => Bound::Skip(why),
         }
     }
 }
 
-/// How a [`Hole`] renders from its parent's answer: its text, `None` when
-/// the statement is skipped, or the error binding raises at the statement.
-type Render = dyn Fn(&ResultSet) -> Result<Option<String>, SqlError> + Send + Sync;
+/// How a [`Hole`] renders from its parent's answer: its text, a skip, or
+/// the error binding raises at the statement.
+type Render = dyn Fn(&ResultSet) -> Result<Bound<String>, SqlError> + Send + Sync;
 
 /// One hole of a dependent statement's text, shown as `$parent.label`
 /// until bound.
@@ -104,11 +91,11 @@ pub struct Hole {
 
 impl Hole {
     /// A hole shown as `label` and filled by `render`: its text from the
-    /// parent's answer, `None` to skip the statement, or the error binding
-    /// raises at the statement.
+    /// parent's answer, a skip, or the error binding raises at the
+    /// statement.
     pub fn new(
         label: impl Into<String>,
-        render: impl Fn(&ResultSet) -> Result<Option<String>, SqlError> + Send + Sync + 'static,
+        render: impl Fn(&ResultSet) -> Result<Bound<String>, SqlError> + Send + Sync + 'static,
     ) -> Hole {
         Hole {
             label: label.into(),
@@ -116,15 +103,16 @@ impl Hole {
         }
     }
 
-    /// [`Param::Ref`]'s hole: `column` of the first row as a SQL literal;
-    /// no row skips the statement. An each-row statement
-    /// ([`Param::EachRow`]) renders it from each row in turn.
-    fn literal(column: &str) -> Hole {
+    /// Column `column` of the row as a SQL literal, shown as `column`; a
+    /// parent without a row skips the statement with `skip`, what forcing
+    /// it raises. An each-row statement renders it from each row in turn.
+    pub fn column(column: &str, skip: impl Into<Arc<str>>) -> Hole {
         let name = column.to_string();
+        let skip = skip.into();
         Hole::new(column, move |parent: &ResultSet| {
             match (parent.rows.first(), parent.column_index(&name)) {
-                (None, _) => Ok(None),
-                (Some(row), Some(c)) => Ok(Some(row[c].sql_literal())),
+                (None, _) => Ok(Bound::Skip(Arc::clone(&skip))),
+                (Some(row), Some(c)) => Ok(Bound::To(row[c].sql_literal())),
                 (Some(_), None) => Err(SqlError::new(format!(
                     "no column {name} in the parent's row"
                 ))),
@@ -144,21 +132,30 @@ struct Open {
 }
 
 impl Open {
-    /// The text with each hole as `fill` renders it; `None` when a hole
-    /// skips the statement.
+    /// The text with each hole as `fill` renders it, or the first hole's
+    /// skip.
     fn text(
         &self,
-        mut fill: impl FnMut(&Hole) -> Result<Option<String>, SqlError>,
-    ) -> Result<Option<String>, SqlError> {
+        mut fill: impl FnMut(&Hole) -> Result<Bound<String>, SqlError>,
+    ) -> Result<Bound<String>, SqlError> {
         let mut sql = self.lead.clone();
         for (hole, piece) in &self.holes {
-            let Some(text) = fill(hole)? else {
-                return Ok(None);
-            };
-            sql.push_str(&text);
+            match fill(hole)? {
+                Bound::To(text) => sql.push_str(&text),
+                skip => return Ok(skip),
+            }
             sql.push_str(piece);
         }
-        Ok(Some(sql))
+        Ok(Bound::To(sql))
+    }
+
+    /// The text with every hole as `fill` renders it, for a `fill` that
+    /// neither skips nor fails.
+    fn filled(&self, fill: impl Fn(&Hole) -> String) -> String {
+        match self.text(|h| Ok(Bound::To(fill(h)))) {
+            Ok(Bound::To(sql)) => sql,
+            _ => String::new(),
+        }
     }
 }
 
@@ -212,28 +209,11 @@ impl Stmt {
         Stmt::build(sql.into(), None, None)
     }
 
-    /// The statement whose text is `head`, the parameter, `tail`. With a
-    /// [`Param::Lit`] that is exactly [`Stmt::new`] of the spliced text;
-    /// with a [`Param::Ref`] it is a dependent statement of one hole, and
-    /// with a [`Param::EachRow`] an each-row one.
-    pub fn with_param(head: &str, param: &Param, tail: &str) -> Stmt {
-        match param {
-            Param::Lit(v) => Stmt::new(format!("{head}{}{tail}", v.sql_literal())),
-            Param::Ref { parent, column } => {
-                Stmt::dependent(*parent, head, vec![(Hole::literal(column), tail.into())])
-            }
-            Param::EachRow { parent, column } => Stmt::open(Open {
-                parent: *parent,
-                lead: head.into(),
-                holes: vec![(Hole::literal(column), tail.into())],
-                each_row: true,
-            }),
-        }
-    }
-
     /// The dependent statement whose text is `lead`, then each hole
-    /// followed by its literal piece, the holes filled from the answer of
-    /// `parent`.
+    /// followed by its literal piece, the holes filled from the first row
+    /// `parent` answers. `parent` means what the layer holding the
+    /// statement says it means: a query id in the query store, a batch
+    /// position on the wire ([`Stmt::rebase`] translates).
     pub fn dependent(parent: u64, lead: impl Into<String>, holes: Vec<(Hole, String)>) -> Stmt {
         Stmt::open(Open {
             parent,
@@ -243,12 +223,22 @@ impl Stmt {
         })
     }
 
+    /// [`Stmt::dependent`]'s each-row twin: the holes filled from
+    /// **every** row `parent` answers, one literal statement per row.
+    pub fn each_row(parent: u64, lead: impl Into<String>, holes: Vec<(Hole, String)>) -> Stmt {
+        Stmt::open(Open {
+            parent,
+            lead: lead.into(),
+            holes,
+            each_row: true,
+        })
+    }
+
     /// The open statement `open`, shown with its holes as `$parent.label`
     /// (`$parent[*].label` for an each-row one).
     fn open(open: Open) -> Stmt {
         let rows = if open.each_row { "[*]" } else { "" };
-        let shown = |h: &Hole| Ok(Some(format!("${}{rows}.{}", open.parent, h.label)));
-        let sql = open.text(shown).ok().flatten().unwrap_or_default();
+        let sql = open.filled(|h| format!("${}{rows}.{}", open.parent, h.label));
         Stmt::build(sql, Some(open), None)
     }
 
@@ -295,37 +285,33 @@ impl Stmt {
     /// This statement with `value`, as a SQL literal, in every hole.
     pub fn bind(&self, value: &Value) -> Stmt {
         match &self.0.open {
-            Some(o) => {
-                let literal = |_: &Hole| Ok(Some(value.sql_literal()));
-                Stmt::new(o.text(literal).ok().flatten().unwrap_or_default())
-            }
+            Some(o) => Stmt::new(o.filled(|_| value.sql_literal())),
             None => self.clone(),
         }
     }
 
-    /// Closes the holes over the parent's answer: the bound statement,
-    /// `None` when a hole skips it (the parent produced no row: its
-    /// dependants answer [`ResultSet::no_parent_row`]), or the error a
-    /// hole raises.
+    /// Closes the holes over the parent's answer: the bound statement, a
+    /// skip when a hole finds no row, or the error a hole raises. A
+    /// parent that was itself skipped skips it with the parent's text, so
+    /// a chain's skip names its first missing link.
     ///
     /// An each-row statement binds every row in turn, into a fan of one
     /// literal statement per row ([`Stmt::members`]) — none for a parent
     /// without rows. Its text stays the open one's, which is what travels.
-    /// A parent that itself had no parent row skips it.
-    pub fn bind_from(&self, parent: &ResultSet) -> Result<Option<Stmt>, SqlError> {
+    pub fn bind_from(&self, parent: &ResultSet) -> Result<Bound<Stmt>, SqlError> {
         let Some(o) = &self.0.open else {
-            return Ok(Some(self.clone()));
+            return Ok(Bound::To(self.clone()));
         };
+        if let Some(why) = parent.skipped() {
+            return Ok(Bound::Skip(Arc::clone(why)));
+        }
         if !o.each_row {
             return Ok(o.text(|h| (h.render)(parent))?.map(Stmt::new));
-        }
-        if parent.is_no_parent_row() {
-            return Ok(None);
         }
         let mut members = Vec::with_capacity(parent.len());
         for (j, row) in parent.rows.iter().enumerate() {
             let one = ResultSet::new(parent.columns.clone(), vec![row.clone()]);
-            let Some(text) = o.text(|h| (h.render)(&one))? else {
+            let Bound::To(text) = o.text(|h| (h.render)(&one))? else {
                 return Err(SqlError::new(format!(
                     "a hole skipped row {j} (in {})",
                     self.sql()
@@ -333,7 +319,11 @@ impl Stmt {
             };
             members.push(Stmt::new(text));
         }
-        Ok(Some(Stmt::build(self.0.sql.clone(), None, Some(members))))
+        Ok(Bound::To(Stmt::build(
+            self.0.sql.clone(),
+            None,
+            Some(members),
+        )))
     }
 
     /// A bound each-row statement's literal statements, one per row of

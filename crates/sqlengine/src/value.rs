@@ -7,6 +7,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A single SQL cell value.
 #[derive(Debug, Clone)]
@@ -230,13 +231,20 @@ pub struct ResultSet {
     pub columns: Vec<String>,
     /// Row data; every row has `columns.len()` cells.
     pub rows: Vec<Row>,
+    /// For [`ResultSet::no_parent_row`], what forcing the skipped
+    /// statement raises. Never charged as wire bytes.
+    skipped: Option<Arc<str>>,
 }
 
 impl ResultSet {
     /// Builds a result set, asserting rectangular shape in debug builds.
     pub fn new(columns: Vec<String>, rows: Vec<Row>) -> Self {
         debug_assert!(rows.iter().all(|r| r.len() == columns.len()));
-        ResultSet { columns, rows }
+        ResultSet {
+            columns,
+            rows,
+            skipped: None,
+        }
     }
 
     /// An empty result set with no columns (used for DML statements).
@@ -244,17 +252,21 @@ impl ResultSet {
         ResultSet::default()
     }
 
-    /// What a dependent statement answers when its parent produced no
-    /// row to take the parameter from (see [`crate::stmt::Param::Ref`]):
-    /// no columns at all, which no executed `SELECT` returns — so the
-    /// caller can tell "my parent was missing" from "I matched nothing".
-    pub fn no_parent_row() -> Self {
-        ResultSet::default()
+    /// What a dependent statement answers when a hole found no row to
+    /// fill it from (see [`crate::Bound::Skip`]): no columns, no rows, and
+    /// `why`, what forcing the statement raises — so the caller can tell
+    /// "my parent was missing" from "I matched nothing".
+    pub fn no_parent_row(why: Arc<str>) -> Self {
+        ResultSet {
+            skipped: Some(why),
+            ..ResultSet::default()
+        }
     }
 
-    /// Whether this is [`ResultSet::no_parent_row`].
-    pub fn is_no_parent_row(&self) -> bool {
-        self.columns.is_empty()
+    /// What forcing the statement raises, when this is
+    /// [`ResultSet::no_parent_row`].
+    pub fn skipped(&self) -> Option<&Arc<str>> {
+        self.skipped.as_ref()
     }
 
     /// The answer of a bound each-row statement ([`crate::Stmt::members`]):
@@ -263,7 +275,7 @@ impl ResultSet {
     /// back).
     pub fn from_parts(parts: &[ResultSet]) -> Self {
         let mut columns = vec![PART_COLUMN.to_string()];
-        if let Some(first) = parts.iter().find(|p| !p.is_no_parent_row()) {
+        if let Some(first) = parts.first() {
             columns.extend(first.columns.iter().cloned());
         }
         let rows = parts.iter().enumerate().flat_map(|(j, part)| {

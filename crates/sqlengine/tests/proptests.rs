@@ -339,7 +339,7 @@ fn stmt_agrees_with_the_text_functions() {
 /// write any of its bound forms conflicts with.
 #[test]
 fn a_bound_reference_is_the_literal_statement() {
-    use sloth_sql::{Param, ResultSet, Stmt};
+    use sloth_sql::{Bound, Hole, ResultSet, Stmt};
     use std::hash::{DefaultHasher, Hash, Hasher};
 
     let hash = |s: &Stmt| {
@@ -365,7 +365,8 @@ fn a_bound_reference_is_the_literal_statement() {
             _ => Value::Str(String::new()),
         };
         let parent = rng.range(0, 1000) as u64;
-        let open = Stmt::with_param(head, &Param::reference(parent, "k"), tail);
+        let hole = Hole::column("k", "k read on null");
+        let open = Stmt::dependent(parent, head, vec![(hole, tail.to_string())]);
         assert_eq!(open.parent(), Some(parent));
         assert!(open.norm().is_none() && !open.is_write());
         assert_eq!(open.sql(), format!("{head}${parent}.k{tail}"));
@@ -378,9 +379,11 @@ fn a_bound_reference_is_the_literal_statement() {
         let renamed = open.rebase(|p| p + rng.range(0, 5) as u64);
         for bound in [
             open.bind(&key),
-            open.bind_from(&row).unwrap().expect("the parent has a row"),
+            match open.bind_from(&row).unwrap() {
+                Bound::To(bound) => bound,
+                Bound::Skip(_) => panic!("the parent has a row"),
+            },
             renamed.bind(&key),
-            Stmt::with_param(head, &Param::Lit(key.clone()), tail),
         ] {
             assert_eq!(bound, literal, "{literal:?}");
             assert_eq!(hash(&bound), hash(&literal), "{literal:?}");
@@ -393,15 +396,18 @@ fn a_bound_reference_is_the_literal_statement() {
             );
         }
         assert_ne!(open, literal, "never a dedup hit until bound");
-        // No parent row, no statement; no such column, an error.
-        assert!(open
-            .bind_from(&ResultSet::new(vec!["k".into()], vec![]))
-            .unwrap()
-            .is_none());
-        assert!(open
-            .bind_from(&ResultSet::no_parent_row())
-            .unwrap()
-            .is_none());
+        // No parent row, a skip with the hole's text — or, over a parent
+        // skipped itself, with the parent's; no such column, an error.
+        assert_eq!(
+            open.bind_from(&ResultSet::new(vec!["k".into()], vec![]))
+                .unwrap(),
+            Bound::Skip("k read on null".into())
+        );
+        assert_eq!(
+            open.bind_from(&ResultSet::no_parent_row("up".into()))
+                .unwrap(),
+            Bound::Skip("up".into())
+        );
         let other = ResultSet::new(vec!["id".into()], vec![vec![Value::Int(1)]]);
         assert!(open.bind_from(&other).is_err());
 
@@ -736,13 +742,14 @@ fn str_of(v: &Value) -> String {
 /// integer — skipping the statement without a row and failing as `cell`
 /// does without the column.
 fn str_hole(arithmetic: bool) -> sloth_sql::Hole {
+    use sloth_sql::Bound;
     sloth_sql::Hole::new("k", move |rows: &sloth_sql::ResultSet| {
         if rows.is_empty() {
-            return Ok(None);
+            return Ok(Bound::Skip("no cell [0].k".into()));
         }
         match rows.get(0, "k") {
-            Some(Value::Int(i)) if arithmetic => Ok(Some(str_of(&Value::Int(i * 100 + 7)))),
-            Some(v) => Ok(Some(v.text())),
+            Some(Value::Int(i)) if arithmetic => Ok(Bound::To(str_of(&Value::Int(i * 100 + 7)))),
+            Some(v) => Ok(Bound::To(v.text())),
             None => Err(sloth_sql::SqlError::program("no cell [0].k")),
         }
     })
@@ -756,7 +763,7 @@ fn str_hole(arithmetic: bool) -> sloth_sql::Hole {
 /// error; a parent without a row binds no statement.
 #[test]
 fn a_raw_reference_binds_the_text_str_makes() {
-    use sloth_sql::{ResultSet, SqlError, Stmt};
+    use sloth_sql::{Bound, ResultSet, SqlError, Stmt};
     let extremes = [
         Value::Int(-7),
         Value::Int(i64::MIN),
@@ -792,14 +799,17 @@ fn a_raw_reference_binds_the_text_str_makes() {
         let literal = Stmt::new(format!("{head}{}{mid}{}{tail}", str_of(&v), str_of(&v)));
         let row = ResultSet::new(vec!["k".into()], vec![vec![v.clone()]]);
         for open in [open.clone(), open.rebase(|p| p + 1)] {
-            let bound = open.bind_from(&row).unwrap().unwrap();
+            let Bound::To(bound) = open.bind_from(&row).unwrap() else {
+                panic!("the parent has a row");
+            };
             assert_eq!((bound.sql(), &bound), (literal.sql(), &literal));
         }
         let other = ResultSet::new(vec!["id".into()], vec![vec![Value::Int(1)]]);
         let e = open.bind_from(&other).unwrap_err();
         assert_eq!(e, SqlError::program("no cell [0].k"));
         let empty = ResultSet::new(vec!["k".into()], vec![]);
-        assert!(open.bind_from(&empty).unwrap().is_none());
+        let skip = Bound::Skip("no cell [0].k".into());
+        assert_eq!(open.bind_from(&empty).unwrap(), skip);
     });
 }
 
@@ -814,7 +824,7 @@ fn a_raw_reference_binds_the_text_str_makes() {
 /// wherever the bound text parses at all.
 #[test]
 fn a_bound_statement_conflicts_within_its_open_one() {
-    use sloth_sql::{Footprint, Param, ResultSet, Stmt};
+    use sloth_sql::{Bound, Footprint, Hole, ResultSet, Stmt};
 
     let db = Database::new();
     let opens: [&[&str]; 16] = [
@@ -842,11 +852,15 @@ fn a_bound_statement_conflicts_within_its_open_one() {
         let pieces = opens[rng.range(0, opens.len() as i64) as usize];
         let kind = rng.range(0, 4);
         let (open, rows) = match (pieces, kind) {
-            ([head, tail], 0) => (Stmt::with_param(head, &Param::reference(0, "k"), tail), 1),
-            ([head, tail], 3) => (
-                Stmt::with_param(head, &Param::each_row(0, "k"), tail),
-                rng.range(0, 5),
-            ),
+            ([head, tail], 0) => {
+                let hole = Hole::column("k", "k read on null");
+                (Stmt::dependent(0, *head, vec![(hole, tail.to_string())]), 1)
+            }
+            ([head, tail], 3) => {
+                let hole = Hole::column("k", "k read on null");
+                let each = Stmt::each_row(0, *head, vec![(hole, tail.to_string())]);
+                (each, rng.range(0, 5))
+            }
             _ => {
                 let holes = pieces[1..]
                     .iter()
@@ -859,7 +873,9 @@ fn a_bound_statement_conflicts_within_its_open_one() {
             vec!["k".into()],
             values.iter().map(|v| vec![v.clone()]).collect(),
         );
-        let bound = open.bind_from(&parent).unwrap().unwrap();
+        let Bound::To(bound) = open.bind_from(&parent).unwrap() else {
+            panic!("{open:?}: the parent has a row");
+        };
         let members = bound
             .members()
             .map_or_else(|| vec![bound.clone()], <[Stmt]>::to_vec);

@@ -248,6 +248,8 @@ struct Gen<'r> {
     lines: Lines,
     heads: Vec<i64>,
     writes: bool,
+    /// Draws 1+N loops ([`Gen::fan`]) too.
+    fans: bool,
     n: usize,
 }
 
@@ -346,7 +348,12 @@ impl Gen<'_> {
             return self.head();
         };
         let node = self.vars[at].name.clone();
-        match self.rng.range(0, 16) {
+        let draw = if self.fans {
+            self.rng.range(0, 20)
+        } else {
+            self.rng.range(0, 16)
+        };
+        match draw {
             // The walk: the next node, keyed by a field of this one —
             // inline, or through a variable of its own.
             0..=4 => {
@@ -412,8 +419,27 @@ impl Gen<'_> {
             }
             // Writes between the links.
             13..=15 if self.writes => self.write(),
+            16.. => self.fan(at),
             _ => {}
         }
+    }
+
+    /// The 1+N loop over the nodes sharing `parent`'s owner: `orm_assoc`
+    /// of each, pushed to a fresh list — one each-row dependant of a list
+    /// keyed by a field of `parent`'s row, which may be missing.
+    fn fan(&mut self, parent: usize) {
+        let p = self.vars[parent].name.clone();
+        let [w, acc, k, el] = ["w", "a", "k", "e"].map(|prefix| self.fresh(prefix));
+        self.link(
+            &p,
+            &format!("    let {w} = orm_find_where(\"node\", \"owner_id\", {p}.owner_id);\n"),
+        );
+        self.line(&format!(
+            "    let {acc} = [];\n    let {k} = 0;\n    while ({k} < len({w})) {{\n        \
+             let {el} = at({w}, {k});\n        push({acc}, orm_assoc({el}, \"owner\"));\n        \
+             {k} = {k} + 1;\n    }}\n"
+        ));
+        self.show(&acc);
     }
 
     fn write(&mut self) {
@@ -459,7 +485,7 @@ impl Gen<'_> {
     }
 }
 
-fn arb_program(rng: &mut Rng, writes: bool) -> (Lines, Vec<i64>) {
+fn arb_program(rng: &mut Rng, writes: bool, fans: bool) -> (Lines, Vec<i64>) {
     let steps = rng.range(3, 22);
     let mut g = Gen {
         rng,
@@ -467,6 +493,7 @@ fn arb_program(rng: &mut Rng, writes: bool) -> (Lines, Vec<i64>) {
         lines: Vec::new(),
         heads: Vec::new(),
         writes,
+        fans,
         n: 0,
     };
     g.head();
@@ -593,8 +620,8 @@ const SLOTH: ExecStrategy = ExecStrategy::Sloth(OptFlags {
 /// A random program, what `Original` makes of it on a fresh database, and
 /// that database afterwards. A failing program is judged whole (see
 /// [`judge`]).
-fn generate(rng: &mut Rng, writes: bool) -> (Program, Body, SimEnv) {
-    let (lines, heads) = arb_program(rng, writes);
+fn generate(rng: &mut Rng, writes: bool, fans: bool) -> (Program, Body, SimEnv) {
+    let (lines, heads) = arb_program(rng, writes, fans);
     let reference = single();
     let p = render(&lines, &heads);
     let (body, _) = run(&p.chained, &reference, ExecStrategy::Original, 0);
@@ -640,7 +667,7 @@ fn chains_print_what_the_original_prints_in_no_more_trips_than_forcing() {
     let excepted = Excepted::new(&[36, 58, 89, 150]);
     for case in 0..160 {
         let mut rng = Rng::new(0xC4A1 ^ case);
-        let (p, want, reference) = generate(&mut rng, true);
+        let (p, want, reference) = generate(&mut rng, true, false);
         failing += want.is_err() as u64;
         for (label, fusion) in [("fusion on", true), ("fusion off", false)] {
             let env = single();
@@ -707,7 +734,7 @@ fn chains_through_the_result_cache() {
     let excepted = Excepted::new(&[30, 79]);
     for case in 0..80 {
         let mut rng = Rng::new(0xCAC4E ^ case);
-        let (p, want, reference) = generate(&mut rng, true);
+        let (p, want, reference) = generate(&mut rng, true, false);
         let env = single();
         env.set_result_cache(true);
         if case % 2 == 0 {
@@ -759,7 +786,7 @@ fn chains_on_a_fleet() {
     let excepted = Excepted::new(&[27, 29, 39]);
     for case in 0..60 {
         let mut rng = Rng::new(0xF1EE7 ^ case);
-        let (p, want, reference) = generate(&mut rng, true);
+        let (p, want, reference) = generate(&mut rng, true, false);
         let single_trips = check(
             &format!("case {case} single"),
             &p,
@@ -799,7 +826,7 @@ fn chains_from_two_concurrent_sessions() {
         let pages: Vec<(Program, Body)> = (0..2)
             .map(|s| {
                 let mut rng = Rng::new(0xD15C ^ (case * 2 + s));
-                let (p, want, _) = generate(&mut rng, false);
+                let (p, want, _) = generate(&mut rng, false, false);
                 (p, want)
             })
             .collect();
@@ -842,7 +869,7 @@ fn chains_under_drops_timeouts_and_replays() {
     let excepted = Excepted::new(&[]);
     for case in 0..60 {
         let mut rng = Rng::new(0xCA05 ^ case);
-        let (p, want, reference) = generate(&mut rng, true);
+        let (p, want, reference) = generate(&mut rng, true, false);
         for shards in [1usize, 4] {
             let env = if shards == 1 { single() } else { fleet(shards) };
             env.set_result_cache(case % 3 == 0);
@@ -880,6 +907,59 @@ fn chains_under_drops_timeouts_and_replays() {
     assert!(
         retries > 20 && journal_hits > 20,
         "{retries} {journal_hits}"
+    );
+}
+
+/// The 1+N loop hung off rows that may be missing: each-row fans over a
+/// list keyed by a field of a node nobody has fetched — a head of `99`,
+/// a dangling link, a `NULL` owner — on one server, a 4-shard fleet and
+/// through the result cache, cold and then warm.
+#[test]
+fn each_row_fans_off_missing_rows() {
+    let excepted = Excepted::new(&[]);
+    let (mut fans, mut missing) = (0usize, 0usize);
+    for case in 0..60 {
+        let mut rng = Rng::new(0xFA45 ^ case);
+        let (p, want, reference) = generate(&mut rng, true, true);
+        fans += p.chained.matches("while").count();
+        missing += (want == Err("field owner_id read on null".to_string())) as usize;
+        let cached = || {
+            let env = single();
+            env.set_result_cache(true);
+            env
+        };
+        let deployments: [(&str, &dyn Fn() -> SimEnv); 3] = [
+            ("single", &single),
+            ("4 shards", &|| fleet(4)),
+            ("cache", &cached),
+        ];
+        for (label, fresh) in deployments {
+            let env = fresh();
+            check(
+                &format!("case {case} {label}"),
+                &p,
+                (&env, fresh),
+                &want,
+                &reference,
+                (&excepted, case),
+            );
+            if label == "cache" && want.is_ok() {
+                // A second request of the same page, the fans' members
+                // cached now.
+                let again = single();
+                let (first, _) = run(&p.chained, &again, ExecStrategy::Original, 0);
+                assert_eq!(first, want, "case {case}: Original is deterministic");
+                let (want, _) = run(&p.chained, &again, ExecStrategy::Original, 1);
+                let (got, _) = run(&p.chained, &env, SLOTH, 1);
+                assert_eq!(got, want, "case {case} warm\n{}", p.chained);
+                assert_eq!(state(&env), state(&again), "case {case} warm");
+            }
+        }
+    }
+    excepted.finish();
+    assert!(
+        fans > 40 && missing > 3,
+        "{fans} fans, {missing} off a missing row"
     );
 }
 
