@@ -7,7 +7,7 @@ use sloth_apps::{itracker_app, openmrs_app, tpcc};
 use sloth_bench::microbench::bench;
 use sloth_bench::throughput::{simulate, ThroughputCfg};
 use sloth_bench::{fig10_openmrs, fig11_persistence, fig9_latency_sweep, measure_app, run_page};
-use sloth_lang::{prepare, ExecStrategy, OptFlags};
+use sloth_lang::{prepare_with_schema, ExecStrategy, OptFlags};
 use sloth_net::CostModel;
 
 /// Fig. 5/6: one representative page of each app, both modes.
@@ -16,8 +16,9 @@ fn bench_page_load() {
         let page = &app.pages[0];
         let program = sloth_lang::parse_program(&page.source).unwrap();
         let db = app.fresh_env(CostModel::default()).snapshot_db();
-        let orig = prepare(&program, ExecStrategy::Original);
-        let sloth = prepare(&program, ExecStrategy::Sloth(OptFlags::all()));
+        let schema = Some(&*app.schema);
+        let orig = prepare_with_schema(&program, ExecStrategy::Original, schema);
+        let sloth = prepare_with_schema(&program, ExecStrategy::Sloth(OptFlags::all()), schema);
         bench(&format!("fig5_6_page_load/{}_original", app.name), || {
             run_page(&orig, &db, &app.schema, CostModel::default(), page.arg)
                 .net
@@ -61,7 +62,7 @@ fn bench_analysis() {
     bench("fig11_persistence_analysis", || fig11_persistence(&app));
 }
 
-/// Fig. 12: optimization ablation on one page (SC/TC/BD individually).
+/// Fig. 12: optimization ablation on one page (SC / TC / hoisting individually).
 fn bench_opt_ablation() {
     let app = itracker_app();
     let page = &app.pages[0];
@@ -84,15 +85,15 @@ fn bench_opt_ablation() {
             },
         ),
         (
-            "bd_only",
+            "hoist_only",
             OptFlags {
-                defer_branches: true,
+                hoist: true,
                 ..OptFlags::none()
             },
         ),
         ("all", OptFlags::all()),
     ] {
-        let prepared = prepare(&program, ExecStrategy::Sloth(flags));
+        let prepared = prepare_with_schema(&program, ExecStrategy::Sloth(flags), Some(&app.schema));
         bench(&format!("fig12_opt_ablation/{label}"), || {
             run_page(&prepared, &db, &app.schema, CostModel::default(), page.arg)
                 .counters
@@ -113,7 +114,7 @@ fn bench_overhead() {
         ("original", ExecStrategy::Original),
         ("sloth", ExecStrategy::Sloth(OptFlags::all())),
     ] {
-        let prepared = prepare(&program, strat);
+        let prepared = prepare_with_schema(&program, strat, Some(&schema));
         bench(&format!("fig13_tpcc_new_order/{label}"), || {
             run_page(&prepared, &db, &schema, CostModel::default(), 7)
                 .net

@@ -240,14 +240,14 @@ fn fig11() {
 fn fig12() {
     println!("\n== Figure 12 — load time as optimizations are enabled ==");
     println!(
-        "  {:<10} {:>10} {:>10} {:>10} {:>10}",
-        "app", "noopt", "SC", "SC+TC", "SC+TC+BD"
+        "  {:<10} {:>11} {:>11} {:>11} {:>11}",
+        "app", "noopt", "SC", "SC+TC", "SC+TC+hoist"
     );
     for app in [itracker_app(), openmrs_app()] {
         let mut row = format!("  {:<10}", app.name);
         for (_, flags) in fig12_configs() {
             let t = fig12_total_time(&app, flags);
-            row.push_str(&format!(" {t:>9.2}s"));
+            row.push_str(&format!(" {t:>10.2}s"));
         }
         println!("{row}");
     }

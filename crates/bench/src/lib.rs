@@ -332,7 +332,7 @@ pub fn fig12_configs() -> Vec<(&'static str, OptFlags)> {
                 ..OptFlags::none()
             },
         ),
-        ("SC+TC+BD", OptFlags::all()),
+        ("SC+TC+hoist", OptFlags::all()),
     ]
 }
 

@@ -1,4 +1,4 @@
-//! The Sloth compiler's analysis (§4.1, §4.2): one **effect summary** per
+//! The Sloth compiler's analysis (§4.1): one **effect summary** per
 //! function, and the deferrability checks that read it.
 //!
 //! A `Summary` says what code may do:
@@ -29,9 +29,10 @@
 //! body is walked once, and a function is summarised again only when a
 //! function it calls has grown.
 //!
-//! **Deferrability** — whether a statement subtree can be swallowed into
-//! a thunk block (no queries, no external calls, no heap writes, no
-//! forcing operations, no control escape) — reads the purity of callees.
+//! **Deferrability** — whether thunk coalescing (§4.3) may take a
+//! straight-line statement into a thunk block (no queries, no external
+//! calls, no heap writes, no forcing operations) — reads the purity of
+//! callees.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -39,7 +40,7 @@ use sloth_orm::Schema;
 use sloth_sql::{Footprint, TableAccess};
 
 use crate::ast::*;
-use crate::builtins::{builtin_kind, Builtin, BuiltinKind, HeapFn, QueryFn};
+use crate::builtins::{builtin_kind, Builtin, BuiltinKind, HeapFn, QueryFn, WriteFn};
 
 /// What code may do (see the module documentation).
 #[derive(Debug, Clone, Default)]
@@ -219,21 +220,21 @@ impl<'f, 'p> Walker<'f, 'p> {
             }
             return;
         };
-        match builtin.kind() {
-            BuiltinKind::Pure => {}
-            BuiltinKind::EagerRead => fx.persistent = true,
-            BuiltinKind::HeapWrite => {
+        match builtin {
+            Builtin::Pure(_) => {}
+            Builtin::EagerRead(_) => fx.persistent = true,
+            Builtin::HeapWrite(h) => {
                 fx.impure = true;
-                fx.any_field |= builtin == Builtin::HeapWrite(HeapFn::ObjPut);
+                fx.any_field |= h == HeapFn::ObjPut;
             }
-            BuiltinKind::External => fx.impure = true,
-            BuiltinKind::Query => {
+            Builtin::External => fx.impure = true,
+            Builtin::Query(q) => {
                 fx.persistent = true;
                 fx.impure = true;
                 // `query` runs whatever statement it is given: one whose
                 // text is not known to be a read may be a write, bounded
                 // as `exec`'s is — or not at all.
-                if builtin == Builtin::Query(QueryFn::Query) {
+                if q == QueryFn::Query {
                     let text = args
                         .first()
                         .map_or(SStr::Unknown, |a| static_str(a, &self.env));
@@ -242,9 +243,7 @@ impl<'f, 'p> Walker<'f, 'p> {
                     }
                 }
             }
-            BuiltinKind::WriteQuery => {
-                fx.write(write_footprint(name, args, &self.env, self.schema))
-            }
+            Builtin::WriteQuery(w) => fx.write(write_footprint(w, args, &self.env, self.schema)),
         }
     }
 }
@@ -527,14 +526,14 @@ fn reads_only(s: &SStr) -> bool {
 /// `orm_*` write bounds to its entity's table when the entity is a
 /// literal the schema knows: entity and table names need not coincide.
 fn write_footprint(
-    name: &str,
+    w: WriteFn,
     args: &[Expr],
     env: &SEnv,
     schema: Option<&Schema>,
 ) -> Option<Footprint> {
-    match name {
-        "exec" => sql_write_footprint(&static_str(args.first()?, env)),
-        "orm_save" | "orm_update" | "orm_delete" => {
+    match w {
+        WriteFn::Exec => sql_write_footprint(&static_str(args.first()?, env)),
+        WriteFn::OrmSave | WriteFn::OrmUpdate | WriteFn::OrmDelete => {
             let Some(Expr::Lit(Lit::Str(entity))) = args.first() else {
                 return None;
             };
@@ -542,11 +541,11 @@ fn write_footprint(
             Some(whole_write(&def.table.to_ascii_lowercase()))
         }
         // Transaction boundaries are barriers: never bounded.
-        _ => None,
+        WriteFn::Commit | WriteFn::Begin | WriteFn::Rollback => None,
     }
 }
 
-/// §4.2: whether an expression can live inside a deferred block — it must
+/// Whether an expression can live inside a deferred block — it must
 /// not force anything when eventually evaluated lazily: no queries, no
 /// externals, no heap reads (which force their targets at evaluation time).
 pub fn expr_deferrable(e: &Expr, a: &Analysis) -> bool {
@@ -570,38 +569,17 @@ pub fn expr_deferrable(e: &Expr, a: &Analysis) -> bool {
     }
 }
 
-/// §4.2: whether a statement subtree can be swallowed into a single thunk:
-/// only local-variable effects, no control escape, everything deferrable.
+/// §4.3: whether thunk coalescing may take a statement into a deferred
+/// block: a `let`, an assignment to a variable or an expression statement
+/// whose expression is deferrable. Control flow, heap writes and `return`
+/// never are, so a block is always straight-line.
 pub fn stmt_deferrable(s: &Stmt, a: &Analysis) -> bool {
     match s {
-        Stmt::Let(_, e) => expr_deferrable(e, a),
-        Stmt::Assign(LValue::Var(_), e) => expr_deferrable(e, a),
-        Stmt::Assign(_, _) => false,
-        Stmt::ExprStmt(e) => expr_deferrable(e, a),
-        Stmt::If(c, t, els) => {
-            expr_deferrable(c, a)
-                && t.iter().all(|s| stmt_deferrable(s, a))
-                && els.iter().all(|s| stmt_deferrable(s, a))
+        Stmt::Let(_, e) | Stmt::Assign(LValue::Var(_), e) | Stmt::ExprStmt(e) => {
+            expr_deferrable(e, a)
         }
-        // Loops inside a deferred block: body must be deferrable; the
-        // canonical `while(true){ if .. else break }` form contains Break,
-        // which we allow only directly inside a deferred loop's own body.
-        Stmt::While(c, b) => expr_deferrable(c, a) && loop_body_deferrable(b, a),
-        Stmt::DeferBlock { body, .. } => body.iter().all(|s| stmt_deferrable(s, a)),
-        Stmt::Break | Stmt::Continue | Stmt::Return(_) => false,
+        _ => false,
     }
-}
-
-/// Like [`stmt_deferrable`] but tolerates `break`/`continue` that target
-/// the loop being deferred.
-fn loop_body_deferrable(stmts: &[Stmt], a: &Analysis) -> bool {
-    stmts.iter().all(|s| match s {
-        Stmt::Break | Stmt::Continue => true,
-        Stmt::If(c, t, e) => {
-            expr_deferrable(c, a) && loop_body_deferrable(t, a) && loop_body_deferrable(e, a)
-        }
-        other => stmt_deferrable(other, a),
-    })
 }
 
 #[cfg(test)]
@@ -659,55 +637,60 @@ mod tests {
         assert!(a.is_pure_fn("even") && a.is_pure_fn("odd"));
     }
 
+    /// Whether coalescing may take the first statement of the then-arm
+    /// of the `if` at `f`'s statement `at`; the `if` itself never is.
+    fn arm_deferrable(src: &str, at: usize) -> bool {
+        let p = parse_program(src).unwrap();
+        let a = analyze(&p, None);
+        let s @ Stmt::If(_, then, _) = &p.function("f").unwrap().body[at] else {
+            panic!("no if at {at}: {src}");
+        };
+        assert!(!stmt_deferrable(s, &a), "an if is never deferrable: {src}");
+        stmt_deferrable(&then[0], &a)
+    }
+
     #[test]
     fn deferrable_branch_paper_example() {
-        // if (c) a = b; else a = d;  — deferrable (§4.2's own example).
-        let p = parse_program(
+        // if (c) a = b; else a = d;  — §4.2's own example: its arms'
+        // statements may be coalesced.
+        assert!(arm_deferrable(
             "fn f(c, b, d) { let a = 0; if (c) { a = b; } else { a = d; } return a; }",
-        )
-        .unwrap();
-        let a = analyze(&p, None);
-        match &p.function("f").unwrap().body[1] {
-            s @ Stmt::If(..) => assert!(stmt_deferrable(s, &a)),
-            other => panic!("unexpected {other:?}"),
-        }
+            1,
+        ));
     }
 
     #[test]
     fn branch_with_query_not_deferrable() {
-        let p = parse_program(
+        assert!(!arm_deferrable(
             r#"fn f(c) { let a = 0; if (c) { a = query("SELECT 1 FROM t"); } return a; }"#,
-        )
-        .unwrap();
-        let a = analyze(&p, None);
-        match &p.function("f").unwrap().body[1] {
-            s @ Stmt::If(..) => assert!(!stmt_deferrable(s, &a)),
-            other => panic!("unexpected {other:?}"),
-        }
+            1,
+        ));
     }
 
     #[test]
     fn branch_with_heap_write_not_deferrable() {
-        let p = parse_program("fn f(c, m) { if (c) { m.x = 1; } }").unwrap();
-        let a = analyze(&p, None);
-        match &p.function("f").unwrap().body[0] {
-            s @ Stmt::If(..) => assert!(!stmt_deferrable(s, &a)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(!arm_deferrable("fn f(c, m) { if (c) { m.x = 1; } }", 0));
     }
 
     #[test]
     fn branch_with_pure_call_deferrable() {
         // The paper's filter example: a pure call inside the branch.
-        let p = parse_program(
+        assert!(arm_deferrable(
             "fn flt(v) { return v; } fn f(c, v) { let a = 0; if (c) { a = flt(v); } return a; }",
-        )
-        .unwrap();
+            1,
+        ));
+    }
+
+    #[test]
+    fn a_loop_is_never_deferrable() {
+        let p = parse_program("fn f(n) { let i = 0; while (i < n) { i = i + 1; } }").unwrap();
         let a = analyze(&p, None);
-        match &p.function("f").unwrap().body[1] {
-            s @ Stmt::If(..) => assert!(stmt_deferrable(s, &a)),
-            other => panic!("unexpected {other:?}"),
-        }
+        let body = &p.function("f").unwrap().body;
+        let Stmt::While(_, inner) = &body[1] else {
+            panic!("{body:?}");
+        };
+        assert!(!stmt_deferrable(&body[1], &a));
+        assert!(stmt_deferrable(&inner[0], &a));
     }
 
     /// The write footprint the summary gives `main`'s body.
@@ -737,6 +720,39 @@ mod tests {
             w.writes[0].keys,
             vec![("id".to_string(), vec![sloth_sql::Value::Int(7)])]
         );
+    }
+
+    #[test]
+    fn a_loop_carried_statement_is_a_barrier_or_names_every_table() {
+        // The second iteration's `exec(s)` runs the text the first one
+        // assigned: what `s` held before the loop is not all it holds.
+        let w = main_writes(
+            r#"fn main(x) {
+                let s = "UPDATE a SET n = 1 WHERE id = 1";
+                while (x > 0) {
+                    exec(s);
+                    s = "UPDATE b SET n = 2 WHERE id = 2";
+                    x = x - 1;
+                }
+            }"#,
+        );
+        assert!(
+            w.barrier || w.writes.iter().any(|t| t.table == "b"),
+            "{w:?}"
+        );
+    }
+
+    #[test]
+    fn a_comment_in_a_write_names_no_table() {
+        for src in [
+            r#"fn main() { exec("UPDATE /* audit */ t SET n = 1 WHERE id = 7"); }"#,
+            r#"fn main(x) { exec("UPDATE /* audit */ t SET n = " + str(x) + " WHERE id = 7"); }"#,
+        ] {
+            let w = main_writes(src);
+            assert!(!w.barrier, "{src}");
+            let tables: Vec<_> = w.writes.iter().map(|t| t.table.as_str()).collect();
+            assert_eq!(tables, ["t"], "{src}");
+        }
     }
 
     #[test]
@@ -791,11 +807,9 @@ mod tests {
 
     #[test]
     fn branch_with_return_not_deferrable() {
-        let p = parse_program("fn f(c) { if (c) { return 1; } return 2; }").unwrap();
-        let a = analyze(&p, None);
-        match &p.function("f").unwrap().body[0] {
-            s @ Stmt::If(..) => assert!(!stmt_deferrable(s, &a)),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(!arm_deferrable(
+            "fn f(c) { if (c) { return 1; } return 2; }",
+            0
+        ));
     }
 }

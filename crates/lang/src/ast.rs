@@ -115,8 +115,8 @@ pub enum Stmt {
     Return(Option<Expr>),
     /// Bare expression statement `e;`.
     ExprStmt(Expr),
-    /// A deferred statement block produced by the optimizer (§4.2 branch
-    /// deferral / §4.3 thunk coalescing): never written in source. The lazy
+    /// A deferred run of straight-line statements produced by the
+    /// optimizer (§4.3 thunk coalescing): never written in source. The lazy
     /// interpreter turns the whole block into one thunk whose `outputs`
     /// become projection thunks; the standard interpreter executes the body
     /// inline.
@@ -189,7 +189,8 @@ impl fmt::Display for Lit {
 }
 
 /// Collects every variable assigned (not `let`-declared) in a statement
-/// subtree — used by branch deferral to determine thunk-block outputs.
+/// subtree: coalesced blocks' outputs, and what the effect summary and
+/// guard hoisting stop knowing after a branch or loop.
 pub fn assigned_vars(stmts: &[Stmt], out: &mut Vec<String>) {
     for s in stmts {
         match s {

@@ -202,7 +202,7 @@ pub fn builtin_is_persistent(name: &str) -> bool {
 }
 
 /// Whether this builtin is pure (for the purity analysis that feeds call
-/// deferral and branch deferral).
+/// deferral and thunk coalescing).
 pub fn builtin_is_pure(name: &str) -> bool {
     matches!(builtin_kind(name), Some(BuiltinKind::Pure))
 }

@@ -119,8 +119,20 @@ use sloth_sql::{Footprint, TableAccess};
 
 use crate::analysis::{Analysis, EffectWalk};
 use crate::ast::*;
-use crate::builtins::{Builtin, ReadFn, ASSOC_ROWS, ROW_GUARD};
+use crate::builtins::{Builtin, HeapFn, QueryFn, ReadFn, WriteFn, ASSOC_ROWS, ROW_GUARD};
 use crate::opt::count_occurrences as count_mentions;
+
+const QUERY: Builtin = Builtin::Query(QueryFn::Query);
+const EXEC: Builtin = Builtin::WriteQuery(WriteFn::Exec);
+const ORM_ASSOC: Builtin = Builtin::Query(QueryFn::OrmAssoc);
+const LEN: Builtin = Builtin::EagerRead(ReadFn::Len);
+const AT: Builtin = Builtin::EagerRead(ReadFn::At);
+const PUSH: Builtin = Builtin::HeapWrite(HeapFn::Push);
+
+/// Whether the callee `f` is the builtin `b`.
+fn is(f: &str, b: Builtin) -> bool {
+    Builtin::from_name(f) == Some(b)
+}
 
 /// Guard hoisting over one program, reading its effect summary.
 pub(crate) struct GuardHoist<'p> {
@@ -314,7 +326,7 @@ impl Head<'_> {
     /// the guard's row.
     fn statement(&self, e: &Expr) -> bool {
         matches!(e, Expr::Call(f, args)
-            if matches!(f.as_str(), "query" | "exec")
+            if matches!(Builtin::from_name(f), Some(QUERY | EXEC))
                 && matches!(&args[..], [text] if self.lazy_safe(text)))
     }
 
@@ -322,7 +334,7 @@ impl Head<'_> {
     /// a query, `Some(false)` when it registers nothing, `None` when it
     /// ends the head.
     fn binding(&mut self, name: &str, e: &Expr) -> Option<bool> {
-        let query = matches!(e, Expr::Call(f, _) if f == "query") && self.statement(e);
+        let query = matches!(e, Expr::Call(f, _) if is(f, QUERY)) && self.statement(e);
         if !query && !self.lazy_safe(e) {
             return None;
         }
@@ -364,15 +376,13 @@ fn guarded_rows(c: &Expr, before: &[Stmt]) -> Option<String> {
     let (Expr::Call(f, args), at) = value(count, before, at)? else {
         return None;
     };
-    let (true, Expr::Lit(Lit::Int(0)), [Expr::Var(rows)]) =
-        (f == "nrows" || f == "len", &**zero, &args[..])
-    else {
+    let (true, Expr::Lit(Lit::Int(0)), [Expr::Var(rows)]) = (is(f, LEN), &**zero, &args[..]) else {
         return None;
     };
     let (Expr::Call(query, _), bound_at) = binding(rows, before)? else {
         return None;
     };
-    (query == "query" && bound_at < at).then(|| rows.clone())
+    (is(query, QUERY) && bound_at < at).then(|| rows.clone())
 }
 
 /// The expression `name` was last bound to at the top level of `before`,
@@ -393,7 +403,7 @@ fn binding<'a>(name: &str, before: &'a [Stmt]) -> Option<(&'a Expr, usize)> {
 fn mentions_beyond_len(s: &Stmt, list: &str) -> bool {
     match s {
         Stmt::Let(_, Expr::Call(f, args))
-            if (f == "len" || f == "nrows") && matches!(&args[..], [Expr::Var(v)] if v == list) =>
+            if is(f, LEN) && matches!(&args[..], [Expr::Var(v)] if v == list) =>
         {
             false
         }
@@ -432,7 +442,7 @@ fn has_assoc_loop(stmts: &[Stmt]) -> bool {
         Stmt::If(_, t, e) => has_assoc_loop(t) || has_assoc_loop(e),
         Stmt::While(_, b) => {
             let assoc = matches!(b.last(), Some(Stmt::If(_, body, _))
-                if matches!(body.get(1), Some(Stmt::Let(_, Expr::Call(f, _))) if f == "orm_assoc"));
+                if matches!(body.get(1), Some(Stmt::Let(_, Expr::Call(f, _))) if is(f, ORM_ASSOC)));
             assoc || has_assoc_loop(b)
         }
         _ => false,
@@ -521,7 +531,9 @@ fn assoc_loop(
         Box::new(Expr::Var(k.clone())),
         Box::new(Expr::Lit(Lit::Int(1))),
     );
-    let shape = (at.as_str(), assoc.as_str(), push.as_str()) == ("at", "orm_assoc", "push")
+    let shape = is(at, AT)
+        && is(assoc, ORM_ASSOC)
+        && is(push, PUSH)
         && (at_k, step, owner, pushed) == (k, k, el, v)
         && *next == one;
     if !shape {
@@ -534,7 +546,7 @@ fn assoc_loop(
     // differ from the list's.
     let before = &stmts[..i];
     let len_of = |e: &Expr| match e {
-        Expr::Call(f, args) if f == "len" || f == "nrows" => match &args[..] {
+        Expr::Call(f, args) if is(f, LEN) => match &args[..] {
             [Expr::Var(r)] => Some(r.clone()),
             _ => None,
         },
@@ -568,7 +580,11 @@ fn assoc_loop(
             has(&schema.entity(&def.assoc(a)?.target)?.columns, fk_column)
         }
     };
-    if !matches!(f.as_str(), "orm_find_where" | "orm_find_all") || !resolves {
+    let list_read = matches!(
+        Builtin::from_name(f),
+        Some(Builtin::Query(QueryFn::OrmFindWhere | QueryFn::OrmFindAll))
+    );
+    if !list_read || !resolves {
         return None;
     }
     // `acc` is a fresh `[]` nothing reads until the loop, and `k` a `0`
@@ -834,23 +850,26 @@ impl Hoister<'_, '_> {
             _ => None,
         };
         let has = |cols: &[(String, _)], c: &str| cols.iter().any(|(n, _)| n == c);
-        let (table, owner_of) = match (f, args) {
-            ("orm_find", [entity, key]) => {
+        let Some(Builtin::Query(read)) = Builtin::from_name(f) else {
+            return None;
+        };
+        let (table, owner_of) = match (read, args) {
+            (QueryFn::OrmFind, [entity, key]) => {
                 let def = schema.entity(&str_lit(entity)?)?;
                 key_ok(key).then_some((&def.table, Some((def.name.clone(), false))))?
             }
-            ("orm_find_where" | "orm_count_where", [entity, column, key]) => {
+            (QueryFn::OrmFindWhere | QueryFn::OrmCountWhere, [entity, column, key]) => {
                 let def = schema.entity(&str_lit(entity)?)?;
                 let known = has(&def.columns, &str_lit(column)?);
-                let list = (f == "orm_find_where").then(|| (def.name.clone(), true));
+                let list = (read == QueryFn::OrmFindWhere).then(|| (def.name.clone(), true));
                 (known && key_ok(key)).then_some((&def.table, list))?
             }
-            ("orm_find_all", [entity]) => {
+            (QueryFn::OrmFindAll, [entity]) => {
                 let def = schema.entity(&str_lit(entity)?)?;
                 (&def.table, Some((def.name.clone(), true)))
             }
-            ("orm_assoc" | ASSOC_ROWS, [Expr::Var(owner), assoc]) => {
-                let each_row = f == ASSOC_ROWS;
+            (QueryFn::OrmAssoc | QueryFn::OrmAssocRows, [Expr::Var(owner), assoc]) => {
+                let each_row = read == QueryFn::OrmAssocRows;
                 let o = scan.owners.get(owner).filter(|o| o.list == each_row)?;
                 let assoc = str_lit(assoc)?;
                 let def = schema.entity(&o.entity)?;
@@ -1001,7 +1020,7 @@ mod tests {
         }"#;
         assert_eq!(moved(src), ["a", "d", "f"]);
 
-        // Without a schema nothing moves; nor without branch deferral.
+        // Without a schema nothing moves; nor without `OptFlags::hoist`.
         let p = simplify_program(&parse_program(src).unwrap());
         let a = analyze(&p, None);
         for (flags, schema) in [(OptFlags::all(), None), (OptFlags::none(), Some(schema()))] {

@@ -10,9 +10,9 @@
 //!   at thunk-creation time so batches accumulate (§3.3–3.6).
 //!
 //! One interpreter implements both; a per-frame mode switch implements
-//! selective compilation (§4.1). [`crate::opt`] pre-wraps deferrable
-//! regions in [`crate::ast::Stmt::DeferBlock`], which the lazy evaluator
-//! turns into a single block thunk (§4.2–4.3).
+//! selective compilation (§4.1). [`crate::opt`] pre-wraps runs of
+//! deferrable straight-line statements in [`crate::ast::Stmt::DeferBlock`],
+//! which the lazy evaluator turns into a single block thunk (§4.3).
 //!
 //! The interpreter walks the slot-resolved form of the `resolve` pass and
 //! nothing else: a variable is an index into a `Vec`-backed frame, a
@@ -470,7 +470,7 @@ impl<'p> Interp<'p> {
                     // Standard semantics: transparent.
                     return self.exec_block(&block.body, frame, lazy);
                 }
-                // One thunk for the whole region (§4.2/4.3): capture the
+                // One thunk for the whole region (§4.3): capture the
                 // referenced variables by value, produce projection thunks
                 // for the outputs.
                 let captured = block

@@ -9,12 +9,13 @@
 //!   expression flattening).
 //! * [`analysis`] — one effect summary per function, closed over the
 //!   call graph: §4.1 persistence, purity, the database writes it may
-//!   issue and the heap fields it may write; and §4.2 deferrability.
-//!   Every later pass reads it.
+//!   issue and the heap fields it may write; and which straight-line
+//!   statements thunk coalescing may defer. Every later pass reads it.
 //! * [`opt`] — guard hoisting (an `if` arm's ORM reads register before
-//!   the `if`), branch deferral (of branches with only local effects) and
-//!   thunk coalescing transforms plus the [`opt::OptFlags`] switchboard
-//!   of Fig. 12. A write is deferred in one place, the query store.
+//!   the `if`, a 1+N association loop becomes one each-row read) and
+//!   thunk coalescing (§4.3) transforms plus the [`opt::OptFlags`]
+//!   switchboard of Fig. 12. No `if` or loop is deferred whole. A write
+//!   is deferred in one place, the query store.
 //! * `resolve` — the last pass: names bound to frame slots, builtins,
 //!   function and block indices; the only form the evaluator walks.
 //! * [`interp`] — the standard evaluator (original application) and the

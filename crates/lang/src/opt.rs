@@ -1,8 +1,10 @@
-//! The optimizer (§4): branch deferral and thunk coalescing, implemented as
-//! AST transforms that wrap deferrable regions in [`Stmt::DeferBlock`],
-//! after guard hoisting has moved `if` arms' ORM reads above their `if`.
-//! Selective compilation (§4.1) and the buffered thunk writer (§5) are
-//! runtime flags consumed by the lazy interpreter.
+//! The optimizer (§4): guard hoisting, then thunk coalescing (§4.3), as
+//! AST transforms. Guard hoisting (`hoist.rs`, with a schema) moves `if`
+//! arms' ORM reads above their `if`, lowers 1+N association loops to one
+//! each-row read and marks row guards; coalescing wraps runs of
+//! straight-line statements in [`Stmt::DeferBlock`]. Selective compilation
+//! (§4.1) and the buffered thunk writer (§5) are runtime flags consumed by
+//! the lazy interpreter.
 
 use std::collections::HashMap;
 
@@ -14,6 +16,10 @@ use crate::builtins::ROW_GUARD;
 use crate::hoist::GuardHoist;
 
 /// Optimization switches (Fig. 12 turns these on cumulatively).
+///
+/// The paper's branch deferral (§4.2) has no switch: wrapping a whole
+/// `if` / `while` in one thunk moved no round trip on any measured page
+/// or transaction here, so it is not implemented (docs/BENCH.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptFlags {
     /// §4.1 selective compilation: non-persistent functions run under
@@ -21,8 +27,12 @@ pub struct OptFlags {
     pub selective: bool,
     /// §4.3 thunk coalescing: merge consecutive deferrable statements.
     pub coalesce: bool,
-    /// §4.2 branch deferral: defer whole `if`/loop statements.
-    pub defer_branches: bool,
+    /// Guard hoisting, the 1+N lowering and row guards (`hoist.rs`): an
+    /// `if` arm's ORM reads register before the `if`, an association loop
+    /// over a list read becomes one each-row read, and the head of an
+    /// `if (nrows(q) > 0)` arm registers where the `if` stands. Does
+    /// nothing without a schema.
+    pub hoist: bool,
     /// §5 JSP extension: output written through a buffering thunk writer,
     /// flushed once at the end of the request.
     pub buffered_writer: bool,
@@ -34,18 +44,18 @@ impl OptFlags {
         OptFlags {
             selective: true,
             coalesce: true,
-            defer_branches: true,
+            hoist: true,
             buffered_writer: true,
         }
     }
 
     /// Everything off (the `noopt` bar of Fig. 12; buffering stays on since
-    /// the paper's Fig. 12 varies only SC/TC/BD).
+    /// Fig. 12 varies only SC / TC / hoisting).
     pub fn none() -> Self {
         OptFlags {
             selective: false,
             coalesce: false,
-            defer_branches: false,
+            hoist: false,
             buffered_writer: true,
         }
     }
@@ -57,15 +67,15 @@ impl Default for OptFlags {
     }
 }
 
-/// Applies the AST-level optimizations (BD, TC) to a (simplified) program.
+/// Applies the AST-level optimizations to a (simplified) program: without
+/// a schema that is thunk coalescing alone.
 pub fn optimize(p: &Program, a: &Analysis, flags: OptFlags) -> Program {
     optimize_with_schema(p, a, flags, None)
 }
 
-/// [`optimize`] with ORM schema metadata, which makes branch deferral
-/// bring **guard hoisting** along (see `hoist.rs`): an `if` arm's ORM
-/// reads move above the `if` first, so they ride the flush its condition
-/// forces.
+/// [`optimize`] with ORM schema metadata, which [`OptFlags::hoist`] needs
+/// (see `hoist.rs`): an `if` arm's ORM reads move above the `if` first, so
+/// they ride the flush its condition forces.
 ///
 /// `a` is `analyze(p, schema)`: both passes read its effect summary.
 pub fn optimize_with_schema(
@@ -74,11 +84,11 @@ pub fn optimize_with_schema(
     flags: OptFlags,
     schema: Option<&Schema>,
 ) -> Program {
-    if !flags.coalesce && !flags.defer_branches {
+    if !flags.coalesce && !flags.hoist {
         return p.clone();
     }
     let hoist = match schema {
-        Some(schema) if flags.defer_branches => Some(GuardHoist::new(a, schema)),
+        Some(schema) if flags.hoist => Some(GuardHoist::new(a, schema)),
         _ => None,
     };
     Program {
@@ -159,8 +169,7 @@ fn transform_block(
     flags: OptFlags,
     occurrences: &HashMap<String, usize>,
 ) -> Vec<Stmt> {
-    // Recurse first, then wrap at this level.
-    let mut rewritten: Vec<Stmt> = stmts
+    let rewritten: Vec<Stmt> = stmts
         .iter()
         .map(|s| match s {
             Stmt::If(c, t, e) => {
@@ -175,30 +184,11 @@ fn transform_block(
             other => other.clone(),
         })
         .collect();
-
-    if flags.defer_branches {
-        rewritten = rewritten
-            .into_iter()
-            .map(|s| {
-                // Defer whole branches/loops with only local effects (§4.2:
-                // the rewritten shape is equivalent for the check — nested
-                // DeferBlocks are checked by body).
-                if matches!(s, Stmt::If(..) | Stmt::While(..)) && stmt_deferrable(&s, a) {
-                    let outputs = block_outputs(std::slice::from_ref(&s));
-                    return Stmt::DeferBlock {
-                        body: vec![s],
-                        outputs,
-                    };
-                }
-                s
-            })
-            .collect();
-    }
-
     if flags.coalesce {
-        rewritten = coalesce_runs(rewritten, a, occurrences);
+        coalesce_runs(rewritten, a, occurrences)
+    } else {
+        rewritten
     }
-    rewritten
 }
 
 /// The length of the head a row guard's condition marks (see `hoist.rs`);
@@ -213,19 +203,8 @@ fn row_guard_len(c: &Expr) -> usize {
     }
 }
 
-/// Output variables of a deferred region: variables assigned inside that
-/// were not declared inside.
-fn block_outputs(stmts: &[Stmt]) -> Vec<String> {
-    let mut assigned = Vec::new();
-    assigned_vars(stmts, &mut assigned);
-    let mut declared = Vec::new();
-    let_names(stmts, &mut declared);
-    assigned.retain(|v| !declared.contains(v));
-    assigned
-}
-
 /// §4.3: groups maximal runs (≥ 2) of consecutive deferrable statements
-/// into a single [`Stmt::DeferBlock`]; nested defer blocks are spliced in.
+/// (see [`stmt_deferrable`]) into a single [`Stmt::DeferBlock`].
 fn coalesce_runs(
     stmts: Vec<Stmt>,
     a: &Analysis,
@@ -236,15 +215,7 @@ fn coalesce_runs(
 
     let flush = |run: &mut Vec<Stmt>, out: &mut Vec<Stmt>| {
         if run.len() >= 2 {
-            // Splice nested defer blocks: the whole run is one thunk
-            // anyway.
-            let mut body = Vec::new();
-            for s in run.drain(..) {
-                match s {
-                    Stmt::DeferBlock { body: inner, .. } => body.extend(inner),
-                    other => body.push(other),
-                }
-            }
+            let body = std::mem::take(run);
             let outputs = run_outputs(&body, occurrences);
             out.push(Stmt::DeferBlock { body, outputs });
         } else {
@@ -253,7 +224,7 @@ fn coalesce_runs(
     };
 
     for s in stmts {
-        if coalescable(&s, a) {
+        if stmt_deferrable(&s, a) {
             run.push(s);
         } else {
             flush(&mut run, &mut out);
@@ -262,19 +233,6 @@ fn coalesce_runs(
     }
     flush(&mut run, &mut out);
     out
-}
-
-/// TC only merges *simple* statements (and blocks already deferred by BD);
-/// swallowing whole branches is branch deferral's job (§4.2), so keeping
-/// them apart lets Fig. 12 measure the two independently.
-fn coalescable(s: &Stmt, a: &Analysis) -> bool {
-    match s {
-        Stmt::Let(..) | Stmt::Assign(LValue::Var(_), _) | Stmt::ExprStmt(_) => {
-            stmt_deferrable(s, a)
-        }
-        Stmt::DeferBlock { .. } => true,
-        _ => false,
-    }
 }
 
 /// Outputs of a coalesced run: names defined or assigned in the run that
@@ -319,7 +277,7 @@ mod tests {
             "fn foo(a, b, c, d) { let e = a + b; let f = e + c; let g = f + d; return g; }",
             OptFlags {
                 coalesce: true,
-                defer_branches: false,
+                hoist: false,
                 ..OptFlags::all()
             },
         );
@@ -339,55 +297,22 @@ mod tests {
     }
 
     #[test]
-    fn branch_deferral_wraps_pure_if() {
-        let p = pipeline(
-            "fn f(c, b, d) { let a = 0; if (c) { a = b; } else { a = d; } print(a); }",
-            OptFlags {
-                coalesce: false,
-                defer_branches: true,
-                ..OptFlags::all()
-            },
-        );
-        let body = &p.function("f").unwrap().body;
-        let found = body.iter().any(|s| {
-            matches!(s, Stmt::DeferBlock { body, outputs, .. }
-                if matches!(body[0], Stmt::If(..)) && outputs.contains(&"a".to_string()))
-        });
-        assert!(found, "if should be wrapped: {body:?}");
-    }
-
-    #[test]
     fn query_branch_not_wrapped() {
+        // No block holds an `if`, and an arm's query stays out of any
+        // block: only the straight-line `let a = 0; let b = 1` coalesce.
         let p = pipeline(
-            r#"fn f(c) { let a = 0; if (c) { a = query("SELECT 1 FROM t"); } print(a); }"#,
+            r#"fn f(c) { let a = 0; let b = 1; if (c) { a = query("SELECT 1 FROM t"); a = b; } print(a); }"#,
             OptFlags::all(),
         );
         let body = &p.function("f").unwrap().body;
-        let wrapped_if = body.iter().any(|s| {
-            matches!(s, Stmt::DeferBlock { body, .. } if body.iter().any(|x| matches!(x, Stmt::If(..))))
-        });
-        assert!(!wrapped_if, "query-issuing branch must not defer: {body:?}");
-    }
-
-    #[test]
-    fn bd_blocks_absorbed_by_tc() {
-        let p = pipeline(
-            "fn f(c, b, d) { let a = 0; if (c) { a = b; } else { a = d; } let z = a + 1; return z; }",
-            OptFlags::all(),
+        assert!(matches!(&body[0], Stmt::DeferBlock { body, .. } if body.len() == 2));
+        let Stmt::If(_, then, _) = &body[1] else {
+            panic!("the if stays in place: {body:?}");
+        };
+        assert!(
+            then.iter().all(|s| !matches!(s, Stmt::DeferBlock { .. })),
+            "{then:?}"
         );
-        let body = &p.function("f").unwrap().body;
-        // let a, the deferred if and let z all coalesce into one block.
-        match &body[0] {
-            Stmt::DeferBlock {
-                body: inner,
-                outputs,
-                ..
-            } => {
-                assert!(inner.iter().any(|s| matches!(s, Stmt::If(..))));
-                assert!(outputs.contains(&"z".to_string()));
-            }
-            other => panic!("expected one big DeferBlock, got {other:?}"),
-        }
     }
 
     #[test]
@@ -405,7 +330,7 @@ mod tests {
         let p = pipeline(
             "fn f(a) { let x = a + 1 + 2 + 3; return x; }",
             OptFlags {
-                defer_branches: false,
+                hoist: false,
                 ..OptFlags::all()
             },
         );

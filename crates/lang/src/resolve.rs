@@ -58,8 +58,8 @@ pub(crate) struct Func {
     pub pure: bool,
 }
 
-/// One deferred region (§4.2–4.3). Its body addresses the frame layout of
-/// the function it was cut from.
+/// One deferred run of statements (§4.3). Its body addresses the frame
+/// layout of the function it was cut from.
 pub(crate) struct Block {
     /// The function whose slots the body uses.
     pub func: u32,

@@ -86,9 +86,8 @@ pub(crate) enum Pending {
         /// Its (possibly thunked) arguments, the unfetched query first.
         args: Vec<V>,
     },
-    /// Run a whole deferred statement block (branch deferral / thunk
-    /// coalescing §4.2–4.3); outputs are read from the shared driver
-    /// afterwards.
+    /// Run a whole deferred statement block (thunk coalescing, §4.3);
+    /// outputs are read from the shared driver afterwards.
     Block {
         /// The shared block driver (one per deferred region).
         driver: Rc<BlockDriver>,
@@ -117,7 +116,7 @@ pub(crate) enum Pending {
     Failed(RunError),
 }
 
-/// Shared state of one deferred statement block (§4.2–4.3): which block,
+/// Shared state of one deferred statement block (§4.3): which block,
 /// the captured environment, and the output values once driven.
 pub(crate) struct BlockDriver {
     /// Index of the block in the compiled page.

@@ -352,7 +352,7 @@ fn coalescing_reduces_allocations() {
     // it under standard semantics and hide the effect TC is meant to show.
     let base = OptFlags {
         selective: false,
-        defer_branches: false,
+        hoist: false,
         ..OptFlags::all()
     };
     let with_tc = run(base);
@@ -368,49 +368,6 @@ fn coalescing_reduces_allocations() {
         with_tc.counters.thunk_allocs,
         without.counters.thunk_allocs
     );
-}
-
-#[test]
-fn branch_deferral_enables_bigger_batches() {
-    // The branch condition depends on a query result; without BD the
-    // condition forces batch 1 before q2 registers. With BD the whole
-    // branch defers and both queries ship together.
-    let src = r#"
-        fn main() {
-            let c = orm_count_where("encounter", "patient_id", 1);
-            let label = "none";
-            if (c > 3) { label = "many"; } else { label = "few"; }
-            let v = orm_count_where("visit", "patient_id", 1);
-            print(label);
-            print(str(v));
-        }
-    "#;
-    let schema = clinic_schema();
-    let run = |flags: OptFlags| {
-        let env = clinic_env(&schema);
-        run_source(
-            src,
-            &env,
-            Arc::clone(&schema),
-            ExecStrategy::Sloth(flags),
-            vec![],
-        )
-        .unwrap()
-    };
-    let with_bd = run(OptFlags::all());
-    let without = run(OptFlags {
-        defer_branches: false,
-        ..OptFlags::all()
-    });
-    assert_eq!(with_bd.output, without.output);
-    assert_eq!(with_bd.output, vec!["many", "2"]);
-    assert!(
-        with_bd.net.round_trips < without.net.round_trips,
-        "BD batches across the branch: {} vs {}",
-        with_bd.net.round_trips,
-        without.net.round_trips
-    );
-    assert_eq!(with_bd.store.unwrap().max_batch(), 2);
 }
 
 #[test]
@@ -515,8 +472,7 @@ fn lazy_overhead_visible_in_app_time() {
 }
 
 // ---------------------------------------------------------------------
-// Selective laziness: runtime write deferral + branch deferral across
-// writes (§3.5–3.6).
+// Selective laziness: runtime write deferral (§3.5–3.6).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -657,8 +613,8 @@ fn write_branch_rides_the_tail_reads_trip_in_the_store() {
 
 #[test]
 fn write_branch_with_conflicting_tail_is_not_deferred() {
-    // Branch deferral never wraps a branch that writes, and the store
-    // does not hold this write past the tail: the tail reads the written
+    // The branch runs where it stands, and the store does not hold this
+    // write past the tail: the tail reads the written
     // table, so the read drains the branch's write and observes it, as
     // under Original.
     let src = r#"
@@ -686,8 +642,8 @@ fn write_branch_with_conflicting_tail_is_not_deferred() {
 #[test]
 fn conditionally_reassigned_write_sql_blocks_branch_deferral() {
     // The branch's SQL variable is reassigned in a nested arm, so which
-    // table it writes depends on the path taken, and branch deferral
-    // leaves the branch in place. On every path the tail read of
+    // table it writes depends on the path taken; the branch runs where it
+    // stands. On every path the tail read of
     // `concept` sees what Original's does, and the final state matches.
     let src = r#"
         fn main(flag) {
@@ -739,7 +695,7 @@ fn conditionally_reassigned_write_sql_blocks_branch_deferral() {
 #[test]
 fn loop_carried_write_sql_blocks_branch_deferral() {
     // A loop that rebuilds its SQL from the previous iteration's value,
-    // which branch deferral leaves in place: the second iteration writes
+    // run where it stands: the second iteration writes
     // `concept`, and the read after the loop sees it, as under Original.
     let src = r#"
         fn main() {
@@ -920,12 +876,11 @@ fn each_call_gets_a_fresh_frame() {
 }
 
 #[test]
-fn deferred_block_binds_its_own_variables_and_unassigned_outputs_read_null() {
-    // The branch defers whole (§4.2). `t` and `w` are mentioned by the
-    // block but unbound when it is created, and bound by running it; `z`
-    // is an output the taken arm never assigns, which reads `null` once
-    // the block has run (without deferral it would be unbound). The query
-    // makes `main` persistent, so selective compilation runs it lazily.
+fn a_variable_only_the_untaken_arm_assigns_is_unbound_under_every_strategy() {
+    // `z` is assigned only in the arm not taken, so reading it fails
+    // whether or not the taken arm's statements were coalesced into one
+    // block. The query makes `main` persistent, so selective compilation
+    // runs it lazily.
     let src = r#"fn main() {
         let unused = query("SELECT name FROM patient WHERE patient_id = 1");
         let c = 0;
@@ -933,10 +888,27 @@ fn deferred_block_binds_its_own_variables_and_unassigned_outputs_read_null() {
         print(str(w));
         print(str(z));
     }"#;
-    let r = run_as(src, ExecStrategy::Sloth(OptFlags::all())).expect("deferred branch runs");
-    assert_eq!(r.output, ["21", "null"]);
-    let e = run_as(src, ExecStrategy::Sloth(OptFlags::none())).unwrap_err();
-    assert_eq!(e.message, "unbound variable z");
+    for strategy in all_strategies() {
+        let e = run_as(src, strategy).unwrap_err();
+        assert_eq!(e.message, "unbound variable z", "{strategy:?}");
+    }
+}
+
+#[test]
+fn deferred_block_binds_its_own_variables() {
+    // The taken arm's two statements coalesce into one block. `t` and `w`
+    // are mentioned by the block but unbound when it is created, and
+    // bound by running it.
+    let src = r#"fn main() {
+        let unused = query("SELECT name FROM patient WHERE patient_id = 1");
+        let c = 0;
+        if (c > 0) { z = 1; } else { let t = 20; w = t + 1; }
+        print(str(w));
+    }"#;
+    for strategy in all_strategies() {
+        let r = run_as(src, strategy).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+        assert_eq!(r.output, ["21"], "{strategy:?}");
+    }
 }
 
 #[test]

@@ -266,9 +266,8 @@ impl Gen<'_> {
     /// `src` uses `parent` as a parent: the forced rendering fetches it
     /// first.
     fn link(&mut self, parent: &str, src: &str) {
-        // A heap write in the branch keeps branch deferral from
-        // swallowing it, so the condition — and with it `parent` — is
-        // forced where it stands.
+        // An `if` never defers, so its condition — and with it `parent`
+        // — is forced where it stands.
         let force = format!("    if ({parent} == {parent}) {{ scratch.seen = 1; }}\n");
         self.lines.push((src.to_string(), force));
     }
@@ -613,7 +612,7 @@ fn judge(
 const SLOTH: ExecStrategy = ExecStrategy::Sloth(OptFlags {
     selective: true,
     coalesce: true,
-    defer_branches: true,
+    hoist: true,
     buffered_writer: true,
 });
 

@@ -709,7 +709,7 @@ fn flag_combination_case(case: u64) -> (String, OptFlags) {
     let flags = OptFlags {
         selective: mask & 1 != 0,
         coalesce: mask & 2 != 0,
-        defer_branches: mask & 4 != 0,
+        hoist: mask & 4 != 0,
         buffered_writer: mask & 8 != 0,
     };
     (src, flags)
