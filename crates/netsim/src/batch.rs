@@ -39,6 +39,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sloth_sql::fuse::{self, FusableLookup, FusedPlan};
+use sloth_sql::shard::EqKey;
 use sloth_sql::{Bound, Footprint, Normalized, ResultSet, SqlError, Stmt, TemplateCache, Value};
 
 /// Cap on the arity of one fused `IN` probe. Groups with more distinct
@@ -244,8 +245,13 @@ pub(crate) fn chunk_targets<'a>(
 /// as the per-query filter). `targets` pairs each member's batch position
 /// with its probed value; members whose value is absent from `result` get
 /// an empty result set, exactly as their unfused lookup would.
+///
+/// One pass over the rows: members group by [`EqKey`], so members whose
+/// values are `=`-equal (`3`, `3.0`) share a group, and a `NULL` member
+/// matches no row. A row is moved to the last member of its group and
+/// cloned only for the others.
 pub(crate) fn demux_fused(
-    result: &ResultSet,
+    result: ResultSet,
     plan: &FusedPlan,
     targets: &[(usize, &Value)],
 ) -> Result<Vec<(usize, ResultSet)>, SqlError> {
@@ -255,27 +261,45 @@ pub(crate) fn demux_fused(
             plan.demux_column
         ))
     })?;
-    let mut columns = result.columns.clone();
+    // Members by key: `groups[g]` are the targets of the `g`-th distinct key.
+    let mut by_key: HashMap<EqKey, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (j, &(_, value)) in targets.iter().enumerate() {
+        if let Some(key) = EqKey::of(value) {
+            let g = *by_key.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(j);
+        }
+    }
+    let hits: Vec<Option<usize>> = result
+        .rows
+        .iter()
+        .map(|row| EqKey::of(&row[ci]).and_then(|key| by_key.get(&key).copied()))
+        .collect();
+    let mut rows: Vec<Vec<sloth_sql::Row>> = vec![Vec::new(); targets.len()];
+    for (mut row, hit) in result.rows.into_iter().zip(hits) {
+        let Some((&last, rest)) = hit.and_then(|g| groups[g].split_last()) else {
+            continue;
+        };
+        if plan.strip_demux {
+            row.pop();
+        }
+        for &j in rest {
+            rows[j].push(row.clone());
+        }
+        rows[last].push(row);
+    }
+    let mut columns = result.columns;
     if plan.strip_demux {
         columns.pop();
     }
-    let mut out = Vec::with_capacity(targets.len());
-    for &(m, value) in targets {
-        let rows: Vec<sloth_sql::Row> = result
-            .rows
-            .iter()
-            .filter(|r| r[ci].sql_eq(value))
-            .map(|r| {
-                let mut row = r.clone();
-                if plan.strip_demux {
-                    row.pop();
-                }
-                row
-            })
-            .collect();
-        out.push((m, ResultSet::new(columns.clone(), rows)));
-    }
-    Ok(out)
+    Ok(targets
+        .iter()
+        .zip(rows)
+        .map(|(&(m, _), rows)| (m, ResultSet::new(columns.clone(), rows)))
+        .collect())
 }
 
 /// What position `pos`'s reference to an earlier position resolves to.
@@ -380,4 +404,81 @@ pub(crate) fn wave_makespan(mut read_times: Vec<u64>, workers: usize) -> u64 {
         .chunks(workers.max(1))
         .map(|wave| wave.first().copied().unwrap_or(0))
         .sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What demux answered before it split in one pass: per member, the
+    /// rows whose demux cell `=` its value, in result order.
+    fn filter_per_member(
+        result: &ResultSet,
+        plan: &FusedPlan,
+        targets: &[(usize, &Value)],
+    ) -> Vec<(usize, ResultSet)> {
+        let ci = result.column_index(&plan.demux_column).unwrap();
+        let mut columns = result.columns.clone();
+        if plan.strip_demux {
+            columns.pop();
+        }
+        targets
+            .iter()
+            .map(|&(m, value)| {
+                let rows = result
+                    .rows
+                    .iter()
+                    .filter(|r| r[ci].sql_eq(value))
+                    .map(|r| r[..columns.len()].to_vec())
+                    .collect();
+                (m, ResultSet::new(columns.clone(), rows))
+            })
+            .collect()
+    }
+
+    /// The one-pass split equals the per-member `=` filter, over members
+    /// whose keys repeat, are `=` across types (`1`, `1.0`, `TRUE`; `0.0`,
+    /// `-0.0`), are `NULL`, or match no row, with the demux column kept or
+    /// stripped.
+    #[test]
+    fn demux_splits_each_row_to_every_member_it_equals() {
+        let keys = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(2.5),
+            Value::Str("1".into()),
+        ];
+        let mut state = 0x0DE3_0F05_u64;
+        let mut next = |n: usize| {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        for case in 0..200 {
+            let strip_demux = case % 2 == 0;
+            let rows: Vec<sloth_sql::Row> = (0..next(12))
+                .map(|i| vec![Value::Int(i as i64), keys[next(keys.len())].clone()])
+                .collect();
+            let result = ResultSet::new(vec!["id".into(), "k".into()], rows);
+            let plan = FusedPlan {
+                stmt: sloth_sql::parse("SELECT id FROM t").unwrap(),
+                demux_column: "k".into(),
+                strip_demux,
+            };
+            let targets: Vec<(usize, &Value)> =
+                (0..next(8)).map(|m| (m, &keys[next(keys.len())])).collect();
+            let expected = filter_per_member(&result, &plan, &targets);
+            let split = demux_fused(result, &plan, &targets).unwrap();
+            assert_eq!(split, expected, "case {case}: {targets:?}");
+        }
+    }
 }

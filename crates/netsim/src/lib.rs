@@ -2919,8 +2919,10 @@ mod tests {
     }
 
     /// A deployment of one server, or of four shards over `p`'s and `q`'s
-    /// ids, holding `p (id, k, s)` — `k` a key into `q` that repeats, is
-    /// `NULL` or names no row — and `q (id, a, b)`, `a` repeating.
+    /// ids, holding `p (id, k, s)` — `k` a `FLOAT` key into `q`'s `INT`
+    /// columns that repeats, is `NULL`, a boolean (`TRUE = 1`), integral
+    /// (`3.0 = 3`) or fractional, or names no row — and `q (id, a, b)`,
+    /// `a` repeating.
     fn each_row_env(shards: usize, rows: u64, rng: &mut u64) -> SimEnv {
         let env = if shards == 1 {
             SimEnv::default_env()
@@ -2928,13 +2930,16 @@ mod tests {
             let spec = ShardSpec::new().shard("p", "id").shard("q", "id");
             ShardedEnv::new(CostModel::default(), spec, shards).handle()
         };
-        env.seed_sql("CREATE TABLE p (id INT PRIMARY KEY, k INT, s TEXT)")
+        env.seed_sql("CREATE TABLE p (id INT PRIMARY KEY, k FLOAT, s TEXT)")
             .unwrap();
         env.seed_sql("CREATE TABLE q (id INT PRIMARY KEY, a INT, b TEXT)")
             .unwrap();
         for id in 0..rows {
-            let k = match splitmix(rng) % 6 {
+            let k = match splitmix(rng) % 8 {
                 0 => "NULL".to_string(),
+                1 => ["TRUE", "FALSE"][(splitmix(rng) % 2) as usize].to_string(),
+                2 => format!("{}.5", splitmix(rng) % 20),
+                3 => (splitmix(rng) % 3).to_string(),
                 _ => (splitmix(rng) % 200).to_string(),
             };
             let s = ["x", "y"][(splitmix(rng) % 2) as usize];
@@ -2952,7 +2957,8 @@ mod tests {
     /// An each-row statement's answer, split back per parent row, is what
     /// each row's literal statement answers alone — rows and their order —
     /// over parents of no row, one and many (past the fused arity, so the
-    /// `IN` probe is chunked), keys that repeat, are `NULL` or name no row,
+    /// `IN` probe is chunked), keys that repeat, are `NULL`, are `=` to a
+    /// key of another type (`TRUE`, `1` and `1.0`) or name no row,
     /// by primary key and by a column with an `ORDER BY`, on one server and
     /// a 4-shard fleet. With fusion off the members run one by one.
     #[test]

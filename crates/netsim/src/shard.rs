@@ -963,7 +963,7 @@ impl Router {
                     .filter(|(_, v)| shard_of(v, n) == *s)
                     .cloned()
                     .collect();
-                for (m, rs) in batch::demux_fused(&rs, fplan, &local)? {
+                for (m, rs) in batch::demux_fused(rs, fplan, &local)? {
                     results[m] = Some(rs);
                 }
             }
@@ -1004,7 +1004,7 @@ impl Router {
             }
             merge_parts(parts, &descs, None)
         };
-        for (m, rs) in batch::demux_fused(&merged, &fplan, targets)? {
+        for (m, rs) in batch::demux_fused(merged, &fplan, targets)? {
             results[m] = Some(rs);
         }
         Ok(())

@@ -2,6 +2,7 @@
 //! tables, reporting deterministic execution statistics used by the cost
 //! model in `sloth-net`.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -9,6 +10,7 @@ use crate::ast::*;
 use crate::error::SqlError;
 use crate::footprint::Footprint;
 use crate::normalize::normalize;
+use crate::shard::EqKey;
 use crate::table::Table;
 use crate::template_cache::TemplateCache;
 use crate::value::{ResultSet, Row, Value};
@@ -76,8 +78,8 @@ impl Clone for Database {
         // A clone is an *independent* database (serial references,
         // experiment restarts), so it starts with a template cache of its
         // own, cold: entries are re-derivable and the counters are
-        // per-deployment. Table storage itself is copy-on-write by page
-        // and index bucket (see `table.rs`), so a clone shares the data
+        // per-deployment. Table storage itself is copy-on-write by row
+        // and index posting (see `table.rs`), so a clone shares the data
         // and each side copies only what it later writes.
         Database {
             tables: self.tables.clone(),
@@ -91,10 +93,11 @@ impl Clone for Database {
 /// [`Database::snapshot`].
 ///
 /// Taking a snapshot is cheap — the table catalog is cloned but every
-/// table's schema, row pages and index buckets are `Arc`-shared
+/// table's schema, rows and index postings are `Arc`-shared
 /// copy-on-write, so the cost is reference-count bumps, not data copies,
-/// and a write after it copies the page and buckets it touches, not the
-/// table (see [`crate::table::Table`]). The snapshot **shares
+/// and a write after it copies the rows and postings it changes (and the
+/// pointer blocks above them), not the table (see
+/// [`crate::table::Table`]). The snapshot **shares
 /// the live database's template cache**: a template parsed through a
 /// snapshot read is parsed for everyone, and its counters stay
 /// deployment-global.
@@ -343,12 +346,14 @@ impl Database {
 
         // Base rows: an index probe from an equality / IN conjunct where
         // one exists. Every row keeps its base-table row id so traced
-        // executions can report exact merge keys.
+        // executions can report exact merge keys, and stays borrowed from
+        // the table until the projection knows it is returned; a join's
+        // combined rows are the only ones built before that.
         let base_rows = candidate_rows(sel.predicate.as_ref(), &sel.from, base, params);
         stats.rows_scanned += base_rows.len() as u64;
-        let mut current: Vec<(usize, Row)> = base_rows
+        let mut current: Vec<(usize, Cow<[Value]>)> = base_rows
             .into_iter()
-            .map(|(rid, r)| (rid, r.clone()))
+            .map(|(rid, r)| (rid, Cow::Borrowed(r)))
             .collect();
 
         // Hash joins, left to right.
@@ -373,20 +378,24 @@ impl Database {
             })?;
             let _ = probe_ref;
 
-            // Build hash table over the joined table.
+            // Build hash table over the joined table, keyed as `=` keys.
             stats.rows_scanned += right_table.len() as u64;
-            let mut built: HashMap<Value, Vec<&Row>> = HashMap::new();
+            let mut built: HashMap<EqKey, Vec<&[Value]>> = HashMap::new();
             for (_, row) in right_table.scan() {
-                built.entry(row[build_ci].clone()).or_default().push(row);
+                if let Some(key) = EqKey::of(&row[build_ci]) {
+                    built.entry(key).or_default().push(row);
+                }
             }
             let mut next = Vec::new();
             for (rid, row) in &current {
-                if let Some(matches) = built.get(&row[probe_idx]) {
-                    for m in matches {
-                        let mut combined = row.clone();
-                        combined.extend((*m).iter().cloned());
-                        next.push((*rid, combined));
-                    }
+                let Some(matches) = EqKey::of(&row[probe_idx]).and_then(|k| built.get(&k)) else {
+                    continue;
+                };
+                for m in matches {
+                    let mut combined = Vec::with_capacity(row.len() + m.len());
+                    combined.extend_from_slice(row);
+                    combined.extend_from_slice(m);
+                    next.push((*rid, Cow::Owned(combined)));
                 }
             }
             scope.add_source(&join.table.alias, right_table);
@@ -457,7 +466,10 @@ impl Database {
         let (columns, rows) = match &sel.projection {
             Projection::Star => (
                 scope.output_columns(),
-                current.into_iter().map(|(_, row)| row).collect(),
+                current
+                    .into_iter()
+                    .map(|(_, row)| row.into_owned())
+                    .collect(),
             ),
             Projection::Columns(cols) => {
                 let idxs: Vec<usize> = cols
@@ -850,7 +862,7 @@ fn like_match(s: &str, pattern: &str) -> bool {
 
 fn run_aggregate(
     agg: &Aggregate,
-    rows: &[(usize, Row)],
+    rows: &[(usize, Cow<[Value]>)],
     scope: &Scope,
 ) -> Result<ResultSet, SqlError> {
     let resolve = |c: &ColumnRef| {
@@ -922,7 +934,7 @@ fn candidate_rows<'t>(
     from: &TableRef,
     table: &'t Table,
     params: &[Value],
-) -> Vec<(usize, &'t Row)> {
+) -> Vec<(usize, &'t [Value])> {
     let rows = |ids: &[usize]| {
         ids.iter()
             .filter_map(|&rid| table.row(rid).map(|r| (rid, r)))
@@ -1009,7 +1021,7 @@ fn find_index_probe(
                     _ => return None,
                 };
                 let ci = probe_column(col, from, table)?;
-                Some(Probe::Eq(ci, v_coerced(table, ci, key)))
+                Some(Probe::Eq(ci, key.clone()))
             }
             Expr::InList { expr, list } => {
                 let Expr::Column(col) = &**expr else {
@@ -1018,19 +1030,11 @@ fn find_index_probe(
                 let ci = probe_column(col, from, table)?;
                 let keys: Option<Vec<Value>> = list
                     .iter()
-                    .map(|item| key_value(item, params).map(|v| v_coerced(table, ci, v)))
+                    .map(|item| key_value(item, params).cloned())
                     .collect();
                 Some(Probe::In(ci, keys?))
             }
             _ => None,
-        }
-    }
-    // Int keys written as float literals (or vice versa) must still probe.
-    fn v_coerced(table: &Table, ci: usize, v: &Value) -> Value {
-        match (table.columns[ci].ty, v) {
-            (crate::ast::ColumnType::Int, Value::Float(f)) => Value::Int(*f as i64),
-            (crate::ast::ColumnType::Float, Value::Int(i)) => Value::Float(*i as f64),
-            _ => v.clone(),
         }
     }
     walk(predicate?, from, table, params)
@@ -1547,15 +1551,15 @@ mod tests {
         assert_eq!(db.table("t").unwrap().len(), 2);
     }
 
-    /// A row is stored at its table's width: a tuple in declaration order
-    /// becomes the row as `eval_const` allocated it.
+    /// A row is stored at its table's width; it is a slice, so it holds
+    /// no spare capacity.
     #[test]
     fn inserted_rows_are_stored_at_their_width() {
         let mut db = db_with_issues();
         db.execute("INSERT INTO issue VALUES (13, 2, 'new', 5), (14, 2, 'newer', 1)")
             .unwrap();
         for (_, row) in db.table("issue").unwrap().scan() {
-            assert_eq!(row.capacity(), 4, "{row:?}");
+            assert_eq!(row.len(), 4, "{row:?}");
         }
     }
 
@@ -1695,6 +1699,87 @@ mod tests {
                 "writes left rows to test on"
             );
         }
+    }
+
+    /// `id = TRUE` on an `INT` primary key probes the row `=` matches,
+    /// the one a scan form (`id + 0 = TRUE`, nothing to probe) updates.
+    #[test]
+    fn a_bool_key_probes_an_int_primary_key() {
+        let mut by_probe = Database::new();
+        by_probe
+            .execute("CREATE TABLE t (id INT PRIMARY KEY, k INT)")
+            .unwrap();
+        by_probe
+            .execute("INSERT INTO t VALUES (0, 0), (1, 0), (2, 0)")
+            .unwrap();
+        let mut by_scan = by_probe.clone();
+        let probed = by_probe
+            .execute("UPDATE t SET k = 9 WHERE id = TRUE")
+            .unwrap();
+        let scanned = by_scan
+            .execute("UPDATE t SET k = 9 WHERE id + 0 = TRUE")
+            .unwrap();
+        assert_eq!(probed.stats.rows_returned, 1);
+        assert_eq!(scanned.stats.rows_returned, 1);
+        let k = |db: &mut Database| db.execute("SELECT id, k FROM t").unwrap().result.rows;
+        assert_eq!(k(&mut by_probe), k(&mut by_scan));
+    }
+
+    /// `f = -0.0` on an indexed `FLOAT` column finds the `0.0` row, as the
+    /// scan form does.
+    #[test]
+    fn minus_zero_probes_a_float_index_as_zero() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, f FLOAT)")
+            .unwrap();
+        db.execute("CREATE INDEX ON t (f)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 0.0), (2, 1.5), (3, 0)")
+            .unwrap();
+        let probed = db.execute("SELECT id FROM t WHERE f = -0.0").unwrap();
+        let scanned = db
+            .execute("SELECT id FROM t WHERE id < 0 OR f = -0.0")
+            .unwrap();
+        assert_eq!(
+            probed.result.rows,
+            vec![vec![Value::Int(1)], vec![Value::Int(3)]]
+        );
+        assert_eq!(probed.result.rows, scanned.result.rows);
+        assert_eq!(probed.stats.rows_scanned, 2, "the probe pins both rows");
+    }
+
+    fn join_tables(a: &str, b: &str) -> Database {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE a (id INT PRIMARY KEY, x INT)")
+            .unwrap();
+        db.execute("CREATE TABLE b (id INT PRIMARY KEY, y FLOAT)")
+            .unwrap();
+        db.execute(&format!("INSERT INTO a VALUES {a}")).unwrap();
+        db.execute(&format!("INSERT INTO b VALUES {b}")).unwrap();
+        db
+    }
+
+    /// `NULL = NULL` is not true, so a join pairs no two `NULL`s.
+    #[test]
+    fn a_join_never_pairs_nulls() {
+        let mut db = join_tables("(1, NULL), (2, 5)", "(10, NULL), (20, 5)");
+        let out = db
+            .execute("SELECT a.id, b.id FROM a JOIN b ON a.x = b.y")
+            .unwrap();
+        assert_eq!(out.result.rows, vec![vec![Value::Int(2), Value::Int(20)]]);
+    }
+
+    /// An `INT` column joins a `FLOAT` column by value: `1 = 1.0`.
+    #[test]
+    fn an_int_column_joins_a_float_column_by_value() {
+        let mut db = join_tables("(1, 1), (2, 2)", "(10, 1.0), (20, 2.5), (30, 2)");
+        let out = db
+            .execute("SELECT a.id, b.id FROM a JOIN b ON a.x = b.y")
+            .unwrap();
+        let pairs = vec![
+            vec![Value::Int(1), Value::Int(10)],
+            vec![Value::Int(2), Value::Int(30)],
+        ];
+        assert_eq!(out.result.rows, pairs);
     }
 
     #[test]

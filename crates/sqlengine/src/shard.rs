@@ -22,6 +22,7 @@
 //! concerns.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::ast::{BinOp, ColumnRef, Expr, Join, Statement, TableRef};
 use crate::value::Value;
@@ -85,7 +86,41 @@ impl ShardSpec {
     }
 }
 
-/// Canonical 64-bit hash of a shard-key value (SplitMix64 finalizer).
+/// What `=` compares of a value: a boolean or an integral float as the
+/// integer it equals (`TRUE` is `1`, `3.0` is `3`, `-0.0` is `0`), any
+/// other float by its bits, a string by its bytes. `=`-equal values have
+/// one canonical form, so anything hashed from it hashes them alike.
+#[derive(Hash)]
+enum Canonical<'v> {
+    Null,
+    Int(i64),
+    Float(u64),
+    Str(&'v str),
+}
+
+impl<'v> Canonical<'v> {
+    fn of(v: &'v Value) -> Self {
+        match v {
+            Value::Null => Canonical::Null,
+            Value::Bool(b) => Canonical::Int(*b as i64),
+            Value::Int(i) => Canonical::Int(*i),
+            Value::Float(f)
+                if f.fract() == 0.0
+                    && f.is_finite()
+                    && *f >= i64::MIN as f64
+                    && *f <= i64::MAX as f64 =>
+            {
+                Canonical::Int(*f as i64)
+            }
+            Value::Float(f) => Canonical::Float(f.to_bits()),
+            Value::Str(s) => Canonical::Str(s),
+        }
+    }
+}
+
+/// Canonical 64-bit hash of a shard-key value (SplitMix64 finalizer over
+/// the value's canonical form: booleans and integral floats as the integer
+/// they equal).
 ///
 /// Numeric values with equal numeric value hash equally (`Int(3)` ==
 /// `Float(3.0)`), matching [`Value::sql_eq`]; `NULL` hashes to zero (rows
@@ -98,19 +133,11 @@ pub fn hash_key(v: &Value) -> u64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
     }
-    match v {
-        Value::Null => 0,
-        Value::Bool(b) => mix(*b as u64),
-        Value::Int(i) => mix(*i as u64),
-        Value::Float(f) => {
-            // Integral floats hash like the integer they equal.
-            if f.fract() == 0.0 && f.is_finite() && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
-                mix(*f as i64 as u64)
-            } else {
-                mix(f.to_bits())
-            }
-        }
-        Value::Str(s) => {
+    match Canonical::of(v) {
+        Canonical::Null => 0,
+        Canonical::Int(i) => mix(i as u64),
+        Canonical::Float(bits) => mix(bits),
+        Canonical::Str(s) => {
             // FNV-1a over the bytes, then the same finalizer.
             let mut h: u64 = 0xCBF29CE484222325;
             for b in s.as_bytes() {
@@ -121,6 +148,38 @@ pub fn hash_key(v: &Value) -> u64 {
         }
     }
 }
+
+/// A value as SQL `=` sees it, for hashing: hashed from its canonical
+/// form (the one [`hash_key`] hashes), compared by [`Value::sql_eq`], so
+/// `1`, `1.0` and `TRUE` are one key and `0.0` and `-0.0` are one key.
+/// Only a value that `=` matches to itself has one: `NULL` and NaN equal
+/// nothing, so they key nothing. Index probes, hash joins and
+/// fused-result demux all key by it, and so agree with the `=` a scan
+/// evaluates. It hashes through the map's own hasher, so a keyed
+/// `RandomState` still guards against crafted collisions.
+#[derive(Debug, Clone, Copy)]
+pub struct EqKey<'v>(&'v Value);
+
+impl<'v> EqKey<'v> {
+    /// The key of `v`, or `None` when `=` never matches `v`.
+    pub fn of(v: &'v Value) -> Option<Self> {
+        v.sql_eq(v).then_some(EqKey(v))
+    }
+}
+
+impl Hash for EqKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Canonical::of(self.0).hash(state);
+    }
+}
+
+impl PartialEq for EqKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.sql_eq(other.0)
+    }
+}
+
+impl Eq for EqKey<'_> {}
 
 /// The shard (in `0..n`) that owns a row whose shard key equals `v`.
 pub fn shard_of(v: &Value, n: usize) -> usize {
@@ -283,6 +342,8 @@ mod tests {
     fn numeric_coercion_hashes_equal() {
         assert_eq!(hash_key(&Value::Int(7)), hash_key(&Value::Float(7.0)));
         assert_ne!(hash_key(&Value::Int(7)), hash_key(&Value::Int(8)));
+        assert_eq!(hash_key(&Value::Bool(true)), hash_key(&Value::Int(1)));
+        assert_eq!(hash_key(&Value::Float(-0.0)), hash_key(&Value::Int(0)));
         for n in [1usize, 2, 4, 8] {
             assert_eq!(shard_of(&Value::Int(7), n), shard_of(&Value::Float(7.0), n));
         }

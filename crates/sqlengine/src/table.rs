@@ -1,4 +1,4 @@
-//! Row storage with hash indexes, copy-on-write at page and bucket grain.
+//! Row storage with hash indexes, copy-on-write at row and posting grain.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -6,21 +6,26 @@ use std::sync::Arc;
 
 use crate::ast::{ColumnDef, ColumnType};
 use crate::error::SqlError;
+use crate::shard::EqKey;
 use crate::value::{Row, Value};
 
-/// Row slots per storage page — the unit of row data a write copies while
-/// a snapshot still shares it.
+/// Row slots per storage page. A page is a block of row pointers: the
+/// first write to it after a snapshot copies its 256 pointers and the one
+/// row it changes, never the page-mates' values.
 const PAGE_ROWS: usize = 256;
 
 /// Mean distinct keys per bucket beyond which an index doubles its bucket
-/// directory. The first write after a snapshot copies the directory and one
-/// bucket, so the load trades one against the other: at 100 000 keys this
-/// is a directory of 4 096 pointers and a bucket of about two dozen keys.
+/// directory. The first write after a snapshot copies the directory and
+/// one bucket of posting pointers, so the load trades one against the
+/// other: at 100 000 keys this is a directory of 4 096 pointers and a
+/// bucket of about two dozen. Only the postings whose row ids change are
+/// copied whole.
 const BUCKET_LOAD: usize = 32;
 
-/// Page `p` holds row ids `p * PAGE_ROWS ..`, tombstoned on delete; it is
-/// shorter than [`PAGE_ROWS`] while its higher slots were never filled.
-type Page = Vec<Option<Row>>;
+/// Page `p` holds row ids `p * PAGE_ROWS ..`, each row behind its own
+/// `Arc` and tombstoned on delete; it is shorter than [`PAGE_ROWS`] while
+/// its higher slots were never filled.
+type Page = Vec<Option<Arc<[Value]>>>;
 
 /// One distinct key of an index and the row ids holding it, in the order
 /// they came to hold it.
@@ -31,12 +36,18 @@ struct Posting {
     rids: Vec<usize>,
 }
 
-/// Postings whose key hashes select this bucket, sorted by hash so a probe
-/// is a binary search over the one hash it already computed to get here.
-type Bucket = Vec<Posting>;
+/// Postings whose key hashes select this bucket, each behind its own
+/// `Arc`, sorted by hash so a probe is a binary search over the one hash it
+/// already computed to get here.
+type Bucket = Vec<Arc<Posting>>;
 
 /// Hash index over one column: a power-of-two directory of buckets, the
 /// low bits of a key's hash choosing the bucket.
+///
+/// Keys are matched as SQL `=` matches them, by [`EqKey`]: `1`, `1.0` and
+/// `TRUE` are one key, and a key that equals nothing — `NULL`, or a NaN —
+/// is never stored and never matches, so a probe pins exactly the rows a
+/// scan's `col = key` keeps.
 #[derive(Debug, Clone)]
 struct Index {
     column: usize,
@@ -56,6 +67,11 @@ impl Index {
         }
     }
 
+    /// `key`'s hash, or `None` for a key `=` never matches.
+    fn hash(&self, key: &Value) -> Option<u64> {
+        EqKey::of(key).map(|key| self.hasher.hash_one(key))
+    }
+
     fn slot(&self, hash: u64) -> usize {
         hash as usize & (self.buckets.len() - 1)
     }
@@ -66,13 +82,15 @@ impl Index {
         bucket[start..]
             .iter()
             .take_while(|p| p.hash == hash)
-            .position(|p| p.key == *key)
+            .position(|p| p.key.sql_eq(key))
             .map(|i| start + i)
             .ok_or(start)
     }
 
     fn get(&self, key: &Value) -> &[usize] {
-        let hash = self.hasher.hash_one(key);
+        let Some(hash) = self.hash(key) else {
+            return &[];
+        };
         let bucket = &self.buckets[self.slot(hash)];
         match Self::find(bucket, hash, key) {
             Ok(i) => &bucket[i].rids,
@@ -86,13 +104,15 @@ impl Index {
     }
 
     fn add(&mut self, key: Value, rid: usize) {
-        let hash = self.hasher.hash_one(&key);
+        let Some(hash) = self.hash(&key) else {
+            return;
+        };
         let bucket = self.bucket_mut(hash);
         match Self::find(bucket, hash, &key) {
-            Ok(i) => bucket[i].rids.push(rid),
+            Ok(i) => Arc::make_mut(&mut bucket[i]).rids.push(rid),
             Err(i) => {
                 let rids = vec![rid];
-                bucket.insert(i, Posting { hash, key, rids });
+                bucket.insert(i, Arc::new(Posting { hash, key, rids }));
                 self.keys += 1;
                 if self.keys > BUCKET_LOAD * self.buckets.len() {
                     self.double();
@@ -102,11 +122,14 @@ impl Index {
     }
 
     fn remove(&mut self, key: &Value, rid: usize) {
-        let hash = self.hasher.hash_one(key);
+        let Some(hash) = self.hash(key) else {
+            return;
+        };
         let bucket = self.bucket_mut(hash);
         if let Ok(i) = Self::find(bucket, hash, key) {
-            bucket[i].rids.retain(|&r| r != rid);
-            if bucket[i].rids.is_empty() {
+            let rids = &mut Arc::make_mut(&mut bucket[i]).rids;
+            rids.retain(|&r| r != rid);
+            if rids.is_empty() {
                 bucket.remove(i);
                 self.keys -= 1;
             }
@@ -114,8 +137,7 @@ impl Index {
     }
 
     /// Splits every bucket in two on the next hash bit. A split keeps
-    /// hash order, and postings move rather than copy unless a snapshot
-    /// still shares their bucket.
+    /// hash order and moves posting pointers; no posting is copied.
     fn double(&mut self) {
         let old = std::mem::take(Arc::make_mut(&mut self.buckets));
         // A power of two: as a mask it is the hash bit the split reads.
@@ -134,14 +156,17 @@ impl Index {
 ///
 /// Every field sits behind an [`Arc`], so cloning a table — and therefore
 /// snapshotting a whole [`crate::Database`] — is reference-count bumps with
-/// no allocation. Rows live in pages of 256 slots, each behind its
-/// own `Arc` under an `Arc`'d page directory, and each index is an `Arc`'d
-/// directory of `Arc`'d hash buckets. The first mutation after a snapshot
-/// copies (`Arc::make_mut`) a directory of pointers plus the one page and,
-/// per index over a column it writes, the one or two buckets it touches:
-/// a write costs O(rows touched), not O(table). A reader holding an old
-/// clone keeps a consistent view that shares every untouched page and
-/// bucket with the live table.
+/// no allocation. Each row sits behind its own `Arc` in a page of 256 row
+/// pointers, each page behind an `Arc` under an `Arc`'d page directory;
+/// each index is an `Arc`'d directory of `Arc`'d hash buckets of `Arc`'d
+/// postings. The first mutation after a snapshot copies (`Arc::make_mut`)
+/// pointers down to what it changes: the page directory, the one page's
+/// pointers and the one row it writes and, per index over a column it
+/// writes, the bucket directory, the one or two buckets' pointers and the
+/// one or two postings whose row ids change. A delete copies no row. A
+/// write costs O(rows touched), not O(table), and copies no row or posting
+/// it does not change. A reader holding an old clone keeps a consistent view that
+/// shares every untouched row and posting with the live table.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Table name as declared.
@@ -268,7 +293,7 @@ impl Table {
     /// would produce.
     pub fn insert_at(&mut self, rid: usize, row: Row) -> Result<(), SqlError> {
         self.check_insert(rid, &row)?;
-        let row: Row = row
+        let row: Arc<[Value]> = row
             .into_iter()
             .enumerate()
             .map(|(ci, v)| self.coerce(ci, v))
@@ -298,11 +323,11 @@ impl Table {
     }
 
     /// Iterates `(row_id, row)` over live rows, in ascending row id.
-    pub fn scan(&self) -> impl Iterator<Item = (usize, &Row)> {
+    pub fn scan(&self) -> impl Iterator<Item = (usize, &[Value])> {
         self.pages.iter().enumerate().flat_map(|(p, page)| {
             page.iter()
                 .enumerate()
-                .filter_map(move |(slot, r)| r.as_ref().map(|row| (p * PAGE_ROWS + slot, row)))
+                .filter_map(move |(slot, r)| r.as_deref().map(|row| (p * PAGE_ROWS + slot, row)))
         })
     }
 
@@ -312,16 +337,16 @@ impl Table {
     }
 
     /// Returns a live row by id.
-    pub fn row(&self, rid: usize) -> Option<&Row> {
+    pub fn row(&self, rid: usize) -> Option<&[Value]> {
         self.pages
             .get(rid / PAGE_ROWS)?
             .get(rid % PAGE_ROWS)?
-            .as_ref()
+            .as_deref()
     }
 
-    /// The slot of live row `rid`, unsharing its page; `None` — with
-    /// nothing copied — when there is no such row.
-    fn slot_mut(&mut self, rid: usize) -> Option<&mut Option<Row>> {
+    /// The slot of live row `rid`, unsharing its page's pointers (not its
+    /// rows); `None` — with nothing copied — when there is no such row.
+    fn slot_mut(&mut self, rid: usize) -> Option<&mut Option<Arc<[Value]>>> {
         self.row(rid)?;
         let page = &mut Arc::make_mut(&mut self.pages)[rid / PAGE_ROWS];
         Arc::make_mut(page).get_mut(rid % PAGE_ROWS)
@@ -331,7 +356,13 @@ impl Table {
     pub fn update_cell(&mut self, rid: usize, ci: usize, value: Value) {
         let value = self.coerce(ci, value);
         let index = self.index_of(ci);
-        let Some(row) = self.slot_mut(rid).and_then(Option::as_mut) else {
+        // Unshares this one row; a later cell of the same row finds it
+        // unshared already.
+        let Some(row) = self
+            .slot_mut(rid)
+            .and_then(Option::as_mut)
+            .map(Arc::make_mut)
+        else {
             return;
         };
         let Some(i) = index else {
@@ -514,12 +545,12 @@ mod tests {
     /// `keys[ci]` holds every value any step ever used in column `ci`,
     /// still in the table or not.
     fn assert_matches(t: &Table, m: &Model, keys: &[Vec<Value>], at: &str) {
-        let scanned: Vec<(usize, &Row)> = t.scan().collect();
-        let expected: Vec<(usize, &Row)> = m
+        let scanned: Vec<(usize, &[Value])> = t.scan().collect();
+        let expected: Vec<(usize, &[Value])> = m
             .rows
             .iter()
             .enumerate()
-            .filter_map(|(rid, r)| r.as_ref().map(|row| (rid, row)))
+            .filter_map(|(rid, r)| r.as_deref().map(|row| (rid, row)))
             .collect();
         assert_eq!(scanned, expected, "scan {at}");
         assert_eq!(t.len(), expected.len(), "len {at}");
@@ -527,7 +558,7 @@ mod tests {
         for rid in 0..m.rows.len() + PAGE_ROWS + 1 {
             assert_eq!(
                 t.row(rid),
-                m.rows.get(rid).and_then(Option::as_ref),
+                m.rows.get(rid).and_then(Option::as_deref),
                 "row {rid} {at}"
             );
         }
@@ -703,6 +734,30 @@ mod tests {
         (count(&a.pages, &b.pages), buckets.collect())
     }
 
+    /// Rows of `a` that `b` does not hold by the same pointer at the same
+    /// row id, and per index, postings of `a` that `b` does not hold by
+    /// pointer anywhere: what the writes between the two copied at row
+    /// and posting grain. A row `a` no longer holds counts for nothing.
+    fn unshared_rows_and_postings(a: &Table, b: &Table) -> (usize, Vec<usize>) {
+        let rows = a
+            .scan()
+            .filter(|&(rid, row)| !b.row(rid).is_some_and(|old| std::ptr::eq(row, old)))
+            .count();
+        let postings = a.indexes.iter().zip(b.indexes.iter()).map(|(x, y)| {
+            let held: std::collections::HashSet<*const Posting> = y
+                .buckets
+                .iter()
+                .flat_map(|bucket| bucket.iter().map(Arc::as_ptr))
+                .collect();
+            x.buckets
+                .iter()
+                .flat_map(|bucket| bucket.iter())
+                .filter(|p| !held.contains(&Arc::as_ptr(p)))
+                .count()
+        });
+        (rows, postings.collect())
+    }
+
     #[test]
     fn a_point_update_copies_one_page_at_any_table_size() {
         for rows in [1_000, 20_000, 100_000] {
@@ -724,6 +779,21 @@ mod tests {
                 .unwrap();
             let (pages, buckets) = unshared(db.table("t").unwrap(), before.table("t").unwrap());
             assert_eq!((pages, buckets), (1, vec![0, 0]), "unindexed, {rows} rows");
+            // Of that page, only the written row's pointer is new: its 255
+            // page-mates are the snapshot's rows.
+            let (t, old) = (db.table("t").unwrap(), before.table("t").unwrap());
+            assert_eq!(
+                unshared_rows_and_postings(t, old),
+                (1, vec![0, 0]),
+                "unindexed, {rows} rows"
+            );
+            let page = id / PAGE_ROWS;
+            for rid in (page * PAGE_ROWS..(page + 1) * PAGE_ROWS).filter(|&rid| rid != id) {
+                assert!(
+                    std::ptr::eq(t.row(rid).unwrap(), old.row(rid).unwrap()),
+                    "row {rid}"
+                );
+            }
 
             // An indexed column: the bucket the old key leaves and the one
             // the new key joins, in that column's index alone.
@@ -734,6 +804,32 @@ mod tests {
             assert_eq!(pages, 1, "indexed, {rows} rows");
             assert_eq!(buckets[0], 0, "the primary key did not change");
             assert!((1..=2).contains(&buckets[1]), "{buckets:?} at {rows} rows");
+            // The key the row leaves and the key it joins: at most their two
+            // postings are copied, every other posting of the bucket stays
+            // shared.
+            let (unshared_rows, postings) =
+                unshared_rows_and_postings(db.table("t").unwrap(), before.table("t").unwrap());
+            assert_eq!(unshared_rows, 1, "indexed, {rows} rows");
+            assert_eq!(postings[0], 0, "the primary key did not change");
+            assert!(
+                (1..=2).contains(&postings[1]),
+                "{postings:?} at {rows} rows"
+            );
+
+            // A delete copies the page's pointers and drops one; it copies
+            // no row.
+            let before = db.snapshot();
+            db.execute(&format!("DELETE FROM t WHERE id = {}", id + 1))
+                .unwrap();
+            let (t, old) = (db.table("t").unwrap(), before.table("t").unwrap());
+            assert_eq!(unshared(t, old).0, 1, "delete, {rows} rows");
+            let (unshared_rows, postings) = unshared_rows_and_postings(t, old);
+            assert_eq!(unshared_rows, 0, "delete, {rows} rows");
+            assert!(
+                postings.iter().all(|&p| p <= 1),
+                "{postings:?} at {rows} rows"
+            );
+            assert_eq!(t.len() + 1, old.len());
         }
     }
 }

@@ -38,7 +38,11 @@ impl Rng {
 fn cases(n: u64, f: impl Fn(&mut Rng)) {
     for case in 0..n {
         let mut rng = Rng::new(0x5EED_BA5E ^ case);
-        f(&mut rng);
+        let run = std::panic::AssertUnwindSafe(|| f(&mut rng));
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!("failing case: {case}");
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 
@@ -93,7 +97,40 @@ fn filters_partition() {
     });
 }
 
-/// PK index probes agree with predicate scans.
+/// A literal of one of the kinds `=` compares across: a boolean, an
+/// integer, an integral or fractional float (`-0.0` among them) or `NULL`,
+/// over a range small enough that keys of different kinds meet.
+fn arb_key(rng: &mut Rng) -> String {
+    let n = rng.range(-2, 3);
+    match rng.range(0, 7) {
+        0 => ["TRUE", "FALSE"][rng.range(0, 2) as usize].to_string(),
+        1 => "NULL".to_string(),
+        2 => "-0.0".to_string(),
+        3 => format!("{n}"),
+        4 => format!("{n}.0"),
+        _ => format!("{n}.5"),
+    }
+}
+
+/// `u (id INT PRIMARY KEY, f FLOAT)` with a secondary index over `f`:
+/// ids `0..n`, and in `f` keys of every kind [`arb_key`] draws.
+fn keyed(rng: &mut Rng) -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE u (id INT PRIMARY KEY, f FLOAT)")
+        .unwrap();
+    db.execute("CREATE INDEX ON u (f)").unwrap();
+    for id in 0..rng.range(1, 12) {
+        let f = arb_key(rng);
+        db.execute(&format!("INSERT INTO u VALUES ({id}, {f})"))
+            .unwrap();
+    }
+    db
+}
+
+/// PK index probes agree with predicate scans; so do probes of the
+/// primary key and of a secondary index over a nullable `FLOAT` column by
+/// keys of every kind `=` compares across (the `id < 0 OR` prefix leaves
+/// no conjunct to probe, so that form scans).
 #[test]
 fn index_probe_equals_scan() {
     cases(64, |rng| {
@@ -112,6 +149,18 @@ fn index_probe_equals_scan() {
             ))
             .unwrap();
         assert_eq!(via_index.result.rows, via_scan.result.rows);
+
+        let mut db = keyed(rng);
+        let key = arb_key(rng);
+        for col in ["id", "f"] {
+            let via_index = db
+                .execute(&format!("SELECT id FROM u WHERE {col} = {key}"))
+                .unwrap();
+            let via_scan = db
+                .execute(&format!("SELECT id FROM u WHERE id < 0 OR {col} = {key}"))
+                .unwrap();
+            assert_eq!(via_index.result.rows, via_scan.result.rows, "{col} = {key}");
+        }
     });
 }
 
@@ -134,6 +183,65 @@ fn in_list_probe_equals_scan() {
             via_probe.result.rows, via_scan.result.rows,
             "keys {a},{b},{c}"
         );
+
+        let mut db = keyed(rng);
+        let keys: Vec<String> = (0..3).map(|_| arb_key(rng)).collect();
+        for col in ["id", "f"] {
+            let via_probe = db
+                .execute(&format!(
+                    "SELECT id FROM u WHERE {col} IN ({})",
+                    keys.join(", ")
+                ))
+                .unwrap();
+            let ors: Vec<String> = keys.iter().map(|k| format!("{col} = {k}")).collect();
+            let via_scan = db
+                .execute(&format!(
+                    "SELECT id FROM u WHERE id < 0 OR {}",
+                    ors.join(" OR ")
+                ))
+                .unwrap();
+            assert_eq!(
+                via_probe.result.rows, via_scan.result.rows,
+                "{col} IN {keys:?}"
+            );
+        }
+    });
+}
+
+/// A hash join pairs exactly the rows whose `ON` equality holds, the
+/// equality evaluated per row pair as `=` evaluates it: an `INT` column
+/// against a `FLOAT` one, keys of every kind, `NULL` pairing with nothing.
+#[test]
+fn hash_join_equals_nested_loop() {
+    cases(64, |rng| {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE a (id INT PRIMARY KEY, x INT)")
+            .unwrap();
+        db.execute("CREATE TABLE b (id INT PRIMARY KEY, y FLOAT)")
+            .unwrap();
+        for (table, n) in [("a", rng.range(0, 10)), ("b", rng.range(0, 10))] {
+            for id in 0..n {
+                let key = arb_key(rng);
+                db.execute(&format!("INSERT INTO {table} VALUES ({id}, {key})"))
+                    .unwrap();
+            }
+        }
+        let a = db.execute("SELECT id, x FROM a").unwrap().result.rows;
+        let b = db.execute("SELECT id, y FROM b").unwrap().result.rows;
+        let mut expected = Vec::new();
+        for l in &a {
+            for r in &b {
+                if l[1].sql_eq(&r[1]) {
+                    expected.push(vec![l[0].clone(), r[0].clone()]);
+                }
+            }
+        }
+        for on in ["a.x = b.y", "b.y = a.x"] {
+            let joined = db
+                .execute(&format!("SELECT a.id, b.id FROM a JOIN b ON {on}"))
+                .unwrap();
+            assert_eq!(joined.result.rows, expected, "ON {on}: a {a:?} b {b:?}");
+        }
     });
 }
 
