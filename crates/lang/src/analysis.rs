@@ -24,7 +24,9 @@
 //! (`SStr`). An `if`'s arms each start from what held before it, and
 //! what either binds is unknown after it; a loop's body binds names that
 //! differ between iterations, so they are unknown before its condition
-//! and body are walked. A call adds its callee's summary. The
+//! and body are walked. A call adds its callee's summary, a builtin's
+//! the effect its signature names (`Builtin::sig`, the one table of what
+//! each builtin forces and touches). The
 //! summaries close over the call graph in one worklist fixpoint: each
 //! body is walked once, and a function is summarised again only when a
 //! function it calls has grown.
@@ -33,6 +35,13 @@
 //! straight-line statement into a thunk block (no queries, no external
 //! calls, no heap writes, no forcing operations) — reads the purity of
 //! callees.
+//!
+//! **Touches** — whether a stretch of statements may touch a variable
+//! (bind it, or mention it other than as an argument the table says its
+//! call only reads) or a field name (write it, itself or through a
+//! call) — is what guard hoisting and the 1+N lowering ask of the code
+//! between a read and its use; `delayed_names` says which names a
+//! function may bind to a value whose force may fetch.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -40,7 +49,7 @@ use sloth_orm::Schema;
 use sloth_sql::{Footprint, TableAccess};
 
 use crate::ast::*;
-use crate::builtins::{builtin_kind, Builtin, BuiltinKind, HeapFn, QueryFn, WriteFn};
+use crate::builtins::{Builtin, Db, Heap};
 
 /// What code may do (see the module documentation).
 #[derive(Debug, Clone, Default)]
@@ -220,30 +229,29 @@ impl<'f, 'p> Walker<'f, 'p> {
             }
             return;
         };
-        match builtin {
-            Builtin::Pure(_) => {}
-            Builtin::EagerRead(_) => fx.persistent = true,
-            Builtin::HeapWrite(h) => {
-                fx.impure = true;
-                fx.any_field |= h == HeapFn::ObjPut;
-            }
-            Builtin::External => fx.impure = true,
-            Builtin::Query(q) => {
-                fx.persistent = true;
-                fx.impure = true;
-                // `query` runs whatever statement it is given: one whose
-                // text is not known to be a read may be a write, bounded
-                // as `exec`'s is — or not at all.
-                if q == QueryFn::Query {
-                    let text = args
-                        .first()
-                        .map_or(SStr::Unknown, |a| static_str(a, &self.env));
-                    if !reads_only(&text) {
-                        fx.write(sql_write_footprint(&text));
-                    }
+        let effect = builtin.sig().effect;
+        fx.persistent |= effect.db != Db::None || effect.heap == Heap::Read;
+        fx.impure |= effect.impure();
+        fx.any_field |= matches!(effect.heap, Heap::AnyField(_));
+        let text = || {
+            args.first()
+                .map_or(SStr::Unknown, |a| static_str(a, &self.env))
+        };
+        match effect.db {
+            // `query` runs whatever statement it is given: one whose text
+            // is not known to be a read may be a write, bounded as
+            // `exec`'s is — or not at all.
+            Db::Text => {
+                let text = text();
+                if !reads_only(&text) {
+                    fx.write(sql_write_footprint(&text));
                 }
             }
-            Builtin::WriteQuery(w) => fx.write(write_footprint(w, args, &self.env, self.schema)),
+            Db::WriteText => fx.write(sql_write_footprint(&text())),
+            Db::WriteEntity => fx.write(entity_write_footprint(args, self.schema)),
+            // Transaction boundaries are barriers: never bounded.
+            Db::Boundary => fx.write(None),
+            Db::None | Db::Read => {}
         }
     }
 }
@@ -299,6 +307,107 @@ impl EffectWalk<'_> {
         self.env = walker.env;
         fx
     }
+}
+
+/// A name a stretch of statements may touch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Name<'n> {
+    /// A variable.
+    Var(&'n str),
+    /// A field, of any object.
+    Field(&'n str),
+}
+
+impl EffectWalk<'_> {
+    /// Whether `stmts` may touch `n` — the one question guard hoisting
+    /// and the 1+N lowering ask of the code between a read and its use. A
+    /// variable is touched where it is bound, or mentioned anywhere but as
+    /// an argument [`Builtin::sig`] says its call only reads (forced or
+    /// used unfetched, neither kept nor changed): a `push` or `clear` of
+    /// it, an alias, an operand, a field access, a user call's argument. A
+    /// field is touched where a field so named, or any field, may be
+    /// written, directly or through a call.
+    pub(crate) fn touches(&self, stmts: &[Stmt], n: Name) -> bool {
+        match n {
+            Name::Var(v) => stmts.iter().any(|s| stmt_touches(s, v)),
+            Name::Field(f) => {
+                let fx = self.clone().of(stmts);
+                fx.any_field || fx.fields.contains(f)
+            }
+        }
+    }
+}
+
+/// Whether running `s` may touch the variable `v` (see
+/// [`EffectWalk::touches`]).
+fn stmt_touches(s: &Stmt, v: &str) -> bool {
+    let e = |e: &Expr| expr_touches(e, v);
+    let block = |b: &[Stmt]| b.iter().any(|s| stmt_touches(s, v));
+    match s {
+        Stmt::Let(n, x) | Stmt::Assign(LValue::Var(n), x) => n == v || e(x),
+        Stmt::Assign(LValue::Field(b, _), x) => e(b) || e(x),
+        Stmt::Assign(LValue::Index(b, i), x) => e(b) || e(i) || e(x),
+        Stmt::ExprStmt(x) | Stmt::Return(Some(x)) => e(x),
+        Stmt::If(c, t, f) => e(c) || block(t) || block(f),
+        Stmt::While(c, b) => e(c) || block(b),
+        Stmt::DeferBlock { body, .. } => block(body),
+        Stmt::Break | Stmt::Continue | Stmt::Return(None) => false,
+    }
+}
+
+/// Whether evaluating `e` may touch the variable `v`.
+fn expr_touches(e: &Expr, v: &str) -> bool {
+    let sub = |e: &Expr| expr_touches(e, v);
+    match e {
+        Expr::Var(x) => x == v,
+        Expr::Lit(_) => false,
+        Expr::Call(f, args) => {
+            let sig = Builtin::from_name(f).map(Builtin::sig);
+            args.iter().enumerate().any(|(i, a)| match a {
+                Expr::Var(x) if x == v => !sig.is_some_and(|s| s.reads_only(i)),
+                a => sub(a),
+            })
+        }
+        Expr::Field(b, _) | Expr::Unary(_, b) => sub(b),
+        Expr::Index(a, b) | Expr::Binary(_, a, b) => sub(a) || sub(b),
+        Expr::NewObject(fields) => fields.iter().any(|(_, x)| sub(x)),
+        Expr::NewList(items) => items.iter().any(sub),
+    }
+}
+
+/// The names `stmts` may bind, somewhere, to a delayed value — one whose
+/// force may fetch: a call whose result [`Builtin::sig`] says may be
+/// delayed, a user call, a field or element read, or an operator over
+/// such a name.
+pub(crate) fn delayed_names(stmts: &[Stmt]) -> HashSet<String> {
+    fn delayed(e: &Expr, names: &HashSet<String>) -> bool {
+        match e {
+            Expr::Lit(_) | Expr::NewObject(_) | Expr::NewList(_) => false,
+            Expr::Var(v) => names.contains(v),
+            Expr::Binary(_, a, b) => delayed(a, names) || delayed(b, names),
+            Expr::Unary(_, a) => delayed(a, names),
+            Expr::Call(f, _) => Builtin::from_name(f).is_none_or(|b| b.sig().effect.delayed),
+            Expr::Field(..) | Expr::Index(..) => true,
+        }
+    }
+    // One pass over every binding: whether `names` grew.
+    fn grow(stmts: &[Stmt], names: &mut HashSet<String>) -> bool {
+        let mut grew = false;
+        for s in stmts {
+            grew |= match s {
+                Stmt::Let(n, e) | Stmt::Assign(LValue::Var(n), e) => {
+                    delayed(e, names) && names.insert(n.clone())
+                }
+                Stmt::If(_, t, e) => grow(t, names) | grow(e, names),
+                Stmt::While(_, b) | Stmt::DeferBlock { body: b, .. } => grow(b, names),
+                _ => false,
+            };
+        }
+        grew
+    }
+    let mut names = HashSet::new();
+    while grow(stmts, &mut names) {}
+    names
 }
 
 /// Summarises every function of `p`. With a `schema`, the `orm_*` calls'
@@ -521,28 +630,15 @@ fn reads_only(s: &SStr) -> bool {
     }
 }
 
-/// Footprint of one builtin write call, or `None` when it cannot be
-/// bounded. `env` resolves the simplify pass's string temporaries. An
-/// `orm_*` write bounds to its entity's table when the entity is a
-/// literal the schema knows: entity and table names need not coincide.
-fn write_footprint(
-    w: WriteFn,
-    args: &[Expr],
-    env: &SEnv,
-    schema: Option<&Schema>,
-) -> Option<Footprint> {
-    match w {
-        WriteFn::Exec => sql_write_footprint(&static_str(args.first()?, env)),
-        WriteFn::OrmSave | WriteFn::OrmUpdate | WriteFn::OrmDelete => {
-            let Some(Expr::Lit(Lit::Str(entity))) = args.first() else {
-                return None;
-            };
-            let def = schema?.entity(entity)?;
-            Some(whole_write(&def.table.to_ascii_lowercase()))
-        }
-        // Transaction boundaries are barriers: never bounded.
-        WriteFn::Commit | WriteFn::Begin | WriteFn::Rollback => None,
-    }
+/// Footprint of an `orm_*` write: its entity's table, when the entity is
+/// a literal the schema knows (entity and table names need not coincide);
+/// else `None`, a write nothing bounds.
+fn entity_write_footprint(args: &[Expr], schema: Option<&Schema>) -> Option<Footprint> {
+    let Some(Expr::Lit(Lit::Str(entity))) = args.first() else {
+        return None;
+    };
+    let def = schema?.entity(entity)?;
+    Some(whole_write(&def.table.to_ascii_lowercase()))
 }
 
 /// Whether an expression can live inside a deferred block — it must
@@ -557,9 +653,8 @@ pub fn expr_deferrable(e: &Expr, a: &Analysis) -> bool {
         Expr::Binary(_, x, y) => expr_deferrable(x, a) && expr_deferrable(y, a),
         Expr::Unary(_, x) => expr_deferrable(x, a),
         Expr::Call(name, args) => {
-            let callee_ok = match builtin_kind(name) {
-                Some(BuiltinKind::Pure) => true,
-                Some(_) => false,
+            let callee_ok = match Builtin::from_name(name) {
+                Some(b) => b.sig().effect.pure(),
                 None => a.is_pure_fn(name),
             };
             callee_ok && args.iter().all(|x| expr_deferrable(x, a))

@@ -27,16 +27,16 @@
 //!    a schema nothing moves;
 //! 2. **its key is known before the `if`, without a round trip** — a
 //!    literal, or a variable bound before the `if` that no earlier
-//!    statement of the arm assigns and that holds a plain value (every
-//!    binding of it in `main` is a literal, a parameter or arithmetic
-//!    over such — not `len(…)`, which of a read nobody has fetched is a
-//!    delayed read of its answer), so registering forces nothing. An
-//!    `orm_assoc` owner must instead be an earlier moved single-row read,
-//!    and the list of an [`ASSOC_ROWS`] read (a lowered 1+N loop, below)
-//!    an earlier moved list read, whose key field nothing since may have
-//!    written (and, for a list, that nothing since has mentioned but to
-//!    bind its length: a `push` or `clear` writes no field): it registers
-//!    as a dependant of that read, in the same trip;
+//!    statement of the arm assigns and that `main` never binds to a
+//!    delayed value ([`delayed_names`]: not `len(…)`, whose result
+//!    [`Builtin::sig`] says may be a delayed read of a query's answer), so
+//!    registering forces nothing. An `orm_assoc` owner must instead be an
+//!    earlier moved single-row read, and the list of an [`ASSOC_ROWS`]
+//!    read (a lowered 1+N loop, below) an earlier moved list read; the
+//!    statements since must not touch the owner's key field or the
+//!    association's memo, nor, for a list, the list itself (a `push`, a
+//!    `clear` or an alias: [`EffectWalk::touches`]). It registers as a
+//!    dependant of that read, in the same trip;
 //! 3. **no write comes first** — the scan stops at the first statement
 //!    that may write to the database or open or close a transaction,
 //!    itself or through a call (its effect summary's writes, `analysis.rs`):
@@ -75,7 +75,7 @@
 //! registers as an each-row dependant of `base`, and `let acc = []` and
 //! `let k = 0` go. It lowers only when `base` is an `orm_find_where` /
 //! `orm_find_all` of the same block, not bound again since (and, for a
-//! `bn`, mentioned nowhere between `bn` and the loop); `acc` is a `[]`
+//! `bn`, touched nowhere between `bn` and the loop); `acc` is a `[]`
 //! nothing mentions before the loop does; `k` a `0` nothing mentions
 //! outside the loop; the loop's other names appear nowhere else; and the
 //! association resolves in the schema. Any other loop stays a loop.
@@ -86,8 +86,9 @@
 //! same block, in `main`, loop bodies included. The longest run of
 //! statements heading its then-arm that each register nothing, force
 //! nothing and cannot fail while lazy — bindings over literals, bound
-//! names, operators, pure builtins and the result-set reads of `q` and of
-//! the head's own queries; `query(T)` / `exec(T)` of such a `T`; `print` —
+//! names, operators and the calls [`Builtin::sig`] says wait whole (pure
+//! builtins, and the delayed reads of `q` and of the head's own queries);
+//! `query(T)` / `exec(T)` of such a `T`; `print` —
 //! registers under the guard where the `if` stands. It is marked
 //! `ROW_GUARD(q, condition, n)`, `n` being its length (a head without a
 //! `query` or `exec` is left unmarked), and `resolve` lowers it to a form
@@ -117,22 +118,10 @@ use std::collections::{HashMap, HashSet};
 use sloth_orm::{AssocKind, Schema};
 use sloth_sql::{Footprint, TableAccess};
 
-use crate::analysis::{Analysis, EffectWalk};
+use crate::analysis::{delayed_names, Analysis, EffectWalk, Name};
 use crate::ast::*;
-use crate::builtins::{Builtin, HeapFn, QueryFn, ReadFn, WriteFn, ASSOC_ROWS, ROW_GUARD};
+use crate::builtins::{Builtin, Db, HeapFn, QueryFn, ReadFn, ASSOC_ROWS, ROW_GUARD};
 use crate::opt::count_occurrences as count_mentions;
-
-const QUERY: Builtin = Builtin::Query(QueryFn::Query);
-const EXEC: Builtin = Builtin::WriteQuery(WriteFn::Exec);
-const ORM_ASSOC: Builtin = Builtin::Query(QueryFn::OrmAssoc);
-const LEN: Builtin = Builtin::EagerRead(ReadFn::Len);
-const AT: Builtin = Builtin::EagerRead(ReadFn::At);
-const PUSH: Builtin = Builtin::HeapWrite(HeapFn::Push);
-
-/// Whether the callee `f` is the builtin `b`.
-fn is(f: &str, b: Builtin) -> bool {
-    Builtin::from_name(f) == Some(b)
-}
 
 /// Guard hoisting over one program, reading its effect summary.
 pub(crate) struct GuardHoist<'p> {
@@ -156,7 +145,7 @@ impl<'p> GuardHoist<'p> {
     /// qualifying reads of its `if`s moved above them (see the module
     /// documentation); `None` when nothing changes.
     pub(crate) fn function(&self, f: &Function) -> Option<Function> {
-        let lowered = each_row_loops(f, self.schema);
+        let lowered = each_row_loops(f, self.schema, &self.walk());
         if f.name != "main" {
             return lowered;
         }
@@ -168,7 +157,7 @@ impl<'p> GuardHoist<'p> {
         }
         let mut h = Hoister {
             hoist: self,
-            plain: plain_values(f),
+            delayed: delayed_names(&f.body),
             mentions,
             next_temp: 0,
         };
@@ -190,53 +179,6 @@ fn assigned_names(s: &Stmt) -> Vec<String> {
     out
 }
 
-/// The names of `f` that always hold a plain value: its parameters (what
-/// the request passes `main`) and variables every binding of which is a
-/// literal, or a variable or arithmetic over such — forcing one never
-/// ships a batch. No call counts: `len` / `nrows` of a read nobody has
-/// fetched is a delayed read, whose force ships the batch.
-fn plain_values(f: &Function) -> HashSet<String> {
-    fn bindings<'a>(stmts: &'a [Stmt], out: &mut Vec<(&'a str, &'a Expr)>) {
-        for s in stmts {
-            match s {
-                Stmt::Let(name, e) | Stmt::Assign(LValue::Var(name), e) => out.push((name, e)),
-                Stmt::If(_, t, e) => {
-                    bindings(t, out);
-                    bindings(e, out);
-                }
-                Stmt::While(_, b) | Stmt::DeferBlock { body: b, .. } => bindings(b, out),
-                _ => {}
-            }
-        }
-    }
-    fn plain(e: &Expr, names: &HashSet<String>) -> bool {
-        match e {
-            Expr::Lit(_) => true,
-            Expr::Var(v) => names.contains(v),
-            Expr::Binary(_, a, b) => plain(a, names) && plain(b, names),
-            Expr::Unary(_, a) => plain(a, names),
-            _ => false,
-        }
-    }
-    let mut all = Vec::new();
-    bindings(&f.body, &mut all);
-    let mut names: HashSet<String> = f.params.iter().cloned().collect();
-    names.extend(all.iter().map(|(n, _)| n.to_string()));
-    loop {
-        let unplain: Vec<&str> = all
-            .iter()
-            .filter(|(n, e)| names.contains(*n) && !plain(e, &names))
-            .map(|(n, _)| *n)
-            .collect();
-        if unplain.is_empty() {
-            return names;
-        }
-        for n in unplain {
-            names.remove(n);
-        }
-    }
-}
-
 fn table_read(table: &str) -> Footprint {
     Footprint {
         reads: vec![TableAccess {
@@ -255,14 +197,8 @@ struct Owner {
     entity: String,
     /// Whether it is a list read.
     list: bool,
-    /// Fields the arm may have written since (`None`: any field).
-    written: Option<HashSet<String>>,
-}
-
-impl Owner {
-    fn may_have_written(&self, field: &str) -> bool {
-        self.written.as_ref().is_none_or(|w| w.contains(field))
-    }
+    /// Its statement's position in the arm.
+    at: usize,
 }
 
 /// What an arm scan knows at one statement.
@@ -295,7 +231,9 @@ impl Head<'_> {
     }
 
     /// Whether evaluating `e` lazily registers nothing, forces nothing and
-    /// cannot fail: it builds a thunk, or reads a name already bound.
+    /// cannot fail: it builds a thunk, or reads a name already bound. A
+    /// call must be one [`Builtin::sig`] says waits whole: a pure builtin,
+    /// or a delayed read of the guard's rows or of the head's own results.
     fn lazy_safe(&self, e: &Expr) -> bool {
         match e {
             Expr::Lit(_) => true,
@@ -303,38 +241,36 @@ impl Head<'_> {
             Expr::Binary(BinOp::And | BinOp::Or, ..) => false,
             Expr::Binary(_, a, b) => self.lazy_safe(a) && self.lazy_safe(b),
             Expr::Unary(_, a) => self.lazy_safe(a),
-            Expr::Call(f, args) => {
-                let read_of_rows = || match args.first() {
+            Expr::Call(_, args) => {
+                let Some(sig) = call(e).map(|(b, _)| b.sig()) else {
+                    return false;
+                };
+                let of_rows = match args.first() {
                     Some(Expr::Var(r)) => r == self.rows || self.results.contains(r),
                     _ => false,
                 };
-                let reads = matches!(
-                    Builtin::from_name(f),
-                    Some(Builtin::EagerRead(
-                        ReadFn::Len | ReadFn::Cell | ReadFn::At | ReadFn::First
-                    ))
-                );
-                let pure = matches!(Builtin::from_name(f), Some(Builtin::Pure(_)));
-                (pure || reads && read_of_rows()) && args.iter().all(|a| self.lazy_safe(a))
+                (sig.effect.pure() || sig.delayed_read() && of_rows)
+                    && args.iter().all(|a| self.lazy_safe(a))
             }
             _ => false,
         }
     }
 
-    /// Whether `e` is `query(text)` or `exec(text)` over a lazy-safe
-    /// `text`: what registers under the guard when its text is pending on
-    /// the guard's row.
-    fn statement(&self, e: &Expr) -> bool {
-        matches!(e, Expr::Call(f, args)
-            if matches!(Builtin::from_name(f), Some(QUERY | EXEC))
-                && matches!(&args[..], [text] if self.lazy_safe(text)))
+    /// What the database sees of `e` if it is `query(text)` or
+    /// `exec(text)` over a lazy-safe `text`: what registers under the
+    /// guard when its text is pending on the guard's row.
+    fn statement(&self, e: &Expr) -> Option<Db> {
+        let (b, args) = call(e)?;
+        let db = b.sig().effect.db;
+        let lazy_safe = matches!(args, [text] if self.lazy_safe(text));
+        (matches!(db, Db::Text | Db::WriteText) && lazy_safe).then_some(db)
     }
 
     /// Takes the binding `name = e` into the head: `Some(true)` when it is
     /// a query, `Some(false)` when it registers nothing, `None` when it
     /// ends the head.
     fn binding(&mut self, name: &str, e: &Expr) -> Option<bool> {
-        let query = matches!(e, Expr::Call(f, _) if is(f, QUERY)) && self.statement(e);
+        let query = self.statement(e) == Some(Db::Text);
         if !query && !self.lazy_safe(e) {
             return None;
         }
@@ -347,9 +283,9 @@ impl Head<'_> {
 
     /// Takes the statement `e;` into the head, as [`Head::binding`] does.
     fn effect(&self, e: &Expr) -> Option<bool> {
-        match e {
-            _ if self.statement(e) => Some(true),
-            Expr::Call(f, args) if matches!(Builtin::from_name(f), Some(Builtin::External)) => {
+        match call(e) {
+            _ if self.statement(e).is_some() => Some(true),
+            Some((b, args)) if b.sig().effect.output => {
                 args.iter().all(|a| self.lazy_safe(a)).then_some(false)
             }
             _ => None,
@@ -373,16 +309,15 @@ fn guarded_rows(c: &Expr, before: &[Stmt]) -> Option<String> {
     let (Expr::Binary(BinOp::Gt, count, zero), at) = value(c, before, before.len())? else {
         return None;
     };
-    let (Expr::Call(f, args), at) = value(count, before, at)? else {
+    let (count, at) = value(count, before, at)?;
+    let (Some((Builtin::EagerRead(ReadFn::Len), [Expr::Var(rows)])), Expr::Lit(Lit::Int(0))) =
+        (call(count), &**zero)
+    else {
         return None;
     };
-    let (true, Expr::Lit(Lit::Int(0)), [Expr::Var(rows)]) = (is(f, LEN), &**zero, &args[..]) else {
-        return None;
-    };
-    let (Expr::Call(query, _), bound_at) = binding(rows, before)? else {
-        return None;
-    };
-    (is(query, QUERY) && bound_at < at).then(|| rows.clone())
+    let (query, bound_at) = binding(rows, before)?;
+    let raw = call(query).is_some_and(|(b, _)| b.sig().effect.db == Db::Text);
+    (raw && bound_at < at).then(|| rows.clone())
 }
 
 /// The expression `name` was last bound to at the top level of `before`,
@@ -399,25 +334,17 @@ fn binding<'a>(name: &str, before: &'a [Stmt]) -> Option<(&'a Expr, usize)> {
     None
 }
 
-/// Whether `s` mentions `list` other than as `let t = len(list)`.
-fn mentions_beyond_len(s: &Stmt, list: &str) -> bool {
-    match s {
-        Stmt::Let(_, Expr::Call(f, args))
-            if is(f, LEN) && matches!(&args[..], [Expr::Var(v)] if v == list) =>
-        {
-            false
-        }
-        s => {
-            let mut mentions = HashMap::new();
-            count_mentions(std::slice::from_ref(s), &mut mentions);
-            mentions.contains_key(list)
-        }
+/// `e` as a call of a builtin, with its arguments.
+fn call(e: &Expr) -> Option<(Builtin, &[Expr])> {
+    match e {
+        Expr::Call(f, args) => Some((Builtin::from_name(f)?, args)),
+        _ => None,
     }
 }
 
 /// `f` with every 1+N association loop of its body lowered to one
 /// each-row read (see the module documentation); `None` when it has none.
-fn each_row_loops(f: &Function, schema: &Schema) -> Option<Function> {
+fn each_row_loops(f: &Function, schema: &Schema, walk: &EffectWalk) -> Option<Function> {
     if !has_assoc_loop(&f.body) {
         return None;
     }
@@ -427,7 +354,7 @@ fn each_row_loops(f: &Function, schema: &Schema) -> Option<Function> {
         *mentions.entry(param.clone()).or_insert(0) += 1;
     }
     let mut changed = false;
-    let body = lower_loops(&f.body, schema, &mentions, &mut changed);
+    let body = lower_loops(&f.body, schema, walk, &mentions, &mut changed);
     changed.then(|| Function {
         name: f.name.clone(),
         params: f.params.clone(),
@@ -442,7 +369,8 @@ fn has_assoc_loop(stmts: &[Stmt]) -> bool {
         Stmt::If(_, t, e) => has_assoc_loop(t) || has_assoc_loop(e),
         Stmt::While(_, b) => {
             let assoc = matches!(b.last(), Some(Stmt::If(_, body, _))
-                if matches!(body.get(1), Some(Stmt::Let(_, Expr::Call(f, _))) if is(f, ORM_ASSOC)));
+                if matches!(body.get(1), Some(Stmt::Let(_, e))
+                    if matches!(call(e), Some((Builtin::Query(QueryFn::OrmAssoc), _)))));
             assoc || has_assoc_loop(b)
         }
         _ => false,
@@ -454,24 +382,22 @@ fn has_assoc_loop(stmts: &[Stmt]) -> bool {
 fn lower_loops(
     stmts: &[Stmt],
     schema: &Schema,
+    walk: &EffectWalk,
     mentions: &HashMap<String, usize>,
     changed: &mut bool,
 ) -> Vec<Stmt> {
+    let lower = |b: &[Stmt], changed: &mut bool| lower_loops(b, schema, walk, mentions, changed);
     let mut out: Vec<Stmt> = stmts
         .iter()
         .map(|s| match s {
-            Stmt::If(c, t, e) => Stmt::If(
-                c.clone(),
-                lower_loops(t, schema, mentions, changed),
-                lower_loops(e, schema, mentions, changed),
-            ),
-            Stmt::While(c, b) => Stmt::While(c.clone(), lower_loops(b, schema, mentions, changed)),
+            Stmt::If(c, t, e) => Stmt::If(c.clone(), lower(t, changed), lower(e, changed)),
+            Stmt::While(c, b) => Stmt::While(c.clone(), lower(b, changed)),
             s => s.clone(),
         })
         .collect();
     let mut i = 0;
     while i < out.len() {
-        if let Some((inits, read)) = assoc_loop(&out, i, schema, mentions) {
+        if let Some((inits, read)) = assoc_loop(&out, i, schema, walk, mentions) {
             out[i] = read;
             for at in inits {
                 out.remove(at);
@@ -501,6 +427,7 @@ fn assoc_loop(
     stmts: &[Stmt],
     i: usize,
     schema: &Schema,
+    walk: &EffectWalk,
     mentions: &HashMap<String, usize>,
 ) -> Option<([usize; 2], Stmt)> {
     let Stmt::While(Expr::Lit(Lit::Bool(true)), inner) = &stmts[i] else {
@@ -531,9 +458,13 @@ fn assoc_loop(
         Box::new(Expr::Var(k.clone())),
         Box::new(Expr::Lit(Lit::Int(1))),
     );
-    let shape = is(at, AT)
-        && is(assoc, ORM_ASSOC)
-        && is(push, PUSH)
+    let calls = [at, assoc, push].map(|f| Builtin::from_name(f));
+    let shape = calls
+        == [
+            Some(Builtin::EagerRead(ReadFn::At)),
+            Some(Builtin::Query(QueryFn::OrmAssoc)),
+            Some(Builtin::HeapWrite(HeapFn::Push)),
+        ]
         && (at_k, step, owner, pushed) == (k, k, el, v)
         && *next == one;
     if !shape {
@@ -541,15 +472,12 @@ fn assoc_loop(
     }
     // The bound is `len(base)`, read in the loop or bound before it, and
     // `base` an ORM list read of this block, not bound again since. A
-    // bound read before the loop also has nothing mention `base` in
+    // bound read before the loop also has nothing touch `base` in
     // between: a `push` or `clear` there would make the loop's count
     // differ from the list's.
     let before = &stmts[..i];
-    let len_of = |e: &Expr| match e {
-        Expr::Call(f, args) if is(f, LEN) => match &args[..] {
-            [Expr::Var(r)] => Some(r.clone()),
-            _ => None,
-        },
+    let len_of = |e: &Expr| match call(e) {
+        Some((Builtin::EagerRead(ReadFn::Len), [Expr::Var(r)])) => Some(r.clone()),
         _ => None,
     };
     let (base_read, base_at) = binding(base, before)?;
@@ -557,19 +485,20 @@ fn assoc_loop(
     match temps {
         [] => {
             let (len, len_at) = binding(bound, before)?;
-            let mut gap = HashMap::new();
-            count_mentions(&stmts[len_at + 1..i], &mut gap);
-            (len_of(len)? == *base && base_at < len_at && !gap.contains_key(base)).then_some(())?;
+            let gap = &stmts[len_at + 1..i];
+            let untouched = !walk.touches(gap, Name::Var(base));
+            (len_of(len)? == *base && base_at < len_at && untouched).then_some(())?;
         }
         [Stmt::Let(t, len)] if t == bound && len_of(len).as_ref() == Some(base) => {
             local.push(t.clone())
         }
         _ => return None,
     }
-    let Expr::Call(f, args) = base_read else {
-        return None;
-    };
-    let Some(Expr::Lit(Lit::Str(entity))) = args.first() else {
+    let Some((
+        Builtin::Query(QueryFn::OrmFindWhere | QueryFn::OrmFindAll),
+        [Expr::Lit(Lit::Str(entity)), ..],
+    )) = call(base_read)
+    else {
         return None;
     };
     let def = schema.entity(entity)?;
@@ -580,11 +509,7 @@ fn assoc_loop(
             has(&schema.entity(&def.assoc(a)?.target)?.columns, fk_column)
         }
     };
-    let list_read = matches!(
-        Builtin::from_name(f),
-        Some(Builtin::Query(QueryFn::OrmFindWhere | QueryFn::OrmFindAll))
-    );
-    if !list_read || !resolves {
+    if !resolves {
         return None;
     }
     // `acc` is a fresh `[]` nothing reads until the loop, and `k` a `0`
@@ -626,8 +551,9 @@ fn assoc_loop(
 /// Rewrites one function's `if`s.
 struct Hoister<'h, 'p> {
     hoist: &'h GuardHoist<'p>,
-    /// See [`plain_values`].
-    plain: HashSet<String>,
+    /// The names `main` may bind to a delayed value, which no key may be
+    /// (see [`delayed_names`]).
+    delayed: HashSet<String>,
     /// How often each name of the function is mentioned (parameters
     /// count once), fresh bindings included.
     mentions: HashMap<String, usize>,
@@ -721,70 +647,54 @@ impl Hoister<'_, '_> {
             owners: HashMap::new(),
         };
         let mut kept = Vec::with_capacity(arm.len());
-        let mut rest = arm.into_iter();
-        for s in rest.by_ref() {
-            let fx = walk.of(std::slice::from_ref(&s));
-            if fx.writes.has_writes() {
-                kept.push(s);
+        for (j, s) in arm.iter().enumerate() {
+            if walk.of(std::slice::from_ref(s)).writes.has_writes() {
+                kept.extend_from_slice(&arm[j..]);
                 break;
             }
-            for owner in scan.owners.values_mut() {
-                if fx.any_field {
-                    owner.written = None;
-                } else if let Some(w) = &mut owner.written {
-                    w.extend(fx.fields.iter().cloned());
-                }
-            }
-            count_mentions(std::slice::from_ref(&s), &mut mentioned);
-            let names = assigned_names(&s);
+            count_mentions(std::slice::from_ref(s), &mut mentioned);
+            let names = assigned_names(s);
             for name in &names {
                 scan.owners.remove(name);
             }
             // A `let` moves whole when its name is the arm's own; a field
             // or element store gets a fresh binding to store.
-            let moved = match &s {
+            let seen = &arm[..=j];
+            let moved = match s {
                 Stmt::Let(name, Expr::Call(f, args)) if self.own(name, &inside, &mentioned) => {
-                    self.movable(f, args, &scan)
+                    self.movable(f, args, &scan, seen, &walk)
                 }
                 Stmt::Assign(LValue::Field(..) | LValue::Index(..), Expr::Call(f, args)) => {
-                    self.movable(f, args, &scan)
+                    self.movable(f, args, &scan, seen, &walk)
                 }
                 _ => None,
             };
             scan.assigned.extend(names);
             let Some(owner_of) = moved else {
-                // A `push`, a `clear`, an element store or an alias changes
-                // a list without writing a field: an each-row read hangs
-                // off a moved list only while nothing but its length has
-                // been read.
-                scan.owners
-                    .retain(|name, o| !o.list || !mentions_beyond_len(&s, name));
-                kept.push(s);
+                kept.push(s.clone());
                 continue;
             };
             match s {
                 Stmt::Let(name, call) => {
                     if let Some((entity, list)) = owner_of {
-                        let written = Some(HashSet::new());
                         let owner = Owner {
                             entity,
                             list,
-                            written,
+                            at: j,
                         };
                         scan.owners.insert(name.clone(), owner);
                     }
-                    before.push(Stmt::Let(name, call));
+                    before.push(Stmt::Let(name.clone(), call.clone()));
                 }
                 Stmt::Assign(lv, call) => {
                     let temp = self.fresh();
-                    before.push(Stmt::Let(temp.clone(), call));
-                    kept.push(Stmt::Assign(lv, Expr::Var(temp)));
+                    before.push(Stmt::Let(temp.clone(), call.clone()));
+                    kept.push(Stmt::Assign(lv.clone(), Expr::Var(temp)));
                 }
                 // Only bindings and stores are movable.
-                other => kept.push(other),
+                other => kept.push(other.clone()),
             }
         }
-        kept.extend(rest);
         kept
     }
 
@@ -836,12 +746,19 @@ impl Hoister<'_, '_> {
     /// Whether the read `f(args)` may move above the `if`: `Some` with the
     /// entity of its rows, and whether it is a list, when an association
     /// may then hang off it.
-    fn movable(&self, f: &str, args: &[Expr], scan: &Scan) -> Option<Option<(String, bool)>> {
+    fn movable(
+        &self,
+        f: &str,
+        args: &[Expr],
+        scan: &Scan,
+        seen: &[Stmt],
+        walk: &EffectWalk,
+    ) -> Option<Option<(String, bool)>> {
         let schema = self.hoist.schema;
         let key_ok = |key: &Expr| match key {
             Expr::Lit(_) => true,
             Expr::Var(v) => {
-                scan.bound.contains(v) && !scan.assigned.contains(v) && self.plain.contains(v)
+                scan.bound.contains(v) && !scan.assigned.contains(v) && !self.delayed.contains(v)
             }
             _ => false,
         };
@@ -877,7 +794,8 @@ impl Hoister<'_, '_> {
                 let target = schema.entity(&a.target)?;
                 // The owner's field the association is keyed by: a write
                 // to it, or to the association's memo, since the owner was
-                // read would change what the association returns.
+                // read would change what the association returns — and so
+                // would a list's change, or its alias.
                 let (key, one_row) = match &a.kind {
                     AssocKind::ManyToOne { fk_column } => (fk_column, true),
                     AssocKind::OneToMany { fk_column } => {
@@ -885,7 +803,14 @@ impl Hoister<'_, '_> {
                     }
                 };
                 let memo = format!("__assoc_{assoc}");
-                if !has(&def.columns, key) || o.may_have_written(key) || o.may_have_written(&memo) {
+                let since = &seen[o.at + 1..];
+                let touched = |n| walk.touches(since, n);
+                let list = o.list && walk.touches(&since[..since.len() - 1], Name::Var(owner));
+                if !has(&def.columns, key)
+                    || touched(Name::Field(key))
+                    || touched(Name::Field(&memo))
+                    || list
+                {
                     return None;
                 }
                 let row_of = (one_row && !each_row).then(|| (target.name.clone(), false));

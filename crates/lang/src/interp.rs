@@ -33,14 +33,17 @@ use sloth_sql::{Bound, Hole, ResultSet, SqlError, Stmt, Value as SqlValue};
 
 use crate::analysis::{analyze, lead_words};
 use crate::ast::{BinOp, Lit, Program, UnOp};
-use crate::builtins::{Builtin, HeapFn, PureFn, QueryFn, ReadFn, WriteFn};
+use crate::builtins::{Arg, Builtin, Db, HeapFn, PureFn, QueryFn, ReadFn, WriteFn};
 use crate::opt::OptFlags;
 use crate::resolve::{resolve, Callee, GuardedIf, RExpr, RStmt, Resolved, Slot};
 use crate::runtime::{
     row_to_entity, rs_to_entities, AssocRead, Counters, DataLayer, RunError, RunResult,
 };
 use crate::simplify::simplify_program;
-use crate::value::{BlockDriver, Deser, EachRow, LazyState, LazyVal, Pending, V};
+use crate::value::{
+    binop, cell_of, compare, int, int_binop, lit_to_v, scalar_text, unop, BlockDriver, Deser,
+    EachRow, LazyState, LazyVal, Pending, V,
+};
 
 /// How to execute a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -613,34 +616,14 @@ impl<'p> Interp<'p> {
             vals.push(self.eval(a, frame, lazy)?);
         }
         match callee {
-            Callee::Builtin(Builtin::Pure(func)) => {
-                if lazy {
-                    Ok(self.alloc_thunk(Pending::Builtin {
-                        func: *func,
-                        args: vals,
-                    }))
-                } else {
-                    self.pure_builtin(*func, vals)
-                }
+            // A pure builtin is deferred whole (§3.4).
+            Callee::Builtin(Builtin::Pure(func)) if lazy => {
+                Ok(self.alloc_thunk(Pending::Builtin {
+                    func: *func,
+                    args: vals,
+                }))
             }
-            Callee::Builtin(Builtin::EagerRead(func)) => {
-                // A read of a result set nobody has fetched waits for its
-                // demand: nothing can write the rows it reads.
-                match lazy.then(|| self.unfetched_rows(*func, &vals)).flatten() {
-                    Some(rows) => {
-                        vals[0] = rows;
-                        Ok(self.alloc_thunk(Pending::ResultRead {
-                            func: *func,
-                            args: vals,
-                        }))
-                    }
-                    None => self.eager_read_builtin(*func, vals),
-                }
-            }
-            Callee::Builtin(Builtin::HeapWrite(func)) => self.heap_write_builtin(*func, vals),
-            Callee::Builtin(Builtin::External) => self.external_builtin(vals),
-            Callee::Builtin(Builtin::Query(func)) => self.query_builtin(*func, vals, lazy),
-            Callee::Builtin(Builtin::WriteQuery(func)) => self.write_query_builtin(*func, vals),
+            Callee::Builtin(b) => self.builtin(*b, vals, lazy),
             Callee::User(func) => {
                 if lazy && self.page.fns[*func as usize].pure {
                     // Internal pure call: defer the whole call (§3.4).
@@ -653,6 +636,52 @@ impl<'p> Interp<'p> {
                 }
             }
             Callee::Unknown(name) => Err(RunError::new(format!("unknown function {name}"))),
+        }
+    }
+
+    /// Calls `b` on `vals`, each forced, in argument order, as
+    /// [`Builtin::sig`] says. An argument used unfetched stays as it is
+    /// for the body — which forces it with [`Interp::force_arg`] if it
+    /// cannot register a dependant of it — unless the call is a delayed
+    /// read: that waits whole for its demand, over a result set nobody has
+    /// fetched, since nothing can write the rows it reads.
+    fn builtin(&mut self, b: Builtin, mut vals: Vec<V>, lazy: bool) -> Result<V, RunError> {
+        let sig = b.sig();
+        for i in 0..vals.len() {
+            let why = match sig.arg(i) {
+                Arg::Keep => continue,
+                Arg::Force(why) => why,
+                Arg::Unfetched(why) if !lazy || !matches!(vals[i], V::Thunk(_)) => why,
+                Arg::Unfetched(_) if sig.effect.db != Db::None => continue,
+                Arg::Unfetched(why) => {
+                    if let (true, Builtin::EagerRead(func)) = (sig.delayed_read(), b) {
+                        if let Some(rows) = self.unfetched_rows(func, &vals[i]) {
+                            vals[i] = rows;
+                            let read = Pending::ResultRead { func, args: vals };
+                            return Ok(self.alloc_thunk(read));
+                        }
+                    }
+                    why
+                }
+            };
+            vals[i] = self.force_for(std::mem::replace(&mut vals[i], V::Null), why)?;
+        }
+        match b {
+            Builtin::Pure(func) => self.pure_builtin(func, vals),
+            Builtin::EagerRead(func) => self.eager_read_builtin(func, vals),
+            Builtin::HeapWrite(func) => self.heap_write_builtin(func, vals),
+            Builtin::External => self.external_builtin(vals),
+            Builtin::Query(func) => self.query_builtin(func, vals, lazy),
+            Builtin::WriteQuery(func) => self.write_query_builtin(func, vals),
+        }
+    }
+
+    /// Argument `i` of `b`, forced as [`Builtin::sig`] says: how a body
+    /// forces an argument it could not use unfetched.
+    fn force_arg(&mut self, b: Builtin, i: usize, v: V) -> Result<V, RunError> {
+        match b.sig().arg(i) {
+            Arg::Keep => Ok(v),
+            Arg::Force(why) | Arg::Unfetched(why) => self.force_for(v, why),
         }
     }
 
@@ -784,10 +813,16 @@ impl<'p> Interp<'p> {
                 // The query ships for whoever demanded the read, not as an
                 // eager argument; the read itself is the eager code.
                 args[0] = self.force(std::mem::replace(&mut args[0], V::Null))?;
-                self.eager_read_builtin(func, args)
+                self.builtin(Builtin::EagerRead(func), args, false)
             }
             Pending::Call { func, args } => self.call_function(func, args, true),
-            Pending::Builtin { func, args } => self.pure_builtin(func, args),
+            Pending::Builtin { func, args } => {
+                let mut forced = Vec::with_capacity(args.len());
+                for a in args {
+                    forced.push(self.force(a)?);
+                }
+                self.pure_builtin(func, forced)
+            }
             Pending::Failed(e) => Err(e),
             Pending::Block { driver, output } => {
                 if driver.results.borrow().is_none() {
@@ -860,11 +895,7 @@ impl<'p> Interp<'p> {
     // Builtins
     // ------------------------------------------------------------------
 
-    fn pure_builtin(&mut self, func: PureFn, args: Vec<V>) -> Result<V, RunError> {
-        let mut forced = Vec::with_capacity(args.len());
-        for a in args {
-            forced.push(self.force(a)?);
-        }
+    fn pure_builtin(&mut self, func: PureFn, forced: Vec<V>) -> Result<V, RunError> {
         let arg = |i: usize| -> &V { forced.get(i).unwrap_or(&V::Null) };
         Ok(match func {
             PureFn::Str => V::str(self.display(arg(0))?),
@@ -929,7 +960,7 @@ impl<'p> Interp<'p> {
     }
 
     fn eager_read_builtin(&mut self, func: ReadFn, mut args: Vec<V>) -> Result<V, RunError> {
-        let recv = self.force_for(args.remove(0), Demand::EagerArg)?;
+        let recv = args.remove(0);
         match func {
             ReadFn::Len => match &recv {
                 V::List(xs) => Ok(V::Int(xs.borrow().len() as i64)),
@@ -941,10 +972,7 @@ impl<'p> Interp<'p> {
                 V::Null => Ok(V::Int(0)),
                 other => Err(RunError::new(format!("len of {other:?}"))),
             },
-            ReadFn::At => {
-                let i = self.force_for(args.remove(0), Demand::EagerArg)?;
-                self.read_index(&recv, &i)
-            }
+            ReadFn::At => self.read_index(&recv, &args[0]),
             ReadFn::First => match &recv {
                 V::List(xs) => Ok(xs.borrow().first().cloned().unwrap_or(V::Null)),
                 V::Rs(rs) => {
@@ -961,22 +989,16 @@ impl<'p> Interp<'p> {
                 V::Null => Ok(V::Null),
                 other => Err(RunError::new(format!("first of {other:?}"))),
             },
-            ReadFn::Cell => {
-                let i = self.force_for(args.remove(0), Demand::EagerArg)?;
-                let col = self.force_for(args.remove(0), Demand::EagerArg)?;
-                match (&recv, &i, &col) {
-                    (V::Rs(rs), V::Int(i), V::Str(c)) => cell_of(rs, *i, c),
-                    _ => Err(RunError::new("cell(rs, row, col) expected")),
-                }
-            }
+            ReadFn::Cell => match (&recv, &args[0], &args[1]) {
+                (V::Rs(rs), V::Int(i), V::Str(c)) => cell_of(rs, *i, c),
+                _ => Err(RunError::new("cell(rs, row, col) expected")),
+            },
             ReadFn::ObjGet => {
-                let field = self.force_for(args.remove(0), Demand::EagerArg)?;
-                let field = self.display(&field)?;
+                let field = self.display(&args[0])?;
                 self.read_field(&recv, &field)
             }
             ReadFn::HasField => {
-                let field = self.force_for(args.remove(0), Demand::EagerArg)?;
-                let field = self.display(&field)?;
+                let field = self.display(&args[0])?;
                 match recv {
                     V::Obj(o) => Ok(V::Bool(o.borrow().contains_key(&field))),
                     _ => Ok(V::Bool(false)),
@@ -986,7 +1008,7 @@ impl<'p> Interp<'p> {
     }
 
     fn heap_write_builtin(&mut self, func: HeapFn, mut args: Vec<V>) -> Result<V, RunError> {
-        let recv = self.force_for(args.remove(0), Demand::EagerArg)?;
+        let recv = args.remove(0);
         match func {
             HeapFn::Push => match recv {
                 V::List(xs) => {
@@ -996,8 +1018,7 @@ impl<'p> Interp<'p> {
                 other => Err(RunError::new(format!("push to {other:?}"))),
             },
             HeapFn::ObjPut => {
-                let field = self.force_for(args.remove(0), Demand::EagerArg)?;
-                let field = self.display(&field)?;
+                let field = self.display(&args.remove(0))?;
                 match recv {
                     V::Obj(o) => {
                         o.borrow_mut().insert(field, args.remove(0));
@@ -1054,57 +1075,46 @@ impl<'p> Interp<'p> {
         // and association definitions are read in place while `self`
         // forces and registers.
         let schema = Arc::clone(&self.data.schema);
+        let b = Builtin::Query(func);
         match func {
             QueryFn::Query => {
                 let text = match self.register_text(args.remove(0), false, None)? {
                     ControlFlow::Break(v) => return Ok(v),
                     ControlFlow::Continue(text) => text,
                 };
-                let sql = self.force_for(text, Demand::QueryParam)?;
+                let sql = self.force_arg(b, 0, text)?;
                 let sql = self.display(&sql)?;
                 self.read(&sql, Deser::Raw, lazy)
             }
             QueryFn::OrmFind => {
-                let entity = self.string_arg(args.remove(0))?;
+                let entity = string(args.remove(0))?;
                 let id = args.remove(0);
                 let def = entity_def(&schema, &entity)?;
                 let read = KeyedRead::by_pk(def);
-                if lazy {
-                    self.keyed_read(&read, id, Deser::EntityOpt(entity), lazy)
-                } else {
-                    let id = self.force_for(id, Demand::QueryParam)?;
-                    let rs = self.data.read_now(&read.sql(&id.to_sql()))?;
-                    if rs.is_empty() {
-                        return Ok(V::Null);
-                    }
-                    let e = row_to_entity(&entity, &rs, 0);
+                let e = self.keyed_read(&read, id, Deser::EntityOpt(entity), lazy)?;
+                if let (false, V::Obj(_)) = (lazy, &e) {
                     self.std_prefetch_eager(def, &e)?;
-                    Ok(e)
                 }
+                Ok(e)
             }
             QueryFn::OrmAssoc => {
-                let mut owner = args.remove(0);
+                let owner = args.remove(0);
+                let assoc = string(args.remove(0))?;
                 // An owner nobody has fetched yet stays unfetched: the
                 // association is keyed by a column of its row.
-                let entity = match lazy.then(|| unfetched(&owner)).flatten() {
-                    Some((id, Deser::EntityOpt(entity))) => Some((id, entity)),
-                    _ => None,
-                };
-                if entity.is_none() {
-                    owner = self.force_for(owner, Demand::QueryParam)?;
-                }
-                let assoc = self.string_arg(args.remove(0))?;
-                if let Some((id, entity)) = entity {
+                if let Some((id, Deser::EntityOpt(entity))) =
+                    lazy.then(|| unfetched(&owner)).flatten()
+                {
                     if let Some(v) = self.assoc_of_unfetched(&owner, id, &entity, &assoc)? {
                         return Ok(v);
                     }
-                    owner = self.force_for(owner, Demand::QueryParam)?;
                 }
+                let owner = self.force_arg(b, 0, owner)?;
                 self.orm_assoc(owner, &assoc, lazy)
             }
             QueryFn::OrmAssocRows => {
                 let base = args.remove(0);
-                let assoc = self.string_arg(args.remove(0))?;
+                let assoc = string(args.remove(0))?;
                 if lazy {
                     if let Some(v) = self.assoc_rows_of_unfetched(&base, &assoc)? {
                         return Ok(v);
@@ -1112,7 +1122,7 @@ impl<'p> Interp<'p> {
                 }
                 // The loop it stands for: `orm_assoc` of every element, in
                 // order, pushed to a fresh list.
-                let base = self.force_for(base, Demand::EagerArg)?;
+                let base = self.force_arg(b, 0, base)?;
                 let mut values = Vec::new();
                 let mut k = 0;
                 while matches!(
@@ -1120,96 +1130,76 @@ impl<'p> Interp<'p> {
                     V::Int(n) if k < n
                 ) {
                     let el = self.read_index(&base, &V::Int(k))?;
-                    let assoc = V::Str(Rc::clone(&assoc));
-                    values.push(self.query_builtin(QueryFn::OrmAssoc, vec![el, assoc], lazy)?);
+                    let args = vec![el, V::Str(Rc::clone(&assoc))];
+                    values.push(self.builtin(Builtin::Query(QueryFn::OrmAssoc), args, lazy)?);
                     k += 1;
                 }
                 Ok(V::list(values))
             }
-            QueryFn::OrmFindWhere => {
-                let entity = self.string_arg(args.remove(0))?;
-                let col = self.string_arg(args.remove(0))?;
+            QueryFn::OrmFindWhere | QueryFn::OrmCountWhere => {
+                let entity = string(args.remove(0))?;
+                let col = string(args.remove(0))?;
                 let v = args.remove(0);
                 let def = entity_def(&schema, &entity)?;
-                let read = KeyedRead::where_eq(def, &col);
-                self.keyed_read(&read, v, Deser::EntityList(entity), lazy)
+                let (read, deser) = match func {
+                    QueryFn::OrmFindWhere => {
+                        (KeyedRead::where_eq(def, &col), Deser::EntityList(entity))
+                    }
+                    _ => (KeyedRead::count_where_eq(def, &col), Deser::Scalar),
+                };
+                self.keyed_read(&read, v, deser, lazy)
             }
             QueryFn::OrmFindAll => {
-                let entity = self.string_arg(args.remove(0))?;
+                let entity = string(args.remove(0))?;
                 let def = entity_def(&schema, &entity)?;
                 let sql = sqlgen::select_all(def);
                 self.read(&sql, Deser::EntityList(entity), lazy)
-            }
-            QueryFn::OrmCountWhere => {
-                let entity = self.string_arg(args.remove(0))?;
-                let col = self.string_arg(args.remove(0))?;
-                let v = args.remove(0);
-                let def = entity_def(&schema, &entity)?;
-                let read = KeyedRead::count_where_eq(def, &col);
-                self.keyed_read(&read, v, Deser::Scalar, lazy)
             }
         }
     }
 
     fn write_query_builtin(&mut self, func: WriteFn, mut args: Vec<V>) -> Result<V, RunError> {
         let schema = Arc::clone(&self.data.schema);
+        let b = Builtin::WriteQuery(func);
         let sql = match func {
             WriteFn::Exec => {
                 let text = match self.register_text(args.remove(0), true, None)? {
                     ControlFlow::Break(v) => return Ok(v),
                     ControlFlow::Continue(text) => text,
                 };
-                let s = self.force_for(text, Demand::QueryParam)?;
+                let s = self.force_arg(b, 0, text)?;
                 self.display(&s)?
             }
             WriteFn::Commit => "COMMIT".to_string(),
             WriteFn::Begin => "BEGIN".to_string(),
             WriteFn::Rollback => "ROLLBACK".to_string(),
             WriteFn::OrmSave => {
-                let entity = self.string_arg(args.remove(0))?;
-                let vals = self.force_for(args.remove(0), Demand::QueryParam)?;
+                let entity = string(args.remove(0))?;
                 let def = entity_def(&schema, &entity)?;
-                let V::List(xs) = vals else {
+                let V::List(xs) = args.remove(0) else {
                     return Err(RunError::new("orm_save expects a list of values"));
                 };
+                // Its values are forced as the list is.
                 let mut sql_vals = Vec::new();
                 for v in xs.borrow().iter() {
-                    let f = self.force_for(v.clone(), Demand::QueryParam)?;
-                    sql_vals.push(f.to_sql());
+                    sql_vals.push(self.force_arg(b, 1, v.clone())?.to_sql());
                 }
                 sqlgen::insert_row(def, &sql_vals)
             }
             WriteFn::OrmUpdate => {
-                let entity = self.string_arg(args.remove(0))?;
-                let id = self.force_for(args.remove(0), Demand::QueryParam)?;
-                let col = self.string_arg(args.remove(0))?;
-                let v = self.force_for(args.remove(0), Demand::QueryParam)?;
+                let entity = string(args.remove(0))?;
+                let id = args.remove(0);
+                let col = string(args.remove(0))?;
                 let def = entity_def(&schema, &entity)?;
-                sqlgen::update_field(def, &id.to_sql(), &col, &v.to_sql())
+                sqlgen::update_field(def, &id.to_sql(), &col, &args[0].to_sql())
             }
             WriteFn::OrmDelete => {
-                let entity = self.string_arg(args.remove(0))?;
-                let id = self.force_for(args.remove(0), Demand::QueryParam)?;
+                let entity = string(args.remove(0))?;
                 let def = entity_def(&schema, &entity)?;
-                sqlgen::delete_by_pk(def, &id.to_sql())
+                sqlgen::delete_by_pk(def, &args[0].to_sql())
             }
         };
-        // In Sloth mode a write registers with the store (§3.3): a
-        // conflicting write (or barrier) drains the batch on the spot,
-        // while a provably-silent write **defers** (§3.5–3.6, selective
-        // laziness) — its empty result is not demanded, so consecutive
-        // disjoint writes cost no round trips until something drains
-        // them. In original mode writes execute directly.
-        if self.data.store.is_some() {
-            let reg = self.data.register_write(&sql)?;
-            self.counters.queries_registered += 1;
-            if !reg.deferred {
-                self.fetch(reg.id, Demand::QueryParam)?;
-            }
-        } else {
-            self.data.read_now(&sql)?;
-        }
-        Ok(V::Null)
+        self.run_write(&sql)
     }
 
     /// One read: registered now and deserialized when forced under lazy
@@ -1230,6 +1220,25 @@ impl<'p> Interp<'p> {
     fn query_thunk(&mut self, id: QueryId, deser: Deser) -> V {
         self.counters.queries_registered += 1;
         self.alloc_thunk(Pending::query(id, deser))
+    }
+
+    /// One write. In Sloth mode it registers with the store (§3.3): a
+    /// conflicting write (or barrier) drains the batch on the spot, while
+    /// a provably-silent write **defers** (§3.5–3.6, selective laziness) —
+    /// its empty result is not demanded, so consecutive disjoint writes
+    /// cost no round trips until something drains them. In original mode
+    /// writes execute directly.
+    fn run_write(&mut self, sql: &str) -> Result<V, RunError> {
+        if self.data.store.is_some() {
+            let reg = self.data.register_write(sql)?;
+            self.counters.queries_registered += 1;
+            if !reg.deferred {
+                self.fetch(reg.id, Demand::QueryParam)?;
+            }
+        } else {
+            self.data.read_now(sql)?;
+        }
+        Ok(V::Null)
     }
 
     // ------------------------------------------------------------------
@@ -1388,16 +1397,13 @@ impl<'p> Interp<'p> {
         })
     }
 
-    /// The result set a delayed read of `func` over `args` reads: a raw
+    /// The result set a delayed read of `func` over `recv` reads: a raw
     /// query nobody has fetched, or, for `len`, the rows of an ORM list
     /// read nobody has fetched — one per element, read off the answer,
     /// which no `push` reaches. `None`: the read runs now.
-    fn unfetched_rows(&mut self, func: ReadFn, args: &[V]) -> Option<V> {
-        let recv = args.first()?;
+    fn unfetched_rows(&mut self, func: ReadFn, recv: &V) -> Option<V> {
         match (func, unfetched(recv)?) {
-            (ReadFn::Len | ReadFn::Cell | ReadFn::At | ReadFn::First, (_, Deser::Raw)) => {
-                Some(recv.clone())
-            }
+            (_, (_, Deser::Raw)) => Some(recv.clone()),
             (ReadFn::Len, (id, Deser::EntityList(_))) => {
                 Some(self.alloc_thunk(Pending::query(id, Deser::Raw)))
             }
@@ -1618,10 +1624,11 @@ impl<'p> Interp<'p> {
             self.exec_stmt(stmt, frame, true)?;
             return Ok(true);
         };
-        let write = match callee {
-            Builtin::Query(QueryFn::Query) => false,
-            Builtin::WriteQuery(WriteFn::Exec) => true,
-            Builtin::External if self.buffers_output() => {
+        let effect = callee.sig().effect;
+        let write = match effect.db {
+            Db::Text => false,
+            Db::WriteText => true,
+            _ if effect.output && self.buffers_output() => {
                 let v = match args.first() {
                     Some(e) => self.eval(e, frame, true)?,
                     None => V::Null,
@@ -1630,7 +1637,7 @@ impl<'p> Interp<'p> {
                 self.out_buffer.push_back((v, Some(rows.clone()), at));
                 return Ok(true);
             }
-            Builtin::External => return Ok(false),
+            _ if effect.output => return Ok(false),
             _ => return self.exec_stmt(stmt, frame, true).map(|_| true),
         };
         // A text that fails fails again under the arm, if it runs.
@@ -1755,14 +1762,6 @@ impl<'p> Interp<'p> {
         Ok(items)
     }
 
-    fn string_arg(&mut self, v: V) -> Result<Rc<str>, RunError> {
-        let v = self.force_for(v, Demand::QueryParam)?;
-        match v {
-            V::Str(s) => Ok(s),
-            other => Err(RunError::new(format!("expected string, got {other:?}"))),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Display (deep forcing)
     // ------------------------------------------------------------------
@@ -1832,98 +1831,6 @@ fn int_atom(e: &RExpr, frame: &Frame) -> Option<i64> {
             _ => None,
         },
         _ => None,
-    }
-}
-
-/// Applies `op` to two forced values; `text` shows an operand of a
-/// concatenation. The evaluator shows it as `str` does, forcing what a
-/// list or object holds; a hole of pending text holds scalars only. Out
-/// of line: inlined, it slows the loops that force delayed operators.
-#[inline(never)]
-fn binop(
-    op: BinOp,
-    a: &V,
-    b: &V,
-    mut text: impl FnMut(&V) -> Result<String, RunError>,
-) -> Result<V, RunError> {
-    use BinOp::*;
-    if let (V::Int(x), V::Int(y)) = (a, b) {
-        return int_binop(op, *x, *y);
-    }
-    Ok(match op {
-        Add => match (a, b) {
-            (V::Str(_), _) | (_, V::Str(_)) => V::str(text(a)? + &text(b)?),
-            _ => V::Float(num(a)? + num(b)?),
-        },
-        Sub => V::Float(num(a)? - num(b)?),
-        Mul => V::Float(num(a)? * num(b)?),
-        Div => {
-            let d = num(b)?;
-            if d == 0.0 {
-                return Err(RunError::new("division by zero"));
-            }
-            V::Float(num(a)? / d)
-        }
-        Mod => return Err(RunError::new("modulo needs integers")),
-        Eq => V::Bool(values_eq(a, b)),
-        Ne => V::Bool(!values_eq(a, b)),
-        Lt => V::Bool(compare(a, b)?.is_lt()),
-        Le => V::Bool(compare(a, b)?.is_le()),
-        Gt => V::Bool(compare(a, b)?.is_gt()),
-        Ge => V::Bool(compare(a, b)?.is_ge()),
-        And => V::Bool(a.truthy() && b.truthy()),
-        Or => V::Bool(a.truthy() || b.truthy()),
-    })
-}
-
-/// Applies `op` to two integers. Ordering goes through `f64` exactly as
-/// [`compare`] orders any two numbers.
-fn int_binop(op: BinOp, x: i64, y: i64) -> Result<V, RunError> {
-    use BinOp::*;
-    let ord = || (x as f64).total_cmp(&(y as f64));
-    Ok(match op {
-        Add => V::Int(x.wrapping_add(y)),
-        Sub => V::Int(x.wrapping_sub(y)),
-        Mul => V::Int(x.wrapping_mul(y)),
-        Div if y == 0 => return Err(RunError::new("division by zero")),
-        Div => V::Int(x.wrapping_div(y)),
-        Mod if y == 0 => return Err(RunError::new("modulo by zero")),
-        Mod => V::Int(x.wrapping_rem(y)),
-        Eq => V::Bool(x == y),
-        Ne => V::Bool(x != y),
-        Lt => V::Bool(ord().is_lt()),
-        Le => V::Bool(ord().is_le()),
-        Gt => V::Bool(ord().is_gt()),
-        Ge => V::Bool(ord().is_ge()),
-        // `eval` short-circuits these before any operand pair gets here.
-        And => V::Bool(x != 0 && y != 0),
-        Or => V::Bool(x != 0 || y != 0),
-    })
-}
-
-/// Applies `op` to a forced value.
-fn unop(op: UnOp, a: &V) -> Result<V, RunError> {
-    match (op, a) {
-        (UnOp::Not, a) => Ok(V::Bool(!a.truthy())),
-        (UnOp::Neg, V::Int(i)) => Ok(V::Int(i.wrapping_neg())),
-        (UnOp::Neg, V::Float(f)) => Ok(V::Float(-f)),
-        (UnOp::Neg, other) => Err(RunError::new(format!("cannot negate {other:?}"))),
-    }
-}
-
-/// `cell(rs, i, c)`.
-fn cell_of(rs: &ResultSet, i: i64, c: &str) -> Result<V, RunError> {
-    rs.get(i as usize, c)
-        .map(V::from_sql)
-        .ok_or_else(|| RunError::new(format!("no cell [{i}].{c}")))
-}
-
-/// The text `str` makes of a scalar: the SQL value's, so text pending on a
-/// row binds to the bytes the program would have built.
-fn scalar_text(v: &V) -> String {
-    match v {
-        V::Str(s) => s.to_string(),
-        v => v.to_sql().text(),
     }
 }
 
@@ -2081,6 +1988,14 @@ fn owner_hole(a: &AssocRead) -> Hole {
     Hole::column(&a.key, not_an_entity(&V::Null).message)
 }
 
+/// A forced argument that must be a string.
+fn string(v: V) -> Result<Rc<str>, RunError> {
+    match v {
+        V::Str(s) => Ok(s),
+        other => Err(RunError::new(format!("expected string, got {other:?}"))),
+    }
+}
+
 fn null_field_read(field: &str) -> RunError {
     RunError::new(format!("field {field} read on null"))
 }
@@ -2093,58 +2008,6 @@ fn entity_def<'s>(schema: &'s Schema, name: &str) -> Result<&'s EntityDef, RunEr
     schema
         .entity(name)
         .ok_or_else(|| RunError::new(format!("unknown entity {name}")))
-}
-
-fn lit_to_v(l: &Lit) -> V {
-    match l {
-        Lit::Null => V::Null,
-        Lit::Bool(b) => V::Bool(*b),
-        Lit::Int(i) => V::Int(*i),
-        Lit::Float(f) => V::Float(*f),
-        Lit::Str(s) => V::str(s),
-    }
-}
-
-fn num(v: &V) -> Result<f64, RunError> {
-    match v {
-        V::Int(i) => Ok(*i as f64),
-        V::Float(f) => Ok(*f),
-        V::Bool(b) => Ok(*b as i64 as f64),
-        other => Err(RunError::new(format!("expected number, got {other:?}"))),
-    }
-}
-
-fn int(v: &V) -> Result<i64, RunError> {
-    match v {
-        V::Int(i) => Ok(*i),
-        V::Float(f) => Ok(*f as i64),
-        other => Err(RunError::new(format!("expected int, got {other:?}"))),
-    }
-}
-
-fn values_eq(a: &V, b: &V) -> bool {
-    match (a, b) {
-        (V::Null, V::Null) => true,
-        (V::Bool(x), V::Bool(y)) => x == y,
-        (V::Int(x), V::Int(y)) => x == y,
-        (V::Float(x), V::Float(y)) => x == y,
-        (V::Int(x), V::Float(y)) | (V::Float(y), V::Int(x)) => *x as f64 == *y,
-        (V::Str(x), V::Str(y)) => x == y,
-        (V::List(x), V::List(y)) => Rc::ptr_eq(x, y),
-        (V::Obj(x), V::Obj(y)) => Rc::ptr_eq(x, y),
-        (V::Rs(x), V::Rs(y)) => Rc::ptr_eq(x, y),
-        _ => false,
-    }
-}
-
-fn compare(a: &V, b: &V) -> Result<std::cmp::Ordering, RunError> {
-    match (a, b) {
-        (V::Str(x), V::Str(y)) => Ok(x.cmp(y)),
-        _ => {
-            let (x, y) = (num(a)?, num(b)?);
-            Ok(x.total_cmp(&y))
-        }
-    }
 }
 
 /// Applies a [`Deser`] to a fetched result set.

@@ -5,12 +5,19 @@
 //! functions, objects and lists); this crate provides:
 //!
 //! * [`parser`] — Java-ish concrete syntax.
+//! * `builtins` — the JDK / framework surface programs call, and
+//!   `Builtin::sig`, the one table of what each builtin forces (per
+//!   argument, for which consumer) and touches (the database, a list, a
+//!   field, the output; whether its result may be delayed). The
+//!   interpreter, the effect summary and guard hoisting all read it.
 //! * [`simplify`] — §3.1 code simplification (loop canonicalization,
 //!   expression flattening).
 //! * [`analysis`] — one effect summary per function, closed over the
-//!   call graph: §4.1 persistence, purity, the database writes it may
-//!   issue and the heap fields it may write; and which straight-line
-//!   statements thunk coalescing may defer. Every later pass reads it.
+//!   call graph and built from the builtin table: §4.1 persistence,
+//!   purity, the database writes it may issue and the heap fields it may
+//!   write; which straight-line statements thunk coalescing may defer;
+//!   and whether a stretch of statements may touch a name. Every later
+//!   pass reads it.
 //! * [`opt`] — guard hoisting (an `if` arm's ORM reads register before
 //!   the `if`, a 1+N association loop becomes one each-row read) and
 //!   thunk coalescing (§4.3) transforms plus the [`opt::OptFlags`]
@@ -48,7 +55,7 @@
 
 pub mod analysis;
 pub mod ast;
-pub mod builtins;
+mod builtins;
 mod hoist;
 pub mod interp;
 pub mod opt;

@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use sloth_sql::ResultSet;
 
-use crate::ast::{BinOp, UnOp};
+use crate::ast::{BinOp, Lit, UnOp};
 use crate::builtins::{PureFn, ReadFn};
 use crate::resolve::Slot;
 use crate::runtime::RunError;
@@ -271,6 +271,155 @@ impl V {
 impl fmt::Debug for V {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.display_shallow())
+    }
+}
+
+/// Applies `op` to two forced values; `text` shows an operand of a
+/// concatenation. The evaluator shows it as `str` does, forcing what a
+/// list or object holds; a hole of pending text holds scalars only. Out
+/// of line: inlined, it slows the loops that force delayed operators.
+#[inline(never)]
+pub(crate) fn binop(
+    op: BinOp,
+    a: &V,
+    b: &V,
+    mut text: impl FnMut(&V) -> Result<String, RunError>,
+) -> Result<V, RunError> {
+    use BinOp::*;
+    if let (V::Int(x), V::Int(y)) = (a, b) {
+        return int_binop(op, *x, *y);
+    }
+    Ok(match op {
+        Add => match (a, b) {
+            (V::Str(_), _) | (_, V::Str(_)) => V::str(text(a)? + &text(b)?),
+            _ => V::Float(num(a)? + num(b)?),
+        },
+        Sub => V::Float(num(a)? - num(b)?),
+        Mul => V::Float(num(a)? * num(b)?),
+        Div => {
+            let d = num(b)?;
+            if d == 0.0 {
+                return Err(RunError::new("division by zero"));
+            }
+            V::Float(num(a)? / d)
+        }
+        Mod => return Err(RunError::new("modulo needs integers")),
+        Eq => V::Bool(values_eq(a, b)),
+        Ne => V::Bool(!values_eq(a, b)),
+        Lt => V::Bool(compare(a, b)?.is_lt()),
+        Le => V::Bool(compare(a, b)?.is_le()),
+        Gt => V::Bool(compare(a, b)?.is_gt()),
+        Ge => V::Bool(compare(a, b)?.is_ge()),
+        And => V::Bool(a.truthy() && b.truthy()),
+        Or => V::Bool(a.truthy() || b.truthy()),
+    })
+}
+
+/// Applies `op` to two integers. Ordering goes through `f64` exactly as
+/// [`compare`] orders any two numbers.
+#[inline]
+pub(crate) fn int_binop(op: BinOp, x: i64, y: i64) -> Result<V, RunError> {
+    use BinOp::*;
+    let ord = || (x as f64).total_cmp(&(y as f64));
+    Ok(match op {
+        Add => V::Int(x.wrapping_add(y)),
+        Sub => V::Int(x.wrapping_sub(y)),
+        Mul => V::Int(x.wrapping_mul(y)),
+        Div if y == 0 => return Err(RunError::new("division by zero")),
+        Div => V::Int(x.wrapping_div(y)),
+        Mod if y == 0 => return Err(RunError::new("modulo by zero")),
+        Mod => V::Int(x.wrapping_rem(y)),
+        Eq => V::Bool(x == y),
+        Ne => V::Bool(x != y),
+        Lt => V::Bool(ord().is_lt()),
+        Le => V::Bool(ord().is_le()),
+        Gt => V::Bool(ord().is_gt()),
+        Ge => V::Bool(ord().is_ge()),
+        // `eval` short-circuits these before any operand pair gets here.
+        And => V::Bool(x != 0 && y != 0),
+        Or => V::Bool(x != 0 || y != 0),
+    })
+}
+
+/// Applies `op` to a forced value.
+#[inline]
+pub(crate) fn unop(op: UnOp, a: &V) -> Result<V, RunError> {
+    match (op, a) {
+        (UnOp::Not, a) => Ok(V::Bool(!a.truthy())),
+        (UnOp::Neg, V::Int(i)) => Ok(V::Int(i.wrapping_neg())),
+        (UnOp::Neg, V::Float(f)) => Ok(V::Float(-f)),
+        (UnOp::Neg, other) => Err(RunError::new(format!("cannot negate {other:?}"))),
+    }
+}
+
+/// `cell(rs, i, c)`.
+pub(crate) fn cell_of(rs: &ResultSet, i: i64, c: &str) -> Result<V, RunError> {
+    rs.get(i as usize, c)
+        .map(V::from_sql)
+        .ok_or_else(|| RunError::new(format!("no cell [{i}].{c}")))
+}
+
+/// The text `str` makes of a scalar: the SQL value's, so text pending on a
+/// row binds to the bytes the program would have built.
+pub(crate) fn scalar_text(v: &V) -> String {
+    match v {
+        V::Str(s) => s.to_string(),
+        v => v.to_sql().text(),
+    }
+}
+
+#[inline]
+pub(crate) fn lit_to_v(l: &Lit) -> V {
+    match l {
+        Lit::Null => V::Null,
+        Lit::Bool(b) => V::Bool(*b),
+        Lit::Int(i) => V::Int(*i),
+        Lit::Float(f) => V::Float(*f),
+        Lit::Str(s) => V::str(s),
+    }
+}
+
+fn num(v: &V) -> Result<f64, RunError> {
+    match v {
+        V::Int(i) => Ok(*i as f64),
+        V::Float(f) => Ok(*f),
+        V::Bool(b) => Ok(*b as i64 as f64),
+        other => Err(RunError::new(format!("expected number, got {other:?}"))),
+    }
+}
+
+#[inline]
+pub(crate) fn int(v: &V) -> Result<i64, RunError> {
+    match v {
+        V::Int(i) => Ok(*i),
+        V::Float(f) => Ok(*f as i64),
+        other => Err(RunError::new(format!("expected int, got {other:?}"))),
+    }
+}
+
+fn values_eq(a: &V, b: &V) -> bool {
+    match (a, b) {
+        (V::Null, V::Null) => true,
+        (V::Bool(x), V::Bool(y)) => x == y,
+        (V::Int(x), V::Int(y)) => x == y,
+        (V::Float(x), V::Float(y)) => x == y,
+        (V::Int(x), V::Float(y)) | (V::Float(y), V::Int(x)) => *x as f64 == *y,
+        (V::Str(x), V::Str(y)) => x == y,
+        (V::List(x), V::List(y)) => Rc::ptr_eq(x, y),
+        (V::Obj(x), V::Obj(y)) => Rc::ptr_eq(x, y),
+        (V::Rs(x), V::Rs(y)) => Rc::ptr_eq(x, y),
+        _ => false,
+    }
+}
+
+#[inline]
+pub(crate) fn compare(a: &V, b: &V) -> Result<std::cmp::Ordering, RunError> {
+    match (a, b) {
+        (V::Str(x), V::Str(y)) => Ok(x.cmp(y)),
+        _ => {
+            let (x, y) = (num(a)?, num(b)?);
+            Ok(x.total_cmp(&y))
+        }
     }
 }
 

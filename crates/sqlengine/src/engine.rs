@@ -1080,6 +1080,32 @@ mod tests {
         assert!(!out.stats.is_write);
     }
 
+    /// Past 2^53 two integers share an `f64`: a probe (keyed exactly) and
+    /// a scan (comparing by `=` and `<`) must still tell them apart alike.
+    #[test]
+    fn probe_and_scan_agree_on_integers_past_two_to_the_53() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (9007199254740992, 1)")
+            .unwrap();
+        let rows = |db: &mut Database, sql: &str| db.execute(sql).unwrap().result.rows;
+        let probe = rows(&mut db, "SELECT v FROM t WHERE id = 9007199254740993");
+        let scan = rows(
+            &mut db,
+            "SELECT v FROM t WHERE id < 0 OR id = 9007199254740993",
+        );
+        assert_eq!((probe.len(), scan.len()), (0, 0));
+        let below = "SELECT v FROM t WHERE id < 9007199254740993";
+        assert_eq!(rows(&mut db, below), vec![vec![Value::Int(1)]]);
+        let probe = rows(&mut db, "SELECT v FROM t WHERE id = 9007199254740992");
+        let scan = rows(
+            &mut db,
+            "SELECT v FROM t WHERE id < 0 OR id = 9007199254740992",
+        );
+        assert_eq!((probe.len(), scan.len()), (1, 1));
+    }
+
     #[test]
     fn pk_probe_reduces_scan() {
         let mut db = db_with_issues();

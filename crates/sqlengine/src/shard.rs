@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::ast::{BinOp, ColumnRef, Expr, Join, Statement, TableRef};
-use crate::value::Value;
+use crate::value::{integral, Value};
 
 /// Declares which tables are hash-partitioned and by which column.
 ///
@@ -104,15 +104,10 @@ impl<'v> Canonical<'v> {
             Value::Null => Canonical::Null,
             Value::Bool(b) => Canonical::Int(*b as i64),
             Value::Int(i) => Canonical::Int(*i),
-            Value::Float(f)
-                if f.fract() == 0.0
-                    && f.is_finite()
-                    && *f >= i64::MIN as f64
-                    && *f <= i64::MAX as f64 =>
-            {
-                Canonical::Int(*f as i64)
-            }
-            Value::Float(f) => Canonical::Float(f.to_bits()),
+            Value::Float(f) => match integral(*f) {
+                Some(i) => Canonical::Int(i),
+                None => Canonical::Float(f.to_bits()),
+            },
             Value::Str(s) => Canonical::Str(s),
         }
     }

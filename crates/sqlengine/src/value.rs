@@ -91,8 +91,9 @@ impl Value {
         }
     }
 
-    /// Total ordering: `NULL < BOOL < numeric < string`; ints and floats
-    /// compare numerically within the numeric rank.
+    /// Total ordering: `NULL < BOOL < numeric < string`; numbers compare
+    /// exactly, as [`Value::sql_eq`] does: two integers as integers, an
+    /// integer and an integral float as integers, two floats as `f64`s.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         let (ra, rb) = (self.type_rank(), other.type_rank());
         if ra != rb {
@@ -102,22 +103,24 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            _ => {
-                let a = self.as_f64().unwrap_or(0.0);
-                let b = other.as_f64().unwrap_or(0.0);
-                a.total_cmp(&b)
-            }
+            _ => match (Num::of(self), Num::of(other)) {
+                (Some(a), Some(b)) => a.cmp(b),
+                _ => Ordering::Equal,
+            },
         }
     }
 
-    /// SQL equality (used by `=`): numeric values compare numerically, so
-    /// `1 = 1.0` holds. `NULL` never equals anything, including itself.
+    /// SQL equality (used by `=`): numeric values compare numerically and
+    /// exactly, so `1 = 1.0` and `TRUE = 1` hold while two integers past
+    /// 2^53 that one `f64` rounds them to stay apart. `NULL` never equals
+    /// anything, including itself, and neither does NaN.
     pub fn sql_eq(&self, other: &Value) -> bool {
         if self.is_null() || other.is_null() {
             return false;
         }
-        match (self.as_f64(), other.as_f64()) {
-            (Some(a), Some(b)) => a == b,
+        match (Num::of(self), Num::of(other)) {
+            (Some(Num::Float(a)), Some(Num::Float(b))) => a == b,
+            (Some(a), Some(b)) => a.cmp(b) == Ordering::Equal,
             _ => self == other,
         }
     }
@@ -136,6 +139,56 @@ impl Value {
             Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
         }
     }
+}
+
+/// A number as `=` and `<` see it: a boolean or an integer as its `i64`,
+/// a float as its `f64`.
+#[derive(Debug, Clone, Copy)]
+enum Num {
+    Int(i64),
+    Float(f64),
+}
+
+impl Num {
+    fn of(v: &Value) -> Option<Num> {
+        match v {
+            Value::Int(i) => Some(Num::Int(*i)),
+            Value::Bool(b) => Some(Num::Int(*b as i64)),
+            Value::Float(f) => Some(Num::Float(*f)),
+            _ => None,
+        }
+    }
+
+    /// `self` against `other`, exactly: two integers as integers, an
+    /// integer and an integral float as the integer the float equals (its
+    /// canonical form, [`integral`]), two floats by `f64::total_cmp`.
+    fn cmp(self, other: Num) -> Ordering {
+        match (self, other) {
+            (Num::Int(a), Num::Int(b)) => a.cmp(&b),
+            (Num::Int(i), Num::Float(f)) => int_float(i, f),
+            (Num::Float(f), Num::Int(i)) => int_float(i, f).reverse(),
+            (Num::Float(a), Num::Float(b)) => a.total_cmp(&b),
+        }
+    }
+}
+
+/// `i` against `f`. Rounding `i` to `f64` keeps it on its side of any `f`
+/// that no `i64` equals, except at 2^63, which it may reach.
+fn int_float(i: i64, f: f64) -> Ordering {
+    match integral(f) {
+        Some(j) => i.cmp(&j),
+        None => match (i as f64).total_cmp(&f) {
+            Ordering::Equal => Ordering::Less,
+            ord => ord,
+        },
+    }
+}
+
+/// The `i64` an integral float equals, `-0.0` included; `None` for any
+/// other float, and past either end of `i64`.
+pub(crate) fn integral(f: f64) -> Option<i64> {
+    let in_range = f >= i64::MIN as f64 && f < i64::MAX as f64;
+    (f.fract() == 0.0 && in_range).then_some(f as i64)
 }
 
 impl Value {
@@ -376,6 +429,24 @@ mod tests {
                 Value::Str("a".into()),
             ]
         );
+    }
+
+    #[test]
+    fn integers_compare_exactly_past_two_to_the_53() {
+        let (a, b) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert!(!a.sql_eq(&b));
+        assert_eq!(a.total_cmp(&b), Ordering::Less);
+        // An integral float compares as the integer it equals.
+        let f = Value::Float((1u64 << 53) as f64);
+        assert!(f.sql_eq(&a) && !f.sql_eq(&b));
+        assert_eq!(f.total_cmp(&b), Ordering::Less);
+        assert_eq!(b.total_cmp(&f), Ordering::Greater);
+        assert!(Value::Int(0).sql_eq(&Value::Float(-0.0)));
+        // 2^63 is past every `i64`, though `i64::MAX` rounds to it.
+        let top = Value::Float(9_223_372_036_854_775_808.0);
+        assert!(!Value::Int(i64::MAX).sql_eq(&top));
+        assert_eq!(Value::Int(i64::MAX).total_cmp(&top), Ordering::Less);
+        assert!(!Value::Int(1).sql_eq(&Value::Float(f64::NAN)));
     }
 
     #[test]

@@ -52,14 +52,16 @@ impl Rng {
 /// (see [`guarded_arm`]). Pending splices build a statement's text from
 /// `q`'s first row with or without a guard, by arithmetic, in one hole or
 /// two (see [`pending_splice`]). 1+N association loops, and loops that
-/// only look like them, run over ORM lists (see [`assoc_loop`]). Any draw
-/// may fail, and any number of them.
+/// only look like them, run over ORM lists (see [`assoc_loop`]), and an
+/// association hangs off an ORM row (see [`assoc_of_row`]), each after a
+/// heap change that hoisting or the lowering could move them past. Any
+/// draw may fail, and any number of them.
 fn arb_program(rng: &mut Rng) -> String {
     let n = rng.range(1, 12);
     let mut stmts = Vec::new();
     let mut pool = false;
     for i in 0..n {
-        let stmt = match rng.range(0, 21) {
+        let stmt = match rng.range(0, 23) {
             0 | 1 => {
                 // Arithmetic assignment over the variable pool.
                 let (dst, a, b) = (rng.range(0, 5), rng.range(0, 5), rng.range(0, 5));
@@ -171,6 +173,7 @@ fn arb_program(rng: &mut Rng) -> String {
             13 | 14 => guarded_read(rng, i),
             15 | 16 => guarded_arm(rng, i),
             19 | 20 => assoc_loop(rng, i),
+            21 | 22 => assoc_of_row(rng, i),
             _ => pending_splice(rng, i),
         };
         stmts.push(stmt);
@@ -358,7 +361,9 @@ fn guarded_arm(rng: &mut Rng, i: i64) -> String {
 /// hoisting moves its reads above). The near misses: `k` or `el` read
 /// after the loop, `acc` aliased before it, a `print` or a write in the
 /// body, a bound other than `len(b)`, a step of 2, a `push` to or `clear`
-/// of `b` between `bn` and the loop. After the loop the
+/// of `b`, directly or through an alias, or a write of an element's
+/// field (the association's key or not, by `e.f = …` or `obj_put`)
+/// between `bn` and the loop. After the loop the
 /// list is shown, an element's field read (which fails on a `null`), the
 /// association read again through the memo — and heap-written through it
 /// — the list cleared first, or the association's table written first.
@@ -389,7 +394,7 @@ fn assoc_loop(rng: &mut Rng, i: i64) -> String {
     let mut step = 1;
     let (mut alias, mut in_body, mut after) = (String::new(), String::new(), String::new());
     let mut touch = String::new();
-    match rng.range(0, 14) {
+    match rng.range(0, 16) {
         0 => after = format!("print(str(k{i}));"),
         1 => after = format!("print(str(el{i}));"),
         2 => {
@@ -404,6 +409,29 @@ fn assoc_loop(rng: &mut Rng, i: i64) -> String {
         // `bn`; read in the loop, the bound sees the change).
         7 => touch = format!("push(b{i}, 5);"),
         8 => touch = format!("clear(b{i});"),
+        9 => {
+            let change = ["push", "clear"][rng.range(0, 2) as usize];
+            let arg = if change == "push" { ", 5" } else { "" };
+            touch = format!("let al{i} = b{i}; {change}(al{i}{arg});");
+        }
+        10 => {
+            // The key the association reads off each element, or not.
+            let key = match assoc {
+                "row" => "k",
+                "ws" => "id",
+                _ => "v",
+            };
+            let field = [key, "s"][rng.range(0, 2) as usize];
+            let (alias, list) = match rng.range(0, 2) {
+                0 => (String::new(), format!("b{i}")),
+                _ => (format!("let al{i} = b{i};"), format!("al{i}")),
+            };
+            let write = match rng.range(0, 2) {
+                0 => format!("at({list}, 0).{field} = 1;"),
+                _ => format!("obj_put(at({list}, 0), \"{field}\", 1);"),
+            };
+            touch = format!("{alias} if (len({list}) > 0) {{ {write} }}");
+        }
         // The lowered shape.
         _ => {}
     }
@@ -456,6 +484,31 @@ fn assoc_loop(rng: &mut Rng, i: i64) -> String {
         }
         _ => body,
     }
+}
+
+/// An association of an ORM row read in an `if` arm, after a heap change
+/// between the two — names suffixed by `i`. Guard hoisting moves the row's
+/// read above the `if`, and the association with it unless the change may
+/// write the field it is keyed by (or its memo): the key field or another,
+/// through the row's name or an alias, by `e.f = …` or `obj_put`, or a
+/// read of the row. The row may be missing.
+fn assoc_of_row(rng: &mut Rng, i: i64) -> String {
+    let (c, lit) = (rng.range(0, 5), rng.range(-2, 6));
+    let id = [0, 1, 2, 4, 9][rng.range(0, 5) as usize];
+    let n = [0, 1, 3, 9][rng.range(0, 4) as usize];
+    let field = ["k", "k", "v", "__assoc_row"][rng.range(0, 4) as usize];
+    let target = ["o", "al"][rng.range(0, 2) as usize].to_string() + &i.to_string();
+    let change = match rng.range(0, 4) {
+        0 if field.starts_with("__") => format!("obj_put({target}, \"{field}\", {n});"),
+        0 => format!("{target}.{field} = {n};"),
+        1 => format!("obj_put({target}, \"{field}\", {n});"),
+        2 => format!("print(str({target}.k));"),
+        _ => String::new(),
+    };
+    format!(
+        "if (v{c} > {lit}) {{ let o{i} = orm_find(\"wr\", {id}); let al{i} = o{i}; {change} \
+         let r{i} = orm_assoc(o{i}, \"row\"); print(str(r{i})); print(str(o{i}.k)); }}"
+    )
 }
 
 /// A write branch and the reads after it: the query store holds the
