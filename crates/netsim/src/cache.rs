@@ -22,9 +22,16 @@
 //! decided by [`Footprint::writes_overlap`]: table-level when the write
 //! pins no keys, key-precise when it does.
 //!
-//! Entries are bounded (512, FIFO like the template cache) and the whole
-//! cache is droppable at zero cost — out-of-band mutation (seeding) and
-//! disabling the cache both clear it rather than reason about staleness.
+//! ## Eviction
+//!
+//! Entries are bounded (512) by **second chance** (CLOCK): a hit marks its
+//! entry, and when a fill goes past the bound the oldest slot in the ring
+//! is examined — a marked entry is unmarked and re-queued for one more
+//! lap, the first unmarked one is evicted. An entry the pages keep
+//! hitting therefore outlives any stream of one-time fills, which leave
+//! in fill order. The whole cache is
+//! droppable at zero cost — out-of-band mutation (seeding) and disabling
+//! the cache both clear it rather than reason about staleness.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -49,7 +56,8 @@ pub struct ResultCacheStats {
     /// key-pinned — the precision the footprint machinery buys over
     /// table-level invalidation.
     pub precise_invalidations: u64,
-    /// Entries dropped by the FIFO capacity bound.
+    /// Entries dropped by the capacity bound: unmarked entries the
+    /// second-chance hand reached (one per fill past the bound).
     pub evictions: u64,
 }
 
@@ -59,13 +67,16 @@ pub struct ResultCacheStats {
 struct Entry {
     result: ResultSet,
     reads: Vec<TableAccess>,
-    /// Fill generation, matched against the FIFO queue so a key that was
-    /// invalidated and later re-filled is not evicted by its stale queue
-    /// slot.
+    /// Fill generation, matched against the ring so a key that was
+    /// invalidated and later re-filled is not evicted (or re-queued) by
+    /// its stale slot.
     generation: u64,
+    /// Set by a hit, cleared when the second-chance hand passes it.
+    referenced: bool,
 }
 
-/// The cache proper: normalized template + params → entry, FIFO-bounded.
+/// The cache proper: normalized template + params → entry, bounded by
+/// second-chance eviction.
 ///
 /// All access goes through this module — the CI grep gate rejects any
 /// `result_map` mention outside `cache.rs`, so hit/fill/invalidate
@@ -73,7 +84,11 @@ struct Entry {
 pub(crate) struct ResultCache {
     enabled: bool,
     result_map: HashMap<Stmt, Entry>,
-    fifo: VecDeque<(Stmt, u64)>,
+    /// One slot per fill, oldest first: `(key, generation)`. A slot whose
+    /// generation no longer matches its key's entry is stale (the entry
+    /// was invalidated or re-filled); stale slots are skipped by the hand
+    /// and compacted away once they outnumber the live ones.
+    ring: VecDeque<(Stmt, u64)>,
     next_generation: u64,
     pub(crate) stats: ResultCacheStats,
 }
@@ -83,7 +98,7 @@ impl ResultCache {
         ResultCache {
             enabled: false,
             result_map: HashMap::new(),
-            fifo: VecDeque::new(),
+            ring: VecDeque::new(),
             next_generation: 0,
             stats: ResultCacheStats::default(),
         }
@@ -109,7 +124,7 @@ impl ResultCache {
     /// and on out-of-band mutation (seeding), which bypasses footprints.
     pub(crate) fn clear(&mut self) {
         self.result_map.clear();
-        self.fifo.clear();
+        self.ring.clear();
     }
 
     /// Zeroes the counters (entries survive — they are still legal).
@@ -117,12 +132,13 @@ impl ResultCache {
         self.stats = ResultCacheStats::default();
     }
 
-    /// Probes one key. Counts a hit or a miss; FIFO order is fill order,
-    /// so a hit does not promote.
+    /// Probes one key. Counts a hit or a miss; a hit marks its entry, so
+    /// the second-chance hand re-queues it instead of evicting it.
     pub(crate) fn probe(&mut self, key: &Stmt) -> Option<ResultSet> {
-        match self.result_map.get(key) {
+        match self.result_map.get_mut(key) {
             Some(e) => {
                 self.stats.hits += 1;
+                e.referenced = true;
                 Some(e.result.clone())
             }
             None => {
@@ -132,40 +148,58 @@ impl ResultCache {
         }
     }
 
-    /// Records an executed read's result under its template+params key.
-    /// Re-filling an existing key replaces the entry in place.
+    /// Records an executed read's result under its template+params key,
+    /// unmarked. Re-filling an existing key replaces the entry in place
+    /// (its old slot goes stale). Past [`RESULT_CACHE_CAP`] the
+    /// second-chance hand evicts one entry; the new key is queued after
+    /// the hand has run, so it is never the one evicted.
     pub(crate) fn fill(&mut self, key: Stmt, result: ResultSet, reads: Vec<TableAccess>) {
         let generation = self.next_generation;
         self.next_generation += 1;
-        if self
-            .result_map
-            .insert(
-                key.clone(),
-                Entry {
-                    result,
-                    reads,
-                    generation,
-                },
-            )
-            .is_none()
+        let entry = Entry {
+            result,
+            reads,
+            generation,
+            referenced: false,
+        };
+        if self.result_map.insert(key.clone(), entry).is_none()
             && self.result_map.len() > RESULT_CACHE_CAP
         {
-            // FIFO eviction; queue slots whose generation no longer
-            // matches are tombstones of invalidated/re-filled keys.
-            while let Some((old, gen)) = self.fifo.pop_front() {
-                let live = self
-                    .result_map
-                    .get(&old)
-                    .is_some_and(|e| e.generation == gen);
-                if live {
-                    self.result_map.remove(&old);
-                    self.stats.evictions += 1;
-                    break;
-                }
+            self.evict_one();
+        }
+        self.ring.push_back((key, generation));
+        if self.ring.len() > 2 * self.result_map.len() {
+            // Stale slots outnumber live ones: drop them, so the ring
+            // never holds more than twice the cap.
+            self.ring
+                .retain(|(k, g)| self.result_map.get(k).is_some_and(|e| e.generation == *g));
+        }
+        self.stats.fills += 1;
+    }
+
+    /// The second-chance hand: pops slots oldest first, dropping stale
+    /// ones; a marked entry is unmarked and re-queued, the first unmarked
+    /// one is evicted. Every live entry has exactly one slot in the ring,
+    /// so the hand evicts within one lap: after it has passed every slot,
+    /// each live entry it re-queued is unmarked.
+    fn evict_one(&mut self) {
+        while let Some((old, gen)) = self.ring.pop_front() {
+            let Some(e) = self
+                .result_map
+                .get_mut(&old)
+                .filter(|e| e.generation == gen)
+            else {
+                continue;
+            };
+            if e.referenced {
+                e.referenced = false;
+                self.ring.push_back((old, gen));
+            } else {
+                self.result_map.remove(&old);
+                self.stats.evictions += 1;
+                return;
             }
         }
-        self.fifo.push_back((key, generation));
-        self.stats.fills += 1;
     }
 
     /// Kills every entry the shipped write `fp` can overlap — the whole
@@ -331,6 +365,7 @@ mod tests {
         assert_eq!(c.stats.invalidations, 0);
     }
 
+    /// Entries nothing probed leave oldest-first, as in fill order.
     #[test]
     fn fifo_eviction_honours_capacity_and_tombstones() {
         let mut c = on();
@@ -361,6 +396,61 @@ mod tests {
             "oldest live entry evicted"
         );
         assert_eq!(c.stats.evictions, 1);
+    }
+
+    /// Scan resistance: a hot set probed between one-time fills keeps
+    /// hitting while four caps' worth of cold keys stream through, and
+    /// every fill past the bound evicts exactly one (cold) entry. Without
+    /// hits the marks run out: two more caps of fills (one lap of the
+    /// hand to clear them, one to reach the entries again) take the set.
+    #[test]
+    fn probed_entries_survive_a_stream_of_one_time_fills() {
+        const HOT: i64 = 64;
+        let mut c = on();
+        let hot = |i: i64| key("hot", &[i]);
+        for i in 0..HOT {
+            c.fill(hot(i), rs(i), reads_of("SELECT * FROM h WHERE id = 1"));
+            assert!(c.probe(&hot(i)).is_some());
+        }
+        let cold = 4 * RESULT_CACHE_CAP as i64;
+        for j in 0..cold {
+            c.fill(
+                key("cold", &[j]),
+                rs(j),
+                reads_of("SELECT * FROM t WHERE id = 1"),
+            );
+            if j % 128 == 127 {
+                for i in 0..HOT {
+                    assert_eq!(c.probe(&hot(i)), Some(rs(i)), "hot {i} after {j}");
+                }
+            }
+        }
+        assert_eq!(c.len(), RESULT_CACHE_CAP);
+        assert_eq!(c.stats.evictions, c.stats.fills - RESULT_CACHE_CAP as u64);
+        for j in cold..cold + 2 * RESULT_CACHE_CAP as i64 {
+            c.fill(
+                key("cold", &[j]),
+                rs(j),
+                reads_of("SELECT * FROM t WHERE id = 1"),
+            );
+        }
+        assert!((0..HOT).all(|i| !c.result_map.contains_key(&hot(i))));
+    }
+
+    /// Invalidating and re-filling one key strands a slot per cycle; the
+    /// ring drops stale slots once they outnumber the live ones.
+    #[test]
+    fn stale_slots_are_compacted() {
+        let mut c = on();
+        let sql = "SELECT * FROM t WHERE id = 1";
+        for _ in 0..10_000 {
+            c.fill(key("a", &[1]), rs(1), reads_of(sql));
+            c.invalidate(&Footprint::of_sql("UPDATE t SET v = 2 WHERE id = 1"));
+            assert!(c.ring.len() <= 2 * RESULT_CACHE_CAP);
+        }
+        assert_eq!(c.len(), 0);
+        assert!(c.ring.len() <= 2, "{} slots for 0 entries", c.ring.len());
+        assert_eq!(c.stats.invalidations, 10_000);
     }
 
     #[test]

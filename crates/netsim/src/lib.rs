@@ -634,7 +634,8 @@ impl SimEnv {
     /// answered locally with zero charged network time, and every shipped
     /// write's [`sloth_sql::Footprint`] kills exactly the cached reads it
     /// can overlap — across sessions, shards, and fault-layer retries.
-    /// Bounded at 512 entries, FIFO like the template cache. Turning the
+    /// Bounded at 512 entries by second-chance eviction: a hit marks its
+    /// entry, which is then passed over once before eviction. Turning the
     /// cache off drops every entry (invalidation pauses with it, so
     /// nothing surviving a disabled window could be trusted again).
     pub fn set_result_cache(&self, on: bool) {

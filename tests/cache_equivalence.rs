@@ -13,7 +13,9 @@
 
 use std::sync::Arc;
 
+use sloth_apps::itracker_app;
 use sloth_core::QueryStore;
+use sloth_lang::{parse_program, prepare_with_schema, ExecStrategy, OptFlags, V};
 use sloth_net::{CostModel, Dispatcher, ShardedEnv, SimEnv};
 use sloth_sql::{ShardSpec, Value};
 
@@ -271,6 +273,158 @@ fn cached_streams_match_cache_off_serial_reference() {
         invalidations_total > 0,
         "the grid never invalidated an entry"
     );
+}
+
+/// A long write-mixed stream: more distinct reads than the cache holds
+/// (key-pinned `IN` reads over `issue`, each one new), point reads of
+/// ids that inserts and deletes come and go on, unpinned counts,
+/// verbatim repeats of any earlier read — some still cached, some
+/// evicted — and conflicting writes.
+fn arb_long_stream(rng: &mut Rng) -> Vec<Op> {
+    let mut ops = Vec::new();
+    let mut reads: Vec<String> = Vec::new();
+    let mut registered = 0usize;
+    let mut fresh = 0i64;
+    let mut next_insert_id = 40;
+    for _ in 0..2_000 {
+        let op = match rng.range(0, 100) {
+            0..=49 => {
+                fresh += 1;
+                Op::Stmt(format!(
+                    "SELECT id, title, sev FROM issue WHERE id IN ({}, {}) ORDER BY id",
+                    fresh % 60,
+                    1_000 + fresh
+                ))
+            }
+            50..=54 => Op::Stmt(format!(
+                "SELECT * FROM issue WHERE id = {}",
+                rng.range(30, 60)
+            )),
+            55..=57 => Op::Stmt(format!(
+                "SELECT COUNT(*) FROM issue WHERE project_id = {}",
+                rng.range(0, 8)
+            )),
+            58..=77 if !reads.is_empty() => {
+                let i = rng.range(0, reads.len() as i64) as usize;
+                Op::Stmt(reads[i].clone())
+            }
+            78 | 79 => Op::Stmt(format!(
+                "UPDATE issue SET sev = {} WHERE id = {}",
+                rng.range(0, 9),
+                rng.range(0, 60)
+            )),
+            80 => {
+                next_insert_id += 1;
+                Op::Stmt(format!(
+                    "INSERT INTO issue (id, project_id, title, sev) VALUES ({next_insert_id}, {}, 'w', {})",
+                    rng.range(0, 8),
+                    rng.range(0, 4)
+                ))
+            }
+            81 => Op::Stmt(format!(
+                "DELETE FROM issue WHERE id = {}",
+                rng.range(30, 60)
+            )),
+            _ if registered > 0 => Op::Force(rng.range(0, registered as i64) as usize),
+            _ => Op::Stmt("SELECT * FROM project WHERE id = 1".to_string()),
+        };
+        if let Op::Stmt(sql) = &op {
+            registered += 1;
+            if sql.starts_with("SELECT") {
+                reads.push(sql.clone());
+            }
+        }
+        ops.push(op);
+    }
+    ops
+}
+
+/// Legality under eviction: streams that fill the cache past its bound,
+/// so second-chance eviction runs among hits, invalidations and
+/// re-fills, on 1 and 4 shards against the cache-off serial reference.
+#[test]
+fn streams_past_the_cache_bound_match_cache_off_serial_reference() {
+    for case in 0..3u64 {
+        let mut rng = Rng::new(0xE71C7 ^ case);
+        let ops = arb_long_stream(&mut rng);
+        for shards in [1usize, 4] {
+            let env = if shards == 1 {
+                fresh_env()
+            } else {
+                fresh_sharded(shards)
+            };
+            env.set_result_cache(true);
+            check_stream(&ops, env.clone(), &format!("case {case} shards={shards}"));
+            let s = env.result_cache_stats();
+            assert!(
+                s.evictions > 0 && s.hits > 0 && s.invalidations > 0,
+                "case {case} shards={shards}: {s:?}"
+            );
+        }
+    }
+}
+
+/// Scan resistance on a deployment: itracker's pages, run on every lap,
+/// keep their entries while 2 000 one-time point reads of another table
+/// stream through the 512-entry cache in chunks between the laps. Every
+/// warm lap takes zero round trips and renders what a cache-off
+/// deployment renders.
+#[test]
+fn hot_pages_keep_their_entries_through_a_stream_of_cold_reads() {
+    const NOTES: i64 = 2_000;
+    const CHUNK: i64 = 250;
+    let app = itracker_app();
+    let env_with_notes = || {
+        let env = app.fresh_env(CostModel::default());
+        env.seed_sql("CREATE TABLE note (id INT PRIMARY KEY, body TEXT)")
+            .unwrap();
+        let rows: Vec<String> = (0..NOTES).map(|i| format!("({i}, 'note {i}')")).collect();
+        env.seed_sql(&format!("INSERT INTO note VALUES {}", rows.join(", ")))
+            .unwrap();
+        env
+    };
+    let pages: Vec<_> = app
+        .pages
+        .iter()
+        .map(|p| {
+            let program = parse_program(&p.source).unwrap();
+            let flags = ExecStrategy::Sloth(OptFlags::all());
+            (
+                prepare_with_schema(&program, flags, Some(&app.schema)),
+                p.arg,
+            )
+        })
+        .collect();
+    let lap = |env: &SimEnv| {
+        let trips = env.stats().round_trips;
+        let bodies: Vec<Vec<String>> = pages
+            .iter()
+            .map(|(page, arg)| {
+                page.run(env, Arc::clone(&app.schema), vec![V::Int(*arg)])
+                    .unwrap()
+                    .output
+            })
+            .collect();
+        (env.stats().round_trips - trips, bodies)
+    };
+    let (_, want) = lap(&env_with_notes());
+
+    let env = env_with_notes();
+    env.set_result_cache(true);
+    lap(&env);
+    assert_eq!(lap(&env).0, 0, "the second lap is answered by the cache");
+    for start in (0..NOTES).step_by(CHUNK as usize) {
+        for id in start..start + CHUNK {
+            env.query(&format!("SELECT body FROM note WHERE id = {id}"))
+                .unwrap();
+        }
+        let (trips, bodies) = lap(&env);
+        assert_eq!(trips, 0, "lap after {} cold reads", start + CHUNK);
+        assert_eq!(bodies, want, "lap after {} cold reads", start + CHUNK);
+    }
+    let s = env.result_cache_stats();
+    assert_eq!(s.invalidations, 0);
+    assert!(s.evictions > (NOTES - 512) as u64, "{s:?}");
 }
 
 /// Staleness canary at the raw driver level (statement-at-a-time, so
