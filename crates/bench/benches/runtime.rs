@@ -1,35 +1,15 @@
-//! Micro-benchmarks of the runtime primitives: thunk machinery, query
-//! store operations, and SQL engine throughput. These ground the simulated
+//! Micro-benchmarks of the runtime primitives: the interpreter's thunks,
+//! query store operations, and SQL engine throughput. These ground the simulated
 //! cost model in real wall-clock numbers. (Plain `harness = false` timing
 //! loops — no third-party bench framework is available in this build.)
 
 use sloth_bench::microbench::bench;
-use sloth_core::{query_thunk, QueryStore, Thunk};
+use sloth_core::QueryStore;
 use sloth_lang::{parse_program, prepare, ExecStrategy, OptFlags};
 use sloth_net::SimEnv;
 use sloth_orm::Schema;
 use sloth_sql::Database;
-use std::hint::black_box;
 use std::sync::Arc;
-
-fn bench_thunks() {
-    bench("thunk/alloc_force", || {
-        let t = Thunk::new(|| black_box(21) * 2);
-        t.force()
-    });
-    {
-        let t = Thunk::new(|| 42);
-        t.force();
-        bench("thunk/memoized_force", move || t.force());
-    }
-    bench("thunk/map_chain_depth16", || {
-        let mut t = Thunk::new(|| 0i64);
-        for _ in 0..16 {
-            t = t.map(|x| x + 1);
-        }
-        t.force()
-    });
-}
 
 fn store_env() -> SimEnv {
     let env = SimEnv::default_env();
@@ -64,14 +44,6 @@ fn bench_query_store() {
         store.register("SELECT v FROM t WHERE id = 1").unwrap();
         bench("query_store/dedup_hit", move || {
             store.register("SELECT v FROM t WHERE id = 1").unwrap()
-        });
-    }
-    {
-        let env = store_env();
-        bench("query_store/query_thunk_roundtrip", move || {
-            let store = QueryStore::new(env.clone());
-            let t = query_thunk(&store, "SELECT v FROM t WHERE id = 5", |rs| rs.len());
-            t.force()
         });
     }
 }
@@ -171,7 +143,6 @@ fn bench_interp() {
 
 fn main() {
     bench_interp();
-    bench_thunks();
     bench_query_store();
     bench_sql();
 }

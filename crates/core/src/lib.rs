@@ -1,18 +1,18 @@
-//! # sloth-core — the extended lazy evaluation runtime
+//! # sloth-core — the query store
 //!
 //! Runtime half of Sloth (Cheung, Madden, Solar-Lezama — SIGMOD 2014):
 //!
-//! * [`Thunk`] / [`ThunkBlock`] — delayed, memoized, shareable computations
-//!   (§3.2, §4.3).
 //! * [`QueryStore`] — the batching mechanism (§3.3): reads registered at
 //!   thunk-creation time accumulate and ship to the database in **one round
 //!   trip** when first demanded; writes and transaction boundaries flush.
-//! * [`query_thunk`] — the fusion of the two: a thunk that registers its
-//!   SQL eagerly and deserializes its result lazily. This is what the
-//!   paper's `find_thunk` JPA extension returns.
+//!   [`QueryStore::register`] and [`QueryStore::result`] are its Rust-level
+//!   door; the kernel language's lazy evaluator (`sloth-lang`) registers
+//!   through the same store.
+//! * [`Thunk`] — a delayed, memoized, shareable computation (§3.2): the
+//!   Rust-level form `sloth_orm::Session::find_thunk` returns.
 //!
 //! ```
-//! use sloth_core::{query_thunk, QueryStore};
+//! use sloth_core::QueryStore;
 //! use sloth_net::SimEnv;
 //!
 //! let env = SimEnv::default_env();
@@ -21,17 +21,14 @@
 //!
 //! let store = QueryStore::new(env.clone());
 //! // Two queries registered, zero round trips so far.
-//! let ada = query_thunk(&store, "SELECT name FROM p WHERE id = 1", |rs| {
-//!     rs.get(0, "name").unwrap().to_string()
-//! });
-//! let grace = query_thunk(&store, "SELECT name FROM p WHERE id = 2", |rs| {
-//!     rs.get(0, "name").unwrap().to_string()
-//! });
+//! let ada = store.register("SELECT name FROM p WHERE id = 1").unwrap();
+//! let grace = store.register("SELECT name FROM p WHERE id = 2").unwrap();
 //! assert_eq!(env.stats().round_trips, 0);
 //!
-//! // Forcing either one ships both in a single batch.
-//! assert_eq!(ada.force(), "Ada");
-//! assert_eq!(grace.force(), "Grace");
+//! // Demanding either one ships both in a single batch.
+//! let name = |id| store.result(id).unwrap().get(0, "name").unwrap().to_string();
+//! assert_eq!(name(ada), "Ada");
+//! assert_eq!(name(grace), "Grace");
 //! assert_eq!(env.stats().round_trips, 1);
 //! ```
 
@@ -41,52 +38,13 @@ pub mod store;
 pub mod thunk;
 
 pub use store::{Demand, FlushReason, QueryId, QueryStore, Registration, StoreStats};
-pub use thunk::{thunk_counters, Thunk, ThunkBlock, ThunkCounters};
-
-use sloth_sql::ResultSet;
-
-/// Creates a thunk for a database read: the SQL registers with `store`
-/// **now** (joining the current batch) and `deserialize` runs when the thunk
-/// is forced (§3.3).
-///
-/// # Panics
-/// Forcing the returned thunk panics if the underlying SQL fails to execute;
-/// use [`try_query_thunk`] when the caller wants to handle the error.
-pub fn query_thunk<T: Clone + Send + 'static>(
-    store: &QueryStore,
-    sql: impl Into<String>,
-    deserialize: impl FnOnce(ResultSet) -> T + Send + 'static,
-) -> Thunk<T> {
-    let sql = sql.into();
-    match store.register(sql.clone()) {
-        Ok(id) => {
-            let store = store.clone();
-            Thunk::new(move || {
-                let rs = store
-                    .result(id)
-                    .unwrap_or_else(|e| panic!("query {sql:?} failed at force time: {e}"));
-                deserialize(rs)
-            })
-        }
-        Err(e) => Thunk::new(move || panic!("query {sql:?} failed to register: {e}")),
-    }
-}
-
-/// Like [`query_thunk`] but surfaces SQL errors as `Result` values.
-pub fn try_query_thunk<T: Clone + Send + 'static>(
-    store: &QueryStore,
-    sql: impl Into<String>,
-    deserialize: impl FnOnce(ResultSet) -> T + Send + 'static,
-) -> Result<Thunk<Result<T, sloth_sql::SqlError>>, sloth_sql::SqlError> {
-    let id = store.register(sql.into())?;
-    let store = store.clone();
-    Ok(Thunk::new(move || store.result(id).map(deserialize)))
-}
+pub use thunk::Thunk;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sloth_net::SimEnv;
+    use sloth_sql::ResultSet;
 
     fn store() -> (SimEnv, QueryStore) {
         let env = SimEnv::default_env();
@@ -100,18 +58,28 @@ mod tests {
         (env, s)
     }
 
+    /// A thunk over a read: the SQL registers now, its result is demanded
+    /// when the thunk is forced.
+    fn read(s: &QueryStore, sql: &str) -> Thunk<Result<ResultSet, sloth_sql::SqlError>> {
+        let id = s.register(sql).unwrap();
+        let s = s.clone();
+        Thunk::new(move || s.result(id))
+    }
+
+    fn v(t: &Thunk<Result<ResultSet, sloth_sql::SqlError>>) -> i64 {
+        t.force().unwrap().get(0, "v").unwrap().as_i64().unwrap()
+    }
+
     #[test]
     fn query_thunk_registers_eagerly_fetches_lazily() {
         let (env, s) = store();
-        let t = query_thunk(&s, "SELECT v FROM t WHERE id = 2", |rs| {
-            rs.get(0, "v").unwrap().as_i64().unwrap()
-        });
+        let t = read(&s, "SELECT v FROM t WHERE id = 2");
         assert_eq!(s.pending_len(), 1, "registered at creation");
         assert_eq!(env.stats().round_trips, 0, "not executed yet");
-        assert_eq!(t.force(), 20);
+        assert_eq!(v(&t), 20);
         assert_eq!(env.stats().round_trips, 1);
-        // Memoized: no extra trips, no extra deserialization.
-        assert_eq!(t.force(), 20);
+        // Memoized: no extra trips.
+        assert_eq!(v(&t), 20);
         assert_eq!(env.stats().round_trips, 1);
     }
 
@@ -120,25 +88,17 @@ mod tests {
         // Reproduces the paper's Fig. 2: Q1 forced to build Q2/Q3/Q4, which
         // then share one later batch.
         let (env, s) = store();
-        let patient = query_thunk(&s, "SELECT v FROM t WHERE id = 1", |rs| {
-            rs.get(0, "v").unwrap().as_i64().unwrap()
-        });
+        let patient = read(&s, "SELECT v FROM t WHERE id = 1");
         // Building the dependent query forces Q1 → batch 1 ships.
-        let pid = patient.force();
+        let pid = v(&patient);
         assert_eq!(env.stats().round_trips, 1);
-        let enc = query_thunk(
-            &s,
-            format!("SELECT v FROM t WHERE id = {}", pid / 10),
-            |rs| rs.len() as i64,
-        );
-        let visits = query_thunk(&s, format!("SELECT v FROM t WHERE v > {pid}"), |rs| {
-            rs.len() as i64
-        });
+        let enc = read(&s, &format!("SELECT v FROM t WHERE id = {}", pid / 10));
+        let visits = read(&s, &format!("SELECT v FROM t WHERE v > {pid}"));
         assert_eq!(s.pending_len(), 2, "Q2 and Q3 batched");
         assert_eq!(env.stats().round_trips, 1, "batch 2 not shipped yet");
         // Rendering the page forces one of them; both ship together.
-        let _ = enc.force();
-        let _ = visits.force();
+        assert_eq!(enc.force().unwrap().len(), 1);
+        assert_eq!(visits.force().unwrap().len(), 3);
         assert_eq!(env.stats().round_trips, 2);
         assert_eq!(s.stats().batch_sizes, vec![1, 2]);
     }
@@ -146,14 +106,14 @@ mod tests {
     #[test]
     fn try_query_thunk_surfaces_errors() {
         let (_env, s) = store();
-        let t = try_query_thunk(&s, "SELECT v FROM nope WHERE id = 1", |rs| rs.len()).unwrap();
+        let t = read(&s, "SELECT v FROM nope WHERE id = 1");
         assert!(t.force().is_err());
     }
 
     #[test]
     fn unused_thunks_never_cost_a_round_trip() {
         let (env, s) = store();
-        let _unused = query_thunk(&s, "SELECT v FROM t WHERE id = 3", |rs| rs.len());
+        let _unused = read(&s, "SELECT v FROM t WHERE id = 3");
         drop(s);
         assert_eq!(env.stats().round_trips, 0);
     }

@@ -1,44 +1,18 @@
-//! Shared, memoizing thunks — the building block of extended lazy
-//! evaluation (§3.2).
+//! A shared, memoizing thunk: a delayed computation forced once (§3.2).
 //!
-//! A [`Thunk<T>`] is a place-holder for a delayed computation. Forcing it
-//! runs the computation once and memoizes the result; every clone shares the
-//! same cell, so a thunk stored in a model map, captured by another thunk
-//! and held in a local variable evaluates exactly once. This is the faithful
-//! Rust rendering of the paper's `Thunk._force()` with memoization.
+//! The kernel language's pages delay values with the interpreter's own
+//! thunks (`sloth-lang`); this one is the Rust-level form that
+//! `sloth_orm::Session::find_thunk` returns. Forcing runs the computation
+//! once and memoizes the result; every clone shares the same cell.
 //!
 //! Thunks are `Send + Sync`: shared ownership is an `Arc<Mutex<…>>`, so a
 //! thunk created on one session thread can be forced from another. A force
 //! that races an in-flight evaluation **waits** for it (the computation
 //! still runs exactly once); a *re-entrant* force from the same thread is a
-//! cyclic data dependency in the source program and panics, as before.
+//! cyclic data dependency in the source program and panics.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
-
-/// Count of thunks allocated process-wide (runtime-overhead accounting).
-static THUNKS_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-/// Count of thunk forces that actually ran a delayed computation.
-static THUNKS_FORCED: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the global thunk counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThunkCounters {
-    /// Thunks allocated since process start.
-    pub allocated: u64,
-    /// Delayed computations actually executed.
-    pub forced: u64,
-}
-
-/// Reads the global thunk counters.
-pub fn thunk_counters() -> ThunkCounters {
-    ThunkCounters {
-        allocated: THUNKS_ALLOCATED.load(Ordering::Relaxed),
-        forced: THUNKS_FORCED.load(Ordering::Relaxed),
-    }
-}
 
 enum State<T> {
     /// Not yet evaluated; holds the delayed computation.
@@ -59,6 +33,12 @@ struct Cell<T> {
     ready: Condvar,
 }
 
+impl<T> Cell<T> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Unwind guard for an in-flight evaluation: if the computation panics,
 /// the cell is marked poisoned and every waiter is woken (they panic in
 /// turn rather than wait forever). Disarmed on the successful path.
@@ -70,13 +50,7 @@ struct ForcePoisonGuard<'a, T> {
 impl<T> Drop for ForcePoisonGuard<'_, T> {
     fn drop(&mut self) {
         if self.armed {
-            let mut guard = self
-                .cell
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            *guard = State::Poisoned;
-            drop(guard);
+            *self.cell.lock() = State::Poisoned;
             self.cell.ready.notify_all();
         }
     }
@@ -98,22 +72,9 @@ impl<T> Clone for Thunk<T> {
 impl<T: Clone + Send + 'static> Thunk<T> {
     /// Delays `f` until the first [`force`](Thunk::force).
     pub fn new(f: impl FnOnce() -> T + Send + 'static) -> Self {
-        THUNKS_ALLOCATED.fetch_add(1, Ordering::Relaxed);
         Thunk {
             cell: Arc::new(Cell {
                 state: Mutex::new(State::Pending(Box::new(f))),
-                ready: Condvar::new(),
-            }),
-        }
-    }
-
-    /// An already-evaluated thunk (the paper's `LiteralThunk`, used to wrap
-    /// results flowing back from external code — §3.4).
-    pub fn ready(value: T) -> Self {
-        THUNKS_ALLOCATED.fetch_add(1, Ordering::Relaxed);
-        Thunk {
-            cell: Arc::new(Cell {
-                state: Mutex::new(State::Forced(value)),
                 ready: Condvar::new(),
             }),
         }
@@ -131,39 +92,33 @@ impl<T: Clone + Send + 'static> Thunk<T> {
     /// in the source program — and on forcing a thunk whose computation
     /// panicked on an earlier force (the cell is poisoned, never filled).
     pub fn force(&self) -> T {
-        let mut guard = self
-            .cell
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let me = std::thread::current().id();
+        let mut guard = self.cell.lock();
         let f = loop {
-            match &*guard {
-                State::Forced(v) => return v.clone(),
-                State::Poisoned => panic!("thunk computation panicked on an earlier force"),
-                State::InFlight(tid) if *tid == std::thread::current().id() => {
-                    panic!("re-entrant thunk force: cyclic dependency")
+            match std::mem::replace(&mut *guard, State::InFlight(me)) {
+                State::Pending(f) => break f,
+                State::Forced(v) => {
+                    *guard = State::Forced(v.clone());
+                    return v;
                 }
-                State::InFlight(_) => {
+                State::Poisoned => {
+                    *guard = State::Poisoned;
+                    panic!("thunk computation panicked on an earlier force")
+                }
+                State::InFlight(tid) => {
+                    *guard = State::InFlight(tid);
+                    if tid == me {
+                        panic!("re-entrant thunk force: cyclic dependency")
+                    }
                     guard = self
                         .cell
                         .ready
                         .wait(guard)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                State::Pending(_) => {
-                    let taken = std::mem::replace(
-                        &mut *guard,
-                        State::InFlight(std::thread::current().id()),
-                    );
-                    match taken {
-                        State::Pending(f) => break f,
-                        _ => unreachable!("matched Pending above"),
-                    }
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             }
         };
         drop(guard);
-        THUNKS_FORCED.fetch_add(1, Ordering::Relaxed);
         // The computation runs outside the lock: it may allocate and force
         // other thunks freely (only forcing *this* cell again is cyclic).
         // If it panics, the guard poisons the cell and wakes every waiter
@@ -174,102 +129,16 @@ impl<T: Clone + Send + 'static> Thunk<T> {
         };
         let v = f();
         poison.armed = false;
-        let mut guard = self
-            .cell
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *guard = State::Forced(v.clone());
-        drop(guard);
+        *self.cell.lock() = State::Forced(v.clone());
         self.cell.ready.notify_all();
         v
-    }
-
-    /// Whether the thunk has been evaluated.
-    pub fn is_forced(&self) -> bool {
-        matches!(
-            &*self
-                .cell
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            State::Forced(_)
-        )
-    }
-
-    /// A new thunk applying `f` to this thunk's (lazily forced) value.
-    pub fn map<U: Clone + Send + 'static>(
-        &self,
-        f: impl FnOnce(T) -> U + Send + 'static,
-    ) -> Thunk<U> {
-        let this = self.clone();
-        Thunk::new(move || f(this.force()))
-    }
-
-    /// Combines two thunks lazily.
-    pub fn zip_with<U: Clone + Send + 'static, V: Clone + Send + 'static>(
-        &self,
-        other: &Thunk<U>,
-        f: impl FnOnce(T, U) -> V + Send + 'static,
-    ) -> Thunk<V> {
-        let a = self.clone();
-        let b = other.clone();
-        Thunk::new(move || f(a.force(), b.force()))
-    }
-}
-
-impl<T: Clone + Send + fmt::Debug + 'static> fmt::Debug for Thunk<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &*self
-            .cell
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            State::Forced(v) => write!(f, "Thunk(forced: {v:?})"),
-            State::Pending(_) => write!(f, "Thunk(pending)"),
-            State::InFlight(_) => write!(f, "Thunk(in-flight)"),
-            State::Poisoned => write!(f, "Thunk(poisoned)"),
-        }
-    }
-}
-
-/// A coalesced block of delayed statements with several outputs (§4.3).
-///
-/// The block body runs once, on the first force of **any** output; all
-/// outputs are then filled. This avoids one thunk allocation per temporary
-/// in straight-line code.
-pub struct ThunkBlock<T: Clone + Send + 'static> {
-    body: Thunk<Vec<T>>,
-}
-
-impl<T: Clone + Send + 'static> ThunkBlock<T> {
-    /// Creates a block whose body produces `n` outputs.
-    pub fn new(f: impl FnOnce() -> Vec<T> + Send + 'static) -> Self {
-        ThunkBlock {
-            body: Thunk::new(f),
-        }
-    }
-
-    /// The `i`-th output as a thunk; forcing it runs the whole block.
-    pub fn output(&self, i: usize) -> Thunk<T> {
-        self.body.map(move |vs| {
-            vs.get(i)
-                .cloned()
-                .unwrap_or_else(|| panic!("thunk block has no output {i}"))
-        })
-    }
-
-    /// Whether the block body has run.
-    pub fn is_forced(&self) -> bool {
-        self.body.is_forced()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn force_memoizes() {
@@ -279,11 +148,10 @@ mod tests {
             r.fetch_add(1, Ordering::SeqCst);
             42
         });
-        assert!(!t.is_forced());
+        assert_eq!(runs.load(Ordering::SeqCst), 0, "delayed until forced");
         assert_eq!(t.force(), 42);
         assert_eq!(t.force(), 42);
         assert_eq!(runs.load(Ordering::SeqCst), 1);
-        assert!(t.is_forced());
     }
 
     #[test]
@@ -301,54 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn ready_never_runs_anything() {
-        let before = thunk_counters().forced;
-        let t = Thunk::ready(7);
-        assert!(t.is_forced());
-        assert_eq!(t.force(), 7);
-        assert_eq!(thunk_counters().forced, before);
-    }
-
-    #[test]
-    fn map_is_lazy() {
-        let runs = Arc::new(AtomicU32::new(0));
-        let r = Arc::clone(&runs);
-        let t = Thunk::new(move || {
-            r.fetch_add(1, Ordering::SeqCst);
-            10
-        });
-        let u = t.map(|x| x * 2);
-        assert_eq!(runs.load(Ordering::SeqCst), 0);
-        assert_eq!(u.force(), 20);
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn zip_with_forces_both() {
-        let a = Thunk::new(|| 3);
-        let b = Thunk::new(|| 4);
-        let c = a.zip_with(&b, |x, y| x + y);
-        assert_eq!(c.force(), 7);
-        assert!(a.is_forced() && b.is_forced());
-    }
-
-    #[test]
-    fn block_runs_once_for_all_outputs() {
-        let runs = Arc::new(AtomicU32::new(0));
-        let r = Arc::clone(&runs);
-        let block = ThunkBlock::new(move || {
-            r.fetch_add(1, Ordering::SeqCst);
-            vec![1, 2, 3]
-        });
-        let o0 = block.output(0);
-        let o2 = block.output(2);
-        assert_eq!(o2.force(), 3);
-        assert!(block.is_forced());
-        assert_eq!(o0.force(), 1);
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "re-entrant")]
     fn reentrant_force_panics() {
         let cell: Arc<Mutex<Option<Thunk<i32>>>> = Arc::new(Mutex::new(None));
@@ -359,20 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn counters_increase() {
-        let before = thunk_counters();
-        let t = Thunk::new(|| 1);
-        t.force();
-        let after = thunk_counters();
-        assert!(after.allocated > before.allocated);
-        assert!(after.forced > before.forced);
-    }
-
-    #[test]
     fn thunks_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Thunk<i32>>();
-        assert_send_sync::<ThunkBlock<String>>();
     }
 
     #[test]

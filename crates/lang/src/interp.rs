@@ -1214,10 +1214,11 @@ impl<'p> Interp<'p> {
 
     fn register_thunk(&mut self, sql: &str, deser: Deser) -> Result<V, RunError> {
         let id = self.data.register(sql)?;
-        Ok(self.query_thunk(id, deser))
+        Ok(self.thunk_for(id, deser))
     }
 
-    fn query_thunk(&mut self, id: QueryId, deser: Deser) -> V {
+    /// The thunk of a registered read: forcing it fetches `id`'s result.
+    fn thunk_for(&mut self, id: QueryId, deser: Deser) -> V {
         self.counters.queries_registered += 1;
         self.alloc_thunk(Pending::query(id, deser))
     }
@@ -1281,7 +1282,7 @@ impl<'p> Interp<'p> {
                 .data
                 .register_dependent(parent, |p| read.stmt(p, hole))?
             {
-                return Ok(self.query_thunk(reg.id, deser));
+                return Ok(self.thunk_for(reg.id, deser));
             }
         }
         let key = self.force_for(key, Demand::QueryParam)?;
@@ -1327,7 +1328,7 @@ impl<'p> Interp<'p> {
                 Ok(_) => None,
             });
         };
-        let v = self.query_thunk(qid, a.deser());
+        let v = self.thunk_for(qid, a.deser());
         if let LazyState::Pending(Pending::Query { assocs, .. }) = &mut *cell.0.borrow_mut() {
             assocs.push((memo_key, v.clone()));
         }
@@ -1442,7 +1443,7 @@ impl<'p> Interp<'p> {
             }));
         };
         if !write {
-            return Ok(ControlFlow::Break(self.query_thunk(reg.id, Deser::Raw)));
+            return Ok(ControlFlow::Break(self.thunk_for(reg.id, Deser::Raw)));
         }
         self.counters.queries_registered += 1;
         if !reg.deferred {
@@ -1678,9 +1679,9 @@ impl<'p> Interp<'p> {
     }
 
     /// Whether `print` writes to the request's buffer (§5) rather than to
-    /// the output on the spot.
+    /// the output on the spot: always, on a lazy run (one with a store).
     fn buffers_output(&self) -> bool {
-        self.data.store.is_some() && self.flags.buffered_writer
+        self.data.store.is_some()
     }
 
     /// Original-mode eager prefetch at `orm_find` (§1: the "eager" strategy

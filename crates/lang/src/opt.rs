@@ -3,8 +3,8 @@
 //! arms' ORM reads above their `if`, lowers 1+N association loops to one
 //! each-row read and marks row guards; coalescing wraps runs of
 //! straight-line statements in [`Stmt::DeferBlock`]. Selective compilation
-//! (§4.1) and the buffered thunk writer (§5) are runtime flags consumed by
-//! the lazy interpreter.
+//! (§4.1) is a runtime flag consumed by the lazy interpreter; its buffered
+//! writer (§5) has no switch: a lazy run always buffers its output.
 
 use std::collections::HashMap;
 
@@ -33,9 +33,6 @@ pub struct OptFlags {
     /// `if (nrows(q) > 0)` arm registers where the `if` stands. Does
     /// nothing without a schema.
     pub hoist: bool,
-    /// §5 JSP extension: output written through a buffering thunk writer,
-    /// flushed once at the end of the request.
-    pub buffered_writer: bool,
 }
 
 impl OptFlags {
@@ -45,18 +42,16 @@ impl OptFlags {
             selective: true,
             coalesce: true,
             hoist: true,
-            buffered_writer: true,
         }
     }
 
-    /// Everything off (the `noopt` bar of Fig. 12; buffering stays on since
-    /// Fig. 12 varies only SC / TC / hoisting).
+    /// Everything off (the `noopt` bar of Fig. 12, which varies only SC /
+    /// TC / hoisting; the lazy run's output stays buffered).
     pub fn none() -> Self {
         OptFlags {
             selective: false,
             coalesce: false,
             hoist: false,
-            buffered_writer: true,
         }
     }
 }

@@ -372,8 +372,9 @@ fn coalescing_reduces_allocations() {
 
 #[test]
 fn buffered_writer_lets_prints_batch() {
-    // Two queries printed back to back: unbuffered forces each at its
-    // print (2 trips); buffered flushes once at end (1 trip).
+    // Two queries printed back to back: each print forces its query under
+    // standard semantics (2 trips); the lazy run's buffered writer flushes
+    // once at the end (1 trip).
     let src = r#"
         fn main() {
             let a = orm_count_where("encounter", "patient_id", 1);
@@ -383,25 +384,15 @@ fn buffered_writer_lets_prints_batch() {
         }
     "#;
     let schema = clinic_schema();
-    let run = |buffered: bool| {
+    let run = |strategy| {
         let env = clinic_env(&schema);
-        run_source(
-            src,
-            &env,
-            Arc::clone(&schema),
-            ExecStrategy::Sloth(OptFlags {
-                buffered_writer: buffered,
-                ..OptFlags::all()
-            }),
-            vec![],
-        )
-        .unwrap()
+        run_source(src, &env, Arc::clone(&schema), strategy, vec![]).unwrap()
     };
-    let buf = run(true);
-    let unbuf = run(false);
-    assert_eq!(buf.output, unbuf.output);
+    let buf = run(ExecStrategy::Sloth(OptFlags::all()));
+    let eager = run(ExecStrategy::Original);
+    assert_eq!(buf.output, eager.output);
     assert_eq!(buf.net.round_trips, 1);
-    assert_eq!(unbuf.net.round_trips, 2);
+    assert_eq!(eager.net.round_trips, 2);
 }
 
 #[test]

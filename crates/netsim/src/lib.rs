@@ -1,4 +1,4 @@
-//! # sloth-net — virtual clock, network latency and the batch driver
+//! # sloth-net — virtual time, network latency and the batch driver
 //!
 //! The paper measures page-load latency between an application server and a
 //! MySQL server connected by a network with 0.5 ms–10 ms round-trip times,
@@ -6,8 +6,6 @@
 //! single round trip and executes the reads in parallel on the database
 //! (§5). This crate reproduces that setup deterministically:
 //!
-//! * [`Clock`] — a shared virtual clock in nanoseconds (atomic: many
-//!   sessions may advance it concurrently).
 //! * [`CostModel`] — round-trip latency, per-byte transfer cost, and the
 //!   database-side execution cost model (base + per-row costs, `workers`
 //!   parallel threads for batched reads).
@@ -25,10 +23,12 @@
 //!   interpreters run unchanged on a fleet.
 //! * [`Dispatcher`] — the front door every session's flush enters (see
 //!   [`dispatch`]): it counts the flush and ships it.
-//! * [`NetStats`] — deterministic counters: round trips, queries, and time
-//!   split into network / database / application-server buckets, exactly the
-//!   decomposition of Fig. 8. Accumulation is saturating, so shared-clock
-//!   counters can never wrap.
+//! * [`NetStats`] — deterministic counters: round trips, queries, and
+//!   virtual time split into network / database / application-server
+//!   buckets, exactly the decomposition of Fig. 8; [`NetStats::total_ns`]
+//!   is the virtual time elapsed. Accumulation is atomic and saturating:
+//!   many sessions may add to the counters concurrently, and they can
+//!   never wrap.
 
 #![warn(missing_docs)]
 
@@ -54,48 +54,6 @@ pub use fault::{
 };
 pub use shard::{ShardStats, ShardedEnv};
 pub use sloth_sql::{ShardSpec, TemplateCacheStats};
-
-/// A shared virtual clock counting nanoseconds since simulation start.
-///
-/// The counter is atomic and advances saturate at `u64::MAX`: concurrent
-/// sessions sharing one cost model can race on it without ever wrapping
-/// backwards.
-#[derive(Debug, Clone, Default)]
-pub struct Clock {
-    now: Arc<AtomicU64>,
-}
-
-impl Clock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Clock::default()
-    }
-
-    /// Current virtual time in nanoseconds.
-    pub fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-
-    /// Rolls the clock back to zero (measurement restart).
-    pub fn reset(&self) {
-        self.now.store(0, Ordering::Relaxed);
-    }
-
-    /// Advances the clock by `ns`, saturating at `u64::MAX`.
-    pub fn advance(&self, ns: u64) {
-        let mut cur = self.now.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(ns);
-            match self
-                .now
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
 
 /// Deterministic cost model for the simulated deployment.
 ///
@@ -281,8 +239,8 @@ impl BatchOutcome {
     }
 }
 
-/// Saturating add on a shared counter (CAS loop, like [`Clock::advance`]):
-/// concurrent sessions can never race a counter into a wrap.
+/// Saturating add on a shared counter (CAS loop): concurrent sessions can
+/// never race a counter into a wrap.
 fn sat_add(counter: &AtomicU64, add: u64) {
     if add == 0 {
         return;
@@ -402,7 +360,7 @@ struct FaultState {
 /// Cloning shares the same underlying simulation (cheap `Arc` clone), so
 /// the query store, ORM session and interpreter can all hold handles — on
 /// any thread: the handle is `Send + Sync`. There is **no whole-deployment
-/// mutex**: the clock, counters and knobs are lock-free atomics, the
+/// mutex**: the counters and knobs are lock-free atomics, the
 /// versioned store synchronizes on its own write order and published
 /// views, and the result cache and fault layer sit behind their own
 /// short-lived mutexes — so any number of sessions ship batches
@@ -418,7 +376,6 @@ pub struct SimEnv {
     /// The batch executor over the store (see [`shard`]). Over one
     /// database it routes nothing: every statement runs as written.
     router: Arc<shard::Router>,
-    clock: Clock,
     /// Real nanoseconds slept per virtual network nanosecond, stored in
     /// parts per million (0 = pure virtual time) — permille quantization
     /// silently zeroed the sub-0.001 scales fast CI runs use. Atomic so
@@ -470,7 +427,6 @@ impl SimEnv {
         SimEnv {
             router: Arc::new(shard::Router::new(spec, 1 + rest.len(), templates)),
             store: Arc::new(VersionedStore::new(first, rest)),
-            clock: Clock::new(),
             realtime_ppm: Arc::new(AtomicU64::new(0)),
             stats: Arc::new(AtomicNetStats::default()),
             knobs: Arc::new(Knobs::default()),
@@ -737,15 +693,9 @@ impl SimEnv {
         self.realtime_ppm.load(Ordering::Relaxed) as f64 / 1_000_000.0
     }
 
-    /// Current virtual time.
-    pub fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
-    }
-
-    /// Charges application-server computation time. Lock-free: the clock
-    /// and the `app_ns` counter are atomics.
+    /// Charges application-server computation time. Lock-free: the
+    /// `app_ns` counter is an atomic.
     pub fn charge_app(&self, ns: u64) {
-        self.clock.advance(ns);
         sat_add(&self.stats.app_ns, ns);
     }
 
@@ -755,7 +705,7 @@ impl SimEnv {
         self.stats.snapshot()
     }
 
-    /// Resets statistics and clock (database contents are kept) — the
+    /// Resets statistics (database contents are kept) — the
     /// paper's "restart servers between measurements".
     pub fn reset_stats(&self) {
         self.stats.reset();
@@ -769,7 +719,6 @@ impl SimEnv {
         // contents are kept, and invalidation never paused).
         self.cache().reset_stats();
         self.router.reset_stats();
-        self.clock.reset();
     }
 
     /// Executes one statement over the **stock driver**: one round trip.
@@ -1248,7 +1197,6 @@ impl SimEnv {
     /// work that did happen, and bytes — but no statement counters (the
     /// batch's statements are counted once, on its final attempt).
     fn charge_faulted_attempt(&self, network_ns: u64, db_ns: u64, bytes: u64) {
-        self.clock.advance(network_ns.saturating_add(db_ns));
         sat_add(&self.stats.round_trips, 1);
         sat_add(&self.stats.network_ns, network_ns);
         sat_add(&self.stats.db_ns, db_ns);
@@ -1258,7 +1206,6 @@ impl SimEnv {
 
     /// Charges one exponential-backoff wait as simulated network time.
     fn charge_backoff(&self, ns: u64) {
-        self.clock.advance(ns);
         sat_add(&self.stats.network_ns, ns);
         {
             let mut fault = self.fault();
@@ -1288,7 +1235,7 @@ impl SimEnv {
     /// the store, on one database or many. A read-only batch runs against
     /// the published views — no lock at all — and so overlaps any
     /// concurrent writer; a batch that writes holds the write order and
-    /// publishes before releasing it. Stats and clock readers never block
+    /// publishes before releasing it. Stats readers never block
     /// behind an executing batch.
     ///
     /// `seeding` is the out-of-band variant ([`SimEnv::seed_sql`]): the
@@ -1354,7 +1301,7 @@ impl SimEnv {
         }
     }
 
-    /// Accounts one executed round trip (stats + virtual clock) and pays
+    /// Accounts one executed round trip (stats and virtual time) and pays
     /// the real-time network sleep outside every lock.
     ///
     /// A batch that failed mid-flight charges its round-trip latency
@@ -1374,8 +1321,6 @@ impl SimEnv {
             None => ran.rtt_ns,
         };
         let network_ns = rtt_share.saturating_add(cost.per_byte_ns.saturating_mul(ran.exec.bytes));
-        self.clock
-            .advance(network_ns.saturating_add(ran.exec.db_ns));
         sat_add(&self.stats.round_trips, 1);
         sat_add(&self.stats.queries, executed.unwrap_or(n_sqls) as u64);
         sat_add(&self.stats.network_ns, network_ns);
@@ -1488,7 +1433,7 @@ mod tests {
     fn seeding_charges_nothing() {
         let env = seeded_env();
         assert_eq!(env.stats(), NetStats::default());
-        assert_eq!(env.now_ns(), 0);
+        assert_eq!(env.stats().total_ns(), 0);
     }
 
     #[test]
@@ -1846,7 +1791,7 @@ mod tests {
         env.charge_app(1_000);
         env.charge_app(500);
         assert_eq!(env.stats().app_ns, 1_500);
-        assert_eq!(env.now_ns(), 1_500);
+        assert_eq!(env.stats().total_ns(), 1_500);
     }
 
     #[test]
@@ -1855,10 +1800,10 @@ mod tests {
         env.charge_app(u64::MAX - 10);
         env.charge_app(u64::MAX - 10);
         assert_eq!(env.stats().app_ns, u64::MAX);
-        assert_eq!(env.now_ns(), u64::MAX);
+        assert_eq!(env.stats().total_ns(), u64::MAX);
         // A subsequent round trip still works and still saturates.
         env.query("SELECT v FROM t WHERE id = 1").unwrap();
-        assert_eq!(env.now_ns(), u64::MAX);
+        assert_eq!(env.stats().total_ns(), u64::MAX);
     }
 
     #[test]
@@ -1867,7 +1812,7 @@ mod tests {
         env.query("SELECT * FROM t WHERE id = 1").unwrap();
         env.reset_stats();
         assert_eq!(env.stats(), NetStats::default());
-        assert_eq!(env.now_ns(), 0);
+        assert_eq!(env.stats().total_ns(), 0);
         let rs = env.query("SELECT * FROM t WHERE id = 1").unwrap();
         assert_eq!(rs.len(), 1);
     }
@@ -1900,7 +1845,6 @@ mod tests {
     fn env_handles_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SimEnv>();
-        assert_send_sync::<Clock>();
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! * [`session`] — a [`Session`] with two backends: **immediate**
 //!   (Hibernate semantics: one round trip per fetch, eager prefetching at
 //!   `find` time, lazy collections fetched on access) and **deferred**
-//!   (Sloth semantics: `find_thunk` / `assoc_thunk` register queries with
-//!   the [`sloth_core::QueryStore`] and return thunks).
+//!   (Sloth semantics: fetches go through the [`sloth_core::QueryStore`],
+//!   and `find_thunk` registers its query now and returns a thunk whose
+//!   force yields the entity or the query's error). Pages do not use it:
+//!   the kernel language's `orm_*` builtins read the same schema and
+//!   [`sqlgen`]; a session is the Rust-level door.
 
 #![warn(missing_docs)]
 

@@ -1,12 +1,12 @@
 //! The ORM session: Hibernate-style immediate execution with eager/lazy
-//! fetch strategies, plus the Sloth **deferred** mode in which every fetch
-//! returns a thunk registered with the query store (the paper's
-//! `find_thunk` JPA extension, §5).
+//! fetch strategies, plus the Sloth **deferred** mode in which fetches go
+//! through the query store and `find_thunk` returns a thunk whose query is
+//! already registered (the paper's JPA extension, §5).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sloth_core::{query_thunk, QueryStore, Thunk};
+use sloth_core::{QueryStore, Thunk};
 use sloth_net::SimEnv;
 use sloth_sql::{ResultSet, SqlError, Value};
 
@@ -167,12 +167,21 @@ impl Session {
     /// `JPA find_thunk` (Sloth's extension): registers the PK query now,
     /// deserializes on force. Eager strategies are deliberately ignored —
     /// Sloth "only brings in entities as they are originally requested".
-    pub fn find_thunk(&self, entity: &str, id: i64) -> Result<Thunk<Option<Entity>>, SqlError> {
-        let store = self.require_store()?;
+    /// A query that fails is an error value of the force.
+    pub fn find_thunk(
+        &self,
+        entity: &str,
+        id: i64,
+    ) -> Result<Thunk<Result<Option<Entity>, SqlError>>, SqlError> {
+        let Backend::Deferred(store) = self.backend.clone() else {
+            return Err(SqlError::new(
+                "thunk API requires a deferred (Sloth) session",
+            ));
+        };
         let def = self.def(entity)?.clone();
-        let sql = sqlgen::select_by_pk(&def, &Value::Int(id));
-        Ok(query_thunk(store, sql, move |rs| {
-            deserialize(&def, &rs).pop()
+        let qid = store.register(sqlgen::select_by_pk(&def, &Value::Int(id)))?;
+        Ok(Thunk::new(move || {
+            Ok(deserialize(&def, &store.result(qid)?).pop())
         }))
     }
 
@@ -185,15 +194,6 @@ impl Session {
         let (sql, target) = self.assoc_query(owner, assoc)?;
         let rs = self.run(&sql)?;
         Ok(deserialize(&target, &rs))
-    }
-
-    /// Sloth association access: registers the association query now (the
-    /// owner must already be materialized to know its key) and defers
-    /// deserialization.
-    pub fn assoc_thunk(&self, owner: &Entity, assoc: &str) -> Result<Thunk<Vec<Entity>>, SqlError> {
-        let store = self.require_store()?;
-        let (sql, target) = self.assoc_query(owner, assoc)?;
-        Ok(query_thunk(store, sql, move |rs| deserialize(&target, &rs)))
     }
 
     /// The SQL and target definition for an association access.
@@ -231,19 +231,6 @@ impl Session {
         Ok(deserialize(def, &rs))
     }
 
-    /// Deferred variant of [`Session::find_where`].
-    pub fn find_where_thunk(
-        &self,
-        entity: &str,
-        column: &str,
-        value: &Value,
-    ) -> Result<Thunk<Vec<Entity>>, SqlError> {
-        let store = self.require_store()?;
-        let def = self.def(entity)?.clone();
-        let sql = sqlgen::select_where_eq(&def, column, value);
-        Ok(query_thunk(store, sql, move |rs| deserialize(&def, &rs)))
-    }
-
     /// Persists a new entity row (write: drains or defers per the
     /// deployment's selective-laziness setting — a conflicting write
     /// still flushes any pending batch, riding it).
@@ -265,15 +252,6 @@ impl Session {
         let def = self.def(entity)?;
         let sql = sqlgen::update_field(def, &Value::Int(id), column, value);
         self.run_write(&sql)
-    }
-
-    fn require_store(&self) -> Result<&QueryStore, SqlError> {
-        match &self.backend {
-            Backend::Deferred(store) => Ok(store),
-            Backend::Immediate(_) => Err(SqlError::new(
-                "thunk API requires a deferred (Sloth) session",
-            )),
-        }
     }
 }
 
@@ -366,8 +344,8 @@ mod tests {
         let t1 = s.find_thunk("patient", 1).unwrap();
         let t2 = s.find_thunk("patient", 2).unwrap();
         assert_eq!(env.stats().round_trips, 0);
-        let p1 = t1.force().unwrap();
-        let p2 = t2.force().unwrap();
+        let p1 = t1.force().unwrap().unwrap();
+        let p2 = t2.force().unwrap().unwrap();
         assert_eq!(env.stats().round_trips, 1, "both finds in one batch");
         assert_eq!(p1.get_str("name"), Some("Ada"));
         assert_eq!(p2.get_str("name"), Some("Grace"));
@@ -376,20 +354,15 @@ mod tests {
     }
 
     #[test]
-    fn deferred_assoc_thunk_registers_now() {
-        let schema = schema();
-        let env = seeded_env(&schema);
-        let store = QueryStore::new(env.clone());
-        let s = Session::deferred(store.clone(), Arc::clone(&schema));
-        let p = s.find_thunk("patient", 1).unwrap().force().unwrap();
-        let before_trips = env.stats().round_trips;
-        let enc = s.assoc_thunk(&p, "encounters").unwrap();
-        let vis = s.assoc_thunk(&p, "visits").unwrap();
-        assert_eq!(store.pending_len(), 2);
-        assert_eq!(env.stats().round_trips, before_trips);
-        assert_eq!(enc.force().len(), 2);
-        assert_eq!(vis.force().len(), 1);
-        assert_eq!(env.stats().round_trips, before_trips + 1);
+    fn a_failing_find_is_an_error_at_force() {
+        // The schema maps `patient`, but this deployment has no such table:
+        // the read registers, and its failure is the value the force returns.
+        let store = QueryStore::new(SimEnv::default_env());
+        let s = Session::deferred(store, schema());
+        let t = s.find_thunk("patient", 1).unwrap();
+        let e = t.force().unwrap_err();
+        assert!(e.message().contains("patient"), "{e}");
+        assert_eq!(t.force().unwrap_err(), e, "memoized");
     }
 
     #[test]
@@ -445,7 +418,7 @@ mod tests {
         assert_eq!(store.pending_len(), 2);
         assert_eq!(store.stats().deferred_writes, 1);
         // Forcing the find drains both in ONE round trip.
-        assert!(t.force().is_some());
+        assert!(t.force().unwrap().is_some());
         assert_eq!(env.stats().round_trips, 1);
         // A second disjoint write defers again; update_field drains it
         // only when it conflicts.

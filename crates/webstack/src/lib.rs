@@ -1,20 +1,16 @@
-//! # sloth-web — MVC micro-framework with a thunk-buffering writer
+//! # sloth-web — the request funnel
 //!
-//! The Spring/JSP/Tomcat stand-in (§5 of the paper) for **Rust-level**
-//! applications built directly on `sloth-core` (the kernel-language
-//! benchmark apps have their own in-interpreter rendering). It provides:
+//! The Spring/JSP/Tomcat stand-in (§5 of the paper). [`http`] is the
+//! request dispatch layer: a [`Router`] maps paths to compiled
+//! kernel-language pages, and every handler runs its page through
+//! `Prepared::run_with`, so each request gets a fresh session and the
+//! end-of-request deferred-write drain.
 //!
-//! * [`Model`] — the controller's output: an ordered map whose values may
-//!   be thunks (the Spring extension that lets thunk objects be stored in
-//!   the model).
-//! * [`ThunkWriter`] — the JSP extension: `write_thunk` buffers thunks and
-//!   forces them only when the page flushes, so query batches keep growing
-//!   through view rendering.
-//! * [`render`] — walks the model through a `ThunkWriter`, producing the
-//!   page and triggering at most one batch flush for all buffered values.
-//! * [`http`] — the request dispatch layer: every handler runs its page
-//!   through `Prepared::run_with`, so each request gets a fresh session
-//!   and the end-of-request deferred-write drain.
+//! The paper's JSP extension — a writer that buffers thunks and forces them
+//! only when the page flushes, so query batches keep growing through view
+//! rendering — is the interpreter's buffered output (`sloth-lang`): a
+//! page's `print` under lazy semantics writes its value unforced, and the
+//! buffer flushes once at the end of the request.
 
 #![warn(missing_docs)]
 
@@ -22,175 +18,17 @@ pub mod http;
 
 pub use http::{HttpRequest, HttpResponse, Router};
 
-use sloth_core::Thunk;
-use sloth_orm::Entity;
-
-/// A value a controller can put in the model: plain or delayed.
-#[derive(Clone)]
-pub enum ModelValue {
-    /// Plain text.
-    Text(String),
-    /// Plain number.
-    Int(i64),
-    /// A materialized entity.
-    Entity(Entity),
-    /// A materialized entity list.
-    List(Vec<Entity>),
-    /// A delayed entity (e.g. from `Session::find_thunk`).
-    LazyEntity(Thunk<Option<Entity>>),
-    /// A delayed entity list (e.g. from `Session::assoc_thunk`).
-    LazyList(Thunk<Vec<Entity>>),
-    /// A delayed string.
-    LazyText(Thunk<String>),
-}
-
-impl ModelValue {
-    fn render_into(&self, out: &mut String) {
-        match self {
-            ModelValue::Text(s) => out.push_str(s),
-            ModelValue::Int(i) => out.push_str(&i.to_string()),
-            ModelValue::Entity(e) => render_entity(e, out),
-            ModelValue::List(es) => render_list(es, out),
-            ModelValue::LazyEntity(t) => match t.force() {
-                Some(e) => render_entity(&e, out),
-                None => out.push_str("(none)"),
-            },
-            ModelValue::LazyList(t) => render_list(&t.force(), out),
-            ModelValue::LazyText(t) => out.push_str(&t.force()),
-        }
-    }
-}
-
-fn render_entity(e: &Entity, out: &mut String) {
-    out.push('{');
-    let mut first = true;
-    for (k, v) in &e.values {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        out.push_str(k);
-        out.push('=');
-        out.push_str(&v.to_string());
-    }
-    out.push('}');
-}
-
-fn render_list(es: &[Entity], out: &mut String) {
-    out.push('[');
-    for (i, e) in es.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        render_entity(e, out);
-    }
-    out.push(']');
-}
-
-/// The controller's output model: insertion-ordered key/value pairs.
-#[derive(Default)]
-pub struct Model {
-    entries: Vec<(String, ModelValue)>,
-}
-
-impl Model {
-    /// Empty model.
-    pub fn new() -> Self {
-        Model::default()
-    }
-
-    /// Adds a value (duplicate keys render in insertion order).
-    pub fn put(&mut self, key: impl Into<String>, value: ModelValue) {
-        self.entries.push((key.into(), value));
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the model is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates entries in insertion order.
-    pub fn entries(&self) -> impl Iterator<Item = &(String, ModelValue)> {
-        self.entries.iter()
-    }
-}
-
-/// The JSP `JspWriter` extension (§5): text is appended immediately but
-/// thunk values are *buffered* and only forced when the writer flushes —
-/// typically once, after the whole page body has been emitted.
-#[derive(Default)]
-pub struct ThunkWriter {
-    segments: Vec<Segment>,
-}
-
-enum Segment {
-    Text(String),
-    Deferred(ModelValue),
-}
-
-impl ThunkWriter {
-    /// Fresh writer.
-    pub fn new() -> Self {
-        ThunkWriter::default()
-    }
-
-    /// Writes literal page text.
-    pub fn write(&mut self, text: impl Into<String>) {
-        self.segments.push(Segment::Text(text.into()));
-    }
-
-    /// Writes a (possibly delayed) value without forcing it (`writeThunk`).
-    pub fn write_thunk(&mut self, value: ModelValue) {
-        self.segments.push(Segment::Deferred(value));
-    }
-
-    /// Number of buffered segments not yet flushed.
-    pub fn buffered(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Flushes the page: forces every buffered value in order and returns
-    /// the rendered output. Forcing the first thunk ships the accumulated
-    /// query batch; later thunks usually hit the result cache.
-    pub fn flush(&mut self) -> String {
-        let mut out = String::new();
-        for seg in self.segments.drain(..) {
-            match seg {
-                Segment::Text(t) => out.push_str(&t),
-                Segment::Deferred(v) => v.render_into(&mut out),
-            }
-        }
-        out
-    }
-}
-
-/// Renders a model the way the paper's extended view layer does: keys as
-/// page text, values via `write_thunk`, one flush at the end.
-pub fn render(model: &Model) -> String {
-    let mut w = ThunkWriter::new();
-    for (key, value) in model.entries() {
-        w.write(format!("{key}: "));
-        w.write_thunk(value.clone());
-        w.write("\n");
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sloth_core::QueryStore;
+    use sloth_lang::{parse_program, prepare_with_schema, ExecStrategy, OptFlags, V};
     use sloth_net::SimEnv;
-    use sloth_orm::{entity, Schema, Session};
+    use sloth_orm::{entity, Schema};
     use sloth_sql::ast::ColumnType::*;
     use std::sync::Arc;
 
-    fn setup() -> (SimEnv, Session) {
+    /// A router with `src` mounted lazily at `/page`, over two items.
+    fn mounted(src: &str) -> (SimEnv, Router) {
         let mut s = Schema::new();
         s.add(entity(
             "item",
@@ -206,63 +44,43 @@ mod tests {
         }
         env.seed_sql("INSERT INTO item VALUES (1, 'alpha'), (2, 'beta')")
             .unwrap();
-        let store = QueryStore::new(env.clone());
-        (env.clone(), Session::deferred(store, schema))
-    }
-
-    #[test]
-    fn model_renders_in_insertion_order() {
-        let mut m = Model::new();
-        m.put("b", ModelValue::Int(2));
-        m.put("a", ModelValue::Text("x".into()));
-        assert_eq!(render(&m), "b: 2\na: x\n");
+        let program = parse_program(src).unwrap();
+        let strategy = ExecStrategy::Sloth(OptFlags::all());
+        let page = prepare_with_schema(&program, strategy, Some(&schema));
+        let mut router = Router::new(env.clone(), schema);
+        router.mount("/page", Arc::new(page), true);
+        (env, router)
     }
 
     #[test]
     fn write_thunk_defers_until_flush() {
-        let (env, session) = setup();
-        let t1 = session.find_thunk("item", 1).unwrap();
-        let t2 = session.find_thunk("item", 2).unwrap();
-        let mut w = ThunkWriter::new();
-        w.write("page: ");
-        w.write_thunk(ModelValue::LazyEntity(t1));
-        w.write_thunk(ModelValue::LazyEntity(t2));
-        assert_eq!(env.stats().round_trips, 0, "nothing forced yet");
-        let html = w.flush();
-        assert!(html.contains("alpha") && html.contains("beta"));
+        // Each print writes an unforced find; the flush at the end of the
+        // request forces the first, which ships both finds in one batch.
+        let (env, router) = mounted(
+            r#"
+            fn main() {
+                print("page: ");
+                print(orm_find("item", 1));
+                print(orm_find("item", 2));
+            }
+            "#,
+        );
+        let rsp = router.handle(&HttpRequest::get("/page"));
+        assert!(rsp.ok(), "{}", rsp.body);
+        assert!(rsp.body.starts_with("page: "), "{}", rsp.body);
+        assert!(
+            rsp.body.contains("alpha") && rsp.body.contains("beta"),
+            "{}",
+            rsp.body
+        );
         assert_eq!(env.stats().round_trips, 1, "both finds in one batch");
     }
 
     #[test]
     fn missing_entity_renders_placeholder() {
-        let (_env, session) = setup();
-        let t = session.find_thunk("item", 99).unwrap();
-        let mut m = Model::new();
-        m.put("missing", ModelValue::LazyEntity(t));
-        assert_eq!(render(&m), "missing: (none)\n");
-    }
-
-    #[test]
-    fn full_page_via_model() {
-        let (env, session) = setup();
-        let mut m = Model::new();
-        m.put("title", ModelValue::Text("items".into()));
-        m.put(
-            "first",
-            ModelValue::LazyEntity(session.find_thunk("item", 1).unwrap()),
-        );
-        m.put(
-            "all",
-            ModelValue::LazyList(
-                session
-                    .find_where_thunk("item", "id", &sloth_sql::Value::Int(2))
-                    .unwrap(),
-            ),
-        );
-        let html = render(&m);
-        assert!(html.starts_with("title: items\n"));
-        assert!(html.contains("name=alpha"));
-        assert!(html.contains("name=beta"));
-        assert_eq!(env.stats().round_trips, 1);
+        let (_env, router) = mounted(r#"fn main(id) { print(orm_find("item", id)); }"#);
+        let rsp = router.handle(&HttpRequest::with_args("/page", vec![V::Int(99)]));
+        assert!(rsp.ok(), "{}", rsp.body);
+        assert_eq!(rsp.body, "null");
     }
 }

@@ -1,10 +1,12 @@
-//! The paper's Fig. 1/Fig. 2 walk-through: the OpenMRS patient dashboard,
-//! written against the Rust-level API (`sloth-orm` deferred session +
-//! `sloth-web` thunk-buffering view).
+//! The paper's running example (§2, Fig. 1/Fig. 2): the OpenMRS patient
+//! dashboard, written as a kernel-language page and run both ways.
 //!
-//! Watch the batches: fetching the patient is batch 1 (its id is needed to
-//! build the other queries); encounters, visits and active visits all ride
-//! batch 2, shipped only when the view renders.
+//! The controller puts the patient, its encounters and its visits in the
+//! model, and the view renders them. Run as written (`Original`), every
+//! fetch is a round trip of its own. Run lazily (`Sloth`), nothing ships
+//! until the page flushes its output: the associations are keyed by a
+//! column of the patient row, so they register as dependants of the
+//! patient's query, and all three queries ride **one** round trip.
 //!
 //! ```sh
 //! cargo run --example patient_dashboard
@@ -12,11 +14,24 @@
 
 use std::sync::Arc;
 
-use sloth_core::QueryStore;
-use sloth_net::SimEnv;
-use sloth_orm::{entity, one_to_many, FetchStrategy, Schema, Session};
+use sloth_lang::{parse_program, prepare_with_schema, ExecStrategy, OptFlags, V};
+use sloth_net::{CostModel, NetStats, SimEnv};
+use sloth_orm::{entity, one_to_many, FetchStrategy, Schema};
 use sloth_sql::ast::ColumnType::*;
-use sloth_web::{render, Model, ModelValue};
+
+/// The controller and its view, as one page.
+const DASHBOARD: &str = r#"
+fn main(pid) {
+    let model = new { };
+    let p = orm_find("patient", pid);
+    model.patient = p;
+    model.patientEncounters = orm_assoc(p, "encounters");
+    model.patientVisits = orm_assoc(p, "visits");
+    print(concat("patient: ", model.patient.name));
+    render(model.patientEncounters);
+    render(model.patientVisits);
+}
+"#;
 
 fn schema() -> Arc<Schema> {
     let mut s = Schema::new();
@@ -47,9 +62,10 @@ fn schema() -> Arc<Schema> {
     Arc::new(s)
 }
 
-/// Renders the dashboard and returns `(page, stats)` (wired into
-/// `cargo test` by `tests/examples_smoke.rs`).
-pub fn run() -> (String, sloth_net::NetStats) {
+/// Renders the dashboard under both strategies and returns the page with
+/// the `Original` and the `Sloth` run's statistics (wired into `cargo
+/// test` by `tests/examples_smoke.rs`).
+pub fn run() -> (String, NetStats, NetStats) {
     let schema = schema();
     let env = SimEnv::default_env();
     for ddl in schema.ddl() {
@@ -63,60 +79,35 @@ pub fn run() -> (String, sloth_net::NetStats) {
     .unwrap();
     env.seed_sql("INSERT INTO visit VALUES (100, 1, TRUE), (101, 1, FALSE)")
         .unwrap();
+    let db = env.snapshot_db();
 
-    // ---- the controller (paper Fig. 1) ----
-    let store = QueryStore::new(env.clone());
-    let session = Session::deferred(store.clone(), Arc::clone(&schema));
-    let mut model = Model::new();
-
-    // Q1: the patient. Registered, not executed.
-    let patient = session.find_thunk("patient", 1).unwrap();
-    println!(
-        "after find_thunk:        round trips = {}",
-        env.stats().round_trips
-    );
-
-    // Building Q2..Q4 needs the patient's key → forces Q1 (batch 1 ships).
-    let p = patient.force().expect("patient exists");
-    println!(
-        "after forcing patient:   round trips = {}",
-        env.stats().round_trips
-    );
-
-    let encounters = session.assoc_thunk(&p, "encounters").unwrap();
-    let visits = session.assoc_thunk(&p, "visits").unwrap();
-    println!(
-        "after assoc thunks:      round trips = {} (batch 2 pending: {} queries)",
-        env.stats().round_trips,
-        store.pending_len()
-    );
-
-    model.put("patient", ModelValue::Entity(p));
-    model.put("patientEncounters", ModelValue::LazyList(encounters));
-    model.put("patientVisits", ModelValue::LazyList(visits));
-
-    // ---- the view ----
-    // Rendering flushes the thunk writer: batch 2 ships in ONE round trip.
-    let html = render(&model);
-    println!(
-        "after rendering:         round trips = {}",
-        env.stats().round_trips
-    );
-    println!("--- page ---\n{html}---");
-
-    let stats = env.stats();
-    println!(
-        "total: {} round trips for {} queries (max batch {}), {:.2} ms simulated",
-        stats.round_trips,
-        stats.queries,
-        stats.max_batch,
-        stats.total_ns() as f64 / 1e6
-    );
-    assert_eq!(
-        stats.round_trips, 2,
-        "Fig. 2: batch 1 (patient) + batch 2 (the rest)"
-    );
-    (html, stats)
+    let program = parse_program(DASHBOARD).unwrap();
+    let mut pages = Vec::new();
+    let mut stats = Vec::new();
+    for (label, strategy) in [
+        ("original", ExecStrategy::Original),
+        ("sloth", ExecStrategy::Sloth(OptFlags::all())),
+    ] {
+        let page = prepare_with_schema(&program, strategy, Some(&schema));
+        let env = SimEnv::from_database(db.clone(), CostModel::default());
+        let r = page
+            .run(&env, Arc::clone(&schema), vec![V::Int(1)])
+            .unwrap();
+        println!(
+            "{label:<9} {} round trips for {} queries (max batch {}), {:.2} ms simulated",
+            r.net.round_trips,
+            r.net.queries,
+            r.net.max_batch,
+            r.net.total_ns() as f64 / 1e6
+        );
+        pages.push(r.output.join("\n"));
+        stats.push(r.net);
+    }
+    assert_eq!(pages[0], pages[1], "the same page either way");
+    println!("--- page ---\n{}\n---", pages[1]);
+    let sloth = stats.pop().unwrap();
+    let original = stats.pop().unwrap();
+    (pages.pop().unwrap(), original, sloth)
 }
 
 // Unused when the file is included by the examples_smoke test.

@@ -1,13 +1,15 @@
-//! Quickstart: the Sloth runtime in twenty lines.
+//! Quickstart: the Sloth query store in twenty lines.
 //!
-//! Two queries are *registered* when their thunks are created and shipped
-//! to the database in **one round trip** when the first result is needed.
+//! Two queries are *registered* with the store — nothing ships — and both
+//! go to the database in **one round trip** when the first result is
+//! demanded. (A kernel-language page registers the same way, from the
+//! thunks its lazy evaluator creates; see `kernel_language.rs`.)
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
-use sloth_core::{query_thunk, QueryStore};
+use sloth_core::QueryStore;
 use sloth_net::{NetStats, SimEnv};
 
 /// Runs the tour and returns the deployment statistics (wired into
@@ -23,12 +25,12 @@ pub fn run() -> NetStats {
     // The per-request query store batches lazily-issued queries.
     let store = QueryStore::new(env.clone());
 
-    let hello = query_thunk(&store, "SELECT word FROM greeting WHERE id = 1", |rs| {
-        rs.get(0, "word").unwrap().to_string()
-    });
-    let world = query_thunk(&store, "SELECT word FROM greeting WHERE id = 2", |rs| {
-        rs.get(0, "word").unwrap().to_string()
-    });
+    let hello = store
+        .register("SELECT word FROM greeting WHERE id = 1")
+        .unwrap();
+    let world = store
+        .register("SELECT word FROM greeting WHERE id = 2")
+        .unwrap();
     println!(
         "registered {} queries, round trips so far: {}",
         2,
@@ -36,8 +38,16 @@ pub fn run() -> NetStats {
     );
     assert_eq!(env.stats().round_trips, 0);
 
-    // Forcing either thunk ships BOTH queries in a single batch.
-    println!("{} {}", hello.force(), world.force());
+    // Demanding either result ships BOTH queries in a single batch.
+    let word = |id| {
+        store
+            .result(id)
+            .unwrap()
+            .get(0, "word")
+            .unwrap()
+            .to_string()
+    };
+    println!("{} {}", word(hello), word(world));
     let stats = env.stats();
     println!(
         "round trips: {} (batch of {}), simulated latency: {:.2} ms",

@@ -12,11 +12,11 @@
 //! | crate | role |
 //! |---|---|
 //! | [`sql`] (`sloth-sql`) | in-memory SQL engine, normalizer, template cache, shard spec (the MySQL stand-in of the §6 testbed) |
-//! | [`net`] (`sloth-net`) | virtual clock, latency simulation, batch driver (§5), [`net::ShardedEnv`] router |
-//! | [`core`] (`sloth-core`) | thunks + the query store — the extended-lazy runtime (§3.2, §3.3) |
+//! | [`net`] (`sloth-net`) | virtual time, latency simulation, batch driver (§5), [`net::ShardedEnv`] router |
+//! | [`core`] (`sloth-core`) | the query store — the batching runtime the lazy evaluator registers with (§3.3) |
 //! | [`orm`] (`sloth-orm`) | mini-Hibernate with eager/lazy fetch strategies (§1, §5) |
-//! | [`lang`] (`sloth-lang`) | kernel language (§3.8), compiler passes (§3.1, §4), both evaluators |
-//! | [`web`] (`sloth-web`) | MVC micro-framework with the thunk-buffering writer (§5) |
+//! | [`lang`] (`sloth-lang`) | kernel language (§3.8), compiler passes (§3.1, §4), both evaluators; the lazy one's thunks (§3.2) and buffered writer (§5) |
+//! | [`web`] (`sloth-web`) | the HTTP router every page request enters through (§5) |
 //! | [`apps`] (`sloth-apps`) | itracker / OpenMRS / TPC-C / TPC-W benchmarks (§6) |
 //!
 //! See `examples/quickstart.rs` for the 20-line tour,
@@ -33,6 +33,6 @@ pub use sloth_orm as orm;
 pub use sloth_sql as sql;
 pub use sloth_web as web;
 
-pub use sloth_core::{query_thunk, QueryStore, Thunk};
+pub use sloth_core::QueryStore;
 pub use sloth_lang::{run_source, ExecStrategy, OptFlags};
 pub use sloth_net::{CostModel, ShardSpec, ShardedEnv, SimEnv};

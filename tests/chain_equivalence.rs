@@ -613,7 +613,6 @@ const SLOTH: ExecStrategy = ExecStrategy::Sloth(OptFlags {
     selective: true,
     coalesce: true,
     hoist: true,
-    buffered_writer: true,
 });
 
 /// A random program, what `Original` makes of it on a fresh database, and

@@ -1,7 +1,7 @@
 //! Concurrent multi-session serving: end-to-end tests of the thread-safe
-//! driver core across the Rust-level stack (`sloth-orm` sessions +
-//! `sloth-web` rendering on shared deployments, with and without a shared
-//! [`Dispatcher`]).
+//! driver core through the query store's Rust-level door
+//! (`QueryStore::{register, result}` over `sloth-orm`'s SQL generation, on
+//! shared deployments, with and without a shared [`Dispatcher`]).
 //!
 //! The invariant under test everywhere: at equal inputs, a page rendered
 //! by a session on a shared concurrent deployment is bit-identical to the
@@ -13,9 +13,9 @@ use std::time::Duration;
 
 use sloth_core::QueryStore;
 use sloth_net::{Dispatcher, SimEnv};
-use sloth_orm::{entity, one_to_many, FetchStrategy, Schema, Session};
+use sloth_orm::{deserialize, entity, one_to_many, sqlgen, Entity, FetchStrategy, Schema};
 use sloth_sql::ast::ColumnType::*;
-use sloth_web::{render, Model, ModelValue};
+use sloth_sql::Value;
 
 fn clinic_schema() -> Arc<Schema> {
     let mut s = Schema::new();
@@ -60,23 +60,37 @@ fn seeded_env(schema: &Schema, patients: i64) -> SimEnv {
     env
 }
 
-/// Renders one "patient dashboard" page for `pid` on the given session.
-fn render_dashboard(session: &Session, pid: i64) -> String {
-    let patient = session.find_thunk("patient", pid).unwrap();
-    let p = patient.force().expect("patient exists");
-    let encounters = session.assoc_thunk(&p, "encounters").unwrap();
-    let mut model = Model::new();
-    model.put("patient", ModelValue::Entity(p));
-    model.put("encounters", ModelValue::LazyList(encounters));
-    render(&model)
+/// Renders one "patient dashboard" page for `pid` on the given session's
+/// store, in two flushes: the patient's read ships alone (its key builds
+/// the next query), then its encounters.
+fn render_dashboard(store: &QueryStore, schema: &Schema, pid: i64) -> String {
+    let read = |def, sql| deserialize(def, &store.result(store.register(sql).unwrap()).unwrap());
+    let show = |e: &Entity| {
+        let fields: Vec<String> = e.values.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        format!("{{{}}}", fields.join(", "))
+    };
+    let (patient, encounter) = (
+        schema.entity("patient").unwrap(),
+        schema.entity("encounter").unwrap(),
+    );
+    let p = read(patient, sqlgen::select_by_pk(patient, &Value::Int(pid)))
+        .pop()
+        .expect("patient exists");
+    let encounters = patient.assoc("encounters").unwrap();
+    let key = p.pk(patient);
+    let encounters = read(encounter, sqlgen::select_assoc(encounters, encounter, &key));
+    let encounters: Vec<String> = encounters.iter().map(show).collect();
+    format!(
+        "patient: {}\nencounters: [{}]\n",
+        show(&p),
+        encounters.join(", ")
+    )
 }
 
 /// The serial reference: each page rendered alone on a fresh deployment.
 fn reference_page(schema: &Arc<Schema>, patients: i64, pid: i64) -> String {
     let env = seeded_env(schema, patients);
-    let store = QueryStore::new(env.clone());
-    let session = Session::deferred(store, Arc::clone(schema));
-    render_dashboard(&session, pid)
+    render_dashboard(&QueryStore::new(env), schema, pid)
 }
 
 #[test]
@@ -100,8 +114,7 @@ fn concurrent_sessions_render_identical_pages_on_shared_env() {
                     let pid = 1 + ((t as i64 + round * 3) % 12);
                     // Each page request = its own session on the shared env.
                     let store = QueryStore::new(env.clone());
-                    let session = Session::deferred(store, Arc::clone(&schema));
-                    let page = render_dashboard(&session, pid);
+                    let page = render_dashboard(&store, &schema, pid);
                     assert_eq!(
                         page,
                         expected[(pid - 1) as usize],
@@ -140,8 +153,7 @@ fn concurrent_sessions_through_dispatcher_serve_equal_pages() {
                 for round in 0..8i64 {
                     let pid = 1 + ((t as i64 * 5 + round) % 12);
                     let store = QueryStore::dispatched(Arc::clone(&dispatcher));
-                    let session = Session::deferred(store, Arc::clone(&schema));
-                    let page = render_dashboard(&session, pid);
+                    let page = render_dashboard(&store, &schema, pid);
                     assert_eq!(
                         page,
                         expected[(pid - 1) as usize],
@@ -167,14 +179,11 @@ fn dispatcher_matches_serial_at_one_session() {
     let env_disp = seeded_env(&schema, 4);
     let dispatcher = Arc::new(Dispatcher::new(env_disp.clone()));
     for pid in 1..=4 {
-        let direct = Session::deferred(QueryStore::new(env_direct.clone()), Arc::clone(&schema));
-        let dispatched = Session::deferred(
-            QueryStore::dispatched(Arc::clone(&dispatcher)),
-            Arc::clone(&schema),
-        );
+        let direct = QueryStore::new(env_direct.clone());
+        let dispatched = QueryStore::dispatched(Arc::clone(&dispatcher));
         assert_eq!(
-            render_dashboard(&direct, pid),
-            render_dashboard(&dispatched, pid)
+            render_dashboard(&direct, &schema, pid),
+            render_dashboard(&dispatched, &schema, pid)
         );
     }
     // Bit-identical driver behaviour: same trips, same statements, one
@@ -289,8 +298,7 @@ fn dispatched_write_mix_matches_serial_reference() {
                     assert!(store.result(write).unwrap().is_empty());
                     // A read-only dashboard session in between.
                     let ro = QueryStore::dispatched(Arc::clone(&dispatcher));
-                    let session = Session::deferred(ro, Arc::clone(&schema));
-                    let page = render_dashboard(&session, pid);
+                    let page = render_dashboard(&ro, &schema, pid);
                     assert!(
                         page.contains(&format!("renamed-{pid}-{round}")),
                         "session {t} round {round} sees its own write: {page}"
@@ -351,8 +359,8 @@ impl Wedge {
     }
 }
 
-/// Satellite: the observability surfaces (`stats`, `now_ns`,
-/// `result_cache_stats`, `Dispatcher::stats`) must never block behind an
+/// Satellite: the observability surfaces (`stats`, `result_cache_stats`,
+/// `Dispatcher::stats`) must never block behind an
 /// in-flight batch. We wedge a **write** batch mid-ship by holding the
 /// database write lock, then require a full set of stats reads to
 /// complete on a bounded timeout while the batch is provably still
@@ -397,13 +405,12 @@ fn stats_reads_complete_while_a_batch_is_mid_ship() {
         let dispatcher = Arc::clone(&dispatcher);
         std::thread::spawn(move || {
             let stats = env.stats();
-            let now = env.now_ns();
             let cache = env.result_cache_stats();
             let disp = dispatcher.stats();
-            tx.send((stats, now, cache, disp)).unwrap();
+            tx.send((stats, cache, disp)).unwrap();
         });
     }
-    let (stats, _now, cache, disp) = rx
+    let (stats, cache, disp) = rx
         .recv_timeout(Duration::from_secs(5))
         .expect("stats reads must not block behind an in-flight batch");
     assert_eq!(
@@ -595,6 +602,7 @@ fn stress_64_sessions_mixed_footprints_match_serial_references() {
                 assert!(s.round_trips >= last.round_trips, "{s:?} < {last:?}");
                 assert!(s.bytes >= last.bytes, "{s:?} < {last:?}");
                 assert!(s.db_ns >= last.db_ns, "{s:?} < {last:?}");
+                assert!(s.total_ns() >= last.total_ns(), "{s:?} < {last:?}");
                 assert!(d.flushes >= last_d.flushes, "{d:?} < {last_d:?}");
                 assert!(d.dispatches >= last_d.dispatches, "{d:?} < {last_d:?}");
                 assert!(
@@ -625,8 +633,7 @@ fn stress_64_sessions_mixed_footprints_match_serial_references() {
                     for round in 0..rounds {
                         let pid = 1 + ((t as i64 / 2 + round * 7) % read_pids);
                         let store = QueryStore::dispatched(Arc::clone(&dispatcher));
-                        let session = Session::deferred(store, Arc::clone(&schema));
-                        let page = render_dashboard(&session, pid);
+                        let page = render_dashboard(&store, &schema, pid);
                         assert_eq!(
                             page,
                             expected[(pid - 1) as usize],

@@ -758,12 +758,11 @@ fn all_opts_case(case: u64) -> (String, OptFlags) {
 fn flag_combination_case(case: u64) -> (String, OptFlags) {
     let mut rng = Rng::new(0xF1A6 ^ case);
     let src = arb_program(&mut rng);
-    let mask = rng.range(0, 16) as u8;
+    let mask = rng.range(0, 8) as u8;
     let flags = OptFlags {
         selective: mask & 1 != 0,
         coalesce: mask & 2 != 0,
         hoist: mask & 4 != 0,
-        buffered_writer: mask & 8 != 0,
     };
     (src, flags)
 }

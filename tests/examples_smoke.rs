@@ -18,7 +18,7 @@ mod kernel_language;
 #[test]
 fn quickstart_example_runs_end_to_end() {
     let stats = quickstart::run();
-    assert_eq!(stats.round_trips, 1, "both thunks ship in one batch");
+    assert_eq!(stats.round_trips, 1, "both reads ship in one batch");
     assert_eq!(stats.queries, 2);
 }
 
@@ -34,11 +34,15 @@ fn issue_tracker_example_runs_end_to_end() {
 
 #[test]
 fn patient_dashboard_example_runs_end_to_end() {
-    let (html, stats) = patient_dashboard::run();
-    assert!(html.contains("Ada Lovelace"));
-    assert!(html.contains("checkup"), "encounters rendered: {html}");
-    assert_eq!(stats.round_trips, 2, "Fig. 2 batching");
-    assert!(stats.queries >= 3);
+    let (page, original, sloth) = patient_dashboard::run();
+    assert!(page.contains("Ada Lovelace"), "{page}");
+    assert!(page.contains("checkup"), "encounters rendered: {page}");
+    assert_eq!((original.round_trips, original.queries), (3, 3));
+    assert_eq!(
+        (sloth.round_trips, sloth.queries),
+        (1, 3),
+        "Fig. 2, one batch"
+    );
 }
 
 #[test]

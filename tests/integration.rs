@@ -4,12 +4,11 @@
 use std::sync::Arc;
 
 use sloth_apps::{itracker_app, openmrs_app};
-use sloth_core::QueryStore;
-use sloth_lang::{prepare, run_source, ExecStrategy, OptFlags, V};
+use sloth_lang::{prepare, prepare_with_schema, run_source, ExecStrategy, OptFlags, V};
 use sloth_net::{CostModel, SimEnv};
-use sloth_orm::{entity, one_to_many, FetchStrategy, Schema, Session};
+use sloth_orm::{entity, one_to_many, FetchStrategy, Schema};
 use sloth_sql::ast::ColumnType::*;
-use sloth_web::{render, Model, ModelValue};
+use sloth_web::{HttpRequest, Router};
 
 /// Every itracker page runs in both modes with identical output and a
 /// strict round-trip win (the Fig. 5(b) invariant).
@@ -92,8 +91,9 @@ fn encounter_display_batches_scale() {
     assert!(trips[1] <= trips[0] + 2, "round trips stay flat: {trips:?}");
 }
 
-/// Rust-level stack: ORM deferred session + web rendering over the thunk
-/// runtime, mirroring the kernel-language path.
+/// The whole stack under one request: a page of two `orm_find`s, served
+/// through the router, writes both finds unforced and ships them in one
+/// batch when the page flushes.
 #[test]
 fn rust_level_stack_batches_through_view() {
     let mut schema = Schema::new();
@@ -126,16 +126,21 @@ fn rust_level_stack_batches_through_view() {
     env.seed_sql("INSERT INTO book VALUES (10, 1, 'COBOL'), (11, 2, 'CLU')")
         .unwrap();
 
-    let store = QueryStore::new(env.clone());
-    let session = Session::deferred(store, Arc::clone(&schema));
-    let mut model = Model::new();
-    let a1 = session.find_thunk("author", 1).unwrap();
-    let a2 = session.find_thunk("author", 2).unwrap();
-    model.put("first", ModelValue::LazyEntity(a1));
-    model.put("second", ModelValue::LazyEntity(a2));
+    let src = r#"
+        fn main() {
+            print(orm_find("author", 1));
+            print(orm_find("author", 2));
+        }
+    "#;
+    let program = sloth_lang::parse_program(src).unwrap();
+    let lazy = ExecStrategy::Sloth(OptFlags::all());
+    let page = prepare_with_schema(&program, lazy, Some(&schema));
+    let mut router = Router::new(env.clone(), schema);
+    router.mount("/authors", Arc::new(page), true);
     assert_eq!(env.stats().round_trips, 0);
-    let html = render(&model);
-    assert!(html.contains("Hopper") && html.contains("Liskov"));
+    let rsp = router.handle(&HttpRequest::get("/authors"));
+    assert!(rsp.ok(), "{}", rsp.body);
+    assert!(rsp.body.contains("Hopper") && rsp.body.contains("Liskov"));
     assert_eq!(env.stats().round_trips, 1, "both authors in one batch");
 }
 
