@@ -8,7 +8,8 @@ use sloth_core::QueryStore;
 use sloth_lang::{parse_program, prepare, ExecStrategy, OptFlags};
 use sloth_net::SimEnv;
 use sloth_orm::Schema;
-use sloth_sql::Database;
+use sloth_sql::ast::{ColumnRef, Statement};
+use sloth_sql::{fuse, normalize, parse, Database, Value};
 use std::sync::Arc;
 
 fn store_env() -> SimEnv {
@@ -86,6 +87,31 @@ fn bench_sql() {
             .unwrap()
             .result
             .len()
+    });
+    // A batch of 64 same-template point reads fused into one `IN` probe,
+    // as the driver builds it: 64 probes, and each row tested against the
+    // list.
+    let Statement::Select(proto) = parse("SELECT v FROM t WHERE id = 0").unwrap() else {
+        unreachable!("a SELECT parses to one")
+    };
+    let keys: Vec<Value> = (0..64).map(|i| Value::Int(i * 15)).collect();
+    let fused = fuse::build_fused(&proto, &ColumnRef::bare("id"), &keys).unwrap();
+    bench("sql_engine/fused_in_64", || {
+        db.execute_read(&fused.stmt, &[], false)
+            .unwrap()
+            .0
+            .result
+            .len()
+    });
+    // The normalizer over an ORM point read, as every registered
+    // statement pays it.
+    bench("sql_engine/normalize_orm_read", || {
+        normalize(
+            "SELECT id, project_id, title, severity, status, assignee FROM issue WHERE id = 42",
+        )
+        .unwrap()
+        .params
+        .len()
     });
 }
 

@@ -2,8 +2,9 @@
 //! tables, reporting deterministic execution statistics used by the cost
 //! model in `sloth-net`.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::ast::*;
@@ -66,12 +67,71 @@ pub struct MergeTrace {
 /// reading its deployment's [`TemplateCache`].
 #[derive(Debug, Default)]
 pub struct Database {
-    /// Keyed by lowercased name; `Arc<str>` so a snapshot's clone of the
-    /// catalog copies no string.
-    tables: HashMap<Arc<str>, Table>,
+    tables: HashMap<TableName, Table>,
     templates: Arc<TemplateCache>,
     version: u64,
 }
+
+/// A catalog key: a table's name as declared, hashed and compared
+/// ASCII-case-insensitively, so a statement's spelling of the name finds
+/// its table through a borrow (as a [`Spelling`]) rather than a lowercased
+/// copy. `Arc<str>` so a snapshot's clone of the catalog copies no string.
+#[derive(Debug, Clone)]
+struct TableName(Arc<str>);
+
+/// A spelling of a table name, as the catalog hashes and compares it.
+trait Spelling {
+    fn text(&self) -> &str;
+}
+
+impl Spelling for TableName {
+    fn text(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Spelling for &str {
+    fn text(&self) -> &str {
+        self
+    }
+}
+
+impl Hash for dyn Spelling + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for b in self.text().bytes() {
+            state.write_u8(b.to_ascii_lowercase());
+        }
+        state.write_u8(0xff);
+    }
+}
+
+impl PartialEq for dyn Spelling + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.text().eq_ignore_ascii_case(other.text())
+    }
+}
+
+impl Eq for dyn Spelling + '_ {}
+
+impl<'a> Borrow<dyn Spelling + 'a> for TableName {
+    fn borrow(&self) -> &(dyn Spelling + 'a) {
+        self
+    }
+}
+
+impl Hash for TableName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn Spelling).hash(state);
+    }
+}
+
+impl PartialEq for TableName {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(&other.0)
+    }
+}
+
+impl Eq for TableName {}
 
 impl Clone for Database {
     fn clone(&self) -> Self {
@@ -147,9 +207,9 @@ impl Database {
         }
     }
 
-    /// Looks up a table (case-insensitive).
+    /// Looks up a table (case-insensitive, without copying the name).
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name.to_ascii_lowercase().as_str())
+        self.tables.get(&name as &dyn Spelling)
     }
 
     /// Names of all tables, sorted (deterministic). Borrows; no per-call
@@ -229,12 +289,12 @@ impl Database {
         );
         let out = match stmt {
             Statement::CreateTable { name, columns } => {
-                let key = name.to_ascii_lowercase();
-                if self.tables.contains_key(key.as_str()) {
+                if self.table(name).is_some() {
                     return Err(SqlError::new(format!("table {name} already exists")));
                 }
+                let table = Table::new(name.clone(), columns.clone());
                 self.tables
-                    .insert(key.into(), Table::new(name.clone(), columns.clone()));
+                    .insert(TableName(Arc::clone(&table.name)), table);
                 Ok(write_outcome(0))
             }
             Statement::CreateIndex { table, column } => {
@@ -297,7 +357,7 @@ impl Database {
 
     fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
         self.tables
-            .get_mut(name.to_ascii_lowercase().as_str())
+            .get_mut(&name as &dyn Spelling)
             .ok_or_else(|| SqlError::new(format!("no such table: {name}")))
     }
 
@@ -341,7 +401,7 @@ impl Database {
 
         // Resolve all sources.
         let base = self.table_ref(&sel.from.name)?;
-        let mut scope = Scope::new();
+        let mut scope = Scope::default();
         scope.add_source(&sel.from.alias, base);
 
         // Base rows: an index probe from an equality / IN conjunct where
@@ -349,7 +409,8 @@ impl Database {
         // executions can report exact merge keys, and stays borrowed from
         // the table until the projection knows it is returned; a join's
         // combined rows are the only ones built before that.
-        let base_rows = candidate_rows(sel.predicate.as_ref(), &sel.from, base, params);
+        let from = (sel.from.name.as_str(), sel.from.alias.as_str());
+        let base_rows = candidate_rows(sel.predicate.as_ref(), from, base, params);
         stats.rows_scanned += base_rows.len() as u64;
         let mut current: Vec<(usize, Cow<[Value]>)> = base_rows
             .into_iter()
@@ -402,11 +463,13 @@ impl Database {
             current = next;
         }
 
-        // Filter.
+        // Filter: the predicate binds once, to the joined row's offsets.
         if let Some(pred) = &sel.predicate {
+            let mut bound = Bound::sized_for([pred]);
+            let pred = bound.bind(pred, &scope, params);
             let mut kept = Vec::with_capacity(current.len());
             for (rid, row) in current {
-                if eval_expr(pred, &scope, &row, params)?.is_truthy() {
+                if bound.test(pred, &row)? {
                     kept.push((rid, row));
                 }
             }
@@ -509,7 +572,7 @@ impl Database {
         params: &[Value],
     ) -> Result<ExecOutcome, SqlError> {
         let t = self.table_ref(table)?;
-        let mut scope = Scope::new();
+        let mut scope = Scope::default();
         scope.add_source(table, t);
         let set_cols: Vec<usize> = sets
             .iter()
@@ -518,31 +581,35 @@ impl Database {
                     .ok_or_else(|| SqlError::new(format!("no column {name} in {table}")))
             })
             .collect::<Result<_, _>>()?;
+        let mut bound = Bound::sized_for(predicate.into_iter().chain(sets.iter().map(|(_, e)| e)));
+        let pred = predicate.map(|p| bound.bind(p, &scope, params));
+        let set_exprs: Vec<usize> = sets
+            .iter()
+            .map(|(_, e)| bound.bind(e, &scope, params))
+            .collect();
 
-        let mut candidates = candidate_rows(predicate, &bare_table(table), t, params);
+        let mut candidates = candidate_rows(predicate, (table, table), t, params);
         // Apply in scan order whatever order the probe gave: the posting
         // list of a value written here then fills as a scan would fill it.
         candidates.sort_unstable_by_key(|&(rid, _)| rid);
         let scanned = candidates.len() as u64;
-        let mut updates: Vec<(usize, Vec<Value>)> = Vec::new();
+        // The rows to update, and their new cells, `sets.len()` a row.
+        let mut hits = Vec::new();
+        let mut cells = Vec::new();
         for (rid, row) in candidates {
-            let keep = match predicate {
-                Some(p) => eval_expr(p, &scope, row, params)?.is_truthy(),
-                None => true,
-            };
-            if keep {
-                let mut new_vals = Vec::with_capacity(sets.len());
-                for (_, e) in sets {
-                    new_vals.push(eval_expr(e, &scope, row, params)?);
+            if pred.map_or(Ok(true), |p| bound.test(p, row))? {
+                hits.push(rid);
+                for &e in &set_exprs {
+                    cells.push(bound.eval(e, row)?.into_owned());
                 }
-                updates.push((rid, new_vals));
             }
         }
-        let n = updates.len() as u64;
+        let n = hits.len() as u64;
         let t = self.table_mut(table)?;
-        for (rid, vals) in updates {
-            for (ci, v) in set_cols.iter().zip(vals) {
-                t.update_cell(rid, *ci, v);
+        let mut cells = cells.into_iter();
+        for rid in hits {
+            for (&ci, v) in set_cols.iter().zip(cells.by_ref()) {
+                t.update_cell(rid, ci, v);
             }
         }
         let mut out = write_outcome(n);
@@ -557,17 +624,15 @@ impl Database {
         params: &[Value],
     ) -> Result<ExecOutcome, SqlError> {
         let t = self.table_ref(table)?;
-        let mut scope = Scope::new();
+        let mut scope = Scope::default();
         scope.add_source(table, t);
-        let candidates = candidate_rows(predicate, &bare_table(table), t, params);
+        let mut bound = Bound::sized_for(predicate);
+        let pred = predicate.map(|p| bound.bind(p, &scope, params));
+        let candidates = candidate_rows(predicate, (table, table), t, params);
         let scanned = candidates.len() as u64;
         let mut doomed = Vec::new();
         for (rid, row) in candidates {
-            let hit = match predicate {
-                Some(p) => eval_expr(p, &scope, row, params)?.is_truthy(),
-                None => true,
-            };
-            if hit {
+            if pred.map_or(Ok(true), |p| bound.test(p, row))? {
                 doomed.push(rid);
             }
         }
@@ -624,12 +689,17 @@ fn check_tuple(t: &Table, columns: &[String], width: usize) -> Result<(), SqlErr
 /// references, unbound slots). Each tuple is allocated at its exact width:
 /// a tuple in declaration order becomes the stored row as it is.
 pub fn eval_const(values: &[Vec<Expr>], params: &[Value]) -> Result<Vec<Row>, SqlError> {
-    let scope = Scope::empty();
+    let scope = Scope::default();
+    // Each expression is evaluated once: it binds, evaluates, and leaves
+    // its nodes' room to the next.
+    let mut bound = Bound::default();
     let mut tuples = Vec::with_capacity(values.len());
     for tuple in values {
         let mut evaluated = Vec::with_capacity(tuple.len());
         for e in tuple {
-            evaluated.push(eval_expr(e, &scope, &[], params)?);
+            bound.nodes.clear();
+            let at = bound.bind(e, &scope, params);
+            evaluated.push(bound.eval(at, &[])?.into_owned());
         }
         tuples.push(evaluated);
     }
@@ -654,129 +724,220 @@ fn write_outcome(rows_affected: u64) -> ExecOutcome {
     }
 }
 
-/// Column-name resolution scope: maps `(alias, column)` to an offset in the
-/// combined row.
-struct Scope {
-    /// (alias lowercased, column name lowercased) → combined-row offset.
-    by_qualified: HashMap<(String, String), usize>,
-    /// column name lowercased → offsets (ambiguous if > 1).
-    by_bare: HashMap<String, Vec<usize>>,
-    names: Vec<String>,
-    width: usize,
+/// The sources a statement's column names resolve against: each table's
+/// alias and borrowed column list, at its offset in the combined row.
+/// Names match ASCII-case-insensitively. A qualified name takes the last
+/// match of its alias and column, a bare one the first column of its name
+/// (MySQL would call that ambiguous; our generated SQL qualifies such
+/// names).
+#[derive(Default)]
+struct Scope<'a> {
+    sources: Vec<(&'a str, &'a [ColumnDef], usize)>,
 }
 
-impl Scope {
-    fn new() -> Self {
-        Scope {
-            by_qualified: HashMap::new(),
-            by_bare: HashMap::new(),
-            names: Vec::new(),
-            width: 0,
-        }
-    }
-
-    fn empty() -> Self {
-        Scope::new()
-    }
-
-    fn add_source(&mut self, alias: &str, table: &Table) {
-        for (i, col) in table.columns.iter().enumerate() {
-            let off = self.width + i;
-            self.by_qualified.insert(
-                (alias.to_ascii_lowercase(), col.name.to_ascii_lowercase()),
-                off,
-            );
-            self.by_bare
-                .entry(col.name.to_ascii_lowercase())
-                .or_default()
-                .push(off);
-            self.names.push(col.name.clone());
-        }
-        self.width += table.columns.len();
+impl<'a> Scope<'a> {
+    fn add_source(&mut self, alias: &'a str, table: &'a Table) {
+        let offset = self
+            .sources
+            .last()
+            .map_or(0, |(_, cols, at)| at + cols.len());
+        self.sources.push((alias, &table.columns, offset));
     }
 
     fn resolve(&self, c: &ColumnRef) -> Option<usize> {
+        let named = |col: &ColumnDef| col.name.eq_ignore_ascii_case(&c.column);
         match &c.table {
             Some(t) => self
-                .by_qualified
-                .get(&(t.to_ascii_lowercase(), c.column.to_ascii_lowercase()))
-                .copied(),
-            None => {
-                let offs = self.by_bare.get(&c.column.to_ascii_lowercase())?;
-                // Prefer the first source on ambiguity (MySQL would error;
-                // our generated SQL qualifies ambiguous names).
-                offs.first().copied()
-            }
+                .sources
+                .iter()
+                .rev()
+                .filter(|(alias, _, _)| alias.eq_ignore_ascii_case(t))
+                .find_map(|(_, cols, at)| cols.iter().rposition(named).map(|i| at + i)),
+            None => self
+                .sources
+                .iter()
+                .find_map(|(_, cols, at)| cols.iter().position(named).map(|i| at + i)),
         }
     }
 
     fn output_columns(&self) -> Vec<String> {
-        self.names.clone()
+        self.sources
+            .iter()
+            .flat_map(|(_, cols, _)| cols.iter().map(|c| c.name.clone()))
+            .collect()
     }
 }
 
-/// Evaluates an expression against `row`, resolving columns via `scope`
-/// and `?` slots via `params`.
-fn eval_expr(e: &Expr, scope: &Scope, row: &[Value], params: &[Value]) -> Result<Value, SqlError> {
-    match e {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Param(i) => params
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| SqlError::new(format!("unbound parameter ?{i}"))),
-        Expr::Column(c) => {
-            let off = scope
+/// The expressions of one statement execution, bound: every column
+/// reference resolved to its offset in the row and every `?` slot to its
+/// value, once, so evaluating a row looks no name up and copies no cell.
+/// A name that does not resolve, or a slot with no value, binds to its
+/// error, raised only when a row reaches it: a statement over no rows
+/// still succeeds, and `OR` / `AND` still short-circuit past it. The
+/// nodes live in one vector, children before their parent.
+#[derive(Default)]
+struct Bound<'s> {
+    nodes: Vec<Node<'s>>,
+}
+
+enum Node<'s> {
+    Value(&'s Value),
+    Column(usize),
+    UnknownColumn(&'s str),
+    Unbound(usize),
+    Not(usize),
+    Binary {
+        op: BinOp,
+        left: usize,
+        right: usize,
+    },
+    /// `x IN (…)` over constants: one set of `=` keys, so a row costs one
+    /// lookup however long the list.
+    InSet {
+        expr: usize,
+        keys: HashSet<EqKey<'s>>,
+    },
+    /// `x IN (…)` with a member that is no constant, tried in order.
+    InList {
+        expr: usize,
+        items: Vec<usize>,
+    },
+    Like {
+        expr: usize,
+        pattern: &'s str,
+    },
+    IsNull {
+        expr: usize,
+        negated: bool,
+    },
+}
+
+impl<'s> Bound<'s> {
+    /// Room for binding `exprs`, so binding them allocates once.
+    fn sized_for<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> Self {
+        fn nodes_in(e: &Expr) -> usize {
+            1 + match e {
+                Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => 0,
+                Expr::Not(e) | Expr::Like { expr: e, .. } | Expr::IsNull { expr: e, .. } => {
+                    nodes_in(e)
+                }
+                Expr::Binary { left, right, .. } => nodes_in(left) + nodes_in(right),
+                Expr::InList { expr, list } => {
+                    nodes_in(expr) + list.iter().map(nodes_in).sum::<usize>()
+                }
+            }
+        }
+        Bound {
+            nodes: Vec::with_capacity(exprs.into_iter().map(nodes_in).sum()),
+        }
+    }
+
+    /// Binds `e` under `scope` and `params`; returns its node.
+    fn bind(&mut self, e: &'s Expr, scope: &Scope, params: &'s [Value]) -> usize {
+        let node = match e {
+            Expr::Literal(v) => Node::Value(v),
+            Expr::Param(i) => params.get(*i).map_or(Node::Unbound(*i), Node::Value),
+            Expr::Column(c) => scope
                 .resolve(c)
-                .ok_or_else(|| SqlError::new(format!("unknown column {}", c.column)))?;
-            row.get(off)
-                .cloned()
-                .ok_or_else(|| SqlError::new("column offset out of range"))
-        }
-        Expr::Not(inner) => Ok(Value::Bool(
-            !eval_expr(inner, scope, row, params)?.is_truthy(),
-        )),
-        Expr::Binary { op, left, right } => {
-            // Short-circuit logical ops.
-            match op {
-                BinOp::And => {
-                    return Ok(Value::Bool(
-                        eval_expr(left, scope, row, params)?.is_truthy()
-                            && eval_expr(right, scope, row, params)?.is_truthy(),
-                    ))
-                }
-                BinOp::Or => {
-                    return Ok(Value::Bool(
-                        eval_expr(left, scope, row, params)?.is_truthy()
-                            || eval_expr(right, scope, row, params)?.is_truthy(),
-                    ))
-                }
-                _ => {}
-            }
-            let l = eval_expr(left, scope, row, params)?;
-            let r = eval_expr(right, scope, row, params)?;
-            eval_binop(*op, &l, &r)
-        }
-        Expr::InList { expr, list } => {
-            let v = eval_expr(expr, scope, row, params)?;
-            for item in list {
-                let iv = eval_expr(item, scope, row, params)?;
-                if v.sql_eq(&iv) {
-                    return Ok(Value::Bool(true));
+                .map_or(Node::UnknownColumn(&c.column), Node::Column),
+            Expr::Not(inner) => Node::Not(self.bind(inner, scope, params)),
+            Expr::Binary { op, left, right } => Node::Binary {
+                op: *op,
+                left: self.bind(left, scope, params),
+                right: self.bind(right, scope, params),
+            },
+            Expr::InList { expr, list } => {
+                let expr = self.bind(expr, scope, params);
+                if list.iter().all(|item| constant(item, params).is_some()) {
+                    // `=` never matches NULL or NaN, so neither keys the set.
+                    let keys = list
+                        .iter()
+                        .filter_map(|item| constant(item, params).and_then(EqKey::of))
+                        .collect();
+                    Node::InSet { expr, keys }
+                } else {
+                    let items = list.iter().map(|item| self.bind(item, scope, params));
+                    Node::InList {
+                        expr,
+                        items: items.collect(),
+                    }
                 }
             }
-            Ok(Value::Bool(false))
+            Expr::Like { expr, pattern } => Node::Like {
+                expr: self.bind(expr, scope, params),
+                pattern,
+            },
+            Expr::IsNull { expr, negated } => Node::IsNull {
+                expr: self.bind(expr, scope, params),
+                negated: *negated,
+            },
+        };
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Whether node `at` holds for `row`.
+    fn test(&self, at: usize, row: &[Value]) -> Result<bool, SqlError> {
+        Ok(self.eval(at, row)?.is_truthy())
+    }
+
+    /// The value of node `at` over `row`: a constant or a cell borrowed,
+    /// a computed value owned.
+    fn eval<'r>(&'r self, at: usize, row: &'r [Value]) -> Result<Cow<'r, Value>, SqlError> {
+        let truth = |b: bool| Ok(Cow::Owned(Value::Bool(b)));
+        match &self.nodes[at] {
+            Node::Value(v) => Ok(Cow::Borrowed(*v)),
+            Node::Column(off) => row
+                .get(*off)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| SqlError::new("column offset out of range")),
+            Node::UnknownColumn(name) => Err(SqlError::new(format!("unknown column {name}"))),
+            Node::Unbound(i) => Err(SqlError::new(format!("unbound parameter ?{i}"))),
+            Node::Not(inner) => truth(!self.test(*inner, row)?),
+            Node::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => truth(self.test(*left, row)? && self.test(*right, row)?),
+            Node::Binary {
+                op: BinOp::Or,
+                left,
+                right,
+            } => truth(self.test(*left, row)? || self.test(*right, row)?),
+            Node::Binary { op, left, right } => {
+                let l = self.eval(*left, row)?;
+                let r = self.eval(*right, row)?;
+                eval_binop(*op, &l, &r).map(Cow::Owned)
+            }
+            Node::InSet { expr, keys } => {
+                let v = self.eval(*expr, row)?;
+                truth(EqKey::of(&v).is_some_and(|k| keys.contains(&k)))
+            }
+            Node::InList { expr, items } => {
+                let v = self.eval(*expr, row)?;
+                for &item in items {
+                    if v.sql_eq(&*self.eval(item, row)?) {
+                        return truth(true);
+                    }
+                }
+                truth(false)
+            }
+            Node::Like { expr, pattern } => {
+                let v = self.eval(*expr, row)?;
+                truth(v.as_str().is_some_and(|s| like_match(s, pattern)))
+            }
+            Node::IsNull { expr, negated } => truth(self.eval(*expr, row)?.is_null() != *negated),
         }
-        Expr::Like { expr, pattern } => {
-            let v = eval_expr(expr, scope, row, params)?;
-            Ok(Value::Bool(match v.as_str() {
-                Some(s) => like_match(s, pattern),
-                None => false,
-            }))
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_expr(expr, scope, row, params)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
+    }
+}
+
+/// The value of a literal or a bound `?` slot: the expressions an index
+/// probe can key on and an `IN` set can hold.
+fn constant<'v>(e: &'v Expr, params: &'v [Value]) -> Option<&'v Value> {
+    match e {
+        Expr::Literal(v) => Some(v),
+        Expr::Param(i) => params.get(*i),
+        _ => None,
     }
 }
 
@@ -827,7 +988,7 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, SqlError> {
                 _ => a / b,
             }))
         }
-        // `eval_expr` short-circuits both before evaluating the right side.
+        // `Bound::eval` short-circuits both before evaluating the right side.
         And | Or => Err(SqlError::new(format!("{op:?} outside a short circuit"))),
     }
 }
@@ -928,20 +1089,25 @@ fn run_aggregate(
 /// those an indexed equality / `IN` conjunct of `predicate` pins, or every
 /// live row when no conjunct is usable. A superset of the rows that match
 /// — the caller still evaluates the whole predicate on each — whose length
-/// is the statement's `rows_scanned`.
+/// is the statement's `rows_scanned`. `from` is the table's name and the
+/// alias its columns may be qualified by (`UPDATE` and `DELETE` name their
+/// table without one).
 fn candidate_rows<'t>(
     predicate: Option<&Expr>,
-    from: &TableRef,
+    from: (&str, &str),
     table: &'t Table,
     params: &[Value],
 ) -> Vec<(usize, &'t [Value])> {
     let rows = |ids: &[usize]| {
-        ids.iter()
-            .filter_map(|&rid| table.row(rid).map(|r| (rid, r)))
-            .collect()
+        let mut rows = Vec::with_capacity(ids.len());
+        rows.extend(
+            ids.iter()
+                .filter_map(|&rid| table.row(rid).map(|r| (rid, r))),
+        );
+        rows
     };
     match find_index_probe(predicate, from, table, params) {
-        Some(Probe::Eq(ci, key)) => rows(table.probe(ci, &key).unwrap_or(&[])),
+        Some(Probe::Eq(ci, key)) => rows(table.probe(ci, key).unwrap_or(&[])),
         Some(Probe::In(ci, keys)) => {
             // K point probes instead of a full scan; row ids merge back
             // into scan order so results are order-identical to the
@@ -954,48 +1120,35 @@ fn candidate_rows<'t>(
             ids.dedup();
             rows(&ids)
         }
-        None => table.scan().collect(),
-    }
-}
-
-/// `UPDATE` and `DELETE` name their table without an alias.
-fn bare_table(table: &str) -> TableRef {
-    TableRef {
-        name: table.to_string(),
-        alias: table.to_string(),
+        None => {
+            let mut rows = Vec::with_capacity(table.len());
+            rows.extend(table.scan());
+            rows
+        }
     }
 }
 
 /// An index-probe plan extracted from the predicate.
-enum Probe {
+enum Probe<'v> {
     /// One probe: `indexed_col = value`.
-    Eq(usize, Value),
+    Eq(usize, &'v Value),
     /// K probes: `indexed_col IN (v1 … vk)` — the mechanism that makes a
     /// fused batch lookup cost K probes instead of a full scan.
-    In(usize, Vec<Value>),
+    In(usize, Vec<&'v Value>),
 }
 
 /// Detects `indexed_col = literal` / `indexed_col IN (literals)` conjuncts
 /// usable as an index probe on the base table. `params` resolves `?` slots
 /// of cached plans.
-fn find_index_probe(
-    predicate: Option<&Expr>,
-    from: &TableRef,
+fn find_index_probe<'v>(
+    predicate: Option<&'v Expr>,
+    from: (&str, &str),
     table: &Table,
-    params: &[Value],
-) -> Option<Probe> {
-    // A literal or bound parameter — the only shapes a probe key can take.
-    fn key_value<'v>(e: &'v Expr, params: &'v [Value]) -> Option<&'v Value> {
-        match e {
-            Expr::Literal(v) => Some(v),
-            Expr::Param(i) => params.get(*i),
-            _ => None,
-        }
-    }
-
-    fn probe_column(col: &ColumnRef, from: &TableRef, table: &Table) -> Option<usize> {
+    params: &'v [Value],
+) -> Option<Probe<'v>> {
+    fn probe_column(col: &ColumnRef, (name, alias): (&str, &str), table: &Table) -> Option<usize> {
         if let Some(q) = &col.table {
-            if !q.eq_ignore_ascii_case(&from.alias) && !q.eq_ignore_ascii_case(&from.name) {
+            if !q.eq_ignore_ascii_case(alias) && !q.eq_ignore_ascii_case(name) {
                 return None;
             }
         }
@@ -1003,7 +1156,12 @@ fn find_index_probe(
         table.has_index(ci).then_some(ci)
     }
 
-    fn walk(e: &Expr, from: &TableRef, table: &Table, params: &[Value]) -> Option<Probe> {
+    fn walk<'v>(
+        e: &'v Expr,
+        from: (&str, &str),
+        table: &Table,
+        params: &'v [Value],
+    ) -> Option<Probe<'v>> {
         match e {
             Expr::Binary {
                 op: BinOp::And,
@@ -1016,22 +1174,20 @@ fn find_index_probe(
                 right,
             } => {
                 let (col, key) = match (&**left, &**right) {
-                    (Expr::Column(c), k) => (c, key_value(k, params)?),
-                    (k, Expr::Column(c)) => (c, key_value(k, params)?),
+                    (Expr::Column(c), k) => (c, constant(k, params)?),
+                    (k, Expr::Column(c)) => (c, constant(k, params)?),
                     _ => return None,
                 };
                 let ci = probe_column(col, from, table)?;
-                Some(Probe::Eq(ci, key.clone()))
+                Some(Probe::Eq(ci, key))
             }
             Expr::InList { expr, list } => {
                 let Expr::Column(col) = &**expr else {
                     return None;
                 };
                 let ci = probe_column(col, from, table)?;
-                let keys: Option<Vec<Value>> = list
-                    .iter()
-                    .map(|item| key_value(item, params).cloned())
-                    .collect();
+                let keys: Option<Vec<&Value>> =
+                    list.iter().map(|item| constant(item, params)).collect();
                 Some(Probe::In(ci, keys?))
             }
             _ => None,
@@ -1043,6 +1199,7 @@ fn find_index_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normalize::parameterize;
     use crate::parser::parse;
 
     fn db_with_issues() -> Database {
@@ -1625,18 +1782,21 @@ mod tests {
             other => panic!("not an UPDATE or DELETE: {other:?}"),
         };
         let t = db.table(table).unwrap();
-        let mut scope = Scope::new();
+        let mut scope = Scope::default();
         scope.add_source(table, t);
+        let mut bound = Bound::default();
+        let pred = predicate.as_ref().map(|p| bound.bind(p, &scope, &[]));
+        let set_exprs: Vec<(usize, usize)> = sets
+            .into_iter()
+            .flatten()
+            .map(|(name, e)| (t.column_index(name).unwrap(), bound.bind(e, &scope, &[])))
+            .collect();
         let mut hits: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
         for (rid, row) in t.scan() {
-            let hit = predicate
-                .as_ref()
-                .is_none_or(|p| eval_expr(p, &scope, row, &[]).unwrap().is_truthy());
-            if hit {
-                let cells = sets.into_iter().flatten().map(|(name, e)| {
-                    let ci = t.column_index(name).unwrap();
-                    (ci, eval_expr(e, &scope, row, &[]).unwrap())
-                });
+            if pred.is_none_or(|p| bound.test(p, row).unwrap()) {
+                let cells = set_exprs
+                    .iter()
+                    .map(|&(ci, e)| (ci, bound.eval(e, row).unwrap().into_owned()));
                 hits.push((rid, cells.collect()));
             }
         }
@@ -1846,5 +2006,181 @@ mod tests {
         assert!(crate::fuse::render_select(&count).is_err());
         let create = parse("CREATE TABLE u (id INT PRIMARY KEY)").unwrap();
         assert!(crate::fuse::render_select(&create).is_err());
+    }
+
+    /// A string literal is stored as the UTF-8 text it was written as, and
+    /// found by it.
+    #[test]
+    fn a_non_ascii_literal_is_stored_as_written() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'café'), (2, '日本語')")
+            .unwrap();
+        let rows = db.execute("SELECT v FROM t").unwrap().result.rows;
+        let want = [Value::Str("café".into()), Value::Str("日本語".into())];
+        assert_eq!(rows, want.map(|v| vec![v]));
+        let hit = db.execute("SELECT id FROM t WHERE v = 'café'").unwrap();
+        assert_eq!(hit.result.rows, vec![vec![Value::Int(1)]]);
+        let like = db.execute("SELECT id FROM t WHERE v LIKE '日本%'").unwrap();
+        assert_eq!(like.result.rows, vec![vec![Value::Int(2)]]);
+    }
+
+    /// The catalog finds a table by any spelling of its name, keeps the
+    /// declared one, and refuses a second table under another spelling.
+    #[test]
+    fn tables_are_found_by_any_spelling_of_their_name() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE OrderLine (id INT PRIMARY KEY, qty INT)")
+            .unwrap();
+        for name in ["OrderLine", "orderline", "ORDERLINE", "oRDERlINE"] {
+            assert_eq!(
+                db.table(name).map(|t| &*t.name),
+                Some("OrderLine"),
+                "{name}"
+            );
+        }
+        assert!(db.table("orderlines").is_none());
+        assert!(db.table("order_line").is_none());
+        db.execute("INSERT INTO ORDERLINE VALUES (1, 5)").unwrap();
+        db.execute("UPDATE orderLine SET qty = 6 WHERE id = 1")
+            .unwrap();
+        let out = db.execute("SELECT qty FROM orderline").unwrap();
+        assert_eq!(out.result.rows, vec![vec![Value::Int(6)]]);
+        let again = db
+            .execute("CREATE TABLE ORDERLINE (id INT PRIMARY KEY)")
+            .unwrap_err();
+        assert_eq!(again.message(), "table ORDERLINE already exists");
+        db.execute("CREATE TABLE orderline2 (id INT PRIMARY KEY)")
+            .unwrap();
+        assert_eq!(db.table_names(), vec!["OrderLine", "orderline2"]);
+    }
+
+    /// A name that does not resolve binds to its error, raised by the
+    /// first row that reaches it: none over an empty table, and none on a
+    /// row where `OR` is already true.
+    #[test]
+    fn an_unknown_column_fails_only_the_rows_that_reach_it() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT)")
+            .unwrap();
+        let none = db.execute("SELECT * FROM t WHERE c = 1").unwrap();
+        assert_eq!(none.result.len(), 0);
+        assert!(db.execute("UPDATE t SET a = 2 WHERE c = 1").is_ok());
+        assert!(db.execute("DELETE FROM t WHERE c = 1").is_ok());
+        db.execute("INSERT INTO t VALUES (1, 1)").unwrap();
+        for sql in [
+            "SELECT * FROM t WHERE c = 1",
+            "UPDATE t SET a = 2 WHERE c = 1",
+            "UPDATE t SET a = c WHERE id = 1",
+            "DELETE FROM t WHERE c = 1",
+        ] {
+            let e = db.execute(sql).unwrap_err();
+            assert_eq!(e.message(), "unknown column c", "{sql}");
+        }
+        let short = db
+            .execute("SELECT id FROM t WHERE a = 1 OR nosuch = 2")
+            .unwrap();
+        assert_eq!(short.result.rows, vec![vec![Value::Int(1)]]);
+        let and = db
+            .execute("SELECT id FROM t WHERE a = 2 AND nosuch = 2")
+            .unwrap();
+        assert_eq!(and.result.len(), 0);
+        db.execute("INSERT INTO t VALUES (2, 2)").unwrap();
+        let e = db
+            .execute("SELECT id FROM t WHERE a = 1 OR nosuch = 2")
+            .unwrap_err();
+        assert_eq!(e.message(), "unknown column nosuch");
+        let e = db.execute("INSERT INTO t VALUES (3, a)").unwrap_err();
+        assert_eq!(e.message(), "unknown column a");
+    }
+
+    /// A `?` slot with no value binds to its error, with its slot number,
+    /// raised only when a row reaches it — in an `IN` list too, past the
+    /// members before it.
+    #[test]
+    fn an_unbound_slot_keeps_its_text() {
+        let mut db = db_with_issues();
+        let (sev, _) = parameterize(&parse("SELECT id FROM issue WHERE sev = 1").unwrap());
+        let e = db.execute_read(&sev, &[], false).unwrap_err();
+        assert_eq!(e.message(), "unbound parameter ?0");
+        let (list, _) = parameterize(&parse("SELECT id FROM issue WHERE id IN (10, 11)").unwrap());
+        let e = db
+            .execute_read(&list, &[Value::Int(10)], false)
+            .unwrap_err();
+        assert_eq!(e.message(), "unbound parameter ?1");
+        db.execute("DELETE FROM issue WHERE id != 10").unwrap();
+        let (out, _) = db.execute_read(&list, &[Value::Int(10)], false).unwrap();
+        assert_eq!(out.result.rows, vec![vec![Value::Int(10)]]);
+        db.execute("DELETE FROM issue").unwrap();
+        assert!(db.execute_read(&sev, &[], false).is_ok());
+        let e = eval_const(&[vec![Expr::Param(2)]], &[Value::Int(1)]).unwrap_err();
+        assert_eq!(e.message(), "unbound parameter ?2");
+    }
+
+    /// `x IN (…)` over constants answers from a set of `=` keys exactly
+    /// what `=` against each member answers, over the values where `=`
+    /// is subtle: NULL, NaN, ±0.0, integers past 2^53 that share an
+    /// `f64`, integral floats, booleans and strings.
+    #[test]
+    fn an_in_set_answers_what_each_member_answers() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        const P53: i64 = 1 << 53;
+        let pool = [
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(P53 - 1),
+            Value::Int(P53),
+            Value::Int(P53 + 1),
+            Value::Float(P53 as f64),
+            Value::Float(P53 as f64 + 2.0),
+            Value::Int(-P53),
+            Value::Int(-P53 - 1),
+            Value::Float(-P53 as f64),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Float(i64::MAX as f64),
+            Value::Float(i64::MIN as f64),
+            Value::Float(2.5),
+            Value::Str("1".into()),
+            Value::Str("".into()),
+            Value::Str("a".into()),
+            Value::Str("A".into()),
+        ];
+        let scope = Scope::default();
+        let mut rng = StdRng::seed_from_u64(53);
+        for trial in 0..4000 {
+            let pick = |rng: &mut StdRng| pool[rng.random_range(0..pool.len())].clone();
+            let x = pick(&mut rng);
+            let members: Vec<Value> = (0..rng.random_range(0..9))
+                .map(|_| pick(&mut rng))
+                .collect();
+            let want = members.iter().any(|m| x.sql_eq(m));
+            // Members as literals, and as bound `?` slots.
+            let literal = Expr::InList {
+                expr: Box::new(Expr::Literal(x.clone())),
+                list: members.iter().cloned().map(Expr::Literal).collect(),
+            };
+            let slotted = Expr::InList {
+                expr: Box::new(Expr::Literal(x.clone())),
+                list: (0..members.len()).map(Expr::Param).collect(),
+            };
+            for e in [&literal, &slotted] {
+                let mut bound = Bound::default();
+                let at = bound.bind(e, &scope, &members);
+                assert!(matches!(bound.nodes[at], Node::InSet { .. }));
+                let got = bound.test(at, &[]).unwrap();
+                assert_eq!(got, want, "trial {trial}: {x:?} IN {members:?}");
+            }
+        }
     }
 }

@@ -28,9 +28,11 @@
 //! `IN (…)` list members **are** extracted (the list arity stays in the
 //! template, so `IN (?, ?)` and `IN (?, ?, ?)` are distinct templates).
 
+use std::fmt::Write;
+
 use crate::ast::{Expr, Statement};
 use crate::error::SqlError;
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{lex, Token};
 use crate::value::Value;
 
 /// A normalized statement: canonical template plus extracted literals.
@@ -53,98 +55,97 @@ fn starts_operand(word: &str) -> bool {
 
 /// True when a `-` seen after `prev` is a unary minus (negative literal)
 /// rather than binary subtraction, matching the parser's grammar.
-fn unary_position(prev: Option<&Token>) -> bool {
+fn unary_after(prev: &Token) -> bool {
     match prev {
-        None => true,
-        Some(Token::Symbol(s)) => *s != ")",
-        Some(Token::Ident(w)) => starts_operand(w),
-        Some(_) => false, // literal operand → binary
+        Token::Symbol(s) => *s != ")",
+        Token::Ident(w) => starts_operand(w),
+        _ => false, // literal operand → binary
     }
-}
-
-/// Renders a string literal back into template text (single quotes, `''`
-/// escaping — the lexer's own syntax).
-fn quote(s: &str) -> String {
-    format!("'{}'", s.replace('\'', "''"))
 }
 
 /// Normalizes `sql` into a template and its extracted parameters.
 ///
-/// Errors exactly when the lexer errors; no parsing is performed.
+/// Errors exactly when the lexer errors; no parsing is performed. One
+/// pass over the lexer's borrowed tokens: identifiers lowercase straight
+/// into the template, and only an extracted string literal is copied.
 pub fn normalize(sql: &str) -> Result<Normalized, SqlError> {
-    let tokens = tokenize(sql)?;
-    let mut template = String::with_capacity(sql.len());
+    // A token renders no longer than it is written and adds at most one
+    // separating space, so the template never outgrows this buffer.
+    let mut template = String::with_capacity(2 * sql.len());
     let mut params = Vec::new();
-    let mut prev: Option<&Token> = None;
+    // A `-` at the start is a unary minus.
+    let mut unary = true;
 
     // Literal-preserving contexts (see module docs).
     let mut after_limit = false; // `LIMIT <int>` pending
     let mut after_like = false; // `LIKE <str>` pending
 
-    let push = |part: &str, template: &mut String| {
+    let mut tokens = lex(sql).peekable();
+    while let Some(tok) = tokens.next() {
+        let tok = tok?;
         if !template.is_empty() {
             template.push(' ');
         }
-        template.push_str(part);
-    };
-
-    let mut i = 0;
-    while i < tokens.len() {
-        let tok = &tokens[i];
+        let next_unary = unary_after(&tok);
         match tok {
             Token::Ident(w) => {
-                push(&w.to_ascii_lowercase(), &mut template);
+                template.extend(w.bytes().map(|b| char::from(b.to_ascii_lowercase())));
                 after_limit = w.eq_ignore_ascii_case("LIMIT");
                 after_like = w.eq_ignore_ascii_case("LIKE");
             }
-            Token::Symbol("-") if unary_position(prev) => {
+            Token::Symbol("-") if unary => {
                 // Negative literal: fold the sign into the parameter so the
                 // template slot lines up with the parser's folded
                 // `Literal(-n)`.
-                match tokens.get(i + 1) {
-                    Some(Token::Int(n)) => {
-                        push("?", &mut template);
-                        params.push(Value::Int(-n));
-                        prev = Some(&tokens[i + 1]);
-                        i += 2;
+                let negated = match tokens.peek() {
+                    Some(Ok(Token::Int(n))) => Some(Value::Int(-n)),
+                    Some(Ok(Token::Float(f))) => Some(Value::Float(-f)),
+                    _ => None,
+                };
+                match negated {
+                    Some(v) => {
+                        template.push('?');
+                        params.push(v);
+                        tokens.next();
+                        unary = false;
                         continue;
                     }
-                    Some(Token::Float(f)) => {
-                        push("?", &mut template);
-                        params.push(Value::Float(-f));
-                        prev = Some(&tokens[i + 1]);
-                        i += 2;
-                        continue;
-                    }
-                    _ => push("-", &mut template),
+                    None => template.push('-'),
                 }
             }
-            Token::Symbol(s) => push(s, &mut template),
+            Token::Symbol(s) => template.push_str(s),
             Token::Int(n) => {
                 if after_limit {
-                    push(&n.to_string(), &mut template);
+                    write!(template, "{n}").expect("writing to a String cannot fail");
                     after_limit = false;
                 } else {
-                    push("?", &mut template);
-                    params.push(Value::Int(*n));
+                    template.push('?');
+                    params.push(Value::Int(n));
                 }
             }
             Token::Float(f) => {
-                push("?", &mut template);
-                params.push(Value::Float(*f));
+                template.push('?');
+                params.push(Value::Float(f));
             }
             Token::Str(s) => {
                 if after_like {
-                    push(&quote(s), &mut template);
+                    // Back in the lexer's own syntax: single quotes, `''`.
+                    template.push('\'');
+                    for (i, part) in s.split('\'').enumerate() {
+                        if i > 0 {
+                            template.push_str("''");
+                        }
+                        template.push_str(part);
+                    }
+                    template.push('\'');
                     after_like = false;
                 } else {
-                    push("?", &mut template);
-                    params.push(Value::Str(s.clone()));
+                    template.push('?');
+                    params.push(Value::Str(s.into_owned()));
                 }
             }
         }
-        prev = Some(tok);
-        i += 1;
+        unary = next_unary;
     }
     Ok(Normalized { template, params })
 }
@@ -330,6 +331,37 @@ mod tests {
     fn escaped_quotes_survive() {
         let n = normalize("SELECT id FROM t WHERE name = 'O''Hara'").unwrap();
         assert_eq!(n.params, vec![Value::Str("O'Hara".into())]);
+        let like = normalize("SELECT id FROM t WHERE name LIKE 'O''H%'").unwrap();
+        assert_eq!(like.template, "select id from t where name like 'O''H%'");
+    }
+
+    /// A non-ASCII literal is extracted, or kept in the template, as the
+    /// text it was written as.
+    #[test]
+    fn string_literals_keep_their_utf8_text() {
+        let n = normalize("SELECT id FROM t WHERE name = 'café' AND city = '東京'").unwrap();
+        assert_eq!(
+            n.params,
+            vec![Value::Str("café".into()), Value::Str("東京".into())]
+        );
+        let like = normalize("SELECT id FROM t WHERE name LIKE 'café%'").unwrap();
+        assert_eq!(like.template, "select id from t where name like 'café%'");
+    }
+
+    #[test]
+    fn lex_errors_are_the_lexers() {
+        for sql in [
+            "SELECT @",
+            "SELECT 'open",
+            "SELECT - 'x' /* open",
+            "SELECT a !",
+        ] {
+            assert_eq!(
+                normalize(sql).unwrap_err(),
+                crate::lexer::tokenize(sql).unwrap_err(),
+                "{sql}"
+            );
+        }
     }
 
     /// The load-bearing invariant: the lexer-level extraction and the

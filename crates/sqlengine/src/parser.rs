@@ -22,7 +22,7 @@ pub fn parse(sql: &str) -> Result<Statement, SqlError> {
 }
 
 struct Parser<'a> {
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'a>>,
     pos: usize,
     sql: &'a str,
 }
@@ -42,11 +42,11 @@ impl<'a> Parser<'a> {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Token> {
+    fn next(&mut self) -> Option<Token<'a>> {
         let t = self.tokens.get(self.pos).cloned();
         if t.is_some() {
             self.pos += 1;
@@ -91,7 +91,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, SqlError> {
+    /// The next identifier, borrowed from the statement.
+    fn word(&mut self) -> Result<&'a str, SqlError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             _ => {
@@ -99,6 +100,11 @@ impl<'a> Parser<'a> {
                 Err(self.err("expected identifier"))
             }
         }
+    }
+
+    /// The next identifier, copied: a name the statement stores.
+    fn ident(&mut self) -> Result<String, SqlError> {
+        self.word().map(str::to_string)
     }
 
     fn statement(&mut self) -> Result<Statement, SqlError> {
@@ -142,13 +148,19 @@ impl<'a> Parser<'a> {
         let mut columns = Vec::new();
         loop {
             let col_name = self.ident()?;
-            let ty_name = self.ident()?;
-            let ty = match ty_name.to_ascii_uppercase().as_str() {
-                "INT" | "INTEGER" | "BIGINT" => ColumnType::Int,
-                "FLOAT" | "DOUBLE" | "REAL" | "DECIMAL" => ColumnType::Float,
-                "TEXT" | "VARCHAR" | "CHAR" | "STRING" => ColumnType::Text,
-                "BOOL" | "BOOLEAN" => ColumnType::Bool,
-                other => return Err(self.err(&format!("unknown type {other}"))),
+            let ty_name = self.word()?;
+            let is = |names: &[&str]| names.iter().any(|n| ty_name.eq_ignore_ascii_case(n));
+            let ty = if is(&["INT", "INTEGER", "BIGINT"]) {
+                ColumnType::Int
+            } else if is(&["FLOAT", "DOUBLE", "REAL", "DECIMAL"]) {
+                ColumnType::Float
+            } else if is(&["TEXT", "VARCHAR", "CHAR", "STRING"]) {
+                ColumnType::Text
+            } else if is(&["BOOL", "BOOLEAN"]) {
+                ColumnType::Bool
+            } else {
+                let other = ty_name.to_ascii_uppercase();
+                return Err(self.err(&format!("unknown type {other}")));
             };
             // Optional length suffix, e.g. VARCHAR(255): parsed and ignored.
             if self.eat_symbol("(") {
@@ -325,13 +337,13 @@ impl<'a> Parser<'a> {
             return Ok(Projection::Star);
         }
         // Aggregates: COUNT/SUM/MAX/MIN followed by '('.
-        if let Some(Token::Ident(name)) = self.peek().cloned() {
-            let upper = name.to_ascii_uppercase();
-            if matches!(upper.as_str(), "COUNT" | "SUM" | "MAX" | "MIN")
+        if let Some(&Token::Ident(name)) = self.peek() {
+            let is = |f: &str| name.eq_ignore_ascii_case(f);
+            if (is("COUNT") || is("SUM") || is("MAX") || is("MIN"))
                 && self.tokens.get(self.pos + 1) == Some(&Token::Symbol("("))
             {
                 self.pos += 2;
-                let agg = if upper == "COUNT" {
+                let agg = if is("COUNT") {
                     if self.eat_symbol("*") {
                         Aggregate::CountStar
                     } else if self.eat_kw("DISTINCT") {
@@ -344,10 +356,12 @@ impl<'a> Parser<'a> {
                     }
                 } else {
                     let c = self.column_ref()?;
-                    match upper.as_str() {
-                        "SUM" => Aggregate::Sum(c),
-                        "MAX" => Aggregate::Max(c),
-                        _ => Aggregate::Min(c),
+                    if is("SUM") {
+                        Aggregate::Sum(c)
+                    } else if is("MAX") {
+                        Aggregate::Max(c)
+                    } else {
+                        Aggregate::Min(c)
                     }
                 };
                 self.expect_symbol(")")?;
@@ -453,7 +467,7 @@ impl<'a> Parser<'a> {
                 Some(Token::Str(p)) => {
                     return Ok(Expr::Like {
                         expr: Box::new(left),
-                        pattern: p,
+                        pattern: p.into_owned(),
                     })
                 }
                 _ => return Err(self.err("expected string pattern after LIKE")),
@@ -555,7 +569,7 @@ impl<'a> Parser<'a> {
             }
             Some(Token::Str(s)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::Str(s)))
+                Ok(Expr::Literal(Value::Str(s.into_owned())))
             }
             Some(Token::Ident(s)) => {
                 if s.eq_ignore_ascii_case("NULL") {
